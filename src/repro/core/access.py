@@ -121,6 +121,7 @@ class AccessSchema:
         schema: DatabaseSchema | None = None,
     ):
         self._constraints: list[AccessConstraint] = []
+        self._members: set[AccessConstraint] = set()
         self._by_relation: dict[str, list[AccessConstraint]] = {}
         self.schema = schema
         for constraint in constraints:
@@ -130,10 +131,29 @@ class AccessSchema:
         """Add a constraint (validated against the schema; duplicates ignored)."""
         if self.schema is not None:
             constraint.validate(self.schema)
-        if constraint in self._constraints:
+        self._append(constraint)
+
+    def _append(self, constraint: AccessConstraint) -> None:
+        if constraint in self._members:
             return
+        self._members.add(constraint)
         self._constraints.append(constraint)
         self._by_relation.setdefault(constraint.relation, []).append(constraint)
+
+    @classmethod
+    def trusted(
+        cls, constraints: Iterable[AccessConstraint], schema: DatabaseSchema | None = None
+    ) -> "AccessSchema":
+        """An access schema of constraints already validated against ``schema``.
+
+        For derived schemas (subsets of a validated schema, actualized
+        copies): same de-duplication and iteration order as the constructor,
+        without re-validating every member.
+        """
+        derived = cls(schema=schema)
+        for constraint in constraints:
+            derived._append(constraint)
+        return derived
 
     # -- protocol ------------------------------------------------------------
     def __iter__(self) -> Iterator[AccessConstraint]:
@@ -144,12 +164,12 @@ class AccessSchema:
         return len(self._constraints)
 
     def __contains__(self, constraint: AccessConstraint) -> bool:
-        return constraint in self._constraints
+        return constraint in self._members
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AccessSchema):
             return NotImplemented
-        return set(self._constraints) == set(other._constraints)
+        return self._members == other._members
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"AccessSchema({len(self._constraints)} constraints)"
@@ -177,14 +197,14 @@ class AccessSchema:
     def restrict(self, keep: Iterable[AccessConstraint]) -> "AccessSchema":
         """A new access schema containing only the given constraints (a subset A_m)."""
         keep_set = set(keep)
-        return AccessSchema(
-            (c for c in self._constraints if c in keep_set), schema=self.schema
+        return AccessSchema.trusted(
+            (c for c in self._constraints if c in keep_set), self.schema
         )
 
     def without(self, dropped: AccessConstraint) -> "AccessSchema":
         """A new access schema with one constraint removed."""
-        return AccessSchema(
-            (c for c in self._constraints if c != dropped), schema=self.schema
+        return AccessSchema.trusted(
+            (c for c in self._constraints if c != dropped), self.schema
         )
 
     def subset_fraction(self, fraction: float) -> "AccessSchema":
@@ -195,7 +215,7 @@ class AccessSchema:
         if not 0.0 <= fraction <= 1.0:
             raise AccessConstraintError(f"fraction must be in [0, 1], got {fraction}")
         count = max(0, round(len(self._constraints) * fraction))
-        return AccessSchema(self._constraints[:count], schema=self.schema)
+        return AccessSchema.trusted(self._constraints[:count], self.schema)
 
     def sample_fraction(self, fraction: float, seed: int = 0) -> "AccessSchema":
         """A random (but seed-deterministic) ``fraction`` of the constraints.
@@ -213,7 +233,7 @@ class AccessSchema:
         chosen = rng.sample(self._constraints, count) if count else []
         ordering = {id(c): i for i, c in enumerate(self._constraints)}
         chosen.sort(key=lambda c: ordering[id(c)])
-        return AccessSchema(chosen, schema=self.schema)
+        return AccessSchema.trusted(chosen, self.schema)
 
     # -- actualization (Lemma 1) -----------------------------------------------
     def actualize(self, occurrences: Mapping[str, str]) -> "AccessSchema":
@@ -224,8 +244,8 @@ class AccessSchema:
         constraint of a base relation is copied to each of its occurrences,
         which takes ``O(|Q| * |A|)`` time as stated by Lemma 1.
         """
-        actualized = AccessSchema()
-        for occurrence, base in occurrences.items():
-            for constraint in self._by_relation.get(base, ()):
-                actualized.add(constraint.actualize(occurrence))
-        return actualized
+        return AccessSchema.trusted(
+            constraint.actualize(occurrence)
+            for occurrence, base in occurrences.items()
+            for constraint in self._by_relation.get(base, ())
+        )

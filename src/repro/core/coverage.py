@@ -18,12 +18,12 @@ The check is purely syntactic (``O(|Q|² + |A|)``), independent of any data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from .access import AccessConstraint, AccessSchema
-from .errors import QueryError
+from .fd import FunctionalDependency, closure
 from .normalize import NormalizedQuery, normalize
-from .query import Query, Relation
+from .query import Query
 from .schema import Attribute
 from .spc import SPCAnalysis, is_normal_form, max_spc_subqueries
 
@@ -69,15 +69,26 @@ class SubqueryCoverage:
     subquery: Query
     analysis: SPCAnalysis
     fetchable: bool
-    indexed: bool
     covered_tokens: frozenset[str]
-    missing_attributes: frozenset[Attribute]
     unindexed_relations: tuple[str, ...]
     index_choices: Mapping[str, AccessConstraint] = field(default_factory=dict)
 
     @property
+    def indexed(self) -> bool:
+        return not self.unindexed_relations
+
+    @property
     def covered(self) -> bool:
-        return self.fetchable and self.indexed
+        return self.fetchable and not self.unindexed_relations
+
+    @property
+    def missing_attributes(self) -> frozenset[Attribute]:
+        """The needed attributes that the chase cannot reach."""
+        analysis = self.analysis
+        return frozenset(
+            a for a in analysis.needed_attributes
+            if analysis.unify(a) not in self.covered_tokens
+        )
 
     def explain(self) -> str:
         """A human-readable explanation of why the sub-query is (not) covered."""
@@ -138,94 +149,29 @@ class CoverageResult:
 # CovChk
 # ---------------------------------------------------------------------------
 
-def _check_subquery(
-    subquery: Query, actualized: AccessSchema, analysis: SPCAnalysis | None = None
-) -> SubqueryCoverage:
-    if analysis is None:
-        analysis = SPCAnalysis(subquery)
-    fds = analysis.induced_fds(actualized)
-    covered_tokens = frozenset(fds.closure(analysis.unified_constant))
+class _Copy(NamedTuple):
+    """One constraint actualized on one relation occurrence, unified under ``ρ_U``."""
 
-    # Fetchable: Σ_{Qs,A} |= X̂_Qs^C → X̂_Qs  (Lemma 4).
-    needed_tokens = analysis.unified_needed
-    fetchable = needed_tokens <= covered_tokens
-    missing = frozenset(
-        a for a in analysis.needed_attributes if analysis.unify(a) not in covered_tokens
-    )
-
-    # Indexed: each relation occurrence has a constraint whose LHS is covered
-    # and whose attributes span the relation's needed attributes.
-    unindexed: list[str] = []
-    index_choices: dict[str, AccessConstraint] = {}
-    for relation in analysis.relations:
-        needed_here = analysis.relation_needed_attributes(relation)
-        best: AccessConstraint | None = None
-        for constraint in actualized.for_relation(relation.name):
-            lhs_tokens = analysis.unify_all(
-                Attribute(relation.name, a) for a in constraint.lhs
-            )
-            if not lhs_tokens <= covered_tokens:
-                continue
-            span = {a.name for a in needed_here}
-            if not span <= (constraint.lhs | constraint.rhs):
-                continue
-            if best is None or constraint.bound < best.bound:
-                best = constraint
-        if best is None:
-            unindexed.append(relation.name)
-        else:
-            index_choices[relation.name] = best
-
-    return SubqueryCoverage(
-        subquery=subquery,
-        analysis=analysis,
-        fetchable=fetchable,
-        indexed=not unindexed,
-        covered_tokens=covered_tokens,
-        missing_attributes=missing,
-        unindexed_relations=tuple(unindexed),
-        index_choices=index_choices,
-    )
-
-
-def check_coverage(
-    query: Query,
-    access_schema: AccessSchema,
-    *,
-    pre_normalized: NormalizedQuery | None = None,
-) -> CoverageResult:
-    """Algorithm ``CovChk``: decide whether ``query`` is covered by ``access_schema``.
-
-    The query is first normalized (distinct relation occurrences) and the
-    access schema actualized onto the occurrences (Lemma 1).  Pass
-    ``pre_normalized`` to skip re-normalization when the caller already has
-    a :class:`NormalizedQuery`.
-    """
-    normalized = pre_normalized if pre_normalized is not None else normalize(query)
-    actualized = normalized.actualize(access_schema)
-    normal_form = is_normal_form(normalized.query)
-    subqueries = [
-        _check_subquery(subquery, actualized)
-        for subquery in max_spc_subqueries(normalized.query)
-    ]
-    return CoverageResult(
-        query=query,
-        normalized=normalized,
-        access_schema=access_schema,
-        actualized=actualized,
-        subqueries=subqueries,
-        normal_form=normal_form,
-    )
+    #: index of the max SPC sub-query that holds the occurrence ``S``
+    sub: int
+    #: the actualized constraint ``S(X → Y, N)``
+    constraint: AccessConstraint
+    #: its induced FD ``ρ_U(S[X]) → ρ_U(S[Y])``
+    fd: FunctionalDependency
+    #: whether ``X^S_Qs ⊆ X ∪ Y`` (the constraint's index can validate ``S``)
+    spans: bool
 
 
 class CoverageChecker:
-    """Repeated coverage checks of one query against many access-schema subsets.
+    """``CovChk`` of one query against many access schemas and subsets of them.
 
-    ``CovChk`` spends most of its time normalizing the query and analysing its
-    max SPC sub-queries; both depend only on the query.  The access-minimization
-    heuristics re-check coverage for many subsets of ``A``, so this helper
-    caches the query-side work and re-does only the schema-side part
-    (actualization, induced FDs, closure) per call.
+    Everything ``CovChk`` needs from the query — normalization, the max SPC
+    sub-queries with their ``Σ_Qs`` / ``ρ_U`` analyses, ``X̂_Qs^C``, ``X̂_Qs``
+    and the needed-attribute span ``X^S_Qs`` of every occurrence — is computed
+    once here.  Everything it needs from a constraint — its actualized copies
+    and their induced FDs — is computed the first time the constraint is seen
+    and kept.  A check is then a closure plus the indexedness test over those
+    tables; access minimization asks for hundreds of them per query.
     """
 
     def __init__(self, query: Query):
@@ -233,27 +179,137 @@ class CoverageChecker:
         self.normalized = normalize(query)
         self.normal_form = is_normal_form(self.normalized.query)
         self._subqueries = max_spc_subqueries(self.normalized.query)
-        self._analyses = [SPCAnalysis(sub) for sub in self._subqueries]
+        self.analyses = [SPCAnalysis(sub) for sub in self._subqueries]
+        #: number of :meth:`evaluate` calls so far (the unit of ``CovChk`` work)
+        self.evaluations = 0
+        #: per sub-query, the names of its relation occurrences
+        self._relation_names = [
+            tuple(relation.name for relation in analysis.relations)
+            for analysis in self.analyses
+        ]
+        located = {
+            name: index
+            for index, names in enumerate(self._relation_names)
+            for name in names
+        }
+        #: base relation -> (occurrence, sub-query index, attribute names of X^S_Qs)
+        self._occurrences: dict[str, list[tuple[str, int, frozenset[str]]]] = {}
+        for occurrence, base in self.normalized.occurrences.items():
+            index = located[occurrence]
+            needed = self.analyses[index].relation_needed_attributes(occurrence)
+            self._occurrences.setdefault(base, []).append(
+                (occurrence, index, frozenset(a.name for a in needed))
+            )
+        #: base constraint -> its copies
+        self._copies: dict[AccessConstraint, tuple[_Copy, ...]] = {}
+        #: actualized constraint -> the base constraint it was copied from
+        self._bases: dict[AccessConstraint, AccessConstraint] = {}
+
+    def _copies_of(self, constraint: AccessConstraint) -> tuple[_Copy, ...]:
+        copies = self._copies.get(constraint)
+        if copies is None:
+            copies = []
+            for occurrence, index, needed in self._occurrences.get(constraint.relation, ()):
+                actual = constraint.actualize(occurrence)
+                self._bases[actual] = constraint
+                copies.append(
+                    _Copy(
+                        index,
+                        actual,
+                        self.analyses[index].induced_fd_for(actual),
+                        needed <= constraint.attributes(),
+                    )
+                )
+            copies = self._copies[constraint] = tuple(copies)
+        return copies
+
+    def relevant(self, constraints: Iterable[AccessConstraint]) -> list[AccessConstraint]:
+        """The constraints on a relation of the query; no other can change ``cov(Q, ·)``."""
+        return [c for c in constraints if c.relation in self._occurrences]
+
+    def base_of(self, actualized: AccessConstraint) -> AccessConstraint | None:
+        """The base constraint an actualized constraint of this query was copied from."""
+        return self._bases.get(actualized)
+
+    def actualize(self, access_schema: AccessSchema) -> AccessSchema:
+        """The actualized access schema of ``access_schema`` on the query (Lemma 1)."""
+        return AccessSchema.trusted(
+            copy.constraint
+            for occurrence, base in self.normalized.occurrences.items()
+            for constraint in access_schema.for_relation(base)
+            for copy in self._copies_of(constraint)
+            if copy.constraint.relation == occurrence
+        )
+
+    def evaluate(self, constraints: Iterable[AccessConstraint]) -> list[SubqueryCoverage]:
+        """``CovChk`` under a set of base constraints, per max SPC sub-query.
+
+        ``constraints`` is an access schema or any subset of one; give it in
+        the schema's order, which breaks ties between equal bounds in
+        ``index_choices``.
+        """
+        self.evaluations += 1
+        copies_in: list[list[_Copy]] = [[] for _ in self.analyses]
+        for constraint in constraints:
+            for copy in self._copies_of(constraint):
+                copies_in[copy.sub].append(copy)
+        verdict = []
+        for subquery, analysis, names, copies in zip(
+            self._subqueries, self.analyses, self._relation_names, copies_in
+        ):
+            # Fetchable: Σ_{Qs,A} |= X̂_Qs^C → X̂_Qs  (Lemma 4).
+            covered_tokens = closure(analysis.unified_constant, [c.fd for c in copies])
+            # Indexed: each relation occurrence has a constraint whose LHS is
+            # covered and whose attributes span the relation's needed attributes.
+            cheapest: dict[str, AccessConstraint] = {}
+            for copy in copies:
+                if copy.spans and copy.fd.lhs <= covered_tokens:
+                    actual = copy.constraint
+                    best = cheapest.get(actual.relation)
+                    if best is None or actual.bound < best.bound:
+                        cheapest[actual.relation] = actual
+            verdict.append(
+                SubqueryCoverage(
+                    subquery=subquery,
+                    analysis=analysis,
+                    fetchable=analysis.unified_needed <= covered_tokens,
+                    covered_tokens=covered_tokens,
+                    unindexed_relations=tuple(n for n in names if n not in cheapest),
+                    index_choices={n: cheapest[n] for n in names if n in cheapest},
+                )
+            )
+        return verdict
 
     def check(self, access_schema: AccessSchema) -> CoverageResult:
-        """Coverage of the cached query under ``access_schema``."""
-        actualized = self.normalized.actualize(access_schema)
-        subqueries = [
-            _check_subquery(sub, actualized, analysis)
-            for sub, analysis in zip(self._subqueries, self._analyses)
-        ]
+        """Coverage of the cached query under ``access_schema``, as a full result."""
         return CoverageResult(
             query=self.query,
             normalized=self.normalized,
             access_schema=access_schema,
-            actualized=actualized,
-            subqueries=subqueries,
+            actualized=self.actualize(access_schema),
+            subqueries=self.evaluate(access_schema),
             normal_form=self.normal_form,
         )
 
-    def is_covered(self, access_schema: AccessSchema) -> bool:
-        """Shorthand: run the check and return only the verdict."""
-        return self.check(access_schema).is_covered
+    def is_covered(self, constraints: Iterable[AccessConstraint]) -> bool:
+        """Only the verdict, for an access schema or a subset of one."""
+        return self.normal_form and all(sub.covered for sub in self.evaluate(constraints))
+
+
+def check_coverage(
+    query: Query,
+    access_schema: AccessSchema,
+    *,
+    checker: CoverageChecker | None = None,
+) -> CoverageResult:
+    """Algorithm ``CovChk``: decide whether ``query`` is covered by ``access_schema``.
+
+    The query is first normalized (distinct relation occurrences) and the
+    access schema actualized onto the occurrences (Lemma 1).  Pass the
+    ``checker`` of an earlier check of the same query to reuse its
+    normalization and analysis.
+    """
+    return (checker or CoverageChecker(query)).check(access_schema)
 
 
 def is_covered(query: Query, access_schema: AccessSchema) -> bool:

@@ -69,7 +69,7 @@ from ..storage.counters import AccessCounter
 from ..storage.database import Database
 from ..storage.index import IndexSet
 from .access import AccessSchema
-from .coverage import CoverageResult, check_coverage
+from .coverage import CoverageChecker, CoverageResult, check_coverage
 from .deltas import FALLBACK, PATCHED, DeltaDeriver, WriteDelta
 from .errors import CircuitOpenError, MaintenanceError, NotCoveredError
 from .fingerprint import prepared_cache_key
@@ -147,6 +147,25 @@ class PreparedQuery:
         return self.plan is not None
 
 
+def _plan_covered(
+    coverage: CoverageResult,
+    checker: CoverageChecker,
+    access_schema: AccessSchema,
+    minimize: bool,
+) -> tuple[BoundedPlan, CoverageResult, MinimizationResult | None]:
+    """C3 + C4 for a covered query: choose ``A_m``, re-check against it, generate the plan.
+
+    The one place where ``A_m`` is chosen.  ``checker`` is the one
+    ``coverage`` came from, so the query is normalized and analysed once per
+    prepare however many checks follow.
+    """
+    minimization: MinimizationResult | None = None
+    if minimize:
+        minimization = minimize_auto(coverage.query, access_schema, checker=checker)
+        coverage = check_coverage(coverage.query, minimization.selected, checker=checker)
+    return generate_plan(coverage), coverage, minimization
+
+
 def prepare_query(
     query: Query,
     access_schema: AccessSchema,
@@ -167,23 +186,22 @@ def prepare_query(
     """
     target = query
     rewrite_name = "identity"
-    coverage = check_coverage(query, access_schema)
+    checker = CoverageChecker(query)
+    coverage = check_coverage(query, access_schema, checker=checker)
     if not coverage.is_covered and allow_rewrite:
         verdict = find_covered_rewrite(query, access_schema)
         if verdict.bounded and verdict.witness is not None:
             target = verdict.witness
             rewrite_name = verdict.rewrite
-            coverage = check_coverage(target, access_schema)
+            checker = CoverageChecker(target)
+            coverage = check_coverage(target, access_schema, checker=checker)
 
     if not coverage.is_covered:
         return PreparedQuery(coverage=coverage)
 
-    minimization: MinimizationResult | None = None
-    effective_coverage = coverage
-    if minimize:
-        minimization = minimize_auto(target, access_schema)
-        effective_coverage = check_coverage(target, minimization.selected)
-    plan = generate_plan(effective_coverage)
+    plan, effective_coverage, minimization = _plan_covered(
+        coverage, checker, access_schema, minimize
+    )
     executable = optimize_plan(plan) if optimize else plan
     return PreparedQuery(
         coverage=effective_coverage,
@@ -326,15 +344,11 @@ class BoundedEngine:
         subset ``A_m`` returned by the access-minimization heuristics.
         Raises :class:`NotCoveredError` if the query is not covered.
         """
-        coverage = self.check(query)
+        checker = CoverageChecker(query)
+        coverage = check_coverage(query, self.access_schema, checker=checker)
         if not coverage.is_covered:
             raise NotCoveredError(coverage.explain())
-        minimization: MinimizationResult | None = None
-        if minimize:
-            minimization = minimize_auto(query, self.access_schema)
-            coverage = check_coverage(query, minimization.selected)
-        plan = generate_plan(coverage)
-        return plan, coverage, minimization
+        return _plan_covered(coverage, checker, self.access_schema, minimize)
 
     # -- C5: SQL translation ----------------------------------------------------------
     def to_sql(self, query: Query, *, minimize: bool = True) -> SQLTranslation:

@@ -82,40 +82,8 @@ class FDSet:
 
     # -- closure and implication ------------------------------------------------
     def closure(self, attributes: Iterable[Token]) -> frozenset[Token]:
-        """The attribute closure of ``attributes`` under this FD set.
-
-        Implements the counting algorithm of Beeri and Bernstein: each
-        dependency keeps a counter of left-hand-side attributes not yet in the
-        closure; when the counter reaches zero its right-hand side is added.
-        Runs in time linear in the total size of the FD set.
-        """
-        closure: set[Token] = set(attributes)
-        counters: list[int] = []
-        by_attribute: dict[Token, list[int]] = {}
-        queue: list[Token] = list(closure)
-
-        for index, dependency in enumerate(self._dependencies):
-            # Counters start at the full LHS size; every LHS attribute that
-            # enters the closure is drained exactly once through the queue.
-            counters.append(len(dependency.lhs))
-            for token in dependency.lhs:
-                by_attribute.setdefault(token, []).append(index)
-            if not dependency.lhs:
-                for token in dependency.rhs:
-                    if token not in closure:
-                        closure.add(token)
-                        queue.append(token)
-
-        while queue:
-            token = queue.pop()
-            for index in by_attribute.get(token, ()):
-                counters[index] -= 1
-                if counters[index] == 0:
-                    for added in self._dependencies[index].rhs:
-                        if added not in closure:
-                            closure.add(added)
-                            queue.append(added)
-        return frozenset(closure)
+        """The attribute closure of ``attributes`` under this FD set."""
+        return closure(attributes, self._dependencies)
 
     def implies(self, lhs: Iterable[Token], rhs: Iterable[Token]) -> bool:
         """Whether ``lhs -> rhs`` is implied by this FD set (``Σ |= lhs → rhs``)."""
@@ -149,8 +117,40 @@ class FDSet:
 def closure(
     attributes: Iterable[Token], dependencies: Sequence[FunctionalDependency]
 ) -> frozenset[Token]:
-    """Module-level convenience wrapper around :meth:`FDSet.closure`."""
-    return FDSet(dependencies).closure(attributes)
+    """The attribute closure of ``attributes`` under ``dependencies``.
+
+    Implements the counting algorithm of Beeri and Bernstein: each
+    dependency keeps a counter of left-hand-side attributes not yet in the
+    closure; when the counter reaches zero its right-hand side is added.
+    Runs in time linear in the total size of the dependencies.
+    """
+    closed: set[Token] = set(attributes)
+    counters: list[int] = []
+    by_attribute: dict[Token, list[int]] = {}
+    queue: list[Token] = list(closed)
+
+    for index, dependency in enumerate(dependencies):
+        # Counters start at the full LHS size; every LHS attribute that
+        # enters the closure is drained exactly once through the queue.
+        counters.append(len(dependency.lhs))
+        for token in dependency.lhs:
+            by_attribute.setdefault(token, []).append(index)
+        if not dependency.lhs:
+            for token in dependency.rhs:
+                if token not in closed:
+                    closed.add(token)
+                    queue.append(token)
+
+    while queue:
+        token = queue.pop()
+        for index in by_attribute.get(token, ()):
+            counters[index] -= 1
+            if counters[index] == 0:
+                for added in dependencies[index].rhs:
+                    if added not in closed:
+                        closed.add(added)
+                        queue.append(added)
+    return frozenset(closed)
 
 
 def implies(

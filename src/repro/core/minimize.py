@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .access import AccessConstraint, AccessSchema
-from .coverage import CoverageChecker, CoverageResult, check_coverage
+from .coverage import CoverageChecker, SubqueryCoverage
 from .errors import NotCoveredError
-from .hypergraph import ROOT, build_qa_hypergraph
+from .hypergraph import ROOT, QAHypergraph, build_qa_hypergraph
 from .query import Query
-from .schema import Attribute
 
 
 @dataclass
@@ -61,13 +60,15 @@ def is_elementary_case(access_schema: AccessSchema) -> bool:
     return all(c.is_indexing or c.is_unit for c in access_schema)
 
 
-def is_acyclic_case(query: Query, access_schema: AccessSchema) -> bool:
+def is_acyclic_case(
+    query: Query, access_schema: AccessSchema, *, checker: CoverageChecker | None = None
+) -> bool:
     """Whether the ⟨Q,A⟩-hypergraph of the (normalized) query is acyclic."""
-    coverage = check_coverage(query, access_schema)
+    checker = checker or CoverageChecker(query)
     hypergraph = build_qa_hypergraph(
-        coverage.normalized.query,
-        coverage.actualized,
-        analyses=[sub.analysis for sub in coverage.subqueries],
+        checker.normalized.query,
+        checker.actualize(access_schema),
+        analyses=checker.analyses,
     )
     return hypergraph.is_acyclic()
 
@@ -76,73 +77,111 @@ def is_acyclic_case(query: Query, access_schema: AccessSchema) -> bool:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _coverage_tokens(coverage: CoverageResult) -> frozenset[str]:
+def _coverage_tokens(verdict: Iterable[SubqueryCoverage]) -> frozenset[str]:
     """All covered attribute tokens across the max SPC sub-queries."""
     tokens: set[str] = set()
-    for sub in coverage.subqueries:
+    for sub in verdict:
         tokens |= sub.covered_tokens
     return frozenset(tokens)
 
 
+def _covers(verdict: Iterable[SubqueryCoverage]) -> bool:
+    return all(sub.covered for sub in verdict)
+
+
 def _require_covered(
-    query: Query, access_schema: AccessSchema, checker: CoverageChecker | None = None
-) -> tuple[CoverageResult, CoverageChecker]:
-    checker = checker if checker is not None else CoverageChecker(query)
-    coverage = checker.check(access_schema)
-    if not coverage.is_covered:
+    query: Query, access_schema: AccessSchema, checker: CoverageChecker | None
+) -> tuple[CoverageChecker, list[AccessConstraint], list[SubqueryCoverage], int]:
+    """The checker, the constraints that can matter to ``query``, and ``CovChk`` under them.
+
+    A constraint on a relation that does not occur in the query is never
+    actualized, so it changes neither ``cov(Q, ·)`` nor indexedness: every
+    heuristic searches only the rest, in the schema's order.  The last item
+    is the checker's evaluation count on entry, for ``coverage_checks``.
+    """
+    checker = checker or CoverageChecker(query)
+    checks_before = checker.evaluations
+    relevant = checker.relevant(access_schema)
+    verdict = checker.evaluate(relevant)
+    if not (checker.normal_form and _covers(verdict)):
         raise NotCoveredError(
-            "access minimization is only defined for covered queries:\n" + coverage.explain()
+            "access minimization is only defined for covered queries:\n"
+            + checker.check(access_schema).explain()
         )
-    return coverage, checker
+    return checker, relevant, verdict, checks_before
 
 
-def _base_constraint_for(
-    actualized: AccessConstraint,
-    occurrences: Mapping[str, str],
+def _result(
     access_schema: AccessSchema,
-) -> AccessConstraint | None:
-    """Map an actualized constraint back to the base constraint it was copied from."""
-    base_relation = occurrences.get(actualized.relation, actualized.relation)
-    for constraint in access_schema.for_relation(base_relation):
-        if (
-            constraint.lhs == actualized.lhs
-            and constraint.rhs == actualized.rhs
-            and constraint.bound == actualized.bound
-        ):
-            return constraint
-    return None
+    selected: Iterable[AccessConstraint],
+    method: str,
+    checker: CoverageChecker,
+    checks_before: int,
+    iterations: int = 0,
+    **details: object,
+) -> MinimizationResult:
+    result_schema = access_schema.restrict(selected)
+    details["coverage_checks"] = checker.evaluations - checks_before
+    return MinimizationResult(
+        selected=result_schema,
+        cost=schema_cost(result_schema),
+        method=method,
+        iterations=iterations,
+        details=details,
+    )
+
+
+def _hyperpath_constraints(
+    hypergraph: QAHypergraph,
+    checker: CoverageChecker,
+    *,
+    required: bool,
+) -> tuple[list[AccessConstraint], int]:
+    """Base constraints on the shortest hyperpaths from ``r`` to ``X̂_Q ∖ X̂_Q^C``, and their weight."""
+    selected: list[AccessConstraint] = []
+    total_weight = 0
+    for analysis in checker.analyses:
+        for token in sorted(analysis.unified_needed - analysis.unified_constant):
+            path = hypergraph.graph.shortest_hyperpath({ROOT}, token)
+            if path is None:
+                if required:  # pragma: no cover - guarded by coverage
+                    raise NotCoveredError(f"attribute token {token!r} unreachable from r")
+                continue
+            total_weight += path.weight
+            for constraint in path.constraints():
+                base = checker.base_of(constraint)
+                if base is not None and base not in selected:
+                    selected.append(base)
+    return selected, total_weight
 
 
 def _ensure_indexing(
-    query: Query,
-    access_schema: AccessSchema,
-    selected: list[AccessConstraint],
     checker: CoverageChecker,
+    relevant: list[AccessConstraint],
+    full: list[SubqueryCoverage],
+    selected: list[AccessConstraint],
 ) -> list[AccessConstraint]:
     """Add cheapest constraints until every relation of the query is indexed.
 
     Used by ``minADAG`` / ``minAE`` after the hyperpath phase: the shortest
     hyperpaths guarantee fetchability, and this pass restores the indexing
     condition at minimal extra cost, preferring constraints already selected.
+    ``full`` is ``CovChk`` under all of ``relevant``.
     """
-    candidates = sorted(access_schema, key=lambda c: c.bound)
-    full = checker.check(access_schema)
+    candidates = sorted(relevant, key=lambda c: c.bound)
     for _ in range(len(candidates) + 1):
-        subset = access_schema.restrict(selected)
-        coverage = checker.check(subset)
-        if coverage.is_covered:
+        now = checker.evaluate([c for c in relevant if c in selected])
+        if _covers(now):
             return selected
         # Find which relations are not indexed and add the cheapest applicable
         # constraint (as judged against the full schema's coverage).
         added = False
-        for sub_full, sub_now in zip(full.subqueries, coverage.subqueries):
+        for sub_full, sub_now in zip(full, now):
             for relation in sub_now.unindexed_relations:
                 choice = sub_full.index_choices.get(relation)
                 if choice is None:
                     continue
-                base = _base_constraint_for(
-                    choice, full.normalized.occurrences, access_schema
-                )
+                base = checker.base_of(choice)
                 if base is not None and base not in selected:
                     selected.append(base)
                     added = True
@@ -174,46 +213,44 @@ def minimize_access(
     *,
     c1: float = 1.0,
     c2: float = 1.0,
+    checker: CoverageChecker | None = None,
 ) -> MinimizationResult:
     """``minA``: greedily drop redundant constraints, largest ``w(φ)`` first.
 
     The returned subset is *minimal*: removing any further constraint would
     leave the query uncovered.  ``c1`` and ``c2`` are the user-tunable
-    normalization coefficients of the paper's weight function.
+    normalization coefficients of the paper's weight function.  ``iterations``
+    counts one round per dropped constraint plus the round that finds nothing
+    left to drop; constraints on relations outside the query are each dropped
+    in a round of their own without a coverage check, since nothing depends
+    on them.
     """
-    _, checker = _require_covered(query, access_schema)
-    selected = list(access_schema)
-    iterations = 0
+    checker, selected, verdict, checks_before = _require_covered(query, access_schema, checker)
+    iterations = len(access_schema) - len(selected)
+    current_tokens = _coverage_tokens(verdict)
 
     while True:
         iterations += 1
-        current = access_schema.restrict(selected)
-        current_coverage = checker.check(current)
-        current_tokens = _coverage_tokens(current_coverage)
-
-        best: AccessConstraint | None = None
+        best: int | None = None
         best_weight = float("-inf")
-        for constraint in selected:
-            reduced = access_schema.restrict([c for c in selected if c != constraint])
-            reduced_coverage = checker.check(reduced)
-            if not reduced_coverage.is_covered:
+        best_tokens = current_tokens
+        for position, constraint in enumerate(selected):
+            reduced = checker.evaluate(selected[:position] + selected[position + 1 :])
+            if not _covers(reduced):
                 continue
-            lost = len(current_tokens - _coverage_tokens(reduced_coverage))
+            reduced_tokens = _coverage_tokens(reduced)
+            lost = len(current_tokens - reduced_tokens)
             weight = (c1 * constraint.bound) / (c2 * (lost + 1))
             if weight > best_weight:
                 best_weight = weight
-                best = constraint
+                best = position
+                best_tokens = reduced_tokens
         if best is None:
             break
-        selected.remove(best)
+        del selected[best]
+        current_tokens = best_tokens
 
-    result_schema = access_schema.restrict(selected)
-    return MinimizationResult(
-        selected=result_schema,
-        cost=schema_cost(result_schema),
-        method="minA",
-        iterations=iterations,
-    )
+    return _result(access_schema, selected, "minA", checker, checks_before, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +258,7 @@ def minimize_access(
 # ---------------------------------------------------------------------------
 
 def minimize_access_acyclic(
-    query: Query, access_schema: AccessSchema
+    query: Query, access_schema: AccessSchema, *, checker: CoverageChecker | None = None
 ) -> MinimizationResult:
     """``minADAG``: shortest weighted hyperpaths from ``r`` to every needed attribute.
 
@@ -230,37 +267,23 @@ def minimize_access_acyclic(
     the query.  Intended for the acyclic case but safe (still correct, just
     without the approximation bound) on cyclic instances.
     """
-    coverage, checker = _require_covered(query, access_schema)
+    checker, relevant, full, checks_before = _require_covered(query, access_schema, checker)
     hypergraph = build_qa_hypergraph(
-        coverage.normalized.query,
-        coverage.actualized,
+        checker.normalized.query,
+        checker.actualize(access_schema),
         weighted=True,
-        analyses=[sub.analysis for sub in coverage.subqueries],
+        analyses=checker.analyses,
     )
-    selected: list[AccessConstraint] = []
-    total_path_weight = 0
-    for sub in coverage.subqueries:
-        analysis = sub.analysis
-        targets = analysis.unified_needed - analysis.unified_constant
-        for token in sorted(targets):
-            path = hypergraph.graph.shortest_hyperpath({ROOT}, token)
-            if path is None:  # pragma: no cover - guarded by coverage
-                raise NotCoveredError(f"attribute token {token!r} unreachable from r")
-            total_path_weight += path.weight
-            for constraint in path.constraints():
-                base = _base_constraint_for(
-                    constraint, coverage.normalized.occurrences, access_schema
-                )
-                if base is not None and base not in selected:
-                    selected.append(base)
-
-    selected = _ensure_indexing(query, access_schema, selected, checker)
-    result_schema = access_schema.restrict(selected)
-    return MinimizationResult(
-        selected=result_schema,
-        cost=schema_cost(result_schema),
-        method="minADAG",
-        details={"total_path_weight": total_path_weight, "acyclic": hypergraph.is_acyclic()},
+    selected, total_path_weight = _hyperpath_constraints(hypergraph, checker, required=True)
+    selected = _ensure_indexing(checker, relevant, full, selected)
+    return _result(
+        access_schema,
+        selected,
+        "minADAG",
+        checker,
+        checks_before,
+        total_path_weight=total_path_weight,
+        acyclic=hypergraph.is_acyclic(),
     )
 
 
@@ -269,7 +292,7 @@ def minimize_access_acyclic(
 # ---------------------------------------------------------------------------
 
 def minimize_access_elementary(
-    query: Query, access_schema: AccessSchema
+    query: Query, access_schema: AccessSchema, *, checker: CoverageChecker | None = None
 ) -> MinimizationResult:
     """``minAE``: Steiner-style selection for indexing + unit constraints.
 
@@ -278,49 +301,30 @@ def minimize_access_elementary(
     terminals ``X̂_Q ∖ X̂_Q^C`` (a classical ``O(|V_T|)``-approximation of the
     directed Steiner arborescence), then adds indexing constraints.
     """
-    coverage, checker = _require_covered(query, access_schema)
-    unit_constraints = AccessSchema(
-        (c for c in access_schema if c.is_unit and not c.is_indexing),
-        schema=access_schema.schema,
-    )
+    checker, relevant, full, checks_before = _require_covered(query, access_schema, checker)
     # Build the weighted hypergraph restricted to A_ni (unit constraints);
     # since |X| = |Y| = 1 it degenerates to a weighted digraph rooted at r.
-    actual_unit = coverage.normalized.actualize(unit_constraints)
-    hypergraph = build_qa_hypergraph(
-        coverage.normalized.query,
-        actual_unit,
-        weighted=True,
-        analyses=[sub.analysis for sub in coverage.subqueries],
+    unit_constraints = AccessSchema.trusted(
+        c for c in relevant if c.is_unit and not c.is_indexing
     )
-    selected: list[AccessConstraint] = []
-    arborescence_weight = 0
-    for sub in coverage.subqueries:
-        analysis = sub.analysis
-        targets = analysis.unified_needed - analysis.unified_constant
-        for token in sorted(targets):
-            path = hypergraph.graph.shortest_hyperpath({ROOT}, token)
-            if path is None:
-                # Not reachable via unit constraints alone; the indexing pass
-                # below (which may use non-unit constraints) will fix coverage.
-                continue
-            arborescence_weight += path.weight
-            for constraint in path.constraints():
-                base = _base_constraint_for(
-                    constraint, coverage.normalized.occurrences, access_schema
-                )
-                if base is not None and base not in selected:
-                    selected.append(base)
-
-    selected = _ensure_indexing(query, access_schema, selected, checker)
-    result_schema = access_schema.restrict(selected)
-    return MinimizationResult(
-        selected=result_schema,
-        cost=schema_cost(result_schema),
-        method="minAE",
-        details={
-            "arborescence_weight": arborescence_weight,
-            "elementary": is_elementary_case(access_schema),
-        },
+    hypergraph = build_qa_hypergraph(
+        checker.normalized.query,
+        checker.actualize(unit_constraints),
+        weighted=True,
+        analyses=checker.analyses,
+    )
+    # A token not reachable via unit constraints alone is left to the indexing
+    # pass below, which may use non-unit constraints.
+    selected, arborescence_weight = _hyperpath_constraints(hypergraph, checker, required=False)
+    selected = _ensure_indexing(checker, relevant, full, selected)
+    return _result(
+        access_schema,
+        selected,
+        "minAE",
+        checker,
+        checks_before,
+        arborescence_weight=arborescence_weight,
+        elementary=is_elementary_case(access_schema),
     )
 
 
@@ -329,41 +333,49 @@ def minimize_access_elementary(
 # ---------------------------------------------------------------------------
 
 def minimize_access_exact(
-    query: Query, access_schema: AccessSchema, *, max_constraints: int = 16
+    query: Query,
+    access_schema: AccessSchema,
+    *,
+    max_constraints: int = 16,
+    checker: CoverageChecker | None = None,
 ) -> MinimizationResult:
-    """Exhaustive AMP solver for small instances (exponential in ``‖A‖``).
+    """Exhaustive AMP solver for small instances.
 
-    Only usable when ``‖A‖ ≤ max_constraints``; used by tests and ablation
-    benchmarks to measure how far the heuristics are from the optimum.
+    Exponential in the number of constraints on the query's relations, so
+    only usable when there are at most ``max_constraints`` of them; used by
+    tests and ablation benchmarks to measure how far the heuristics are from
+    the optimum.
     """
-    _, checker = _require_covered(query, access_schema)
-    constraints = list(access_schema)
+    checker, constraints, _, checks_before = _require_covered(query, access_schema, checker)
     if len(constraints) > max_constraints:
         raise ValueError(
             f"exact search limited to {max_constraints} constraints, got {len(constraints)}"
         )
     best_subset: tuple[AccessConstraint, ...] | None = None
-    best_cost = schema_cost(access_schema) + 1
+    best_cost = schema_cost(constraints) + 1
     for size in range(len(constraints) + 1):
         for subset in itertools.combinations(constraints, size):
             cost = schema_cost(subset)
             if cost >= best_cost:
                 continue
-            candidate = access_schema.restrict(subset)
-            if checker.check(candidate).is_covered:
+            if checker.is_covered(subset):
                 best_subset = subset
                 best_cost = cost
     assert best_subset is not None  # the full schema always covers
-    result_schema = access_schema.restrict(best_subset)
-    return MinimizationResult(
-        selected=result_schema, cost=best_cost, method="exact"
-    )
+    return _result(access_schema, best_subset, "exact", checker, checks_before)
 
 
-def minimize_auto(query: Query, access_schema: AccessSchema) -> MinimizationResult:
-    """Dispatch to the specialised heuristic when its case applies, else ``minA``."""
+def minimize_auto(
+    query: Query, access_schema: AccessSchema, *, checker: CoverageChecker | None = None
+) -> MinimizationResult:
+    """Dispatch to the specialised heuristic when its case applies, else ``minA``.
+
+    Pass the ``checker`` of an earlier ``CovChk`` of the same query to reuse
+    its normalization, analysis and constraint tables.
+    """
+    checker = checker or CoverageChecker(query)
     if is_elementary_case(access_schema):
-        return minimize_access_elementary(query, access_schema)
-    if is_acyclic_case(query, access_schema):
-        return minimize_access_acyclic(query, access_schema)
-    return minimize_access(query, access_schema)
+        return minimize_access_elementary(query, access_schema, checker=checker)
+    if is_acyclic_case(query, access_schema, checker=checker):
+        return minimize_access_acyclic(query, access_schema, checker=checker)
+    return minimize_access(query, access_schema, checker=checker)

@@ -18,6 +18,7 @@ These are exactly the ingredients of Lemma 4 and algorithm ``CovChk``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .access import AccessConstraint, AccessSchema
@@ -248,7 +249,9 @@ class SPCAnalysis:
         return frozenset(self.unify(a) for a in attributes)
 
     # -- attribute sets -----------------------------------------------------------
-    @property
+    # The analysis never changes after construction and CovChk, the
+    # hypergraph and QPlan each ask for these sets repeatedly: compute once.
+    @cached_property
     def relations(self) -> tuple[Relation, ...]:
         return tuple(self.query.relations())
 
@@ -256,7 +259,7 @@ class SPCAnalysis:
     def output_attributes(self) -> tuple[Attribute, ...]:
         return self.query.output_attributes()
 
-    @property
+    @cached_property
     def needed_attributes(self) -> frozenset[Attribute]:
         """``X_Q``: attributes in the selection conditions or the output of ``Qs``.
 
@@ -270,19 +273,19 @@ class SPCAnalysis:
             | frozenset(self.query.output_attributes())
         )
 
-    @property
+    @cached_property
     def constant_attributes(self) -> frozenset[Attribute]:
         """``X_Q^C``: needed attributes whose value is fixed by a constant."""
         return frozenset(
             a for a in self.needed_attributes if self.constant_for(a) is not None
         )
 
-    @property
+    @cached_property
     def unified_needed(self) -> frozenset[str]:
         """``X̂_Q = ρ_U(X_Q)``."""
         return self.unify_all(self.needed_attributes)
 
-    @property
+    @cached_property
     def unified_constant(self) -> frozenset[str]:
         """``X̂_Q^C = ρ_U(X_Q^C)``."""
         return self.unify_all(self.constant_attributes)

@@ -12,7 +12,7 @@ fallback path burns.  These metrics join ``warm_qps`` in the tracked
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 
 
 class LatencyRecorder:
@@ -27,13 +27,13 @@ class LatencyRecorder:
 
     def __init__(self, cap: int = 8192):
         self.cap = cap
-        self._samples: dict[str, list[float]] = {}
+        self._samples: dict[str, deque[float]] = {}
 
     def observe(self, key: str, seconds: float) -> None:
-        window = self._samples.setdefault(key, [])
-        window.append(seconds)
-        if len(window) > self.cap:
-            del window[: len(window) - self.cap]
+        window = self._samples.get(key)
+        if window is None:
+            window = self._samples[key] = deque(maxlen=self.cap)
+        window.append(seconds)  # a full window drops its oldest sample
 
     def count(self, key: str) -> int:
         return len(self._samples.get(key, ()))
