@@ -42,7 +42,8 @@ if str(SRC) not in sys.path:  # allow running without an editable install
 from repro.bench.experiments import select_covered_queries  # noqa: E402
 from repro.core.engine import BoundedEngine  # noqa: E402
 from repro.evaluator.algebra import evaluate  # noqa: E402
-from repro.sharding import ShardFaultInjector, build_topology  # noqa: E402
+from repro.serving.faults import FaultInjector  # noqa: E402
+from repro.sharding import build_topology  # noqa: E402
 from repro.workloads import WORKLOADS  # noqa: E402
 
 
@@ -130,7 +131,7 @@ def _bench_replicated(workload, queries, expected, single_qps, *, scale: int,
             )
     healthy_qps = _throughput(router, queries, repeats)
 
-    injector = ShardFaultInjector(seed=7)
+    injector = FaultInjector(seed=7)
     try:
         injector.kill(router.shards[0].replicas[0])
         for query in queries:

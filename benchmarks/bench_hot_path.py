@@ -23,11 +23,12 @@ against the reference evaluator before any timing; the report records
 the shipping ``cold_qps`` (auto mode) per workload.
 
 **Mixed read/write** — repeated queries interleaved with writes to a
-relation *unrelated* to every query's dependency set, comparing
-constraint-granular invalidation against the legacy clear-all mode
-(``granular_invalidation=False``).  With granular invalidation the writes
-must cause **zero** plan recompilations and zero re-executions (asserted via
-cache stats); with clear-all every write flushes both caches.  Afterwards a
+relation *unrelated* to every query's dependency set, comparing the
+engine's constraint-granular invalidation against a clear-all baseline the
+bench produces itself by emptying both caches after every write.  With
+granular invalidation the writes must cause **zero** plan recompilations
+and zero re-executions (asserted via cache stats); with clear-all every
+write flushes both caches.  Afterwards a
 *dependent* write is applied and results are cross-checked row-for-row
 against the uncached reference evaluator on the changed data.  Both engines
 run with delta repair off — this scenario isolates the invalidation
@@ -251,16 +252,10 @@ def bench_cold_path(name: str, *, scale: int, repeats: int) -> dict:
     }
 
 
-def _mixed_engine(database, workload, *, granular: bool) -> BoundedEngine:
-    # Delta repair off: this scenario compares invalidation *granularity*;
-    # the delta scenario below isolates repair itself.
-    return BoundedEngine(
-        database,
-        workload.access_schema,
-        check_constraints=False,
-        granular_invalidation=granular,
-        delta_repair=False,
-    )
+def _clear_all(engine: BoundedEngine) -> None:
+    """The clear-all baseline: what a write costs without dependency tags."""
+    engine.plan_cache.invalidate(None)
+    engine.result_cache.invalidate(None)
 
 
 def bench_mixed(name: str, *, scale: int, query_count: int, batches: int,
@@ -274,15 +269,19 @@ def bench_mixed(name: str, *, scale: int, query_count: int, batches: int,
     """
     workload = WORKLOADS[name]
 
-    def setup(granular: bool):
+    def setup():
         database = workload.database(scale=scale, seed=7)
         queries = select_covered_queries(
             workload, count=query_count, seed=7, database=database
         )
-        engine = _mixed_engine(database, workload, granular=granular)
+        # Delta repair off: this scenario compares invalidation *granularity*;
+        # the delta scenario below isolates repair itself.
+        engine = BoundedEngine(
+            database, workload.access_schema, check_constraints=False, delta_repair=False
+        )
         return database, queries, engine
 
-    database, queries, probe = setup(True)
+    database, queries, probe = setup()
     if not queries:
         return {"workload": name, "skipped": "no covered queries generated"}
 
@@ -302,7 +301,7 @@ def bench_mixed(name: str, *, scale: int, query_count: int, batches: int,
 
     results: dict[str, dict] = {}
     for mode, granular in (("granular", True), ("clear_all", False)):
-        database, queries, engine = setup(granular)
+        database, queries, engine = setup()
         write_row = next(iter(database.relation(write_relation)))
         expected = {id(q): evaluate(q, database).rows for q in queries}
         for query in queries:  # warm both caches
@@ -312,7 +311,11 @@ def bench_mixed(name: str, *, scale: int, query_count: int, batches: int,
         started = time.perf_counter()
         for _ in range(batches):
             engine.apply_delete(write_relation, write_row)
+            if not granular:
+                _clear_all(engine)
             engine.apply_insert(write_relation, write_row)
+            if not granular:
+                _clear_all(engine)
             for _ in range(reads_per_batch):
                 for query in queries:
                     engine.execute(query)

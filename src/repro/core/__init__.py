@@ -20,7 +20,7 @@ plans (hash-join fusion, projection pushdown, common-subplan elimination).
 from .access import AccessConstraint, AccessSchema
 from .approximate import ApproximateResult, approximate_answer
 from .coverage import CoverageResult, check_coverage, is_covered
-from .engine import BoundedEngine, EngineResult, PlanCache, PreparedQuery
+from .engine import BoundedEngine, EngineResult, PreparedQuery, ServingCore
 from .fingerprint import canonical_form, prepared_cache_key, query_fingerprint
 from .planstore import CachedResult, PlanStore, ResultCache
 from .optimizer import optimize_plan
@@ -83,7 +83,6 @@ __all__ = [
     "NotCoveredError",
     "ParseError",
     "PlanError",
-    "PlanCache",
     "PlanStore",
     "CachedResult",
     "ResultCache",
@@ -98,6 +97,7 @@ __all__ = [
     "ReproError",
     "SchemaError",
     "Selection",
+    "ServingCore",
     "StorageError",
     "Union",
     "canonical_form",

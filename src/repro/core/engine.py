@@ -16,45 +16,39 @@ the in-memory substrate:
 Caching architecture
 --------------------
 
-On top of the paper's pipeline the engine is a **versioned serving core**
-built from three layers (see :mod:`repro.core.planstore`):
+On top of the paper's pipeline sits one **versioned serving core**,
+:class:`ServingCore`, shared by :class:`BoundedEngine` (one database) and
+the federated :class:`~repro.sharding.router.ShardRouter` (a partition of
+shards).  A covered plan touches data only through fetch steps, so the two
+differ in how a fetch is answered and in what "the data has not moved"
+means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
 
 * **Plan store** — C2–C4 (plus the peephole optimization of
   :mod:`repro.core.optimizer`) depend only on the query syntax and the
   access schema, so their output is cached under the query's canonical
   fingerprint (:func:`repro.core.fingerprint.prepared_cache_key`).  The
   store is *shareable*: pass one :class:`~repro.core.planstore.PlanStore`
-  to several engines (shards) serving the same access schema and each query
-  is prepared once fleet-wide.  Entries are tagged with the base relations
-  their plan fetches from, so a write invalidates only dependents.
+  to several cores serving the same access schema and each query is
+  prepared once fleet-wide.  Entries are tagged with the base relations
+  their plan fetches from, so a sweep drops only dependents.
 
 * **Result cache** — covered results are bounded by the access schema
-  (≤ ``access_bound()`` tuples), so the engine also keeps a per-engine
+  (≤ ``access_bound()`` tuples), so the core keeps a
   :class:`~repro.core.planstore.ResultCache` keyed by ``(fingerprint,
-  dependency version snapshot)``.  Repeated covered queries on unchanged
-  data are served without executing at all; a write to a dependent relation
-  changes the snapshot and the entry misses.
+  dependency snapshot)``.  Repeated covered queries on unchanged data are
+  served without executing at all; a write to a dependent relation changes
+  the snapshot and the entry misses.
 
-* **Version clock** — the database stamps every data-changing write with a
-  monotonically increasing version per relation
-  (:class:`~repro.storage.counters.VersionClock`).  The engine's
-  maintenance path (:meth:`BoundedEngine.apply_insert` /
-  :meth:`~BoundedEngine.apply_delete` / the batched
-  :meth:`~BoundedEngine.apply_updates`) bumps the clock and settles both
-  caches *granularly*: one batch costs one version bump plus one
-  maintenance pass over the dependent entries.
+* **Snapshots** — every data-changing write stamps the written relations
+  on a :class:`~repro.storage.counters.VersionClock`.  The substrate says
+  which clocks make up a snapshot (the database's; every shard's).
 
-* **Delta repair** — with ``delta_repair`` on (the default), a dependent
-  write no longer drops result-cache entries wholesale: the
-  :class:`~repro.core.deltas.DeltaDeriver` decides per entry whether the
-  write's effect is derivable through the plan's fetch steps (a write
-  touching constraint C can only add/remove rows reachable through C's
-  fetch) and either re-stamps the entry (write missed every probed key),
-  patches it by re-executing only the dirty fetches' downstream closure
-  over the captured intermediates, or — when the delta is not derivable
-  (difference over the touched relation, missing environment) — falls back
-  to invalidating that entry.  Prepared plans are data-independent, so the
-  plan store is left alone on the repair path.
+* **Write settlement** — one protocol (:meth:`ServingCore._settle`): with
+  ``delta_repair`` on (the default) and a cleanly applied batch, each
+  dependent result-cache entry is re-stamped, patched through the
+  :class:`~repro.core.deltas.DeltaDeriver`, or — when its delta is not
+  provable — dropped, and the data-independent plan store is left alone.
+  Without a usable delta, dependents are swept from both caches.
 """
 
 from __future__ import annotations
@@ -71,7 +65,12 @@ from ..storage.index import IndexSet
 from .access import AccessSchema
 from .coverage import CoverageChecker, CoverageResult, check_coverage
 from .deltas import FALLBACK, PATCHED, DeltaDeriver, WriteDelta
-from .errors import CircuitOpenError, MaintenanceError, NotCoveredError
+from .errors import (
+    CircuitOpenError,
+    MaintenanceError,
+    NotCoveredError,
+    TransientFault,
+)
 from .fingerprint import prepared_cache_key
 from .minimize import MinimizationResult, minimize_auto
 from .optimizer import optimize_plan
@@ -85,14 +84,10 @@ from .rewrite import find_covered_rewrite
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..discovery.maintenance import MaintenanceReport, Update
 
-#: Backward-compatible alias: the LRU plan cache of PR 1, now the shareable
-#: dependency-tagged store of :mod:`repro.core.planstore`.
-PlanCache = PlanStore
-
 
 @dataclass
 class EngineResult:
-    """The outcome of :meth:`BoundedEngine.execute`.
+    """The outcome of :meth:`ServingCore.execute`.
 
     ``strategy`` is ``"bounded"`` when a bounded plan was executed (possibly
     for a rewritten equivalent of the input query), and ``"conventional"``
@@ -178,10 +173,8 @@ def prepare_query(
 
     Runs coverage checking, covered rewriting, access minimization, plan
     generation and peephole optimization — everything a
-    :class:`PreparedQuery` holds.  Shared by :class:`BoundedEngine` and the
-    federated :class:`~repro.sharding.router.ShardRouter`, which prepare
-    against the same access schema but execute on different substrates; both
-    cache the output in a :class:`~repro.core.planstore.PlanStore` under
+    :class:`PreparedQuery` holds.  :class:`ServingCore` caches the output in
+    a :class:`~repro.core.planstore.PlanStore` under
     :func:`~repro.core.fingerprint.prepared_cache_key`.
     """
     target = query
@@ -214,40 +207,342 @@ def prepare_query(
     )
 
 
-class BoundedEngine:
-    """Bounded evaluation of RA queries over an in-memory database.
+class ServingCore:
+    """The serving pipeline every substrate shares: prepare → probe → execute → validate → settle.
 
-    ``plan_store`` lets several engines share one prepared-plan store; they
+    Owns the plan store, the result cache, :meth:`prepare`, :meth:`execute`,
+    the write settlement (:meth:`_repair_candidates` / :meth:`_settle`) and
+    :meth:`cache_stats`.  A subclass supplies only its substrate: the
+    ``_executor`` that answers fetch steps and the ``_deriver`` built on it
+    (both set in its constructor), :meth:`_snapshot` / :meth:`_validate`
+    (what "the data has not moved" means), :meth:`_evaluate_conventionally`
+    (the unbounded fallback), and the write itself inside its ``apply_*``
+    methods.
+
+    ``plan_store`` lets several cores share one prepared-plan store; they
     must be configured with an identical access schema (plans embed its
-    constraints).  When omitted, the engine creates a private store of
-    ``plan_cache_size`` entries.  ``result_cache_size`` bounds the per-engine
-    result cache (0 disables result caching).  ``granular_invalidation``
-    selects the constraint-granular write path; turning it off restores the
-    clear-all behaviour of PR 1 (kept for benchmarking the difference).
+    constraints).  When omitted, a private store of ``plan_cache_size``
+    entries is created.  ``result_cache_size`` bounds the result cache
+    (0 disables result caching).
+
+    **Snapshot contract.**  :meth:`execute` reads the dependency snapshot
+    *before* probing the result cache, re-validates it *after* executing,
+    and stamps a filled entry with that same snapshot — so a served or
+    admitted result never mixes two epochs of its dependencies; an execution
+    a write raced is re-run, up to ``max_snapshot_retries`` times, then
+    abandoned with a typed :class:`~repro.core.errors.TransientFault`.  The
+    write path repairs an entry only when its stamp equals the snapshot
+    taken before the write (this write is then provably the only change
+    since fill) and no dependency moves during the derivation itself; any
+    other entry is dropped, never patched.
 
     ``delta_repair`` (default on) makes dependent writes *repair* result-
-    cache entries instead of invalidating them: covered executions capture
-    their per-step row environment (within the ``repair_env_rows`` budget,
-    summed over all steps of one entry) and the write path derives row-level
-    patches through :class:`~repro.core.deltas.DeltaDeriver`, falling back
-    to per-entry invalidation whenever a delta is not derivable.  On this
-    path the plan store is **not** swept — prepared plans depend only on
-    (query, access schema), and keeping them is what makes a repaired read
-    hit without re-planning.  Turning ``delta_repair`` off restores the
-    sweep-on-write contract (every dependent plan-store and result-cache
-    entry is dropped).  Requires ``granular_invalidation``; with clear-all
-    invalidation the knob is ignored.
+    cache entries instead of sweeping them: covered executions capture their
+    per-step row environment (within the ``repair_env_rows`` budget, summed
+    over all steps of one entry) and :meth:`_settle` derives row-level
+    patches from it.  The plan store is **not** swept on that path —
+    prepared plans depend only on (query, access schema), and keeping them
+    is what makes a repaired read hit without re-planning.  Turning
+    ``delta_repair`` off sweeps every dependent plan-store and result-cache
+    entry on every write.
 
-    **Snapshot contract** of the serving surface: :meth:`execute` reads the
-    dependency snapshot *before* probing the result cache and stamps filled
-    entries with that same snapshot; the write path
-    (:meth:`apply_insert` / :meth:`apply_delete` / :meth:`apply_updates`)
-    verifies an entry still carries the pre-write snapshot before repairing
-    it and re-stamps it with the post-write snapshot.  Any entry observed
-    mid-flight with a different snapshot is dropped, never patched.  The
-    engine itself is single-threaded per write (the serving tier serializes
-    writes); concurrent *readers* are safe because they only compare
-    snapshots.
+    ``fallback_breaker`` (optional, duck-typed: ``allow()`` /
+    ``record_success()`` / ``record_failure()``, e.g. a
+    :class:`~repro.serving.policy.CircuitBreaker`) guards the *unbounded*
+    conventional fallback: unlike bounded plans, whose cost is capped by
+    ``access_bound()``, a fallback execution can touch all the data — so
+    under load a stampede of uncovered queries could starve the covered hot
+    path.  When the breaker refuses, :meth:`execute` raises
+    :class:`~repro.core.errors.CircuitOpenError` instead of evaluating; every
+    fallback outcome is reported back to the breaker.
+    """
+
+    #: executions re-run after a racing write before the read is abandoned
+    max_snapshot_retries = 2
+
+    def __init__(
+        self,
+        access_schema: AccessSchema,
+        *,
+        plan_store: PlanStore | None,
+        plan_cache_size: int,
+        result_cache_size: int,
+        optimize: bool,
+        delta_repair: bool,
+        repair_env_rows: int,
+        fallback_breaker: object | None,
+    ):
+        self.access_schema = access_schema
+        self.plan_cache = plan_store if plan_store is not None else PlanStore(plan_cache_size)
+        self.result_cache = ResultCache(result_cache_size, max_env_rows=repair_env_rows)
+        self.optimize = optimize
+        self.delta_repair = delta_repair
+        self.fallback_breaker = fallback_breaker
+        #: the conventional-evaluation seam: the fault injector (and tests)
+        #: wrap this attribute rather than the module function, so faults
+        #: hit only this instance.
+        self._fallback_evaluator = evaluate_conventional
+
+    # -- the substrate ------------------------------------------------------------------
+    def _snapshot(self, relations: tuple[str, ...]) -> tuple:
+        """The current epoch token of ``relations``, compared only by equality."""
+        raise NotImplementedError
+
+    def _validate(self, relations: tuple[str, ...], snapshot: tuple) -> bool:
+        """Whether ``relations`` still stand at ``snapshot``."""
+        raise NotImplementedError
+
+    def _evaluate_conventionally(self, query: Query):
+        """``query`` through ``_fallback_evaluator`` over all of the substrate's data."""
+        raise NotImplementedError
+
+    def _snapshot_retried(self, *, abandoned: bool) -> None:
+        """An execution was invalidated by a racing write (a counting hook)."""
+
+    # -- query preparation (C2-C4, cached) --------------------------------------------
+    def prepare(
+        self, query: Query, *, minimize: bool = True, allow_rewrite: bool = True
+    ) -> tuple[PreparedQuery, bool]:
+        """The cached C2-C4 pipeline; returns ``(prepared, was_cache_hit)``."""
+        _, entry, hit = self._prepare_keyed(query, minimize, allow_rewrite)
+        return entry, hit
+
+    def _prepare_keyed(
+        self, query: Query, minimize: bool, allow_rewrite: bool
+    ) -> tuple[Hashable, PreparedQuery, bool]:
+        """:meth:`prepare` plus the cache key, fingerprinted exactly once.
+
+        The same key addresses the plan store and the result cache, and
+        fingerprinting is most of the remaining work on a result-cache hit —
+        so the hot path must not compute it twice.
+        """
+        key = prepared_cache_key(
+            query, minimize=minimize, allow_rewrite=allow_rewrite, optimize=self.optimize
+        )
+        entry = self.plan_cache.get(key)
+        if entry is not None:
+            return key, entry, True
+        entry = prepare_query(
+            query,
+            self.access_schema,
+            minimize=minimize,
+            allow_rewrite=allow_rewrite,
+            optimize=self.optimize,
+        )
+        evicted = self.plan_cache.put(key, entry, dependencies=entry.dependencies)
+        self._discard_compiled(evicted)
+        return key, entry, False
+
+    def _discard_compiled(self, entries: Iterable[object]) -> None:
+        """Release the executors' compiled kernels of dropped store entries."""
+        for entry in entries:
+            executable = getattr(entry, "executable", None)
+            if executable is not None:
+                self._executor.discard(executable)
+                self._deriver.executor.discard(executable)
+
+    # -- C6: execution -------------------------------------------------------------------
+    def execute(
+        self,
+        query: Query,
+        *,
+        minimize: bool = True,
+        allow_rewrite: bool = True,
+        fallback: bool = True,
+    ) -> EngineResult:
+        """Answer ``query``: bounded plan when possible, otherwise fall back.
+
+        With ``allow_rewrite`` the A-equivalent rewrites of
+        :mod:`repro.core.rewrite` (difference guarding, branch pruning) are
+        tried before giving up on bounded evaluation.  Repeated queries hit
+        the plan store and skip coverage checking, minimization and planning
+        entirely; repeated covered queries over unchanged dependent
+        relations are served straight from the result cache without
+        executing.  Executions are epoch-guarded (the class docstring's
+        snapshot contract).  Uncovered queries fall back to conventional
+        evaluation, gated by ``fallback_breaker``.
+        """
+        key, prepared, cached = self._prepare_keyed(query, minimize, allow_rewrite)
+
+        if prepared.covered:
+            dependencies = prepared.dependencies
+            for _attempt in range(self.max_snapshot_retries + 1):
+                snapshot = self._snapshot(dependencies)
+                hit = self.result_cache.get(key, snapshot)
+                if hit is not None:
+                    return EngineResult(
+                        rows=hit.rows,
+                        columns=hit.columns,
+                        strategy="bounded",
+                        elapsed=0.0,
+                        counter=AccessCounter(),
+                        plan=prepared.plan,
+                        coverage=prepared.coverage,
+                        minimization=prepared.minimization,
+                        rewrite=prepared.rewrite,
+                        cached=cached,
+                        result_cached=True,
+                    )
+                execution: ExecutionResult = self._executor.execute(
+                    prepared.executable,
+                    capture_env=self.delta_repair and self.result_cache.capacity > 0,
+                    env_rows_budget=self.result_cache.max_env_rows,
+                )
+                if self._validate(dependencies, snapshot):
+                    self.result_cache.put(
+                        key,
+                        rows=execution.rows,
+                        columns=execution.columns,
+                        dependencies=dependencies,
+                        snapshot=snapshot,
+                        env=execution.env,
+                        plan=prepared.executable,
+                    )
+                    return EngineResult(
+                        rows=execution.rows,
+                        columns=execution.columns,
+                        strategy="bounded",
+                        elapsed=execution.elapsed,
+                        counter=execution.counter,
+                        plan=prepared.plan,
+                        coverage=prepared.coverage,
+                        minimization=prepared.minimization,
+                        rewrite=prepared.rewrite,
+                        cached=cached,
+                        executor_mode=execution.executor_mode,
+                    )
+                self._snapshot_retried(abandoned=False)
+            self._snapshot_retried(abandoned=True)
+            raise TransientFault(
+                f"execution abandoned after {self.max_snapshot_retries + 1} attempts: "
+                "dependency epochs kept moving under the read; retry later"
+            )
+
+        if not fallback:
+            raise NotCoveredError(prepared.coverage.explain())
+
+        breaker = self.fallback_breaker
+        if breaker is not None and not breaker.allow():
+            raise CircuitOpenError(
+                "conventional fallback refused: circuit breaker is open "
+                "(recent fallback failures); retry after the cooldown or "
+                "rewrite the query into a covered form"
+            )
+        try:
+            baseline = self._evaluate_conventionally(query)
+        except Exception:
+            if breaker is not None:
+                breaker.record_failure()
+            raise
+        if breaker is not None:
+            breaker.record_success()
+        return EngineResult(
+            rows=baseline.rows,
+            columns=baseline.result.columns,
+            strategy="conventional",
+            elapsed=baseline.elapsed,
+            counter=baseline.counter,
+            coverage=prepared.coverage,
+            cached=cached,
+        )
+
+    # -- write settlement ---------------------------------------------------------------
+    def _repair_candidates(self, relations: Iterable[str]) -> list[tuple]:
+        """Result-cache entries a write to ``relations`` may repair, with the
+        snapshot each must carry to qualify.
+
+        Must be called before the write moves any clock :meth:`_snapshot`
+        reads: an entry whose stamp differs from that pre-write snapshot was
+        already outdated (an out-of-band write, an earlier failed batch), and
+        patching it would stamp over a change no derivation ever saw.
+        """
+        if not self.delta_repair:
+            return []
+        return [
+            (key, entry, self._snapshot(entry.dependencies))
+            for key, entry in self.result_cache.entries_for(relations)
+        ]
+
+    def _settle(
+        self,
+        touched: Sequence[str],
+        candidates: Iterable[tuple],
+        delta: WriteDelta | None,
+    ) -> None:
+        """Settle both caches after a write changed ``touched`` (clocks already bumped).
+
+        Without a usable ``delta`` — repair is off, or the batch failed
+        part-way and what it left behind is suspect — every dependent of
+        ``touched`` is swept from the plan store (compiled kernels released)
+        and the result cache.  Otherwise the plan store is left alone
+        (prepared plans are data-independent) and each of ``candidates``
+        (from :meth:`_repair_candidates`) is settled on its own, in order:
+        outdated before the write → dropped as ``stale``; no captured
+        environment → ``no_env``; the deriver decides clean / patched /
+        not derivable (dropped with its reason); a dependency moved while
+        the deriver was re-fetching, so the patch could mix epochs →
+        ``race``; else the entry is repaired and re-stamped with the
+        snapshot taken before the derivation — indistinguishable from a
+        fresh execution at that epoch.
+        """
+        if not (self.delta_repair and delta):
+            self._discard_compiled(self.plan_cache.invalidate(touched))
+            self.result_cache.invalidate(touched)
+            return
+        touched_set = frozenset(touched)
+        for key, entry, pre_snapshot in candidates:
+            scope = tuple(r for r in entry.dependencies if r in touched_set)
+            if not scope:
+                continue  # the batch's effective writes never reached it
+            if entry.snapshot != pre_snapshot:
+                self.result_cache.drop(key, reason="stale", relations=scope)
+                continue
+            if entry.env is None or entry.plan is None:
+                self.result_cache.drop(key, reason="no_env", relations=scope)
+                continue
+            snapshot = self._snapshot(entry.dependencies)
+            outcome = self._deriver.derive(entry.plan, entry.env, entry.rows, delta)
+            if outcome.status == FALLBACK:
+                self.result_cache.drop(key, reason=outcome.reason, relations=scope)
+                continue
+            if not self._validate(entry.dependencies, snapshot):
+                self.result_cache.drop(key, reason="race", relations=scope)
+                continue
+            patched = outcome.status == PATCHED
+            self.result_cache.repair(
+                key,
+                rows=outcome.rows if patched else entry.rows,
+                env=outcome.env if patched else entry.env,
+                snapshot=snapshot,
+                rows_added=outcome.rows_added,
+                rows_removed=outcome.rows_removed,
+            )
+
+    # -- reporting ----------------------------------------------------------------------------
+    def cache_stats(self) -> dict[str, dict[str, int | float]]:
+        """Plan-store, result-cache and executor statistics, reported separately.
+
+        The ``executor`` section audits the row-vs-columnar choices: how many
+        executions each kernel family served, how ``auto`` resolved at
+        compile time, and the cumulative kernel-batch / rows-processed
+        volume.
+        """
+        return {
+            "plan_store": self.plan_cache.stats(),
+            "result_cache": self.result_cache.stats(),
+            "executor": self._executor.stats(),
+        }
+
+
+class BoundedEngine(ServingCore):
+    """Bounded evaluation of RA queries over one in-memory database.
+
+    The :class:`ServingCore` over a single :class:`~repro.storage.database.
+    Database`: fetch steps are constraint-index lookups, a snapshot is the
+    database's version clock, and writes go through the incremental index
+    maintenance of Proposition 12.  The engine is single-threaded per write
+    (the serving tier serializes writes); concurrent *readers* are safe
+    because they only compare snapshots.
 
     ``executor_mode`` selects the plan-execution kernels: ``"row"``,
     ``"columnar"``, or the default ``"auto"``, which lets the optimizer's
@@ -256,16 +551,6 @@ class BoundedEngine:
     :mod:`repro.evaluator.columnar` for wide joins and large bounded
     fetches.  The chosen mode is surfaced on every executed
     :class:`EngineResult` and aggregated in :meth:`cache_stats`.
-
-    ``fallback_breaker`` (optional, duck-typed: ``allow()`` /
-    ``record_success()`` / ``record_failure()``, e.g. a
-    :class:`~repro.serving.policy.CircuitBreaker`) guards the *unbounded*
-    conventional fallback: unlike bounded plans, whose cost is capped by
-    ``access_bound()``, a fallback execution can touch the whole database —
-    so under load a stampede of uncovered queries could starve the covered
-    hot path.  When the breaker refuses, :meth:`execute` raises
-    :class:`~repro.core.errors.CircuitOpenError` instead of evaluating; every
-    fallback outcome is reported back to the breaker.
     """
 
     def __init__(
@@ -279,14 +564,22 @@ class BoundedEngine:
         plan_store: PlanStore | None = None,
         result_cache_size: int = 256,
         optimize: bool = True,
-        granular_invalidation: bool = True,
         delta_repair: bool = True,
         repair_env_rows: int = 200_000,
         fallback_breaker: object | None = None,
         executor_mode: str = "auto",
     ):
+        super().__init__(
+            access_schema,
+            plan_store=plan_store,
+            plan_cache_size=plan_cache_size,
+            result_cache_size=result_cache_size,
+            optimize=optimize,
+            delta_repair=delta_repair,
+            repair_env_rows=repair_env_rows,
+            fallback_breaker=fallback_breaker,
+        )
         self.database = database
-        self.access_schema = access_schema
         self.index_build_seconds = 0.0
         if build_indexes:
             started = time.perf_counter()
@@ -297,22 +590,13 @@ class BoundedEngine:
         else:
             self.indexes = IndexSet()
         self._executor = PlanExecutor(database, self.indexes, mode=executor_mode)
-        self.plan_cache = plan_store if plan_store is not None else PlanStore(plan_cache_size)
-        self.result_cache = ResultCache(result_cache_size, max_env_rows=repair_env_rows)
-        self.optimize = optimize
-        self.granular_invalidation = granular_invalidation
-        self.delta_repair = delta_repair and granular_invalidation
-        #: repairs always run row kernels (captured environments are row
-        #: sets), regardless of the serving executor's mode.
-        self._repair_executor = PlanExecutor(database, self.indexes, mode="row")
+        # Repairs always run row kernels (captured environments are row
+        # sets), regardless of the serving executor's mode.
         self._deriver = DeltaDeriver(
-            self._repair_executor, database.schema, group_lookup=self._index_group
+            PlanExecutor(database, self.indexes, mode="row"),
+            database.schema,
+            group_lookup=self._index_group,
         )
-        self.fallback_breaker = fallback_breaker
-        #: the conventional-evaluation seam: the serving tier's fault
-        #: injector (and tests) wrap this attribute rather than the module
-        #: function, so faults hit only this engine instance.
-        self._fallback_evaluator = evaluate_conventional
 
     @property
     def clock(self):
@@ -324,6 +608,32 @@ class BoundedEngine:
         clock) stand in for an engine behind the same interface.
         """
         return self.database.clock
+
+    # -- the substrate: one database ----------------------------------------------------
+    def _snapshot(self, relations: tuple[str, ...]) -> tuple[int, ...]:
+        return self.database.clock.snapshot(relations)
+
+    def _validate(self, relations: tuple[str, ...], snapshot: tuple[int, ...]) -> bool:
+        return self.database.clock.snapshot(relations) == snapshot
+
+    def _evaluate_conventionally(self, query: Query):
+        return self._fallback_evaluator(
+            query, self.database, self.access_schema, self.indexes
+        )
+
+    def _index_group(self, constraint, base: str, key: tuple) -> frozenset[tuple] | None:
+        """The live (post-write) index group of ``key`` for dirty refinement.
+
+        Resolves actualized constraints back to the physical index of their
+        base relation, exactly like the executor; ``None`` (no index) makes
+        the deriver treat the key as dirty, never as clean.
+        """
+        index = self.indexes.get(constraint)
+        if index is None:
+            index = self.indexes.find(base, constraint.lhs, constraint.rhs)
+        if index is None:
+            return None
+        return frozenset(index.lookup(key))
 
     # -- C2: coverage -----------------------------------------------------------
     def check(self, query: Query) -> CoverageResult:
@@ -356,231 +666,14 @@ class BoundedEngine:
         plan, _, _ = self.plan(query, minimize=minimize)
         return plan_to_sql(plan)
 
-    # -- query preparation (C2-C4, cached) --------------------------------------------
-    def _cache_key(self, query: Query, minimize: bool, allow_rewrite: bool) -> Hashable:
-        return prepared_cache_key(
-            query,
-            minimize=minimize,
-            allow_rewrite=allow_rewrite,
-            optimize=self.optimize,
-        )
-
-    def _prepare(self, query: Query, *, minimize: bool, allow_rewrite: bool) -> PreparedQuery:
-        """Run coverage, rewriting, minimization, planning and optimization."""
-        return prepare_query(
-            query,
-            self.access_schema,
-            minimize=minimize,
-            allow_rewrite=allow_rewrite,
-            optimize=self.optimize,
-        )
-
-    def prepare(
-        self, query: Query, *, minimize: bool = True, allow_rewrite: bool = True
-    ) -> tuple[PreparedQuery, bool]:
-        """The cached C2-C4 pipeline; returns ``(prepared, was_cache_hit)``."""
-        _, entry, hit = self._prepare_keyed(query, minimize, allow_rewrite)
-        return entry, hit
-
-    def _prepare_keyed(
-        self, query: Query, minimize: bool, allow_rewrite: bool
-    ) -> tuple[Hashable, PreparedQuery, bool]:
-        """:meth:`prepare` plus the cache key, fingerprinted exactly once.
-
-        The same key addresses the plan store and the result cache, and
-        fingerprinting is most of the remaining work on a result-cache hit —
-        so the hot path must not compute it twice.
-        """
-        key = self._cache_key(query, minimize, allow_rewrite)
-        entry = self.plan_cache.get(key)
-        if entry is not None:
-            return key, entry, True
-        entry = self._prepare(query, minimize=minimize, allow_rewrite=allow_rewrite)
-        evicted = self.plan_cache.put(key, entry, dependencies=entry.dependencies)
-        self._discard_compiled(evicted)
-        return key, entry, False
-
-    # -- C6: execution -------------------------------------------------------------------
-    def execute(
-        self,
-        query: Query,
-        *,
-        minimize: bool = True,
-        allow_rewrite: bool = True,
-        fallback: bool = True,
-    ) -> EngineResult:
-        """Answer ``query``: bounded plan when possible, otherwise fall back.
-
-        With ``allow_rewrite`` the engine also tries the A-equivalent rewrites
-        of :mod:`repro.core.rewrite` (difference guarding, branch pruning)
-        before giving up on bounded evaluation.  Repeated queries hit the plan
-        store and skip coverage checking, minimization and planning entirely;
-        repeated covered queries over unchanged dependent relations are
-        served straight from the result cache without executing.
-        """
-        key, prepared, cached = self._prepare_keyed(query, minimize, allow_rewrite)
-
-        if prepared.covered:
-            snapshot = self.database.clock.snapshot(prepared.dependencies)
-            hit = self.result_cache.get(key, snapshot)
-            if hit is not None:
-                return EngineResult(
-                    rows=hit.rows,
-                    columns=hit.columns,
-                    strategy="bounded",
-                    elapsed=0.0,
-                    counter=AccessCounter(),
-                    plan=prepared.plan,
-                    coverage=prepared.coverage,
-                    minimization=prepared.minimization,
-                    rewrite=prepared.rewrite,
-                    cached=cached,
-                    result_cached=True,
-                )
-            execution: ExecutionResult = self._executor.execute(
-                prepared.executable,
-                capture_env=self.delta_repair and self.result_cache.capacity > 0,
-                env_rows_budget=self.result_cache.max_env_rows,
-            )
-            self.result_cache.put(
-                key,
-                rows=execution.rows,
-                columns=execution.columns,
-                dependencies=prepared.dependencies,
-                snapshot=snapshot,
-                env=execution.env,
-                plan=prepared.executable,
-            )
-            return EngineResult(
-                rows=execution.rows,
-                columns=execution.columns,
-                strategy="bounded",
-                elapsed=execution.elapsed,
-                counter=execution.counter,
-                plan=prepared.plan,
-                coverage=prepared.coverage,
-                minimization=prepared.minimization,
-                rewrite=prepared.rewrite,
-                cached=cached,
-                executor_mode=execution.executor_mode,
-            )
-
-        if not fallback:
-            raise NotCoveredError(prepared.coverage.explain())
-
-        breaker = self.fallback_breaker
-        if breaker is not None and not breaker.allow():
-            raise CircuitOpenError(
-                "conventional fallback refused: circuit breaker is open "
-                "(recent fallback failures); retry after the cooldown or "
-                "rewrite the query into a covered form"
-            )
-        try:
-            baseline = self._fallback_evaluator(
-                query, self.database, self.access_schema, self.indexes
-            )
-        except Exception:
-            if breaker is not None:
-                breaker.record_failure()
-            raise
-        if breaker is not None:
-            breaker.record_success()
-        return EngineResult(
-            rows=baseline.rows,
-            columns=baseline.result.columns,
-            strategy="conventional",
-            elapsed=baseline.elapsed,
-            counter=baseline.counter,
-            coverage=prepared.coverage,
-            cached=cached,
-        )
-
     # -- C1: maintenance -------------------------------------------------------------------
-    def _after_write(
-        self, relations: Iterable[str], delta: WriteDelta | None = None
+    def _bump_and_settle(
+        self, touched: Sequence[str], delta: WriteDelta | None = None
     ) -> None:
-        """Bump the version clock and settle the caches after a data change.
-
-        Three regimes, in decreasing bluntness:
-
-        * ``granular_invalidation`` off — both caches are cleared wholesale
-          (the PR 1 behaviour, kept for comparison benchmarks);
-        * granular, no usable ``delta`` — only entries whose plans fetch
-          from the written relations are dropped; compiled kernels of
-          dropped plan-store entries are released from the executor;
-        * granular + ``delta_repair`` + a ``delta`` — result-cache entries
-          are **repaired** (re-stamped or patched via
-          :class:`~repro.core.deltas.DeltaDeriver`) with per-entry fallback
-          to invalidation, and the plan store is left untouched (prepared
-          plans are data-independent).
-
-        The repair pass snapshots every candidate entry's dependencies
-        *before* bumping the clock: an entry whose stamp does not match
-        those pre-write versions was already stale and is dropped rather
-        than patched — the snapshot-validation contract that makes a
-        repaired entry indistinguishable from a fresh recomputation.
-        """
-        touched = tuple(relations)
-        clock = self.database.clock
-        if not self.granular_invalidation:
-            clock.bump(touched)
-            self._discard_compiled(self.plan_cache.invalidate(None))
-            self.result_cache.invalidate(None)
-            return
-        if not (self.delta_repair and delta is not None and delta):
-            clock.bump(touched)
-            self._discard_compiled(self.plan_cache.invalidate(touched))
-            self.result_cache.invalidate(touched)
-            return
-        candidates = [
-            (key, entry, clock.snapshot(entry.dependencies))
-            for key, entry in self.result_cache.entries_for(touched)
-        ]
-        clock.bump(touched)
-        touched_set = frozenset(touched)
-        for key, entry, pre_snapshot in candidates:
-            scope = sorted(touched_set.intersection(entry.dependencies))
-            if entry.snapshot != pre_snapshot:
-                self.result_cache.drop(key, reason="stale", relations=scope)
-                continue
-            if entry.env is None or entry.plan is None:
-                self.result_cache.drop(key, reason="no_env", relations=scope)
-                continue
-            outcome = self._deriver.derive(entry.plan, entry.env, entry.rows, delta)
-            if outcome.status == FALLBACK:
-                self.result_cache.drop(key, reason=outcome.reason, relations=scope)
-                continue
-            patched = outcome.status == PATCHED
-            self.result_cache.repair(
-                key,
-                rows=outcome.rows if patched else entry.rows,
-                env=outcome.env if patched else entry.env,
-                snapshot=clock.snapshot(entry.dependencies),
-                rows_added=outcome.rows_added,
-                rows_removed=outcome.rows_removed,
-            )
-
-    def _index_group(self, constraint, base: str, key: tuple) -> frozenset[tuple] | None:
-        """The live (post-write) index group of ``key`` for dirty refinement.
-
-        Resolves actualized constraints back to the physical index of their
-        base relation, exactly like the executor; ``None`` (no index) makes
-        the deriver treat the key as dirty, never as clean.
-        """
-        index = self.indexes.get(constraint)
-        if index is None:
-            index = self.indexes.find(base, constraint.lhs, constraint.rhs)
-        if index is None:
-            return None
-        return frozenset(index.lookup(key))
-
-    def _discard_compiled(self, entries: Iterable[object]) -> None:
-        """Release the executors' compiled kernels of dropped store entries."""
-        for entry in entries:
-            executable = getattr(entry, "executable", None)
-            if executable is not None:
-                self._executor.discard(executable)
-                self._repair_executor.discard(executable)
+        """One version tick over ``touched`` (already written), then :meth:`_settle`."""
+        candidates = self._repair_candidates(touched)
+        self.database.clock.bump(touched)
+        self._settle(touched, candidates, delta)
 
     def apply_insert(self, relation: str, row: Sequence | Mapping[str, object]) -> None:
         """Insert a tuple and incrementally maintain the indexes (Proposition 12).
@@ -595,7 +688,7 @@ class BoundedEngine:
         prepared = instance.prepare(row)
         if instance.insert(prepared):
             self.indexes.apply_insert(relation, prepared)
-            self._after_write(
+            self._bump_and_settle(
                 (relation,), WriteDelta(inserts={relation: (prepared,)})
             )
 
@@ -608,25 +701,20 @@ class BoundedEngine:
         prepared = instance.prepare(row)
         if instance.delete(prepared):
             self.indexes.apply_delete(relation, prepared, instance)
-            self._after_write(
+            self._bump_and_settle(
                 (relation,), WriteDelta(deletes={relation: (prepared,)})
             )
 
     def apply_updates(self, updates: Iterable["Update"]) -> "MaintenanceReport":
-        """Apply a batch of updates with one version bump and one cache sweep.
+        """Apply a batch of updates with one version bump and one settlement.
 
         Routes :class:`repro.discovery.maintenance.Update` batches through
         the incremental maintenance of Proposition 12 against this engine's
         database and indexes, then settles the serving state once for the
         whole batch: a single version tick stamping every touched relation
-        and a single targeted invalidation sweep — instead of the per-row
-        clear-alls a loop over :meth:`apply_insert` would cost.
-
-        With ``delta_repair`` the settlement is one **derivation pass**: the
-        report's applied updates become a single
-        :class:`~repro.core.deltas.WriteDelta` and every dependent
-        result-cache entry is repaired or invalidated per-entry (the plan
-        store is untouched).
+        and a single :meth:`~ServingCore._settle` pass over the report's
+        applied updates — instead of the per-row settlements a loop over
+        :meth:`apply_insert` would cost.
 
         If the batch aborts part-way (a
         :class:`~repro.core.errors.MaintenanceError` carrying the partial
@@ -635,9 +723,11 @@ class BoundedEngine:
         propagates; otherwise the result cache would keep serving rows from
         before the aborted batch (the stale-serve bug this guards against).
         Failed batches never take the repair path — a fault mid-batch means
-        storage state is suspect, so dependent entries are invalidated
-        outright rather than patched.
+        storage state is suspect, so dependent entries are swept outright
+        rather than patched.
         """
+        # Imported at call time: ``discovery`` imports ``core``, and the
+        # benchmark tracer wraps the module's function from outside.
         from ..discovery.maintenance import apply_updates as _apply_updates
 
         try:
@@ -647,12 +737,11 @@ class BoundedEngine:
         except MaintenanceError as error:
             partial = error.report
             if partial is not None and partial.touched_relations:
-                # Conservative: no repair after a fault — sweep dependents.
-                self._after_write(sorted(partial.touched_relations))
+                self._bump_and_settle(sorted(partial.touched_relations))
                 partial.version = self.database.version
             raise
         if report.touched_relations:
-            self._after_write(
+            self._bump_and_settle(
                 sorted(report.touched_relations),
                 WriteDelta.from_updates(report.applied_updates),
             )
@@ -670,18 +759,4 @@ class BoundedEngine:
             "index_fraction": (total / database_size) if database_size else 0.0,
             "build_seconds": self.index_build_seconds,
             "constraints": len(self.access_schema),
-        }
-
-    def cache_stats(self) -> dict[str, dict[str, int | float]]:
-        """Plan-store, result-cache and executor statistics, reported separately.
-
-        The ``executor`` section audits the row-vs-columnar choices: how many
-        executions each kernel family served, how ``auto`` resolved at
-        compile time, and the cumulative kernel-batch / rows-processed
-        volume.
-        """
-        return {
-            "plan_store": self.plan_cache.stats(),
-            "result_cache": self.result_cache.stats(),
-            "executor": self._executor.stats(),
         }

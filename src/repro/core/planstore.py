@@ -259,8 +259,9 @@ class ResultCache:
     def get(self, key: Hashable, snapshot: tuple[int, ...]) -> CachedResult | None:
         """The entry for ``key`` iff its stamp equals ``snapshot``, else ``None``.
 
-        A snapshot mismatch counts as a miss (``stale_hits``) — the entry
-        stays resident so a later :meth:`repair` can still patch it.
+        A snapshot mismatch counts as a miss and as ``stale``, and drops the
+        entry: the data moved on without a settlement (an out-of-band
+        write), so no later :meth:`repair` could soundly patch it.
         """
         entry = self._entries.get(key)
         if entry is None:

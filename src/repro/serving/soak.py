@@ -198,12 +198,12 @@ def run_soak(config: SoakConfig) -> dict:
     effective_replicas = config.replicas
     if (config.kill_shard or config.flaky_shard) and effective_replicas < 2:
         effective_replicas = 2
-    shard_injector = None
+    # One injector for the whole stack: engine seams when unsharded, the
+    # scenario flags' shard seams when sharded.
+    injector = FaultInjector(seed=config.seed)
     scenario_log: dict = {}
     if sharded:
-        from ..sharding import ShardFaultInjector, ShardFaultSpec, build_topology
-
-        shard_injector = ShardFaultInjector(seed=config.seed)
+        from ..sharding import build_topology
 
         # ``database`` stays behind as the single-database *reference*: the
         # topology owns disjoint fragment copies, and the router's
@@ -264,7 +264,6 @@ def run_soak(config: SoakConfig) -> dict:
                 f"(strategy={result.strategy}) for:\n{query}"
             )
 
-    injector = FaultInjector(seed=config.seed)
     if faults_active:
         injector.configure(
             "executor",
@@ -297,7 +296,7 @@ def run_soak(config: SoakConfig) -> dict:
         if config.kill_shard:
             target_set = engine.shards[0]
             victim = target_set.replicas[0]
-            shard_injector.kill(victim)
+            injector.kill(victim)
             scenario_log["killed_replica"] = victim.name
             # Exercise the failover read *before* the next routed write can
             # quarantine the dead member (a quarantined member never gets a
@@ -316,24 +315,24 @@ def run_soak(config: SoakConfig) -> dict:
         if config.flaky_shard:
             target_set = engine.shards[min(1, len(engine.shards) - 1)]
             victim = target_set.replicas[0]
-            shard_injector.install_shard(victim)
-            shard_injector.configure(
+            injector.install_shard(victim)
+            injector.configure(
                 f"{victim.name}.fetch",
-                ShardFaultSpec(
+                FaultSpec(
                     latency=config.flaky_latency, error_rate=config.flaky_error_rate
                 ),
             )
-            shard_injector.configure(
+            injector.configure(
                 f"{victim.name}.write",
-                ShardFaultSpec(torn_write_every=config.flaky_torn_write_every),
+                FaultSpec(torn_write_every=config.flaky_torn_write_every),
             )
             # The *set* also starts reporting stale epoch tokens sometimes;
             # the router's merge-time validation must refuse to serve
             # through them (a retry or a typed TransientFault, never rows).
-            shard_injector.install_shard(target_set)
-            shard_injector.configure(
+            injector.install_shard(target_set)
+            injector.configure(
                 f"{target_set.name}.snapshot",
-                ShardFaultSpec(stale_snapshot_rate=config.flaky_stale_snapshot_rate),
+                FaultSpec(stale_snapshot_rate=config.flaky_stale_snapshot_rate),
             )
             scenario_log["flaky_replica"] = victim.name
 
@@ -450,8 +449,6 @@ def run_soak(config: SoakConfig) -> dict:
         asyncio.run(_drive())
     finally:
         injector.uninstall()
-        if shard_injector is not None:
-            shard_injector.uninstall()
 
     stats = server.stats()
     covered_p99_ms = max(
@@ -506,7 +503,7 @@ def run_soak(config: SoakConfig) -> dict:
             checks["rebalance_completed"] = scatter["rebalances"] >= 1
             checks["rebalance_moved_rows"] = scatter["rebalance_rows_moved"] > 0
         report_extra["router"] = router_stats
-        report_extra["shard_faults"] = shard_injector.stats()
+        report_extra["shard_faults"] = injector.stats()
         if scenario_active:
             report_extra["scenario"] = scenario_log
     # Per-rung latency distribution (the degradation ladder: bounded,
@@ -551,7 +548,7 @@ def run_soak(config: SoakConfig) -> dict:
         "covered_p99_ms": covered_p99_ms,
         "latency_rungs": latency_rungs,
         "server": stats,
-        "faults": injector.stats(),
+        "faults": {} if sharded else injector.stats(),
         "checks": checks,
         "passed": all(checks.values()),
     }

@@ -7,13 +7,12 @@ epoch validation.  See :mod:`repro.sharding.router` for the soundness
 argument and :mod:`repro.sharding.partition` for the partitioning schemes.
 
 The self-healing layer on top: :mod:`repro.sharding.replica` (replica
-groups with failover, quarantine and catch-up), :mod:`repro.sharding.
-faults` (seeded fault injection at the shard-fetch seam), and
+groups with failover, quarantine and catch-up) and
 :mod:`repro.sharding.rebalance` (epoch-guarded online key-range
-migration).
+migration); :class:`repro.serving.faults.FaultInjector` injects seeded
+faults at the shard-call seams.
 """
 
-from .faults import ShardFaultInjector, ShardFaultSpec
 from .partition import (
     HashPartitioner,
     Partitioner,
@@ -38,8 +37,6 @@ __all__ = [
     "ReplicaSet",
     "RouterMetrics",
     "Shard",
-    "ShardFaultInjector",
-    "ShardFaultSpec",
     "ShardRouter",
     "SQLiteShard",
     "build_topology",

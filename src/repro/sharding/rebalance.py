@@ -164,10 +164,10 @@ def rebalance_key_range(
     router.metrics.rebalances += 1
     router.metrics.rebalance_rows_moved += report.rows_moved
     # Layout changed: settle the router's serving clock and caches like a
-    # routed batch would.  Result-cache entries keyed by per-shard snapshots
-    # are already unservable (the copy/drop bumped shard clocks); the sweep
-    # keeps memory honest and the counters visible.
+    # routed batch with no derivable delta would.  Result-cache entries
+    # keyed by per-shard snapshots are already unservable (the copy/drop
+    # bumped shard clocks); the sweep keeps memory honest and the counters
+    # visible.
     router.clock.bump((relation,))
-    router._discard_compiled(router.plan_cache.invalidate((relation,)))
-    router.result_cache.invalidate((relation,))
+    router._settle((relation,), (), None)
     return report

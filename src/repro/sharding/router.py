@@ -30,31 +30,28 @@ different epochs of the same shard — a racing write forces a bounded retry
 and, if the race persists, a typed
 :class:`~repro.core.errors.TransientFault` (never a silently torn result).
 
-The router duck-types :class:`~repro.core.engine.BoundedEngine`'s serving
-surface (``prepare`` / ``execute`` / ``apply_updates`` / ``cache_stats`` /
-``clock`` / ``fallback_breaker``), so :class:`~repro.serving.server.
-BoundedServer` can sit on top of a federation without changes beyond the
-``engine.clock`` seam.
+The router is a :class:`~repro.core.engine.ServingCore` like
+:class:`~repro.core.engine.BoundedEngine` — same ``prepare`` / ``execute`` /
+``cache_stats``, same write settlement — and offers the same
+``apply_updates`` / ``clock`` / ``fallback_breaker`` surface, so
+:class:`~repro.serving.server.BoundedServer` can sit on top of a federation
+without changes beyond the ``engine.clock`` seam.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Hashable, Iterable, Sequence
+from dataclasses import replace
+from typing import Callable, Iterable, Sequence
 
 from ..core.access import AccessSchema
-from ..core.deltas import FALLBACK, PATCHED, DeltaDeriver, WriteDelta
-from ..core.engine import EngineResult, PreparedQuery, prepare_query
-from ..core.errors import (
-    CircuitOpenError,
-    MaintenanceError,
-    NotCoveredError,
-    StorageError,
-    TransientFault,
-)
-from ..core.fingerprint import prepared_cache_key
-from dataclasses import replace
+from ..core.deltas import DeltaDeriver, WriteDelta
+from ..core.engine import ServingCore
+from ..core.errors import MaintenanceError, StorageError, TransientFault
 
+# Unused here (``ServingCore`` fingerprints), but the layered benchmark's
+# tracer wraps this module's binding by name and fails to install without it.
+from ..core.fingerprint import prepared_cache_key  # noqa: F401
 from ..core.plan import (
     BoundedPlan,
     FetchOp,
@@ -65,9 +62,8 @@ from ..core.plan import (
     RenameOp,
     SelectOp,
 )
-from ..core.planstore import PlanStore, ResultCache
+from ..core.planstore import PlanStore
 from ..core.query import Query
-from ..evaluator.baseline import evaluate_conventional
 from ..evaluator.executor import (
     PlanExecutor,
     _column_positions,
@@ -356,30 +352,21 @@ class FederatedExecutor(PlanExecutor):
         return fetch_kernel, step.columns
 
 
-class ShardRouter:
+class ShardRouter(ServingCore):
     """Routes covered queries and writes over a partitioned shard federation.
+
+    The :class:`~repro.core.engine.ServingCore` over a federation: fetch
+    steps scatter to the owning shards (:class:`FederatedExecutor`), a
+    snapshot is every shard's epoch token over the plan's dependencies — so
+    a cached federated result is served only while *no* shard has written a
+    dependent relation, and a merge never mixes two epochs of one shard —
+    and the conventional fallback evaluates over a gathered copy of the
+    query's relations.  A direct shard write (bypassing the router) makes
+    dependent entries ``stale`` at the next routed batch, never patched.
 
     ``shards`` and ``partitioner`` must agree on the shard count; the
     partitioner decides which shard owns each row (and, for pruned fetches,
-    each key).  ``plan_store`` may be shared with the engine shards — C2–C4
-    output depends only on (query, access schema), so one store serves the
-    whole federation.  The result cache is router-level, keyed by the
-    concatenated per-shard snapshots of the plan's dependencies, so a cached
-    federated result is served only while *no* shard has written a dependent
-    relation.
-
-    **Snapshot-validation contract.**  Every cached federated result carries
-    the concatenation of per-shard clock snapshots taken *before* the
-    execution that filled it; ``execute`` serves the entry only on an exact
-    snapshot match.  With ``delta_repair`` (the default), a routed write
-    batch repairs dependent entries in place via
-    :class:`~repro.core.deltas.DeltaDeriver` instead of sweeping them — but
-    only when the entry's stored snapshot equals the pre-batch federated
-    snapshot (i.e. *this batch* is the only change since fill) **and** no
-    shard epoch moves during the derivation itself.  A direct shard write
-    (bypassing the router) breaks the first condition; a racing write breaks
-    the second; either way the entry is invalidated, never patched.  Writes
-    that fail mid-batch always sweep conservatively.
+    each key).
 
     ``write_observer``, when set, is called with every routed update batch
     after it fully applies — the seam the sharded soak uses to keep its
@@ -409,6 +396,16 @@ class ShardRouter:
                 f"partitioner is configured for {partitioner.shard_count} shards "
                 f"but {len(shards)} were given"
             )
+        super().__init__(
+            access_schema,
+            plan_store=plan_store,
+            plan_cache_size=plan_cache_size,
+            result_cache_size=result_cache_size,
+            optimize=optimize,
+            delta_repair=delta_repair,
+            repair_env_rows=repair_env_rows,
+            fallback_breaker=fallback_breaker,
+        )
         self.shards = list(shards)
         # Every router routes through an overlay so online rebalancing is
         # always available: the overlay is a transparent passthrough until
@@ -416,17 +413,11 @@ class ShardRouter:
         if not isinstance(partitioner, PartitionOverlay):
             partitioner = PartitionOverlay(partitioner)
         self.partitioner = partitioner
-        self.access_schema = access_schema
-        self.plan_cache = plan_store if plan_store is not None else PlanStore(plan_cache_size)
-        self.result_cache = ResultCache(result_cache_size, max_env_rows=repair_env_rows)
-        self.delta_repair = delta_repair
         #: router-level clock: one bump per routed write batch.  The serving
         #: tier's lock-free read validation runs against this clock (the
         #: ``engine.clock`` seam); per-shard clocks guard the merges.
         self.clock = VersionClock()
-        self.optimize = optimize
         self.max_snapshot_retries = max_snapshot_retries
-        self.fallback_breaker = fallback_breaker
         self.write_observer = write_observer
         self.metrics = RouterMetrics()
         # Replica sets adopt the router's latency recorder: hedged-read
@@ -441,135 +432,39 @@ class ShardRouter:
         # exactly as a fresh scatter would merge them.  No group_lookup: the
         # router has no single live index to compare against.
         self._deriver = DeltaDeriver(self._executor, partitioner.schema)
-        #: the conventional-evaluation seam, same as the engine's (tests and
-        #: the fault injector wrap the attribute, not the module function).
-        self._fallback_evaluator = evaluate_conventional
 
-    # -- preparation (C2-C4, shared with BoundedEngine) -----------------------------
-    def _cache_key(self, query: Query, minimize: bool, allow_rewrite: bool) -> Hashable:
-        return prepared_cache_key(
-            query,
-            minimize=minimize,
-            allow_rewrite=allow_rewrite,
-            optimize=self.optimize,
+    # -- the substrate: a federation of shards ----------------------------------------
+    def _snapshot(self, relations: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+        return tuple(shard.snapshot(relations) for shard in self.shards)
+
+    def _validate(
+        self, relations: tuple[str, ...], snapshot: tuple[tuple[int, ...], ...]
+    ) -> bool:
+        return all(
+            shard.validate(relations, part)
+            for shard, part in zip(self.shards, snapshot)
         )
 
-    def prepare(
-        self, query: Query, *, minimize: bool = True, allow_rewrite: bool = True
-    ) -> tuple[PreparedQuery, bool]:
-        """The cached C2-C4 pipeline; returns ``(prepared, was_cache_hit)``."""
-        _, entry, hit = self._prepare_keyed(query, minimize, allow_rewrite)
-        return entry, hit
-
-    def _prepare_keyed(
-        self, query: Query, minimize: bool, allow_rewrite: bool
-    ) -> tuple[Hashable, PreparedQuery, bool]:
-        key = self._cache_key(query, minimize, allow_rewrite)
-        entry = self.plan_cache.get(key)
-        if entry is not None:
-            return key, entry, True
-        entry = prepare_query(
-            query,
-            self.access_schema,
-            minimize=minimize,
-            allow_rewrite=allow_rewrite,
-            optimize=self.optimize,
-        )
-        evicted = self.plan_cache.put(key, entry, dependencies=entry.dependencies)
-        self._discard_compiled(evicted)
-        return key, entry, False
-
-    def _discard_compiled(self, entries: Iterable[object]) -> None:
-        for entry in entries:
-            executable = getattr(entry, "executable", None)
-            if executable is not None:
-                self._executor.discard(executable)
-
-    # -- execution (scatter/gather, epoch-guarded) ----------------------------------
-    def execute(
-        self,
-        query: Query,
-        *,
-        minimize: bool = True,
-        allow_rewrite: bool = True,
-        fallback: bool = True,
-    ) -> EngineResult:
-        """Answer ``query`` over the federation; bounded scatter/gather when covered.
-
-        Covered queries execute the optimized plan on the federated executor:
-        fetches scatter to the owning shards, everything else runs centrally.
-        Each attempt snapshots every shard's clock over the plan's dependent
-        relations first and validates the snapshots after the merge — a
-        racing write invalidates the attempt (counted as a snapshot retry)
-        and the execution re-runs against the new epoch, up to
-        ``max_snapshot_retries`` times before raising
-        :class:`~repro.core.errors.TransientFault`.  A merge therefore never
-        mixes epochs.  Uncovered queries fall back to conventional
-        evaluation over a gathered copy of their relations (breaker-gated,
-        like the engine's fallback).
-        """
-        key, prepared, cached = self._prepare_keyed(query, minimize, allow_rewrite)
-
-        if prepared.covered:
-            dependencies = prepared.dependencies
-            for _attempt in range(self.max_snapshot_retries + 1):
-                parts = [shard.snapshot(dependencies) for shard in self.shards]
-                federated = tuple(v for part in parts for v in part)
-                hit = self.result_cache.get(key, federated)
-                if hit is not None:
-                    return EngineResult(
-                        rows=hit.rows,
-                        columns=hit.columns,
-                        strategy="bounded",
-                        elapsed=0.0,
-                        counter=AccessCounter(),
-                        plan=prepared.plan,
-                        coverage=prepared.coverage,
-                        minimization=prepared.minimization,
-                        rewrite=prepared.rewrite,
-                        cached=cached,
-                        result_cached=True,
-                    )
-                execution = self._executor.execute(
-                    prepared.executable,
-                    capture_env=self.delta_repair and self.result_cache.capacity > 0,
-                    env_rows_budget=self.result_cache.max_env_rows,
-                )
-                if all(
-                    shard.validate(dependencies, part)
-                    for shard, part in zip(self.shards, parts)
-                ):
-                    self.result_cache.put(
-                        key,
-                        rows=execution.rows,
-                        columns=execution.columns,
-                        dependencies=dependencies,
-                        snapshot=federated,
-                        env=execution.env,
-                        plan=prepared.executable,
-                    )
-                    return EngineResult(
-                        rows=execution.rows,
-                        columns=execution.columns,
-                        strategy="bounded",
-                        elapsed=execution.elapsed,
-                        counter=execution.counter,
-                        plan=prepared.plan,
-                        coverage=prepared.coverage,
-                        minimization=prepared.minimization,
-                        rewrite=prepared.rewrite,
-                        cached=cached,
-                    )
-                self.metrics.snapshot_retries += 1
+    def _snapshot_retried(self, *, abandoned: bool) -> None:
+        if abandoned:
             self.metrics.mixed_epoch_aborts += 1
-            raise TransientFault(
-                f"federated execution abandoned after {self.max_snapshot_retries + 1} "
-                "attempts: shard epochs kept moving during the merge; retry later"
-            )
+        else:
+            self.metrics.snapshot_retries += 1
 
-        if not fallback:
-            raise NotCoveredError(prepared.coverage.explain())
-        return self._federated_fallback(query, prepared, cached)
+    def _evaluate_conventionally(self, query: Query):
+        """Conventional evaluation over a gathered copy of the query's relations.
+
+        Uncovered queries have no bounded plan to scatter, so the router
+        gathers the full fragments of every relation the query mentions into
+        a scratch database and evaluates there — the honest cost of an
+        unbounded query over a federation.  Gathered by *base* relation:
+        occurrences may be renamed, but the fragments (and the scratch
+        schema) hold base relations only.
+        """
+        relations = tuple(dict.fromkeys(r.base for r in query.relations()))
+        return self._fallback_evaluator(
+            query, self._gather(relations), self.access_schema, None
+        )
 
     def _scatter_fetch(
         self,
@@ -637,67 +532,20 @@ class ShardRouter:
         self.metrics.observe_merge(len(merged))
         return merged
 
-    # -- fallback -------------------------------------------------------------------
-    def _federated_fallback(
-        self, query: Query, prepared: PreparedQuery, cached: bool
-    ) -> EngineResult:
-        """Conventional evaluation over a gathered copy of the query's relations.
-
-        Uncovered queries have no bounded plan to scatter, so the router
-        gathers the full fragments of every relation the query mentions into
-        a scratch database and evaluates conventionally there — the honest
-        cost of an unbounded query over a federation.  The gather itself is
-        epoch-guarded like a covered merge.  The breaker protocol matches the
-        engine's: refuse when open, report every outcome.
-        """
-        breaker = self.fallback_breaker
-        if breaker is not None and not breaker.allow():
-            raise CircuitOpenError(
-                "conventional fallback refused: circuit breaker is open "
-                "(recent fallback failures); retry after the cooldown or "
-                "rewrite the query into a covered form"
-            )
-        try:
-            # Gather by *base* relation: occurrences may be renamed, but the
-            # fragments (and the scratch schema) hold base relations only.
-            relations = tuple(dict.fromkeys(r.base for r in query.relations()))
-            merged = self._gather(relations)
-            baseline = self._fallback_evaluator(
-                query, merged, self.access_schema, None
-            )
-        except Exception:
-            if breaker is not None:
-                breaker.record_failure()
-            raise
-        if breaker is not None:
-            breaker.record_success()
-        return EngineResult(
-            rows=baseline.rows,
-            columns=baseline.result.columns,
-            strategy="conventional",
-            elapsed=baseline.elapsed,
-            counter=baseline.counter,
-            coverage=prepared.coverage,
-            cached=cached,
-        )
-
     def _gather(self, relations: tuple[str, ...]) -> Database:
         """Union the shards' fragments of ``relations`` into a scratch database."""
         for _attempt in range(self.max_snapshot_retries + 1):
-            parts = [shard.snapshot(relations) for shard in self.shards]
+            snapshot = self._snapshot(relations)
             scratch = Database(self.partitioner.schema)
             for shard in self.shards:
                 for name in relations:
                     rows = shard.relation_rows(name)
                     if rows:
                         scratch.insert_many(name, rows)
-            if all(
-                shard.validate(relations, part)
-                for shard, part in zip(self.shards, parts)
-            ):
+            if self._validate(relations, snapshot):
                 return scratch
-            self.metrics.snapshot_retries += 1
-        self.metrics.mixed_epoch_aborts += 1
+            self._snapshot_retried(abandoned=False)
+        self._snapshot_retried(abandoned=True)
         raise TransientFault(
             "federated gather abandoned: shard epochs kept moving; retry later"
         )
@@ -711,16 +559,9 @@ class ShardRouter:
         cross-row updates commute.  Each shard applies its portion through
         its own batched maintenance path (one shard-clock bump per portion);
         the router then settles *its* state once for the whole batch — one
-        router-clock bump over every touched relation plus one settlement of
-        the caches.
-
-        With ``delta_repair`` (the default) the settlement is one derivation
-        pass: the routed batch becomes a single
-        :class:`~repro.core.deltas.WriteDelta` and every dependent
-        result-cache entry is repaired or invalidated per-entry
-        (:meth:`_repair_result_cache`); the plan store is untouched because
-        prepared plans are data-independent.  Without it, both caches are
-        swept targetedly (the legacy contract).
+        router-clock bump over every touched relation plus one
+        :meth:`~repro.core.engine.ServingCore._settle` pass over the routed
+        updates.
 
         If a shard aborts its portion, portions already applied stay applied
         (there is no cross-shard transaction — by design: each portion is
@@ -738,19 +579,9 @@ class ShardRouter:
             owner = self.partitioner.shard_for_row(update.relation, update.row)
             batches[owner].append(update)
 
-        # Pre-batch federated snapshots, per dependent entry: repair is only
-        # sound for entries whose stored snapshot still equals this (the
-        # routed batch is then provably the only change since fill).
-        pre_entries: list[tuple] = []
-        if self.delta_repair:
-            write_relations = {update.relation for update in updates}
-            for key, entry in self.result_cache.entries_for(write_relations):
-                pre = tuple(
-                    v
-                    for shard in self.shards
-                    for v in shard.snapshot(entry.dependencies)
-                )
-                pre_entries.append((key, entry, pre))
+        # Shard clocks move as the portions apply: read the pre-batch
+        # snapshots of the dependent entries now.
+        candidates = self._repair_candidates({update.relation for update in updates})
 
         merged = MaintenanceReport()
         applied: list = []
@@ -775,68 +606,17 @@ class ShardRouter:
         if merged.touched_relations:
             touched = sorted(merged.touched_relations)
             self.clock.bump(touched)
-            if self.delta_repair and failure is None:
-                self._repair_result_cache(
-                    touched, pre_entries, WriteDelta.from_updates(applied)
-                )
-            else:
-                self._discard_compiled(self.plan_cache.invalidate(touched))
-                self.result_cache.invalidate(touched)
+            self._settle(
+                touched,
+                candidates,
+                WriteDelta.from_updates(applied) if failure is None else None,
+            )
             merged.version = self.clock.global_version
         if failure is not None:
             raise MaintenanceError(str(failure), report=merged)
         if self.write_observer is not None and applied:
             self.write_observer(applied)
         return merged
-
-    def _repair_result_cache(
-        self, touched: list[str], pre_entries: list[tuple], delta: WriteDelta
-    ) -> None:
-        """Settle dependent result-cache entries after a clean routed batch.
-
-        Per entry, in order: (1) the entry's stored snapshot must equal the
-        pre-batch federated snapshot captured in :meth:`apply_updates` —
-        otherwise something else (a direct shard write, an earlier batch)
-        moved the data since fill and the entry is dropped as ``stale``;
-        (2) the entry must carry a captured environment and plan (``no_env``
-        otherwise); (3) the deriver decides clean/patch/fallback, scattering
-        dirty fetches to the *live* shards; (4) shard epochs are re-validated
-        against a post-batch snapshot taken before the derivation — if any
-        shard moved mid-derivation the patched rows could mix epochs, so the
-        entry is dropped as ``race``.  Only then is the entry re-stamped
-        with the post-batch snapshot.
-        """
-        touched_set = frozenset(touched)
-        for key, entry, pre_snapshot in pre_entries:
-            scope = tuple(r for r in entry.dependencies if r in touched_set)
-            if not scope:
-                continue  # the batch's effective writes never reached it
-            if entry.snapshot != pre_snapshot:
-                self.result_cache.drop(key, reason="stale", relations=scope)
-                continue
-            if entry.env is None or entry.plan is None:
-                self.result_cache.drop(key, reason="no_env", relations=scope)
-                continue
-            parts = [shard.snapshot(entry.dependencies) for shard in self.shards]
-            outcome = self._deriver.derive(entry.plan, entry.env, entry.rows, delta)
-            if outcome.status == FALLBACK:
-                self.result_cache.drop(key, reason=outcome.reason, relations=scope)
-                continue
-            if not all(
-                shard.validate(entry.dependencies, part)
-                for shard, part in zip(self.shards, parts)
-            ):
-                self.result_cache.drop(key, reason="race", relations=scope)
-                continue
-            patched = outcome.status == PATCHED
-            self.result_cache.repair(
-                key,
-                rows=outcome.rows if patched else entry.rows,
-                env=outcome.env if patched else entry.env,
-                snapshot=tuple(v for part in parts for v in part),
-                rows_added=outcome.rows_added,
-                rows_removed=outcome.rows_removed,
-            )
 
     # -- rebalancing ----------------------------------------------------------------
     def rebalance(
@@ -865,14 +645,6 @@ class ShardRouter:
         merged.touched_relations.update(report.touched_relations)
 
     # -- reporting ------------------------------------------------------------------
-    def cache_stats(self) -> dict[str, dict[str, int | float]]:
-        """Plan-store, result-cache and executor statistics (the engine's interface)."""
-        return {
-            "plan_store": self.plan_cache.stats(),
-            "result_cache": self.result_cache.stats(),
-            "executor": self._executor.stats(),
-        }
-
     def replication_stats(self) -> dict:
         """Replica/failover counters summed over the topology's replica sets.
 
@@ -958,10 +730,10 @@ def build_topology(
     logical shard becomes a :class:`~repro.sharding.replica.ReplicaSet` of
     that many members holding identical fragment copies; member substrates
     alternate within the set too, so a federated fetch can fail over from a
-    memory member to its SQLite sibling.  All engine shards (and the
-    router) share one :class:`~repro.core.planstore.PlanStore` — each query
-    is prepared once federation-wide.  ``database`` itself is left
-    untouched; the shards own disjoint fragment copies.
+    memory member to its SQLite sibling.  Queries are prepared once, at the
+    router (``plan_store`` lets several routers share the store).
+    ``database`` itself is left untouched; the shards own disjoint fragment
+    copies.
     """
     if partitioner is None:
         partitioner = HashPartitioner(database.schema, shards, partition_keys)
@@ -982,11 +754,10 @@ def build_topology(
             raise StorageError(
                 f"{shards} shards need {shards} backend kinds, got {len(kinds)}"
             )
-    store = plan_store if plan_store is not None else PlanStore(128)
 
     def _make(kind: str, name: str, fragment: Database) -> Shard:
         if kind == "memory":
-            return EngineShard(name, fragment, access_schema, plan_store=store)
+            return EngineShard(name, fragment, access_schema)
         if kind == "sqlite":
             return SQLiteShard(name, fragment, access_schema)
         raise StorageError(
@@ -1021,7 +792,7 @@ def build_topology(
         built,
         partitioner,
         access_schema,
-        plan_store=store,
+        plan_store=plan_store,
         result_cache_size=result_cache_size,
         delta_repair=delta_repair,
         fallback_breaker=fallback_breaker,

@@ -12,10 +12,11 @@ from different epochs of the same shard are never combined.
 Two interchangeable backends implement the protocol behind the same
 :class:`~repro.core.plan.BoundedPlan` boundary:
 
-* :class:`EngineShard` — an in-memory :class:`~repro.core.engine.
-  BoundedEngine`; fetches are :class:`~repro.storage.index.ConstraintIndex`
-  lookups, writes go through the engine's batched ``apply_updates`` (one
-  clock bump + one cache sweep per batch).
+* :class:`EngineShard` — the fragment plus its in-memory
+  :class:`~repro.storage.index.IndexSet`; fetches are
+  :class:`~repro.storage.index.ConstraintIndex` lookups, writes go through
+  the batched index maintenance of :func:`~repro.discovery.maintenance.
+  apply_updates` (one clock bump per batch).
 * :class:`SQLiteShard` — the fragment mirrored into SQLite via
   :class:`~repro.backends.sqlite.SQLiteBackend`; fetches run SQL over the
   materialized ``ind_…`` index tables (the paper's Fig. 4 C1 component),
@@ -32,12 +33,13 @@ from typing import Callable, Iterable, Sequence
 
 from ..backends.sqlite import SQLiteBackend
 from ..core.access import AccessConstraint, AccessSchema
-from ..core.engine import BoundedEngine
 from ..core.errors import MaintenanceError, StorageError
-from ..core.planstore import PlanStore, ResultCache
+from ..core.planstore import ResultCache
+from ..discovery import maintenance
 from ..discovery.maintenance import MaintenanceReport, Update
 from ..storage.counters import AccessCounter
 from ..storage.database import Database
+from ..storage.index import IndexSet
 
 Row = tuple
 
@@ -102,7 +104,7 @@ class Shard:
 
 
 class EngineShard(Shard):
-    """An in-memory shard: fetches via ``ConstraintIndex``, writes via the engine.
+    """An in-memory shard: fetches via ``ConstraintIndex``, writes via index maintenance.
 
     Each engine shard keeps a small :class:`~repro.core.planstore.
     ResultCache` of *fetch partials* — the ``(constraint, key-set)`` →
@@ -125,19 +127,13 @@ class EngineShard(Shard):
         database: Database,
         access_schema: AccessSchema,
         *,
-        plan_store: PlanStore | None = None,
         fetch_cache_size: int = 128,
     ):
         super().__init__(name, database)
-        self.engine = BoundedEngine(
-            database,
-            access_schema,
-            check_constraints=False,
-            plan_store=plan_store,
-            # The router keeps the (cross-shard) result cache; the shard-local
-            # cache below holds fetch *partials*, not query results.
-            result_cache_size=0,
-        )
+        self.access_schema = access_schema
+        self.indexes = IndexSet.build(database, access_schema, check=False)
+        # The router keeps the (cross-shard) result cache; this one holds
+        # fetch *partials*, not query results.
         self.fetch_cache = ResultCache(fetch_cache_size)
         #: per-entry ``(index_probes, tuples_fetched)`` so cache hits replay
         #: the miss path's accounting exactly (fetched ≥ |rows|: a tuple
@@ -166,10 +162,9 @@ class EngineShard(Shard):
                     if counter is not None:
                         counter.record_fetch_many(base_relation, cost[0], cost[1])
                     return entry.rows
-        indexes = self.engine.indexes
-        index = indexes.get(constraint)
+        index = self.indexes.get(constraint)
         if index is None:
-            index = indexes.find(base_relation, constraint.lhs, constraint.rhs)
+            index = self.indexes.find(base_relation, constraint.lhs, constraint.rhs)
         if index is None:
             raise StorageError(
                 f"shard {self.name!r} has no index for constraint {constraint} "
@@ -197,13 +192,18 @@ class EngineShard(Shard):
 
     def apply_updates(self, updates: Iterable[Update]) -> MaintenanceReport:
         try:
-            report = self.engine.apply_updates(updates)
-        except MaintenanceError as error:
+            # Through the module, at call time: the benchmark tracer wraps
+            # ``maintenance.apply_updates`` from outside.  The clock is
+            # bumped once per portion, over the partial on a failure.
+            report = maintenance.apply_updates(
+                self.database, self.indexes, self.access_schema, updates
+            )
+        except MaintenanceError:
             # A torn batch leaves shard state suspect: sweep every partial
             # rather than reason about which prefix survived.
             self.fetch_cache.invalidate(None)
             self._fetch_costs.clear()
-            raise error
+            raise
         if report.touched_relations:
             self.fetch_cache.invalidate(sorted(report.touched_relations))
             self._prune_costs()

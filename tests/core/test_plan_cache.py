@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.engine import BoundedEngine, PlanCache, PreparedQuery
+from repro.core.engine import BoundedEngine, PreparedQuery
 from repro.core.planstore import PlanStore
 from repro.evaluator.algebra import evaluate
 from repro.workloads import WORKLOADS, facebook
@@ -20,9 +20,6 @@ def uncached_engine(fb_database, fb_access):
 
 
 class TestPlanStoreUnit:
-    def test_plan_cache_is_plan_store_alias(self):
-        assert PlanCache is PlanStore
-
     def test_lru_eviction(self):
         store = PlanStore(capacity=2)
         a, b, c = (PreparedQuery(coverage=None) for _ in range(3))  # type: ignore[arg-type]
@@ -220,7 +217,7 @@ class TestInvalidation:
         assert repeat.cached
         assert repeat.result_cached  # even the result stayed valid
 
-    def test_unrelated_write_keeps_entries_with_granular_invalidation(
+    def test_unrelated_write_keeps_plan_and_result_entries(
         self, hot_cold_setup
     ):
         database, access, hot_query = hot_cold_setup
@@ -232,15 +229,6 @@ class TestInvalidation:
         repeat = engine.execute(hot_query)
         assert repeat.cached  # plan survived the unrelated write
         assert repeat.result_cached  # and so did the materialized result
-
-    def test_clear_all_mode_restores_legacy_behaviour(self, hot_cold_setup):
-        database, access, hot_query = hot_cold_setup
-        engine = BoundedEngine(database, access, granular_invalidation=False)
-        engine.execute(hot_query)
-        engine.apply_insert("cold", ("y", 1))
-        repeat = engine.execute(hot_query)
-        assert not repeat.cached  # clear-all drops even unrelated entries
-        assert not repeat.result_cached
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

@@ -1,4 +1,9 @@
-"""Result-cache correctness and the shared plan store across engines."""
+"""Result-cache correctness and the shared plan store across engines.
+
+What holds for every serving substrate alike (repeat reads, settlement
+transitions, fallback) is pinned in ``test_serving_core.py``; this file keeps
+the cache's own unit tests and the engine-only single-row write API.
+"""
 
 import pytest
 
@@ -56,19 +61,6 @@ class TestResultCacheUnit:
 
 
 class TestEngineResultCache:
-    def test_repeat_served_without_execution(self, hot_cold_setup):
-        database, access, hot_query = hot_cold_setup
-        engine = BoundedEngine(database, access)
-        first = engine.execute(hot_query)
-        second = engine.execute(hot_query)
-        assert not first.result_cached
-        assert second.result_cached
-        assert second.rows == first.rows
-        assert second.columns == first.columns
-        assert second.counter.total == 0  # no data accessed at all
-        stats = engine.cache_stats()["result_cache"]
-        assert stats["hits"] == 1 and stats["misses"] == 1
-
     def test_dependent_insert_recomputes_correct_rows(self, hot_cold_setup):
         """Legacy contract: with delta repair off, a dependent insert drops
         the entry and the next read recomputes."""

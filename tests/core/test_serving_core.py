@@ -1,0 +1,372 @@
+"""One contract for every substrate of the serving core.
+
+:class:`~repro.core.engine.BoundedEngine` and
+:class:`~repro.sharding.router.ShardRouter` run the same
+:class:`~repro.core.engine.ServingCore` pipeline (prepare → probe → execute →
+validate → settle) and differ only in how a fetch is answered and what a
+snapshot is.  Every test here runs unchanged over one engine, a one-shard
+memory federation and a three-shard memory/SQLite/memory federation, against
+the reference evaluator on a single database the federations mirror their
+writes into — the same inputs through independent paths, compared.
+"""
+
+from contextlib import contextmanager
+
+import pytest
+
+from repro.core.engine import BoundedEngine
+from repro.core.errors import (
+    CircuitOpenError,
+    MaintenanceError,
+    NotCoveredError,
+    TransientFault,
+)
+from repro.core.query import Relation, eq
+from repro.discovery.maintenance import Update
+from repro.evaluator.algebra import evaluate
+from repro.serving.faults import FaultInjector, FaultSpec
+from repro.sharding import ShardRouter, SQLiteShard, build_topology
+from repro.workloads import facebook
+
+SUBSTRATES = {
+    "engine": None,
+    "router-1-memory": {"shards": 1, "backends": "memory"},
+    "router-3-mixed": {"shards": 3, "backends": ["memory", "sqlite", "memory"]},
+}
+
+
+class Substrate:
+    """A serving core over ``database`` plus the single-database reference.
+
+    For the engine the reference *is* its database; a federation owns
+    fragment copies and mirrors every fully applied routed batch back.
+    """
+
+    def __init__(self, kind: str, database, access, **core_options):
+        self.reference = database
+        topology = SUBSTRATES[kind]
+        if topology is None:
+            self.core = BoundedEngine(
+                database, access, check_constraints=False, **core_options
+            )
+        else:
+            built = build_topology(database, access, **topology)
+            self.core = ShardRouter(
+                built.shards,
+                built.partitioner,
+                access,
+                write_observer=self._mirror,
+                **core_options,
+            )
+        self.federated = topology is not None
+
+    def _mirror(self, updates) -> None:
+        for update in updates:
+            instance = self.reference.relation(update.relation)
+            if update.kind == "insert":
+                instance.insert(update.row)
+            else:
+                instance.delete(update.row)
+
+    def owner(self, update: Update):
+        return self.core.shards[
+            self.core.partitioner.shard_for_row(update.relation, update.row)
+        ]
+
+    def insert_out_of_band(self, relation: str, row: tuple) -> None:
+        """A real data change (storage, indexes, clocks) the core never settles."""
+        if self.federated:
+            self.owner(Update.insert(relation, row)).apply_updates(
+                [Update.insert(relation, row)]
+            )
+        else:
+            self.core.indexes.apply_insert(relation, row)
+        self.reference.insert(relation, row)
+
+    @contextmanager
+    def second_update_fails(self, batch: list[Update]):
+        """Within the block, ``batch`` applies its first update and aborts on the second."""
+        with FaultInjector(seed=0) as injector:
+            if self.federated:
+                shard = self.owner(batch[0])
+                injector.install_shard(shard)
+                injector.configure(f"{shard.name}.write", FaultSpec(torn_write_every=1))
+            else:
+                injector.configure("storage.write", FaultSpec(fail_every=2))
+                injector.install_writes(self.reference, [batch[0].relation])
+            yield
+        if self.federated:
+            self._mirror(batch[:1])  # observers only see fully applied batches
+
+    def result_cache(self) -> dict:
+        return self.core.cache_stats()["result_cache"]
+
+    def close(self) -> None:
+        for shard in getattr(self.core, "shards", ()):
+            if isinstance(shard, SQLiteShard):
+                shard.close()
+
+
+@pytest.fixture(params=list(SUBSTRATES))
+def make(request):
+    """``make(database, access, **core_options)`` for this substrate; closed on exit."""
+    made: list[Substrate] = []
+
+    def build(database, access, **core_options) -> Substrate:
+        made.append(Substrate(request.param, database, access, **core_options))
+        return made[-1]
+
+    yield build
+    for substrate in made:
+        substrate.close()
+
+
+@pytest.fixture
+def hot(make, hot_cold_setup):
+    """The hot/cold database: ``query`` reads ``hot`` where ``k = 'a'`` only."""
+    database, access, query = hot_cold_setup
+    substrate = make(database, access)
+    substrate.query = query
+    return substrate
+
+
+def moved(before: dict, after: dict) -> dict:
+    """The result-cache counters that changed between two ``stats()`` readings."""
+    return {
+        name: after[name] - before[name] if isinstance(after[name], int) else after[name]
+        for name in after
+        if after[name] != before[name] and name != "hit_rate"
+    }
+
+
+class TestReads:
+    def test_results_match_the_reference_evaluator(self, make):
+        database = facebook.generate(scale=30, seed=5)
+        substrate = make(database, facebook.access_schema(database.schema))
+        core = substrate.core
+        # q0 is uncovered as written but has a covered rewriting (q0').
+        for query in (facebook.query_q1(), facebook.query_q0_prime(), facebook.query_q0()):
+            first = core.execute(query)
+            assert first.rows == evaluate(query, database).rows
+            assert first.strategy == "bounded"
+            assert (first.cached, first.result_cached) == (False, False)
+            assert first.executor_mode in ("row", "columnar")
+            assert 0 < first.counter.total <= first.plan.access_bound()
+            again = core.execute(query)
+            assert (again.rows, again.columns) == (first.rows, first.columns)
+            assert (again.cached, again.result_cached) == (True, True)
+            assert again.executor_mode is None  # nothing executed
+            assert again.counter.total == 0  # no data accessed at all
+        stats = substrate.result_cache()
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (3, 3, 3)
+        executed = core.cache_stats()["executor"]
+        assert executed["row_executions"] + executed["columnar_executions"] == 3
+
+    def test_uncovered_query_falls_back_to_conventional_evaluation(self, make):
+        database = facebook.generate(scale=30, seed=5)
+        substrate = make(database, facebook.access_schema(database.schema))
+        query = facebook.query_q2()
+        result = substrate.core.execute(query)
+        assert result.strategy == "conventional"
+        assert result.rows == evaluate(query, database).rows
+        assert result.executor_mode is None and not result.result_cached
+        assert result.plan is None and not result.coverage.is_covered
+        with pytest.raises(NotCoveredError):
+            substrate.core.execute(query, fallback=False)
+
+
+class TestWriteSettlement:
+    """``cache_stats()["result_cache"]`` moves the same way on every substrate."""
+
+    def test_unrelated_write_leaves_the_entry_alone(self, hot):
+        first = hot.core.execute(hot.query)
+        before = hot.result_cache()
+        hot.core.apply_updates([Update.insert("cold", ("y", 7))])
+        hot.core.apply_updates([Update.delete("cold", ("x", 9))])
+        assert moved(before, hot.result_cache()) == {}
+        repeat = hot.core.execute(hot.query)
+        assert repeat.result_cached
+        assert repeat.rows == first.rows == evaluate(hot.query, hot.reference).rows
+
+    def test_write_missing_every_probed_key_restamps(self, hot):
+        first = hot.core.execute(hot.query)
+        before = hot.result_cache()
+        hot.core.apply_updates([Update.insert("hot", ("b", 4))])
+        assert moved(before, hot.result_cache()) == {"repaired": 1, "repaired_clean": 1}
+        assert hot.core.cache_stats()["plan_store"]["sweeps"] == 0
+        repeat = hot.core.execute(hot.query)
+        assert repeat.result_cached and repeat.rows == first.rows
+
+    def test_write_to_a_probed_key_patches_rows(self, hot):
+        hot.core.execute(hot.query)
+        before = hot.result_cache()
+        hot.core.apply_updates([Update.insert("hot", ("a", 4))])
+        hot.core.apply_updates([Update.delete("hot", ("a", 2))])
+        assert moved(before, hot.result_cache()) == {"repaired": 2, "rows_patched": 2}
+        assert hot.core.cache_stats()["plan_store"]["sweeps"] == 0
+        result = hot.core.execute(hot.query)
+        assert result.result_cached  # patched in place, not dropped
+        assert result.rows == {(1,), (4,)} == evaluate(hot.query, hot.reference).rows
+
+    def test_entry_outdated_before_the_batch_is_dropped_as_stale(self, hot):
+        # A write that bypasses the core moves an epoch without a derivation;
+        # repairing at the next batch would stamp over the unseen write.
+        hot.core.execute(hot.query)
+        hot.insert_out_of_band("hot", ("a", 8))
+        before = hot.result_cache()
+        hot.core.apply_updates([Update.insert("hot", ("a", 9))])
+        assert moved(before, hot.result_cache()) == {
+            "entries": -1,
+            "invalidated": 1,
+            "repair_fallbacks": 1,
+            "repair_fallback_reasons": {"stale": 1},
+            "invalidated_by": {"hot": 1},
+        }
+        result = hot.core.execute(hot.query)
+        assert not result.result_cached
+        assert result.rows == evaluate(hot.query, hot.reference).rows
+        assert {(8,), (9,)} <= result.rows
+
+    def test_entry_without_environment_is_dropped_as_no_env(self, make, hot_cold_setup):
+        database, access, query = hot_cold_setup
+        substrate = make(database, access, repair_env_rows=0)
+        substrate.core.execute(query)
+        before = substrate.result_cache()
+        assert before["env_rejected"] == 0  # never captured, not refused
+        substrate.core.apply_updates([Update.insert("hot", ("a", 4))])
+        changed = moved(before, substrate.result_cache())
+        assert changed["repair_fallback_reasons"] == {"no_env": 1}
+        assert (changed["invalidated"], changed["entries"]) == (1, -1)
+        result = substrate.core.execute(query)
+        assert not result.result_cached
+        assert result.rows == evaluate(query, substrate.reference).rows
+
+    def test_batch_failed_part_way_sweeps_and_never_repairs(self, hot):
+        rows = hot.core.execute(hot.query).rows
+        assert hot.core.execute(hot.query).result_cached
+        before = hot.result_cache()
+        batch = [Update.delete("hot", ("a", 1)), Update.delete("hot", ("a", 2))]
+        with hot.second_update_fails(batch):
+            with pytest.raises(MaintenanceError) as failure:
+                hot.core.apply_updates(batch)
+        report = failure.value.report
+        assert report.failed and report.applied == 1
+        assert report.touched_relations == {"hot"}
+        assert report.version == hot.core.clock.global_version
+        assert moved(before, hot.result_cache()) == {
+            "entries": -1,
+            "invalidated": 1,
+            "sweeps": 1,
+            "invalidated_by": {"hot": 1},
+        }
+        assert hot.core.cache_stats()["plan_store"]["sweeps"] == 1
+        result = hot.core.execute(hot.query)
+        assert not result.result_cached, "a partial batch must sweep the result cache"
+        assert not result.cached  # the plan went with it
+        assert result.rows == rows - {(1,)} == evaluate(hot.query, hot.reference).rows
+
+    def test_repair_off_sweeps_both_caches(self, make, hot_cold_setup):
+        database, access, query = hot_cold_setup
+        substrate = make(database, access, delta_repair=False)
+        substrate.core.execute(query)
+        substrate.core.apply_updates([Update.insert("hot", ("a", 4))])
+        stats = substrate.core.cache_stats()
+        assert stats["result_cache"]["repaired"] == 0
+        assert stats["result_cache"]["invalidated"] == 1
+        assert stats["plan_store"]["invalidated"] == 1
+        result = substrate.core.execute(query)
+        assert (result.cached, result.result_cached) == (False, False)
+        assert (4,) in result.rows
+
+
+class RecordingBreaker:
+    def __init__(self, allowing: bool = True):
+        self.allowing = allowing
+        self.asked = self.successes = self.failures = 0
+
+    def allow(self) -> bool:
+        self.asked += 1
+        return self.allowing
+
+    def record_success(self) -> None:
+        self.successes += 1
+
+    def record_failure(self) -> None:
+        self.failures += 1
+
+
+class TestFallbackBreaker:
+    @pytest.fixture
+    def uncovered(self, hot):
+        relation = Relation.from_schema(hot.reference.schema, "hot")
+        query = relation.select(eq(relation["v"], 1)).project([relation["k"]])
+        assert not hot.core.prepare(query)[0].covered
+        return query
+
+    def test_every_fallback_outcome_is_reported(self, hot, uncovered):
+        breaker = hot.core.fallback_breaker = RecordingBreaker()
+        result = hot.core.execute(uncovered)
+        assert result.strategy == "conventional"
+        assert result.rows == {("a",)} == evaluate(uncovered, hot.reference).rows
+        assert (breaker.asked, breaker.successes, breaker.failures) == (1, 1, 0)
+
+        def broken(*args, **kwargs):
+            raise TransientFault("conventional path down")
+
+        hot.core._fallback_evaluator = broken
+        with pytest.raises(TransientFault, match="conventional path down"):
+            hot.core.execute(uncovered)
+        assert (breaker.asked, breaker.successes, breaker.failures) == (2, 1, 1)
+
+    def test_open_breaker_refuses_before_evaluating(self, hot, uncovered):
+        breaker = hot.core.fallback_breaker = RecordingBreaker(allowing=False)
+        hot.core._fallback_evaluator = lambda *args: pytest.fail("must not evaluate")
+        with pytest.raises(CircuitOpenError, match="circuit breaker is open"):
+            hot.core.execute(uncovered)
+        assert (breaker.asked, breaker.successes, breaker.failures) == (1, 0, 0)
+        # the breaker guards the unbounded path only
+        assert hot.core.execute(hot.query).strategy == "bounded"
+        with pytest.raises(NotCoveredError):
+            hot.core.execute(uncovered, fallback=False)
+        assert breaker.asked == 1
+
+
+class TestWritesRacingReads:
+    @staticmethod
+    def race(core, writes):
+        """After every plan execution, apply the next of ``writes`` (if any)."""
+        original = core._executor.execute
+        executions = []
+
+        def racing(*args, **kwargs):
+            execution = original(*args, **kwargs)
+            executions.append(execution)
+            update = next(writes, None)
+            if update is not None:
+                core.apply_updates([update])
+            return execution
+
+        core._executor.execute = racing
+        return executions
+
+    def test_one_racing_write_reruns_and_serves_the_new_epoch(self, hot):
+        executions = self.race(hot.core, iter([Update.delete("hot", ("a", 2))]))
+        result = hot.core.execute(hot.query)
+        # The first attempt's rows predate the write: discarded, never served
+        # and never admitted to the cache.
+        assert len(executions) == 2
+        assert result.rows == {(1,)} == evaluate(hot.query, hot.reference).rows
+        assert hot.core.execute(hot.query).result_cached
+        assert len(executions) == 2
+
+    def test_persistent_race_is_abandoned_with_a_typed_fault(self, hot):
+        def toggling():
+            while True:
+                yield Update.delete("hot", ("b", 3))
+                yield Update.insert("hot", ("b", 3))
+
+        executions = self.race(hot.core, toggling())
+        with pytest.raises(TransientFault, match="epochs kept moving"):
+            hot.core.execute(hot.query)
+        assert len(executions) == hot.core.max_snapshot_retries + 1 == 3
+        assert hot.result_cache()["entries"] == 0

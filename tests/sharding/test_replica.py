@@ -3,7 +3,7 @@
 Every test measures the replicated federation against the single-database
 reference its ``write_observer`` mirror keeps in step — the same contract as
 :mod:`tests.sharding.test_router`, now with faults injected at the
-shard-fetch seam (:mod:`repro.sharding.faults`) that the replica layer must
+shard-call seams (:mod:`repro.serving.faults`) that the replica layer must
 absorb without the reference ever seeing a wrong row.
 """
 
@@ -14,12 +14,8 @@ from hypothesis import strategies as st
 from repro.core.errors import StorageError, TransientFault
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
-from repro.sharding import (
-    ReplicaSet,
-    ShardFaultInjector,
-    ShardFaultSpec,
-    build_topology,
-)
+from repro.serving.faults import FaultInjector, FaultSpec
+from repro.sharding import ReplicaSet, build_topology
 from repro.storage.counters import AccessCounter
 from repro.workloads import facebook
 
@@ -111,7 +107,7 @@ class TestFailoverReads:
     def test_dead_primary_fails_over_to_sibling(self):
         router, database = replicated_topology(result_cache_size=0)
         target = router.shards[0]
-        injector = ShardFaultInjector(seed=3)
+        injector = FaultInjector(seed=3)
         injector.kill(target.replicas[0])
         query = facebook.query_q1()
         assert router.execute(query).rows == evaluate(query, database).rows
@@ -123,7 +119,7 @@ class TestFailoverReads:
         )
         target = router.shards[0]
         victim = target.replicas[0]
-        injector = ShardFaultInjector(seed=3)
+        injector = FaultInjector(seed=3)
         injector.kill(victim)
         query = facebook.query_q1()
         for _ in range(4):
@@ -135,7 +131,7 @@ class TestFailoverReads:
     def test_every_member_dead_raises_a_typed_fault(self):
         router, _ = replicated_topology()
         target = router.shards[0]
-        injector = ShardFaultInjector(seed=3)
+        injector = FaultInjector(seed=3)
         for member in target.replicas:
             injector.kill(member)
         with pytest.raises(TransientFault, match="candidate replica failed"):
@@ -152,9 +148,9 @@ class TestDivergenceHealing:
         router, database = replicated_topology(result_cache_size=0)
         target = router.shards[0]
         victim = target.replicas[1]
-        injector = ShardFaultInjector(seed=7)
+        injector = FaultInjector(seed=7)
         injector.install_shard(victim)
-        injector.configure(f"{victim.name}.write", ShardFaultSpec(lost_write_every=1))
+        injector.configure(f"{victim.name}.write", FaultSpec(lost_write_every=1))
 
         batch = set_batch(router, target)
         report = router.apply_updates(batch)
@@ -183,9 +179,9 @@ class TestDivergenceHealing:
         router, database = replicated_topology(result_cache_size=0, probe_after=1)
         target = router.shards[0]
         victim = target.replicas[1]
-        injector = ShardFaultInjector(seed=7)
+        injector = FaultInjector(seed=7)
         injector.install_shard(victim)
-        injector.configure(f"{victim.name}.write", ShardFaultSpec(lost_write_every=1))
+        injector.configure(f"{victim.name}.write", FaultSpec(lost_write_every=1))
 
         router.apply_updates(set_batch(router, target))
         query = facebook.query_q1(person=person_on(router, target))
@@ -206,9 +202,9 @@ class TestDivergenceHealing:
         router, database = replicated_topology(result_cache_size=0, probe_after=1)
         target = router.shards[0]
         victim = target.replicas[1]
-        injector = ShardFaultInjector(seed=7)
+        injector = FaultInjector(seed=7)
         injector.install_shard(victim)
-        injector.configure(f"{victim.name}.write", ShardFaultSpec(torn_write_every=1))
+        injector.configure(f"{victim.name}.write", FaultSpec(torn_write_every=1))
 
         batch = set_batch(router, target, size=4)
         report = router.apply_updates(batch)
@@ -286,16 +282,16 @@ def test_property_reads_match_reference_under_lost_write_chaos(ops):
     )
     target = router.shards[0]
     victim = target.replicas[1]
-    injector = ShardFaultInjector(seed=11)
+    injector = FaultInjector(seed=11)
     injector.install_shard(victim)
     site = f"{victim.name}.write"
     removed: list[tuple] = []
     try:
         for action, pick in ops + [("heal", 0), ("read", 0), ("read", 1)]:
             if action == "arm_lost":
-                injector.configure(site, ShardFaultSpec(lost_write_every=1))
+                injector.configure(site, FaultSpec(lost_write_every=1))
             elif action == "heal":
-                injector.configure(site, ShardFaultSpec())
+                injector.configure(site, FaultSpec())
             elif action == "write":
                 rows = sorted(database.relation("friend").rows)
                 if removed and pick % 2:

@@ -5,18 +5,18 @@ input database is left behind by :func:`~repro.sharding.router.build_topology`
 (the shards own disjoint fragment copies) and, where the tests write, a
 ``write_observer`` mirrors every fully-applied routed batch back into it — so
 ``evaluate(query, database)`` is always the truth the router must match.
+
+The contract the router shares with the single engine (result fields,
+settlement transitions, fallback breaker, racing writes) lives in
+``tests/core/test_serving_core.py``; this file keeps what only a federation
+has: routing, cross-shard partial failures, pushdown, shard fetch caches.
 """
 
 import asyncio
 
 import pytest
 
-from repro.core.errors import (
-    CircuitOpenError,
-    MaintenanceError,
-    StorageError,
-    TransientFault,
-)
+from repro.core.errors import MaintenanceError, StorageError, TransientFault
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
 from repro.serving.server import BoundedServer, ReadRequest, WriteRequest
@@ -226,26 +226,6 @@ class TestDeltaRepairOverFederation:
         assert ("c_fed",) in result.rows
         assert result.rows == evaluate(query, database).rows
 
-    def test_direct_shard_write_makes_entry_stale_never_repaired(self):
-        # Satellite 5: a write that bypasses the router moves a shard epoch
-        # without a derivation; the next routed batch must *drop* the entry
-        # (its fill snapshot no longer matches the pre-batch snapshot) —
-        # repairing would stamp over the unseen write.
-        router, database = mirrored_topology()
-        query = facebook.query_q1()
-        router.execute(query)
-        direct = Update.insert("friend", ("p0", "p_direct"))
-        owner = router.partitioner.shard_for_row("friend", direct.row)
-        router.shards[owner].apply_updates([direct])
-        database.insert("friend", direct.row)  # keep the reference in step
-        router.apply_updates([Update.insert("friend", ("p0", "p_routed"))])
-        stats = router.cache_stats()["result_cache"]
-        assert stats["repaired"] == 0
-        assert stats["repair_fallback_reasons"] == {"stale": 1}
-        result = router.execute(query)
-        assert not result.result_cached
-        assert result.rows == evaluate(query, database).rows
-
     def test_write_racing_the_derivation_drops_entry_not_patches(self):
         # Satellite 5, the narrower window: a shard write landing *while*
         # the deriver re-scatters dirty fetches would let the patch merge
@@ -307,32 +287,6 @@ class TestDeltaRepairOverFederation:
         result = router.execute(query)
         assert not result.result_cached
         assert result.rows == evaluate(query, database).rows
-
-
-class TestFallback:
-    def test_uncovered_query_gathers_and_evaluates_conventionally(self):
-        router, database = mirrored_topology()
-        query = facebook.query_q2()
-        result = router.execute(query)
-        assert result.strategy == "conventional"
-        assert result.rows == evaluate(query, database).rows
-
-    def test_open_breaker_refuses_the_unbounded_fallback(self):
-        router, _ = mirrored_topology()
-
-        class RefusingBreaker:
-            def allow(self):
-                return False
-
-            def record_success(self):
-                pass
-
-            def record_failure(self):
-                pass
-
-        router.fallback_breaker = RefusingBreaker()
-        with pytest.raises(CircuitOpenError):
-            router.execute(facebook.query_q2())
 
 
 class TestBuildTopology:
