@@ -11,10 +11,17 @@ in place instead of invalidating it:
 
 1. **Dirty-fetch detection** — for every fetch over a written relation,
    project each written row onto the fetch's constraint key and test
-   membership in the key set the fetch probed at fill time (recovered from
-   the captured per-step environment).  A miss means the write landed in an
-   index group the result never read; when *no* fetch is dirty the entry is
-   repaired by re-stamping its version snapshot alone — zero execution.
+   membership in the key set the fetch probed at fill time.  A miss means
+   the write landed in an index group the result never read; when *no*
+   fetch is dirty the entry is repaired by re-stamping its version snapshot
+   alone — zero execution.  Like the executor, detection is split into
+   compile-once and run-per-write: the plan's fetch sites (positions,
+   downstream closures, derivability) are a :class:`RepairProgram` compiled
+   once per plan; the probed keys of an entry are read off its captured
+   environment once (:class:`FetchKeys`, kept with the cache entry); the
+   written keys are projected once per batch (:meth:`WriteDelta.keys_for`).
+   What is left per entry and write is a set-disjointness test — the
+   ``O(N_A·|ΔD|)`` of Proposition 12, not a function of what is cached.
 2. **Selective re-execution** — otherwise, only the dirty fetch steps and
    their downstream closure are re-run through the plan's row kernels over
    the memoized intermediates of the untouched steps.  Because the repair
@@ -40,6 +47,7 @@ re-execution is exact rather than delta-rule based.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -47,6 +55,8 @@ from ..storage.counters import AccessCounter
 from .plan import BoundedPlan, DifferenceOp, FetchOp
 
 Row = tuple
+_NO_ROWS: frozenset[Row] = frozenset()
+_log = logging.getLogger(__name__)
 
 #: outcome statuses of :meth:`DeltaDeriver.derive`
 CLEAN = "clean"        # no probed key touched: re-stamp only
@@ -65,7 +75,7 @@ class WriteDelta:
     so including them costs work but never correctness.
     """
 
-    __slots__ = ("inserts", "deletes", "_touched")
+    __slots__ = ("inserts", "deletes", "_touched", "_keys")
 
     def __init__(
         self,
@@ -79,6 +89,7 @@ class WriteDelta:
             relation: tuple(rows) for relation, rows in (deletes or {}).items() if rows
         }
         self._touched = frozenset(self.inserts) | frozenset(self.deletes)
+        self._keys: dict[tuple, frozenset[Row]] = {}
 
     @classmethod
     def from_updates(cls, updates: Iterable) -> "WriteDelta":
@@ -99,6 +110,18 @@ class WriteDelta:
     def rows_for(self, relation: str) -> tuple[Row, ...]:
         """Every written row of ``relation``, inserts and deletes together."""
         return self.inserts.get(relation, ()) + self.deletes.get(relation, ())
+
+    def keys_for(self, relation: str, positions: tuple[int, ...]) -> frozenset[Row]:
+        """The written rows of ``relation`` projected onto ``positions``.
+
+        Projected once per batch and shared by every entry settled against it.
+        """
+        keys = self._keys.get((relation, positions))
+        if keys is None:
+            keys = self._keys[relation, positions] = frozenset(
+                tuple(row[p] for p in positions) for row in self.rows_for(relation)
+            )
+        return keys
 
     def __bool__(self) -> bool:
         return bool(self._touched)
@@ -154,8 +177,117 @@ def _first_positions(columns: Sequence[str]) -> dict[str, int]:
     return positions
 
 
+@dataclass(frozen=True)
+class FetchSite:
+    """What settlement needs to know about one fetch step, fixed by the plan."""
+
+    id: int
+    constraint: object
+    #: the physical relation behind the (possibly actualized) constraint
+    base: str
+    #: key positions in a written row of ``base`` (``sorted(lhs)`` order)
+    row_positions: tuple[int, ...]
+    #: the step whose rows supply the probed keys, and the key positions there
+    source: int
+    probe_positions: tuple[int, ...]
+    #: key positions in the fetch's own rows (aligned with ``sorted(lhs | rhs)``;
+    #: resolved positionally: step columns are qualified, ``lhs`` names are bare)
+    group_positions: tuple[int, ...]
+    #: the fetch and every step downstream of it, ascending
+    closure: tuple[int, ...]
+    #: no :class:`~repro.core.plan.DifferenceOp` in ``closure``
+    monotone: bool
+
+
+class RepairProgram:
+    """The plan-static half of settlement: a plan's fetch sites by base relation.
+
+    Compiled once per plan from the step columns its kernels were lowered
+    against, and kept on the :class:`~repro.evaluator.executor.CompiledPlan`
+    — evicted and discarded with the kernels.
+    """
+
+    __slots__ = ("sites",)
+
+    def __init__(self, plan: BoundedPlan, columns: Sequence[Sequence[str]], schema):
+        self.sites: dict[str, tuple[FetchSite, ...]] = {}
+        for step in plan.fetch_steps():
+            op: FetchOp = step.op
+            constraint = op.constraint
+            base = plan.occurrences.get(constraint.relation, constraint.relation)
+            lhs = sorted(constraint.lhs)
+            combined = sorted(set(lhs) | set(constraint.rhs))
+            source_positions = _first_positions(columns[op.inputs[0]])
+            # Steps are densely numbered with inputs < id: one ascending pass.
+            closure = {step.id}
+            for later in plan.steps[step.id + 1 :]:
+                if closure.intersection(later.op.inputs):
+                    closure.add(later.id)
+            site = FetchSite(
+                id=step.id,
+                constraint=constraint,
+                base=base,
+                row_positions=schema[base].positions(lhs),
+                source=op.inputs[0],
+                probe_positions=tuple(source_positions[c] for c in op.key_columns),
+                group_positions=tuple(combined.index(a) for a in lhs),
+                closure=tuple(sorted(closure)),
+                monotone=not any(
+                    isinstance(plan.steps[sid].op, DifferenceOp) for sid in closure
+                ),
+            )
+            self.sites[base] = self.sites.get(base, ()) + (site,)
+
+    def affected(self, touched: Iterable[str]) -> list[FetchSite]:
+        """The fetch sites over any relation in ``touched``, in plan order."""
+        sites = [site for base in touched for site in self.sites.get(base, ())]
+        return sorted(sites, key=lambda site: site.id)
+
+
+class FetchKeys:
+    """One cached entry's view of one fetch: the keys it probed, its rows by key.
+
+    Read off the entry's captured environment by the first settlement that
+    reaches the fetch and kept *with the entry* (``CachedResult.keyed``), so
+    it is replaced with the environment and dies with the entry.
+    """
+
+    __slots__ = ("probed", "_groups")
+
+    def __init__(self, site: FetchSite, env: Sequence[Iterable[Row]]):
+        positions = site.probe_positions
+        self.probed = frozenset(
+            tuple(row[p] for p in positions) for row in env[site.source]
+        )
+        self._groups: dict[Row, set[Row]] | None = None
+
+    def group(
+        self, site: FetchSite, env: Sequence[Iterable[Row]], key: Row
+    ) -> set[Row] | frozenset[Row]:
+        """The fetch's cached rows under ``key`` (rows are grouped on first use).
+
+        A fetch's output restricted to one key *is* that key's index group
+        at fill time (fetch rows carry their key columns), which is what
+        makes comparing it with the live group sound.
+        """
+        if self._groups is None:
+            self._groups = {}
+            positions = site.group_positions
+            for row in env[site.id]:
+                self._groups.setdefault(tuple(row[p] for p in positions), set()).add(row)
+        return self._groups.get(key, _NO_ROWS)
+
+
 class DeltaDeriver:
     """Derives per-entry repairs for a write batch through a plan's fetches.
+
+    Split like the executor: what depends only on the plan is compiled once
+    into a :class:`RepairProgram` on the executor's memoized
+    ``CompiledPlan``; what depends on an entry's environment is a
+    :class:`FetchKeys` per fetch in the ``keyed`` dict the caller keeps with
+    the entry; what depends on the batch is projected once on the
+    :class:`WriteDelta`.  The deriver itself holds no per-plan or per-entry
+    state.
 
     ``executor`` must compile plans to **row** kernels whose environment
     convention matches the captured one (the engine passes a dedicated
@@ -165,9 +297,11 @@ class DeltaDeriver:
     positions for key projection.  ``group_lookup(constraint, base, key)``,
     when provided, refines dirty detection by comparing the cached fetch
     group against the live index group — equal groups (e.g. a duplicate
-    insert, or an insert whose XY-projection already existed) downgrade a
-    key hit back to clean.  It must read **post-write** index state and
-    return ``None`` when the group cannot be resolved.
+    insert, or a delete re-inserted in the same batch) downgrade a key hit
+    back to clean.  It must read **post-write** index state and return
+    ``None`` when the group cannot be resolved; it is only sound when the
+    fetch kernel applies no shard-side predicate (the engine's local
+    fetches), which is the caller's responsibility.
     """
 
     def __init__(
@@ -181,16 +315,17 @@ class DeltaDeriver:
         self.schema = schema
         self.group_lookup = group_lookup
 
+    def _compiled(self, plan: BoundedPlan):
+        """``plan``'s memoized ``CompiledPlan``, its repair program attached."""
+        compiled = self.executor.compile(plan)
+        if compiled.repair is None:
+            compiled.repair = RepairProgram(plan, compiled.columns, self.schema)
+        return compiled
+
     # -- structural derivability ------------------------------------------------
     def affected_fetches(self, plan: BoundedPlan, touched: frozenset[str]) -> tuple[int, ...]:
         """Step ids of fetches whose base relation is in ``touched``."""
-        affected = []
-        for step in plan.fetch_steps():
-            constraint = step.op.constraint
-            base = plan.occurrences.get(constraint.relation, constraint.relation)
-            if base in touched:
-                affected.append(step.id)
-        return tuple(affected)
+        return tuple(site.id for site in self._compiled(plan).repair.affected(touched))
 
     def derivable(self, plan: BoundedPlan, touched: frozenset[str]) -> bool:
         """Whether a write to ``touched`` is repairable through ``plan``.
@@ -201,25 +336,7 @@ class DeltaDeriver:
         conservative contract (satellite of the repair design: *never* serve
         a stale repaired entry) is to fall back to invalidation.
         """
-        affected = self.affected_fetches(plan, touched)
-        return self._derivable(plan, affected)
-
-    def _derivable(self, plan: BoundedPlan, affected: tuple[int, ...]) -> bool:
-        if not affected:
-            return True
-        dirty_reach = [False] * len(plan.steps)
-        affected_set = set(affected)
-        for step in plan.steps:
-            op = step.op
-            reach = step.id in affected_set or any(
-                dirty_reach[source] for source in op.inputs
-            )
-            dirty_reach[step.id] = reach
-            if isinstance(op, DifferenceOp) and (
-                dirty_reach[op.inputs[0]] or dirty_reach[op.inputs[1]]
-            ):
-                return False
-        return True
+        return all(site.monotone for site in self._compiled(plan).repair.affected(touched))
 
     # -- derivation -------------------------------------------------------------
     def derive(
@@ -228,24 +345,30 @@ class DeltaDeriver:
         env: tuple[frozenset[Row], ...],
         rows: frozenset[Row],
         delta: WriteDelta,
+        keyed: dict[int, FetchKeys] | None = None,
     ) -> RepairOutcome:
         """Decide clean / patch / fallback for one cached result.
 
         ``env`` is the per-step environment captured when the entry was
-        filled (``ExecutionResult.env``); ``rows`` the cached output rows.
-        Must be called **after** the write has been applied to storage and
-        indexes — re-execution and ``group_lookup`` read live state.
-        Exceptions never escape: any derivation error degrades to a
-        :data:`FALLBACK` outcome (reason ``"error"``), because serving a
-        wrong repaired row is the one failure mode this module must not
-        have.
+        filled (``ExecutionResult.env``); ``rows`` the cached output rows;
+        ``keyed`` the entry's :class:`FetchKeys` by fetch step, filled here
+        as fetches are reached and valid only for this ``env`` (omitted:
+        nothing is kept).  Must be called **after** the write has been
+        applied to storage and indexes — re-execution and ``group_lookup``
+        read live state.  Exceptions never escape: any derivation error is
+        logged and degrades to a :data:`FALLBACK` outcome (reason
+        ``"error:<Exc>"``), because serving a wrong repaired row is the one
+        failure mode this module must not have.
         """
         try:
-            return self._derive(plan, env, rows, delta)
-        except Exception as error:  # pragma: no cover - defensive seam
-            outcome = RepairOutcome.fallback("error")
-            outcome.reason = f"error:{type(error).__name__}"
-            return outcome
+            return self._derive(plan, env, rows, delta, {} if keyed is None else keyed)
+        except Exception as error:
+            _log.warning(
+                "repair derivation raised %s (plan of %d steps, touched %s): entry dropped",
+                type(error).__name__, len(plan.steps), sorted(delta.touched),
+                exc_info=True,
+            )
+            return RepairOutcome.fallback(f"error:{type(error).__name__}")
 
     def _derive(
         self,
@@ -253,39 +376,31 @@ class DeltaDeriver:
         env: tuple[frozenset[Row], ...],
         rows: frozenset[Row],
         delta: WriteDelta,
+        keyed: dict[int, FetchKeys],
     ) -> RepairOutcome:
-        affected = self.affected_fetches(plan, delta.touched)
+        compiled = self._compiled(plan)
+        affected = compiled.repair.affected(delta.touched)
         if not affected:
             # The write never reaches this plan's fetches (the caller's
             # dependency filter should already have skipped it).
             return RepairOutcome.clean()
-        if not self._derivable(plan, affected):
+        if not all(site.monotone for site in affected):
             return RepairOutcome.fallback("difference")
         if env is None or len(env) != len(plan.steps):
             return RepairOutcome.fallback("no_env")
-        compiled = self.executor.compile(plan)
         if compiled.mode != "row":
             return RepairOutcome.fallback("executor_mode")
 
-        dirty = self._dirty_fetches(plan, compiled, env, delta, affected)
+        dirty = [site for site in affected if self._dirty(site, env, delta, keyed)]
         if not dirty:
             return RepairOutcome.clean()
 
-        # Re-execute the downstream closure of the dirty fetches.  Steps are
-        # densely numbered with inputs < id, so one ascending pass suffices.
-        recompute = [False] * len(plan.steps)
-        for sid in dirty:
-            recompute[sid] = True
-        for step in plan.steps:
-            if not recompute[step.id]:
-                recompute[step.id] = any(recompute[s] for s in step.op.inputs)
+        # Re-execute the downstream closure of the dirty fetches, ascending.
         counter = AccessCounter()
         scratch: list = list(env)
-        recomputed = 0
-        for step in plan.steps:
-            if recompute[step.id]:
-                scratch[step.id] = compiled.kernels[step.id](scratch, counter)
-                recomputed += 1
+        recompute = sorted({sid for site in dirty for sid in site.closure})
+        for sid in recompute:
+            scratch[sid] = compiled.kernels[sid](scratch, counter)
         new_rows = frozenset(scratch[plan.output])
         new_env = tuple(
             part if isinstance(part, frozenset) else frozenset(part)
@@ -297,93 +412,35 @@ class DeltaDeriver:
             env=new_env,
             rows_added=len(new_rows - rows),
             rows_removed=len(rows - new_rows),
-            dirty_steps=tuple(sorted(dirty)),
-            steps_recomputed=recomputed,
+            dirty_steps=tuple(site.id for site in dirty),
+            steps_recomputed=len(recompute),
             counter=counter,
         )
 
-    def _dirty_fetches(
+    def _dirty(
         self,
-        plan: BoundedPlan,
-        compiled,
+        site: FetchSite,
         env: tuple[frozenset[Row], ...],
         delta: WriteDelta,
-        affected: tuple[int, ...],
-    ) -> set[int]:
-        """Affected fetches whose output can actually have changed.
-
-        A fetch is dirty iff some written row of its base relation projects
-        (on ``sorted(constraint.lhs)``) onto a key the fetch probed at fill
-        time; ``group_lookup`` then optionally confirms the hit by comparing
-        the cached group against the live index group.
-        """
-        dirty: set[int] = set()
-        for fetch_id in affected:
-            step = plan.steps[fetch_id]
-            op: FetchOp = step.op
-            constraint = op.constraint
-            base = plan.occurrences.get(constraint.relation, constraint.relation)
-            written = delta.rows_for(base)
-            if not written:
-                continue
-            lhs = sorted(constraint.lhs)
-            row_positions = self.schema[base].positions(lhs)
-            source = op.inputs[0]
-            source_positions = _first_positions(compiled.columns[source])
-            key_positions = tuple(source_positions[c] for c in op.key_columns)
-            probed = {
-                tuple(row[p] for p in key_positions) for row in env[source]
-            }
-            hits = {
-                key
-                for key in (
-                    tuple(row[p] for p in row_positions) for row in written
-                )
-                if key in probed
-            }
-            if not hits:
-                continue
-            if self.group_lookup is not None and self._groups_unchanged(
-                compiled, env, fetch_id, op, base, lhs, hits
-            ):
-                continue
-            dirty.add(fetch_id)
-        return dirty
-
-    def _groups_unchanged(
-        self,
-        compiled,
-        env: tuple[frozenset[Row], ...],
-        fetch_id: int,
-        op: FetchOp,
-        base: str,
-        lhs: list[str],
-        hits: set[Row],
+        keyed: dict[int, FetchKeys],
     ) -> bool:
-        """Whether every hit key's live index group equals the cached one.
+        """Whether the output of the fetch at ``site`` can have changed.
 
-        Sound because a fetch's output restricted to one key *is* that key's
-        index group at fill time (fetch rows carry their key columns:
-        ``sorted(lhs | rhs)`` ⊇ ``lhs``), so group equality means the write
-        was invisible through this fetch.  Only usable when the fetch kernel
-        applies no shard-side predicate (the engine's local fetches), which
-        is the caller's responsibility via ``group_lookup``.
+        Dirty iff some written row of its base relation projects (on
+        ``sorted(constraint.lhs)``) onto a key the fetch probed at fill
+        time — and, with ``group_lookup``, that key's live index group
+        differs from the rows the entry cached under it.
         """
-        # Fetch output tuples are aligned with sorted(lhs | rhs) — resolve key
-        # positions positionally; the step's column names are qualified
-        # ("rel.attr") while ``lhs`` holds bare attribute names.
-        combined = sorted(set(op.constraint.lhs) | set(op.constraint.rhs))
-        key_positions = tuple(combined.index(attribute) for attribute in lhs)
-        cached_rows = env[fetch_id]
-        for key in hits:
-            live = self.group_lookup(op.constraint, base, key)
-            if live is None:
-                return False
-            cached_group = {
-                row
-                for row in cached_rows
-                if tuple(row[p] for p in key_positions) == key
-            }
-            if cached_group != live:
-                return False
-        return True
+        keys = keyed.get(site.id)
+        if keys is None:
+            keys = keyed[site.id] = FetchKeys(site, env)
+        written = delta.keys_for(site.base, site.row_positions)
+        if written.isdisjoint(keys.probed):
+            return False
+        if self.group_lookup is None:
+            return True
+        for key in written & keys.probed:
+            live = self.group_lookup(site.constraint, site.base, key)
+            if live is None or live != keys.group(site, env, key):
+                return True
+        return False

@@ -458,10 +458,16 @@ class ServingCore:
         """
         if not self.delta_repair:
             return []
-        return [
-            (key, entry, self._snapshot(entry.dependencies))
-            for key, entry in self.result_cache.entries_for(relations)
-        ]
+        # One snapshot per distinct dependency tuple: on a federation each is
+        # a scatter over every shard, and entries share few distinct tuples.
+        snapshots: dict[tuple[str, ...], tuple] = {}
+        candidates = []
+        for key, entry in self.result_cache.entries_for(relations):
+            dependencies = entry.dependencies
+            if dependencies not in snapshots:
+                snapshots[dependencies] = self._snapshot(dependencies)
+            candidates.append((key, entry, snapshots[dependencies]))
+        return candidates
 
     def _settle(
         self,
@@ -501,7 +507,11 @@ class ServingCore:
                 self.result_cache.drop(key, reason="no_env", relations=scope)
                 continue
             snapshot = self._snapshot(entry.dependencies)
-            outcome = self._deriver.derive(entry.plan, entry.env, entry.rows, delta)
+            if entry.keyed is None:
+                entry.keyed = {}
+            outcome = self._deriver.derive(
+                entry.plan, entry.env, entry.rows, delta, entry.keyed
+            )
             if outcome.status == FALLBACK:
                 self.result_cache.drop(key, reason=outcome.reason, relations=scope)
                 continue
@@ -512,7 +522,7 @@ class ServingCore:
             self.result_cache.repair(
                 key,
                 rows=outcome.rows if patched else entry.rows,
-                env=outcome.env if patched else entry.env,
+                env=outcome.env,
                 snapshot=snapshot,
                 rows_added=outcome.rows_added,
                 rows_removed=outcome.rows_removed,

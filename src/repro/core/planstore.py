@@ -180,7 +180,11 @@ class CachedResult:
     environment captured when the entry was filled and the executable plan
     that produced it.  Both may be ``None`` (columnar execution, or an
     environment refused admission by the cache's ``max_env_rows`` budget) —
-    such entries can only be invalidated, never repaired.
+    such entries can only be invalidated, never repaired.  ``keyed`` is what
+    write settlement has read off ``env`` so far (per fetch step: probed
+    keys, rows by key — :class:`~repro.core.deltas.FetchKeys`); it is
+    created by the first settlement that reaches the entry and reset
+    whenever :meth:`ResultCache.repair` installs another ``env``.
     """
 
     rows: frozenset[tuple]
@@ -189,6 +193,7 @@ class CachedResult:
     snapshot: tuple[int, ...]
     env: tuple[frozenset[tuple], ...] | None = None
     plan: object | None = None
+    keyed: dict | None = None
 
 
 class ResultCache:
@@ -356,6 +361,7 @@ class ResultCache:
         entry.snapshot = snapshot
         if env is not None:
             entry.env = env
+            entry.keyed = None
         self.repaired += 1
         if rows_added or rows_removed:
             self.rows_patched += rows_added + rows_removed

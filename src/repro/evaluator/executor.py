@@ -136,6 +136,9 @@ class CompiledPlan:
     columns: tuple[tuple[str, ...], ...]
     output: int
     mode: str = "row"
+    #: the plan's :class:`~repro.core.deltas.RepairProgram`, attached by the
+    #: first write settlement that reaches the plan (``None`` until then)
+    repair: object | None = None
 
 
 def _column_positions(columns: Sequence[str]) -> dict[str, int]:

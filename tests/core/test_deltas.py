@@ -7,12 +7,19 @@ deriver cannot prove — difference plans, missing environments — invalidates
 rather than ever serving a stale repaired entry.
 """
 
+import gc
+import logging
+import weakref
+
 import pytest
 
-from repro.core.deltas import CLEAN, FALLBACK, PATCHED, DeltaDeriver, WriteDelta
+from repro.core.deltas import CLEAN, FALLBACK, PATCHED, DeltaDeriver, FetchKeys, WriteDelta
 from repro.core.engine import BoundedEngine, prepare_query
+from repro.core.plan import BoundedPlan
+from repro.core.schema import RelationSchema
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
+from repro.evaluator.executor import PlanExecutor
 from repro.workloads import facebook
 
 
@@ -49,8 +56,10 @@ class TestDerivability:
     """Static reachability: monotone plans derive, difference plans refuse."""
 
     @pytest.fixture
-    def deriver(self, fb_schema):
-        return DeltaDeriver(None, fb_schema)  # structural checks never execute
+    def deriver(self, fb_database, fb_indexes, fb_schema):
+        # Structural checks never execute, but they read the repair program
+        # kept on the executor's compiled plan.
+        return DeltaDeriver(PlanExecutor(fb_database, fb_indexes, mode="row"), fb_schema)
 
     def test_monotone_plan_is_derivable_for_every_relation(self, deriver, fb_access):
         prepared = prepare_query(facebook.query_q1(), fb_access)
@@ -207,3 +216,139 @@ class TestEngineRepair:
         assert outcome.dirty_steps
         assert 0 < outcome.steps_recomputed < len(plan.steps)
         assert outcome.rows == rows  # a friend with no dines adds no cafes
+
+    def test_raising_kernel_is_logged_and_drops_the_entry(
+        self, fb_database, fb_access, caplog
+    ):
+        # A swallowed repair error must be visible: one WARNING naming the
+        # exception, the plan's size and the touched relations.
+        engine = BoundedEngine(fb_database, fb_access)
+        q1 = facebook.query_q1()
+        engine.execute(q1)
+        (entry,) = [entry for _, entry in engine.result_cache.entries_for(("friend",))]
+        env, rows, plan = entry.env, entry.rows, entry.plan
+
+        def broken_kernel(env, counter):
+            raise ZeroDivisionError("kernel blew up")
+
+        compiled = engine._deriver.executor.compile(plan)
+        compiled.kernels = (broken_kernel,) * len(compiled.kernels)
+        delta = WriteDelta(inserts={"friend": (("p0", "p_err"),)})
+        with caplog.at_level(logging.WARNING, logger="repro.core.deltas"):
+            engine.apply_insert("friend", ("p0", "p_err"))
+        (record,) = caplog.records
+        assert record.name == "repro.core.deltas" and record.levelno == logging.WARNING
+        message = record.getMessage()
+        assert "ZeroDivisionError" in message
+        assert f"{len(plan.steps)} steps" in message and "friend" in message
+        stats = engine.cache_stats()["result_cache"]
+        assert stats["repair_fallback_reasons"] == {"error:ZeroDivisionError": 1}
+        assert stats["entries"] == 0 and stats["repaired"] == 0
+        outcome = engine._deriver.derive(plan, env, rows, delta)
+        assert outcome.status == FALLBACK
+        assert outcome.reason == "error:ZeroDivisionError"
+        engine._deriver.executor.discard(plan)  # drop the sabotaged kernels
+        result = engine.execute(q1)
+        assert not result.result_cached
+        assert result.rows == evaluate(q1, fb_database).rows
+
+
+class TestSettlementCost:
+    """What a settlement keeps and how often it recomputes — counts, no timing."""
+
+    def test_replaced_environments_and_key_sets_die_with_the_patch(
+        self, fb_database, fb_access
+    ):
+        engine = BoundedEngine(fb_database, fb_access)
+        q1 = facebook.query_q1()
+        engine.execute(q1)
+        (entry,) = [entry for _, entry in engine.result_cache.entries_for(("friend",))]
+        replaced: list[weakref.ref] = []
+        for cycle in range(200):
+            write = engine.apply_delete if cycle % 2 else engine.apply_insert
+            # A write that misses re-stamps the entry and reads its key sets
+            # off the current environment; one that hits replaces both.
+            write("friend", ("p_nobody", "p_cycle"))
+            assert entry.keyed
+            # (the empty frozenset is a process-wide singleton: skip it)
+            replaced += [weakref.ref(keys.probed) for keys in entry.keyed.values() if keys.probed]
+            old_env = entry.env
+            write("friend", ("p0", "p_cycle"))
+            assert entry.env is not old_env and entry.keyed is None  # patched
+            replaced += [
+                weakref.ref(part)
+                for part in old_env
+                if part and all(part is not kept for kept in entry.env)
+            ]
+            del old_env
+        assert len(replaced) >= 800
+        gc.collect()
+        assert not [ref for ref in replaced if ref() is not None]
+        # the deriver holds no per-entry (or per-plan) state of its own
+        assert set(vars(engine._deriver)) == {"executor", "schema", "group_lookup"}
+        assert not [o for o in gc.get_objects() if isinstance(o, FetchKeys)]
+        assert engine.execute(q1).rows == evaluate(q1, fb_database).rows
+
+    def test_plan_facts_are_compiled_once_per_plan_not_per_batch(
+        self, fb_database, fb_access, monkeypatch
+    ):
+        engine = BoundedEngine(fb_database, fb_access)
+        queries = [facebook.query_q1(person=f"p{i}") for i in range(16)]
+        plans = [engine.execute(query).plan for query in queries]
+        fetch_steps = max(len(engine.prepare(q)[0].executable.fetch_steps()) for q in queries)
+        assert len({id(plan) for plan in plans}) == 16
+
+        calls = {"fetch_steps": 0, "positions": 0, "key_sets": 0, "patched": 0}
+        settling = []
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += bool(settling)
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for owner, attribute, name in (
+            (BoundedPlan, "fetch_steps", "fetch_steps"),
+            (RelationSchema, "positions", "positions"),
+            (FetchKeys, "__init__", "key_sets"),
+        ):
+            monkeypatch.setattr(owner, attribute, counted(name, getattr(owner, attribute)))
+        settle, derive = engine._settle, engine._deriver.derive
+
+        def settle_counted(*args, **kwargs):
+            settling.append(True)
+            try:
+                return settle(*args, **kwargs)
+            finally:
+                settling.pop()
+
+        def derive_counted(*args, **kwargs):
+            outcome = derive(*args, **kwargs)
+            calls["patched"] += outcome.status == PATCHED
+            return outcome
+
+        engine._settle = settle_counted
+        engine._deriver.derive = derive_counted
+
+        batches = 50
+        for batch in range(batches):
+            if batch == batches - 1:
+                patched_before_last = calls["patched"]
+            person = f"p{batch % 16}"
+            engine.apply_updates(
+                [
+                    Update.insert("friend", (person, f"p_new{batch}")),
+                    Update.delete("friend", (person, f"p_new{batch - 16}")),
+                ]
+            )
+        assert engine.cache_stats()["result_cache"]["repaired"] == 16 * batches
+        assert calls["patched"] == batches  # each batch dirties exactly one entry
+        # O(#plans): one program per plan, however many batches settle through it
+        assert calls["fetch_steps"] == 16
+        assert calls["positions"] <= 16 * fetch_steps
+        # key sets are read off an environment once: per entry, and again per patch
+        friend_fetches = 2
+        assert calls["key_sets"] == friend_fetches * (16 + patched_before_last)
+        for query in queries:
+            assert engine.execute(query).rows == evaluate(query, fb_database).rows

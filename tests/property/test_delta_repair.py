@@ -9,13 +9,23 @@ current data, and the difference-rewritten query must never be served from a
 repaired entry at all (its plan is structurally non-derivable).
 """
 
+from collections import defaultdict
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass
+from unittest.mock import patch
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.bench.experiments import select_covered_queries
 from repro.core.engine import BoundedEngine
+from repro.core.fingerprint import prepared_cache_key
+from repro.core.plan import DifferenceOp, FetchOp
 from repro.discovery.maintenance import Update
+from repro.evaluator import executor as executor_module
 from repro.evaluator.algebra import evaluate
-from repro.sharding import build_topology
-from repro.workloads import facebook
+from repro.sharding import SQLiteShard, build_topology
+from repro.workloads import WORKLOADS, facebook
 
 MONTHS = ("may", "jun")
 YEARS = (2015, 2016)
@@ -181,3 +191,414 @@ class TestRouterRepairProperty:
                 if updates:
                     router.apply_updates(updates)
         assert router.execute(q1).rows == evaluate(q1, database).rows
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the compiled settlement path
+# ---------------------------------------------------------------------------
+# The production path decides clean / patched / fallback from a repair program
+# compiled per plan, key sets kept with each cache entry and keys projected
+# once per batch (``repro.core.deltas``).  The oracle below reads the verdict
+# straight off the definition — *a fetch is dirty iff a written row's LHS
+# projection is a key it probed and that key's group changed* — from the plan's
+# declared step columns and full scans of the stored relations.  It imports
+# nothing from ``deltas.py``, so a disagreement is a bug in one of the two (the
+# validation style of Raszyk et al., "Efficient Evaluation of Arbitrary
+# Relational Calculus Queries").
+
+def _project(database, relation, attributes, row):
+    return tuple(row[p] for p in database.schema[relation].positions(attributes))
+
+
+def _index_group(database, relation, lhs, both, key):
+    """``D_XY(X = key)`` by scanning the relation."""
+    return frozenset(
+        _project(database, relation, both, row)
+        for row in database.relation(relation)
+        if _project(database, relation, lhs, row) == key
+    )
+
+
+@dataclass
+class _FetchFacts:
+    base: str
+    lhs: list
+    both: list
+    probed: set
+    reaches_difference: bool
+
+
+def _fetch_facts(plan, env) -> list[_FetchFacts]:
+    """Every fetch of ``plan``: what it reads, the keys it probed, what it feeds."""
+    consumers = defaultdict(set)
+    for step in plan.steps:
+        for source in step.op.inputs:
+            consumers[source].add(step.id)
+    facts = []
+    for step in plan.steps:
+        if not isinstance(step.op, FetchOp):
+            continue
+        constraint = step.op.constraint
+        downstream, frontier = set(), [step.id]
+        while frontier:
+            reached = frontier.pop()
+            if reached not in downstream:
+                downstream.add(reached)
+                frontier.extend(consumers[reached])
+        source = step.op.inputs[0]
+        columns = plan.steps[source].columns
+        at = [columns.index(column) for column in step.op.key_columns]
+        facts.append(
+            _FetchFacts(
+                base=plan.occurrences.get(constraint.relation, constraint.relation),
+                lhs=sorted(constraint.lhs),
+                both=sorted(constraint.lhs | constraint.rhs),
+                probed={tuple(row[i] for i in at) for row in env[source]},
+                reaches_difference=any(
+                    isinstance(plan.steps[sid].op, DifferenceOp) for sid in downstream
+                ),
+            )
+        )
+    return facts
+
+
+class _Prediction:
+    """The oracle's verdict for one cached entry and one batch.
+
+    Built before the batch applies (it captures the probed keys and the
+    groups the batch may change); :meth:`verdict` is asked after, with the
+    updates the core settled and the relations they changed.  ``refine``
+    says whether the core compares groups (the engine, over the updates that
+    took effect) or stops at the key hit (the router, over the routed batch).
+    """
+
+    def __init__(self, entry, updates, database, refine):
+        self.dependencies = set(entry.dependencies)
+        self.refine = refine
+        self.facts = None
+        self.before = {}
+        if entry.env is None or entry.plan is None:
+            return
+        self.facts = _fetch_facts(entry.plan, entry.env)
+        for index, fact in enumerate(self.facts):
+            for update in updates:
+                if update.relation == fact.base:
+                    key = _project(database, fact.base, fact.lhs, update.row)
+                    if key in fact.probed:
+                        self.before[index, key] = _index_group(
+                            database, fact.base, fact.lhs, fact.both, key
+                        )
+
+    def verdict(self, applied, touched, database) -> str | None:
+        if not self.dependencies.intersection(touched):
+            return None  # the batch never reached the entry
+        if self.facts is None:
+            return "no_env"
+        written = {update.relation for update in applied}
+        affected = [(i, f) for i, f in enumerate(self.facts) if f.base in written]
+        if any(fact.reaches_difference for _, fact in affected):
+            return "fallback:difference"
+        for index, fact in affected:
+            for update in applied:
+                if update.relation != fact.base:
+                    continue
+                key = _project(database, fact.base, fact.lhs, update.row)
+                if key not in fact.probed:
+                    continue
+                if not self.refine or self.before[index, key] != _index_group(
+                    database, fact.base, fact.lhs, fact.both, key
+                ):
+                    return "patched"
+        return "clean"
+
+
+class _Settlements:
+    """A serving core under test, its reference database and the oracle.
+
+    ``reference`` is the single database writes are mirrored into (for the
+    engine it *is* the engine's database).  Every batch goes through
+    :meth:`write`, which checks each reached entry's verdict against the
+    oracle and every surviving entry against a fresh execution.
+    """
+
+    def __init__(self, core, reference, queries, *, refine):
+        self.core = core
+        self.reference = reference
+        self.refine = refine
+        self.relations = tuple(reference.schema.relation_names())
+        self.queries = {
+            prepared_cache_key(
+                query, minimize=True, allow_rewrite=True, optimize=core.optimize
+            ): query
+            for query in queries
+        }
+        self.verdicts: list[str] = []
+        self.observed: dict[int, str] = {}
+        derive = core._deriver.derive
+
+        def recording(plan, *args, **kwargs):
+            outcome = derive(plan, *args, **kwargs)
+            assert id(plan) not in self.observed, "an entry was derived twice in one batch"
+            self.observed[id(plan)] = (
+                f"fallback:{outcome.reason}" if outcome.status == "fallback" else outcome.status
+            )
+            return outcome
+
+        core._deriver.derive = recording  # an instance attribute: this core only
+        self.read()
+
+    def entries(self) -> dict:
+        return dict(self.core.result_cache.entries_for(self.relations))
+
+    def read(self) -> None:
+        for query in self.queries.values():
+            assert self.core.execute(query).rows == evaluate(query, self.reference).rows
+
+    def write(self, updates) -> list[str]:
+        """Apply ``updates``; returns the verdicts of the entries it reached."""
+        before = self.entries()
+        predictions = {
+            key: _Prediction(entry, updates, self.reference, self.refine)
+            for key, entry in before.items()
+        }
+        self.observed.clear()
+        report = self.core.apply_updates(updates)
+        settled = report.applied_updates if self.refine else updates
+        after = self.entries()
+        reached = []
+        for key, entry in before.items():
+            expected = predictions[key].verdict(
+                settled, report.touched_relations, self.reference
+            )
+            if expected is None:
+                assert key in after and id(entry.plan) not in self.observed
+                continue
+            reached.append(expected)
+            if expected == "no_env":
+                assert key not in after and id(entry.plan) not in self.observed
+                continue
+            assert self.observed.get(id(entry.plan)) == expected, (
+                f"deriver said {self.observed.get(id(entry.plan))}, the definition says {expected}"
+            )
+            assert (key in after) == (expected in ("clean", "patched"))
+        self.check_entries()
+        self.verdicts.extend(reached)
+        return reached
+
+    def check_entries(self) -> None:
+        """Every cached entry equals a fresh execution at the current epoch."""
+        executor = self.core._deriver.executor
+        for key, entry in self.entries().items():
+            assert entry.rows == evaluate(self.queries[key], self.reference).rows
+            if entry.env is not None:
+                fresh = executor.execute(entry.plan, capture_env=True)
+                assert entry.env == fresh.env and entry.rows == fresh.rows
+
+    # -- schedule building blocks ------------------------------------------------
+    def hot_rows(self, pick: int) -> tuple[str, list, tuple, list] | None:
+        """A fetch some entry made: ``(base, lhs, a probed key, stored rows under it)``."""
+        fetches = [
+            fact
+            for entry in self.entries().values()
+            if entry.env is not None
+            for fact in _fetch_facts(entry.plan, entry.env)
+            if fact.probed
+        ]
+        if not fetches:
+            return None
+        fact = fetches[pick % len(fetches)]
+        key = sorted(fact.probed, key=repr)[(pick // 7) % len(fact.probed)]
+        rows = [
+            row
+            for row in self.reference.relation(fact.base)
+            if _project(self.reference, fact.base, fact.lhs, row) == key
+        ]
+        return fact.base, fact.lhs, key, rows
+
+    def hot_insert(self, pick: int) -> list[Update]:
+        """A stored row of another group moved under a probed key."""
+        hot = self.hot_rows(pick)
+        stored = hot and self.reference.relation(hot[0]).rows
+        if not stored:
+            return []
+        base, lhs, key, _ = hot
+        row = list(stored[(pick // 3) % len(stored)])
+        for position, value in zip(self.reference.schema[base].positions(lhs), key):
+            row[position] = value
+        return [Update.insert(base, tuple(row))]
+
+    def hot_delete(self, pick: int) -> list[Update]:
+        hot = self.hot_rows(pick)
+        if not hot or not hot[3]:
+            return self.hot_insert(pick)
+        return [Update.delete(hot[0], hot[3][(pick // 3) % len(hot[3])])]
+
+    def delete_reinsert(self, pick: int) -> list[Update]:
+        (delete,) = self.hot_delete(pick) or [None]
+        if delete is None or delete.kind != "delete":
+            return []
+        return [delete, Update.insert(delete.relation, delete.row)]
+
+    def cold(self, pick: int) -> list[Update]:
+        relation = self.relations[pick % len(self.relations)]
+        stored = self.reference.relation(relation).rows
+        if not stored:
+            return []
+        victim = stored[(pick // 5) % len(stored)]
+        if pick % 2:
+            return [Update.delete(relation, victim)]
+        donor = stored[(pick // 11) % len(stored)]
+        return [Update.insert(relation, victim[:1] + donor[1:])]
+
+    def evict_compiled(self) -> None:
+        """Release every cached entry's compiled plan, as a store eviction would."""
+        for entry in self.entries().values():
+            if entry.plan is not None:
+                self.core._executor.discard(entry.plan)
+                self.core._deriver.executor.discard(entry.plan)
+
+    def sweep_and_reprepare(self) -> list:
+        """Sweep the plan store and prepare every query again: equal plans, new objects."""
+        old = [self.core.prepare(query)[0].executable for query in self.queries.values()]
+        self.core._discard_compiled(self.core.plan_cache.invalidate(self.relations))
+        new = [self.core.prepare(query)[0].executable for query in self.queries.values()]
+        assert all(a is not b for a, b in zip(old, new))
+        self.read()
+        return new
+
+
+def _engine_settlements(database, access, queries) -> _Settlements:
+    engine = BoundedEngine(database, access, check_constraints=False)
+    return _Settlements(engine, database, queries, refine=True)
+
+
+@contextmanager
+def _router_settlements(database, access, queries, shards=3):
+    reference = database
+
+    def mirror(updates):
+        for update in updates:
+            instance = reference.relation(update.relation)
+            (instance.insert if update.kind == "insert" else instance.delete)(update.row)
+
+    router = build_topology(database, access, shards=shards, write_observer=mirror)
+    try:
+        yield _Settlements(router, reference, queries, refine=False)
+    finally:
+        for shard in router.shards:
+            if isinstance(shard, SQLiteShard):
+                shard.close()
+
+
+def _random_queries(name: str, seed: int):
+    if name == "facebook":
+        database = facebook.generate(scale=15, seed=seed)
+        access = facebook.access_schema(database.schema)
+        return database, access, [facebook.query_q1(), facebook.query_q0()]
+    spec = WORKLOADS[name]
+    database = spec.database(scale=20, seed=seed)
+    queries = select_covered_queries(
+        spec, 5, seed=seed, database=database, n_sel=(1, 4), n_join=(0, 2)
+    )
+    return database, spec.access_schema, queries
+
+
+HOT_INSERT, HOT_DELETE, DELETE_REINSERT, COLD, MIXED, EVICT, SWEEP, REFILL = range(8)
+
+schedules = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=REFILL), st.integers(0, 10**6)),
+    min_size=4,
+    max_size=12,
+)
+
+
+def _run_schedule(settlements: _Settlements, schedule) -> None:
+    batches = {
+        HOT_INSERT: settlements.hot_insert,
+        HOT_DELETE: settlements.hot_delete,
+        DELETE_REINSERT: settlements.delete_reinsert,
+        COLD: settlements.cold,
+        MIXED: lambda pick: settlements.hot_insert(pick)
+        + settlements.cold(pick // 13)
+        + settlements.hot_delete(pick // 17),
+    }
+    for op, pick in schedule:
+        if op == EVICT:
+            settlements.evict_compiled()
+        elif op == SWEEP:
+            settlements.sweep_and_reprepare()
+        elif op == REFILL:
+            settlements.read()
+        else:
+            updates = batches[op](pick)
+            if updates:
+                settlements.write(updates)
+    settlements.read()
+
+
+class TestSettlementAgainstTheDefinition:
+    """Compiled settlement ≡ the from-the-definitions oracle, entry by entry."""
+
+    @given(
+        st.sampled_from(["facebook", "AIRCA", "TFACC", "MCBM"]),
+        st.integers(min_value=0, max_value=30),
+        st.booleans(),
+        schedules,
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_engine_verdicts_and_rows(self, name, seed, tiny_memo, schedule):
+        database, access, queries = _random_queries(name, seed)
+        # A two-plan kernel memo evicts compiled plans (and the repair programs
+        # kept on them) between the derivations of a single batch.
+        with patch.object(executor_module, "_COMPILED_CACHE_SIZE", 2 if tiny_memo else 64):
+            _run_schedule(_engine_settlements(database, access, queries), schedule)
+
+    @given(
+        st.sampled_from(["facebook", "TFACC"]),
+        st.integers(min_value=0, max_value=30),
+        schedules,
+    )
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_three_shard_router_verdicts_and_rows(self, name, seed, schedule):
+        database, access, queries = _random_queries(name, seed)
+        with _router_settlements(database, access, queries) as settlements:
+            _run_schedule(settlements, schedule)
+
+    @pytest.mark.parametrize("substrate", ["engine", "router-3"])
+    def test_the_named_schedule(self, substrate):
+        """Every transition the compiled path must survive, in one fixed schedule."""
+        database = facebook.generate(scale=15, seed=3)
+        access = facebook.access_schema(database.schema)
+        queries = [facebook.query_q1()]
+        with ExitStack() as stack:
+            if substrate == "engine":
+                settlements = _engine_settlements(database, access, queries)
+            else:
+                settlements = stack.enter_context(
+                    _router_settlements(database, access, queries)
+                )
+            (entry,) = settlements.entries().values()
+            friend = Update.insert("friend", ("p0", "p_new"))
+            # patched, then patched again: the second derivation must read the
+            # keys of the *patched* environment (p_new is probed only there)
+            assert settlements.write([friend]) == ["patched"]
+            assert entry.keyed is None  # the keys of the replaced env went with it
+            dine = Update.insert("dine", ("p_new", "c_new", "may", 2015))
+            assert settlements.write([dine]) == ["patched"]
+            # a delete and its re-insert in one batch leave the group as it was
+            expected = "clean" if settlements.refine else "patched"
+            assert settlements.write([Update.delete(dine.relation, dine.row), dine]) == [expected]
+            # LRU eviction / discard of the compiled plan between two batches
+            settlements.evict_compiled()
+            assert settlements.write([Update.delete("friend", ("p0", "p_new"))]) == ["patched"]
+            # a store sweep re-prepares an equal plan as a new object; the
+            # entry keeps the old one and still settles
+            (plan,) = settlements.sweep_and_reprepare()
+            assert entry.plan is not plan
+            assert settlements.write([friend]) == ["patched"]
+            # writes the entry never probed re-stamp it
+            assert settlements.write([Update.insert("friend", ("p_else", "p0"))]) == ["clean"]
+            assert settlements.write([Update.insert("cafe", ("c_else", "nowhere"))]) == ["clean"]
+            settlements.read()
+            stats = settlements.core.cache_stats()["result_cache"]
+            assert stats["repair_fallbacks"] == 0 and stats["repaired"] == 7

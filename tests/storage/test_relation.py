@@ -50,6 +50,44 @@ class TestInsertDelete:
         assert {"cid": "c2", "city": "boston"} in cafe
         assert ("c2", "nyc") not in cafe
 
+    def test_order_after_interleaved_insert_delete_reinsert(self, cafe):
+        # Insertion order survives deletes; a re-inserted row goes to the end.
+        cafe.insert(("c3", "austin"))
+        cafe.delete(("c1", "nyc"))
+        cafe.insert(("c4", "denver"))
+        cafe.insert(("c1", "nyc"))
+        cafe.delete(("c3", "austin"))
+        expected = [("c2", "boston"), ("c4", "denver"), ("c1", "nyc")]
+        assert list(cafe) == expected
+        assert cafe.rows == tuple(expected)
+        assert [d["cid"] for d in cafe.to_dicts()] == ["c2", "c4", "c1"]
+        assert len(cafe) == 3
+
+    def test_duplicate_and_missing_rows_change_nothing(self, cafe):
+        before = cafe.rows
+        assert not cafe.insert({"cid": "c2", "city": "boston"})
+        assert not cafe.delete(("c2", "nyc"))
+        assert cafe.insert_many([("c1", "nyc"), ("c1", "nyc")]) == 0
+        assert cafe.rows == before
+        assert cafe.delete(("c2", "boston")) and not cafe.delete(("c2", "boston"))
+        assert cafe.rows == (("c1", "nyc"),)
+
+    def test_delete_does_not_scan_the_relation(self, cafe_schema):
+        # Proposition 12: a delete costs the tuple written, not |R|.  Rows
+        # whose equality raises would be hit by any scan for the victim.
+        class Unscannable(str):
+            def __eq__(self, other):
+                if self is other:
+                    return True
+                raise AssertionError("delete compared the victim with another row")
+
+            __hash__ = str.__hash__
+
+        rows = [(Unscannable(f"c{i}"), "x") for i in range(50)]
+        instance = RelationInstance(cafe_schema, rows)
+        assert instance.delete(rows[-1])
+        assert len(instance) == 49
+
 
 class TestAccessors:
     def test_rows_and_iteration(self, cafe):
