@@ -25,7 +25,7 @@ def evaluation_setup(prepared):
     full_plan = generate_plan(check_coverage(query, workload.access_schema))
     minimized = minimize_access(query, workload.access_schema).selected
     minimized_plan = generate_plan(check_coverage(query, minimized))
-    executor = PlanExecutor(database, indexes)
+    executor = PlanExecutor(indexes)
     return workload, database, indexes, query, full_plan, minimized_plan, executor
 
 

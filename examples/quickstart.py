@@ -74,7 +74,7 @@ def main() -> None:
 
     # 7. Execute it through the constraint indexes and compare with a full run.
     indexes = IndexSet.build(database, access)
-    bounded = execute_plan(plan, database, indexes)
+    bounded = execute_plan(plan, indexes)
     baseline = evaluate_conventional(query, database, access)
 
     assert bounded.rows == baseline.rows

@@ -85,7 +85,7 @@ def _run_bounded(
     """Plan + execute a covered query; returns (seconds, tuples accessed)."""
     coverage = check_coverage(query, access_schema)
     plan = generate_plan(coverage)
-    execution = PlanExecutor(database, indexes).execute(plan)
+    execution = PlanExecutor(indexes).execute(plan)
     return execution.elapsed, execution.counter.total
 
 

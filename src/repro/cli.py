@@ -247,9 +247,7 @@ def command_soak(args) -> int:
             f"(routed={scatter['routed']} broadcast={scatter['broadcasts']}) | "
             f"merge rows mean {scatter['merge_rows_mean']:.1f} "
             f"max {scatter['merge_rows_max']} | "
-            f"snapshot retries {scatter['snapshot_retries']} | "
-            f"shard cache {scatter['shard_cache_hits']}h/"
-            f"{scatter['shard_cache_misses']}m"
+            f"snapshot retries {scatter['snapshot_retries']}"
         )
         replication = report["router"]["replication"]
         if replication["replica_sets"]:

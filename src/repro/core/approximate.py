@@ -100,7 +100,7 @@ class ApproximateEvaluator:
         self.database = database
         self.access_schema = access_schema
         self.indexes = indexes
-        self._executor = PlanExecutor(database, indexes)
+        self._executor = PlanExecutor(indexes)
 
     def evaluate(self, query: Query, *, allow_rewrite: bool = True) -> ApproximateResult:
         """Approximate ``Q(D)`` with bounded data access.

@@ -23,11 +23,12 @@ in place instead of invalidating it:
    What is left per entry and write is a set-disjointness test — the
    ``O(N_A·|ΔD|)`` of Proposition 12, not a function of what is cached.
 2. **Selective re-execution** — otherwise, only the dirty fetch steps and
-   their downstream closure are re-run through the plan's row kernels over
-   the memoized intermediates of the untouched steps.  Because the repair
-   runs the *same kernels* over the *same upstream inputs*, the patched
-   result is exactly what a full recomputation would produce (a property
-   pinned by the randomized repair tests).
+   their downstream closure are re-run through the plan's own compiled row
+   kernels (the serving executor's; nothing is lowered twice) over the
+   memoized intermediates of the untouched steps.  Because the repair runs
+   the *same kernels* over the *same upstream inputs*, the patched result
+   is exactly what a full recomputation would produce (a property pinned by
+   the randomized repair tests).
 
 **Fallback.** Repair refuses — and the caller must invalidate — whenever
 the delta is not derivable through the plan:
@@ -36,8 +37,13 @@ the delta is not derivable through the plan:
   (classical delta rules are non-monotone there: an inserted tuple can
   *remove* result rows through the subtrahend, so the conservative contract
   is to recompute from scratch rather than patch);
-* the entry carries no captured environment (columnar execution, or the
-  environment exceeded the cache's admission budget);
+* the entry carries no captured environment (it exceeded the cache's
+  admission budget);
+* the entry is dirty and its plan runs columnar kernels, which exchange
+  batches rather than the captured row sets (``executor_mode``): the next
+  read re-executes it on those kernels, which is cheaper than re-running a
+  wide plan's closure on row kernels.  Clean detection needs no kernels,
+  so a clean columnar entry is re-stamped like any other;
 * derivation itself raises (schema drift, unknown operators).
 
 Monotone fragments (fetch/select/project/join/union/intersect chains) are
@@ -52,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..storage.counters import AccessCounter
-from .plan import BoundedPlan, DifferenceOp, FetchOp
+from .plan import BoundedPlan, DifferenceOp, FetchOp, column_positions
 
 Row = tuple
 _NO_ROWS: frozenset[Row] = frozenset()
@@ -169,14 +175,6 @@ class RepairOutcome:
         return cls(status=FALLBACK, reason=reason)
 
 
-def _first_positions(columns: Sequence[str]) -> dict[str, int]:
-    """Column name → first position (mirrors the executor's resolution)."""
-    positions: dict[str, int] = {}
-    for index, column in enumerate(columns):
-        positions.setdefault(column, index)
-    return positions
-
-
 @dataclass(frozen=True)
 class FetchSite:
     """What settlement needs to know about one fetch step, fixed by the plan."""
@@ -214,10 +212,10 @@ class RepairProgram:
         for step in plan.fetch_steps():
             op: FetchOp = step.op
             constraint = op.constraint
-            base = plan.occurrences.get(constraint.relation, constraint.relation)
+            base = plan.base_relation(constraint)
             lhs = sorted(constraint.lhs)
             combined = sorted(set(lhs) | set(constraint.rhs))
-            source_positions = _first_positions(columns[op.inputs[0]])
+            source_positions = column_positions(columns[op.inputs[0]])
             # Steps are densely numbered with inputs < id: one ascending pass.
             closure = {step.id}
             for later in plan.steps[step.id + 1 :]:
@@ -289,19 +287,17 @@ class DeltaDeriver:
     :class:`WriteDelta`.  The deriver itself holds no per-plan or per-entry
     state.
 
-    ``executor`` must compile plans to **row** kernels whose environment
-    convention matches the captured one (the engine passes a dedicated
-    row-mode :class:`~repro.evaluator.executor.PlanExecutor`; the router
-    passes its :class:`~repro.sharding.router.FederatedExecutor`, which is
-    row-mode by construction).  ``schema`` resolves written rows' attribute
-    positions for key projection.  ``group_lookup(constraint, base, key)``,
-    when provided, refines dirty detection by comparing the cached fetch
-    group against the live index group — equal groups (e.g. a duplicate
-    insert, or a delete re-inserted in the same batch) downgrade a key hit
-    back to clean.  It must read **post-write** index state and return
-    ``None`` when the group cannot be resolved; it is only sound when the
-    fetch kernel applies no shard-side predicate (the engine's local
-    fetches), which is the caller's responsibility.
+    ``executor`` is the serving core's own
+    :class:`~repro.evaluator.executor.PlanExecutor`: settlement reads the
+    plan's memoized ``CompiledPlan`` and re-runs its kernels when they are
+    row kernels (the captured environment's convention).  ``schema``
+    resolves written rows' attribute positions for key projection.
+    ``group_lookup(constraint, base, key)``, when provided, refines dirty
+    detection by comparing the cached fetch group against the live index
+    group — equal groups (e.g. a duplicate insert, or a delete re-inserted
+    in the same batch) downgrade a key hit back to clean.  It must read
+    **post-write** index state and return ``None`` when the group cannot be
+    resolved.
     """
 
     def __init__(
@@ -388,12 +384,14 @@ class DeltaDeriver:
             return RepairOutcome.fallback("difference")
         if env is None or len(env) != len(plan.steps):
             return RepairOutcome.fallback("no_env")
-        if compiled.mode != "row":
-            return RepairOutcome.fallback("executor_mode")
 
         dirty = [site for site in affected if self._dirty(site, env, delta, keyed)]
         if not dirty:
             return RepairOutcome.clean()
+        if compiled.mode != "row":
+            # Columnar kernels exchange batches, not the captured row sets:
+            # drop the entry and let the next read run it on its own kernels.
+            return RepairOutcome.fallback("executor_mode")
 
         # Re-execute the downstream closure of the dirty fetches, ascending.
         counter = AccessCounter()

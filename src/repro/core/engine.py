@@ -83,6 +83,7 @@ from .rewrite import find_covered_rewrite
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..discovery.maintenance import MaintenanceReport, Update
+    from .schema import DatabaseSchema
 
 
 @dataclass
@@ -212,12 +213,14 @@ class ServingCore:
 
     Owns the plan store, the result cache, :meth:`prepare`, :meth:`execute`,
     the write settlement (:meth:`_repair_candidates` / :meth:`_settle`) and
-    :meth:`cache_stats`.  A subclass supplies only its substrate: the
-    ``_executor`` that answers fetch steps and the ``_deriver`` built on it
-    (both set in its constructor), :meth:`_snapshot` / :meth:`_validate`
-    (what "the data has not moved" means), :meth:`_evaluate_conventionally`
-    (the unbounded fallback), and the write itself inside its ``apply_*``
-    methods.
+    :meth:`cache_stats`, and the one :class:`~repro.evaluator.executor.
+    PlanExecutor` that reads run on and write settlement re-runs kernels of.
+    A subclass supplies only its substrate: the fetch ``source`` that
+    answers fetch steps (``schema`` being the data's), :meth:`_snapshot` /
+    :meth:`_validate` (what "the data has not moved" means),
+    :meth:`_evaluate_conventionally` (the unbounded fallback), optionally
+    :meth:`_index_group` (live index groups, for dirty refinement), and the
+    write itself inside its ``apply_*`` methods.
 
     ``plan_store`` lets several cores share one prepared-plan store; they
     must be configured with an identical access schema (plans embed its
@@ -260,10 +263,17 @@ class ServingCore:
     #: executions re-run after a racing write before the read is abandoned
     max_snapshot_retries = 2
 
+    #: ``(constraint, base relation, key) -> live index group`` where the
+    #: substrate can read one (see :class:`~repro.core.deltas.DeltaDeriver`)
+    _index_group = None
+
     def __init__(
         self,
         access_schema: AccessSchema,
         *,
+        source: object,
+        schema: "DatabaseSchema",
+        executor_mode: str,
         plan_store: PlanStore | None,
         plan_cache_size: int,
         result_cache_size: int,
@@ -282,6 +292,10 @@ class ServingCore:
         #: wrap this attribute rather than the module function, so faults
         #: hit only this instance.
         self._fallback_evaluator = evaluate_conventional
+        self._executor = PlanExecutor(source, mode=executor_mode)
+        self._deriver = DeltaDeriver(
+            self._executor, schema, group_lookup=self._index_group
+        )
 
     # -- the substrate ------------------------------------------------------------------
     def _snapshot(self, relations: tuple[str, ...]) -> tuple:
@@ -334,12 +348,11 @@ class ServingCore:
         return key, entry, False
 
     def _discard_compiled(self, entries: Iterable[object]) -> None:
-        """Release the executors' compiled kernels of dropped store entries."""
+        """Release the executor's compiled kernels of dropped store entries."""
         for entry in entries:
             executable = getattr(entry, "executable", None)
             if executable is not None:
                 self._executor.discard(executable)
-                self._deriver.executor.discard(executable)
 
     # -- C6: execution -------------------------------------------------------------------
     def execute(
@@ -579,16 +592,6 @@ class BoundedEngine(ServingCore):
         fallback_breaker: object | None = None,
         executor_mode: str = "auto",
     ):
-        super().__init__(
-            access_schema,
-            plan_store=plan_store,
-            plan_cache_size=plan_cache_size,
-            result_cache_size=result_cache_size,
-            optimize=optimize,
-            delta_repair=delta_repair,
-            repair_env_rows=repair_env_rows,
-            fallback_breaker=fallback_breaker,
-        )
         self.database = database
         self.index_build_seconds = 0.0
         if build_indexes:
@@ -599,13 +602,18 @@ class BoundedEngine(ServingCore):
             self.index_build_seconds = time.perf_counter() - started
         else:
             self.indexes = IndexSet()
-        self._executor = PlanExecutor(database, self.indexes, mode=executor_mode)
-        # Repairs always run row kernels (captured environments are row
-        # sets), regardless of the serving executor's mode.
-        self._deriver = DeltaDeriver(
-            PlanExecutor(database, self.indexes, mode="row"),
-            database.schema,
-            group_lookup=self._index_group,
+        super().__init__(
+            access_schema,
+            source=self.indexes,
+            schema=database.schema,
+            executor_mode=executor_mode,
+            plan_store=plan_store,
+            plan_cache_size=plan_cache_size,
+            result_cache_size=result_cache_size,
+            optimize=optimize,
+            delta_repair=delta_repair,
+            repair_env_rows=repair_env_rows,
+            fallback_breaker=fallback_breaker,
         )
 
     @property
@@ -635,15 +643,11 @@ class BoundedEngine(ServingCore):
         """The live (post-write) index group of ``key`` for dirty refinement.
 
         Resolves actualized constraints back to the physical index of their
-        base relation, exactly like the executor; ``None`` (no index) makes
-        the deriver treat the key as dirty, never as clean.
+        base relation, exactly like the fetch source; ``None`` (no index)
+        makes the deriver treat the key as dirty, never as clean.
         """
-        index = self.indexes.get(constraint)
-        if index is None:
-            index = self.indexes.find(base, constraint.lhs, constraint.rhs)
-        if index is None:
-            return None
-        return frozenset(index.lookup(key))
+        index = self.indexes.resolve(constraint, base)
+        return None if index is None else frozenset(index.lookup(key))
 
     # -- C2: coverage -----------------------------------------------------------
     def check(self, query: Query) -> CoverageResult:

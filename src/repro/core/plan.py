@@ -247,6 +247,25 @@ class PlanStep:
         return f"T{self.id} = {self.op.describe()}{note}"
 
 
+def column_positions(columns: Sequence[str]) -> dict[str, int]:
+    """Column name → first position: how every consumer of a step resolves names."""
+    positions: dict[str, int] = {}
+    for index, column in enumerate(columns):
+        positions.setdefault(column, index)
+    return positions
+
+
+def position_of(positions: Mapping[str, int], column: str, step: PlanStep) -> int:
+    """``positions[column]``, or a :class:`PlanError` naming the offending ``step``."""
+    try:
+        return positions[column]
+    except KeyError:
+        raise PlanError(
+            f"step T{step.id} references missing column {column!r}; "
+            f"available: {sorted(positions)}"
+        ) from None
+
+
 @dataclass
 class BoundedPlan:
     """A bounded query plan: an ordered list of steps plus bookkeeping.
@@ -297,6 +316,10 @@ class BoundedPlan:
                 seen.append(constraint)
         return tuple(seen)
 
+    def base_relation(self, constraint: AccessConstraint) -> str:
+        """The physical relation behind a (possibly actualized) fetch constraint."""
+        return self.occurrences.get(constraint.relation, constraint.relation)
+
     def dependency_relations(self) -> tuple[str, ...]:
         """The base relations whose data this plan reads, sorted and deduplicated.
 
@@ -306,10 +329,7 @@ class BoundedPlan:
         the dependency set used for constraint-granular cache invalidation:
         a write to any other relation cannot change this plan's result.
         """
-        bases = {
-            self.occurrences.get(constraint.relation, constraint.relation)
-            for constraint in self.constraints_used()
-        }
+        bases = {self.base_relation(constraint) for constraint in self.constraints_used()}
         return tuple(sorted(bases))
 
     # -- validation ----------------------------------------------------------------

@@ -200,7 +200,7 @@ def _step_sql(
 def _fetch_sql(
     plan: BoundedPlan, step, op: FetchOp, index_tables: dict[str, AccessConstraint]
 ) -> str:
-    base = plan.occurrences.get(op.constraint.relation, op.constraint.relation)
+    base = plan.base_relation(op.constraint)
     table = index_table_name(op.constraint, base)
     index_tables[table] = op.constraint
     attributes = sorted(op.constraint.lhs | op.constraint.rhs)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import operator
 from itertools import chain, compress, product as iter_product, repeat
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Sequence
 
 from ..core.errors import PlanError
 from ..core.plan import (
@@ -64,6 +64,8 @@ from ..core.plan import (
     SelectOp,
     UnionOp,
     UnitOp,
+    column_positions,
+    position_of,
 )
 from ..storage.counters import AccessCounter
 from .algebra import _compare
@@ -182,7 +184,7 @@ class ColumnBatch:
 
     @classmethod
     def from_rows(
-        cls, columns: tuple[str, ...], rows: Sequence[Row], *, distinct: bool = False
+        cls, columns: tuple[str, ...], rows: Collection[Row], *, distinct: bool = False
     ) -> "ColumnBatch":
         """Transpose row tuples into a batch (one C-speed ``zip``)."""
         if not rows:
@@ -336,32 +338,15 @@ ColumnKernel = Callable[[list, AccessCounter], ColumnBatch]
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _column_positions(columns: Sequence[str]) -> dict[str, int]:
-    positions: dict[str, int] = {}
-    for index, column in enumerate(columns):
-        positions.setdefault(column, index)
-    return positions
-
-
-def _position_of(positions: Mapping[str, int], column: str, step: PlanStep) -> int:
-    try:
-        return positions[column]
-    except KeyError:
-        raise PlanError(
-            f"step T{step.id} references missing column {column!r}; "
-            f"available: {sorted(positions)}"
-        ) from None
-
-
 def _resolve_predicates(
     predicates: Sequence[ColumnPredicate], columns: Sequence[str], step: PlanStep
 ) -> tuple[tuple[int, str, object, int | None], ...]:
-    positions = _column_positions(columns)
+    positions = column_positions(columns)
     resolved: list[tuple[int, str, object, int | None]] = []
     for predicate in predicates:
-        left = _position_of(positions, predicate.left, step)
+        left = position_of(positions, predicate.left, step)
         if isinstance(predicate.right, ColumnRef):
-            right = _position_of(positions, predicate.right.column, step)
+            right = position_of(positions, predicate.right.column, step)
             resolved.append((left, predicate.op, None, right))
         else:
             resolved.append((left, predicate.op, predicate.right, None))
@@ -508,13 +493,13 @@ class FetchEncoder:
     """Dictionary-encodes the string columns of one fetch step's output.
 
     Column eligibility is sniffed from the first batch and memoized;
-    dictionaries are shared per (index, column) via the executor's
+    dictionaries are shared per (physical index, column) via the executor's
     persistent store, so the serving tier's repeated executions keep
     re-using the same code assignments.
     """
 
     def __init__(self, dictionaries: dict[int, Dictionary]):
-        #: column position -> Dictionary, owned by the executor per index
+        #: column position -> Dictionary, owned by the executor per physical index
         self._dictionaries = dictionaries
         self._eligible: dict[int, bool] = {}
 
@@ -557,21 +542,15 @@ class FetchEncoder:
 class ColumnarCompiler:
     """Lowers a :class:`BoundedPlan` to columnar kernels.
 
-    ``resolve_index`` maps a fetch constraint to its
-    :class:`~repro.storage.index.ConstraintIndex` (the executor's
-    occurrence-aware resolution); ``encoder_factory`` returns the
-    :class:`FetchEncoder` for an index, or ``None`` to disable dictionary
-    encoding.
+    ``source`` is the executor's fetch source (``fetcher(plan, step,
+    batched=True)`` answers each fetch step's distinct keys in one call);
+    ``encoder_factory(plan, step)`` returns the :class:`FetchEncoder` of a
+    fetch step.
     """
 
-    def __init__(
-        self,
-        plan: BoundedPlan,
-        resolve_index: Callable,
-        encoder_factory: Callable | None = None,
-    ):
+    def __init__(self, plan: BoundedPlan, source, encoder_factory: Callable):
         self.plan = plan
-        self._resolve_index = resolve_index
+        self._source = source
         self._encoder_factory = encoder_factory
         #: step id -> per-factor column widths, for steps that yield a
         #: ProductView at runtime (products and renames of products)
@@ -657,14 +636,12 @@ class ColumnarCompiler:
         self, step: PlanStep, source_columns: tuple[str, ...]
     ) -> tuple[ColumnKernel, tuple[str, ...]]:
         op: FetchOp = step.op  # type: ignore[assignment]
-        index = self._resolve_index(op.constraint)
-        positions = _column_positions(source_columns)
-        key_positions = tuple(_position_of(positions, c, step) for c in op.key_columns)
+        fetch = self._source.fetcher(self.plan, step, batched=True)
+        positions = column_positions(source_columns)
+        key_positions = tuple(position_of(positions, c, step) for c in op.key_columns)
         source = op.inputs[0]
         out_columns = step.columns
-        encoder = (
-            self._encoder_factory(index) if self._encoder_factory is not None else None
-        )
+        encoder = self._encoder_factory(self.plan, step)
         widths = self._factor_widths.get(source)
         if widths is not None and key_positions:
             # Source is a virtual product: enumerate the distinct key cross
@@ -678,7 +655,7 @@ class ColumnarCompiler:
                 _src=source,
                 _grouping=grouping,
                 _kp=key_positions,
-                _lookup_many=index.lookup_many,
+                _fetch=fetch,
                 _out=out_columns,
                 _encode=encoder,
             ):
@@ -689,9 +666,9 @@ class ColumnarCompiler:
                     keys = set(zip(*(view.decoded_column(p) for p in _kp)))
                 else:
                     keys = view.key_tuples(*_grouping)
-                rows = _lookup_many(keys, counter)
-                fetched = ColumnBatch.from_rows(_out, rows, distinct=True)
-                return _encode(fetched) if _encode is not None else fetched
+                return _encode(
+                    ColumnBatch.from_rows(_out, _fetch(keys, counter), distinct=True)
+                )
 
             return fetch_view_kernel, out_columns
 
@@ -700,7 +677,7 @@ class ColumnarCompiler:
             counter,
             _src=source,
             _kp=key_positions,
-            _lookup_many=index.lookup_many,
+            _fetch=fetch,
             _out=out_columns,
             _encode=encoder,
         ):
@@ -708,16 +685,16 @@ class ColumnarCompiler:
             if batch.length == 0:
                 return ColumnBatch.empty(_out)
             if not _kp:
-                keys: Sequence[Row] = ((),)
+                keys: Collection[Row] = ((),)
             elif len(_kp) == 1:
                 keys = set(zip(batch.decoded_column(_kp[0])))
             else:
                 keys = set(zip(*(batch.decoded_column(p) for p in _kp)))
-            rows = _lookup_many(keys, counter)
             # Distinct keys fetch disjoint groups of distinct index tuples
             # (every tuple embeds its key), so the batch is distinct as built.
-            fetched = ColumnBatch.from_rows(_out, rows, distinct=True)
-            return _encode(fetched) if _encode is not None else fetched
+            return _encode(
+                ColumnBatch.from_rows(_out, _fetch(keys, counter), distinct=True)
+            )
 
         return fetch_kernel, out_columns
 
@@ -725,8 +702,8 @@ class ColumnarCompiler:
         self, step: PlanStep, source_columns: tuple[str, ...]
     ) -> tuple[ColumnKernel, tuple[str, ...]]:
         op: ProjectOp = step.op  # type: ignore[assignment]
-        positions_by_name = _column_positions(source_columns)
-        positions = tuple(_position_of(positions_by_name, c, step) for c in op.columns)
+        positions_by_name = column_positions(source_columns)
+        positions = tuple(position_of(positions_by_name, c, step) for c in op.columns)
         names = tuple(op.output_names if op.output_names is not None else op.columns)
         source = op.inputs[0]
         # Distinctness survives permutations of the full column set; a
@@ -775,13 +752,13 @@ class ColumnarCompiler:
         op: HashJoinOp = step.op  # type: ignore[assignment]
         left, right = op.inputs
         left_columns, right_columns = columns[left], columns[right]
-        left_positions = _column_positions(left_columns)
-        right_positions = _column_positions(right_columns)
+        left_positions = column_positions(left_columns)
+        right_positions = column_positions(right_columns)
         probe_positions = tuple(
-            _position_of(left_positions, l, step) for l, _ in op.pairs
+            position_of(left_positions, l, step) for l, _ in op.pairs
         )
         build_positions = tuple(
-            _position_of(right_positions, r, step) for _, r in op.pairs
+            position_of(right_positions, r, step) for _, r in op.pairs
         )
         out_columns = left_columns + right_columns
         residual = (

@@ -1,11 +1,15 @@
 """Execution of bounded query plans (``evalQP``).
 
-The executor runs a :class:`~repro.core.plan.BoundedPlan` against a database
-whose constraint indexes have been materialized as an
-:class:`~repro.storage.index.IndexSet`.  Data is accessed **only** through
-``fetch`` steps (index lookups); every access is recorded on an
-:class:`~repro.storage.counters.AccessCounter`, so the measured ``|D_Q|`` of
-the experiments is exact.
+The executor runs a :class:`~repro.core.plan.BoundedPlan` over a **fetch
+source**.  Data is accessed **only** through ``fetch`` steps, and a fetch
+step is the only place substrates differ: at compile time the source turns
+``(plan, step)`` into ``fetch(distinct keys, counter) -> rows`` — lookups on
+one constraint index for a local :class:`~repro.storage.index.IndexSet`,
+scatter/gather over the owning shards for a
+:class:`~repro.sharding.router.ShardRouter`.  Both kernel families consume
+that one seam, so every substrate runs the same kernels; every access is
+recorded on an :class:`~repro.storage.counters.AccessCounter`, so the
+measured ``|D_Q|`` of the experiments is exact.
 
 Plans are executed in two phases.  ``compile`` lowers every step to a small
 kernel closure with all name-to-position resolution, predicate compilation
@@ -39,7 +43,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from ..core.access import AccessConstraint
 from ..core.errors import PlanError
 from ..core.plan import (
     BoundedPlan,
@@ -57,10 +60,10 @@ from ..core.plan import (
     SelectOp,
     UnionOp,
     UnitOp,
+    column_positions,
+    position_of,
 )
 from ..storage.counters import AccessCounter
-from ..storage.database import Database
-from ..storage.index import ConstraintIndex, IndexSet
 from .algebra import ResultSet, _compare
 from .columnar import ColumnarCompiler, FetchEncoder
 
@@ -141,55 +144,32 @@ class CompiledPlan:
     repair: object | None = None
 
 
-def _column_positions(columns: Sequence[str]) -> dict[str, int]:
-    """Name → first position, built once per compilation."""
-    positions: dict[str, int] = {}
-    for index, column in enumerate(columns):
-        positions.setdefault(column, index)
-    return positions
-
-
-def _position_of(positions: Mapping[str, int], column: str, step: PlanStep) -> int:
-    try:
-        return positions[column]
-    except KeyError:
-        raise PlanError(
-            f"step T{step.id} references missing column {column!r}; "
-            f"available: {sorted(positions)}"
-        ) from None
-
-
 class PlanExecutor:
-    """Executes bounded plans against a database through its constraint indexes.
+    """Executes bounded plans over a fetch source.
 
-    ``mode`` selects the kernel family plans are lowered to: ``"row"``,
-    ``"columnar"``, or ``"auto"`` (per-plan cost-based choice via
+    ``source`` answers the plans' fetch steps: anything with
+    ``fetcher(plan, step, *, batched) -> fetch(distinct keys, counter)`` —
+    an :class:`~repro.storage.index.IndexSet` or a
+    :class:`~repro.sharding.router.ShardRouter`.  A fetch returns the distinct
+    index rows of its keys: a ``set`` (the row kernels' intermediate) unless
+    ``batched``, when any sized collection will do.  ``mode`` selects the kernel
+    family plans are lowered to: ``"row"``, ``"columnar"``, or ``"auto"``
+    (per-plan cost-based choice via
     :func:`repro.core.optimizer.choose_executor_mode`).
-    ``columnar_dictionary`` enables dictionary encoding of string columns in
-    columnar fetches (persistent per-index dictionaries, amortized across
-    executions).
     """
 
-    def __init__(
-        self,
-        database: Database,
-        indexes: IndexSet,
-        *,
-        mode: str = "row",
-        columnar_dictionary: bool = True,
-    ):
+    def __init__(self, source, *, mode: str = "row"):
         if mode not in EXECUTOR_MODES:
             raise PlanError(
                 f"unknown executor mode {mode!r}; expected one of {EXECUTOR_MODES}"
             )
-        self.database = database
-        self.indexes = indexes
+        self.source = source
         self.mode = mode
-        self.columnar_dictionary = columnar_dictionary
         self._compiled: OrderedDict[int, CompiledPlan] = OrderedDict()
-        #: index id -> {column position -> Dictionary}; keyed by identity and
-        #: kept alongside the index handles the compiled kernels close over.
-        self._fetch_dictionaries: dict[int, dict] = {}
+        #: (base relation, lhs, rhs) -> {column position -> Dictionary}: the
+        #: persistent dictionaries of columnar fetches, one set per physical
+        #: index however many occurrences or plans fetch through it
+        self._fetch_dictionaries: dict[tuple, dict] = {}
         self._counters = {
             "row_executions": 0,
             "columnar_executions": 0,
@@ -297,19 +277,15 @@ class PlanExecutor:
         self._counters[f"auto_{mode}_choices"] += 1
         return mode
 
-    def _encoder_for(self, index: ConstraintIndex) -> FetchEncoder | None:
-        if not self.columnar_dictionary:
-            return None
-        return FetchEncoder(self._fetch_dictionaries.setdefault(id(index), {}))
+    def _encoder_for(self, plan: BoundedPlan, step: PlanStep) -> FetchEncoder:
+        constraint = step.op.constraint
+        shape = (plan.base_relation(constraint), constraint.lhs, constraint.rhs)
+        return FetchEncoder(self._fetch_dictionaries.setdefault(shape, {}))
 
     def _compile(self, plan: BoundedPlan) -> CompiledPlan:
         mode = self._resolve_mode(plan)
         if mode == "columnar":
-            compiler = ColumnarCompiler(
-                plan,
-                lambda constraint: self._resolve_index(plan, constraint),
-                self._encoder_for,
-            )
+            compiler = ColumnarCompiler(plan, self.source, self._encoder_for)
             kernels, columns = compiler.compile()
             return CompiledPlan(
                 plan=plan,
@@ -390,22 +366,13 @@ class PlanExecutor:
         self, plan: BoundedPlan, step: PlanStep, source_columns: tuple[str, ...]
     ) -> tuple[Kernel, tuple[str, ...]]:
         op: FetchOp = step.op  # type: ignore[assignment]
-        index = self._resolve_index(plan, op.constraint)
-        positions = _column_positions(source_columns)
-        key_positions = tuple(_position_of(positions, c, step) for c in op.key_columns)
+        positions = column_positions(source_columns)
+        key_positions = tuple(position_of(positions, c, step) for c in op.key_columns)
         source = op.inputs[0]
+        fetch = self.source.fetcher(plan, step, batched=False)
 
-        def fetch_kernel(
-            env, counter, _src=source, _kp=key_positions, _lookup=index.lookup
-        ):
-            fetched: set[Row] = set()
-            seen: set[Row] = set()
-            for row in env[_src]:
-                key = tuple(row[p] for p in _kp)
-                if key not in seen:
-                    seen.add(key)
-                    fetched.update(_lookup(key, counter))
-            return fetched
+        def fetch_kernel(env, counter, _src=source, _kp=key_positions, _fetch=fetch):
+            return _fetch({tuple(row[p] for p in _kp) for row in env[_src]}, counter)
 
         # Index tuples are aligned with sorted(lhs | rhs); so are the step's columns.
         return fetch_kernel, step.columns
@@ -414,9 +381,9 @@ class PlanExecutor:
         self, step: PlanStep, source_columns: tuple[str, ...]
     ) -> tuple[Kernel, tuple[str, ...]]:
         op: ProjectOp = step.op  # type: ignore[assignment]
-        positions_by_name = _column_positions(source_columns)
+        positions_by_name = column_positions(source_columns)
         positions = tuple(
-            _position_of(positions_by_name, c, step) for c in op.columns
+            position_of(positions_by_name, c, step) for c in op.columns
         )
         names = op.output_names if op.output_names is not None else op.columns
         source = op.inputs[0]
@@ -442,13 +409,13 @@ class PlanExecutor:
         op: HashJoinOp = step.op  # type: ignore[assignment]
         left, right = op.inputs
         left_columns, right_columns = columns[left], columns[right]
-        left_positions = _column_positions(left_columns)
-        right_positions = _column_positions(right_columns)
+        left_positions = column_positions(left_columns)
+        right_positions = column_positions(right_columns)
         build_positions = tuple(
-            _position_of(right_positions, r, step) for _, r in op.pairs
+            position_of(right_positions, r, step) for _, r in op.pairs
         )
         probe_positions = tuple(
-            _position_of(left_positions, l, step) for l, _ in op.pairs
+            position_of(left_positions, l, step) for l, _ in op.pairs
         )
         combined = left_columns + right_columns
         matcher = _compile_predicates(op.residual, combined) if op.residual else None
@@ -482,25 +449,11 @@ class PlanExecutor:
 
         return join_kernel, combined
 
-    def _resolve_index(self, plan: BoundedPlan, constraint: AccessConstraint) -> ConstraintIndex:
-        """Map an actualized constraint back to the physical index of its base relation."""
-        base = plan.occurrences.get(constraint.relation, constraint.relation)
-        index = self.indexes.get(constraint)
-        if index is not None:
-            return index
-        index = self.indexes.find(base, constraint.lhs, constraint.rhs)
-        if index is None:
-            raise PlanError(
-                f"no index available for constraint {constraint} (base relation {base!r}); "
-                "build an IndexSet for the access schema first"
-            )
-        return index
-
 
 def _compile_predicates(
     predicates: Sequence[ColumnPredicate], columns: Sequence[str]
 ):
-    positions = _column_positions(columns)
+    positions = column_positions(columns)
     compiled: list[tuple[int, str, object, int | None]] = []
     for predicate in predicates:
         try:
@@ -526,11 +479,10 @@ def _compile_predicates(
 
 def execute_plan(
     plan: BoundedPlan,
-    database: Database,
-    indexes: IndexSet,
+    source,
     counter: AccessCounter | None = None,
     *,
     mode: str = "row",
 ) -> ExecutionResult:
     """Convenience wrapper around :class:`PlanExecutor`."""
-    return PlanExecutor(database, indexes, mode=mode).execute(plan, counter)
+    return PlanExecutor(source, mode=mode).execute(plan, counter)

@@ -22,12 +22,11 @@ from .partition import (
 )
 from .rebalance import RebalanceReport, rebalance_key_range
 from .replica import ReplicaHealth, ReplicaSet
-from .router import FederatedExecutor, RouterMetrics, ShardRouter, build_topology
+from .router import RouterMetrics, ShardRouter, build_topology
 from .shards import EngineShard, Shard, SQLiteShard
 
 __all__ = [
     "EngineShard",
-    "FederatedExecutor",
     "HashPartitioner",
     "Partitioner",
     "PartitionOverlay",

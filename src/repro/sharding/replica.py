@@ -50,7 +50,7 @@ routing decisions and the soak report read one set of numbers.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..core.errors import MaintenanceError, ReproError, StorageError, TransientFault
 from ..discovery.maintenance import MaintenanceReport, Update
@@ -305,7 +305,6 @@ class ReplicaSet(Shard):
         base_relation: str,
         keys: Iterable[Sequence],
         counter: AccessCounter | None = None,
-        predicate: Callable[[Row], bool] | None = None,
     ) -> frozenset[Row]:
         keys = list(keys)
         # The silently-diverged case: a member whose per-relation version
@@ -340,7 +339,7 @@ class ReplicaSet(Shard):
                 health.readmit()
             started = time.perf_counter()
             try:
-                rows = replica.fetch(constraint, base_relation, keys, counter, predicate)
+                rows = replica.fetch(constraint, base_relation, keys, counter)
             except TransientFault as error:
                 last_error = error
                 if health.record_failure():
@@ -418,13 +417,6 @@ class ReplicaSet(Shard):
         return self.clock.validate(relations, snapshot)
 
     # -- reporting -------------------------------------------------------------------
-    def cache_counters(self) -> tuple[int, int]:
-        hits = misses = 0
-        for replica in self.replicas:
-            h, m = replica.cache_counters()
-            hits, misses = hits + h, misses + m
-        return hits, misses
-
     def stats(self) -> dict[str, object]:
         serving = next(
             (

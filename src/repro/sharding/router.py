@@ -41,39 +41,23 @@ without changes beyond the ``engine.clock`` seam.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from ..core.access import AccessSchema
-from ..core.deltas import DeltaDeriver, WriteDelta
+from ..core.deltas import WriteDelta
 from ..core.engine import ServingCore
 from ..core.errors import MaintenanceError, StorageError, TransientFault
 
 # Unused here (``ServingCore`` fingerprints), but the layered benchmark's
 # tracer wraps this module's binding by name and fails to install without it.
 from ..core.fingerprint import prepared_cache_key  # noqa: F401
-from ..core.plan import (
-    BoundedPlan,
-    FetchOp,
-    HashJoinOp,
-    PlanStep,
-    ProductOp,
-    ProjectOp,
-    RenameOp,
-    SelectOp,
-)
+from ..core.plan import BoundedPlan, PlanStep
 from ..core.planstore import PlanStore
 from ..core.query import Query
-from ..evaluator.executor import (
-    PlanExecutor,
-    _column_positions,
-    _compile_predicates,
-    _position_of,
-)
 from ..serving.metrics import LatencyRecorder
 from ..storage.counters import AccessCounter, VersionClock
 from ..storage.database import Database
-from ..storage.index import IndexSet
+from ..storage.index import Fetch
 from .partition import HashPartitioner, Partitioner, PartitionOverlay
 from .rebalance import RebalanceReport, rebalance_key_range
 from .replica import ReplicaSet
@@ -94,10 +78,6 @@ class RouterMetrics:
         self.routed = 0
         #: scatters sent to every shard (key does not include partition attr)
         self.broadcasts = 0
-        #: scatters that carried a pushed-down select predicate, and the rows
-        #: the shards dropped before the merge because of it
-        self.select_pushdowns = 0
-        self.pushdown_rows_filtered = 0
         #: merged-union sizes, aggregated
         self.merges = 0
         self.merge_rows = 0
@@ -108,8 +88,7 @@ class RouterMetrics:
         self.mixed_epoch_aborts = 0
         #: write batches routed through the shards
         self.write_batches = 0
-        #: shard-local fetch-partial cache traffic, summed over the shards
-        #: that keep one (diffed around every scatter fetch call)
+        #: always zero: shards keep no partial cache; benchmarks/layered still reads them
         self.shard_cache_hits = 0
         self.shard_cache_misses = 0
         #: online key-range migrations: completed runs, rows they moved,
@@ -131,8 +110,6 @@ class RouterMetrics:
             "shard_fetches": self.shard_fetches,
             "routed": self.routed,
             "broadcasts": self.broadcasts,
-            "select_pushdowns": self.select_pushdowns,
-            "pushdown_rows_filtered": self.pushdown_rows_filtered,
             "merges": self.merges,
             "merge_rows": self.merge_rows,
             "merge_rows_max": self.merge_rows_max,
@@ -140,8 +117,6 @@ class RouterMetrics:
             "snapshot_retries": self.snapshot_retries,
             "mixed_epoch_aborts": self.mixed_epoch_aborts,
             "write_batches": self.write_batches,
-            "shard_cache_hits": self.shard_cache_hits,
-            "shard_cache_misses": self.shard_cache_misses,
             "rebalances": self.rebalances,
             "rebalance_rows_moved": self.rebalance_rows_moved,
             "rebalance_aborts": self.rebalance_aborts,
@@ -149,214 +124,13 @@ class RouterMetrics:
         }
 
 
-def _trace_to_fetch(
-    plan: BoundedPlan, consumers: dict[int, int], step_id: int, column: str
-) -> tuple[int, str] | None:
-    """Follow ``column`` backwards from ``step_id`` to the fetch producing it.
-
-    Returns ``(fetch step id, column name at the fetch)`` when the whole path
-    consists of single-consumer, row-wise monotone steps (project, rename,
-    select, product, hash join) — the steps where dropping an input row only
-    ever drops the output rows derived from it and preserves the traced
-    column's value.  Any other operator (set operations especially: dropping
-    a row from a difference's subtrahend would *add* result rows), a step
-    with additional consumers, or a dead end returns ``None``.
-    """
-    while True:
-        if consumers.get(step_id, 0) != 1:
-            return None
-        op = plan.steps[step_id].op
-        if isinstance(op, FetchOp):
-            return (step_id, column) if column in plan.steps[step_id].columns else None
-        if isinstance(op, ProjectOp):
-            names = op.output_names if op.output_names is not None else op.columns
-            if column not in names:
-                return None
-            column = op.columns[names.index(column)]
-            step_id = op.inputs[0]
-        elif isinstance(op, RenameOp):
-            reverse = {new: old for old, new in op.mapping.items()}
-            column = reverse.get(column, column)
-            step_id = op.inputs[0]
-        elif isinstance(op, SelectOp):
-            step_id = op.inputs[0]
-        elif isinstance(op, (ProductOp, HashJoinOp)):
-            left, right = op.inputs
-            if column in plan.steps[left].columns:
-                step_id = left
-            elif column in plan.steps[right].columns:
-                step_id = right
-            else:
-                return None
-        else:
-            return None
-
-
-def _pushdown_sites(
-    plan: BoundedPlan,
-) -> tuple[dict[int, int], dict[int, list]]:
-    """Shard-pushable selection work: ``(fused selects, per-fetch filters)``.
-
-    Soundness rests on selection distributing over union: a federated fetch
-    is the union of per-shard fetches, so ``σ(∪ₛ fetchₛ) = ∪ₛ σ(fetchₛ)`` —
-    filtering on each shard before the merge equals filtering centrally
-    after it, with fewer rows crossing the shard boundary.  Two shapes:
-
-    * ``fused``: a select sitting *directly* on a single-consumer fetch.
-      The whole conjunction moves into the scatter and the select step
-      becomes a passthrough.
-    * ``filters``: a constant predicate of any select or hash-join residual
-      whose column traces back (:func:`_trace_to_fetch`) through a
-      single-consumer monotone chain to a fetch.  The shards pre-filter the
-      partials (every dropped row could only have produced rows the central
-      predicate would drop anyway) while the central check stays in place
-      for the surviving rows.
-    """
-    consumers: dict[int, int] = {}
-    for step in plan.steps:
-        for source in step.op.inputs:
-            consumers[source] = consumers.get(source, 0) + 1
-    consumers[plan.output] = consumers.get(plan.output, 0) + 1
-
-    fused: dict[int, int] = {}
-    filters: dict[int, list] = {}
-    for step in plan.steps:
-        op = step.op
-        if isinstance(op, SelectOp):
-            source = op.inputs[0]
-            if (
-                isinstance(plan.steps[source].op, FetchOp)
-                and consumers.get(source, 0) == 1
-            ):
-                fused[step.id] = source
-                filters.setdefault(source, []).extend(op.predicates)
-                continue
-            candidates = op.predicates
-            start = source
-        elif isinstance(op, HashJoinOp):
-            candidates = op.residual
-            start = None  # resolved per predicate: either join input
-        else:
-            continue
-        for predicate in candidates:
-            if predicate.right_is_column:
-                continue
-            if start is None:
-                left, right = op.inputs
-                if predicate.left in plan.steps[left].columns:
-                    origin = left
-                elif predicate.left in plan.steps[right].columns:
-                    origin = right
-                else:
-                    continue
-            else:
-                origin = start
-            site = _trace_to_fetch(plan, consumers, origin, predicate.left)
-            if site is None:
-                continue
-            fetch_id, fetch_column = site
-            filters.setdefault(fetch_id, []).append(
-                replace(predicate, left=fetch_column)
-            )
-    return fused, filters
-
-
-class FederatedExecutor(PlanExecutor):
-    """A :class:`PlanExecutor` whose fetch kernels scatter across shards.
-
-    Every non-fetch kernel is inherited unchanged — the compiled plan's
-    joins, selections and set operations run centrally over the merged
-    partials, exactly as they would over a single database.  Only
-    ``_compile_fetch`` is replaced: instead of closing over one
-    :class:`~repro.storage.index.ConstraintIndex`, the kernel computes the
-    step's distinct keys and hands them to the router's scatter/gather.
-
-    One extra federation-only rewrite applies: selection work is **pushed
-    into the scatter** (:func:`_pushdown_sites`) — a select sitting directly
-    on a single-consumer fetch moves wholesale (the select step becomes a
-    passthrough), and constant predicates of downstream selects or join
-    residuals whose columns trace back to a fetch pre-filter its partials on
-    the shards.  Access accounting is unchanged — shards count every tuple
-    the index lookup touches, filtered or not.
-    """
-
-    def __init__(self, router: "ShardRouter"):
-        # No local database or indexes: fetches never touch them, and no
-        # other kernel reads ``self.database``.
-        super().__init__(None, IndexSet())  # type: ignore[arg-type]
-        self.router = router
-        #: select step id -> fetch step id, for the plan currently compiling
-        self._fused: dict[int, int] = {}
-        #: fetch step id -> predicates the shards apply before shipping
-        self._fetch_filters: dict[int, list] = {}
-
-    def _compile(self, plan: BoundedPlan):
-        self._fused, self._fetch_filters = _pushdown_sites(plan)
-        try:
-            return super()._compile(plan)
-        finally:
-            self._fused = {}
-            self._fetch_filters = {}
-
-    def _compile_step(
-        self, plan: BoundedPlan, step: PlanStep, columns: list[tuple[str, ...]]
-    ) -> tuple[Callable, tuple[str, ...]]:
-        fused_source = self._fused.get(step.id)
-        if fused_source is not None:
-            # The selection already ran shard-side, inside its fetch.
-            kernel = lambda env, counter, _src=fused_source: env[_src]  # noqa: E731
-            return kernel, columns[fused_source]
-        return super()._compile_step(plan, step, columns)
-
-    def _compile_fetch(
-        self, plan: BoundedPlan, step: PlanStep, source_columns: tuple[str, ...]
-    ) -> tuple[Callable, tuple[str, ...]]:
-        op: FetchOp = step.op  # type: ignore[assignment]
-        constraint = op.constraint
-        base = plan.occurrences.get(constraint.relation, constraint.relation)
-        positions = _column_positions(source_columns)
-        key_positions = tuple(_position_of(positions, c, step) for c in op.key_columns)
-        source = op.inputs[0]
-        # Fetch keys are aligned with sorted(lhs); when the partition
-        # attribute is part of the key, each key names its owning shard and
-        # the scatter is pruned to it.  (Constraint attributes are base
-        # attribute names even for renamed occurrences — only relation names
-        # are actualized.)
-        lhs = sorted(constraint.lhs)
-        partition_attribute = self.router.partitioner.attribute(base)
-        routed_position = (
-            lhs.index(partition_attribute) if partition_attribute in lhs else None
-        )
-        pushed = self._fetch_filters.get(step.id)
-        matcher = (
-            _compile_predicates(tuple(pushed), step.columns) if pushed else None
-        )
-        router = self.router
-
-        def fetch_kernel(
-            env,
-            counter,
-            _src=source,
-            _kp=key_positions,
-            _rp=routed_position,
-            _pred=matcher,
-        ):
-            keys: set[Row] = set()
-            for row in env[_src]:
-                keys.add(tuple(row[p] for p in _kp))
-            return router._scatter_fetch(
-                constraint, base, keys, _rp, counter, predicate=_pred
-            )
-
-        # Index tuples are aligned with sorted(lhs | rhs); so are the step's columns.
-        return fetch_kernel, step.columns
-
-
 class ShardRouter(ServingCore):
     """Routes covered queries and writes over a partitioned shard federation.
 
-    The :class:`~repro.core.engine.ServingCore` over a federation: fetch
-    steps scatter to the owning shards (:class:`FederatedExecutor`), a
+    The :class:`~repro.core.engine.ServingCore` over a federation: the
+    router is its executor's fetch source (:meth:`fetcher` — fetch steps
+    scatter to the owning shards, every other kernel runs centrally over
+    the merged partials, on row or columnar kernels like on one engine), a
     snapshot is every shard's epoch token over the plan's dependencies — so
     a cached federated result is served only while *no* shard has written a
     dependent relation, and a merge never mixes two epochs of one shard —
@@ -398,6 +172,9 @@ class ShardRouter(ServingCore):
             )
         super().__init__(
             access_schema,
+            source=self,
+            schema=partitioner.schema,
+            executor_mode="auto",
             plan_store=plan_store,
             plan_cache_size=plan_cache_size,
             result_cache_size=result_cache_size,
@@ -426,12 +203,8 @@ class ShardRouter(ServingCore):
         for shard in self.shards:
             if isinstance(shard, ReplicaSet):
                 shard.latency = self.metrics.latency
-        self._executor = FederatedExecutor(self)
-        # Repair re-runs dirty fetch kernels through the federated executor
-        # itself (row-mode by construction), so patched partials are merged
-        # exactly as a fresh scatter would merge them.  No group_lookup: the
-        # router has no single live index to compare against.
-        self._deriver = DeltaDeriver(self._executor, partitioner.schema)
+        #: per shard, its series in ``metrics.latency`` (formatted once, not per fetch)
+        self._latency_labels = [f"shard:{shard.name}" for shard in self.shards]
 
     # -- the substrate: a federation of shards ----------------------------------------
     def _snapshot(self, relations: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
@@ -466,69 +239,70 @@ class ShardRouter(ServingCore):
             query, self._gather(relations), self.access_schema, None
         )
 
+    def fetcher(self, plan: BoundedPlan, step: PlanStep, *, batched: bool) -> Fetch:
+        """The federated fetch source: ``step``'s fetch as one scatter/gather.
+
+        The executor's seam (see :meth:`repro.storage.index.IndexSet.fetcher`,
+        the local implementation).  Fetch keys are aligned with
+        ``sorted(lhs)``; when the partition attribute is part of the key,
+        each key names its owning shard and the scatter is pruned to it.
+        (Constraint attributes are base attribute names even for renamed
+        occurrences — only relation names are actualized.)  The merged union
+        is a set, which suits both kernel families, so ``batched`` changes
+        nothing here.
+        """
+        constraint = step.op.constraint
+        base = plan.base_relation(constraint)
+        lhs = sorted(constraint.lhs)
+        partition_attribute = self.partitioner.attribute(base)
+        routed_position = (
+            lhs.index(partition_attribute) if partition_attribute in lhs else None
+        )
+
+        def fetch(keys: Collection[Row], counter: AccessCounter) -> set[Row]:
+            return self._scatter_fetch(constraint, base, keys, routed_position, counter)
+
+        return fetch
+
     def _scatter_fetch(
         self,
         constraint,
         base_relation: str,
-        keys: set[Row],
+        keys: Collection[Row],
         routed_position: int | None,
         counter: AccessCounter,
-        predicate: Callable[[Row], bool] | None = None,
     ) -> set[Row]:
-        """One federated fetch step: route or broadcast keys, union partials.
-
-        ``predicate`` is a pushed-down selection each shard applies before
-        shipping its partial; accessed-tuple accounting is unaffected.
-        """
+        """One federated fetch step: route or broadcast keys, union partials."""
         self.metrics.scatters += 1
-        if predicate is not None:
-            self.metrics.select_pushdowns += 1
         if not keys:
             # No input rows → no keys → fetch nothing (the SQLite empty-LHS
             # path would otherwise return its whole index table).
             self.metrics.observe_merge(0)
             return set()
         if routed_position is None:
-            groups: list[tuple[Shard, Iterable[Row]]] = [
-                (shard, keys) for shard in self.shards
-            ]
+            groups: dict[int, Collection[Row]] = dict.fromkeys(
+                range(len(self.shards)), keys
+            )
             self.metrics.broadcasts += 1
         else:
-            buckets: dict[int, list[Row]] = {}
+            groups = {}
             for fetch_key in keys:
                 owner = self.partitioner.shard_for_value(
                     base_relation, fetch_key[routed_position]
                 )
-                buckets.setdefault(owner, []).append(fetch_key)
-            groups = [(self.shards[i], buckets[i]) for i in sorted(buckets)]
+                groups.setdefault(owner, []).append(fetch_key)
             self.metrics.routed += 1
         merged: set[Row] = set()
-        accessed_before = counter.fetched if counter is not None else 0
-        shipped = 0
-        for shard, shard_keys in groups:
-            if not shard_keys:
-                continue
-            hits_before, misses_before = shard.cache_counters()
+        for owner in sorted(groups):
             started = time.perf_counter()
-            partial = shard.fetch(
-                constraint, base_relation, shard_keys, counter, predicate
+            partial = self.shards[owner].fetch(
+                constraint, base_relation, groups[owner], counter
             )
             self.metrics.latency.observe(
-                f"shard:{shard.name}", time.perf_counter() - started
+                self._latency_labels[owner], time.perf_counter() - started
             )
-            hits_after, misses_after = shard.cache_counters()
-            self.metrics.shard_cache_hits += hits_after - hits_before
-            self.metrics.shard_cache_misses += misses_after - misses_before
             self.metrics.shard_fetches += 1
-            shipped += len(partial)
             merged.update(partial)
-        if predicate is not None and counter is not None:
-            # Shards count every accessed tuple pre-filter (per-shard partials
-            # are duplicate-free), so the accounting delta minus what shipped
-            # is exactly the rows the pushdown kept off the wire.
-            self.metrics.pushdown_rows_filtered += (
-                counter.fetched - accessed_before - shipped
-            )
         self.metrics.observe_merge(len(merged))
         return merged
 

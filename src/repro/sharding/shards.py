@@ -29,12 +29,11 @@ same run — the heterogeneity ROADMAP item 1 asks for.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..backends.sqlite import SQLiteBackend
 from ..core.access import AccessConstraint, AccessSchema
-from ..core.errors import MaintenanceError, StorageError
-from ..core.planstore import ResultCache
+from ..core.errors import StorageError
 from ..discovery import maintenance
 from ..discovery.maintenance import MaintenanceReport, Update
 from ..storage.counters import AccessCounter
@@ -60,17 +59,8 @@ class Shard:
         base_relation: str,
         keys: Iterable[Sequence],
         counter: AccessCounter | None = None,
-        predicate: Callable[[Row], bool] | None = None,
     ) -> frozenset[Row]:
-        """Distinct index rows of ``constraint`` matching any key, this fragment only.
-
-        ``predicate``, when given, is a row filter pushed down from a select
-        step sitting directly on the fetch: the shard applies it *after* the
-        index lookup (the tuples are still accessed and still counted — the
-        access bound is about data touched, not data shipped) but *before*
-        returning, so only matching rows cross the shard boundary and enter
-        the router's merge.
-        """
+        """Distinct index rows of ``constraint`` matching any key, this fragment only."""
         raise NotImplementedError
 
     def relation_rows(self, relation: str) -> tuple[Row, ...]:
@@ -90,10 +80,6 @@ class Shard:
         return self.database.clock.validate(relations, snapshot)
 
     # -- reporting ---------------------------------------------------------------
-    def cache_counters(self) -> tuple[int, int]:
-        """``(hits, misses)`` of this shard's fetch-partial cache (0 if none)."""
-        return (0, 0)
-
     def stats(self) -> dict[str, object]:
         return {
             "name": self.name,
@@ -104,41 +90,14 @@ class Shard:
 
 
 class EngineShard(Shard):
-    """An in-memory shard: fetches via ``ConstraintIndex``, writes via index maintenance.
-
-    Each engine shard keeps a small :class:`~repro.core.planstore.
-    ResultCache` of *fetch partials* — the ``(constraint, key-set)`` →
-    row-set pairs its index lookups produce — stamped with the shard's
-    per-relation clock version and swept by routed writes.  The router's
-    result cache serves whole federated results; this one serves the
-    scatter's building blocks, so two different queries sharing a fetch
-    step (or one query re-executed after an unrelated relation changed)
-    skip the index walk.  Hits replay the exact access accounting of the
-    lookups they stand in for (the bound is about tuples *touched*, and a
-    cached partial stands for the same touched tuples), so ``P(D_Q)``
-    reporting is identical with or without the cache.
-    """
+    """An in-memory shard: fetches via ``ConstraintIndex``, writes via index maintenance."""
 
     kind = "memory"
 
-    def __init__(
-        self,
-        name: str,
-        database: Database,
-        access_schema: AccessSchema,
-        *,
-        fetch_cache_size: int = 128,
-    ):
+    def __init__(self, name: str, database: Database, access_schema: AccessSchema):
         super().__init__(name, database)
         self.access_schema = access_schema
         self.indexes = IndexSet.build(database, access_schema, check=False)
-        # The router keeps the (cross-shard) result cache; this one holds
-        # fetch *partials*, not query results.
-        self.fetch_cache = ResultCache(fetch_cache_size)
-        #: per-entry ``(index_probes, tuples_fetched)`` so cache hits replay
-        #: the miss path's accounting exactly (fetched ≥ |rows|: a tuple
-        #: reached through two keys is counted per lookup)
-        self._fetch_costs: dict = {}
 
     def fetch(
         self,
@@ -146,78 +105,22 @@ class EngineShard(Shard):
         base_relation: str,
         keys: Iterable[Sequence],
         counter: AccessCounter | None = None,
-        predicate: Callable[[Row], bool] | None = None,
     ) -> frozenset[Row]:
-        keys = [tuple(key) for key in keys]
-        cache_key = None
-        if predicate is None and self.fetch_cache.capacity > 0:
-            # Predicated fetches bypass the cache: the pushed-down predicate
-            # is a compiled closure with no stable identity to key on.
-            cache_key = (constraint, base_relation, frozenset(keys))
-            stamp = self.database.clock.snapshot((base_relation,))
-            entry = self.fetch_cache.get(cache_key, stamp)
-            if entry is not None:
-                cost = self._fetch_costs.get(cache_key)
-                if cost is not None:
-                    if counter is not None:
-                        counter.record_fetch_many(base_relation, cost[0], cost[1])
-                    return entry.rows
-        index = self.indexes.get(constraint)
-        if index is None:
-            index = self.indexes.find(base_relation, constraint.lhs, constraint.rhs)
+        index = self.indexes.resolve(constraint, base_relation)
         if index is None:
             raise StorageError(
                 f"shard {self.name!r} has no index for constraint {constraint} "
                 f"(base relation {base_relation!r})"
             )
-        local = AccessCounter()
-        rows: set[Row] = set()
-        for key in keys:
-            rows.update(index.lookup(key, local))
-        if counter is not None:
-            counter.merge(local)
-        frozen = frozenset(rows)
-        if cache_key is not None:
-            self.fetch_cache.put(
-                cache_key,
-                rows=frozen,
-                columns=(),
-                dependencies=(base_relation,),
-                snapshot=self.database.clock.snapshot((base_relation,)),
-            )
-            self._fetch_costs[cache_key] = (local.index_probes, local.fetched)
-        if predicate is not None:
-            frozen = frozenset(filter(predicate, frozen))
-        return frozen
+        return frozenset(index.lookup_many([tuple(key) for key in keys], counter))
 
     def apply_updates(self, updates: Iterable[Update]) -> MaintenanceReport:
-        try:
-            # Through the module, at call time: the benchmark tracer wraps
-            # ``maintenance.apply_updates`` from outside.  The clock is
-            # bumped once per portion, over the partial on a failure.
-            report = maintenance.apply_updates(
-                self.database, self.indexes, self.access_schema, updates
-            )
-        except MaintenanceError:
-            # A torn batch leaves shard state suspect: sweep every partial
-            # rather than reason about which prefix survived.
-            self.fetch_cache.invalidate(None)
-            self._fetch_costs.clear()
-            raise
-        if report.touched_relations:
-            self.fetch_cache.invalidate(sorted(report.touched_relations))
-            self._prune_costs()
-        return report
-
-    def _prune_costs(self) -> None:
-        if len(self._fetch_costs) > 4 * self.fetch_cache.capacity:
-            live = self.fetch_cache._entries
-            self._fetch_costs = {
-                key: cost for key, cost in self._fetch_costs.items() if key in live
-            }
-
-    def cache_counters(self) -> tuple[int, int]:
-        return (self.fetch_cache.hits, self.fetch_cache.misses)
+        # Through the module, at call time: the benchmark tracer wraps
+        # ``maintenance.apply_updates`` from outside.  The clock is bumped
+        # once per portion, over the partial on a failure.
+        return maintenance.apply_updates(
+            self.database, self.indexes, self.access_schema, updates
+        )
 
 
 class SQLiteShard(Shard):
@@ -244,13 +147,10 @@ class SQLiteShard(Shard):
         base_relation: str,
         keys: Iterable[Sequence],
         counter: AccessCounter | None = None,
-        predicate: Callable[[Row], bool] | None = None,
     ) -> frozenset[Row]:
         rows = self.backend.fetch_index(constraint, keys, base_relation=base_relation)
         if counter is not None:
             counter.record_fetch(base_relation, len(rows))
-        if predicate is not None:
-            rows = frozenset(filter(predicate, rows))
         return rows
 
     def apply_updates(self, updates: Iterable[Update]) -> MaintenanceReport:

@@ -11,12 +11,19 @@ bounded incremental maintenance of Proposition 12.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Sequence
 
 from ..core.access import AccessConstraint, AccessSchema
-from ..core.errors import ConstraintViolation, StorageError
+from ..core.errors import ConstraintViolation, PlanError, StorageError
 from .counters import AccessCounter
 from .relation import RelationInstance, Row
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.plan import BoundedPlan, PlanStep
+
+#: a fetch step's data access, resolved at compile time:
+#: ``(distinct keys, counter) -> distinct index rows``
+Fetch = Callable[[Collection[Row], AccessCounter], Collection[Row]]
 
 
 class ConstraintIndex:
@@ -104,13 +111,13 @@ class ConstraintIndex:
         """Concatenated :meth:`lookup` results for many ``X``-values.
 
         Accounting is identical in aggregate (one probe per key, every
-        returned tuple counted), but the group gather runs at C speed —
-        this is the batch entry point used by the columnar executor's
-        fetch kernel.  Keys must already be tuples.
+        returned tuple counted; no keys, nothing recorded), but the group
+        gather runs at C speed — this is the batch entry point used by the
+        columnar executor's fetch kernel.  Keys must already be tuples.
         """
         groups = list(map(self._entries.get, keys))
         rows = list(chain.from_iterable(filter(None, groups)))
-        if counter is not None:
+        if counter is not None and groups:
             counter.record_fetch_many(self.relation_name, len(groups), len(rows))
         return rows
 
@@ -224,6 +231,47 @@ class IndexSet:
         the first one registered wins, matching the historical scan order).
         """
         return self._by_shape.get((relation, frozenset(lhs), frozenset(rhs)))
+
+    def resolve(
+        self, constraint: AccessConstraint, base_relation: str
+    ) -> ConstraintIndex | None:
+        """The physical index behind a fetch constraint: the constraint's own,
+        else the one of its shape on ``base_relation`` (actualized occurrences)."""
+        index = self._indexes.get(constraint)
+        if index is None:
+            index = self.find(base_relation, constraint.lhs, constraint.rhs)
+        return index
+
+    def fetcher(self, plan: "BoundedPlan", step: "PlanStep", *, batched: bool) -> Fetch:
+        """The local fetch source: ``step``'s fetch as lookups on one index.
+
+        This is the seam a plan touches data through, resolved once per
+        fetch step at compile time (a :class:`~repro.sharding.router.
+        ShardRouter` implements it by scatter/gather).  Row kernels probe a
+        handful of keys and get a mutable set from a per-key loop;
+        ``batched`` (columnar kernels) gets the list of :meth:`ConstraintIndex.
+        lookup_many`.  Either way: one probe per key, every returned tuple
+        counted, nothing recorded for no keys.
+        """
+        constraint = step.op.constraint
+        base = plan.base_relation(constraint)
+        index = self.resolve(constraint, base)
+        if index is None:
+            raise PlanError(
+                f"no index available for constraint {constraint} (base relation {base!r}); "
+                "build an IndexSet for the access schema first"
+            )
+        if batched:
+            return index.lookup_many
+        lookup = index.lookup
+
+        def fetch(keys: Collection[Row], counter: AccessCounter) -> set[Row]:
+            rows: set[Row] = set()
+            for key in keys:
+                rows.update(lookup(key, counter))
+            return rows
+
+        return fetch
 
     # -- size ------------------------------------------------------------------------
     @property

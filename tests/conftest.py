@@ -4,11 +4,24 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import optimizer
 from repro.core.access import AccessConstraint, AccessSchema
 from repro.core.schema import DatabaseSchema
 from repro.storage.database import Database
 from repro.storage.index import IndexSet
 from repro.workloads import facebook
+
+
+@pytest.fixture
+def row_kernels(monkeypatch):
+    """``auto`` executors lower every plan to row kernels for this test.
+
+    The kernel family follows the plan's bound and a federation has no
+    ``executor_mode`` to pin it with; tests of the repair *patch* path (row
+    kernels re-run over the captured environment) on a wide plan such as
+    facebook's q1 move the threshold out of reach instead.
+    """
+    monkeypatch.setattr(optimizer, "COLUMNAR_BOUND_THRESHOLD", float("inf"))
 
 
 @pytest.fixture

@@ -59,7 +59,7 @@ class TestDerivability:
     def deriver(self, fb_database, fb_indexes, fb_schema):
         # Structural checks never execute, but they read the repair program
         # kept on the executor's compiled plan.
-        return DeltaDeriver(PlanExecutor(fb_database, fb_indexes, mode="row"), fb_schema)
+        return DeltaDeriver(PlanExecutor(fb_indexes, mode="row"), fb_schema)
 
     def test_monotone_plan_is_derivable_for_every_relation(self, deriver, fb_access):
         prepared = prepare_query(facebook.query_q1(), fb_access)
@@ -91,7 +91,12 @@ class TestDerivability:
 
 
 class TestEngineRepair:
-    """The wired contract: BoundedEngine writes settle entries via the deriver."""
+    """The wired contract: BoundedEngine writes settle entries via the deriver.
+
+    q1's bound makes it a columnar plan under ``auto``; the tests of the
+    patch path (row kernels re-run over the captured environment) pin
+    ``executor_mode="row"``.
+    """
 
     def test_unprobed_key_restamps_without_execution(self, fb_database, fb_access):
         engine = BoundedEngine(fb_database, fb_access)
@@ -107,7 +112,7 @@ class TestEngineRepair:
         assert engine.execute(q1).result_cached
 
     def test_probed_key_patches_rows_in_place(self, fb_database, fb_access):
-        engine = BoundedEngine(fb_database, fb_access)
+        engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
         q1 = facebook.query_q1()
         engine.execute(q1)
         engine.apply_insert("cafe", ("c_d", "nyc"))
@@ -160,7 +165,7 @@ class TestEngineRepair:
     def test_mixed_batch_patches_inserts_and_deletes_together(
         self, fb_database, fb_access
     ):
-        engine = BoundedEngine(fb_database, fb_access)
+        engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
         q1 = facebook.query_q1()
         engine.apply_insert("cafe", ("c_old", "nyc"))
         engine.apply_insert("friend", ("p0", "p_old"))
@@ -198,7 +203,7 @@ class TestEngineRepair:
         assert stats["repair_fallback_reasons"] == {"stale": 1}
 
     def test_repair_outcome_metadata_names_dirty_steps(self, fb_database, fb_access):
-        engine = BoundedEngine(fb_database, fb_access)
+        engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
         q1 = facebook.query_q1()
         engine.execute(q1)
         (entry,) = [entry for _, entry in engine.result_cache.entries_for(("friend",))]
@@ -222,7 +227,7 @@ class TestEngineRepair:
     ):
         # A swallowed repair error must be visible: one WARNING naming the
         # exception, the plan's size and the touched relations.
-        engine = BoundedEngine(fb_database, fb_access)
+        engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
         q1 = facebook.query_q1()
         engine.execute(q1)
         (entry,) = [entry for _, entry in engine.result_cache.entries_for(("friend",))]
@@ -259,7 +264,7 @@ class TestSettlementCost:
     def test_replaced_environments_and_key_sets_die_with_the_patch(
         self, fb_database, fb_access
     ):
-        engine = BoundedEngine(fb_database, fb_access)
+        engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
         q1 = facebook.query_q1()
         engine.execute(q1)
         (entry,) = [entry for _, entry in engine.result_cache.entries_for(("friend",))]
@@ -292,7 +297,7 @@ class TestSettlementCost:
     def test_plan_facts_are_compiled_once_per_plan_not_per_batch(
         self, fb_database, fb_access, monkeypatch
     ):
-        engine = BoundedEngine(fb_database, fb_access)
+        engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
         queries = [facebook.query_q1(person=f"p{i}") for i in range(16)]
         plans = [engine.execute(query).plan for query in queries]
         fetch_steps = max(len(engine.prepare(q)[0].executable.fetch_steps()) for q in queries)

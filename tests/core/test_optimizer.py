@@ -71,8 +71,8 @@ class TestPeepholeRules:
         t4 = builder.add(ProjectOp(columns=("b",), inputs=(t3,)), ["b"])
         plan = builder.build(t4)
         optimized = optimize_plan(plan)
-        expected = execute_plan(plan, fb_database, fb_indexes).rows
-        assert execute_plan(optimized, fb_database, fb_indexes).rows == expected == {("B",)}
+        expected = execute_plan(plan, fb_indexes).rows
+        assert execute_plan(optimized, fb_indexes).rows == expected == {("B",)}
 
     def test_duplicate_columns_block_identity_elimination(
         self, fb_database, fb_indexes, fb_access
@@ -86,8 +86,8 @@ class TestPeepholeRules:
         t4 = builder.add(ProjectOp(columns=("b", "b"), inputs=(t3,)), ["b", "b"])
         plan = builder.build(t4)
         optimized = optimize_plan(plan)
-        expected = execute_plan(plan, fb_database, fb_indexes).rows
-        assert execute_plan(optimized, fb_database, fb_indexes).rows == expected == {("B", "B")}
+        expected = execute_plan(plan, fb_indexes).rows
+        assert execute_plan(optimized, fb_indexes).rows == expected == {("B", "B")}
 
     def test_select_over_product_becomes_hash_join(self, fb_database, fb_indexes, fb_access):
         builder = PlanBuilder(fb_access)
@@ -112,8 +112,8 @@ class TestPeepholeRules:
         assert joins[0].op.residual == (ColumnPredicate("x", ">=", 0),)
         assert not any(isinstance(s.op, ProductOp) for s in optimized.steps)
         assert (
-            execute_plan(optimized, fb_database, fb_indexes).rows
-            == execute_plan(plan, fb_database, fb_indexes).rows
+            execute_plan(optimized, fb_indexes).rows
+            == execute_plan(plan, fb_indexes).rows
             == {(1, 1)}
         )
 
@@ -149,7 +149,7 @@ class TestOptimizedPlansOnQueries:
     ):
         plan = plan_query(fb_q1, fb_access)
         optimized = optimize_plan(plan)
-        executor = PlanExecutor(fb_database, fb_indexes)
+        executor = PlanExecutor(fb_indexes)
         original = executor.execute(plan)
         rewritten = executor.execute(optimized)
         assert rewritten.rows == original.rows == evaluate(fb_q1, fb_database).rows
@@ -163,7 +163,7 @@ class TestOptimizedPlansOnQueries:
         plan = plan_query(fb_q0_prime, fb_access)
         optimized = optimize_plan(plan)
         assert (
-            execute_plan(optimized, fb_database, fb_indexes).rows
+            execute_plan(optimized, fb_indexes).rows
             == evaluate(fb_q0_prime, fb_database).rows
         )
 

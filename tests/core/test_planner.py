@@ -54,13 +54,13 @@ class TestPlanGeneration:
 
     def test_plan_correct_on_data(self, fb_q1, fb_access, fb_database, fb_indexes):
         plan = plan_query(fb_q1, fb_access)
-        execution = execute_plan(plan, fb_database, fb_indexes)
+        execution = execute_plan(plan, fb_indexes)
         reference = evaluate(fb_q1, fb_database)
         assert execution.rows == reference.rows
 
     def test_q0_prime_plan_correct_on_data(self, fb_q0_prime, fb_q0, fb_access, fb_database, fb_indexes):
         plan = plan_query(fb_q0_prime, fb_access)
-        execution = execute_plan(plan, fb_database, fb_indexes)
+        execution = execute_plan(plan, fb_indexes)
         assert execution.rows == evaluate(fb_q0_prime, fb_database).rows
         # and Q0' is equivalent to the original Q0 (Example 1)
         assert execution.rows == evaluate(fb_q0, fb_database).rows
@@ -69,7 +69,7 @@ class TestPlanGeneration:
         cafe = Relation.from_schema(fb_schema, "cafe")
         query = cafe.select(eq(cafe["cid"], "c1")).project([cafe["city"]])
         plan = plan_query(query, fb_access)
-        execution = execute_plan(plan, fb_database, fb_indexes)
+        execution = execute_plan(plan, fb_indexes)
         assert execution.rows == evaluate(query, fb_database).rows
 
     def test_union_query_plan(self, fb_schema, fb_access, fb_database, fb_indexes):
@@ -79,7 +79,7 @@ class TestPlanGeneration:
             cafe_a.select(eq(cafe_a["cid"], "c1")).project([cafe_a["city"]])
         ).union(cafe_b.select(eq(cafe_b["cid"], "c2")).project([cafe_b["city"]]))
         plan = plan_query(query, fb_access)
-        execution = execute_plan(plan, fb_database, fb_indexes)
+        execution = execute_plan(plan, fb_indexes)
         assert execution.rows == evaluate(query, fb_database).rows
 
     def test_empty_lhs_constraint_plan(self, fb_schema, fb_database):
@@ -98,7 +98,7 @@ class TestPlanGeneration:
         ).project([dine["cid"], dine["month"]])
         plan = plan_query(query, access)
         indexes = IndexSet.build(fb_database, access)
-        execution = execute_plan(plan, fb_database, indexes)
+        execution = execute_plan(plan, indexes)
         assert execution.rows == evaluate(query, fb_database).rows
 
     def test_plan_fetches_only_via_indexes(self, fb_q0_prime, fb_access):

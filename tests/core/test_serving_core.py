@@ -21,9 +21,11 @@ from repro.core.errors import (
     NotCoveredError,
     TransientFault,
 )
+from repro.core.optimizer import COLUMNAR_BOUND_THRESHOLD
 from repro.core.query import Relation, eq
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
+from repro.evaluator.executor import PlanExecutor
 from repro.serving.faults import FaultInjector, FaultSpec
 from repro.sharding import ShardRouter, SQLiteShard, build_topology
 from repro.workloads import facebook
@@ -162,6 +164,43 @@ class TestReads:
         executed = core.cache_stats()["executor"]
         assert executed["row_executions"] + executed["columnar_executions"] == 3
 
+    def test_wide_plan_runs_columnar_kernels_within_its_bound(self, make):
+        database = facebook.generate(scale=30, seed=5)
+        access = facebook.access_schema(database.schema)
+        core = make(database, access).core
+        query = facebook.query_q1()
+        bound = core.prepare(query)[0].executable.access_bound()
+        assert bound >= COLUMNAR_BOUND_THRESHOLD
+        result = core.execute(query)
+        assert result.rows == evaluate(query, database).rows
+        # the family follows the plan's bound, whatever answers the fetches
+        assert result.executor_mode == "columnar"
+        assert 0 < result.counter.fetched <= bound
+        # and so does the access, while one fragment holds every index group
+        # whole (a projected tuple witnessed on two shards is counted by both)
+        if len(getattr(core, "shards", ())) <= 1:
+            # (the shards own fragment copies: ``database`` is still whole)
+            single = BoundedEngine(database, access, check_constraints=False)
+            assert result.counter.fetched == single.execute(query).counter.fetched
+
+    def test_one_executor_lowers_a_plan_once_for_reads_and_settlement(
+        self, hot, monkeypatch
+    ):
+        lowered = []
+        lower = PlanExecutor._compile
+
+        def counting(executor, plan):
+            lowered.append(executor)
+            return lower(executor, plan)
+
+        monkeypatch.setattr(PlanExecutor, "_compile", counting)
+        hot.core.execute(hot.query)
+        hot.core.apply_updates([Update.insert("hot", ("a", 4))])  # re-runs kernels
+        assert hot.result_cache()["rows_patched"] == 1
+        assert hot.core.execute(hot.query).result_cached
+        assert lowered == [hot.core._executor]
+        assert hot.core._deriver.executor is hot.core._executor
+
     def test_uncovered_query_falls_back_to_conventional_evaluation(self, make):
         database = facebook.generate(scale=30, seed=5)
         substrate = make(database, facebook.access_schema(database.schema))
@@ -207,6 +246,26 @@ class TestWriteSettlement:
         result = hot.core.execute(hot.query)
         assert result.result_cached  # patched in place, not dropped
         assert result.rows == {(1,), (4,)} == evaluate(hot.query, hot.reference).rows
+
+    def test_columnar_entry_restamps_when_clean_and_is_dropped_when_dirty(self, make):
+        # Clean detection reads the captured environment only; re-running a
+        # dirty closure needs row kernels, so the next read re-executes instead.
+        database = facebook.generate(scale=30, seed=5)
+        substrate = make(database, facebook.access_schema(database.schema))
+        core, query = substrate.core, facebook.query_q1()
+        assert core.execute(query).executor_mode == "columnar"
+        before = substrate.result_cache()
+        core.apply_updates([Update.insert("friend", ("p_nobody", "p0"))])
+        assert moved(before, substrate.result_cache()) == {"repaired": 1, "repaired_clean": 1}
+        assert core.execute(query).result_cached
+        before = substrate.result_cache()
+        core.apply_updates([Update.insert("friend", ("p0", "p_new"))])
+        changed = moved(before, substrate.result_cache())
+        assert changed["repair_fallback_reasons"] == {"executor_mode": 1}
+        assert (changed["invalidated"], changed["entries"]) == (1, -1)
+        result = core.execute(query)
+        assert (result.result_cached, result.executor_mode) == (False, "columnar")
+        assert result.rows == evaluate(query, substrate.reference).rows
 
     def test_entry_outdated_before_the_batch_is_dropped_as_stale(self, hot):
         # A write that bypasses the core moves an epoch without a derivation;

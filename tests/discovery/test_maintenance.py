@@ -92,7 +92,7 @@ class TestApplyUpdates:
         apply_updates(fb_database, indexes, fb_access, updates)
         q1 = facebook.query_q1()
         plan = plan_query(q1, fb_access)
-        assert execute_plan(plan, fb_database, indexes).rows == evaluate(q1, fb_database).rows
+        assert execute_plan(plan, indexes).rows == evaluate(q1, fb_database).rows
 
 
 class TestBatchVersioning:
@@ -182,7 +182,8 @@ class TestEngineBatchUpdates:
         from repro.core.engine import BoundedEngine
         from repro.evaluator.algebra import evaluate
 
-        engine = BoundedEngine(fb_database, fb_access)  # delta repair default
+        # delta repair is the default; row kernels, so a dirty entry is patched
+        engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
         q1 = facebook.query_q1()
         engine.execute(q1)
         assert engine.execute(q1).result_cached

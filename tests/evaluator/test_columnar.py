@@ -41,7 +41,7 @@ def both_modes(plan, fb_database, fb_indexes):
     """Execute ``plan`` on row and columnar kernels; assert identity."""
     results = {}
     for mode in ("row", "columnar"):
-        executor = PlanExecutor(fb_database, fb_indexes, mode=mode)
+        executor = PlanExecutor(fb_indexes, mode=mode)
         results[mode] = executor.execute(plan)
     assert results["row"].rows == results["columnar"].rows
     assert results["row"].columns == results["columnar"].columns
@@ -235,7 +235,7 @@ class TestObservability:
             ["friend.fid", "friend.pid"],
         )
         plan = builder.build(t1)
-        executor = PlanExecutor(fb_database, fb_indexes, mode="columnar")
+        executor = PlanExecutor(fb_indexes, mode="columnar")
         result = executor.execute(plan)
         assert result.executor_mode == "columnar"
         assert result.kernel_batches == 2
@@ -256,7 +256,7 @@ class TestObservability:
             ["friend.fid", "friend.pid"],
         )
         plan = builder.build(t1)
-        executor = PlanExecutor(fb_database, fb_indexes, mode="auto")
+        executor = PlanExecutor(fb_indexes, mode="auto")
         result = executor.execute(plan)
         expected = choose_executor_mode(plan)
         assert result.executor_mode == expected
@@ -278,7 +278,7 @@ class TestObservability:
         counters = {}
         for mode in ("row", "columnar"):
             counter = AccessCounter()
-            PlanExecutor(fb_database, fb_indexes, mode=mode).execute(plan, counter)
+            PlanExecutor(fb_indexes, mode=mode).execute(plan, counter)
             counters[mode] = counter
         assert counters["row"].fetched == counters["columnar"].fetched
         assert counters["row"].index_probes == counters["columnar"].index_probes
@@ -321,4 +321,4 @@ class TestModeChoice:
 
     def test_unknown_mode_rejected(self, fb_database, fb_indexes):
         with pytest.raises(PlanError):
-            PlanExecutor(fb_database, fb_indexes, mode="vectorized")
+            PlanExecutor(fb_indexes, mode="vectorized")

@@ -40,7 +40,7 @@ class TestStepSemantics:
         t3 = builder.add(SelectOp(predicates=(ColumnPredicate("x", "=", "p0"),), inputs=(t2,)), ["x"])
         t4 = builder.add(ProjectOp(columns=("x",), inputs=(t3,), output_names=("person",)), ["person"])
         plan = builder.build(t4)
-        result = execute_plan(plan, fb_database, fb_indexes)
+        result = execute_plan(plan, fb_indexes)
         assert result.rows == {("p0",)}
         assert result.columns == ("person",)
 
@@ -52,7 +52,7 @@ class TestStepSemantics:
             ["friend.fid", "friend.pid"],
         )
         plan = builder.build(t1)
-        result = execute_plan(plan, fb_database, fb_indexes)
+        result = execute_plan(plan, fb_indexes)
         expected = {
             (fid, pid) for pid, fid in fb_database.relation("friend").rows if pid == "p0"
         }
@@ -70,7 +70,7 @@ class TestStepSemantics:
             ["friend.fid", "friend.pid"],
         )
         plan = builder.build(t3)
-        result = execute_plan(plan, fb_database, fb_indexes)
+        result = execute_plan(plan, fb_indexes)
         assert result.counter.index_probes == 1
 
     def test_set_operations(self, fb_database, fb_indexes, fb_access):
@@ -82,7 +82,7 @@ class TestStepSemantics:
         t4 = builder.add(IntersectOp(inputs=(t2, t2)), ["x"])
         t5 = builder.add(RenameOp(mapping={"x": "y"}, inputs=(t4,)), ["y"])
         plan = builder.build(t5)
-        executor = PlanExecutor(fb_database, fb_indexes)
+        executor = PlanExecutor(fb_indexes)
         result = executor.execute(plan)
         assert result.step_cardinalities[2] == 2
         assert result.step_cardinalities[3] == 1
@@ -99,7 +99,7 @@ class TestStepSemantics:
             ["x", "y"],
         )
         plan = builder.build(t3)
-        assert execute_plan(plan, fb_database, fb_indexes).rows == {(1, 1)}
+        assert execute_plan(plan, fb_indexes).rows == {(1, 1)}
 
     def test_missing_index_raises(self, fb_database, fb_access, psi1):
         empty_indexes = IndexSet()
@@ -111,19 +111,19 @@ class TestStepSemantics:
         )
         plan = builder.build(t1)
         with pytest.raises(PlanError, match="no index available"):
-            execute_plan(plan, fb_database, empty_indexes)
+            execute_plan(plan, empty_indexes)
 
 
 class TestEndToEndExecution:
     def test_result_matches_reference(self, fb_q1, fb_access, fb_database, fb_indexes):
         plan = plan_query(fb_q1, fb_access)
-        result = execute_plan(plan, fb_database, fb_indexes)
+        result = execute_plan(plan, fb_indexes)
         assert result.rows == evaluate(fb_q1, fb_database).rows
 
     def test_only_fetch_access(self, fb_q0_prime, fb_access, fb_database, fb_indexes):
         """A bounded plan never scans base relations."""
         plan = plan_query(fb_q0_prime, fb_access)
-        result = execute_plan(plan, fb_database, fb_indexes)
+        result = execute_plan(plan, fb_indexes)
         assert result.counter.scanned == 0
         assert result.counter.fetched > 0
 
@@ -132,7 +132,7 @@ class TestEndToEndExecution:
     ):
         plan = plan_query(fb_q1, fb_access)
         counter = AccessCounter()
-        result = execute_plan(plan, fb_database, fb_indexes, counter)
+        result = execute_plan(plan, fb_indexes, counter)
         assert result.counter is counter
         assert 0 < result.access_ratio(fb_database.size) <= counter.total
 
@@ -143,5 +143,5 @@ class TestEndToEndExecution:
         plan = plan_query(fb_q0_prime, fb_access)
         occurrence_relations = {c.relation for c in plan.constraints_used()}
         assert any(rel not in fb_database.relation_names() for rel in occurrence_relations)
-        result = execute_plan(plan, fb_database, fb_indexes)
+        result = execute_plan(plan, fb_indexes)
         assert result.rows == evaluate(fb_q0_prime, fb_database).rows

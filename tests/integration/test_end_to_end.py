@@ -46,7 +46,7 @@ class TestPipelinesAgree:
             if coverage.is_covered:
                 covered_seen += 1
                 plan = generate_plan(coverage)
-                execution = execute_plan(plan, database, indexes)
+                execution = execute_plan(plan, indexes)
                 assert execution.rows == truth
                 assert execution.counter.scanned == 0
         assert covered_seen >= 1
@@ -94,7 +94,7 @@ class TestPipelinesAgree:
             minimized_coverage = check_coverage(query, minimized.selected)
             assert minimized_coverage.is_covered
             plan = generate_plan(minimized_coverage)
-            execution = execute_plan(plan, database, indexes)
+            execution = execute_plan(plan, indexes)
             assert execution.rows == evaluate(query, database).rows
         assert checked >= 1
 
@@ -114,8 +114,8 @@ class TestBoundedAccessScaling:
 
         small = database.scaled(0.25, seed=1)
         small_indexes = IndexSet.build(small, workload.access_schema, check=False)
-        small_access = execute_plan(plan, small, small_indexes).counter.total
-        large_access = execute_plan(plan, database, indexes).counter.total
+        small_access = execute_plan(plan, small_indexes).counter.total
+        large_access = execute_plan(plan, indexes).counter.total
         bound = plan.access_bound()
         assert small_access <= bound
         assert large_access <= bound

@@ -26,7 +26,7 @@ class TestExample1And2:
         large = facebook.generate(scale=120, seed=1)
         for database in (small, large):
             indexes = IndexSet.build(database, fb_access)
-            execution = execute_plan(plan, database, indexes)
+            execution = execute_plan(plan, indexes)
             assert execution.counter.total <= bound
             assert execution.rows == evaluate(facebook.query_q1(), database).rows
 
@@ -134,7 +134,7 @@ class TestExample9And10:
         subset = minimize_access(facebook.query_q1(), a1).selected
         plan = plan_query(facebook.query_q1(), subset)
         indexes = IndexSet.build(database, subset)
-        execution = execute_plan(plan, database, indexes)
+        execution = execute_plan(plan, indexes)
         assert execution.rows == evaluate(facebook.query_q1(), database).rows
 
 

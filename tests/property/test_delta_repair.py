@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.experiments import select_covered_queries
+from repro.core import optimizer as optimizer_module
 from repro.core.engine import BoundedEngine
 from repro.core.fingerprint import prepared_cache_key
 from repro.core.plan import DifferenceOp, FetchOp
@@ -201,10 +202,12 @@ class TestRouterRepairProperty:
 # once per batch (``repro.core.deltas``).  The oracle below reads the verdict
 # straight off the definition — *a fetch is dirty iff a written row's LHS
 # projection is a key it probed and that key's group changed* — from the plan's
-# declared step columns and full scans of the stored relations.  It imports
-# nothing from ``deltas.py``, so a disagreement is a bug in one of the two (the
-# validation style of Raszyk et al., "Efficient Evaluation of Arbitrary
-# Relational Calculus Queries").
+# declared step columns and full scans of the stored relations; a dirty entry is
+# patched when its plan's bound puts it on row kernels and dropped
+# (``executor_mode``) when it runs columnar ones.  It imports nothing from
+# ``deltas.py``, so a disagreement is a bug in one of the two (the validation
+# style of Raszyk et al., "Efficient Evaluation of Arbitrary Relational
+# Calculus Queries").
 
 def _project(database, relation, attributes, row):
     return tuple(row[p] for p in database.schema[relation].positions(attributes))
@@ -280,6 +283,11 @@ class _Prediction:
         if entry.env is None or entry.plan is None:
             return
         self.facts = _fetch_facts(entry.plan, entry.env)
+        self.dirty = (
+            "patched"
+            if entry.plan.access_bound() < optimizer_module.COLUMNAR_BOUND_THRESHOLD
+            else "fallback:executor_mode"
+        )
         for index, fact in enumerate(self.facts):
             for update in updates:
                 if update.relation == fact.base:
@@ -308,7 +316,7 @@ class _Prediction:
                 if not self.refine or self.before[index, key] != _index_group(
                     database, fact.base, fact.lhs, fact.both, key
                 ):
-                    return "patched"
+                    return self.dirty
         return "clean"
 
 
@@ -512,6 +520,12 @@ schedules = st.lists(
 )
 
 
+def _kernel_families(row_only: bool):
+    """Both families as the plans' bounds select them, or row kernels for every plan."""
+    threshold = float("inf") if row_only else optimizer_module.COLUMNAR_BOUND_THRESHOLD
+    return patch.object(optimizer_module, "COLUMNAR_BOUND_THRESHOLD", threshold)
+
+
 def _run_schedule(settlements: _Settlements, schedule) -> None:
     batches = {
         HOT_INSERT: settlements.hot_insert,
@@ -543,30 +557,40 @@ class TestSettlementAgainstTheDefinition:
         st.sampled_from(["facebook", "AIRCA", "TFACC", "MCBM"]),
         st.integers(min_value=0, max_value=30),
         st.booleans(),
+        st.booleans(),
         schedules,
     )
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_engine_verdicts_and_rows(self, name, seed, tiny_memo, schedule):
+    def test_engine_verdicts_and_rows(self, name, seed, tiny_memo, row_only, schedule):
         database, access, queries = _random_queries(name, seed)
         # A two-plan kernel memo evicts compiled plans (and the repair programs
         # kept on them) between the derivations of a single batch.
-        with patch.object(executor_module, "_COMPILED_CACHE_SIZE", 2 if tiny_memo else 64):
+        with patch.object(
+            executor_module, "_COMPILED_CACHE_SIZE", 2 if tiny_memo else 64
+        ), _kernel_families(row_only):
             _run_schedule(_engine_settlements(database, access, queries), schedule)
 
     @given(
         st.sampled_from(["facebook", "TFACC"]),
         st.integers(min_value=0, max_value=30),
+        st.booleans(),
         schedules,
     )
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_three_shard_router_verdicts_and_rows(self, name, seed, schedule):
+    def test_three_shard_router_verdicts_and_rows(self, name, seed, row_only, schedule):
         database, access, queries = _random_queries(name, seed)
-        with _router_settlements(database, access, queries) as settlements:
+        with _kernel_families(row_only), _router_settlements(
+            database, access, queries
+        ) as settlements:
             _run_schedule(settlements, schedule)
 
     @pytest.mark.parametrize("substrate", ["engine", "router-3"])
-    def test_the_named_schedule(self, substrate):
-        """Every transition the compiled path must survive, in one fixed schedule."""
+    def test_the_named_schedule(self, substrate, row_kernels):
+        """Every transition the compiled path must survive, in one fixed schedule.
+
+        On row kernels: under ``auto`` q1 is a columnar plan, whose dirty
+        entries are dropped, not patched.
+        """
         database = facebook.generate(scale=15, seed=3)
         access = facebook.access_schema(database.schema)
         queries = [facebook.query_q1()]

@@ -62,7 +62,7 @@ class TestFacebookQueriesOnRandomData:
         query = facebook.query_q1()
         plan = generate_plan(check_coverage(query, access))
         indexes = IndexSet.build(database, access)
-        execution = execute_plan(plan, database, indexes)
+        execution = execute_plan(plan, indexes)
         assert execution.rows == evaluate(query, database).rows
         assert execution.counter.scanned == 0
         assert execution.counter.total <= plan.access_bound()
@@ -74,7 +74,7 @@ class TestFacebookQueriesOnRandomData:
         query = facebook.query_q0_prime()
         plan = generate_plan(check_coverage(query, access))
         indexes = IndexSet.build(database, access)
-        execution = execute_plan(plan, database, indexes)
+        execution = execute_plan(plan, indexes)
         assert execution.rows == evaluate(facebook.query_q0(), database).rows
 
 
@@ -101,7 +101,7 @@ class TestGeneratedCoveredQueries:
             return
         plan = generate_plan(coverage)
         indexes = IndexSet.build(database, workload.access_schema, check=False)
-        execution = execute_plan(plan, database, indexes)
+        execution = execute_plan(plan, indexes)
         assert execution.rows == truth
         assert execution.counter.scanned == 0
         assert execution.counter.total <= plan.access_bound()

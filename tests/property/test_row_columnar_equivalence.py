@@ -19,7 +19,7 @@ WORKLOAD = WORKLOADS["TFACC"]
 _DATABASE = WORKLOAD.database(scale=30, seed=13)
 _INDEXES = IndexSet.build(_DATABASE, WORKLOAD.access_schema, check=False)
 _EXECUTORS = {
-    mode: PlanExecutor(_DATABASE, _INDEXES, mode=mode)
+    mode: PlanExecutor(_INDEXES, mode=mode)
     for mode in ("row", "columnar", "auto")
 }
 _GENERATOR_CACHE: dict[int, RandomQueryGenerator] = {}

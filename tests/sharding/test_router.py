@@ -9,7 +9,7 @@ input database is left behind by :func:`~repro.sharding.router.build_topology`
 The contract the router shares with the single engine (result fields,
 settlement transitions, fallback breaker, racing writes) lives in
 ``tests/core/test_serving_core.py``; this file keeps what only a federation
-has: routing, cross-shard partial failures, pushdown, shard fetch caches.
+has: routing and cross-shard partial failures.
 """
 
 import asyncio
@@ -98,8 +98,56 @@ class TestFederatedReads:
         assert router.execute(query).rows == evaluate(query, database).rows
         assert router.metrics.routed > 0
 
+    def test_select_on_a_fetch_runs_centrally(
+        self, fb_access
+    ):
+        from repro.core.plan import ColumnPredicate, ConstOp, FetchOp, PlanBuilder, SelectOp
+        from repro.evaluator.executor import execute_plan
+        from repro.storage.index import IndexSet
+
+        router, database = mirrored_topology(shards=3)
+        psi1 = next(c for c in fb_access if c.name == "psi1")
+        builder = PlanBuilder(fb_access, occurrences={"friend": "friend"})
+        t0 = builder.add(ConstOp(value="p0", column="friend.pid"), ["friend.pid"])
+        t1 = builder.add(
+            FetchOp(constraint=psi1, key_columns=("friend.pid",), inputs=(t0,)),
+            ["friend.fid", "friend.pid"],
+        )
+        fid = sorted(database.relation("friend").rows)[0][1]
+        t2 = builder.add(
+            SelectOp(
+                predicates=(ColumnPredicate("friend.fid", "=", fid),), inputs=(t1,)
+            ),
+            ["friend.fid", "friend.pid"],
+        )
+        plan = builder.build(t2)
+        federated = router._executor.execute(plan)
+        reference = execute_plan(plan, IndexSet.build(database, fb_access, check=False))
+        assert federated.rows == reference.rows
+        # the whole index group crossed the shard boundary: shards only fetch
+        assert router.metrics.merge_rows == reference.counter.fetched
+        assert federated.counter.fetched == reference.counter.fetched
+
+    def test_optimized_workload_plans_match_the_reference(self):
+        from repro.bench.analytic import analytic_queries
+        from repro.workloads import WORKLOADS
+
+        workload = WORKLOADS["TFACC"]
+        database = workload.database(scale=120, seed=7)
+        router = build_topology(database, workload.access_schema, shards=3)
+        modes = set()
+        for query in analytic_queries(workload):
+            result = router.execute(query)
+            assert result.rows == evaluate(query, database).rows
+            assert result.counter.total <= result.plan.access_bound()
+            modes.add(result.executor_mode)
+        assert "columnar" in modes  # wide plans run columnar kernels here too
+        assert "executor" in router.cache_stats()
+
     @pytest.mark.parametrize("delta_repair", [False, True])
-    def test_result_cache_round_trip_survives_routed_writes(self, delta_repair):
+    def test_result_cache_round_trip_survives_routed_writes(
+        self, delta_repair, row_kernels
+    ):
         router, database = mirrored_topology(delta_repair=delta_repair)
         query = facebook.query_q1()
         reference = evaluate(query, database).rows
@@ -124,8 +172,8 @@ def inject_racing_write(router, make_update):
     for shard in router.shards:
         original = shard.fetch
 
-        def racing(constraint, base, keys, counter=None, predicate=None, _original=original):
-            partial = _original(constraint, base, keys, counter, predicate)
+        def racing(constraint, base, keys, counter=None, _original=original):
+            partial = _original(constraint, base, keys, counter)
             update = make_update()
             if update is not None:
                 router.apply_updates([update])
@@ -201,6 +249,7 @@ class TestRoutedWrites:
         assert router.clock.global_version == 1
 
 
+@pytest.mark.usefixtures("row_kernels")
 class TestDeltaRepairOverFederation:
     """Routed writes repair the router-level cache; anything racing drops it."""
 
@@ -241,10 +290,8 @@ class TestDeltaRepairOverFederation:
         for shard in router.shards:
             original = shard.fetch
 
-            def racing(
-                constraint, base, keys, counter=None, predicate=None, _original=original
-            ):
-                partial = _original(constraint, base, keys, counter, predicate)
+            def racing(constraint, base, keys, counter=None, _original=original):
+                partial = _original(constraint, base, keys, counter)
                 if not fired:
                     fired.append(True)
                     router.shards[side_owner].apply_updates([side])
@@ -358,215 +405,3 @@ class TestShardedSoak:
         assert report["checks"]["writes_routed"]
         assert report["config"]["faults"] is False  # chaos stays single-engine
         assert len(report["router"]["shards"]) == 3
-
-
-class TestSelectPushdown:
-    """Shard-side selection pushdown: fewer rows shipped, identical answers."""
-
-    @staticmethod
-    def _friend_fetch(builder, fb_access, source):
-        from repro.core.plan import FetchOp
-
-        psi1 = next(c for c in fb_access if c.name == "psi1")
-        return builder.add(
-            FetchOp(constraint=psi1, key_columns=("friend.pid",), inputs=(source,)),
-            ["friend.fid", "friend.pid"],
-        )
-
-    def test_select_directly_on_fetch_is_fused(self, fb_access):
-        from repro.core.plan import ColumnPredicate, ConstOp, PlanBuilder, ProjectOp, SelectOp
-        from repro.sharding.router import _pushdown_sites
-
-        builder = PlanBuilder(fb_access, occurrences={"friend": "friend"})
-        t0 = builder.add(ConstOp(value="p0", column="friend.pid"), ["friend.pid"])
-        t1 = self._friend_fetch(builder, fb_access, t0)
-        t2 = builder.add(
-            SelectOp(
-                predicates=(ColumnPredicate("friend.fid", "=", "p1"),), inputs=(t1,)
-            ),
-            ["friend.fid", "friend.pid"],
-        )
-        t3 = builder.add(
-            ProjectOp(columns=("friend.fid",), inputs=(t2,)), ["friend.fid"]
-        )
-        fused, filters = _pushdown_sites(builder.build(t3))
-        assert fused == {t2: t1}
-        assert [p.left for p in filters[t1]] == ["friend.fid"]
-
-    def test_residual_predicate_traces_through_project_to_fetch(self, fb_access):
-        from repro.core.plan import (
-            ColumnPredicate,
-            ConstOp,
-            HashJoinOp,
-            PlanBuilder,
-            ProjectOp,
-        )
-        from repro.sharding.router import _pushdown_sites
-
-        builder = PlanBuilder(fb_access, occurrences={"friend": "friend"})
-        t0 = builder.add(ConstOp(value="p0", column="friend.pid"), ["friend.pid"])
-        t1 = self._friend_fetch(builder, fb_access, t0)
-        t2 = builder.add(
-            ProjectOp(
-                columns=("friend.fid",),
-                inputs=(t1,),
-                output_names=("fid",),
-            ),
-            ["fid"],
-        )
-        t3 = builder.add(ConstOp(value="p1", column="other"), ["other"])
-        t4 = builder.add(
-            HashJoinOp(
-                pairs=(),
-                residual=(ColumnPredicate("fid", "=", "p1"),),
-                inputs=(t2, t3),
-            ),
-            ["fid", "other"],
-        )
-        fused, filters = _pushdown_sites(builder.build(t4))
-        assert not fused
-        # the residual's "fid" traced through the projection rename to the
-        # fetch's "friend.fid"
-        assert [p.left for p in filters[t1]] == ["friend.fid"]
-
-    def test_no_pushdown_through_set_operations_or_shared_fetches(self, fb_access):
-        from repro.core.plan import (
-            ColumnPredicate,
-            ConstOp,
-            PlanBuilder,
-            ProjectOp,
-            SelectOp,
-            UnionOp,
-        )
-        from repro.sharding.router import _pushdown_sites
-
-        builder = PlanBuilder(fb_access, occurrences={"friend": "friend"})
-        t0 = builder.add(ConstOp(value="p0", column="friend.pid"), ["friend.pid"])
-        t1 = self._friend_fetch(builder, fb_access, t0)
-        t2 = self._friend_fetch(builder, fb_access, t0)
-        t3 = builder.add(UnionOp(inputs=(t1, t2)), ["friend.fid", "friend.pid"])
-        t4 = builder.add(
-            SelectOp(
-                predicates=(ColumnPredicate("friend.fid", "=", "p1"),), inputs=(t3,)
-            ),
-            ["friend.fid", "friend.pid"],
-        )
-        fused, filters = _pushdown_sites(builder.build(t4))
-        assert not fused and not filters
-
-        # a fetch with two consumers must not be filtered either
-        builder = PlanBuilder(fb_access, occurrences={"friend": "friend"})
-        t0 = builder.add(ConstOp(value="p0", column="friend.pid"), ["friend.pid"])
-        t1 = self._friend_fetch(builder, fb_access, t0)
-        t2 = builder.add(
-            SelectOp(
-                predicates=(ColumnPredicate("friend.fid", "=", "p1"),), inputs=(t1,)
-            ),
-            ["friend.fid", "friend.pid"],
-        )
-        t3 = builder.add(
-            UnionOp(inputs=(t1, t2)), ["friend.fid", "friend.pid"]
-        )
-        fused, filters = _pushdown_sites(builder.build(t3))
-        assert not fused and not filters
-
-    def test_fused_select_executes_shard_side_with_identical_rows(self, fb_access):
-        from repro.core.plan import ColumnPredicate, ConstOp, PlanBuilder, SelectOp
-        from repro.evaluator.executor import execute_plan
-        from repro.storage.index import IndexSet
-
-        router, database = mirrored_topology(shards=3)
-        builder = PlanBuilder(fb_access, occurrences={"friend": "friend"})
-        t0 = builder.add(ConstOp(value="p0", column="friend.pid"), ["friend.pid"])
-        t1 = self._friend_fetch(builder, fb_access, t0)
-        fid = sorted(database.relation("friend").rows)[0][1]
-        t2 = builder.add(
-            SelectOp(
-                predicates=(ColumnPredicate("friend.fid", "=", fid),), inputs=(t1,)
-            ),
-            ["friend.fid", "friend.pid"],
-        )
-        plan = builder.build(t2)
-        federated = router._executor.execute(plan)
-        indexes = IndexSet.build(database, fb_access, check=False)
-        reference = execute_plan(plan, database, indexes)
-        assert federated.rows == reference.rows
-        assert router.metrics.select_pushdowns > 0
-        # only the selected rows crossed the shard boundary
-        assert router.metrics.merge_rows == len(reference.rows)
-        assert federated.counter.fetched == reference.counter.fetched
-
-    def test_federated_pushdown_on_optimized_workload_plans(self):
-        from repro.bench.analytic import analytic_queries
-        from repro.sharding import build_topology
-        from repro.workloads import WORKLOADS
-
-        workload = WORKLOADS["TFACC"]
-        database = workload.database(scale=120, seed=7)
-        router = build_topology(database, workload.access_schema, shards=3)
-        for query in analytic_queries(workload):
-            assert router.execute(query).rows == evaluate(query, database).rows
-        metrics = router.metrics.snapshot()
-        assert metrics["select_pushdowns"] > 0
-        assert metrics["pushdown_rows_filtered"] > 0
-        assert "executor" in router.cache_stats()
-
-
-class TestShardFetchCache:
-    """Per-shard fetch-partial caches: hits replay exact accounting and are
-    swept by routed writes (satellite of the self-healing federation PR)."""
-
-    def test_repeat_scatter_hits_with_identical_accounting(self):
-        # Router result cache off, so the second execution re-scatters and
-        # must be served from the shard-local fetch-partial caches.
-        router, database = mirrored_topology(
-            shards=2, backends="memory", result_cache_size=0
-        )
-        query = facebook.query_q1()
-        first = router.execute(query)
-        assert router.metrics.shard_cache_hits == 0
-        misses = router.metrics.shard_cache_misses
-        assert misses > 0
-        second = router.execute(query)
-        assert second.rows == first.rows == evaluate(query, database).rows
-        assert router.metrics.shard_cache_hits > 0
-        assert router.metrics.shard_cache_misses == misses
-        # The bound is about tuples *touched*: a cached partial stands for
-        # the same touched tuples, so P(D_Q) reporting is identical.
-        assert second.counter.fetched == first.counter.fetched
-        assert second.counter.index_probes == first.counter.index_probes
-
-    def test_routed_write_sweeps_dependent_partials(self):
-        router, database = mirrored_topology(
-            shards=2, backends="memory", result_cache_size=0
-        )
-        query = facebook.query_q1()
-        router.execute(query)
-        router.execute(query)
-        hits = router.metrics.shard_cache_hits
-        assert hits > 0
-        victim = sorted(database.relation("friend").rows)[0]
-        router.apply_updates([Update.delete("friend", victim)])
-        result = router.execute(query)
-        # The friend partials were swept (their relation changed), so the
-        # post-write read recomputes them and serves the new truth.
-        assert result.rows == evaluate(query, database).rows
-        assert router.metrics.shard_cache_misses > 0
-
-    def test_counters_surface_through_router_stats(self):
-        router, _ = mirrored_topology(
-            shards=2, backends="memory", result_cache_size=0
-        )
-        query = facebook.query_q1()
-        router.execute(query)
-        router.execute(query)
-        scatter = router.stats()["scatter_gather"]
-        assert scatter["shard_cache_hits"] == router.metrics.shard_cache_hits
-        assert scatter["shard_cache_misses"] == router.metrics.shard_cache_misses
-        hits = sum(shard.cache_counters()[0] for shard in router.shards)
-        assert hits == router.metrics.shard_cache_hits
-
-    def test_sqlite_shards_report_zero_cache_traffic(self):
-        router, _ = mirrored_topology(shards=2, backends="sqlite")
-        router.execute(facebook.query_q1())
-        assert all(shard.cache_counters() == (0, 0) for shard in router.shards)
