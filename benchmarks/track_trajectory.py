@@ -113,8 +113,7 @@ def federated_summary(federated_report: dict) -> dict:
             replicated_qps[name] = replicated.get("qps")
             degraded_ratio[name] = replicated.get("degraded_ratio")
             replication = replicated.get("replication", {})
-            for counter in ("failovers", "quarantines", "catch_ups",
-                            "hedged_reads", "rows_resynced"):
+            for counter in ("failovers", "quarantines", "catch_ups", "rows_resynced"):
                 replication_counters[counter] = (
                     replication_counters.get(counter, 0)
                     + (replication.get(counter) or 0)

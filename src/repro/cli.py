@@ -255,7 +255,6 @@ def command_soak(args) -> int:
                 f"-- replication: {replication['replicas']} replicas in "
                 f"{replication['replica_sets']} sets | "
                 f"failovers={replication['failovers']} "
-                f"hedged={replication['hedged_reads']} "
                 f"quarantines={replication['quarantines']} "
                 f"catch-ups={replication['catch_ups']} "
                 f"({replication['rows_resynced']} rows resynced) | "

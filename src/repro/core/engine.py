@@ -616,17 +616,6 @@ class BoundedEngine(ServingCore):
             fallback_breaker=fallback_breaker,
         )
 
-    @property
-    def clock(self):
-        """The database's :class:`~repro.storage.counters.VersionClock`.
-
-        The serving tier validates lock-free reads against this clock; the
-        property is the seam that lets a :class:`~repro.sharding.router.
-        ShardRouter` (which has no single database, only a router-level
-        clock) stand in for an engine behind the same interface.
-        """
-        return self.database.clock
-
     # -- the substrate: one database ----------------------------------------------------
     def _snapshot(self, relations: tuple[str, ...]) -> tuple[int, ...]:
         return self.database.clock.snapshot(relations)

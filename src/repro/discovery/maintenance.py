@@ -70,7 +70,8 @@ class MaintenanceReport:
     #: write delta the cache-repair path derives patches from (skipped
     #: duplicates/missing rows excluded, like ``touched_relations``)
     applied_updates: list[Update] = field(default_factory=list)
-    #: the database's global data version after the batch (None if nothing changed)
+    #: the database's global data version after the batch (None if nothing
+    #: changed, and on a router's merged report: each shard has its own)
     version: int | None = None
     #: True when the batch aborted part-way (see :class:`MaintenanceError`)
     failed: bool = False

@@ -72,14 +72,6 @@ class ServingMetrics:
         self.retries = 0
         self.writes_applied = 0
         self.write_failures = 0
-        #: result-cache maintenance attributed to served writes (delta
-        #: repair): entries repaired in place, rows patched into them,
-        #: derivations that fell back to invalidation, and entries
-        #: invalidated (sweeps and fallbacks together)
-        self.cache_repairs = 0
-        self.cache_rows_patched = 0
-        self.cache_repair_fallbacks = 0
-        self.cache_invalidated = 0
         #: requests shed before doing work, by reason
         self.sheds: Counter[str] = Counter()
         #: terminal degradation-ladder outcomes, by ladder step name
@@ -105,25 +97,6 @@ class ServingMetrics:
         self.ladder[outcome] += 1
         self.latency.observe(outcome, seconds)
 
-    def record_cache_maintenance(self, before: dict, after: dict) -> None:
-        """Attribute one write's result-cache settlement to the serving tier.
-
-        ``before`` / ``after`` are the engine's ``result_cache`` stats
-        snapshots around :meth:`~repro.core.engine.BoundedEngine.
-        apply_updates`; the deltas of the monotone counters say what the
-        write did to cached entries (repaired vs invalidated, rows patched,
-        derivation fallbacks).
-        """
-        for attribute, counter in (
-            ("cache_repairs", "repaired"),
-            ("cache_rows_patched", "rows_patched"),
-            ("cache_repair_fallbacks", "repair_fallbacks"),
-            ("cache_invalidated", "invalidated"),
-        ):
-            delta = after.get(counter, 0) - before.get(counter, 0)
-            if delta > 0:
-                setattr(self, attribute, getattr(self, attribute) + delta)
-
     @property
     def total_sheds(self) -> int:
         return sum(self.sheds.values())
@@ -138,10 +111,6 @@ class ServingMetrics:
             "retries": self.retries,
             "writes_applied": self.writes_applied,
             "write_failures": self.write_failures,
-            "cache_repairs": self.cache_repairs,
-            "cache_rows_patched": self.cache_rows_patched,
-            "cache_repair_fallbacks": self.cache_repair_fallbacks,
-            "cache_invalidated": self.cache_invalidated,
             "sheds": dict(self.sheds),
             "total_sheds": self.total_sheds,
             "ladder": dict(self.ladder),

@@ -1,17 +1,20 @@
 """The hardened asyncio serving tier over the versioned bounded-evaluation core.
 
-:class:`BoundedServer` is the "millions of users" front end of ROADMAP item 1:
-an asyncio session layer where **concurrent readers validate lock-free
-against the database's** :class:`~repro.storage.counters.VersionClock`
-**snapshot** while **writes serialize** through the engine's batched
-:meth:`~repro.core.engine.BoundedEngine.apply_updates` path — so no reader
-ever observes a half-applied batch, and a write batch costs one version bump
-plus one cache settlement no matter its size.  With the engine's delta
-repair (the default) that settlement *patches* dependent cached results in
-place instead of sweeping them; the per-write repair/invalidate outcomes are
-surfaced on :class:`~repro.serving.metrics.ServingMetrics`
-(``cache_repairs`` / ``cache_rows_patched`` / ``cache_repair_fallbacks`` /
-``cache_invalidated``) so soak reports can attribute cache churn to writes.
+:class:`BoundedServer` is an admission / retry / degradation shell around
+:meth:`ServingCore.execute <repro.core.engine.ServingCore.execute>` and
+``apply_updates``.  Serving a read, it prepares nothing and validates
+nothing itself (only cost-budget admission asks ``engine.prepare`` for a
+plan's bound): that a read saw **one epoch** of its dependencies is decided
+in exactly one place, the core's snapshot contract (snapshot → probe /
+execute → re-validate → re-run, then a typed
+:class:`~repro.core.errors.TransientFault`).  The tier adds only what makes
+that sufficient under concurrency: every engine call runs on the event-loop
+thread with no ``await`` inside it, and **writes serialize** through the
+engine's batched :meth:`~repro.core.engine.BoundedEngine.apply_updates`
+path — so no reader ever observes a half-applied batch, and a write batch
+costs one version bump plus one cache settlement no matter its size (what
+the settlement repaired or dropped is in
+``stats()["caches"]["result_cache"]``).
 
 What makes the tier *hardened* rather than hopeful is that the paper's
 central guarantee — a covered query touches at most ``access_bound()``
@@ -28,8 +31,9 @@ heuristic:
   :class:`~repro.core.errors.DeadlineExceededError`; queue time is never
   hidden inside service time.
 * **Retries with decorrelated jitter + a global retry budget** — only
-  :class:`~repro.core.errors.TransientFault` is retried, never beyond the
-  deadline, and never beyond the budget's retry-to-request ratio.
+  :class:`~repro.core.errors.TransientFault` is retried (an abandoned epoch
+  guard included), never beyond the deadline, and never beyond the budget's
+  retry-to-request ratio.
 * **A circuit breaker around the unbounded conventional fallback** —
   installed on the engine itself (``fallback_breaker``), so an
   uncovered-query stampede fails fast with
@@ -47,7 +51,7 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from ..core.engine import BoundedEngine, EngineResult
 from ..core.errors import (
@@ -112,9 +116,10 @@ class ServeResponse:
     retry); ``strategy`` is the terminal rung.  ``elapsed`` is engine
     *service* time summed over attempts — queue wait, retry sleeps, and any
     ``post_check`` audit are excluded, so latency quantiles measure the
-    serving cost itself.  ``snapshot_valid`` reports
-    the lock-free read validation: the dependency snapshot taken before
-    execution still stood afterwards, i.e. the rows cannot be a torn read.
+    serving cost itself.  ``snapshot_valid`` is always ``True``: rows are
+    only ever returned by the core's epoch guard, which raises instead of
+    serving a torn read; the field is kept solely because
+    ``benchmarks/layered/workloads.py`` reads it.
     For writes, ``report`` is the (possibly partial) maintenance report and
     ``ok`` is ``False`` when the batch aborted part-way — the applied prefix
     is kept and all caches were settled over it.
@@ -137,7 +142,7 @@ class BoundedServer:
 
     ``engine`` may be any object with the engine's serving surface —
     ``prepare`` / ``execute`` / ``apply_updates`` / ``cache_stats`` /
-    ``clock`` / ``fallback_breaker``; in particular a
+    ``fallback_breaker``; in particular a
     :class:`~repro.sharding.router.ShardRouter` drops in unchanged, putting
     the whole admission/retry/degradation machinery in front of a federated
     shard topology.
@@ -182,23 +187,26 @@ class BoundedServer:
 
     # -- lifecycle -------------------------------------------------------------
     async def start(self) -> None:
-        if self._workers:
+        if self._queue is not None:
             return
         self._queue = asyncio.Queue()
         self._write_lock = asyncio.Lock()
         self._workers = [
-            asyncio.create_task(self._worker(), name=f"bounded-serve-{i}")
+            asyncio.create_task(self._worker(self._queue), name=f"bounded-serve-{i}")
             for i in range(max(1, self.config.workers))
         ]
 
     async def stop(self) -> None:
-        if not self._workers:
+        """Serve what is queued, then retire the workers; ``submit`` refuses from here on."""
+        if self._queue is None:
             return
-        assert self._queue is not None
-        for _ in self._workers:
-            self._queue.put_nowait(None)
-        await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers = []
+        # Detach the queue first: a submit arriving while the workers drain
+        # would land behind their sentinels, where nobody reads.
+        queue, self._queue = self._queue, None
+        workers, self._workers = self._workers, []
+        for _ in workers:
+            queue.put_nowait(None)
+        await asyncio.gather(*workers, return_exceptions=True)
 
     async def __aenter__(self) -> "BoundedServer":
         await self.start()
@@ -212,8 +220,9 @@ class BoundedServer:
         """Admit, queue, and serve one request.
 
         Raises :class:`OverloadedError` (queue full / cost budget),
-        :class:`DeadlineExceededError`, :class:`CircuitOpenError`, or the
-        terminal :class:`TransientFault` once retries are exhausted.
+        :class:`DeadlineExceededError`, :class:`CircuitOpenError`, the
+        terminal :class:`TransientFault` once retries are exhausted, or
+        whatever else the engine raised serving it.
         """
         if self._queue is None:
             raise ReproError("server is not started; use `async with BoundedServer(...)`")
@@ -261,12 +270,11 @@ class BoundedServer:
                 )
 
     # -- the serve loop ----------------------------------------------------------
-    async def _worker(self) -> None:
-        assert self._queue is not None
+    async def _worker(self, queue: asyncio.Queue) -> None:
         while True:
-            item = await self._queue.get()
+            item = await queue.get()
             if item is None:
-                self._queue.task_done()
+                queue.task_done()
                 return
             request, deadline, future = item
             self.metrics.dequeued()
@@ -275,7 +283,10 @@ class BoundedServer:
                     continue
                 try:
                     response = await self._handle(request, deadline)
-                except ReproError as error:
+                except Exception as error:
+                    # Not only ReproError: a bug below (a KeyError in a
+                    # kernel) must reach its caller and leave the worker
+                    # serving, not strand the future and retire the task.
                     self.metrics.failed += 1
                     if not future.done():  # caller may have been cancelled mid-serve
                         future.set_exception(error)
@@ -284,7 +295,7 @@ class BoundedServer:
                     if not future.done():
                         future.set_result(response)
             finally:
-                self._queue.task_done()
+                queue.task_done()
 
     async def _handle(
         self, request: ReadRequest | WriteRequest, deadline: Deadline | None
@@ -305,59 +316,42 @@ class BoundedServer:
         attempts = 0
         service = 0.0  # engine time across attempts; excludes sleeps + audits
 
-        # Rungs 1+2: result cache, then bounded plan (engine folds the two;
-        # the response distinguishes them via ``result_cached``).
-        covered = True
-        result: EngineResult | None = None
+        # Rungs 1+2 are one engine call (result cache, then bounded plan; the
+        # result's ``result_cached`` says which).  ``NotCoveredError`` flips
+        # the same loop to rung 3, the breaker-gated conventional fallback.
+        fallback = False
         while True:
             attempts += 1
+            if fallback and deadline is not None and deadline.expired:
+                self.metrics.shed("deadline")
+                raise DeadlineExceededError("deadline expired before fallback")
             try:
-                result, snapshot_valid, spent = self._execute_checked(
-                    request.query, fallback=False
-                )
-                service += spent
+                result, spent = self._execute_checked(request.query, fallback=fallback)
             except NotCoveredError:
-                covered = False
                 ladder.append("uncovered")
-                break
-            except TransientFault as fault:
-                ladder.append("bounded:fault")
-                if not await self._retry_permitted(attempts, backoff, deadline):
-                    self.metrics.finished("bounded_failed", service)
-                    raise fault
+                fallback = True
                 continue
-            ladder.append("result_cache" if result.result_cached else "bounded")
+            except CircuitOpenError:
+                # Rung 4: typed rejection — the ladder's floor.
+                ladder.append("rejected:breaker_open")
+                self.metrics.shed("breaker")
+                self.metrics.finished("rejected", service)
+                raise
+            except TransientFault:
+                rung = "fallback" if fallback else "bounded"
+                ladder.append(f"{rung}:fault")
+                if not await self._retry_permitted(attempts, backoff, deadline):
+                    self.metrics.finished(f"{rung}_failed", service)
+                    raise
+                continue
+            service += spent
             break
 
-        # Rung 3: conventional fallback, gated by the engine-mounted breaker.
-        if not covered:
-            while True:
-                attempts += 1
-                if deadline is not None and deadline.expired:
-                    self.metrics.shed("deadline")
-                    raise DeadlineExceededError("deadline expired before fallback")
-                try:
-                    result, snapshot_valid, spent = self._execute_checked(
-                        request.query, fallback=True
-                    )
-                    service += spent
-                except CircuitOpenError:
-                    # Rung 4: typed rejection — the ladder's floor.
-                    ladder.append("rejected:breaker_open")
-                    self.metrics.shed("breaker")
-                    self.metrics.finished("rejected", service)
-                    raise
-                except TransientFault as fault:
-                    ladder.append("fallback:fault")
-                    if not await self._retry_permitted(attempts, backoff, deadline):
-                        self.metrics.finished("fallback_failed", service)
-                        raise fault
-                    continue
-                ladder.append("conventional")
-                break
-
-        assert result is not None
-        strategy = ladder[-1]
+        if fallback:
+            strategy = "conventional"
+        else:
+            strategy = "result_cache" if result.result_cached else "bounded"
+        ladder.append(strategy)
         self.metrics.finished(strategy, service)
         return ServeResponse(
             ok=True,
@@ -367,37 +361,29 @@ class BoundedServer:
             columns=result.columns,
             attempts=attempts,
             elapsed=service,
-            snapshot_valid=snapshot_valid,
         )
 
     def _execute_checked(
         self, query: Query, *, fallback: bool
-    ) -> tuple[EngineResult, bool, float]:
-        """One engine execution, with lock-free snapshot validation around it.
+    ) -> tuple[EngineResult, float]:
+        """One timed ``engine.execute``, then the audit; returns ``(result, seconds)``.
 
-        The dependency snapshot is captured immediately before execution and
-        re-validated immediately after; in between there is no await, so on
-        this single-threaded tier validation must hold — it is the invariant
-        that turns "no reader observes a half-applied batch" from an
-        architectural claim into a per-request check.  ``post_check`` (the
-        soak's reference cross-check) runs in the same no-await window, but
-        *after* the service-time measurement — the audit must not pollute the
+        The server neither prepares the query nor snapshots a clock: the
+        core's ``execute`` fingerprints once and epoch-guards the execution
+        (re-validate → re-run → :class:`~repro.core.errors.TransientFault`,
+        which :meth:`_serve_read` retries as ``bounded:fault``), so rows that
+        come back are one epoch's by construction.  ``post_check`` (the
+        soak's reference cross-check) runs in the same no-await window — the
+        database it reads is the one the rows were computed from — but
+        *after* the service-time measurement: the audit must not pollute the
         latency quantiles it exists to validate.
         """
-        deps: Sequence[str] = ()
-        if fallback is False:
-            prepared, _ = self.engine.prepare(query)
-            if prepared.covered:
-                deps = prepared.dependencies
-        clock = self.engine.clock
         started = self.clock()
-        snapshot = clock.snapshot(deps)
         result = self.engine.execute(query, fallback=fallback)
-        snapshot_valid = clock.validate(deps, snapshot)
         spent = self.clock() - started
         if self.post_check is not None:
             self.post_check(query, result)
-        return result, snapshot_valid, spent
+        return result, spent
 
     async def _retry_permitted(
         self, attempts: int, backoff: Backoff, deadline: Deadline | None
@@ -424,7 +410,6 @@ class BoundedServer:
             if deadline is not None and deadline.expired:
                 self.metrics.shed("deadline")
                 raise DeadlineExceededError("deadline expired waiting for the write lock")
-            cache_before = self.engine.cache_stats()["result_cache"]
             try:
                 report = self.engine.apply_updates(request.updates)
             except MaintenanceError as error:
@@ -432,9 +417,6 @@ class BoundedServer:
                 # the clock + caches over it (conservatively — failed batches
                 # sweep, never repair), so readers can never see pre-batch
                 # cached rows: surface the partial outcome.
-                self.metrics.record_cache_maintenance(
-                    cache_before, self.engine.cache_stats()["result_cache"]
-                )
                 self.metrics.write_failures += 1
                 self.metrics.finished("write_failed", self.clock() - started)
                 return ServeResponse(
@@ -445,9 +427,6 @@ class BoundedServer:
                     error=error,
                     report=error.report,
                 )
-            self.metrics.record_cache_maintenance(
-                cache_before, self.engine.cache_stats()["result_cache"]
-            )
             self.metrics.writes_applied += 1
             elapsed = self.clock() - started
             self.metrics.finished("write", elapsed)

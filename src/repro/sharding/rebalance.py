@@ -26,9 +26,9 @@ protocol mirrors a routed write batch's epoch discipline:
    fetches during this tail window still union both fragments, which is
    again dedup-safe.
 
-The router-level clock is bumped over the relation afterwards: contents
-did not change, but the serving tier's lock-free validation treats layout
-changes conservatively, like any routed batch.
+The router's caches are swept over the relation afterwards: contents did
+not change, but a layout change is settled conservatively, like a routed
+batch with no derivable delta.
 """
 
 from __future__ import annotations
@@ -163,11 +163,9 @@ def rebalance_key_range(
 
     router.metrics.rebalances += 1
     router.metrics.rebalance_rows_moved += report.rows_moved
-    # Layout changed: settle the router's serving clock and caches like a
-    # routed batch with no derivable delta would.  Result-cache entries
-    # keyed by per-shard snapshots are already unservable (the copy/drop
-    # bumped shard clocks); the sweep keeps memory honest and the counters
-    # visible.
-    router.clock.bump((relation,))
+    # Layout changed: settle the router's caches like a routed batch with
+    # no derivable delta would.  Result-cache entries keyed by per-shard
+    # snapshots are already unservable (the copy/drop bumped shard clocks);
+    # the sweep keeps memory honest and the counters visible.
     router._settle((relation,), (), None)
     return report

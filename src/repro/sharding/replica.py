@@ -31,30 +31,22 @@ its clock with the authoritative one (:meth:`VersionClock.sync_to`).  Only
 a member that completes catch-up is re-admitted — a diverged member is
 never merged.
 
-**Failover + hedged reads.**  A fetch tries members in routing order and
+**Failover.**  A fetch tries members in routing order and
 absorbs :class:`~repro.core.errors.TransientFault` by moving to the next
 candidate — sound because injected/real shard faults fire *before* any
 tuple is touched, so a failed attempt contributes nothing to access
 accounting, and because every healthy candidate is in lockstep, so any of
 them yields the same rows at the same authoritative epoch.  A per-member
 :class:`ReplicaHealth` breaker (consecutive-failure threshold, half-open
-probes) takes repeatedly-failing members out of the rotation.  Hedging is
-deterministic rather than duplicated: when the primary's observed p95
-latency crosses ``hedge_threshold``, the set routes to the fastest sibling
-instead of racing a second request — the same tail-latency effect with no
-wasted duplicate work, and the latency source is the same
-:class:`~repro.serving.metrics.LatencyRecorder` the router reports, so
-routing decisions and the soak report read one set of numbers.
+probes) takes repeatedly-failing members out of the rotation.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Sequence
 
 from ..core.errors import MaintenanceError, ReproError, StorageError, TransientFault
 from ..discovery.maintenance import MaintenanceReport, Update
-from ..serving.metrics import LatencyRecorder
 from ..storage.counters import AccessCounter, VersionClock
 from .shards import Shard
 
@@ -153,19 +145,12 @@ class ReplicaSet(Shard):
         *,
         failure_threshold: int = 3,
         probe_after: int = 8,
-        hedge_threshold: float | None = None,
-        latency: LatencyRecorder | None = None,
     ):
         if not replicas:
             raise StorageError(f"replica set {name!r} needs at least one replica")
         self.name = name
         self.replicas = list(replicas)
         self.database = None  # every Shard surface is overridden below
-        self.hedge_threshold = hedge_threshold
-        #: shared with the router's RouterMetrics recorder once mounted, so
-        #: hedging decisions and the reported per-replica histograms are one
-        #: source of truth (see ShardRouter.__init__)
-        self.latency = latency if latency is not None else LatencyRecorder()
         self.clock = VersionClock()
         self._health = {
             replica.name: ReplicaHealth(replica.name, failure_threshold, probe_after)
@@ -187,7 +172,6 @@ class ReplicaSet(Shard):
         self.clock.sync_to(reference)
         # -- counters ----------------------------------------------------------
         self.failovers = 0
-        self.hedged_reads = 0
         self.quarantines = 0
         self.catch_ups = 0
         self.rows_resynced = 0
@@ -271,26 +255,8 @@ class ReplicaSet(Shard):
                 health.readmit()
 
     def _routing_order(self) -> list[Shard]:
-        """Healthy members in serving order, then probe-eligible quarantined ones.
-
-        With hedging armed and the primary's observed p95 above the knob,
-        healthy members are re-ordered fastest-first (missing samples rank
-        neutral) and the diversion is counted as a hedged read.
-        """
+        """Healthy members in serving order, then probe-eligible quarantined ones."""
         healthy = [r for r in self.replicas if not self._health[r.name].quarantined]
-        if self.hedge_threshold is not None and len(healthy) > 1:
-            primary_p95 = self.latency.percentile(f"replica:{healthy[0].name}", 95)
-            if primary_p95 is not None and primary_p95 > self.hedge_threshold:
-                ordered = sorted(
-                    healthy,
-                    key=lambda r: (
-                        self.latency.percentile(f"replica:{r.name}", 95)
-                        or self.hedge_threshold
-                    ),
-                )
-                if ordered[0] is not healthy[0]:
-                    self.hedged_reads += 1
-                healthy = ordered
         probes = [
             r
             for r in self.replicas
@@ -337,7 +303,6 @@ class ReplicaSet(Shard):
                 if not self._catch_up(replica):
                     continue
                 health.readmit()
-            started = time.perf_counter()
             try:
                 rows = replica.fetch(constraint, base_relation, keys, counter)
             except TransientFault as error:
@@ -348,9 +313,6 @@ class ReplicaSet(Shard):
                     self.failovers += 1
                 continue
             health.record_success()
-            self.latency.observe(
-                f"replica:{replica.name}", time.perf_counter() - started
-            )
             return rows
         raise TransientFault(
             f"replica set {self.name!r}: every candidate replica failed the fetch"
@@ -432,7 +394,6 @@ class ReplicaSet(Shard):
             "tuples": serving.database.size,
             "version": self.clock.global_version,
             "failovers": self.failovers,
-            "hedged_reads": self.hedged_reads,
             "quarantines": self.quarantines,
             "catch_ups": self.catch_ups,
             "rows_resynced": self.rows_resynced,

@@ -33,9 +33,10 @@ and, if the race persists, a typed
 The router is a :class:`~repro.core.engine.ServingCore` like
 :class:`~repro.core.engine.BoundedEngine` — same ``prepare`` / ``execute`` /
 ``cache_stats``, same write settlement — and offers the same
-``apply_updates`` / ``clock`` / ``fallback_breaker`` surface, so
-:class:`~repro.serving.server.BoundedServer` can sit on top of a federation
-without changes beyond the ``engine.clock`` seam.
+``apply_updates`` / ``fallback_breaker`` surface, so
+:class:`~repro.serving.server.BoundedServer` sits on top of a federation
+unchanged.  The router keeps no clock of its own: the per-shard epochs above
+are the only notion of "the data moved".
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from ..core.plan import BoundedPlan, PlanStep
 from ..core.planstore import PlanStore
 from ..core.query import Query
 from ..serving.metrics import LatencyRecorder
-from ..storage.counters import AccessCounter, VersionClock
+from ..storage.counters import AccessCounter
 from ..storage.database import Database
 from ..storage.index import Fetch
 from .partition import HashPartitioner, Partitioner, PartitionOverlay
@@ -190,19 +191,9 @@ class ShardRouter(ServingCore):
         if not isinstance(partitioner, PartitionOverlay):
             partitioner = PartitionOverlay(partitioner)
         self.partitioner = partitioner
-        #: router-level clock: one bump per routed write batch.  The serving
-        #: tier's lock-free read validation runs against this clock (the
-        #: ``engine.clock`` seam); per-shard clocks guard the merges.
-        self.clock = VersionClock()
         self.max_snapshot_retries = max_snapshot_retries
         self.write_observer = write_observer
         self.metrics = RouterMetrics()
-        # Replica sets adopt the router's latency recorder: hedged-read
-        # routing inside a set and the per-replica histograms in ``stats()``
-        # then read the same samples (one source of truth).
-        for shard in self.shards:
-            if isinstance(shard, ReplicaSet):
-                shard.latency = self.metrics.latency
         #: per shard, its series in ``metrics.latency`` (formatted once, not per fetch)
         self._latency_labels = [f"shard:{shard.name}" for shard in self.shards]
 
@@ -332,10 +323,10 @@ class ShardRouter(ServingCore):
         route to the same shard and their relative order is preserved;
         cross-row updates commute.  Each shard applies its portion through
         its own batched maintenance path (one shard-clock bump per portion);
-        the router then settles *its* state once for the whole batch — one
-        router-clock bump over every touched relation plus one
+        the router then settles *its* caches once for the whole batch — one
         :meth:`~repro.core.engine.ServingCore._settle` pass over the routed
-        updates.
+        updates.  The merged report's ``version`` stays ``None``: a
+        federation has one epoch per shard, not a single data version.
 
         If a shard aborts its portion, portions already applied stay applied
         (there is no cross-shard transaction — by design: each portion is
@@ -378,14 +369,11 @@ class ShardRouter(ServingCore):
 
         self.metrics.write_batches += 1
         if merged.touched_relations:
-            touched = sorted(merged.touched_relations)
-            self.clock.bump(touched)
             self._settle(
-                touched,
+                sorted(merged.touched_relations),
                 candidates,
                 WriteDelta.from_updates(applied) if failure is None else None,
             )
-            merged.version = self.clock.global_version
         if failure is not None:
             raise MaintenanceError(str(failure), report=merged)
         if self.write_observer is not None and applied:
@@ -437,7 +425,6 @@ class ShardRouter(ServingCore):
                 if s.health(replica.name).quarantined
             ),
             "failovers": sum(s.failovers for s in sets),
-            "hedged_reads": sum(s.hedged_reads for s in sets),
             "quarantines": sum(s.quarantines for s in sets),
             "catch_ups": sum(s.catch_ups for s in sets),
             "rows_resynced": sum(s.rows_resynced for s in sets),
@@ -491,7 +478,6 @@ def build_topology(
     delta_repair: bool = True,
     failure_threshold: int = 3,
     probe_after: int = 8,
-    hedge_threshold: float | None = None,
     fallback_breaker: object | None = None,
     write_observer: Callable[[list], None] | None = None,
 ) -> ShardRouter:
@@ -559,7 +545,6 @@ def build_topology(
                 members,
                 failure_threshold=failure_threshold,
                 probe_after=probe_after,
-                hedge_threshold=hedge_threshold,
             )
         )
     return ShardRouter(

@@ -115,8 +115,8 @@ class VersionClock:
     def validate(self, keys: Iterable[Hashable], snapshot: tuple[int, ...]) -> bool:
         """Whether ``keys`` still stand at ``snapshot`` — a lock-free read check.
 
-        Readers in the serving tier validate optimistically instead of
-        locking: capture a snapshot, do the read, then ``validate`` that no
+        Readers (the serving core's epoch guard) validate optimistically instead
+        of locking: capture a snapshot, do the read, then ``validate`` that no
         dependent key was written meanwhile.  A ``False`` answer means the
         read may have observed a torn state and must be retried or dropped.
         """

@@ -7,9 +7,11 @@ evaluator.
 """
 
 import asyncio
+from collections import Counter
 
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.engine import BoundedEngine
 from repro.core.errors import (
     CircuitOpenError,
@@ -18,6 +20,7 @@ from repro.core.errors import (
     ReproError,
     TransientFault,
 )
+from repro.core.planstore import PlanStore
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
 from repro.serving.faults import FaultInjector, FaultSpec
@@ -27,6 +30,16 @@ from repro.serving.server import (
     ServerConfig,
     WriteRequest,
 )
+from repro.sharding import build_topology
+from repro.storage.counters import VersionClock
+
+#: every event-loop run is bounded: a request whose future is never resolved
+#: fails its test here instead of stalling the suite (no pytest-timeout)
+RUN_TIMEOUT = 20.0
+
+
+def run(coroutine):
+    return asyncio.run(asyncio.wait_for(coroutine, RUN_TIMEOUT))
 
 
 @pytest.fixture
@@ -51,14 +64,50 @@ def serve(engine, requests, config=None, **server_kwargs):
             tasks = [asyncio.ensure_future(server.submit(r)) for r in requests]
             return await asyncio.gather(*tasks, return_exceptions=True), server
 
-    return asyncio.run(_run())
+    return run(_run())
 
 
 class TestLifecycle:
     def test_submit_before_start_is_a_typed_error(self, engine, fb_q0_prime):
         server = BoundedServer(engine)
         with pytest.raises(ReproError, match="not started"):
-            asyncio.run(server.submit(ReadRequest(query=fb_q0_prime)))
+            run(server.submit(ReadRequest(query=fb_q0_prime)))
+
+    def test_submit_after_stop_is_refused_and_restart_serves(self, engine, fb_q0_prime):
+        async def _run():
+            server = BoundedServer(engine)
+            await server.start()
+            await server.stop()
+            # a queue nobody drains would park this submit forever
+            with pytest.raises(ReproError, match="not started"):
+                await server.submit(ReadRequest(query=fb_q0_prime))
+            async with server:
+                return await server.submit(ReadRequest(query=fb_q0_prime))
+
+        assert run(_run()).ok
+
+    def test_unexpected_exception_reaches_the_caller_and_the_worker_survives(
+        self, engine, fb_q0_prime, monkeypatch
+    ):
+        original = engine._executor.execute
+        calls = []
+
+        def buggy(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise KeyError("a bug below the serving tier")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine._executor, "execute", buggy)
+        results, server = serve(
+            engine,
+            [ReadRequest(query=fb_q0_prime), ReadRequest(query=fb_q0_prime)],
+            ServerConfig(workers=1),
+        )
+        first, second = results
+        assert isinstance(first, KeyError)
+        assert second.ok and second.ladder == ("bounded",)  # same, only worker
+        assert (server.metrics.failed, server.metrics.completed) == (1, 1)
 
     def test_breaker_is_mounted_on_the_engine(self, engine):
         server = BoundedServer(engine)
@@ -104,6 +153,39 @@ class TestReads:
         )
         assert all(r.ok for r in results)
         assert len(audited) == 2
+
+    @pytest.mark.parametrize("shards", [None, 3], ids=["engine", "router-3-mixed"])
+    def test_result_cache_hit_is_prepared_and_snapshotted_once(
+        self, shards, engine, fb_database, fb_access, fb_q0_prime, monkeypatch
+    ):
+        # The server prepares nothing and snapshots nothing of its own: a hit
+        # costs what ``ServingCore.execute`` costs (a federation's one
+        # snapshot reads every shard's clock).
+        core = engine if shards is None else build_topology(
+            fb_database, fb_access, shards=shards
+        )
+        core.execute(fb_q0_prime)  # fill both caches
+        calls = Counter()
+
+        def counted(name, function):
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return counting
+
+        monkeypatch.setattr(
+            engine_module,
+            "prepared_cache_key",
+            counted("fingerprint", engine_module.prepared_cache_key),
+        )
+        monkeypatch.setattr(PlanStore, "get", counted("plan_store", PlanStore.get))
+        monkeypatch.setattr(
+            VersionClock, "snapshot", counted("snapshot", VersionClock.snapshot)
+        )
+        results, _ = serve(core, [ReadRequest(query=fb_q0_prime)])
+        assert results[0].ladder == ("result_cache",)
+        assert calls == {"fingerprint": 1, "plan_store": 1, "snapshot": shards or 1}
 
 
 class TestAdmission:
@@ -175,6 +257,42 @@ class TestRetries:
         assert isinstance(result, TransientFault)
         assert server.metrics.ladder["bounded_failed"] == 1
 
+    def test_abandoned_epoch_guard_is_retried_as_a_fault_never_served(
+        self, engine, fb_database, fb_q0_prime, monkeypatch
+    ):
+        # A write lands after each of the first three executions: the core's
+        # guard (the only one) re-runs twice, gives up with a typed fault,
+        # and the server's retry then reads the settled data.
+        row = next(iter(fb_database.relation("cafe").rows))
+        writes = iter(
+            [Update.delete("cafe", row), Update.insert("cafe", row), Update.delete("cafe", row)]
+        )
+        original = engine._executor.execute
+        executions = []
+
+        def racing(*args, **kwargs):
+            execution = original(*args, **kwargs)
+            executions.append(execution)
+            update = next(writes, None)
+            if update is not None:
+                engine.apply_updates([update])
+            return execution
+
+        served = []
+
+        def audit(query, result):
+            served.append(result.rows)
+            assert result.rows == evaluate(query, fb_database).rows
+
+        monkeypatch.setattr(engine._executor, "execute", racing)
+        results, server = serve(engine, [ReadRequest(query=fb_q0_prime)], post_check=audit)
+        (response,) = results
+        assert response.ok and response.snapshot_valid
+        assert response.ladder == ("bounded:fault", "bounded")
+        assert (response.attempts, server.metrics.retries) == (2, 1)
+        assert len(executions) == engine.max_snapshot_retries + 2
+        assert served == [response.rows] == [evaluate(fb_q0_prime, fb_database).rows]
+
 
 class TestBreaker:
     def test_broken_fallback_opens_breaker_and_rejects(self, engine, fb_database):
@@ -228,7 +346,7 @@ class TestWrites:
                 second = await server.submit(requests[0])
                 return first, write, second
 
-        first, write, second = asyncio.run(_run())
+        first, write, second = run(_run())
         assert write.ok and write.strategy == "write"
         assert write.report.applied == 1
         # The re-read reflects the write and matches the reference evaluator.

@@ -1,4 +1,4 @@
-"""Replica sets: lockstep writes, divergence healing, failover, hedging.
+"""Replica sets: lockstep writes, divergence healing, failover.
 
 Every test measures the replicated federation against the single-database
 reference its ``write_observer`` mirror keeps in step — the same contract as
@@ -238,28 +238,6 @@ class TestDivergenceHealing:
         assert set(victim.relation_rows("friend")) == set(
             target.replicas[0].relation_rows("friend")
         )
-
-
-class TestHedgedReads:
-    def test_slow_primary_diverts_to_fastest_sibling(self):
-        router, _ = replicated_topology(hedge_threshold=0.001)
-        target = router.shards[0]
-        primary, sibling = target.replicas
-        # Seed the shared recorder: the primary's observed p95 is far over
-        # the knob, the sibling's far under it.
-        for _ in range(10):
-            target.latency.observe(f"replica:{primary.name}", 0.5)
-            target.latency.observe(f"replica:{sibling.name}", 0.0001)
-        rows = target.fetch(psi1(router), "friend", [("p0",)], AccessCounter())
-        assert target.hedged_reads == 1
-        assert rows == sibling.fetch(psi1(router), "friend", [("p0",)])
-
-    def test_recorder_is_shared_with_router_metrics(self):
-        router, _ = replicated_topology()
-        assert all(s.latency is router.metrics.latency for s in router.shards)
-        router.execute(facebook.query_q1())
-        samples = router.metrics.latency.snapshot()
-        assert any(key.startswith("replica:") for key in samples)
 
 
 @settings(max_examples=12, deadline=None)

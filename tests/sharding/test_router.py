@@ -240,13 +240,17 @@ class TestRoutedWrites:
             Update.delete("friend", by_shard[0]),
             Update.delete("friend", by_shard[1]),
         ]
+        shard0_version = router.shards[0].database.version
         with pytest.raises(MaintenanceError, match="injected shard failure") as info:
             router.apply_updates(batch)
         # Shard 0's portion stays applied and is accounted for; the router
-        # still settled its clock/caches over what actually changed.
+        # still settled its caches (one sweep) over what actually changed.
+        # It keeps no clock of its own: the shard epochs are the version.
         assert info.value.report.applied == 1
         assert info.value.report.failed
-        assert router.clock.global_version == 1
+        assert info.value.report.version is None
+        assert router.cache_stats()["result_cache"]["sweeps"] == 1
+        assert router.shards[0].database.version == shard0_version + 1
 
 
 @pytest.mark.usefixtures("row_kernels")
