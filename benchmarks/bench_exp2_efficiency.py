@@ -3,7 +3,7 @@
 The paper reports at most 65ms / 199ms / 86ms / 84ms / 74ms respectively for
 queries over ~22–366 constraints.  Here every algorithm is benchmarked on a
 representative covered query of each workload (pytest-benchmark statistics),
-and a summary table over a batch of queries is printed for EXPERIMENTS.md.
+and a summary table over a batch of queries is printed.
 """
 
 import pytest

@@ -1,8 +1,7 @@
 """Regenerate the paper's experimental tables/figures at a configurable scale.
 
 Runs every experiment driver of :mod:`repro.bench.experiments` — the same code
-the pytest-benchmark suite uses — and prints the resulting series.  This is
-how the numbers in EXPERIMENTS.md were produced.
+the pytest-benchmark suite uses — and prints the resulting series.
 
 Run with:  python examples/experiment_report.py [--scale N] [--queries N] [--quick]
 """

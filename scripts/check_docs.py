@@ -1,6 +1,6 @@
-"""Documentation checks: docstring coverage + relative-link integrity.
+"""Documentation checks: docstring coverage, link integrity, named root files.
 
-Stdlib only (the CI image has no pydocstyle).  Two passes:
+Stdlib only (the CI image has no pydocstyle).  Three passes:
 
 1. **Docstrings** — every module, public class, and public function/method
    under ``src/repro/core/`` must carry a docstring.  "Public" means the
@@ -15,6 +15,9 @@ Stdlib only (the CI image has no pydocstyle).  Two passes:
    ``mailto:``) and intra-page anchors (``#...``) are skipped; an anchor
    suffix on a relative link (``file.md#section``) is stripped before the
    existence check.
+3. **Named files** — a root-level file a docstring names (``UPPER_CASE.md``,
+   ``pyproject.toml``) under ``src/``, ``examples/``, ``benchmarks/*.py`` or
+   in ``setup.py`` must exist: docstrings outlive the files they point at.
 
 Exit code 1 with one ``path:line: message`` per problem; 0 when clean.
 
@@ -39,6 +42,8 @@ MARKDOWN_GLOBS = [(REPO / "docs", "**/*.md")]
 #: one level of nested parentheses in the target, strips a trailing title.
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^()\s]+(?:\([^()]*\))?[^()]*)\)")
 _CODE_FENCE = re.compile(r"^(```|~~~)")
+#: a root-level file named in prose (not the tail of a longer path)
+_ROOT_FILE = re.compile(r"(?<![\w/.-])(?:[A-Z_]+\.md|pyproject\.toml)\b")
 
 
 def _is_public(name: str) -> bool:
@@ -127,8 +132,31 @@ def _check_links(path: Path, problems: list[str]) -> None:
             )
 
 
+def _named_file_sources() -> list[Path]:
+    sources = [REPO / "setup.py", *sorted((REPO / "benchmarks").glob("*.py"))]
+    for root in (REPO / "src", REPO / "examples"):
+        sources.extend(sorted(root.rglob("*.py")))
+    return [path for path in sources if path.exists()]
+
+
+def _check_named_files(path: Path, problems: list[str]) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    rel = path.relative_to(REPO)
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(tree):
+        if not isinstance(node, documented) or ast.get_docstring(node) is None:
+            continue
+        docstring = node.body[0]
+        for name in sorted(set(_ROOT_FILE.findall(docstring.value.value))):
+            if not (REPO / name).exists():
+                problems.append(
+                    f"{rel}:{docstring.lineno}: docstring names {name}, "
+                    "which does not exist at the repo root"
+                )
+
+
 def main() -> int:
-    """Run both passes over the configured roots; print problems, exit 1 on any."""
+    """Run the three passes over the configured roots; print problems, exit 1 on any."""
     problems: list[str] = []
 
     for root in DOCSTRING_ROOTS:
@@ -142,12 +170,17 @@ def main() -> int:
     for path in markdown:
         _check_links(path, problems)
 
+    sources = _named_file_sources()
+    for path in sources:
+        _check_named_files(path, problems)
+
     for problem in problems:
         print(problem)
     checked = sum(1 for root in DOCSTRING_ROOTS for _ in root.rglob("*.py"))
     print(
         f"checked {checked} modules for docstrings, "
-        f"{len(markdown)} markdown files for links: "
+        f"{len(markdown)} markdown files for links, "
+        f"{len(sources)} sources for named root files: "
         f"{len(problems)} problem(s)"
     )
     return 1 if problems else 0

@@ -1,7 +1,6 @@
 """Setup shim for environments without the ``wheel`` package.
 
-``pip install -e . --no-build-isolation --no-use-pep517`` uses this file;
-metadata lives in pyproject.toml.
+``pip install -e . --no-build-isolation --no-use-pep517`` uses this file.
 """
 
 from setuptools import find_packages, setup

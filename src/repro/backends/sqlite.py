@@ -159,6 +159,9 @@ class SQLiteBackend:
         return frozenset(rows)
 
     # -- maintenance ---------------------------------------------------------------------
+    # The maintainer seam of :func:`repro.discovery.maintenance.apply_updates`
+    # (shared with :class:`~repro.storage.index.IndexSet`).  Each call is one
+    # transaction: committed whole, or rolled back when a statement fails.
     def apply_insert(self, relation: str, row: Sequence) -> None:
         """Insert a tuple into a base table and refresh affected index tables.
 
@@ -170,39 +173,39 @@ class SQLiteBackend:
         copy, skewing conventional-baseline timings and any ``COUNT``.
         """
         schema = self.database.schema[relation]
-        cursor = self.connection.cursor()
-        values = tuple(row)
-        base_conditions = " AND ".join(
-            f"{quote_identifier(a)} = ?" for a in schema.attributes
-        )
-        cursor.execute(
-            f"SELECT 1 FROM {quote_identifier(relation)} WHERE {base_conditions} LIMIT 1",
-            values,
-        )
-        if cursor.fetchone() is not None:
-            return
-        placeholders = ", ".join("?" for _ in schema.attributes)
-        cursor.execute(
-            f"INSERT INTO {quote_identifier(relation)} VALUES ({placeholders})", values
-        )
-        for table, constraint in self._index_constraints.items():
-            if constraint.relation != relation:
-                continue
-            columns = sorted(constraint.lhs | constraint.rhs)
-            positions = schema.positions(columns)
-            projected = tuple(values[p] for p in positions)
-            column_list = ", ".join(quote_identifier(c) for c in columns)
-            conditions = " AND ".join(f"{quote_identifier(c)} = ?" for c in columns)
-            cursor.execute(
-                f"SELECT 1 FROM {quote_identifier(table)} WHERE {conditions}", projected
+        with self.connection:
+            cursor = self.connection.cursor()
+            values = tuple(row)
+            base_conditions = " AND ".join(
+                f"{quote_identifier(a)} = ?" for a in schema.attributes
             )
-            if cursor.fetchone() is None:
-                placeholders = ", ".join("?" for _ in columns)
+            cursor.execute(
+                f"SELECT 1 FROM {quote_identifier(relation)} WHERE {base_conditions} LIMIT 1",
+                values,
+            )
+            if cursor.fetchone() is not None:
+                return
+            placeholders = ", ".join("?" for _ in schema.attributes)
+            cursor.execute(
+                f"INSERT INTO {quote_identifier(relation)} VALUES ({placeholders})", values
+            )
+            for table, constraint in self._index_constraints.items():
+                if constraint.relation != relation:
+                    continue
+                columns = sorted(constraint.lhs | constraint.rhs)
+                positions = schema.positions(columns)
+                projected = tuple(values[p] for p in positions)
+                column_list = ", ".join(quote_identifier(c) for c in columns)
+                conditions = " AND ".join(f"{quote_identifier(c)} = ?" for c in columns)
                 cursor.execute(
-                    f"INSERT INTO {quote_identifier(table)} ({column_list}) VALUES ({placeholders})",
-                    projected,
+                    f"SELECT 1 FROM {quote_identifier(table)} WHERE {conditions}", projected
                 )
-        self.connection.commit()
+                if cursor.fetchone() is None:
+                    placeholders = ", ".join("?" for _ in columns)
+                    cursor.execute(
+                        f"INSERT INTO {quote_identifier(table)} ({column_list}) VALUES ({placeholders})",
+                        projected,
+                    )
 
     def apply_delete(self, relation: str, row: Sequence) -> None:
         """Delete a tuple from a base table and refresh affected index tables.
@@ -215,30 +218,37 @@ class SQLiteBackend:
         constraint's attributes are a proper subset of the relation's).
         """
         schema = self.database.schema[relation]
-        cursor = self.connection.cursor()
-        values = tuple(row)
-        base_conditions = " AND ".join(
-            f"{quote_identifier(a)} = ?" for a in schema.attributes
-        )
-        cursor.execute(
-            f"DELETE FROM {quote_identifier(relation)} WHERE {base_conditions}", values
-        )
-        for table, constraint in self._index_constraints.items():
-            if constraint.relation != relation:
-                continue
-            columns = sorted(constraint.lhs | constraint.rhs)
-            positions = schema.positions(columns)
-            projected = tuple(values[p] for p in positions)
-            conditions = " AND ".join(f"{quote_identifier(c)} = ?" for c in columns)
-            cursor.execute(
-                f"SELECT 1 FROM {quote_identifier(relation)} WHERE {conditions} LIMIT 1",
-                projected,
+        with self.connection:
+            cursor = self.connection.cursor()
+            values = tuple(row)
+            base_conditions = " AND ".join(
+                f"{quote_identifier(a)} = ?" for a in schema.attributes
             )
-            if cursor.fetchone() is None:
+            cursor.execute(
+                f"DELETE FROM {quote_identifier(relation)} WHERE {base_conditions}", values
+            )
+            for table, constraint in self._index_constraints.items():
+                if constraint.relation != relation:
+                    continue
+                columns = sorted(constraint.lhs | constraint.rhs)
+                positions = schema.positions(columns)
+                projected = tuple(values[p] for p in positions)
+                conditions = " AND ".join(f"{quote_identifier(c)} = ?" for c in columns)
                 cursor.execute(
-                    f"DELETE FROM {quote_identifier(table)} WHERE {conditions}", projected
+                    f"SELECT 1 FROM {quote_identifier(relation)} WHERE {conditions} LIMIT 1",
+                    projected,
                 )
-        self.connection.commit()
+                if cursor.fetchone() is None:
+                    cursor.execute(
+                        f"DELETE FROM {quote_identifier(table)} WHERE {conditions}", projected
+                    )
+
+    def group_of(self, constraint: AccessConstraint, row: Sequence) -> frozenset[tuple]:
+        """The index rows of ``constraint`` sharing ``row``'s ``X``-value (empty without a table)."""
+        if index_table_name(constraint) not in self._index_constraints:
+            return frozenset()
+        positions = self.database.schema[constraint.relation].positions(sorted(constraint.lhs))
+        return self.fetch_index(constraint, [tuple(row[p] for p in positions)])
 
     def close(self) -> None:
         self.connection.close()

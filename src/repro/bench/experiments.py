@@ -3,8 +3,7 @@
 Each function regenerates one table/figure of the paper on the synthetic
 workloads and returns an :class:`~repro.bench.metrics.ExperimentTable` whose
 rows are the series the corresponding figure plots.  The pytest-benchmark
-suites under ``benchmarks/`` are thin wrappers over these drivers, and
-EXPERIMENTS.md records representative output.
+suites under ``benchmarks/`` are thin wrappers over these drivers.
 
 The experiments intentionally reuse the exact production code paths:
 ``CovChk`` for coverage, ``QPlan`` + the plan executor for ``evalQP``,

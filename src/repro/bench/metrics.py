@@ -2,7 +2,7 @@
 
 The benchmark harness prints the same rows/series the paper's figures plot;
 these helpers keep the formatting consistent across experiments and make the
-output easy to diff against EXPERIMENTS.md.
+output easy to diff between runs.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class ExperimentTable:
         return [row[name] for row in self.rows]
 
     def render(self) -> str:
-        """A fixed-width text table, suitable for stdout and EXPERIMENTS.md."""
+        """A fixed-width text table, suitable for stdout."""
         headers = list(self.columns)
         formatted_rows = [
             [self._format(row[column]) for column in headers] for row in self.rows

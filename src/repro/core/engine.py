@@ -43,9 +43,12 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
   on a :class:`~repro.storage.counters.VersionClock`.  The substrate says
   which clocks make up a snapshot (the database's; every shard's).
 
-* **Write settlement** — one protocol (:meth:`ServingCore._settle`): with
-  ``delta_repair`` on (the default) and a cleanly applied batch, each
-  dependent result-cache entry is re-stamped, patched through the
+* **One write path** — :meth:`ServingCore.apply_updates` (candidates →
+  :meth:`~ServingCore._write` → :meth:`~ServingCore._settle`): the substrate
+  hook runs the Proposition-12 loop of :func:`repro.discovery.maintenance.
+  apply_updates` over its (storage, index) pairs and bumps their clocks;
+  then, with ``delta_repair`` on (the default) and a cleanly applied batch,
+  each dependent result-cache entry is re-stamped, patched through the
   :class:`~repro.core.deltas.DeltaDeriver`, or — when its delta is not
   provable — dropped, and the data-independent plan store is left alone.
   Without a usable delta, dependents are swept from both caches.
@@ -80,6 +83,11 @@ from .planner import generate_plan
 from .planstore import PlanStore, ResultCache
 from .query import Query
 from .rewrite import find_covered_rewrite
+
+# ``discovery`` imports ``core``: bind the module only (whichever side is
+# imported first, its names resolve at call time — which is also where the
+# benchmark tracer expects ``maintenance.apply_updates`` to be looked up).
+from ..discovery import maintenance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..discovery.maintenance import MaintenanceReport, Update
@@ -212,15 +220,15 @@ class ServingCore:
     """The serving pipeline every substrate shares: prepare → probe → execute → validate → settle.
 
     Owns the plan store, the result cache, :meth:`prepare`, :meth:`execute`,
-    the write settlement (:meth:`_repair_candidates` / :meth:`_settle`) and
-    :meth:`cache_stats`, and the one :class:`~repro.evaluator.executor.
-    PlanExecutor` that reads run on and write settlement re-runs kernels of.
-    A subclass supplies only its substrate: the fetch ``source`` that
-    answers fetch steps (``schema`` being the data's), :meth:`_snapshot` /
-    :meth:`_validate` (what "the data has not moved" means),
-    :meth:`_evaluate_conventionally` (the unbounded fallback), optionally
-    :meth:`_index_group` (live index groups, for dirty refinement), and the
-    write itself inside its ``apply_*`` methods.
+    :meth:`apply_updates` with its settlement (:meth:`_repair_candidates` /
+    :meth:`_settle`), :meth:`cache_stats`, and the one
+    :class:`~repro.evaluator.executor.PlanExecutor` that reads run on and
+    write settlement re-runs kernels of.  A subclass supplies only its
+    substrate: the fetch ``source`` that answers fetch steps (``schema``
+    being the data's), :meth:`_snapshot` / :meth:`_validate` (what "the data
+    has not moved" means), :meth:`_evaluate_conventionally` (the unbounded
+    fallback), :meth:`_write` (the batch onto its data and clocks), and
+    optionally :meth:`_index_group` (live index groups, for dirty refinement).
 
     ``plan_store`` lets several cores share one prepared-plan store; they
     must be configured with an identical access schema (plans embed its
@@ -541,6 +549,47 @@ class ServingCore:
                 rows_removed=outcome.rows_removed,
             )
 
+    def _write(self, updates: list["Update"]) -> "MaintenanceReport":
+        """Apply ``updates`` to the substrate's data, clocks included.
+
+        Every (storage, index) pair is written by :func:`repro.discovery.
+        maintenance.apply_updates` — here over one database, on a federation
+        once per owning shard; a batch that aborts part-way raises
+        :class:`~repro.core.errors.MaintenanceError` carrying the partial.
+        """
+        raise NotImplementedError
+
+    def apply_updates(self, updates: Iterable["Update"]) -> "MaintenanceReport":
+        """Apply a batch of updates, then settle the caches once for all of it.
+
+        THE write path of every substrate: read the repair candidates over
+        the batch's relations before any clock moves, :meth:`_write`, then
+        one :meth:`_settle` with the delta of the updates that *effectively*
+        changed data (skipped duplicates and missing deletes excluded).
+
+        If the batch aborts part-way, what the partial did mutate is still
+        settled before the :class:`~repro.core.errors.MaintenanceError`
+        propagates — always by sweeping, never by repair: a mid-batch fault
+        makes the state left behind suspect — so the result cache can never
+        keep serving rows from before the aborted batch.
+        """
+        updates = list(updates)
+        candidates = self._repair_candidates({update.relation for update in updates})
+        try:
+            report = self._write(updates)
+        except MaintenanceError as error:
+            partial = error.report
+            if partial is not None and partial.touched_relations:
+                self._settle(sorted(partial.touched_relations), candidates, None)
+            raise
+        if report.touched_relations:
+            self._settle(
+                sorted(report.touched_relations),
+                candidates,
+                WriteDelta.from_updates(report.applied_updates),
+            )
+        return report
+
     # -- reporting ----------------------------------------------------------------------------
     def cache_stats(self) -> dict[str, dict[str, int | float]]:
         """Plan-store, result-cache and executor statistics, reported separately.
@@ -670,86 +719,28 @@ class BoundedEngine(ServingCore):
         return plan_to_sql(plan)
 
     # -- C1: maintenance -------------------------------------------------------------------
-    def _bump_and_settle(
-        self, touched: Sequence[str], delta: WriteDelta | None = None
-    ) -> None:
-        """One version tick over ``touched`` (already written), then :meth:`_settle`."""
-        candidates = self._repair_candidates(touched)
-        self.database.clock.bump(touched)
-        self._settle(touched, candidates, delta)
+    def _write(self, updates: list["Update"]) -> "MaintenanceReport":
+        # Through the module, at call time: the benchmark tracer wraps
+        # ``maintenance.apply_updates`` from outside.
+        return maintenance.apply_updates(
+            self.database, self.indexes, self.access_schema, updates
+        )
 
     def apply_insert(self, relation: str, row: Sequence | Mapping[str, object]) -> None:
-        """Insert a tuple and incrementally maintain the indexes (Proposition 12).
+        """Insert a tuple: a one-update :meth:`apply_updates` batch.
 
         The row is validated (arity, unknown attributes) *before* anything is
         mutated: a malformed row raises a typed
-        :class:`~repro.core.errors.ReproError` while storage, the constraint
-        indexes, and the version clock are all still untouched — so a bad row
-        can never leave the relation and its ``IndexSet`` diverged.
+        :class:`~repro.core.errors.StorageError` while storage, the constraint
+        indexes, and the version clock are all still untouched.
         """
-        instance = self.database.relation(relation)
-        prepared = instance.prepare(row)
-        if instance.insert(prepared):
-            self.indexes.apply_insert(relation, prepared)
-            self._bump_and_settle(
-                (relation,), WriteDelta(inserts={relation: (prepared,)})
-            )
+        prepared = self.database.relation(relation).prepare(row)
+        self.apply_updates([maintenance.Update.insert(relation, prepared)])
 
     def apply_delete(self, relation: str, row: Sequence | Mapping[str, object]) -> None:
-        """Delete a tuple and incrementally maintain the indexes (Proposition 12).
-
-        Validates the row before mutating, exactly as :meth:`apply_insert`.
-        """
-        instance = self.database.relation(relation)
-        prepared = instance.prepare(row)
-        if instance.delete(prepared):
-            self.indexes.apply_delete(relation, prepared, instance)
-            self._bump_and_settle(
-                (relation,), WriteDelta(deletes={relation: (prepared,)})
-            )
-
-    def apply_updates(self, updates: Iterable["Update"]) -> "MaintenanceReport":
-        """Apply a batch of updates with one version bump and one settlement.
-
-        Routes :class:`repro.discovery.maintenance.Update` batches through
-        the incremental maintenance of Proposition 12 against this engine's
-        database and indexes, then settles the serving state once for the
-        whole batch: a single version tick stamping every touched relation
-        and a single :meth:`~ServingCore._settle` pass over the report's
-        applied updates — instead of the per-row settlements a loop over
-        :meth:`apply_insert` would cost.
-
-        If the batch aborts part-way (a
-        :class:`~repro.core.errors.MaintenanceError` carrying the partial
-        report), the clock bump and cache settlement are **still** performed
-        over the relations the partial batch did mutate before the error
-        propagates; otherwise the result cache would keep serving rows from
-        before the aborted batch (the stale-serve bug this guards against).
-        Failed batches never take the repair path — a fault mid-batch means
-        storage state is suspect, so dependent entries are swept outright
-        rather than patched.
-        """
-        # Imported at call time: ``discovery`` imports ``core``, and the
-        # benchmark tracer wraps the module's function from outside.
-        from ..discovery.maintenance import apply_updates as _apply_updates
-
-        try:
-            report = _apply_updates(
-                self.database, self.indexes, self.access_schema, updates, bump_clock=False
-            )
-        except MaintenanceError as error:
-            partial = error.report
-            if partial is not None and partial.touched_relations:
-                self._bump_and_settle(sorted(partial.touched_relations))
-                partial.version = self.database.version
-            raise
-        if report.touched_relations:
-            self._bump_and_settle(
-                sorted(report.touched_relations),
-                WriteDelta.from_updates(report.applied_updates),
-            )
-            report.version = self.database.version
-        return report
+        """Delete a tuple, validated before mutating exactly as :meth:`apply_insert`."""
+        prepared = self.database.relation(relation).prepare(row)
+        self.apply_updates([maintenance.Update.delete(relation, prepared)])
 
     # -- reporting ----------------------------------------------------------------------------
     def index_footprint(self) -> dict[str, object]:

@@ -92,15 +92,19 @@ class DiscoveryError(ReproError):
 class MaintenanceError(ReproError):
     """A batch of updates failed part-way through being applied.
 
-    The rows applied before the failure are *kept* (storage and indexes stay
-    mutually consistent — each row is validated and indexed atomically), but
-    the rest of the batch was not attempted.  ``report`` is the partial
+    The rows applied before the failure are *kept*, and storage and indexes
+    stay mutually consistent: a row counts as applied once storage and the
+    index maintainer both took it; one the maintainer refuses is taken back
+    out of storage (the row's validation runs inside the storage write, so a
+    malformed row reaches neither).  The rest of the batch was not attempted,
+    and whatever stopped it — a ``ReproError`` or not — is this error's
+    ``__cause__``.  ``report`` is the partial
     :class:`~repro.discovery.maintenance.MaintenanceReport` up to the failing
     update: its ``touched_relations`` names every relation the partial batch
-    modified, which callers (and :meth:`~repro.core.engine.BoundedEngine.
-    apply_updates` in particular) must settle the version clock and cache
-    sweeps over — otherwise result caches would keep serving rows from before
-    the partial batch.
+    modified.  The version clock is already settled over them when this
+    propagates; :meth:`~repro.core.engine.ServingCore.apply_updates` sweeps
+    the caches over them too — otherwise result caches would keep serving
+    rows from before the partial batch.
     """
 
     def __init__(self, message: str, report=None):

@@ -6,6 +6,15 @@ both the constraints ``A`` and the indexes ``I_A`` can be maintained in
 cost depends on the access schema and the update size only, never on ``|D|``
 or ``|I_A|``.
 
+This module is the **only** code that mutates a (storage, index) pair.
+Every substrate — a :class:`~repro.core.engine.BoundedEngine`'s database and
+:class:`~repro.storage.index.IndexSet`, a memory shard's, a SQLite shard's
+fragment and its :class:`~repro.backends.sqlite.SQLiteBackend` mirror —
+runs the same loop over an :class:`IndexMaintainer`, so they share one
+failure contract: prefix kept, storage ≡ ``I_A`` row by row, the clock
+settled over the partial, a typed :class:`~repro.core.errors.
+MaintenanceError` carrying the partial report.
+
 Two flavours are provided:
 
 * :func:`apply_updates` — maintain the *indexes* (and the stored relations)
@@ -17,22 +26,37 @@ Two flavours are provided:
 
 Both report the relations a batch actually modified and settle the
 database's version clock **once per batch** — so downstream caches pay one
-version bump and one targeted invalidation sweep per batch instead of one
-per row.  When the database is served by a
-:class:`~repro.core.engine.BoundedEngine`, route batches through
-:meth:`~repro.core.engine.BoundedEngine.apply_updates` so the engine can
-also sweep its plan store and result cache granularly.
+version bump and one settlement per batch instead of one per row.  When the
+data is served by a :class:`~repro.core.engine.ServingCore`, write through
+its :meth:`~repro.core.engine.ServingCore.apply_updates`, which wraps this
+function in the cache settlement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Collection, Iterable, Literal, Protocol, Sequence
 
 from ..core.access import AccessConstraint, AccessSchema
 from ..core.errors import MaintenanceError
 from ..storage.database import Database
-from ..storage.index import IndexSet
+
+
+class IndexMaintainer(Protocol):
+    """What keeps ``I_A`` in step with stored rows: the seam of :func:`apply_updates`.
+
+    Implemented by :class:`~repro.storage.index.IndexSet` (hash indexes) and
+    :class:`~repro.backends.sqlite.SQLiteBackend` (base + ``ind_…`` tables).
+    Both calls are told only about rows storage really gained or lost.
+    """
+
+    def apply_insert(self, relation: str, row: tuple) -> None: ...
+
+    def apply_delete(self, relation: str, row: tuple) -> None: ...
+
+    def group_of(self, constraint: AccessConstraint, row: tuple) -> Collection[tuple]:
+        """The constraint's index rows sharing ``row``'s ``X``-value (empty without an index)."""
+        ...
 
 
 @dataclass(frozen=True)
@@ -80,14 +104,22 @@ class MaintenanceReport:
     #: rendered cause of the abort (``None`` for a fully-applied batch)
     error: str | None = None
 
+    def absorb(self, portion: "MaintenanceReport") -> None:
+        """Add what ``portion`` (one shard's share of a routed batch) did."""
+        self.applied += portion.applied
+        self.skipped += portion.skipped
+        self.violated.extend(portion.violated)
+        self.adjusted.update(portion.adjusted)
+        self.work_units += portion.work_units
+        self.touched_relations.update(portion.touched_relations)
+        self.applied_updates.extend(portion.applied_updates)
+
 
 def apply_updates(
     database: Database,
-    indexes: IndexSet,
+    maintainer: IndexMaintainer,
     access_schema: AccessSchema,
     updates: Iterable[Update],
-    *,
-    bump_clock: bool = True,
 ) -> MaintenanceReport:
     """Apply ``ΔD`` to the database and incrementally maintain the indexes.
 
@@ -97,107 +129,87 @@ def apply_updates(
     data now simply violates that constraint) but recorded in the report.
 
     The whole batch costs **one** version-clock bump stamping every touched
-    relation (``bump_clock=False`` leaves settling the clock to the caller —
-    used by :meth:`repro.core.engine.BoundedEngine.apply_updates`, which
-    combines the bump with one targeted cache sweep).
+    relation.
 
     **Partial failures.** If applying some update raises (bad row, storage
-    fault, …), the batch aborts at that update: rows applied before it are
-    kept (each row is stored and indexed atomically, so storage and ``I_A``
-    stay consistent), and a :class:`~repro.core.errors.MaintenanceError` is
-    raised carrying the partial report.  The version clock is still settled
-    over the *partially*-touched relation set before the error propagates
-    (when ``bump_clock`` is set), so caches keyed by relation versions can
-    never keep serving pre-batch rows for relations the aborted batch did
-    mutate.
+    fault, a maintainer that lost its backend, …), the batch aborts at that
+    update: rows applied before it are kept, the failing row is applied to
+    storage *and* ``I_A`` or to neither (a row the maintainer refuses is
+    taken back out of storage), and a :class:`~repro.core.errors.
+    MaintenanceError` is raised carrying the partial report, with the
+    original exception as its ``__cause__``.  The version clock is still
+    settled over the *partially*-touched relation set before the error
+    propagates, so caches keyed by relation versions can never keep serving
+    pre-batch rows for relations the aborted batch did mutate.
     """
     report = MaintenanceReport()
+    failure: Exception | None = None
+    update: Update | None = None
     try:
-        _apply_update_loop(database, indexes, access_schema, updates, report)
+        for update in updates:
+            _apply_one_update(database, maintainer, access_schema, update, report)
     except Exception as error:
         report.failed = True
+        report.failed_update = update
         report.error = f"{type(error).__name__}: {error}"
-        if bump_clock and report.touched_relations:
-            report.version = database.clock.bump(sorted(report.touched_relations))
+        failure = error
+    if report.touched_relations:
+        report.version = database.clock.bump(sorted(report.touched_relations))
+    if failure is not None:
         raise MaintenanceError(
             f"update batch aborted after {report.applied} applied updates "
             f"({report.error}); touched relations "
             f"{sorted(report.touched_relations)} need cache settlement",
             report=report,
-        ) from error
-    if bump_clock and report.touched_relations:
-        report.version = database.clock.bump(sorted(report.touched_relations))
+        ) from failure
     return report
-
-
-def _apply_update_loop(
-    database: Database,
-    indexes: IndexSet,
-    access_schema: AccessSchema,
-    updates: Iterable[Update],
-    report: MaintenanceReport,
-) -> None:
-    """The per-update body of :func:`apply_updates`, mutating ``report`` in place.
-
-    Kept separate so the partial-failure path of :func:`apply_updates` always
-    sees the exact progress made: ``report`` is updated *before* each step
-    that can fail, and ``failed_update`` is stamped on the way out.
-    """
-    update: Update | None = None
-    try:
-        for update in updates:
-            _apply_one_update(database, indexes, access_schema, update, report)
-    except Exception:
-        report.failed_update = update
-        raise
 
 
 def _apply_one_update(
     database: Database,
-    indexes: IndexSet,
+    maintainer: IndexMaintainer,
     access_schema: AccessSchema,
     update: Update,
     report: MaintenanceReport,
 ) -> None:
-    relation = database.relation(update.relation)
-    constraints = access_schema.for_relation(update.relation)
+    """One row through storage, then ``I_A``; ``report`` counts it only once both hold it."""
+    name, row = update.relation, update.row
+    relation = database.relation(name)
+    constraints = access_schema.for_relation(name)
     # Charge the per-update maintenance budget up front: even a duplicate
     # insert / missing delete costs the index probes needed to find out,
     # and Proposition 12's O(N_A·|ΔD|) bound is about attempted updates.
     report.work_units += sum(c.bound for c in constraints)
-    if update.kind == "insert":
-        if not relation.insert(update.row):
-            report.skipped += 1
-            return
-        indexes.apply_insert(update.relation, update.row)
-        report.applied += 1
-        report.touched_relations.add(update.relation)
-        report.applied_updates.append(update)
-        for constraint in constraints:
-            index = indexes.get(constraint)
-            if index is None:
-                continue
-            key = tuple(update.row[relation.schema.position(a)] for a in sorted(constraint.lhs))
-            group = index.lookup(key)
-            distinct_rhs = {
-                tuple(v[index.columns.index(a)] for a in sorted(constraint.rhs))
-                for v in group
-            }
-            if len(distinct_rhs) > constraint.bound and constraint not in report.violated:
-                report.violated.append(constraint)
+    inserting = update.kind == "insert"
+    if inserting:
+        store, index, undo = relation.insert, maintainer.apply_insert, relation.delete
     else:
-        if not relation.delete(update.row):
-            report.skipped += 1
-            return
-        indexes.apply_delete(update.relation, update.row, relation)
-        report.applied += 1
-        report.touched_relations.add(update.relation)
-        report.applied_updates.append(update)
+        store, index, undo = relation.delete, maintainer.apply_delete, relation.insert
+    if not store(row):
+        report.skipped += 1
+        return
+    try:
+        index(name, row)
+    except Exception:
+        undo(row)  # storage ≡ I_A again before the batch aborts
+        raise
+    report.applied += 1
+    report.touched_relations.add(name)
+    report.applied_updates.append(update)
+    if inserting:
+        for constraint in constraints:
+            # Within one X-group the XY-rows differ exactly on Y, so the
+            # group's size is its number of distinct Y-values.
+            if (
+                len(maintainer.group_of(constraint, row)) > constraint.bound
+                and constraint not in report.violated
+            ):
+                report.violated.append(constraint)
 
 
 def maintain_constraints(
     database: Database,
-    indexes: IndexSet,
+    indexes: IndexMaintainer,
     access_schema: AccessSchema,
     updates: Iterable[Update],
     *,

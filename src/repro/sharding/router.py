@@ -31,9 +31,10 @@ and, if the race persists, a typed
 :class:`~repro.core.errors.TransientFault` (never a silently torn result).
 
 The router is a :class:`~repro.core.engine.ServingCore` like
-:class:`~repro.core.engine.BoundedEngine` — same ``prepare`` / ``execute`` /
-``cache_stats``, same write settlement — and offers the same
-``apply_updates`` / ``fallback_breaker`` surface, so
+:class:`~repro.core.engine.BoundedEngine` — the same inherited ``prepare`` /
+``execute`` / ``apply_updates`` / ``cache_stats``, differing on the write
+side as on the read side by a substrate hook only (:meth:`ShardRouter.
+_write` routes the batch to the shards' shared maintenance loop) — so
 :class:`~repro.serving.server.BoundedServer` sits on top of a federation
 unchanged.  The router keeps no clock of its own: the per-shard epochs above
 are the only notion of "the data moved".
@@ -42,10 +43,9 @@ are the only notion of "the data moved".
 from __future__ import annotations
 
 import time
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Sequence
 
 from ..core.access import AccessSchema
-from ..core.deltas import WriteDelta
 from ..core.engine import ServingCore
 from ..core.errors import MaintenanceError, StorageError, TransientFault
 
@@ -55,6 +55,7 @@ from ..core.fingerprint import prepared_cache_key  # noqa: F401
 from ..core.plan import BoundedPlan, PlanStep
 from ..core.planstore import PlanStore
 from ..core.query import Query
+from ..discovery.maintenance import MaintenanceReport, Update
 from ..serving.metrics import LatencyRecorder
 from ..storage.counters import AccessCounter
 from ..storage.database import Database
@@ -316,68 +317,43 @@ class ShardRouter(ServingCore):
         )
 
     # -- writes ---------------------------------------------------------------------
-    def apply_updates(self, updates: Iterable) -> "MaintenanceReport":
-        """Route a batch to its owning shards and apply each portion batched.
+    def _write(self, updates: list[Update]) -> MaintenanceReport:
+        """Route the batch to its owning shards and apply each portion batched.
 
         Updates to the same row always carry the same partition key, so they
         route to the same shard and their relative order is preserved;
         cross-row updates commute.  Each shard applies its portion through
-        its own batched maintenance path (one shard-clock bump per portion);
-        the router then settles *its* caches once for the whole batch — one
-        :meth:`~repro.core.engine.ServingCore._settle` pass over the routed
-        updates.  The merged report's ``version`` stays ``None``: a
-        federation has one epoch per shard, not a single data version.
+        the shared maintenance loop (one shard-clock bump per portion).  The
+        merged report's ``version`` stays ``None``: a federation has one
+        epoch per shard, not a single data version.
 
         If a shard aborts its portion, portions already applied stay applied
         (there is no cross-shard transaction — by design: each portion is
-        itself atomic-enough under the single-writer serving tier), the
-        router still settles over everything that did change — always by
-        sweeping, never by repair: a mid-batch fault makes shard state
-        suspect — and a :class:`~repro.core.errors.MaintenanceError`
-        carrying the merged partial report propagates.
+        itself atomic-enough under the single-writer serving tier) and a
+        :class:`~repro.core.errors.MaintenanceError` carrying the merged
+        partial report propagates.
         """
-        from ..discovery.maintenance import MaintenanceReport
-
-        updates = list(updates)
-        batches: list[list] = [[] for _ in self.shards]
+        self.metrics.write_batches += 1
+        batches: list[list[Update]] = [[] for _ in self.shards]
         for update in updates:
             owner = self.partitioner.shard_for_row(update.relation, update.row)
             batches[owner].append(update)
-
-        # Shard clocks move as the portions apply: read the pre-batch
-        # snapshots of the dependent entries now.
-        candidates = self._repair_candidates({update.relation for update in updates})
-
         merged = MaintenanceReport()
-        applied: list = []
-        failure: MaintenanceError | None = None
         for shard, batch in zip(self.shards, batches):
             if not batch:
                 continue
             try:
-                report = shard.apply_updates(batch)
+                merged.absorb(shard.apply_updates(batch))
             except MaintenanceError as error:
                 if error.report is not None:
-                    self._merge_report(merged, error.report)
+                    merged.absorb(error.report)
                 merged.failed = True
                 merged.failed_update = getattr(error.report, "failed_update", None)
                 merged.error = str(error)
-                failure = error
-                break
-            self._merge_report(merged, report)
-            applied.extend(batch)
-
-        self.metrics.write_batches += 1
-        if merged.touched_relations:
-            self._settle(
-                sorted(merged.touched_relations),
-                candidates,
-                WriteDelta.from_updates(applied) if failure is None else None,
-            )
-        if failure is not None:
-            raise MaintenanceError(str(failure), report=merged)
-        if self.write_observer is not None and applied:
-            self.write_observer(applied)
+                raise MaintenanceError(str(error), report=merged) from error
+        if self.write_observer is not None and updates:
+            # portion by portion, the order the federation applied them in
+            self.write_observer([update for batch in batches for update in batch])
         return merged
 
     # -- rebalancing ----------------------------------------------------------------
@@ -396,15 +372,6 @@ class ShardRouter(ServingCore):
         keeps moving (never leaves a torn layout behind).
         """
         return rebalance_key_range(self, relation, key_range, src, dst)
-
-    @staticmethod
-    def _merge_report(merged, report) -> None:
-        merged.applied += report.applied
-        merged.skipped += report.skipped
-        merged.violated.extend(report.violated)
-        merged.adjusted.update(report.adjusted)
-        merged.work_units += report.work_units
-        merged.touched_relations.update(report.touched_relations)
 
     # -- reporting ------------------------------------------------------------------
     def replication_stats(self) -> dict:

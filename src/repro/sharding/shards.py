@@ -14,17 +14,19 @@ Two interchangeable backends implement the protocol behind the same
 
 * :class:`EngineShard` — the fragment plus its in-memory
   :class:`~repro.storage.index.IndexSet`; fetches are
-  :class:`~repro.storage.index.ConstraintIndex` lookups, writes go through
-  the batched index maintenance of :func:`~repro.discovery.maintenance.
-  apply_updates` (one clock bump per batch).
+  :class:`~repro.storage.index.ConstraintIndex` lookups.
 * :class:`SQLiteShard` — the fragment mirrored into SQLite via
   :class:`~repro.backends.sqlite.SQLiteBackend`; fetches run SQL over the
-  materialized ``ind_…`` index tables (the paper's Fig. 4 C1 component),
-  writes maintain base *and* index tables through ``apply_insert`` /
-  ``apply_delete``.
+  materialized ``ind_…`` index tables (the paper's Fig. 4 C1 component).
 
 One federated plan can therefore execute fetch steps on both kinds in the
-same run — the heterogeneity ROADMAP item 1 asks for.
+same run.  Writes are **not** a backend concern: :meth:`Shard.apply_updates`
+runs the one Proposition-12 loop of :func:`~repro.discovery.maintenance.
+apply_updates` over the fragment and the backend's index ``maintainer`` (the
+``IndexSet``, the SQLite mirror), so every backend keeps the same contract —
+one clock bump per portion, and on a failure the prefix kept, the clock
+settled over it, a :class:`~repro.core.errors.MaintenanceError` carrying the
+partial report.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from ..backends.sqlite import SQLiteBackend
 from ..core.access import AccessConstraint, AccessSchema
 from ..core.errors import StorageError
 from ..discovery import maintenance
-from ..discovery.maintenance import MaintenanceReport, Update
+from ..discovery.maintenance import IndexMaintainer, MaintenanceReport, Update
 from ..storage.counters import AccessCounter
 from ..storage.database import Database
 from ..storage.index import IndexSet
@@ -47,6 +49,10 @@ class Shard:
     """The protocol every shard backend implements (plus shared plumbing)."""
 
     kind: str = "abstract"
+    #: the fragment's constraints and what keeps their indexes in step with
+    #: its rows — both set by the backend's constructor
+    access_schema: AccessSchema
+    maintainer: IndexMaintainer
 
     def __init__(self, name: str, database: Database):
         self.name = name
@@ -70,7 +76,11 @@ class Shard:
     # -- writes ------------------------------------------------------------------
     def apply_updates(self, updates: Iterable[Update]) -> MaintenanceReport:
         """Apply the routed portion of a batch; one clock bump per call."""
-        raise NotImplementedError
+        # Through the module, at call time: the benchmark tracer wraps
+        # ``maintenance.apply_updates`` from outside.
+        return maintenance.apply_updates(
+            self.database, self.maintainer, self.access_schema, updates
+        )
 
     # -- versioning ----------------------------------------------------------------
     def snapshot(self, relations: Iterable[str]) -> tuple[int, ...]:
@@ -90,14 +100,16 @@ class Shard:
 
 
 class EngineShard(Shard):
-    """An in-memory shard: fetches via ``ConstraintIndex``, writes via index maintenance."""
+    """An in-memory shard: fetches are ``ConstraintIndex`` lookups."""
 
     kind = "memory"
 
     def __init__(self, name: str, database: Database, access_schema: AccessSchema):
         super().__init__(name, database)
         self.access_schema = access_schema
-        self.indexes = IndexSet.build(database, access_schema, check=False)
+        self.indexes = self.maintainer = IndexSet.build(
+            database, access_schema, check=False
+        )
 
     def fetch(
         self,
@@ -114,23 +126,14 @@ class EngineShard(Shard):
             )
         return frozenset(index.lookup_many([tuple(key) for key in keys], counter))
 
-    def apply_updates(self, updates: Iterable[Update]) -> MaintenanceReport:
-        # Through the module, at call time: the benchmark tracer wraps
-        # ``maintenance.apply_updates`` from outside.  The clock is bumped
-        # once per portion, over the partial on a failure.
-        return maintenance.apply_updates(
-            self.database, self.indexes, self.access_schema, updates
-        )
-
 
 class SQLiteShard(Shard):
     """A SQLite-mirrored shard: fetches via SQL over the ``ind_…`` index tables.
 
     The fragment is kept twice — as a :class:`Database` (the version clock
-    and the rows the federated fallback gathers) and as its SQLite mirror.
-    The write path maintains both in lockstep through the backend's
-    ``apply_insert``/``apply_delete``, which is exactly the mirror write path
-    this PR's satellite bugfixes harden.
+    and the rows the federated fallback gathers) and as its SQLite mirror,
+    base *and* index tables, which the shared write loop maintains in
+    lockstep as this shard's ``maintainer``.
     """
 
     kind = "sqlite"
@@ -138,7 +141,7 @@ class SQLiteShard(Shard):
     def __init__(self, name: str, database: Database, access_schema: AccessSchema):
         super().__init__(name, database)
         self.access_schema = access_schema
-        self.backend = SQLiteBackend(database)
+        self.backend = self.maintainer = SQLiteBackend(database)
         self.backend.create_index_tables(access_schema)
 
     def fetch(
@@ -152,29 +155,6 @@ class SQLiteShard(Shard):
         if counter is not None:
             counter.record_fetch(base_relation, len(rows))
         return rows
-
-    def apply_updates(self, updates: Iterable[Update]) -> MaintenanceReport:
-        report = MaintenanceReport()
-        for update in updates:
-            relation = self.database.relation(update.relation)
-            prepared = relation.prepare(update.row)
-            if update.kind == "insert":
-                if relation.insert(prepared):
-                    self.backend.apply_insert(update.relation, prepared)
-                    report.applied += 1
-                    report.touched_relations.add(update.relation)
-                else:
-                    report.skipped += 1
-            else:
-                if relation.delete(prepared):
-                    self.backend.apply_delete(update.relation, prepared)
-                    report.applied += 1
-                    report.touched_relations.add(update.relation)
-                else:
-                    report.skipped += 1
-        if report.touched_relations:
-            report.version = self.database.clock.bump(sorted(report.touched_relations))
-        return report
 
     def close(self) -> None:
         self.backend.close()

@@ -23,12 +23,12 @@ class Database:
     ``(relation versions at fill time)`` instead of being cleared wholesale.
 
     **Write-path contract**: mutations must go through this class's
-    ``insert``/``delete``/``insert_many``, the engine's maintenance methods,
-    or :func:`repro.discovery.maintenance.apply_updates` — each of which
-    settles the clock.  Writing directly to a
-    :class:`~repro.storage.relation.RelationInstance` bypasses both the
-    constraint indexes *and* the clock, leaving stale indexes (as before)
-    and, now, stale cached results with no invalidation signal.
+    ``insert``/``delete``/``insert_many`` (no indexes to keep) or
+    :func:`repro.discovery.maintenance.apply_updates` (what every serving
+    core's ``apply_updates`` runs) — each of which settles the clock.
+    Writing directly to a :class:`~repro.storage.relation.RelationInstance`
+    bypasses both the constraint indexes *and* the clock, leaving stale
+    indexes and stale cached results with no invalidation signal.
     """
 
     def __init__(self, schema: DatabaseSchema):

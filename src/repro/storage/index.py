@@ -68,13 +68,12 @@ class ConstraintIndex:
         """
         self._add_row(row)
 
-    def remove_row(self, row: Row, relation: RelationInstance | None = None) -> None:
+    def remove_row(self, row: Row) -> None:
         """Reflect a deleted base-relation tuple in the index (O(1)).
 
         The projected ``XY``-value is dropped only when its reference count
         hits zero, i.e. no remaining tuple of the relation still projects to
-        it.  ``relation`` is accepted for backward compatibility but no longer
-        needed: the counts replace the witness scan.
+        it.
         """
         key = self._key(row)
         group = self._entries.get(key)
@@ -288,12 +287,18 @@ class IndexSet:
         return {str(constraint): index.size for constraint, index in self._indexes.items()}
 
     # -- incremental maintenance (Proposition 12) ----------------------------------------
+    # The maintainer seam of :func:`repro.discovery.maintenance.apply_updates`.
     def apply_insert(self, relation: str, row: Row) -> None:
         """Update all indexes of ``relation`` after a tuple insertion (O(N_A) per tuple)."""
         for index in self._by_relation.get(relation, ()):
             index.add_row(row)
 
-    def apply_delete(self, relation: str, row: Row, instance: RelationInstance | None = None) -> None:
+    def apply_delete(self, relation: str, row: Row) -> None:
         """Update all indexes of ``relation`` after a tuple deletion (O(1) per index)."""
         for index in self._by_relation.get(relation, ()):
-            index.remove_row(row, instance)
+            index.remove_row(row)
+
+    def group_of(self, constraint: AccessConstraint, row: Row) -> tuple[Row, ...]:
+        """The index rows of ``constraint`` sharing ``row``'s ``X``-value (empty without an index)."""
+        index = self._indexes.get(constraint)
+        return () if index is None else index.lookup(index._key(row))

@@ -34,7 +34,7 @@ class RelationInstance:
         Accepts either a positional sequence (aligned with the schema) or a
         mapping from attribute names to values.
         """
-        prepared = self._prepare(row)
+        prepared = self.prepare(row)
         if prepared in self._rows:
             return False
         self._rows[prepared] = None
@@ -50,7 +50,7 @@ class RelationInstance:
 
     def delete(self, row: Sequence | Mapping[str, object]) -> bool:
         """Delete one tuple; returns ``True`` if it was present."""
-        prepared = self._prepare(row)
+        prepared = self.prepare(row)
         if prepared not in self._rows:
             return False
         del self._rows[prepared]
@@ -85,9 +85,6 @@ class RelationInstance:
             )
         return prepared
 
-    # Backward-compatible alias (pre-existing callers used the private name).
-    _prepare = prepare
-
     # -- access -------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._rows)
@@ -96,7 +93,7 @@ class RelationInstance:
         return iter(self._rows)
 
     def __contains__(self, row: Sequence | Mapping[str, object]) -> bool:
-        return self._prepare(row) in self._rows
+        return self.prepare(row) in self._rows
 
     @property
     def rows(self) -> tuple[Row, ...]:

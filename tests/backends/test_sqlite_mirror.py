@@ -7,7 +7,8 @@ tables hold exactly the constraint projections, and bounded-plan SQL and
 conventional SQL both agree row-for-row with the in-memory reference.  These
 tests pin the two write-path fixes (``apply_delete`` existing at all, and
 ``apply_insert`` deduplicating base rows under set semantics) and then hammer
-the whole contract with a seeded randomized op sequence.
+the whole contract with a seeded randomized op sequence, driven through the
+one write loop (``maintenance.apply_updates``) every substrate shares.
 """
 
 import random
@@ -18,6 +19,7 @@ from repro.backends.sqlite import SQLiteBackend
 from repro.core.engine import BoundedEngine
 from repro.core.errors import StorageError
 from repro.core.planner import plan_query
+from repro.discovery.maintenance import Update, apply_updates
 from repro.evaluator.algebra import evaluate
 from repro.workloads import facebook
 
@@ -102,6 +104,22 @@ class TestApplyInsertDedupe:
         assert cursor.fetchone()[0] == 0
 
 
+class TestRowTransactions:
+    """A maintenance call is one transaction: a failing statement leaves no half-written row."""
+
+    def test_failed_index_refresh_rolls_the_base_row_back(self, backend):
+        import sqlite3
+
+        backend.run_sql(f'DROP TABLE "{PSI3_TABLE}"')  # the refresh of ψ3 now fails
+        row = ("p_half", "c_half", "may", 2015)
+        before = _count(backend, "dine")
+        with pytest.raises(sqlite3.OperationalError, match="no such table"):
+            backend.apply_insert("dine", row)  # base INSERT ran, then the refresh raised
+        assert _count(backend, "dine") == before
+        backend.apply_insert("cafe", ("c_ok", "nyc"))  # commits nothing left over
+        assert _count(backend, "dine") == before
+
+
 class TestFetchIndex:
     def test_matches_manual_projection(self, backend, fb_access, fb_database):
         psi1 = next(c for c in fb_access if c.name == "psi1")
@@ -128,10 +146,13 @@ class TestFetchIndex:
 
 
 class TestRandomizedMirrorCrossCheck:
-    """Identical op sequences through engine and mirror; full agreement after every step."""
+    """Identical op sequences through the shared write loop over both maintainers
+    (the engine's ``IndexSet``, a SQLite mirror of an identical copy); full
+    agreement after every step."""
 
     def test_mixed_insert_delete_sequence_stays_in_lockstep(self):
         database = facebook.generate(scale=20, seed=3)
+        mirrored = facebook.generate(scale=20, seed=3)
         access = facebook.access_schema(database.schema)
         engine = BoundedEngine(database, access, check_constraints=False)
         rng = random.Random(97)
@@ -143,19 +164,16 @@ class TestRandomizedMirrorCrossCheck:
             "cafe": ("ghostc", "nowhere"),
         }
 
-        with SQLiteBackend(database) as backend:
+        with SQLiteBackend(mirrored) as backend:
             backend.create_index_tables(access)
             removed: dict[str, list[tuple]] = {n: [] for n in database.relation_names()}
 
             def apply(kind: str, relation: str, row: tuple) -> None:
-                # One op, two substrates: Database+IndexSet via the engine,
-                # SQLite base+index tables via the mirror.
-                if kind == "insert":
-                    engine.apply_insert(relation, row)
-                    backend.apply_insert(relation, row)
-                else:
-                    engine.apply_delete(relation, row)
-                    backend.apply_delete(relation, row)
+                # One op, one loop, two substrates: Database + IndexSet under
+                # the engine, its copy + SQLite base and index tables.
+                update = Update(relation, row, kind)
+                engine.apply_updates([update])
+                apply_updates(mirrored, backend, access, [update])
 
             for step in range(60):
                 relation = rng.choice(database.relation_names())
@@ -174,6 +192,9 @@ class TestRandomizedMirrorCrossCheck:
 
                 # Base tables mirror the relation instances exactly.
                 for name in database.relation_names():
+                    assert set(mirrored.relation(name).rows) == set(
+                        database.relation(name).rows
+                    ), f"step {step}: the mirrored fragment of {name} drifted"
                     assert _count(backend, name) == len(database.relation(name)), (
                         f"step {step}: base table {name} drifted"
                     )

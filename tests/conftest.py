@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backends.sqlite import SQLiteBackend
 from repro.core import optimizer
 from repro.core.access import AccessConstraint, AccessSchema
 from repro.core.schema import DatabaseSchema
@@ -22,6 +23,42 @@ def row_kernels(monkeypatch):
     facebook's q1 move the threshold out of reach instead.
     """
     monkeypatch.setattr(optimizer, "COLUMNAR_BOUND_THRESHOLD", float("inf"))
+
+
+class Maintainers:
+    """Builds one kind of index maintainer — the seam of ``maintenance.apply_updates``."""
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.backends: list[SQLiteBackend] = []
+
+    def build(self, database: Database, access: AccessSchema):
+        """An ``IndexSet`` over ``database``, or a SQLite mirror of it with its index tables."""
+        if self.kind == "indexset":
+            return IndexSet.build(database, access)
+        backend = SQLiteBackend(database)
+        backend.create_index_tables(access)
+        self.backends.append(backend)
+        return backend
+
+    def contents(self, maintainer) -> dict:
+        """Everything ``maintainer`` holds, comparable with a freshly built one's."""
+        if self.kind == "indexset":
+            return {index.constraint: index._entries for index in maintainer}
+        tables = [*maintainer.database.relation_names(), *maintainer._index_constraints]
+        return {
+            table: sorted(maintainer.run_sql(f'SELECT * FROM "{table}"').rows)
+            for table in tables
+        }
+
+
+@pytest.fixture(params=["indexset", "sqlite"])
+def maintainers(request):
+    """One contract, both maintainers: every test using this runs over each kind."""
+    kinds = Maintainers(request.param)
+    yield kinds
+    for backend in kinds.backends:
+        backend.close()
 
 
 @pytest.fixture

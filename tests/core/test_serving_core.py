@@ -5,11 +5,13 @@
 :class:`~repro.core.engine.ServingCore` pipeline (prepare → probe → execute →
 validate → settle) and differ only in how a fetch is answered and what a
 snapshot is.  Every test here runs unchanged over one engine, a one-shard
-memory federation and a three-shard memory/SQLite/memory federation, against
-the reference evaluator on a single database the federations mirror their
-writes into — the same inputs through independent paths, compared.
+memory federation, a one-shard SQLite federation and a three-shard
+memory/SQLite/memory federation, against the reference evaluator on a single
+database the federations mirror their writes into — the same inputs through
+independent paths, compared.
 """
 
+import sqlite3
 from contextlib import contextmanager
 
 import pytest
@@ -33,6 +35,7 @@ from repro.workloads import facebook
 SUBSTRATES = {
     "engine": None,
     "router-1-memory": {"shards": 1, "backends": "memory"},
+    "router-1-sqlite": {"shards": 1, "backends": "sqlite"},
     "router-3-mixed": {"shards": 3, "backends": ["memory", "sqlite", "memory"]},
 }
 
@@ -99,6 +102,12 @@ class Substrate:
             yield
         if self.federated:
             self._mirror(batch[:1])  # observers only see fully applied batches
+
+    def epoch(self, update: Update) -> tuple:
+        """The epoch token of ``update``'s relation where the update is owned."""
+        if self.federated:
+            return self.owner(update).snapshot((update.relation,))
+        return self.reference.clock.snapshot((update.relation,))
 
     def result_cache(self) -> dict:
         return self.core.cache_stats()["result_cache"]
@@ -325,6 +334,27 @@ class TestWriteSettlement:
         assert not result.cached  # the plan went with it
         assert result.rows == rows - {(1,)} == evaluate(hot.query, hot.reference).rows
 
+    def test_settlement_derives_from_the_effective_writes(self, hot):
+        # One effective insert off the probed key, one duplicate on it: the
+        # batch changed nothing the entry read, on any substrate.
+        hot.core.execute(hot.query)
+        derive, outcomes = hot.core._deriver.derive, []
+
+        def recording(*args):
+            outcomes.append(derive(*args))
+            return outcomes[-1]
+
+        hot.core._deriver.derive = recording
+        report = hot.core.apply_updates(
+            [Update.insert("hot", ("b", 9)), Update.insert("hot", ("a", 1))]
+        )
+        assert (report.applied, report.skipped) == (1, 1)
+        assert report.applied_updates == [Update.insert("hot", ("b", 9))]
+        assert [outcome.status for outcome in outcomes] == ["clean"]
+        repeat = hot.core.execute(hot.query)
+        assert repeat.result_cached
+        assert repeat.rows == evaluate(hot.query, hot.reference).rows
+
     def test_repair_off_sweeps_both_caches(self, make, hot_cold_setup):
         database, access, query = hot_cold_setup
         substrate = make(database, access, delta_repair=False)
@@ -337,6 +367,60 @@ class TestWriteSettlement:
         result = substrate.core.execute(query)
         assert (result.cached, result.result_cached) == (False, False)
         assert (4,) in result.rows
+
+
+class TestFailedWrites:
+    """Failures nobody injected: the one write loop's contract on every substrate."""
+
+    @pytest.fixture
+    def owned(self, hot):
+        """``hot`` with a cached query over ``k = 'd'`` — rows the mixed
+        federation keeps on its SQLite shard."""
+        relation = Relation.from_schema(hot.reference.schema, "hot")
+        hot.query = relation.select(eq(relation["k"], "d")).project([relation["v"]])
+        hot.core.apply_updates([Update.insert("hot", ("d", 1)), Update.insert("hot", ("d", 2))])
+        assert hot.core.execute(hot.query).rows == {(1,), (2,)}
+        assert hot.core.execute(hot.query).result_cached
+        if hot.federated and len(hot.core.shards) > 1:
+            assert hot.owner(Update.insert("hot", ("d", 1))).kind == "sqlite"
+        return hot
+
+    def test_second_update_is_malformed(self, owned):
+        batch = [Update.delete("hot", ("d", 1)), Update.insert("hot", ("d", 7, "extra"))]
+        epoch = owned.epoch(batch[0])
+        with pytest.raises(MaintenanceError) as failure:
+            owned.core.apply_updates(batch)
+        if owned.federated:
+            owned._mirror(batch[:1])  # observers only see fully applied batches
+        report = failure.value.report
+        assert report.failed and (report.applied, report.failed_update) == (1, batch[1])
+        assert report.applied_updates == batch[:1]
+        assert "StorageError" in report.error
+        assert owned.epoch(batch[0]) != epoch  # settled over the kept prefix
+        result = owned.core.execute(owned.query)
+        assert not result.result_cached
+        assert result.rows == {(2,)} == evaluate(owned.query, owned.reference).rows
+
+    def test_maintainer_that_lost_its_backend_refuses_the_row_on_both_sides(self, owned):
+        update = Update.insert("hot", ("d", 5))
+        shard = owned.owner(update) if owned.federated else None
+        if not isinstance(shard, SQLiteShard):
+            pytest.skip("no SQLite mirror behind this substrate")
+        shard.backend.close()
+        epoch = owned.epoch(update)
+        with pytest.raises(MaintenanceError) as failure:
+            owned.core.apply_updates([update])
+        cause = failure.value  # the router's error, caused by the shard's, caused by …
+        while cause.__cause__ is not None:
+            cause = cause.__cause__
+        assert isinstance(cause, sqlite3.ProgrammingError)
+        assert failure.value.report.applied == 0
+        # The mirror never took the row, so the fragment gave it back: both
+        # sides and the clock still describe the data the cache was filled from.
+        assert ("d", 5) not in shard.relation_rows("hot")
+        assert owned.epoch(update) == epoch
+        result = owned.core.execute(owned.query)  # a hit, and not a stale one
+        assert result.rows == {(1,), (2,)} == evaluate(owned.query, owned.reference).rows
 
 
 class RecordingBreaker:

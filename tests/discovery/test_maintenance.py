@@ -19,8 +19,9 @@ def db(fb_schema):
 
 
 @pytest.fixture
-def indexes(db, fb_access):
-    return IndexSet.build(db, fb_access)
+def indexes(db, fb_access, maintainers):
+    """The maintainer under test: an ``IndexSet`` or a SQLite mirror of ``db``."""
+    return maintainers.build(db, fb_access)
 
 
 class TestUpdate:
@@ -40,7 +41,7 @@ class TestApplyUpdates:
         )
         assert report.applied == 1
         assert ("p0", "f3") in db.relation("friend")
-        assert ("f3", "p0") in indexes.index_for(psi1).lookup(("p0",))
+        assert ("f3", "p0") in indexes.group_of(psi1, ("p0", "f3"))
         assert report.work_units > 0
 
     def test_duplicate_insert_skipped(self, db, indexes, fb_access):
@@ -56,7 +57,8 @@ class TestApplyUpdates:
             db, indexes, fb_access, [Update.delete("friend", ("p0", "f1"))]
         )
         assert report.applied == 1
-        assert ("f1", "p0") not in indexes.index_for(psi1).lookup(("p0",))
+        group = indexes.group_of(psi1, ("p0", "f1"))
+        assert ("f1", "p0") not in group and ("f2", "p0") in group
 
     def test_delete_missing_row_skipped(self, db, indexes, fb_access):
         report = apply_updates(
@@ -64,25 +66,33 @@ class TestApplyUpdates:
         )
         assert report.skipped == 1
 
-    def test_violation_reported(self, fb_schema):
+    def test_violation_reported(self, fb_schema, maintainers):
         tight = AccessSchema(
             [AccessConstraint.of("friend", "pid", "fid", 1, name="tight")],
             schema=fb_schema,
         )
         database = Database(fb_schema)
         database.insert("friend", ("p0", "f1"))
-        indexes = IndexSet.build(database, tight)
+        indexes = maintainers.build(database, tight)
         report = apply_updates(
-            database, indexes, tight, [Update.insert("friend", ("p0", "f2"))]
+            database,
+            indexes,
+            tight,
+            [
+                Update.insert("friend", ("p1", "f1")),  # its own group: within the bound
+                Update.insert("friend", ("p0", "f2")),
+                Update.insert("friend", ("p0", "f3")),  # reported once, not per row
+            ],
         )
-        assert len(report.violated) == 1
+        assert report.applied == 3
+        assert report.violated == list(tight)
 
-    def test_queries_stay_correct_after_updates(self, fb_database, fb_access):
+    def test_queries_stay_correct_after_updates(self, fb_database, fb_access, maintainers):
         from repro.core.planner import plan_query
         from repro.evaluator.algebra import evaluate
         from repro.evaluator.executor import execute_plan
 
-        indexes = IndexSet.build(fb_database, fb_access)
+        indexes = maintainers.build(fb_database, fb_access)
         updates = [
             Update.insert("cafe", ("c_up", "nyc")),
             Update.insert("friend", ("p0", "p_up")),
@@ -92,7 +102,11 @@ class TestApplyUpdates:
         apply_updates(fb_database, indexes, fb_access, updates)
         q1 = facebook.query_q1()
         plan = plan_query(q1, fb_access)
-        assert execute_plan(plan, indexes).rows == evaluate(q1, fb_database).rows
+        if isinstance(indexes, IndexSet):
+            answered = execute_plan(plan, indexes).rows
+        else:
+            answered = indexes.run_bounded_plan(plan).rows
+        assert answered == evaluate(q1, fb_database).rows
 
 
 class TestBatchVersioning:
@@ -129,20 +143,6 @@ class TestBatchVersioning:
         )
         assert report.applied == 0
         assert report.touched_relations == set()
-        assert report.version is None
-        assert db.version == base
-
-    def test_bump_clock_false_leaves_clock_alone(self, db, indexes, fb_access):
-        base = db.version
-        report = apply_updates(
-            db,
-            indexes,
-            fb_access,
-            [Update.insert("friend", ("p0", "f5"))],
-            bump_clock=False,
-        )
-        assert report.applied == 1
-        assert report.touched_relations == {"friend"}
         assert report.version is None
         assert db.version == base
 

@@ -1,9 +1,13 @@
-"""Partial-batch failure semantics of ``apply_updates`` (PR 6, satellite 1).
+"""Partial-batch failure semantics of ``apply_updates``, on both maintainers.
 
-A mid-batch failure must: keep the cleanly-applied prefix, surface a
-:class:`MaintenanceError` carrying the partial report, settle the version
-clock over every relation the aborted batch touched, and — at the engine
-level — sweep the caches so no reader can ever be served pre-batch rows.
+A mid-batch failure must: keep the cleanly-applied prefix, leave storage and
+the maintainer's indexes agreeing row by row (a row the maintainer refuses
+is taken back out of storage), surface a :class:`MaintenanceError` carrying
+the partial report and the original exception as its cause, settle the
+version clock over every relation the aborted batch touched, and — at the
+engine level — sweep the caches so no reader can ever be served pre-batch
+rows.  ``TestApplyUpdatesPartialFailure`` holds an ``IndexSet`` and a
+``SQLiteBackend`` mirror to that one contract.
 """
 
 import pytest
@@ -11,8 +15,6 @@ import pytest
 from repro.core.engine import BoundedEngine
 from repro.core.errors import MaintenanceError, StorageError, TransientFault
 from repro.discovery.maintenance import Update, apply_updates
-from repro.storage.database import Database
-from repro.storage.index import IndexSet
 
 
 @pytest.fixture
@@ -23,8 +25,9 @@ def db(fb_schema):
 
 
 @pytest.fixture
-def indexes(db, fb_access):
-    return IndexSet.build(db, fb_access)
+def indexes(db, fb_access, maintainers):
+    """The maintainer under test: an ``IndexSet`` or a SQLite mirror of ``db``."""
+    return maintainers.build(db, fb_access)
 
 
 def failing_delete(database, relation: str, nth: int):
@@ -90,7 +93,9 @@ class TestApplyUpdatesPartialFailure:
         assert excinfo.value.report.touched_relations == set()
         assert db.relation_version("cafe") == before  # nothing changed: no bump
 
-    def test_indexes_stay_consistent_with_storage(self, db, indexes, fb_access):
+    def test_indexes_stay_consistent_with_storage(
+        self, db, indexes, fb_access, maintainers
+    ):
         rows = list(db.relation("cafe").rows)[:3]
         restore = failing_delete(db, "cafe", 3)
         try:
@@ -100,12 +105,46 @@ class TestApplyUpdatesPartialFailure:
                 )
         finally:
             restore()
-        rebuilt = IndexSet.build(db, fb_access)
-        for constraint in fb_access.for_relation("cafe"):
-            assert (
-                indexes.index_for(constraint)._entries
-                == rebuilt.index_for(constraint)._entries
-            )
+        rebuilt = maintainers.build(db, fb_access)
+        assert maintainers.contents(indexes) == maintainers.contents(rebuilt)
+
+    @pytest.mark.parametrize("kind", ["insert", "delete"])
+    def test_row_the_maintainer_refuses_is_taken_back_out_of_storage(
+        self, db, indexes, fb_access, maintainers, monkeypatch, kind
+    ):
+        present = list(db.relation("cafe").rows)[:2]
+        if kind == "insert":
+            updates = [Update.insert("cafe", ("c_new1", "nyc")), Update.insert("cafe", ("c_new2", "nyc"))]
+        else:
+            updates = [Update.delete("cafe", row) for row in present]
+        apply = getattr(indexes, f"apply_{kind}")
+        calls = []
+
+        def refusing(relation, row):
+            calls.append(row)
+            if len(calls) == 2:
+                raise RuntimeError("index backend went away")  # not a ReproError
+            return apply(relation, row)
+
+        monkeypatch.setattr(indexes, f"apply_{kind}", refusing)
+        before = db.version
+        with pytest.raises(MaintenanceError) as excinfo:
+            apply_updates(db, indexes, fb_access, updates)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        report = excinfo.value.report
+        assert (report.applied, report.failed_update) == (1, updates[1])
+        assert report.applied_updates == updates[:1]
+        assert "RuntimeError" in report.error
+        assert db.version == before + 1 == report.version  # settled over the prefix
+        # The prefix landed on both sides; the refused row on neither.
+        stored = set(db.relation("cafe").rows)
+        if kind == "insert":
+            assert ("c_new1", "nyc") in stored and ("c_new2", "nyc") not in stored
+        else:
+            assert present[0] not in stored and present[1] in stored
+        monkeypatch.undo()
+        rebuilt = maintainers.build(db, fb_access)
+        assert maintainers.contents(indexes) == maintainers.contents(rebuilt)
 
 
 class TestEnginePartialFailure:

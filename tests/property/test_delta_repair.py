@@ -151,11 +151,7 @@ class TestEngineRepairProperty:
                     if update.kind == "insert":
                         recomputing.indexes.apply_insert(update.relation, update.row)
                     else:
-                        recomputing.indexes.apply_delete(
-                            update.relation,
-                            update.row,
-                            database.relation(update.relation),
-                        )
+                        recomputing.indexes.apply_delete(update.relation, update.row)
         assert repairing.execute(q1).rows == recomputing.execute(q1).rows
         assert repairing.execute(q1).rows == evaluate(q1, database).rows
 

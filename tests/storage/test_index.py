@@ -85,7 +85,7 @@ class TestConstraintIndex:
         assert ("f3", "p0") in index.lookup(("p0",))
         relation.insert(("p0", "f3"))
         relation.delete(("p0", "f3"))
-        index.remove_row(("p0", "f3"), relation)
+        index.remove_row(("p0", "f3"))
         assert ("f3", "p0") not in index.lookup(("p0",))
 
     def test_remove_keeps_value_with_other_witness(self, fb_schema):
@@ -98,7 +98,7 @@ class TestConstraintIndex:
         relation = database.relation("dine")
         index = ConstraintIndex(constraint, relation)
         relation.delete(("p0", "c1", "may", 2015))
-        index.remove_row(("p0", "c1", "may", 2015), relation)
+        index.remove_row(("p0", "c1", "may", 2015))
         assert index.lookup(("p0",)) != ()
 
 
@@ -144,5 +144,5 @@ class TestIndexSet:
         psi1 = next(c for c in fb_access if c.name == "psi1")
         indexes.apply_insert("friend", ("p1", "f9"))
         assert ("f9", "p1") in indexes.index_for(psi1).lookup(("p1",))
-        indexes.apply_delete("friend", ("p1", "f9"), small_db.relation("friend"))
+        indexes.apply_delete("friend", ("p1", "f9"))
         assert ("f9", "p1") not in indexes.index_for(psi1).lookup(("p1",))
