@@ -1,71 +1,10 @@
-"""Shared fixtures for the benchmark suite.
-
-Each benchmark module regenerates one table or figure of the paper's
-evaluation (Section 8).  The fixtures here prepare workload instances,
-constraint indexes and covered query sets once per session so that the
-benchmarks measure the operations of interest (CovChk, QPlan, minA, plan
-execution, baseline evaluation, maintenance) rather than setup cost.
-
-Scales are chosen so the whole suite completes in a few minutes on a laptop;
-pass ``--paper-scale`` for larger instances closer to the shape of the
-published figures (slower).
-"""
+"""Path shim for the benchmark suite: lets it run without an editable install."""
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
 
-import pytest
-
 SRC = Path(__file__).resolve().parent.parent / "src"
-if str(SRC) not in sys.path:  # allow running without an editable install
+if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
-
-from repro.bench.experiments import select_covered_queries  # noqa: E402
-from repro.storage.index import IndexSet  # noqa: E402
-from repro.workloads import WORKLOADS, RandomQueryGenerator  # noqa: E402
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--paper-scale",
-        action="store_true",
-        default=False,
-        help="run the benchmarks at larger (slower) scales closer to the paper's setup",
-    )
-
-
-@pytest.fixture(scope="session")
-def bench_scale(request) -> int:
-    """Base workload scale (number of generator entities)."""
-    return 600 if request.config.getoption("--paper-scale") else 220
-
-
-@pytest.fixture(scope="session", params=sorted(WORKLOADS), ids=sorted(WORKLOADS))
-def workload(request):
-    """Parametrize benchmarks over the three experiment workloads."""
-    return WORKLOADS[request.param]
-
-
-@pytest.fixture(scope="session")
-def prepared(workload, bench_scale):
-    """A generated instance, its indexes, and a handful of covered queries."""
-    database = workload.database(scale=bench_scale, seed=7)
-    indexes = IndexSet.build(database, workload.access_schema, check=False)
-    queries = select_covered_queries(
-        workload, count=5, seed=7, database=database
-    )
-    return {
-        "workload": workload,
-        "database": database,
-        "indexes": indexes,
-        "queries": queries,
-    }
-
-
-@pytest.fixture(scope="session")
-def query_batch(workload):
-    """100 random queries per workload, as in the paper's query generator."""
-    generator = RandomQueryGenerator(workload, seed=11)
-    return [query for _, query in generator.generate_batch(100)]

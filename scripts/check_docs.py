@@ -1,6 +1,6 @@
-"""Documentation checks: docstring coverage, link integrity, named root files.
+"""Documentation checks: docstrings, links, named root files, documented figures.
 
-Stdlib only (the CI image has no pydocstyle).  Three passes:
+Stdlib only (the CI image has no pydocstyle).  Four passes:
 
 1. **Docstrings** — every module, public class, and public function/method
    under ``src/repro/core/`` must carry a docstring.  "Public" means the
@@ -18,6 +18,9 @@ Stdlib only (the CI image has no pydocstyle).  Three passes:
 3. **Named files** — a root-level file a docstring names (``UPPER_CASE.md``,
    ``pyproject.toml``) under ``src/``, ``examples/``, ``benchmarks/*.py`` or
    in ``setup.py`` must exist: docstrings outlive the files they point at.
+4. **Paper figures** — the "Reproducing the paper" table of ``README.md`` must
+   have a row for every id of ``repro.bench.experiments.FIGURES``: a figure
+   is not checked in without its claim written down.
 
 Exit code 1 with one ``path:line: message`` per problem; 0 when clean.
 
@@ -155,8 +158,23 @@ def _check_named_files(path: Path, problems: list[str]) -> None:
                 )
 
 
+def _check_figures_documented(problems: list[str]) -> int:
+    """Every ``FIGURES`` id heads a row of the README's reproduction table."""
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.bench.experiments import FIGURES
+
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    for name in FIGURES:
+        if f"| `{name}` |" not in readme:
+            problems.append(
+                f"README.md:1: paper figure '{name}' (repro.bench.experiments.FIGURES) "
+                "has no row in the 'Reproducing the paper' table"
+            )
+    return len(FIGURES)
+
+
 def main() -> int:
-    """Run the three passes over the configured roots; print problems, exit 1 on any."""
+    """Run the four passes over the configured roots; print problems, exit 1 on any."""
     problems: list[str] = []
 
     for root in DOCSTRING_ROOTS:
@@ -174,13 +192,16 @@ def main() -> int:
     for path in sources:
         _check_named_files(path, problems)
 
+    figures = _check_figures_documented(problems)
+
     for problem in problems:
         print(problem)
     checked = sum(1 for root in DOCSTRING_ROOTS for _ in root.rglob("*.py"))
     print(
         f"checked {checked} modules for docstrings, "
         f"{len(markdown)} markdown files for links, "
-        f"{len(sources)} sources for named root files: "
+        f"{len(sources)} sources for named root files, "
+        f"{figures} paper figures for a README row: "
         f"{len(problems)} problem(s)"
     )
     return 1 if problems else 0

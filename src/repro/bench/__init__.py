@@ -1,33 +1,8 @@
-"""Experiment harness reproducing the tables and figures of Section 8."""
+"""Experiment harness reproducing the tables and figures of Section 8.
 
-from .metrics import ExperimentTable, format_ratio, format_seconds
-from .experiments import (
-    constraints_experiment,
-    coverage_experiment,
-    efficiency_experiment,
-    index_size_experiment,
-    join_experiment,
-    maintenance_experiment,
-    mina_effect_experiment,
-    scale_experiment,
-    select_covered_queries,
-    selection_experiment,
-    unidiff_experiment,
-)
+The checked registry of paper figures is :data:`repro.bench.experiments.FIGURES`.
+"""
 
-__all__ = [
-    "ExperimentTable",
-    "constraints_experiment",
-    "coverage_experiment",
-    "efficiency_experiment",
-    "format_ratio",
-    "format_seconds",
-    "index_size_experiment",
-    "join_experiment",
-    "maintenance_experiment",
-    "mina_effect_experiment",
-    "scale_experiment",
-    "select_covered_queries",
-    "selection_experiment",
-    "unidiff_experiment",
-]
+from .metrics import ExperimentTable
+
+__all__ = ["ExperimentTable"]

@@ -1,24 +1,32 @@
-"""Experiment drivers reproducing the evaluation of Section 8.
+"""The paper's evaluation (Section 8) and Proposition 12 as one checked registry.
 
-Each function regenerates one table/figure of the paper on the synthetic
-workloads and returns an :class:`~repro.bench.metrics.ExperimentTable` whose
-rows are the series the corresponding figure plots.  The pytest-benchmark
-suites under ``benchmarks/`` are thin wrappers over these drivers.
+:data:`FIGURES` maps a figure id to a :class:`Figure`: its driver, a ``quick``
+and a ``full`` parameter set, and the paper's claims about it, each held by a
+predicate over the regenerated table.  :func:`run_figure` is the only way the
+drivers are run; its three callers iterate ``FIGURES × WORKLOADS`` and restate
+neither a parameter nor an assertion: ``benchmarks/bench_paper_figures.py``
+(``full``, timed through pytest-benchmark), ``tests/bench/test_experiments.py``
+(``quick``, tier-1) and ``python -m repro.cli report``.
 
-The experiments intentionally reuse the exact production code paths:
-``CovChk`` for coverage, ``QPlan`` + the plan executor for ``evalQP``,
-``minA``/``minADAG``/``minAE`` for minimization, and the conventional
-evaluator for ``evalDBMS``.
+Claims are held by **deterministic quantities only** — tuples fetched and
+scanned, ``access_bound()``, schema and index sizes, ``work_units`` — so one
+holds on every machine or on none.  Timings are printed beside them and never
+compared; the one wall-clock bound is Exp-2's order-of-magnitude ``max_ms``.
+
+The drivers reuse the production code paths: ``CovChk`` for coverage,
+``QPlan`` + the plan executor for ``evalQP``, ``minA``/``minADAG``/``minAE``
+for minimization, and the conventional evaluator for ``evalDBMS``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from itertools import pairwise
+from typing import Callable, Mapping, Sequence
 
 from ..core.access import AccessSchema
 from ..core.coverage import CoverageChecker, check_coverage
-from ..core.rewrite import rewrite_candidates
 from ..core.minimize import (
     minimize_access,
     minimize_access_acyclic,
@@ -26,23 +34,53 @@ from ..core.minimize import (
 )
 from ..core.planner import generate_plan
 from ..core.query import Query
-from ..core.rewrite import is_boundedly_evaluable
+from ..core.rewrite import rewrite_candidates
 from ..discovery.maintenance import Update, apply_updates
 from ..evaluator.baseline import evaluate_conventional
 from ..evaluator.executor import PlanExecutor
+from ..storage.counters import AccessCounter
 from ..storage.database import Database
 from ..storage.index import IndexSet
 from ..workloads.base import WorkloadSpec
 from ..workloads.generator import RandomQueryGenerator
 from .metrics import ExperimentTable
 
-#: default scale factors for the |D|-varying experiment, mirroring 2^-5 .. 1
-DEFAULT_SCALE_FACTORS = (2 ** -5, 2 ** -4, 2 ** -3, 2 ** -2, 2 ** -1, 1.0)
+#: a claim, worded as the paper makes it -> the predicate over a table that holds it
+Claims = Mapping[str, Callable[[ExperimentTable], bool]]
 
 
-# ---------------------------------------------------------------------------
-# Query selection helpers
-# ---------------------------------------------------------------------------
+class ClaimFailed(AssertionError):
+    """A regenerated table does not support a paper claim; the message holds both."""
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure or table of the paper: how to regenerate it and what it must show."""
+
+    paper: str
+    driver: Callable[..., ExperimentTable]
+    quick: Mapping[str, object]
+    full: Mapping[str, object]
+    claims: Claims
+
+    def check(self, table: ExperimentTable) -> None:
+        """Raise :class:`ClaimFailed` naming the first claim ``table`` does not support."""
+        for claim, holds in self.claims.items():
+            if not holds(table):
+                raise ClaimFailed(f"{self.paper} — {claim}\n{table.render()}")
+
+
+def _every_row(holds: Callable[[Mapping], bool]) -> Callable[[ExperimentTable], bool]:
+    return lambda table: all(holds(row) for row in table.rows)
+
+
+def _non_decreasing(table: ExperimentTable, *columns: str) -> bool:
+    return all(a <= b for column in columns for a, b in pairwise(table.column(column)))
+
+
+def _grows(table: ExperimentTable, column: str) -> bool:
+    return table.rows[-1][column] > table.rows[0][column]
+
 
 def select_covered_queries(
     workload: WorkloadSpec,
@@ -75,68 +113,106 @@ def select_covered_queries(
     return covered
 
 
+@dataclass(frozen=True)
+class _Run:
+    """One query answered by one evaluator."""
+
+    seconds: float
+    counter: AccessCounter
+    answer: frozenset
+    #: the plan's ``access_bound()``; ``None`` for the conventional baseline
+    bound: int | None = None
+
+
 def _run_bounded(
-    query: Query,
-    access_schema: AccessSchema,
-    database: Database,
-    indexes: IndexSet,
-) -> tuple[float, int]:
-    """Plan + execute a covered query; returns (seconds, tuples accessed)."""
-    coverage = check_coverage(query, access_schema)
-    plan = generate_plan(coverage)
-    execution = PlanExecutor(indexes).execute(plan)
-    return execution.elapsed, execution.counter.total
+    queries: Sequence[Query], schemas: Sequence[AccessSchema], indexes: IndexSet
+) -> list[_Run]:
+    """``evalQP``: plan ``queries[i]`` under ``schemas[i]`` and execute it on ``indexes``."""
+    executor = PlanExecutor(indexes)
+    runs = []
+    for query, schema in zip(queries, schemas):
+        plan = generate_plan(check_coverage(query, schema))
+        done = executor.execute(plan)
+        runs.append(_Run(done.elapsed, done.counter, done.rows, plan.access_bound()))
+    return runs
 
 
 def _run_baseline(
-    query: Query, access_schema: AccessSchema, database: Database, indexes: IndexSet
-) -> tuple[float, int]:
-    result = evaluate_conventional(query, database, access_schema, indexes)
-    return result.elapsed, result.counter.total
+    queries: Sequence[Query], workload: WorkloadSpec, database: Database, indexes: IndexSet
+) -> list[_Run]:
+    """``evalDBMS``: the conventional evaluator over the same instance."""
+    done = [evaluate_conventional(q, database, workload.access_schema, indexes) for q in queries]
+    return [_Run(each.elapsed, each.counter, each.rows) for each in done]
 
 
-# ---------------------------------------------------------------------------
-# Figure 6 — percentage of covered / boundedly evaluable queries
-# ---------------------------------------------------------------------------
+def _bounded_columns(runs: Sequence[_Run], database: Database) -> dict[str, object]:
+    """The columns every table reports about a batch of bounded executions.
+
+    ``unbounded`` counts the plans that scanned a tuple or accessed more than their bound.
+    """
+    accessed = sum(run.counter.total for run in runs)
+    return {
+        "evalQP_s": sum(run.seconds for run in runs) / max(1, len(runs)),
+        "accessed": accessed,
+        "bound": sum(run.bound for run in runs),
+        "unbounded": sum(run.counter.scanned > 0 or run.counter.total > run.bound for run in runs),
+        "P_DQ": accessed / max(1, database.size * len(runs)),
+    }
+
+
+def _baseline_columns(baseline: Sequence[_Run], *plans: Sequence[_Run]) -> dict[str, object]:
+    """The ``evalDBMS`` columns, and how many of its answers the bounded ``plans`` missed."""
+    return {
+        "evalDBMS_s": sum(run.seconds for run in baseline) / max(1, len(baseline)),
+        "dbms_scanned": sum(run.counter.scanned for run in baseline),
+        "dbms_fetched": sum(run.counter.fetched for run in baseline),
+        "wrong_answers": sum(a.answer != b.answer for p in plans for a, b in zip(p, baseline)),
+    }
+
+
+#: what makes a plan *bounded*, claimed of every table that runs one
+_BOUNDED: Claims = {
+    "a bounded plan only fetches through the constraint indexes (scanned == 0) and "
+    "accesses at most access_bound() tuples": _every_row(
+        lambda row: row["unbounded"] == 0 and row["accessed"] <= row["bound"]
+    ),
+    "bounded plans access a fraction of D (P_DQ < 0.6)": _every_row(lambda row: row["P_DQ"] < 0.6),
+}
+#: claimed of every table that also runs the conventional baseline
+_EXACT: Claims = {
+    "evalQP returns exactly the rows evalDBMS returns": _every_row(
+        lambda row: row["wrong_answers"] == 0
+    ),
+    "evalDBMS reads the relations themselves, never the constraint indexes": _every_row(
+        lambda row: row["dbms_fetched"] == 0
+    ),
+}
+
 
 def coverage_experiment(
-    workload: WorkloadSpec,
-    *,
-    n_queries: int = 100,
-    fractions: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-    seed: int = 11,
+    workload: WorkloadSpec, *, n_queries: int, fractions: Sequence[float], seed: int
 ) -> ExperimentTable:
-    """Reproduce Figure 6: % covered and % bounded vs. fraction of ``A`` used.
+    """Figure 6: % covered (CovChk) and % bounded vs. the fraction of ``A`` used.
 
-    For each fraction a random (seed-deterministic) subset of the access
-    constraints is used, and for every generated query both coverage (CovChk)
-    and bounded evaluability (the rewrite oracle standing in for the paper's
-    manual examination) are measured.
+    The rewrite oracle stands in for the paper's manual examination of
+    bounded evaluability.
     """
     generator = RandomQueryGenerator(workload, seed=seed)
     batch = [query for _, query in generator.generate_batch(n_queries)]
-    # Pre-compute the query-side analysis of every query and of its rewrite
-    # candidates once; only the schema side changes across fractions.
+    # The query side of every query and of its rewrite candidates is analysed
+    # once; only the schema side changes across fractions.
     checkers = [CoverageChecker(query) for query in batch]
     candidate_checkers = [
         [CoverageChecker(candidate) for _, candidate in rewrite_candidates(query)]
         for query in batch
     ]
-    table = ExperimentTable(
-        title=f"Figure 6 ({workload.name}): covered / bounded queries vs ‖A‖ fraction",
-        columns=["fraction", "constraints", "covered_pct", "bounded_pct"],
-    )
+    table = ExperimentTable(f"Figure 6 ({workload.name}): covered / bounded queries vs ‖A‖")
     for fraction in fractions:
-        subset = (
-            workload.access_schema
-            if fraction >= 1.0
-            else workload.access_schema.sample_fraction(fraction, seed=seed)
-        )
-        covered = sum(1 for checker in checkers if checker.is_covered(subset))
+        subset = workload.access_schema.sample_fraction(fraction, seed)
+        covered = sum(checker.is_covered(subset) for checker in checkers)
         bounded = sum(
-            1
+            any(checker.is_covered(subset) for checker in candidates)
             for candidates in candidate_checkers
-            if any(checker.is_covered(subset) for checker in candidates)
         )
         table.add_row(
             fraction=fraction,
@@ -147,295 +223,147 @@ def coverage_experiment(
     return table
 
 
-# ---------------------------------------------------------------------------
-# Figure 5(a,e,i) — varying |D|
-# ---------------------------------------------------------------------------
-
 def scale_experiment(
-    workload: WorkloadSpec,
-    *,
-    base_scale: int | None = None,
-    scale_factors: Sequence[float] = DEFAULT_SCALE_FACTORS,
-    n_queries: int = 5,
-    seed: int = 7,
-    include_baseline: bool = True,
-    include_unminimized: bool = True,
+    workload: WorkloadSpec, *, base_scale: int, scale_factors: Sequence[float],
+    n_queries: int, seed: int,
 ) -> ExperimentTable:
-    """Reproduce Figure 5(a,e,i): evalQP / evalQP⁻ / evalDBMS time and P(D_Q) vs |D|."""
-    base_scale = base_scale if base_scale is not None else workload.default_scale
+    """Figure 5(a,e,i): the same covered queries on growing samples of one instance.
+
+    ``evalQP`` plans under the ``minA``-minimized schema, ``evalQP⁻`` under all
+    of ``A``; with ``evalDBMS`` beside them every row is also the head-to-head
+    behind the other Figure 5 plots.  ``P_DQ`` is printed, not claimed: ``|D_Q|``
+    is *capped* by the bound, not flat — on these generators it grows with
+    ``|D|`` until the per-key groups fill up (TFACC at scale 220: 2 → 74 tuples
+    per query, ``P_DQ`` level at 0.004, one query's bound 27 163).
+    """
     full_database = workload.database(scale=base_scale, seed=seed)
     queries = select_covered_queries(workload, n_queries, seed=seed, database=full_database)
-    minimized = [
-        minimize_access(query, workload.access_schema).selected for query in queries
-    ]
-    table = ExperimentTable(
-        title=f"Figure 5 |D| sweep ({workload.name})",
-        columns=[
-            "scale", "db_tuples", "evalQP_s", "evalQPminus_s", "evalDBMS_s",
-            "P_DQ", "P_DQ_minus",
-        ],
-    )
+    everything = [workload.access_schema] * len(queries)
+    minimized = [minimize_access(query, workload.access_schema).selected for query in queries]
+    table = ExperimentTable(f"Figure 5 |D| sweep ({workload.name})")
     for factor in scale_factors:
         database = full_database.scaled(factor, seed=seed) if factor < 1.0 else full_database
         indexes = IndexSet.build(database, workload.access_schema, check=False)
-        qp_time = qp_access = 0.0
-        qpm_time = qpm_access = 0.0
-        dbms_time = 0.0
-        for query, schema_min in zip(queries, minimized):
-            elapsed, accessed = _run_bounded(query, schema_min, database, indexes)
-            qp_time += elapsed
-            qp_access += accessed
-            if include_unminimized:
-                elapsed, accessed = _run_bounded(
-                    query, workload.access_schema, database, indexes
-                )
-                qpm_time += elapsed
-                qpm_access += accessed
-            if include_baseline:
-                elapsed, _ = _run_baseline(query, workload.access_schema, database, indexes)
-                dbms_time += elapsed
-        denominator = max(1, database.size * len(queries))
+        qp = _run_bounded(queries, minimized, indexes)
+        qp_minus = _run_bounded(queries, everything, indexes)
+        dbms = _run_baseline(queries, workload, database, indexes)
+        columns = _bounded_columns(qp, database) | _baseline_columns(dbms, qp, qp_minus)
+        minus = _bounded_columns(qp_minus, database)
+        columns["unbounded"] += minus["unbounded"]  # neither family may leave its bound
         table.add_row(
             scale=factor,
             db_tuples=database.size,
-            evalQP_s=qp_time / len(queries),
-            evalQPminus_s=(qpm_time / len(queries)) if include_unminimized else float("nan"),
-            evalDBMS_s=(dbms_time / len(queries)) if include_baseline else float("nan"),
-            P_DQ=qp_access / denominator,
-            P_DQ_minus=(qpm_access / denominator) if include_unminimized else float("nan"),
+            evalQPminus_s=minus["evalQP_s"],
+            accessed_minus=minus["accessed"],
+            minA_worse=sum(a.counter.total > b.counter.total for a, b in zip(qp, qp_minus)),
+            **columns,
         )
     return table
 
 
-# ---------------------------------------------------------------------------
-# Figure 5(b,f,j) and (c,g,k) — varying #-sel and #-join
-# ---------------------------------------------------------------------------
-
-def _parameter_sweep(
-    workload: WorkloadSpec,
-    parameter: str,
-    values: Sequence[int],
-    *,
-    seed: int,
-    scale: int | None,
-    queries_per_value: int,
-    include_baseline: bool,
+def parameter_experiment(
+    workload: WorkloadSpec, *, parameter: str, values: Sequence[int], seed: int, scale: int,
+    per_value: int,
 ) -> ExperimentTable:
-    scale = scale if scale is not None else workload.default_scale
+    """Figure 5(b,f,j) / (c,g,k) / Exp-1(2): vary ``#-sel``, ``#-join`` or ``#-unidiff``.
+
+    The paper drops ``evalDBMS`` where it never finished; at these scales it
+    does, so every point doubles as an answer check.
+    """
     database = workload.database(scale=scale, seed=seed)
     indexes = IndexSet.build(database, workload.access_schema, check=False)
-    generator = RandomQueryGenerator(workload, database=database, seed=seed)
-    table = ExperimentTable(
-        title=f"Figure 5 #-{parameter} sweep ({workload.name})",
-        columns=[parameter, "queries", "evalQP_s", "evalDBMS_s", "P_DQ"],
-    )
+    table = ExperimentTable(f"Figure 5 #-{parameter.removeprefix('n_')} sweep ({workload.name})")
     for value in values:
-        chosen: list[Query] = []
-        attempts = 0
-        while len(chosen) < queries_per_value and attempts < 300:
-            attempts += 1
-            kwargs = {"n_sel": 5, "n_join": 1, "n_unidiff": 0, parameter: value}
-            query = generator.generate(**kwargs)
-            if check_coverage(query, workload.access_schema).is_covered:
-                chosen.append(query)
-        if not chosen:
-            table.add_row(**{parameter: value}, queries=0, evalQP_s=float("nan"),
-                          evalDBMS_s=float("nan"), P_DQ=float("nan"))
-            continue
-        qp_time = qp_access = dbms_time = 0.0
-        for query in chosen:
-            elapsed, accessed = _run_bounded(query, workload.access_schema, database, indexes)
-            qp_time += elapsed
-            qp_access += accessed
-            if include_baseline:
-                elapsed, _ = _run_baseline(query, workload.access_schema, database, indexes)
-                dbms_time += elapsed
+        shape = {"n_sel": (5, 5), "n_join": (1, 1), "n_unidiff": (0, 0), parameter: (value, value)}
+        chosen = select_covered_queries(
+            workload, per_value, seed=seed, max_attempts=300, database=database, **shape
+        )
+        qp = _run_bounded(chosen, [workload.access_schema] * len(chosen), indexes)
+        dbms = _run_baseline(chosen, workload, database, indexes)
         table.add_row(
             **{parameter: value},
             queries=len(chosen),
-            evalQP_s=qp_time / len(chosen),
-            evalDBMS_s=(dbms_time / len(chosen)) if include_baseline else float("nan"),
-            P_DQ=qp_access / max(1, database.size * len(chosen)),
+            **_bounded_columns(qp, database),
+            **_baseline_columns(dbms, qp),
         )
     return table
 
 
-def selection_experiment(
-    workload: WorkloadSpec,
-    *,
-    values: Sequence[int] = (4, 5, 6, 7, 8, 9),
-    seed: int = 13,
-    scale: int | None = None,
-    queries_per_value: int = 3,
-    include_baseline: bool = True,
-) -> ExperimentTable:
-    """Reproduce Figure 5(b,f,j): vary the number of selection atoms ``#-sel``."""
-    return _parameter_sweep(
-        workload, "n_sel", values, seed=seed, scale=scale,
-        queries_per_value=queries_per_value, include_baseline=include_baseline,
-    )
-
-
-def join_experiment(
-    workload: WorkloadSpec,
-    *,
-    values: Sequence[int] = (0, 1, 2, 3, 4, 5),
-    seed: int = 17,
-    scale: int | None = None,
-    queries_per_value: int = 3,
-    include_baseline: bool = True,
-) -> ExperimentTable:
-    """Reproduce Figure 5(c,g,k): vary the number of joins ``#-join``."""
-    return _parameter_sweep(
-        workload, "n_join", values, seed=seed, scale=scale,
-        queries_per_value=queries_per_value, include_baseline=include_baseline,
-    )
-
-
-def unidiff_experiment(
-    workload: WorkloadSpec,
-    *,
-    values: Sequence[int] = (0, 1, 2, 3, 4, 5),
-    seed: int = 19,
-    scale: int | None = None,
-    queries_per_value: int = 3,
-) -> ExperimentTable:
-    """Reproduce the #-unidiff observation: bounded plans are insensitive to set operators."""
-    return _parameter_sweep(
-        workload, "n_unidiff", values, seed=seed, scale=scale,
-        queries_per_value=queries_per_value, include_baseline=False,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figure 5(d,h,l) — varying ‖A‖
-# ---------------------------------------------------------------------------
-
 def constraints_experiment(
-    workload: WorkloadSpec,
-    *,
-    fractions: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
-    seed: int = 23,
-    scale: int | None = None,
-    n_queries: int = 5,
+    workload: WorkloadSpec, *, fractions: Sequence[float], seed: int, scale: int, n_queries: int
 ) -> ExperimentTable:
-    """Reproduce Figure 5(d,h,l): evalQP time and P(D_Q) vs the fraction of ``A`` used."""
-    scale = scale if scale is not None else workload.default_scale
+    """Figure 5(d,h,l): the test queries still covered under a fraction of ``A``, and their cost."""
     database = workload.database(scale=scale, seed=seed)
     queries = select_covered_queries(workload, n_queries, seed=seed, database=database)
-    table = ExperimentTable(
-        title=f"Figure 5 ‖A‖ sweep ({workload.name})",
-        columns=["fraction", "constraints", "covered_queries", "evalQP_s", "P_DQ"],
-    )
+    table = ExperimentTable(f"Figure 5 ‖A‖ sweep ({workload.name})")
     for fraction in fractions:
-        subset = (
-            workload.access_schema
-            if fraction >= 1.0
-            else workload.access_schema.sample_fraction(fraction, seed=seed)
-        )
+        subset = workload.access_schema.sample_fraction(fraction, seed)
         indexes = IndexSet.build(database, subset, check=False)
         usable = [q for q in queries if check_coverage(q, subset).is_covered]
-        if not usable:
-            table.add_row(fraction=fraction, constraints=len(subset), covered_queries=0,
-                          evalQP_s=float("nan"), P_DQ=float("nan"))
-            continue
-        qp_time = qp_access = 0.0
-        for query in usable:
-            elapsed, accessed = _run_bounded(query, subset, database, indexes)
-            qp_time += elapsed
-            qp_access += accessed
         table.add_row(
             fraction=fraction,
             constraints=len(subset),
             covered_queries=len(usable),
-            evalQP_s=qp_time / len(usable),
-            P_DQ=qp_access / max(1, database.size * len(usable)),
+            **_bounded_columns(_run_bounded(usable, [subset] * len(usable), indexes), database),
         )
     return table
 
 
-# ---------------------------------------------------------------------------
-# Exp-1(III) — effectiveness of minA
-# ---------------------------------------------------------------------------
-
 def mina_effect_experiment(
-    workload: WorkloadSpec,
-    *,
-    seed: int = 29,
-    scale: int | None = None,
-    n_queries: int = 5,
-    include_random_baseline: bool = True,
+    workload: WorkloadSpec, *, seed: int, scale: int, n_queries: int
 ) -> ExperimentTable:
-    """Reproduce Exp-1(III): data accessed and index footprint with vs. without minA.
+    """Exp-1(III): data accessed and index footprint with vs. without ``minA``.
 
-    Also includes an ablation: a "random minimal subset" strategy that removes
-    removable constraints in arbitrary order instead of by the weight
-    ``w(φ)``, to show what the greedy weighting buys.
+    The third row is an ablation: the same greedy loop with the weight's
+    ``c1`` set to 0, i.e. ignoring the bounds when choosing what to drop.
     """
-    scale = scale if scale is not None else workload.default_scale
     database = workload.database(scale=scale, seed=seed)
     indexes = IndexSet.build(database, workload.access_schema, check=False)
     queries = select_covered_queries(workload, n_queries, seed=seed, database=database)
-    table = ExperimentTable(
-        title=f"Exp-1(III) minA effectiveness ({workload.name})",
-        columns=[
-            "strategy", "avg_constraints", "avg_cost", "P_DQ", "index_tuples",
-        ],
-    )
-
-    def run(strategy: str, chooser: Callable[[Query], AccessSchema]) -> None:
-        access_total = 0.0
-        cost_total = 0
-        constraints_total = 0
-        index_tuples = 0
-        for query in queries:
-            subset = chooser(query)
-            accessed = _run_bounded(query, subset, database, indexes)[1]
-            access_total += accessed
-            cost_total += sum(c.bound for c in subset)
-            constraints_total += len(subset)
-            index_tuples += sum(
-                index.size for index in IndexSet.build(database, subset, check=False)
-            )
-        count = max(1, len(queries))
+    access = workload.access_schema
+    strategies: dict[str, Callable[[Query], AccessSchema]] = {
+        "evalQP- (full A)": lambda q: access,
+        "evalQP (minA)": lambda q: minimize_access(q, access).selected,
+        "ablation: unweighted greedy": lambda q: minimize_access(q, access, c1=0.0).selected,
+    }
+    table = ExperimentTable(f"Exp-1(III) minA effectiveness ({workload.name})")
+    count = max(1, len(queries))
+    for strategy, choose in strategies.items():
+        schemas = [choose(query) for query in queries]
         table.add_row(
             strategy=strategy,
-            avg_constraints=constraints_total / count,
-            avg_cost=cost_total / count,
-            P_DQ=access_total / max(1, database.size * count),
-            index_tuples=index_tuples // count,
-        )
-
-    run("evalQP- (full A)", lambda q: workload.access_schema)
-    run("evalQP (minA)", lambda q: minimize_access(q, workload.access_schema).selected)
-    if include_random_baseline:
-        run(
-            "ablation: unweighted greedy",
-            lambda q: minimize_access(q, workload.access_schema, c1=0.0, c2=1.0).selected,
+            avg_constraints=sum(len(schema) for schema in schemas) / count,
+            avg_cost=sum(c.bound for schema in schemas for c in schema) / count,
+            index_tuples=sum(
+                IndexSet.build(database, schema, check=False).total_size for schema in schemas
+            ) // count,
+            **_bounded_columns(_run_bounded(queries, schemas, indexes), database),
         )
     return table
 
 
-# ---------------------------------------------------------------------------
-# Exp-1(IV) — index size and creation time
-# ---------------------------------------------------------------------------
+def _minA_no_worse(table: ExperimentTable) -> bool:
+    rows = {row["strategy"]: row for row in table.rows}
+    full, minimized = rows["evalQP- (full A)"], rows["evalQP (minA)"]
+    # 5 % on the tuples: which of two equally good constraints QPlan fetches
+    # through under all of A varies with the hash seed (46 vs 47 on AIRCA).
+    return minimized["accessed"] <= full["accessed"] * 1.05 and all(
+        minimized[column] <= full[column]
+        for column in ("avg_constraints", "avg_cost", "index_tuples")
+    )
 
-def index_size_experiment(
-    workload: WorkloadSpec, *, seed: int = 31, scale: int | None = None
-) -> ExperimentTable:
-    """Reproduce Exp-1(IV): index footprint as a fraction of |D| and build time."""
-    scale = scale if scale is not None else workload.default_scale
+
+def index_size_experiment(workload: WorkloadSpec, *, seed: int, scale: int) -> ExperimentTable:
+    """Exp-1(IV): index footprint as a fraction of ``|D|``, and build time.
+
+    The cell fraction is the analogue of the paper's byte fractions — higher
+    here because the synthetic tables are far narrower than the originals.
+    """
     database = workload.database(scale=scale, seed=seed)
     started = time.perf_counter()
     indexes = IndexSet.build(database, workload.access_schema, check=False)
     build_seconds = time.perf_counter() - started
-    table = ExperimentTable(
-        title=f"Exp-1(IV) index size ({workload.name})",
-        columns=[
-            "db_tuples", "db_cells", "index_tuples", "index_cells",
-            "cell_fraction", "build_s", "constraints",
-        ],
-    )
+    table = ExperimentTable(f"Exp-1(IV) index size ({workload.name})")
     table.add_row(
         db_tuples=database.size,
         db_cells=database.cell_size,
@@ -448,83 +376,69 @@ def index_size_experiment(
     return table
 
 
-# ---------------------------------------------------------------------------
-# Exp-2 — efficiency of the analysis algorithms
-# ---------------------------------------------------------------------------
+def efficiency_experiment(workload: WorkloadSpec, *, n_queries: int, seed: int) -> ExperimentTable:
+    """Exp-2: wall-clock of ChkCov, QPlan, minA, minADAG and minAE, and what they returned.
 
-def efficiency_experiment(
-    workload: WorkloadSpec,
-    *,
-    n_queries: int = 20,
-    seed: int = 37,
-) -> ExperimentTable:
-    """Reproduce Exp-2: wall-clock of ChkCov, QPlan, minA, minADAG and minAE."""
+    ``ok`` counts the runs whose result does its job: ChkCov found the query
+    covered, QPlan returned a bounded plan, a minimizer returned a non-empty
+    subset of ``A`` that still covers the query.
+    """
+    access = workload.access_schema
     generator = RandomQueryGenerator(workload, seed=seed)
-    batch = [query for _, query in generator.generate_batch(n_queries)]
-    covered = [
-        query for query in batch
-        if check_coverage(query, workload.access_schema).is_covered
-    ]
-    timings: dict[str, list[float]] = {
-        "ChkCov": [], "QPlan": [], "minA": [], "minADAG": [], "minAE": [],
+    batch = [(q, check_coverage(q, access)) for _, q in generator.generate_batch(n_queries)]
+    covered = [(query, coverage) for query, coverage in batch if coverage.is_covered]
+
+    def still_covers(query: Query, result) -> bool:
+        return len(result.selected) >= 1 and check_coverage(query, result.selected).is_covered
+
+    algorithms: dict[str, tuple[Sequence, Callable, Callable]] = {
+        "ChkCov": (batch, lambda q, cov: check_coverage(q, access), lambda q, r: r.is_covered),
+        "QPlan": (covered, lambda q, cov: generate_plan(cov), lambda q, r: r.is_bounded),
+        "minA": (covered, lambda q, cov: minimize_access(q, access), still_covers),
+        "minADAG": (covered, lambda q, cov: minimize_access_acyclic(q, access), still_covers),
+        "minAE": (covered, lambda q, cov: minimize_access_elementary(q, access), still_covers),
     }
-    for query in batch:
-        started = time.perf_counter()
-        check_coverage(query, workload.access_schema)
-        timings["ChkCov"].append(time.perf_counter() - started)
-    for query in covered:
-        coverage = check_coverage(query, workload.access_schema)
-        started = time.perf_counter()
-        generate_plan(coverage)
-        timings["QPlan"].append(time.perf_counter() - started)
-        started = time.perf_counter()
-        minimize_access(query, workload.access_schema)
-        timings["minA"].append(time.perf_counter() - started)
-        started = time.perf_counter()
-        minimize_access_acyclic(query, workload.access_schema)
-        timings["minADAG"].append(time.perf_counter() - started)
-        started = time.perf_counter()
-        minimize_access_elementary(query, workload.access_schema)
-        timings["minAE"].append(time.perf_counter() - started)
-    table = ExperimentTable(
-        title=f"Exp-2 algorithm efficiency ({workload.name})",
-        columns=["algorithm", "runs", "avg_ms", "max_ms"],
-    )
-    for name, values in timings.items():
-        if not values:
-            table.add_row(algorithm=name, runs=0, avg_ms=float("nan"), max_ms=float("nan"))
-            continue
+    table = ExperimentTable(f"Exp-2 algorithm efficiency ({workload.name})")
+    for name, (cases, run, usable) in algorithms.items():
+        timings, ok = [], 0
+        for query, coverage in cases:
+            started = time.perf_counter()
+            result = run(query, coverage)
+            timings.append(time.perf_counter() - started)
+            ok += usable(query, result)
         table.add_row(
             algorithm=name,
-            runs=len(values),
-            avg_ms=1000.0 * sum(values) / len(values),
-            max_ms=1000.0 * max(values),
+            runs=len(timings),
+            ok=ok,
+            avg_ms=1000.0 * sum(timings) / max(1, len(timings)),
+            max_ms=1000.0 * max(timings, default=0.0),
         )
     return table
 
 
-# ---------------------------------------------------------------------------
-# Proposition 12 — bounded incremental maintenance
-# ---------------------------------------------------------------------------
+def _results_usable(table: ExperimentTable) -> bool:
+    rows = {row["algorithm"]: row for row in table.rows}
+    return (
+        set(rows) == {"ChkCov", "QPlan", "minA", "minADAG", "minAE"}
+        and 0 < rows["ChkCov"]["ok"] == rows["QPlan"]["runs"]
+        and all(row["ok"] == row["runs"] for name, row in rows.items() if name != "ChkCov")
+    )
+
 
 def maintenance_experiment(
-    workload: WorkloadSpec,
-    *,
-    scales: Sequence[int] = (50, 100, 200, 400),
-    delta_size: int = 50,
-    seed: int = 41,
+    workload: WorkloadSpec, *, scales: Sequence[int], delta_size: int, seed: int
 ) -> ExperimentTable:
-    """Show that maintaining ⟨A, I_A⟩ under ΔD costs the same at every |D|."""
-    table = ExperimentTable(
-        title=f"Proposition 12 maintenance ({workload.name})",
-        columns=["scale", "db_tuples", "delta", "maintain_s", "work_units"],
-    )
-    # Use the same relation and the same ΔD at every scale so the runs are
-    # directly comparable; the donor instance is generated at a fixed scale.
+    """Proposition 12: the same ``ΔD`` into the same relation at growing ``|D|``.
+
+    ``budget`` is ``|ΔD| · Σ N`` over ``A``: the proposition's ``O(N_A · |ΔD|)``
+    with constant 1.
+    """
+    table = ExperimentTable(f"Proposition 12 maintenance ({workload.name})")
+    # The donor instance is generated at a fixed scale so ΔD is identical.
     reference = workload.database(scale=scales[0], seed=seed)
     relation_name = max(reference.relation_names(), key=lambda n: len(reference.relation(n)))
     donor = workload.database(scale=max(scales), seed=seed + 1)
-    donor_rows = [row for row in donor.relation(relation_name)][:delta_size]
+    donor_rows = list(donor.relation(relation_name))[:delta_size]
     for scale in scales:
         database = workload.database(scale=scale, seed=seed)
         indexes = IndexSet.build(database, workload.access_schema, check=False)
@@ -536,7 +450,142 @@ def maintenance_experiment(
             scale=scale,
             db_tuples=database.size,
             delta=len(updates),
+            applied=report.applied,
+            skipped=report.skipped,
             maintain_s=elapsed,
             work_units=report.work_units,
+            budget=len(updates) * sum(c.bound for c in workload.access_schema),
         )
+    return table
+
+
+def _sweep(paper: str, parameter: str, seed: int, values: Sequence[int]) -> Figure:
+    return Figure(
+        paper=paper,
+        driver=parameter_experiment,
+        quick=dict(parameter=parameter, values=values[::3], seed=seed, scale=60, per_value=2),
+        full=dict(parameter=parameter, values=values, seed=seed, scale=110, per_value=3),
+        claims={
+            "the sweep finds covered queries": lambda t: any(t.column("queries")),
+            **_BOUNDED,
+            **_EXACT,
+        },
+    )
+
+
+FIGURES: dict[str, Figure] = {
+    "fig6_coverage": Figure(
+        paper="Fig. 6",
+        driver=coverage_experiment,
+        quick=dict(n_queries=30, fractions=(0.25, 0.5, 1.0), seed=11),
+        full=dict(n_queries=100, fractions=(0.25, 0.5, 0.75, 1.0), seed=11),
+        claims={
+            "covered % and bounded % never drop when constraints are added to A":
+                lambda t: _non_decreasing(t, "covered_pct", "bounded_pct"),
+            "every covered query is boundedly evaluable (bounded % >= covered %)": _every_row(
+                lambda row: row["bounded_pct"] >= row["covered_pct"]
+            ),
+            "a sizeable share of random RA queries is covered under all of A":
+                lambda t: t.rows[-1]["covered_pct"] >= 25.0,
+        },
+    ),
+    "fig5_scale": Figure(
+        paper="Fig. 5(a,e,i)",
+        driver=scale_experiment,
+        quick=dict(base_scale=120, scale_factors=(0.25, 1.0), n_queries=3, seed=7),
+        full=dict(base_scale=220, scale_factors=(1 / 32, 1 / 8, 1 / 2, 1.0), n_queries=4, seed=7),
+        claims={
+            **_BOUNDED,
+            **_EXACT,
+            "access_bound() depends on Q and A alone: identical at every |D|":
+                lambda t: len(set(t.column("bound"))) == 1,
+            "no query accesses more under its minA-minimized schema (evalQP) than under "
+            "all of A (evalQP⁻)": _every_row(lambda row: row["minA_worse"] == 0),
+            "evalDBMS scans more tuples as |D| grows": lambda t: (
+                _grows(t, "db_tuples")
+                and _non_decreasing(t, "dbms_scanned")
+                and _grows(t, "dbms_scanned")
+            ),
+        },
+    ),
+    "fig5_sel": _sweep("Fig. 5(b,f,j)", "n_sel", 13, (4, 5, 6, 7, 8, 9)),
+    "fig5_join": _sweep("Fig. 5(c,g,k)", "n_join", 17, (0, 1, 2, 3, 4, 5)),
+    "exp1_unidiff": _sweep("Exp-1(2), #-unidiff", "n_unidiff", 19, (0, 1, 2, 3, 4, 5)),
+    "fig5_constraints": Figure(
+        paper="Fig. 5(d,h,l)",
+        driver=constraints_experiment,
+        quick=dict(fractions=(0.4, 0.7, 1.0), seed=23, scale=60, n_queries=4),
+        full=dict(fractions=(0.2, 0.4, 0.6, 0.8, 1.0), seed=23, scale=110, n_queries=5),
+        claims={
+            **_BOUNDED,
+            "adding constraints to A never uncovers a query":
+                lambda t: _non_decreasing(t, "covered_queries"),
+            "all of A covers the test queries": lambda t: t.rows[-1]["covered_queries"] >= 1,
+        },
+    ),
+    "exp1_mina": Figure(
+        paper="Exp-1(III)",
+        driver=mina_effect_experiment,
+        quick=dict(seed=29, scale=60, n_queries=2),
+        full=dict(seed=29, scale=110, n_queries=4),
+        claims={
+            **_BOUNDED,
+            "minA keeps fewer constraints of lower total bound, needs a smaller index footprint "
+            "and accesses no more data (within 5 %) than planning against all of A": _minA_no_worse,
+        },
+    ),
+    "exp1_index_size": Figure(
+        paper="Exp-1(IV)",
+        driver=index_size_experiment,
+        quick=dict(seed=31, scale=60),
+        full=dict(seed=31, scale=220),
+        claims={
+            "I_A is non-empty and linear in |D|: every index is a projection of one relation":
+                _every_row(
+                    lambda row: 0 < row["index_tuples"] <= row["constraints"] * row["db_tuples"]
+                    and 0 < row["index_cells"]
+                ),
+        },
+    ),
+    "exp2_efficiency": Figure(
+        paper="Exp-2",
+        driver=efficiency_experiment,
+        quick=dict(n_queries=8, seed=37),
+        full=dict(n_queries=25, seed=37),
+        claims={
+            "QPlan turns every covered query into a bounded plan; minA, minADAG and minAE "
+            "return a non-empty subset of A that still covers it": _results_usable,
+            # The one wall-clock bound: the algorithms take milliseconds, and a
+            # regression to seconds is an algorithmic one on any machine.
+            "every analysis algorithm answers within the paper's order of magnitude "
+            "(max_ms < 2000)": _every_row(lambda row: row["max_ms"] < 2000),
+        },
+    ),
+    "prop12_maintenance": Figure(
+        paper="Proposition 12",
+        driver=maintenance_experiment,
+        quick=dict(scales=(40, 120), delta_size=20, seed=41),
+        full=dict(scales=(50, 100, 200, 400), delta_size=50, seed=41),
+        claims={
+            "every update of ΔD is applied, or skipped as a duplicate": _every_row(
+                lambda row: row["applied"] + row["skipped"] == row["delta"]
+            ),
+            "maintaining ⟨A, I_A⟩ under the same ΔD costs the same work_units at every |D|":
+                lambda t: _grows(t, "db_tuples") and len(set(t.column("work_units"))) == 1,
+            "maintenance work stays within N_A · |ΔD|": _every_row(
+                lambda row: 0 < row["work_units"] <= row["budget"]
+            ),
+        },
+    ),
+}
+
+
+def run_figure(name: str, workload: WorkloadSpec, size: str) -> ExperimentTable:
+    """Regenerate figure ``name`` on ``workload`` at ``size`` (``"quick"`` / ``"full"``), checked.
+
+    Raises :class:`ClaimFailed` when the table does not support one of the figure's claims.
+    """
+    figure = FIGURES[name]
+    table = figure.driver(workload, **getattr(figure, size))
+    figure.check(table)
     return table

@@ -8,34 +8,23 @@ output easy to diff between runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
-
-
-def format_seconds(value: float) -> str:
-    """Human-friendly rendering of a duration."""
-    if value < 1e-3:
-        return f"{value * 1e6:.0f}µs"
-    if value < 1.0:
-        return f"{value * 1e3:.1f}ms"
-    return f"{value:.2f}s"
-
-
-def format_ratio(value: float) -> str:
-    """Render an access ratio ``P(D_Q)`` in scientific notation like the paper."""
-    if value == 0:
-        return "0"
-    return f"{value:.2e}"
+from typing import Mapping, Sequence
 
 
 @dataclass
 class ExperimentTable:
-    """An ordered collection of result rows with uniform columns."""
+    """An ordered collection of result rows with uniform columns.
+
+    ``columns`` may be left out: the first row then names them, in order.
+    """
 
     title: str
-    columns: Sequence[str]
+    columns: Sequence[str] = ()
     rows: list[Mapping[str, object]] = field(default_factory=list)
 
     def add_row(self, **values: object) -> None:
+        if not self.columns:
+            self.columns = list(values)
         missing = [c for c in self.columns if c not in values]
         if missing:
             raise ValueError(f"row missing columns {missing}")

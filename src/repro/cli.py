@@ -6,13 +6,17 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli plan     --workload TFACC --sql "SELECT ..." [--no-minimize]
     python -m repro.cli run      --workload MCBM  --sql "SELECT ..." [--scale 300]
     python -m repro.cli discover --workload AIRCA --output constraints.json
-    python -m repro.cli report   --workload TFACC --quick
+    python -m repro.cli report   --workload TFACC [--quick]
     python -m repro.cli soak     --workload AIRCA --requests 200 --seed 0
 
 Instead of a built-in workload, ``--schema schema.json --data DIR
 [--constraints constraints.json]`` loads a database from CSV files (one per
 relation, as written by :meth:`repro.storage.database.Database.to_directory`)
 with a JSON schema and constraint list (see :mod:`repro.core.serialize`).
+
+``report`` regenerates every figure of :data:`repro.bench.experiments.FIGURES`
+on one workload, prints the tables and exits non-zero if one of them does not
+support a claim of the paper.
 """
 
 from __future__ import annotations
@@ -173,27 +177,20 @@ def command_discover(args) -> int:
 
 
 def command_report(args) -> int:
-    from .bench import (
-        coverage_experiment,
-        efficiency_experiment,
-        index_size_experiment,
-        scale_experiment,
-    )
+    """Regenerate every registered paper figure on one workload; exit 1 on a failed claim."""
+    from .bench.experiments import FIGURES, ClaimFailed, run_figure
 
-    if not args.workload or args.workload == "facebook":
-        raise SystemExit("report requires --workload AIRCA|TFACC|MCBM")
-    workload = WORKLOADS[args.workload]
-    n_queries = 30 if args.quick else 100
-    factors = (0.25, 1.0) if args.quick else (2**-5, 2**-3, 2**-1, 1.0)
-    print(coverage_experiment(workload, n_queries=n_queries).render())
-    print()
-    print(scale_experiment(workload, base_scale=args.scale, scale_factors=factors,
-                           n_queries=3).render())
-    print()
-    print(index_size_experiment(workload, scale=args.scale).render())
-    print()
-    print(efficiency_experiment(workload, n_queries=15).render())
-    return 0
+    size = "quick" if args.quick else "full"
+    failed = 0
+    for name in FIGURES:
+        try:
+            print(run_figure(name, WORKLOADS[args.workload], size).render())
+            print("".join(f"  holds: {claim}\n" for claim in FIGURES[name].claims))
+        except ClaimFailed as failure:
+            failed += 1
+            print(f"CLAIM FAILED {name}: {failure}\n")
+    print(f"-- {len(FIGURES) - failed} of {len(FIGURES)} figures support the paper's claims")
+    return 1 if failed else 0
 
 
 def command_soak(args) -> int:
@@ -325,9 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     discover.add_argument("--domain", type=int, default=64)
     discover.set_defaults(handler=command_discover)
 
-    report = subparsers.add_parser("report", help="run a condensed experiment report")
-    _add_source_arguments(report)
-    report.add_argument("--quick", action="store_true")
+    report = subparsers.add_parser(
+        "report", help="regenerate and check every paper figure (repro.bench.experiments.FIGURES)"
+    )
+    report.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
+    report.add_argument("--quick", action="store_true", help="the tier-1 sizes, a few seconds")
     report.set_defaults(handler=command_report)
 
     soak = subparsers.add_parser(

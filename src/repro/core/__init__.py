@@ -18,7 +18,6 @@ plans (hash-join fusion, projection pushdown, common-subplan elimination).
 """
 
 from .access import AccessConstraint, AccessSchema
-from .approximate import ApproximateResult, approximate_answer
 from .coverage import CoverageResult, check_coverage, is_covered
 from .engine import BoundedEngine, EngineResult, PreparedQuery, ServingCore
 from .fingerprint import canonical_form, prepared_cache_key, query_fingerprint
@@ -66,8 +65,6 @@ __all__ = [
     "AccessConstraint",
     "AccessSchema",
     "AccessConstraintError",
-    "ApproximateResult",
-    "approximate_answer",
     "Attribute",
     "BoundedEngine",
     "BoundedPlan",

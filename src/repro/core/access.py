@@ -222,18 +222,19 @@ class AccessSchema:
 
         The Figure 6 experiment uses random subsets so the covered percentage
         grows gradually with ``||A||`` instead of jumping when one pivotal
-        constraint happens to enter the prefix.
+        constraint happens to enter the prefix.  One seeded permutation is
+        drawn and its first ``round(n * fraction)`` constraints are kept (in
+        insertion order), so the subsets of one seed are nested: a smaller
+        fraction is always a subset of a larger one.
         """
         import random
 
         if not 0.0 <= fraction <= 1.0:
             raise AccessConstraintError(f"fraction must be in [0, 1], got {fraction}")
-        count = max(0, round(len(self._constraints) * fraction))
-        rng = random.Random(seed)
-        chosen = rng.sample(self._constraints, count) if count else []
-        ordering = {id(c): i for i, c in enumerate(self._constraints)}
-        chosen.sort(key=lambda c: ordering[id(c)])
-        return AccessSchema.trusted(chosen, self.schema)
+        order = list(range(len(self._constraints)))
+        random.Random(seed).shuffle(order)
+        kept = sorted(order[: round(len(order) * fraction)])
+        return AccessSchema.trusted([self._constraints[i] for i in kept], self.schema)
 
     # -- actualization (Lemma 1) -----------------------------------------------
     def actualize(self, occurrences: Mapping[str, str]) -> "AccessSchema":

@@ -341,10 +341,6 @@ class QAHypergraph:
         """``findHP`` from ``r`` to the node of ``attribute``."""
         return self.graph.find_hyperpath({ROOT}, self.node_for(attribute))
 
-    def shortest_hyperpath_to(self, attribute: Attribute) -> Hyperpath | None:
-        """Minimum-weight hyperpath from ``r`` to ``attribute``'s node."""
-        return self.graph.shortest_hyperpath({ROOT}, self.node_for(attribute))
-
     def is_acyclic(self) -> bool:
         """Whether the underlying hypergraph has no directed cycle."""
         return self.graph.is_acyclic()

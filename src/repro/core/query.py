@@ -15,7 +15,6 @@ of AST nodes plus the number of condition atoms.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union as TypingUnion
 
@@ -547,14 +546,6 @@ def queries_equal(left: Query, right: Query) -> bool:
 # ---------------------------------------------------------------------------
 # Convenience constructors
 # ---------------------------------------------------------------------------
-
-_occurrence_counter = itertools.count(1)
-
-
-def fresh_occurrence(base: str) -> str:
-    """A fresh occurrence name for a base relation (used by normalization)."""
-    return f"{base}#{next(_occurrence_counter)}"
-
 
 def relation(schema: DatabaseSchema, name: str) -> Relation:
     """Shorthand for :meth:`Relation.from_schema`."""

@@ -25,7 +25,6 @@ from .access import AccessConstraint, AccessSchema
 from .errors import QueryError
 from .fd import FDSet, FunctionalDependency
 from .query import (
-    Comparison,
     Constant,
     Difference,
     Join,
@@ -163,7 +162,6 @@ class SPCAnalysis:
         self._uf = _UnionFind()
         self._condition_attributes: set[Attribute] = set()
         self._projection_attributes: set[Attribute] = set()
-        self._equality_atoms: list[Comparison] = []
         self._collect()
         self._canonical: dict[Attribute, str] = {}
         self._constants: dict[object, object] = {}
@@ -190,7 +188,6 @@ class SPCAnalysis:
                         self._condition_attributes.add(term)
                         self._uf.add(term)
                 if atom.is_equality:
-                    self._equality_atoms.append(atom)
                     self._uf.union(atom.left, atom.right)
         for attribute in self.query.output_attributes():
             self._uf.add(attribute)
@@ -202,7 +199,11 @@ class SPCAnalysis:
                 (m for m in members if isinstance(m, Attribute)),
                 key=lambda a: (a.relation, a.name),
             )
-            constants = [m.value for m in members if isinstance(m, Constant)]
+            # Sorted: which of two conflicting constants an unsatisfiable class
+            # keeps must not depend on the set order of ``members`` (hash seed).
+            constants = sorted(
+                (m.value for m in members if isinstance(m, Constant)), key=repr
+            )
             if len(set(map(repr, constants))) > 1:
                 first, second = sorted(set(map(repr, constants)))[:2]
                 self.unsatisfiable = UnsatisfiableInfo(
@@ -220,11 +221,6 @@ class SPCAnalysis:
                 self._constants[canonical] = constants[0]
 
     # -- Σ_Q --------------------------------------------------------------------
-    @property
-    def equality_atoms(self) -> tuple[Comparison, ...]:
-        """The equality atoms collected from the selection conditions."""
-        return tuple(self._equality_atoms)
-
     def entails_equal(self, left: Attribute, right: Attribute) -> bool:
         """Whether ``Σ_Q ⊢ left = right``."""
         return self._uf.find(left) == self._uf.find(right)

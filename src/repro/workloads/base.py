@@ -9,9 +9,8 @@ them together with the join graph the random query generator uses.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..core.access import AccessSchema
 from ..core.schema import DatabaseSchema
@@ -37,18 +36,3 @@ class WorkloadSpec:
     def database(self, scale: int | None = None, seed: int = 0) -> Database:
         """Generate a database at the given scale (entities), deterministic per seed."""
         return self.generate(scale if scale is not None else self.default_scale, seed)
-
-    def constraints_fraction(self, fraction: float) -> AccessSchema:
-        """The first ``fraction`` of the access constraints (for the ‖A‖ sweeps)."""
-        return self.access_schema.subset_fraction(fraction)
-
-
-def bounded_choices(rng: random.Random, population: Sequence, count: int) -> list:
-    """``count`` random picks (with replacement) from ``population``."""
-    return [rng.choice(population) for _ in range(count)]
-
-
-def distinct_sample(rng: random.Random, population: Sequence, count: int) -> list:
-    """At most ``count`` distinct random picks from ``population``."""
-    count = min(count, len(population))
-    return rng.sample(list(population), count)

@@ -1,168 +1,26 @@
-"""Tests for the experiment drivers (small-scale runs of every figure/table).
+"""Every paper figure at ``quick`` size, checked against the paper's claims.
 
-These tests verify the *shape* claims of the paper on miniature instances:
-bounded evaluation accesses a small, |D|-independent fraction of the data,
-the baseline grows with |D|, coverage grows with ‖A‖, and the analysis
-algorithms run in milliseconds.  The benchmark suite runs the same drivers at
-larger scales.
+Parameters and assertions live in :data:`repro.bench.experiments.FIGURES`;
+``benchmarks/bench_paper_figures.py`` runs the same registry at ``full`` size.
 """
-
-import math
 
 import pytest
 
-from repro.bench.experiments import (
-    constraints_experiment,
-    coverage_experiment,
-    efficiency_experiment,
-    index_size_experiment,
-    join_experiment,
-    maintenance_experiment,
-    mina_effect_experiment,
-    scale_experiment,
-    select_covered_queries,
-    selection_experiment,
-    unidiff_experiment,
-)
+from repro.bench.experiments import FIGURES, run_figure, select_covered_queries
 from repro.core.coverage import check_coverage
 from repro.workloads import WORKLOADS
 
-AIRCA = WORKLOADS["AIRCA"]
-TFACC = WORKLOADS["TFACC"]
-MCBM = WORKLOADS["MCBM"]
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("figure", FIGURES)
+def test_paper_figure_supports_its_claims(figure, workload):
+    assert run_figure(figure, WORKLOADS[workload], "quick").rows
 
 
 class TestSelectCoveredQueries:
     def test_returns_covered_queries(self):
-        queries = select_covered_queries(TFACC, count=3, seed=5)
+        workload = WORKLOADS["TFACC"]
+        queries = select_covered_queries(workload, count=3, seed=5)
         assert len(queries) == 3
         for query in queries:
-            assert check_coverage(query, TFACC.access_schema).is_covered
-
-
-class TestCoverageExperiment:
-    def test_fig6_monotone_in_constraints(self):
-        table = coverage_experiment(AIRCA, n_queries=25, fractions=(0.25, 0.5, 1.0), seed=3)
-        covered = table.column("covered_pct")
-        bounded = table.column("bounded_pct")
-        assert len(covered) == 3
-        # more constraints => at least as many covered queries (full A vs the smallest subset)
-        assert covered[-1] >= covered[0]
-        # bounded is always at least covered (every covered query is bounded)
-        for c, b in zip(covered, bounded):
-            assert b >= c
-        # with all constraints a sizeable fraction is covered
-        assert covered[-1] >= 20.0
-
-
-class TestScaleExperiment:
-    def test_fig5_shape(self):
-        table = scale_experiment(
-            TFACC,
-            base_scale=120,
-            scale_factors=(0.25, 1.0),
-            n_queries=3,
-            seed=5,
-        )
-        ratios = table.column("P_DQ")
-        dbms = table.column("evalDBMS_s")
-        qp = table.column("evalQP_s")
-        tuples = table.column("db_tuples")
-        assert tuples[1] > tuples[0]
-        # access ratio decreases (or stays equal) as the data grows: |D_Q| is bounded
-        assert ratios[1] <= ratios[0] * 1.5
-        # all ratios are small fractions of the database
-        assert all(r < 0.5 for r in ratios)
-        # bounded evaluation accesses less than the baseline scans at full scale
-        assert not math.isnan(dbms[1])
-        assert qp[1] >= 0
-
-    def test_minimized_accesses_at_most_unminimized(self):
-        table = scale_experiment(
-            TFACC, base_scale=100, scale_factors=(1.0,), n_queries=3, seed=5
-        )
-        assert table.rows[0]["P_DQ"] <= table.rows[0]["P_DQ_minus"] * 1.01
-
-
-class TestParameterSweeps:
-    def test_selection_sweep_runs(self):
-        table = selection_experiment(
-            TFACC, values=(4, 6), seed=2, scale=80, queries_per_value=2,
-            include_baseline=False,
-        )
-        assert [row["n_sel"] for row in table.rows] == [4, 6]
-        for row in table.rows:
-            if row["queries"]:
-                assert row["P_DQ"] < 1.0
-
-    def test_join_sweep_runs(self):
-        table = join_experiment(
-            TFACC, values=(0, 2), seed=2, scale=80, queries_per_value=2,
-            include_baseline=False,
-        )
-        assert len(table.rows) == 2
-
-    def test_unidiff_insensitivity(self):
-        table = unidiff_experiment(
-            TFACC, values=(0, 2), seed=2, scale=80, queries_per_value=2
-        )
-        rows = [row for row in table.rows if row["queries"]]
-        assert rows, "expected at least one unidiff sweep point with covered queries"
-        # evalQP stays in the same order of magnitude regardless of #-unidiff
-        times = [row["evalQP_s"] for row in rows]
-        assert max(times) < 1.0
-
-
-class TestConstraintsExperiment:
-    def test_more_constraints_cover_more(self):
-        table = constraints_experiment(
-            TFACC, fractions=(0.4, 1.0), seed=4, scale=80, n_queries=4
-        )
-        covered = table.column("covered_queries")
-        assert covered[-1] >= covered[0]
-        assert covered[-1] >= 1
-
-
-class TestMinAEffect:
-    def test_mina_reduces_cost_and_access(self):
-        table = mina_effect_experiment(
-            TFACC, seed=6, scale=80, n_queries=2, include_random_baseline=False
-        )
-        rows = {row["strategy"]: row for row in table.rows}
-        full = rows["evalQP- (full A)"]
-        minimized = rows["evalQP (minA)"]
-        assert minimized["avg_cost"] <= full["avg_cost"]
-        assert minimized["avg_constraints"] <= full["avg_constraints"]
-        assert minimized["index_tuples"] <= full["index_tuples"]
-        assert minimized["P_DQ"] <= full["P_DQ"] * 1.01
-
-
-class TestIndexSizeExperiment:
-    def test_reports_footprint(self):
-        table = index_size_experiment(MCBM, seed=1, scale=60)
-        row = table.rows[0]
-        assert row["db_tuples"] > 0
-        assert row["index_cells"] > 0
-        assert row["cell_fraction"] > 0
-        assert row["build_s"] >= 0
-
-
-class TestEfficiencyExperiment:
-    def test_algorithms_run_in_milliseconds(self):
-        table = efficiency_experiment(AIRCA, n_queries=8, seed=9)
-        by_name = {row["algorithm"]: row for row in table.rows}
-        assert set(by_name) == {"ChkCov", "QPlan", "minA", "minADAG", "minAE"}
-        assert by_name["ChkCov"]["runs"] == 8
-        # the paper reports <= 199ms for all algorithms; allow slack for CI noise
-        for name, row in by_name.items():
-            if row["runs"]:
-                assert row["max_ms"] < 2000, f"{name} too slow: {row}"
-
-
-class TestMaintenanceExperiment:
-    def test_work_flat_in_database_size(self):
-        table = maintenance_experiment(TFACC, scales=(40, 120), delta_size=20, seed=3)
-        work = table.column("work_units")
-        assert work[0] == work[1]
-        tuples = table.column("db_tuples")
-        assert tuples[1] > tuples[0]
+            assert check_coverage(query, workload.access_schema).is_covered

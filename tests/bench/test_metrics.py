@@ -2,18 +2,7 @@
 
 import pytest
 
-from repro.bench.metrics import ExperimentTable, format_ratio, format_seconds
-
-
-class TestFormatting:
-    def test_format_seconds_ranges(self):
-        assert format_seconds(5e-5).endswith("µs")
-        assert format_seconds(0.02).endswith("ms")
-        assert format_seconds(2.5).endswith("s")
-
-    def test_format_ratio(self):
-        assert format_ratio(0) == "0"
-        assert "e-06" in format_ratio(1.7e-6)
+from repro.bench.metrics import ExperimentTable
 
 
 class TestExperimentTable:
@@ -23,6 +12,13 @@ class TestExperimentTable:
         table.add_row(x=2, y=3.5)
         assert table.column("x") == [1, 2]
         assert table.column("y") == [2.0, 3.5]
+
+    def test_first_row_names_the_columns(self):
+        table = ExperimentTable("demo")
+        table.add_row(x=1, y=2.0)
+        assert list(table.columns) == ["x", "y"]
+        with pytest.raises(ValueError, match="missing columns"):
+            table.add_row(x=2)
 
     def test_missing_column_rejected(self):
         table = ExperimentTable("demo", ["x", "y"])

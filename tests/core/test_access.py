@@ -5,6 +5,7 @@ import pytest
 from repro.core.access import AccessConstraint, AccessSchema
 from repro.core.errors import AccessConstraintError
 from repro.core.schema import DatabaseSchema
+from repro.workloads import WORKLOADS
 
 
 class TestAccessConstraint:
@@ -108,6 +109,16 @@ class TestAccessSchema:
         second = list(fb_access.sample_fraction(0.5, seed=3))
         assert first == second
         assert len(first) == 2
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_sample_fraction_subsets_of_one_seed_are_nested(self, name):
+        access = WORKLOADS[name].access_schema
+        fractions = (0.0, 0.2, 0.25, 0.4, 0.5, 0.6, 0.75, 0.8, 1.0)
+        for seed in range(32):
+            subsets = [list(access.sample_fraction(f, seed=seed)) for f in fractions]
+            assert subsets[-1] == list(access)  # all of A, in insertion order
+            for smaller, larger in zip(subsets, subsets[1:]):
+                assert set(smaller) <= set(larger), (name, seed)
 
     def test_actualize_copies_constraints_per_occurrence(self, fb_access):
         actualized = fb_access.actualize(

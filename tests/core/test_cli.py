@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.bench import experiments
+from repro.bench.experiments import FIGURES
+from repro.bench.metrics import ExperimentTable
 from repro.cli import main
 from repro.core.serialize import dump_access_schema, dump_schema
 from repro.workloads import facebook
@@ -97,6 +101,41 @@ class TestDiscoverCommand:
         assert code == 0
         assert output.exists()
         assert json.loads(output.read_text())
+
+
+class TestReportCommand:
+    def test_every_registered_figure_is_printed_and_checked(self, capsys):
+        code = main(["report", "--workload", "AIRCA", "--quick"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("(AIRCA)") == len(FIGURES)  # one table title per figure
+        for figure in FIGURES.values():
+            for claim in figure.claims:
+                assert f"holds: {claim}" in out
+        assert f"{len(FIGURES)} of {len(FIGURES)} figures" in out
+
+    def test_a_table_that_contradicts_the_paper_fails_the_report(self, capsys, monkeypatch):
+        def fewer_covered_under_more_constraints(workload, **parameters):
+            table = ExperimentTable("Figure 6 (forged)")
+            table.add_row(fraction=0.5, constraints=11, covered_pct=50.0, bounded_pct=60.0)
+            table.add_row(fraction=1.0, constraints=22, covered_pct=40.0, bounded_pct=60.0)
+            return table
+
+        forged = dataclasses.replace(
+            FIGURES["fig6_coverage"], driver=fewer_covered_under_more_constraints
+        )
+        monkeypatch.setattr(
+            experiments,
+            "FIGURES",
+            {"fig6_coverage": forged, "exp1_index_size": FIGURES["exp1_index_size"]},
+        )
+        code = main(["report", "--workload", "AIRCA", "--quick"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "CLAIM FAILED fig6_coverage: Fig. 6 — covered % and bounded % never drop" in out
+        assert "Figure 6 (forged)" in out  # the offending table is shown
+        assert "Exp-1(IV) index size (AIRCA)" in out  # later figures still run
+        assert "1 of 2 figures" in out
 
 
 class TestCSVSource:

@@ -31,18 +31,3 @@ def test_example_runs(name, capsys):
     module.main()
     out = capsys.readouterr().out
     assert out.strip(), f"example {name} produced no output"
-
-
-def test_experiment_report_quick(capsys, monkeypatch):
-    """The report example runs end to end in --quick mode on one workload."""
-    module = _load_example("experiment_report")
-    monkeypatch.setattr(
-        sys,
-        "argv",
-        ["experiment_report.py", "--quick", "--scale", "80", "--queries", "10",
-         "--workloads", "AIRCA"],
-    )
-    module.main()
-    out = capsys.readouterr().out
-    assert "Figure 6" in out
-    assert "Exp-2" in out

@@ -267,8 +267,8 @@ class _Prediction:
     Built before the batch applies (it captures the probed keys and the
     groups the batch may change); :meth:`verdict` is asked after, with the
     updates the core settled and the relations they changed.  ``refine``
-    says whether the core compares groups (the engine, over the updates that
-    took effect) or stops at the key hit (the router, over the routed batch).
+    says whether the core compares groups (the engine) or stops at the key
+    hit (the router); both settle over the updates that took effect.
     """
 
     def __init__(self, entry, updates, database, refine):
@@ -367,7 +367,7 @@ class _Settlements:
         }
         self.observed.clear()
         report = self.core.apply_updates(updates)
-        settled = report.applied_updates if self.refine else updates
+        settled = report.applied_updates
         after = self.entries()
         reached = []
         for key, entry in before.items():

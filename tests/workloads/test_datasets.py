@@ -43,10 +43,6 @@ class TestWorkloadSpecs:
         for name in a.relation_names():
             assert set(a.relation(name).rows) == set(b.relation(name).rows)
 
-    def test_constraints_fraction(self, workload):
-        half = workload.constraints_fraction(0.5)
-        assert 0 < len(half) <= len(workload.access_schema)
-
 
 class TestHeadlineConstraints:
     def test_airca_origin_airline_constraint(self):
