@@ -80,7 +80,7 @@ from .optimizer import optimize_plan
 from .plan import BoundedPlan
 from .plan2sql import SQLTranslation, plan_to_sql
 from .planner import generate_plan
-from .planstore import PlanStore, ResultCache
+from .planstore import CachedResult, PlanStore, ResultCache
 from .query import Query
 from .rewrite import find_covered_rewrite
 
@@ -219,8 +219,9 @@ def prepare_query(
 class ServingCore:
     """The serving pipeline every substrate shares: prepare → probe → execute → validate → settle.
 
-    Owns the plan store, the result cache, :meth:`prepare`, :meth:`execute`,
-    :meth:`apply_updates` with its settlement (:meth:`_repair_candidates` /
+    Owns the plan store, the result cache, :meth:`prepare`, :meth:`execute`
+    (and :meth:`probe`, its hit-only first half), :meth:`apply_updates` with
+    its settlement (:meth:`_repair_candidates` /
     :meth:`_settle`), :meth:`cache_stats`, and the one
     :class:`~repro.evaluator.executor.PlanExecutor` that reads run on and
     write settlement re-runs kernels of.  A subclass supplies only its
@@ -322,28 +323,26 @@ class ServingCore:
         """An execution was invalidated by a racing write (a counting hook)."""
 
     # -- query preparation (C2-C4, cached) --------------------------------------------
+    # ``prepare``, ``probe`` and ``execute`` each fingerprint exactly once and
+    # address both caches with that key: fingerprinting is most of the work
+    # left on a result-cache hit, so the hot path must not compute it twice —
+    # nor spend a call frame on sharing these two lines.
     def prepare(
         self, query: Query, *, minimize: bool = True, allow_rewrite: bool = True
     ) -> tuple[PreparedQuery, bool]:
         """The cached C2-C4 pipeline; returns ``(prepared, was_cache_hit)``."""
-        _, entry, hit = self._prepare_keyed(query, minimize, allow_rewrite)
-        return entry, hit
-
-    def _prepare_keyed(
-        self, query: Query, minimize: bool, allow_rewrite: bool
-    ) -> tuple[Hashable, PreparedQuery, bool]:
-        """:meth:`prepare` plus the cache key, fingerprinted exactly once.
-
-        The same key addresses the plan store and the result cache, and
-        fingerprinting is most of the remaining work on a result-cache hit —
-        so the hot path must not compute it twice.
-        """
         key = prepared_cache_key(
             query, minimize=minimize, allow_rewrite=allow_rewrite, optimize=self.optimize
         )
         entry = self.plan_cache.get(key)
         if entry is not None:
-            return key, entry, True
+            return entry, True
+        return self._prepare_miss(key, query, minimize, allow_rewrite), False
+
+    def _prepare_miss(
+        self, key: Hashable, query: Query, minimize: bool, allow_rewrite: bool
+    ) -> PreparedQuery:
+        """Run C2–C4 for a query the plan store does not hold, and store it under ``key``."""
         entry = prepare_query(
             query,
             self.access_schema,
@@ -353,7 +352,7 @@ class ServingCore:
         )
         evicted = self.plan_cache.put(key, entry, dependencies=entry.dependencies)
         self._discard_compiled(evicted)
-        return key, entry, False
+        return entry
 
     def _discard_compiled(self, entries: Iterable[object]) -> None:
         """Release the executor's compiled kernels of dropped store entries."""
@@ -361,6 +360,56 @@ class ServingCore:
             executable = getattr(entry, "executable", None)
             if executable is not None:
                 self._executor.discard(executable)
+
+    # -- the hit path ----------------------------------------------------------------------
+    @staticmethod
+    def _hit_result(prepared: PreparedQuery, hit: CachedResult, cached: bool) -> EngineResult:
+        """What a hit returns: THE hit branch, of :meth:`execute` and of :meth:`probe`."""
+        return EngineResult(
+            rows=hit.rows,
+            columns=hit.columns,
+            strategy="bounded",
+            elapsed=0.0,
+            counter=AccessCounter(),
+            plan=prepared.plan,
+            coverage=prepared.coverage,
+            minimization=prepared.minimization,
+            rewrite=prepared.rewrite,
+            cached=cached,
+            result_cached=True,
+        )
+
+    def probe(
+        self, query: Query, *, minimize: bool = True, allow_rewrite: bool = True
+    ) -> EngineResult | None:
+        """The result-cache hit :meth:`execute` would return for ``query``, or ``None``.
+
+        The first half of :meth:`execute` and nothing else: fingerprint once
+        → plan-store lookup → dependency snapshot → result-cache lookup
+        against that snapshot.  ``None`` means the answer costs something —
+        the plan store does not hold the query (C2–C4 are **not** run), the
+        query is not covered, there is no entry, or the entry's stamp is not
+        the current snapshot — and the caller should :meth:`execute`.  Both
+        lookups are uncounted until the read is served (see
+        :meth:`PlanStore.get <repro.core.planstore.PlanStore.get>`): on
+        ``None`` the :meth:`execute` that follows counts it, so one read is
+        one count in each cache however it was served.  The serving tier
+        answers hits with this on the caller's turn and queues only what is
+        left.
+        """
+        key = prepared_cache_key(
+            query, minimize=minimize, allow_rewrite=allow_rewrite, optimize=self.optimize
+        )
+        prepared = self.plan_cache.get(key, record=False)
+        if prepared is None or not prepared.covered:
+            return None
+        snapshot = self._snapshot(prepared.dependencies)
+        hit = self.result_cache.get(key, snapshot, record=False)
+        if hit is None:
+            return None
+        self.plan_cache.record_hit()
+        self.result_cache.record_hit()
+        return self._hit_result(prepared, hit, True)
 
     # -- C6: execution -------------------------------------------------------------------
     def execute(
@@ -383,7 +432,13 @@ class ServingCore:
         snapshot contract).  Uncovered queries fall back to conventional
         evaluation, gated by ``fallback_breaker``.
         """
-        key, prepared, cached = self._prepare_keyed(query, minimize, allow_rewrite)
+        key = prepared_cache_key(
+            query, minimize=minimize, allow_rewrite=allow_rewrite, optimize=self.optimize
+        )
+        prepared = self.plan_cache.get(key)
+        cached = prepared is not None
+        if not cached:
+            prepared = self._prepare_miss(key, query, minimize, allow_rewrite)
 
         if prepared.covered:
             dependencies = prepared.dependencies
@@ -391,19 +446,7 @@ class ServingCore:
                 snapshot = self._snapshot(dependencies)
                 hit = self.result_cache.get(key, snapshot)
                 if hit is not None:
-                    return EngineResult(
-                        rows=hit.rows,
-                        columns=hit.columns,
-                        strategy="bounded",
-                        elapsed=0.0,
-                        counter=AccessCounter(),
-                        plan=prepared.plan,
-                        coverage=prepared.coverage,
-                        minimization=prepared.minimization,
-                        rewrite=prepared.rewrite,
-                        cached=cached,
-                        result_cached=True,
-                    )
+                    return self._hit_result(prepared, hit, cached)
                 execution: ExecutionResult = self._executor.execute(
                     prepared.executable,
                     capture_env=self.delta_repair and self.result_cache.capacity > 0,

@@ -82,15 +82,27 @@ class PlanStore:
     def __len__(self) -> int:
         return len(self._slots)
 
-    def get(self, key: Hashable) -> object | None:
-        """The cached plan for ``key`` (LRU-refreshed), or ``None`` on a miss."""
+    def get(self, key: Hashable, record: bool = True) -> object | None:
+        """The cached plan for ``key`` (LRU-refreshed), or ``None`` on a miss.
+
+        One served read is one counted lookup.  A hit-only probe
+        (:meth:`ServingCore.probe <repro.core.engine.ServingCore.probe>`)
+        cannot know at this point whether it will serve the read, so it looks
+        up with ``record=False`` — nothing is counted — and calls
+        :meth:`record_hit` once it has; when it has not, the ``execute`` that
+        follows counts the read with its own ``get``.
+        """
         slot = self._slots.get(key)
         if slot is None:
-            self.misses += 1
+            self.misses += record
             return None
         self._slots.move_to_end(key)
-        self.hits += 1
+        self.hits += record
         return slot.entry
+
+    def record_hit(self) -> None:
+        """Count the hit of a ``get(key, record=False)`` whose read was served."""
+        self.hits += 1
 
     def put(
         self, key: Hashable, entry: object, dependencies: Iterable[str] = ()
@@ -261,26 +273,36 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Hashable, snapshot: tuple[int, ...]) -> CachedResult | None:
+    def get(
+        self, key: Hashable, snapshot: tuple[int, ...], record: bool = True
+    ) -> CachedResult | None:
         """The entry for ``key`` iff its stamp equals ``snapshot``, else ``None``.
 
         A snapshot mismatch counts as a miss and as ``stale``, and drops the
         entry: the data moved on without a settlement (an out-of-band
         write), so no later :meth:`repair` could soundly patch it.
+        ``record=False`` counts no hit and no miss, as on
+        :meth:`PlanStore.get` — the prober calls :meth:`record_hit` once the
+        read is served — but a stale entry is still dropped and counted
+        ``stale``, once.
         """
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
+            self.misses += record
             return None
         if entry.snapshot != snapshot:
             # The data moved on under this entry; drop it eagerly.
             del self._entries[key]
             self.stale += 1
-            self.misses += 1
+            self.misses += record
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
+        self.hits += record
         return entry
+
+    def record_hit(self) -> None:
+        """Count the hit of a ``get(..., record=False)`` whose read was served."""
+        self.hits += 1
 
     def put(
         self,

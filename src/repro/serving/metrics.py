@@ -76,6 +76,12 @@ class ServingMetrics:
         self.sheds: Counter[str] = Counter()
         #: terminal degradation-ladder outcomes, by ladder step name
         self.ladder: Counter[str] = Counter()
+        #: reads answered from the result cache inside ``submit``, without
+        #: queueing (part of ``ladder["result_cache"]``): over ``admitted``,
+        #: the share of traffic that bypasses admission queueing
+        self.inline_hits = 0
+        #: requests waiting for a worker — misses, fallbacks and writes only:
+        #: an inline hit takes no queue slot, so neither gauge sees it
         self.queue_depth = 0
         self.queue_depth_peak = 0
         self.latency = LatencyRecorder()
@@ -114,6 +120,7 @@ class ServingMetrics:
             "sheds": dict(self.sheds),
             "total_sheds": self.total_sheds,
             "ladder": dict(self.ladder),
+            "inline_hits": self.inline_hits,
             "queue_depth_peak": self.queue_depth_peak,
             "latency": self.latency.snapshot(),
         }

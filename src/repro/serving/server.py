@@ -16,18 +16,30 @@ costs one version bump plus one cache settlement no matter its size (what
 the settlement repaired or dropped is in
 ``stats()["caches"]["result_cache"]``).
 
+**Admit, probe, queue the rest.**  The queue is for requests that cost
+something.  A read whose answer the result cache holds at the current
+snapshot costs a fingerprint and three lookups, so :meth:`BoundedServer.
+submit` answers it on the caller's turn — after every admission check, via
+:meth:`ServingCore.probe <repro.core.engine.ServingCore.probe>` — with no
+future, no queue slot and no suspension; only misses, uncovered reads,
+retries and writes reach the workers.  A hit is served whatever is queued:
+it is validated against the snapshot of that instant, and a write that is
+queued but not started has been acknowledged to nobody, so serving ahead of
+it is serializable.
+
 What makes the tier *hardened* rather than hopeful is that the paper's
 central guarantee — a covered query touches at most ``access_bound()``
 tuples regardless of ``|D|`` — turns per-request cost into a number known
 **before execution**.  Admission control can therefore be sound instead of
 heuristic:
 
-* **Bounded queue + load shedding** — requests beyond ``max_queue_depth``,
-  or whose plan's ``access_bound()`` exceeds ``max_access_bound``, are shed
-  immediately with :class:`~repro.core.errors.OverloadedError` instead of
-  queueing unboundedly.
-* **Per-request deadlines** — a request that expires in the queue or between
-  retry attempts fails with
+* **Bounded queue + load shedding** — requests arriving at a queue
+  ``max_queue_depth`` deep, or whose plan's ``access_bound()`` exceeds
+  ``max_access_bound``, are shed immediately with
+  :class:`~repro.core.errors.OverloadedError` instead of queueing
+  unboundedly.  What fills the queue is work: misses, fallbacks and writes.
+* **Per-request deadlines** — a request that expires in the queue (or
+  arrives expired) or between retry attempts fails with
   :class:`~repro.core.errors.DeadlineExceededError`; queue time is never
   hidden inside service time.
 * **Retries with decorrelated jitter + a global retry budget** — only
@@ -141,8 +153,8 @@ class BoundedServer:
     """Concurrent request serving over one :class:`BoundedEngine`.
 
     ``engine`` may be any object with the engine's serving surface —
-    ``prepare`` / ``execute`` / ``apply_updates`` / ``cache_stats`` /
-    ``fallback_breaker``; in particular a
+    ``prepare`` / ``probe`` / ``execute`` / ``apply_updates`` /
+    ``cache_stats`` / ``fallback_breaker``; in particular a
     :class:`~repro.sharding.router.ShardRouter` drops in unchanged, putting
     the whole admission/retry/degradation machinery in front of a federated
     shard topology.
@@ -153,9 +165,9 @@ class BoundedServer:
     retry sleeps, and deadline checks.  ``post_check`` (if given) is called
     synchronously as ``post_check(query, result)`` immediately after every
     successful read — with no awaits in between, so the database state it
-    sees is precisely the state the rows were computed from; the
-    fault-injection soak uses it to cross-check served rows against the
-    uncached reference evaluator.
+    sees is precisely the state the rows were computed from (for a hit
+    answered inside ``submit`` too); the fault-injection soak uses it to
+    cross-check served rows against the uncached reference evaluator.
     """
 
     def __init__(
@@ -182,7 +194,6 @@ class BoundedServer:
         self._budget = self.config.retry.budget()
         self._rng = random.Random(self.config.seed)
         self._queue: asyncio.Queue | None = None
-        self._write_lock: asyncio.Lock | None = None
         self._workers: list[asyncio.Task] = []
 
     # -- lifecycle -------------------------------------------------------------
@@ -190,7 +201,6 @@ class BoundedServer:
         if self._queue is not None:
             return
         self._queue = asyncio.Queue()
-        self._write_lock = asyncio.Lock()
         self._workers = [
             asyncio.create_task(self._worker(self._queue), name=f"bounded-serve-{i}")
             for i in range(max(1, self.config.workers))
@@ -217,7 +227,19 @@ class BoundedServer:
 
     # -- admission -------------------------------------------------------------
     async def submit(self, request: ReadRequest | WriteRequest) -> ServeResponse:
-        """Admit, queue, and serve one request.
+        """Admit one request; answer a result-cache hit at once, queue anything else.
+
+        Admission is the same for every request and comes first: the
+        queue-depth check, the cost budget, the deadline, the retry budget's
+        accrual.  An admitted read is then probed (:meth:`_serve_hit`); a hit
+        returns from here without suspending, and everything else — misses,
+        uncovered reads, reads whose probe faulted, reads that arrived
+        expired, writes — is queued for the workers.
+
+        A hit therefore never yields to the event loop: a caller that loops
+        on hot reads and awaits nothing else starves the workers and every
+        other task; such a loop must yield itself (``await
+        asyncio.sleep(0)``).
 
         Raises :class:`OverloadedError` (queue full / cost budget),
         :class:`DeadlineExceededError`, :class:`CircuitOpenError`, the
@@ -241,10 +263,57 @@ class BoundedServer:
         deadline = Deadline.after(timeout, self.clock) if timeout is not None else None
         self.metrics.admitted += 1
         self._budget.record_attempt()
+        if isinstance(request, ReadRequest):
+            try:
+                response = self._serve_hit(request.query, deadline)
+            except Exception:
+                # Counted as the worker counts it (a bug in the probe, a
+                # failing audit): every admitted request ends in
+                # ``completed`` or ``failed``, whichever path it took.
+                self.metrics.failed += 1
+                raise
+            if response is not None:
+                return response
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._queue.put_nowait((request, deadline, future))
         self.metrics.enqueued()
         return await future
+
+    def _serve_hit(self, query: Query, deadline: Deadline | None) -> ServeResponse | None:
+        """The response to an admitted read the result cache answers, else ``None``.
+
+        The top rung of the ladder, walked on the caller's turn: one timed
+        ``engine.probe`` and the audit, in the same await-free window as
+        :meth:`_execute_checked`.  ``None`` leaves no trace — no rung, no
+        latency sample, no cache miss — so the queued :meth:`_serve_read` is
+        the read's first recorded attempt.  That includes a federated
+        snapshot scatter that faulted (the worker's retry loop owns faults)
+        and a read that arrived expired (:meth:`_handle` refuses it like any
+        other, never serving it however hot its query).
+        """
+        if deadline is not None and deadline.expired:
+            return None
+        started = self.clock()
+        try:
+            result = self.engine.probe(query)
+        except TransientFault:
+            return None
+        spent = self.clock() - started
+        if result is None:
+            return None
+        if self.post_check is not None:
+            self.post_check(query, result)
+        self.metrics.inline_hits += 1
+        self.metrics.finished("result_cache", spent)
+        self.metrics.completed += 1
+        return ServeResponse(
+            ok=True,
+            strategy="result_cache",
+            ladder=("result_cache",),
+            rows=result.rows,
+            columns=result.columns,
+            elapsed=spent,
+        )
 
     def _admit_cost(self, query: Query) -> None:
         """Shed covered queries whose static cost bound exceeds the budget.
@@ -304,7 +373,7 @@ class BoundedServer:
             self.metrics.shed("deadline")
             raise DeadlineExceededError("deadline expired while queued")
         if isinstance(request, WriteRequest):
-            return await self._serve_write(request, deadline)
+            return self._serve_write(request)
         return await self._serve_read(request, deadline)
 
     # -- reads: the degradation ladder -------------------------------------------
@@ -312,7 +381,7 @@ class BoundedServer:
         self, request: ReadRequest, deadline: Deadline | None
     ) -> ServeResponse:
         ladder: list[str] = []
-        backoff = self.config.retry.backoff(self._rng)
+        backoff: Backoff | None = None  # built by the first fault: most reads see none
         attempts = 0
         service = 0.0  # engine time across attempts; excludes sleeps + audits
 
@@ -340,6 +409,8 @@ class BoundedServer:
             except TransientFault:
                 rung = "fallback" if fallback else "bounded"
                 ladder.append(f"{rung}:fault")
+                if backoff is None:
+                    backoff = self.config.retry.backoff(self._rng)
                 if not await self._retry_permitted(attempts, backoff, deadline):
                     self.metrics.finished(f"{rung}_failed", service)
                     raise
@@ -401,42 +472,37 @@ class BoundedServer:
         return True
 
     # -- writes: serialized through the batched maintenance path -------------------
-    async def _serve_write(
-        self, request: WriteRequest, deadline: Deadline | None
-    ) -> ServeResponse:
-        assert self._write_lock is not None
-        async with self._write_lock:
-            started = self.clock()
-            if deadline is not None and deadline.expired:
-                self.metrics.shed("deadline")
-                raise DeadlineExceededError("deadline expired waiting for the write lock")
-            try:
-                report = self.engine.apply_updates(request.updates)
-            except MaintenanceError as error:
-                # The applied prefix is kept and the engine has already settled
-                # the clock + caches over it (conservatively — failed batches
-                # sweep, never repair), so readers can never see pre-batch
-                # cached rows: surface the partial outcome.
-                self.metrics.write_failures += 1
-                self.metrics.finished("write_failed", self.clock() - started)
-                return ServeResponse(
-                    ok=False,
-                    strategy="write_failed",
-                    ladder=("write:partial_failure",),
-                    elapsed=self.clock() - started,
-                    error=error,
-                    report=error.report,
-                )
-            self.metrics.writes_applied += 1
-            elapsed = self.clock() - started
-            self.metrics.finished("write", elapsed)
+    def _serve_write(self, request: WriteRequest) -> ServeResponse:
+        # Not a coroutine: on the one event-loop thread the batch is applied
+        # and settled before any other request runs — writes need no lock.
+        started = self.clock()
+        try:
+            report = self.engine.apply_updates(request.updates)
+        except MaintenanceError as error:
+            # The applied prefix is kept and the engine has already settled
+            # the clock + caches over it (conservatively — failed batches
+            # sweep, never repair), so readers can never see pre-batch
+            # cached rows: surface the partial outcome.
+            self.metrics.write_failures += 1
+            self.metrics.finished("write_failed", self.clock() - started)
             return ServeResponse(
-                ok=True,
-                strategy="write",
-                ladder=("write",),
-                elapsed=elapsed,
-                report=report,
+                ok=False,
+                strategy="write_failed",
+                ladder=("write:partial_failure",),
+                elapsed=self.clock() - started,
+                error=error,
+                report=error.report,
             )
+        self.metrics.writes_applied += 1
+        elapsed = self.clock() - started
+        self.metrics.finished("write", elapsed)
+        return ServeResponse(
+            ok=True,
+            strategy="write",
+            ladder=("write",),
+            elapsed=elapsed,
+            report=report,
+        )
 
     # -- reporting ---------------------------------------------------------------
     def stats(self) -> dict:

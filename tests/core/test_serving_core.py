@@ -16,6 +16,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.engine import BoundedEngine
 from repro.core.errors import (
     CircuitOpenError,
@@ -221,6 +222,61 @@ class TestReads:
         assert result.plan is None and not result.coverage.is_covered
         with pytest.raises(NotCoveredError):
             substrate.core.execute(query, fallback=False)
+
+
+class TestProbe:
+    """``probe`` is the first half of ``execute``: the hit, or ``None`` — and one read is one count."""
+
+    @staticmethod
+    def lookups(core) -> tuple[int, int]:
+        """Counted lookups (hits + misses) of the plan store and of the result cache."""
+        stats = core.cache_stats()
+        return tuple(
+            stats[cache]["hits"] + stats[cache]["misses"]
+            for cache in ("plan_store", "result_cache")
+        )
+
+    def test_plan_store_miss_is_none_and_prepares_nothing(self, hot, monkeypatch):
+        monkeypatch.setattr(
+            engine_module, "prepare_query", lambda *args, **kwargs: pytest.fail("prepared")
+        )
+        assert hot.core.probe(hot.query) is None
+        assert len(hot.core.plan_cache) == 0
+        assert self.lookups(hot.core) == (0, 0)  # the execute that follows counts the read
+
+    def test_hit_is_the_result_execute_returns(self, hot):
+        executed = hot.core.execute(hot.query)
+        assert self.lookups(hot.core) == (1, 1)
+        hit = hot.core.probe(hot.query)
+        again = hot.core.execute(hot.query)
+        assert self.lookups(hot.core) == (3, 3)  # one each, probed or executed
+        assert (hit.rows, hit.columns) == (executed.rows, executed.columns)
+        assert hit.rows == evaluate(hot.query, hot.reference).rows
+        assert (hit.cached, hit.result_cached) == (True, True)
+        assert hit.counter.total == 0 and hit.executor_mode is None
+        for field in ("rows", "columns", "strategy", "plan", "coverage", "rewrite", "cached"):
+            assert getattr(hit, field) == getattr(again, field), field
+
+    def test_uncovered_query_is_none(self, hot):
+        relation = Relation.from_schema(hot.reference.schema, "hot")
+        uncovered = relation.select(eq(relation["v"], 1)).project([relation["k"]])
+        assert hot.core.execute(uncovered).strategy == "conventional"
+        before = self.lookups(hot.core)
+        assert hot.core.probe(uncovered) is None  # the verdict is stored; there is no result to hit
+        assert self.lookups(hot.core) == before
+
+    def test_moved_dependency_is_none_and_the_read_still_counts_once(self, hot):
+        hot.core.execute(hot.query)
+        hot.insert_out_of_band("hot", ("a", 8))
+        before, lookups = hot.result_cache(), self.lookups(hot.core)
+        assert hot.core.probe(hot.query) is None  # stamp != snapshot
+        assert moved(before, hot.result_cache()) == {"entries": -1, "stale": 1}
+        assert self.lookups(hot.core) == lookups
+        result = hot.core.execute(hot.query)
+        assert not result.result_cached
+        assert (8,) in result.rows and result.rows == evaluate(hot.query, hot.reference).rows
+        assert self.lookups(hot.core) == (lookups[0] + 1, lookups[1] + 1)
+        assert hot.core.probe(hot.query).rows == result.rows
 
 
 class TestWriteSettlement:

@@ -84,8 +84,13 @@ class TestRetryBudget:
 
     def test_policy_factories(self):
         policy = RetryPolicy(base_delay=0.002, max_delay=0.02, budget_ratio=0.3)
-        backoff = policy.backoff(random.Random(0))
+        rng = random.Random(0)
+        untouched = rng.getstate()
+        backoff = policy.backoff(rng)
         assert backoff.base == 0.002 and backoff.cap == 0.02
+        # Building one draws nothing: the server builds it on a read's first
+        # fault, and every seeded retry schedule is the one it always was.
+        assert rng.getstate() == untouched
         assert policy.budget().ratio == 0.3
 
 

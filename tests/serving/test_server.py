@@ -188,6 +188,190 @@ class TestReads:
         assert calls == {"fingerprint": 1, "plan_store": 1, "snapshot": shards or 1}
 
 
+class TestInlineHits:
+    """``submit`` answers a result-cache hit on the caller's turn and queues the rest."""
+
+    @staticmethod
+    def second_read(engine, query, *, queued, **server_kwargs):
+        """``query`` read twice on a fresh server: the second read is a hit.
+
+        Submitted together, both miss the probe and queue, and the second
+        finds the first's rows in the worker; submitted after the first is
+        answered, it is a hit inside ``submit``.  Returns the second read's
+        response (or the exception it raised) and the server.
+        """
+
+        async def _run():
+            async with BoundedServer(engine, **server_kwargs) as server:
+                request = ReadRequest(query=query)
+                reads = [server.submit(request)]
+                if queued:
+                    reads.append(server.submit(request))
+                else:
+                    await reads.pop()
+                    reads.append(server.submit(request))
+                *_, response = await asyncio.gather(*reads, return_exceptions=True)
+                return response, server
+
+        return run(_run())
+
+    @staticmethod
+    def lookups(engine):
+        stats = engine.cache_stats()
+        return tuple(
+            stats[cache]["hits"] + stats[cache]["misses"]
+            for cache in ("plan_store", "result_cache")
+        )
+
+    def test_inline_and_queued_hits_are_indistinguishable(
+        self, engine, fb_database, fb_access, fb_q0_prime
+    ):
+        outcomes = {}
+        for queued, core in (
+            (True, engine),
+            (False, BoundedEngine(fb_database, fb_access, check_constraints=False)),
+        ):
+            audited = []
+            response, server = self.second_read(
+                core,
+                fb_q0_prime,
+                queued=queued,
+                post_check=lambda query, result: audited.append(result.result_cached),
+            )
+            metrics = server.metrics
+            assert metrics.inline_hits == (0 if queued else 1)
+            assert metrics.queue_depth_peak == (2 if queued else 1)
+            assert response.elapsed > 0
+            outcomes[queued] = (
+                (response.ok, response.strategy, response.ladder, response.attempts),
+                (response.rows, response.columns, response.snapshot_valid),
+                (response.error, response.report),
+                (metrics.submitted, metrics.admitted, metrics.completed, metrics.failed),
+                (dict(metrics.ladder), metrics.latency.count("result_cache")),
+                (metrics.queue_depth, metrics.total_sheds, metrics.retries),
+                server._budget.tokens,
+                audited,  # post_check ran once per read, the hit's last
+                self.lookups(core),  # one read = one count in each cache
+            )
+        assert outcomes[True] == outcomes[False]
+        head, *_, audited, lookups = outcomes[False]
+        assert head == (True, "result_cache", ("result_cache",), 1)
+        assert audited == [False, True]
+        assert lookups == (2, 2)
+
+    def test_a_failing_audit_fails_an_inline_hit_as_it_fails_a_queued_one(
+        self, engine, fb_database, fb_access, fb_q0_prime
+    ):
+        def audit(query, result):
+            assert not result.result_cached, "audit refuses the hit"
+
+        outcomes = {}
+        for queued, core in (
+            (True, engine),
+            (False, BoundedEngine(fb_database, fb_access, check_constraints=False)),
+        ):
+            error, server = self.second_read(core, fb_q0_prime, queued=queued, post_check=audit)
+            assert isinstance(error, AssertionError) and "refuses the hit" in str(error)
+            metrics = server.metrics
+            outcomes[queued] = (
+                (metrics.submitted, metrics.admitted, metrics.completed, metrics.failed),
+                (dict(metrics.ladder), metrics.latency.count("result_cache")),
+                (metrics.inline_hits, metrics.queue_depth, metrics.total_sheds),
+            )
+        assert outcomes[True] == outcomes[False]
+        assert outcomes[False] == ((2, 2, 1, 1), ({"bounded": 1}, 0), (0, 0, 0))
+
+    def test_a_miss_is_counted_once_though_it_was_probed_first(self, engine, fb_q0_prime):
+        engine.prepare(fb_q0_prime)  # stored plan, no result: probe gets as far as the cache
+        before = self.lookups(engine)
+        results, server = serve(engine, [ReadRequest(query=fb_q0_prime)])
+        assert results[0].ladder == ("bounded",) and results[0].attempts == 1
+        assert self.lookups(engine) == (before[0] + 1, before[1] + 1)
+        assert server.metrics.inline_hits == 0
+
+    def test_admission_precedes_the_probe(self, engine, fb_q0_prime):
+        engine.execute(fb_q0_prime)  # hot: every refusal below is of a read that would hit
+        served = []
+        audit = dict(post_check=lambda query, result: served.append(query))
+        bound = engine.prepare(fb_q0_prime)[0].plan.access_bound()
+        hot = ReadRequest(query=fb_q0_prime)
+
+        (expired,), server = serve(engine, [ReadRequest(query=fb_q0_prime, timeout=0.0)], **audit)
+        assert isinstance(expired, DeadlineExceededError)
+        assert server.metrics.sheds == {"deadline": 1}
+
+        (costly,), server = serve(engine, [hot], ServerConfig(max_access_bound=bound - 1), **audit)
+        assert isinstance(costly, OverloadedError) and "access bound" in str(costly)
+        assert server.metrics.sheds == {"cost": 1}
+
+        # a queued write fills the one-deep queue before the read arrives
+        write = WriteRequest(updates=())
+        (_, shed), server = serve(engine, [write, hot], ServerConfig(max_queue_depth=1), **audit)
+        assert isinstance(shed, OverloadedError) and "queue is full" in str(shed)
+        assert server.metrics.sheds == {"queue_full": 1}
+        assert served == [] and server.metrics.inline_hits == 0
+
+    def test_hit_overtakes_a_queued_write_and_serves_the_epoch_it_saw(self, hot_cold_setup):
+        database, access, query = hot_cold_setup
+        engine = BoundedEngine(database, access)
+        audited = []
+
+        def audit(query, result):  # the reference at the instant the rows are served
+            audited.append(result.rows)
+            assert result.rows == evaluate(query, database).rows
+
+        async def _run():
+            async with BoundedServer(engine, post_check=audit) as server:
+                read = ReadRequest(query=query)
+                filled = await server.submit(read)
+                write = asyncio.ensure_future(
+                    server.submit(WriteRequest(updates=(Update.insert("hot", ("a", 4)),)))
+                )
+                await asyncio.sleep(0)  # the write is admitted and queued; no worker has run
+                assert (server.metrics.queue_depth, server.metrics.writes_applied) == (1, 0)
+                overtaking = await server.submit(read)
+                assert server.metrics.writes_applied == 0  # served without suspending
+                acknowledged = await write
+                after = await server.submit(read)
+                return filled, overtaking, acknowledged, after, server
+
+        filled, overtaking, acknowledged, after, server = run(_run())
+        assert overtaking.rows == filled.rows == {(1,), (2,)}
+        assert acknowledged.ok and acknowledged.report.applied == 1
+        assert after.rows == {(1,), (2,), (4,)} == evaluate(query, database).rows
+        assert after.ladder == ("result_cache",)  # repaired in place by the write
+        assert audited == [filled.rows, overtaking.rows, after.rows]
+        assert server.metrics.inline_hits == 2
+
+    @pytest.mark.parametrize("healed", [True, False], ids=["probe-only", "persistent"])
+    def test_shard_fault_during_the_probe_falls_to_the_queue(
+        self, healed, fb_database, fb_access, fb_q0_prime
+    ):
+        router = build_topology(fb_database, fb_access, shards=3)
+        rows = router.execute(fb_q0_prime).rows  # hot
+        shard = router.shards[0]
+        with FaultInjector(seed=0) as injector:
+            injector.install_shard(shard)
+            # call 1 is the probe's scatter; every call, or only that one
+            spec = FaultSpec(fail_every=1) if not healed else FaultSpec(fail_every=2)
+            injector.configure(f"{shard.name}.snapshot", spec)
+            if healed:
+                shard.snapshot(("cafe",))  # call 1: the probe is call 2, the worker call 3
+            (result,), server = serve(router, [ReadRequest(query=fb_q0_prime)])
+            faulted = injector.stats()[f"{shard.name}.snapshot"]
+        metrics = server.metrics
+        assert (metrics.inline_hits, metrics.queue_depth_peak) == (0, 1)
+        if healed:
+            assert faulted == {"calls": 3, "injected": 1}
+            # the swallowed fault left no trace: the worker's attempt is the first recorded
+            assert (result.ladder, result.attempts, result.rows) == (("result_cache",), 1, rows)
+            assert metrics.retries == 0
+        else:
+            assert isinstance(result, TransientFault)  # typed, from the retry loop
+            assert metrics.ladder == {"bounded_failed": 1}
+            assert (metrics.retries, metrics.failed) == (2, 1)
+
+
 class TestAdmission:
     def test_queue_full_sheds_with_overloaded_error(self, engine, fb_q0_prime):
         config = ServerConfig(max_queue_depth=2, workers=1)

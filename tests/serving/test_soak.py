@@ -41,3 +41,40 @@ class TestSoak:
         second = run_soak(SoakConfig(**QUICK))
         assert first["outcome"] == second["outcome"]
         assert first["faults"] == second["faults"]
+
+    def test_hit_heavy_soak_sheds_work_and_serves_every_hit(self):
+        # CI's TFACC seed-1 soak at a third of its scale.  By the end of the
+        # traffic every covered query is cached, so what a burst does to the
+        # queue depends on what queues: 3x its depth of hits are all served
+        # inside ``submit``, 3x its depth of misses are shed down to it.
+        config = SoakConfig(workload="TFACC", scale=40, requests=200, seed=1)
+        report = run_soak(config)
+        failed = [check for check, ok in report["checks"].items() if not ok]
+        assert report["passed"], f"failed checks: {failed}\noutcome: {report['outcome']}"
+        burst = config.queue_depth * 3
+        assert report["outcome"]["hot_burst_served"] == burst
+        assert report["outcome"]["shed_overload"] == burst - config.queue_depth
+        serving = report["server"]["serving"]
+        assert serving["inline_hits"] >= burst
+        assert serving["queue_depth_peak"] == config.queue_depth
+
+    def test_flaky_set_abandons_reads_as_faults_never_as_rows(self):
+        # CI's flaky-shard soak, shrunk, with half of the flaky set's epoch
+        # tokens stale instead of 15 %: the guard is bound to give up on some
+        # reads (three stale draws in a row).  Each must reach the server as
+        # a `bounded:fault` — here retried and then served, cross-checked —
+        # which is what `no_mixed_epoch_merges` demands of this scenario; the
+        # scenarios that inject no stale token still demand there is none.
+        report = run_soak(
+            SoakConfig(
+                workload="TFACC", scale=40, requests=90, seed=5, shards=2, replicas=2,
+                flaky_shard=True, flaky_stale_snapshot_rate=0.5, flaky_latency=0.0,
+            )
+        )
+        failed = [check for check, ok in report["checks"].items() if not ok]
+        assert report["passed"], f"failed checks: {failed}\noutcome: {report['outcome']}"
+        abandoned = report["router"]["scatter_gather"]["mixed_epoch_aborts"]
+        serving = report["server"]["serving"]
+        assert 0 < abandoned <= serving["retries"] + serving["ladder"].get("bounded_failed", 0)
+        assert report["checks"]["no_mixed_epoch_merges"]
+        assert not report["outcome"]["mismatches"] and report["outcome"]["reads_verified"] > 0
