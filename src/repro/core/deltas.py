@@ -18,10 +18,15 @@ in place instead of invalidating it:
    compile-once and run-per-write: the plan's fetch sites (positions,
    downstream closures, derivability) are a :class:`RepairProgram` compiled
    once per plan; the probed keys of an entry are read off its captured
-   environment once (:class:`FetchKeys`, kept with the cache entry); the
-   written keys are projected once per batch (:meth:`WriteDelta.keys_for`).
-   What is left per entry and write is a set-disjointness test — the
-   ``O(N_A·|ΔD|)`` of Proposition 12, not a function of what is cached.
+   environment once (:class:`FetchKeys`, kept with the cache entry) and
+   entered, inverted, in the result cache's reach index
+   (:meth:`DeltaDeriver.reach`, :meth:`ResultCache.index
+   <repro.core.planstore.ResultCache.index>`); the written keys are
+   projected once per batch (:meth:`WriteDelta.keys_for`).  What is left
+   per write is one look-up per written key — the ``O(N_A·|ΔD|)`` of
+   Proposition 12, not a function of what is cached — and only the entries
+   those look-ups find are derived at all; a key hit can still come back
+   clean, when the live index group equals the cached one.
 2. **Selective re-execution** — otherwise, only the dirty fetch steps and
    their downstream closure are re-run through the plan's own compiled row
    kernels (the serving executor's; nothing is lowered twice) over the
@@ -68,6 +73,10 @@ _log = logging.getLogger(__name__)
 CLEAN = "clean"        # no probed key touched: re-stamp only
 PATCHED = "patched"    # dirty closure re-executed, rows possibly changed
 FALLBACK = "fallback"  # not derivable: the caller must invalidate
+
+#: the reach of an entry every write to a relation must be derived for: the
+#: empty key at no positions, which every written row projects onto
+EVERY_WRITE: tuple[tuple[tuple[int, ...], frozenset[Row]], ...] = (((), frozenset([()])),)
 
 
 class WriteDelta:
@@ -205,10 +214,12 @@ class RepairProgram:
     — evicted and discarded with the kernels.
     """
 
-    __slots__ = ("sites",)
+    __slots__ = ("sites", "ordered")
 
     def __init__(self, plan: BoundedPlan, columns: Sequence[Sequence[str]], schema):
         self.sites: dict[str, tuple[FetchSite, ...]] = {}
+        #: every site in plan order (``fetch_steps`` ascends): nothing sorts per call
+        self.ordered: tuple[FetchSite, ...] = ()
         for step in plan.fetch_steps():
             op: FetchOp = step.op
             constraint = op.constraint
@@ -235,11 +246,12 @@ class RepairProgram:
                 ),
             )
             self.sites[base] = self.sites.get(base, ()) + (site,)
+            self.ordered += (site,)
 
     def affected(self, touched: Iterable[str]) -> list[FetchSite]:
         """The fetch sites over any relation in ``touched``, in plan order."""
-        sites = [site for base in touched for site in self.sites.get(base, ())]
-        return sorted(sites, key=lambda site: site.id)
+        touched = frozenset(touched)
+        return [site for site in self.ordered if site.base in touched]
 
 
 class FetchKeys:
@@ -283,7 +295,8 @@ class DeltaDeriver:
     into a :class:`RepairProgram` on the executor's memoized
     ``CompiledPlan``; what depends on an entry's environment is a
     :class:`FetchKeys` per fetch in the ``keyed`` dict the caller keeps with
-    the entry; what depends on the batch is projected once on the
+    the entry (:meth:`reach` reads them, for the caller to index; :meth:`derive`
+    uses them); what depends on the batch is projected once on the
     :class:`WriteDelta`.  The deriver itself holds no per-plan or per-entry
     state.
 
@@ -333,6 +346,38 @@ class DeltaDeriver:
         a stale repaired entry) is to fall back to invalidation.
         """
         return all(site.monotone for site in self._compiled(plan).repair.affected(touched))
+
+    # -- reach ------------------------------------------------------------------
+    def reach(
+        self,
+        plan: BoundedPlan,
+        env: tuple[frozenset[Row], ...],
+        keyed: dict[int, FetchKeys],
+        base: str,
+    ) -> tuple[tuple[tuple[int, ...], frozenset[Row]], ...]:
+        """What a write to ``base`` must hit for :meth:`derive` to say anything but clean.
+
+        One ``(key positions in a written row, probed keys)`` per fetch site
+        over ``base`` — read off ``env`` into ``keyed``, where :meth:`derive`
+        finds them again.  A written row that projects onto none of them
+        leaves every such fetch as it was.  Where the verdict does not hang
+        on a key — a site that feeds a difference, an environment that does
+        not fit the plan, a program that does not compile — the reach is
+        :data:`EVERY_WRITE`, and :meth:`derive` gives the reason.
+        """
+        try:
+            sites = self._compiled(plan).repair.sites.get(base, ())
+            if len(env) != len(plan.steps) or not all(site.monotone for site in sites):
+                return EVERY_WRITE
+            found = []
+            for site in sites:
+                keys = keyed[site.id] = FetchKeys(site, env)
+                found.append((site.row_positions, keys.probed))
+            return tuple(found)
+        except Exception:
+            # Not swallowed: reached by every write, the entry goes to
+            # ``derive``, which meets the same error, logs it and drops it.
+            return EVERY_WRITE
 
     # -- derivation -------------------------------------------------------------
     def derive(

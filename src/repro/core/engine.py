@@ -48,10 +48,12 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
   hook runs the Proposition-12 loop of :func:`repro.discovery.maintenance.
   apply_updates` over its (storage, index) pairs and bumps their clocks;
   then, with ``delta_repair`` on (the default) and a cleanly applied batch,
-  each dependent result-cache entry is re-stamped, patched through the
-  :class:`~repro.core.deltas.DeltaDeriver`, or — when its delta is not
-  provable — dropped, and the data-independent plan store is left alone.
-  Without a usable delta, dependents are swept from both caches.
+  the result cache's reach index names the dependent entries some written
+  key hit: those are patched through the
+  :class:`~repro.core.deltas.DeltaDeriver` or — when their delta is not
+  provable — dropped, every other dependent is re-stamped in bulk, and the
+  data-independent plan store is left alone.  Without a usable delta,
+  dependents are swept from both caches.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from ..storage.database import Database
 from ..storage.index import IndexSet
 from .access import AccessSchema
 from .coverage import CoverageChecker, CoverageResult, check_coverage
-from .deltas import FALLBACK, PATCHED, DeltaDeriver, WriteDelta
+from .deltas import CLEAN, FALLBACK, PATCHED, DeltaDeriver, WriteDelta
 from .errors import (
     CircuitOpenError,
     MaintenanceError,
@@ -245,8 +247,9 @@ class ServingCore:
     abandoned with a typed :class:`~repro.core.errors.TransientFault`.  The
     write path repairs an entry only when its stamp equals the snapshot
     taken before the write (this write is then provably the only change
-    since fill) and no dependency moves during the derivation itself; any
-    other entry is dropped, never patched.
+    since fill) and no dependency moves between the snapshot it is
+    re-stamped with and the end of the derivations; any other entry is
+    dropped, never patched.
 
     ``delta_repair`` (default on) makes dependent writes *repair* result-
     cache entries instead of sweeping them: covered executions capture their
@@ -538,7 +541,7 @@ class ServingCore:
         touched: Sequence[str],
         candidates: Iterable[tuple],
         delta: WriteDelta | None,
-    ) -> None:
+    ) -> dict[Hashable, str]:
         """Settle both caches after a write changed ``touched`` (clocks already bumped).
 
         Without a usable ``delta`` — repair is off, or the batch failed
@@ -546,51 +549,103 @@ class ServingCore:
         ``touched`` is swept from the plan store (compiled kernels released)
         and the result cache.  Otherwise the plan store is left alone
         (prepared plans are data-independent) and each of ``candidates``
-        (from :meth:`_repair_candidates`) is settled on its own, in order:
-        outdated before the write → dropped as ``stale``; no captured
-        environment → ``no_env``; the deriver decides clean / patched /
-        not derivable (dropped with its reason); a dependency moved while
-        the deriver was re-fetching, so the patch could mix epochs →
-        ``race``; else the entry is repaired and re-stamped with the
-        snapshot taken before the derivation — indistinguishable from a
-        fresh execution at that epoch.
+        (from :meth:`_repair_candidates`) gets one verdict, all of which are
+        returned by cache key:
+
+        * ``skip`` — the batch's effective writes never reached its relations;
+        * ``stale`` — outdated before the write: dropped;
+        * ``no_env`` — no captured environment: dropped.
+
+        What is left is entered in the result cache's reach index (the first
+        settlement that meets an entry reads its probed keys) and the index
+        is intersected once with the keys the batch wrote.  An entry no
+        written key hits is ``clean`` without being looked at: its stamp moves
+        to a snapshot taken once per dependency tuple before anything is
+        derived, provided that tuple still stands when everything is — else
+        its entries are dropped, ``race``.  An entry some key hits goes to the
+        deriver between a snapshot and a validation of its own: ``clean`` (the
+        hit key's group is what it was), ``patched``, ``fallback:<reason>``
+        (not derivable: dropped), or ``race`` (a dependency moved while the
+        deriver was re-fetching, so the patch could mix epochs: dropped).  A
+        repaired entry is indistinguishable from a fresh execution at the
+        epoch of its new stamp.
         """
         if not (self.delta_repair and delta):
             self._discard_compiled(self.plan_cache.invalidate(touched))
             self.result_cache.invalidate(touched)
-            return
+            return {}
+        cache = self.result_cache
+        verdicts: dict[Hashable, str] = {}
+
+        def drop(key: Hashable, reason: str, scope: tuple[str, ...], verdict: str = "") -> None:
+            cache.drop(key, reason=reason, relations=scope)
+            verdicts[key] = verdict or reason
+
         touched_set = frozenset(touched)
+        live = []
         for key, entry, pre_snapshot in candidates:
             scope = tuple(r for r in entry.dependencies if r in touched_set)
             if not scope:
-                continue  # the batch's effective writes never reached it
-            if entry.snapshot != pre_snapshot:
-                self.result_cache.drop(key, reason="stale", relations=scope)
+                verdicts[key] = "skip"
+            elif entry.snapshot != pre_snapshot:
+                drop(key, "stale", scope)
+            elif entry.env is None or entry.plan is None:
+                drop(key, "no_env", scope)
+            else:
+                if entry.reach is None:
+                    entry.keyed, entry.reach = {}, {}
+                for base in scope:
+                    if base not in entry.reach:
+                        cache.index(
+                            key,
+                            base,
+                            self._deriver.reach(entry.plan, entry.env, entry.keyed, base),
+                        )
+                live.append((key, entry, scope))
+
+        reached = cache.reached(delta)
+        # One snapshot per distinct dependency tuple, as in _repair_candidates,
+        # and all of them before the first derivation.
+        bulk: dict[tuple[str, ...], tuple[tuple, tuple[str, ...], list]] = {}
+        hit = []
+        for candidate in live:
+            key, entry, scope = candidate
+            if key in reached:
+                hit.append(candidate)
                 continue
-            if entry.env is None or entry.plan is None:
-                self.result_cache.drop(key, reason="no_env", relations=scope)
-                continue
+            dependencies = entry.dependencies
+            if dependencies not in bulk:
+                bulk[dependencies] = (self._snapshot(dependencies), scope, [])
+            bulk[dependencies][2].append(key)
+
+        for key, entry, scope in hit:
             snapshot = self._snapshot(entry.dependencies)
-            if entry.keyed is None:
-                entry.keyed = {}
             outcome = self._deriver.derive(
                 entry.plan, entry.env, entry.rows, delta, entry.keyed
             )
             if outcome.status == FALLBACK:
-                self.result_cache.drop(key, reason=outcome.reason, relations=scope)
-                continue
-            if not self._validate(entry.dependencies, snapshot):
-                self.result_cache.drop(key, reason="race", relations=scope)
-                continue
-            patched = outcome.status == PATCHED
-            self.result_cache.repair(
-                key,
-                rows=outcome.rows if patched else entry.rows,
-                env=outcome.env,
-                snapshot=snapshot,
-                rows_added=outcome.rows_added,
-                rows_removed=outcome.rows_removed,
-            )
+                drop(key, outcome.reason, scope, f"{FALLBACK}:{outcome.reason}")
+            elif not self._validate(entry.dependencies, snapshot):
+                drop(key, "race", scope)
+            else:
+                cache.repair(
+                    key,
+                    rows=outcome.rows if outcome.status == PATCHED else entry.rows,
+                    env=outcome.env,
+                    snapshot=snapshot,
+                    rows_added=outcome.rows_added,
+                    rows_removed=outcome.rows_removed,
+                )
+                verdicts[key] = outcome.status
+
+        for dependencies, (snapshot, scope, keys) in bulk.items():
+            if self._validate(dependencies, snapshot):
+                cache.restamp(keys, snapshot)
+                verdicts.update(dict.fromkeys(keys, CLEAN))
+            else:
+                for key in keys:
+                    drop(key, "race", scope)
+        return verdicts
 
     def _write(self, updates: list["Update"]) -> "MaintenanceReport":
         """Apply ``updates`` to the substrate's data, clocks included.

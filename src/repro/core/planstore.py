@@ -194,9 +194,11 @@ class CachedResult:
     environment refused admission by the cache's ``max_env_rows`` budget) —
     such entries can only be invalidated, never repaired.  ``keyed`` is what
     write settlement has read off ``env`` so far (per fetch step: probed
-    keys, rows by key — :class:`~repro.core.deltas.FetchKeys`); it is
-    created by the first settlement that reaches the entry and reset
-    whenever :meth:`ResultCache.repair` installs another ``env``.
+    keys, rows by key — :class:`~repro.core.deltas.FetchKeys`) and ``reach``
+    what of it the cache's reach index holds (per base relation, see
+    :meth:`ResultCache.index`); both are created by the first settlement
+    that reaches the entry and reset whenever :meth:`ResultCache.repair`
+    installs another ``env``.
     """
 
     rows: frozenset[tuple]
@@ -206,6 +208,7 @@ class CachedResult:
     env: tuple[frozenset[tuple], ...] | None = None
     plan: object | None = None
     keyed: dict | None = None
+    reach: dict | None = None
 
 
 class ResultCache:
@@ -235,6 +238,15 @@ class ResultCache:
     entry's snapshot matches the *pre-write* versions of every dependency
     (otherwise the patch would be derived against a state the entry was
     never valid for) and must pass the post-write snapshot to re-stamp.
+
+    **Reach index.**  Beside the entries the cache keeps, inverted, the keys
+    their fetches probed: ``base relation → key positions in a written row →
+    probed key → cache keys`` (:meth:`index`).  :meth:`reached` intersects it
+    with a batch's written keys, so a settlement looks at what the batch
+    wrote, not at what is cached, to find the entries it has to derive; all
+    others it re-stamps in bulk (:meth:`restamp`).  The index is filled by
+    settlements only — never when an entry is filled or read — and an entry's
+    part of it leaves with the entry or with the environment it was read off.
     """
 
     def __init__(
@@ -269,6 +281,9 @@ class ResultCache:
         self.repair_fallbacks = 0
         #: fallback reason -> count ("difference", "no_env", "stale", ...)
         self.repair_fallback_reasons: dict[str, int] = {}
+        #: base relation -> row positions -> probed key -> keys of the entries
+        #: that probed it: the union over an entry's fetch sites of one index
+        self._reach: dict[str, dict[tuple[int, ...], dict[tuple, set[Hashable]]]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -293,6 +308,7 @@ class ResultCache:
         if entry.snapshot != snapshot:
             # The data moved on under this entry; drop it eagerly.
             del self._entries[key]
+            self._unindex(key, entry)
             self.stale += 1
             self.misses += record
             return None
@@ -329,6 +345,9 @@ class ResultCache:
         if env is not None and sum(len(step) for step in env) > self.max_env_rows:
             self.env_rejected += 1
             env = None
+        previous = self._entries.get(key)
+        if previous is not None:
+            self._unindex(key, previous)
         self._entries[key] = CachedResult(
             rows=rows,
             columns=columns,
@@ -339,7 +358,7 @@ class ResultCache:
         )
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            self._unindex(*self._entries.popitem(last=False))
             self.evictions += 1
 
     def entries_for(self, relations: Iterable[str]) -> list[tuple[Hashable, CachedResult]]:
@@ -354,6 +373,91 @@ class ResultCache:
             for key, entry in self._entries.items()
             if touched.intersection(entry.dependencies)
         ]
+
+    # -- the reach index ----------------------------------------------------------
+    def index(
+        self,
+        key: Hashable,
+        base: str,
+        reach: tuple[tuple[tuple[int, ...], Iterable[tuple]], ...],
+    ) -> None:
+        """Register what a write to ``base`` must hit to reach the entry at ``key``.
+
+        ``reach`` is one ``(row positions, probed keys)`` per fetch site of
+        the entry's plan over ``base`` (:meth:`DeltaDeriver.reach
+        <repro.core.deltas.DeltaDeriver.reach>`).  Two sites may fetch one
+        physical index, and what is registered is their union — which is why
+        an entry's registrations only ever leave together (:meth:`_unindex`).
+        Kept on the entry as ``reach[base]``: an empty tuple still says the
+        entry is indexed for ``base``.
+        """
+        entry = self._entries[key]
+        for positions, probed in reach:
+            if not probed:
+                continue  # a fetch over no rows: the index holds no empty set
+            by_key = self._reach.setdefault(base, {}).setdefault(positions, {})
+            for probe in probed:
+                holders = by_key.get(probe)
+                if holders is None:
+                    by_key[probe] = {key}
+                else:
+                    holders.add(key)
+        entry.reach[base] = reach
+
+    def _unindex(self, key: Hashable, entry: CachedResult) -> None:
+        """Take everything ``entry`` registered out of the index; forget its key sets."""
+        if entry.reach is None:
+            return
+        for base, reach in entry.reach.items():
+            slots = self._reach.get(base, {})
+            for positions, probed in reach:
+                by_key = slots.get(positions)
+                if by_key is None:
+                    continue  # nothing probed, or emptied by another site of this index
+                for probe in probed:
+                    holders = by_key.get(probe)
+                    if holders is not None:
+                        holders.discard(key)
+                        if not holders:
+                            del by_key[probe]
+                if not by_key:
+                    del slots[positions]
+            if not slots:
+                self._reach.pop(base, None)
+        entry.reach = entry.keyed = None
+
+    def reached(self, delta) -> set[Hashable]:
+        """Keys of the indexed entries some written row of ``delta`` hits.
+
+        ``delta`` is a :class:`~repro.core.deltas.WriteDelta`; the work is one
+        look-up per written key and indexed position tuple of its relations,
+        whatever the number of entries.
+        """
+        hit: set[Hashable] = set()
+        for base in delta.touched:
+            for positions, by_key in self._reach.get(base, {}).items():
+                for written in delta.keys_for(base, positions):
+                    holders = by_key.get(written)
+                    if holders is not None:
+                        hit.update(holders)
+        return hit
+
+    def restamp(self, keys: Iterable[Hashable], snapshot: tuple[int, ...]) -> int:
+        """Move the stamps of the entries at ``keys`` to ``snapshot``: clean repairs, in bulk.
+
+        For entries a write provably did not reach (:meth:`reached`) under the
+        snapshot contract of :meth:`repair`; each counts as ``repaired`` and
+        ``repaired_clean``.  Returns how many were still there.
+        """
+        stamped = 0
+        for key in keys:
+            entry = self._entries.get(key)
+            if entry is not None:
+                entry.snapshot = snapshot
+                stamped += 1
+        self.repaired += stamped
+        self.repaired_clean += stamped
+        return stamped
 
     def repair(
         self,
@@ -383,7 +487,7 @@ class ResultCache:
         entry.snapshot = snapshot
         if env is not None:
             entry.env = env
-            entry.keyed = None
+            self._unindex(key, entry)
         self.repaired += 1
         if rows_added or rows_removed:
             self.rows_patched += rows_added + rows_removed
@@ -402,15 +506,17 @@ class ResultCache:
 
         ``reason`` lands in ``repair_fallback_reasons`` and the drop is
         attributed to ``relations`` like a targeted sweep, so observability
-        can distinguish "repaired", "fell back" and "never tried".
+        can distinguish "repaired", "fell back" and "never tried".  Returns
+        ``False``, counting nothing, when the entry is already gone.
         """
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return False
+        self._unindex(key, entry)
         self.repair_fallbacks += 1
         self.repair_fallback_reasons[reason] = (
             self.repair_fallback_reasons.get(reason, 0) + 1
         )
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return False
         self.invalidated += 1
         for relation in relations:
             self.invalidated_by[relation] = self.invalidated_by.get(relation, 0) + 1
@@ -427,6 +533,7 @@ class ResultCache:
         if relations is None:
             dropped = len(self._entries)
             self._entries.clear()
+            self._reach.clear()
             if dropped:
                 self.invalidated_by["*"] = self.invalidated_by.get("*", 0) + dropped
         else:
@@ -438,6 +545,7 @@ class ResultCache:
             ]
             for key in stale:
                 entry = self._entries.pop(key)
+                self._unindex(key, entry)
                 for relation in sorted(touched.intersection(entry.dependencies)):
                     self.invalidated_by[relation] = (
                         self.invalidated_by.get(relation, 0) + 1
@@ -451,10 +559,15 @@ class ResultCache:
 
         Includes the delta-maintenance counters (``repaired``,
         ``repaired_clean``, ``rows_patched``, ``repair_fallbacks``,
-        ``repair_fallback_reasons``) and ``invalidated_by`` — drops keyed
-        by the relation whose write triggered them.
+        ``repair_fallback_reasons``), ``invalidated_by`` — drops keyed by
+        the relation whose write triggered them — and the size of the reach
+        index: the probed keys it holds (``reach_keys``) and the entries
+        registered under them (``reach_entries``).
         """
         requests = self.hits + self.misses
+        reach = [
+            by_key for slots in self._reach.values() for by_key in slots.values()
+        ]
         return {
             "capacity": self.capacity,
             "entries": len(self._entries),
@@ -473,4 +586,8 @@ class ResultCache:
             "repair_fallbacks": self.repair_fallbacks,
             "repair_fallback_reasons": dict(self.repair_fallback_reasons),
             "invalidated_by": dict(self.invalidated_by),
+            "reach_keys": sum(len(by_key) for by_key in reach),
+            "reach_entries": len(
+                {key for by_key in reach for holders in by_key.values() for key in holders}
+            ),
         }

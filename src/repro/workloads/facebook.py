@@ -105,6 +105,24 @@ def query_q1(person: str = "p0", month: str = "may", year: int = 2015, city: str
     )
 
 
+def query_friends_of_friends(person: str = "p0") -> Query:
+    """Friends of ``person``'s friends: a self-join, covered by ψ1 alone.
+
+    Not one of the paper's queries.  Its plan fetches the one index of ψ1 at
+    several sites with different keys (``person``, then each friend), which
+    is the case write settlement has to get right: what the result cache's
+    reach index holds for the plan is the union of what those sites probed.
+    """
+    s = schema()
+    near = Relation.from_schema(s, "friend")
+    far = Relation("friend_far", s["friend"].attributes, base="friend")
+    return (
+        near.join(far, eq(near["fid"], far["pid"]))
+        .select(eq(near["pid"], person))
+        .project([far["fid"]])
+    )
+
+
 def query_q2(person: str = "p0") -> Query:
     """``Q2``: every restaurant where ``person`` has dined (not covered by ``A_0``)."""
     s = schema()

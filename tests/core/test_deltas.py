@@ -274,12 +274,13 @@ class TestSettlementCost:
             # A write that misses re-stamps the entry and reads its key sets
             # off the current environment; one that hits replaces both.
             write("friend", ("p_nobody", "p_cycle"))
-            assert entry.keyed
+            assert entry.keyed and engine.result_cache.stats()["reach_entries"] == 1
             # (the empty frozenset is a process-wide singleton: skip it)
             replaced += [weakref.ref(keys.probed) for keys in entry.keyed.values() if keys.probed]
             old_env = entry.env
             write("friend", ("p0", "p_cycle"))
             assert entry.env is not old_env and entry.keyed is None  # patched
+            assert engine.result_cache._reach == {}  # and out of the reach index
             replaced += [
                 weakref.ref(part)
                 for part in old_env
@@ -293,6 +294,101 @@ class TestSettlementCost:
         assert set(vars(engine._deriver)) == {"executor", "schema", "group_lookup"}
         assert not [o for o in gc.get_objects() if isinstance(o, FetchKeys)]
         assert engine.execute(q1).rows == evaluate(q1, fb_database).rows
+        # an indexed entry that leaves takes its key sets and its index part along
+        engine.apply_insert("friend", ("p_nobody", "p_last"))
+        assert entry.keyed and engine.result_cache.stats()["reach_keys"] > 0
+        engine.result_cache.invalidate()
+        del entry
+        gc.collect()
+        assert not [o for o in gc.get_objects() if isinstance(o, FetchKeys)]
+        stats = engine.result_cache.stats()
+        assert (stats["entries"], stats["reach_keys"], stats["reach_entries"]) == (0, 0, 0)
+
+    def test_a_batch_costs_what_it_reached_not_what_is_cached(
+        self, fb_database, fb_access, monkeypatch
+    ):
+        """n cached dependents, a batch reaches k: k derivations, k + 1 snapshots.
+
+        (One dependency tuple here, so one snapshot serves the whole bulk
+        re-stamp.)  The index is asked once per written key and indexed
+        position tuple.  Doubling n at fixed k moves none of the three.
+        """
+
+        class Counted(dict):
+            gets = 0
+            intersecting = False  # (a patch un- and re-indexes its entry: not counted)
+
+            def get(self, key, default=None):
+                Counted.gets += Counted.intersecting
+                return dict.get(self, key, default)
+
+        def cost_of(cached: int, reached: int) -> dict:
+            engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
+            queries = [facebook.query_q1(person=f"p{i}") for i in range(cached)]
+            for query in queries:
+                engine.execute(query)
+            # the first settlement fills the index; count the ones after it
+            # (one database under all three engines: every row is written once)
+            fresh = f"p_{cached}_{reached}"
+            engine.apply_insert("friend", ("p_nobody", fresh))
+            index = engine.result_cache._reach
+            for slots in index.values():
+                for positions in slots:
+                    slots[positions] = Counted(slots[positions])
+            assert engine.result_cache.stats()["reach_entries"] == cached
+            calls = {"derive": 0, "snapshot": 0, "validate": 0}
+            settling = []
+
+            def counted(name, function, always=False):
+                def wrapper(*args, **kwargs):
+                    calls[name] += always or bool(settling)
+                    return function(*args, **kwargs)
+
+                return wrapper
+
+            def settle(*args, _settle=engine._settle):
+                settling.append(True)
+                try:
+                    return _settle(*args)
+                finally:
+                    settling.pop()
+
+            def intersect(delta, _reached=engine.result_cache.reached):
+                Counted.intersecting = True
+                try:
+                    return _reached(delta)
+                finally:
+                    Counted.intersecting = False
+
+            engine._settle = settle
+            engine.result_cache.reached = intersect
+            engine._snapshot = counted("snapshot", engine._snapshot)
+            engine._validate = counted("validate", engine._validate)
+            engine._deriver.derive = counted("derive", engine._deriver.derive, always=True)
+            before, Counted.gets = engine.result_cache.stats(), 0
+            batches = 6
+            for batch in range(batches):
+                engine.apply_updates(
+                    [
+                        Update.insert("friend", (f"p{i}", f"{fresh}_{batch}"))
+                        for i in range(reached)
+                    ]
+                )
+            after = engine.result_cache.stats()
+            assert after["repaired"] - before["repaired"] == cached * batches
+            assert after["rows_patched"] == after["repair_fallbacks"] == 0
+            for query in queries:
+                assert engine.execute(query).rows == evaluate(query, fb_database).rows
+            return {**calls, "lookups": Counted.gets}
+
+        small, large = cost_of(cached=12, reached=3), cost_of(cached=24, reached=3)
+        assert small == large == {
+            "derive": 6 * 3,
+            "snapshot": 6 * (1 + 3),
+            "validate": 6 * (1 + 3),
+            "lookups": 6 * 3,  # q1 fetches friend under one position tuple
+        }
+        assert cost_of(cached=24, reached=6)["derive"] == 6 * 6
 
     def test_plan_facts_are_compiled_once_per_plan_not_per_batch(
         self, fb_database, fb_access, monkeypatch

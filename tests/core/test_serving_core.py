@@ -296,7 +296,13 @@ class TestWriteSettlement:
         first = hot.core.execute(hot.query)
         before = hot.result_cache()
         hot.core.apply_updates([Update.insert("hot", ("b", 4))])
-        assert moved(before, hot.result_cache()) == {"repaired": 1, "repaired_clean": 1}
+        # the first settlement to meet the entry indexes the one key it probed
+        assert moved(before, hot.result_cache()) == {
+            "repaired": 1,
+            "repaired_clean": 1,
+            "reach_keys": 1,
+            "reach_entries": 1,
+        }
         assert hot.core.cache_stats()["plan_store"]["sweeps"] == 0
         repeat = hot.core.execute(hot.query)
         assert repeat.result_cached and repeat.rows == first.rows
@@ -306,6 +312,7 @@ class TestWriteSettlement:
         before = hot.result_cache()
         hot.core.apply_updates([Update.insert("hot", ("a", 4))])
         hot.core.apply_updates([Update.delete("hot", ("a", 2))])
+        # (a patch installs a new environment: what the old one had indexed is gone)
         assert moved(before, hot.result_cache()) == {"repaired": 2, "rows_patched": 2}
         assert hot.core.cache_stats()["plan_store"]["sweeps"] == 0
         result = hot.core.execute(hot.query)
@@ -321,13 +328,17 @@ class TestWriteSettlement:
         assert core.execute(query).executor_mode == "columnar"
         before = substrate.result_cache()
         core.apply_updates([Update.insert("friend", ("p_nobody", "p0"))])
-        assert moved(before, substrate.result_cache()) == {"repaired": 1, "repaired_clean": 1}
+        changed = moved(before, substrate.result_cache())
+        indexed = changed.pop("reach_keys")
+        assert indexed > 0 and changed.pop("reach_entries") == 1
+        assert changed == {"repaired": 1, "repaired_clean": 1}
         assert core.execute(query).result_cached
         before = substrate.result_cache()
         core.apply_updates([Update.insert("friend", ("p0", "p_new"))])
         changed = moved(before, substrate.result_cache())
         assert changed["repair_fallback_reasons"] == {"executor_mode": 1}
         assert (changed["invalidated"], changed["entries"]) == (1, -1)
+        assert (changed["reach_keys"], changed["reach_entries"]) == (-indexed, -1)
         result = core.execute(query)
         assert (result.result_cached, result.executor_mode) == (False, "columnar")
         assert result.rows == evaluate(query, substrate.reference).rows
@@ -394,19 +405,14 @@ class TestWriteSettlement:
         # One effective insert off the probed key, one duplicate on it: the
         # batch changed nothing the entry read, on any substrate.
         hot.core.execute(hot.query)
-        derive, outcomes = hot.core._deriver.derive, []
-
-        def recording(*args):
-            outcomes.append(derive(*args))
-            return outcomes[-1]
-
-        hot.core._deriver.derive = recording
+        settle, verdicts = hot.core._settle, []
+        hot.core._settle = lambda *args: verdicts.append(settle(*args))
         report = hot.core.apply_updates(
             [Update.insert("hot", ("b", 9)), Update.insert("hot", ("a", 1))]
         )
         assert (report.applied, report.skipped) == (1, 1)
         assert report.applied_updates == [Update.insert("hot", ("b", 9))]
-        assert [outcome.status for outcome in outcomes] == ["clean"]
+        assert [list(settled.values()) for settled in verdicts] == [["clean"]]
         repeat = hot.core.execute(hot.query)
         assert repeat.result_cached
         assert repeat.rows == evaluate(hot.query, hot.reference).rows

@@ -194,8 +194,10 @@ class TestRouterRepairProperty:
 # Differential test of the compiled settlement path
 # ---------------------------------------------------------------------------
 # The production path decides clean / patched / fallback from a repair program
-# compiled per plan, key sets kept with each cache entry and keys projected
-# once per batch (``repro.core.deltas``).  The oracle below reads the verdict
+# compiled per plan, key sets kept with each cache entry and inverted into the
+# result cache's reach index, and keys projected once per batch
+# (``repro.core.deltas``, ``ResultCache.reached``): an entry no written key
+# hits is re-stamped without ever being derived.  The oracle below reads the verdict
 # straight off the definition — *a fetch is dirty iff a written row's LHS
 # projection is a key it probed and that key's group changed* — from the plan's
 # declared step columns and full scans of the stored relations; a dirty entry is
@@ -323,6 +325,12 @@ class _Settlements:
     engine it *is* the engine's database).  Every batch goes through
     :meth:`write`, which checks each reached entry's verdict against the
     oracle and every surviving entry against a fresh execution.
+
+    Verdicts are read where the core reports them — the map ``_settle``
+    returns, one verdict per candidate whichever way it was settled — and
+    the deriver is watched beside it: an entry the oracle calls ``patched``
+    or ``fallback`` went through ``derive`` exactly once, with that verdict;
+    one it calls ``clean`` may never have got there.
     """
 
     def __init__(self, core, reference, queries, *, refine):
@@ -337,18 +345,24 @@ class _Settlements:
             for query in queries
         }
         self.verdicts: list[str] = []
-        self.observed: dict[int, str] = {}
-        derive = core._deriver.derive
+        self.settled: dict = {}
+        self.derived: dict[int, str] = {}
+        settle, derive = core._settle, core._deriver.derive
+
+        def settling(*args):
+            self.settled = settle(*args)
+            return self.settled
 
         def recording(plan, *args, **kwargs):
             outcome = derive(plan, *args, **kwargs)
-            assert id(plan) not in self.observed, "an entry was derived twice in one batch"
-            self.observed[id(plan)] = (
+            assert id(plan) not in self.derived, "an entry was derived twice in one batch"
+            self.derived[id(plan)] = (
                 f"fallback:{outcome.reason}" if outcome.status == "fallback" else outcome.status
             )
             return outcome
 
-        core._deriver.derive = recording  # an instance attribute: this core only
+        # instance attributes: this core only
+        core._settle, core._deriver.derive = settling, recording
         self.read()
 
     def entries(self) -> dict:
@@ -361,11 +375,12 @@ class _Settlements:
     def write(self, updates) -> list[str]:
         """Apply ``updates``; returns the verdicts of the entries it reached."""
         before = self.entries()
+        held = {key: (entry.rows, entry.env) for key, entry in before.items()}
         predictions = {
             key: _Prediction(entry, updates, self.reference, self.refine)
             for key, entry in before.items()
         }
-        self.observed.clear()
+        self.settled, self.derived = {}, {}
         report = self.core.apply_updates(updates)
         settled = report.applied_updates
         after = self.entries()
@@ -374,17 +389,25 @@ class _Settlements:
             expected = predictions[key].verdict(
                 settled, report.touched_relations, self.reference
             )
+            derived = self.derived.get(id(entry.plan))
             if expected is None:
-                assert key in after and id(entry.plan) not in self.observed
+                # not a candidate at all, or one the effective writes missed
+                assert self.settled.get(key, "skip") == "skip"
+                assert after.get(key) is entry and derived is None
                 continue
             reached.append(expected)
-            if expected == "no_env":
-                assert key not in after and id(entry.plan) not in self.observed
-                continue
-            assert self.observed.get(id(entry.plan)) == expected, (
-                f"deriver said {self.observed.get(id(entry.plan))}, the definition says {expected}"
+            assert self.settled.get(key) == expected, (
+                f"settled as {self.settled.get(key)}, the definition says {expected}"
             )
-            assert (key in after) == (expected in ("clean", "patched"))
+            if expected == "clean":
+                # re-stamped, whether or not a key hit sent it to the deriver
+                assert derived in (None, "clean")
+                assert after.get(key) is entry
+                assert entry.rows is held[key][0] and entry.env is held[key][1]
+                assert entry.snapshot == self.core._snapshot(entry.dependencies)
+            else:
+                assert derived == (None if expected == "no_env" else expected)
+                assert (key in after) == (expected == "patched")
         self.check_entries()
         self.verdicts.extend(reached)
         return reached
@@ -498,7 +521,8 @@ def _random_queries(name: str, seed: int):
     if name == "facebook":
         database = facebook.generate(scale=15, seed=seed)
         access = facebook.access_schema(database.schema)
-        return database, access, [facebook.query_q1(), facebook.query_q0()]
+        queries = [facebook.query_q1(), facebook.query_q0(), facebook.query_friends_of_friends()]
+        return database, access, queries
     spec = WORKLOADS[name]
     database = spec.database(scale=20, seed=seed)
     queries = select_covered_queries(
@@ -622,3 +646,47 @@ class TestSettlementAgainstTheDefinition:
             settlements.read()
             stats = settlements.core.cache_stats()["result_cache"]
             assert stats["repair_fallbacks"] == 0 and stats["repaired"] == 7
+
+    @pytest.mark.parametrize("substrate", ["engine", "router-3"])
+    def test_two_sites_over_one_index_register_their_union(self, substrate, row_kernels):
+        """The reach index holds what *either* fetch of a self-join probed.
+
+        ``friend ⋈ friend`` fetches ψ1 at several sites: some under ``p0``,
+        some under each of ``p0``'s friends.  An index that kept one site's keys per
+        (relation, key positions) would re-stamp the entry over a write only
+        the other site read — a ``patched`` entry judged ``clean``.
+        """
+        database = facebook.generate(scale=15, seed=3)
+        access = facebook.access_schema(database.schema)
+        queries = [facebook.query_friends_of_friends()]
+        with ExitStack() as stack:
+            if substrate == "engine":
+                settlements = _engine_settlements(database, access, queries)
+            else:
+                settlements = stack.enter_context(
+                    _router_settlements(database, access, queries)
+                )
+            (entry,) = settlements.entries().values()
+            sites = [step.id for step in entry.plan.fetch_steps()]
+            probes = {frozenset(fact.probed) for fact in _fetch_facts(entry.plan, entry.env)}
+            assert len(sites) > len(probes) == 2  # sites share the index, not their keys
+            friend_of_p0 = min(fid for pid, fid in database.relation("friend") if pid == "p0")
+
+            def insert(pid, fid):
+                return settlements.write([Update.insert("friend", (pid, fid))])
+
+            # no probed key: the first settlement indexes both sites
+            assert insert("p_nobody", "p_x") == ["clean"]
+            assert sorted(entry.keyed) == sites and len(entry.reach["friend"]) == len(sites)
+            # a key only the far site probed
+            assert insert(friend_of_p0, "p_far") == ["patched"]
+            assert entry.reach is None  # the patch took both sites' keys out together
+            # indexed again off the patched environment; a key only the near site probed
+            assert insert("p_nobody", "p_y") == ["clean"]
+            assert insert("p0", "p_near") == ["patched"]
+            # ... which the far site of the patched environment now probes
+            assert insert("p_near", "p_z") == ["patched"]
+            stats = settlements.core.cache_stats()["result_cache"]
+            # (p_near had no friends yet: that patch changed no row and counts clean)
+            assert (stats["repaired"], stats["repaired_clean"]) == (5, 3)
+            assert stats["repair_fallbacks"] == 0
