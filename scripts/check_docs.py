@@ -9,12 +9,12 @@ Stdlib only (the CI image has no pydocstyle).  Four passes:
    ``--ignore-property-decorators``: a ``@property`` (or
    ``@cached_property``) getter whose body is a single ``return`` is a
    named attribute, not behaviour — the class docstring documents it.
-2. **Links** — every relative Markdown link or image in ``README.md`` and
-   ``docs/**/*.md`` (and ``benchmarks/README.md``) must resolve to a file
-   or directory in the repo.  External links (``http://``, ``https://``,
-   ``mailto:``) and intra-page anchors (``#...``) are skipped; an anchor
-   suffix on a relative link (``file.md#section``) is stripped before the
-   existence check.
+2. **Links** — every relative Markdown link or image in ``README.md``,
+   ``docs/**/*.md``, ``benchmarks/README.md`` and ``benchmarks/history/*.md``
+   must resolve to a file or directory in the repo.  External links
+   (``http://``, ``https://``, ``mailto:``) and intra-page anchors (``#...``)
+   are skipped; an anchor suffix on a relative link (``file.md#section``) is
+   stripped before the existence check.
 3. **Named files** — a root-level file a docstring names (``UPPER_CASE.md``,
    ``pyproject.toml``) under ``src/``, ``examples/``, ``benchmarks/*.py`` or
    in ``setup.py`` must exist: docstrings outlive the files they point at.
@@ -39,7 +39,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 DOCSTRING_ROOTS = [REPO / "src" / "repro" / "core"]
 MARKDOWN_FILES = [REPO / "README.md", REPO / "benchmarks" / "README.md"]
-MARKDOWN_GLOBS = [(REPO / "docs", "**/*.md")]
+MARKDOWN_GLOBS = [(REPO / "docs", "**/*.md"), (REPO / "benchmarks" / "history", "*.md")]
 
 #: inline Markdown links/images: [text](target) / ![alt](target) — tolerates
 #: one level of nested parentheses in the target, strips a trailing title.

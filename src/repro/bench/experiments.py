@@ -96,7 +96,10 @@ def select_covered_queries(
     """Randomly generate queries and keep the first ``count`` covered ones.
 
     Mirrors the paper's "5 covered queries randomly chosen" used throughout
-    Figure 5.
+    Figure 5.  The queries are covered but almost always contradictory — the
+    generator draws each selection constant independently, so the conjunction
+    answers with 0 rows: good for counting fetches against bounds, useless for
+    comparing answers.
     """
     generator = RandomQueryGenerator(workload, database=database, seed=seed)
     covered: list[Query] = []

@@ -223,7 +223,8 @@ def command_soak(args) -> int:
         f"-- soak {args.workload} scale={args.scale} seed={args.seed}"
         f"{f' shards={args.shards}' if args.shards > 1 else ''}: "
         f"{outcome['reads_served']} reads served "
-        f"({outcome['reads_verified']} verified vs reference), "
+        f"({outcome['reads_verified']} verified vs reference, "
+        f"{outcome['reads_nonempty']} of them non-empty), "
         f"{outcome['writes_ok']} write batches ok, "
         f"{outcome['writes_partial']} partial"
     )

@@ -5,8 +5,7 @@ BoundedServer` are only auditable if the tier measures itself: sheds must be
 visible per reason (queue full / cost budget / deadline / breaker), and
 latency must be reported as quantiles per strategy — the whole point of the
 degradation ladder is that the *covered* p99 stays bounded while the
-fallback path burns.  These metrics join ``warm_qps`` in the tracked
-``BENCH_trajectory.json`` (see ``benchmarks/track_trajectory.py``).
+fallback path burns.
 """
 
 from __future__ import annotations
@@ -108,7 +107,7 @@ class ServingMetrics:
         return sum(self.sheds.values())
 
     def snapshot(self) -> dict:
-        """Everything, JSON-ready (for soak reports and the bench trajectory)."""
+        """Everything, JSON-ready (for soak reports)."""
         return {
             "submitted": self.submitted,
             "admitted": self.admitted,

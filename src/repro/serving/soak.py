@@ -124,6 +124,9 @@ class SoakOutcome:
 
     reads_served: int = 0
     reads_verified: int = 0
+    #: verified reads whose reference answer had rows: the generated covered
+    #: queries are mostly contradictory, and an empty answer checks little
+    reads_nonempty: int = 0
     mismatches: list[str] = field(default_factory=list)
     writes_ok: int = 0
     writes_partial: int = 0
@@ -263,6 +266,7 @@ def run_soak(config: SoakConfig) -> dict:
             return
         reference = evaluate(query, database).rows
         outcome.reads_verified += 1
+        outcome.reads_nonempty += bool(reference)
         if result.rows != reference:
             outcome.mismatches.append(
                 f"{len(result.rows)} rows served vs {len(reference)} reference "
@@ -573,6 +577,7 @@ def run_soak(config: SoakConfig) -> dict:
         "outcome": {
             "reads_served": outcome.reads_served,
             "reads_verified": outcome.reads_verified,
+            "reads_nonempty": outcome.reads_nonempty,
             "mismatches": outcome.mismatches[:5],
             "writes_ok": outcome.writes_ok,
             "writes_partial": outcome.writes_partial,

@@ -106,7 +106,7 @@ class RouterMetrics:
         self.merge_rows_max = max(self.merge_rows_max, size)
 
     def snapshot(self) -> dict:
-        """Everything, JSON-ready — joins the soak report and bench trajectory."""
+        """Everything, JSON-ready — joins the soak report."""
         return {
             "scatters": self.scatters,
             "shard_fetches": self.shard_fetches,
@@ -377,9 +377,8 @@ class ShardRouter(ServingCore):
     def replication_stats(self) -> dict:
         """Replica/failover counters summed over the topology's replica sets.
 
-        Plain (unreplicated) shards contribute zeros; the soak report and
-        the bench trajectory read this one aggregate instead of re-deriving
-        it from per-shard detail.
+        Plain (unreplicated) shards contribute zeros; the soak report reads
+        this one aggregate instead of re-deriving it from per-shard detail.
         """
         sets = [s for s in self.shards if isinstance(s, ReplicaSet)]
         return {

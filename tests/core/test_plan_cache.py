@@ -1,6 +1,7 @@
 """Plan-store correctness: hits, granular invalidation, and cache/optimizer equivalence."""
 
 import pytest
+from analytic_queries import ANALYTIC_SCALE, analytic_queries
 
 from repro.core.engine import BoundedEngine, PreparedQuery
 from repro.core.planstore import PlanStore
@@ -238,9 +239,11 @@ class TestInvalidation:
 def test_cache_and_optimizer_row_identical_on_workloads(name):
     """Bounded results match with cache+optimizer on, off, and reference eval."""
     workload = WORKLOADS[name]
-    database = workload.database(scale=60, seed=7)
-    queries = select_covered_queries(workload, count=2, seed=7, database=database)
-    assert queries, f"no covered queries generated for {name}"
+    database = workload.database(scale=ANALYTIC_SCALE, seed=7)
+    # wide plans whose answers have rows, then point plans (whose answers are empty)
+    queries = analytic_queries(workload)
+    assert all(evaluate(query, database).rows for query in queries)
+    queries += select_covered_queries(workload, count=2, seed=7, database=database)
     full = BoundedEngine(database, workload.access_schema, check_constraints=False)
     bare = BoundedEngine(
         database,

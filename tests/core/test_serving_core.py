@@ -13,8 +13,10 @@ independent paths, compared.
 
 import sqlite3
 from contextlib import contextmanager
+from functools import cache
 
 import pytest
+from analytic_queries import ANALYTIC_SCALE, analytic_queries
 
 from repro.core import engine as engine_module
 from repro.core.engine import BoundedEngine
@@ -31,7 +33,7 @@ from repro.evaluator.algebra import evaluate
 from repro.evaluator.executor import PlanExecutor
 from repro.serving.faults import FaultInjector, FaultSpec
 from repro.sharding import ShardRouter, SQLiteShard, build_topology
-from repro.workloads import facebook
+from repro.workloads import WORKLOADS, facebook
 
 SUBSTRATES = {
     "engine": None,
@@ -222,6 +224,87 @@ class TestReads:
         assert result.plan is None and not result.coverage.is_covered
         with pytest.raises(NotCoveredError):
             substrate.core.execute(query, fallback=False)
+
+
+@cache
+def answer_witness(name: str) -> Update:
+    """The delete of a dependency row that changes an analytic answer of workload ``name``.
+
+    Found on a scratch copy, smallest relation first, with the reference evaluator.
+    """
+    workload = WORKLOADS[name]
+    scratch = workload.database(scale=ANALYTIC_SCALE, seed=7)
+    queries = analytic_queries(workload)
+    answers = [evaluate(query, scratch).rows for query in queries]
+    relations = {relation for query in queries for relation in query.relation_names()}
+    for relation in sorted(relations, key=lambda r: (len(scratch.relation(r)), r)):
+        instance = scratch.relation(relation)
+        for row in sorted(instance.rows):
+            instance.delete(row)
+            if [evaluate(query, scratch).rows for query in queries] != answers:
+                return Update.delete(relation, row)
+            instance.insert(row)
+    pytest.fail(f"{name}: no single delete changes an analytic answer")
+
+
+class TestBundledWorkloads:
+    """The analytic queries of AIRCA / MCBM / TFACC: answers that exist, read
+    and written through every substrate — and, on the engine, every kernel family."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_analytic_answers_survive_reads_and_writes(self, make, name):
+        substrate, modes = self.contract(make, name)
+        if substrate.federated:  # no ``executor_mode`` to pin: the bound picks
+            assert ("columnar" in modes) is (name != "MCBM")  # wide plans go columnar here too
+            return
+        assert self.contract(make, name, executor_mode="row")[1] == {"row"}
+        assert self.contract(make, name, executor_mode="columnar")[1] == {"columnar"}
+
+    @staticmethod
+    def contract(make, name, **core_options):
+        """Runs the contract over a fresh substrate; returns it and the kernel families that ran."""
+        workload = WORKLOADS[name]
+        database = workload.database(scale=ANALYTIC_SCALE, seed=7)
+        substrate = make(database, workload.access_schema, **core_options)
+        core, queries = substrate.core, analytic_queries(workload)
+        answers = [evaluate(query, database).rows for query in queries]
+        assert all(answers), "an empty answer compares nothing"
+
+        modes, dependencies = set(), set()
+        for query, answer in zip(queries, answers):
+            result = core.execute(query)
+            assert result.rows == answer
+            assert 0 < result.counter.total <= result.plan.access_bound()
+            modes.add(result.executor_mode)
+            dependencies.update(core.prepare(query)[0].dependencies)
+
+        # Writes outside every dependency set move no counter of either cache …
+        unrelated = min(set(database.relation_names()) - dependencies)
+        row = min(database.relation(unrelated).rows)
+        before = core.cache_stats()
+        core.apply_updates([Update.delete(unrelated, row)])
+        core.apply_updates([Update.insert(unrelated, row)])
+        after = core.cache_stats()
+        assert after["plan_store"] == before["plan_store"]
+        assert moved(before["result_cache"], after["result_cache"]) == {}
+        # … and every re-read is the cached answer.
+        rereads = [core.execute(query) for query in queries]
+        assert all(reread.result_cached for reread in rereads)
+        assert [reread.rows for reread in rereads] == answers
+        assert moved(after["result_cache"], substrate.result_cache()) == {"hits": len(queries)}
+
+        # A write that changes an answer is served, and so is taking it back.
+        witness = answer_witness(name)
+        for write in (witness, Update.insert(witness.relation, witness.row)):
+            before = substrate.result_cache()
+            core.apply_updates([write])
+            settled = moved(before, substrate.result_cache())
+            if modes == {"row"}:  # row kernels patch in place; a dirty columnar entry is dropped
+                assert settled["rows_patched"] > 0 and set(settled) == {"repaired", "rows_patched"}
+            rereads = [core.execute(query).rows for query in queries]
+            assert rereads == [evaluate(query, substrate.reference).rows for query in queries]
+            assert (rereads == answers) is (write.kind == "insert")
+        return substrate, modes
 
 
 class TestProbe:

@@ -8,6 +8,7 @@ absorb without the reference ever seeing a wrong row.
 """
 
 import pytest
+from analytic_queries import ANALYTIC_SCALE, analytic_queries
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from repro.evaluator.algebra import evaluate
 from repro.serving.faults import FaultInjector, FaultSpec
 from repro.sharding import ReplicaSet, build_topology
 from repro.storage.counters import AccessCounter
-from repro.workloads import facebook
+from repro.workloads import WORKLOADS, facebook
 
 
 def replicated_topology(scale=30, seed=5, shards=2, replicas=2, **kwargs):
@@ -104,14 +105,26 @@ class TestReplicatedReads:
 
 
 class TestFailoverReads:
-    def test_dead_primary_fails_over_to_sibling(self):
-        router, database = replicated_topology(result_cache_size=0)
-        target = router.shards[0]
+    @pytest.mark.parametrize("workload", [None, *sorted(WORKLOADS)])
+    def test_dead_primary_fails_over_to_sibling(self, workload):
+        if workload is None:
+            router, database = replicated_topology(result_cache_size=0)
+            queries = [facebook.query_q1()]
+        else:  # a bundled workload, on queries whose answers have rows (read-only: no mirror)
+            spec = WORKLOADS[workload]
+            database = spec.database(scale=ANALYTIC_SCALE, seed=7)
+            router = build_topology(
+                database, spec.access_schema, shards=2, replicas=2, result_cache_size=0
+            )
+            queries = analytic_queries(spec)
+        answers = [evaluate(query, database).rows for query in queries]
+        assert all(answers)
+        assert [router.execute(query).rows for query in queries] == answers  # healthy
         injector = FaultInjector(seed=3)
-        injector.kill(target.replicas[0])
-        query = facebook.query_q1()
-        assert router.execute(query).rows == evaluate(query, database).rows
-        assert target.failovers > 0
+        injector.kill(router.shards[0].replicas[0])
+        assert [router.execute(query).rows for query in queries] == answers  # degraded
+        stats = router.replication_stats()
+        assert stats["failovers"] > 0 and stats["quarantines"] > 0
 
     def test_breaker_quarantines_a_repeatedly_failing_member(self):
         router, database = replicated_topology(

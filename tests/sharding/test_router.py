@@ -128,22 +128,6 @@ class TestFederatedReads:
         assert router.metrics.merge_rows == reference.counter.fetched
         assert federated.counter.fetched == reference.counter.fetched
 
-    def test_optimized_workload_plans_match_the_reference(self):
-        from repro.bench.analytic import analytic_queries
-        from repro.workloads import WORKLOADS
-
-        workload = WORKLOADS["TFACC"]
-        database = workload.database(scale=120, seed=7)
-        router = build_topology(database, workload.access_schema, shards=3)
-        modes = set()
-        for query in analytic_queries(workload):
-            result = router.execute(query)
-            assert result.rows == evaluate(query, database).rows
-            assert result.counter.total <= result.plan.access_bound()
-            modes.add(result.executor_mode)
-        assert "columnar" in modes  # wide plans run columnar kernels here too
-        assert "executor" in router.cache_stats()
-
     @pytest.mark.parametrize("delta_repair", [False, True])
     def test_result_cache_round_trip_survives_routed_writes(
         self, delta_repair, row_kernels
