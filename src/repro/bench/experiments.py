@@ -236,8 +236,8 @@ def scale_experiment(
     of ``A``; with ``evalDBMS`` beside them every row is also the head-to-head
     behind the other Figure 5 plots.  ``P_DQ`` is printed, not claimed: ``|D_Q|``
     is *capped* by the bound, not flat — on these generators it grows with
-    ``|D|`` until the per-key groups fill up (TFACC at scale 220: 2 → 74 tuples
-    per query, ``P_DQ`` level at 0.004, one query's bound 27 163).
+    ``|D|`` until the per-key groups fill up (TFACC at scale 220: 2 → 72 tuples
+    per query, ``P_DQ`` level at 0.004, one query's bound 27 132).
     """
     full_database = workload.database(scale=base_scale, seed=seed)
     queries = select_covered_queries(workload, n_queries, seed=seed, database=full_database)

@@ -272,7 +272,9 @@ class BoundedPlan:
 
     ``fetch_plans`` maps unified attribute tokens to the step computing their
     unit fetching plan; ``surrogates`` maps relation occurrence names to the
-    step holding the indexed partial relation used by the evaluation plan.
+    step holding the indexed partial relation used by the evaluation plan —
+    the fetch step of the indexing constraint itself when nothing is left to
+    test (its comment then names both roles).
     """
 
     steps: list[PlanStep]

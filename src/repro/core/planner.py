@@ -4,10 +4,13 @@ A canonical bounded plan has three parts:
 
 1. a **fetching plan** — one unit fetching plan per attribute in ``X_Q``,
    obtained by translating hyperpaths of the ⟨Q,A⟩-hypergraph (``transQP``);
-2. an **indexing plan** — for every relation occurrence ``S``, combine the
-   fetched candidate values for the attributes of ``S`` and validate them
-   against real tuples via a ``fetch`` under the constraint that indexes
-   ``S``, so that attribute values come from the same tuples;
+2. an **indexing plan** — for every relation occurrence ``S``, the tuples
+   fetched under the constraint that indexes ``S`` whose attribute values
+   are among the fetched candidates, so that attribute values come from the
+   same tuples.  It shares part 1's fetch of that constraint instead of
+   fetching a second time, and tests only the candidates that fetch does not
+   already satisfy (:meth:`_QPlanBuilder.indexing_plan`), so a plan fetches
+   each ``(constraint, key)`` once;
 3. an **evaluation plan** — the original RA expression with each relation
    occurrence replaced by its indexed surrogate.
 
@@ -17,8 +20,6 @@ A canonical bounded plan has three parts:
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 from .access import AccessConstraint, AccessSchema
 from .coverage import CoverageResult, check_coverage
@@ -31,7 +32,6 @@ from .plan import (
     ConstOp,
     DifferenceOp,
     FetchOp,
-    IntersectOp,
     PlanBuilder,
     ProductOp,
     ProjectOp,
@@ -77,8 +77,11 @@ class _QPlanBuilder:
         self.derivations = self.hypergraph.graph.derivations({ROOT})
         #: unified attribute token -> plan step id of its unit fetching plan
         self.unit_steps: dict[str, int] = {}
-        #: constraint -> fetch step id shared by the unit plans it feeds
+        #: constraint -> its one fetch step: the unit plans it feeds project
+        #: from it and the relation it indexes takes it as its surrogate
         self._constraint_fetches: dict[AccessConstraint, int] = {}
+        #: constraint -> the attributes some unit plan projects from its fetch
+        self._projected: dict[AccessConstraint, set[str]] = {}
         #: relation occurrence -> plan step id of its indexed surrogate
         self.surrogate_steps: dict[str, int] = {}
 
@@ -127,6 +130,7 @@ class _QPlanBuilder:
             comment=f"ξF({token}) via {constraint}",
         )
         self.unit_steps[token] = step
+        self._projected.setdefault(constraint, set()).add(source_attr)
         return step
 
     def _fetch_step_for_constraint(self, constraint: AccessConstraint) -> int:
@@ -188,70 +192,79 @@ class _QPlanBuilder:
     def indexing_plan(
         self, analysis: SPCAnalysis, relation: Relation, constraint: AccessConstraint
     ) -> int:
-        """The step id of the indexed surrogate for ``relation`` (``ξ_I^c``)."""
-        needed = analysis.relation_needed_attributes(relation)
-        lhs_attributes = {Attribute(relation.name, a) for a in constraint.lhs}
-        combine = sorted(needed | lhs_attributes, key=lambda a: (a.relation, a.name))
+        """The step id of the indexed surrogate for ``relation`` (``ξ_I^c``).
 
-        # Candidate combinations of fetched values for the attributes of S.
-        tokens = [analysis.unify(attribute) for attribute in combine]
-        if tokens:
-            candidate = self._product_of_tokens(tokens)
-        else:
-            candidate = self.builder.add(UnitOp(), columns=[], comment="no needed attributes")
+        The surrogate is ``{r ∈ fetch(constraint, ·) : r.a ∈ U(t(a))}`` over the
+        needed and key attributes ``a`` of ``S`` (``U(t)``: the unit plan of
+        ``a``'s token), with ``r.a = r.b`` where two of them share a token.  It
+        is the fetch the unit plans of ``constraint = S(X → Y, N)`` share, not
+        a second one keyed by combinations of candidates:
 
-        # Validate candidates against real tuples via the indexing constraint.
-        lhs = sorted(constraint.lhs)
-        key_columns = tuple(
-            analysis.unify(Attribute(relation.name, attr)) for attr in lhs
-        )
-        fetch_columns = [
-            f"{relation.name}.{attr}" for attr in sorted(constraint.lhs | constraint.rhs)
-        ]
-        fetched = self.builder.add(
-            FetchOp(constraint=constraint, key_columns=key_columns, inputs=(candidate,)),
-            columns=fetch_columns,
-            comment=f"ξI({relation.name}) fetch via {constraint}",
-        )
+        * that fetch probes ``K = ∏ U(t(x))``, ``x ∈ X``; any combination of
+          candidates projects into ``K`` and ``fetch(K') = {r ∈ fetch(K) :
+          r.X ∈ K'}`` for ``K' ⊆ K``, so a second fetch adds no tuple;
+        * ``r.a ∈ U(t(a))`` holds by construction for ``a ∈ X`` (a tuple's key
+          is one it was fetched by) and where ``U(t(a))`` is ``π_a`` of this
+          very fetch; an attribute sharing such a token needs ``r.b = r.a``;
+        * any other token is *foreign* — a constant on a non-key attribute, a
+          value unified from another relation's fetch — and is tested by one
+          semijoin ``σ(T × U(t))``, which the optimizer fuses to a hash join;
+        * with nothing to test the surrogate is the fetch step itself.
 
-        # Keep only fetched tuples whose attribute values agree with the
-        # candidate combinations (the intersection step of the paper), then
-        # expose the qualified attributes of S needed downstream.
-        candidate_columns = self.builder.columns(candidate)
-        if candidate_columns:
-            renamed_columns = {col: f"cand::{col}" for col in candidate_columns}
-            candidates_renamed = self.builder.add(
-                RenameOp(mapping=renamed_columns, inputs=(candidate,)),
-                columns=[renamed_columns[c] for c in candidate_columns],
-                comment="candidate combinations",
-            )
-            joined_columns = fetch_columns + [renamed_columns[c] for c in candidate_columns]
-            joined = self.builder.add(
-                ProductOp(inputs=(fetched, candidates_renamed)),
-                columns=joined_columns,
-                comment="pair fetched tuples with candidates",
-            )
-            predicates = []
-            for attribute, token in zip(combine, tokens):
-                left = f"{relation.name}.{attribute.name}"
-                predicates.append(
-                    ColumnPredicate(left, "=", ColumnRef(f"cand::{token}"))
+        When a foreign ``U(t)`` is empty the fetch has still probed ``K``
+        (within its bound) before the semijoin returns nothing: the rows of a
+        fetch keyed by the empty candidate product, more tuples touched.
+        """
+        fetch = self._fetch_step_for_constraint(constraint)
+        fetch_columns = self.builder.columns(fetch)
+        needed = {a.name for a in analysis.relation_needed_attributes(relation)}
+        by_token: dict[str, list[str]] = {}
+        for name in sorted(needed | constraint.lhs):
+            by_token.setdefault(analysis.unify(Attribute(relation.name, name)), []).append(name)
+        # attributes whose candidates this fetch satisfies by construction
+        at_home = constraint.lhs | self._projected.get(constraint, set())
+
+        surrogate, columns = fetch, fetch_columns
+        for token, names in by_token.items():
+            home = next((name for name in names if name in at_home), None)
+            if home is not None:  # r.b = r.a for the other attributes under the token
+                tested = [name for name in names if name != home]
+                against, comment = f"{relation.name}.{home}", f"attributes unified as {token}"
+            else:  # foreign: pair the fetched tuples with the token's candidates
+                tested = names
+                against, comment = f"cand::{token}", f"keep tuples whose {token} is a candidate"
+                candidates = self.builder.add(
+                    ProjectOp(
+                        columns=(token,),
+                        inputs=(self._unit_plan_for_token(token),),
+                        output_names=(against,),
+                    ),
+                    columns=[against],
+                    comment=f"candidates for {token}",
                 )
-            validated = self.builder.add(
-                SelectOp(predicates=tuple(predicates), inputs=(joined,)),
-                columns=joined_columns,
-                comment="keep candidates occurring in real tuples",
+                columns = (*columns, against)
+                surrogate = self.builder.add(
+                    ProductOp(inputs=(surrogate, candidates)),
+                    columns=columns,
+                    comment="pair fetched tuples with candidates",
+                )
+            if tested:
+                predicates = tuple(
+                    ColumnPredicate(f"{relation.name}.{name}", "=", ColumnRef(against))
+                    for name in tested
+                )
+                surrogate = self.builder.add(
+                    SelectOp(predicates=predicates, inputs=(surrogate,)),
+                    columns=columns,
+                    comment=comment,
+                )
+        if columns != fetch_columns:
+            surrogate = self.builder.add(
+                ProjectOp(columns=fetch_columns, inputs=(surrogate,)), columns=fetch_columns
             )
-        else:
-            validated = fetched
-            joined_columns = fetch_columns
-
-        surrogate_columns = fetch_columns
-        surrogate = self.builder.add(
-            ProjectOp(columns=tuple(surrogate_columns), inputs=(validated,)),
-            columns=surrogate_columns,
-            comment=f"indexed surrogate for {relation.name}",
-        )
+        step = self.builder.steps[surrogate]
+        role = f"indexed surrogate for {relation.name}"
+        step.comment = f"{step.comment}; {role}" if step.comment else role
         self.surrogate_steps[relation.name] = surrogate
         return surrogate
 

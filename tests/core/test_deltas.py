@@ -398,6 +398,13 @@ class TestSettlementCost:
         plans = [engine.execute(query).plan for query in queries]
         fetch_steps = max(len(engine.prepare(q)[0].executable.fetch_steps()) for q in queries)
         assert len({id(plan) for plan in plans}) == 16
+        # the fetch sites a written `friend` row can reach, read off the plans
+        # themselves: every plan has the same number of them, and at least one
+        (friend_fetches,) = {
+            sum(plan.base_relation(step.op.constraint) == "friend" for step in plan.fetch_steps())
+            for plan in plans
+        }
+        assert friend_fetches >= 1
 
         calls = {"fetch_steps": 0, "positions": 0, "key_sets": 0, "patched": 0}
         settling = []
@@ -449,7 +456,6 @@ class TestSettlementCost:
         assert calls["fetch_steps"] == 16
         assert calls["positions"] <= 16 * fetch_steps
         # key sets are read off an environment once: per entry, and again per patch
-        friend_fetches = 2
         assert calls["key_sets"] == friend_fetches * (16 + patched_before_last)
         for query in queries:
             assert engine.execute(query).rows == evaluate(query, fb_database).rows

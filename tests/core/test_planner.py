@@ -1,17 +1,25 @@
 """Unit tests for algorithm QPlan (canonical bounded plan generation, Section 5)."""
 
-import pytest
+from collections import Counter
 
+import pytest
+from analytic_queries import analytic_queries
+
+from repro.backends.sqlite import SQLiteBackend
 from repro.core.access import AccessConstraint, AccessSchema
 from repro.core.coverage import check_coverage
+from repro.core.engine import BoundedEngine, prepare_query
 from repro.core.errors import NotCoveredError
 from repro.core.plan import FetchOp
 from repro.core.planner import generate_plan, plan_query
-from repro.core.query import Relation, conjunction, eq
+from repro.core.query import Relation, conjunction, eq, relation
+from repro.core.schema import DatabaseSchema
 from repro.evaluator.algebra import evaluate
 from repro.evaluator.executor import execute_plan
+from repro.sharding import SQLiteShard, build_topology
+from repro.storage.database import Database
 from repro.storage.index import IndexSet
-from repro.workloads import facebook
+from repro.workloads import WORKLOADS, facebook, tfacc
 
 
 class TestPlanGeneration:
@@ -114,3 +122,202 @@ class TestPlanGeneration:
         subset = minimize_access(fb_q1, fb_access).selected
         plan = plan_query(fb_q1, subset)
         assert {c.name for c in plan.constraints_used()} <= {c.name for c in subset}
+
+
+def _tfacc_three_way():
+    """``π[year, police.region, districts.region] σ[accident_id = 5] (accidents ⋈ police ⋈ districts)``."""
+    schema = tfacc.schema()
+    accidents, police, districts = (
+        relation(schema, name) for name in ("accidents", "police", "districts")
+    )
+    query = (
+        accidents.join(police, eq(accidents["police_force"], police["police_force"]))
+        .join(districts, eq(accidents["district"], districts["district"]))
+        .select(eq(accidents["accident_id"], 5))
+        .project([accidents["year"], police["region"], districts["region"]])
+    )
+    return query, tfacc.access_schema(schema)
+
+
+def _fetch_once_cases():
+    fb = facebook.access_schema()
+    yield "facebook-q1", facebook.query_q1(), fb
+    yield "facebook-friends-of-friends", facebook.query_friends_of_friends(), fb
+    yield "facebook-difference", facebook.query_q0_prime(), fb
+    yield "tfacc-three-way", *_tfacc_three_way()
+    for name in sorted(WORKLOADS):
+        for index, query in enumerate(analytic_queries(WORKLOADS[name])):
+            yield f"{name}-analytic-{index}", query, WORKLOADS[name].access_schema
+
+
+class TestFetchOnce:
+    """A relation's indexing plan shares the unit fetch of its constraint."""
+
+    @pytest.mark.parametrize("minimize", [True, False], ids=["minA", "A"])
+    @pytest.mark.parametrize(
+        "query, access",
+        [pytest.param(query, access, id=name) for name, query, access in _fetch_once_cases()],
+    )
+    def test_no_plan_fetches_one_constraint_by_one_key_twice(self, query, access, minimize):
+        prepared = prepare_query(query, access, minimize=minimize)
+        for plan in (prepared.plan, prepared.executable):
+            fetches = Counter(
+                (step.op.constraint, step.op.key_columns) for step in plan.fetch_steps()
+            )
+            assert fetches and max(fetches.values()) == 1, fetches
+            # every occurrence still has its surrogate, and it reads its own relation
+            assert set(plan.surrogates) == set(plan.occurrences)
+            for occurrence, step_id in plan.surrogates.items():
+                assert all(c.startswith(f"{occurrence}.") for c in plan.step(step_id).columns)
+
+    def test_point_join_is_one_fetch_per_relation(self):
+        """The plan ARCHITECTURE step 4 quotes: 3 relations, 3 fetches, bound 3 (was 6, 6)."""
+        prepared = prepare_query(*_tfacc_three_way())
+        canonical, executable = prepared.plan, prepared.executable
+        assert (len(canonical), len(executable)) == (15, 9)
+        for plan in (canonical, executable):
+            assert len(plan.fetch_steps()) == 3 and plan.access_bound() == 3
+            # nothing foreign to test: each surrogate *is* its constraint's fetch,
+            # and the optimizer keeps pointing at it
+            fetch_ids = {step.id for step in plan.fetch_steps()}
+            assert set(plan.surrogates.values()) == fetch_ids
+            for occurrence, step_id in plan.surrogates.items():
+                comment = plan.step(step_id).comment
+                assert comment.startswith("fetch via ")
+                assert comment.endswith(f"; indexed surrogate for {occurrence}")
+
+
+# -- the corners of the exactness argument, on answers that exist ----------------
+
+_CORNER_SCHEMA = DatabaseSchema.from_dict(
+    {
+        "orders": ["oid", "cust", "ship_to", "status"],
+        "people": ["pid", "name", "city"],
+    }
+)
+_CORNER_ACCESS = AccessSchema(
+    [
+        AccessConstraint.of("orders", "cust", "oid", 10, name="customer-orders"),
+        AccessConstraint.of(
+            "orders", "oid", ["oid", "cust", "ship_to", "status"], 1, name="order-key"
+        ),
+        AccessConstraint.of("people", "pid", ["pid", "name", "city"], 1, name="person-key"),
+        AccessConstraint.of("people", "city", "pid", 5, name="city-people"),
+    ],
+    schema=_CORNER_SCHEMA,
+)
+
+
+def _corner_database() -> Database:
+    database = Database(_CORNER_SCHEMA)
+    database.insert_many(
+        "orders",
+        [
+            (1, "ann", "ann", "open"),
+            (2, "ann", "bob", "open"),
+            (3, "ann", "ann", "shipped"),
+            (4, "bob", "cy", "open"),
+            (5, "cy", "cy", "open"),
+        ],
+    )
+    database.insert_many(
+        "people", [("ann", "Ann", "nyc"), ("bob", "Bob", "nyc"), ("cy", "Cy", "austin")]
+    )
+    return database
+
+
+def _corner_queries() -> dict:
+    orders, people = relation(_CORNER_SCHEMA, "orders"), relation(_CORNER_SCHEMA, "people")
+    in_city = orders.join(people, eq(orders["cust"], people["pid"]))
+    return {
+        # `status` is a constant on a non-key attribute of order-key: a semijoin stays
+        "foreign-constant": orders.select(
+            conjunction([eq(orders["cust"], "ann"), eq(orders["status"], "open")])
+        ).project([orders["oid"], orders["ship_to"]]),
+        # cust = ship_to inside one tuple, under a token order-key did not fetch ...
+        "shared-token-foreign": orders.select(
+            conjunction([eq(orders["cust"], "ann"), eq(orders["cust"], orders["ship_to"])])
+        ).project([orders["oid"], orders["status"]]),
+        # ... and under a token that is π of order-key's own fetch: a selection, no join
+        "shared-token-home": orders.select(
+            conjunction([eq(orders["oid"], 5), eq(orders["cust"], orders["ship_to"])])
+        ).project([orders["status"]]),
+        # no unit plan reads person-key: the indexing plan creates its fetch
+        "index-only-constraint": in_city.select(
+            conjunction([eq(orders["oid"], 2), eq(people["city"], "nyc")])
+        ).project([orders["oid"], people["pid"]]),
+        # a constant that matches nothing: when QPlan derives cust/pid through
+        # city-people (it may, ROADMAP 3(a)), orders' candidates for `cust` are
+        # empty and order-key is still probed with oid 2
+        "empty-candidates": in_city.select(
+            conjunction([eq(orders["oid"], 2), eq(people["city"], "atlantis")])
+        ).project([orders["oid"], people["pid"]]),
+    }
+
+
+_CORNER_SUBSTRATES = ("row", "columnar", "router-3-mixed", "plan2sql")
+
+
+class TestIndexingPlanCorners:
+    @pytest.mark.parametrize("minimize", [True, False], ids=["minA", "A"])
+    @pytest.mark.parametrize("substrate", _CORNER_SUBSTRATES)
+    @pytest.mark.parametrize("corner", sorted(_corner_queries()))
+    def test_reference_rows_within_the_bound(self, corner, substrate, minimize):
+        database, query = _corner_database(), _corner_queries()[corner]
+        answer = evaluate(query, database).rows
+        assert bool(answer) is (corner != "empty-candidates"), "an empty answer compares nothing"
+        if substrate == "plan2sql":
+            prepared = prepare_query(query, _CORNER_ACCESS, minimize=minimize)
+            with SQLiteBackend(database) as backend:
+                backend.create_index_tables(_CORNER_ACCESS)
+                for plan in (prepared.plan, prepared.executable):
+                    assert backend.run_bounded_plan(plan).rows == answer
+            return
+        if substrate == "router-3-mixed":
+            core = build_topology(
+                database, _CORNER_ACCESS, shards=3, backends=["memory", "sqlite", "memory"]
+            )
+        else:
+            core = BoundedEngine(database, _CORNER_ACCESS, executor_mode=substrate)
+        try:
+            result = core.execute(query, minimize=minimize)
+        finally:
+            for shard in getattr(core, "shards", ()):
+                if isinstance(shard, SQLiteShard):
+                    shard.close()
+        assert result.strategy == "bounded" and result.rows == answer
+        assert result.counter.total <= result.plan.access_bound()
+        assert result.counter.total > 0  # even the empty answer is found by fetching
+
+    def test_the_corners_are_the_shapes_they_claim(self):
+        """What each corner's canonical plan must contain for the case above to test it."""
+        plans = {
+            corner: prepare_query(query, _CORNER_ACCESS).plan
+            for corner, query in _corner_queries().items()
+        }
+
+        def fetch_behind(plan, step_id):
+            step = plan.step(step_id)
+            while not isinstance(step.op, FetchOp):
+                step = plan.step(step.op.inputs[0])
+            return step
+
+        def comments(plan):
+            return [step.comment for step in plan.steps]
+
+        assert "candidates for orders.status" in comments(plans["foreign-constant"])
+        shared = plans["shared-token-foreign"]
+        assert any(
+            step.op.describe().count("= cand::orders.cust") == 2 for step in shared.steps
+        ), shared  # one semijoin carries both cust and ship_to
+        home = plans["shared-token-home"]
+        assert not any("cand::" in column for step in home.steps for column in step.columns)
+        assert "σ[orders.ship_to = orders.cust]" in str(home.step(home.surrogates["orders"]))
+        index_only = plans["index-only-constraint"]
+        fetch = fetch_behind(index_only, index_only.surrogates["people"])
+        assert fetch.op.constraint.name == "person-key"
+        assert all(
+            fetch_behind(index_only, unit) is not fetch
+            for unit in index_only.fetch_plans.values()
+            if index_only.step(unit).op.inputs
+        )

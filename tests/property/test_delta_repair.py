@@ -651,8 +651,8 @@ class TestSettlementAgainstTheDefinition:
     def test_two_sites_over_one_index_register_their_union(self, substrate, row_kernels):
         """The reach index holds what *either* fetch of a self-join probed.
 
-        ``friend ⋈ friend`` fetches ψ1 at several sites: some under ``p0``,
-        some under each of ``p0``'s friends.  An index that kept one site's keys per
+        ``friend ⋈ friend`` fetches ψ1 at two sites, one per occurrence: under
+        ``p0``, and under each of ``p0``'s friends.  An index that kept one site's keys per
         (relation, key positions) would re-stamp the entry over a write only
         the other site read — a ``patched`` entry judged ``clean``.
         """
@@ -668,9 +668,14 @@ class TestSettlementAgainstTheDefinition:
                 )
             (entry,) = settlements.entries().values()
             sites = [step.id for step in entry.plan.fetch_steps()]
-            probes = {frozenset(fact.probed) for fact in _fetch_facts(entry.plan, entry.env)}
-            assert len(sites) > len(probes) == 2  # sites share the index, not their keys
+            facts = _fetch_facts(entry.plan, entry.env)
             friend_of_p0 = min(fid for pid, fid in database.relation("friend") if pid == "p0")
+            # the sites share one index and not their keys: each of the two keys
+            # written below is probed by a site that does not probe the other
+            assert {(fact.base, tuple(fact.lhs)) for fact in facts} == {("friend", ("pid",))}
+            near = {site for site, fact in zip(sites, facts) if ("p0",) in fact.probed}
+            far = {site for site, fact in zip(sites, facts) if (friend_of_p0,) in fact.probed}
+            assert near and far and not near & far
 
             def insert(pid, fid):
                 return settlements.write([Update.insert("friend", (pid, fid))])
