@@ -3,7 +3,7 @@
 Usage (after ``pip install -e .``)::
 
     python -m repro.cli check    --workload AIRCA --sql "SELECT ..."
-    python -m repro.cli plan     --workload TFACC --sql "SELECT ..." [--no-minimize]
+    python -m repro.cli plan     --workload TFACC --sql "SELECT ..." [--no-minimize] [--executable]
     python -m repro.cli run      --workload MCBM  --sql "SELECT ..." [--scale 300]
     python -m repro.cli discover --workload AIRCA --output constraints.json
     python -m repro.cli report   --workload TFACC [--quick]
@@ -30,6 +30,7 @@ from .core.coverage import check_coverage
 from .core.engine import BoundedEngine
 from .core.errors import ReproError
 from .core.minimize import minimize_auto
+from .core.optimizer import choose_executor_mode, optimize_plan
 from .core.plan2sql import plan_to_sql
 from .core.planner import generate_plan
 from .core.serialize import (
@@ -118,11 +119,22 @@ def command_plan(args) -> int:
         print(f"-- minimized access schema ({minimized.method}): "
               f"{len(minimized.selected)} constraints, Σ N = {minimized.cost}")
     plan = generate_plan(coverage)
+    if args.executable:
+        plan = optimize_plan(plan)
     if args.sql_output:
         print(plan_to_sql(plan).sql)
+        return 0
+    if args.executable:
+        bounds = plan.cardinality_bounds()
+        width = len(f"{max(bounds.values()):,}")
+        print(f"-- executable plan, {choose_executor_mode(plan)} kernels under --executor auto; "
+              "left: static bound on the step's rows")
+        for step in plan.steps:
+            print(f"{bounds[step.id]:>{width},}  {step}")
+        print(f"-- result: T{plan.output}")
     else:
         print(plan)
-        print(f"-- access bound: {plan.access_bound()} tuples")
+    print(f"-- access bound: {plan.access_bound()} tuples")
     return 0
 
 
@@ -297,6 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_arguments(plan)
     plan.add_argument("--sql", required=True)
     plan.add_argument("--no-minimize", action="store_true", help="skip access minimization")
+    plan.add_argument("--executable", action="store_true",
+                      help="print the plan that runs: the optimized steps, each with its "
+                           "static row bound, instead of QPlan's canonical plan")
     plan.add_argument("--sql-output", action="store_true",
                       help="print the Plan2SQL translation instead of the plan steps")
     plan.set_defaults(handler=command_plan)

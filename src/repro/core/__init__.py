@@ -14,7 +14,7 @@ Three modules go beyond the paper, toward a serving engine: :mod:`repro.core.
 fingerprint` computes canonical query fingerprints for the engine's caches,
 :mod:`repro.core.planstore` holds the shareable plan store and the versioned
 result cache, and :mod:`repro.core.optimizer` peephole-optimizes canonical
-plans (hash-join fusion, projection pushdown, common-subplan elimination).
+plans (hash-join fusion, column pruning, common-subplan elimination).
 """
 
 from .access import AccessConstraint, AccessSchema

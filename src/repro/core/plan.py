@@ -14,6 +14,7 @@ The module defines the plan operators, the :class:`BoundedPlan` container
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .access import AccessConstraint, AccessSchema
@@ -266,6 +267,64 @@ def position_of(positions: Mapping[str, int], column: str, step: PlanStep) -> in
         ) from None
 
 
+def step_bounds(
+    op: PlanOp,
+    columns: Sequence[str],
+    column_bounds: Mapping[int, Mapping[str, int]] | Sequence[Mapping[str, int]],
+    row_bounds: Mapping[int, int] | Sequence[int],
+) -> tuple[dict[str, int], int]:
+    """One step's static bounds, from those of the steps it reads.
+
+    Returns ``(per-column bounds on distinct values, bound on rows)`` for a
+    step computing ``op`` with output ``columns``; ``column_bounds`` and
+    ``row_bounds`` hold the same pair for every input of ``op``, indexed by
+    step id (a dict or a list).
+    :meth:`BoundedPlan.column_bounds` folds it over a plan; the optimizer
+    folds it over the steps it emits, to ask whether a projection can shrink
+    its input.
+    """
+    if isinstance(op, ConstOp):
+        return {op.column: 1}, 1
+    if isinstance(op, UnitOp):
+        return {}, 1
+    source, source_rows = column_bounds[op.inputs[0]], row_bounds[op.inputs[0]]
+    if isinstance(op, FetchOp):
+        keys = 1
+        for column in op.key_columns:
+            keys *= max(1, source.get(column, source_rows))
+        keys = min(keys, source_rows)
+        produced = keys * op.constraint.bound
+        bounds: dict[str, int] = {}
+        for attr, key_column in zip(sorted(op.constraint.lhs), op.key_columns):
+            bounds[f"{op.constraint.relation}.{attr}"] = max(1, source.get(key_column, keys))
+        for column in columns:
+            bounds.setdefault(column, produced)
+        return bounds, produced
+    if isinstance(op, ProjectOp):
+        names = op.output_names if op.output_names is not None else op.columns
+        bounds = {}
+        product = 1
+        for column, name in zip(op.columns, names):
+            bound = source.get(column, source_rows)
+            bounds[name] = bound
+            product *= max(1, bound)
+        return bounds, min(source_rows, product)
+    if isinstance(op, (SelectOp, DifferenceOp, IntersectOp)):
+        return dict(source), source_rows
+    if isinstance(op, RenameOp):
+        return {op.mapping.get(c, c): bound for c, bound in source.items()}, source_rows
+    other, other_rows = column_bounds[op.inputs[1]], row_bounds[op.inputs[1]]
+    if isinstance(op, (ProductOp, HashJoinOp)):
+        return {**source, **other}, source_rows * other_rows
+    if isinstance(op, UnionOp):
+        bounds = {
+            column: bound + other_bound
+            for (column, bound), other_bound in zip(source.items(), other.values())
+        }
+        return bounds, source_rows + other_rows
+    raise PlanError(f"unknown operator {type(op).__name__}")  # pragma: no cover - future operators
+
+
 @dataclass
 class BoundedPlan:
     """A bounded query plan: an ordered list of steps plus bookkeeping.
@@ -363,107 +422,50 @@ class BoundedPlan:
         return True
 
     # -- static access estimation ------------------------------------------------------
-    def column_bounds(self) -> dict[int, dict[str, int]]:
+    @cached_property
+    def _static_bounds(self) -> tuple[dict[int, dict[str, int]], dict[int, int]]:
+        """``(column bounds, row bounds)`` of every step, computed once.
+
+        A plan is not mutated after :meth:`validate`, and every reader of the
+        static arithmetic — :meth:`access_bound` on each admitted request, the
+        optimizer's executor-mode choice — wants the same two maps.
+        """
+        per_step: dict[int, dict[str, int]] = {}
+        rows: dict[int, int] = {}
+        for step in self.steps:
+            per_step[step.id], rows[step.id] = step_bounds(
+                step.op, step.columns, per_step, rows
+            )
+        return per_step, rows
+
+    def column_bounds(self) -> Mapping[int, Mapping[str, int]]:
         """Per-step, per-column upper bounds on the number of distinct values.
 
         Derived purely from the access constraints: a constant column holds one
         value, a fetch keyed on columns with bounds ``b1..bk`` under a
         constraint with bound ``N`` yields at most ``b1·…·bk`` distinct keys
-        and ``b1·…·bk·N`` distinct values in its RHS columns, and so on.  This
-        is the arithmetic of Example 1 ("at most 5000 + 5000·31·2 tuples").
+        and ``b1·…·bk·N`` distinct values in its RHS columns, and so on
+        (:func:`step_bounds`).  This is the arithmetic of Example 1 ("at most
+        5000 + 5000·31·2 tuples").  The mapping is the plan's own memo: read it,
+        do not write to it.
         """
-        per_step: dict[int, dict[str, int]] = {}
-        rows: dict[int, int] = {}
-        for step in self.steps:
-            op = step.op
-            if isinstance(op, ConstOp):
-                per_step[step.id] = {op.column: 1}
-                rows[step.id] = 1
-            elif isinstance(op, UnitOp):
-                per_step[step.id] = {}
-                rows[step.id] = 1
-            elif isinstance(op, FetchOp):
-                source = per_step[op.inputs[0]]
-                keys = 1
-                for column in op.key_columns:
-                    keys *= max(1, source.get(column, rows[op.inputs[0]]))
-                keys = min(keys, rows[op.inputs[0]])
-                produced = keys * op.constraint.bound
-                bounds: dict[str, int] = {}
-                lhs_sorted = sorted(op.constraint.lhs)
-                for attr, key_column in zip(lhs_sorted, op.key_columns):
-                    bounds[f"{op.constraint.relation}.{attr}"] = max(
-                        1, source.get(key_column, keys)
-                    )
-                for column in step.columns:
-                    bounds.setdefault(column, produced)
-                per_step[step.id] = bounds
-                rows[step.id] = produced
-            elif isinstance(op, ProjectOp):
-                source = per_step[op.inputs[0]]
-                names = op.output_names if op.output_names is not None else op.columns
-                bounds = {}
-                product = 1
-                for column, name in zip(op.columns, names):
-                    bound = source.get(column, rows[op.inputs[0]])
-                    bounds[name] = bound
-                    product *= max(1, bound)
-                per_step[step.id] = bounds
-                rows[step.id] = min(rows[op.inputs[0]], product)
-            elif isinstance(op, SelectOp):
-                per_step[step.id] = dict(per_step[op.inputs[0]])
-                rows[step.id] = rows[op.inputs[0]]
-            elif isinstance(op, RenameOp):
-                source = per_step[op.inputs[0]]
-                per_step[step.id] = {
-                    op.mapping.get(column, column): bound for column, bound in source.items()
-                }
-                rows[step.id] = rows[op.inputs[0]]
-            elif isinstance(op, (ProductOp, HashJoinOp)):
-                left, right = per_step[op.inputs[0]], per_step[op.inputs[1]]
-                per_step[step.id] = {**left, **right}
-                rows[step.id] = rows[op.inputs[0]] * rows[op.inputs[1]]
-            elif isinstance(op, UnionOp):
-                left, right = per_step[op.inputs[0]], per_step[op.inputs[1]]
-                bounds = {}
-                for (lcol, lbound), rbound in zip(left.items(), right.values()):
-                    bounds[lcol] = lbound + rbound
-                per_step[step.id] = bounds
-                rows[step.id] = rows[op.inputs[0]] + rows[op.inputs[1]]
-            elif isinstance(op, (DifferenceOp, IntersectOp)):
-                per_step[step.id] = dict(per_step[op.inputs[0]])
-                rows[step.id] = rows[op.inputs[0]]
-            else:  # pragma: no cover - future operators
-                raise PlanError(f"unknown operator {type(op).__name__}")
-        self._row_bounds = rows
-        return per_step
+        return self._static_bounds[0]
 
     def cardinality_bounds(self) -> dict[int, int]:
         """A per-step upper bound on output cardinality implied by the constraints."""
-        self.column_bounds()
-        return dict(self._row_bounds)
+        return dict(self._static_bounds[1])
 
     def access_bound(self) -> int:
         """An upper bound on the number of tuples the plan can access.
 
         Each ``fetch(X ∈ T, R, Y)`` issues at most one index probe per distinct
-        key of its input and retrieves at most ``N`` tuples per probe.  The
-        bound is the sum over all fetch steps, computed from the constraints
-        alone — independent of any dataset, as required by bounded
-        evaluability.
+        key of its input and retrieves at most ``N`` tuples per probe — the
+        fetch step's own row bound.  The bound is the sum over all fetch
+        steps, computed from the constraints alone — independent of any
+        dataset, as required by bounded evaluability.
         """
-        column_bounds = self.column_bounds()
-        rows = self._row_bounds
-        total = 0
-        for step in self.fetch_steps():
-            op = step.op
-            source = column_bounds[op.inputs[0]]  # type: ignore[index]
-            keys = 1
-            for column in op.key_columns:  # type: ignore[union-attr]
-                keys *= max(1, source.get(column, rows[op.inputs[0]]))
-            keys = min(keys, rows[op.inputs[0]])
-            total += keys * op.constraint.bound  # type: ignore[union-attr]
-        return total
+        rows = self._static_bounds[1]
+        return sum(rows[step.id] for step in self.fetch_steps())
 
     # -- rendering ------------------------------------------------------------------
     def __str__(self) -> str:

@@ -8,8 +8,9 @@ three evaluation-layer stages:
 
 1. **optimizer** — the canonical plan from ``QPlan`` is peephole-optimized
    (:func:`repro.core.optimizer.optimize_plan`): select-over-product pairs
-   fuse into hash joins, stacked projections/selections collapse, common
-   subplans are deduplicated and dead steps dropped;
+   fuse into hash joins, stacked projections/selections collapse, columns
+   nothing downstream reads are dropped below the joins, common subplans
+   are deduplicated and dead steps dropped;
 2. **cache** — the optimized plan is stored in the engine's
    :class:`~repro.core.planstore.PlanStore` under the query's canonical
    fingerprint, so repeated queries skip coverage checking, minimization,

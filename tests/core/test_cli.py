@@ -52,6 +52,19 @@ class TestPlanCommand:
         assert "access bound" in out
         assert "minimized access schema" in out
 
+    def test_plan_executable_prints_the_plan_that_runs(self, capsys):
+        """Optimized steps (a fused join among them), each after its static row bound."""
+        code = main(["plan", "--workload", "facebook", "--scale", "30",
+                     "--sql", FB_Q1_SQL, "--executable"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "-- executable plan, columnar kernels" in out
+        steps = [line for line in out.splitlines() if not line.startswith("--")]
+        assert all(line.split()[0].replace(",", "").isdigit() for line in steps)
+        assert any("⋈[" in line for line in steps)
+        assert any(line.split()[0] == "5,000" and "fetch(" in line for line in steps)
+        assert "-- access bound:" in out
+
     def test_plan_sql_output(self, capsys):
         code = main(["plan", "--workload", "facebook", "--scale", "30",
                      "--sql", FB_Q1_SQL, "--sql-output"])

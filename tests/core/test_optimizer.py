@@ -2,12 +2,18 @@
 
 import pytest
 
+from analytic_queries import analytic_queries
+
+from repro.core.engine import prepare_query
 from repro.core.optimizer import optimize_plan
 from repro.core.plan import (
     ColumnPredicate,
     ColumnRef,
     ConstOp,
+    DifferenceOp,
+    FetchOp,
     HashJoinOp,
+    IntersectOp,
     PlanBuilder,
     ProductOp,
     ProjectOp,
@@ -16,8 +22,10 @@ from repro.core.plan import (
     UnionOp,
 )
 from repro.core.planner import plan_query
+from repro.core.query import eq, relation
 from repro.evaluator.algebra import evaluate
 from repro.evaluator.executor import PlanExecutor, execute_plan
+from repro.workloads import WORKLOADS, tfacc
 
 
 class TestPeepholeRules:
@@ -173,3 +181,241 @@ class TestOptimizedPlansOnQueries:
         twice = optimize_plan(once)
         assert len(twice) == len(once)
         assert twice.is_bounded
+
+
+# -- column pruning ---------------------------------------------------------------
+
+def _constants(builder: PlanBuilder, **values) -> int:
+    """The one-row product of ``values`` as constants, one column each."""
+    step = None
+    for column, value in values.items():
+        const = builder.add(ConstOp(value=value, column=column), [column])
+        if step is None:
+            step = const
+        else:
+            columns = (*builder.columns(step), column)
+            step = builder.add(ProductOp(inputs=(step, const)), columns)
+    return step
+
+
+def _friends_of(builder: PlanBuilder, fb_access, key: str = "k") -> int:
+    """``fetch(friend, pid = 'p0')``: 5 000 rows at most, one distinct ``friend.pid``."""
+    psi1 = next(c for c in fb_access if c.name == "psi1")
+    source = builder.add(ConstOp(value="p0", column=key), [key])
+    return builder.add(
+        FetchOp(constraint=psi1, key_columns=(key,), inputs=(source,)),
+        ["friend.fid", "friend.pid"],
+    )
+
+
+def _pruned_steps(plan):
+    return [step for step in plan.steps if step.comment.startswith("pruned for ")]
+
+
+def _tfacc_wide_join():
+    """``π[region, year, stop_type] σ[district = c] (districts ⋈ accidents ⋈ stops)``."""
+    schema = tfacc.schema()
+    districts, accidents, stops = (
+        relation(schema, name) for name in ("districts", "accidents", "stops")
+    )
+    query = (
+        districts.join(accidents, eq(districts["district"], accidents["district"]))
+        .join(stops, eq(districts["district"], stops["district"]))
+        .select(eq(districts["district"], "DS010"))
+        .project([districts["region"], accidents["year"], stops["stop_type"]])
+    )
+    return query, tfacc.access_schema(schema)
+
+
+class TestColumnPruning:
+    @pytest.mark.parametrize("fused", [False, True], ids=["select-over-product", "hash-join"])
+    def test_needed_columns_propagate_through_every_reader(self, fb_access, fb_indexes, fused):
+        """ρ, σ, a join's pairs and its residual each keep what they read; ``d1`` has no reader."""
+        builder = PlanBuilder(fb_access)
+        wide = _constants(builder, a=1, b=2, c=3, d=4)
+        names = ("a1", "b1", "c1", "d1")
+        t1 = builder.add(
+            ProjectOp(columns=("a", "b", "c", "d"), inputs=(wide,), output_names=names), names
+        )
+        t2 = builder.add(RenameOp(mapping={"a1": "a2"}, inputs=(t1,)), ("a2", *names[1:]))
+        t3 = builder.add(
+            SelectOp(predicates=(ColumnPredicate("b1", "=", 2),), inputs=(t2,)),
+            builder.columns(t2),
+        )
+        t4 = builder.add(ConstOp(value=1, column="e"), ["e"])
+        joined = (*builder.columns(t3), "e")
+        pair, residual = ColumnPredicate("a2", "=", ColumnRef("e")), ColumnPredicate("c1", ">=", 0)
+        if fused:
+            t5 = builder.add(
+                HashJoinOp(pairs=(("a2", "e"),), residual=(residual,), inputs=(t3, t4)), joined
+            )
+        else:
+            product = builder.add(ProductOp(inputs=(t3, t4)), joined)
+            t5 = builder.add(SelectOp(predicates=(pair, residual), inputs=(product,)), joined)
+        plan = builder.build(builder.add(ProjectOp(columns=("e",), inputs=(t5,)), ["e"]))
+        optimized = optimize_plan(plan)
+        by_type = {type(s.op): s for s in optimized.steps if s.id != optimized.output}
+        assert by_type[ProjectOp].op.output_names == ("a1", "b1", "c1")
+        assert by_type[RenameOp].columns == ("a2", "b1", "c1")
+        assert by_type[SelectOp].columns == ("a2", "b1", "c1")
+        assert by_type[HashJoinOp].columns == ("a2", "b1", "c1", "e")
+        # one-row inputs cannot shrink: nothing is inserted below the join
+        assert not _pruned_steps(optimized)
+        assert execute_plan(optimized, fb_indexes).rows == execute_plan(plan, fb_indexes).rows
+        assert execute_plan(optimized, fb_indexes).rows == {(1,)}
+
+    @pytest.mark.parametrize(
+        "read, kept",
+        [("friend.pid", ("friend.pid",)), ("friend.fid", None)],
+        ids=["bounds-prove-it-shrinks", "bounds-cannot-prove-it"],
+    )
+    def test_join_input_is_projected_only_when_the_bounds_shrink(
+        self, fb_access, fb_indexes, read, kept
+    ):
+        """π[friend.pid] of 5 000 friends of one person is one row; π[friend.fid] may be 5 000."""
+        builder = PlanBuilder(fb_access)
+        friends = _friends_of(builder, fb_access)
+        other = builder.add(ConstOp(value="p0", column="c"), ["c"])
+        columns = ("friend.fid", "friend.pid", "c")
+        product = builder.add(ProductOp(inputs=(friends, other)), columns, "pair friends")
+        matched = builder.add(
+            SelectOp(predicates=(ColumnPredicate(read, "=", ColumnRef("c")),), inputs=(product,)),
+            columns,
+        )
+        plan = builder.build(builder.add(ProjectOp(columns=("c",), inputs=(matched,)), ["c"]))
+        optimized = optimize_plan(plan)
+        pruned = _pruned_steps(optimized)
+        if kept is None:
+            assert not pruned
+        else:
+            (step,) = pruned
+            assert step.comment == "pruned for pair friends"
+            assert step.op.columns == step.columns == kept
+            assert isinstance(optimized.step(step.op.inputs[0]).op, FetchOp)
+            bounds = optimized.cardinality_bounds()
+            assert bounds[step.id] == 1 < bounds[step.op.inputs[0]] == 5000
+        assert [str(s.op.constraint) for s in optimized.fetch_steps()] == [
+            str(s.op.constraint) for s in plan.fetch_steps()
+        ]
+        assert optimized.access_bound() == plan.access_bound() == 5000
+        assert execute_plan(optimized, fb_indexes).rows == execute_plan(plan, fb_indexes).rows
+
+    def test_fetch_key_source_keeps_every_column(self, fb_access, fb_indexes):
+        """Nothing is dropped from the step a fetch takes its keys from, read or not."""
+        builder = PlanBuilder(fb_access)
+        keys = builder.add(
+            ProjectOp(
+                columns=("k", "junk"),
+                inputs=(_constants(builder, k="p0", junk=0),),
+                output_names=("k2", "junk2"),
+            ),
+            ["k2", "junk2"],
+        )
+        psi1 = next(c for c in fb_access if c.name == "psi1")
+        fetch = builder.add(
+            FetchOp(constraint=psi1, key_columns=("k2",), inputs=(keys,)),
+            ["friend.fid", "friend.pid"],
+        )
+        plan = builder.build(
+            builder.add(ProjectOp(columns=("friend.fid",), inputs=(fetch,)), ["friend.fid"])
+        )
+        optimized = optimize_plan(plan)
+        (fetch_step,) = optimized.fetch_steps()
+        assert fetch_step.op.key_columns == ("k2",)
+        assert optimized.step(fetch_step.op.inputs[0]).columns == ("k2", "junk2")
+        assert optimized.access_bound() == plan.access_bound()
+        rows = execute_plan(optimized, fb_indexes).rows
+        assert rows and rows == execute_plan(plan, fb_indexes).rows
+
+    @pytest.mark.parametrize(
+        "operator, answer",
+        [(UnionOp, {(1,)}), (DifferenceOp, {(1,)}), (IntersectOp, set())],
+        ids=["union", "difference", "intersection"],
+    )
+    def test_set_operators_keep_every_column(self, fb_access, fb_indexes, operator, answer):
+        """{(1, 2)} op {(1, 3)} then π[x]: dropping the unread ``y`` first changes − and ∩."""
+        builder = PlanBuilder(fb_access)
+        sides = [
+            builder.add(
+                ProjectOp(
+                    columns=tuple(values),
+                    inputs=(_constants(builder, **values),),
+                    output_names=("x", "y"),
+                ),
+                ["x", "y"],
+            )
+            for values in ({"a": 1, "b": 2}, {"c": 1, "d": 3})
+        ]
+        combined = builder.add(operator(inputs=tuple(sides)), ["x", "y"])
+        plan = builder.build(builder.add(ProjectOp(columns=("x",), inputs=(combined,)), ["x"]))
+        optimized = optimize_plan(plan)
+        inner = [s for s in optimized.steps if isinstance(s.op, ProjectOp) and s.id != optimized.output]
+        assert [s.columns for s in inner] == [("x", "y"), ("x", "y")]
+        assert execute_plan(optimized, fb_indexes).rows == answer
+        assert execute_plan(plan, fb_indexes).rows == answer
+
+    def test_duplicate_column_names_block_pruning(self, fb_access, fb_indexes):
+        """A product whose two sides both have ``friend.pid`` is left alone, unread columns too."""
+        builder = PlanBuilder(fb_access)
+        left = builder.add(ConstOp(value="p0", column="friend.pid"), ["friend.pid"])
+        friends = _friends_of(builder, fb_access)
+        columns = ("friend.pid", "friend.fid", "friend.pid")
+        product = builder.add(ProductOp(inputs=(left, friends)), columns)
+        plan = builder.build(
+            builder.add(ProjectOp(columns=("friend.pid",), inputs=(product,)), ["friend.pid"])
+        )
+        optimized = optimize_plan(plan)
+        assert not _pruned_steps(optimized)
+        (kept,) = [s for s in optimized.steps if isinstance(s.op, ProductOp)]
+        assert kept.columns == columns
+        assert execute_plan(optimized, fb_indexes).rows == execute_plan(plan, fb_indexes).rows
+
+    def test_unread_side_of_a_product_keeps_one_column(self, fb_access, fb_indexes):
+        """π[c](friends × {c}) reads no friend column, but no friend means no row."""
+        builder = PlanBuilder(fb_access)
+        friends = _friends_of(builder, fb_access)
+        narrowed = builder.add(
+            ProjectOp(columns=("friend.fid", "friend.pid"), inputs=(friends,), output_names=("f", "p")),
+            ["f", "p"],
+        )
+        other = builder.add(ConstOp(value=7, column="c"), ["c"])
+        product = builder.add(ProductOp(inputs=(narrowed, other)), ["f", "p", "c"])
+        plan = builder.build(builder.add(ProjectOp(columns=("c",), inputs=(product,)), ["c"]))
+        optimized = optimize_plan(plan)
+        (kept,) = [s for s in optimized.steps if isinstance(s.op, ProductOp)]
+        assert kept.columns == ("f", "c")
+        assert execute_plan(optimized, fb_indexes).rows == {(7,)}
+
+    def test_wide_join_carries_only_what_the_answer_reads(self):
+        """13 500 accidents of a district enter the join as ≤ 27 (district, year) pairs."""
+        prepared = prepare_query(*_tfacc_wide_join())
+        canonical, executable = prepared.plan, prepared.executable
+        (step,) = _pruned_steps(executable)
+        assert step.columns == ("accidents.district", "accidents.year")
+        assert isinstance(executable.step(step.op.inputs[0]).op, FetchOp)
+        bounds = executable.cardinality_bounds()
+        assert bounds[step.id] == 27 < bounds[step.op.inputs[0]] == 13_500
+        # the surrogate of ``stops`` is a projection already: it narrows in place
+        assert executable.step(executable.surrogates["stops"]).columns == (
+            "stops.district",
+            "stops.stop_type",
+        )
+        fetches = lambda plan: [(s.op.constraint, s.op.key_columns) for s in plan.fetch_steps()]
+        assert fetches(executable) == fetches(canonical)
+        assert executable.access_bound() == canonical.access_bound()
+        assert executable.dependency_relations() == canonical.dependency_relations()
+
+    @pytest.mark.parametrize(
+        "case", ["facebook-q1", "facebook-q0-prime", "tfacc-wide", "tfacc-analytic"]
+    )
+    def test_idempotent_and_deterministic(self, case, fb_q1, fb_q0_prime, fb_access):
+        if case.startswith("facebook"):
+            query, access = (fb_q1 if case.endswith("q1") else fb_q0_prime), fb_access
+        elif case == "tfacc-analytic":
+            query, access = analytic_queries(WORKLOADS["TFACC"])[0], WORKLOADS["TFACC"].access_schema
+        else:
+            query, access = _tfacc_wide_join()
+        plan = plan_query(query, access)
+        once = optimize_plan(plan)
+        assert str(optimize_plan(plan)) == str(once)
+        assert str(optimize_plan(once)) == str(once)

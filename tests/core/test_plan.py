@@ -123,6 +123,21 @@ class TestStaticEstimates:
         assert bounds[1] == 5000
         assert bounds[2] == 5000
 
+    def test_bounds_are_computed_once_per_plan(self, fetch_plan, monkeypatch):
+        """Every reader of the static arithmetic shares one pass over the steps."""
+        from repro.core import plan as plan_module
+
+        calls = []
+        real = plan_module.step_bounds
+        monkeypatch.setattr(
+            plan_module, "step_bounds", lambda *args: calls.append(args[0]) or real(*args)
+        )
+        assert fetch_plan.access_bound() == fetch_plan.access_bound() == 5000
+        assert fetch_plan.cardinality_bounds()[1] == fetch_plan.column_bounds()[1]["friend.fid"]
+        assert fetch_plan.column_bounds() is fetch_plan.column_bounds()
+        assert len(calls) == len(fetch_plan)
+        assert not hasattr(fetch_plan, "_row_bounds")
+
     def test_access_bound_example1_style(self, simple_schema):
         """Reproduce the arithmetic of Example 1: 5000 + 5000·31 accessed tuples."""
         psi1 = next(c for c in simple_schema if c.name == "psi1")

@@ -175,6 +175,8 @@ class TestFetchOnce:
         prepared = prepare_query(*_tfacc_three_way())
         canonical, executable = prepared.plan, prepared.executable
         assert (len(canonical), len(executable)) == (15, 9)
+        # every fetch returns one row: no projection can shrink, the optimizer inserts none
+        assert not any(step.comment.startswith("pruned for ") for step in executable.steps)
         for plan in (canonical, executable):
             assert len(plan.fetch_steps()) == 3 and plan.access_bound() == 3
             # nothing foreign to test: each surrogate *is* its constraint's fetch,
