@@ -52,6 +52,8 @@ class SQLiteBackend:
         self.database = database
         self.connection = sqlite3.connect(":memory:")
         self._index_constraints: dict[str, AccessConstraint] = {}
+        #: (constraint, base relation) -> the SQL of one fetch_index key
+        self._fetch_sql: dict[tuple[AccessConstraint, str | None], str] = {}
         self._load_relations()
 
     # -- setup -------------------------------------------------------------------
@@ -133,30 +135,35 @@ class SQLiteBackend:
         federated scatter/gather fetch (see :mod:`repro.sharding`).  A
         constraint with an empty LHS returns the whole index table.
         """
+        sql = self._fetch_sql.get((constraint, base_relation))
+        if sql is None:
+            sql = self._fetch_sql[constraint, base_relation] = self._prepare_fetch(
+                constraint, base_relation
+            )
+        execute = self.connection.execute
+        if not constraint.lhs:
+            return frozenset(execute(sql))
+        rows: set[tuple] = set()
+        for key in keys:
+            rows.update(execute(sql, key))
+        return frozenset(rows)
+
+    def _prepare_fetch(self, constraint: AccessConstraint, base_relation: str | None) -> str:
+        """The SQL :meth:`fetch_index` runs once per key over ``constraint``'s index table."""
         table = index_table_name(constraint, base_relation)
         if table not in self._index_constraints:
             raise StorageError(
                 f"index table {table!r} has not been created; call "
                 "create_index_tables() with the plan's access schema first"
             )
-        cursor = self.connection.cursor()
         columns = sorted(constraint.lhs | constraint.rhs)
         select_list = ", ".join(quote_identifier(c) for c in columns)
-        rows: set[tuple] = set()
+        sql = f"SELECT DISTINCT {select_list} FROM {quote_identifier(table)}"
         lhs = sorted(constraint.lhs)
         if not lhs:
-            cursor.execute(f"SELECT DISTINCT {select_list} FROM {quote_identifier(table)}")
-            rows.update(tuple(r) for r in cursor.fetchall())
-            return frozenset(rows)
+            return sql
         conditions = " AND ".join(f"{quote_identifier(c)} = ?" for c in lhs)
-        sql = (
-            f"SELECT DISTINCT {select_list} FROM {quote_identifier(table)} "
-            f"WHERE {conditions}"
-        )
-        for key in keys:
-            cursor.execute(sql, tuple(key))
-            rows.update(tuple(r) for r in cursor.fetchall())
-        return frozenset(rows)
+        return f"{sql} WHERE {conditions}"
 
     # -- maintenance ---------------------------------------------------------------------
     # The maintainer seam of :func:`repro.discovery.maintenance.apply_updates`

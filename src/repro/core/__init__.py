@@ -11,7 +11,7 @@ The sub-modules mirror the sections of the paper:
 * :mod:`repro.core.engine` — the end-to-end framework of Section 7
 
 Three modules go beyond the paper, toward a serving engine: :mod:`repro.core.
-fingerprint` computes canonical query fingerprints for the engine's caches,
+fingerprint` computes the canonical query keys of the engine's caches,
 :mod:`repro.core.planstore` holds the shareable plan store and the versioned
 result cache, and :mod:`repro.core.optimizer` peephole-optimizes canonical
 plans (hash-join fusion, column pruning, common-subplan elimination).
@@ -20,7 +20,12 @@ plans (hash-join fusion, column pruning, common-subplan elimination).
 from .access import AccessConstraint, AccessSchema
 from .coverage import CoverageResult, check_coverage, is_covered
 from .engine import BoundedEngine, EngineResult, PreparedQuery, ServingCore
-from .fingerprint import canonical_form, prepared_cache_key, query_fingerprint
+from .fingerprint import (
+    canonical_form,
+    prepared_cache_key,
+    query_fingerprint,
+    result_cache_key,
+)
 from .planstore import CachedResult, PlanStore, ResultCache
 from .optimizer import optimize_plan
 from .minimize import (
@@ -114,4 +119,5 @@ __all__ = [
     "prepared_cache_key",
     "query_fingerprint",
     "query_to_sql",
+    "result_cache_key",
 ]

@@ -26,7 +26,8 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
 * **Plan store** — C2–C4 (plus the peephole optimization of
   :mod:`repro.core.optimizer`) depend only on the query syntax and the
   access schema, so their output is cached under the query's canonical
-  fingerprint (:func:`repro.core.fingerprint.prepared_cache_key`).  The
+  form and the preparation flags
+  (:func:`repro.core.fingerprint.prepared_cache_key`).  The
   store is *shareable*: pass one :class:`~repro.core.planstore.PlanStore`
   to several cores serving the same access schema and each query is
   prepared once fleet-wide.  Entries are tagged with the base relations
@@ -34,8 +35,12 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
 
 * **Result cache** — covered results are bounded by the access schema
   (≤ ``access_bound()`` tuples), so the core keeps a
-  :class:`~repro.core.planstore.ResultCache` keyed by ``(fingerprint,
-  dependency snapshot)``.  Repeated covered queries on unchanged data are
+  :class:`~repro.core.planstore.ResultCache` keyed by the query's SHA-256
+  fingerprint and flags (:func:`repro.core.fingerprint.result_cache_key`),
+  each entry stamped with its dependency snapshot.  That key is computed
+  once per prepare, on the plan-store miss, and read off the prepared entry
+  (:attr:`PreparedQuery.result_key`): a read builds the canonical form once
+  and hashes no digest.  Repeated covered queries on unchanged data are
   served without executing at all; a write to a dependent relation changes
   the snapshot and the entry misses.
 
@@ -76,7 +81,7 @@ from .errors import (
     NotCoveredError,
     TransientFault,
 )
-from .fingerprint import prepared_cache_key
+from .fingerprint import prepared_cache_key, result_cache_key
 from .minimize import MinimizationResult, minimize_auto
 from .optimizer import optimize_plan
 from .plan import BoundedPlan
@@ -137,7 +142,9 @@ class PreparedQuery:
     queries both are ``None`` and only ``coverage`` is kept, so the fallback
     decision itself is also cached.  ``dependencies`` names the base
     relations the executable plan fetches from — the entry's invalidation
-    footprint.
+    footprint.  ``result_key`` is the key the result cache files the
+    query's answer under (:func:`~repro.core.fingerprint.result_cache_key`):
+    the entry carries it so that no read hashes a digest.
     """
 
     coverage: CoverageResult
@@ -147,6 +154,7 @@ class PreparedQuery:
     rewrite: str = "identity"
     target: Query | None = None
     dependencies: tuple[str, ...] = ()
+    result_key: Hashable | None = None
 
     @property
     def covered(self) -> bool:
@@ -184,10 +192,14 @@ def prepare_query(
 
     Runs coverage checking, covered rewriting, access minimization, plan
     generation and peephole optimization — everything a
-    :class:`PreparedQuery` holds.  :class:`ServingCore` caches the output in
-    a :class:`~repro.core.planstore.PlanStore` under
+    :class:`PreparedQuery` holds, the result-cache key included.
+    :class:`ServingCore` caches the output in a
+    :class:`~repro.core.planstore.PlanStore` under
     :func:`~repro.core.fingerprint.prepared_cache_key`.
     """
+    result_key = result_cache_key(
+        query, minimize=minimize, allow_rewrite=allow_rewrite, optimize=optimize
+    )
     target = query
     rewrite_name = "identity"
     checker = CoverageChecker(query)
@@ -201,7 +213,7 @@ def prepare_query(
             coverage = check_coverage(target, access_schema, checker=checker)
 
     if not coverage.is_covered:
-        return PreparedQuery(coverage=coverage)
+        return PreparedQuery(coverage=coverage, result_key=result_key)
 
     plan, effective_coverage, minimization = _plan_covered(
         coverage, checker, access_schema, minimize
@@ -215,6 +227,7 @@ def prepare_query(
         rewrite=rewrite_name,
         target=target,
         dependencies=executable.dependency_relations(),
+        result_key=result_key,
     )
 
 
@@ -326,10 +339,12 @@ class ServingCore:
         """An execution was invalidated by a racing write (a counting hook)."""
 
     # -- query preparation (C2-C4, cached) --------------------------------------------
-    # ``prepare``, ``probe`` and ``execute`` each fingerprint exactly once and
-    # address both caches with that key: fingerprinting is most of the work
-    # left on a result-cache hit, so the hot path must not compute it twice —
-    # nor spend a call frame on sharing these two lines.
+    # ``prepare``, ``probe`` and ``execute`` each build the plan-store key
+    # exactly once and address the result cache with the ``result_key`` the
+    # entry they found carries: keying is most of the work left on a
+    # result-cache hit, so the hot path must not compute it twice, must not
+    # hash a digest (that happens once, on the plan-store miss) — nor spend
+    # a call frame on sharing these two lines.
     def prepare(
         self, query: Query, *, minimize: bool = True, allow_rewrite: bool = True
     ) -> tuple[PreparedQuery, bool]:
@@ -387,13 +402,14 @@ class ServingCore:
     ) -> EngineResult | None:
         """The result-cache hit :meth:`execute` would return for ``query``, or ``None``.
 
-        The first half of :meth:`execute` and nothing else: fingerprint once
-        → plan-store lookup → dependency snapshot → result-cache lookup
-        against that snapshot.  ``None`` means the answer costs something —
-        the plan store does not hold the query (C2–C4 are **not** run), the
-        query is not covered, there is no entry, or the entry's stamp is not
-        the current snapshot — and the caller should :meth:`execute`.  Both
-        lookups are uncounted until the read is served (see
+        The first half of :meth:`execute` and nothing else: plan-store key
+        once → plan-store lookup → dependency snapshot → result-cache lookup
+        under the entry's ``result_key`` against that snapshot.  ``None``
+        means the answer costs something — the plan store does not hold the
+        query (C2–C4 are **not** run), the query is not covered, there is no
+        entry, or the entry's stamp is not the current snapshot — and the
+        caller should :meth:`execute`.  Both lookups are uncounted until the
+        read is served (see
         :meth:`PlanStore.get <repro.core.planstore.PlanStore.get>`): on
         ``None`` the :meth:`execute` that follows counts it, so one read is
         one count in each cache however it was served.  The serving tier
@@ -407,7 +423,7 @@ class ServingCore:
         if prepared is None or not prepared.covered:
             return None
         snapshot = self._snapshot(prepared.dependencies)
-        hit = self.result_cache.get(key, snapshot, record=False)
+        hit = self.result_cache.get(prepared.result_key, snapshot, record=False)
         if hit is None:
             return None
         self.plan_cache.record_hit()
@@ -445,9 +461,10 @@ class ServingCore:
 
         if prepared.covered:
             dependencies = prepared.dependencies
+            result_key = prepared.result_key
             for _attempt in range(self.max_snapshot_retries + 1):
                 snapshot = self._snapshot(dependencies)
-                hit = self.result_cache.get(key, snapshot)
+                hit = self.result_cache.get(result_key, snapshot)
                 if hit is not None:
                     return self._hit_result(prepared, hit, cached)
                 execution: ExecutionResult = self._executor.execute(
@@ -457,7 +474,7 @@ class ServingCore:
                 )
                 if self._validate(dependencies, snapshot):
                     self.result_cache.put(
-                        key,
+                        result_key,
                         rows=execution.rows,
                         columns=execution.columns,
                         dependencies=dependencies,

@@ -1,27 +1,37 @@
-"""Canonical query fingerprints for the plan store and result cache.
+"""Canonical query keys for the plan store and the result cache.
 
 Coverage checking, access minimization and plan generation depend only on the
 *syntax* of a query (plus the access schema), never on the data.  Two
 executions of syntactically identical queries can therefore share one bounded
 plan — even across engine instances serving the same access schema.  This
-module computes a canonical, hashable fingerprint of a
-:class:`~repro.core.query.Query` so that
-:class:`~repro.core.planstore.PlanStore` can key prepared plans by it, and
-:func:`prepared_cache_key` folds in the preparation flags to form the full
-cache key shared by the plan store and the result cache.
+module turns a :class:`~repro.core.query.Query` into two keys:
 
-The fingerprint is the SHA-256 digest of an unambiguous serialization of the
-query tree.  Serialization uses ``repr`` of nested tuples whose leaves are
-tagged with their Python types, so that
+* :func:`canonical_form` is an unambiguous nested-tuple serialization of the
+  query tree whose leaves are strings (constants are tagged with their Python
+  type and carried as their ``repr``).  Tuple equality is therefore
+  syntactic identity.  :func:`prepared_cache_key` — the form plus the
+  preparation flags — is what :class:`~repro.core.planstore.PlanStore` is
+  keyed by; every read builds it once, and nothing else is computed from the
+  query on a hit.
+* :func:`query_fingerprint` is the SHA-256 digest of the form's ``repr``: a
+  short name that does not depend on ``PYTHONHASHSEED``.
+  :func:`result_cache_key` puts it in the form's place, and that key is what
+  the result cache, its reach index and write settlement address entries by:
+  a ``str`` caches its hash and a nested tuple does not, and a settlement
+  hashes its keys hundreds of times a batch.  It is computed once per
+  prepare, on the plan-store miss, and kept on the prepared entry
+  (``PreparedQuery.result_key`` in :mod:`repro.core.engine`).
+
+Both keys tell apart what the syntax tells apart, so that
 
 * structurally identical queries built independently collide (cache hits),
 * queries differing in *any* syntactic detail — an occurrence name, a rename
   target, the type of a constant (``1`` vs ``"1"`` vs ``True``), the order of
-  conjuncts — get distinct fingerprints.
+  conjuncts — get distinct keys.
 
-Fingerprints are deliberately syntactic: semantically equivalent but
-syntactically different queries miss the cache, which costs a re-plan but can
-never serve a wrong plan.
+Keys are deliberately syntactic: semantically equivalent but syntactically
+different queries miss the cache, which costs a re-plan but can never serve a
+wrong plan.
 """
 
 from __future__ import annotations
@@ -104,8 +114,8 @@ def prepared_cache_key(
     minimize: bool = True,
     allow_rewrite: bool = True,
     optimize: bool = True,
-) -> tuple[str, bool, bool, bool]:
-    """The cache key of one query under one preparation configuration.
+) -> tuple[tuple, bool, bool, bool]:
+    """The plan-store key of one query under one preparation configuration.
 
     The flags are part of the key because they change what C2–C4 produce
     (minimized vs full schema, rewritten vs original target, peephole-
@@ -115,9 +125,18 @@ def prepared_cache_key(
     engines with *different* flags sharing one store address disjoint
     entries instead of silently serving each other's.
     """
-    return (
-        query_fingerprint(query),
-        bool(minimize),
-        bool(allow_rewrite),
-        bool(optimize),
-    )
+    return (canonical_form(query), bool(minimize), bool(allow_rewrite), bool(optimize))
+
+
+def result_cache_key(
+    query: Query,
+    *,
+    minimize: bool = True,
+    allow_rewrite: bool = True,
+    optimize: bool = True,
+) -> tuple[str, bool, bool, bool]:
+    """The result-cache key of the entry :func:`prepared_cache_key` names.
+
+    The same flags, with the canonical form replaced by its digest.
+    """
+    return (query_fingerprint(query), bool(minimize), bool(allow_rewrite), bool(optimize))

@@ -2,18 +2,22 @@
 
 Two caches back the hot path of :class:`~repro.core.engine.BoundedEngine`:
 
-* :class:`PlanStore` — an LRU map from canonical query keys
-  (:func:`~repro.core.fingerprint.prepared_cache_key`) to prepared-query
-  entries.  Everything a prepared entry holds (coverage verdict, minimized
-  schema, bounded plan, optimized plan) depends only on the query syntax and
+* :class:`PlanStore` — an LRU map from canonical query forms plus
+  preparation flags (:func:`~repro.core.fingerprint.prepared_cache_key`, a
+  nested tuple of strings and bools) to prepared-query entries.  Everything
+  a prepared entry holds (coverage verdict, minimized schema, bounded plan,
+  optimized plan, the result-cache key) depends only on the query syntax and
   the access schema, so one store can be **shared across engine instances**
   (or shards) that serve the same access schema, even over divergent data.
   Each entry is tagged with the base relations its plan fetches from
   (:meth:`~repro.core.plan.BoundedPlan.dependency_relations`), so writes
   invalidate only the dependent entries instead of clearing the store.
 
-* :class:`ResultCache` — a per-engine LRU map from ``(query key, dependency
-  version snapshot)`` to materialized result rows.  Covered results are
+* :class:`ResultCache` — a per-engine LRU map from ``(query fingerprint,
+  dependency version snapshot)`` to materialized result rows.  The key is
+  the ``result_key`` a prepared entry carries
+  (:func:`~repro.core.fingerprint.result_cache_key`), computed once per
+  prepare so that no read hashes a digest.  Covered results are
   bounded by the access schema (≤ ``access_bound()`` tuples), which makes
   them cheap to keep; the snapshot of per-relation data versions
   (:class:`~repro.storage.counters.VersionClock`) makes them precise to
@@ -214,12 +218,12 @@ class CachedResult:
 class ResultCache:
     """An LRU cache of bounded results, validated by data-version snapshots.
 
-    Keys are the same canonical query keys as the plan store; each entry
-    remembers the ``(relation, version)`` snapshot of its plan's dependent
-    relations at fill time.  A lookup hits only when the caller's current
-    snapshot matches — entries outlived by a write to a dependent relation
-    are dropped on probe (counted as ``stale``) or by an explicit targeted
-    ``invalidate`` sweep.
+    Keys are the prepared entries' ``result_key`` (the query's fingerprint
+    and the plan-store key's flags); each entry remembers the ``(relation,
+    version)`` snapshot of its plan's dependent relations at fill time.  A
+    lookup hits only when the caller's current snapshot matches — entries
+    outlived by a write to a dependent relation are dropped on probe
+    (counted as ``stale``) or by an explicit targeted ``invalidate`` sweep.
 
     The cache is **per engine** (per database): results are data-dependent,
     unlike the shareable :class:`PlanStore`.

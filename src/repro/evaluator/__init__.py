@@ -13,7 +13,7 @@ three evaluation-layer stages:
    are deduplicated and dead steps dropped;
 2. **cache** — the optimized plan is stored in the engine's
    :class:`~repro.core.planstore.PlanStore` under the query's canonical
-   fingerprint, so repeated queries skip coverage checking, minimization,
+   form, so repeated queries skip coverage checking, minimization,
    planning and optimization entirely; repeated covered queries on
    unchanged data skip execution too, served from the engine's versioned
    :class:`~repro.core.planstore.ResultCache`;

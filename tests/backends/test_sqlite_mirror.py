@@ -15,9 +15,11 @@ import random
 
 import pytest
 
+from repro.backends import sqlite as sqlite_module
 from repro.backends.sqlite import SQLiteBackend
 from repro.core.engine import BoundedEngine
 from repro.core.errors import StorageError
+from repro.core.plan2sql import index_table_name
 from repro.core.planner import plan_query
 from repro.discovery.maintenance import Update, apply_updates
 from repro.evaluator.algebra import evaluate
@@ -143,6 +145,46 @@ class TestFetchIndex:
             psi1 = next(c for c in fb_access if c.name == "psi1")
             with pytest.raises(StorageError, match="has not been created"):
                 bare.fetch_index(psi1, [("p0",)])
+            # the refusal is not remembered: once the table exists, it fetches
+            bare.create_index_tables(fb_access)
+            assert bare.fetch_index(psi1, [("p0",)])
+
+    def test_sql_built_once_and_one_statement_per_key(
+        self, backend, fb_access, fb_database, monkeypatch
+    ):
+        psi2 = next(c for c in fb_access if c.name == "psi2")
+        dine_rows = fb_database.relation("dine").rows
+        # aligned with sorted(lhs) = (month, pid, year), taken from rows that exist
+        keys = sorted({(month, pid, year) for pid, _, month, year in dine_rows})[:3]
+        named = []
+        monkeypatch.setattr(
+            sqlite_module,
+            "index_table_name",
+            lambda *args: named.append(args) or index_table_name(*args),
+        )
+        statements: list[str] = []
+        backend.connection.set_trace_callback(statements.append)
+        try:
+            first = backend.fetch_index(psi2, keys)
+            again = backend.fetch_index(psi2, keys)
+        finally:
+            backend.connection.set_trace_callback(None)
+        assert len(named) == 1  # the SQL of (psi2, its own relation), built once
+        assert len(statements) == 2 * len(keys)
+        assert first and first == again
+        assert first == frozenset().union(*(backend.fetch_index(psi2, [k]) for k in keys))
+        assert all(type(row) is tuple for row in first)
+
+    def test_empty_lhs_returns_the_whole_index_table(self, fb_database):
+        from repro.core.access import AccessConstraint, AccessSchema
+
+        months = AccessConstraint.of("dine", (), "month", 12)
+        with SQLiteBackend(fb_database) as bare:
+            bare.create_index_tables(AccessSchema([months]))
+            expected = {(row[2],) for row in fb_database.relation("dine").rows}
+            # the keys are not read: X is empty, so every key selects every row
+            assert bare.fetch_index(months, [("ignored",)]) == frozenset(expected)
+            assert bare.fetch_index(months, []) == frozenset(expected)
 
 
 class TestRandomizedMirrorCrossCheck:

@@ -20,7 +20,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.bench.experiments import select_covered_queries
 from repro.core import optimizer as optimizer_module
 from repro.core.engine import BoundedEngine
-from repro.core.fingerprint import prepared_cache_key
 from repro.core.plan import DifferenceOp, FetchOp
 from repro.discovery.maintenance import Update
 from repro.evaluator import executor as executor_module
@@ -338,12 +337,8 @@ class _Settlements:
         self.reference = reference
         self.refine = refine
         self.relations = tuple(reference.schema.relation_names())
-        self.queries = {
-            prepared_cache_key(
-                query, minimize=True, allow_rewrite=True, optimize=core.optimize
-            ): query
-            for query in queries
-        }
+        # result-cache entries are filed under their prepared entry's key
+        self.queries = {core.prepare(query)[0].result_key: query for query in queries}
         self.verdicts: list[str] = []
         self.settled: dict = {}
         self.derived: dict[int, str] = {}
