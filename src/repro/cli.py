@@ -127,8 +127,8 @@ def command_plan(args) -> int:
     if args.executable:
         bounds = plan.cardinality_bounds()
         width = len(f"{max(bounds.values()):,}")
-        print(f"-- executable plan, {choose_executor_mode(plan)} kernels under --executor auto; "
-              "left: static bound on the step's rows")
+        print(f"-- executable plan, {choose_executor_mode(plan)} kernels (its access bound "
+              "picks them); left: static bound on the step's rows")
         for step in plan.steps:
             print(f"{bounds[step.id]:>{width},}  {step}")
         print(f"-- result: T{plan.output}")
@@ -141,9 +141,7 @@ def command_plan(args) -> int:
 def command_run(args) -> int:
     database, access = _load_source(args)
     query = _parse_query(args, database)
-    engine = BoundedEngine(
-        database, access, check_constraints=False, executor_mode=args.executor
-    )
+    engine = BoundedEngine(database, access, check_constraints=False)
     repeat = max(1, args.repeat)
     for _ in range(repeat):
         result = engine.execute(query, minimize=not args.no_minimize)
@@ -323,9 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--repeat", type=int, default=1,
                      help="execute the query N times (exercises the hot path; "
                           "repeats are served from the plan store / result cache)")
-    run.add_argument("--executor", choices=("auto", "row", "columnar"), default="auto",
-                     help="plan-execution kernels: cost-based choice (auto), "
-                          "row-at-a-time, or vectorized columnar")
     run.add_argument("--cache-stats", action="store_true",
                      help="print plan-store, result-cache and executor statistics to stderr")
     run.set_defaults(handler=command_run)

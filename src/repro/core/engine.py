@@ -26,7 +26,7 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
 * **Plan store** — C2–C4 (plus the peephole optimization of
   :mod:`repro.core.optimizer`) depend only on the query syntax and the
   access schema, so their output is cached under the query's canonical
-  form and the preparation flags
+  form and the per-call preparation flags
   (:func:`repro.core.fingerprint.prepared_cache_key`).  The
   store is *shareable*: pass one :class:`~repro.core.planstore.PlanStore`
   to several cores serving the same access schema and each query is
@@ -52,12 +52,12 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
   :meth:`~ServingCore._write` → :meth:`~ServingCore._settle`): the substrate
   hook runs the Proposition-12 loop of :func:`repro.discovery.maintenance.
   apply_updates` over its (storage, index) pairs and bumps their clocks;
-  then, with ``delta_repair`` on (the default) and a cleanly applied batch,
-  the result cache's reach index names the dependent entries some written
-  key hit: those are patched through the
+  then, for a cleanly applied batch, the result cache's reach index names
+  the dependent entries some written key hit: those are patched through the
   :class:`~repro.core.deltas.DeltaDeriver` or — when their delta is not
   provable — dropped, every other dependent is re-stamped in bulk, and the
-  data-independent plan store is left alone.  Without a usable delta,
+  data-independent plan store is left alone.  Without a usable delta — a
+  batch that failed part-way, a rebalance that moved rows between shards —
   dependents are swept from both caches.
 """
 
@@ -100,6 +100,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..discovery.maintenance import MaintenanceReport, Update
     from .schema import DatabaseSchema
 
+#: the most rows, summed over a plan's steps, an execution captures for delta
+#: repair: above it the result is cached without an environment, and a write
+#: that reaches it drops it (``no_env``) instead of patching it
+ENV_ROWS_BUDGET = 200_000
+
 
 @dataclass
 class EngineResult:
@@ -135,7 +140,7 @@ class EngineResult:
 
 @dataclass
 class PreparedQuery:
-    """Everything C2–C4 produce for one query under one engine configuration.
+    """Everything C2–C4 produce for one query under one set of preparation flags.
 
     For covered (or rewritable) queries ``plan`` holds the canonical bounded
     plan and ``executable`` the optimized plan actually run; for uncovered
@@ -186,7 +191,6 @@ def prepare_query(
     *,
     minimize: bool = True,
     allow_rewrite: bool = True,
-    optimize: bool = True,
 ) -> PreparedQuery:
     """The C2–C4 pipeline as a pure function of (query, access schema).
 
@@ -197,9 +201,7 @@ def prepare_query(
     :class:`~repro.core.planstore.PlanStore` under
     :func:`~repro.core.fingerprint.prepared_cache_key`.
     """
-    result_key = result_cache_key(
-        query, minimize=minimize, allow_rewrite=allow_rewrite, optimize=optimize
-    )
+    result_key = result_cache_key(query, minimize=minimize, allow_rewrite=allow_rewrite)
     target = query
     rewrite_name = "identity"
     checker = CoverageChecker(query)
@@ -218,7 +220,7 @@ def prepare_query(
     plan, effective_coverage, minimization = _plan_covered(
         coverage, checker, access_schema, minimize
     )
-    executable = optimize_plan(plan) if optimize else plan
+    executable = optimize_plan(plan)
     return PreparedQuery(
         coverage=effective_coverage,
         plan=plan,
@@ -246,11 +248,15 @@ class ServingCore:
     fallback), :meth:`_write` (the batch onto its data and clocks), and
     optionally :meth:`_index_group` (live index groups, for dirty refinement).
 
-    ``plan_store`` lets several cores share one prepared-plan store; they
-    must be configured with an identical access schema (plans embed its
-    constraints).  When omitted, a private store of ``plan_cache_size``
-    entries is created.  ``result_cache_size`` bounds the result cache
-    (0 disables result caching).
+    The caches are all a core is configured by.  ``plan_store`` lets several
+    cores share one prepared-plan store; they must be configured with an
+    identical access schema (plans embed its constraints).  When omitted, a
+    private store of ``plan_cache_size`` entries is created.
+    ``result_cache_size`` bounds the result cache (0 disables result
+    caching).  Every plan is optimized
+    (:func:`~repro.core.optimizer.optimize_plan`) and runs on the kernel
+    family its bound picks
+    (:func:`~repro.core.optimizer.choose_executor_mode`).
 
     **Snapshot contract.**  :meth:`execute` reads the dependency snapshot
     *before* probing the result cache, re-validates it *after* executing,
@@ -264,23 +270,21 @@ class ServingCore:
     re-stamped with and the end of the derivations; any other entry is
     dropped, never patched.
 
-    ``delta_repair`` (default on) makes dependent writes *repair* result-
-    cache entries instead of sweeping them: covered executions capture their
-    per-step row environment (within the ``repair_env_rows`` budget, summed
-    over all steps of one entry) and :meth:`_settle` derives row-level
-    patches from it.  The plan store is **not** swept on that path —
-    prepared plans depend only on (query, access schema), and keeping them
-    is what makes a repaired read hit without re-planning.  Turning
-    ``delta_repair`` off sweeps every dependent plan-store and result-cache
-    entry on every write.
+    Dependent writes *repair* result-cache entries instead of sweeping them:
+    covered executions capture their per-step row environment (up to
+    :data:`ENV_ROWS_BUDGET` rows, summed over all steps of one entry) and
+    :meth:`_settle` derives row-level patches from it.  The plan store is
+    **not** swept on that path — prepared plans depend only on (query,
+    access schema), and keeping them is what makes a repaired read hit
+    without re-planning.
 
-    ``fallback_breaker`` (optional, duck-typed: ``allow()`` /
-    ``record_success()`` / ``record_failure()``, e.g. a
-    :class:`~repro.serving.policy.CircuitBreaker`) guards the *unbounded*
-    conventional fallback: unlike bounded plans, whose cost is capped by
-    ``access_bound()``, a fallback execution can touch all the data — so
-    under load a stampede of uncovered queries could starve the covered hot
-    path.  When the breaker refuses, :meth:`execute` raises
+    ``fallback_breaker`` (``None`` until the serving tier mounts one;
+    duck-typed: ``allow()`` / ``record_success()`` / ``record_failure()``,
+    e.g. a :class:`~repro.serving.policy.CircuitBreaker`) guards the
+    *unbounded* conventional fallback: unlike bounded plans, whose cost is
+    capped by ``access_bound()``, a fallback execution can touch all the
+    data — so under load a stampede of uncovered queries could starve the
+    covered hot path.  When the breaker refuses, :meth:`execute` raises
     :class:`~repro.core.errors.CircuitOpenError` instead of evaluating; every
     fallback outcome is reported back to the breaker.
     """
@@ -298,26 +302,19 @@ class ServingCore:
         *,
         source: object,
         schema: "DatabaseSchema",
-        executor_mode: str,
         plan_store: PlanStore | None,
         plan_cache_size: int,
         result_cache_size: int,
-        optimize: bool,
-        delta_repair: bool,
-        repair_env_rows: int,
-        fallback_breaker: object | None,
     ):
         self.access_schema = access_schema
         self.plan_cache = plan_store if plan_store is not None else PlanStore(plan_cache_size)
-        self.result_cache = ResultCache(result_cache_size, max_env_rows=repair_env_rows)
-        self.optimize = optimize
-        self.delta_repair = delta_repair
-        self.fallback_breaker = fallback_breaker
+        self.result_cache = ResultCache(result_cache_size)
+        self.fallback_breaker = None
         #: the conventional-evaluation seam: the fault injector (and tests)
         #: wrap this attribute rather than the module function, so faults
         #: hit only this instance.
         self._fallback_evaluator = evaluate_conventional
-        self._executor = PlanExecutor(source, mode=executor_mode)
+        self._executor = PlanExecutor(source, mode="auto")
         self._deriver = DeltaDeriver(
             self._executor, schema, group_lookup=self._index_group
         )
@@ -349,9 +346,7 @@ class ServingCore:
         self, query: Query, *, minimize: bool = True, allow_rewrite: bool = True
     ) -> tuple[PreparedQuery, bool]:
         """The cached C2-C4 pipeline; returns ``(prepared, was_cache_hit)``."""
-        key = prepared_cache_key(
-            query, minimize=minimize, allow_rewrite=allow_rewrite, optimize=self.optimize
-        )
+        key = prepared_cache_key(query, minimize=minimize, allow_rewrite=allow_rewrite)
         entry = self.plan_cache.get(key)
         if entry is not None:
             return entry, True
@@ -362,11 +357,7 @@ class ServingCore:
     ) -> PreparedQuery:
         """Run C2–C4 for a query the plan store does not hold, and store it under ``key``."""
         entry = prepare_query(
-            query,
-            self.access_schema,
-            minimize=minimize,
-            allow_rewrite=allow_rewrite,
-            optimize=self.optimize,
+            query, self.access_schema, minimize=minimize, allow_rewrite=allow_rewrite
         )
         evicted = self.plan_cache.put(key, entry, dependencies=entry.dependencies)
         self._discard_compiled(evicted)
@@ -416,9 +407,7 @@ class ServingCore:
         answers hits with this on the caller's turn and queues only what is
         left.
         """
-        key = prepared_cache_key(
-            query, minimize=minimize, allow_rewrite=allow_rewrite, optimize=self.optimize
-        )
+        key = prepared_cache_key(query, minimize=minimize, allow_rewrite=allow_rewrite)
         prepared = self.plan_cache.get(key, record=False)
         if prepared is None or not prepared.covered:
             return None
@@ -451,9 +440,7 @@ class ServingCore:
         snapshot contract).  Uncovered queries fall back to conventional
         evaluation, gated by ``fallback_breaker``.
         """
-        key = prepared_cache_key(
-            query, minimize=minimize, allow_rewrite=allow_rewrite, optimize=self.optimize
-        )
+        key = prepared_cache_key(query, minimize=minimize, allow_rewrite=allow_rewrite)
         prepared = self.plan_cache.get(key)
         cached = prepared is not None
         if not cached:
@@ -469,8 +456,8 @@ class ServingCore:
                     return self._hit_result(prepared, hit, cached)
                 execution: ExecutionResult = self._executor.execute(
                     prepared.executable,
-                    capture_env=self.delta_repair and self.result_cache.capacity > 0,
-                    env_rows_budget=self.result_cache.max_env_rows,
+                    capture_env=self.result_cache.capacity > 0,
+                    env_rows_budget=ENV_ROWS_BUDGET,
                 )
                 if self._validate(dependencies, snapshot):
                     self.result_cache.put(
@@ -540,8 +527,6 @@ class ServingCore:
         already outdated (an out-of-band write, an earlier failed batch), and
         patching it would stamp over a change no derivation ever saw.
         """
-        if not self.delta_repair:
-            return []
         # One snapshot per distinct dependency tuple: on a federation each is
         # a scatter over every shard, and entries share few distinct tuples.
         snapshots: dict[tuple[str, ...], tuple] = {}
@@ -561,8 +546,8 @@ class ServingCore:
     ) -> dict[Hashable, str]:
         """Settle both caches after a write changed ``touched`` (clocks already bumped).
 
-        Without a usable ``delta`` — repair is off, or the batch failed
-        part-way and what it left behind is suspect — every dependent of
+        Without a usable ``delta`` — the batch failed part-way and what it
+        left behind is suspect, or a rebalance moved rows — every dependent of
         ``touched`` is swept from the plan store (compiled kernels released)
         and the result cache.  Otherwise the plan store is left alone
         (prepared plans are data-independent) and each of ``candidates``
@@ -587,7 +572,7 @@ class ServingCore:
         repaired entry is indistinguishable from a fresh execution at the
         epoch of its new stamp.
         """
-        if not (self.delta_repair and delta):
+        if not delta:
             self._discard_compiled(self.plan_cache.invalidate(touched))
             self.result_cache.invalidate(touched)
             return {}
@@ -731,12 +716,13 @@ class BoundedEngine(ServingCore):
     (the serving tier serializes writes); concurrent *readers* are safe
     because they only compare snapshots.
 
-    ``executor_mode`` selects the plan-execution kernels: ``"row"``,
-    ``"columnar"``, or the default ``"auto"``, which lets the optimizer's
-    cost model (:func:`repro.core.optimizer.choose_executor_mode`) pick per
-    plan — row kernels for point lookups, the vectorized columnar kernels of
+    The constraint indexes ``I_A`` are built on construction
+    (``check_constraints`` verifies the data satisfies every bound while
+    building them).  Each plan runs on the kernel family its bound picks
+    (:func:`repro.core.optimizer.choose_executor_mode`) — row kernels for
+    point lookups, the vectorized columnar kernels of
     :mod:`repro.evaluator.columnar` for wide joins and large bounded
-    fetches.  The chosen mode is surfaced on every executed
+    fetches; the family that ran is surfaced on every executed
     :class:`EngineResult` and aggregated in :meth:`cache_stats`.
     """
 
@@ -745,39 +731,22 @@ class BoundedEngine(ServingCore):
         database: Database,
         access_schema: AccessSchema,
         *,
-        build_indexes: bool = True,
         check_constraints: bool = True,
         plan_cache_size: int = 128,
         plan_store: PlanStore | None = None,
         result_cache_size: int = 256,
-        optimize: bool = True,
-        delta_repair: bool = True,
-        repair_env_rows: int = 200_000,
-        fallback_breaker: object | None = None,
-        executor_mode: str = "auto",
     ):
         self.database = database
-        self.index_build_seconds = 0.0
-        if build_indexes:
-            started = time.perf_counter()
-            self.indexes = IndexSet.build(
-                database, access_schema, check=check_constraints
-            )
-            self.index_build_seconds = time.perf_counter() - started
-        else:
-            self.indexes = IndexSet()
+        started = time.perf_counter()
+        self.indexes = IndexSet.build(database, access_schema, check=check_constraints)
+        self.index_build_seconds = time.perf_counter() - started
         super().__init__(
             access_schema,
             source=self.indexes,
             schema=database.schema,
-            executor_mode=executor_mode,
             plan_store=plan_store,
             plan_cache_size=plan_cache_size,
             result_cache_size=result_cache_size,
-            optimize=optimize,
-            delta_repair=delta_repair,
-            repair_env_rows=repair_env_rows,
-            fallback_breaker=fallback_breaker,
         )
 
     # -- the substrate: one database ----------------------------------------------------

@@ -109,34 +109,25 @@ def query_fingerprint(query: Query) -> str:
 
 
 def prepared_cache_key(
-    query: Query,
-    *,
-    minimize: bool = True,
-    allow_rewrite: bool = True,
-    optimize: bool = True,
-) -> tuple[tuple, bool, bool, bool]:
-    """The plan-store key of one query under one preparation configuration.
+    query: Query, *, minimize: bool = True, allow_rewrite: bool = True
+) -> tuple[tuple, bool, bool]:
+    """The plan-store key of one query under one set of preparation flags.
 
     The flags are part of the key because they change what C2–C4 produce
-    (minimized vs full schema, rewritten vs original target, peephole-
-    optimized vs canonical executable).  The key is engine-independent: any
-    two engines with the same access schema and flags prepare identical
-    entries for it, which is what makes the plan store shareable — and
-    engines with *different* flags sharing one store address disjoint
-    entries instead of silently serving each other's.
+    (minimized vs full schema, rewritten vs original target).  The key is
+    engine-independent: any two engines with the same access schema prepare
+    identical entries for it, which is what makes the plan store shareable —
+    and reads with *different* flags address disjoint entries instead of
+    silently serving each other's.
     """
-    return (canonical_form(query), bool(minimize), bool(allow_rewrite), bool(optimize))
+    return (canonical_form(query), bool(minimize), bool(allow_rewrite))
 
 
 def result_cache_key(
-    query: Query,
-    *,
-    minimize: bool = True,
-    allow_rewrite: bool = True,
-    optimize: bool = True,
-) -> tuple[str, bool, bool, bool]:
+    query: Query, *, minimize: bool = True, allow_rewrite: bool = True
+) -> tuple[str, bool, bool]:
     """The result-cache key of the entry :func:`prepared_cache_key` names.
 
     The same flags, with the canonical form replaced by its digest.
     """
-    return (query_fingerprint(query), bool(minimize), bool(allow_rewrite), bool(optimize))
+    return (query_fingerprint(query), bool(minimize), bool(allow_rewrite))

@@ -194,9 +194,10 @@ class CachedResult:
 
     ``env`` and ``plan`` are the repair handles: the per-step row
     environment captured when the entry was filled and the executable plan
-    that produced it.  Both may be ``None`` (columnar execution, or an
-    environment refused admission by the cache's ``max_env_rows`` budget) —
-    such entries can only be invalidated, never repaired.  ``keyed`` is what
+    that produced it.  Both are ``None`` when the execution captured no
+    environment (it ran over the engine's budget,
+    :data:`~repro.core.engine.ENV_ROWS_BUDGET`) — such entries can only be
+    invalidated, never repaired.  ``keyed`` is what
     write settlement has read off ``env`` so far (per fetch step: probed
     keys, rows by key — :class:`~repro.core.deltas.FetchKeys`) and ``reach``
     what of it the cache's reach index holds (per base relation, see
@@ -231,10 +232,9 @@ class ResultCache:
     ``max_rows`` is the admission threshold: results with more rows are not
     cached.  Fetched inputs are bounded by ``access_bound()``, but a plan's
     *output* can exceed that (e.g. a product of two fetched sets), so the
-    LRU alone would bound entry count, not memory.  ``max_env_rows`` is the
-    analogous budget for captured repair environments: an entry whose
-    per-step environment sums to more rows is still cached, but without its
-    environment — it stays servable and invalidatable, just not repairable.
+    LRU alone would bound entry count, not memory.  Captured repair
+    environments are admitted as given: the executor already left out the
+    ones over the engine's budget.
 
     **Snapshot contract.** :meth:`get` serves an entry only when the
     caller's current dependency-version snapshot equals the entry's;
@@ -253,19 +253,11 @@ class ResultCache:
     part of it leaves with the entry or with the environment it was read off.
     """
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        max_rows: int = 100_000,
-        max_env_rows: int = 200_000,
-    ):
+    def __init__(self, capacity: int = 256, max_rows: int = 100_000):
         self.capacity = capacity
         self.max_rows = max_rows
-        self.max_env_rows = max_env_rows
         #: results refused admission for exceeding ``max_rows``
         self.oversized = 0
-        #: repair environments refused admission for exceeding ``max_env_rows``
-        self.env_rejected = 0
         self._entries: OrderedDict[Hashable, CachedResult] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -346,9 +338,6 @@ class ResultCache:
         if len(rows) > self.max_rows:
             self.oversized += 1
             return
-        if env is not None and sum(len(step) for step in env) > self.max_env_rows:
-            self.env_rejected += 1
-            env = None
         previous = self._entries.get(key)
         if previous is not None:
             self._unindex(key, previous)
@@ -583,7 +572,6 @@ class ResultCache:
             "invalidated": self.invalidated,
             "sweeps": self.sweeps,
             "oversized": self.oversized,
-            "env_rejected": self.env_rejected,
             "repaired": self.repaired,
             "repaired_clean": self.repaired_clean,
             "rows_patched": self.rows_patched,

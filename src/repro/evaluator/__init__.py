@@ -24,8 +24,8 @@ three evaluation-layer stages:
    kernels (:mod:`repro.evaluator.columnar`) run batch-at-a-time over
    :class:`~repro.evaluator.columnar.ColumnBatch` intermediates with
    dictionary-encoded strings and virtual candidate products
-   (:class:`~repro.evaluator.columnar.ProductView`).  ``executor_mode``
-   picks the family per engine, or per plan under ``"auto"``
+   (:class:`~repro.evaluator.columnar.ProductView`).  The engine's executor
+   picks the family per plan from its static bound
    (:func:`repro.core.optimizer.choose_executor_mode`); either way only the
    output is frozen back to the row-set contract.
 

@@ -216,11 +216,9 @@ class PlanExecutor:
             if compiled.mode == "columnar"
             else frozenset(output),
         )
+        rows_processed = sum(cardinalities.values())
         captured: tuple[frozenset[Row], ...] | None = None
-        if capture_env and (
-            env_rows_budget is None
-            or sum(cardinalities.values()) <= env_rows_budget
-        ):
+        if capture_env and (env_rows_budget is None or rows_processed <= env_rows_budget):
             captured = tuple(
                 step.to_frozenset()
                 if compiled.mode == "columnar"
@@ -228,7 +226,6 @@ class PlanExecutor:
                 for step in env
             )
         elapsed = time.perf_counter() - started
-        rows_processed = sum(cardinalities.values())
         self._counters[f"{compiled.mode}_executions"] += 1
         self._counters["kernel_batches"] += len(compiled.kernels)
         self._counters["rows_processed"] += rows_processed

@@ -158,11 +158,6 @@ class ShardRouter(ServingCore):
         plan_store: PlanStore | None = None,
         plan_cache_size: int = 128,
         result_cache_size: int = 256,
-        max_snapshot_retries: int = 2,
-        optimize: bool = True,
-        delta_repair: bool = True,
-        repair_env_rows: int = 200_000,
-        fallback_breaker: object | None = None,
         write_observer: Callable[[list], None] | None = None,
     ):
         if not shards:
@@ -176,14 +171,9 @@ class ShardRouter(ServingCore):
             access_schema,
             source=self,
             schema=partitioner.schema,
-            executor_mode="auto",
             plan_store=plan_store,
             plan_cache_size=plan_cache_size,
             result_cache_size=result_cache_size,
-            optimize=optimize,
-            delta_repair=delta_repair,
-            repair_env_rows=repair_env_rows,
-            fallback_breaker=fallback_breaker,
         )
         self.shards = list(shards)
         # Every router routes through an overlay so online rebalancing is
@@ -192,7 +182,6 @@ class ShardRouter(ServingCore):
         if not isinstance(partitioner, PartitionOverlay):
             partitioner = PartitionOverlay(partitioner)
         self.partitioner = partitioner
-        self.max_snapshot_retries = max_snapshot_retries
         self.write_observer = write_observer
         self.metrics = RouterMetrics()
         #: per shard, its series in ``metrics.latency`` (formatted once, not per fetch)
@@ -441,10 +430,8 @@ def build_topology(
     partition_keys=None,
     plan_store: PlanStore | None = None,
     result_cache_size: int = 256,
-    delta_repair: bool = True,
     failure_threshold: int = 3,
     probe_after: int = 8,
-    fallback_breaker: object | None = None,
     write_observer: Callable[[list], None] | None = None,
 ) -> ShardRouter:
     """Partition ``database`` into a heterogeneous federation and wire a router.
@@ -519,7 +506,5 @@ def build_topology(
         access_schema,
         plan_store=plan_store,
         result_cache_size=result_cache_size,
-        delta_repair=delta_repair,
-        fallback_breaker=fallback_breaker,
         write_observer=write_observer,
     )

@@ -215,9 +215,6 @@ class IndexSet:
         except KeyError:
             raise StorageError(f"no index built for constraint {constraint}") from None
 
-    def get(self, constraint: AccessConstraint) -> ConstraintIndex | None:
-        return self._indexes.get(constraint)
-
     def find(
         self, relation: str, lhs: Iterable[str], rhs: Iterable[str]
     ) -> ConstraintIndex | None:

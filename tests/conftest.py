@@ -17,12 +17,22 @@ from repro.workloads import facebook
 def row_kernels(monkeypatch):
     """``auto`` executors lower every plan to row kernels for this test.
 
-    The kernel family follows the plan's bound and a federation has no
-    ``executor_mode`` to pin it with; tests of the repair *patch* path (row
-    kernels re-run over the captured environment) on a wide plan such as
-    facebook's q1 move the threshold out of reach instead.
+    A serving core's kernel family follows the plan's bound, with nothing to
+    pin it by; tests of the repair *patch* path (row kernels re-run over the
+    captured environment) on a wide plan such as facebook's q1 move the
+    threshold out of reach instead.
     """
     monkeypatch.setattr(optimizer, "COLUMNAR_BOUND_THRESHOLD", float("inf"))
+
+
+@pytest.fixture
+def columnar_kernels(monkeypatch):
+    """``auto`` executors lower every plan to columnar kernels for this test.
+
+    The twin of :func:`row_kernels`: a point plan, whose bound would pick
+    row kernels, runs columnar through a serving core too.
+    """
+    monkeypatch.setattr(optimizer, "COLUMNAR_BOUND_THRESHOLD", 0)
 
 
 class Maintainers:

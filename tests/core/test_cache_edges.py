@@ -134,22 +134,21 @@ class TestSnapshotMismatchUnderWrites:
         clock.bump(["s"])
         assert cache.get("k", clock.snapshot(("r",))) is not None
 
-    @pytest.mark.parametrize("delta_repair", [False, True])
+    @pytest.mark.parametrize("family", ["row", "columnar"])
     def test_engine_never_serves_stale_rows_across_writes(
-        self, hot_cold_setup, delta_repair
+        self, hot_cold_setup, family, request
     ):
+        request.getfixturevalue(f"{family}_kernels")
         database, access, hot_query = hot_cold_setup
-        engine = BoundedEngine(
-            database, access, check_constraints=False, delta_repair=delta_repair
-        )
+        engine = BoundedEngine(database, access, check_constraints=False)
         before = engine.execute(hot_query).rows
         assert engine.execute(hot_query).result_cached
         engine.apply_delete("hot", ("a", 1))
         after = engine.execute(hot_query)
-        # With repair on, the entry is patched in place and served; with it
-        # off, the entry is dropped and the read recomputes.  Either way the
-        # rows reflect the write.
-        assert after.result_cached is delta_repair
+        # A row-kernel entry is patched in place and served; a dirty columnar
+        # one is dropped and the read recomputes.  Either way the rows
+        # reflect the write.
+        assert after.result_cached is (family == "row")
         assert after.rows == before - {(1,)}
 
     def test_validate_and_changed_since(self):

@@ -88,6 +88,13 @@ class TestRunCommand:
         assert code == 0
         assert "strategy: bounded" in captured.err
         assert "P(D_Q)" in captured.err
+        assert "executor: columnar" in captured.err  # q1's bound picks the family
+
+    def test_run_has_no_kernel_switch(self, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["run", "--workload", "facebook", "--sql", FB_Q1_SQL, "--executor", "row"])
+        assert refused.value.code == 2
+        assert "--executor" in capsys.readouterr().err
 
     def test_run_falls_back_for_uncovered(self, capsys):
         code = main(["run", "--workload", "facebook", "--scale", "30",

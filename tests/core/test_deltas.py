@@ -13,6 +13,7 @@ import weakref
 
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.deltas import CLEAN, FALLBACK, PATCHED, DeltaDeriver, FetchKeys, WriteDelta
 from repro.core.engine import BoundedEngine, prepare_query
 from repro.core.plan import BoundedPlan
@@ -93,9 +94,9 @@ class TestDerivability:
 class TestEngineRepair:
     """The wired contract: BoundedEngine writes settle entries via the deriver.
 
-    q1's bound makes it a columnar plan under ``auto``; the tests of the
-    patch path (row kernels re-run over the captured environment) pin
-    ``executor_mode="row"``.
+    q1's bound makes it a columnar plan; the tests of the patch path (row
+    kernels re-run over the captured environment) lower it to row kernels
+    with the ``row_kernels`` fixture.
     """
 
     def test_unprobed_key_restamps_without_execution(self, fb_database, fb_access):
@@ -111,8 +112,9 @@ class TestEngineRepair:
         assert stats["rows_patched"] == 0
         assert engine.execute(q1).result_cached
 
+    @pytest.mark.usefixtures("row_kernels")
     def test_probed_key_patches_rows_in_place(self, fb_database, fb_access):
-        engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
+        engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
         engine.execute(q1)
         engine.apply_insert("cafe", ("c_d", "nyc"))
@@ -145,10 +147,13 @@ class TestEngineRepair:
         assert not result.result_cached  # recomputed, not served repaired
         assert result.rows == evaluate(q0, fb_database).rows
 
-    def test_env_budget_zero_degrades_to_invalidation(self, fb_database, fb_access):
+    def test_env_budget_zero_degrades_to_invalidation(
+        self, fb_database, fb_access, monkeypatch
+    ):
         # With no environment admitted, repair has nothing to re-execute
         # over: every dependent write must fall back to dropping the entry.
-        engine = BoundedEngine(fb_database, fb_access, repair_env_rows=0)
+        monkeypatch.setattr(engine_module, "ENV_ROWS_BUDGET", 0)
+        engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
         engine.execute(q1)
         # The executor's capture guard already refused the environment.
@@ -162,10 +167,11 @@ class TestEngineRepair:
         assert not result.result_cached
         assert result.rows == evaluate(q1, fb_database).rows
 
+    @pytest.mark.usefixtures("row_kernels")
     def test_mixed_batch_patches_inserts_and_deletes_together(
         self, fb_database, fb_access
     ):
-        engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
+        engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
         engine.apply_insert("cafe", ("c_old", "nyc"))
         engine.apply_insert("friend", ("p0", "p_old"))
@@ -202,8 +208,9 @@ class TestEngineRepair:
         assert stats["repaired"] == 0
         assert stats["repair_fallback_reasons"] == {"stale": 1}
 
+    @pytest.mark.usefixtures("row_kernels")
     def test_repair_outcome_metadata_names_dirty_steps(self, fb_database, fb_access):
-        engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
+        engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
         engine.execute(q1)
         (entry,) = [entry for _, entry in engine.result_cache.entries_for(("friend",))]
@@ -222,12 +229,13 @@ class TestEngineRepair:
         assert 0 < outcome.steps_recomputed < len(plan.steps)
         assert outcome.rows == rows  # a friend with no dines adds no cafes
 
+    @pytest.mark.usefixtures("row_kernels")
     def test_raising_kernel_is_logged_and_drops_the_entry(
         self, fb_database, fb_access, caplog
     ):
         # A swallowed repair error must be visible: one WARNING naming the
         # exception, the plan's size and the touched relations.
-        engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
+        engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
         engine.execute(q1)
         (entry,) = [entry for _, entry in engine.result_cache.entries_for(("friend",))]
@@ -258,13 +266,14 @@ class TestEngineRepair:
         assert result.rows == evaluate(q1, fb_database).rows
 
 
+@pytest.mark.usefixtures("row_kernels")
 class TestSettlementCost:
     """What a settlement keeps and how often it recomputes — counts, no timing."""
 
     def test_replaced_environments_and_key_sets_die_with_the_patch(
         self, fb_database, fb_access
     ):
-        engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
+        engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
         engine.execute(q1)
         (entry,) = [entry for _, entry in engine.result_cache.entries_for(("friend",))]
@@ -323,7 +332,7 @@ class TestSettlementCost:
                 return dict.get(self, key, default)
 
         def cost_of(cached: int, reached: int) -> dict:
-            engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
+            engine = BoundedEngine(fb_database, fb_access)
             queries = [facebook.query_q1(person=f"p{i}") for i in range(cached)]
             for query in queries:
                 engine.execute(query)
@@ -393,7 +402,7 @@ class TestSettlementCost:
     def test_plan_facts_are_compiled_once_per_plan_not_per_batch(
         self, fb_database, fb_access, monkeypatch
     ):
-        engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
+        engine = BoundedEngine(fb_database, fb_access)
         queries = [facebook.query_q1(person=f"p{i}") for i in range(16)]
         plans = [engine.execute(query).plan for query in queries]
         fetch_steps = max(len(engine.prepare(q)[0].executable.fetch_steps()) for q in queries)

@@ -116,14 +116,3 @@ class TestEngineMaintenance:
         result = engine.execute(q1)
         assert ("c_gone",) not in result.rows
         assert result.rows == evaluate(q1, fb_database).rows
-
-    def test_engine_without_prebuilt_indexes(self, fb_database, fb_access, fb_q1):
-        engine = BoundedEngine(fb_database, fb_access, build_indexes=False)
-        # planning still works (purely syntactic)...
-        plan, _, _ = engine.plan(fb_q1)
-        assert plan.is_bounded
-        # ...but bounded execution cannot find indexes and raises
-        from repro.core.errors import PlanError
-
-        with pytest.raises(PlanError):
-            engine.execute(fb_q1, minimize=False)

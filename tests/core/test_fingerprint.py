@@ -62,15 +62,10 @@ class TestDeterminism:
         int(digest, 16)  # hex
 
     def test_plan_store_key_is_the_form_and_the_flags(self, fb_q1):
-        assert prepared_cache_key(fb_q1, minimize=False) == (
-            canonical_form(fb_q1),
-            False,
-            True,
-            True,
-        )
+        assert prepared_cache_key(fb_q1, minimize=False) == (canonical_form(fb_q1), False, True)
 
     def test_result_key_is_the_digest_and_the_same_flags(self, fb_q1):
-        flags = dict(minimize=False, allow_rewrite=True, optimize=False)
+        flags = dict(minimize=False, allow_rewrite=True)
         _, *rest = prepared_cache_key(fb_q1, **flags)
         assert result_cache_key(fb_q1, **flags) == (query_fingerprint(fb_q1), *rest)
         assert prepare_query(fb_q1, AccessSchema([]), **flags).result_key == (
@@ -125,23 +120,23 @@ class TestCanonicalForm:
 
 
 class TestSharedStore:
-    def test_engines_with_different_optimize_address_disjoint_entries(self, fb_access):
+    def test_reads_with_different_flags_address_disjoint_entries(self, fb_access):
         store = PlanStore(capacity=32)
         database = facebook.generate(scale=30, seed=1)
-        optimized = BoundedEngine(database, fb_access, plan_store=store)
-        plain = BoundedEngine(database, fb_access, plan_store=store, optimize=False)
+        first = BoundedEngine(database, fb_access, plan_store=store)
+        second = BoundedEngine(database, fb_access, plan_store=store)
         query = facebook.query_q1()
-        assert prepared_cache_key(query, optimize=True) != prepared_cache_key(
-            query, optimize=False
+        assert prepared_cache_key(query, minimize=True) != prepared_cache_key(
+            query, minimize=False
         )
-        prepared_opt, hit_opt = optimized.prepare(query)
-        prepared_plain, hit_plain = plain.prepare(query)
-        assert not hit_opt and not hit_plain
-        assert prepared_opt is not prepared_plain
-        assert prepared_opt.result_key != prepared_plain.result_key
+        minimized, hit_minimized = first.prepare(query, minimize=True)
+        full, hit_full = second.prepare(query, minimize=False)
+        assert not hit_minimized and not hit_full
+        assert minimized is not full
+        assert minimized.result_key != full.result_key
         assert len(store) == 2
-        assert optimized.prepare(facebook.query_q1())[0] is prepared_opt
-        assert plain.prepare(facebook.query_q1())[0] is prepared_plain
+        assert second.prepare(facebook.query_q1(), minimize=True)[0] is minimized
+        assert first.prepare(facebook.query_q1(), minimize=False)[0] is full
 
 
 class TestWhereTheDigestRuns:

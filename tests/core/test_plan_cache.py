@@ -6,6 +6,7 @@ from analytic_queries import ANALYTIC_SCALE, analytic_queries
 from repro.core.engine import BoundedEngine, PreparedQuery
 from repro.core.planstore import PlanStore
 from repro.evaluator.algebra import evaluate
+from repro.evaluator.executor import PlanExecutor
 from repro.workloads import WORKLOADS, facebook
 from repro.bench.experiments import select_covered_queries
 
@@ -67,6 +68,7 @@ class TestPlanStoreUnit:
         assert store.get("n") is no_deps
         assert store.get("r") is None
         assert store.stats()["invalidated"] == 1
+        assert store.stats()["invalidated_by"] == {"r": 1}  # the sweep names its trigger
 
     def test_clear_all_returns_every_entry(self):
         store = PlanStore(capacity=8)
@@ -134,37 +136,52 @@ class TestCachedExecution:
 
 
 class TestInvalidation:
-    def test_insert_invalidates_and_results_stay_correct(
-        self, fb_database, fb_access
-    ):
-        # Legacy sweep-on-write contract: with delta repair off, a dependent
-        # write drops the plan-store entry (one sweep per write).
-        engine = BoundedEngine(fb_database, fb_access, delta_repair=False)
+    @pytest.mark.usefixtures("columnar_kernels")
+    def test_insert_invalidates_and_results_stay_correct(self, fb_database, fb_access):
+        # A dirty entry of a columnar plan cannot be re-run over its captured
+        # environment: the write drops the result entry and keeps the plan.
+        engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
         before = engine.execute(q1)
-        assert engine.execute(q1).cached
-        engine.apply_insert("cafe", ("c_new", "nyc"))
-        engine.apply_insert("friend", ("p0", "p_new"))
-        engine.apply_insert("dine", ("p_new", "c_new", "may", 2015))
+        assert engine.execute(q1).result_cached
+        engine.apply_insert("cafe", ("c_new", "nyc"))  # a cafe no fetch reached: clean
+        engine.apply_insert("friend", ("p0", "p_new"))  # p0's friends were fetched: dirty
+        engine.apply_insert("dine", ("p_new", "c_new", "may", 2015))  # nothing left to settle
+        stats = engine.cache_stats()
+        assert stats["plan_store"]["sweeps"] == 0
+        result_cache = stats["result_cache"]
+        assert result_cache["repaired"] == 1  # the clean write re-stamped the entry
+        assert result_cache["invalidated"] == 1  # ...and only the dirty one dropped it
+        assert result_cache["repair_fallback_reasons"] == {"executor_mode": 1}
         after = engine.execute(q1)
-        assert not after.cached  # the entry was dropped by the first dependent write
-        stats = engine.cache_stats()["plan_store"]
-        assert stats["sweeps"] == 3  # one sweep per write...
-        assert stats["invalidated"] == 1  # ...but only one entry ever dropped
-        # satellite fix: the sweep names the relation that triggered it
-        assert sum(stats["invalidated_by"].values()) == 1
-        assert set(stats["invalidated_by"]) <= {"cafe", "friend", "dine"}
+        assert after.cached and not after.result_cached  # plan kept, rows recomputed
+        assert after.executor_mode == "columnar"
         assert ("c_new",) in after.rows
         assert after.rows == evaluate(q1, fb_database).rows
         assert before.rows <= after.rows
 
-    def test_insert_repairs_cached_result_by_default(
-        self, fb_database, fb_access
-    ):
-        # Delta-repair contract (the default): dependent writes patch the
-        # cached result in place and leave the plan store alone.  (Row
-        # kernels: a dirty entry of a columnar plan is dropped instead.)
-        cached_engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
+    @pytest.mark.usefixtures("columnar_kernels")
+    def test_delete_invalidates_and_results_stay_correct(self, fb_database, fb_access):
+        engine = BoundedEngine(fb_database, fb_access)
+        q1 = facebook.query_q1()
+        engine.apply_insert("cafe", ("c_gone", "nyc"))
+        engine.apply_insert("friend", ("p0", "p88"))
+        engine.apply_insert("dine", ("p88", "c_gone", "may", 2015))
+        assert ("c_gone",) in engine.execute(q1).rows
+        engine.apply_delete("dine", ("p88", "c_gone", "may", 2015))
+        assert engine.cache_stats()["result_cache"]["repair_fallback_reasons"] == {
+            "executor_mode": 1
+        }
+        result = engine.execute(q1)
+        assert result.cached and not result.result_cached
+        assert ("c_gone",) not in result.rows
+        assert result.rows == evaluate(q1, fb_database).rows
+
+    @pytest.mark.usefixtures("row_kernels")  # a dirty entry of a columnar plan is dropped
+    def test_insert_repairs_cached_result(self, fb_database, fb_access):
+        # Dependent writes patch the cached result in place and leave the
+        # plan store alone.
+        cached_engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
         before = cached_engine.execute(q1)
         assert cached_engine.execute(q1).cached
@@ -182,25 +199,9 @@ class TestInvalidation:
         assert after.rows == evaluate(q1, fb_database).rows
         assert before.rows <= after.rows
 
-    def test_delete_invalidates_and_results_stay_correct(
-        self, fb_database, fb_access
-    ):
-        engine = BoundedEngine(fb_database, fb_access, delta_repair=False)
-        q1 = facebook.query_q1()
-        engine.apply_insert("cafe", ("c_gone", "nyc"))
-        engine.apply_insert("friend", ("p0", "p88"))
-        engine.apply_insert("dine", ("p88", "c_gone", "may", 2015))
-        assert ("c_gone",) in engine.execute(q1).rows
-        engine.apply_delete("dine", ("p88", "c_gone", "may", 2015))
-        result = engine.execute(q1)
-        assert not result.cached
-        assert ("c_gone",) not in result.rows
-        assert result.rows == evaluate(q1, fb_database).rows
-
-    def test_delete_repairs_cached_result_by_default(
-        self, fb_database, fb_access
-    ):
-        cached_engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
+    @pytest.mark.usefixtures("row_kernels")
+    def test_delete_repairs_cached_result(self, fb_database, fb_access):
+        cached_engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
         cached_engine.apply_insert("cafe", ("c_gone", "nyc"))
         cached_engine.apply_insert("friend", ("p0", "p88"))
@@ -237,7 +238,8 @@ class TestInvalidation:
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_cache_and_optimizer_row_identical_on_workloads(name):
-    """Bounded results match with cache+optimizer on, off, and reference eval."""
+    """Bounded results match with caches on and off, canonical and optimized
+    plans alike, and the reference evaluator."""
     workload = WORKLOADS[name]
     database = workload.database(scale=ANALYTIC_SCALE, seed=7)
     # wide plans whose answers have rows, then point plans (whose answers are empty)
@@ -251,13 +253,17 @@ def test_cache_and_optimizer_row_identical_on_workloads(name):
         check_constraints=False,
         plan_cache_size=0,
         result_cache_size=0,
-        optimize=False,
     )
+    executor = PlanExecutor(full.indexes, mode="auto")
     for query in queries:
         expected = evaluate(query, database).rows
         for engine in (full, bare):
             result = engine.execute(query)
             assert result.strategy == "bounded"
             assert result.rows == expected
+        # the canonical plan QPlan generated and the optimized one that ran
+        prepared, _ = full.prepare(query)
+        for plan in (prepared.plan, prepared.executable):
+            assert executor.execute(plan).rows == expected
         # warm pass: served from cache, still identical
         assert full.execute(query).rows == expected

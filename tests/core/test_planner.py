@@ -264,7 +264,7 @@ class TestIndexingPlanCorners:
     @pytest.mark.parametrize("minimize", [True, False], ids=["minA", "A"])
     @pytest.mark.parametrize("substrate", _CORNER_SUBSTRATES)
     @pytest.mark.parametrize("corner", sorted(_corner_queries()))
-    def test_reference_rows_within_the_bound(self, corner, substrate, minimize):
+    def test_reference_rows_within_the_bound(self, corner, substrate, minimize, request):
         database, query = _corner_database(), _corner_queries()[corner]
         answer = evaluate(query, database).rows
         assert bool(answer) is (corner != "empty-candidates"), "an empty answer compares nothing"
@@ -280,7 +280,8 @@ class TestIndexingPlanCorners:
                 database, _CORNER_ACCESS, shards=3, backends=["memory", "sqlite", "memory"]
             )
         else:
-            core = BoundedEngine(database, _CORNER_ACCESS, executor_mode=substrate)
+            request.getfixturevalue(f"{substrate}_kernels")
+            core = BoundedEngine(database, _CORNER_ACCESS)
         try:
             result = core.execute(query, minimize=minimize)
         finally:
@@ -288,6 +289,8 @@ class TestIndexingPlanCorners:
                 if isinstance(shard, SQLiteShard):
                     shard.close()
         assert result.strategy == "bounded" and result.rows == answer
+        if substrate in ("row", "columnar"):
+            assert result.executor_mode == substrate
         assert result.counter.total <= result.plan.access_bound()
         assert result.counter.total > 0  # even the empty answer is found by fetching
 

@@ -62,15 +62,12 @@ def check(engine: BoundedEngine) -> None:
 
 class TestIndexFollowsTheEntries:
     @pytest.mark.parametrize("seed", range(6))
-    def test_seeded_interleaving_of_everything_that_moves_an_entry(self, seed):
+    def test_seeded_interleaving_of_everything_that_moves_an_entry(self, seed, row_kernels):
         rng = random.Random(seed)
         database = facebook.generate(scale=15, seed=seed)
         access = facebook.access_schema(database.schema)
         # capacity below the query count: fills evict; row kernels: dirty entries patch
-        engine = BoundedEngine(
-            database, access, check_constraints=False, result_cache_size=3,
-            executor_mode="row",
-        )
+        engine = BoundedEngine(database, access, check_constraints=False, result_cache_size=3)
         cache = engine.result_cache
         queries = (
             [facebook.query_q1(person=person) for person in PEOPLE]

@@ -8,7 +8,9 @@ the cache's own unit tests and the engine-only single-row write API.
 import pytest
 
 from repro.core.engine import BoundedEngine
+from repro.core.errors import MaintenanceError
 from repro.core.planstore import PlanStore, ResultCache
+from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
 from repro.workloads import facebook
 
@@ -61,19 +63,7 @@ class TestResultCacheUnit:
 
 
 class TestEngineResultCache:
-    def test_dependent_insert_recomputes_correct_rows(self, hot_cold_setup):
-        """Legacy contract: with delta repair off, a dependent insert drops
-        the entry and the next read recomputes."""
-        database, access, hot_query = hot_cold_setup
-        engine = BoundedEngine(database, access, delta_repair=False)
-        engine.execute(hot_query)
-        engine.apply_insert("hot", ("a", 4))
-        result = engine.execute(hot_query)
-        assert not result.result_cached
-        assert (4,) in result.rows
-        assert result.rows == evaluate(hot_query, database).rows
-
-    def test_dependent_insert_repairs_entry_by_default(self, hot_cold_setup):
+    def test_dependent_insert_repairs_entry(self, hot_cold_setup):
         database, access, hot_query = hot_cold_setup
         engine = BoundedEngine(database, access)
         engine.execute(hot_query)
@@ -83,17 +73,22 @@ class TestEngineResultCache:
         assert (4,) in result.rows
         assert result.rows == evaluate(hot_query, database).rows
 
-    def test_dependent_delete_recomputes_correct_rows(self, hot_cold_setup):
+    @pytest.mark.usefixtures("columnar_kernels")
+    def test_dependent_insert_recomputes_correct_rows(self, hot_cold_setup):
+        """A dirty entry of a columnar plan is dropped; the next read recomputes."""
         database, access, hot_query = hot_cold_setup
-        engine = BoundedEngine(database, access, delta_repair=False)
-        assert (2,) in engine.execute(hot_query).rows
-        engine.apply_delete("hot", ("a", 2))
+        engine = BoundedEngine(database, access)
+        engine.execute(hot_query)
+        engine.apply_insert("hot", ("a", 4))
+        stats = engine.cache_stats()["result_cache"]
+        assert (stats["repaired"], stats["invalidated"]) == (0, 1)
         result = engine.execute(hot_query)
         assert not result.result_cached
-        assert (2,) not in result.rows
+        assert result.executor_mode == "columnar"
+        assert (4,) in result.rows
         assert result.rows == evaluate(hot_query, database).rows
 
-    def test_dependent_delete_repairs_entry_by_default(self, hot_cold_setup):
+    def test_dependent_delete_repairs_entry(self, hot_cold_setup):
         database, access, hot_query = hot_cold_setup
         engine = BoundedEngine(database, access)
         assert (2,) in engine.execute(hot_query).rows
@@ -188,48 +183,46 @@ class TestSharedPlanStore:
         assert after_b.rows == evaluate(q1, db_b).rows
         assert ("c_div",) not in after_b.rows
 
-    def test_optimize_flag_keys_separately_in_shared_store(self, fb_access):
-        """Engines with different optimize settings must not serve each other."""
+    def test_minimize_flag_keys_separately_in_shared_store(self, fb_access):
+        """Reads with different ``minimize`` must not serve each other, across engines."""
         store = PlanStore(capacity=32)
         database = facebook.generate(scale=30, seed=1)
-        optimized = BoundedEngine(database, fb_access, plan_store=store)
-        plain = BoundedEngine(
-            database, fb_access, plan_store=store, optimize=False
-        )
+        first = BoundedEngine(database, fb_access, plan_store=store)
+        second = BoundedEngine(database, fb_access, plan_store=store)
         q1 = facebook.query_q1()
-        optimized.execute(q1)
-        result = plain.execute(q1)
-        assert not result.cached  # distinct entry, not the optimized one
+        first.execute(q1, minimize=True)
+        result = second.execute(q1, minimize=False)
+        assert not result.cached  # distinct entry, not the minimized one
+        assert result.minimization is None
         assert store.stats()["entries"] == 2
-        prepared_opt, _ = optimized.prepare(q1)
-        prepared_plain, _ = plain.prepare(q1)
-        assert prepared_plain.executable is prepared_plain.plan  # unoptimized
-        assert prepared_opt.executable is not prepared_opt.plan
+        assert second.execute(q1, minimize=True).cached
+        assert first.execute(q1, minimize=False).cached
+        assert result.rows == evaluate(q1, database).rows
 
-    def test_write_on_one_engine_invalidates_shared_entry_for_both(self, fb_access):
-        """A shared store is swept by whichever engine takes the write.
-
-        This is the legacy (``delta_repair=False``) contract; with delta
-        repair on, plan-store entries survive writes because prepared plans
-        are data-independent (covered below).
-        """
+    def test_failed_batch_on_one_engine_sweeps_shared_entry_for_both(self, fb_access):
+        """A shared store is swept by whichever engine takes a batch that failed
+        part-way; plans are data-independent, so a clean write never sweeps it
+        (covered below)."""
         store = PlanStore(capacity=32)
         db_a = facebook.generate(scale=30, seed=1)
         db_b = facebook.generate(scale=30, seed=2)
-        engine_a = BoundedEngine(db_a, fb_access, plan_store=store, delta_repair=False)
-        engine_b = BoundedEngine(db_b, fb_access, plan_store=store, delta_repair=False)
+        engine_a = BoundedEngine(db_a, fb_access, plan_store=store)
+        engine_b = BoundedEngine(db_b, fb_access, plan_store=store)
         q1 = facebook.query_q1()
         engine_a.execute(q1)
         assert engine_b.execute(q1).cached
-        engine_a.apply_insert("friend", ("p0", "p_x"))
+        batch = [Update.insert("friend", ("p0", "p_x")), Update.insert("friend", ("p0",))]
+        with pytest.raises(MaintenanceError):
+            engine_a.apply_updates(batch)  # the malformed second row aborts it
         # the shared entry was dropped; either engine re-prepares on demand
         result_b = engine_b.execute(q1)
         assert not result_b.cached
         assert result_b.rows == evaluate(q1, db_b).rows
+        assert engine_a.execute(q1).rows == evaluate(q1, db_a).rows
 
-    def test_write_with_delta_repair_keeps_shared_plan_entry(self, fb_access):
-        """With delta repair (the default) a write leaves the shared store
-        alone — each engine's *result* cache is settled individually."""
+    def test_write_keeps_shared_plan_entry(self, fb_access):
+        """A write leaves the shared store alone — each engine's *result*
+        cache is settled individually."""
         store = PlanStore(capacity=32)
         db_a = facebook.generate(scale=30, seed=1)
         db_b = facebook.generate(scale=30, seed=2)

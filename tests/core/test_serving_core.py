@@ -50,21 +50,15 @@ class Substrate:
     fragment copies and mirrors every fully applied routed batch back.
     """
 
-    def __init__(self, kind: str, database, access, **core_options):
+    def __init__(self, kind: str, database, access):
         self.reference = database
         topology = SUBSTRATES[kind]
         if topology is None:
-            self.core = BoundedEngine(
-                database, access, check_constraints=False, **core_options
-            )
+            self.core = BoundedEngine(database, access, check_constraints=False)
         else:
             built = build_topology(database, access, **topology)
             self.core = ShardRouter(
-                built.shards,
-                built.partitioner,
-                access,
-                write_observer=self._mirror,
-                **core_options,
+                built.shards, built.partitioner, access, write_observer=self._mirror
             )
         self.federated = topology is not None
 
@@ -123,11 +117,11 @@ class Substrate:
 
 @pytest.fixture(params=list(SUBSTRATES))
 def make(request):
-    """``make(database, access, **core_options)`` for this substrate; closed on exit."""
+    """``make(database, access)`` for this substrate; closed on exit."""
     made: list[Substrate] = []
 
-    def build(database, access, **core_options) -> Substrate:
-        made.append(Substrate(request.param, database, access, **core_options))
+    def build(database, access) -> Substrate:
+        made.append(Substrate(request.param, database, access))
         return made[-1]
 
     yield build
@@ -252,20 +246,22 @@ class TestBundledWorkloads:
     and written through every substrate — and, on the engine, every kernel family."""
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_analytic_answers_survive_reads_and_writes(self, make, name):
+    def test_analytic_answers_survive_reads_and_writes(self, make, name, request):
         substrate, modes = self.contract(make, name)
-        if substrate.federated:  # no ``executor_mode`` to pin: the bound picks
-            assert ("columnar" in modes) is (name != "MCBM")  # wide plans go columnar here too
+        assert ("columnar" in modes) is (name != "MCBM")  # the bound picks: wide plans go columnar
+        if substrate.federated:
             return
-        assert self.contract(make, name, executor_mode="row")[1] == {"row"}
-        assert self.contract(make, name, executor_mode="columnar")[1] == {"columnar"}
+        request.getfixturevalue("row_kernels")
+        assert self.contract(make, name)[1] == {"row"}
+        request.getfixturevalue("columnar_kernels")
+        assert self.contract(make, name)[1] == {"columnar"}
 
     @staticmethod
-    def contract(make, name, **core_options):
+    def contract(make, name):
         """Runs the contract over a fresh substrate; returns it and the kernel families that ran."""
         workload = WORKLOADS[name]
         database = workload.database(scale=ANALYTIC_SCALE, seed=7)
-        substrate = make(database, workload.access_schema, **core_options)
+        substrate = make(database, workload.access_schema)
         core, queries = substrate.core, analytic_queries(workload)
         answers = [evaluate(query, database).rows for query in queries]
         assert all(answers), "an empty answer compares nothing"
@@ -426,6 +422,22 @@ class TestWriteSettlement:
         assert (result.result_cached, result.executor_mode) == (False, "columnar")
         assert result.rows == evaluate(query, substrate.reference).rows
 
+    def test_dropped_entry_keeps_its_plan(self, columnar_kernels, hot):
+        # Only a failed batch or a rebalance sweeps the plan store: a write
+        # that drops one result entry leaves the prepared plan to the next read.
+        assert hot.core.execute(hot.query).executor_mode == "columnar"
+        before = hot.result_cache()
+        hot.core.apply_updates([Update.insert("hot", ("a", 4))])
+        changed = moved(before, hot.result_cache())
+        assert changed["repair_fallback_reasons"] == {"executor_mode": 1}
+        assert (changed["invalidated"], changed["entries"]) == (1, -1)
+        plan_store = hot.core.cache_stats()["plan_store"]
+        assert (plan_store["sweeps"], plan_store["invalidated"]) == (0, 0)
+        result = hot.core.execute(hot.query)
+        assert (result.cached, result.result_cached) == (True, False)
+        assert (4,) in result.rows
+        assert result.rows == evaluate(hot.query, hot.reference).rows
+
     def test_entry_outdated_before_the_batch_is_dropped_as_stale(self, hot):
         # A write that bypasses the core moves an epoch without a derivation;
         # repairing at the next batch would stamp over the unseen write.
@@ -445,19 +457,20 @@ class TestWriteSettlement:
         assert result.rows == evaluate(hot.query, hot.reference).rows
         assert {(8,), (9,)} <= result.rows
 
-    def test_entry_without_environment_is_dropped_as_no_env(self, make, hot_cold_setup):
-        database, access, query = hot_cold_setup
-        substrate = make(database, access, repair_env_rows=0)
-        substrate.core.execute(query)
-        before = substrate.result_cache()
-        assert before["env_rejected"] == 0  # never captured, not refused
-        substrate.core.apply_updates([Update.insert("hot", ("a", 4))])
-        changed = moved(before, substrate.result_cache())
+    def test_entry_without_environment_is_dropped_as_no_env(self, hot, monkeypatch):
+        # An execution over the budget is cached, but captures nothing to patch.
+        monkeypatch.setattr(engine_module, "ENV_ROWS_BUDGET", 0)
+        hot.core.execute(hot.query)
+        (entry,) = [entry for _, entry in hot.core.result_cache.entries_for(("hot",))]
+        assert entry.env is None and entry.plan is None
+        before = hot.result_cache()
+        hot.core.apply_updates([Update.insert("hot", ("a", 4))])
+        changed = moved(before, hot.result_cache())
         assert changed["repair_fallback_reasons"] == {"no_env": 1}
         assert (changed["invalidated"], changed["entries"]) == (1, -1)
-        result = substrate.core.execute(query)
+        result = hot.core.execute(hot.query)
         assert not result.result_cached
-        assert result.rows == evaluate(query, substrate.reference).rows
+        assert result.rows == evaluate(hot.query, hot.reference).rows
 
     def test_batch_failed_part_way_sweeps_and_never_repairs(self, hot):
         rows = hot.core.execute(hot.query).rows
@@ -499,19 +512,6 @@ class TestWriteSettlement:
         repeat = hot.core.execute(hot.query)
         assert repeat.result_cached
         assert repeat.rows == evaluate(hot.query, hot.reference).rows
-
-    def test_repair_off_sweeps_both_caches(self, make, hot_cold_setup):
-        database, access, query = hot_cold_setup
-        substrate = make(database, access, delta_repair=False)
-        substrate.core.execute(query)
-        substrate.core.apply_updates([Update.insert("hot", ("a", 4))])
-        stats = substrate.core.cache_stats()
-        assert stats["result_cache"]["repaired"] == 0
-        assert stats["result_cache"]["invalidated"] == 1
-        assert stats["plan_store"]["invalidated"] == 1
-        result = substrate.core.execute(query)
-        assert (result.cached, result.result_cached) == (False, False)
-        assert (4,) in result.rows
 
 
 class TestFailedWrites:

@@ -148,13 +148,14 @@ class TestBatchVersioning:
 
 
 class TestEngineBatchUpdates:
-    def test_engine_batch_sweeps_caches_once_and_stays_correct(
-        self, fb_database, fb_access
+    def test_engine_batch_repairs_cached_result_with_delta_maintenance(
+        self, fb_database, fb_access, row_kernels
     ):
         from repro.core.engine import BoundedEngine
         from repro.evaluator.algebra import evaluate
 
-        engine = BoundedEngine(fb_database, fb_access, delta_repair=False)
+        # row kernels, so a dirty entry is patched
+        engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
         engine.execute(q1)
         assert engine.execute(q1).result_cached
@@ -170,20 +171,23 @@ class TestEngineBatchUpdates:
         assert report.applied_updates[0].row == ("c_b", "nyc")
         assert fb_database.version == base_version + 1  # one bump for the batch
         assert report.version == fb_database.version
-        assert engine.cache_stats()["plan_store"]["sweeps"] == 1  # one sweep too
+        # one derivation pass for the whole batch, not one per update
+        stats = engine.cache_stats()["result_cache"]
+        assert stats["repaired"] == 1
+        assert engine.cache_stats()["plan_store"]["sweeps"] == 0
         result = engine.execute(q1)
-        assert not result.cached
+        assert result.cached and result.result_cached
         assert ("c_b",) in result.rows
         assert result.rows == evaluate(q1, fb_database).rows
 
-    def test_engine_batch_repairs_cached_result_with_delta_maintenance(
-        self, fb_database, fb_access
+    def test_engine_batch_drops_a_dirty_columnar_entry_once_and_stays_correct(
+        self, fb_database, fb_access, columnar_kernels
     ):
         from repro.core.engine import BoundedEngine
         from repro.evaluator.algebra import evaluate
 
-        # delta repair is the default; row kernels, so a dirty entry is patched
-        engine = BoundedEngine(fb_database, fb_access, executor_mode="row")
+        # columnar kernels, so a dirty entry is dropped rather than patched
+        engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
         engine.execute(q1)
         assert engine.execute(q1).result_cached
@@ -197,12 +201,13 @@ class TestEngineBatchUpdates:
         )
         assert report.applied == 3
         assert fb_database.version == base_version + 1  # one bump for the batch
-        # one derivation pass for the whole batch, not one per update
+        # one settlement for the whole batch: one drop, no sweep
         stats = engine.cache_stats()["result_cache"]
-        assert stats["repaired"] == 1
+        assert (stats["repaired"], stats["invalidated"]) == (0, 1)
+        assert stats["repair_fallback_reasons"] == {"executor_mode": 1}
         assert engine.cache_stats()["plan_store"]["sweeps"] == 0
         result = engine.execute(q1)
-        assert result.cached and result.result_cached
+        assert result.cached and not result.result_cached
         assert ("c_b",) in result.rows
         assert result.rows == evaluate(q1, fb_database).rows
 

@@ -145,3 +145,15 @@ class TestEndToEndExecution:
         assert any(rel not in fb_database.relation_names() for rel in occurrence_relations)
         result = execute_plan(plan, fb_indexes)
         assert result.rows == evaluate(fb_q0_prime, fb_database).rows
+
+    @pytest.mark.parametrize("mode", ["row", "columnar"])
+    def test_environment_captured_up_to_the_budget(self, mode, fb_q1, fb_access, fb_indexes):
+        """The budget is on the rows every step emitted, inclusive."""
+        plan = plan_query(fb_q1, fb_access)
+        executor = PlanExecutor(fb_indexes, mode=mode)
+        assert executor.execute(plan).env is None  # nothing asked for
+        full = executor.execute(plan, capture_env=True)
+        assert sum(map(len, full.env)) == full.rows_processed > 0
+        budget = full.rows_processed
+        assert executor.execute(plan, capture_env=True, env_rows_budget=budget).env == full.env
+        assert executor.execute(plan, capture_env=True, env_rows_budget=budget - 1).env is None

@@ -125,12 +125,12 @@ class TestEngineRepairProperty:
         max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
     def test_repaired_serves_equal_full_recomputation(self, seed, ops):
-        """The sharper form: compare a repairing engine against a twin with
-        repair disabled on the same database — byte-identical serving."""
+        """The sharper form: compare a repairing engine against a twin that
+        caches no result on the same database — byte-identical serving."""
         database = facebook.generate(scale=15, seed=seed)
         access = facebook.access_schema(database.schema)
         repairing = BoundedEngine(database, access, check_constraints=False)
-        recomputing = BoundedEngine(database, access, check_constraints=False, delta_repair=False)
+        recomputing = BoundedEngine(database, access, check_constraints=False, result_cache_size=0)
         q1 = facebook.query_q1()
         repairing.execute(q1)
         fresh = 0

@@ -128,11 +128,10 @@ class TestFederatedReads:
         assert router.metrics.merge_rows == reference.counter.fetched
         assert federated.counter.fetched == reference.counter.fetched
 
-    @pytest.mark.parametrize("delta_repair", [False, True])
-    def test_result_cache_round_trip_survives_routed_writes(
-        self, delta_repair, row_kernels
-    ):
-        router, database = mirrored_topology(delta_repair=delta_repair)
+    @pytest.mark.parametrize("family", ["row", "columnar"])
+    def test_result_cache_round_trip_survives_routed_writes(self, family, request):
+        request.getfixturevalue(f"{family}_kernels")
+        router, database = mirrored_topology()
         query = facebook.query_q1()
         reference = evaluate(query, database).rows
         assert router.execute(query).rows == reference
@@ -144,9 +143,9 @@ class TestFederatedReads:
         assert router.metrics.write_batches == 1
 
         result = router.execute(query)
-        # Legacy: the routed write sweeps the entry and the read recomputes.
-        # Delta repair: the entry is patched in place and served directly.
-        assert result.result_cached is delta_repair
+        # Row kernels: the entry is patched in place and served directly.
+        # Columnar: the dirty entry is dropped and the read recomputes.
+        assert result.result_cached is (family == "row")
         assert result.rows == evaluate(query, database).rows
 
 

@@ -130,7 +130,7 @@ class TestIndexSet:
         other = AccessConstraint.of("cafe", "city", "cid", 100)
         with pytest.raises(StorageError):
             indexes.index_for(other)
-        assert indexes.get(other) is None
+        assert other not in indexes
 
     def test_total_sizes_and_report(self, small_db, fb_access):
         indexes = IndexSet.build(small_db, fb_access)
