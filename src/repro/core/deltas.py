@@ -18,22 +18,41 @@ in place instead of invalidating it:
    compile-once and run-per-write: the plan's fetch sites (positions,
    downstream closures, derivability) are a :class:`RepairProgram` compiled
    once per plan; the probed keys of an entry are read off its captured
-   environment once (:class:`FetchKeys`, kept with the cache entry) and
-   entered, inverted, in the result cache's reach index
-   (:meth:`DeltaDeriver.reach`, :meth:`ResultCache.index
+   environment once (:class:`FetchKeys`, kept with the cache entry for as
+   long as it lives) and entered, inverted, in the result cache's reach
+   index (:meth:`DeltaDeriver.reach`, :meth:`ResultCache.index
    <repro.core.planstore.ResultCache.index>`); the written keys are
    projected once per batch (:meth:`WriteDelta.keys_for`).  What is left
    per write is one look-up per written key — the ``O(N_A·|ΔD|)`` of
    Proposition 12, not a function of what is cached — and only the entries
    those look-ups find are derived at all; a key hit can still come back
    clean, when the live index group equals the cached one.
-2. **Selective re-execution** — otherwise, only the dirty fetch steps and
-   their downstream closure are re-run through the plan's own compiled row
-   kernels (the serving executor's; nothing is lowered twice) over the
-   memoized intermediates of the untouched steps.  Because the repair runs
-   the *same kernels* over the *same upstream inputs*, the patched result
-   is exactly what a full recomputation would produce (a property pinned by
-   the randomized repair tests).
+2. **Δfetch** — a dirty fetch's new output is its old output minus the
+   cached group of each written key whose group changed, plus that key's
+   live group, which detection has just read: the delta rule of the fetch
+   operator, exact because a fetch's rows under one key *are* that key's
+   index group.  So a dirty fetch is patched, not re-fetched, and its
+   :class:`FetchKeys` is updated in place.  Where the substrate cannot read
+   a live group (``group_lookup`` is ``None``: the federation) or the
+   fetch's own keys were recomputed, it runs its kernel instead.
+3. **Selective re-execution** — the steps downstream of the dirty fetches
+   are re-run through the plan's own compiled row kernels (the serving
+   executor's; nothing is lowered twice) over the memoized intermediates of
+   the untouched steps.  Because the repair runs the *same kernels* over
+   the *same upstream inputs*, the patched result is exactly what a full
+   recomputation would produce (a property pinned by the randomized repair
+   tests).  The key sets of the fetches whose keys were recomputed are
+   dropped, for the caller to read again off the patched environment and
+   re-register (:attr:`RepairOutcome.rekeyed`); every other one stays valid
+   for it.
+
+**Why not delta rules downstream too.**  Δσ, Δπ by support count and
+ΔR ⋈ S would replace step 3 with rules over the changed rows.  Measured on
+``served_mix``'s write sequence (seed 7, 510 engine writes), a write re-runs
+56.4 steps over 10.7 derived entries; a re-run step reads 2.4 rows on
+average, and 50.5 of the 56.4 do change their output.  What a kernel costs
+there is its call, which a rule would pay as well, so the rules were not
+built.
 
 **Fallback.** Repair refuses — and the caller must invalidate — whenever
 the delta is not derivable through the plan:
@@ -42,8 +61,8 @@ the delta is not derivable through the plan:
   (classical delta rules are non-monotone there: an inserted tuple can
   *remove* result rows through the subtrahend, so the conservative contract
   is to recompute from scratch rather than patch);
-* the entry carries no captured environment (it exceeded the cache's
-  admission budget);
+* the entry carries no captured environment (its execution ran over the
+  engine's budget);
 * the entry is dirty and its plan runs columnar kernels, which exchange
   batches rather than the captured row sets (``executor_mode``): the next
   read re-executes it on those kernels, which is cheaper than re-running a
@@ -171,6 +190,10 @@ class RepairOutcome:
     dirty_steps: tuple[int, ...] = ()
     #: steps re-executed (the downstream closure of the dirty fetches)
     steps_recomputed: int = 0
+    #: base relations of the fetches whose probed keys the patch recomputed:
+    #: their :class:`FetchKeys` left ``keyed``, for the caller to re-read
+    #: (:meth:`DeltaDeriver.reach`) and re-register
+    rekeyed: tuple[str, ...] = ()
     counter: AccessCounter = field(default_factory=AccessCounter)
 
     @classmethod
@@ -204,6 +227,9 @@ class FetchSite:
     closure: tuple[int, ...]
     #: no :class:`~repro.core.plan.DifferenceOp` in ``closure``
     monotone: bool
+    #: ``(id, base)`` of the fetches whose source is in ``closure``: their
+    #: probed keys are recomputed whenever this fetch's output is
+    rekeys: tuple[tuple[int, str], ...]
 
 
 class RepairProgram:
@@ -220,7 +246,8 @@ class RepairProgram:
         self.sites: dict[str, tuple[FetchSite, ...]] = {}
         #: every site in plan order (``fetch_steps`` ascends): nothing sorts per call
         self.ordered: tuple[FetchSite, ...] = ()
-        for step in plan.fetch_steps():
+        fetches = plan.fetch_steps()
+        for step in fetches:
             op: FetchOp = step.op
             constraint = op.constraint
             base = plan.base_relation(constraint)
@@ -244,6 +271,11 @@ class RepairProgram:
                 monotone=not any(
                     isinstance(plan.steps[sid].op, DifferenceOp) for sid in closure
                 ),
+                rekeys=tuple(
+                    (other.id, plan.base_relation(other.op.constraint))
+                    for other in fetches
+                    if other.op.inputs[0] in closure
+                ),
             )
             self.sites[base] = self.sites.get(base, ()) + (site,)
             self.ordered += (site,)
@@ -258,8 +290,11 @@ class FetchKeys:
     """One cached entry's view of one fetch: the keys it probed, its rows by key.
 
     Read off the entry's captured environment by the first settlement that
-    reaches the fetch and kept *with the entry* (``CachedResult.keyed``), so
-    it is replaced with the environment and dies with the entry.
+    meets the entry and kept *with the entry* (``CachedResult.keyed``), so it
+    dies with the entry.  A patch that recomputes the fetch's source drops it
+    (the probed keys may have moved), and the settlement reads a new one off
+    the patched environment; one that patches the fetch itself
+    (:meth:`patch`) keeps it, its groups updated in place.
     """
 
     __slots__ = ("probed", "_groups")
@@ -269,7 +304,7 @@ class FetchKeys:
         self.probed = frozenset(
             tuple(row[p] for p in positions) for row in env[site.source]
         )
-        self._groups: dict[Row, set[Row]] | None = None
+        self._groups: dict[Row, Iterable[Row]] | None = None
 
     def group(
         self, site: FetchSite, env: Sequence[Iterable[Row]], key: Row
@@ -286,6 +321,29 @@ class FetchKeys:
             for row in env[site.id]:
                 self._groups.setdefault(tuple(row[p] for p in positions), set()).add(row)
         return self._groups.get(key, _NO_ROWS)
+
+    def patch(
+        self,
+        site: FetchSite,
+        env: Sequence[Iterable[Row]],
+        live: Mapping[Row, frozenset[Row]],
+        counter: AccessCounter,
+    ) -> set[Row]:
+        """The fetch's output once each key of ``live`` reads its live group (Δfetch).
+
+        The cached output minus the cached group of every such key, plus its
+        live group — what re-fetching every probed key would return, since
+        the other keys' groups did not change.  The live groups become the
+        cached ones, and their tuples are charged to ``counter`` as the
+        fetch's look-ups would be.
+        """
+        rows = set(env[site.id])
+        for key, group in live.items():
+            rows.difference_update(self.group(site, env, key))
+            rows.update(group)
+            self._groups[key] = group
+            counter.record_fetch(site.base, len(group))
+        return rows
 
 
 class DeltaDeriver:
@@ -358,7 +416,8 @@ class DeltaDeriver:
         """What a write to ``base`` must hit for :meth:`derive` to say anything but clean.
 
         One ``(key positions in a written row, probed keys)`` per fetch site
-        over ``base`` — read off ``env`` into ``keyed``, where :meth:`derive`
+        over ``base`` — from its :class:`FetchKeys` in ``keyed``, read off
+        ``env`` for the sites that have none there yet, where :meth:`derive`
         finds them again.  A written row that projects onto none of them
         leaves every such fetch as it was.  Where the verdict does not hang
         on a key — a site that feeds a difference, an environment that does
@@ -371,7 +430,9 @@ class DeltaDeriver:
                 return EVERY_WRITE
             found = []
             for site in sites:
-                keys = keyed[site.id] = FetchKeys(site, env)
+                keys = keyed.get(site.id)
+                if keys is None:
+                    keys = keyed[site.id] = FetchKeys(site, env)
                 found.append((site.row_positions, keys.probed))
             return tuple(found)
         except Exception:
@@ -394,7 +455,12 @@ class DeltaDeriver:
         filled (``ExecutionResult.env``); ``rows`` the cached output rows;
         ``keyed`` the entry's :class:`FetchKeys` by fetch step, filled here
         as fetches are reached and valid only for this ``env`` (omitted:
-        nothing is kept).  Must be called **after** the write has been
+        nothing is kept).  A :data:`PATCHED` outcome leaves ``keyed`` valid
+        for the new ``env`` instead: the key sets of the fetches whose keys
+        were recomputed are removed (their relations are ``rekeyed``), those
+        of the fetches Δfetch patched hold their live groups, and all others
+        are kept as they were.  Must be called
+        **after** the write has been
         applied to storage and indexes — re-execution and ``group_lookup``
         read live state.  Exceptions never escape: any derivation error is
         logged and degrades to a :data:`FALLBACK` outcome (reason
@@ -430,7 +496,11 @@ class DeltaDeriver:
         if env is None or len(env) != len(plan.steps):
             return RepairOutcome.fallback("no_env")
 
-        dirty = [site for site in affected if self._dirty(site, env, delta, keyed)]
+        dirty: dict[int, tuple[FetchSite, dict]] = {}
+        for site in affected:
+            changed = self._changed(site, env, delta, keyed)
+            if changed:
+                dirty[site.id] = (site, changed)
         if not dirty:
             return RepairOutcome.clean()
         if compiled.mode != "row":
@@ -438,52 +508,73 @@ class DeltaDeriver:
             # drop the entry and let the next read run it on its own kernels.
             return RepairOutcome.fallback("executor_mode")
 
-        # Re-execute the downstream closure of the dirty fetches, ascending.
+        # Re-execute the downstream closure of the dirty fetches: first each
+        # dirty fetch whose keys are as cached by Δfetch, from the live groups
+        # read above (it reads nothing recomputed), then every other step of
+        # the closure by its kernel, ascending.
         counter = AccessCounter()
         scratch: list = list(env)
-        recompute = sorted({sid for site in dirty for sid in site.closure})
-        for sid in recompute:
-            scratch[sid] = compiled.kernels[sid](scratch, counter)
-        new_rows = frozenset(scratch[plan.output])
-        new_env = tuple(
-            part if isinstance(part, frozenset) else frozenset(part)
-            for part in scratch
-        )
+        recompute = {sid for site, _ in dirty.values() for sid in site.closure}
+        patched = set()
+        for sid, (site, changed) in dirty.items():
+            if site.source not in recompute and None not in changed.values():
+                scratch[sid] = frozenset(keyed[sid].patch(site, env, changed, counter))
+                patched.add(sid)
+        for sid in sorted(recompute.difference(patched)):
+            scratch[sid] = frozenset(compiled.kernels[sid](scratch, counter))
+        new_env = tuple(scratch)
+        new_rows = new_env[plan.output]
+
+        # Bring ``keyed`` in step with ``new_env``: a fetch's key sets hang on
+        # its source (probed keys) and on its own rows (groups).  Dirty sites
+        # come in plan order, so only an earlier one can re-key a later one.
+        rekeyed: list[str] = []
+        for sid, (site, _) in dirty.items():
+            for fid, base in site.rekeys:
+                if keyed.pop(fid, None) is not None and base not in rekeyed:
+                    rekeyed.append(base)
+            if sid not in patched and sid in keyed:
+                keyed[sid]._groups = None  # re-fetched whole: regroup on use
         return RepairOutcome(
             status=PATCHED,
             rows=new_rows,
             env=new_env,
             rows_added=len(new_rows - rows),
             rows_removed=len(rows - new_rows),
-            dirty_steps=tuple(site.id for site in dirty),
+            dirty_steps=tuple(dirty),
             steps_recomputed=len(recompute),
+            rekeyed=tuple(rekeyed),
             counter=counter,
         )
 
-    def _dirty(
+    def _changed(
         self,
         site: FetchSite,
         env: tuple[frozenset[Row], ...],
         delta: WriteDelta,
         keyed: dict[int, FetchKeys],
-    ) -> bool:
-        """Whether the output of the fetch at ``site`` can have changed.
+    ) -> dict[Row, frozenset[Row] | None]:
+        """The probed keys whose group under the fetch at ``site`` the write may have changed.
 
-        Dirty iff some written row of its base relation projects (on
-        ``sorted(constraint.lhs)``) onto a key the fetch probed at fill
-        time — and, with ``group_lookup``, that key's live index group
-        differs from the rows the entry cached under it.
+        Each with its live index group, or ``None`` where there is no
+        ``group_lookup`` or it cannot resolve one; empty when the fetch's
+        output is as cached.  A key is in it iff some written row of the
+        base relation projects (on ``sorted(constraint.lhs)``) onto it, it
+        was probed at fill time, and — with ``group_lookup`` — its live
+        group differs from the rows the entry cached under it.
         """
         keys = keyed.get(site.id)
         if keys is None:
             keys = keyed[site.id] = FetchKeys(site, env)
         written = delta.keys_for(site.base, site.row_positions)
         if written.isdisjoint(keys.probed):
-            return False
-        if self.group_lookup is None:
-            return True
+            return {}
+        changed = {}
         for key in written & keys.probed:
-            live = self.group_lookup(site.constraint, site.base, key)
-            if live is None or live != keys.group(site, env, key):
-                return True
-        return False
+            live = None
+            if self.group_lookup is not None:
+                live = self.group_lookup(site.constraint, site.base, key)
+                if live is not None and live == keys.group(site, env, key):
+                    continue
+            changed[key] = live
+        return changed

@@ -48,14 +48,16 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
   on a :class:`~repro.storage.counters.VersionClock`.  The substrate says
   which clocks make up a snapshot (the database's; every shard's).
 
-* **One write path** — :meth:`ServingCore.apply_updates` (candidates →
-  :meth:`~ServingCore._write` → :meth:`~ServingCore._settle`): the substrate
-  hook runs the Proposition-12 loop of :func:`repro.discovery.maintenance.
-  apply_updates` over its (storage, index) pairs and bumps their clocks;
-  then, for a cleanly applied batch, the result cache's reach index names
-  the dependent entries some written key hit: those are patched through the
-  :class:`~repro.core.deltas.DeltaDeriver` or — when their delta is not
-  provable — dropped, every other dependent is re-stamped in bulk, and the
+* **One write path** — :meth:`ServingCore.apply_updates` (the touched
+  dependency tuples' snapshots → :meth:`~ServingCore._write` →
+  :meth:`~ServingCore._settle`): the substrate hook runs the Proposition-12
+  loop of :func:`repro.discovery.maintenance.apply_updates` over its
+  (storage, index) pairs and bumps their clocks; then, for a cleanly applied
+  batch, the result cache's reach index names the dependent entries some
+  written key hit: those are patched through the
+  :class:`~repro.core.deltas.DeltaDeriver` (and stay indexed) or — when
+  their delta is not provable — dropped; every other dependent is
+  re-stamped in bulk, with its dependency tuple's snapshot; and the
   data-independent plan store is left alone.  Without a usable delta — a
   batch that failed part-way, a rebalance that moved rows between shards —
   dependents are swept from both caches.
@@ -238,8 +240,9 @@ class ServingCore:
 
     Owns the plan store, the result cache, :meth:`prepare`, :meth:`execute`
     (and :meth:`probe`, its hit-only first half), :meth:`apply_updates` with
-    its settlement (:meth:`_repair_candidates` /
-    :meth:`_settle`), :meth:`cache_stats`, and the one
+    its settlement (:meth:`_repair_candidates`, the touched dependency
+    tuples' pre-write snapshots / :meth:`_settle`), :meth:`cache_stats`, and
+    the one
     :class:`~repro.evaluator.executor.PlanExecutor` that reads run on and
     write settlement re-runs kernels of.  A subclass supplies only its
     substrate: the fetch ``source`` that answers fetch steps (``schema``
@@ -268,12 +271,16 @@ class ServingCore:
     taken before the write (this write is then provably the only change
     since fill) and no dependency moves between the snapshot it is
     re-stamped with and the end of the derivations; any other entry is
-    dropped, never patched.
+    dropped, never patched.  Entries that share a dependency tuple share
+    those snapshots: a write reads each touched tuple's before the write,
+    before the first derivation and after the last, whatever the number of
+    entries filed under it.
 
     Dependent writes *repair* result-cache entries instead of sweeping them:
     covered executions capture their per-step row environment (up to
     :data:`ENV_ROWS_BUDGET` rows, summed over all steps of one entry) and
-    :meth:`_settle` derives row-level patches from it.  The plan store is
+    :meth:`_settle` derives row-level patches from it for the entries the
+    write's keys reached, and re-stamps the others.  The plan store is
     **not** swept on that path — prepared plans depend only on (query,
     access schema), and keeping them is what makes a repaired read hit
     without re-planning.
@@ -519,24 +526,20 @@ class ServingCore:
 
     # -- write settlement ---------------------------------------------------------------
     def _repair_candidates(self, relations: Iterable[str]) -> list[tuple]:
-        """Result-cache entries a write to ``relations`` may repair, with the
-        snapshot each must carry to qualify.
+        """The dependency tuples a write to ``relations`` may reach, each with
+        the snapshot its entries must carry to be repaired.
 
         Must be called before the write moves any clock :meth:`_snapshot`
         reads: an entry whose stamp differs from that pre-write snapshot was
         already outdated (an out-of-band write, an earlier failed batch), and
-        patching it would stamp over a change no derivation ever saw.
+        patching it would stamp over a change no derivation ever saw.  One
+        snapshot per tuple, not per entry: on a federation each is a scatter
+        over every shard, and entries share few distinct tuples.
         """
-        # One snapshot per distinct dependency tuple: on a federation each is
-        # a scatter over every shard, and entries share few distinct tuples.
-        snapshots: dict[tuple[str, ...], tuple] = {}
-        candidates = []
-        for key, entry in self.result_cache.entries_for(relations):
-            dependencies = entry.dependencies
-            if dependencies not in snapshots:
-                snapshots[dependencies] = self._snapshot(dependencies)
-            candidates.append((key, entry, snapshots[dependencies]))
-        return candidates
+        return [
+            (dependencies, self._snapshot(dependencies))
+            for dependencies in self.result_cache.dependency_tuples(relations)
+        ]
 
     def _settle(
         self,
@@ -550,86 +553,89 @@ class ServingCore:
         left behind is suspect, or a rebalance moved rows — every dependent of
         ``touched`` is swept from the plan store (compiled kernels released)
         and the result cache.  Otherwise the plan store is left alone
-        (prepared plans are data-independent) and each of ``candidates``
-        (from :meth:`_repair_candidates`) gets one verdict, all of which are
-        returned by cache key:
+        (prepared plans are data-independent) and every entry filed under the
+        dependency tuples of ``candidates`` (from :meth:`_repair_candidates`)
+        gets one verdict, all of which are returned by cache key:
 
         * ``skip`` — the batch's effective writes never reached its relations;
         * ``stale`` — outdated before the write: dropped;
         * ``no_env`` — no captured environment: dropped.
 
-        What is left is entered in the result cache's reach index (the first
-        settlement that meets an entry reads its probed keys) and the index
-        is intersected once with the keys the batch wrote.  An entry no
-        written key hits is ``clean`` without being looked at: its stamp moves
-        to a snapshot taken once per dependency tuple before anything is
-        derived, provided that tuple still stands when everything is — else
-        its entries are dropped, ``race``.  An entry some key hits goes to the
-        deriver between a snapshot and a validation of its own: ``clean`` (the
-        hit key's group is what it was), ``patched``, ``fallback:<reason>``
-        (not derivable: dropped), or ``race`` (a dependency moved while the
-        deriver was re-fetching, so the patch could mix epochs: dropped).  A
-        repaired entry is indistinguishable from a fresh execution at the
-        epoch of its new stamp.
+        The first settlement that meets any other entry enters it in the
+        result cache's reach index, for every relation it depends on; then
+        the index is intersected once with the keys the batch wrote.  Each
+        tuple is snapshot once before anything is derived and validated once
+        after everything is; if it moved in between (a dependency changed
+        while the deriver was re-fetching, so a patch could mix epochs) its
+        entries are dropped, ``race``.  Otherwise an entry no written key hits
+        is ``clean`` without being looked at — its stamp moves to the tuple's
+        snapshot with all the others of the tuple — and an entry some key hits
+        is what the deriver says: ``clean`` (the hit key's group is what it
+        was), ``patched`` (re-indexed where the patch moved its probed keys),
+        or ``fallback:<reason>`` (not derivable: dropped).  A repaired entry
+        is indistinguishable from a fresh execution at the epoch of its new
+        stamp.
         """
         if not delta:
             self._discard_compiled(self.plan_cache.invalidate(touched))
             self.result_cache.invalidate(touched)
             return {}
-        cache = self.result_cache
+        cache, deriver = self.result_cache, self._deriver
         verdicts: dict[Hashable, str] = {}
 
-        def drop(key: Hashable, reason: str, scope: tuple[str, ...], verdict: str = "") -> None:
+        def drop(key: Hashable, reason: str, scope: Iterable[str], verdict: str = "") -> None:
             cache.drop(key, reason=reason, relations=scope)
             verdicts[key] = verdict or reason
 
+        # The gates, per entry: what a write pays for each one it did not reach.
         touched_set = frozenset(touched)
-        live = []
-        for key, entry, pre_snapshot in candidates:
-            scope = tuple(r for r in entry.dependencies if r in touched_set)
+        live: dict[tuple[str, ...], tuple[dict, frozenset[str]]] = {}
+        for dependencies, before in candidates:
+            entries = cache.entries_under(dependencies)
+            scope = touched_set.intersection(dependencies)
             if not scope:
-                verdicts[key] = "skip"
-            elif entry.snapshot != pre_snapshot:
-                drop(key, "stale", scope)
-            elif entry.env is None or entry.plan is None:
-                drop(key, "no_env", scope)
-            else:
-                if entry.reach is None:
-                    entry.keyed, entry.reach = {}, {}
-                for base in scope:
-                    if base not in entry.reach:
-                        cache.index(
-                            key,
-                            base,
-                            self._deriver.reach(entry.plan, entry.env, entry.keyed, base),
-                        )
-                live.append((key, entry, scope))
+                verdicts.update(dict.fromkeys(entries, "skip"))
+                continue
+            gone = []
+            for key, entry in entries.items():
+                if entry.snapshot != before:
+                    gone.append((key, "stale"))
+                elif entry.reach is None:
+                    if entry.env is None or entry.plan is None:
+                        gone.append((key, "no_env"))
+                    else:
+                        entry.keyed, entry.reach = {}, {}
+                        for base in dependencies:
+                            cache.index(
+                                key, base, deriver.reach(entry.plan, entry.env, entry.keyed, base)
+                            )
+            for key, reason in gone:
+                drop(key, reason, scope)
+            if entries:
+                live[dependencies] = entries, scope
 
         reached = cache.reached(delta)
-        # One snapshot per distinct dependency tuple, as in _repair_candidates,
-        # and all of them before the first derivation.
-        bulk: dict[tuple[str, ...], tuple[tuple, tuple[str, ...], list]] = {}
-        hit = []
-        for candidate in live:
-            key, entry, scope = candidate
-            if key in reached:
-                hit.append(candidate)
-                continue
-            dependencies = entry.dependencies
-            if dependencies not in bulk:
-                bulk[dependencies] = (self._snapshot(dependencies), scope, [])
-            bulk[dependencies][2].append(key)
-
-        for key, entry, scope in hit:
-            snapshot = self._snapshot(entry.dependencies)
-            outcome = self._deriver.derive(
-                entry.plan, entry.env, entry.rows, delta, entry.keyed
-            )
+        snapshots = {dependencies: self._snapshot(dependencies) for dependencies in live}
+        derived: dict[tuple[str, ...], list] = {}
+        for key, entry in reached.items():
+            if entry.dependencies not in live:
+                continue  # filed under a tuple the effective writes missed: skip
+            outcome = deriver.derive(entry.plan, entry.env, entry.rows, delta, entry.keyed)
             if outcome.status == FALLBACK:
+                scope = live[entry.dependencies][1]
                 drop(key, outcome.reason, scope, f"{FALLBACK}:{outcome.reason}")
-            elif not self._validate(entry.dependencies, snapshot):
-                drop(key, "race", scope)
             else:
+                derived.setdefault(entry.dependencies, []).append((key, entry, outcome))
+
+        for dependencies, (entries, scope) in live.items():
+            snapshot = snapshots[dependencies]
+            if not self._validate(dependencies, snapshot):
+                for key in list(entries):
+                    drop(key, "race", scope)
+                continue
+            verdicts.update(dict.fromkeys(entries, CLEAN))
+            repaired = derived.get(dependencies, ())
+            for key, entry, outcome in repaired:
                 cache.repair(
                     key,
                     rows=outcome.rows if outcome.status == PATCHED else entry.rows,
@@ -638,15 +644,10 @@ class ServingCore:
                     rows_added=outcome.rows_added,
                     rows_removed=outcome.rows_removed,
                 )
+                for base in outcome.rekeyed:
+                    cache.index(key, base, deriver.reach(entry.plan, entry.env, entry.keyed, base))
                 verdicts[key] = outcome.status
-
-        for dependencies, (snapshot, scope, keys) in bulk.items():
-            if self._validate(dependencies, snapshot):
-                cache.restamp(keys, snapshot)
-                verdicts.update(dict.fromkeys(keys, CLEAN))
-            else:
-                for key in keys:
-                    drop(key, "race", scope)
+            cache.restamp(dependencies, snapshot, len(repaired))
         return verdicts
 
     def _write(self, updates: list["Update"]) -> "MaintenanceReport":
@@ -662,8 +663,8 @@ class ServingCore:
     def apply_updates(self, updates: Iterable["Update"]) -> "MaintenanceReport":
         """Apply a batch of updates, then settle the caches once for all of it.
 
-        THE write path of every substrate: read the repair candidates over
-        the batch's relations before any clock moves, :meth:`_write`, then
+        THE write path of every substrate: snapshot the dependency tuples
+        the batch's relations touch before any clock moves, :meth:`_write`, then
         one :meth:`_settle` with the delta of the updates that *effectively*
         changed data (skipped duplicates and missing deletes excluded).
 

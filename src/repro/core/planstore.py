@@ -197,13 +197,16 @@ class CachedResult:
     that produced it.  Both are ``None`` when the execution captured no
     environment (it ran over the engine's budget,
     :data:`~repro.core.engine.ENV_ROWS_BUDGET`) — such entries can only be
-    invalidated, never repaired.  ``keyed`` is what
-    write settlement has read off ``env`` so far (per fetch step: probed
-    keys, rows by key — :class:`~repro.core.deltas.FetchKeys`) and ``reach``
-    what of it the cache's reach index holds (per base relation, see
-    :meth:`ResultCache.index`); both are created by the first settlement
-    that reaches the entry and reset whenever :meth:`ResultCache.repair`
-    installs another ``env``.
+    invalidated, never repaired.  ``keyed`` is what write settlement has read
+    off ``env`` (per fetch step: probed keys, rows by key —
+    :class:`~repro.core.deltas.FetchKeys`) and ``reach`` what of it the
+    cache's reach index holds (per dependency relation, see
+    :meth:`ResultCache.index`); both are created by the first settlement that
+    meets the entry, for every relation it depends on, and live as long as
+    the entry.  A patch keeps them in step with the ``env`` it installs: the
+    deriver keeps the key sets the patch could not have moved, updates in
+    place those whose fetch it patched and drops the others, and the
+    settlement reads and re-registers only those again.
     """
 
     rows: frozenset[tuple]
@@ -243,14 +246,20 @@ class ResultCache:
     (otherwise the patch would be derived against a state the entry was
     never valid for) and must pass the post-write snapshot to re-stamp.
 
+    **Dependency tuples.**  Entries are also filed by their dependency tuple
+    (:meth:`dependency_tuples`, :meth:`entries_under`): entries that share
+    one share every snapshot a write takes, so a settlement snapshots,
+    validates and re-stamps (:meth:`restamp`) per tuple, not per entry.
+
     **Reach index.**  Beside the entries the cache keeps, inverted, the keys
     their fetches probed: ``base relation → key positions in a written row →
     probed key → cache keys`` (:meth:`index`).  :meth:`reached` intersects it
     with a batch's written keys, so a settlement looks at what the batch
     wrote, not at what is cached, to find the entries it has to derive; all
-    others it re-stamps in bulk (:meth:`restamp`).  The index is filled by
-    settlements only — never when an entry is filled or read — and an entry's
-    part of it leaves with the entry or with the environment it was read off.
+    others it re-stamps in bulk.  The index is filled by settlements only —
+    never when an entry is filled or read.  An entry's part of it leaves with
+    the entry; a patch re-registers only the fetch sites whose probed keys it
+    may have moved (:meth:`index` replaces a relation's part site by site).
     """
 
     def __init__(self, capacity: int = 256, max_rows: int = 100_000):
@@ -280,6 +289,8 @@ class ResultCache:
         #: base relation -> row positions -> probed key -> keys of the entries
         #: that probed it: the union over an entry's fetch sites of one index
         self._reach: dict[str, dict[tuple[int, ...], dict[tuple, set[Hashable]]]] = {}
+        #: dependency tuple -> the entries filed under it (every entry is in one)
+        self._by_dependencies: dict[tuple[str, ...], dict[Hashable, CachedResult]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -304,7 +315,7 @@ class ResultCache:
         if entry.snapshot != snapshot:
             # The data moved on under this entry; drop it eagerly.
             del self._entries[key]
-            self._unindex(key, entry)
+            self._forget(key, entry)
             self.stale += 1
             self.misses += record
             return None
@@ -340,8 +351,8 @@ class ResultCache:
             return
         previous = self._entries.get(key)
         if previous is not None:
-            self._unindex(key, previous)
-        self._entries[key] = CachedResult(
+            self._forget(key, previous)
+        entry = self._entries[key] = CachedResult(
             rows=rows,
             columns=columns,
             dependencies=tuple(dependencies),
@@ -349,10 +360,19 @@ class ResultCache:
             env=env,
             plan=plan if env is not None else None,
         )
+        self._by_dependencies.setdefault(entry.dependencies, {})[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
-            self._unindex(*self._entries.popitem(last=False))
+            self._forget(*self._entries.popitem(last=False))
             self.evictions += 1
+
+    def _forget(self, key: Hashable, entry: CachedResult) -> None:
+        """Take ``entry``, which just left ``_entries``, out of its tuple and the reach index."""
+        filed = self._by_dependencies[entry.dependencies]
+        del filed[key]
+        if not filed:
+            del self._by_dependencies[entry.dependencies]
+        self._unindex(key, entry)
 
     def entries_for(self, relations: Iterable[str]) -> list[tuple[Hashable, CachedResult]]:
         """The live entries depending on any of ``relations`` (LRU order).
@@ -367,60 +387,117 @@ class ResultCache:
             if touched.intersection(entry.dependencies)
         ]
 
+    # -- dependency tuples ------------------------------------------------------------
+    def dependency_tuples(self, relations: Iterable[str]) -> list[tuple[str, ...]]:
+        """The dependency tuples of the live entries that depend on any of ``relations``."""
+        touched = frozenset(relations)
+        return [
+            dependencies
+            for dependencies in self._by_dependencies
+            if not touched.isdisjoint(dependencies)
+        ]
+
+    def entries_under(self, dependencies: tuple[str, ...]) -> dict[Hashable, CachedResult]:
+        """The live entries filed under ``dependencies``, by key (read-only; empty if none)."""
+        return self._by_dependencies.get(dependencies) or {}
+
+    def restamp(
+        self, dependencies: tuple[str, ...], snapshot: tuple, repaired: int = 0
+    ) -> int:
+        """Stamp every entry filed under ``dependencies`` with ``snapshot``: clean repairs, in bulk.
+
+        Under the snapshot contract of :meth:`repair`, for a settlement that
+        has passed ``repaired`` of these entries through :meth:`repair` (with
+        this same ``snapshot``; they are counted there) and provably did not
+        reach the others (:meth:`reached`): each of those counts as
+        ``repaired`` and ``repaired_clean``.  Returns how many that was.
+        """
+        entries = self.entries_under(dependencies)
+        for entry in entries.values():
+            entry.snapshot = snapshot
+        stamped = len(entries) - repaired
+        self.repaired += stamped
+        self.repaired_clean += stamped
+        return stamped
+
     # -- the reach index ----------------------------------------------------------
     def index(
         self,
         key: Hashable,
         base: str,
-        reach: tuple[tuple[tuple[int, ...], Iterable[tuple]], ...],
+        reach: tuple[tuple[tuple[int, ...], frozenset[tuple]], ...],
     ) -> None:
         """Register what a write to ``base`` must hit to reach the entry at ``key``.
 
         ``reach`` is one ``(row positions, probed keys)`` per fetch site of
         the entry's plan over ``base`` (:meth:`DeltaDeriver.reach
         <repro.core.deltas.DeltaDeriver.reach>`).  Two sites may fetch one
-        physical index, and what is registered is their union — which is why
-        an entry's registrations only ever leave together (:meth:`_unindex`).
-        Kept on the entry as ``reach[base]``: an empty tuple still says the
-        entry is indexed for ``base``.
+        physical index, and what is registered is their union.  Kept on the
+        entry as ``reach[base]``: an empty tuple still says the entry is
+        indexed for ``base``.
+
+        Called again for a ``base`` the entry is indexed for, it replaces the
+        registration site by site (the sites of one plan and relation come in
+        one order): only what a site's new keys add to its old ones is
+        entered, and only what they drop leaves — unless another site at the
+        same positions still probes it.
         """
         entry = self._entries[key]
-        for positions, probed in reach:
-            if not probed:
-                continue  # a fetch over no rows: the index holds no empty set
-            by_key = self._reach.setdefault(base, {}).setdefault(positions, {})
+        old = entry.reach.get(base, ())
+        if len(old) != len(reach):  # one of them is EVERY_WRITE: no site is kept
+            self._unregister(key, base, old)
+            old = ((None, frozenset()),) * len(reach)
+        gone = []
+        for (positions, probed), (was, before) in zip(reach, old):
+            if probed is before:
+                continue
+            if was == positions:
+                gone.append((was, before - probed))
+                added = probed - before
+            else:
+                gone.append((was, before))
+                added = probed
+            if added:
+                by_key = self._reach.setdefault(base, {}).setdefault(positions, {})
+                for probe in added:
+                    holders = by_key.get(probe)
+                    if holders is None:
+                        by_key[probe] = {key}
+                    else:
+                        holders.add(key)
+        self._unregister(key, base, gone, reach)
+        entry.reach[base] = reach
+
+    def _unregister(self, key: Hashable, base: str, parts, remaining=()) -> None:
+        """Take ``key`` off the probed keys of ``parts`` under ``base``, except
+        those a part of ``remaining`` at the same positions still probes."""
+        slots = self._reach.get(base, {})
+        for positions, probed in parts:
+            by_key = slots.get(positions)
+            if by_key is None or not probed:
+                continue  # nothing probed, or emptied by another site of this index
+            still = [other for at, other in remaining if at == positions]
             for probe in probed:
                 holders = by_key.get(probe)
-                if holders is None:
-                    by_key[probe] = {key}
-                else:
-                    holders.add(key)
-        entry.reach[base] = reach
+                if holders is not None and not any(probe in other for other in still):
+                    holders.discard(key)
+                    if not holders:
+                        del by_key[probe]
+            if not by_key:
+                del slots[positions]
+        if not slots:
+            self._reach.pop(base, None)
 
     def _unindex(self, key: Hashable, entry: CachedResult) -> None:
         """Take everything ``entry`` registered out of the index; forget its key sets."""
         if entry.reach is None:
             return
         for base, reach in entry.reach.items():
-            slots = self._reach.get(base, {})
-            for positions, probed in reach:
-                by_key = slots.get(positions)
-                if by_key is None:
-                    continue  # nothing probed, or emptied by another site of this index
-                for probe in probed:
-                    holders = by_key.get(probe)
-                    if holders is not None:
-                        holders.discard(key)
-                        if not holders:
-                            del by_key[probe]
-                if not by_key:
-                    del slots[positions]
-            if not slots:
-                self._reach.pop(base, None)
+            self._unregister(key, base, reach)
         entry.reach = entry.keyed = None
 
-    def reached(self, delta) -> set[Hashable]:
-        """Keys of the indexed entries some written row of ``delta`` hits.
+    def reached(self, delta) -> dict[Hashable, CachedResult]:
+        """The indexed entries some written row of ``delta`` hits, by key.
 
         ``delta`` is a :class:`~repro.core.deltas.WriteDelta`; the work is one
         look-up per written key and indexed position tuple of its relations,
@@ -433,24 +510,7 @@ class ResultCache:
                     holders = by_key.get(written)
                     if holders is not None:
                         hit.update(holders)
-        return hit
-
-    def restamp(self, keys: Iterable[Hashable], snapshot: tuple[int, ...]) -> int:
-        """Move the stamps of the entries at ``keys`` to ``snapshot``: clean repairs, in bulk.
-
-        For entries a write provably did not reach (:meth:`reached`) under the
-        snapshot contract of :meth:`repair`; each counts as ``repaired`` and
-        ``repaired_clean``.  Returns how many were still there.
-        """
-        stamped = 0
-        for key in keys:
-            entry = self._entries.get(key)
-            if entry is not None:
-                entry.snapshot = snapshot
-                stamped += 1
-        self.repaired += stamped
-        self.repaired_clean += stamped
-        return stamped
+        return {key: self._entries[key] for key in hit}
 
     def repair(
         self,
@@ -472,6 +532,11 @@ class ResultCache:
         the write provably missed every index group the entry read, so only
         the stamp moves.  Returns ``False`` when the entry vanished (LRU
         eviction between derivation and patch).
+
+        Installing ``env`` leaves ``keyed`` and the entry's part of the reach
+        index alone: the derivation already brought ``keyed`` in step with
+        ``env`` but for the key sets it dropped, which the caller reads again
+        and re-registers (:meth:`index`).
         """
         entry = self._entries.get(key)
         if entry is None:
@@ -480,7 +545,6 @@ class ResultCache:
         entry.snapshot = snapshot
         if env is not None:
             entry.env = env
-            self._unindex(key, entry)
         self.repaired += 1
         if rows_added or rows_removed:
             self.rows_patched += rows_added + rows_removed
@@ -505,7 +569,7 @@ class ResultCache:
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
-        self._unindex(key, entry)
+        self._forget(key, entry)
         self.repair_fallbacks += 1
         self.repair_fallback_reasons[reason] = (
             self.repair_fallback_reasons.get(reason, 0) + 1
@@ -527,23 +591,22 @@ class ResultCache:
             dropped = len(self._entries)
             self._entries.clear()
             self._reach.clear()
+            self._by_dependencies.clear()
             if dropped:
                 self.invalidated_by["*"] = self.invalidated_by.get("*", 0) + dropped
         else:
             touched = frozenset(relations)
-            stale = [
-                key
-                for key, entry in self._entries.items()
-                if touched.intersection(entry.dependencies)
-            ]
-            for key in stale:
-                entry = self._entries.pop(key)
-                self._unindex(key, entry)
-                for relation in sorted(touched.intersection(entry.dependencies)):
+            dropped = 0
+            for dependencies in self.dependency_tuples(touched):
+                filed = self._by_dependencies.pop(dependencies)
+                for key, entry in filed.items():
+                    del self._entries[key]
+                    self._unindex(key, entry)
+                for relation in touched.intersection(dependencies):
                     self.invalidated_by[relation] = (
-                        self.invalidated_by.get(relation, 0) + 1
+                        self.invalidated_by.get(relation, 0) + len(filed)
                     )
-            dropped = len(stale)
+                dropped += len(filed)
         self.invalidated += dropped
         return dropped
 

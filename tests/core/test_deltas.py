@@ -17,6 +17,7 @@ from repro.core import engine as engine_module
 from repro.core.deltas import CLEAN, FALLBACK, PATCHED, DeltaDeriver, FetchKeys, WriteDelta
 from repro.core.engine import BoundedEngine, prepare_query
 from repro.core.plan import BoundedPlan
+from repro.core.query import Relation, conjunction, eq
 from repro.core.schema import RelationSchema
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
@@ -266,6 +267,41 @@ class TestEngineRepair:
         assert result.rows == evaluate(q1, fb_database).rows
 
 
+def friends_of(person: str):
+    """A point query through ψ1 alone: its one fetch probes a constant."""
+    friend = Relation.from_schema(facebook.schema(), "friend")
+    return friend.select(eq(friend["pid"], person)).project([friend["fid"]])
+
+
+def dined_by_friends_of(person: str):
+    """``Q1`` without the cafe: a plan over ``(dine, friend)``."""
+    schema = facebook.schema()
+    friend = Relation.from_schema(schema, "friend")
+    dine = Relation.from_schema(schema, "dine")
+    return (
+        friend.join(dine, eq(friend["fid"], dine["pid"]))
+        .select(
+            conjunction([eq(friend["pid"], person), eq(dine["month"], "may"), eq(dine["year"], 2015)])
+        )
+        .project([dine["cid"]])
+    )
+
+
+def fetch_sites(plan: BoundedPlan, base: str) -> list[int]:
+    return [
+        step.id for step in plan.fetch_steps() if plan.base_relation(step.op.constraint) == base
+    ]
+
+
+def rekeyed_by(plan: BoundedPlan, base: str) -> list[int]:
+    """The fetches whose probed keys a patch of ``base``'s fetches recomputes."""
+    closure: set[int] = set(fetch_sites(plan, base))
+    for step in plan.steps:
+        if closure.intersection(step.op.inputs):
+            closure.add(step.id)
+    return [step.id for step in plan.fetch_steps() if step.op.inputs[0] in closure]
+
+
 @pytest.mark.usefixtures("row_kernels")
 class TestSettlementCost:
     """What a settlement keeps and how often it recomputes — counts, no timing."""
@@ -277,74 +313,86 @@ class TestSettlementCost:
         q1 = facebook.query_q1()
         engine.execute(q1)
         (entry,) = [entry for _, entry in engine.result_cache.entries_for(("friend",))]
+        # the first settlement to meet the entry reads every fetch's key set
+        engine.apply_insert("friend", ("p_nobody", "p_first"))
+        (friend,) = fetch_sites(entry.plan, "friend")
+        downstream = rekeyed_by(entry.plan, "friend")
+        assert sorted(entry.keyed) == sorted([friend, *downstream]) and len(downstream) == 2
+        friend_keys = entry.keyed[friend]
         replaced: list[weakref.ref] = []
         for cycle in range(200):
             write = engine.apply_delete if cycle % 2 else engine.apply_insert
-            # A write that misses re-stamps the entry and reads its key sets
-            # off the current environment; one that hits replaces both.
+            # A write that misses re-stamps the entry and re-reads nothing.
+            kept = dict(entry.keyed)
             write("friend", ("p_nobody", "p_cycle"))
-            assert entry.keyed and engine.result_cache.stats()["reach_entries"] == 1
-            # (the empty frozenset is a process-wide singleton: skip it)
-            replaced += [weakref.ref(keys.probed) for keys in entry.keyed.values() if keys.probed]
+            assert all(entry.keyed[site] is keys for site, keys in kept.items())
+            # One that hits patches it: the friend fetch probes a constant,
+            # outside the patch's closure, and keeps its key set; the fetches
+            # that probe what it returned are read off the new environment.
             old_env = entry.env
             write("friend", ("p0", "p_cycle"))
-            assert entry.env is not old_env and entry.keyed is None  # patched
-            assert engine.result_cache._reach == {}  # and out of the reach index
+            assert entry.env is not old_env
+            assert entry.keyed[friend] is friend_keys
+            assert sorted(site for site in kept if entry.keyed[site] is not kept[site]) == downstream
+            assert engine.result_cache.stats()["reach_entries"] == 1  # still indexed
+            # (the empty frozenset is a process-wide singleton: skip it)
+            replaced += [weakref.ref(kept[site].probed) for site in downstream if kept[site].probed]
             replaced += [
                 weakref.ref(part)
                 for part in old_env
                 if part and all(part is not kept for kept in entry.env)
             ]
-            del old_env
+            del old_env, kept
         assert len(replaced) >= 800
         gc.collect()
         assert not [ref for ref in replaced if ref() is not None]
         # the deriver holds no per-entry (or per-plan) state of its own
         assert set(vars(engine._deriver)) == {"executor", "schema", "group_lookup"}
-        assert not [o for o in gc.get_objects() if isinstance(o, FetchKeys)]
+        assert len([o for o in gc.get_objects() if isinstance(o, FetchKeys)]) == 3
         assert engine.execute(q1).rows == evaluate(q1, fb_database).rows
         # an indexed entry that leaves takes its key sets and its index part along
-        engine.apply_insert("friend", ("p_nobody", "p_last"))
-        assert entry.keyed and engine.result_cache.stats()["reach_keys"] > 0
+        assert engine.result_cache.stats()["reach_keys"] > 0
         engine.result_cache.invalidate()
-        del entry
+        del entry, friend_keys
         gc.collect()
         assert not [o for o in gc.get_objects() if isinstance(o, FetchKeys)]
         stats = engine.result_cache.stats()
         assert (stats["entries"], stats["reach_keys"], stats["reach_entries"]) == (0, 0, 0)
 
-    def test_a_batch_costs_what_it_reached_not_what_is_cached(
-        self, fb_database, fb_access, monkeypatch
-    ):
-        """n cached dependents, a batch reaches k: k derivations, k + 1 snapshots.
+    def test_a_batch_costs_what_it_reached_not_what_is_cached(self, fb_database, fb_access):
+        """n cached dependents under three dependency tuples, a batch reaches k of them.
 
-        (One dependency tuple here, so one snapshot serves the whole bulk
-        re-stamp.)  The index is asked once per written key and indexed
-        position tuple.  Doubling n at fixed k moves none of the three.
+        k derivations; one snapshot and one validation per dependency tuple,
+        before the write and after it; one index look-up per written key and
+        indexed position tuple.  Doubling n at fixed tuples and k moves none
+        of them.
         """
 
         class Counted(dict):
             gets = 0
-            intersecting = False  # (a patch un- and re-indexes its entry: not counted)
+            intersecting = False  # (a patch re-registers its entry: not counted)
 
             def get(self, key, default=None):
                 Counted.gets += Counted.intersecting
                 return dict.get(self, key, default)
 
-        def cost_of(cached: int, reached: int) -> dict:
+        shapes = (facebook.query_q1, dined_by_friends_of, friends_of)
+
+        def cost_of(people: int, reached: int) -> dict:
             engine = BoundedEngine(fb_database, fb_access)
-            queries = [facebook.query_q1(person=f"p{i}") for i in range(cached)]
+            queries = [shape(f"p{i}") for i in range(people) for shape in shapes]
             for query in queries:
                 engine.execute(query)
+            assert len(engine.result_cache.dependency_tuples(["friend"])) == 3
             # the first settlement fills the index; count the ones after it
             # (one database under all three engines: every row is written once)
-            fresh = f"p_{cached}_{reached}"
+            fresh = f"p_{people}_{reached}"
             engine.apply_insert("friend", ("p_nobody", fresh))
             index = engine.result_cache._reach
             for slots in index.values():
                 for positions in slots:
                     slots[positions] = Counted(slots[positions])
-            assert engine.result_cache.stats()["reach_entries"] == cached
+            assert engine.result_cache.stats()["reach_entries"] == len(queries)
             calls = {"derive": 0, "snapshot": 0, "validate": 0}
             settling = []
 
@@ -369,7 +417,15 @@ class TestSettlementCost:
                 finally:
                     Counted.intersecting = False
 
+            def candidates(relations, _candidates=engine._repair_candidates):
+                settling.append(True)
+                try:
+                    return _candidates(relations)
+                finally:
+                    settling.pop()
+
             engine._settle = settle
+            engine._repair_candidates = candidates
             engine.result_cache.reached = intersect
             engine._snapshot = counted("snapshot", engine._snapshot)
             engine._validate = counted("validate", engine._validate)
@@ -384,20 +440,83 @@ class TestSettlementCost:
                     ]
                 )
             after = engine.result_cache.stats()
-            assert after["repaired"] - before["repaired"] == cached * batches
-            assert after["rows_patched"] == after["repair_fallbacks"] == 0
+            assert after["repaired"] - before["repaired"] == len(queries) * batches
+            assert after["repair_fallbacks"] == 0
             for query in queries:
                 assert engine.execute(query).rows == evaluate(query, fb_database).rows
             return {**calls, "lookups": Counted.gets}
 
-        small, large = cost_of(cached=12, reached=3), cost_of(cached=24, reached=3)
+        small, large = cost_of(people=8, reached=2), cost_of(people=16, reached=2)
         assert small == large == {
-            "derive": 6 * 3,
-            "snapshot": 6 * (1 + 3),
-            "validate": 6 * (1 + 3),
-            "lookups": 6 * 3,  # q1 fetches friend under one position tuple
+            "derive": 6 * 2 * len(shapes),
+            "snapshot": 6 * 2 * len(shapes),  # before the write and after it
+            "validate": 6 * len(shapes),
+            "lookups": 6 * 2,  # every plan fetches friend under one position tuple
         }
-        assert cost_of(cached=24, reached=6)["derive"] == 6 * 6
+        assert cost_of(people=16, reached=4)["derive"] == 6 * 4 * len(shapes)
+
+    def test_a_patch_re_reads_only_the_key_sets_it_moved(self, fb_database, fb_access):
+        """Key sets are read once per entry and again only where a patch moved them;
+        a dirty fetch whose live groups were read is patched, not re-fetched."""
+        engine = BoundedEngine(fb_database, fb_access)
+        q1 = facebook.query_q1()
+        engine.execute(q1)
+        (entry,) = engine.result_cache.entries_under(("cafe", "dine", "friend")).values()
+        plan = entry.plan
+        fetches = {step.id for step in plan.fetch_steps()}
+        compiled = engine._executor.compile(plan)
+        runs = {"key_sets": 0, "fetch_kernels": 0}
+
+        def counting(kernel):
+            def run(env, counter):
+                runs["fetch_kernels"] += 1
+                return kernel(env, counter)
+
+            return run
+
+        compiled.kernels = tuple(
+            counting(kernel) if sid in fetches else kernel
+            for sid, kernel in enumerate(compiled.kernels)
+        )
+        read = FetchKeys.__init__
+
+        def reading(self, *args):
+            runs["key_sets"] += 1
+            read(self, *args)
+
+        settle, verdicts = engine._settle, []
+        engine._settle = lambda *args: verdicts.append(settle(*args)) or verdicts[-1]
+
+        def batch(*updates) -> dict:
+            runs.update(key_sets=0, fetch_kernels=0)
+            FetchKeys.__init__ = reading
+            try:
+                engine.apply_updates(list(updates))
+            finally:
+                FetchKeys.__init__ = read
+            counted = dict(runs)
+            assert list(verdicts[-1].values()) == [PATCHED]
+            fresh = engine._executor.execute(plan, capture_env=True)
+            assert (entry.rows, entry.env) == (fresh.rows, fresh.env)
+            assert entry.rows == evaluate(q1, fb_database).rows
+            return counted
+
+        # The first settlement reads all three key sets; its patch of the
+        # friend fetch (Δfetch: no fetch kernel) recomputes what the dine and
+        # cafe fetches probe: those two are read again, and re-fetched.  (The
+        # new friend's dine is under a key nothing probed before the batch.)
+        row = min(fb_database.relation("cafe").rows)
+        downstream = rekeyed_by(plan, "friend")
+        assert batch(
+            Update.insert("friend", ("p0", "p_patch")),
+            Update.insert("dine", ("p_patch", row[0], "may", 2015)),
+        ) == {"key_sets": len(fetches) + len(downstream), "fetch_kernels": len(downstream)}
+        # A batch that reaches only key sets its patch cannot move reads none,
+        # and a dirty fetch whose live groups were read runs no fetch kernel.
+        (cafe,) = fetch_sites(plan, "cafe")
+        assert rekeyed_by(plan, "cafe") == [] and (row[0],) in entry.keyed[cafe].probed
+        assert batch(Update.delete("cafe", row)) == {"key_sets": 0, "fetch_kernels": 0}
+        assert batch(Update.insert("cafe", row)) == {"key_sets": 0, "fetch_kernels": 0}
 
     def test_plan_facts_are_compiled_once_per_plan_not_per_batch(
         self, fb_database, fb_access, monkeypatch
@@ -407,13 +526,12 @@ class TestSettlementCost:
         plans = [engine.execute(query).plan for query in queries]
         fetch_steps = max(len(engine.prepare(q)[0].executable.fetch_steps()) for q in queries)
         assert len({id(plan) for plan in plans}) == 16
-        # the fetch sites a written `friend` row can reach, read off the plans
+        # the fetch sites a patch of the friend fetch re-reads, off the plans
         # themselves: every plan has the same number of them, and at least one
-        (friend_fetches,) = {
-            sum(plan.base_relation(step.op.constraint) == "friend" for step in plan.fetch_steps())
-            for plan in plans
+        (rekeyed,) = {
+            len(rekeyed_by(engine.prepare(query)[0].executable, "friend")) for query in queries
         }
-        assert friend_fetches >= 1
+        assert rekeyed >= 1
 
         calls = {"fetch_steps": 0, "positions": 0, "key_sets": 0, "patched": 0}
         settling = []
@@ -450,8 +568,6 @@ class TestSettlementCost:
 
         batches = 50
         for batch in range(batches):
-            if batch == batches - 1:
-                patched_before_last = calls["patched"]
             person = f"p{batch % 16}"
             engine.apply_updates(
                 [
@@ -464,7 +580,8 @@ class TestSettlementCost:
         # O(#plans): one program per plan, however many batches settle through it
         assert calls["fetch_steps"] == 16
         assert calls["positions"] <= 16 * fetch_steps
-        # key sets are read off an environment once: per entry, and again per patch
-        assert calls["key_sets"] == friend_fetches * (16 + patched_before_last)
+        # key sets are read off an environment once per entry and fetch, and
+        # again by a patch only for the fetches whose probed keys it recomputed
+        assert calls["key_sets"] == 16 * fetch_steps + rekeyed * batches
         for query in queries:
             assert engine.execute(query).rows == evaluate(query, fb_database).rows

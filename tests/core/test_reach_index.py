@@ -6,7 +6,12 @@ to decide it was *not* reached — so a key set that outlives its entry, or one
 that leaves while a second fetch site over the same index still needs it, is a
 wrong re-stamp waiting for the right write.  The seeded runs below take every
 way an entry or its environment can leave the cache, in random order, and
-after each step compare the index with one recomputed from scratch.
+after each step compare the index with one recomputed from scratch.  A patch
+replaces an entry's environment but keeps it indexed, re-reading only the key
+sets it may have moved: so after each step an entry the last settlement
+patched must still be indexed for every relation it depends on, and every key
+set an entry keeps — probed keys and grouped rows — must be what its current
+environment says.
 """
 
 import gc
@@ -37,9 +42,28 @@ def recomputed(engine: BoundedEngine) -> dict:
     return index
 
 
-def check(engine: BoundedEngine) -> None:
+def check_key_sets(engine: BoundedEngine, entry) -> None:
+    """Every key set an entry keeps is what its environment says, groups included."""
+    sites = {site.id: site for site in engine._deriver._compiled(entry.plan).repair.ordered}
+    for site_id, keys in entry.keyed.items():
+        site = sites[site_id]
+        fresh = FetchKeys(site, entry.env)
+        assert keys.probed == fresh.probed
+        if keys._groups is not None:
+            fresh.group(site, entry.env, None)
+            assert {k: set(g) for k, g in keys._groups.items() if g} == fresh._groups
+
+
+def check(engine: BoundedEngine, patched=()) -> None:
+    """The index is its recomputation; ``patched`` entries are still in it."""
     cache = engine.result_cache
     assert cache._reach == recomputed(engine)
+    for key in patched:
+        entry = cache._entries[key]
+        assert entry.reach is not None and set(entry.reach) == set(entry.dependencies)
+    for entry in cache._entries.values():
+        if entry.keyed is not None:
+            check_key_sets(engine, entry)
     indexed = {key for key, entry in cache._entries.items() if entry.reach}
     held = {
         key
@@ -69,6 +93,15 @@ class TestIndexFollowsTheEntries:
         # capacity below the query count: fills evict; row kernels: dirty entries patch
         engine = BoundedEngine(database, access, check_constraints=False, result_cache_size=3)
         cache = engine.result_cache
+        verdicts: dict = {}
+        settle = engine._settle
+
+        def settling(*args):
+            verdicts.clear()  # the last settlement's verdicts
+            verdicts.update(settle(*args))
+            return dict(verdicts)
+
+        engine._settle = settling
         queries = (
             [facebook.query_q1(person=person) for person in PEOPLE]
             + [facebook.query_friends_of_friends(person) for person in PEOPLE]
@@ -133,14 +166,18 @@ class TestIndexFollowsTheEntries:
             (lambda: cache.invalidate(), 0.3),
             (hot_write, 3), (far_write, 2), (clean_write, 4),
         ]
-        seen_indexed = 0
+        seen_indexed = seen_patched = 0
         for step in rng.choices(
             [step for step, _ in steps], weights=[weight for _, weight in steps], k=150
         ):
+            verdicts.clear()
             step()
-            check(engine)
+            patched = [key for key, verdict in verdicts.items() if verdict == "patched"]
+            check(engine, patched)
             seen_indexed = max(seen_indexed, cache.stats()["reach_entries"])
+            seen_patched += len(patched)
         assert seen_indexed >= 2  # the run did index entries, not just churn them
+        assert seen_patched  # ... and patched some of them
         stats = cache.stats()
         assert stats["evictions"] and stats["stale"] and stats["rows_patched"]
         assert stats["repaired_clean"] and stats["repair_fallback_reasons"].get("difference")

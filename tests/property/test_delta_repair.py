@@ -621,9 +621,18 @@ class TestSettlementAgainstTheDefinition:
             # patched, then patched again: the second derivation must read the
             # keys of the *patched* environment (p_new is probed only there)
             assert settlements.write([friend]) == ["patched"]
-            assert entry.keyed is None  # the keys of the replaced env went with it
+            kept = dict(entry.keyed)  # the patched entry stays indexed
             dine = Update.insert("dine", ("p_new", "c_new", "may", 2015))
             assert settlements.write([dine]) == ["patched"]
+            # that patch recomputed what the cafe fetch probes (the dine fetch's
+            # cids), and nothing the friend or dine fetch probes
+            (cafe,) = [
+                step.id
+                for step in entry.plan.fetch_steps()
+                if entry.plan.base_relation(step.op.constraint) == "cafe"
+            ]
+            assert sorted(entry.keyed) == sorted(kept)
+            assert [site for site in kept if entry.keyed[site] is not kept[site]] == [cafe]
             # a delete and its re-insert in one batch leave the group as it was
             expected = "clean" if settlements.refine else "patched"
             assert settlements.write([Update.delete(dine.relation, dine.row), dine]) == [expected]
@@ -678,13 +687,16 @@ class TestSettlementAgainstTheDefinition:
             # no probed key: the first settlement indexes both sites
             assert insert("p_nobody", "p_x") == ["clean"]
             assert sorted(entry.keyed) == sites and len(entry.reach["friend"]) == len(sites)
-            # a key only the far site probed
+            keyed = dict(entry.keyed)
+            # a key only the far site probed: what either site probes stays
             assert insert(friend_of_p0, "p_far") == ["patched"]
-            assert entry.reach is None  # the patch took both sites' keys out together
-            # indexed again off the patched environment; a key only the near site probed
+            assert all(entry.keyed[site] is keyed[site] for site in sites)
             assert insert("p_nobody", "p_y") == ["clean"]
+            # a key only the near site probed: its friends are what the far
+            # site probes, so that site alone is read off the patched environment
             assert insert("p0", "p_near") == ["patched"]
-            # ... which the far site of the patched environment now probes
+            assert [site for site in sites if entry.keyed[site] is not keyed[site]] == sorted(far)
+            # ... and the far site now probes p_near
             assert insert("p_near", "p_z") == ["patched"]
             stats = settlements.core.cache_stats()["result_cache"]
             # (p_near had no friends yet: that patch changed no row and counts clean)

@@ -25,6 +25,12 @@ class TestSoak:
         assert report["passed"], f"failed checks: {failed}\noutcome: {report['outcome']}"
         assert report["outcome"]["reads_verified"] > 0
         assert report["outcome"]["mismatches"] == []
+        # The breaker kept the covered path off the failing fallback: counted
+        # on the ladders, not timed (the p99 is reported, not judged).
+        assert report["checks"]["covered_reads_never_fell_back"]
+        assert report["outcome"]["covered_fallbacks"] == 0
+        assert "covered_p99_below_fallback_floor" not in report["checks"]
+        assert report["covered_p99_ms"] > 0
         # The chaos actually happened: faults were injected at every seam.
         assert report["faults"]["fallback"]["injected"] > 0
         assert report["faults"]["storage.write"]["injected"] > 0
