@@ -133,7 +133,8 @@ class SQLiteBackend:
         Returns the distinct index rows (aligned with ``sorted(lhs | rhs)``)
         matching any of the given ``X``-values — the per-shard half of a
         federated scatter/gather fetch (see :mod:`repro.sharding`).  A
-        constraint with an empty LHS returns the whole index table.
+        constraint with an empty LHS returns the whole index table.  No
+        ``DISTINCT`` is needed for that (see :meth:`_prepare_fetch`).
         """
         sql = self._fetch_sql.get((constraint, base_relation))
         if sql is None:
@@ -149,7 +150,14 @@ class SQLiteBackend:
         return frozenset(rows)
 
     def _prepare_fetch(self, constraint: AccessConstraint, base_relation: str | None) -> str:
-        """The SQL :meth:`fetch_index` runs once per key over ``constraint``'s index table."""
+        """The SQL :meth:`fetch_index` runs once per key over ``constraint``'s index table.
+
+        No ``DISTINCT``, which would sort every fetch in a temporary B-tree:
+        the index table is created by ``SELECT DISTINCT`` and
+        :meth:`apply_insert` / :meth:`apply_delete` keep it duplicate-free,
+        so a key's rows are distinct as stored — and :meth:`fetch_index`
+        folds them into a frozenset anyway.
+        """
         table = index_table_name(constraint, base_relation)
         if table not in self._index_constraints:
             raise StorageError(
@@ -158,7 +166,7 @@ class SQLiteBackend:
             )
         columns = sorted(constraint.lhs | constraint.rhs)
         select_list = ", ".join(quote_identifier(c) for c in columns)
-        sql = f"SELECT DISTINCT {select_list} FROM {quote_identifier(table)}"
+        sql = f"SELECT {select_list} FROM {quote_identifier(table)}"
         lhs = sorted(constraint.lhs)
         if not lhs:
             return sql

@@ -376,7 +376,7 @@ class ReplicaSet(Shard):
         return self.clock.snapshot(relations)
 
     def validate(self, relations: Iterable[str], snapshot: tuple[int, ...]) -> bool:
-        return self.clock.validate(relations, snapshot)
+        return self.clock.snapshot(relations) == snapshot
 
     # -- reporting -------------------------------------------------------------------
     def stats(self) -> dict[str, object]:

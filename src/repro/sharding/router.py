@@ -23,11 +23,19 @@ where the split is trivial to place: fetches go out, algebra stays home.
 
 When the fetch key includes the relation's partition attribute, the router
 prunes the scatter to each key's single owning shard; otherwise it
-broadcasts the key set to all shards.  Merges are epoch-guarded: every
-shard's :class:`~repro.storage.counters.VersionClock` is snapshotted before
-execution and re-validated after, so a merge never combines partials from
-different epochs of the same shard — a racing write forces a bounded retry
-and, if the race persists, a typed
+broadcasts the key set to all shards.  Which of the two a fetch step is, the
+key position of the partition attribute, the shards and the metrics they
+report to are fixed per step, so :meth:`ShardRouter.fetcher` settles them
+once, when the executor compiles the plan.  Two things are looked up on
+every call instead, because they change after plans compile: each key's
+owner (an online rebalance adds partition overrides) and each shard's
+``fetch`` (fault injection wraps it per instance).
+
+Merges are epoch-guarded: every shard's
+:class:`~repro.storage.counters.VersionClock` is snapshotted before
+execution and re-validated after (one clock read per shard each way), so a
+merge never combines partials from different epochs of the same shard — a
+racing write forces a bounded retry and, if the race persists, a typed
 :class:`~repro.core.errors.TransientFault` (never a silently torn result).
 
 The router is a :class:`~repro.core.engine.ServingCore` like
@@ -184,8 +192,6 @@ class ShardRouter(ServingCore):
         self.partitioner = partitioner
         self.write_observer = write_observer
         self.metrics = RouterMetrics()
-        #: per shard, its series in ``metrics.latency`` (formatted once, not per fetch)
-        self._latency_labels = [f"shard:{shard.name}" for shard in self.shards]
 
     # -- the substrate: a federation of shards ----------------------------------------
     def _snapshot(self, relations: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
@@ -231,61 +237,64 @@ class ShardRouter(ServingCore):
         occurrences — only relation names are actualized.)  The merged union
         is a set, which suits both kernel families, so ``batched`` changes
         nothing here.
+
+        Settled here, once per step: routed or broadcast, the key position,
+        the shards with their latency labels, the metrics.  Looked up per
+        call, as they change after compile: each key's owner (rebalance
+        overrides) and each shard's ``fetch`` (the fault injector wraps it on
+        the instance, the layered benchmark's tracer on the class).
         """
         constraint = step.op.constraint
         base = plan.base_relation(constraint)
         lhs = sorted(constraint.lhs)
         partition_attribute = self.partitioner.attribute(base)
-        routed_position = (
-            lhs.index(partition_attribute) if partition_attribute in lhs else None
-        )
+        partitioner, metrics, clock = self.partitioner, self.metrics, time.perf_counter
+        observe = metrics.latency.observe
+        # each shard with its series in ``metrics.latency``
+        shards = tuple((shard, f"shard:{shard.name}") for shard in self.shards)
 
-        def fetch(keys: Collection[Row], counter: AccessCounter) -> set[Row]:
-            return self._scatter_fetch(constraint, base, keys, routed_position, counter)
+        # Either closure asks no shard for no keys (the SQLite empty-LHS path
+        # would return its whole index table), else each asked shard in order.
+        if partition_attribute not in lhs:
 
-        return fetch
+            def broadcast(keys: Collection[Row], counter: AccessCounter) -> set[Row]:
+                metrics.scatters += 1
+                merged: set[Row] = set()
+                if keys:
+                    metrics.broadcasts += 1
+                    for shard, label in shards:
+                        started = clock()
+                        partial = shard.fetch(constraint, base, keys, counter)
+                        observe(label, clock() - started)
+                        metrics.shard_fetches += 1
+                        merged.update(partial)
+                metrics.observe_merge(len(merged))
+                return merged
 
-    def _scatter_fetch(
-        self,
-        constraint,
-        base_relation: str,
-        keys: Collection[Row],
-        routed_position: int | None,
-        counter: AccessCounter,
-    ) -> set[Row]:
-        """One federated fetch step: route or broadcast keys, union partials."""
-        self.metrics.scatters += 1
-        if not keys:
-            # No input rows → no keys → fetch nothing (the SQLite empty-LHS
-            # path would otherwise return its whole index table).
-            self.metrics.observe_merge(0)
-            return set()
-        if routed_position is None:
-            groups: dict[int, Collection[Row]] = dict.fromkeys(
-                range(len(self.shards)), keys
-            )
-            self.metrics.broadcasts += 1
-        else:
-            groups = {}
-            for fetch_key in keys:
-                owner = self.partitioner.shard_for_value(
-                    base_relation, fetch_key[routed_position]
-                )
-                groups.setdefault(owner, []).append(fetch_key)
-            self.metrics.routed += 1
-        merged: set[Row] = set()
-        for owner in sorted(groups):
-            started = time.perf_counter()
-            partial = self.shards[owner].fetch(
-                constraint, base_relation, groups[owner], counter
-            )
-            self.metrics.latency.observe(
-                self._latency_labels[owner], time.perf_counter() - started
-            )
-            self.metrics.shard_fetches += 1
-            merged.update(partial)
-        self.metrics.observe_merge(len(merged))
-        return merged
+            return broadcast
+
+        position = lhs.index(partition_attribute)
+
+        def routed(keys: Collection[Row], counter: AccessCounter) -> set[Row]:
+            metrics.scatters += 1
+            merged: set[Row] = set()
+            if keys:
+                owner_of = partitioner.shard_for_value
+                groups: dict[int, list[Row]] = {}
+                for key in keys:
+                    groups.setdefault(owner_of(base, key[position]), []).append(key)
+                metrics.routed += 1
+                for owner in sorted(groups):
+                    shard, label = shards[owner]
+                    started = clock()
+                    partial = shard.fetch(constraint, base, groups[owner], counter)
+                    observe(label, clock() - started)
+                    metrics.shard_fetches += 1
+                    merged.update(partial)
+            metrics.observe_merge(len(merged))
+            return merged
+
+        return routed
 
     def _gather(self, relations: tuple[str, ...]) -> Database:
         """Union the shards' fragments of ``relations`` into a scratch database."""

@@ -31,7 +31,7 @@ partial report.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Collection, Iterable
 
 from ..backends.sqlite import SQLiteBackend
 from ..core.access import AccessConstraint, AccessSchema
@@ -63,10 +63,14 @@ class Shard:
         self,
         constraint: AccessConstraint,
         base_relation: str,
-        keys: Iterable[Sequence],
+        keys: Collection[Row],
         counter: AccessCounter | None = None,
     ) -> frozenset[Row]:
-        """Distinct index rows of ``constraint`` matching any key, this fragment only."""
+        """Distinct index rows of ``constraint`` matching any key, this fragment only.
+
+        ``keys`` are tuples aligned with ``sorted(constraint.lhs)`` — the
+        router always hands tuples, so a backend uses them as given.
+        """
         raise NotImplementedError
 
     def relation_rows(self, relation: str) -> tuple[Row, ...]:
@@ -87,7 +91,8 @@ class Shard:
         return self.database.clock.snapshot(relations)
 
     def validate(self, relations: Iterable[str], snapshot: tuple[int, ...]) -> bool:
-        return self.database.clock.validate(relations, snapshot)
+        # one clock read, not ``VersionClock.validate``'s snapshot-and-compare
+        return self.database.clock.snapshot(relations) == snapshot
 
     # -- reporting ---------------------------------------------------------------
     def stats(self) -> dict[str, object]:
@@ -110,21 +115,27 @@ class EngineShard(Shard):
         self.indexes = self.maintainer = IndexSet.build(
             database, access_schema, check=False
         )
+        #: (constraint, base relation) -> its index's ``lookup_many``: an
+        #: actualized occurrence resolves by shape, once, not once per fetch
+        self._lookups: dict[tuple[AccessConstraint, str], Callable] = {}
 
     def fetch(
         self,
         constraint: AccessConstraint,
         base_relation: str,
-        keys: Iterable[Sequence],
+        keys: Collection[Row],
         counter: AccessCounter | None = None,
     ) -> frozenset[Row]:
-        index = self.indexes.resolve(constraint, base_relation)
-        if index is None:
-            raise StorageError(
-                f"shard {self.name!r} has no index for constraint {constraint} "
-                f"(base relation {base_relation!r})"
-            )
-        return frozenset(index.lookup_many([tuple(key) for key in keys], counter))
+        lookup_many = self._lookups.get((constraint, base_relation))
+        if lookup_many is None:
+            index = self.indexes.resolve(constraint, base_relation)
+            if index is None:
+                raise StorageError(
+                    f"shard {self.name!r} has no index for constraint {constraint} "
+                    f"(base relation {base_relation!r})"
+                )
+            lookup_many = self._lookups[constraint, base_relation] = index.lookup_many
+        return frozenset(lookup_many(keys, counter))
 
 
 class SQLiteShard(Shard):
@@ -148,7 +159,7 @@ class SQLiteShard(Shard):
         self,
         constraint: AccessConstraint,
         base_relation: str,
-        keys: Iterable[Sequence],
+        keys: Collection[Row],
         counter: AccessCounter | None = None,
     ) -> frozenset[Row]:
         rows = self.backend.fetch_index(constraint, keys, base_relation=base_relation)

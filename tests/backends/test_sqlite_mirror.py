@@ -23,7 +23,9 @@ from repro.core.plan2sql import index_table_name
 from repro.core.planner import plan_query
 from repro.discovery.maintenance import Update, apply_updates
 from repro.evaluator.algebra import evaluate
-from repro.workloads import facebook
+from repro.sharding import SQLiteShard
+from repro.storage.counters import AccessCounter
+from repro.workloads import WORKLOADS, facebook
 
 #: ψ3's index table: dine([pid, cid] → [pid, cid]); its columns are a proper
 #: subset of dine's, so several base rows can share one index row.
@@ -175,6 +177,39 @@ class TestFetchIndex:
         assert first == frozenset().union(*(backend.fetch_index(psi2, [k]) for k in keys))
         assert all(type(row) is tuple for row in first)
 
+    @pytest.mark.parametrize("name", ["AIRCA", "MCBM", "TFACC"])
+    def test_fetch_sql_sorts_nothing_and_searches_the_index(self, name):
+        workload = WORKLOADS[name]
+        with SQLiteBackend(workload.database(scale=10, seed=7)) as bare:
+            bare.create_index_tables(workload.access_schema)
+            for constraint in workload.access_schema:
+                sql = bare._prepare_fetch(constraint, constraint.relation)
+                explained = bare.connection.execute(
+                    f"EXPLAIN QUERY PLAN {sql}", (None,) * len(constraint.lhs)
+                )
+                steps = [row[3] for row in explained]
+                assert not any("TEMP B-TREE" in step for step in steps), (constraint, steps)
+                if constraint.lhs:
+                    index = f"ix_{index_table_name(constraint)}"
+                    assert any(f"INDEX {index} (" in step for step in steps), (constraint, steps)
+
+    def test_a_duplicated_index_row_comes_back_and_is_counted_once(self, fb_database, fb_access):
+        psi1 = next(c for c in fb_access if c.name == "psi1")
+        shard = SQLiteShard("s", fb_database, fb_access)
+        try:
+            rows = shard.fetch(psi1, "friend", [("p0",)])
+            assert rows
+            table = index_table_name(psi1)
+            execute = shard.backend.connection.execute
+            execute(f'INSERT INTO "{table}" SELECT * FROM "{table}" WHERE "pid" = ?', ("p0",))
+            stored = execute(f'SELECT COUNT(*) FROM "{table}" WHERE "pid" = ?', ("p0",))
+            assert stored.fetchone()[0] == 2 * len(rows)
+            counter = AccessCounter()
+            assert shard.fetch(psi1, "friend", [("p0",)], counter) == rows
+            assert (counter.fetched, counter.index_probes) == (len(rows), 1)
+        finally:
+            shard.close()
+
     def test_empty_lhs_returns_the_whole_index_table(self, fb_database):
         from repro.core.access import AccessConstraint, AccessSchema
 
@@ -240,7 +275,8 @@ class TestRandomizedMirrorCrossCheck:
                     assert _count(backend, name) == len(database.relation(name)), (
                         f"step {step}: base table {name} drifted"
                     )
-                # Index tables hold exactly the constraint projections.
+                # Index tables hold exactly the constraint projections, each
+                # once: a fetch selects them without DISTINCT.
                 for table, constraint in backend._index_constraints.items():
                     columns = sorted(constraint.lhs | constraint.rhs)
                     schema = database.schema[constraint.relation]
@@ -252,6 +288,9 @@ class TestRandomizedMirrorCrossCheck:
                     actual = backend.run_sql(f'SELECT * FROM "{table}"').rows
                     assert actual == frozenset(expected), (
                         f"step {step}: index table {table} drifted"
+                    )
+                    assert _count(backend, table) == len(expected), (
+                        f"step {step}: index table {table} holds a duplicate"
                     )
                 # Bounded-plan SQL, conventional SQL, the engine, and the
                 # reference evaluator all agree row-for-row.

@@ -6,6 +6,10 @@ Determinism makes pinning a seed sound — the same seed replays the same
 schedule bit for bit.
 """
 
+from functools import partial
+
+from repro.serving import soak
+from repro.serving.server import BoundedServer
 from repro.serving.soak import SoakConfig, run_soak
 
 QUICK = dict(
@@ -48,11 +52,15 @@ class TestSoak:
         assert first["outcome"] == second["outcome"]
         assert first["faults"] == second["faults"]
 
-    def test_hit_heavy_soak_sheds_work_and_serves_every_hit(self):
+    def test_hit_heavy_soak_sheds_work_and_serves_every_hit(self, monkeypatch):
         # CI's TFACC seed-1 soak at a third of its scale.  By the end of the
         # traffic every covered query is cached, so what a burst does to the
         # queue depends on what queues: 3x its depth of hits are all served
         # inside ``submit``, 3x its depth of misses are shed down to it.
+        # The server's clock stands still, so no verdict reads elapsed time:
+        # no deadline runs out and the open breaker never cools down — only
+        # phase E's probes, built with a zero timeout, are expired.
+        monkeypatch.setattr(soak, "BoundedServer", partial(BoundedServer, clock=lambda: 0.0))
         config = SoakConfig(workload="TFACC", scale=40, requests=200, seed=1)
         report = run_soak(config)
         failed = [check for check, ok in report["checks"].items() if not ok]
@@ -60,6 +68,10 @@ class TestSoak:
         burst = config.queue_depth * 3
         assert report["outcome"]["hot_burst_served"] == burst
         assert report["outcome"]["shed_overload"] == burst - config.queue_depth
+        assert report["outcome"]["shed_deadline"] == 3  # phase E's probes, no other
+        # the breaker trips on its third failure and, never cooling down, stays open
+        breaker = report["server"]["breaker"]
+        assert (breaker["times_opened"], breaker["failures"]) == (1, 3)
         serving = report["server"]["serving"]
         assert serving["inline_hits"] >= burst
         assert serving["queue_depth_peak"] == config.queue_depth
