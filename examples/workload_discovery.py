@@ -1,26 +1,27 @@
 """Discovering access constraints from data and keeping them maintained.
 
 The framework of Section 7 starts from component C1: *discover* an access
-schema from (samples of) the data, build its indexes, and maintain both under
+schema from (samples of) the data, build its indexes, and maintain them under
 updates with cost independent of |D| (Proposition 12).  This example runs
 that loop on the TFACC (UK traffic accidents) workload:
 
 1. mine constraints from a sample,
 2. check which analyst queries they cover,
 3. apply a batch of updates and watch the indexes stay consistent,
-4. show a policy-style constraint being renegotiated when data outgrows it.
+4. show a write that would outgrow a mined constraint being rejected, so
+   every covered query keeps the bound it was planned with.
 
 Run with:  python examples/workload_discovery.py
 """
 
 from repro.core.coverage import check_coverage
 from repro.core.engine import BoundedEngine
+from repro.core.errors import ConstraintViolation
 from repro.discovery import (
     DiscoveryConfig,
     Update,
     apply_updates,
     discover_access_schema,
-    maintain_constraints,
 )
 from repro.evaluator.algebra import evaluate
 from repro.sqlparser import parse_sql
@@ -77,7 +78,7 @@ def main() -> None:
         print(f"   {title:45s} mined: {mined_cov!s:5}  curated: {curated_cov!s:5}")
 
     # Run one covered query boundedly under the mined constraints.
-    engine = BoundedEngine(sample, mined, check_constraints=False)
+    engine = BoundedEngine(sample, mined)
     query = parse_sql(queries["accidents handled by one force on a day"], schema)
     result = engine.execute(query)
     assert result.rows == evaluate(query, sample).rows
@@ -94,22 +95,21 @@ def main() -> None:
     print(f"\napplied {report.applied} updates; maintenance work units: {report.work_units} "
           "(depends only on A and |ΔD|, not on |D|)")
 
-    # A policy-style constraint outgrown by new data gets its bound raised.
+    # A burst that would outgrow a mined bound is refused, and nothing of it stays.
     tight = discover_access_schema(
         sample, DiscoveryConfig(max_lhs_size=1, max_bound=500, domain_threshold=5)
     )
+    guarded = BoundedEngine(sample, tight)
     burst = [
         Update.insert("vehicles", (f"Vburst{i}", "A0000010", "car", 3)) for i in range(25)
     ]
-    adjusted, burst_report = maintain_constraints(
-        sample, IndexSet.build(sample, tight, check=False), tight, burst
-    )
-    if burst_report.adjusted:
-        before, after = next(iter(burst_report.adjusted.items()))
-        print(f"\nconstraint renegotiated after burst: {before}  →  {after}")
-    else:
-        print("\nno constraint needed renegotiation after the burst")
-
+    vehicles = len(sample.relation("vehicles"))
+    try:
+        guarded.apply_updates(burst)
+    except ConstraintViolation as rejected:
+        print(f"\nburst rejected: {rejected}")
+    assert len(sample.relation("vehicles")) == vehicles and sample.satisfies_schema(tight)
+    print(f"the sample still satisfies all {len(tight)} mined constraints")
 
 if __name__ == "__main__":
     main()

@@ -141,7 +141,7 @@ def command_plan(args) -> int:
 def command_run(args) -> int:
     database, access = _load_source(args)
     query = _parse_query(args, database)
-    engine = BoundedEngine(database, access, check_constraints=False)
+    engine = BoundedEngine(database, access)
     repeat = max(1, args.repeat)
     for _ in range(repeat):
         result = engine.execute(query, minimize=not args.no_minimize)

@@ -49,10 +49,11 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
   which clocks make up a snapshot (the database's; every shard's).
 
 * **One write path** — :meth:`ServingCore.apply_updates` (the touched
-  dependency tuples' snapshots → :meth:`~ServingCore._write` →
-  :meth:`~ServingCore._settle`): the substrate hook runs the Proposition-12
-  loop of :func:`repro.discovery.maintenance.apply_updates` over its
-  (storage, index) pairs and bumps their clocks; then, for a cleanly applied
+  dependency tuples' snapshots → :meth:`~ServingCore._write` → the
+  read-back → :meth:`~ServingCore._settle`): the substrate hook runs the
+  Proposition-12 loop of :func:`repro.discovery.maintenance.apply_updates`
+  over its (storage, index) pairs and bumps their clocks; the read-back
+  undoes and rejects a batch that broke ``D ⊨ A``; then, for a cleanly applied
   batch, the result cache's reach index names the dependent entries some
   written key hit: those are patched through the
   :class:`~repro.core.deltas.DeltaDeriver` (and stay indexed) or — when
@@ -67,7 +68,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Hashable, Iterable, Mapping, Sequence
 
 from ..evaluator.baseline import evaluate_conventional
 from ..evaluator.executor import ExecutionResult, PlanExecutor
@@ -79,6 +80,7 @@ from .coverage import CoverageChecker, CoverageResult, check_coverage
 from .deltas import CLEAN, FALLBACK, PATCHED, DeltaDeriver, WriteDelta
 from .errors import (
     CircuitOpenError,
+    ConstraintViolation,
     MaintenanceError,
     NotCoveredError,
     TransientFault,
@@ -100,6 +102,7 @@ from ..discovery import maintenance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..discovery.maintenance import MaintenanceReport, Update
+    from .access import AccessConstraint
     from .schema import DatabaseSchema
 
 #: the most rows, summed over a plan's steps, an execution captures for delta
@@ -248,8 +251,10 @@ class ServingCore:
     substrate: the fetch ``source`` that answers fetch steps (``schema``
     being the data's), :meth:`_snapshot` / :meth:`_validate` (what "the data
     has not moved" means), :meth:`_evaluate_conventionally` (the unbounded
-    fallback), :meth:`_write` (the batch onto its data and clocks), and
-    optionally :meth:`_index_group` (live index groups, for dirty refinement).
+    fallback), :meth:`_write` (the batch onto its data and clocks),
+    :meth:`_group_of` (a group over all its data, read back after a write),
+    and optionally :meth:`_index_group` (live index groups, for dirty
+    refinement).
 
     The caches are all a core is configured by.  ``plan_store`` lets several
     cores share one prepared-plan store; they must be configured with an
@@ -314,6 +319,7 @@ class ServingCore:
         result_cache_size: int,
     ):
         self.access_schema = access_schema
+        self.schema = schema
         self.plan_cache = plan_store if plan_store is not None else PlanStore(plan_cache_size)
         self.result_cache = ResultCache(result_cache_size)
         self.fallback_breaker = None
@@ -341,6 +347,10 @@ class ServingCore:
 
     def _snapshot_retried(self, *, abandoned: bool) -> None:
         """An execution was invalidated by a racing write (a counting hook)."""
+
+    def _group_of(self, constraint: "AccessConstraint", row: tuple) -> Collection[tuple]:
+        """``row``'s live ``X``-group under ``constraint``, over all the data."""
+        raise NotImplementedError
 
     # -- query preparation (C2-C4, cached) --------------------------------------------
     # ``prepare``, ``probe`` and ``execute`` each build the plan-store key
@@ -664,15 +674,16 @@ class ServingCore:
         """Apply a batch of updates, then settle the caches once for all of it.
 
         THE write path of every substrate: snapshot the dependency tuples
-        the batch's relations touch before any clock moves, :meth:`_write`, then
-        one :meth:`_settle` with the delta of the updates that *effectively*
+        the batch's relations touch before any clock moves, :meth:`_write`,
+        :meth:`_admit` (the read-back that holds ``D ⊨ A``), then one
+        :meth:`_settle` with the delta of the updates that *effectively*
         changed data (skipped duplicates and missing deletes excluded).
 
-        If the batch aborts part-way, what the partial did mutate is still
-        settled before the :class:`~repro.core.errors.MaintenanceError`
-        propagates — always by sweeping, never by repair: a mid-batch fault
-        makes the state left behind suspect — so the result cache can never
-        keep serving rows from before the aborted batch.
+        If the batch aborts part-way, what the partial did mutate is read
+        back and settled before the :class:`~repro.core.errors.
+        MaintenanceError` propagates — always by sweeping, never by repair:
+        a mid-batch fault makes the state left behind suspect — so the result
+        cache can never keep serving rows from before the aborted batch.
         """
         updates = list(updates)
         candidates = self._repair_candidates({update.relation for update in updates})
@@ -681,15 +692,37 @@ class ServingCore:
         except MaintenanceError as error:
             partial = error.report
             if partial is not None and partial.touched_relations:
+                self._admit(partial, candidates)
                 self._settle(sorted(partial.touched_relations), candidates, None)
             raise
         if report.touched_relations:
+            self._admit(report, candidates)
             self._settle(
                 sorted(report.touched_relations),
                 candidates,
                 WriteDelta.from_updates(report.applied_updates),
             )
         return report
+
+    def _admit(self, report: "MaintenanceReport", candidates: list[tuple]) -> None:
+        """Keep an applied batch only while ``D ⊨ A``; else undo it, sweep, raise.
+
+        Judged after the whole batch, by the group each effective insert
+        landed in; the undo writes the effective updates back inverted, in
+        reverse order (exact under set semantics).
+        """
+        for update in report.applied_updates:
+            if update.kind != "insert":
+                continue
+            for constraint in self.access_schema.for_relation(update.relation):
+                size = len(self._group_of(constraint, update.row))
+                if size > constraint.bound:
+                    try:
+                        self._write([done.inverse() for done in reversed(report.applied_updates)])
+                    finally:
+                        self._settle(sorted(report.touched_relations), candidates, None)
+                    at = self.schema[update.relation].positions(sorted(constraint.lhs))
+                    raise ConstraintViolation(constraint, tuple(update.row[p] for p in at), size)
 
     # -- reporting ----------------------------------------------------------------------------
     def cache_stats(self) -> dict[str, dict[str, int | float]]:
@@ -717,9 +750,10 @@ class BoundedEngine(ServingCore):
     (the serving tier serializes writes); concurrent *readers* are safe
     because they only compare snapshots.
 
-    The constraint indexes ``I_A`` are built on construction
-    (``check_constraints`` verifies the data satisfies every bound while
-    building them).  Each plan runs on the kernel family its bound picks
+    The constraint indexes ``I_A`` are built on construction, refusing data
+    that breaks a bound with :class:`~repro.core.errors.ConstraintViolation`
+    (as :meth:`apply_updates` refuses a batch).  Each plan runs on the
+    kernel family its bound picks
     (:func:`repro.core.optimizer.choose_executor_mode`) — row kernels for
     point lookups, the vectorized columnar kernels of
     :mod:`repro.evaluator.columnar` for wide joins and large bounded
@@ -732,14 +766,13 @@ class BoundedEngine(ServingCore):
         database: Database,
         access_schema: AccessSchema,
         *,
-        check_constraints: bool = True,
         plan_cache_size: int = 128,
         plan_store: PlanStore | None = None,
         result_cache_size: int = 256,
     ):
         self.database = database
         started = time.perf_counter()
-        self.indexes = IndexSet.build(database, access_schema, check=check_constraints)
+        self.indexes = IndexSet.build(database, access_schema)
         self.index_build_seconds = time.perf_counter() - started
         super().__init__(
             access_schema,
@@ -761,6 +794,9 @@ class BoundedEngine(ServingCore):
         return self._fallback_evaluator(
             query, self.database, self.access_schema, self.indexes
         )
+
+    def _group_of(self, constraint, row: tuple) -> tuple[tuple, ...]:
+        return self.indexes.group_of(constraint, row)
 
     def _index_group(self, constraint, base: str, key: tuple) -> frozenset[tuple] | None:
         """The live (post-write) index group of ``key`` for dirty refinement.

@@ -73,7 +73,12 @@ class StorageError(ReproError):
 
 
 class ConstraintViolation(ReproError):
-    """A dataset does not satisfy an access constraint it was declared to satisfy."""
+    """A dataset does not satisfy an access constraint it was declared to satisfy.
+
+    Raised when an engine builds its indexes over such data, and by
+    :meth:`~repro.core.engine.ServingCore.apply_updates` for a batch that
+    would make it so — after undoing the batch: nothing it wrote is left.
+    """
 
     def __init__(self, constraint, value, count: int):
         self.constraint = constraint

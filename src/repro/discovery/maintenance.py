@@ -1,10 +1,9 @@
-"""Incremental maintenance of access schemas and their indexes (Proposition 12).
+"""Incremental maintenance of an access schema's indexes (Proposition 12).
 
 In response to a batch of updates ``ΔD`` (tuple insertions and deletions),
-both the constraints ``A`` and the indexes ``I_A`` can be maintained in
-``O(N_A · |ΔD|)`` time, where ``N_A = Σ N`` over the constraints — i.e. the
-cost depends on the access schema and the update size only, never on ``|D|``
-or ``|I_A|``.
+the indexes ``I_A`` can be maintained in ``O(N_A · |ΔD|)`` time, where
+``N_A = Σ N`` over the constraints — i.e. the cost depends on the access
+schema and the update size only, never on ``|D|`` or ``|I_A|``.
 
 This module is the **only** code that mutates a (storage, index) pair.
 Every substrate — a :class:`~repro.core.engine.BoundedEngine`'s database and
@@ -15,21 +14,14 @@ failure contract: prefix kept, storage ≡ ``I_A`` row by row, the clock
 settled over the partial, a typed :class:`~repro.core.errors.
 MaintenanceError` carrying the partial report.
 
-Two flavours are provided:
-
-* :func:`apply_updates` — maintain the *indexes* (and the stored relations)
-  for a fixed access schema; constraints whose bound would be violated by an
-  insertion are reported.
-* :func:`maintain_constraints` — additionally *adjust* the bounds of
-  policy-style constraints that the updates outgrow (e.g. Facebook raising
-  the friend limit), returning a new access schema.
-
-Both report the relations a batch actually modified and settle the
-database's version clock **once per batch** — so downstream caches pay one
-version bump and one settlement per batch instead of one per row.  When the
-data is served by a :class:`~repro.core.engine.ServingCore`, write through
-its :meth:`~repro.core.engine.ServingCore.apply_updates`, which wraps this
-function in the cache settlement.
+:func:`apply_updates` reports the relations a batch actually modified and
+settles the database's version clock **once per batch** — so downstream
+caches pay one version bump and one settlement per batch instead of one per
+row.  It maintains ``I_A`` and judges no bound: the serving core enforces
+``A``.  When the data is served by a :class:`~repro.core.engine.ServingCore`,
+write through its :meth:`~repro.core.engine.ServingCore.apply_updates`,
+which reads back each group a batch's inserts landed in (``group_of``) and
+undoes and rejects a batch that left one over its ``N``.
 """
 
 from __future__ import annotations
@@ -75,6 +67,10 @@ class Update:
     def delete(cls, relation: str, row: Sequence) -> "Update":
         return cls(relation, tuple(row), "delete")
 
+    def inverse(self) -> "Update":
+        """The update that takes this one back (an effective one, exactly)."""
+        return Update(self.relation, self.row, "delete" if self.kind == "insert" else "insert")
+
 
 @dataclass
 class MaintenanceReport:
@@ -82,10 +78,6 @@ class MaintenanceReport:
 
     applied: int = 0
     skipped: int = 0
-    #: constraints whose bound was exceeded by some insertion (before adjustment)
-    violated: list[AccessConstraint] = field(default_factory=list)
-    #: old -> new constraint for bounds that were raised by maintain_constraints
-    adjusted: dict[AccessConstraint, AccessConstraint] = field(default_factory=dict)
     #: work performed, measured in index-entry touches (for the Prop. 12 benchmark)
     work_units: int = 0
     #: relations whose data the batch actually changed (skipped updates excluded)
@@ -108,8 +100,6 @@ class MaintenanceReport:
         """Add what ``portion`` (one shard's share of a routed batch) did."""
         self.applied += portion.applied
         self.skipped += portion.skipped
-        self.violated.extend(portion.violated)
-        self.adjusted.update(portion.adjusted)
         self.work_units += portion.work_units
         self.touched_relations.update(portion.touched_relations)
         self.applied_updates.extend(portion.applied_updates)
@@ -125,8 +115,8 @@ def apply_updates(
 
     Each update touches only the index entries of the constraints on its
     relation, so the total work is ``O(N_A · |ΔD|)`` — independent of ``|D|``.
-    Insertions that would break a constraint's bound are still applied (the
-    data now simply violates that constraint) but recorded in the report.
+    The loop judges no bound: an insertion that overfills a group is applied
+    like any other, and the serving core's read-back rejects the batch.
 
     The whole batch costs **one** version-clock bump stamping every touched
     relation.
@@ -180,8 +170,7 @@ def _apply_one_update(
     # insert / missing delete costs the index probes needed to find out,
     # and Proposition 12's O(N_A·|ΔD|) bound is about attempted updates.
     report.work_units += sum(c.bound for c in constraints)
-    inserting = update.kind == "insert"
-    if inserting:
+    if update.kind == "insert":
         store, index, undo = relation.insert, maintainer.apply_insert, relation.delete
     else:
         store, index, undo = relation.delete, maintainer.apply_delete, relation.insert
@@ -196,52 +185,3 @@ def _apply_one_update(
     report.applied += 1
     report.touched_relations.add(name)
     report.applied_updates.append(update)
-    if inserting:
-        for constraint in constraints:
-            # Within one X-group the XY-rows differ exactly on Y, so the
-            # group's size is its number of distinct Y-values.
-            if (
-                len(maintainer.group_of(constraint, row)) > constraint.bound
-                and constraint not in report.violated
-            ):
-                report.violated.append(constraint)
-
-
-def maintain_constraints(
-    database: Database,
-    indexes: IndexMaintainer,
-    access_schema: AccessSchema,
-    updates: Iterable[Update],
-    *,
-    headroom: float = 1.0,
-) -> tuple[AccessSchema, MaintenanceReport]:
-    """Apply updates and raise the bounds of constraints the data has outgrown.
-
-    Returns the (possibly) adjusted access schema and the maintenance report.
-    ``headroom`` multiplies the new observed bound, mirroring how policy-style
-    constraints are renegotiated rather than dropped.
-    """
-    report = apply_updates(database, indexes, access_schema, updates)
-    if not report.violated:
-        return access_schema, report
-
-    adjusted = AccessSchema(schema=access_schema.schema)
-    for constraint in access_schema:
-        if constraint in report.violated:
-            relation = database.relation(constraint.relation)
-            observed = relation.group_max_multiplicity(
-                sorted(constraint.lhs), sorted(constraint.rhs)
-            )
-            new_bound = max(constraint.bound, int(round(observed * headroom)))
-            replacement = AccessConstraint(
-                constraint.relation,
-                constraint.lhs,
-                constraint.rhs,
-                new_bound,
-                constraint.name,
-            )
-            adjusted.add(replacement)
-            report.adjusted[constraint] = replacement
-        else:
-            adjusted.add(constraint)
-    return adjusted, report

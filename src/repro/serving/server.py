@@ -68,6 +68,7 @@ from typing import TYPE_CHECKING, Callable
 from ..core.engine import BoundedEngine, EngineResult
 from ..core.errors import (
     CircuitOpenError,
+    ConstraintViolation,
     DeadlineExceededError,
     MaintenanceError,
     NotCoveredError,
@@ -134,7 +135,8 @@ class ServeResponse:
     ``benchmarks/layered/workloads.py`` reads it.
     For writes, ``report`` is the (possibly partial) maintenance report and
     ``ok`` is ``False`` when the batch aborted part-way — the applied prefix
-    is kept and all caches were settled over it.
+    is kept and all caches were settled over it — or was rejected
+    (``write_rejected``: ``error`` names the bound it broke; nothing is left).
     """
 
     ok: bool
@@ -478,6 +480,17 @@ class BoundedServer:
         started = self.clock()
         try:
             report = self.engine.apply_updates(request.updates)
+        except ConstraintViolation as error:
+            # undone before it returned: the data still satisfies A
+            elapsed = self.clock() - started
+            self.metrics.finished("write_rejected", elapsed)
+            return ServeResponse(
+                ok=False,
+                strategy="write_rejected",
+                ladder=("write:rejected",),
+                elapsed=elapsed,
+                error=error,
+            )
         except MaintenanceError as error:
             # The applied prefix is kept and the engine has already settled
             # the clock + caches over it (conservatively — failed batches

@@ -27,6 +27,9 @@ the robustness contract end to end:
 * **Mid-batch write failures surface and settle** — some update batches
   abort part-way (deterministic every-Nth write fault); the partial prefix
   must be kept, reported, and invisible to the cross-check above.
+* **A write never breaks a bound** — the last batch overfills the group of
+  the dependency constraint with the least headroom; it must come back
+  ``write_rejected``, and the data must still satisfy every constraint.
 
 Everything is derived from one seed, so a failing run is replayable bit for
 bit.  Run it locally via ``python -m repro.cli soak`` (see README).
@@ -132,6 +135,7 @@ class SoakOutcome:
     mismatches: list[str] = field(default_factory=list)
     writes_ok: int = 0
     writes_partial: int = 0
+    writes_rejected: int = 0
     shed_overload: int = 0
     shed_deadline: int = 0
     #: reads of the cached-query burst (3× the queue depth) that were served
@@ -193,6 +197,34 @@ class _WriteStream:
         return tuple(updates)
 
 
+def _overfilling_batch(database, access_schema, relations) -> tuple[Update, ...]:
+    """``headroom + 1`` copies, with fresh ``Y``-values, of a row of the group
+    of ``relations``' constraints with the least headroom (ties broken by
+    value, never by set order: the batch is the same under any hash seed)."""
+    candidates = []
+    for constraint in access_schema:
+        if constraint.relation in relations:
+            positions = database.schema[constraint.relation].positions
+            x = positions(sorted(constraint.lhs))
+            y = positions(sorted(constraint.rhs - constraint.lhs))
+            groups: dict[tuple, list] = {}
+            for row in database.relation(constraint.relation).rows:
+                groups.setdefault(tuple(row[p] for p in x), []).append(row)
+            for rows in groups.values():
+                size = len({tuple(row[p] for p in y) for row in rows})
+                donor = min(rows, key=repr)
+                tightness = (constraint.bound - size, str(constraint), repr(donor))
+                candidates.append((*tightness, constraint.relation, donor, y))
+    headroom, _, _, relation, donor, fresh = min(candidates)
+    batch = []
+    for i in range(headroom + 1):
+        row = list(donor)
+        for p in fresh:
+            row[p] = f"{row[p]}#{i}" if isinstance(row[p], str) else row[p] + 1_000_003 + i
+        batch.append(Update.insert(relation, tuple(row)))
+    return tuple(batch)
+
+
 def run_soak(config: SoakConfig) -> dict:
     """Run one seeded soak and return its JSON-ready report (see ``passed``)."""
     if config.workload not in WORKLOADS:
@@ -243,7 +275,7 @@ def run_soak(config: SoakConfig) -> dict:
             write_observer=_mirror,
         )
     else:
-        engine = BoundedEngine(database, workload.access_schema, check_constraints=False)
+        engine = BoundedEngine(database, workload.access_schema)
 
     covered = select_covered_queries(
         workload, count=config.covered_queries, seed=config.seed, database=database
@@ -467,6 +499,12 @@ def run_soak(config: SoakConfig) -> dict:
             ]
             await _settle(probes)
 
+            # Phase F — a write that breaks a bound, faults uninstalled: it
+            # must come back ``write_rejected`` and leave nothing behind.
+            injector.uninstall()
+            overfilling = _overfilling_batch(database, workload.access_schema, dependencies)
+            await _settle([server.submit(WriteRequest(updates=overfilling))])
+
     async def _settle(requests: list) -> list:
         """Await ``requests`` (submit coroutines or their tasks), tallying every outcome."""
         results = await asyncio.gather(*requests, return_exceptions=True)
@@ -491,6 +529,8 @@ def run_soak(config: SoakConfig) -> dict:
             outcome.writes_ok += 1
         elif result.strategy == "write_failed":
             outcome.writes_partial += 1
+        elif result.strategy == "write_rejected":
+            outcome.writes_rejected += 1
 
     try:
         asyncio.run(_drive())
@@ -509,6 +549,8 @@ def run_soak(config: SoakConfig) -> dict:
         "hot_burst_not_shed": outcome.hot_burst_served == config.queue_depth * 3,
         "deadline_enforced": outcome.shed_deadline > 0,
         "reads_verified": outcome.reads_verified > 0 or not config.verify,
+        "violating_write_rejected": outcome.writes_rejected == 1
+        and database.violations(workload.access_schema) == [],
     }
     if faults_active:
         checks.update(
@@ -597,6 +639,7 @@ def run_soak(config: SoakConfig) -> dict:
             "mismatches": outcome.mismatches[:5],
             "writes_ok": outcome.writes_ok,
             "writes_partial": outcome.writes_partial,
+            "writes_rejected": outcome.writes_rejected,
             "shed_overload": outcome.shed_overload,
             "shed_deadline": outcome.shed_deadline,
             "hot_burst_served": outcome.hot_burst_served,

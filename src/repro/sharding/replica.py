@@ -43,7 +43,7 @@ probes) takes repeatedly-failing members out of the rotation.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from ..core.errors import MaintenanceError, ReproError, StorageError, TransientFault
 from ..discovery.maintenance import MaintenanceReport, Update
@@ -319,16 +319,23 @@ class ReplicaSet(Shard):
             + (f" (last: {last_error})" if last_error is not None else "")
         )
 
-    def relation_rows(self, relation: str) -> tuple[Row, ...]:
+    def _reader(self, relation: str) -> Shard:
+        """An in-rotation member in lockstep on ``relation``: what a gather reads."""
         for replica in self.replicas:
             if not self._health[replica.name].quarantined and self._in_lockstep(
                 replica, (relation,)
             ):
-                return replica.relation_rows(relation)
+                return replica
         raise TransientFault(
-            f"replica set {self.name!r}: no in-lockstep replica to gather "
+            f"replica set {self.name!r}: no in-lockstep replica to read "
             f"{relation!r} from"
         )
+
+    def relation_rows(self, relation: str) -> tuple[Row, ...]:
+        return self._reader(relation).relation_rows(relation)
+
+    def group_of(self, constraint, row: Row) -> Collection[Row]:
+        return self._reader(constraint.relation).group_of(constraint, row)
 
     # -- writes --------------------------------------------------------------------
     def apply_updates(self, updates: Iterable[Update]) -> MaintenanceReport:

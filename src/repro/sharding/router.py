@@ -41,8 +41,9 @@ racing write forces a bounded retry and, if the race persists, a typed
 The router is a :class:`~repro.core.engine.ServingCore` like
 :class:`~repro.core.engine.BoundedEngine` — the same inherited ``prepare`` /
 ``execute`` / ``apply_updates`` / ``cache_stats``, differing on the write
-side as on the read side by a substrate hook only (:meth:`ShardRouter.
-_write` routes the batch to the shards' shared maintenance loop) — so
+side as on the read side by substrate hooks only (:meth:`ShardRouter.
+_write` routes the batch to the shards' shared maintenance loop, and
+:meth:`ShardRouter._group_of` reads a group back over all shards) — so
 :class:`~repro.serving.server.BoundedServer` sits on top of a federation
 unchanged.  The router keeps no clock of its own: the per-shard epochs above
 are the only notion of "the data moved".
@@ -53,7 +54,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Collection, Sequence
 
-from ..core.access import AccessSchema
+from ..core.access import AccessConstraint, AccessSchema
 from ..core.engine import ServingCore
 from ..core.errors import MaintenanceError, StorageError, TransientFault
 
@@ -204,6 +205,11 @@ class ShardRouter(ServingCore):
             shard.validate(relations, part)
             for shard, part in zip(self.shards, snapshot)
         )
+
+    def _group_of(self, constraint: AccessConstraint, row: Row) -> set[Row]:
+        """The union of every shard's share: a group spans shards when the
+        partition attribute is not in ``X``, each share within ``N`` alone."""
+        return set().union(*(shard.group_of(constraint, row) for shard in self.shards))
 
     def _snapshot_retried(self, *, abandoned: bool) -> None:
         if abandoned:

@@ -77,6 +77,10 @@ class Shard:
         """All rows of ``relation`` held by this fragment (federated fallback)."""
         return self.database.relation(relation).rows
 
+    def group_of(self, constraint: AccessConstraint, row: Row) -> Collection[Row]:
+        """This fragment's index rows of ``constraint`` sharing ``row``'s ``X``-value."""
+        return self.maintainer.group_of(constraint, row)
+
     # -- writes ------------------------------------------------------------------
     def apply_updates(self, updates: Iterable[Update]) -> MaintenanceReport:
         """Apply the routed portion of a batch; one clock bump per call."""

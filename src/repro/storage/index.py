@@ -146,11 +146,11 @@ class ConstraintIndex:
 
     def check(self) -> None:
         """Raise :class:`ConstraintViolation` if some group exceeds the bound ``N``."""
-        rhs_positions = tuple(self.columns.index(a) for a in self.rhs)
+        # the XY-rows of one X-group differ exactly on Y: a group's size is its Y count
+        bound = self.constraint.bound
         for key, values in self._entries.items():
-            distinct_rhs = {tuple(v[p] for p in rhs_positions) for v in values}
-            if len(distinct_rhs) > self.constraint.bound:
-                raise ConstraintViolation(self.constraint, key, len(distinct_rhs))
+            if len(values) > bound:
+                raise ConstraintViolation(self.constraint, key, len(values))
 
 
 class IndexSet:

@@ -231,7 +231,7 @@ class TestRandomizedMirrorCrossCheck:
         database = facebook.generate(scale=20, seed=3)
         mirrored = facebook.generate(scale=20, seed=3)
         access = facebook.access_schema(database.schema)
-        engine = BoundedEngine(database, access, check_constraints=False)
+        engine = BoundedEngine(database, access)
         rng = random.Random(97)
         queries = [facebook.query_q1(), facebook.query_q0_prime()]
         plans = [plan_query(query, access) for query in queries]

@@ -44,7 +44,6 @@ class TestZeroCapacityResultCache:
         engine = BoundedEngine(
             fb_database,
             fb_access,
-            check_constraints=False,
             plan_cache_size=0,
             result_cache_size=0,
         )
@@ -140,7 +139,7 @@ class TestSnapshotMismatchUnderWrites:
     ):
         request.getfixturevalue(f"{family}_kernels")
         database, access, hot_query = hot_cold_setup
-        engine = BoundedEngine(database, access, check_constraints=False)
+        engine = BoundedEngine(database, access)
         before = engine.execute(hot_query).rows
         assert engine.execute(hot_query).result_cached
         engine.apply_delete("hot", ("a", 1))

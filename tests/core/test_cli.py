@@ -178,6 +178,26 @@ class TestCSVSource:
         assert code == 0
         assert "covered: True" in out
 
+    def test_run_over_data_that_breaks_a_bound_exits_2_naming_it(
+        self, tmp_path, fb_schema, fb_access, capsys
+    ):
+        # The engine checks A when it builds its indexes; there is no knob.
+        database = facebook.generate(scale=25, seed=3)
+        database.insert("cafe", ("c0", "atlantis"))  # a second city for c0: psi4 has N = 1
+        database.to_directory(tmp_path / "data")
+        dump_schema(fb_schema, tmp_path / "schema.json")
+        dump_access_schema(fb_access, tmp_path / "constraints.json")
+        code = main([
+            "run",
+            "--schema", str(tmp_path / "schema.json"),
+            "--data", str(tmp_path / "data"),
+            "--constraints", str(tmp_path / "constraints.json"),
+            "--sql", FB_Q1_SQL,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cafe((cid) -> (city), 1) violated" in err and "('c0',)" in err
+
     def test_missing_source_arguments(self):
         with pytest.raises(SystemExit):
             main(["check", "--sql", FB_Q1_SQL])

@@ -169,7 +169,7 @@ class TestWhereTheDigestRuns:
 
     @pytest.fixture
     def engine(self, fb_database, fb_access):
-        return BoundedEngine(fb_database, fb_access, check_constraints=False)
+        return BoundedEngine(fb_database, fb_access)
 
     def test_plan_store_miss_hashes_once(self, engine, digests):
         first = engine.execute(facebook.query_q1())

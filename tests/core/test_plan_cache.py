@@ -246,11 +246,10 @@ def test_cache_and_optimizer_row_identical_on_workloads(name):
     queries = analytic_queries(workload)
     assert all(evaluate(query, database).rows for query in queries)
     queries += select_covered_queries(workload, count=2, seed=7, database=database)
-    full = BoundedEngine(database, workload.access_schema, check_constraints=False)
+    full = BoundedEngine(database, workload.access_schema)
     bare = BoundedEngine(
         database,
         workload.access_schema,
-        check_constraints=False,
         plan_cache_size=0,
         result_cache_size=0,
     )

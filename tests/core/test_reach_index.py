@@ -91,7 +91,7 @@ class TestIndexFollowsTheEntries:
         database = facebook.generate(scale=15, seed=seed)
         access = facebook.access_schema(database.schema)
         # capacity below the query count: fills evict; row kernels: dirty entries patch
-        engine = BoundedEngine(database, access, check_constraints=False, result_cache_size=3)
+        engine = BoundedEngine(database, access, result_cache_size=3)
         cache = engine.result_cache
         verdicts: dict = {}
         settle = engine._settle
@@ -191,7 +191,7 @@ class TestIndexFollowsTheEntries:
     def test_a_difference_plan_is_reached_by_every_write_to_its_relations(self):
         database = facebook.generate(scale=15, seed=1)
         access = facebook.access_schema(database.schema)
-        engine = BoundedEngine(database, access, check_constraints=False)
+        engine = BoundedEngine(database, access)
         q0, q1 = facebook.query_q0(), facebook.query_q1()
         engine.execute(q0)
         engine.execute(q1)

@@ -22,6 +22,7 @@ from repro.core import engine as engine_module
 from repro.core.engine import BoundedEngine
 from repro.core.errors import (
     CircuitOpenError,
+    ConstraintViolation,
     MaintenanceError,
     NotCoveredError,
     TransientFault,
@@ -50,13 +51,13 @@ class Substrate:
     fragment copies and mirrors every fully applied routed batch back.
     """
 
-    def __init__(self, kind: str, database, access):
+    def __init__(self, kind: str, database, access, **partitioning):
         self.reference = database
         topology = SUBSTRATES[kind]
         if topology is None:
-            self.core = BoundedEngine(database, access, check_constraints=False)
+            self.core = BoundedEngine(database, access)
         else:
-            built = build_topology(database, access, **topology)
+            built = build_topology(database, access, **topology, **partitioning)
             self.core = ShardRouter(
                 built.shards, built.partitioner, access, write_observer=self._mirror
             )
@@ -186,7 +187,7 @@ class TestReads:
         # whole (a projected tuple witnessed on two shards is counted by both)
         if len(getattr(core, "shards", ())) <= 1:
             # (the shards own fragment copies: ``database`` is still whole)
-            single = BoundedEngine(database, access, check_constraints=False)
+            single = BoundedEngine(database, access)
             assert result.counter.fetched == single.execute(query).counter.fetched
 
     def test_one_executor_lowers_a_plan_once_for_reads_and_settlement(
@@ -575,6 +576,106 @@ class TestFailedWrites:
         assert owned.epoch(update) == epoch
         result = owned.core.execute(owned.query)  # a hit, and not a stale one
         assert result.rows == {(1,), (2,)} == evaluate(owned.query, owned.reference).rows
+
+
+class TestAdmission:
+    """D ⊨ A after every write: a batch is judged by the groups it ends with.
+
+    ``cafe(cid → city, 1)`` (ψ4) is the one-city-per-cafe key; the query reads
+    c0's city through it, with an access bound of 1.  A batch that leaves
+    some group over its ``N`` is undone and rejected with
+    :class:`ConstraintViolation`, whatever holds the data.
+    """
+
+    @pytest.fixture
+    def cafe(self, make):
+        database = facebook.generate(scale=40, seed=7)
+        substrate = make(database, facebook.access_schema(database.schema))
+        relation = Relation.from_schema(database.schema, "cafe")
+        substrate.query = relation.select(eq(relation["cid"], "c0")).project([relation["city"]])
+        ((substrate.city,),) = substrate.core.execute(substrate.query).rows
+        assert substrate.core.execute(substrate.query).result_cached
+        return substrate
+
+    @staticmethod
+    def data(substrate) -> dict:
+        """Every relation's rows: the reference's, and the ones the core serves from."""
+        names = substrate.reference.relation_names()
+        held = substrate.core._gather(names) if substrate.federated else substrate.reference
+        return {
+            name: (set(substrate.reference.relation(name).rows), set(held.relation(name).rows))
+            for name in names
+        }
+
+    def served(self, substrate) -> frozenset:
+        """A fresh read of c0's city: the reference's rows, fetched within the bound."""
+        result = substrate.core.execute(substrate.query)
+        assert not result.result_cached
+        assert 0 < result.counter.total <= result.plan.access_bound() == 1
+        assert result.rows == evaluate(substrate.query, substrate.reference).rows
+        return result.rows
+
+    def test_a_batch_that_overfills_a_group_is_undone_and_rejected(self, cafe):
+        data, before = self.data(cafe), cafe.result_cache()
+        batch = [Update.insert("cafe", ("c0", "atlantis")), Update.insert("cafe", ("c0", "mu"))]
+        with pytest.raises(ConstraintViolation) as rejected:
+            cafe.core.apply_updates(batch)
+        violation = rejected.value
+        assert (violation.constraint.name, violation.value, violation.count) == ("psi4", ("c0",), 3)
+        assert self.data(cafe) == data
+        # both epochs moved (the batch, its undo): the dependents were swept, not patched
+        changed = moved(before, cafe.result_cache())
+        assert (changed["sweeps"], changed["invalidated"], changed["entries"]) == (1, 1, -1)
+        assert "repaired" not in changed
+        assert self.served(cafe) == {(cafe.city,)}
+        # the data still satisfies A: a fresh engine builds its checked indexes on it
+        BoundedEngine(cafe.reference, cafe.core.access_schema)
+
+    def test_a_failed_batch_whose_prefix_overfills_a_group_is_undone_too(self, cafe):
+        data = self.data(cafe)
+        batch = [Update.insert("cafe", ("c0", "atlantis")), Update.insert("cafe", ("c0", "x", "y"))]
+        with pytest.raises(ConstraintViolation) as rejected:
+            cafe.core.apply_updates(batch)
+        assert isinstance(rejected.value.__context__, MaintenanceError)
+        assert self.data(cafe) == data
+        assert self.served(cafe) == {(cafe.city,)}
+
+    def test_a_replace_inside_a_full_group_is_accepted(self, cafe):
+        batch = [Update.delete("cafe", ("c0", cafe.city)), Update.insert("cafe", ("c0", "x"))]
+        assert cafe.core.apply_updates(batch).applied == 2
+        assert cafe.core.execute(cafe.query).rows == {("x",)}
+        assert evaluate(cafe.query, cafe.reference).rows == {("x",)}
+
+    def test_an_insert_the_batch_takes_back_out_is_judged_where_the_batch_ends(self, cafe):
+        batch = [Update.insert("cafe", ("c0", "x")), Update.delete("cafe", ("c0", cafe.city))]
+        assert cafe.core.apply_updates(batch).applied == 2
+        assert cafe.core.execute(cafe.query).rows == {("x",)}
+        assert evaluate(cafe.query, cafe.reference).rows == {("x",)}
+
+    def test_a_group_spanning_shards_is_counted_whole(self):
+        # Partitioned on city, c0's group spans shards: each fragment alone
+        # stays within N = 1, so only the union shows the second city.
+        database = facebook.generate(scale=40, seed=7)
+        access = facebook.access_schema(database.schema)
+        substrate = Substrate("router-3-mixed", database, access, partition_keys={"cafe": "city"})
+        try:
+            partitioner = substrate.core.partitioner
+            relation = Relation.from_schema(database.schema, "cafe")
+            substrate.query = relation.select(eq(relation["cid"], "c0")).project([relation["city"]])
+            ((city,),) = evaluate(substrate.query, database).rows
+            home = partitioner.shard_for_value("cafe", city)
+            cities = (f"city{i}" for i in range(64))
+            elsewhere = next(c for c in cities if partitioner.shard_for_value("cafe", c) != home)
+            data = self.data(substrate)
+            with pytest.raises(ConstraintViolation):
+                substrate.core.apply_updates([Update.insert("cafe", ("c0", elsewhere))])
+            assert self.data(substrate) == data
+            psi4 = next(c for c in access if c.name == "psi4")
+            groups = [len(shard.group_of(psi4, ("c0", city))) for shard in substrate.core.shards]
+            assert sorted(groups) == [0, 0, 1]
+            assert self.served(substrate) == {(city,)}
+        finally:
+            substrate.close()
 
 
 class RecordingBreaker:

@@ -152,7 +152,7 @@ class TestEnginePartialFailure:
         """The original stale-serve bug: a mid-batch failure used to leave the
         result cache unswept, so the next read served pre-batch rows."""
         database, access, hot_query = hot_cold_setup
-        engine = BoundedEngine(database, access, check_constraints=False)
+        engine = BoundedEngine(database, access)
         before = engine.execute(hot_query).rows
         assert engine.execute(hot_query).result_cached
 
@@ -173,7 +173,7 @@ class TestEnginePartialFailure:
 
     def test_partial_report_version_matches_database(self, hot_cold_setup):
         database, access, hot_query = hot_cold_setup
-        engine = BoundedEngine(database, access, check_constraints=False)
+        engine = BoundedEngine(database, access)
         restore = failing_delete(database, "hot", 2)
         try:
             with pytest.raises(MaintenanceError) as excinfo:
@@ -186,7 +186,7 @@ class TestEnginePartialFailure:
 
     def test_clean_batch_still_reports_unfailed(self, hot_cold_setup):
         database, access, _ = hot_cold_setup
-        engine = BoundedEngine(database, access, check_constraints=False)
+        engine = BoundedEngine(database, access)
         report = engine.apply_updates([Update.delete("hot", ("a", 1))])
         assert not report.failed
         assert report.error is None
@@ -197,7 +197,7 @@ class TestRowValidation:
 
     def test_bad_arity_insert_leaves_everything_untouched(self, hot_cold_setup):
         database, access, hot_query = hot_cold_setup
-        engine = BoundedEngine(database, access, check_constraints=False)
+        engine = BoundedEngine(database, access)
         baseline = engine.execute(hot_query).rows
         version = database.version
         rows_before = set(database.relation("hot").rows)
@@ -209,7 +209,7 @@ class TestRowValidation:
 
     def test_unknown_column_mapping_rejected_before_mutation(self, hot_cold_setup):
         database, access, _ = hot_cold_setup
-        engine = BoundedEngine(database, access, check_constraints=False)
+        engine = BoundedEngine(database, access)
         version = database.version
         with pytest.raises(StorageError, match="unknown attributes.*nope"):
             engine.apply_insert("hot", {"k": "z", "v": 1, "nope": 2})
@@ -217,13 +217,13 @@ class TestRowValidation:
 
     def test_unknown_column_delete_rejected(self, hot_cold_setup):
         database, access, _ = hot_cold_setup
-        engine = BoundedEngine(database, access, check_constraints=False)
+        engine = BoundedEngine(database, access)
         with pytest.raises(StorageError, match="unknown attributes"):
             engine.apply_delete("hot", {"k": "a", "v": 1, "wrong": 1})
 
     def test_valid_mapping_insert_still_works(self, hot_cold_setup):
         database, access, _ = hot_cold_setup
-        engine = BoundedEngine(database, access, check_constraints=False)
+        engine = BoundedEngine(database, access)
         engine.apply_insert("hot", {"k": "z", "v": 42})
         assert ("z", 42) in set(database.relation("hot").rows)
 

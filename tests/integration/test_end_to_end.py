@@ -60,7 +60,7 @@ class TestPipelinesAgree:
 
     def test_engine_always_answers_correctly(self, setup):
         workload, database, indexes, queries = setup
-        engine = BoundedEngine(database, workload.access_schema, check_constraints=False)
+        engine = BoundedEngine(database, workload.access_schema)
         for query in queries[:8]:
             truth = evaluate(query, database).rows
             result = engine.execute(query)

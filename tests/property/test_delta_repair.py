@@ -20,11 +20,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.bench.experiments import select_covered_queries
 from repro.core import optimizer as optimizer_module
 from repro.core.engine import BoundedEngine
+from repro.core.errors import ConstraintViolation
 from repro.core.plan import DifferenceOp, FetchOp
 from repro.discovery.maintenance import Update
 from repro.evaluator import executor as executor_module
 from repro.evaluator.algebra import evaluate
-from repro.sharding import SQLiteShard, build_topology
+from repro.sharding import ShardRouter, SQLiteShard, build_topology
+from repro.storage.database import Database
 from repro.workloads import WORKLOADS, facebook
 
 MONTHS = ("may", "jun")
@@ -93,7 +95,7 @@ class TestEngineRepairProperty:
     def test_reads_always_match_reference_under_interleaved_writes(self, seed, ops):
         database = facebook.generate(scale=15, seed=seed)
         access = facebook.access_schema(database.schema)
-        engine = BoundedEngine(database, access, check_constraints=False)
+        engine = BoundedEngine(database, access)
         q1 = facebook.query_q1()
         q0 = facebook.query_q0()
         engine.execute(q1)  # warm the cache so writes have entries to settle
@@ -129,8 +131,8 @@ class TestEngineRepairProperty:
         caches no result on the same database — byte-identical serving."""
         database = facebook.generate(scale=15, seed=seed)
         access = facebook.access_schema(database.schema)
-        repairing = BoundedEngine(database, access, check_constraints=False)
-        recomputing = BoundedEngine(database, access, check_constraints=False, result_cache_size=0)
+        repairing = BoundedEngine(database, access)
+        recomputing = BoundedEngine(database, access, result_cache_size=0)
         q1 = facebook.query_q1()
         repairing.execute(q1)
         fresh = 0
@@ -330,6 +332,12 @@ class _Settlements:
     the deriver is watched beside it: an entry the oracle calls ``patched``
     or ``fallback`` went through ``derive`` exactly once, with that verdict;
     one it calls ``clean`` may never have got there.
+
+    A batch that would leave the reference violating the access schema —
+    :meth:`Database.violations` on a copy, a full scan that shares no code
+    with the core's read-back — must be rejected instead: the core raises
+    :class:`ConstraintViolation`, every relation holds the rows it held, and
+    every entry the batch reached is dropped (``rejected``), never patched.
     """
 
     def __init__(self, core, reference, queries, *, refine):
@@ -367,9 +375,36 @@ class _Settlements:
         for query in self.queries.values():
             assert self.core.execute(query).rows == evaluate(query, self.reference).rows
 
+    def data(self) -> dict:
+        """Every relation's rows: the reference's, and the ones the core serves from."""
+        federated = isinstance(self.core, ShardRouter)
+        held = self.core._gather(self.relations) if federated else self.reference
+        return {
+            name: (set(self.reference.relation(name).rows), set(held.relation(name).rows))
+            for name in self.relations
+        }
+
+    def predict(self, updates) -> tuple[set[str], bool]:
+        """The relations ``updates`` change on a copy of the reference, and
+        whether the copy then violates the access schema."""
+        copy = Database(self.reference.schema)
+        for name in self.relations:
+            copy.insert_many(name, self.reference.relation(name).rows)
+        touched = {
+            update.relation
+            for update in updates
+            if (copy.insert if update.kind == "insert" else copy.delete)(
+                update.relation, update.row
+            )
+        }
+        return touched, bool(copy.violations(self.core.access_schema))
+
     def write(self, updates) -> list[str]:
         """Apply ``updates``; returns the verdicts of the entries it reached."""
         before = self.entries()
+        touched, violating = self.predict(updates)
+        if violating:
+            return self.rejected(updates, before, touched)
         held = {key: (entry.rows, entry.env) for key, entry in before.items()}
         predictions = {
             key: _Prediction(entry, updates, self.reference, self.refine)
@@ -403,6 +438,26 @@ class _Settlements:
             else:
                 assert derived == (None if expected == "no_env" else expected)
                 assert (key in after) == (expected == "patched")
+        self.check_entries()
+        self.verdicts.extend(reached)
+        return reached
+
+    def rejected(self, updates, before: dict, touched: set[str]) -> list[str]:
+        data = self.data()
+        self.settled, self.derived = {}, {}
+        with pytest.raises(ConstraintViolation):
+            self.core.apply_updates(updates)
+        assert self.data() == data
+        # swept, both epochs having moved: no verdict map, no derivation
+        assert (self.settled, self.derived) == ({}, {})
+        after = self.entries()
+        reached = []
+        for key, entry in before.items():
+            if touched.intersection(entry.dependencies):
+                assert key not in after
+                reached.append("rejected")
+            else:
+                assert after.get(key) is entry
         self.check_entries()
         self.verdicts.extend(reached)
         return reached
@@ -490,7 +545,7 @@ class _Settlements:
 
 
 def _engine_settlements(database, access, queries) -> _Settlements:
-    engine = BoundedEngine(database, access, check_constraints=False)
+    engine = BoundedEngine(database, access)
     return _Settlements(engine, database, queries, refine=True)
 
 

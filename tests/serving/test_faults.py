@@ -139,7 +139,7 @@ class TestInstallation:
     def test_install_engine_wraps_executor_and_fallback(
         self, fb_database, fb_access, fb_q0_prime
     ):
-        engine = BoundedEngine(fb_database, fb_access, check_constraints=False)
+        engine = BoundedEngine(fb_database, fb_access)
         injector = FaultInjector(seed=0)
         injector.configure("executor", FaultSpec(error_rate=1.0))
         injector.install_engine(engine)
@@ -324,9 +324,7 @@ class TestOneInjectorForEngineAndShards:
         def schedules(engine_first: bool):
             database = facebook.generate(scale=20, seed=9)
             access = facebook.access_schema(database.schema)
-            engine = BoundedEngine(
-                database, access, check_constraints=False, result_cache_size=0
-            )
+            engine = BoundedEngine(database, access, result_cache_size=0)
             shard = build_topology(database, access, shards=1, backends="memory").shards[0]
             injector = FaultInjector(seed=5)
             installs = [

@@ -15,6 +15,7 @@ from repro.core import engine as engine_module
 from repro.core.engine import BoundedEngine
 from repro.core.errors import (
     CircuitOpenError,
+    ConstraintViolation,
     DeadlineExceededError,
     OverloadedError,
     ReproError,
@@ -44,7 +45,7 @@ def run(coroutine):
 
 @pytest.fixture
 def engine(fb_database, fb_access) -> BoundedEngine:
-    return BoundedEngine(fb_database, fb_access, check_constraints=False)
+    return BoundedEngine(fb_database, fb_access)
 
 
 def uncovered_query(fb_database):
@@ -229,7 +230,7 @@ class TestInlineHits:
         outcomes = {}
         for queued, core in (
             (True, engine),
-            (False, BoundedEngine(fb_database, fb_access, check_constraints=False)),
+            (False, BoundedEngine(fb_database, fb_access)),
         ):
             audited = []
             response, server = self.second_read(
@@ -268,7 +269,7 @@ class TestInlineHits:
         outcomes = {}
         for queued, core in (
             (True, engine),
-            (False, BoundedEngine(fb_database, fb_access, check_constraints=False)),
+            (False, BoundedEngine(fb_database, fb_access)),
         ):
             error, server = self.second_read(core, fb_q0_prime, queued=queued, post_check=audit)
             assert isinstance(error, AssertionError) and "refuses the hit" in str(error)
@@ -558,6 +559,30 @@ class TestWrites:
         q = facebook.query_q0_prime()
         read_results, _ = serve(engine, [ReadRequest(query=q)])
         assert read_results[0].rows == evaluate(q, fb_database).rows
+
+
+    def test_write_that_breaks_a_bound_is_rejected_and_changes_nothing(
+        self, engine, fb_database, fb_access
+    ):
+        from repro.core.query import Relation, eq
+
+        cafe = Relation.from_schema(fb_database.schema, "cafe")
+        query = cafe.select(eq(cafe["cid"], "c0")).project([cafe["city"]])
+        rows = evaluate(query, fb_database).rows
+        batch = (Update.insert("cafe", ("c0", "atlantis")), Update.insert("cafe", ("c0", "mu")))
+        (write, read), server = serve(
+            engine,
+            [WriteRequest(updates=batch), ReadRequest(query=query)],
+            ServerConfig(workers=1),
+        )
+        assert (write.ok, write.strategy) == (False, "write_rejected")
+        assert write.ladder == ("write:rejected",)
+        assert isinstance(write.error, ConstraintViolation) and write.report is None
+        assert read.rows == rows == evaluate(query, fb_database).rows
+        assert fb_database.violations(fb_access) == []
+        serving = server.stats()["serving"]
+        assert serving["ladder"]["write_rejected"] == 1
+        assert (serving["writes_applied"], serving["write_failures"]) == (0, 0)
 
 
 class TestStats:

@@ -12,6 +12,11 @@ from repro.serving import soak
 from repro.serving.server import BoundedServer
 from repro.serving.soak import SoakConfig, run_soak
 
+#: a server clock that stands still: no verdict reads elapsed time, so no
+#: deadline runs out and an open breaker never cools down — only requests
+#: built with a zero timeout are expired
+FROZEN = partial(BoundedServer, clock=lambda: 0.0)
+
 QUICK = dict(
     scale=40,
     requests=60,
@@ -23,7 +28,8 @@ QUICK = dict(
 
 
 class TestSoak:
-    def test_seeded_chaos_soak_passes(self):
+    def test_seeded_chaos_soak_passes(self, monkeypatch):
+        monkeypatch.setattr(soak, "BoundedServer", FROZEN)
         report = run_soak(SoakConfig(**QUICK))
         failed = [check for check, ok in report["checks"].items() if not ok]
         assert report["passed"], f"failed checks: {failed}\noutcome: {report['outcome']}"
@@ -34,19 +40,27 @@ class TestSoak:
         assert report["checks"]["covered_reads_never_fell_back"]
         assert report["outcome"]["covered_fallbacks"] == 0
         assert "covered_p99_below_fallback_floor" not in report["checks"]
-        assert report["covered_p99_ms"] > 0
+        assert "covered_p99_ms" in report  # reported, never judged (0 on a frozen clock)
+        # the breaker trips on its third failure and, never cooling down, stays open
+        breaker = report["server"]["breaker"]
+        assert (breaker["times_opened"], breaker["failures"]) == (1, 3)
         # The chaos actually happened: faults were injected at every seam.
         assert report["faults"]["fallback"]["injected"] > 0
         assert report["faults"]["storage.write"]["injected"] > 0
+        # and the write that would break a bound was turned away, not applied
+        assert report["checks"]["violating_write_rejected"]
+        assert report["outcome"]["writes_rejected"] == 1
 
-    def test_soak_without_faults_passes_clean(self):
+    def test_soak_without_faults_passes_clean(self, monkeypatch):
+        monkeypatch.setattr(soak, "BoundedServer", FROZEN)
         report = run_soak(SoakConfig(**{**QUICK, "requests": 30}, faults=False))
         assert report["passed"], report["checks"]
         assert "breaker_opened" not in report["checks"]  # fault checks not demanded
         assert report["outcome"]["writes_partial"] == 0
         assert report["outcome"]["failed_transient"] == 0
 
-    def test_soak_is_deterministic_per_seed(self):
+    def test_soak_is_deterministic_per_seed(self, monkeypatch):
+        monkeypatch.setattr(soak, "BoundedServer", FROZEN)
         first = run_soak(SoakConfig(**QUICK))
         second = run_soak(SoakConfig(**QUICK))
         assert first["outcome"] == second["outcome"]
@@ -57,10 +71,8 @@ class TestSoak:
         # traffic every covered query is cached, so what a burst does to the
         # queue depends on what queues: 3x its depth of hits are all served
         # inside ``submit``, 3x its depth of misses are shed down to it.
-        # The server's clock stands still, so no verdict reads elapsed time:
-        # no deadline runs out and the open breaker never cools down — only
-        # phase E's probes, built with a zero timeout, are expired.
-        monkeypatch.setattr(soak, "BoundedServer", partial(BoundedServer, clock=lambda: 0.0))
+        # On the frozen clock only phase E's probes are expired.
+        monkeypatch.setattr(soak, "BoundedServer", FROZEN)
         config = SoakConfig(workload="TFACC", scale=40, requests=200, seed=1)
         report = run_soak(config)
         failed = [check for check, ok in report["checks"].items() if not ok]

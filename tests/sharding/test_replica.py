@@ -12,7 +12,8 @@ from analytic_queries import ANALYTIC_SCALE, analytic_queries
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import StorageError, TransientFault
+from repro.core.errors import ConstraintViolation, StorageError, TransientFault
+from repro.core.query import Relation, eq
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
 from repro.serving.faults import FaultInjector, FaultSpec
@@ -102,6 +103,32 @@ class TestReplicatedReads:
         members[1].database.clock.bump(("friend",))
         with pytest.raises(StorageError, match="out of\n?\\s*lockstep|lockstep"):
             ReplicaSet("broken", members)
+
+
+class TestRejectedWrites:
+    def test_a_rejected_batch_quarantines_nobody_and_leaves_members_in_lockstep(self):
+        # The batch and its undo are two routed writes every member applies.
+        router, database = replicated_topology()
+        cafe = Relation.from_schema(database.schema, "cafe")
+        query = cafe.select(eq(cafe["cid"], "c0")).project([cafe["city"]])
+        ((city,),) = router.execute(query).rows
+        before = {
+            member.name: set(member.relation_rows("cafe"))
+            for replica_set in router.shards
+            for member in replica_set.replicas
+        }
+        batch = [Update.insert("cafe", ("c0", "atlantis")), Update.insert("cafe", ("c0", "mu"))]
+        with pytest.raises(ConstraintViolation):
+            router.apply_updates(batch)
+        stats = router.replication_stats()
+        assert (stats["quarantines"], stats["quarantined"], stats["catch_ups"]) == (0, 0, 0)
+        for replica_set in router.shards:
+            for member in replica_set.replicas:
+                assert replica_set._in_lockstep(member, ("cafe",))
+                assert set(member.relation_rows("cafe")) == before[member.name]
+        result = router.execute(query)
+        assert result.rows == {(city,)} == evaluate(query, database).rows
+        assert result.counter.total <= result.plan.access_bound() == 1
 
 
 class TestFailoverReads:
