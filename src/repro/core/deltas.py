@@ -13,8 +13,9 @@ in place instead of invalidating it:
    project each written row onto the fetch's constraint key and test
    membership in the key set the fetch probed at fill time.  A miss means
    the write landed in an index group the result never read; when *no*
-   fetch is dirty the entry is repaired by re-stamping its version snapshot
-   alone — zero execution.  Like the executor, detection is split into
+   fetch is dirty the entry is kept as it is — zero execution — and stays
+   valid when the write moves its relations' settlement marks.  Like the
+   executor, detection is split into
    compile-once and run-per-write: the plan's fetch sites (positions,
    downstream closures, derivability) are a :class:`RepairProgram` compiled
    once per plan; the probed keys of an entry are read off its captured
@@ -67,7 +68,7 @@ the delta is not derivable through the plan:
   batches rather than the captured row sets (``executor_mode``): the next
   read re-executes it on those kernels, which is cheaper than re-running a
   wide plan's closure on row kernels.  Clean detection needs no kernels,
-  so a clean columnar entry is re-stamped like any other;
+  so a clean columnar entry is kept like any other;
 * derivation itself raises (schema drift, unknown operators).
 
 Monotone fragments (fetch/select/project/join/union/intersect chains) are
@@ -89,7 +90,7 @@ _NO_ROWS: frozenset[Row] = frozenset()
 _log = logging.getLogger(__name__)
 
 #: outcome statuses of :meth:`DeltaDeriver.derive`
-CLEAN = "clean"        # no probed key touched: re-stamp only
+CLEAN = "clean"        # no probed key's group changed: rows kept as they are
 PATCHED = "patched"    # dirty closure re-executed, rows possibly changed
 FALLBACK = "fallback"  # not derivable: the caller must invalidate
 
@@ -172,7 +173,7 @@ class RepairOutcome:
     """What :meth:`DeltaDeriver.derive` decided for one cache entry.
 
     ``status`` is :data:`CLEAN` (no probed key was written: the entry's rows
-    are already correct, only its snapshot needs re-stamping),
+    are already correct at the post-write data),
     :data:`PATCHED` (``rows`` / ``env`` hold the repaired state), or
     :data:`FALLBACK` (``reason`` says why the delta was not derivable and
     the entry must be invalidated instead).
@@ -198,7 +199,7 @@ class RepairOutcome:
 
     @classmethod
     def clean(cls) -> "RepairOutcome":
-        """The write is invisible through the plan: re-stamp, no execution."""
+        """The write is invisible through the plan: keep the rows, no execution."""
         return cls(status=CLEAN)
 
     @classmethod

@@ -36,32 +36,35 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
 * **Result cache** — covered results are bounded by the access schema
   (≤ ``access_bound()`` tuples), so the core keeps a
   :class:`~repro.core.planstore.ResultCache` keyed by the query's SHA-256
-  fingerprint and flags (:func:`repro.core.fingerprint.result_cache_key`),
-  each entry stamped with its dependency snapshot.  That key is computed
-  once per prepare, on the plan-store miss, and read off the prepared entry
-  (:attr:`PreparedQuery.result_key`): a read builds the canonical form once
-  and hashes no digest.  Repeated covered queries on unchanged data are
-  served without executing at all; a write to a dependent relation changes
-  the snapshot and the entry misses.
+  fingerprint and flags (:func:`repro.core.fingerprint.result_cache_key`).
+  That key is computed once per prepare, on the plan-store miss, and read
+  off the prepared entry (:attr:`PreparedQuery.result_key`): a read builds
+  the canonical form once and hashes no digest.  Repeated covered queries
+  on unchanged data are served without executing at all.  Validity is kept
+  per relation, not per entry: the cache holds each relation's settlement
+  mark, an entry is served while the snapshot of its dependencies puts
+  each of them at its mark, and a write this core did not settle moves a
+  relation past its mark, so its dependents miss.
 
 * **Snapshots** — every data-changing write stamps the written relations
   on a :class:`~repro.storage.counters.VersionClock`.  The substrate says
-  which clocks make up a snapshot (the database's; every shard's).
+  which clocks make up a snapshot (the database's; every shard's) and how
+  a snapshot splits into one epoch token per relation.
 
-* **One write path** — :meth:`ServingCore.apply_updates` (the touched
-  dependency tuples' snapshots → :meth:`~ServingCore._write` → the
-  read-back → :meth:`~ServingCore._settle`): the substrate hook runs the
+* **One write path** — :meth:`ServingCore.apply_updates` (the batch's
+  relations' tokens → :meth:`~ServingCore._write` → the read-back →
+  :meth:`~ServingCore._settle`): the substrate hook runs the
   Proposition-12 loop of :func:`repro.discovery.maintenance.apply_updates`
   over its (storage, index) pairs and bumps their clocks; the read-back
-  undoes and rejects a batch that broke ``D ⊨ A``; then, for a cleanly applied
-  batch, the result cache's reach index names the dependent entries some
-  written key hit: those are patched through the
+  undoes and rejects a batch that broke ``D ⊨ A``; then, for a cleanly
+  applied batch, the result cache's reach index names the dependent entries
+  some written key hit: those are patched through the
   :class:`~repro.core.deltas.DeltaDeriver` (and stay indexed) or — when
-  their delta is not provable — dropped; every other dependent is
-  re-stamped in bulk, with its dependency tuple's snapshot; and the
-  data-independent plan store is left alone.  Without a usable delta — a
-  batch that failed part-way, a rebalance that moved rows between shards —
-  dependents are swept from both caches.
+  their delta is not provable — dropped; then the touched relations' marks
+  move, which settles every dependent the batch did not reach without
+  visiting it; and the data-independent plan store is left alone.  Without
+  a usable delta — a batch that failed part-way, a rebalance that moved
+  rows between shards — dependents are swept from both caches.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from ..storage.database import Database
 from ..storage.index import IndexSet
 from .access import AccessSchema
 from .coverage import CoverageChecker, CoverageResult, check_coverage
-from .deltas import CLEAN, FALLBACK, PATCHED, DeltaDeriver, WriteDelta
+from .deltas import EVERY_WRITE, FALLBACK, PATCHED, DeltaDeriver, WriteDelta
 from .errors import (
     CircuitOpenError,
     ConstraintViolation,
@@ -243,14 +246,13 @@ class ServingCore:
 
     Owns the plan store, the result cache, :meth:`prepare`, :meth:`execute`
     (and :meth:`probe`, its hit-only first half), :meth:`apply_updates` with
-    its settlement (:meth:`_repair_candidates`, the touched dependency
-    tuples' pre-write snapshots / :meth:`_settle`), :meth:`cache_stats`, and
-    the one
+    its settlement (:meth:`_settle`), :meth:`cache_stats`, and the one
     :class:`~repro.evaluator.executor.PlanExecutor` that reads run on and
     write settlement re-runs kernels of.  A subclass supplies only its
     substrate: the fetch ``source`` that answers fetch steps (``schema``
     being the data's), :meth:`_snapshot` / :meth:`_validate` (what "the data
-    has not moved" means), :meth:`_evaluate_conventionally` (the unbounded
+    has not moved" means) and :meth:`_tokens` (a snapshot as one epoch token
+    per relation), :meth:`_evaluate_conventionally` (the unbounded
     fallback), :meth:`_write` (the batch onto its data and clocks),
     :meth:`_group_of` (a group over all its data, read back after a write),
     and optionally :meth:`_index_group` (live index groups, for dirty
@@ -268,27 +270,29 @@ class ServingCore:
 
     **Snapshot contract.**  :meth:`execute` reads the dependency snapshot
     *before* probing the result cache, re-validates it *after* executing,
-    and stamps a filled entry with that same snapshot — so a served or
+    and admits a filled entry at that same snapshot — so a served or
     admitted result never mixes two epochs of its dependencies; an execution
     a write raced is re-run, up to ``max_snapshot_retries`` times, then
-    abandoned with a typed :class:`~repro.core.errors.TransientFault`.  The
-    write path repairs an entry only when its stamp equals the snapshot
-    taken before the write (this write is then provably the only change
-    since fill) and no dependency moves between the snapshot it is
-    re-stamped with and the end of the derivations; any other entry is
-    dropped, never patched.  Entries that share a dependency tuple share
-    those snapshots: a write reads each touched tuple's before the write,
-    before the first derivation and after the last, whatever the number of
-    entries filed under it.
+    abandoned with a typed :class:`~repro.core.errors.TransientFault`.  What
+    "still valid" means for a cached entry lives in the result cache's
+    per-relation settlement marks, not on the entry: a hit is served only
+    when the snapshot puts every dependency at its mark, and admission
+    settles a relation written behind the core's back first (sweeping its
+    dependents).  A write moves the marks of the relations it touched only
+    after deriving every entry its keys reached, so the entries it did not
+    reach stay valid without being visited; a relation written behind the
+    core's back, or moved while the derivations ran, has its dependents
+    swept instead — never patched.  A write reads the touched relations'
+    tokens three times (before the write, after it, after the derivations),
+    whatever the number of entries or dependency tuples.
 
     Dependent writes *repair* result-cache entries instead of sweeping them:
     covered executions capture their per-step row environment (up to
     :data:`ENV_ROWS_BUDGET` rows, summed over all steps of one entry) and
     :meth:`_settle` derives row-level patches from it for the entries the
-    write's keys reached, and re-stamps the others.  The plan store is
-    **not** swept on that path — prepared plans depend only on (query,
-    access schema), and keeping them is what makes a repaired read hit
-    without re-planning.
+    write's keys reached.  The plan store is **not** swept on that path —
+    prepared plans depend only on (query, access schema), and keeping them
+    is what makes a repaired read hit without re-planning.
 
     ``fallback_breaker`` (``None`` until the serving tier mounts one;
     duck-typed: ``allow()`` / ``record_success()`` / ``record_failure()``,
@@ -321,7 +325,7 @@ class ServingCore:
         self.access_schema = access_schema
         self.schema = schema
         self.plan_cache = plan_store if plan_store is not None else PlanStore(plan_cache_size)
-        self.result_cache = ResultCache(result_cache_size)
+        self.result_cache = ResultCache(result_cache_size, tokens=self._tokens)
         self.fallback_breaker = None
         #: the conventional-evaluation seam: the fault injector (and tests)
         #: wrap this attribute rather than the module function, so faults
@@ -340,6 +344,14 @@ class ServingCore:
     def _validate(self, relations: tuple[str, ...], snapshot: tuple) -> bool:
         """Whether ``relations`` still stand at ``snapshot``."""
         raise NotImplementedError
+
+    def _tokens(self, relations: tuple[str, ...], snapshot: tuple) -> Iterable:
+        """``snapshot`` of ``relations`` as one epoch token per relation, in order.
+
+        A relation's token changes with every write to it, and only then.
+        One database's snapshot is already that.
+        """
+        return snapshot
 
     def _evaluate_conventionally(self, query: Query):
         """``query`` through ``_fallback_evaluator`` over all of the substrate's data."""
@@ -415,9 +427,9 @@ class ServingCore:
         under the entry's ``result_key`` against that snapshot.  ``None``
         means the answer costs something — the plan store does not hold the
         query (C2–C4 are **not** run), the query is not covered, there is no
-        entry, or the entry's stamp is not the current snapshot — and the
-        caller should :meth:`execute`.  Both lookups are uncounted until the
-        read is served (see
+        entry, or the snapshot does not put the entry's dependencies at their
+        settlement marks — and the caller should :meth:`execute`.  Both
+        lookups are uncounted until the read is served (see
         :meth:`PlanStore.get <repro.core.planstore.PlanStore.get>`): on
         ``None`` the :meth:`execute` that follows counts it, so one read is
         one count in each cache however it was served.  The serving tier
@@ -535,129 +547,98 @@ class ServingCore:
         )
 
     # -- write settlement ---------------------------------------------------------------
-    def _repair_candidates(self, relations: Iterable[str]) -> list[tuple]:
-        """The dependency tuples a write to ``relations`` may reach, each with
-        the snapshot its entries must carry to be repaired.
-
-        Must be called before the write moves any clock :meth:`_snapshot`
-        reads: an entry whose stamp differs from that pre-write snapshot was
-        already outdated (an out-of-band write, an earlier failed batch), and
-        patching it would stamp over a change no derivation ever saw.  One
-        snapshot per tuple, not per entry: on a federation each is a scatter
-        over every shard, and entries share few distinct tuples.
-        """
-        return [
-            (dependencies, self._snapshot(dependencies))
-            for dependencies in self.result_cache.dependency_tuples(relations)
-        ]
-
     def _settle(
         self,
         touched: Sequence[str],
-        candidates: Iterable[tuple],
+        before: Mapping[str, Hashable] | None,
         delta: WriteDelta | None,
     ) -> dict[Hashable, str]:
         """Settle both caches after a write changed ``touched`` (clocks already bumped).
 
         Without a usable ``delta`` — the batch failed part-way and what it
-        left behind is suspect, or a rebalance moved rows — every dependent of
-        ``touched`` is swept from the plan store (compiled kernels released)
-        and the result cache.  Otherwise the plan store is left alone
-        (prepared plans are data-independent) and every entry filed under the
-        dependency tuples of ``candidates`` (from :meth:`_repair_candidates`)
-        gets one verdict, all of which are returned by cache key:
+        left behind is suspect, it was rejected and undone, or a rebalance
+        moved rows — every dependent of ``touched`` is swept from the plan
+        store (compiled kernels released) and the result cache.
 
-        * ``skip`` — the batch's effective writes never reached its relations;
-        * ``stale`` — outdated before the write: dropped;
-        * ``no_env`` — no captured environment: dropped.
-
-        The first settlement that meets any other entry enters it in the
-        result cache's reach index, for every relation it depends on; then
-        the index is intersected once with the keys the batch wrote.  Each
-        tuple is snapshot once before anything is derived and validated once
-        after everything is; if it moved in between (a dependency changed
-        while the deriver was re-fetching, so a patch could mix epochs) its
-        entries are dropped, ``race``.  Otherwise an entry no written key hits
-        is ``clean`` without being looked at — its stamp moves to the tuple's
-        snapshot with all the others of the tuple — and an entry some key hits
-        is what the deriver says: ``clean`` (the hit key's group is what it
-        was), ``patched`` (re-indexed where the patch moved its probed keys),
-        or ``fallback:<reason>`` (not derivable: dropped).  A repaired entry
-        is indistinguishable from a fresh execution at the epoch of its new
-        stamp.
+        Otherwise the plan store is left alone (prepared plans are
+        data-independent) and the result cache is settled by relation, from
+        three reads of the touched relations' epoch tokens: ``before`` (by
+        relation, read before the write), one now and one after the last
+        derivation — whatever the number of entries or dependency tuples.  A
+        touched relation whose ``before`` token is not its settlement mark
+        was written without this core settling it (an out-of-band write,
+        another core over the same data, an earlier failed batch): its
+        dependents are swept, ``stale``, never patched.  Entries filled since
+        the last settlement are entered in the reach index, which is then
+        intersected once with the keys the batch wrote; only the entries it
+        returns are looked at, and each gets what the deriver says: ``clean``
+        (the hit key's group is what it was), ``patched`` (re-indexed where
+        the patch moved its probed keys), or ``no_env`` /
+        ``fallback:<reason>`` (not derivable: dropped).  A touched relation
+        whose token moved between the write and the end of the derivations
+        (a write raced them, so a patch could mix epochs) has its dependents
+        swept, ``race``, and keeps no mark.  Every other touched relation's
+        mark moves to its post-write token: that settles every entry the
+        write did not reach without visiting it.  A relation the derivations
+        only read and that moved under them keeps its old mark, so its
+        dependents are not served and go at its next settlement.  Returns the
+        verdicts by cache key; an entry the write did not reach has none.
         """
         if not delta:
             self._discard_compiled(self.plan_cache.invalidate(touched))
             self.result_cache.invalidate(touched)
             return {}
         cache, deriver = self.result_cache, self._deriver
+        touched = tuple(touched)
         verdicts: dict[Hashable, str] = {}
+        marks = cache.marks
+        unsettled = [r for r in touched if marks.get(r, before[r]) != before[r]]
+        if unsettled:
+            verdicts.update(dict.fromkeys(cache.sweep(unsettled, "stale"), "stale"))
+        after = tuple(self._tokens(touched, self._snapshot(touched)))
 
-        def drop(key: Hashable, reason: str, scope: Iterable[str], verdict: str = "") -> None:
-            cache.drop(key, reason=reason, relations=scope)
-            verdicts[key] = verdict or reason
-
-        # The gates, per entry: what a write pays for each one it did not reach.
-        touched_set = frozenset(touched)
-        live: dict[tuple[str, ...], tuple[dict, frozenset[str]]] = {}
-        for dependencies, before in candidates:
-            entries = cache.entries_under(dependencies)
-            scope = touched_set.intersection(dependencies)
-            if not scope:
-                verdicts.update(dict.fromkeys(entries, "skip"))
-                continue
-            gone = []
-            for key, entry in entries.items():
-                if entry.snapshot != before:
-                    gone.append((key, "stale"))
-                elif entry.reach is None:
-                    if entry.env is None or entry.plan is None:
-                        gone.append((key, "no_env"))
-                    else:
-                        entry.keyed, entry.reach = {}, {}
-                        for base in dependencies:
-                            cache.index(
-                                key, base, deriver.reach(entry.plan, entry.env, entry.keyed, base)
-                            )
-            for key, reason in gone:
-                drop(key, reason, scope)
-            if entries:
-                live[dependencies] = entries, scope
-
-        reached = cache.reached(delta)
-        snapshots = {dependencies: self._snapshot(dependencies) for dependencies in live}
-        derived: dict[tuple[str, ...], list] = {}
-        for key, entry in reached.items():
-            if entry.dependencies not in live:
-                continue  # filed under a tuple the effective writes missed: skip
-            outcome = deriver.derive(entry.plan, entry.env, entry.rows, delta, entry.keyed)
-            if outcome.status == FALLBACK:
-                scope = live[entry.dependencies][1]
-                drop(key, outcome.reason, scope, f"{FALLBACK}:{outcome.reason}")
-            else:
-                derived.setdefault(entry.dependencies, []).append((key, entry, outcome))
-
-        for dependencies, (entries, scope) in live.items():
-            snapshot = snapshots[dependencies]
-            if not self._validate(dependencies, snapshot):
-                for key in list(entries):
-                    drop(key, "race", scope)
-                continue
-            verdicts.update(dict.fromkeys(entries, CLEAN))
-            repaired = derived.get(dependencies, ())
-            for key, entry, outcome in repaired:
-                cache.repair(
+        for key, entry in list(cache.unindexed.items()):
+            if all(r not in touched for r in entry.dependencies):
+                continue  # the write cannot reach it: indexed by one that can
+            entry.keyed, entry.reach = {}, {}
+            for base in entry.dependencies:
+                cache.index(
                     key,
-                    rows=outcome.rows if outcome.status == PATCHED else entry.rows,
-                    env=outcome.env,
-                    snapshot=snapshot,
-                    rows_added=outcome.rows_added,
-                    rows_removed=outcome.rows_removed,
+                    base,
+                    EVERY_WRITE
+                    if entry.env is None
+                    else deriver.reach(entry.plan, entry.env, entry.keyed, base),
                 )
+
+        derived = []
+        for key, entry in cache.reached(delta).items():
+            if entry.env is None:
+                reason = verdict = "no_env"
+            else:
+                outcome = deriver.derive(entry.plan, entry.env, entry.rows, delta, entry.keyed)
+                if outcome.status != FALLBACK:
+                    derived.append((key, entry, outcome))
+                    continue
+                reason, verdict = outcome.reason, f"{FALLBACK}:{outcome.reason}"
+            cache.drop(key, reason=reason, relations=[r for r in entry.dependencies if r in touched])
+            verdicts[key] = verdict
+
+        final = self._tokens(touched, self._snapshot(touched))
+        raced = [r for r, a, f in zip(touched, after, final) if a != f]
+        if raced:
+            verdicts.update(dict.fromkeys(cache.sweep(raced, "race"), "race"))
+        for key, entry, outcome in derived:
+            if cache.repair(
+                key,
+                rows=outcome.rows if outcome.status == PATCHED else entry.rows,
+                env=outcome.env,
+                rows_added=outcome.rows_added,
+                rows_removed=outcome.rows_removed,
+            ):
                 for base in outcome.rekeyed:
                     cache.index(key, base, deriver.reach(entry.plan, entry.env, entry.keyed, base))
                 verdicts[key] = outcome.status
-            cache.restamp(dependencies, snapshot, len(repaired))
+        cache.mark({r: token for r, token in zip(touched, after) if r not in raced})
         return verdicts
 
     def _write(self, updates: list["Update"]) -> "MaintenanceReport":
@@ -673,11 +654,11 @@ class ServingCore:
     def apply_updates(self, updates: Iterable["Update"]) -> "MaintenanceReport":
         """Apply a batch of updates, then settle the caches once for all of it.
 
-        THE write path of every substrate: snapshot the dependency tuples
-        the batch's relations touch before any clock moves, :meth:`_write`,
-        :meth:`_admit` (the read-back that holds ``D ⊨ A``), then one
-        :meth:`_settle` with the delta of the updates that *effectively*
-        changed data (skipped duplicates and missing deletes excluded).
+        THE write path of every substrate: read the batch's relations' epoch
+        tokens before any clock moves, :meth:`_write`, :meth:`_admit` (the
+        read-back that holds ``D ⊨ A``), then one :meth:`_settle` with those
+        tokens and the delta of the updates that *effectively* changed data
+        (skipped duplicates and missing deletes excluded).
 
         If the batch aborts part-way, what the partial did mutate is read
         back and settled before the :class:`~repro.core.errors.
@@ -686,25 +667,26 @@ class ServingCore:
         cache can never keep serving rows from before the aborted batch.
         """
         updates = list(updates)
-        candidates = self._repair_candidates({update.relation for update in updates})
+        relations = tuple(sorted({update.relation for update in updates}))
+        before = dict(zip(relations, self._tokens(relations, self._snapshot(relations))))
         try:
             report = self._write(updates)
         except MaintenanceError as error:
             partial = error.report
             if partial is not None and partial.touched_relations:
-                self._admit(partial, candidates)
-                self._settle(sorted(partial.touched_relations), candidates, None)
+                self._admit(partial)
+                self._settle(sorted(partial.touched_relations), None, None)
             raise
         if report.touched_relations:
-            self._admit(report, candidates)
+            self._admit(report)
             self._settle(
                 sorted(report.touched_relations),
-                candidates,
+                before,
                 WriteDelta.from_updates(report.applied_updates),
             )
         return report
 
-    def _admit(self, report: "MaintenanceReport", candidates: list[tuple]) -> None:
+    def _admit(self, report: "MaintenanceReport") -> None:
         """Keep an applied batch only while ``D ⊨ A``; else undo it, sweep, raise.
 
         Judged after the whole batch, by the group each effective insert
@@ -720,7 +702,7 @@ class ServingCore:
                     try:
                         self._write([done.inverse() for done in reversed(report.applied_updates)])
                     finally:
-                        self._settle(sorted(report.touched_relations), candidates, None)
+                        self._settle(sorted(report.touched_relations), None, None)
                     at = self.schema[update.relation].positions(sorted(constraint.lhs))
                     raise ConstraintViolation(constraint, tuple(update.row[p] for p in at), size)
 

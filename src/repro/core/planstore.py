@@ -13,24 +13,24 @@ Two caches back the hot path of :class:`~repro.core.engine.BoundedEngine`:
   (:meth:`~repro.core.plan.BoundedPlan.dependency_relations`), so writes
   invalidate only the dependent entries instead of clearing the store.
 
-* :class:`ResultCache` — a per-engine LRU map from ``(query fingerprint,
-  dependency version snapshot)`` to materialized result rows.  The key is
-  the ``result_key`` a prepared entry carries
-  (:func:`~repro.core.fingerprint.result_cache_key`), computed once per
-  prepare so that no read hashes a digest.  Covered results are
-  bounded by the access schema (≤ ``access_bound()`` tuples), which makes
-  them cheap to keep; the snapshot of per-relation data versions
-  (:class:`~repro.storage.counters.VersionClock`) makes them precise to
-  invalidate: an entry is served only while none of its dependent relations
-  has been written since it was filled.
+* :class:`ResultCache` — a per-engine LRU map from query fingerprints to
+  materialized result rows.  The key is the ``result_key`` a prepared entry
+  carries (:func:`~repro.core.fingerprint.result_cache_key`), computed once
+  per prepare so that no read hashes a digest.  Covered results are bounded
+  by the access schema (≤ ``access_bound()`` tuples), which makes them cheap
+  to keep; per-relation **settlement marks** make them precise to
+  invalidate: the cache remembers, for every relation, the epoch token
+  (:class:`~repro.storage.counters.VersionClock` versions) at which its
+  owner last settled that relation, and an entry is served only while every
+  relation it depends on still stands at its mark.
 
   Entries optionally carry the per-step execution environment captured at
   fill time (``ExecutionResult.env``) plus the executable plan; those are
   what the delta-maintenance path (:mod:`repro.core.deltas`) needs to
-  **repair** an entry after a dependent write — patch its rows and re-stamp
-  its snapshot — instead of dropping it.  :meth:`ResultCache.repair` applies
-  a derived patch; :meth:`ResultCache.drop` is the per-entry fallback
-  invalidation used when a delta is not derivable.
+  **repair** an entry after a dependent write — patch its rows in place —
+  instead of dropping it.  :meth:`ResultCache.repair` applies a derived
+  patch; :meth:`ResultCache.drop` is the per-entry fallback invalidation
+  used when a delta is not derivable.
 
 Both caches keep hit/miss/eviction/invalidation counts for
 :meth:`~repro.core.engine.BoundedEngine.cache_stats`, including per-relation
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Mapping
 
 
 @dataclass
@@ -190,7 +190,12 @@ class PlanStore:
 
 @dataclass
 class CachedResult:
-    """A materialized covered result plus the version snapshot it is valid for.
+    """A materialized covered result, valid while its dependencies stand at their marks.
+
+    The entry holds no version snapshot of its own: it is the answer at the
+    data where every relation of ``dependencies`` stands at the cache's
+    settlement mark (:attr:`ResultCache.marks`), and a write moves a mark
+    only after settling every entry it reached under that relation.
 
     ``env`` and ``plan`` are the repair handles: the per-step row
     environment captured when the entry was filled and the executable plan
@@ -201,33 +206,49 @@ class CachedResult:
     off ``env`` (per fetch step: probed keys, rows by key —
     :class:`~repro.core.deltas.FetchKeys`) and ``reach`` what of it the
     cache's reach index holds (per dependency relation, see
-    :meth:`ResultCache.index`); both are created by the first settlement that
-    meets the entry, for every relation it depends on, and live as long as
-    the entry.  A patch keeps them in step with the ``env`` it installs: the
-    deriver keeps the key sets the patch could not have moved, updates in
-    place those whose fetch it patched and drops the others, and the
-    settlement reads and re-registers only those again.
+    :meth:`ResultCache.index`); both are created by the first settlement
+    after the entry was filled, for every relation it depends on, and live
+    as long as the entry.  A patch keeps them in step with the ``env`` it
+    installs: the deriver keeps the key sets the patch could not have moved,
+    updates in place those whose fetch it patched and drops the others, and
+    the settlement reads and re-registers only those again.
     """
 
     rows: frozenset[tuple]
     columns: tuple[str, ...]
     dependencies: tuple[str, ...]
-    snapshot: tuple[int, ...]
     env: tuple[frozenset[tuple], ...] | None = None
     plan: object | None = None
     keyed: dict | None = None
     reach: dict | None = None
 
 
+#: the mark of a relation the cache has never settled: equal to no token
+_UNMARKED = object()
+
+
+def _own_tokens(relations: tuple[str, ...], snapshot: tuple) -> Iterable:
+    """One database's snapshot of ``relations`` is already one token per relation."""
+    return snapshot
+
+
 class ResultCache:
-    """An LRU cache of bounded results, validated by data-version snapshots.
+    """An LRU cache of bounded results, validated by per-relation settlement marks.
 
     Keys are the prepared entries' ``result_key`` (the query's fingerprint
-    and the plan-store key's flags); each entry remembers the ``(relation,
-    version)`` snapshot of its plan's dependent relations at fill time.  A
-    lookup hits only when the caller's current snapshot matches — entries
-    outlived by a write to a dependent relation are dropped on probe
-    (counted as ``stale``) or by an explicit targeted ``invalidate`` sweep.
+    and the plan-store key's flags).  The cache keeps one **settlement mark**
+    per relation (:attr:`marks`): the epoch token that relation stood at when
+    the owning core last settled it.  An entry carries no snapshot; a lookup
+    hits only when the caller's current snapshot puts every relation the
+    entry depends on at its mark.  An entry met under a relation that moved
+    past its mark — written without a settlement: an out-of-band write,
+    another core over the same data, an earlier failed batch — is dropped on
+    probe (counted ``stale``).
+
+    ``tokens(relations, snapshot)`` splits a substrate's snapshot of
+    ``relations`` into one epoch token per relation, in order.  The default
+    is the snapshot itself (one database's clock); a federation transposes
+    its per-shard snapshot.
 
     The cache is **per engine** (per database): results are data-dependent,
     unlike the shareable :class:`PlanStore`.
@@ -239,32 +260,45 @@ class ResultCache:
     environments are admitted as given: the executor already left out the
     ones over the engine's budget.
 
-    **Snapshot contract.** :meth:`get` serves an entry only when the
-    caller's current dependency-version snapshot equals the entry's;
-    :meth:`repair` may only be called by a write path that has verified the
-    entry's snapshot matches the *pre-write* versions of every dependency
-    (otherwise the patch would be derived against a state the entry was
-    never valid for) and must pass the post-write snapshot to re-stamp.
+    **Snapshot contract.**  :meth:`put` takes the dependency snapshot read
+    *before* the execution that produced the rows and validated after it; a
+    relation that stands elsewhere than its mark there was written without a
+    settlement, so :meth:`settle` sweeps its dependents and moves its mark
+    first — an entry is only ever admitted at the marks.  A write path keeps
+    the marks: it sweeps the relations written behind its back
+    (:meth:`sweep`), derives the entries its keys reached (:meth:`reached`,
+    :meth:`repair`), and only then moves the touched relations' marks
+    (:meth:`mark`) — so every entry it did not reach is valid at the new
+    marks without being looked at.  A hit compares one snapshot: the one at
+    which its dependency tuple last stood at the marks, memoized until a
+    mark of the tuple moves.
 
     **Dependency tuples.**  Entries are also filed by their dependency tuple
-    (:meth:`dependency_tuples`, :meth:`entries_under`): entries that share
-    one share every snapshot a write takes, so a settlement snapshots,
-    validates and re-stamps (:meth:`restamp`) per tuple, not per entry.
+    (:meth:`dependency_tuples`, :meth:`entries_under`): what a sweep walks,
+    and what the memo of settled snapshots is keyed by.
 
     **Reach index.**  Beside the entries the cache keeps, inverted, the keys
     their fetches probed: ``base relation → key positions in a written row →
     probed key → cache keys`` (:meth:`index`).  :meth:`reached` intersects it
     with a batch's written keys, so a settlement looks at what the batch
-    wrote, not at what is cached, to find the entries it has to derive; all
-    others it re-stamps in bulk.  The index is filled by settlements only —
-    never when an entry is filled or read.  An entry's part of it leaves with
-    the entry; a patch re-registers only the fetch sites whose probed keys it
-    may have moved (:meth:`index` replaces a relation's part site by site).
+    wrote, not at what is cached, to find the entries it has to derive.  The
+    index is filled by settlements only — never when an entry is filled or
+    read: a filled entry waits in :attr:`unindexed` until the next
+    settlement enters it, before that settlement intersects the index.  An
+    entry's part of it leaves with the entry; a patch re-registers only the
+    fetch sites whose probed keys it may have moved (:meth:`index` replaces
+    a relation's part site by site).
     """
 
-    def __init__(self, capacity: int = 256, max_rows: int = 100_000):
+    def __init__(
+        self,
+        capacity: int = 256,
+        max_rows: int = 100_000,
+        tokens: Callable[[tuple[str, ...], tuple], Iterable] = _own_tokens,
+    ):
         self.capacity = capacity
         self.max_rows = max_rows
+        self._tokens = tokens
         #: results refused admission for exceeding ``max_rows``
         self.oversized = 0
         self._entries: OrderedDict[Hashable, CachedResult] = OrderedDict()
@@ -278,7 +312,7 @@ class ResultCache:
         self.invalidated_by: dict[str, int] = {}
         #: entries repaired in place after a dependent write (delta path)
         self.repaired = 0
-        #: repairs that were pure snapshot re-stamps (no probed key written)
+        #: repairs whose rows the write left as they were
         self.repaired_clean = 0
         #: rows added + removed across all patches
         self.rows_patched = 0
@@ -286,6 +320,14 @@ class ResultCache:
         self.repair_fallbacks = 0
         #: fallback reason -> count ("difference", "no_env", "stale", ...)
         self.repair_fallback_reasons: dict[str, int] = {}
+        #: relation -> the epoch token it stood at when it was last settled;
+        #: a relation no entry depends on may have none
+        self.marks: dict[str, Hashable] = {}
+        #: dependency tuple -> a snapshot at which it stands at the marks
+        #: (the hit path's one comparison; dropped when one of its marks moves)
+        self._settled: dict[tuple[str, ...], tuple] = {}
+        #: entries filled since the last settlement, by key: not indexed yet
+        self.unindexed: dict[Hashable, CachedResult] = {}
         #: base relation -> row positions -> probed key -> keys of the entries
         #: that probed it: the union over an entry's fetch sites of one index
         self._reach: dict[str, dict[tuple[int, ...], dict[tuple, set[Hashable]]]] = {}
@@ -296,23 +338,25 @@ class ResultCache:
         return len(self._entries)
 
     def get(
-        self, key: Hashable, snapshot: tuple[int, ...], record: bool = True
+        self, key: Hashable, snapshot: tuple, record: bool = True
     ) -> CachedResult | None:
-        """The entry for ``key`` iff its stamp equals ``snapshot``, else ``None``.
+        """The entry for ``key`` iff ``snapshot`` puts its dependencies at their marks.
 
-        A snapshot mismatch counts as a miss and as ``stale``, and drops the
-        entry: the data moved on without a settlement (an out-of-band
-        write), so no later :meth:`repair` could soundly patch it.
-        ``record=False`` counts no hit and no miss, as on
-        :meth:`PlanStore.get` — the prober calls :meth:`record_hit` once the
-        read is served — but a stale entry is still dropped and counted
-        ``stale``, once.
+        Otherwise ``None``.  An entry a dependency of which moved past its
+        mark counts as a miss and as ``stale``, and is dropped: the data moved
+        on without a settlement (an out-of-band write), so no later
+        :meth:`repair` could soundly patch it.  ``record=False`` counts no hit
+        and no miss, as on :meth:`PlanStore.get` — the prober calls
+        :meth:`record_hit` once the read is served — but a stale entry is
+        still dropped and counted ``stale``, once.
         """
         entry = self._entries.get(key)
         if entry is None:
             self.misses += record
             return None
-        if entry.snapshot != snapshot:
+        if self._settled.get(entry.dependencies) != snapshot and not self._stands(
+            entry.dependencies, snapshot
+        ):
             # The data moved on under this entry; drop it eagerly.
             del self._entries[key]
             self._forget(key, entry)
@@ -322,6 +366,16 @@ class ResultCache:
         self._entries.move_to_end(key)
         self.hits += record
         return entry
+
+    def _stands(self, dependencies: tuple[str, ...], snapshot: tuple) -> bool:
+        """Whether ``snapshot`` puts every relation of ``dependencies`` at its
+        mark; if so it is memoized as the tuple's settled snapshot."""
+        marks = self.marks
+        for relation, token in zip(dependencies, self._tokens(dependencies, snapshot)):
+            if marks.get(relation, _UNMARKED) != token:
+                return False
+        self._settled[dependencies] = snapshot
+        return True
 
     def record_hit(self) -> None:
         """Count the hit of a ``get(..., record=False)`` whose read was served."""
@@ -333,34 +387,40 @@ class ResultCache:
         rows: frozenset[tuple],
         columns: tuple[str, ...],
         dependencies: Iterable[str],
-        snapshot: tuple[int, ...],
+        snapshot: tuple,
         env: tuple[frozenset[tuple], ...] | None = None,
         plan: object | None = None,
     ) -> None:
-        """Admit a result; ``env``/``plan`` make the entry repairable.
+        """Admit a result at ``snapshot``; ``env``/``plan`` make the entry repairable.
 
-        ``snapshot`` must be the dependency versions read *before* the
-        execution that produced ``rows`` (the caller validated them after,
-        or executed under a single-writer regime) — it is what :meth:`get`
-        and the repair path compare against.
+        ``snapshot`` must be the dependency snapshot read *before* the
+        execution that produced ``rows`` (the caller validated it after, or
+        executed under a single-writer regime).  A dependency that stands
+        elsewhere than its mark there is settled first (:meth:`settle`), so
+        the entry is admitted at the marks.  It waits in :attr:`unindexed`
+        for the next settlement to enter it in the reach index.
         """
         if self.capacity <= 0:
             return
         if len(rows) > self.max_rows:
             self.oversized += 1
             return
+        dependencies = tuple(dependencies)
+        if self._settled.get(dependencies) != snapshot:
+            self.settle(dependencies, self._tokens(dependencies, snapshot))
+            self._settled[dependencies] = snapshot
         previous = self._entries.get(key)
         if previous is not None:
             self._forget(key, previous)
         entry = self._entries[key] = CachedResult(
             rows=rows,
             columns=columns,
-            dependencies=tuple(dependencies),
-            snapshot=snapshot,
+            dependencies=dependencies,
             env=env,
             plan=plan if env is not None else None,
         )
-        self._by_dependencies.setdefault(entry.dependencies, {})[key] = entry
+        self._by_dependencies.setdefault(dependencies, {})[key] = entry
+        self.unindexed[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._forget(*self._entries.popitem(last=False))
@@ -372,6 +432,8 @@ class ResultCache:
         del filed[key]
         if not filed:
             del self._by_dependencies[entry.dependencies]
+            self._settled.pop(entry.dependencies, None)
+        self.unindexed.pop(key, None)
         self._unindex(key, entry)
 
     def entries_for(self, relations: Iterable[str]) -> list[tuple[Hashable, CachedResult]]:
@@ -387,6 +449,59 @@ class ResultCache:
             if touched.intersection(entry.dependencies)
         ]
 
+    # -- settlement marks -------------------------------------------------------------
+    def settle(self, relations: Iterable[str], tokens: Iterable) -> list[Hashable]:
+        """Bring each of ``relations`` that stands elsewhere than its mark to its token.
+
+        Such a relation was written without a settlement of this cache, so
+        every entry depending on it is swept (``stale``, see :meth:`sweep`)
+        before its mark moves.  Returns the swept keys.
+        """
+        marks = self.marks
+        moved = {
+            relation: token
+            for relation, token in zip(relations, tokens)
+            if marks.get(relation, _UNMARKED) != token
+        }
+        if not moved:
+            return []
+        swept = self.sweep(moved, "stale")
+        marks.update(moved)
+        return swept
+
+    def mark(self, tokens: Mapping[str, Hashable]) -> None:
+        """Record that each relation of ``tokens`` now stands settled at its token.
+
+        The caller has derived every entry its write reached under them, so
+        every other dependent is valid at the new marks as it is.  The memo of
+        settled snapshots forgets the dependency tuples whose marks moved.
+        """
+        self.marks.update(tokens)
+        settled = self._settled
+        if settled and tokens:
+            moved = tokens.keys()
+            for dependencies in [d for d in settled if not moved.isdisjoint(d)]:
+                del settled[dependencies]
+
+    def sweep(self, relations: Iterable[str], reason: str) -> list[Hashable]:
+        """Drop every entry that depends on one of ``relations``, and their marks.
+
+        What a relation that cannot be settled by derivation gets — one
+        written behind the cache's back (``stale``), or one that moved while
+        a settlement derived (``race``).  Each drop is counted like
+        :meth:`drop`'s, for ``reason``.  Returns the dropped keys.
+        """
+        relations = frozenset(relations)
+        dropped = []
+        for dependencies in self.dependency_tuples(relations):
+            scope = sorted(relations.intersection(dependencies))
+            for key in list(self._by_dependencies[dependencies]):
+                self.drop(key, reason=reason, relations=scope)
+                dropped.append(key)
+        for relation in relations:
+            self.marks.pop(relation, None)
+        return dropped
+
     # -- dependency tuples ------------------------------------------------------------
     def dependency_tuples(self, relations: Iterable[str]) -> list[tuple[str, ...]]:
         """The dependency tuples of the live entries that depend on any of ``relations``."""
@@ -400,25 +515,6 @@ class ResultCache:
     def entries_under(self, dependencies: tuple[str, ...]) -> dict[Hashable, CachedResult]:
         """The live entries filed under ``dependencies``, by key (read-only; empty if none)."""
         return self._by_dependencies.get(dependencies) or {}
-
-    def restamp(
-        self, dependencies: tuple[str, ...], snapshot: tuple, repaired: int = 0
-    ) -> int:
-        """Stamp every entry filed under ``dependencies`` with ``snapshot``: clean repairs, in bulk.
-
-        Under the snapshot contract of :meth:`repair`, for a settlement that
-        has passed ``repaired`` of these entries through :meth:`repair` (with
-        this same ``snapshot``; they are counted there) and provably did not
-        reach the others (:meth:`reached`): each of those counts as
-        ``repaired`` and ``repaired_clean``.  Returns how many that was.
-        """
-        entries = self.entries_under(dependencies)
-        for entry in entries.values():
-            entry.snapshot = snapshot
-        stamped = len(entries) - repaired
-        self.repaired += stamped
-        self.repaired_clean += stamped
-        return stamped
 
     # -- the reach index ----------------------------------------------------------
     def index(
@@ -434,7 +530,7 @@ class ResultCache:
         <repro.core.deltas.DeltaDeriver.reach>`).  Two sites may fetch one
         physical index, and what is registered is their union.  Kept on the
         entry as ``reach[base]``: an empty tuple still says the entry is
-        indexed for ``base``.
+        indexed for ``base``.  The entry leaves :attr:`unindexed`.
 
         Called again for a ``base`` the entry is indexed for, it replaces the
         registration site by site (the sites of one plan and relation come in
@@ -443,6 +539,7 @@ class ResultCache:
         same positions still probes it.
         """
         entry = self._entries[key]
+        self.unindexed.pop(key, None)
         old = entry.reach.get(base, ())
         if len(old) != len(reach):  # one of them is EVERY_WRITE: no site is kept
             self._unregister(key, base, old)
@@ -518,20 +615,18 @@ class ResultCache:
         *,
         rows: frozenset[tuple],
         env: tuple[frozenset[tuple], ...] | None,
-        snapshot: tuple[int, ...],
         rows_added: int = 0,
         rows_removed: int = 0,
     ) -> bool:
-        """Patch an entry in place and re-stamp its dependency snapshot.
+        """Patch an entry in place after a write that reached it.
 
-        The caller (the delta-maintenance write path) is responsible for the
-        snapshot contract: it verified the entry was valid for the pre-write
-        versions, derived ``rows``/``env`` from the applied delta, and
-        passes the **post-write** snapshot here.  A patch with
-        ``rows_added == rows_removed == 0`` is counted as a *clean* repair —
-        the write provably missed every index group the entry read, so only
-        the stamp moves.  Returns ``False`` when the entry vanished (LRU
-        eviction between derivation and patch).
+        The caller (the delta-maintenance write path) derived ``rows``/``env``
+        from the applied delta, and moves the touched relations' marks only
+        afterwards (:meth:`mark`).  A patch with ``rows_added == rows_removed
+        == 0`` is counted as a *clean* repair — the write reached a key the
+        entry probed and left its rows as they were.  Returns ``False`` when
+        the entry vanished (LRU eviction, a sweep between derivation and
+        patch).
 
         Installing ``env`` leaves ``keyed`` and the entry's part of the reach
         index alone: the derivation already brought ``keyed`` in step with
@@ -542,7 +637,6 @@ class ResultCache:
         if entry is None:
             return False
         entry.rows = rows
-        entry.snapshot = snapshot
         if env is not None:
             entry.env = env
         self.repaired += 1
@@ -582,9 +676,9 @@ class ResultCache:
     def invalidate(self, relations: Iterable[str] | None = None) -> int:
         """Purge entries depending on ``relations`` (all entries when ``None``).
 
-        Version snapshots already guarantee stale entries are never *served*;
-        the sweep exists to bound memory and to surface invalidation counts
-        in the stats.  Returns the number of entries dropped.
+        The marks already guarantee stale entries are never *served*; the
+        sweep exists to bound memory and to surface invalidation counts in
+        the stats.  Returns the number of entries dropped.
         """
         self.sweeps += 1
         if relations is None:
@@ -592,6 +686,8 @@ class ResultCache:
             self._entries.clear()
             self._reach.clear()
             self._by_dependencies.clear()
+            self._settled.clear()
+            self.unindexed.clear()
             if dropped:
                 self.invalidated_by["*"] = self.invalidated_by.get("*", 0) + dropped
         else:
@@ -599,8 +695,10 @@ class ResultCache:
             dropped = 0
             for dependencies in self.dependency_tuples(touched):
                 filed = self._by_dependencies.pop(dependencies)
+                self._settled.pop(dependencies, None)
                 for key, entry in filed.items():
                     del self._entries[key]
+                    self.unindexed.pop(key, None)
                     self._unindex(key, entry)
                 for relation in touched.intersection(dependencies):
                     self.invalidated_by[relation] = (

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -367,9 +368,22 @@ class PlanExecutor:
         key_positions = tuple(position_of(positions, c, step) for c in op.key_columns)
         source = op.inputs[0]
         fetch = self.source.fetcher(plan, step, batched=False)
+        # Fetch keys are tuples, however many positions: one key column is
+        # wrapped by hand, several are picked at C speed.
+        if len(key_positions) == 1:
 
-        def fetch_kernel(env, counter, _src=source, _kp=key_positions, _fetch=fetch):
-            return _fetch({tuple(row[p] for p in _kp) for row in env[_src]}, counter)
+            def fetch_kernel(env, counter, _src=source, _p=key_positions[0], _fetch=fetch):
+                return _fetch({(row[_p],) for row in env[_src]}, counter)
+
+        elif key_positions:
+
+            def fetch_kernel(env, counter, _src=source, _key=itemgetter(*key_positions), _fetch=fetch):
+                return _fetch(set(map(_key, env[_src])), counter)
+
+        else:
+
+            def fetch_kernel(env, counter, _src=source, _fetch=fetch):
+                return _fetch({() for _ in env[_src]}, counter)
 
         # Index tuples are aligned with sorted(lhs | rhs); so are the step's columns.
         return fetch_kernel, step.columns
@@ -395,8 +409,8 @@ class PlanExecutor:
 
             return project_one, tuple(names)
 
-        def project_kernel(env, counter, _src=source, _ps=positions):
-            return {tuple(row[p] for p in _ps) for row in env[_src]}
+        def project_kernel(env, counter, _src=source, _pick=itemgetter(*positions)):
+            return set(map(_pick, env[_src]))
 
         return project_kernel, tuple(names)
 
@@ -417,21 +431,22 @@ class PlanExecutor:
         combined = left_columns + right_columns
         matcher = _compile_predicates(op.residual, combined) if op.residual else None
 
+        # Both sides key alike: a scalar for one pair, a tuple for several.
         def join_kernel(
             env,
             counter,
             _l=left,
             _r=right,
-            _probe=probe_positions,
-            _build=build_positions,
+            _probe=itemgetter(*probe_positions),
+            _build=itemgetter(*build_positions),
             _match=matcher,
         ):
-            buckets: dict[Row, list[Row]] = {}
+            buckets: dict = {}
             for row in env[_r]:
-                buckets.setdefault(tuple(row[p] for p in _build), []).append(row)
+                buckets.setdefault(_build(row), []).append(row)
             joined: set[Row] = set()
             for row in env[_l]:
-                matches = buckets.get(tuple(row[p] for p in _probe))
+                matches = buckets.get(_probe(row))
                 if not matches:
                     continue
                 if _match is None:

@@ -70,7 +70,7 @@ class FaultSpec:
     ``error_rate`` raises a :class:`TransientFault` with that probability.
     Checks run in that order; an injected failure still pays the injected
     latency, like a real slow-then-dead dependency.  The remaining modes are
-    specific to shard sites: ``stale_snapshot_rate`` only affects
+    specific to shard sites: ``stale_snapshot_every`` only affects
     ``snapshot`` sites, ``torn_write_every`` / ``lost_write_every`` only
     write sites.
     """
@@ -79,8 +79,10 @@ class FaultSpec:
     latency_jitter: float = 0.0
     error_rate: float = 0.0
     fail_every: int | None = None
-    #: probability a ``snapshot`` call returns the previous epoch token
-    stale_snapshot_rate: float = 0.0
+    #: every Nth ``snapshot`` call returns the last token the site returned
+    #: for the same relations — by schedule, so what is stale does not move
+    #: with how often (or in which order) anything else snapshots
+    stale_snapshot_every: int | None = None
     #: every Nth write batch applies a strict prefix, then aborts
     torn_write_every: int | None = None
     #: every Nth write batch is silently swallowed (no error, no mutation)
@@ -267,8 +269,8 @@ class FaultInjector:
             stale_key = (snapshot_site, relations)
             if (
                 spec is not None
-                and spec.stale_snapshot_rate > 0.0
-                and rng.random() < spec.stale_snapshot_rate
+                and spec.stale_snapshot_every is not None
+                and count % spec.stale_snapshot_every == 0
                 and stale_key in self._snapshots
             ):
                 self._count_injection(snapshot_site)

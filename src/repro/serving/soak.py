@@ -120,7 +120,9 @@ class SoakConfig:
     flaky_error_rate: float = 0.3
     flaky_latency: float = 0.002
     flaky_torn_write_every: int = 5
-    flaky_stale_snapshot_rate: float = 0.15
+    #: every Nth snapshot of the flaky set is its previous token (N ≥ 2: a
+    #: read's retry always meets a fresh one, so none is abandoned)
+    flaky_stale_snapshot_every: int = 7
 
 
 @dataclass
@@ -391,7 +393,7 @@ def run_soak(config: SoakConfig) -> dict:
             injector.install_shard(target_set)
             injector.configure(
                 f"{target_set.name}.snapshot",
-                FaultSpec(stale_snapshot_rate=config.flaky_stale_snapshot_rate),
+                FaultSpec(stale_snapshot_every=config.flaky_stale_snapshot_every),
             )
             scenario_log["flaky_replica"] = victim.name
 
@@ -568,15 +570,10 @@ def run_soak(config: SoakConfig) -> dict:
         replication = router_stats["replication"]
         # ``mixed_epoch_aborts`` counts reads the epoch guard abandoned.
         # Nothing moves under a read in this soak, so there must be none —
-        # except under ``flaky_shard``, whose set *injects* stale epoch
-        # tokens: whether a read draws three in a row is the schedule's luck
-        # (about one seed in eight), so there the demand is what makes an
-        # abandoned read safe: each reached the server as a ``bounded:fault``
-        # (retried, or failed typed), never as rows.
+        # ``flaky_shard`` included: its set injects a stale epoch token on
+        # every Nth snapshot (N ≥ 2), which fails the read's validation and
+        # costs it one retry, never three in a row.
         abandoned = scatter["mixed_epoch_aborts"]
-        refused = stats["serving"]["retries"] + stats["serving"]["ladder"].get(
-            "bounded_failed", 0
-        )
         checks.update(
             {
                 # Every served read already row-matched the single-database
@@ -584,9 +581,7 @@ def run_soak(config: SoakConfig) -> dict:
                 # mechanics: fetches actually scattered, every merge stayed
                 # within one epoch per shard, and writes routed in batches.
                 "federation_scattered": scatter["scatters"] > 0,
-                "no_mixed_epoch_merges": (
-                    abandoned <= refused if config.flaky_shard else abandoned == 0
-                ),
+                "no_mixed_epoch_merges": abandoned == 0,
                 "writes_routed": scatter["write_batches"] > 0,
             }
         )

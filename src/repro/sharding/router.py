@@ -206,6 +206,10 @@ class ShardRouter(ServingCore):
             for shard, part in zip(self.shards, snapshot)
         )
 
+    def _tokens(self, relations: tuple[str, ...], snapshot: tuple[tuple[int, ...], ...]):
+        # shard-major to relation-major: a relation's token is its version on every shard
+        return zip(*snapshot)
+
     def _group_of(self, constraint: AccessConstraint, row: Row) -> set[Row]:
         """The union of every shard's share: a group spans shards when the
         partition attribute is not in ``X``, each share within ``N`` alone."""

@@ -110,7 +110,8 @@ class VersionClock:
         written in between, which is what makes ``(fingerprint, snapshot)``
         a sound result-cache key.
         """
-        return tuple(self._per_key.get(key, 0) for key in keys)
+        per_key = self._per_key
+        return tuple([per_key.get(key, 0) for key in keys])
 
     def validate(self, keys: Iterable[Hashable], snapshot: tuple[int, ...]) -> bool:
         """Whether ``keys`` still stand at ``snapshot`` — a lock-free read check.

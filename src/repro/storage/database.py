@@ -19,8 +19,8 @@ class Database:
     The database carries a :class:`~repro.storage.counters.VersionClock`:
     every mutation that actually changes data advances a global version and
     stamps the touched relation, so caches (and the serving engine's result
-    cache in particular) can validate entries against
-    ``(relation versions at fill time)`` instead of being cleared wholesale.
+    cache in particular) can validate entries against per-relation versions
+    instead of being cleared wholesale.
 
     **Write-path contract**: mutations must go through this class's
     ``insert``/``delete``/``insert_many`` (no indexes to keep) or

@@ -50,10 +50,10 @@ class ConstraintIndex:
 
     # -- maintenance ---------------------------------------------------------------
     def _key(self, row: Row) -> Row:
-        return tuple(row[p] for p in self._lhs_positions)
+        return tuple([row[p] for p in self._lhs_positions])
 
     def _value(self, row: Row) -> Row:
-        return tuple(row[p] for p in self._column_positions)
+        return tuple([row[p] for p in self._column_positions])
 
     def _add_row(self, row: Row) -> None:
         group = self._entries.setdefault(self._key(row), {})

@@ -2,26 +2,29 @@
 
 Structural rules first (which writes are derivable through which plans), then
 the engine-level contract: dirty writes patch cached entries in place, writes
-into unprobed index groups re-stamp without execution, and anything the
+into unprobed index groups leave them unvisited and valid, and anything the
 deriver cannot prove — difference plans, missing environments — invalidates
 rather than ever serving a stale repaired entry.
 """
 
 import gc
 import logging
+import sys
 import weakref
 
 import pytest
 
 from repro.core import engine as engine_module
+from repro.core.access import AccessConstraint, AccessSchema
 from repro.core.deltas import CLEAN, FALLBACK, PATCHED, DeltaDeriver, FetchKeys, WriteDelta
 from repro.core.engine import BoundedEngine, prepare_query
 from repro.core.plan import BoundedPlan
 from repro.core.query import Relation, conjunction, eq
-from repro.core.schema import RelationSchema
+from repro.core.schema import DatabaseSchema, RelationSchema
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
 from repro.evaluator.executor import PlanExecutor
+from repro.storage.database import Database
 from repro.workloads import facebook
 
 
@@ -105,13 +108,13 @@ class TestEngineRepair:
         q1 = facebook.query_q1()
         engine.execute(q1)
         # A cafe whose cid no cached fetch ever probed: the write cannot be
-        # visible through the plan, so the entry is re-stamped, not re-run.
+        # visible through the plan, so the entry is neither re-run nor even
+        # looked at — the relation's settlement mark moves past it.
         engine.apply_insert("cafe", ("c_unseen", "nowhere"))
         stats = engine.cache_stats()["result_cache"]
-        assert stats["repaired"] == 1
-        assert stats["repaired_clean"] == 1
-        assert stats["rows_patched"] == 0
-        assert engine.execute(q1).result_cached
+        assert (stats["repaired"], stats["repaired_clean"], stats["rows_patched"]) == (0, 0, 0)
+        result = engine.execute(q1)
+        assert result.result_cached and result.rows == evaluate(q1, fb_database).rows
 
     @pytest.mark.usefixtures("row_kernels")
     def test_probed_key_patches_rows_in_place(self, fb_database, fb_access):
@@ -126,7 +129,7 @@ class TestEngineRepair:
         assert ("c_d",) in result.rows
         assert result.rows == evaluate(q1, fb_database).rows
         stats = engine.cache_stats()["result_cache"]
-        assert stats["repaired"] == 3
+        assert stats["repaired"] == 2  # the cafe insert reached no probed key
         assert stats["rows_patched"] >= 1
         assert stats["repair_fallbacks"] == 0
 
@@ -196,9 +199,9 @@ class TestEngineRepair:
         self, fb_database, fb_access
     ):
         # A Database.insert that bypasses the engine bumps the clock without
-        # running a derivation; the *next* engine write then sees a snapshot
-        # mismatch and must drop the entry rather than repair over unknown
-        # intermediate state.
+        # running a derivation; the *next* engine write then finds the
+        # relation past its settlement mark and must sweep its dependents
+        # rather than repair over unknown intermediate state.
         engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
         engine.execute(q1)
@@ -287,6 +290,37 @@ def dined_by_friends_of(person: str):
     )
 
 
+def hub_and_spokes(spokes: int, keys: int):
+    """``hub(k, v)`` beside ``spokes`` relations ``s<i>(k, w)``, one query per spoke and key.
+
+    The query of spoke ``i`` and key ``j`` reads ``hub`` and ``s<i>`` under
+    ``k<j>``: ``spokes`` dependency tuples ``("hub", "s<i>")`` of ``keys``
+    entries each.  Returns ``(database, access schema, queries)``.
+    """
+    names = [f"s{i}" for i in range(spokes)]
+    schema = DatabaseSchema.from_dict({"hub": ["k", "v"], **{name: ["k", "w"] for name in names}})
+    access = AccessSchema(
+        [AccessConstraint.of("hub", "k", "v", 10, name="hub_k")]
+        + [AccessConstraint.of(name, "k", "w", 10, name=f"{name}_k") for name in names],
+        schema=schema,
+    )
+    database = Database(schema)
+    database.insert_many("hub", [(f"k{j}", j) for j in range(keys)])
+    for name in names:
+        database.insert_many(name, [(f"k{j}", -j) for j in range(keys)])
+    hub = Relation.from_schema(schema, "hub")
+    queries = []
+    for name in names:
+        spoke = Relation.from_schema(schema, name)
+        for j in range(keys):
+            queries.append(
+                hub.join(spoke, eq(hub["k"], spoke["k"]))
+                .select(eq(hub["k"], f"k{j}"))
+                .project([hub["v"], spoke["w"]])
+            )
+    return database, access, queries
+
+
 def fetch_sites(plan: BoundedPlan, base: str) -> list[int]:
     return [
         step.id for step in plan.fetch_steps() if plan.base_relation(step.op.constraint) == base
@@ -313,7 +347,7 @@ class TestSettlementCost:
         q1 = facebook.query_q1()
         engine.execute(q1)
         (entry,) = [entry for _, entry in engine.result_cache.entries_for(("friend",))]
-        # the first settlement to meet the entry reads every fetch's key set
+        # the first settlement after the fill reads every fetch's key set
         engine.apply_insert("friend", ("p_nobody", "p_first"))
         (friend,) = fetch_sites(entry.plan, "friend")
         downstream = rekeyed_by(entry.plan, "friend")
@@ -322,7 +356,7 @@ class TestSettlementCost:
         replaced: list[weakref.ref] = []
         for cycle in range(200):
             write = engine.apply_delete if cycle % 2 else engine.apply_insert
-            # A write that misses re-stamps the entry and re-reads nothing.
+            # A write that misses leaves the entry alone and re-reads nothing.
             kept = dict(entry.keyed)
             write("friend", ("p_nobody", "p_cycle"))
             assert all(entry.keyed[site] is keys for site, keys in kept.items())
@@ -359,13 +393,105 @@ class TestSettlementCost:
         stats = engine.result_cache.stats()
         assert (stats["entries"], stats["reach_keys"], stats["reach_entries"]) == (0, 0, 0)
 
+    def test_a_write_reads_its_relations_tokens_three_times(self):
+        """Before the write, after it, after the derivations — whatever is cached.
+
+        Twice the dependency tuples, or twice the entries under them, read
+        no more clock values: the marks are per relation, not per tuple or
+        entry.
+        """
+
+        def reads_per_write(spokes: int, keys: int) -> list:
+            database, access, queries = hub_and_spokes(spokes, keys)
+            engine = BoundedEngine(database, access)
+            for query in queries:
+                engine.execute(query)
+            assert len(engine.result_cache.dependency_tuples(["hub"])) == spokes
+            assert len(engine.result_cache) == spokes * keys
+            reads, snapshot = [], database.clock.snapshot
+
+            def reading(relations):
+                reads.append(tuple(relations))
+                return snapshot(relations)
+
+            database.clock.snapshot = reading
+            per_write = []
+            for batch in range(3):
+                reads.clear()
+                engine.apply_updates([Update.insert("hub", (f"k{batch}", 100 + batch))])
+                per_write.append(list(reads))
+            del database.clock.snapshot
+            for query in queries:
+                result = engine.execute(query)
+                assert result.result_cached and result.rows == evaluate(query, database).rows
+            return per_write
+
+        three = [[("hub",)] * 3] * 3
+        assert reads_per_write(3, 4) == reads_per_write(6, 4) == reads_per_write(3, 8) == three
+
+    def test_an_unreached_indexed_entry_costs_the_settlement_nothing(self):
+        """A write executes the same opcodes beside twice the entries it does not reach."""
+
+        def opcodes_of_a_write(keys: int) -> int:
+            database, access, queries = hub_and_spokes(3, keys)
+            engine = BoundedEngine(database, access)
+            for query in queries:
+                engine.execute(query)
+            engine.apply_updates([Update.insert("hub", ("k_first", 0))])  # indexes them all
+            assert not engine.result_cache.unindexed
+            assert all(engine.execute(query).result_cached for query in queries)
+            counted = [0]
+
+            def local(frame, event, arg):
+                counted[0] += event == "opcode"
+                return local
+
+            def trace(frame, event, arg):
+                frame.f_trace_opcodes = True
+                return local
+
+            previous = sys.gettrace()
+            sys.settrace(trace)
+            try:
+                engine.apply_updates([Update.insert("hub", ("k0", 100))])
+            finally:
+                sys.settrace(previous)
+            for query in queries:
+                result = engine.execute(query)
+                assert result.result_cached and result.rows == evaluate(query, database).rows
+            return counted[0]
+
+        assert opcodes_of_a_write(4) == opcodes_of_a_write(8)
+
+    def test_an_entry_filled_after_a_write_is_reached_by_the_next(self, fb_database, fb_access):
+        """The reach index holds every entry a settlement can reach, however new.
+
+        An entry filled since the last settlement is not in the index yet; the
+        next settlement that can reach it enters it before it intersects the
+        index, so a write to a key it probed patches it instead of moving the
+        mark past it.
+        """
+        engine = BoundedEngine(fb_database, fb_access)
+        engine.execute(friends_of("p0"))
+        engine.apply_insert("friend", ("p0", "p_first"))  # settles, indexing p0's entry
+        late = friends_of("p1")
+        assert not engine.execute(late).result_cached
+        key = engine.prepare(late)[0].result_key
+        assert list(engine.result_cache.unindexed) == [key]
+        settle, verdicts = engine._settle, []
+        engine._settle = lambda *args: verdicts.append(settle(*args)) or verdicts[-1]
+        engine.apply_insert("friend", ("p1", "p_late"))
+        assert verdicts == [{key: PATCHED}]
+        result = engine.execute(late)
+        assert result.result_cached and ("p_late",) in result.rows
+        assert result.rows == evaluate(late, fb_database).rows
+
     def test_a_batch_costs_what_it_reached_not_what_is_cached(self, fb_database, fb_access):
         """n cached dependents under three dependency tuples, a batch reaches k of them.
 
-        k derivations; one snapshot and one validation per dependency tuple,
-        before the write and after it; one index look-up per written key and
-        indexed position tuple.  Doubling n at fixed tuples and k moves none
-        of them.
+        k derivations; three token reads of the written relation, whatever
+        the tuples; one index look-up per written key and indexed position
+        tuple.  Doubling n at fixed tuples and k moves none of them.
         """
 
         class Counted(dict):
@@ -394,21 +520,14 @@ class TestSettlementCost:
                     slots[positions] = Counted(slots[positions])
             assert engine.result_cache.stats()["reach_entries"] == len(queries)
             calls = {"derive": 0, "snapshot": 0, "validate": 0}
-            settling = []
+            writing = []
 
-            def counted(name, function, always=False):
+            def counted(name, function):
                 def wrapper(*args, **kwargs):
-                    calls[name] += always or bool(settling)
+                    calls[name] += bool(writing)
                     return function(*args, **kwargs)
 
                 return wrapper
-
-            def settle(*args, _settle=engine._settle):
-                settling.append(True)
-                try:
-                    return _settle(*args)
-                finally:
-                    settling.pop()
 
             def intersect(delta, _reached=engine.result_cache.reached):
                 Counted.intersecting = True
@@ -417,21 +536,13 @@ class TestSettlementCost:
                 finally:
                     Counted.intersecting = False
 
-            def candidates(relations, _candidates=engine._repair_candidates):
-                settling.append(True)
-                try:
-                    return _candidates(relations)
-                finally:
-                    settling.pop()
-
-            engine._settle = settle
-            engine._repair_candidates = candidates
             engine.result_cache.reached = intersect
             engine._snapshot = counted("snapshot", engine._snapshot)
             engine._validate = counted("validate", engine._validate)
-            engine._deriver.derive = counted("derive", engine._deriver.derive, always=True)
+            engine._deriver.derive = counted("derive", engine._deriver.derive)
             before, Counted.gets = engine.result_cache.stats(), 0
             batches = 6
+            writing.append(True)
             for batch in range(batches):
                 engine.apply_updates(
                     [
@@ -439,8 +550,9 @@ class TestSettlementCost:
                         for i in range(reached)
                     ]
                 )
+            writing.clear()
             after = engine.result_cache.stats()
-            assert after["repaired"] - before["repaired"] == len(queries) * batches
+            assert after["repaired"] - before["repaired"] == reached * len(shapes) * batches
             assert after["repair_fallbacks"] == 0
             for query in queries:
                 assert engine.execute(query).rows == evaluate(query, fb_database).rows
@@ -449,8 +561,8 @@ class TestSettlementCost:
         small, large = cost_of(people=8, reached=2), cost_of(people=16, reached=2)
         assert small == large == {
             "derive": 6 * 2 * len(shapes),
-            "snapshot": 6 * 2 * len(shapes),  # before the write and after it
-            "validate": 6 * len(shapes),
+            "snapshot": 6 * 3,  # before the write, after it, after the derivations
+            "validate": 0,
             "lookups": 6 * 2,  # every plan fetches friend under one position tuple
         }
         assert cost_of(people=16, reached=4)["derive"] == 6 * 4 * len(shapes)
@@ -575,8 +687,9 @@ class TestSettlementCost:
                     Update.delete("friend", (person, f"p_new{batch - 16}")),
                 ]
             )
-        assert engine.cache_stats()["result_cache"]["repaired"] == 16 * batches
-        assert calls["patched"] == batches  # each batch dirties exactly one entry
+        # each batch reaches, and dirties, exactly one entry; the others are not visited
+        assert engine.cache_stats()["result_cache"]["repaired"] == batches
+        assert calls["patched"] == batches
         # O(#plans): one program per plan, however many batches settle through it
         assert calls["fetch_steps"] == 16
         assert calls["positions"] <= 16 * fetch_steps

@@ -86,6 +86,28 @@ class Substrate:
             self.core.indexes.apply_insert(relation, row)
         self.reference.insert(relation, row)
 
+    def second_core(self):
+        """Another core over the same data: it settles nothing of this core's writes.
+
+        A second router shares this one's shards; a second engine shares the
+        database but keeps constraint indexes of its own (see :meth:`follow`).
+        """
+        if self.federated:
+            return ShardRouter(self.core.shards, self.core.partitioner, self.core.access_schema)
+        return BoundedEngine(self.reference, self.core.access_schema)
+
+    def follow(self, core, report) -> None:
+        """Hand ``core`` the rows ``report`` applied through this core.
+
+        An engine's indexes are its own, not the database's, so the second
+        engine's take the applied rows; shards are shared, so routers need
+        nothing.  Neither core settles anything.
+        """
+        if not self.federated:
+            for update in report.applied_updates:
+                apply = core.indexes.apply_insert if update.kind == "insert" else core.indexes.apply_delete
+                apply(update.relation, update.row)
+
     @contextmanager
     def second_update_fails(self, batch: list[Update]):
         """Within the block, ``batch`` applies its first update and aborts on the second."""
@@ -146,6 +168,13 @@ def moved(before: dict, after: dict) -> dict:
         for name in after
         if after[name] != before[name] and name != "hit_rate"
     }
+
+
+def recording_settlements(core) -> list:
+    """The verdict maps of ``core``'s settlements from now on, in order."""
+    settle, verdicts = core._settle, []
+    core._settle = lambda *args: verdicts.append(settle(*args)) or verdicts[-1]
+    return verdicts
 
 
 class TestReads:
@@ -297,9 +326,13 @@ class TestBundledWorkloads:
             core.apply_updates([write])
             settled = moved(before, substrate.result_cache())
             if modes == {"row"}:  # row kernels patch in place; a dirty columnar entry is dropped
-                # (the reach index the first settlement builds outlives the patch)
+                # (the reach index the first settlement builds outlives the patch;
+                # an entry the write reached can come back clean)
                 assert settled["rows_patched"] > 0
-                assert set(settled) - {"reach_keys", "reach_entries"} == {"repaired", "rows_patched"}
+                assert set(settled) - {"reach_keys", "reach_entries", "repaired_clean"} == {
+                    "repaired",
+                    "rows_patched",
+                }
             rereads = [core.execute(query).rows for query in queries]
             assert rereads == [evaluate(query, substrate.reference).rows for query in queries]
             assert (rereads == answers) is (write.kind == "insert")
@@ -351,7 +384,7 @@ class TestProbe:
         hot.core.execute(hot.query)
         hot.insert_out_of_band("hot", ("a", 8))
         before, lookups = hot.result_cache(), self.lookups(hot.core)
-        assert hot.core.probe(hot.query) is None  # stamp != snapshot
+        assert hot.core.probe(hot.query) is None  # hot stands past its settlement mark
         assert moved(before, hot.result_cache()) == {"entries": -1, "stale": 1}
         assert self.lookups(hot.core) == lookups
         result = hot.core.execute(hot.query)
@@ -375,16 +408,13 @@ class TestWriteSettlement:
         assert repeat.rows == first.rows == evaluate(hot.query, hot.reference).rows
 
     def test_write_missing_every_probed_key_restamps(self, hot):
+        # Nothing the write reached: the entry is indexed — the first
+        # settlement after its fill enters the one key it probed — and then
+        # not looked at again; the relation's mark moves past it.
         first = hot.core.execute(hot.query)
         before = hot.result_cache()
         hot.core.apply_updates([Update.insert("hot", ("b", 4))])
-        # the first settlement to meet the entry indexes the one key it probed
-        assert moved(before, hot.result_cache()) == {
-            "repaired": 1,
-            "repaired_clean": 1,
-            "reach_keys": 1,
-            "reach_entries": 1,
-        }
+        assert moved(before, hot.result_cache()) == {"reach_keys": 1, "reach_entries": 1}
         assert hot.core.cache_stats()["plan_store"]["sweeps"] == 0
         repeat = hot.core.execute(hot.query)
         assert repeat.result_cached and repeat.rows == first.rows
@@ -420,7 +450,7 @@ class TestWriteSettlement:
         changed = moved(before, substrate.result_cache())
         indexed = changed.pop("reach_keys")
         assert indexed > 0 and changed.pop("reach_entries") == 1
-        assert changed == {"repaired": 1, "repaired_clean": 1}
+        assert changed == {}  # unreached: not looked at
         assert core.execute(query).result_cached
         before = substrate.result_cache()
         core.apply_updates([Update.insert("friend", ("p0", "p_new"))])
@@ -450,7 +480,7 @@ class TestWriteSettlement:
 
     def test_entry_outdated_before_the_batch_is_dropped_as_stale(self, hot):
         # A write that bypasses the core moves an epoch without a derivation;
-        # repairing at the next batch would stamp over the unseen write.
+        # repairing at the next batch would patch over the unseen write.
         hot.core.execute(hot.query)
         hot.insert_out_of_band("hot", ("a", 8))
         before = hot.result_cache()
@@ -509,19 +539,76 @@ class TestWriteSettlement:
 
     def test_settlement_derives_from_the_effective_writes(self, hot):
         # One effective insert off the probed key, one duplicate on it: the
-        # batch changed nothing the entry read, on any substrate.
+        # batch reached nothing the entry read, on any substrate — no verdict,
+        # and the entry is served as it was.
         hot.core.execute(hot.query)
-        settle, verdicts = hot.core._settle, []
-        hot.core._settle = lambda *args: verdicts.append(settle(*args))
+        verdicts = recording_settlements(hot.core)
         report = hot.core.apply_updates(
             [Update.insert("hot", ("b", 9)), Update.insert("hot", ("a", 1))]
         )
         assert (report.applied, report.skipped) == (1, 1)
         assert report.applied_updates == [Update.insert("hot", ("b", 9))]
-        assert [list(settled.values()) for settled in verdicts] == [["clean"]]
+        assert verdicts == [{}]
         repeat = hot.core.execute(hot.query)
         assert repeat.result_cached
         assert repeat.rows == evaluate(hot.query, hot.reference).rows
+
+
+class TestWhatTheMarksCarry:
+    """What per-entry stamps guaranteed, held by per-relation settlement marks."""
+
+    def test_an_out_of_band_write_is_never_served_and_the_next_write_sweeps(self, hot):
+        relation = Relation.from_schema(hot.reference.schema, "hot")
+        other = relation.select(eq(relation["k"], "b")).project([relation["v"]])
+        for query in (hot.query, other):
+            hot.core.execute(query)
+        hot.insert_out_of_band("hot", ("b", 8))
+        verdicts = recording_settlements(hot.core)
+        # a write that reaches neither entry's probed key: both were outdated
+        # behind the core's back, so both are swept, not patched nor left
+        hot.core.apply_updates([Update.insert("hot", ("z", 1))])
+        assert sorted(verdicts[-1].values()) == ["stale", "stale"]
+        assert hot.result_cache()["entries"] == 0
+        for query in (hot.query, other):
+            result = hot.core.execute(query)
+            assert not result.result_cached
+            assert result.rows == evaluate(query, hot.reference).rows
+        assert (8,) in hot.core.execute(other).rows
+
+    def test_a_second_core_over_the_same_data_serves_what_the_first_wrote(self, hot):
+        first, second = hot.core, hot.second_core()
+        for core in (first, second):
+            assert core.execute(hot.query).rows == {(1,), (2,)}
+            assert core.execute(hot.query).result_cached
+        report = first.apply_updates([Update.insert("hot", ("a", 4))])
+        hot.follow(second, report)
+        assert first.execute(hot.query).result_cached  # patched by its own write
+        result = second.execute(hot.query)
+        assert not result.result_cached
+        assert result.rows == {(1,), (2,), (4,)} == evaluate(hot.query, hot.reference).rows
+        assert second.execute(hot.query).result_cached
+
+    def test_a_write_racing_the_settlement_drops_what_it_would_patch(self, hot):
+        hot.core.execute(hot.query)
+        derive, raced = hot.core._deriver.derive, []
+
+        def racing(*args, **kwargs):
+            if not raced:
+                raced.append(True)
+                hot.insert_out_of_band("hot", ("a", 8))
+            return derive(*args, **kwargs)
+
+        hot.core._deriver.derive = racing
+        verdicts = recording_settlements(hot.core)
+        before = hot.result_cache()
+        hot.core.apply_updates([Update.insert("hot", ("a", 4))])
+        assert raced and list(verdicts[-1].values()) == ["race"]
+        changed = moved(before, hot.result_cache())
+        assert changed["repair_fallback_reasons"] == {"race": 1}
+        assert "repaired" not in changed and changed["entries"] == -1
+        result = hot.core.execute(hot.query)
+        assert not result.result_cached
+        assert result.rows == {(1,), (2,), (4,), (8,)} == evaluate(hot.query, hot.reference).rows
 
 
 class TestFailedWrites:

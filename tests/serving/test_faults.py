@@ -24,7 +24,7 @@ class TestFaultSpec:
         assert FaultSpec(error_rate=0.5).active
         assert FaultSpec(fail_every=3).active
         assert FaultSpec(latency_jitter=0.001).active
-        assert FaultSpec(stale_snapshot_rate=0.1).active
+        assert FaultSpec(stale_snapshot_every=3).active
         assert FaultSpec(torn_write_every=2).active
         assert FaultSpec(lost_write_every=2).active
 
@@ -261,15 +261,18 @@ class TestShardSnapshotFaults:
         injector = FaultInjector(seed=0)
         injector.install_shard(shard)
         injector.configure(
-            f"{shard.name}.snapshot", FaultSpec(stale_snapshot_rate=1.0)
+            f"{shard.name}.snapshot", FaultSpec(stale_snapshot_every=2)
         )
-        first = shard.snapshot(("friend",))  # no previous token yet: clean
+        first = shard.snapshot(("friend",))  # call 1: clean
         shard.database.clock.bump(("friend",))
-        stale = shard.snapshot(("friend",))
+        stale = shard.snapshot(("friend",))  # call 2: the site's last token
         assert stale == first
         # The replayed token must fail validation — that is the whole point:
         # the router's merge guard refuses to serve through it.
         assert not shard.validate(("friend",), stale)
+        fresh = shard.snapshot(("friend",))  # call 3: clean again, by schedule
+        assert fresh != stale and shard.validate(("friend",), fresh)
+        assert injector.stats()[f"{shard.name}.snapshot"] == {"calls": 3, "injected": 1}
 
 
 class TestShardTeardownAndStats:

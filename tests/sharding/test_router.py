@@ -262,11 +262,14 @@ class TestDeltaRepairOverFederation:
         assert ("c_fed",) in result.rows
         assert result.rows == evaluate(query, database).rows
 
-    def test_write_racing_the_derivation_drops_entry_not_patches(self):
-        # Satellite 5, the narrower window: a shard write landing *while*
-        # the deriver re-scatters dirty fetches would let the patch merge
-        # mixed epochs; the post-derivation validate catches it and the
-        # entry is dropped as a race.
+    def test_write_racing_the_derivation_is_never_served(self):
+        # The narrower window: a shard write landing *while* the deriver
+        # re-scatters dirty fetches could let the patch merge mixed epochs.
+        # It lands on cafe, which the batch did not touch: the entry is
+        # patched for friend, but cafe keeps its old settlement mark, so the
+        # patched entry is never served — the next read drops it and
+        # re-executes.  (A race on a relation the batch touched drops the
+        # entry at once: ``TestWhatTheMarksCarry`` in test_serving_core.py.)
         router, database = mirrored_topology()
         query = facebook.query_q1()
         router.execute(query)
@@ -290,9 +293,10 @@ class TestDeltaRepairOverFederation:
         router.apply_updates([Update.insert("friend", ("p0", "p_mid"))])
         stats = router.cache_stats()["result_cache"]
         assert fired, "the derivation must have scattered at least one fetch"
-        assert stats["repaired"] == 0
-        assert stats["repair_fallback_reasons"] == {"race": 1}
+        assert (stats["repaired"], stats["repair_fallbacks"]) == (1, 0)
         result = router.execute(query)
+        assert not result.result_cached
+        assert router.cache_stats()["result_cache"]["stale"] == 1
         assert result.rows == evaluate(query, database).rows
 
     def test_failed_batch_sweeps_conservatively_instead_of_repairing(self):
