@@ -450,12 +450,12 @@ class ResultCache:
         ]
 
     # -- settlement marks -------------------------------------------------------------
-    def settle(self, relations: Iterable[str], tokens: Iterable) -> list[Hashable]:
+    def settle(self, relations: Iterable[str], tokens: Iterable) -> None:
         """Bring each of ``relations`` that stands elsewhere than its mark to its token.
 
         Such a relation was written without a settlement of this cache, so
         every entry depending on it is swept (``stale``, see :meth:`sweep`)
-        before its mark moves.  Returns the swept keys.
+        before its mark moves.
         """
         marks = self.marks
         moved = {
@@ -463,11 +463,9 @@ class ResultCache:
             for relation, token in zip(relations, tokens)
             if marks.get(relation, _UNMARKED) != token
         }
-        if not moved:
-            return []
-        swept = self.sweep(moved, "stale")
-        marks.update(moved)
-        return swept
+        if moved:
+            self.sweep(moved, "stale")
+            marks.update(moved)
 
     def mark(self, tokens: Mapping[str, Hashable]) -> None:
         """Record that each relation of ``tokens`` now stands settled at its token.
