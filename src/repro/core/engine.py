@@ -30,8 +30,8 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
   (:func:`repro.core.fingerprint.prepared_cache_key`).  The
   store is *shareable*: pass one :class:`~repro.core.planstore.PlanStore`
   to several cores serving the same access schema and each query is
-  prepared once fleet-wide.  Entries are tagged with the base relations
-  their plan fetches from, so a sweep drops only dependents.
+  prepared once fleet-wide.  No write touches it: an entry leaves only by
+  LRU displacement.
 
 * **Result cache** — covered results are bounded by the access schema
   (≤ ``access_bound()`` tuples), so the core keeps a
@@ -62,9 +62,10 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
   :class:`~repro.core.deltas.DeltaDeriver` (and stay indexed) or — when
   their delta is not provable — dropped; then the touched relations' marks
   move, which settles every dependent the batch did not reach without
-  visiting it; and the data-independent plan store is left alone.  Without
-  a usable delta — a batch that failed part-way, a rebalance that moved
-  rows between shards — dependents are swept from both caches.
+  visiting it.  Without a usable delta — a batch that failed part-way or
+  was undone, a rebalance that moved rows between shards — the result
+  cache's dependents are swept.  The data-independent plan store is left
+  alone either way.
 """
 
 from __future__ import annotations
@@ -154,10 +155,11 @@ class PreparedQuery:
     plan and ``executable`` the optimized plan actually run; for uncovered
     queries both are ``None`` and only ``coverage`` is kept, so the fallback
     decision itself is also cached.  ``dependencies`` names the base
-    relations the executable plan fetches from — the entry's invalidation
-    footprint.  ``result_key`` is the key the result cache files the
-    query's answer under (:func:`~repro.core.fingerprint.result_cache_key`):
-    the entry carries it so that no read hashes a digest.
+    relations the executable plan fetches from — what its cached *result*
+    depends on (the prepared entry itself depends on no data).
+    ``result_key`` is the key the result cache files the query's answer
+    under (:func:`~repro.core.fingerprint.result_cache_key`): the entry
+    carries it so that no read hashes a digest.
     """
 
     coverage: CoverageResult
@@ -290,9 +292,9 @@ class ServingCore:
     covered executions capture their per-step row environment (up to
     :data:`ENV_ROWS_BUDGET` rows, summed over all steps of one entry) and
     :meth:`_settle` derives row-level patches from it for the entries the
-    write's keys reached.  The plan store is **not** swept on that path —
-    prepared plans depend only on (query, access schema), and keeping them
-    is what makes a repaired read hit without re-planning.
+    write's keys reached.  No write sweeps the plan store — prepared plans
+    depend only on (query, access schema), and keeping them is what makes a
+    read after any write hit without re-planning.
 
     ``fallback_breaker`` (``None`` until the serving tier mounts one;
     duck-typed: ``allow()`` / ``record_success()`` / ``record_failure()``,
@@ -388,12 +390,11 @@ class ServingCore:
         entry = prepare_query(
             query, self.access_schema, minimize=minimize, allow_rewrite=allow_rewrite
         )
-        evicted = self.plan_cache.put(key, entry, dependencies=entry.dependencies)
-        self._discard_compiled(evicted)
+        self._discard_compiled(self.plan_cache.put(key, entry))
         return entry
 
     def _discard_compiled(self, entries: Iterable[object]) -> None:
-        """Release the executor's compiled kernels of dropped store entries."""
+        """Release the executor's compiled kernels of displaced store entries."""
         for entry in entries:
             executable = getattr(entry, "executable", None)
             if executable is not None:
@@ -553,18 +554,19 @@ class ServingCore:
         before: Mapping[str, Hashable] | None,
         delta: WriteDelta | None,
     ) -> dict[Hashable, str]:
-        """Settle both caches after a write changed ``touched`` (clocks already bumped).
+        """Settle the result cache after a write changed ``touched`` (clocks already bumped).
 
-        Without a usable ``delta`` — the batch failed part-way and what it
-        left behind is suspect, it was rejected and undone, or a rebalance
-        moved rows — every dependent of ``touched`` is swept from the plan
-        store (compiled kernels released) and the result cache.
+        The plan store is never touched: a prepared plan is a function of the
+        query and the access schema, and compiled kernels read the data at
+        call time.  Without a usable ``delta`` — the batch failed part-way
+        and what it left behind is suspect, it was rejected and undone, or a
+        rebalance moved rows — every result-cache dependent of ``touched`` is
+        swept, ``no_delta``.
 
-        Otherwise the plan store is left alone (prepared plans are
-        data-independent) and the result cache is settled by relation, from
-        three reads of the touched relations' epoch tokens: ``before`` (by
-        relation, read before the write), one now and one after the last
-        derivation — whatever the number of entries or dependency tuples.  A
+        Otherwise the result cache is settled by relation, from three reads
+        of the touched relations' epoch tokens: ``before`` (by relation, read
+        before the write), one now and one after the last derivation —
+        whatever the number of entries or dependency tuples.  A
         touched relation whose ``before`` token is not its settlement mark
         was written without this core settling it (an out-of-band write,
         another core over the same data, an earlier failed batch): its
@@ -584,11 +586,9 @@ class ServingCore:
         dependents are not served and go at its next settlement.  Returns the
         verdicts by cache key; an entry the write did not reach has none.
         """
-        if not delta:
-            self._discard_compiled(self.plan_cache.invalidate(touched))
-            self.result_cache.invalidate(touched)
-            return {}
         cache, deriver = self.result_cache, self._deriver
+        if not delta:
+            return dict.fromkeys(cache.sweep(touched, "no_delta"), "no_delta")
         touched = tuple(touched)
         verdicts: dict[Hashable, str] = {}
         marks = cache.marks
@@ -652,7 +652,7 @@ class ServingCore:
         raise NotImplementedError
 
     def apply_updates(self, updates: Iterable["Update"]) -> "MaintenanceReport":
-        """Apply a batch of updates, then settle the caches once for all of it.
+        """Apply a batch of updates, then settle the result cache once for all of it.
 
         THE write path of every substrate: read the batch's relations' epoch
         tokens before any clock moves, :meth:`_write`, :meth:`_admit` (the

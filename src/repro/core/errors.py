@@ -108,8 +108,8 @@ class MaintenanceError(ReproError):
     update: its ``touched_relations`` names every relation the partial batch
     modified.  The version clock is already settled over them when this
     propagates; :meth:`~repro.core.engine.ServingCore.apply_updates` sweeps
-    the caches over them too — otherwise result caches would keep serving
-    rows from before the partial batch.
+    the result cache over them too — otherwise it would keep serving rows
+    from before the partial batch.
     """
 
     def __init__(self, message: str, report=None):
@@ -157,6 +157,7 @@ class TransientFault(ServingError):
 
     The operation may succeed if retried: the fault is in the environment
     (slow storage, a flaky dependency, an injected test fault), not in the
-    query.  :class:`~repro.serving.policy.RetryPolicy` retries these within
-    its budget; anything else propagates immediately.
+    query.  :class:`~repro.serving.server.BoundedServer` retries these, up
+    to its attempt cap and the request's deadline; anything else propagates
+    immediately.
     """

@@ -9,9 +9,8 @@ Two caches back the hot path of :class:`~repro.core.engine.BoundedEngine`:
   optimized plan, the result-cache key) depends only on the query syntax and
   the access schema, so one store can be **shared across engine instances**
   (or shards) that serve the same access schema, even over divergent data.
-  Each entry is tagged with the base relations its plan fetches from
-  (:meth:`~repro.core.plan.BoundedPlan.dependency_relations`), so writes
-  invalidate only the dependent entries instead of clearing the store.
+  For the same reason no write touches it: an entry leaves only by LRU
+  displacement.
 
 * :class:`ResultCache` — a per-engine LRU map from query fingerprints to
   materialized result rows.  The key is the ``result_key`` a prepared entry
@@ -32,10 +31,10 @@ Two caches back the hot path of :class:`~repro.core.engine.BoundedEngine`:
   patch; :meth:`ResultCache.drop` is the per-entry fallback invalidation
   used when a delta is not derivable.
 
-Both caches keep hit/miss/eviction/invalidation counts for
-:meth:`~repro.core.engine.BoundedEngine.cache_stats`, including per-relation
-invalidation attribution (``invalidated_by``) so soak reports can tell
-*which* relations keep knocking entries out.
+Both caches keep hit/miss/eviction counts for
+:meth:`~repro.core.engine.BoundedEngine.cache_stats`; the result cache also
+attributes its drops per relation (``invalidated_by``) so soak reports can
+tell *which* relations keep knocking entries out.
 """
 
 from __future__ import annotations
@@ -45,23 +44,13 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
 
-@dataclass
-class _StoreSlot:
-    """One plan-store entry plus the relations whose data its plan reads."""
-
-    entry: object
-    dependencies: frozenset[str]
-
-
 class PlanStore:
     """An LRU store of prepared queries, shareable across engine instances.
 
     A ``capacity`` of zero (or less) disables caching: every lookup misses
-    and nothing is stored.  ``invalidate()`` with no argument drops every
-    entry (the conservative legacy behaviour); ``invalidate(relations)``
-    drops only entries whose dependency set intersects ``relations`` and
-    returns the dropped entries so callers can release derived artifacts
-    (e.g. compiled kernels).
+    and nothing is stored.  Nothing else removes an entry: a prepared query
+    is a function of the query and the access schema alone, so no write can
+    make one stale.
 
     Entries must be data-independent: a store may only be shared by engines
     configured with an **identical access schema**, since plans embed the
@@ -70,21 +59,15 @@ class PlanStore:
 
     def __init__(self, capacity: int = 128):
         self.capacity = capacity
-        self._slots: OrderedDict[Hashable, _StoreSlot] = OrderedDict()
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         #: entries displaced by a put() overwriting their key
         self.replaced = 0
-        #: entries dropped by invalidation (targeted or clear-all)
-        self.invalidated = 0
-        #: invalidation sweeps performed (one per write or batch)
-        self.sweeps = 0
-        #: triggering relation -> entries it invalidated ("*" for clear-alls)
-        self.invalidated_by: dict[str, int] = {}
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._entries)
 
     def get(self, key: Hashable, record: bool = True) -> object | None:
         """The cached plan for ``key`` (LRU-refreshed), or ``None`` on a miss.
@@ -96,21 +79,19 @@ class PlanStore:
         :meth:`record_hit` once it has; when it has not, the ``execute`` that
         follows counts the read with its own ``get``.
         """
-        slot = self._slots.get(key)
-        if slot is None:
+        entry = self._entries.get(key)
+        if entry is None:
             self.misses += record
             return None
-        self._slots.move_to_end(key)
+        self._entries.move_to_end(key)
         self.hits += record
-        return slot.entry
+        return entry
 
     def record_hit(self) -> None:
         """Count the hit of a ``get(key, record=False)`` whose read was served."""
         self.hits += 1
 
-    def put(
-        self, key: Hashable, entry: object, dependencies: Iterable[str] = ()
-    ) -> list[object]:
+    def put(self, key: Hashable, entry: object) -> list[object]:
         """Store ``entry``; returns the entries displaced to make room.
 
         Displaced entries are both LRU evictions *and* the previous entry of
@@ -118,73 +99,32 @@ class PlanStore:
         a replaced entry is just as dead as an evicted one, and silently
         dropping it would leak the artifacts derived from it.  Callers
         holding such artifacts (compiled kernels in the executor) should
-        release them for every returned entry, exactly as they do for
-        :meth:`invalidate`'s drops.
+        release them for every returned entry.
         """
         if self.capacity <= 0:
             return []
         displaced: list[object] = []
-        previous = self._slots.pop(key, None)
-        if previous is not None and previous.entry is not entry:
-            displaced.append(previous.entry)
+        previous = self._entries.pop(key, None)
+        if previous is not None and previous is not entry:
+            displaced.append(previous)
             self.replaced += 1
-        self._slots[key] = _StoreSlot(entry=entry, dependencies=frozenset(dependencies))
-        while len(self._slots) > self.capacity:
-            _, slot = self._slots.popitem(last=False)
-            displaced.append(slot.entry)
+        self._entries[key] = entry
+        while len(self._entries) > self.capacity:
+            displaced.append(self._entries.popitem(last=False)[1])
             self.evictions += 1
         return displaced
-
-    def invalidate(self, relations: Iterable[str] | None = None) -> list[object]:
-        """Drop dependent entries after a write; returns the dropped entries.
-
-        With ``relations=None`` every entry is dropped (clear-all).  Otherwise
-        only entries whose dependency set intersects ``relations`` are
-        dropped — entries prepared for queries that never fetch from the
-        written relations stay valid, which is sound because prepared plans
-        depend on data *only* through the constraint indexes of the relations
-        they fetch from.
-
-        Each drop is attributed to the triggering relations in
-        ``invalidated_by`` (clear-alls are attributed to ``"*"``), so soak
-        and bench reports can name the write traffic that churns the store.
-        """
-        self.sweeps += 1
-        if relations is None:
-            dropped = [slot.entry for slot in self._slots.values()]
-            self._slots.clear()
-            if dropped:
-                self.invalidated_by["*"] = self.invalidated_by.get("*", 0) + len(dropped)
-        else:
-            touched = frozenset(relations)
-            stale = [
-                key for key, slot in self._slots.items() if slot.dependencies & touched
-            ]
-            dropped = []
-            for key in stale:
-                slot = self._slots.pop(key)
-                dropped.append(slot.entry)
-                for relation in sorted(slot.dependencies & touched):
-                    self.invalidated_by[relation] = (
-                        self.invalidated_by.get(relation, 0) + 1
-                    )
-        self.invalidated += len(dropped)
-        return dropped
 
     def stats(self) -> dict[str, int | float]:
         """Monotone hit/miss/eviction counters plus capacity and occupancy."""
         requests = self.hits + self.misses
         return {
             "capacity": self.capacity,
-            "entries": len(self._slots),
+            "entries": len(self._entries),
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": (self.hits / requests) if requests else 0.0,
             "evictions": self.evictions,
             "replaced": self.replaced,
-            "invalidated": self.invalidated,
-            "sweeps": self.sweeps,
-            "invalidated_by": dict(self.invalidated_by),
         }
 
 
@@ -307,6 +247,7 @@ class ResultCache:
         self.stale = 0
         self.evictions = 0
         self.invalidated = 0
+        #: clear-alls (:meth:`invalidate`)
         self.sweeps = 0
         #: triggering relation -> entries it invalidated ("*" for clear-alls)
         self.invalidated_by: dict[str, int] = {}
@@ -485,9 +426,11 @@ class ResultCache:
         """Drop every entry that depends on one of ``relations``, and their marks.
 
         What a relation that cannot be settled by derivation gets — one
-        written behind the cache's back (``stale``), or one that moved while
-        a settlement derived (``race``).  Each drop is counted like
-        :meth:`drop`'s, for ``reason``.  Returns the dropped keys.
+        written behind the cache's back (``stale``), one that moved while a
+        settlement derived (``race``), or one a write left with no usable
+        delta (``no_delta``: a batch failed part-way or undone, a
+        rebalance).  Each drop is counted like :meth:`drop`'s, for
+        ``reason``.  Returns the dropped keys.
         """
         relations = frozenset(relations)
         dropped = []
@@ -671,38 +614,22 @@ class ResultCache:
             self.invalidated_by[relation] = self.invalidated_by.get(relation, 0) + 1
         return True
 
-    def invalidate(self, relations: Iterable[str] | None = None) -> int:
-        """Purge entries depending on ``relations`` (all entries when ``None``).
+    def invalidate(self) -> int:
+        """Drop every entry (counted as one sweep); returns how many there were.
 
-        The marks already guarantee stale entries are never *served*; the
-        sweep exists to bound memory and to surface invalidation counts in
-        the stats.  Returns the number of entries dropped.
+        A clear-all for operators and tests (the soak empties the cache to
+        turn its hits into misses).  A write never calls it: what a write
+        cannot settle by derivation it drops with :meth:`sweep`.
         """
         self.sweeps += 1
-        if relations is None:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._reach.clear()
-            self._by_dependencies.clear()
-            self._settled.clear()
-            self.unindexed.clear()
-            if dropped:
-                self.invalidated_by["*"] = self.invalidated_by.get("*", 0) + dropped
-        else:
-            touched = frozenset(relations)
-            dropped = 0
-            for dependencies in self.dependency_tuples(touched):
-                filed = self._by_dependencies.pop(dependencies)
-                self._settled.pop(dependencies, None)
-                for key, entry in filed.items():
-                    del self._entries[key]
-                    self.unindexed.pop(key, None)
-                    self._unindex(key, entry)
-                for relation in touched.intersection(dependencies):
-                    self.invalidated_by[relation] = (
-                        self.invalidated_by.get(relation, 0) + len(filed)
-                    )
-                dropped += len(filed)
+        dropped = len(self._entries)
+        self._entries.clear()
+        self._reach.clear()
+        self._by_dependencies.clear()
+        self._settled.clear()
+        self.unindexed.clear()
+        if dropped:
+            self.invalidated_by["*"] = self.invalidated_by.get("*", 0) + dropped
         self.invalidated += dropped
         return dropped
 

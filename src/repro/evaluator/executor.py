@@ -257,7 +257,7 @@ class PlanExecutor:
     def discard(self, plan: BoundedPlan) -> None:
         """Release the compiled kernels of ``plan``, if memoized.
 
-        Called by the engine when a plan-store entry is invalidated, so the
+        Called by the engine when a plan-store entry is displaced, so the
         executor does not pin kernels (and their closed-over index lookups)
         for plans that will never run again.
         """

@@ -7,9 +7,8 @@ The package layers a robustness stack on top of
   bounded admission queue, per-request deadlines, cost-budget shedding
   (sound because covered plans expose an exact ``access_bound()``), the
   graceful-degradation ladder, and serialized write batches.
-* :mod:`~repro.serving.policy` — retry/backoff/budget policies, the
-  circuit breaker mounted around the unbounded conventional fallback,
-  and deadlines.
+* :mod:`~repro.serving.policy` — the retry backoff, the circuit breaker
+  mounted around the unbounded conventional fallback, and deadlines.
 * :mod:`~repro.serving.faults` — deterministic seeded fault injection at
   the executor / fallback / storage-write seams.
 * :mod:`~repro.serving.metrics` — queue, shed, ladder, and latency
@@ -20,7 +19,7 @@ The package layers a robustness stack on top of
 
 from .faults import FaultInjector, FaultSpec
 from .metrics import LatencyRecorder, ServingMetrics
-from .policy import Backoff, CircuitBreaker, Deadline, RetryBudget, RetryPolicy
+from .policy import Backoff, CircuitBreaker, Deadline
 from .server import (
     BoundedServer,
     ReadRequest,
@@ -39,8 +38,6 @@ __all__ = [
     "FaultSpec",
     "LatencyRecorder",
     "ReadRequest",
-    "RetryBudget",
-    "RetryPolicy",
     "ServeResponse",
     "ServerConfig",
     "ServingMetrics",

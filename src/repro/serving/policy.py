@@ -1,4 +1,4 @@
-"""Robustness policies for the serving tier: retries, backoff, breakers.
+"""Robustness policies for the serving tier: backoff, breakers, deadlines.
 
 Everything here is deliberately *deterministic and clock-injectable*: the
 randomness of the decorrelated-jitter backoff comes from a caller-supplied
@@ -12,12 +12,6 @@ The pieces:
 * :class:`Backoff` — decorrelated-jitter delays (``sleep = U(base,
   prev * 3)`` capped), the AWS-recommended variant that avoids both thundering
   herds (full jitter) and lockstep retry waves (pure exponential).
-* :class:`RetryBudget` — a token bucket that bounds *system-wide* retry
-  amplification: each first attempt earns a fraction of a token, each retry
-  spends one.  Under a full outage retries self-extinguish instead of
-  multiplying the load.
-* :class:`RetryPolicy` — the per-request knobs (attempt cap, delays) plus
-  factories for the two above.
 * :class:`CircuitBreaker` — a closed / open / half-open breaker.  The engine
   mounts one around the *unbounded* conventional fallback
   (:class:`~repro.core.engine.BoundedEngine` ``fallback_breaker``), so a
@@ -56,60 +50,6 @@ class Backoff:
 
     def reset(self) -> None:
         self._previous = self.base
-
-
-class RetryBudget:
-    """A token bucket bounding the global retry-to-request ratio.
-
-    Every first attempt deposits ``ratio`` tokens (capped at ``cap``); every
-    retry withdraws one full token and is only permitted while a full token
-    is available.  Long-run effect: retries never exceed ``ratio`` of the
-    request volume, so a persistent failure can at worst multiply load by
-    ``1 + ratio`` instead of ``max_attempts``.
-    """
-
-    def __init__(self, ratio: float = 0.1, initial: float = 5.0, cap: float = 50.0):
-        self.ratio = ratio
-        self.cap = cap
-        self.tokens = min(initial, cap)
-        self.spent = 0
-        self.denied = 0
-
-    def record_attempt(self) -> None:
-        """A first (non-retry) attempt happened: accrue budget."""
-        self.tokens = min(self.cap, self.tokens + self.ratio)
-
-    def try_spend(self) -> bool:
-        """Reserve budget for one retry; ``False`` means the retry must not run."""
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            self.spent += 1
-            return True
-        self.denied += 1
-        return False
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Per-request retry knobs for transient faults.
-
-    Only :class:`~repro.core.errors.TransientFault` is retryable; retries are
-    additionally capped by the shared :class:`RetryBudget` and the request's
-    :class:`Deadline`, whichever is tightest.
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.001
-    max_delay: float = 0.05
-    budget_ratio: float = 0.2
-    budget_initial: float = 5.0
-    budget_cap: float = 50.0
-
-    def backoff(self, rng: random.Random) -> Backoff:
-        return Backoff(self.base_delay, self.max_delay, rng)
-
-    def budget(self) -> RetryBudget:
-        return RetryBudget(self.budget_ratio, self.budget_initial, self.budget_cap)
 
 
 class CircuitBreaker:

@@ -42,10 +42,11 @@ heuristic:
   arrives expired) or between retry attempts fails with
   :class:`~repro.core.errors.DeadlineExceededError`; queue time is never
   hidden inside service time.
-* **Retries with decorrelated jitter + a global retry budget** — only
+* **Retries with decorrelated jitter** — only
   :class:`~repro.core.errors.TransientFault` is retried (an abandoned epoch
-  guard included), never beyond the deadline, and never beyond the budget's
-  retry-to-request ratio.
+  guard included), at most :data:`MAX_ATTEMPTS` attempts and never beyond
+  the deadline.  A retry runs on the worker that holds the request, so
+  retries never raise the offered load: the bounded queue caps it.
 * **A circuit breaker around the unbounded conventional fallback** —
   installed on the engine itself (``fallback_breaker``), so an
   uncovered-query stampede fails fast with
@@ -62,7 +63,7 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..core.engine import BoundedEngine, EngineResult
@@ -78,10 +79,17 @@ from ..core.errors import (
 )
 from ..core.query import Query
 from .metrics import ServingMetrics
-from .policy import Backoff, CircuitBreaker, Deadline, RetryPolicy
+from .policy import Backoff, CircuitBreaker, Deadline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..discovery.maintenance import MaintenanceReport, Update
+
+
+#: attempts a read gets at a transient fault, the first one included
+MAX_ATTEMPTS = 3
+#: the decorrelated-jitter backoff between attempts: first delay, cap (seconds)
+BACKOFF_BASE = 0.001
+BACKOFF_CAP = 0.05
 
 
 @dataclass(frozen=True)
@@ -91,14 +99,15 @@ class ServerConfig:
     ``max_access_bound`` is the per-request cost budget in tuples: covered
     queries whose plan's ``access_bound()`` exceeds it are shed at admission
     (``None`` disables the check).  ``default_timeout`` applies when a
-    request carries no timeout of its own (``None``: no deadline).
+    request carries no timeout of its own (``None``: no deadline).  Retries
+    are not configured here: :data:`MAX_ATTEMPTS` and the backoff bounds are
+    module constants.  ``seed`` seeds the backoff's jitter.
     """
 
     max_queue_depth: int = 64
     workers: int = 4
     default_timeout: float | None = 2.0
     max_access_bound: int | None = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     breaker_failure_threshold: int = 3
     breaker_cooldown: float = 0.25
     seed: int = 0
@@ -193,7 +202,6 @@ class BoundedServer:
         # Mount the breaker on the engine: the gate lives where the unbounded
         # work happens, so even direct engine callers are protected.
         engine.fallback_breaker = self.breaker
-        self._budget = self.config.retry.budget()
         self._rng = random.Random(self.config.seed)
         self._queue: asyncio.Queue | None = None
         self._workers: list[asyncio.Task] = []
@@ -232,11 +240,11 @@ class BoundedServer:
         """Admit one request; answer a result-cache hit at once, queue anything else.
 
         Admission is the same for every request and comes first: the
-        queue-depth check, the cost budget, the deadline, the retry budget's
-        accrual.  An admitted read is then probed (:meth:`_serve_hit`); a hit
-        returns from here without suspending, and everything else — misses,
-        uncovered reads, reads whose probe faulted, reads that arrived
-        expired, writes — is queued for the workers.
+        queue-depth check, the cost budget, the deadline.  An admitted read
+        is then probed (:meth:`_serve_hit`); a hit returns from here without
+        suspending, and everything else — misses, uncovered reads, reads
+        whose probe faulted, reads that arrived expired, writes — is queued
+        for the workers.
 
         A hit therefore never yields to the event loop: a caller that loops
         on hot reads and awaits nothing else starves the workers and every
@@ -264,7 +272,6 @@ class BoundedServer:
         )
         deadline = Deadline.after(timeout, self.clock) if timeout is not None else None
         self.metrics.admitted += 1
-        self._budget.record_attempt()
         if isinstance(request, ReadRequest):
             try:
                 response = self._serve_hit(request.query, deadline)
@@ -412,7 +419,7 @@ class BoundedServer:
                 rung = "fallback" if fallback else "bounded"
                 ladder.append(f"{rung}:fault")
                 if backoff is None:
-                    backoff = self.config.retry.backoff(self._rng)
+                    backoff = Backoff(BACKOFF_BASE, BACKOFF_CAP, self._rng)
                 if not await self._retry_permitted(attempts, backoff, deadline):
                     self.metrics.finished(f"{rung}_failed", service)
                     raise
@@ -462,9 +469,7 @@ class BoundedServer:
         self, attempts: int, backoff: Backoff, deadline: Deadline | None
     ) -> bool:
         """Whether a transient fault may be retried; sleeps the backoff if so."""
-        if attempts >= self.config.retry.max_attempts:
-            return False
-        if not self._budget.try_spend():
+        if attempts >= MAX_ATTEMPTS:
             return False
         delay = backoff.next_delay()
         if deadline is not None and deadline.remaining() <= delay:

@@ -364,7 +364,7 @@ def run_soak(config: SoakConfig) -> dict:
             # fetch, so failover would be unobservable): sweep the federated
             # result cache and scatter covered reads until one fetches
             # through the victim's set and fails over to its sibling.
-            engine.result_cache.invalidate(None)
+            engine.result_cache.invalidate()
             before = target_set.failovers
             for query in covered:
                 try:

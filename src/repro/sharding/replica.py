@@ -37,8 +37,9 @@ candidate — sound because injected/real shard faults fire *before* any
 tuple is touched, so a failed attempt contributes nothing to access
 accounting, and because every healthy candidate is in lockstep, so any of
 them yields the same rows at the same authoritative epoch.  A per-member
-:class:`ReplicaHealth` breaker (consecutive-failure threshold, half-open
-probes) takes repeatedly-failing members out of the rotation.
+:class:`ReplicaHealth` breaker (3 consecutive failures, then a half-open
+probe every 8th selection) takes repeatedly-failing members out of the
+rotation.
 """
 
 from __future__ import annotations
@@ -60,20 +61,23 @@ class ReplicaHealth:
     """Per-replica breaker state: consecutive failures, quarantine, probes.
 
     Two ways into quarantine: the breaker trips after
-    ``failure_threshold`` consecutive fetch failures (reason
+    :attr:`FAILURE_THRESHOLD` consecutive fetch failures (reason
     ``"unhealthy"``), or the set quarantines the replica directly on
     observed divergence (reasons ``"divergence"`` / ``"write_failed"``).
     Either way the road back is the same: :meth:`allow_probe` admits a
-    half-open attempt immediately and then every ``probe_after``-th
+    half-open attempt immediately and then every :attr:`PROBE_AFTER`-th
     selection, and the set re-admits only after a successful catch-up —
     a replica that was out of rotation missed routed writes by
     definition, so "probe succeeded" alone is never enough.
     """
 
-    def __init__(self, name: str, failure_threshold: int = 3, probe_after: int = 8):
+    #: consecutive fetch failures that quarantine a member
+    FAILURE_THRESHOLD = 3
+    #: a quarantined member gets a half-open probe every this many selections
+    PROBE_AFTER = 8
+
+    def __init__(self, name: str):
         self.name = name
-        self.failure_threshold = failure_threshold
-        self.probe_after = max(1, probe_after)
         self.state = HEALTHY
         self.reason: str | None = None
         self.consecutive_failures = 0
@@ -89,7 +93,7 @@ class ReplicaHealth:
         """Count a fetch failure; returns True when the breaker just tripped."""
         self.failures_total += 1
         self.consecutive_failures += 1
-        if self.state == HEALTHY and self.consecutive_failures >= self.failure_threshold:
+        if self.state == HEALTHY and self.consecutive_failures >= self.FAILURE_THRESHOLD:
             self.quarantine("unhealthy")
             return True
         return False
@@ -112,7 +116,7 @@ class ReplicaHealth:
         if self.state != QUARANTINED:
             return False
         self._skipped += 1
-        allowed = (self._skipped - 1) % self.probe_after == 0
+        allowed = (self._skipped - 1) % self.PROBE_AFTER == 0
         if allowed:
             self.probes += 1
         return allowed
@@ -133,19 +137,14 @@ class ReplicaSet(Shard):
     ``replicas`` must hold identical fragment copies with identical clocks
     (the :func:`~repro.sharding.router.build_topology` contract); the
     constructor verifies the clocks agree and adopts them as the
-    authoritative clock's starting state.
+    authoritative clock's starting state.  Each member gets a
+    :class:`ReplicaHealth` breaker; its threshold and probe spacing are
+    class constants there, not settings of the set.
     """
 
     kind = "replica-set"
 
-    def __init__(
-        self,
-        name: str,
-        replicas: Sequence[Shard],
-        *,
-        failure_threshold: int = 3,
-        probe_after: int = 8,
-    ):
+    def __init__(self, name: str, replicas: Sequence[Shard]):
         if not replicas:
             raise StorageError(f"replica set {name!r} needs at least one replica")
         self.name = name
@@ -153,8 +152,7 @@ class ReplicaSet(Shard):
         self.database = None  # every Shard surface is overridden below
         self.clock = VersionClock()
         self._health = {
-            replica.name: ReplicaHealth(replica.name, failure_threshold, probe_after)
-            for replica in self.replicas
+            replica.name: ReplicaHealth(replica.name) for replica in self.replicas
         }
         if len(self._health) != len(self.replicas):
             raise StorageError(f"replica set {name!r} has duplicate replica names")

@@ -449,8 +449,6 @@ def build_topology(
     partition_keys=None,
     plan_store: PlanStore | None = None,
     result_cache_size: int = 256,
-    failure_threshold: int = 3,
-    probe_after: int = 8,
     write_observer: Callable[[list], None] | None = None,
 ) -> ShardRouter:
     """Partition ``database`` into a heterogeneous federation and wire a router.
@@ -511,14 +509,7 @@ def build_topology(
             members.append(
                 _make(member_kind, f"shard{index}r{j}-{member_kind}", member_fragment)
             )
-        built.append(
-            ReplicaSet(
-                f"shard{index}",
-                members,
-                failure_threshold=failure_threshold,
-                probe_after=probe_after,
-            )
-        )
+        built.append(ReplicaSet(f"shard{index}", members))
     return ShardRouter(
         built,
         partitioner,

@@ -15,7 +15,7 @@ from repro.storage.counters import VersionClock
 class TestZeroCapacityPlanStore:
     def test_put_is_a_noop_and_get_always_misses(self):
         store = PlanStore(capacity=0)
-        assert store.put("k", "entry", ["r"]) == []
+        assert store.put("k", "entry") == []
         assert len(store) == 0
         assert store.get("k") is None
         assert store.stats()["misses"] == 1
@@ -25,11 +25,6 @@ class TestZeroCapacityPlanStore:
         store = PlanStore(capacity=-5)
         store.put("k", "entry")
         assert len(store) == 0
-
-    def test_invalidate_on_empty_store_is_safe(self):
-        store = PlanStore(capacity=0)
-        assert store.invalidate() == []
-        assert store.invalidate(["r"]) == []
 
 
 class TestZeroCapacityResultCache:
@@ -81,8 +76,8 @@ class TestOversizedAdmission:
 class TestPlanStoreReplacement:
     def test_put_same_key_returns_replaced_entry(self):
         store = PlanStore(capacity=4)
-        store.put("k", "old", ["r"])
-        displaced = store.put("k", "new", ["r"])
+        store.put("k", "old")
+        displaced = store.put("k", "new")
         assert displaced == ["old"]
         assert store.get("k") == "new"
         assert store.stats()["replaced"] == 1
@@ -91,27 +86,20 @@ class TestPlanStoreReplacement:
     def test_re_put_of_same_object_is_not_displaced(self):
         store = PlanStore(capacity=4)
         entry = object()
-        store.put("k", entry, ["r"])
-        assert store.put("k", entry, ["r"]) == []
+        store.put("k", entry)
+        assert store.put("k", entry) == []
         assert store.stats()["replaced"] == 0
 
     def test_replacement_and_eviction_both_reported(self):
         store = PlanStore(capacity=2)
-        store.put("a", "A", ["r"])
-        store.put("b", "B", ["r"])
+        store.put("a", "A")
+        store.put("b", "B")
         # Replacing "a" while at capacity: the old "a" comes back, no eviction
         # (size is unchanged); then a third key evicts the LRU ("b").
-        assert store.put("a", "A2", ["r"]) == ["A"]
-        displaced = store.put("c", "C", ["r"])
+        assert store.put("a", "A2") == ["A"]
+        displaced = store.put("c", "C")
         assert displaced == ["B"]
         assert store.stats()["evictions"] == 1
-
-    def test_replacement_updates_dependencies(self):
-        store = PlanStore(capacity=4)
-        store.put("k", "old", ["r"])
-        store.put("k", "new", ["s"])
-        assert store.invalidate(["r"]) == []
-        assert store.invalidate(["s"]) == ["new"]
 
 
 class TestSnapshotMismatchUnderWrites:

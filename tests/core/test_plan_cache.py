@@ -1,4 +1,4 @@
-"""Plan-store correctness: hits, granular invalidation, and cache/optimizer equivalence."""
+"""Plan-store correctness: hits, LRU displacement, and cache/optimizer equivalence."""
 
 import pytest
 from analytic_queries import ANALYTIC_SCALE, analytic_queries
@@ -46,38 +46,10 @@ class TestPlanStoreUnit:
         assert store.get("k") is None
         store.put("k", entry)
         assert store.get("k") is entry
-        store.invalidate()
         stats = store.stats()
         assert stats["hits"] == 1
         assert stats["misses"] == 1
-        assert stats["sweeps"] == 1
-        assert stats["invalidated"] == 1
-        assert stats["entries"] == 0
-
-    def test_targeted_invalidation_drops_only_dependents(self):
-        store = PlanStore(capacity=8)
-        on_r = PreparedQuery(coverage=None)  # type: ignore[arg-type]
-        on_s = PreparedQuery(coverage=None)  # type: ignore[arg-type]
-        no_deps = PreparedQuery(coverage=None)  # type: ignore[arg-type]
-        store.put("r", on_r, dependencies=("r",))
-        store.put("s", on_s, dependencies=("s", "t"))
-        store.put("n", no_deps)
-        dropped = store.invalidate(("r",))
-        assert dropped == [on_r]
-        assert store.get("s") is on_s
-        assert store.get("n") is no_deps
-        assert store.get("r") is None
-        assert store.stats()["invalidated"] == 1
-        assert store.stats()["invalidated_by"] == {"r": 1}  # the sweep names its trigger
-
-    def test_clear_all_returns_every_entry(self):
-        store = PlanStore(capacity=8)
-        entries = [PreparedQuery(coverage=None) for _ in range(3)]  # type: ignore[arg-type]
-        for index, entry in enumerate(entries):
-            store.put(index, entry, dependencies=(f"rel{index}",))
-        dropped = store.invalidate()
-        assert sorted(map(id, dropped)) == sorted(map(id, entries))
-        assert len(store) == 0
+        assert stats["entries"] == 1
 
 
 class TestCachedExecution:
@@ -144,17 +116,18 @@ class TestInvalidation:
         q1 = facebook.query_q1()
         before = engine.execute(q1)
         assert engine.execute(q1).result_cached
+        misses = engine.cache_stats()["plan_store"]["misses"]
         engine.apply_insert("cafe", ("c_new", "nyc"))  # a cafe no fetch reached: clean
         engine.apply_insert("friend", ("p0", "p_new"))  # p0's friends were fetched: dirty
         engine.apply_insert("dine", ("p_new", "c_new", "may", 2015))  # nothing left to settle
         stats = engine.cache_stats()
-        assert stats["plan_store"]["sweeps"] == 0
         result_cache = stats["result_cache"]
         assert result_cache["repaired"] == 0  # the clean write never looked at the entry
         assert result_cache["invalidated"] == 1  # ...and only the dirty one dropped it
         assert result_cache["repair_fallback_reasons"] == {"executor_mode": 1}
         after = engine.execute(q1)
         assert after.cached and not after.result_cached  # plan kept, rows recomputed
+        assert engine.cache_stats()["plan_store"]["misses"] == misses
         assert after.executor_mode == "columnar"
         assert ("c_new",) in after.rows
         assert after.rows == evaluate(q1, fb_database).rows
@@ -185,13 +158,14 @@ class TestInvalidation:
         q1 = facebook.query_q1()
         before = cached_engine.execute(q1)
         assert cached_engine.execute(q1).cached
+        misses = cached_engine.cache_stats()["plan_store"]["misses"]
         cached_engine.apply_insert("cafe", ("c_new", "nyc"))
         cached_engine.apply_insert("friend", ("p0", "p_new"))
         cached_engine.apply_insert("dine", ("p_new", "c_new", "may", 2015))
         after = cached_engine.execute(q1)
         assert after.cached  # plan store untouched on the repair path
         stats = cached_engine.cache_stats()
-        assert stats["plan_store"]["sweeps"] == 0
+        assert stats["plan_store"]["misses"] == misses
         result_cache = stats["result_cache"]
         assert result_cache["repaired"] == 2  # one per write that reached the entry
         assert after.result_cached  # the repaired entry itself was served

@@ -168,7 +168,7 @@ class TestIndexFollowsTheEntries:
 
         steps = [
             (read, 8), (overwrite, 1), (out_of_band, 1), (drop, 1),
-            (lambda: cache.invalidate((rng.choice(["friend", "cafe", "dine"]),)), 1),
+            (lambda: cache.sweep((rng.choice(["friend", "cafe", "dine"]),), "no_delta"), 1),
             (lambda: cache.invalidate(), 0.3),
             (hot_write, 3), (far_write, 2), (clean_write, 4),
         ]

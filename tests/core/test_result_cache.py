@@ -52,14 +52,15 @@ class TestResultCacheUnit:
         assert cache.get("big", ()) is None
         assert cache.stats()["oversized"] == 1
 
-    def test_targeted_invalidation(self):
+    def test_sweep_drops_only_dependents(self):
         cache = ResultCache(capacity=8)
         cache.put("on_r", frozenset(), (), dependencies=("r",), snapshot=(1,))
         cache.put("on_s", frozenset(), (), dependencies=("s",), snapshot=(1,))
-        dropped = cache.invalidate(("r",))
-        assert dropped == 1
+        assert cache.sweep(("r",), "no_delta") == ["on_r"]
         assert cache.get("on_s", (1,)) is not None
-        assert cache.stats()["invalidated"] == 1
+        stats = cache.stats()
+        assert (stats["invalidated"], stats["invalidated_by"]) == (1, {"r": 1})
+        assert stats["repair_fallback_reasons"] == {"no_delta": 1}
 
 
 class TestEngineResultCache:
@@ -199,10 +200,10 @@ class TestSharedPlanStore:
         assert first.execute(q1, minimize=False).cached
         assert result.rows == evaluate(q1, database).rows
 
-    def test_failed_batch_on_one_engine_sweeps_shared_entry_for_both(self, fb_access):
-        """A shared store is swept by whichever engine takes a batch that failed
-        part-way; plans are data-independent, so a clean write never sweeps it
-        (covered below)."""
+    def test_failed_batch_on_one_engine_keeps_shared_entry_for_both(self, fb_access):
+        """A batch that failed part-way on one engine sweeps that engine's
+        result cache only; plans are data-independent, so the shared entry
+        stays for both (a clean write keeps it too, below)."""
         store = PlanStore(capacity=32)
         db_a = facebook.generate(scale=30, seed=1)
         db_b = facebook.generate(scale=30, seed=2)
@@ -214,11 +215,13 @@ class TestSharedPlanStore:
         batch = [Update.insert("friend", ("p0", "p_x")), Update.insert("friend", ("p0",))]
         with pytest.raises(MaintenanceError):
             engine_a.apply_updates(batch)  # the malformed second row aborts it
-        # the shared entry was dropped; either engine re-prepares on demand
         result_b = engine_b.execute(q1)
-        assert not result_b.cached
+        assert result_b.cached and result_b.result_cached  # B's caches were never touched
         assert result_b.rows == evaluate(q1, db_b).rows
-        assert engine_a.execute(q1).rows == evaluate(q1, db_a).rows
+        result_a = engine_a.execute(q1)
+        assert result_a.cached and not result_a.result_cached
+        assert result_a.rows == evaluate(q1, db_a).rows
+        assert store.stats()["misses"] == 1
 
     def test_write_keeps_shared_plan_entry(self, fb_access):
         """A write leaves the shared store alone — each engine's *result*

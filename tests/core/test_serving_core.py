@@ -415,9 +415,9 @@ class TestWriteSettlement:
         before = hot.result_cache()
         hot.core.apply_updates([Update.insert("hot", ("b", 4))])
         assert moved(before, hot.result_cache()) == {"reach_keys": 1, "reach_entries": 1}
-        assert hot.core.cache_stats()["plan_store"]["sweeps"] == 0
         repeat = hot.core.execute(hot.query)
         assert repeat.result_cached and repeat.rows == first.rows
+        assert hot.core.cache_stats()["plan_store"]["misses"] == 1
 
     def test_write_to_a_probed_key_patches_rows(self, hot):
         hot.core.execute(hot.query)
@@ -433,9 +433,9 @@ class TestWriteSettlement:
             "reach_keys": 1,
             "reach_entries": 1,
         }
-        assert hot.core.cache_stats()["plan_store"]["sweeps"] == 0
         result = hot.core.execute(hot.query)
         assert result.result_cached  # patched in place, not dropped
+        assert hot.core.cache_stats()["plan_store"]["misses"] == 1
         assert result.rows == {(1,), (4,)} == evaluate(hot.query, hot.reference).rows
 
     def test_columnar_entry_restamps_when_clean_and_is_dropped_when_dirty(self, make):
@@ -463,18 +463,17 @@ class TestWriteSettlement:
         assert result.rows == evaluate(query, substrate.reference).rows
 
     def test_dropped_entry_keeps_its_plan(self, columnar_kernels, hot):
-        # Only a failed batch or a rebalance sweeps the plan store: a write
-        # that drops one result entry leaves the prepared plan to the next read.
+        # Nothing sweeps the plan store: a write that drops one result entry
+        # leaves the prepared plan to the next read.
         assert hot.core.execute(hot.query).executor_mode == "columnar"
         before = hot.result_cache()
         hot.core.apply_updates([Update.insert("hot", ("a", 4))])
         changed = moved(before, hot.result_cache())
         assert changed["repair_fallback_reasons"] == {"executor_mode": 1}
         assert (changed["invalidated"], changed["entries"]) == (1, -1)
-        plan_store = hot.core.cache_stats()["plan_store"]
-        assert (plan_store["sweeps"], plan_store["invalidated"]) == (0, 0)
         result = hot.core.execute(hot.query)
         assert (result.cached, result.result_cached) == (True, False)
+        assert hot.core.cache_stats()["plan_store"]["misses"] == 1
         assert (4,) in result.rows
         assert result.rows == evaluate(hot.query, hot.reference).rows
 
@@ -528,13 +527,14 @@ class TestWriteSettlement:
         assert moved(before, hot.result_cache()) == {
             "entries": -1,
             "invalidated": 1,
-            "sweeps": 1,
+            "repair_fallbacks": 1,
+            "repair_fallback_reasons": {"no_delta": 1},
             "invalidated_by": {"hot": 1},
         }
-        assert hot.core.cache_stats()["plan_store"]["sweeps"] == 1
         result = hot.core.execute(hot.query)
         assert not result.result_cached, "a partial batch must sweep the result cache"
-        assert not result.cached  # the plan went with it
+        assert result.cached  # the plan is a function of (Q, A): it stays
+        assert hot.core.cache_stats()["plan_store"]["misses"] == 1
         assert result.rows == rows - {(1,)} == evaluate(hot.query, hot.reference).rows
 
     def test_settlement_derives_from_the_effective_writes(self, hot):
@@ -712,11 +712,22 @@ class TestAdmission:
         assert self.data(cafe) == data
         # both epochs moved (the batch, its undo): the dependents were swept, not patched
         changed = moved(before, cafe.result_cache())
-        assert (changed["sweeps"], changed["invalidated"], changed["entries"]) == (1, 1, -1)
+        assert (changed["invalidated"], changed["entries"]) == (1, -1)
+        assert changed["repair_fallback_reasons"] == {"no_delta": 1}
         assert "repaired" not in changed
         assert self.served(cafe) == {(cafe.city,)}
         # the data still satisfies A: a fresh engine builds its checked indexes on it
         BoundedEngine(cafe.reference, cafe.core.access_schema)
+
+    def test_a_rejected_batch_leaves_the_plan_cached(self, cafe):
+        misses = cafe.core.cache_stats()["plan_store"]["misses"]
+        batch = [Update.insert("cafe", ("c0", "atlantis")), Update.insert("cafe", ("c0", "mu"))]
+        with pytest.raises(ConstraintViolation):
+            cafe.core.apply_updates(batch)
+        result = cafe.core.execute(cafe.query)
+        assert (result.cached, result.result_cached) == (True, False)
+        assert cafe.core.cache_stats()["plan_store"]["misses"] == misses
+        assert result.rows == {(cafe.city,)} == evaluate(cafe.query, cafe.reference).rows
 
     def test_a_failed_batch_whose_prefix_overfills_a_group_is_undone_too(self, cafe):
         data = self.data(cafe)

@@ -177,6 +177,7 @@ class TestEngineBatchUpdates:
         engine.execute(q1)
         assert engine.execute(q1).result_cached
         base_version = fb_database.version
+        misses = engine.cache_stats()["plan_store"]["misses"]
         report = engine.apply_updates(
             [
                 Update.insert("cafe", ("c_b", "nyc")),
@@ -191,8 +192,8 @@ class TestEngineBatchUpdates:
         # one derivation pass for the whole batch, not one per update
         stats = engine.cache_stats()["result_cache"]
         assert stats["repaired"] == 1
-        assert engine.cache_stats()["plan_store"]["sweeps"] == 0
         result = engine.execute(q1)
+        assert engine.cache_stats()["plan_store"]["misses"] == misses
         assert result.cached and result.result_cached
         assert ("c_b",) in result.rows
         assert result.rows == evaluate(q1, fb_database).rows
@@ -209,6 +210,7 @@ class TestEngineBatchUpdates:
         engine.execute(q1)
         assert engine.execute(q1).result_cached
         base_version = fb_database.version
+        misses = engine.cache_stats()["plan_store"]["misses"]
         report = engine.apply_updates(
             [
                 Update.insert("cafe", ("c_b", "nyc")),
@@ -222,8 +224,8 @@ class TestEngineBatchUpdates:
         stats = engine.cache_stats()["result_cache"]
         assert (stats["repaired"], stats["invalidated"]) == (0, 1)
         assert stats["repair_fallback_reasons"] == {"executor_mode": 1}
-        assert engine.cache_stats()["plan_store"]["sweeps"] == 0
         result = engine.execute(q1)
+        assert engine.cache_stats()["plan_store"]["misses"] == misses
         assert result.cached and not result.result_cached
         assert ("c_b",) in result.rows
         assert result.rows == evaluate(q1, fb_database).rows
@@ -241,7 +243,7 @@ class TestEngineBatchUpdates:
         repeat = engine.execute(hot_query)
         assert repeat.cached
         assert repeat.result_cached
-        assert engine.cache_stats()["plan_store"]["invalidated"] == 0
+        assert engine.cache_stats()["plan_store"]["misses"] == 1
 
     def test_engine_batch_of_noops_sweeps_nothing(self, fb_database, fb_access):
         from repro.core.engine import BoundedEngine
@@ -252,5 +254,5 @@ class TestEngineBatchUpdates:
         existing = next(iter(fb_database.relation("cafe").rows))
         report = engine.apply_updates([Update.insert("cafe", existing)])
         assert report.applied == 0
-        assert engine.cache_stats()["plan_store"]["sweeps"] == 0
         assert engine.execute(q1).result_cached
+        assert engine.cache_stats()["plan_store"]["misses"] == 1

@@ -451,12 +451,14 @@ class _Settlements:
         with pytest.raises(ConstraintViolation):
             self.core.apply_updates(updates)
         assert self.data() == data
-        # swept, both epochs having moved: no verdict map, no derivation
-        assert (self.settled, self.derived) == ({}, {})
+        # swept, both epochs having moved: every dependent goes as no_delta,
+        # with no derivation
+        swept = [key for key, entry in before.items() if touched.intersection(entry.dependencies)]
+        assert (self.settled, self.derived) == (dict.fromkeys(swept, "no_delta"), {})
         after = self.entries()
         reached = []
         for key, entry in before.items():
-            if touched.intersection(entry.dependencies):
+            if key in swept:
                 assert key not in after
                 reached.append("rejected")
             else:
@@ -538,9 +540,12 @@ class _Settlements:
                 self.core._deriver.executor.discard(entry.plan)
 
     def sweep_and_reprepare(self) -> list:
-        """Sweep the plan store and prepare every query again: equal plans, new objects."""
+        """Evict every plan from the store, as LRU displacement would, and
+        prepare every query again: equal plans, new objects."""
         old = [self.core.prepare(query)[0].executable for query in self.queries.values()]
-        self.core._discard_compiled(self.core.plan_cache.invalidate(self.relations))
+        store = self.core.plan_cache
+        for filler in range(store.capacity):
+            self.core._discard_compiled(store.put(("filler", filler), None))
         new = [self.core.prepare(query)[0].executable for query in self.queries.values()]
         assert all(a is not b for a, b in zip(old, new))
         self.read()
@@ -697,8 +702,8 @@ class TestSettlementAgainstTheDefinition:
             # LRU eviction / discard of the compiled plan between two batches
             settlements.evict_compiled()
             assert settlements.write([Update.delete("friend", ("p0", "p_new"))]) == ["patched"]
-            # a store sweep re-prepares an equal plan as a new object; the
-            # entry keeps the old one and still settles
+            # a plan evicted from the store is re-prepared as an equal plan,
+            # a new object; the entry keeps the old one and still settles
             (plan,) = settlements.sweep_and_reprepare()
             assert entry.plan is not plan
             assert settlements.write([friend]) == ["patched"]

@@ -1,16 +1,10 @@
-"""Unit tests for the serving-tier policies: backoff, budget, breaker, deadline."""
+"""Unit tests for the serving-tier policies: backoff, breaker, deadline."""
 
 import random
 
 import pytest
 
-from repro.serving.policy import (
-    Backoff,
-    CircuitBreaker,
-    Deadline,
-    RetryBudget,
-    RetryPolicy,
-)
+from repro.serving.policy import Backoff, CircuitBreaker, Deadline
 
 
 class FakeClock:
@@ -52,46 +46,20 @@ class TestBackoff:
         backoff.reset()
         assert backoff.next_delay() <= 0.03  # first post-reset draw is U(base, 3*base)
 
+    def test_building_one_draws_nothing(self):
+        # The server builds one on a read's first fault: every seeded retry
+        # schedule is the one it always was.
+        rng = random.Random(0)
+        untouched = rng.getstate()
+        backoff = Backoff(0.001, 0.05, rng)
+        assert (backoff.base, backoff.cap) == (0.001, 0.05)
+        assert rng.getstate() == untouched
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             Backoff(0.0, 1.0, random.Random(0))
         with pytest.raises(ValueError):
             Backoff(0.5, 0.1, random.Random(0))
-
-
-class TestRetryBudget:
-    def test_spend_draws_down_initial_tokens(self):
-        budget = RetryBudget(ratio=0.1, initial=2.0, cap=10.0)
-        assert budget.try_spend()
-        assert budget.try_spend()
-        assert not budget.try_spend()
-        assert budget.spent == 2
-        assert budget.denied == 1
-
-    def test_attempts_accrue_budget_at_ratio(self):
-        budget = RetryBudget(ratio=0.5, initial=0.0, cap=10.0)
-        assert not budget.try_spend()
-        budget.record_attempt()
-        assert not budget.try_spend()  # 0.5 < 1 full token
-        budget.record_attempt()
-        assert budget.try_spend()
-
-    def test_tokens_capped(self):
-        budget = RetryBudget(ratio=1.0, initial=0.0, cap=3.0)
-        for _ in range(100):
-            budget.record_attempt()
-        assert budget.tokens == 3.0
-
-    def test_policy_factories(self):
-        policy = RetryPolicy(base_delay=0.002, max_delay=0.02, budget_ratio=0.3)
-        rng = random.Random(0)
-        untouched = rng.getstate()
-        backoff = policy.backoff(rng)
-        assert backoff.base == 0.002 and backoff.cap == 0.02
-        # Building one draws nothing: the server builds it on a read's first
-        # fault, and every seeded retry schedule is the one it always was.
-        assert rng.getstate() == untouched
-        assert policy.budget().ratio == 0.3
 
 
 class TestCircuitBreaker:

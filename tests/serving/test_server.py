@@ -250,7 +250,6 @@ class TestInlineHits:
                 (metrics.submitted, metrics.admitted, metrics.completed, metrics.failed),
                 (dict(metrics.ladder), metrics.latency.count("result_cache")),
                 (metrics.queue_depth, metrics.total_sheds, metrics.retries),
-                server._budget.tokens,
                 audited,  # post_check ran once per read, the hit's last
                 self.lookups(core),  # one read = one count in each cache
             )

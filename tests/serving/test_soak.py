@@ -26,6 +26,24 @@ QUICK = dict(
     uncovered_queries=2,
 )
 
+#: what the QUICK soak does on a frozen clock, whatever the hash seed
+QUICK_OUTCOME = dict(
+    reads_served=60,
+    reads_verified=60,
+    writes_ok=8,
+    writes_partial=3,
+    writes_rejected=1,
+    shed_overload=37,
+    shed_deadline=3,
+    hot_burst_served=24,
+    rejected_breaker=3,
+    failed_transient=1,
+    covered_fallbacks=0,
+    reads_nonempty=0,
+)
+#: fault seam -> (calls, injected) on that soak
+QUICK_FAULTS = {"executor": (22, 3), "fallback": (3, 3), "storage.write": (63, 3)}
+
 
 class TestSoak:
     def test_seeded_chaos_soak_passes(self, monkeypatch):
@@ -60,11 +78,20 @@ class TestSoak:
         assert report["outcome"]["failed_transient"] == 0
 
     def test_soak_is_deterministic_per_seed(self, monkeypatch):
+        # Exact figures, the same under every hash seed: on a frozen clock
+        # nothing in the schedule reads time or set order.
         monkeypatch.setattr(soak, "BoundedServer", FROZEN)
         first = run_soak(SoakConfig(**QUICK))
         second = run_soak(SoakConfig(**QUICK))
         assert first["outcome"] == second["outcome"]
         assert first["faults"] == second["faults"]
+        outcome = {key: first["outcome"][key] for key in QUICK_OUTCOME}
+        assert outcome == QUICK_OUTCOME
+        faults = {
+            seam: (counts["calls"], counts["injected"])
+            for seam, counts in first["faults"].items()
+        }
+        assert faults == QUICK_FAULTS
 
     def test_hit_heavy_soak_sheds_work_and_serves_every_hit(self, monkeypatch):
         # CI's TFACC seed-1 soak at a third of its scale.  By the end of the

@@ -107,6 +107,20 @@ class TestRebalance:
         assert not result.result_cached  # layout changed: recompute
         assert result.rows == evaluate(query, database).rows
 
+    def test_the_plan_outlives_the_rebalance(self):
+        router, database = mirrored_topology(shards=3)
+        query = facebook.query_q1()
+        router.execute(query)
+        assert router.execute(query).result_cached
+        lo, hi, src, dst = friend_range(router, database)
+        assert router.rebalance("friend", (lo, hi), src, dst).rows_moved > 0
+        result = router.execute(query)
+        # the compiled scatter looks each key's owner up per call: the plan
+        # a rebalance leaves behind reads the new layout
+        assert (result.cached, result.result_cached) == (True, False)
+        assert router.cache_stats()["plan_store"]["misses"] == 1
+        assert result.rows == evaluate(query, database).rows
+
     def test_empty_range_flips_without_moving_rows(self):
         router, database = mirrored_topology()
         report = router.rebalance("friend", ("zz_lo", "zz_hi"), 0, 1)

@@ -150,7 +150,7 @@ class TestFailoverReads:
         injector = FaultInjector(seed=3)
         injector.kill(router.shards[0].replicas[0])
         # Degraded: every pass returns the reference rows.  The dead member
-        # is quarantined after `failure_threshold` (3) consecutive failed
+        # is quarantined after `FAILURE_THRESHOLD` (3) consecutive failed
         # fetches and a pass sends it as many as its plans fetch on that
         # shard — at least one — so read until the breaker trips instead of
         # pinning the plans' fetch count: three passes always do, four is the cap.
@@ -162,9 +162,7 @@ class TestFailoverReads:
         assert router.replication_stats()["failovers"] > 0
 
     def test_breaker_quarantines_a_repeatedly_failing_member(self):
-        router, database = replicated_topology(
-            result_cache_size=0, failure_threshold=2
-        )
+        router, database = replicated_topology(result_cache_size=0)
         target = router.shards[0]
         victim = target.replicas[0]
         injector = FaultInjector(seed=3)
@@ -173,7 +171,7 @@ class TestFailoverReads:
         for _ in range(4):
             assert router.execute(query).rows == evaluate(query, database).rows
         health = target.health(victim.name)
-        assert health.failures_total >= 2
+        assert health.failures_total >= health.FAILURE_THRESHOLD
         assert target.quarantines >= 1
 
     def test_every_member_dead_raises_a_typed_fault(self):
@@ -224,7 +222,7 @@ class TestDivergenceHealing:
         )
 
     def test_catch_up_refused_while_writes_still_vanish(self):
-        router, database = replicated_topology(result_cache_size=0, probe_after=1)
+        router, database = replicated_topology(result_cache_size=0)
         target = router.shards[0]
         victim = target.replicas[1]
         injector = FaultInjector(seed=7)
@@ -247,7 +245,7 @@ class TestDivergenceHealing:
         assert target.health(victim.name).state == "healthy"
 
     def test_torn_write_quarantines_immediately(self):
-        router, database = replicated_topology(result_cache_size=0, probe_after=1)
+        router, database = replicated_topology(result_cache_size=0)
         target = router.shards[0]
         victim = target.replicas[1]
         injector = FaultInjector(seed=7)
@@ -271,7 +269,7 @@ class TestDivergenceHealing:
         assert target.health(victim.name).state == "healthy"
 
     def test_quarantined_member_misses_writes_then_catches_up(self):
-        router, database = replicated_topology(result_cache_size=0, probe_after=1)
+        router, database = replicated_topology(result_cache_size=0)
         target = router.shards[0]
         victim = target.replicas[1]
         target._quarantine(victim, "divergence")
@@ -303,9 +301,7 @@ def test_property_reads_match_reference_under_lost_write_chaos(ops):
     """Random interleavings of routed writes, a lost-write fault arming and
     healing on one member, and reads: every read is row-identical to the
     mirrored reference, and after healing the member converges."""
-    router, database = replicated_topology(
-        scale=14, seed=2, result_cache_size=0, probe_after=1
-    )
+    router, database = replicated_topology(scale=14, seed=2, result_cache_size=0)
     target = router.shards[0]
     victim = target.replicas[1]
     injector = FaultInjector(seed=11)

@@ -224,15 +224,18 @@ class TestRoutedWrites:
             Update.delete("friend", by_shard[1]),
         ]
         shard0_version = router.shards[0].database.version
+        settled, settle = [], router._settle
+        router._settle = lambda *args: settled.append(args) or settle(*args)
         with pytest.raises(MaintenanceError, match="injected shard failure") as info:
             router.apply_updates(batch)
         # Shard 0's portion stays applied and is accounted for; the router
-        # still settled its caches (one sweep) over what actually changed.
-        # It keeps no clock of its own: the shard epochs are the version.
+        # still settled its result cache (with no delta: a sweep) over what
+        # actually changed.  It keeps no clock of its own: the shard epochs
+        # are the version.
         assert info.value.report.applied == 1
         assert info.value.report.failed
         assert info.value.report.version is None
-        assert router.cache_stats()["result_cache"]["sweeps"] == 1
+        assert settled == [(["friend"], None, None)]
         assert router.shards[0].database.version == shard0_version + 1
 
 
@@ -256,9 +259,9 @@ class TestDeltaRepairOverFederation:
         stats = router.cache_stats()["result_cache"]
         assert stats["repaired"] == 1  # one derivation pass for the batch
         assert stats["repair_fallbacks"] == 0
-        assert router.cache_stats()["plan_store"]["sweeps"] == 0
         result = router.execute(query)
         assert result.result_cached
+        assert router.cache_stats()["plan_store"]["misses"] == 1
         assert ("c_fed",) in result.rows
         assert result.rows == evaluate(query, database).rows
 
@@ -322,8 +325,9 @@ class TestDeltaRepairOverFederation:
         stats = router.cache_stats()["result_cache"]
         assert stats["repaired"] == 0
         assert stats["invalidated"] == 1
+        assert stats["repair_fallback_reasons"] == {"no_delta": 1}
         result = router.execute(query)
-        assert not result.result_cached
+        assert result.cached and not result.result_cached
         assert result.rows == evaluate(query, database).rows
 
 
