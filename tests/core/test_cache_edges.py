@@ -35,6 +35,13 @@ class TestZeroCapacityResultCache:
         assert cache.get("k", (0,)) is None
         assert cache.stats()["misses"] == 1
 
+    def test_clear_all_and_sweep_on_an_empty_cache_are_safe(self):
+        cache = ResultCache(capacity=0)
+        assert cache.invalidate() == 0
+        assert cache.sweep(["r"], "no_delta") == []
+        stats = cache.stats()
+        assert (stats["invalidated"], stats["repair_fallback_reasons"]) == (0, {})
+
     def test_engine_with_zero_caches_still_serves(self, fb_database, fb_access, fb_q0_prime):
         engine = BoundedEngine(
             fb_database,

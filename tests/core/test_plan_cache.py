@@ -2,8 +2,13 @@
 
 import pytest
 from analytic_queries import ANALYTIC_SCALE, analytic_queries
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import BoundedEngine, PreparedQuery
+from repro.core.errors import ConstraintViolation, MaintenanceError
+from repro.core.query import Relation, eq
+from repro.discovery.maintenance import Update
 from repro.core.planstore import PlanStore
 from repro.evaluator.algebra import evaluate
 from repro.evaluator.executor import PlanExecutor
@@ -51,6 +56,22 @@ class TestPlanStoreUnit:
         assert stats["misses"] == 1
         assert stats["entries"] == 1
 
+
+    def test_a_displaced_plan_releases_its_compiled_kernels(
+        self, fb_database, fb_access, fb_q0_prime
+    ):
+        engine = BoundedEngine(fb_database, fb_access, plan_cache_size=1, result_cache_size=0)
+        q1 = facebook.query_q1()
+        assert engine.execute(q1).rows == evaluate(q1, fb_database).rows
+        (entry,) = engine.plan_cache._entries.values()
+        compiled = engine._executor._compiled
+        assert id(entry.executable) in compiled
+        engine.execute(fb_q0_prime)  # the one slot goes to q0': q1's plan is displaced
+        assert id(entry.executable) not in compiled
+        assert engine.cache_stats()["plan_store"]["evictions"] == 1
+        again = engine.execute(q1)  # prepared anew, and still right
+        assert not again.cached
+        assert again.rows == evaluate(q1, fb_database).rows
 
 class TestCachedExecution:
     def test_rows_identical_with_and_without_cache(
@@ -240,3 +261,45 @@ def test_cache_and_optimizer_row_identical_on_workloads(name):
             assert executor.execute(plan).rows == expected
         # warm pass: served from cache, still identical
         assert full.execute(query).rows == expected
+
+
+#: one write batch of each outcome: applied, failed part-way, undone and rejected
+BATCHES = {
+    "applied": lambda i: [Update.insert("friend", ("p0", f"p_new{i}"))],
+    "failed": lambda i: [
+        Update.insert("friend", ("p1", f"p_x{i}")),
+        Update.insert("friend", ("p0",)),  # malformed: the batch fails here
+    ],
+    "rejected": lambda i: [
+        Update.insert("cafe", ("c0", f"atlantis{i}")),
+        Update.insert("cafe", ("c0", f"mu{i}")),
+    ],
+}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.sampled_from(sorted(BATCHES)), min_size=1, max_size=6))
+def test_no_write_outcome_prepares_a_query_again(outcomes):
+    """A plan is a function of (Q, A): after any run of batches — applied,
+    failed or rejected — each query was prepared once and reads the data."""
+    database = facebook.generate(scale=30, seed=3)
+    engine = BoundedEngine(database, facebook.access_schema(database.schema))
+    cafe = Relation.from_schema(database.schema, "cafe")
+    queries = [
+        facebook.query_q1(),
+        cafe.select(eq(cafe["cid"], "c0")).project([cafe["city"]]),
+    ]
+    for index, outcome in enumerate(outcomes):
+        for query in queries:
+            assert engine.execute(query).rows == evaluate(query, database).rows
+        try:
+            engine.apply_updates(BATCHES[outcome](index))
+        except (ConstraintViolation, MaintenanceError):
+            assert outcome != "applied"
+        else:
+            assert outcome == "applied"
+    for query in queries:
+        result = engine.execute(query)
+        assert result.cached
+        assert result.rows == evaluate(query, database).rows
+    assert engine.cache_stats()["plan_store"]["misses"] == len(queries)

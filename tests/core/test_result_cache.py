@@ -63,6 +63,18 @@ class TestResultCacheUnit:
         assert stats["repair_fallback_reasons"] == {"no_delta": 1}
 
 
+    def test_clear_all_drops_every_entry_as_one_sweep(self):
+        cache = ResultCache(capacity=8)
+        for index in range(3):
+            cache.put(index, frozenset(), (), dependencies=(f"rel{index}",), snapshot=(1,))
+        assert cache.invalidate() == 3
+        assert len(cache) == 0
+        assert all(cache.get(index, (1,)) is None for index in range(3))
+        stats = cache.stats()
+        assert (stats["sweeps"], stats["invalidated"]) == (1, 3)
+        assert stats["invalidated_by"] == {"*": 3}
+        assert stats["repair_fallback_reasons"] == {}  # no write's verdict
+
 class TestEngineResultCache:
     def test_dependent_insert_repairs_entry(self, hot_cold_setup):
         database, access, hot_query = hot_cold_setup

@@ -25,7 +25,12 @@ from repro.core.planstore import PlanStore
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
 from repro.serving.faults import FaultInjector, FaultSpec
+from repro.serving import server as server_module
+from repro.serving.policy import Backoff
 from repro.serving.server import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
+    MAX_ATTEMPTS,
     BoundedServer,
     ReadRequest,
     ServerConfig,
@@ -440,6 +445,55 @@ class TestRetries:
         (result,) = results
         assert isinstance(result, TransientFault)
         assert server.metrics.ladder["bounded_failed"] == 1
+
+    @pytest.mark.parametrize("failures", range(MAX_ATTEMPTS + 1))
+    def test_a_read_gets_max_attempts_tries(self, engine, fb_database, fb_q0_prime, failures):
+        # The first ``failures`` executor calls fail: fewer than MAX_ATTEMPTS
+        # is retried to success, MAX_ATTEMPTS of them surface the fault.
+        calls = {"n": 0}
+        original = engine._executor.execute
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] <= failures:
+                raise TransientFault(f"call {calls['n']} fails")
+            return original(*args, **kwargs)
+
+        engine._executor.execute = flaky
+        try:
+            results, server = serve(engine, [ReadRequest(query=fb_q0_prime)])
+        finally:
+            del engine._executor.execute
+        (response,) = results
+        tries = min(failures + 1, MAX_ATTEMPTS)
+        assert calls["n"] == tries
+        assert server.metrics.retries == tries - 1
+        if failures < MAX_ATTEMPTS:
+            assert response.ok and response.attempts == tries
+            assert response.ladder == ("bounded:fault",) * failures + ("bounded",)
+            assert response.rows == evaluate(fb_q0_prime, fb_database).rows
+        else:
+            assert isinstance(response, TransientFault)
+            assert server.metrics.ladder["bounded_failed"] == 1
+
+    def test_retry_sleeps_are_drawn_within_the_backoff_bounds(
+        self, engine, fb_q0_prime, monkeypatch
+    ):
+        delays = []
+
+        class RecordingBackoff(Backoff):
+            def next_delay(self):
+                delays.append(super().next_delay())
+                return delays[-1]
+
+        monkeypatch.setattr(server_module, "Backoff", RecordingBackoff)
+        with FaultInjector(seed=0) as injector:
+            injector.configure("executor", FaultSpec(error_rate=1.0))
+            injector.install_engine(engine)
+            results, server = serve(engine, [ReadRequest(query=fb_q0_prime)])
+        assert isinstance(results[0], TransientFault)
+        assert len(delays) == server.metrics.retries == MAX_ATTEMPTS - 1
+        assert all(BACKOFF_BASE <= delay <= BACKOFF_CAP for delay in delays)
 
     def test_abandoned_epoch_guard_is_retried_as_a_fault_never_served(
         self, engine, fb_database, fb_q0_prime, monkeypatch

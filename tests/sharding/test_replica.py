@@ -17,7 +17,7 @@ from repro.core.query import Relation, eq
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
 from repro.serving.faults import FaultInjector, FaultSpec
-from repro.sharding import ReplicaSet, build_topology
+from repro.sharding import ReplicaHealth, ReplicaSet, build_topology
 from repro.storage.counters import AccessCounter
 from repro.workloads import WORKLOADS, facebook
 
@@ -129,6 +129,63 @@ class TestRejectedWrites:
         result = router.execute(query)
         assert result.rows == {(city,)} == evaluate(query, database).rows
         assert result.counter.total <= result.plan.access_bound() == 1
+
+
+class TestReplicaHealth:
+    """The breaker's two constants, pinned on one member's health record."""
+
+    def test_the_breaker_trips_on_the_threshold_th_consecutive_failure(self):
+        health = ReplicaHealth("r0")
+        for _ in range(ReplicaHealth.FAILURE_THRESHOLD - 1):
+            assert not health.record_failure()
+            assert not health.quarantined
+        assert health.record_failure()  # the trip is reported once, by this call
+        assert (health.quarantined, health.reason) == (True, "unhealthy")
+        assert not health.record_failure()  # already out: nothing trips again
+        assert health.failures_total == ReplicaHealth.FAILURE_THRESHOLD + 1
+
+    def test_a_success_resets_the_consecutive_count(self):
+        health = ReplicaHealth("r0")
+        for _ in range(3 * ReplicaHealth.FAILURE_THRESHOLD):
+            for _ in range(ReplicaHealth.FAILURE_THRESHOLD - 1):
+                health.record_failure()
+            health.record_success()
+        assert not health.quarantined
+        assert health.consecutive_failures == 0
+        assert health.failures_total == 3 * ReplicaHealth.FAILURE_THRESHOLD * (
+            ReplicaHealth.FAILURE_THRESHOLD - 1
+        )
+
+    def test_a_quarantined_member_is_probed_at_once_then_every_probe_after_th_selection(self):
+        health = ReplicaHealth("r0")
+        health.quarantine("divergence")
+        selections = 3 * ReplicaHealth.PROBE_AFTER
+        allowed = [health.allow_probe() for _ in range(selections)]
+        assert [i for i, probe in enumerate(allowed) if probe] == list(
+            range(0, selections, ReplicaHealth.PROBE_AFTER)
+        )
+        assert health.probes == 3
+
+    def test_a_healthy_member_is_never_probed(self):
+        health = ReplicaHealth("r0")
+        assert not any(health.allow_probe() for _ in range(2 * ReplicaHealth.PROBE_AFTER))
+        assert health.probes == 0
+
+    def test_readmission_needs_the_full_threshold_again(self):
+        health = ReplicaHealth("r0")
+        for _ in range(ReplicaHealth.FAILURE_THRESHOLD):
+            health.record_failure()
+        health.readmit()
+        assert (health.quarantined, health.reason, health.consecutive_failures) == (
+            False,
+            None,
+            0,
+        )
+        for _ in range(ReplicaHealth.FAILURE_THRESHOLD - 1):
+            assert not health.record_failure()
+        assert health.record_failure()
+        # a fresh quarantine restarts the probe schedule: the first selection probes
+        assert health.allow_probe()
 
 
 class TestFailoverReads:
