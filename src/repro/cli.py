@@ -30,7 +30,7 @@ from .core.coverage import check_coverage
 from .core.engine import BoundedEngine
 from .core.errors import ReproError
 from .core.minimize import minimize_auto
-from .core.optimizer import choose_executor_mode, optimize_plan
+from .core.optimizer import optimize_plan
 from .core.plan2sql import plan_to_sql
 from .core.planner import generate_plan
 from .core.serialize import (
@@ -127,8 +127,7 @@ def command_plan(args) -> int:
     if args.executable:
         bounds = plan.cardinality_bounds()
         width = len(f"{max(bounds.values()):,}")
-        print(f"-- executable plan, {choose_executor_mode(plan)} kernels (its access bound "
-              "picks them); left: static bound on the step's rows")
+        print("-- executable plan; left: static bound on the step's rows")
         for step in plan.steps:
             print(f"{bounds[step.id]:>{width},}  {step}")
         print(f"-- result: T{plan.output}")
@@ -150,19 +149,16 @@ def command_run(args) -> int:
     served = (
         " | served from result cache" if result.result_cached else ""
     )
-    executor = (
-        f" | executor: {result.executor_mode}" if result.executor_mode else ""
-    )
     print(
         f"-- {len(result.rows)} rows | strategy: {result.strategy} | rewrite: {result.rewrite} | "
         f"accessed {result.counter.total} of {database.size} tuples "
-        f"(P(D_Q) = {result.access_ratio(database.size):.6f}) in {result.elapsed * 1000:.1f}ms"
-        f"{executor}{served}",
+        f"(P(D_Q) = {result.access_ratio(database.size):.6f}) in "
+        f"{result.elapsed * 1000:.1f}ms{served}",
         file=sys.stderr,
     )
     if args.cache_stats:
         stats = engine.cache_stats()
-        for cache_name in ("plan_store", "result_cache", "executor"):
+        for cache_name in ("plan_store", "result_cache"):
             line = " ".join(
                 f"{key}={value:.2f}" if isinstance(value, float) else f"{key}={value}"
                 for key, value in stats[cache_name].items()
@@ -322,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="execute the query N times (exercises the hot path; "
                           "repeats are served from the plan store / result cache)")
     run.add_argument("--cache-stats", action="store_true",
-                     help="print plan-store, result-cache and executor statistics to stderr")
+                     help="print plan-store and result-cache statistics to stderr")
     run.set_defaults(handler=command_run)
 
     discover = subparsers.add_parser("discover", help="mine access constraints from data")

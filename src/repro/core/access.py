@@ -207,16 +207,6 @@ class AccessSchema:
             (c for c in self._constraints if c != dropped), self.schema
         )
 
-    def subset_fraction(self, fraction: float) -> "AccessSchema":
-        """The first ``fraction`` of the constraints, in insertion order.
-
-        Used by the experiments that vary ``||A||`` with scale factors.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise AccessConstraintError(f"fraction must be in [0, 1], got {fraction}")
-        count = max(0, round(len(self._constraints) * fraction))
-        return AccessSchema.trusted(self._constraints[:count], self.schema)
-
     def sample_fraction(self, fraction: float, seed: int = 0) -> "AccessSchema":
         """A random (but seed-deterministic) ``fraction`` of the constraints.
 

@@ -138,9 +138,6 @@ class EngineResult:
     rewrite: str = "identity"
     cached: bool = False
     result_cached: bool = False
-    #: kernel family that executed the bounded plan ("row"/"columnar");
-    #: ``None`` when nothing executed (result-cache hit) or on the fallback
-    executor_mode: str | None = None
 
     def access_ratio(self, database_size: int) -> float:
         """``P(D_Q)`` for this execution."""
@@ -266,9 +263,8 @@ class ServingCore:
     private store of ``plan_cache_size`` entries is created.
     ``result_cache_size`` bounds the result cache (0 disables result
     caching).  Every plan is optimized
-    (:func:`~repro.core.optimizer.optimize_plan`) and runs on the kernel
-    family its bound picks
-    (:func:`~repro.core.optimizer.choose_executor_mode`).
+    (:func:`~repro.core.optimizer.optimize_plan`) and runs on the executor's
+    row kernels.
 
     **Snapshot contract.**  :meth:`execute` reads the dependency snapshot
     *before* probing the result cache, re-validates it *after* executing,
@@ -333,7 +329,7 @@ class ServingCore:
         #: wrap this attribute rather than the module function, so faults
         #: hit only this instance.
         self._fallback_evaluator = evaluate_conventional
-        self._executor = PlanExecutor(source, mode="auto")
+        self._executor = PlanExecutor(source)
         self._deriver = DeltaDeriver(
             self._executor, schema, group_lookup=self._index_group
         )
@@ -510,7 +506,6 @@ class ServingCore:
                         minimization=prepared.minimization,
                         rewrite=prepared.rewrite,
                         cached=cached,
-                        executor_mode=execution.executor_mode,
                     )
                 self._snapshot_retried(abandoned=False)
             self._snapshot_retried(abandoned=True)
@@ -708,17 +703,10 @@ class ServingCore:
 
     # -- reporting ----------------------------------------------------------------------------
     def cache_stats(self) -> dict[str, dict[str, int | float]]:
-        """Plan-store, result-cache and executor statistics, reported separately.
-
-        The ``executor`` section audits the row-vs-columnar choices: how many
-        executions each kernel family served, how ``auto`` resolved at
-        compile time, and the cumulative kernel-batch / rows-processed
-        volume.
-        """
+        """Plan-store and result-cache statistics, reported separately."""
         return {
             "plan_store": self.plan_cache.stats(),
             "result_cache": self.result_cache.stats(),
-            "executor": self._executor.stats(),
         }
 
 
@@ -734,13 +722,8 @@ class BoundedEngine(ServingCore):
 
     The constraint indexes ``I_A`` are built on construction, refusing data
     that breaks a bound with :class:`~repro.core.errors.ConstraintViolation`
-    (as :meth:`apply_updates` refuses a batch).  Each plan runs on the
-    kernel family its bound picks
-    (:func:`repro.core.optimizer.choose_executor_mode`) — row kernels for
-    point lookups, the vectorized columnar kernels of
-    :mod:`repro.evaluator.columnar` for wide joins and large bounded
-    fetches; the family that ran is surfaced on every executed
-    :class:`EngineResult` and aggregated in :meth:`cache_stats`.
+    (as :meth:`apply_updates` refuses a batch).  Every plan, point lookup
+    or wide join, runs on the executor's row kernels.
     """
 
     def __init__(

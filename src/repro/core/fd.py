@@ -93,26 +93,6 @@ class FDSet:
         """:meth:`implies` over a packaged :class:`FunctionalDependency`."""
         return self.implies(dependency.lhs, dependency.rhs)
 
-    # -- convenience -------------------------------------------------------------
-    def minimal_cover_step(self) -> "FDSet":
-        """Remove dependencies implied by the others (one simplification pass).
-
-        This is not a full canonical cover computation; it is the redundancy
-        elimination used by tests and by the discovery module to keep mined
-        constraint sets small.
-        """
-        kept: list[FunctionalDependency] = list(self._dependencies)
-        changed = True
-        while changed:
-            changed = False
-            for index, dependency in enumerate(kept):
-                others = FDSet(kept[:index] + kept[index + 1 :])
-                if others.implies_fd(dependency):
-                    kept.pop(index)
-                    changed = True
-                    break
-        return FDSet(kept)
-
 
 def closure(
     attributes: Iterable[Token], dependencies: Sequence[FunctionalDependency]

@@ -42,21 +42,12 @@ Every rewrite is purely structural; the optimized plan stays a valid
 :class:`~repro.core.plan.BoundedPlan` (``validate()`` is re-run on the
 result), keeps the same access schema and occurrence mapping, and computes
 row-for-row the same output as the input plan.
-
-The optimizer also owns the **executor-mode choice**
-(:func:`choose_executor_mode`): given a plan's static access bounds — the
-same dataset-independent arithmetic that certifies boundedness — it decides
-whether the plan should run on the row kernels (tiny/point plans, where
-per-batch setup would dominate) or on the vectorized columnar kernels of
-:mod:`repro.evaluator.columnar` (wide joins and large bounded fetches,
-where tuple-at-a-time interpretation dominates).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .errors import PlanError
 from .plan import (
     BoundedPlan,
     ColumnPredicate,
@@ -447,49 +438,11 @@ class _PeepholeRewriter:
         return steps, final, final[output]
 
 
-#: static access bound at which a plan's fetch volume alone justifies
-#: columnar batches, regardless of shape
+#: Read by nothing in ``src/``: the layered benchmark imports it as the
+#: access bound from which a shape counts as wide.  It picked the columnar
+#: kernel family until that family was deleted, and goes when the harness
+#: classes shapes by something else (ROADMAP item 1).
 COLUMNAR_BOUND_THRESHOLD = 4000
-
-
-def choose_executor_mode(plan: BoundedPlan) -> str:
-    """Pick ``"row"`` or ``"columnar"`` kernels for ``plan``, cost-based.
-
-    The decision uses only the plan's static access bound (the paper's
-    dataset-independent ``access_bound()`` arithmetic), so it is stable
-    across executions and cacheable with the compiled plan.
-
-    Point and small analytic plans stay on row kernels: their per-step row
-    counts are a handful, so transposing into columns costs more than it
-    saves.  Plans whose access bound reaches
-    :data:`COLUMNAR_BOUND_THRESHOLD` go columnar — a bound that large only
-    arises when candidate domains multiply through fetch chains, which is
-    exactly where batch kernels win: candidate cross products stay virtual,
-    verification joins become per-factor membership masks, and selection /
-    projection / dedup run as C-level column operations instead of per-row
-    set maintenance.  Measured with the family forced, on the 64 hot queries
-    of ``benchmarks/layered`` (TFACC, scale 200; executor time of one pass
-    over the set, best of 60, pruned plans; ``benchmarks/history/pr-28.md``):
-
-    ==========================  ========  ==========  ========
-    plans                       row       columnar    row wins
-    ==========================  ========  ==========  ========
-    51 point (bound ≤ 1 000)    0.72 ms   2.08 ms     51 of 51
-    13 wide (bound ≥ 12 465)    3.35 ms   2.45 ms     6 of 13
-    ==========================  ========  ==========  ========
-
-    Column pruning moved the wide row: before it the two families took
-    9.25 / 5.31 ms and row won 1 of 13.  The threshold still sorts the two
-    classes the way the totals say; the wide plans row kernels now win are
-    evidence for ROADMAP 5(b), not acted on here.
-    """
-    try:
-        bound = plan.access_bound()
-    except PlanError:  # pragma: no cover - defensive: unknown future operator
-        return "row"
-    if bound >= COLUMNAR_BOUND_THRESHOLD:
-        return "columnar"
-    return "row"
 
 
 def optimize_plan(plan: BoundedPlan) -> BoundedPlan:

@@ -161,17 +161,3 @@ class DatabaseSchema:
     def get(self, name: str) -> RelationSchema | None:
         """The relation schema for ``name``, or ``None`` when undeclared."""
         return self._relations.get(name)
-
-    def with_renaming(self, mapping: Mapping[str, str]) -> "DatabaseSchema":
-        """A schema in which each relation ``old`` in ``mapping`` also appears
-        under the new occurrence name ``mapping[old]``.
-
-        Used when normalizing queries: each occurrence of a base relation gets
-        a distinct name but shares the base relation's attributes.
-        """
-        schema = DatabaseSchema(self._relations.values())
-        for old, new in mapping.items():
-            base = self[old]
-            if new not in schema:
-                schema.add(base.rename(new))
-        return schema

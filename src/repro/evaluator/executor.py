@@ -6,8 +6,8 @@ step is the only place substrates differ: at compile time the source turns
 ``(plan, step)`` into ``fetch(distinct keys, counter) -> rows`` — lookups on
 one constraint index for a local :class:`~repro.storage.index.IndexSet`,
 scatter/gather over the owning shards for a
-:class:`~repro.sharding.router.ShardRouter`.  Both kernel families consume
-that one seam, so every substrate runs the same kernels; every access is
+:class:`~repro.sharding.router.ShardRouter`.  The kernels consume that one
+seam, so every substrate runs the same kernels; every access is
 recorded on an :class:`~repro.storage.counters.AccessCounter`, so the
 measured ``|D_Q|`` of the experiments is exact.
 
@@ -20,20 +20,14 @@ per plan object (the hot path of :class:`~repro.core.engine.BoundedEngine`
 executes the same cached plan over and over), so a warm execution does no
 per-step interpretation work beyond running the kernels.
 
-Two execution modes share the :class:`CompiledPlan` seam:
-
-* **row** — the original tuple-at-a-time kernels over mutable-set
-  intermediates (best for tiny/point plans, where batch setup would
-  dominate);
-* **columnar** — the batch-wise kernels of :mod:`repro.evaluator.columnar`
-  over :class:`~repro.evaluator.columnar.ColumnBatch` intermediates (the
-  cold-path fast mode: vectorized selection, columnar hash joins, zero-copy
-  projection, dictionary-encoded string columns).
-
-The executor's ``mode`` is ``"row"``, ``"columnar"``, or ``"auto"``, in
-which case :func:`repro.core.optimizer.choose_executor_mode` picks per plan
-from its static bounds.  Both modes produce identical frozen row sets — a
-property pinned by the randomized equivalence tests.
+There is one kernel family: tuple-at-a-time kernels over set
+intermediates.  A bounded plan fetches at most ``access_bound()`` tuples
+and in practice far fewer (16–421 on the layered benchmark's widest plans),
+so batch kernels have nothing to amortize: a columnar family ran beside
+this one until row kernels beat it on 12 or 13 of the benchmark's 13 wide
+plans (per run) and on all 12 plans with bounds of 1 201–2 300, with the
+same rows and fetches either way (the per-plan tables are in
+``benchmarks/history/``).
 """
 
 from __future__ import annotations
@@ -66,7 +60,6 @@ from ..core.plan import (
 )
 from ..storage.counters import AccessCounter
 from .algebra import ResultSet, _compare
-from .columnar import ColumnarCompiler, FetchEncoder
 
 Row = tuple
 
@@ -76,29 +69,24 @@ Kernel = Callable[[list, AccessCounter], "set[Row] | frozenset[Row]"]
 #: how many compiled plans each executor keeps around
 _COMPILED_CACHE_SIZE = 64
 
-#: valid executor modes ("auto" resolves per plan at compile time)
-EXECUTOR_MODES = ("auto", "row", "columnar")
 
 
 @dataclass
 class ExecutionResult:
     """The outcome of executing a bounded plan.
 
-    ``executor_mode`` names the kernel family that ran (``"row"`` or
-    ``"columnar"``); ``kernel_batches`` counts kernel invocations and
-    ``rows_processed`` the total rows emitted across all steps, so the
-    optimizer's row-vs-columnar choices are auditable per execution.
-    ``step_cardinalities`` breaks ``rows_processed`` down per step.
+    ``kernel_batches`` counts kernel invocations and ``rows_processed`` the
+    total rows emitted across all steps; ``step_cardinalities`` breaks
+    ``rows_processed`` down per step.  ``executor_mode`` is always
+    ``"row"``: the layered benchmark's tracer still files executions by it,
+    and it goes when the harness stops reading it (ROADMAP item 1).
 
     ``env`` is the frozen per-step row environment, captured only when the
     caller asked for it (``capture_env=True``) — it is the
     memoized-intermediates handle the delta-maintenance path
-    (:mod:`repro.core.deltas`) repairs cached results from.  Columnar
-    intermediates are frozen back to row sets (``to_frozenset``), which both
-    kernel families produce identically per step; a caller-supplied
-    ``env_rows_budget`` skips capture for executions whose total
-    intermediate volume would make freezing (and caching) a bad trade —
-    notably virtual cross-products the columnar executor never materializes.
+    (:mod:`repro.core.deltas`) repairs cached results from.  A
+    caller-supplied ``env_rows_budget`` skips capture for executions whose
+    total intermediate volume would make freezing (and caching) a bad trade.
     """
 
     result: ResultSet
@@ -127,19 +115,14 @@ class ExecutionResult:
 class CompiledPlan:
     """A bounded plan lowered to per-step kernels, ready for repeated runs.
 
-    ``mode`` records which kernel family the plan was lowered to: ``"row"``
-    kernels exchange sets of row tuples through the environment,
-    ``"columnar"`` kernels exchange :class:`~repro.evaluator.columnar.
-    ColumnBatch` instances.  The freeze back to the row-set contract happens
-    in :meth:`PlanExecutor.execute`, so every consumer downstream of the
-    executor sees identical results either way.
+    The kernels exchange sets of row tuples through the environment; the
+    freeze of the output step happens in :meth:`PlanExecutor.execute`.
     """
 
     plan: BoundedPlan
     kernels: tuple[Kernel, ...]
     columns: tuple[tuple[str, ...], ...]
     output: int
-    mode: str = "row"
     #: the plan's :class:`~repro.core.deltas.RepairProgram`, attached by the
     #: first write settlement that reaches the plan (``None`` until then)
     repair: object | None = None
@@ -149,41 +132,15 @@ class PlanExecutor:
     """Executes bounded plans over a fetch source.
 
     ``source`` answers the plans' fetch steps: anything with
-    ``fetcher(plan, step, *, batched) -> fetch(distinct keys, counter)`` —
-    an :class:`~repro.storage.index.IndexSet` or a
-    :class:`~repro.sharding.router.ShardRouter`.  A fetch returns the distinct
-    index rows of its keys: a ``set`` (the row kernels' intermediate) unless
-    ``batched``, when any sized collection will do.  ``mode`` selects the kernel
-    family plans are lowered to: ``"row"``, ``"columnar"``, or ``"auto"``
-    (per-plan cost-based choice via
-    :func:`repro.core.optimizer.choose_executor_mode`).
+    ``fetcher(plan, step) -> fetch(distinct keys, counter)`` — an
+    :class:`~repro.storage.index.IndexSet` or a
+    :class:`~repro.sharding.router.ShardRouter`.  A fetch returns the
+    distinct index rows of its keys as a ``set``, the kernels' intermediate.
     """
 
-    def __init__(self, source, *, mode: str = "row"):
-        if mode not in EXECUTOR_MODES:
-            raise PlanError(
-                f"unknown executor mode {mode!r}; expected one of {EXECUTOR_MODES}"
-            )
+    def __init__(self, source):
         self.source = source
-        self.mode = mode
         self._compiled: OrderedDict[int, CompiledPlan] = OrderedDict()
-        #: (base relation, lhs, rhs) -> {column position -> Dictionary}: the
-        #: persistent dictionaries of columnar fetches, one set per physical
-        #: index however many occurrences or plans fetch through it
-        self._fetch_dictionaries: dict[tuple, dict] = {}
-        self._counters = {
-            "row_executions": 0,
-            "columnar_executions": 0,
-            "kernel_batches": 0,
-            "rows_processed": 0,
-            "auto_row_choices": 0,
-            "auto_columnar_choices": 0,
-        }
-
-    def stats(self) -> dict[str, int]:
-        """Cumulative executor observability: executions by mode, kernel
-        batches run, rows processed, and how ``auto`` resolved per compile."""
-        return dict(self._counters)
 
     def execute(
         self,
@@ -210,32 +167,22 @@ class PlanExecutor:
             rows = kernel(env, counter)
             env[step_id] = rows
             cardinalities[step_id] = len(rows)
-        output = env[compiled.output]
         result = ResultSet(
             columns=compiled.columns[compiled.output],
-            rows=output.to_frozenset()
-            if compiled.mode == "columnar"
-            else frozenset(output),
+            rows=frozenset(env[compiled.output]),
         )
         rows_processed = sum(cardinalities.values())
         captured: tuple[frozenset[Row], ...] | None = None
         if capture_env and (env_rows_budget is None or rows_processed <= env_rows_budget):
             captured = tuple(
-                step.to_frozenset()
-                if compiled.mode == "columnar"
-                else (step if isinstance(step, frozenset) else frozenset(step))
-                for step in env
+                step if isinstance(step, frozenset) else frozenset(step) for step in env
             )
         elapsed = time.perf_counter() - started
-        self._counters[f"{compiled.mode}_executions"] += 1
-        self._counters["kernel_batches"] += len(compiled.kernels)
-        self._counters["rows_processed"] += rows_processed
         return ExecutionResult(
             result=result,
             counter=counter,
             elapsed=elapsed,
             step_cardinalities=cardinalities,
-            executor_mode=compiled.mode,
             kernel_batches=len(compiled.kernels),
             rows_processed=rows_processed,
             env=captured,
@@ -265,33 +212,7 @@ class PlanExecutor:
         if cached is not None and cached.plan is plan:
             del self._compiled[id(plan)]
 
-    def _resolve_mode(self, plan: BoundedPlan) -> str:
-        """The kernel family for ``plan``: forced, or cost-chosen for auto."""
-        if self.mode != "auto":
-            return self.mode
-        from ..core.optimizer import choose_executor_mode  # lazy: avoids a cycle
-
-        mode = choose_executor_mode(plan)
-        self._counters[f"auto_{mode}_choices"] += 1
-        return mode
-
-    def _encoder_for(self, plan: BoundedPlan, step: PlanStep) -> FetchEncoder:
-        constraint = step.op.constraint
-        shape = (plan.base_relation(constraint), constraint.lhs, constraint.rhs)
-        return FetchEncoder(self._fetch_dictionaries.setdefault(shape, {}))
-
     def _compile(self, plan: BoundedPlan) -> CompiledPlan:
-        mode = self._resolve_mode(plan)
-        if mode == "columnar":
-            compiler = ColumnarCompiler(plan, self.source, self._encoder_for)
-            kernels, columns = compiler.compile()
-            return CompiledPlan(
-                plan=plan,
-                kernels=kernels,
-                columns=columns,
-                output=plan.output,
-                mode="columnar",
-            )
         kernels: list[Kernel] = []
         columns: list[tuple[str, ...]] = []
         for position, step in enumerate(plan.steps):
@@ -367,7 +288,7 @@ class PlanExecutor:
         positions = column_positions(source_columns)
         key_positions = tuple(position_of(positions, c, step) for c in op.key_columns)
         source = op.inputs[0]
-        fetch = self.source.fetcher(plan, step, batched=False)
+        fetch = self.source.fetcher(plan, step)
         # Fetch keys are tuples, however many positions: one key column is
         # wrapped by hand, several are picked at C speed.
         if len(key_positions) == 1:
@@ -493,8 +414,6 @@ def execute_plan(
     plan: BoundedPlan,
     source,
     counter: AccessCounter | None = None,
-    *,
-    mode: str = "row",
 ) -> ExecutionResult:
     """Convenience wrapper around :class:`PlanExecutor`."""
-    return PlanExecutor(source, mode=mode).execute(plan, counter)
+    return PlanExecutor(source).execute(plan, counter)

@@ -141,7 +141,7 @@ class ShardRouter(ServingCore):
     The :class:`~repro.core.engine.ServingCore` over a federation: the
     router is its executor's fetch source (:meth:`fetcher` — fetch steps
     scatter to the owning shards, every other kernel runs centrally over
-    the merged partials, on row or columnar kernels like on one engine), a
+    the merged partials, on the same kernels as on one engine), a
     snapshot is every shard's epoch token over the plan's dependencies — so
     a cached federated result is served only while *no* shard has written a
     dependent relation, and a merge never mixes two epochs of one shard —
@@ -236,7 +236,7 @@ class ShardRouter(ServingCore):
             query, self._gather(relations), self.access_schema, None
         )
 
-    def fetcher(self, plan: BoundedPlan, step: PlanStep, *, batched: bool) -> Fetch:
+    def fetcher(self, plan: BoundedPlan, step: PlanStep) -> Fetch:
         """The federated fetch source: ``step``'s fetch as one scatter/gather.
 
         The executor's seam (see :meth:`repro.storage.index.IndexSet.fetcher`,
@@ -245,8 +245,7 @@ class ShardRouter(ServingCore):
         each key names its owning shard and the scatter is pruned to it.
         (Constraint attributes are base attribute names even for renamed
         occurrences — only relation names are actualized.)  The merged union
-        is a set, which suits both kernel families, so ``batched`` changes
-        nothing here.
+        is a set, the kernels' intermediate.
 
         Settled here, once per step: routed or broadcast, the key position,
         the shards with their latency labels, the metrics.  Looked up per

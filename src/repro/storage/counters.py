@@ -135,18 +135,3 @@ class VersionClock:
         """
         self.global_version = other.global_version
         self._per_key = dict(other._per_key)
-
-    def changed_since(
-        self, keys: Iterable[Hashable], snapshot: tuple[int, ...]
-    ) -> tuple[Hashable, ...]:
-        """The subset of ``keys`` written since ``snapshot`` was taken.
-
-        Diagnostic companion of :meth:`validate`: names *which* dependencies
-        moved, in the order given (pairs ``keys`` with ``snapshot``
-        positionally, exactly as :meth:`snapshot` produced it).
-        """
-        return tuple(
-            key
-            for key, version in zip(keys, snapshot)
-            if self._per_key.get(key, 0) != version
-        )

@@ -79,15 +79,6 @@ class Database:
         """The global version at which ``relation`` last changed (0 if never)."""
         return self.clock.version_of(relation)
 
-    def constraint_version(self, constraint: AccessConstraint) -> int:
-        """The data version of ``constraint``: when its fetch results last changed.
-
-        A write to a relation can change the index contents of *every*
-        constraint on that relation (and of no other), so per-constraint
-        versions share the counter of the constraint's relation.
-        """
-        return self.clock.version_of(constraint.relation)
-
     # -- mutation ----------------------------------------------------------------
     def insert(self, relation: str, row: Sequence | Mapping[str, object]) -> bool:
         inserted = self.relation(relation).insert(row)

@@ -111,8 +111,9 @@ class ConstraintIndex:
 
         Accounting is identical in aggregate (one probe per key, every
         returned tuple counted; no keys, nothing recorded), but the group
-        gather runs at C speed — this is the batch entry point used by the
-        columnar executor's fetch kernel.  Keys must already be tuples.
+        gather runs at C speed — this is the batch entry point a memory
+        shard's fetch uses (:meth:`~repro.sharding.shards.EngineShard.fetch`).
+        Keys must already be tuples.
         """
         groups = list(map(self._entries.get, keys))
         rows = list(chain.from_iterable(filter(None, groups)))
@@ -238,16 +239,14 @@ class IndexSet:
             index = self.find(base_relation, constraint.lhs, constraint.rhs)
         return index
 
-    def fetcher(self, plan: "BoundedPlan", step: "PlanStep", *, batched: bool) -> Fetch:
+    def fetcher(self, plan: "BoundedPlan", step: "PlanStep") -> Fetch:
         """The local fetch source: ``step``'s fetch as lookups on one index.
 
         This is the seam a plan touches data through, resolved once per
         fetch step at compile time (a :class:`~repro.sharding.router.
-        ShardRouter` implements it by scatter/gather).  Row kernels probe a
-        handful of keys and get a mutable set from a per-key loop;
-        ``batched`` (columnar kernels) gets the list of :meth:`ConstraintIndex.
-        lookup_many`.  Either way: one probe per key, every returned tuple
-        counted, nothing recorded for no keys.
+        ShardRouter` implements it by scatter/gather).  The kernels probe a
+        handful of keys and get a mutable set from a per-key loop: one probe
+        per key, every returned tuple counted, nothing recorded for no keys.
         """
         constraint = step.op.constraint
         base = plan.base_relation(constraint)
@@ -257,8 +256,6 @@ class IndexSet:
                 f"no index available for constraint {constraint} (base relation {base!r}); "
                 "build an IndexSet for the access schema first"
             )
-        if batched:
-            return index.lookup_many
         lookup = index.lookup
 
         def fetch(keys: Collection[Row], counter: AccessCounter) -> set[Row]:

@@ -9,10 +9,8 @@ nothing.
 The queries below are covered, bounded queries too, but they traverse the
 high-fan-out access constraints (districts → accidents, airports → flights →
 planes, …): their plans carry access bounds from the thousands to the hundreds
-of thousands (AIRCA's ``fleet`` and both of TFACC's run columnar kernels under
-``executor_mode="auto"``; AIRCA's ``serving``, bound 2 280, and MCBM's run row
-kernels), and on generated
-data of :data:`ANALYTIC_SCALE` or more every one of them has rows.  Tests that
+of thousands, and on generated data of :data:`ANALYTIC_SCALE` or more every one
+of them has rows.  Tests that
 need a bundled workload with an answer take them as input and assert the
 answers non-empty, so a generator change cannot make them vacuous unnoticed.
 """

@@ -97,13 +97,6 @@ class TestAccessSchema:
         assert constraints[0] not in without
         assert len(without) == 3
 
-    def test_subset_fraction(self, fb_access):
-        assert len(fb_access.subset_fraction(0.5)) == 2
-        assert len(fb_access.subset_fraction(1.0)) == 4
-        assert len(fb_access.subset_fraction(0.0)) == 0
-        with pytest.raises(AccessConstraintError):
-            fb_access.subset_fraction(1.5)
-
     def test_sample_fraction_deterministic(self, fb_access):
         first = list(fb_access.sample_fraction(0.5, seed=3))
         second = list(fb_access.sample_fraction(0.5, seed=3))

@@ -58,7 +58,8 @@ class TestPlanCommand:
                      "--sql", FB_Q1_SQL, "--executable"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "-- executable plan, columnar kernels" in out
+        assert "-- executable plan; left: static bound on the step's rows" in out
+        assert "kernels" not in out  # one kernel family: nothing to name
         steps = [line for line in out.splitlines() if not line.startswith("--")]
         assert all(line.split()[0].replace(",", "").isdigit() for line in steps)
         assert any("⋈[" in line for line in steps)
@@ -88,7 +89,17 @@ class TestRunCommand:
         assert code == 0
         assert "strategy: bounded" in captured.err
         assert "P(D_Q)" in captured.err
-        assert "executor: columnar" in captured.err  # q1's bound picks the family
+        assert "executor:" not in captured.err  # one kernel family: nothing to name
+
+    def test_run_cache_stats_reports_the_two_caches(self, capsys):
+        code = main(["run", "--workload", "facebook", "--scale", "40", "--seed", "1",
+                     "--sql", FB_Q1_SQL, "--repeat", "2", "--cache-stats"])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert "served from result cache" in err  # the second run was a hit
+        stats = [line for line in err.splitlines() if line[3:].split(":")[0].isidentifier()]
+        assert [line.split(":")[0] for line in stats] == ["-- plan_store", "-- result_cache"]
+        assert "hits=1" in stats[0] and "hits=1" in stats[1]
 
     def test_run_has_no_kernel_switch(self, capsys):
         with pytest.raises(SystemExit) as refused:

@@ -64,7 +64,7 @@ class TestDerivability:
     def deriver(self, fb_database, fb_indexes, fb_schema):
         # Structural checks never execute, but they read the repair program
         # kept on the executor's compiled plan.
-        return DeltaDeriver(PlanExecutor(fb_indexes, mode="row"), fb_schema)
+        return DeltaDeriver(PlanExecutor(fb_indexes), fb_schema)
 
     def test_monotone_plan_is_derivable_for_every_relation(self, deriver, fb_access):
         prepared = prepare_query(facebook.query_q1(), fb_access)
@@ -96,12 +96,7 @@ class TestDerivability:
 
 
 class TestEngineRepair:
-    """The wired contract: BoundedEngine writes settle entries via the deriver.
-
-    q1's bound makes it a columnar plan; the tests of the patch path (row
-    kernels re-run over the captured environment) lower it to row kernels
-    with the ``row_kernels`` fixture.
-    """
+    """The wired contract: BoundedEngine writes settle entries via the deriver."""
 
     def test_unprobed_key_restamps_without_execution(self, fb_database, fb_access):
         engine = BoundedEngine(fb_database, fb_access)
@@ -116,7 +111,6 @@ class TestEngineRepair:
         result = engine.execute(q1)
         assert result.result_cached and result.rows == evaluate(q1, fb_database).rows
 
-    @pytest.mark.usefixtures("row_kernels")
     def test_probed_key_patches_rows_in_place(self, fb_database, fb_access):
         engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
@@ -171,7 +165,6 @@ class TestEngineRepair:
         assert not result.result_cached
         assert result.rows == evaluate(q1, fb_database).rows
 
-    @pytest.mark.usefixtures("row_kernels")
     def test_mixed_batch_patches_inserts_and_deletes_together(
         self, fb_database, fb_access
     ):
@@ -212,7 +205,6 @@ class TestEngineRepair:
         assert stats["repaired"] == 0
         assert stats["repair_fallback_reasons"] == {"stale": 1}
 
-    @pytest.mark.usefixtures("row_kernels")
     def test_repair_outcome_metadata_names_dirty_steps(self, fb_database, fb_access):
         engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
@@ -233,7 +225,6 @@ class TestEngineRepair:
         assert 0 < outcome.steps_recomputed < len(plan.steps)
         assert outcome.rows == rows  # a friend with no dines adds no cafes
 
-    @pytest.mark.usefixtures("row_kernels")
     def test_raising_kernel_is_logged_and_drops_the_entry(
         self, fb_database, fb_access, caplog
     ):
@@ -336,7 +327,6 @@ def rekeyed_by(plan: BoundedPlan, base: str) -> list[int]:
     return [step.id for step in plan.fetch_steps() if step.op.inputs[0] in closure]
 
 
-@pytest.mark.usefixtures("row_kernels")
 class TestSettlementCost:
     """What a settlement keeps and how often it recomputes — counts, no timing."""
 

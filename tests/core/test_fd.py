@@ -88,14 +88,3 @@ class TestFDSetContainer:
     def test_size(self):
         fds = FDSet([fd(["a", "b"], "c"), fd("d", "e")])
         assert fds.size == 5
-
-    def test_minimal_cover_step_removes_redundant(self):
-        fds = FDSet([fd("a", "b"), fd("b", "c"), fd("a", "c")])
-        reduced = fds.minimal_cover_step()
-        assert len(reduced) == 2
-        assert reduced.implies(["a"], ["c"])
-
-    def test_minimal_cover_step_keeps_necessary(self):
-        fds = FDSet([fd("a", "b"), fd("b", "c")])
-        reduced = fds.minimal_cover_step()
-        assert len(reduced) == 2

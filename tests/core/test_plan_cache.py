@@ -129,49 +129,6 @@ class TestCachedExecution:
 
 
 class TestInvalidation:
-    @pytest.mark.usefixtures("columnar_kernels")
-    def test_insert_invalidates_and_results_stay_correct(self, fb_database, fb_access):
-        # A dirty entry of a columnar plan cannot be re-run over its captured
-        # environment: the write drops the result entry and keeps the plan.
-        engine = BoundedEngine(fb_database, fb_access)
-        q1 = facebook.query_q1()
-        before = engine.execute(q1)
-        assert engine.execute(q1).result_cached
-        misses = engine.cache_stats()["plan_store"]["misses"]
-        engine.apply_insert("cafe", ("c_new", "nyc"))  # a cafe no fetch reached: clean
-        engine.apply_insert("friend", ("p0", "p_new"))  # p0's friends were fetched: dirty
-        engine.apply_insert("dine", ("p_new", "c_new", "may", 2015))  # nothing left to settle
-        stats = engine.cache_stats()
-        result_cache = stats["result_cache"]
-        assert result_cache["repaired"] == 0  # the clean write never looked at the entry
-        assert result_cache["invalidated"] == 1  # ...and only the dirty one dropped it
-        assert result_cache["repair_fallback_reasons"] == {"executor_mode": 1}
-        after = engine.execute(q1)
-        assert after.cached and not after.result_cached  # plan kept, rows recomputed
-        assert engine.cache_stats()["plan_store"]["misses"] == misses
-        assert after.executor_mode == "columnar"
-        assert ("c_new",) in after.rows
-        assert after.rows == evaluate(q1, fb_database).rows
-        assert before.rows <= after.rows
-
-    @pytest.mark.usefixtures("columnar_kernels")
-    def test_delete_invalidates_and_results_stay_correct(self, fb_database, fb_access):
-        engine = BoundedEngine(fb_database, fb_access)
-        q1 = facebook.query_q1()
-        engine.apply_insert("cafe", ("c_gone", "nyc"))
-        engine.apply_insert("friend", ("p0", "p88"))
-        engine.apply_insert("dine", ("p88", "c_gone", "may", 2015))
-        assert ("c_gone",) in engine.execute(q1).rows
-        engine.apply_delete("dine", ("p88", "c_gone", "may", 2015))
-        assert engine.cache_stats()["result_cache"]["repair_fallback_reasons"] == {
-            "executor_mode": 1
-        }
-        result = engine.execute(q1)
-        assert result.cached and not result.result_cached
-        assert ("c_gone",) not in result.rows
-        assert result.rows == evaluate(q1, fb_database).rows
-
-    @pytest.mark.usefixtures("row_kernels")  # a dirty entry of a columnar plan is dropped
     def test_insert_repairs_cached_result(self, fb_database, fb_access):
         # Dependent writes patch the cached result in place and leave the
         # plan store alone.
@@ -194,7 +151,6 @@ class TestInvalidation:
         assert after.rows == evaluate(q1, fb_database).rows
         assert before.rows <= after.rows
 
-    @pytest.mark.usefixtures("row_kernels")
     def test_delete_repairs_cached_result(self, fb_database, fb_access):
         cached_engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
@@ -248,7 +204,7 @@ def test_cache_and_optimizer_row_identical_on_workloads(name):
         plan_cache_size=0,
         result_cache_size=0,
     )
-    executor = PlanExecutor(full.indexes, mode="auto")
+    executor = PlanExecutor(full.indexes)
     for query in queries:
         expected = evaluate(query, database).rows
         for engine in (full, bare):

@@ -14,6 +14,7 @@ from repro.core.plan import FetchOp
 from repro.core.planner import generate_plan, plan_query
 from repro.core.query import Relation, conjunction, eq, relation
 from repro.core.schema import DatabaseSchema
+from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
 from repro.evaluator.executor import execute_plan
 from repro.sharding import SQLiteShard, build_topology
@@ -257,14 +258,14 @@ def _corner_queries() -> dict:
     }
 
 
-_CORNER_SUBSTRATES = ("row", "columnar", "router-3-mixed", "plan2sql")
+_CORNER_SUBSTRATES = ("engine", "engine-written", "router-3-mixed", "plan2sql")
 
 
 class TestIndexingPlanCorners:
     @pytest.mark.parametrize("minimize", [True, False], ids=["minA", "A"])
     @pytest.mark.parametrize("substrate", _CORNER_SUBSTRATES)
     @pytest.mark.parametrize("corner", sorted(_corner_queries()))
-    def test_reference_rows_within_the_bound(self, corner, substrate, minimize, request):
+    def test_reference_rows_within_the_bound(self, corner, substrate, minimize):
         database, query = _corner_database(), _corner_queries()[corner]
         answer = evaluate(query, database).rows
         assert bool(answer) is (corner != "empty-candidates"), "an empty answer compares nothing"
@@ -280,7 +281,6 @@ class TestIndexingPlanCorners:
                 database, _CORNER_ACCESS, shards=3, backends=["memory", "sqlite", "memory"]
             )
         else:
-            request.getfixturevalue(f"{substrate}_kernels")
             core = BoundedEngine(database, _CORNER_ACCESS)
         try:
             result = core.execute(query, minimize=minimize)
@@ -289,10 +289,19 @@ class TestIndexingPlanCorners:
                 if isinstance(shard, SQLiteShard):
                     shard.close()
         assert result.strategy == "bounded" and result.rows == answer
-        if substrate in ("row", "columnar"):
-            assert result.executor_mode == substrate
         assert result.counter.total <= result.plan.access_bound()
         assert result.counter.total > 0  # even the empty answer is found by fetching
+        if substrate == "engine-written":
+            # every row the plan depends on, taken away and put back: each
+            # write settles the cached entry (patched or clean, never dropped)
+            for name in core.prepare(query, minimize=minimize)[0].dependencies:
+                for row in sorted(database.relation(name).rows):
+                    for write in (Update.delete(name, row), Update.insert(name, row)):
+                        core.apply_updates([write])
+                        reread = core.execute(query, minimize=minimize)
+                        assert reread.result_cached
+                        assert reread.rows == evaluate(query, database).rows
+            assert core.cache_stats()["result_cache"]["repair_fallbacks"] == 0
 
     def test_the_corners_are_the_shapes_they_claim(self):
         """What each corner's canonical plan must contain for the case above to test it."""

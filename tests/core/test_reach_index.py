@@ -89,11 +89,11 @@ def check(engine: BoundedEngine, patched=()) -> None:
 
 class TestIndexFollowsTheEntries:
     @pytest.mark.parametrize("seed", range(6))
-    def test_seeded_interleaving_of_everything_that_moves_an_entry(self, seed, row_kernels):
+    def test_seeded_interleaving_of_everything_that_moves_an_entry(self, seed):
         rng = random.Random(seed)
         database = facebook.generate(scale=15, seed=seed)
         access = facebook.access_schema(database.schema)
-        # capacity below the query count: fills evict; row kernels: dirty entries patch
+        # capacity below the query count: fills evict; dirty entries patch
         engine = BoundedEngine(database, access, result_cache_size=3)
         cache = engine.result_cache
         verdicts: dict = {}

@@ -86,21 +86,6 @@ class TestEngineResultCache:
         assert (4,) in result.rows
         assert result.rows == evaluate(hot_query, database).rows
 
-    @pytest.mark.usefixtures("columnar_kernels")
-    def test_dependent_insert_recomputes_correct_rows(self, hot_cold_setup):
-        """A dirty entry of a columnar plan is dropped; the next read recomputes."""
-        database, access, hot_query = hot_cold_setup
-        engine = BoundedEngine(database, access)
-        engine.execute(hot_query)
-        engine.apply_insert("hot", ("a", 4))
-        stats = engine.cache_stats()["result_cache"]
-        assert (stats["repaired"], stats["invalidated"]) == (0, 1)
-        result = engine.execute(hot_query)
-        assert not result.result_cached
-        assert result.executor_mode == "columnar"
-        assert (4,) in result.rows
-        assert result.rows == evaluate(hot_query, database).rows
-
     def test_dependent_delete_repairs_entry(self, hot_cold_setup):
         database, access, hot_query = hot_cold_setup
         engine = BoundedEngine(database, access)

@@ -98,13 +98,6 @@ class TestDatabaseSchema:
     def test_get_returns_none_for_missing(self, fb_schema):
         assert fb_schema.get("nope") is None
 
-    def test_with_renaming_adds_occurrences(self, fb_schema):
-        extended = fb_schema.with_renaming({"dine": "dine_2"})
-        assert "dine_2" in extended
-        assert extended["dine_2"].attributes == fb_schema["dine"].attributes
-        # the original schema is untouched
-        assert "dine_2" not in fb_schema
-
     def test_equality(self, fb_schema):
         assert fb_schema == DatabaseSchema.from_dict(
             {

@@ -12,8 +12,10 @@ independent paths, compared.
 """
 
 import sqlite3
+import sys
 from contextlib import contextmanager
 from functools import cache
+from pathlib import Path
 
 import pytest
 from analytic_queries import ANALYTIC_SCALE, analytic_queries
@@ -27,7 +29,6 @@ from repro.core.errors import (
     NotCoveredError,
     TransientFault,
 )
-from repro.core.optimizer import COLUMNAR_BOUND_THRESHOLD
 from repro.core.query import Relation, eq
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
@@ -35,6 +36,11 @@ from repro.evaluator.executor import PlanExecutor
 from repro.serving.faults import FaultInjector, FaultSpec
 from repro.sharding import ShardRouter, SQLiteShard, build_topology
 from repro.workloads import WORKLOADS, facebook
+
+# the layered benchmark's packages live beside ``benchmarks/conftest.py``
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+from layered.queries import POINT, WIDE, ShapeCatalog, WitnessQueryGenerator  # noqa: E402
+from layered.workloads import DATA_SEED, HOT_POINT, HOT_WIDE  # noqa: E402
 
 SUBSTRATES = {
     "engine": None,
@@ -188,30 +194,31 @@ class TestReads:
             assert first.rows == evaluate(query, database).rows
             assert first.strategy == "bounded"
             assert (first.cached, first.result_cached) == (False, False)
-            assert first.executor_mode in ("row", "columnar")
             assert 0 < first.counter.total <= first.plan.access_bound()
             again = core.execute(query)
             assert (again.rows, again.columns) == (first.rows, first.columns)
             assert (again.cached, again.result_cached) == (True, True)
-            assert again.executor_mode is None  # nothing executed
             assert again.counter.total == 0  # no data accessed at all
         stats = substrate.result_cache()
         assert (stats["hits"], stats["misses"], stats["entries"]) == (3, 3, 3)
-        executed = core.cache_stats()["executor"]
-        assert executed["row_executions"] + executed["columnar_executions"] == 3
+        assert set(core.cache_stats()) == {"plan_store", "result_cache"}
+        assert len(core._executor._compiled) == 3  # each plan lowered once
 
-    def test_wide_plan_runs_columnar_kernels_within_its_bound(self, make):
+    def test_wide_plan_runs_on_row_kernels_within_its_bound(self, make):
         database = facebook.generate(scale=30, seed=5)
         access = facebook.access_schema(database.schema)
         core = make(database, access).core
         query = facebook.query_q1()
-        bound = core.prepare(query)[0].executable.access_bound()
-        assert bound >= COLUMNAR_BOUND_THRESHOLD
+        plan = core.prepare(query)[0].executable
+        bound = plan.access_bound()
+        assert bound >= 4000  # wide: the layered benchmark's point plans stay under 1 000
         result = core.execute(query)
         assert result.rows == evaluate(query, database).rows
-        # the family follows the plan's bound, whatever answers the fetches
-        assert result.executor_mode == "columnar"
         assert 0 < result.counter.fetched <= bound
+        # the kernels' row sets are what the entry keeps for settlement to patch
+        (entry,) = [entry for _, entry in core.result_cache.entries_for(("friend",))]
+        assert len(entry.env) == len(plan.steps)
+        assert entry.env[plan.output] == result.rows
         # and so does the access, while one fragment holds every index group
         # whole (a projected tuple witnessed on two shards is counted by both)
         if len(getattr(core, "shards", ())) <= 1:
@@ -244,7 +251,7 @@ class TestReads:
         result = substrate.core.execute(query)
         assert result.strategy == "conventional"
         assert result.rows == evaluate(query, database).rows
-        assert result.executor_mode is None and not result.result_cached
+        assert not result.result_cached
         assert result.plan is None and not result.coverage.is_covered
         with pytest.raises(NotCoveredError):
             substrate.core.execute(query, fallback=False)
@@ -273,22 +280,10 @@ def answer_witness(name: str) -> Update:
 
 class TestBundledWorkloads:
     """The analytic queries of AIRCA / MCBM / TFACC: answers that exist, read
-    and written through every substrate — and, on the engine, every kernel family."""
+    and written through every substrate."""
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_analytic_answers_survive_reads_and_writes(self, make, name, request):
-        substrate, modes = self.contract(make, name)
-        assert ("columnar" in modes) is (name != "MCBM")  # the bound picks: wide plans go columnar
-        if substrate.federated:
-            return
-        request.getfixturevalue("row_kernels")
-        assert self.contract(make, name)[1] == {"row"}
-        request.getfixturevalue("columnar_kernels")
-        assert self.contract(make, name)[1] == {"columnar"}
-
-    @staticmethod
-    def contract(make, name):
-        """Runs the contract over a fresh substrate; returns it and the kernel families that ran."""
+    def test_analytic_answers_survive_reads_and_writes(self, make, name):
         workload = WORKLOADS[name]
         database = workload.database(scale=ANALYTIC_SCALE, seed=7)
         substrate = make(database, workload.access_schema)
@@ -296,12 +291,11 @@ class TestBundledWorkloads:
         answers = [evaluate(query, database).rows for query in queries]
         assert all(answers), "an empty answer compares nothing"
 
-        modes, dependencies = set(), set()
+        dependencies = set()
         for query, answer in zip(queries, answers):
             result = core.execute(query)
             assert result.rows == answer
             assert 0 < result.counter.total <= result.plan.access_bound()
-            modes.add(result.executor_mode)
             dependencies.update(core.prepare(query)[0].dependencies)
 
         # Writes outside every dependency set move no counter of either cache …
@@ -325,18 +319,54 @@ class TestBundledWorkloads:
             before = substrate.result_cache()
             core.apply_updates([write])
             settled = moved(before, substrate.result_cache())
-            if modes == {"row"}:  # row kernels patch in place; a dirty columnar entry is dropped
-                # (the reach index the first settlement builds outlives the patch;
-                # an entry the write reached can come back clean)
-                assert settled["rows_patched"] > 0
-                assert set(settled) - {"reach_keys", "reach_entries", "repaired_clean"} == {
-                    "repaired",
-                    "rows_patched",
-                }
-            rereads = [core.execute(query).rows for query in queries]
-            assert rereads == [evaluate(query, substrate.reference).rows for query in queries]
-            assert (rereads == answers) is (write.kind == "insert")
-        return substrate, modes
+            # patched in place, wide plans too (the reach index the first
+            # settlement builds outlives the patch; an entry the write reached
+            # can come back clean)
+            assert settled["rows_patched"] > 0
+            assert set(settled) - {"reach_keys", "reach_entries", "repaired_clean"} == {
+                "repaired",
+                "rows_patched",
+            }
+            rereads = [core.execute(query) for query in queries]
+            assert all(reread.result_cached for reread in rereads)
+            rows = [reread.rows for reread in rereads]
+            assert rows == [evaluate(query, substrate.reference).rows for query in queries]
+            assert (rows == answers) is (write.kind == "insert")
+
+
+class TestHarnessPlans:
+    """The layered benchmark's TFACC plans, whose answers have rows: a write that
+    reaches their entries is patched, never dropped, on every substrate — the
+    point plans and the wide ones alike."""
+
+    @pytest.mark.parametrize("tag", [POINT, WIDE])
+    def test_writes_to_witness_rows_are_patched_to_the_reference(self, make, tag):
+        workload = WORKLOADS["TFACC"]
+        # a third of the benchmark's scale: the same shapes, keys and classes
+        database = workload.database(60, DATA_SEED)
+        generator = WitnessQueryGenerator(ShapeCatalog(workload), database, seed=7)
+        drawn = generator.tagged(HOT_POINT, 0) if tag == POINT else generator.tagged(0, HOT_WIDE)
+        substrate = make(database, workload.access_schema)
+        core, queries = substrate.core, [bench.query for bench in drawn]
+        for query in queries:
+            result = core.execute(query)
+            assert result.rows
+            assert (result.plan.access_bound() >= 4000) is (tag == WIDE)
+        verdicts = recording_settlements(core)
+        # the row each answer's witness chain ends in, taken away and put back
+        rows = sorted({(bench.shape.relations[-1], bench.witness[-1]) for bench in drawn})
+        deletes = [Update.delete(relation, row) for relation, row in rows]
+        inserts = [Update.insert(relation, row) for relation, row in rows]
+        for batch in (deletes, inserts):
+            core.apply_updates(batch)
+            assert set(verdicts[-1].values()) == {"patched"}
+            rereads = [core.execute(query) for query in queries]
+            assert all(reread.result_cached for reread in rereads)
+            assert [r.rows for r in rereads] == [
+                evaluate(query, substrate.reference).rows for query in queries
+            ]
+        assert len(verdicts[0]) == len(verdicts[1]) >= len(queries) // 2
+        assert substrate.result_cache()["repair_fallbacks"] == 0
 
 
 class TestProbe:
@@ -368,7 +398,7 @@ class TestProbe:
         assert (hit.rows, hit.columns) == (executed.rows, executed.columns)
         assert hit.rows == evaluate(hot.query, hot.reference).rows
         assert (hit.cached, hit.result_cached) == (True, True)
-        assert hit.counter.total == 0 and hit.executor_mode is None
+        assert hit.counter.total == 0
         for field in ("rows", "columns", "strategy", "plan", "coverage", "rewrite", "cached"):
             assert getattr(hit, field) == getattr(again, field), field
 
@@ -438,38 +468,50 @@ class TestWriteSettlement:
         assert hot.core.cache_stats()["plan_store"]["misses"] == 1
         assert result.rows == {(1,), (4,)} == evaluate(hot.query, hot.reference).rows
 
-    def test_columnar_entry_restamps_when_clean_and_is_dropped_when_dirty(self, make):
-        # Clean detection reads the captured environment only; re-running a
-        # dirty closure needs row kernels, so the next read re-executes instead.
+    def test_wide_entry_restamps_when_clean_and_is_patched_when_dirty(self, make):
+        # q1's plan is wide (its bound is over 4 000); its entry is settled
+        # like a point plan's: kept unread when the write misses its probed
+        # keys, patched from its captured environment when it reaches one.
         database = facebook.generate(scale=30, seed=5)
         substrate = make(database, facebook.access_schema(database.schema))
         core, query = substrate.core, facebook.query_q1()
-        assert core.execute(query).executor_mode == "columnar"
+        assert core.prepare(query)[0].executable.access_bound() >= 4000
+        core.execute(query)
+        verdicts = recording_settlements(core)
         before = substrate.result_cache()
         core.apply_updates([Update.insert("friend", ("p_nobody", "p0"))])
         changed = moved(before, substrate.result_cache())
-        indexed = changed.pop("reach_keys")
-        assert indexed > 0 and changed.pop("reach_entries") == 1
-        assert changed == {}  # unreached: not looked at
+        assert changed.pop("reach_keys") > 0 and changed.pop("reach_entries") == 1
+        assert changed == {} and verdicts == [{}]  # unreached: not looked at
         assert core.execute(query).result_cached
+        # a friend of p0 who dines at a cafe in q1's city, in q1's month
+        core.apply_updates(
+            [
+                Update.insert("cafe", ("c_new", "nyc")),
+                Update.insert("dine", ("p_new", "c_new", "may", 2015)),
+            ]
+        )
         before = substrate.result_cache()
         core.apply_updates([Update.insert("friend", ("p0", "p_new"))])
+        assert list(verdicts[-1].values()) == ["patched"]
         changed = moved(before, substrate.result_cache())
-        assert changed["repair_fallback_reasons"] == {"executor_mode": 1}
-        assert (changed["invalidated"], changed["entries"]) == (1, -1)
-        assert (changed["reach_keys"], changed["reach_entries"]) == (-indexed, -1)
+        assert (changed["repaired"], changed["rows_patched"]) == (1, 1)
+        assert "invalidated" not in changed and "repair_fallbacks" not in changed
         result = core.execute(query)
-        assert (result.result_cached, result.executor_mode) == (False, "columnar")
+        assert result.result_cached
+        assert ("c_new",) in result.rows
         assert result.rows == evaluate(query, substrate.reference).rows
 
-    def test_dropped_entry_keeps_its_plan(self, columnar_kernels, hot):
+    def test_dropped_entry_keeps_its_plan(self, hot, monkeypatch):
         # Nothing sweeps the plan store: a write that drops one result entry
-        # leaves the prepared plan to the next read.
-        assert hot.core.execute(hot.query).executor_mode == "columnar"
+        # (here one cached without an environment) leaves the prepared plan
+        # to the next read.
+        monkeypatch.setattr(engine_module, "ENV_ROWS_BUDGET", 0)
+        hot.core.execute(hot.query)
         before = hot.result_cache()
         hot.core.apply_updates([Update.insert("hot", ("a", 4))])
         changed = moved(before, hot.result_cache())
-        assert changed["repair_fallback_reasons"] == {"executor_mode": 1}
+        assert changed["repair_fallback_reasons"] == {"no_env": 1}
         assert (changed["invalidated"], changed["entries"]) == (1, -1)
         result = hot.core.execute(hot.query)
         assert (result.cached, result.result_cached) == (True, False)

@@ -166,12 +166,11 @@ class TestBatchVersioning:
 
 class TestEngineBatchUpdates:
     def test_engine_batch_repairs_cached_result_with_delta_maintenance(
-        self, fb_database, fb_access, row_kernels
+        self, fb_database, fb_access
     ):
         from repro.core.engine import BoundedEngine
         from repro.evaluator.algebra import evaluate
 
-        # row kernels, so a dirty entry is patched
         engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
         engine.execute(q1)
@@ -198,13 +197,15 @@ class TestEngineBatchUpdates:
         assert ("c_b",) in result.rows
         assert result.rows == evaluate(q1, fb_database).rows
 
-    def test_engine_batch_drops_a_dirty_columnar_entry_once_and_stays_correct(
-        self, fb_database, fb_access, columnar_kernels
+    def test_engine_batch_drops_a_dirty_entry_once_and_stays_correct(
+        self, fb_database, fb_access, monkeypatch
     ):
+        from repro.core import engine as engine_module
         from repro.core.engine import BoundedEngine
         from repro.evaluator.algebra import evaluate
 
-        # columnar kernels, so a dirty entry is dropped rather than patched
+        # no environment captured, so a dirty entry is dropped rather than patched
+        monkeypatch.setattr(engine_module, "ENV_ROWS_BUDGET", 0)
         engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
         engine.execute(q1)
@@ -223,7 +224,7 @@ class TestEngineBatchUpdates:
         # one settlement for the whole batch: one drop, no sweep
         stats = engine.cache_stats()["result_cache"]
         assert (stats["repaired"], stats["invalidated"]) == (0, 1)
-        assert stats["repair_fallback_reasons"] == {"executor_mode": 1}
+        assert stats["repair_fallback_reasons"] == {"no_env": 1}
         result = engine.execute(q1)
         assert engine.cache_stats()["plan_store"]["misses"] == misses
         assert result.cached and not result.result_cached

@@ -10,6 +10,7 @@ from repro.core.plan import (
     ConstOp,
     DifferenceOp,
     FetchOp,
+    HashJoinOp,
     IntersectOp,
     PlanBuilder,
     ProductOp,
@@ -20,8 +21,10 @@ from repro.core.plan import (
     UnitOp,
 )
 from repro.core.planner import plan_query
+from repro.core.query import Comparison, Constant, Relation, conjunction, eq
 from repro.evaluator.algebra import evaluate
 from repro.evaluator.executor import PlanExecutor, execute_plan
+from repro.sharding import SQLiteShard, build_topology
 from repro.storage.counters import AccessCounter
 from repro.storage.index import IndexSet
 
@@ -146,14 +149,294 @@ class TestEndToEndExecution:
         result = execute_plan(plan, fb_indexes)
         assert result.rows == evaluate(fb_q0_prime, fb_database).rows
 
-    @pytest.mark.parametrize("mode", ["row", "columnar"])
-    def test_environment_captured_up_to_the_budget(self, mode, fb_q1, fb_access, fb_indexes):
+    def test_result_still_names_the_row_family(self, fb_q1, fb_access, fb_indexes):
+        """The layered benchmark files executions by ``executor_mode`` (until ROADMAP item 1)."""
+        plan = plan_query(fb_q1, fb_access)
+        result = PlanExecutor(fb_indexes).execute(plan)
+        assert result.executor_mode == "row"
+        assert result.kernel_batches == len(plan.steps)
+
+    def test_environment_captured_up_to_the_budget(self, fb_q1, fb_access, fb_indexes):
         """The budget is on the rows every step emitted, inclusive."""
         plan = plan_query(fb_q1, fb_access)
-        executor = PlanExecutor(fb_indexes, mode=mode)
+        executor = PlanExecutor(fb_indexes)
         assert executor.execute(plan).env is None  # nothing asked for
         full = executor.execute(plan, capture_env=True)
         assert sum(map(len, full.env)) == full.rows_processed > 0
         budget = full.rows_processed
         assert executor.execute(plan, capture_env=True, env_rows_budget=budget).env == full.env
         assert executor.execute(plan, capture_env=True, env_rows_budget=budget - 1).env is None
+
+
+def friend_plan(fb_access, psi1, *people):
+    """A builder with ``friend`` fetched through ψ1 for ``people``; returns it and the fetch."""
+    builder = PlanBuilder(fb_access, occurrences={"friend": "friend"})
+    keys = [builder.add(ConstOp(value=p, column="friend.pid"), ["friend.pid"]) for p in people]
+    while len(keys) > 1:
+        keys[:2] = [builder.add(UnionOp(inputs=tuple(keys[:2])), ["friend.pid"])]
+    fetch = builder.add(
+        FetchOp(constraint=psi1, key_columns=("friend.pid",), inputs=(keys[0],)),
+        ["friend.fid", "friend.pid"],
+    )
+    return builder, fetch
+
+
+#: dine's months, fetched with no key: every month any dine row names
+PSI_MONTHS = AccessConstraint.of("dine", (), "month", 12, name="psi_months")
+
+
+@pytest.fixture
+def access(fb_access):
+    """A_0 and :data:`PSI_MONTHS`, a constraint with an empty left-hand side."""
+    return AccessSchema([*fb_access.constraints(), PSI_MONTHS], schema=fb_access.schema)
+
+
+@pytest.fixture(params=["indexes", "router-3-mixed"])
+def source(request, fb_database, access):
+    """A fetch source: the local indexes, or a memory/SQLite/memory federation."""
+    if request.param == "indexes":
+        yield IndexSet.build(fb_database, access)
+        return
+    router = build_topology(
+        fb_database, access, shards=3, backends=["memory", "sqlite", "memory"]
+    )
+    yield router
+    for shard in router.shards:
+        if isinstance(shard, SQLiteShard):
+            shard.close()
+
+
+def run(plan, source, expected):
+    """Execute ``plan``, check its accounting, and compare it with ``expected`` rows."""
+    result = PlanExecutor(source).execute(plan, capture_env=True)
+    assert result.rows == frozenset(expected)
+    assert result.kernel_batches == len(plan.steps)
+    assert result.rows_processed == sum(result.step_cardinalities.values())
+    assert tuple(map(len, result.env)) == tuple(result.step_cardinalities.values())
+    return result
+
+
+class TestKernelEdgeCases:
+    """Empty inputs, repeated keys and degenerate shapes, against the reference evaluator,
+    over each kind of fetch source."""
+
+    def test_empty_fetch_propagates_empty_sets(self, fb_database, source, fb_access, psi1):
+        builder, fetch = friend_plan(fb_access, psi1, "nobody")
+        t2 = builder.add(ProjectOp(columns=("friend.fid",), inputs=(fetch,)), ["friend.fid"])
+        friend = Relation.from_schema(fb_database.schema, "friend")
+        reference = friend.select(eq(friend["pid"], "nobody")).project([friend["fid"]])
+        result = run(builder.build(t2), source, evaluate(reference, fb_database).rows)
+        assert result.rows == frozenset() and result.counter.index_probes == 1
+
+    def test_select_filtering_every_row(self, fb_database, source, fb_access, psi1):
+        builder, fetch = friend_plan(fb_access, psi1, "p0")
+        t2 = builder.add(
+            SelectOp(predicates=(ColumnPredicate("friend.pid", "=", "nobody"),), inputs=(fetch,)),
+            ["friend.fid", "friend.pid"],
+        )
+        friend = Relation.from_schema(fb_database.schema, "friend")
+        reference = friend.select(
+            conjunction([eq(friend["pid"], "p0"), eq(friend["pid"], "nobody")])
+        ).project([friend["fid"], friend["pid"]])
+        result = run(builder.build(t2), source, evaluate(reference, fb_database).rows)
+        assert result.rows == frozenset()
+        assert result.step_cardinalities[fetch] > 0  # the fetch found rows to drop
+
+    def test_join_with_duplicate_build_keys(self, fb_database, source, fb_access, psi1):
+        # friend fetched for two people, self-joined on the friend column:
+        # every person pair sharing a friend — build side keys repeat.
+        builder, t3 = friend_plan(fb_access, psi1, "p0", "p1")
+        t4 = builder.add(
+            RenameOp(mapping={"friend.fid": "other.fid", "friend.pid": "other.pid"}, inputs=(t3,)),
+            ["other.fid", "other.pid"],
+        )
+        t5 = builder.add(
+            HashJoinOp(pairs=(("friend.fid", "other.fid"),), residual=(), inputs=(t3, t4)),
+            ["friend.fid", "friend.pid", "other.fid", "other.pid"],
+        )
+        t6 = builder.add(
+            ProjectOp(columns=("friend.pid", "other.pid"), inputs=(t5,)),
+            ["friend.pid", "other.pid"],
+        )
+        schema = fb_database.schema
+        friend = Relation.from_schema(schema, "friend")
+        other = Relation.from_schema(schema, "other", base="friend")
+        reference = (
+            friend.select(eq(friend["pid"], "p0"))
+            .union(friend.select(eq(friend["pid"], "p1")))
+            .join(
+                other.select(eq(other["pid"], "p0")).union(other.select(eq(other["pid"], "p1"))),
+                eq(friend["fid"], other["fid"]),
+            )
+            .project([friend["pid"], other["pid"]])
+        )
+        expected = evaluate(reference, fb_database).rows
+        assert {("p0", "p0"), ("p1", "p1")} <= expected  # each pairs with itself at least
+        run(builder.build(t6), source, expected)
+
+    def test_set_operations(self, source, fb_access):
+        builder = PlanBuilder(fb_access)
+        t0 = builder.add(ConstOp(value=1, column="x"), ["x"])
+        t1 = builder.add(ConstOp(value=2, column="x"), ["x"])
+        t2 = builder.add(UnionOp(inputs=(t0, t1)), ["x"])
+        t3 = builder.add(DifferenceOp(inputs=(t2, t1)), ["x"])
+        t4 = builder.add(IntersectOp(inputs=(t2, t0)), ["x"])
+        t5 = builder.add(UnionOp(inputs=(t3, t4)), ["x"])
+        run(builder.build(t5), source, {(1,)})
+
+    def test_zero_column_plan(self, source, fb_access):
+        builder = PlanBuilder(fb_access)
+        t0 = builder.add(UnitOp(), [])
+        result = run(builder.build(t0), source, {()})
+        assert result.columns == ()
+
+    def test_product_with_empty_side(self, fb_database, source, fb_access, psi1):
+        builder, fetch = friend_plan(fb_access, psi1, "nobody")
+        t0 = builder.add(ConstOp(value="p0", column="a"), ["a"])
+        t3 = builder.add(ProductOp(inputs=(t0, fetch)), ["a", "friend.fid", "friend.pid"])
+        friend = Relation.from_schema(fb_database.schema, "friend")
+        cafe = Relation.from_schema(fb_database.schema, "cafe")
+        reference = cafe.project([cafe["cid"]]).product(
+            friend.select(eq(friend["pid"], "nobody"))
+        )
+        assert evaluate(reference, fb_database).rows == frozenset()
+        run(builder.build(t3), source, set())
+
+
+class TestKernelShapes:
+    """Each kernel's code path — composite and empty fetch keys, residual joins,
+    projections, products, ordering predicates — against the reference evaluator,
+    over each kind of fetch source."""
+
+    def test_fetch_on_a_composite_key(self, fb_database, source, fb_access):
+        psi2 = next(c for c in fb_access if c.name == "psi2")
+        pid, _, month, year = min(fb_database.relation("dine").rows)
+        builder = PlanBuilder(fb_access, occurrences={"dine": "dine"})
+        t0 = builder.add(ConstOp(value=pid, column="dine.pid"), ["dine.pid"])
+        t1 = builder.add(ConstOp(value=year, column="dine.year"), ["dine.year"])
+        t2 = builder.add(ConstOp(value=month, column="dine.month"), ["dine.month"])
+        t3 = builder.add(ProductOp(inputs=(t0, t1)), ["dine.pid", "dine.year"])
+        t4 = builder.add(ProductOp(inputs=(t3, t2)), ["dine.pid", "dine.year", "dine.month"])
+        # keys are aligned with sorted(lhs): month, pid, year
+        t5 = builder.add(
+            FetchOp(constraint=psi2, key_columns=("dine.month", "dine.pid", "dine.year"), inputs=(t4,)),
+            ["dine.cid", "dine.month", "dine.pid", "dine.year"],
+        )
+        dine = Relation.from_schema(fb_database.schema, "dine")
+        reference = dine.select(
+            conjunction([eq(dine["pid"], pid), eq(dine["year"], year), eq(dine["month"], month)])
+        ).project([dine["cid"], dine["month"], dine["pid"], dine["year"]])
+        expected = evaluate(reference, fb_database).rows
+        assert expected
+        result = run(builder.build(t5), source, expected)
+        assert result.counter.index_probes == 1
+
+    def test_fetch_with_an_empty_key(self, fb_database, source, access):
+        builder = PlanBuilder(access, occurrences={"dine": "dine"})
+        t0 = builder.add(UnitOp(), [])
+        t1 = builder.add(FetchOp(constraint=PSI_MONTHS, key_columns=(), inputs=(t0,)), ["dine.month"])
+        dine = Relation.from_schema(fb_database.schema, "dine")
+        expected = evaluate(dine.project([dine["month"]]), fb_database).rows
+        assert len(expected) > 1
+        run(builder.build(t1), source, expected)
+
+    def test_join_with_a_residual_predicate(self, fb_database, source, fb_access, psi1):
+        # people of {p0, p1, p2} pairs that share a friend, each pair once per order,
+        # a person never paired with themself
+        builder, t3 = friend_plan(fb_access, psi1, "p0", "p1", "p2")
+        t4 = builder.add(
+            RenameOp(mapping={"friend.fid": "other.fid", "friend.pid": "other.pid"}, inputs=(t3,)),
+            ["other.fid", "other.pid"],
+        )
+        t5 = builder.add(
+            HashJoinOp(
+                pairs=(("friend.fid", "other.fid"),),
+                residual=(ColumnPredicate("friend.pid", "!=", ColumnRef("other.pid")),),
+                inputs=(t3, t4),
+            ),
+            ["friend.fid", "friend.pid", "other.fid", "other.pid"],
+        )
+        schema = fb_database.schema
+        friend = Relation.from_schema(schema, "friend")
+        other = Relation.from_schema(schema, "other", base="friend")
+
+        def people(occurrence):
+            chosen = [occurrence.select(eq(occurrence["pid"], p)) for p in ("p0", "p1", "p2")]
+            return chosen[0].union(chosen[1]).union(chosen[2])
+
+        reference = people(friend).join(
+            people(other),
+            conjunction(
+                [eq(friend["fid"], other["fid"]), Comparison(friend["pid"], "!=", other["pid"])]
+            ),
+        ).project([friend["fid"], friend["pid"], other["fid"], other["pid"]])
+        run(builder.build(t5), source, evaluate(reference, fb_database).rows)
+
+    def test_projections_reorder_narrow_and_rename(self, fb_database, source, fb_access, psi1):
+        builder, fetch = friend_plan(fb_access, psi1, "p0", "p1")
+        t1 = builder.add(
+            ProjectOp(columns=("friend.pid", "friend.fid"), inputs=(fetch,)),
+            ["friend.pid", "friend.fid"],
+        )
+        t2 = builder.add(
+            ProjectOp(columns=("friend.pid", "friend.fid"), inputs=(t1,), output_names=("who", "whom")),
+            ["who", "whom"],
+        )
+        t3 = builder.add(ProjectOp(columns=("who",), inputs=(t2,)), ["who"])
+        friend = Relation.from_schema(fb_database.schema, "friend")
+        both = friend.select(eq(friend["pid"], "p0")).union(friend.select(eq(friend["pid"], "p1")))
+        plan = builder.build(t3)
+        result = run(plan, source, evaluate(both.project([friend["pid"]]), fb_database).rows)
+        assert result.columns == ("who",)
+        pairs = PlanExecutor(source).execute(builder.build(t2))
+        assert pairs.columns == ("who", "whom")
+        assert pairs.rows == evaluate(both.project([friend["pid"], friend["fid"]]), fb_database).rows
+
+    def test_product_of_two_fetches(self, fb_database, source, fb_access, psi1):
+        psi4 = next(c for c in fb_access if c.name == "psi4")
+        cid = min(fb_database.relation("cafe").rows)[0]
+        builder, friends = friend_plan(fb_access, psi1, "p0")
+        t0 = builder.add(ConstOp(value=cid, column="cafe.cid"), ["cafe.cid"])
+        t1 = builder.add(
+            FetchOp(constraint=psi4, key_columns=("cafe.cid",), inputs=(t0,)),
+            ["cafe.cid", "cafe.city"],
+        )
+        t2 = builder.add(
+            ProductOp(inputs=(friends, t1)),
+            ["friend.fid", "friend.pid", "cafe.cid", "cafe.city"],
+        )
+        schema = fb_database.schema
+        friend, cafe = Relation.from_schema(schema, "friend"), Relation.from_schema(schema, "cafe")
+        reference = friend.select(eq(friend["pid"], "p0")).product(
+            cafe.select(eq(cafe["cid"], cid))
+        ).project([friend["fid"], friend["pid"], cafe["cid"], cafe["city"]])
+        expected = evaluate(reference, fb_database).rows
+        assert expected
+        run(builder.build(t2), source, expected)
+
+    def test_select_with_ordering_operators(self, fb_database, source, fb_access, psi1):
+        builder, fetch = friend_plan(fb_access, psi1, "p0", "p1", "p2")
+        predicates = (
+            ColumnPredicate("friend.fid", ">", "p1"),
+            ColumnPredicate("friend.fid", "<=", "p3"),
+            ColumnPredicate("friend.pid", "!=", "p1"),
+        )
+        t1 = builder.add(SelectOp(predicates=predicates, inputs=(fetch,)), ["friend.fid", "friend.pid"])
+        friend = Relation.from_schema(fb_database.schema, "friend")
+        reference = friend.select(
+            conjunction(
+                [
+                    Comparison(friend["fid"], ">", Constant("p1")),
+                    Comparison(friend["fid"], "<=", Constant("p3")),
+                    Comparison(friend["pid"], "!=", Constant("p1")),
+                ]
+            )
+        )
+        reference = (
+            reference.select(eq(friend["pid"], "p0"))
+            .union(reference.select(eq(friend["pid"], "p2")))
+            .project([friend["fid"], friend["pid"]])
+        )
+        expected = evaluate(reference, fb_database).rows
+        assert expected
+        run(builder.build(t1), source, expected)

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.experiments import select_covered_queries
-from repro.core import optimizer as optimizer_module
 from repro.core.engine import BoundedEngine
 from repro.core.errors import ConstraintViolation
 from repro.core.plan import DifferenceOp, FetchOp
@@ -201,9 +200,8 @@ class TestRouterRepairProperty:
 # hits is re-stamped without ever being derived.  The oracle below reads the verdict
 # straight off the definition — *a fetch is dirty iff a written row's LHS
 # projection is a key it probed and that key's group changed* — from the plan's
-# declared step columns and full scans of the stored relations; a dirty entry is
-# patched when its plan's bound puts it on row kernels and dropped
-# (``executor_mode``) when it runs columnar ones.  It imports nothing from
+# declared step columns and full scans of the stored relations; a dirty entry of
+# a monotone plan is patched.  It imports nothing from
 # ``deltas.py``, so a disagreement is a bug in one of the two (the validation
 # style of Raszyk et al., "Efficient Evaluation of Arbitrary Relational
 # Calculus Queries").
@@ -282,11 +280,6 @@ class _Prediction:
         if entry.env is None or entry.plan is None:
             return
         self.facts = _fetch_facts(entry.plan, entry.env)
-        self.dirty = (
-            "patched"
-            if entry.plan.access_bound() < optimizer_module.COLUMNAR_BOUND_THRESHOLD
-            else "fallback:executor_mode"
-        )
         for index, fact in enumerate(self.facts):
             for update in updates:
                 if update.relation == fact.base:
@@ -315,7 +308,7 @@ class _Prediction:
                 if not self.refine or self.before[index, key] != _index_group(
                     database, fact.base, fact.lhs, fact.both, key
                 ):
-                    return self.dirty
+                    return "patched"
         return "clean"
 
 
@@ -598,12 +591,6 @@ schedules = st.lists(
 )
 
 
-def _kernel_families(row_only: bool):
-    """Both families as the plans' bounds select them, or row kernels for every plan."""
-    threshold = float("inf") if row_only else optimizer_module.COLUMNAR_BOUND_THRESHOLD
-    return patch.object(optimizer_module, "COLUMNAR_BOUND_THRESHOLD", threshold)
-
-
 def _run_schedule(settlements: _Settlements, schedule) -> None:
     batches = {
         HOT_INSERT: settlements.hot_insert,
@@ -635,40 +622,34 @@ class TestSettlementAgainstTheDefinition:
         st.sampled_from(["facebook", "AIRCA", "TFACC", "MCBM"]),
         st.integers(min_value=0, max_value=30),
         st.booleans(),
-        st.booleans(),
         schedules,
     )
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_engine_verdicts_and_rows(self, name, seed, tiny_memo, row_only, schedule):
+    def test_engine_verdicts_and_rows(self, name, seed, tiny_memo, schedule):
         database, access, queries = _random_queries(name, seed)
         # A two-plan kernel memo evicts compiled plans (and the repair programs
         # kept on them) between the derivations of a single batch.
         with patch.object(
             executor_module, "_COMPILED_CACHE_SIZE", 2 if tiny_memo else 64
-        ), _kernel_families(row_only):
+        ):
             _run_schedule(_engine_settlements(database, access, queries), schedule)
 
     @given(
         st.sampled_from(["facebook", "TFACC"]),
         st.integers(min_value=0, max_value=30),
-        st.booleans(),
         schedules,
     )
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_three_shard_router_verdicts_and_rows(self, name, seed, row_only, schedule):
+    def test_three_shard_router_verdicts_and_rows(self, name, seed, schedule):
         database, access, queries = _random_queries(name, seed)
-        with _kernel_families(row_only), _router_settlements(
+        with _router_settlements(
             database, access, queries
         ) as settlements:
             _run_schedule(settlements, schedule)
 
     @pytest.mark.parametrize("substrate", ["engine", "router-3"])
-    def test_the_named_schedule(self, substrate, row_kernels):
-        """Every transition the compiled path must survive, in one fixed schedule.
-
-        On row kernels: under ``auto`` q1 is a columnar plan, whose dirty
-        entries are dropped, not patched.
-        """
+    def test_the_named_schedule(self, substrate):
+        """Every transition the compiled path must survive, in one fixed schedule."""
         database = facebook.generate(scale=15, seed=3)
         access = facebook.access_schema(database.schema)
         queries = [facebook.query_q1()]
@@ -716,7 +697,7 @@ class TestSettlementAgainstTheDefinition:
             assert stats["repair_fallbacks"] == 0 and stats["repaired"] == 5
 
     @pytest.mark.parametrize("substrate", ["engine", "router-3"])
-    def test_two_sites_over_one_index_register_their_union(self, substrate, row_kernels):
+    def test_two_sites_over_one_index_register_their_union(self, substrate):
         """The reach index holds what *either* fetch of a self-join probed.
 
         ``friend ⋈ friend`` fetches ψ1 at two sites, one per occurrence: under

@@ -1,11 +1,11 @@
-"""Property: row and columnar kernels agree on every covered plan.
+"""Property: the canonical and the optimized plan answer and fetch alike.
 
 Random queries over the TFACC workload are prepared through the full C2-C4
 pipeline (coverage, minimization, planning, peephole optimization) and both
-the canonical plan and the optimized one are executed by both kernel families
-over the same indexes.  The frozen results must be identical to each other
-*and* to the reference evaluator — neither the optimizer nor the
-executor-mode seam may ever change answers, only speed.
+the canonical plan and the optimized one are executed over the same indexes.
+Both results must equal the reference evaluator's, and both executions must
+fetch the same tuples — the optimizer may change speed, never answers or
+access.
 
 The second half holds the optimizer's column pruning to what it promises on
 queries whose answers have rows: the same fetches, the same tuples fetched and
@@ -36,11 +36,7 @@ from layered.workloads import DATA_SEED, HOT_POINT, HOT_WIDE  # noqa: E402
 
 WORKLOAD = WORKLOADS["TFACC"]
 _DATABASE = WORKLOAD.database(scale=30, seed=13)
-_INDEXES = IndexSet.build(_DATABASE, WORKLOAD.access_schema, check=False)
-_EXECUTORS = {
-    mode: PlanExecutor(_INDEXES, mode=mode)
-    for mode in ("row", "columnar", "auto")
-}
+_EXECUTOR = PlanExecutor(IndexSet.build(_DATABASE, WORKLOAD.access_schema, check=False))
 _GENERATOR_CACHE: dict[int, RandomQueryGenerator] = {}
 
 
@@ -60,38 +56,30 @@ query_parameters = st.tuples(
 )
 
 
-class TestRowColumnarEquivalence:
+class TestPlanEquivalence:
     @given(query_parameters)
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_modes_agree_with_each_other_and_the_reference(self, parameters):
+    def test_plans_agree_with_the_reference(self, parameters):
         query = generated_query(*parameters)
         prepared = prepare_query(query, WORKLOAD.access_schema)
         if not prepared.covered:
             return
         reference = frozenset(evaluate(prepared.target, _DATABASE))
         for plan in (prepared.plan, prepared.executable):
-            results = {
-                mode: executor.execute(plan) for mode, executor in _EXECUTORS.items()
-            }
-            assert results["row"].rows == reference
-            assert results["columnar"].rows == reference
-            assert results["auto"].rows == reference
-            assert results["columnar"].executor_mode == "columnar"
-            assert results["auto"].executor_mode in ("row", "columnar")
+            assert _EXECUTOR.execute(plan).rows == reference
 
     @given(query_parameters)
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_access_accounting_is_mode_independent(self, parameters):
+    def test_access_accounting_is_plan_independent(self, parameters):
         query = generated_query(*parameters)
         prepared = prepare_query(query, WORKLOAD.access_schema)
         if not prepared.covered:
             return
         counters = []
         for plan in (prepared.plan, prepared.executable):
-            for mode in ("row", "columnar"):
-                counter = AccessCounter()
-                _EXECUTORS[mode].execute(plan, counter)
-                counters.append(counter)
+            counter = AccessCounter()
+            _EXECUTOR.execute(plan, counter)
+            counters.append(counter)
         assert len({counter.fetched for counter in counters}) == 1
         assert all(counter.per_relation == counters[0].per_relation for counter in counters)
 
@@ -139,11 +127,11 @@ class TestPruningKeepsAccess:
             database, access = facebook.generate(scale=scale, seed=0), facebook.access_schema()
         else:
             database, access = spec.database(scale, DATA_SEED), spec.access_schema
-        indexes = PlanExecutor(IndexSet.build(database, access, check=False), mode="row")
+        indexes = PlanExecutor(IndexSet.build(database, access, check=False))
         router = build_topology(
             database, access, shards=3, backends=["memory", "sqlite", "memory"]
         )
-        federated = PlanExecutor(router, mode="row")
+        federated = PlanExecutor(router)
         pruned = 0
         try:
             with SQLiteBackend(database) as backend:

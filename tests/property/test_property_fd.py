@@ -83,12 +83,3 @@ class TestImplicationProperties:
     def test_member_fds_are_implied(self, fds):
         for dependency in fds:
             assert fds.implies_fd(dependency)
-
-    @given(fd_sets())
-    @settings(max_examples=30, deadline=None)
-    def test_minimal_cover_preserves_implication(self, fds):
-        reduced = fds.minimal_cover_step()
-        for dependency in fds:
-            assert reduced.implies_fd(dependency)
-        for dependency in reduced:
-            assert fds.implies_fd(dependency)

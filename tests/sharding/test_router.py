@@ -128,9 +128,7 @@ class TestFederatedReads:
         assert router.metrics.merge_rows == reference.counter.fetched
         assert federated.counter.fetched == reference.counter.fetched
 
-    @pytest.mark.parametrize("family", ["row", "columnar"])
-    def test_result_cache_round_trip_survives_routed_writes(self, family, request):
-        request.getfixturevalue(f"{family}_kernels")
+    def test_result_cache_round_trip_survives_routed_writes(self):
         router, database = mirrored_topology()
         query = facebook.query_q1()
         reference = evaluate(query, database).rows
@@ -143,9 +141,8 @@ class TestFederatedReads:
         assert router.metrics.write_batches == 1
 
         result = router.execute(query)
-        # Row kernels: the entry is patched in place and served directly.
-        # Columnar: the dirty entry is dropped and the read recomputes.
-        assert result.result_cached is (family == "row")
+        # The entry is patched in place and served directly.
+        assert result.result_cached
         assert result.rows == evaluate(query, database).rows
 
 
@@ -239,7 +236,6 @@ class TestRoutedWrites:
         assert router.shards[0].database.version == shard0_version + 1
 
 
-@pytest.mark.usefixtures("row_kernels")
 class TestDeltaRepairOverFederation:
     """Routed writes repair the router-level cache; anything racing drops it."""
 

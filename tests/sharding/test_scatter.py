@@ -36,7 +36,7 @@ class ReferenceScatter:
         self.router = router
         self.counts = Counter()
 
-    def fetcher(self, plan, step, *, batched):
+    def fetcher(self, plan, step):
         constraint = step.op.constraint
         base = plan.base_relation(constraint)
 
@@ -94,12 +94,11 @@ def test_compiled_scatter_matches_the_reference_scatter(name):
         for query in queries:
             plan = router.prepare(query)[0].executable
             reference = ReferenceScatter(router)
-            expected = PlanExecutor(reference, mode="auto").execute(plan)
+            expected = PlanExecutor(reference).execute(plan)
             before = scatter_counts(router)
             federated = router._executor.execute(plan)
             moved = {k: v - before[k] for k, v in scatter_counts(router).items()}
             assert federated.rows == expected.rows
-            assert federated.executor_mode == expected.executor_mode
             for field in ("fetched", "index_probes", "per_relation"):
                 assert getattr(federated.counter, field) == getattr(expected.counter, field)
             assert moved == {k: reference.counts[k] for k in SCATTER_COUNTERS}

@@ -146,3 +146,20 @@ class TestIndexSet:
         assert ("f9", "p1") in indexes.index_for(psi1).lookup(("p1",))
         indexes.apply_delete("friend", ("p1", "f9"))
         assert ("f9", "p1") not in indexes.index_for(psi1).lookup(("p1",))
+
+
+class TestLookupMany:
+    def test_bulk_lookup_matches_per_key_lookups(self, fb_indexes, fb_access):
+        psi1 = next(c for c in fb_access if c.name == "psi1")
+        index = fb_indexes.index_for(psi1)
+        keys = list(index.keys())[:5] + [("nobody",)]
+        single_counter = AccessCounter()
+        singles = []
+        for key in keys:
+            singles.extend(index.lookup(key, single_counter))
+        bulk_counter = AccessCounter()
+        bulk = index.lookup_many(keys, bulk_counter)
+        assert sorted(bulk) == sorted(singles)
+        assert bulk_counter.fetched == single_counter.fetched
+        assert bulk_counter.index_probes == single_counter.index_probes == len(keys)
+        assert bulk_counter.per_relation == single_counter.per_relation

@@ -1,6 +1,5 @@
 """Data versioning: the VersionClock and Database's per-relation counters."""
 
-from repro.core.access import AccessConstraint
 from repro.storage.counters import VersionClock
 from repro.storage.database import Database
 
@@ -75,14 +74,3 @@ class TestDatabaseVersioning:
         version = database.version
         assert database.delete("friend", ("p0", "f1"))
         assert database.version == version + 1
-
-    def test_constraint_version_tracks_its_relation(self, fb_schema):
-        database = Database(fb_schema)
-        psi1 = AccessConstraint.of("friend", "pid", "fid", 5000, name="psi1")
-        psi4 = AccessConstraint.of("cafe", "city", "cid", 50, name="psi4")
-        assert database.constraint_version(psi1) == 0
-        database.insert("friend", ("p0", "f1"))
-        assert database.constraint_version(psi1) == database.version
-        assert database.constraint_version(psi4) == 0
-        database.insert("cafe", ("c0", "nyc"))
-        assert database.constraint_version(psi4) == database.version
