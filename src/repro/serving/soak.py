@@ -75,7 +75,8 @@ class SoakConfig:
 
     * ``kill_shard`` — mid-run, one replica of logical shard 0 goes dead
       (every fetch and write fails).  Reads must fail over to its sibling;
-      the first routed write quarantines it; served rows stay
+      its breaker or the first routed write quarantines it, and no probe
+      re-admits it (its fetch keeps failing); served rows stay
       row-identical to the reference throughout.
     * ``flaky_shard`` — mid-run, one replica turns intermittently faulty
       (fetch errors + latency, periodic torn writes) and its replica set
@@ -402,8 +403,8 @@ def run_soak(config: SoakConfig) -> dict:
         relation = max(
             sorted(dependencies), key=lambda name: len(database.relation(name))
         )
-        position = engine.partitioner._positions[relation]
-        values = sorted({row[position] for row in database.relation(relation).rows})
+        key = engine.partitioner.key
+        values = sorted({key(relation, row) for row in database.relation(relation).rows})
         if len(values) < 4:
             scenario_log["rebalance"] = {"skipped": f"{relation}: too few keys"}
             return

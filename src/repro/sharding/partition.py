@@ -1,16 +1,13 @@
-"""Hash and range partitioning of relations across shards.
+"""Which shard owns key ``k`` of relation ``R``: one :class:`Partitioner`.
 
 A partitioner assigns every tuple of every relation to exactly one shard,
 keyed on one *partition attribute* per relation (the first attribute of the
-relation schema unless overridden).  Two schemes are provided:
-
-* :class:`HashPartitioner` — ``shard = stable_hash(key) % n``; spreads any
-  key distribution evenly and needs no knowledge of the data.
-* :class:`RangePartitioner` — per-relation sorted cut points; shard ``i``
-  owns keys in ``[boundary[i-1], boundary[i])``, i.e. a boundary value is
-  the *inclusive lower bound* of the shard to its right.  Built either from
-  explicit boundaries or from observed data quantiles
-  (:meth:`RangePartitioner.from_database`).
+relation schema unless overridden).  The owner of a key is
+``stable_hash(key) % shard_count`` — an even spread that needs no knowledge
+of the data — followed by the relation's ordered rebalance overrides
+(:meth:`Partitioner.add_override`), which
+:meth:`~repro.sharding.router.ShardRouter.rebalance` appends as it moves a
+key range between shards.
 
 Hashing must be deterministic across processes (Python's ``hash`` of
 strings is salted per interpreter), so keys are hashed via CRC-32 of their
@@ -20,8 +17,7 @@ strings is salted per interpreter), so keys are hashed via CRC-32 of their
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_right
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..core.errors import StorageError
 from ..core.schema import DatabaseSchema
@@ -34,7 +30,17 @@ def stable_hash(value: object) -> int:
 
 
 class Partitioner:
-    """Base class: per-relation key attributes + the shard assignment rule."""
+    """Per-relation key attributes, a CRC-32 hash, then rebalance overrides.
+
+    Each override is ``(lo, hi, src, dst)`` on one relation, read as "keys
+    in ``[lo, hi)`` that the map *so far* assigns to ``src`` now belong to
+    ``dst``".  The ``src`` guard is what makes overrides sound under hash
+    partitioning: a plain range→dst rule would also remap keys owned by
+    *other* shards whose rows were never moved.  Overrides chain in
+    application order, so a range moved twice follows both hops.  Keys that
+    do not compare with the range bounds (mixed-type keys) are left with
+    their current owner — such keys were never part of the migrated range.
+    """
 
     def __init__(
         self,
@@ -48,9 +54,10 @@ class Partitioner:
         self.shard_count = shard_count
         self._attributes: dict[str, str] = {}
         self._positions: dict[str, int] = {}
-        overrides = dict(keys or {})
+        self._overrides: dict[str, list[tuple]] = {}
+        chosen = dict(keys or {})
         for relation in schema:
-            attribute = overrides.pop(relation.name, relation.attributes[0])
+            attribute = chosen.pop(relation.name, relation.attributes[0])
             if attribute not in relation.attributes:
                 raise StorageError(
                     f"partition key {attribute!r} is not an attribute of "
@@ -58,9 +65,9 @@ class Partitioner:
                 )
             self._attributes[relation.name] = attribute
             self._positions[relation.name] = relation.position(attribute)
-        if overrides:
+        if chosen:
             raise StorageError(
-                f"partition keys given for unknown relations {sorted(overrides)}"
+                f"partition keys given for unknown relations {sorted(chosen)}"
             )
 
     # -- assignment ---------------------------------------------------------------
@@ -71,13 +78,40 @@ class Partitioner:
         except KeyError:
             raise StorageError(f"no partitioning defined for relation {relation!r}") from None
 
+    def key(self, relation: str, row: Sequence) -> object:
+        """``row``'s value of ``relation``'s partition attribute."""
+        return row[self._positions[relation]]
+
     def shard_for_value(self, relation: str, value: object) -> int:
         """The shard owning rows of ``relation`` whose key attribute equals ``value``."""
-        raise NotImplementedError
+        owner = stable_hash(value) % self.shard_count
+        for lo, hi, src, dst in self._overrides.get(relation, ()):
+            if owner != src:
+                continue
+            try:
+                moved = lo <= value < hi
+            except TypeError:
+                continue
+            if moved:
+                owner = dst
+        return owner
 
     def shard_for_row(self, relation: str, row: Sequence) -> int:
         """The shard owning ``row`` of ``relation`` (positional tuple)."""
-        return self.shard_for_value(relation, tuple(row)[self._positions[relation]])
+        return self.shard_for_value(relation, row[self._positions[relation]])
+
+    # -- rebalance overrides -----------------------------------------------------------
+    def add_override(self, relation: str, lo, hi, src: int, dst: int) -> None:
+        """Append one migration rule; effective for all later assignments.
+
+        :meth:`~repro.sharding.router.ShardRouter.rebalance`, the one caller,
+        has checked that ``src`` and ``dst`` are two shards of this map.
+        """
+        self._overrides.setdefault(relation, []).append((lo, hi, src, dst))
+
+    @property
+    def override_count(self) -> int:
+        return sum(len(rules) for rules in self._overrides.values())
 
     # -- bulk splitting ---------------------------------------------------------------
     def partition(self, database: Database) -> list[Database]:
@@ -97,152 +131,3 @@ class Partitioner:
                 if rows:
                     fragment.insert_many(name, rows)
         return fragments
-
-
-class PartitionOverlay(Partitioner):
-    """A base partitioner plus an ordered list of rebalance overrides.
-
-    Online rebalancing moves a key range between shards without rebuilding
-    the base partition map: each override is ``(lo, hi, src, dst)`` on one
-    relation, read as "keys in ``[lo, hi)`` that the map *so far* assigns to
-    ``src`` now belong to ``dst``".  The ``src`` guard is what makes
-    overrides sound under hash partitioning: a plain range→dst rule would
-    also remap keys owned by *other* shards whose rows were never moved.
-    Overrides chain in application order, so a range moved twice follows
-    both hops.  Keys that do not compare with the range bounds (mixed-type
-    hash keys) are left with their current owner — such keys were never
-    part of the migrated range.
-
-    The overlay shares the base partitioner's schema, key attributes and
-    shard count, so it is a drop-in :class:`Partitioner` everywhere the
-    router consults one (fetch routing, write routing, bulk splitting).
-    """
-
-    def __init__(self, base: Partitioner):
-        if isinstance(base, PartitionOverlay):
-            raise StorageError("refusing to stack a PartitionOverlay on another")
-        self.base = base
-        self.schema = base.schema
-        self.shard_count = base.shard_count
-        self._attributes = base._attributes
-        self._positions = base._positions
-        self._overrides: dict[str, list[tuple]] = {}
-
-    def add_override(self, relation: str, lo, hi, src: int, dst: int) -> None:
-        """Append one migration rule; effective for all later assignments."""
-        for shard in (src, dst):
-            if not (0 <= shard < self.shard_count):
-                raise StorageError(
-                    f"override shard {shard} out of range for "
-                    f"{self.shard_count} shards"
-                )
-        if src == dst:
-            raise StorageError("override source and destination must differ")
-        self._overrides.setdefault(relation, []).append((lo, hi, src, dst))
-
-    def overrides(self, relation: str) -> tuple[tuple, ...]:
-        return tuple(self._overrides.get(relation, ()))
-
-    @property
-    def override_count(self) -> int:
-        return sum(len(rules) for rules in self._overrides.values())
-
-    def shard_for_value(self, relation: str, value: object) -> int:
-        owner = self.base.shard_for_value(relation, value)
-        for lo, hi, src, dst in self._overrides.get(relation, ()):
-            if owner != src:
-                continue
-            try:
-                moved = lo <= value < hi
-            except TypeError:
-                continue
-            if moved:
-                owner = dst
-        return owner
-
-
-class HashPartitioner(Partitioner):
-    """``shard = stable_hash(key) % shard_count`` — even, data-oblivious spread."""
-
-    def shard_for_value(self, relation: str, value: object) -> int:
-        return stable_hash(value) % self.shard_count
-
-
-class RangePartitioner(Partitioner):
-    """Per-relation sorted boundaries; a boundary opens the shard to its right.
-
-    ``boundaries[relation]`` holds ``shard_count - 1`` sorted cut points:
-    keys strictly below ``boundaries[0]`` go to shard 0, keys in
-    ``[boundaries[i-1], boundaries[i])`` to shard ``i``, and keys at or above
-    the last boundary to the last shard.  A key exactly equal to a boundary
-    therefore belongs to the *upper* shard — the partition-boundary
-    convention the router tests pin down.
-    """
-
-    def __init__(
-        self,
-        schema: DatabaseSchema,
-        shard_count: int,
-        boundaries: Mapping[str, Sequence],
-        keys: Mapping[str, str] | None = None,
-    ):
-        super().__init__(schema, shard_count, keys)
-        self._boundaries: dict[str, tuple] = {}
-        for relation, cuts in boundaries.items():
-            ordered = tuple(cuts)
-            if list(ordered) != sorted(ordered):
-                raise StorageError(
-                    f"range boundaries for {relation!r} must be sorted, got {ordered}"
-                )
-            if len(ordered) != shard_count - 1:
-                raise StorageError(
-                    f"range partitioning over {shard_count} shards needs "
-                    f"{shard_count - 1} boundaries for {relation!r}, got {len(ordered)}"
-                )
-            self._boundaries[relation] = ordered
-
-    def shard_for_value(self, relation: str, value: object) -> int:
-        try:
-            cuts = self._boundaries[relation]
-        except KeyError:
-            raise StorageError(
-                f"no range boundaries defined for relation {relation!r}"
-            ) from None
-        return bisect_right(cuts, value)
-
-    @classmethod
-    def from_database(
-        cls,
-        database: Database,
-        shard_count: int,
-        keys: Mapping[str, str] | None = None,
-    ) -> "RangePartitioner":
-        """Derive quantile cut points from the observed key values.
-
-        Each relation's distinct key values are sorted and cut into
-        ``shard_count`` even slices; relations with fewer distinct values
-        than shards get degenerate (repeated-free, possibly short-ranged)
-        boundaries that park all rows on the low shards.
-        """
-        partitioner = cls.__new__(cls)
-        Partitioner.__init__(partitioner, database.schema, shard_count, keys)
-        partitioner._boundaries = {}
-        for relation in database:
-            name = relation.schema.name
-            position = partitioner._positions[name]
-            values = sorted({row[position] for row in relation})
-            cuts = []
-            for i in range(1, shard_count):
-                if not values:
-                    break
-                index = min(len(values) - 1, (i * len(values)) // shard_count)
-                cuts.append(values[index])
-            # A short or duplicate-ridden cut list breaks the sorted/length
-            # contract; pad with the maximum so the upper shards sit empty.
-            while len(cuts) < shard_count - 1:
-                cuts.append(values[-1] if values else 0)
-            deduped: list = []
-            for cut in cuts:
-                deduped.append(max(cut, deduped[-1]) if deduped else cut)
-            partitioner._boundaries[name] = tuple(deduped)
-        return partitioner

@@ -27,9 +27,10 @@ relation: its per-relation version lags the authoritative one.  Either
 way the member stops serving reads and receiving writes; catch-up
 row-diffs it against a healthy in-lockstep sibling, applies the diff
 through the member's own write path (indexes maintained), then overwrites
-its clock with the authoritative one (:meth:`VersionClock.sync_to`).  Only
-a member that completes catch-up is re-admitted — a diverged member is
-never merged.
+its clock with the authoritative one (:meth:`VersionClock.sync_to`).  A
+member is re-admitted only if it completes catch-up and then serves a
+fetch through its own seam — a diverged member is never merged, and a
+dead one stays out.
 
 **Failover.**  A fetch tries members in routing order and
 absorbs :class:`~repro.core.errors.TransientFault` by moving to the next
@@ -37,9 +38,10 @@ candidate — sound because injected/real shard faults fire *before* any
 tuple is touched, so a failed attempt contributes nothing to access
 accounting, and because every healthy candidate is in lockstep, so any of
 them yields the same rows at the same authoritative epoch.  A per-member
-:class:`ReplicaHealth` breaker (3 consecutive failures, then a half-open
-probe every 8th selection) takes repeatedly-failing members out of the
-rotation.
+:class:`ReplicaHealth` breaker (3 consecutive failures) takes
+repeatedly-failing members out of the rotation; a quarantined member is
+then probed on the set's first fetch after the quarantine and on every
+fourth fetch after that (see :class:`ReplicaSet` for why fourth).
 """
 
 from __future__ import annotations
@@ -65,15 +67,17 @@ class ReplicaHealth:
     ``"unhealthy"``), or the set quarantines the replica directly on
     observed divergence (reasons ``"divergence"`` / ``"write_failed"``).
     Either way the road back is the same: :meth:`allow_probe` admits a
-    half-open attempt immediately and then every :attr:`PROBE_AFTER`-th
-    selection, and the set re-admits only after a successful catch-up —
-    a replica that was out of rotation missed routed writes by
-    definition, so "probe succeeded" alone is never enough.
+    half-open attempt on its first call after the quarantine and then on
+    every :attr:`PROBE_AFTER`-th call, and the set re-admits only after a
+    successful catch-up followed by a successful fetch — a replica that was
+    out of rotation missed routed writes by definition, and one that
+    catches up may still be dead.  A call to :meth:`allow_probe` is a tick,
+    not a fetch: :class:`ReplicaSet` ticks twice per fetch.
     """
 
     #: consecutive fetch failures that quarantine a member
     FAILURE_THRESHOLD = 3
-    #: a quarantined member gets a half-open probe every this many selections
+    #: a quarantined member gets a half-open probe every this many ticks
     PROBE_AFTER = 8
 
     def __init__(self, name: str):
@@ -140,6 +144,15 @@ class ReplicaSet(Shard):
     authoritative clock's starting state.  Each member gets a
     :class:`ReplicaHealth` breaker; its threshold and probe spacing are
     class constants there, not settings of the set.
+
+    Probe cadence: every :meth:`fetch` ticks a quarantined member's
+    :meth:`ReplicaHealth.allow_probe` twice — once in the healing pre-pass
+    and once in :meth:`_routing_order`.  The first tick after a quarantine
+    and every :attr:`ReplicaHealth.PROBE_AFTER`-th (8th) after it are odd,
+    so the probe always lands on the pre-pass: on the set's first fetch
+    after the quarantine, then on every fourth — not every eighth.  The
+    serving loop's own probe branch is therefore not reached under this
+    cadence.
     """
 
     kind = "replica-set"
@@ -169,9 +182,13 @@ class ReplicaSet(Shard):
                 )
         self.clock.sync_to(reference)
         # -- counters ----------------------------------------------------------
+        #: fetches that moved on to another member after one failed
         self.failovers = 0
+        #: healthy -> quarantined transitions
         self.quarantines = 0
+        #: re-admissions: a catch-up whose fetch then fails counts nowhere
         self.catch_ups = 0
+        #: rows resynced by the catch-ups of those re-admissions
         self.rows_resynced = 0
 
     # -- health plumbing ---------------------------------------------------------
@@ -188,14 +205,20 @@ class ReplicaSet(Shard):
         keys = tuple(relations)
         return replica.database.clock.snapshot(keys) == self.clock.snapshot(keys)
 
-    def _catch_up(self, replica: Shard) -> bool:
-        """Resync ``replica`` from a healthy in-lockstep sibling; True on success.
+    def _readmit(self, replica: Shard, constraint, base_relation: str, keys) -> bool:
+        """Catch a quarantined ``replica`` up, then re-admit it only if it serves.
 
-        The diff is computed per relation as row sets (set semantics make
-        this exact regardless of *how* the member diverged — lost batch,
-        torn prefix, or writes missed while quarantined) and applied through
-        the member's own write path, so its indexes are maintained.  The
-        final clock sync makes future lockstep checks meaningful again.
+        The one road back into rotation.  Catch-up row-diffs the member
+        against a healthy in-lockstep sibling, per relation as row sets (set
+        semantics make this exact regardless of *how* the member diverged —
+        lost batch, torn prefix, or writes missed while quarantined), applies
+        the diff through the member's own write path, so its indexes are
+        maintained, and syncs its clock.  The diff reads storage, not the
+        fetch seam, so a dead member that missed no writes passes it: the
+        fetch the set is serving is then sent through the member's own seam,
+        and only if that succeeds is the member re-admitted.  That fetch
+        passes no :class:`~repro.storage.counters.AccessCounter`: the served
+        fetch that follows counts the access, once.
         """
         all_relations = tuple(self.clock._per_key)
         source = next(
@@ -230,12 +253,17 @@ class ReplicaSet(Shard):
             ):
                 return False
         replica.database.clock.sync_to(self.clock)
+        try:
+            replica.fetch(constraint, base_relation, keys)
+        except TransientFault:
+            return False
+        self._health[replica.name].readmit()
         self.catch_ups += 1
         self.rows_resynced += len(updates)
         return True
 
-    def _detect_divergence(self, relations: tuple[str, ...]) -> None:
-        """Quarantine (and try to heal) members lagging on ``relations``.
+    def _detect_divergence(self, constraint, base_relation: str, keys) -> None:
+        """Quarantine (and try to heal) members lagging on ``base_relation``.
 
         Runs over *every* in-rotation member, not just the one about to
         serve: a silently-diverged sibling must leave the write rotation at
@@ -243,14 +271,12 @@ class ReplicaSet(Shard):
         compounding its lag batch after batch.
         """
         for replica in self.replicas:
-            health = self._health[replica.name]
-            if health.quarantined:
+            if self._health[replica.name].quarantined:
                 continue
-            if self._in_lockstep(replica, relations):
+            if self._in_lockstep(replica, (base_relation,)):
                 continue
             self._quarantine(replica, "divergence")
-            if self._catch_up(replica):
-                health.readmit()
+            self._readmit(replica, constraint, base_relation, keys)
 
     def _routing_order(self) -> list[Shard]:
         """Healthy members in serving order, then probe-eligible quarantined ones."""
@@ -275,8 +301,8 @@ class ReplicaSet(Shard):
         # lags the authoritative clock (a lost write) is detected exactly
         # here — the first fetch touching the relation it missed —
         # quarantined, caught up synchronously, and re-admitted only if the
-        # catch-up verifiably took.
-        self._detect_divergence((base_relation,))
+        # catch-up verifiably took and the member serves this fetch.
+        self._detect_divergence(constraint, base_relation, keys)
         # Half-open probes run as a healing pre-pass, decoupled from the
         # serving order: a probe-eligible quarantined member is caught up
         # and re-admitted *here*, not only when every healthy member has
@@ -285,8 +311,7 @@ class ReplicaSet(Shard):
         for replica in self.replicas:
             health = self._health[replica.name]
             if health.quarantined and health.allow_probe():
-                if self._catch_up(replica):
-                    health.readmit()
+                self._readmit(replica, constraint, base_relation, keys)
         candidates = self._routing_order()
         if not candidates:
             raise TransientFault(
@@ -295,12 +320,12 @@ class ReplicaSet(Shard):
         last_error: TransientFault | None = None
         for position, replica in enumerate(candidates):
             health = self._health[replica.name]
-            if health.quarantined:
-                # A half-open probe: the member missed writes while out of
-                # rotation, so it must catch up before it may serve.
-                if not self._catch_up(replica):
-                    continue
-                health.readmit()
+            # A half-open probe: the member missed writes while out of
+            # rotation, so it must catch up before it may serve.
+            if health.quarantined and not self._readmit(
+                replica, constraint, base_relation, keys
+            ):
+                continue
             try:
                 rows = replica.fetch(constraint, base_relation, keys, counter)
             except TransientFault as error:

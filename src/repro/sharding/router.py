@@ -52,11 +52,12 @@ are the only notion of "the data moved".
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Callable, Collection, Sequence
 
 from ..core.access import AccessConstraint, AccessSchema
 from ..core.engine import ServingCore
-from ..core.errors import MaintenanceError, StorageError, TransientFault
+from ..core.errors import MaintenanceError, ReproError, StorageError, TransientFault
 
 # Unused here (``ServingCore`` fingerprints), but the layered benchmark's
 # tracer wraps this module's binding by name and fails to install without it.
@@ -69,12 +70,39 @@ from ..serving.metrics import LatencyRecorder
 from ..storage.counters import AccessCounter
 from ..storage.database import Database
 from ..storage.index import Fetch
-from .partition import HashPartitioner, Partitioner, PartitionOverlay
-from .rebalance import RebalanceReport, rebalance_key_range
+from .partition import Partitioner
 from .replica import ReplicaSet
 from .shards import EngineShard, Shard, SQLiteShard
 
 Row = tuple
+
+
+@dataclass
+class RebalanceReport:
+    """Outcome of one key-range migration (:meth:`ShardRouter.rebalance`)."""
+
+    relation: str
+    lo: object
+    hi: object
+    src: str
+    dst: str
+    rows_moved: int = 0
+    retries: int = 0
+    #: destination-side inserts undone because the source epoch moved mid-copy
+    rows_undone: int = 0
+    completed: bool = False
+
+    def snapshot(self) -> dict[str, object]:
+        return {
+            "relation": self.relation,
+            "range": [repr(self.lo), repr(self.hi)],
+            "src": self.src,
+            "dst": self.dst,
+            "rows_moved": self.rows_moved,
+            "retries": self.retries,
+            "rows_undone": self.rows_undone,
+            "completed": self.completed,
+        }
 
 
 class RouterMetrics:
@@ -185,11 +213,6 @@ class ShardRouter(ServingCore):
             result_cache_size=result_cache_size,
         )
         self.shards = list(shards)
-        # Every router routes through an overlay so online rebalancing is
-        # always available: the overlay is a transparent passthrough until
-        # the first override lands.
-        if not isinstance(partitioner, PartitionOverlay):
-            partitioner = PartitionOverlay(partitioner)
         self.partitioner = partitioner
         self.write_observer = write_observer
         self.metrics = RouterMetrics()
@@ -370,15 +393,116 @@ class ShardRouter(ServingCore):
         """Migrate ``relation``'s partition keys in ``[lo, hi)`` from shard
         ``src`` to shard ``dst``, under traffic.
 
-        Epoch-guarded like a routed batch: copy the range to the
-        destination, re-validate the source epoch (a racing write undoes
-        the copy and retries), flip the partition overlay, drop the source
-        copies.  Reads are correct at every intermediate state — see
-        :mod:`repro.sharding.rebalance` for the argument.  Raises
-        :class:`~repro.core.errors.TransientFault` if the source epoch
-        keeps moving (never leaves a torn layout behind).
+        Rebalancing must serve correct reads *throughout* — it is affordable
+        at all because of the paper's boundedness: the rows in a key range
+        of one relation are a bounded, enumerable set, not a table scan.
+        The protocol mirrors a routed write batch's epoch discipline:
+
+        1. **Copy** — the source shard's rows of the relation whose
+           partition-key value falls in ``[lo, hi)`` are inserted into the
+           destination through its own write path (indexes maintained).
+           During this window the rows exist on both shards; that is safe
+           because fetch merges are set unions (broadcast fetches dedup the
+           double presence) and routed fetches still consult the
+           *pre-flip* map, which sends the range's keys to the source.
+        2. **Verify** — the source's epoch is re-validated against the
+           snapshot taken before the copy.  If a routed write landed on the
+           source mid-copy, the copied rows may be a torn mixture, so the
+           copy is undone on the destination and the whole step retries;
+           after ``max_snapshot_retries`` failures a
+           :class:`~repro.core.errors.TransientFault` propagates (never a
+           torn layout) — exactly the merge contract.
+        3. **Flip** — one :meth:`Partitioner.add_override` call (the
+           single-threaded serving loop makes it one operation between
+           requests) redirects the range's keys to the destination for
+           fetch routing *and* write routing.
+        4. **Drop** — the source deletes its now-foreign copies.  Broadcast
+           fetches during this tail window still union both fragments,
+           which is again dedup-safe.
+
+        A destination that fails the copy has it undone and the run aborts
+        with a :class:`~repro.core.errors.TransientFault`; the flip never
+        happened, so reads stay on the source.  Afterwards the result cache
+        is swept over the relation: contents did not change, but a layout
+        change is settled conservatively, like a routed batch with no
+        derivable delta.
         """
-        return rebalance_key_range(self, relation, key_range, src, dst)
+        lo, hi = key_range
+        if src == dst:
+            raise StorageError("rebalance source and destination must differ")
+        for index in (src, dst):
+            if not (0 <= index < len(self.shards)):
+                raise StorageError(
+                    f"rebalance shard index {index} out of range for "
+                    f"{len(self.shards)} shards"
+                )
+        src_shard, dst_shard = self.shards[src], self.shards[dst]
+        key, metrics = self.partitioner.key, self.metrics
+        report = RebalanceReport(
+            relation=relation, lo=lo, hi=hi, src=src_shard.name, dst=dst_shard.name
+        )
+
+        for _attempt in range(self.max_snapshot_retries + 1):
+            epoch = src_shard.snapshot((relation,))
+            moving: list[Row] = []
+            for row in src_shard.relation_rows(relation):
+                try:
+                    in_range = lo <= key(relation, row) < hi
+                except TypeError:
+                    continue
+                if in_range:
+                    moving.append(row)
+            if not moving:
+                # Nothing to copy: an empty range is trivially
+                # epoch-consistent, so flip at once and future writes route
+                # to the destination.
+                self.partitioner.add_override(relation, lo, hi, src, dst)
+                report.completed = True
+                break
+            try:
+                dst_shard.apply_updates([Update.insert(relation, row) for row in moving])
+            except ReproError as error:
+                # A faulting destination may have applied a prefix; undo it
+                # (deleting a never-copied row is a harmless skip) so no
+                # stale copy can leak into a later broadcast merge.
+                try:
+                    dst_shard.apply_updates(
+                        [Update.delete(relation, row) for row in moving]
+                    )
+                except ReproError:
+                    pass
+                metrics.rebalance_aborts += 1
+                raise TransientFault(
+                    f"rebalance of {relation!r} aborted: destination "
+                    f"{dst_shard.name!r} failed the copy ({error})"
+                ) from error
+            if src_shard.validate((relation,), epoch):
+                self.partitioner.add_override(relation, lo, hi, src, dst)
+                src_shard.apply_updates([Update.delete(relation, row) for row in moving])
+                report.rows_moved = len(moving)
+                report.completed = True
+                break
+            # A write raced the copy; the copied rows may span epochs.  Undo
+            # on the destination (fragments are disjoint, so every copied row
+            # is ours to remove) and retry against the new epoch.
+            dst_shard.apply_updates([Update.delete(relation, row) for row in moving])
+            report.rows_undone += len(moving)
+            report.retries += 1
+            metrics.snapshot_retries += 1
+
+        if not report.completed:
+            metrics.rebalance_aborts += 1
+            raise TransientFault(
+                f"rebalance of {relation!r} {lo!r}..{hi!r} abandoned after "
+                f"{report.retries} retries: source epoch kept moving; retry later"
+            )
+        metrics.rebalances += 1
+        metrics.rebalance_rows_moved += report.rows_moved
+        # Result-cache entries keyed by per-shard snapshots are already
+        # unservable (the copy/drop bumped shard clocks); the sweep keeps
+        # memory honest and the counters visible.
+        self._settle((relation,), (), None)
+        return report
 
     # -- reporting ------------------------------------------------------------------
     def replication_stats(self) -> dict:
@@ -405,16 +529,9 @@ class ShardRouter(ServingCore):
 
     def stats(self) -> dict:
         """Topology, scatter/gather metrics, and cache statistics, JSON-ready."""
-        partitioner = self.partitioner
-        base_name = (
-            type(partitioner.base).__name__
-            if isinstance(partitioner, PartitionOverlay)
-            else type(partitioner).__name__
-        )
         return {
             "shards": [shard.stats() for shard in self.shards],
-            "partitioner": base_name,
-            "partition_overrides": getattr(partitioner, "override_count", 0),
+            "partition_overrides": self.partitioner.override_count,
             "replication": self.replication_stats(),
             "scatter_gather": self.metrics.snapshot(),
             "caches": self.cache_stats(),
@@ -444,7 +561,6 @@ def build_topology(
     shards: int = 2,
     replicas: int = 1,
     backends: Sequence[str] | str | None = None,
-    partitioner: Partitioner | None = None,
     partition_keys=None,
     plan_store: PlanStore | None = None,
     result_cache_size: int = 256,
@@ -464,13 +580,7 @@ def build_topology(
     ``database`` itself is left untouched; the shards own disjoint fragment
     copies.
     """
-    if partitioner is None:
-        partitioner = HashPartitioner(database.schema, shards, partition_keys)
-    elif partitioner.shard_count != shards:
-        raise StorageError(
-            f"partitioner is configured for {partitioner.shard_count} shards, "
-            f"but shards={shards} was requested"
-        )
+    partitioner = Partitioner(database.schema, shards, partition_keys)
     if replicas < 1:
         raise StorageError(f"replicas must be >= 1, got {replicas}")
     if backends is None:

@@ -44,6 +44,12 @@ QUICK_OUTCOME = dict(
 #: fault seam -> (calls, injected) on that soak
 QUICK_FAULTS = {"executor": (22, 3), "fallback": (3, 3), "storage.write": (63, 3)}
 
+#: CI's kill-shard soak: one member of shard 0 dies a third of the way in
+KILL_SHARD = dict(
+    workload="AIRCA", scale=120, requests=200, seed=4, shards=2, replicas=2,
+    kill_shard=True,
+)
+
 
 class TestSoak:
     def test_seeded_chaos_soak_passes(self, monkeypatch):
@@ -137,3 +143,28 @@ class TestSoak:
         assert report["shard_faults"]["shard1.snapshot"] == {"calls": 289, "injected": 133}
         assert report["checks"]["no_mixed_epoch_merges"]
         assert not report["outcome"]["mismatches"] and report["outcome"]["reads_verified"] > 0
+
+    def test_kill_shard_soak_keeps_the_dead_member_out(self, monkeypatch):
+        # The dead member trips the breaker after three failed fetches and
+        # stays quarantined: every probe catches it up but its fetch fails,
+        # so it is never re-admitted and costs no failover after the trip.
+        # The same figures under PYTHONHASHSEED 0 and 1.
+        monkeypatch.setattr(soak, "BoundedServer", FROZEN)
+        report = run_soak(SoakConfig(**KILL_SHARD))
+        failed = [check for check, ok in report["checks"].items() if not ok]
+        assert report["passed"], f"failed checks: {failed}\noutcome: {report['outcome']}"
+        assert report["router"]["replication"] == {
+            "replica_sets": 2,
+            "replicas": 4,
+            "quarantined": 1,
+            "failovers": 3,
+            "quarantines": 1,
+            "catch_ups": 0,
+            "rows_resynced": 0,
+        }
+        dead = report["scenario"]["killed_replica"]
+        (member,) = (
+            m for m in report["router"]["shards"][0]["replicas"] if m["name"] == dead
+        )
+        assert (member["state"], member["reason"]) == ("quarantined", "unhealthy")
+        assert report["outcome"]["reads_verified"] == report["outcome"]["reads_served"] > 0

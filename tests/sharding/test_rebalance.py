@@ -5,7 +5,7 @@ import pytest
 from repro.core.errors import StorageError, TransientFault
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
-from repro.sharding import build_topology
+from repro.sharding import build_topology, stable_hash
 from repro.workloads import facebook
 
 
@@ -30,8 +30,8 @@ def mirrored_topology(scale=30, seed=5, shards=2, **kwargs):
 
 def friend_range(router, database):
     """The middle half of friend's pid values, with its majority owner."""
-    position = router.partitioner._positions["friend"]
-    values = sorted({row[position] for row in database.relation("friend").rows})
+    key = router.partitioner.key
+    values = sorted({key("friend", row) for row in database.relation("friend").rows})
     lo, hi = values[len(values) // 4], values[(3 * len(values)) // 4]
     owners: dict[int, int] = {}
     for value in values:
@@ -62,12 +62,12 @@ class TestRebalance:
         assert router.partitioner.override_count == 1
         # Rows physically migrated: the source keeps nothing of the moved
         # range, the destination holds all of it, and nothing was lost.
-        position = router.partitioner._positions["friend"]
+        key = router.partitioner.key
         moved = {
             row
             for row in database.relation("friend").rows
-            if lo <= row[position] < hi
-            and router.partitioner.base.shard_for_value("friend", row[position]) == src
+            if lo <= key("friend", row) < hi
+            and stable_hash(key("friend", row)) % len(router.shards) == src
         }
         assert len(moved) == report.rows_moved
         assert not moved & shard_rows(router, src)
@@ -82,12 +82,12 @@ class TestRebalance:
         router.rebalance("friend", (lo, hi), src, dst)
         # A fresh row whose key sits in the migrated range (and whose base
         # owner was the source) must land on the destination shard.
-        position = router.partitioner._positions["friend"]
+        key = router.partitioner.key
         pid = next(
-            row[position]
+            key("friend", row)
             for row in sorted(database.relation("friend").rows)
-            if lo <= row[position] < hi
-            and router.partitioner.base.shard_for_value("friend", row[position]) == src
+            if lo <= key("friend", row) < hi
+            and stable_hash(key("friend", row)) % len(router.shards) == src
         )
         fresh = (pid, "p_new_friend")
         router.apply_updates([Update.insert("friend", fresh)])

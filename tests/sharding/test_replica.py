@@ -231,6 +231,28 @@ class TestFailoverReads:
         assert health.failures_total >= health.FAILURE_THRESHOLD
         assert target.quarantines >= 1
 
+    def test_a_dead_member_stays_out_of_rotation(self):
+        # A dead member misses no writes, so it passes catch-up; only the
+        # fetch through its own seam shows it cannot serve.  Re-admitted on
+        # catch-up alone, it would rejoin at every probe, fail the next
+        # fetch and cost a failover each time.
+        router, database = replicated_topology(shards=1, result_cache_size=0)
+        target = router.shards[0]
+        victim = target.replicas[0]
+        FaultInjector(seed=3).kill(victim)
+        query = facebook.query_q1()
+        reference = evaluate(query, database).rows
+        for _ in range(40):
+            assert router.execute(query).rows == reference
+        assert router.metrics.scatters == 120
+        # three failed fetches trip the breaker; every probe after that fails
+        # its fetch and re-admits nobody
+        assert (target.failovers, target.quarantines, target.catch_ups) == (3, 1, 0)
+        health = target.health(victim.name)
+        assert health.quarantined
+        # probed on the first fetch after the quarantine, then on every fourth
+        assert health.probes == 30
+
     def test_every_member_dead_raises_a_typed_fault(self):
         router, _ = replicated_topology()
         target = router.shards[0]

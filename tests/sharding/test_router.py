@@ -21,7 +21,7 @@ from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
 from repro.serving.server import BoundedServer, ReadRequest, WriteRequest
 from repro.serving.soak import SoakConfig, run_soak
-from repro.sharding import RangePartitioner, build_topology
+from repro.sharding import Partitioner, ShardRouter, build_topology
 from repro.workloads import facebook
 
 
@@ -70,33 +70,15 @@ class TestFederatedReads:
         assert router.metrics.merges == router.metrics.scatters
 
     def test_empty_shard_contributes_nothing_and_breaks_nothing(self):
-        schema = facebook.schema()
-        # Every key sorts below "zzz", so shard 1 owns no data at all.
-        partitioner = RangePartitioner(
-            schema, 2, {"friend": ["zzz"], "dine": ["zzz"], "cafe": ["zzz"]}
-        )
-        router, database = mirrored_topology(shards=2, partitioner=partitioner)
+        router, database = mirrored_topology(shards=2)
+        # Move every key of every relation off shard 1: all keys are
+        # strings, and every string sorts in ["", "\uffff").
+        for relation in database.relation_names():
+            router.rebalance(relation, ("", "\uffff"), 1, 0)
         assert router.shards[0].database.size == database.size
         assert router.shards[1].database.size == 0
         for query in covered_queries():
             assert router.execute(query).rows == evaluate(query, database).rows
-
-    def test_partition_boundary_keys_route_to_the_upper_shard(self):
-        schema = facebook.schema()
-        partitioner = RangePartitioner(
-            schema, 2, {"friend": ["p5"], "dine": ["p5"], "cafe": ["c5"]}
-        )
-        router, database = mirrored_topology(shards=2, partitioner=partitioner)
-        # "p5" equals the cut point: by the bisect_right convention its rows
-        # live on the upper shard, and a fetch keyed on it must go there.
-        boundary_rows = {
-            row for row in database.relation("friend").rows if row[0] == "p5"
-        }
-        assert boundary_rows, "scale 30 must include person p5"
-        assert boundary_rows <= set(router.shards[1].database.relation("friend").rows)
-        query = facebook.query_q1(person="p5")
-        assert router.execute(query).rows == evaluate(query, database).rows
-        assert router.metrics.routed > 0
 
     def test_select_on_a_fetch_runs_centrally(
         self, fb_access
@@ -340,14 +322,11 @@ class TestBuildTopology:
         with pytest.raises(StorageError, match="backend kinds"):
             build_topology(database, access, shards=3, backends=["memory"] * 2)
 
-    def test_rejects_partitioner_shard_count_mismatch(self):
-        database = facebook.generate(scale=10, seed=1)
-        access = facebook.access_schema(database.schema)
-        partitioner = RangePartitioner(
-            database.schema, 2, {"friend": ["p5"], "dine": ["p5"], "cafe": ["c5"]}
-        )
-        with pytest.raises(StorageError, match="configured for 2 shards"):
-            build_topology(database, access, shards=3, partitioner=partitioner)
+    def test_router_rejects_a_partitioner_for_another_shard_count(self):
+        router, database = mirrored_topology(shards=2)
+        partitioner = Partitioner(database.schema, 3)
+        with pytest.raises(StorageError, match="configured for 3 shards"):
+            ShardRouter(router.shards, partitioner, router.access_schema)
 
 
 class TestServerOverRouter:
