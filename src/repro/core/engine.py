@@ -26,7 +26,7 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
 * **Plan store** — C2–C4 (plus the peephole optimization of
   :mod:`repro.core.optimizer`) depend only on the query syntax and the
   access schema, so their output is cached under the query's canonical
-  form and the per-call preparation flags
+  form and the per-call ``minimize`` flag
   (:func:`repro.core.fingerprint.prepared_cache_key`).  The
   store is *shareable*: pass one :class:`~repro.core.planstore.PlanStore`
   to several cores serving the same access schema and each query is
@@ -36,7 +36,7 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
 * **Result cache** — covered results are bounded by the access schema
   (≤ ``access_bound()`` tuples), so the core keeps a
   :class:`~repro.core.planstore.ResultCache` keyed by the query's SHA-256
-  fingerprint and flags (:func:`repro.core.fingerprint.result_cache_key`).
+  fingerprint and flag (:func:`repro.core.fingerprint.result_cache_key`).
   That key is computed once per prepare, on the plan-store miss, and read
   off the prepared entry (:attr:`PreparedQuery.result_key`): a read builds
   the canonical form once and hashes no digest.  Repeated covered queries
@@ -146,7 +146,7 @@ class EngineResult:
 
 @dataclass
 class PreparedQuery:
-    """Everything C2–C4 produce for one query under one set of preparation flags.
+    """Everything C2–C4 produce for one query under one ``minimize`` flag.
 
     For covered (or rewritable) queries ``plan`` holds the canonical bounded
     plan and ``executable`` the optimized plan actually run; for uncovered
@@ -197,7 +197,6 @@ def prepare_query(
     access_schema: AccessSchema,
     *,
     minimize: bool = True,
-    allow_rewrite: bool = True,
 ) -> PreparedQuery:
     """The C2–C4 pipeline as a pure function of (query, access schema).
 
@@ -208,12 +207,12 @@ def prepare_query(
     :class:`~repro.core.planstore.PlanStore` under
     :func:`~repro.core.fingerprint.prepared_cache_key`.
     """
-    result_key = result_cache_key(query, minimize=minimize, allow_rewrite=allow_rewrite)
+    result_key = result_cache_key(query, minimize=minimize)
     target = query
     rewrite_name = "identity"
     checker = CoverageChecker(query)
     coverage = check_coverage(query, access_schema, checker=checker)
-    if not coverage.is_covered and allow_rewrite:
+    if not coverage.is_covered:
         verdict = find_covered_rewrite(query, access_schema)
         if verdict.bounded and verdict.witness is not None:
             target = verdict.witness
@@ -369,23 +368,17 @@ class ServingCore:
     # result-cache hit, so the hot path must not compute it twice, must not
     # hash a digest (that happens once, on the plan-store miss) — nor spend
     # a call frame on sharing these two lines.
-    def prepare(
-        self, query: Query, *, minimize: bool = True, allow_rewrite: bool = True
-    ) -> tuple[PreparedQuery, bool]:
+    def prepare(self, query: Query, *, minimize: bool = True) -> tuple[PreparedQuery, bool]:
         """The cached C2-C4 pipeline; returns ``(prepared, was_cache_hit)``."""
-        key = prepared_cache_key(query, minimize=minimize, allow_rewrite=allow_rewrite)
+        key = prepared_cache_key(query, minimize=minimize)
         entry = self.plan_cache.get(key)
         if entry is not None:
             return entry, True
-        return self._prepare_miss(key, query, minimize, allow_rewrite), False
+        return self._prepare_miss(key, query, minimize), False
 
-    def _prepare_miss(
-        self, key: Hashable, query: Query, minimize: bool, allow_rewrite: bool
-    ) -> PreparedQuery:
+    def _prepare_miss(self, key: Hashable, query: Query, minimize: bool) -> PreparedQuery:
         """Run C2–C4 for a query the plan store does not hold, and store it under ``key``."""
-        entry = prepare_query(
-            query, self.access_schema, minimize=minimize, allow_rewrite=allow_rewrite
-        )
+        entry = prepare_query(query, self.access_schema, minimize=minimize)
         self._discard_compiled(self.plan_cache.put(key, entry))
         return entry
 
@@ -414,9 +407,7 @@ class ServingCore:
             result_cached=True,
         )
 
-    def probe(
-        self, query: Query, *, minimize: bool = True, allow_rewrite: bool = True
-    ) -> EngineResult | None:
+    def probe(self, query: Query, *, minimize: bool = True) -> EngineResult | None:
         """The result-cache hit :meth:`execute` would return for ``query``, or ``None``.
 
         The first half of :meth:`execute` and nothing else: plan-store key
@@ -433,7 +424,7 @@ class ServingCore:
         answers hits with this on the caller's turn and queues only what is
         left.
         """
-        key = prepared_cache_key(query, minimize=minimize, allow_rewrite=allow_rewrite)
+        key = prepared_cache_key(query, minimize=minimize)
         prepared = self.plan_cache.get(key, record=False)
         if prepared is None or not prepared.covered:
             return None
@@ -451,26 +442,24 @@ class ServingCore:
         query: Query,
         *,
         minimize: bool = True,
-        allow_rewrite: bool = True,
         fallback: bool = True,
     ) -> EngineResult:
         """Answer ``query``: bounded plan when possible, otherwise fall back.
 
-        With ``allow_rewrite`` the A-equivalent rewrites of
-        :mod:`repro.core.rewrite` (difference guarding, branch pruning) are
-        tried before giving up on bounded evaluation.  Repeated queries hit
-        the plan store and skip coverage checking, minimization and planning
-        entirely; repeated covered queries over unchanged dependent
-        relations are served straight from the result cache without
-        executing.  Executions are epoch-guarded (the class docstring's
+        The A-equivalent rewrites of :mod:`repro.core.rewrite` (difference
+        guarding, branch pruning) are tried before giving up on bounded
+        evaluation.  Repeated queries hit the plan store and skip coverage
+        checking, minimization and planning entirely; repeated covered
+        queries over unchanged dependent relations are served straight from
+        the result cache without executing.  Executions are epoch-guarded (the class docstring's
         snapshot contract).  Uncovered queries fall back to conventional
         evaluation, gated by ``fallback_breaker``.
         """
-        key = prepared_cache_key(query, minimize=minimize, allow_rewrite=allow_rewrite)
+        key = prepared_cache_key(query, minimize=minimize)
         prepared = self.plan_cache.get(key)
         cached = prepared is not None
         if not cached:
-            prepared = self._prepare_miss(key, query, minimize, allow_rewrite)
+            prepared = self._prepare_miss(key, query, minimize)
 
         if prepared.covered:
             dependencies = prepared.dependencies

@@ -10,7 +10,7 @@ module turns a :class:`~repro.core.query.Query` into two keys:
   query tree whose leaves are strings (constants are tagged with their Python
   type and carried as their ``repr``).  Tuple equality is therefore
   syntactic identity.  :func:`prepared_cache_key` — the form plus the
-  preparation flags — is what :class:`~repro.core.planstore.PlanStore` is
+  ``minimize`` flag — is what :class:`~repro.core.planstore.PlanStore` is
   keyed by; every read builds it once, and nothing else is computed from the
   query on a hit.
 * :func:`query_fingerprint` is the SHA-256 digest of the form's ``repr``: a
@@ -108,26 +108,22 @@ def query_fingerprint(query: Query) -> str:
     return hashlib.sha256(serialized).hexdigest()
 
 
-def prepared_cache_key(
-    query: Query, *, minimize: bool = True, allow_rewrite: bool = True
-) -> tuple[tuple, bool, bool]:
-    """The plan-store key of one query under one set of preparation flags.
+def prepared_cache_key(query: Query, *, minimize: bool = True) -> tuple[tuple, bool]:
+    """The plan-store key of one query under one ``minimize`` flag.
 
-    The flags are part of the key because they change what C2–C4 produce
-    (minimized vs full schema, rewritten vs original target).  The key is
-    engine-independent: any two engines with the same access schema prepare
-    identical entries for it, which is what makes the plan store shareable —
-    and reads with *different* flags address disjoint entries instead of
-    silently serving each other's.
+    The flag is part of the key because it changes what C2–C4 produce
+    (minimized vs full schema).  The key is engine-independent: any two
+    engines with the same access schema prepare identical entries for it,
+    which is what makes the plan store shareable — and reads with
+    *different* flags address disjoint entries instead of silently serving
+    each other's.
     """
-    return (canonical_form(query), bool(minimize), bool(allow_rewrite))
+    return (canonical_form(query), bool(minimize))
 
 
-def result_cache_key(
-    query: Query, *, minimize: bool = True, allow_rewrite: bool = True
-) -> tuple[str, bool, bool]:
+def result_cache_key(query: Query, *, minimize: bool = True) -> tuple[str, bool]:
     """The result-cache key of the entry :func:`prepared_cache_key` names.
 
-    The same flags, with the canonical form replaced by its digest.
+    The same flag, with the canonical form replaced by its digest.
     """
-    return (query_fingerprint(query), bool(minimize), bool(allow_rewrite))
+    return (query_fingerprint(query), bool(minimize))

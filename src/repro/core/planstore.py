@@ -3,8 +3,8 @@
 Two caches back the hot path of :class:`~repro.core.engine.BoundedEngine`:
 
 * :class:`PlanStore` — an LRU map from canonical query forms plus
-  preparation flags (:func:`~repro.core.fingerprint.prepared_cache_key`, a
-  nested tuple of strings and bools) to prepared-query entries.  Everything
+  the ``minimize`` flag (:func:`~repro.core.fingerprint.prepared_cache_key`,
+  a nested tuple of strings and a bool) to prepared-query entries.  Everything
   a prepared entry holds (coverage verdict, minimized schema, bounded plan,
   optimized plan, the result-cache key) depends only on the query syntax and
   the access schema, so one store can be **shared across engine instances**

@@ -8,7 +8,8 @@ The package layers a robustness stack on top of
   (sound because covered plans expose an exact ``access_bound()``), the
   graceful-degradation ladder, and serialized write batches.
 * :mod:`~repro.serving.policy` — the retry backoff, the circuit breaker
-  mounted around the unbounded conventional fallback, and deadlines.
+  mounted around the unbounded conventional fallback (and on every replica
+  member), and deadlines.
 * :mod:`~repro.serving.faults` — deterministic seeded fault injection at
   the executor / fallback / storage-write seams.
 * :mod:`~repro.serving.metrics` — queue, shed, ladder, and latency

@@ -16,7 +16,9 @@ The pieces:
   mounts one around the *unbounded* conventional fallback
   (:class:`~repro.core.engine.BoundedEngine` ``fallback_breaker``), so a
   stampede of uncovered queries fails fast instead of starving the covered
-  hot path whose cost is bounded by ``access_bound()``.
+  hot path whose cost is bounded by ``access_bound()``.  Each member of a
+  :class:`~repro.sharding.replica.ReplicaSet` runs on one too, with the
+  set's fetch count as its clock, so its cooldown is counted in fetches.
 * :class:`Deadline` — an absolute expiry against the injected clock.
 """
 
@@ -56,12 +58,17 @@ class CircuitBreaker:
     """A closed / open / half-open circuit breaker.
 
     * **closed** — calls flow; ``failure_threshold`` *consecutive* failures
-      trip it open.
-    * **open** — every ``allow()`` is refused until ``cooldown`` seconds have
-      passed on the injected clock.
+      trip it open (reason ``"unhealthy"``), and so does :meth:`trip`, with
+      the caller's reason.
+    * **open** — every ``allow()`` is refused until ``cooldown`` has passed
+      on the injected clock (seconds, or whatever unit the clock counts).
     * **half-open** — after the cooldown, a single probe call is admitted:
-      success closes the breaker, failure re-opens it (and restarts the
+      failure re-opens the breaker for the same reason (and restarts the
       cooldown).
+
+    A success closes the breaker from any state.  A caller that gates every
+    call on ``allow()`` records no success while the breaker is open; one
+    that trips it itself may (the replica set's immediate catch-up).
 
     The breaker itself never raises — callers translate a refused ``allow()``
     into :class:`~repro.core.errors.CircuitOpenError` (as
@@ -85,6 +92,7 @@ class CircuitBreaker:
         self.cooldown = cooldown
         self.clock = clock
         self.state = self.CLOSED
+        self.reason: str | None = None
         self.consecutive_failures = 0
         self.opened_at: float | None = None
         self._probe_in_flight = False
@@ -115,9 +123,9 @@ class CircuitBreaker:
     def record_success(self) -> None:
         self.successes += 1
         self.consecutive_failures = 0
-        if self.state == self.HALF_OPEN:
-            self.state = self.CLOSED
-            self.opened_at = None
+        self.state = self.CLOSED
+        self.reason = None
+        self.opened_at = None
         self._probe_in_flight = False
 
     def record_failure(self) -> None:
@@ -127,17 +135,20 @@ class CircuitBreaker:
             self.state == self.CLOSED
             and self.consecutive_failures >= self.failure_threshold
         ):
-            self._trip()
+            self.trip(self.reason or "unhealthy")
         self._probe_in_flight = False
 
-    def _trip(self) -> None:
+    def trip(self, reason: str) -> None:
+        """Open the breaker now, for ``reason``, and (re)start the cooldown."""
         self.state = self.OPEN
+        self.reason = reason
         self.opened_at = self.clock()
         self.times_opened += 1
 
-    def stats(self) -> dict[str, int | str]:
+    def stats(self) -> dict[str, int | str | None]:
         return {
             "state": self.state,
+            "reason": self.reason,
             "times_opened": self.times_opened,
             "rejected": self.rejected,
             "successes": self.successes,

@@ -59,6 +59,23 @@ from ..workloads.generator import RandomQueryGenerator
 from .faults import FaultInjector, FaultSpec
 from .server import BoundedServer, ReadRequest, ServerConfig, WriteRequest
 
+#: updates per generated write batch
+BATCH_SIZE = 6
+#: phase-A requests in flight before the soak awaits them all
+WAVE = 16
+#: server worker tasks
+WORKERS = 4
+#: default per-request timeout, seconds
+DEADLINE = 10.0
+#: injected engine-seam fault intensities (armed when ``faults`` is set)
+EXECUTOR_ERROR_RATE = 0.08
+EXECUTOR_LATENCY = 0.0005
+FALLBACK_LATENCY = 0.05
+STORAGE_FAIL_EVERY = 17
+#: flaky-shard fault intensities (armed when ``flaky_shard`` is set)
+FLAKY_ERROR_RATE = 0.3
+FLAKY_TORN_WRITE_EVERY = 5
+
 
 @dataclass
 class SoakConfig:
@@ -101,26 +118,15 @@ class SoakConfig:
     write_ratio: float = 0.2
     covered_queries: int = 8
     uncovered_queries: int = 3
-    batch_size: int = 6
-    wave: int = 16
     faults: bool = True
     verify: bool = True
     queue_depth: int = 32
-    workers: int = 4
-    deadline: float = 10.0
     #: sharded chaos scenarios (need ``shards > 1``)
     kill_shard: bool = False
     flaky_shard: bool = False
     rebalance: bool = False
-    #: injected fault intensities (only read when ``faults`` is set)
-    executor_error_rate: float = 0.08
-    executor_latency: float = 0.0005
-    fallback_latency: float = 0.05
-    storage_fail_every: int = 17
-    #: flaky-shard intensities (only read when ``flaky_shard`` is set)
-    flaky_error_rate: float = 0.3
+    #: flaky-shard fetch latency (only read when ``flaky_shard`` is set)
     flaky_latency: float = 0.002
-    flaky_torn_write_every: int = 5
     #: every Nth snapshot of the flaky set is its previous token (N ≥ 2: a
     #: read's retry always meets a fresh one, so none is abandoned)
     flaky_stale_snapshot_every: int = 7
@@ -329,26 +335,19 @@ def run_soak(config: SoakConfig) -> dict:
     if faults_active:
         injector.configure(
             "executor",
-            FaultSpec(
-                latency=config.executor_latency,
-                error_rate=config.executor_error_rate,
-            ),
+            FaultSpec(latency=EXECUTOR_LATENCY, error_rate=EXECUTOR_ERROR_RATE),
         )
         # The conventional path is fully broken: always slow, always failing.
         # The breaker must contain it.
-        injector.configure(
-            "fallback", FaultSpec(latency=config.fallback_latency, error_rate=1.0)
-        )
-        injector.configure(
-            "storage.write", FaultSpec(fail_every=config.storage_fail_every)
-        )
+        injector.configure("fallback", FaultSpec(latency=FALLBACK_LATENCY, error_rate=1.0))
+        injector.configure("storage.write", FaultSpec(fail_every=STORAGE_FAIL_EVERY))
         injector.install_engine(engine)
         injector.install_writes(database)
 
     server_config = ServerConfig(
         max_queue_depth=config.queue_depth,
-        workers=config.workers,
-        default_timeout=config.deadline,
+        workers=WORKERS,
+        default_timeout=DEADLINE,
         seed=config.seed,
     )
     server = BoundedServer(engine, server_config, post_check=post_check)
@@ -380,13 +379,11 @@ def run_soak(config: SoakConfig) -> dict:
             injector.install_shard(victim)
             injector.configure(
                 f"{victim.name}.fetch",
-                FaultSpec(
-                    latency=config.flaky_latency, error_rate=config.flaky_error_rate
-                ),
+                FaultSpec(latency=config.flaky_latency, error_rate=FLAKY_ERROR_RATE),
             )
             injector.configure(
                 f"{victim.name}.write",
-                FaultSpec(torn_write_every=config.flaky_torn_write_every),
+                FaultSpec(torn_write_every=FLAKY_TORN_WRITE_EVERY),
             )
             # The *set* also starts reporting stale epoch tokens sometimes;
             # the router's merge-time validation must refuse to serve
@@ -445,14 +442,14 @@ def run_soak(config: SoakConfig) -> dict:
                 roll = rng.random()
                 if roll < config.write_ratio:
                     request: ReadRequest | WriteRequest = WriteRequest(
-                        updates=writes.next_batch(config.batch_size)
+                        updates=writes.next_batch(BATCH_SIZE)
                     )
                 elif uncovered and roll < config.write_ratio + 0.1:
                     request = ReadRequest(query=rng.choice(uncovered))
                 else:
                     request = ReadRequest(query=rng.choice(covered))
                 pending.append(asyncio.ensure_future(server.submit(request)))
-                if len(pending) >= config.wave:
+                if len(pending) >= WAVE:
                     await _settle(pending)
                     pending = []
             await _settle(pending)

@@ -15,7 +15,7 @@ shard-call seams.
 """
 
 from .partition import Partitioner, stable_hash
-from .replica import ReplicaHealth, ReplicaSet
+from .replica import ReplicaSet
 from .router import RebalanceReport, RouterMetrics, ShardRouter, build_topology
 from .shards import EngineShard, Shard, SQLiteShard
 
@@ -23,7 +23,6 @@ __all__ = [
     "EngineShard",
     "Partitioner",
     "RebalanceReport",
-    "ReplicaHealth",
     "ReplicaSet",
     "RouterMetrics",
     "Shard",

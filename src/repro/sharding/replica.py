@@ -23,25 +23,27 @@ quarantined immediately: its clock settles over the applied prefix, so
 clock comparison alone cannot be trusted to catch it.  A member that
 *silently* misses a batch (the lost-write case — no error, no mutation)
 is caught by the lockstep check on the next fetch touching the written
-relation: its per-relation version lags the authoritative one.  Either
-way the member stops serving reads and receiving writes; catch-up
-row-diffs it against a healthy in-lockstep sibling, applies the diff
-through the member's own write path (indexes maintained), then overwrites
-its clock with the authoritative one (:meth:`VersionClock.sync_to`).  A
-member is re-admitted only if it completes catch-up and then serves a
-fetch through its own seam — a diverged member is never merged, and a
-dead one stays out.
+relation: its per-relation version lags the authoritative one, and it is
+caught up on that fetch.  Either way the member stops serving reads and
+receiving writes; catch-up row-diffs it against a healthy in-lockstep
+sibling, applies the diff through the member's own write path (indexes
+maintained), then overwrites its clock with the authoritative one
+(:meth:`VersionClock.sync_to`).  A member is re-admitted only if it
+completes catch-up and then serves a fetch through its own seam — a
+diverged member is never merged, and a dead one stays out.  A member that
+is not re-admitted at once waits for its breaker's next probe.
 
-**Failover.**  A fetch tries members in routing order and
+**Failover.**  A fetch tries the in-rotation members in order and
 absorbs :class:`~repro.core.errors.TransientFault` by moving to the next
-candidate — sound because injected/real shard faults fire *before* any
-tuple is touched, so a failed attempt contributes nothing to access
-accounting, and because every healthy candidate is in lockstep, so any of
-them yields the same rows at the same authoritative epoch.  A per-member
-:class:`ReplicaHealth` breaker (3 consecutive failures) takes
-repeatedly-failing members out of the rotation; a quarantined member is
-then probed on the set's first fetch after the quarantine and on every
-fourth fetch after that (see :class:`ReplicaSet` for why fourth).
+one — sound because injected/real shard faults fire *before* any tuple is
+touched, so a failed attempt contributes nothing to access accounting, and
+because every in-rotation member is in lockstep, so any of them yields the
+same rows at the same authoritative epoch.  Each member runs on a
+:class:`~repro.serving.policy.CircuitBreaker` whose clock is the set's own
+fetch count: :data:`FAILURE_THRESHOLD` consecutive failed fetches trip it,
+and a quarantined member is probed every :data:`PROBE_AFTER` fetches after
+its quarantine, in the healing pre-pass of :meth:`ReplicaSet.fetch` — the
+one place a breaker is ticked.
 """
 
 from __future__ import annotations
@@ -50,89 +52,16 @@ from typing import Collection, Iterable, Sequence
 
 from ..core.errors import MaintenanceError, ReproError, StorageError, TransientFault
 from ..discovery.maintenance import MaintenanceReport, Update
+from ..serving.policy import CircuitBreaker
 from ..storage.counters import AccessCounter, VersionClock
 from .shards import Shard
 
 Row = tuple
 
-HEALTHY = "healthy"
-QUARANTINED = "quarantined"
-
-
-class ReplicaHealth:
-    """Per-replica breaker state: consecutive failures, quarantine, probes.
-
-    Two ways into quarantine: the breaker trips after
-    :attr:`FAILURE_THRESHOLD` consecutive fetch failures (reason
-    ``"unhealthy"``), or the set quarantines the replica directly on
-    observed divergence (reasons ``"divergence"`` / ``"write_failed"``).
-    Either way the road back is the same: :meth:`allow_probe` admits a
-    half-open attempt on its first call after the quarantine and then on
-    every :attr:`PROBE_AFTER`-th call, and the set re-admits only after a
-    successful catch-up followed by a successful fetch — a replica that was
-    out of rotation missed routed writes by definition, and one that
-    catches up may still be dead.  A call to :meth:`allow_probe` is a tick,
-    not a fetch: :class:`ReplicaSet` ticks twice per fetch.
-    """
-
-    #: consecutive fetch failures that quarantine a member
-    FAILURE_THRESHOLD = 3
-    #: a quarantined member gets a half-open probe every this many ticks
-    PROBE_AFTER = 8
-
-    def __init__(self, name: str):
-        self.name = name
-        self.state = HEALTHY
-        self.reason: str | None = None
-        self.consecutive_failures = 0
-        self.failures_total = 0
-        self.probes = 0
-        self._skipped = 0
-
-    @property
-    def quarantined(self) -> bool:
-        return self.state == QUARANTINED
-
-    def record_failure(self) -> bool:
-        """Count a fetch failure; returns True when the breaker just tripped."""
-        self.failures_total += 1
-        self.consecutive_failures += 1
-        if self.state == HEALTHY and self.consecutive_failures >= self.FAILURE_THRESHOLD:
-            self.quarantine("unhealthy")
-            return True
-        return False
-
-    def record_success(self) -> None:
-        self.consecutive_failures = 0
-
-    def quarantine(self, reason: str) -> None:
-        self.state = QUARANTINED
-        self.reason = reason
-        self._skipped = 0
-
-    def readmit(self) -> None:
-        self.state = HEALTHY
-        self.reason = None
-        self.consecutive_failures = 0
-
-    def allow_probe(self) -> bool:
-        """Half-open gate: first call after quarantine, then every Nth."""
-        if self.state != QUARANTINED:
-            return False
-        self._skipped += 1
-        allowed = (self._skipped - 1) % self.PROBE_AFTER == 0
-        if allowed:
-            self.probes += 1
-        return allowed
-
-    def snapshot(self) -> dict[str, object]:
-        return {
-            "state": self.state,
-            "reason": self.reason,
-            "consecutive_failures": self.consecutive_failures,
-            "failures_total": self.failures_total,
-            "probes": self.probes,
-        }
+#: consecutive fetch failures that quarantine a member
+FAILURE_THRESHOLD = 3
+#: a quarantined member is probed every this many fetches of its set
+PROBE_AFTER = 8
 
 
 class ReplicaSet(Shard):
@@ -142,17 +71,12 @@ class ReplicaSet(Shard):
     (the :func:`~repro.sharding.router.build_topology` contract); the
     constructor verifies the clocks agree and adopts them as the
     authoritative clock's starting state.  Each member gets a
-    :class:`ReplicaHealth` breaker; its threshold and probe spacing are
-    class constants there, not settings of the set.
-
-    Probe cadence: every :meth:`fetch` ticks a quarantined member's
-    :meth:`ReplicaHealth.allow_probe` twice — once in the healing pre-pass
-    and once in :meth:`_routing_order`.  The first tick after a quarantine
-    and every :attr:`ReplicaHealth.PROBE_AFTER`-th (8th) after it are odd,
-    so the probe always lands on the pre-pass: on the set's first fetch
-    after the quarantine, then on every fourth — not every eighth.  The
-    serving loop's own probe branch is therefore not reached under this
-    cadence.
+    :class:`~repro.serving.policy.CircuitBreaker` in :attr:`breakers`; a
+    member is in rotation while its breaker is closed.  The breakers' clock
+    is :attr:`fetches`, bumped once per :meth:`fetch`, so a member
+    quarantined at fetch *f* is next probed at fetch *f* +
+    :data:`PROBE_AFTER`, then every :data:`PROBE_AFTER` fetches while its
+    probe fails.
     """
 
     kind = "replica-set"
@@ -164,10 +88,15 @@ class ReplicaSet(Shard):
         self.replicas = list(replicas)
         self.database = None  # every Shard surface is overridden below
         self.clock = VersionClock()
-        self._health = {
-            replica.name: ReplicaHealth(replica.name) for replica in self.replicas
+        #: fetches served or attempted: the clock every member's breaker reads
+        self.fetches = 0
+        self.breakers = {
+            replica.name: CircuitBreaker(
+                FAILURE_THRESHOLD, PROBE_AFTER, clock=lambda: self.fetches
+            )
+            for replica in self.replicas
         }
-        if len(self._health) != len(self.replicas):
+        if len(self.breakers) != len(self.replicas):
             raise StorageError(f"replica set {name!r} has duplicate replica names")
         # Adopt the members' (identical) initial clock state: fragment
         # construction bumps per-relation counters, and lockstep validation
@@ -184,7 +113,7 @@ class ReplicaSet(Shard):
         # -- counters ----------------------------------------------------------
         #: fetches that moved on to another member after one failed
         self.failovers = 0
-        #: healthy -> quarantined transitions
+        #: in-rotation -> quarantined transitions
         self.quarantines = 0
         #: re-admissions: a catch-up whose fetch then fails counts nowhere
         self.catch_ups = 0
@@ -192,47 +121,58 @@ class ReplicaSet(Shard):
         self.rows_resynced = 0
 
     # -- health plumbing ---------------------------------------------------------
-    def health(self, replica_name: str) -> ReplicaHealth:
-        return self._health[replica_name]
+    def _in_rotation(self, replica: Shard) -> bool:
+        return self.breakers[replica.name].state == CircuitBreaker.CLOSED
 
     def _quarantine(self, replica: Shard, reason: str) -> None:
-        health = self._health[replica.name]
-        if not health.quarantined:
-            self.quarantines += 1
-        health.quarantine(reason)
+        self.quarantines += 1
+        self.breakers[replica.name].trip(reason)
 
     def _in_lockstep(self, replica: Shard, relations: Iterable[str]) -> bool:
         keys = tuple(relations)
         return replica.database.clock.snapshot(keys) == self.clock.snapshot(keys)
 
-    def _readmit(self, replica: Shard, constraint, base_relation: str, keys) -> bool:
+    def _readmit(self, replica: Shard, constraint, base_relation: str, keys) -> None:
         """Catch a quarantined ``replica`` up, then re-admit it only if it serves.
 
-        The one road back into rotation.  Catch-up row-diffs the member
-        against a healthy in-lockstep sibling, per relation as row sets (set
-        semantics make this exact regardless of *how* the member diverged —
-        lost batch, torn prefix, or writes missed while quarantined), applies
-        the diff through the member's own write path, so its indexes are
-        maintained, and syncs its clock.  The diff reads storage, not the
-        fetch seam, so a dead member that missed no writes passes it: the
-        fetch the set is serving is then sent through the member's own seam,
-        and only if that succeeds is the member re-admitted.  That fetch
-        passes no :class:`~repro.storage.counters.AccessCounter`: the served
-        fetch that follows counts the access, once.
+        The one road back into rotation; its outcome goes to the member's
+        breaker, which a success closes and a failure re-opens, restarting
+        the cooldown.  Catch-up row-diffs the member against a healthy
+        in-lockstep sibling, per relation as row sets (set semantics make
+        this exact regardless of *how* the member diverged — lost batch,
+        torn prefix, or writes missed while quarantined), applies the diff
+        through the member's own write path, so its indexes are maintained,
+        and syncs its clock.  The diff reads storage, not the fetch seam, so
+        a dead member that missed no writes passes it: the fetch the set is
+        serving is then sent through the member's own seam, and only if that
+        succeeds is the member re-admitted.  That fetch passes no
+        :class:`~repro.storage.counters.AccessCounter`: the served fetch that
+        follows counts the access, once.
         """
+        breaker = self.breakers[replica.name]
+        resynced = self._catch_up(replica, constraint, base_relation, keys)
+        if resynced is None:
+            breaker.record_failure()
+            return
+        breaker.record_success()
+        self.catch_ups += 1
+        self.rows_resynced += resynced
+
+    def _catch_up(self, replica: Shard, constraint, base_relation: str, keys) -> int | None:
+        """The rows :meth:`_readmit` resynced into ``replica``, or ``None`` if it still fails."""
         all_relations = tuple(self.clock._per_key)
         source = next(
             (
                 sibling
                 for sibling in self.replicas
                 if sibling is not replica
-                and not self._health[sibling.name].quarantined
+                and self._in_rotation(sibling)
                 and self._in_lockstep(sibling, all_relations)
             ),
             None,
         )
         if source is None:
-            return False
+            return None
         updates: list[Update] = []
         for relation in source.database.relation_names():
             want = set(source.relation_rows(relation))
@@ -243,7 +183,7 @@ class ReplicaSet(Shard):
             if updates:
                 replica.apply_updates(updates)
         except ReproError:
-            return False  # still broken (e.g. a dead node); stay quarantined
+            return None  # still broken (e.g. a dead node); stay quarantined
         # Verify the resync actually took before re-admitting: a write seam
         # that is still silently swallowing batches (the lost-write fault)
         # would otherwise fake its way back into rotation.
@@ -251,16 +191,13 @@ class ReplicaSet(Shard):
             if set(replica.relation_rows(relation)) != set(
                 source.relation_rows(relation)
             ):
-                return False
+                return None
         replica.database.clock.sync_to(self.clock)
         try:
             replica.fetch(constraint, base_relation, keys)
         except TransientFault:
-            return False
-        self._health[replica.name].readmit()
-        self.catch_ups += 1
-        self.rows_resynced += len(updates)
-        return True
+            return None
+        return len(updates)
 
     def _detect_divergence(self, constraint, base_relation: str, keys) -> None:
         """Quarantine (and try to heal) members lagging on ``base_relation``.
@@ -271,22 +208,11 @@ class ReplicaSet(Shard):
         compounding its lag batch after batch.
         """
         for replica in self.replicas:
-            if self._health[replica.name].quarantined:
-                continue
-            if self._in_lockstep(replica, (base_relation,)):
-                continue
-            self._quarantine(replica, "divergence")
-            self._readmit(replica, constraint, base_relation, keys)
-
-    def _routing_order(self) -> list[Shard]:
-        """Healthy members in serving order, then probe-eligible quarantined ones."""
-        healthy = [r for r in self.replicas if not self._health[r.name].quarantined]
-        probes = [
-            r
-            for r in self.replicas
-            if self._health[r.name].quarantined and self._health[r.name].allow_probe()
-        ]
-        return healthy + probes
+            if self._in_rotation(replica) and not self._in_lockstep(
+                replica, (base_relation,)
+            ):
+                self._quarantine(replica, "divergence")
+                self._readmit(replica, constraint, base_relation, keys)
 
     # -- reads ---------------------------------------------------------------------
     def fetch(
@@ -297,45 +223,38 @@ class ReplicaSet(Shard):
         counter: AccessCounter | None = None,
     ) -> frozenset[Row]:
         keys = list(keys)
+        self.fetches += 1
         # The silently-diverged case: a member whose per-relation version
         # lags the authoritative clock (a lost write) is detected exactly
         # here — the first fetch touching the relation it missed —
         # quarantined, caught up synchronously, and re-admitted only if the
         # catch-up verifiably took and the member serves this fetch.
         self._detect_divergence(constraint, base_relation, keys)
-        # Half-open probes run as a healing pre-pass, decoupled from the
-        # serving order: a probe-eligible quarantined member is caught up
-        # and re-admitted *here*, not only when every healthy member has
-        # already failed (which a healthy sibling would normally prevent
-        # from ever happening).
+        # The healing pre-pass: the one place a breaker is ticked.  A member
+        # whose cooldown has run out is caught up here, before serving, not
+        # only when every in-rotation member has already failed (which an
+        # in-rotation sibling would normally prevent from ever happening).
         for replica in self.replicas:
-            health = self._health[replica.name]
-            if health.quarantined and health.allow_probe():
+            breaker = self.breakers[replica.name]
+            if breaker.state != CircuitBreaker.CLOSED and breaker.allow():
                 self._readmit(replica, constraint, base_relation, keys)
-        candidates = self._routing_order()
+        candidates = [replica for replica in self.replicas if self._in_rotation(replica)]
         if not candidates:
-            raise TransientFault(
-                f"replica set {self.name!r}: no replica is healthy or probe-eligible"
-            )
+            raise TransientFault(f"replica set {self.name!r}: no replica is in rotation")
         last_error: TransientFault | None = None
         for position, replica in enumerate(candidates):
-            health = self._health[replica.name]
-            # A half-open probe: the member missed writes while out of
-            # rotation, so it must catch up before it may serve.
-            if health.quarantined and not self._readmit(
-                replica, constraint, base_relation, keys
-            ):
-                continue
+            breaker = self.breakers[replica.name]
             try:
                 rows = replica.fetch(constraint, base_relation, keys, counter)
             except TransientFault as error:
                 last_error = error
-                if health.record_failure():
+                breaker.record_failure()
+                if breaker.state != CircuitBreaker.CLOSED:
                     self.quarantines += 1
                 if position + 1 < len(candidates):
                     self.failovers += 1
                 continue
-            health.record_success()
+            breaker.record_success()
             return rows
         raise TransientFault(
             f"replica set {self.name!r}: every candidate replica failed the fetch"
@@ -345,9 +264,7 @@ class ReplicaSet(Shard):
     def _reader(self, relation: str) -> Shard:
         """An in-rotation member in lockstep on ``relation``: what a gather reads."""
         for replica in self.replicas:
-            if not self._health[replica.name].quarantined and self._in_lockstep(
-                replica, (relation,)
-            ):
+            if self._in_rotation(replica) and self._in_lockstep(replica, (relation,)):
                 return replica
         raise TransientFault(
             f"replica set {self.name!r}: no in-lockstep replica to read "
@@ -377,7 +294,7 @@ class ReplicaSet(Shard):
         reports: list[MaintenanceReport] = []
         first_error: ReproError | None = None
         for replica in self.replicas:
-            if self._health[replica.name].quarantined:
+            if not self._in_rotation(replica):
                 continue  # catches up on re-admission instead
             try:
                 report = replica.apply_updates(list(updates))
@@ -411,12 +328,7 @@ class ReplicaSet(Shard):
     # -- reporting -------------------------------------------------------------------
     def stats(self) -> dict[str, object]:
         serving = next(
-            (
-                r
-                for r in self.replicas
-                if not self._health[r.name].quarantined
-            ),
-            self.replicas[0],
+            (r for r in self.replicas if self._in_rotation(r)), self.replicas[0]
         )
         return {
             "name": self.name,
@@ -428,7 +340,7 @@ class ReplicaSet(Shard):
             "catch_ups": self.catch_ups,
             "rows_resynced": self.rows_resynced,
             "replicas": [
-                {**replica.stats(), **self._health[replica.name].snapshot()}
+                {**replica.stats(), **self.breakers[replica.name].stats()}
                 for replica in self.replicas
             ],
         }

@@ -67,6 +67,7 @@ from ..core.planstore import PlanStore
 from ..core.query import Query
 from ..discovery.maintenance import MaintenanceReport, Update
 from ..serving.metrics import LatencyRecorder
+from ..serving.policy import CircuitBreaker
 from ..storage.counters import AccessCounter
 from ..storage.database import Database
 from ..storage.index import Fetch
@@ -516,10 +517,9 @@ class ShardRouter(ServingCore):
             "replica_sets": len(sets),
             "replicas": sum(len(s.replicas) for s in sets),
             "quarantined": sum(
-                1
+                breaker.state != CircuitBreaker.CLOSED
                 for s in sets
-                for replica in s.replicas
-                if s.health(replica.name).quarantined
+                for breaker in s.breakers.values()
             ),
             "failovers": sum(s.failovers for s in sets),
             "quarantines": sum(s.quarantines for s in sets),

@@ -62,11 +62,6 @@ class TestEngineExecution:
         assert result.rewrite == "guard-difference"
         assert result.rows == evaluate(fb_q0, fb_database).rows
 
-    def test_rewrite_disabled_falls_back(self, engine, fb_q0, fb_database):
-        result = engine.execute(fb_q0, allow_rewrite=False)
-        assert result.strategy == "conventional"
-        assert result.rows == evaluate(fb_q0, fb_database).rows
-
     def test_uncovered_fallback(self, engine, fb_q2, fb_database):
         result = engine.execute(fb_q2)
         assert result.strategy == "conventional"
@@ -75,7 +70,7 @@ class TestEngineExecution:
 
     def test_uncovered_without_fallback_raises(self, engine, fb_q2):
         with pytest.raises(NotCoveredError):
-            engine.execute(fb_q2, fallback=False, allow_rewrite=False)
+            engine.execute(fb_q2, fallback=False)
 
     def test_minimize_false_uses_full_schema(self, engine, fb_q1, fb_database):
         result = engine.execute(fb_q1, minimize=False)

@@ -61,14 +61,13 @@ class TestDeterminism:
         assert len(digest) == 64
         int(digest, 16)  # hex
 
-    def test_plan_store_key_is_the_form_and_the_flags(self, fb_q1):
-        assert prepared_cache_key(fb_q1, minimize=False) == (canonical_form(fb_q1), False, True)
+    def test_plan_store_key_is_the_form_and_the_flag(self, fb_q1):
+        assert prepared_cache_key(fb_q1, minimize=False) == (canonical_form(fb_q1), False)
 
-    def test_result_key_is_the_digest_and_the_same_flags(self, fb_q1):
-        flags = dict(minimize=False, allow_rewrite=True)
-        _, *rest = prepared_cache_key(fb_q1, **flags)
-        assert result_cache_key(fb_q1, **flags) == (query_fingerprint(fb_q1), *rest)
-        assert prepare_query(fb_q1, AccessSchema([]), **flags).result_key == (
+    def test_result_key_is_the_digest_and_the_same_flag(self, fb_q1):
+        _, *rest = prepared_cache_key(fb_q1, minimize=False)
+        assert result_cache_key(fb_q1, minimize=False) == (query_fingerprint(fb_q1), *rest)
+        assert prepare_query(fb_q1, AccessSchema([]), minimize=False).result_key == (
             query_fingerprint(fb_q1),
             *rest,
         )

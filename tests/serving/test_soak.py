@@ -166,5 +166,5 @@ class TestSoak:
         (member,) = (
             m for m in report["router"]["shards"][0]["replicas"] if m["name"] == dead
         )
-        assert (member["state"], member["reason"]) == ("quarantined", "unhealthy")
+        assert (member["state"], member["reason"]) == ("open", "unhealthy")
         assert report["outcome"]["reads_verified"] == report["outcome"]["reads_served"] > 0

@@ -17,7 +17,8 @@ from repro.core.query import Relation, eq
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
 from repro.serving.faults import FaultInjector, FaultSpec
-from repro.sharding import ReplicaHealth, ReplicaSet, build_topology
+from repro.sharding import ReplicaSet, build_topology
+from repro.sharding.replica import FAILURE_THRESHOLD, PROBE_AFTER
 from repro.storage.counters import AccessCounter
 from repro.workloads import WORKLOADS, facebook
 
@@ -59,6 +60,14 @@ def person_on(router, target_set, scale=30):
         for pid in (f"p{i}" for i in range(scale))
         if router.partitioner.shard_for_value("friend", pid) == index
     )
+
+
+def drive_probe(router, target_set, scale=30):
+    """``PROBE_AFTER`` fetches through ``target_set``: every quarantined
+    member's breaker admits one probe among them."""
+    person = person_on(router, target_set, scale)
+    for _ in range(PROBE_AFTER):
+        target_set.fetch(psi1(router), "friend", [(person,)])
 
 
 def set_batch(router, target_set, size=2):
@@ -131,63 +140,6 @@ class TestRejectedWrites:
         assert result.counter.total <= result.plan.access_bound() == 1
 
 
-class TestReplicaHealth:
-    """The breaker's two constants, pinned on one member's health record."""
-
-    def test_the_breaker_trips_on_the_threshold_th_consecutive_failure(self):
-        health = ReplicaHealth("r0")
-        for _ in range(ReplicaHealth.FAILURE_THRESHOLD - 1):
-            assert not health.record_failure()
-            assert not health.quarantined
-        assert health.record_failure()  # the trip is reported once, by this call
-        assert (health.quarantined, health.reason) == (True, "unhealthy")
-        assert not health.record_failure()  # already out: nothing trips again
-        assert health.failures_total == ReplicaHealth.FAILURE_THRESHOLD + 1
-
-    def test_a_success_resets_the_consecutive_count(self):
-        health = ReplicaHealth("r0")
-        for _ in range(3 * ReplicaHealth.FAILURE_THRESHOLD):
-            for _ in range(ReplicaHealth.FAILURE_THRESHOLD - 1):
-                health.record_failure()
-            health.record_success()
-        assert not health.quarantined
-        assert health.consecutive_failures == 0
-        assert health.failures_total == 3 * ReplicaHealth.FAILURE_THRESHOLD * (
-            ReplicaHealth.FAILURE_THRESHOLD - 1
-        )
-
-    def test_a_quarantined_member_is_probed_at_once_then_every_probe_after_th_selection(self):
-        health = ReplicaHealth("r0")
-        health.quarantine("divergence")
-        selections = 3 * ReplicaHealth.PROBE_AFTER
-        allowed = [health.allow_probe() for _ in range(selections)]
-        assert [i for i, probe in enumerate(allowed) if probe] == list(
-            range(0, selections, ReplicaHealth.PROBE_AFTER)
-        )
-        assert health.probes == 3
-
-    def test_a_healthy_member_is_never_probed(self):
-        health = ReplicaHealth("r0")
-        assert not any(health.allow_probe() for _ in range(2 * ReplicaHealth.PROBE_AFTER))
-        assert health.probes == 0
-
-    def test_readmission_needs_the_full_threshold_again(self):
-        health = ReplicaHealth("r0")
-        for _ in range(ReplicaHealth.FAILURE_THRESHOLD):
-            health.record_failure()
-        health.readmit()
-        assert (health.quarantined, health.reason, health.consecutive_failures) == (
-            False,
-            None,
-            0,
-        )
-        for _ in range(ReplicaHealth.FAILURE_THRESHOLD - 1):
-            assert not health.record_failure()
-        assert health.record_failure()
-        # a fresh quarantine restarts the probe schedule: the first selection probes
-        assert health.allow_probe()
-
-
 class TestFailoverReads:
     @pytest.mark.parametrize("workload", [None, *sorted(WORKLOADS)])
     def test_dead_primary_fails_over_to_sibling(self, workload):
@@ -227,8 +179,7 @@ class TestFailoverReads:
         query = facebook.query_q1()
         for _ in range(4):
             assert router.execute(query).rows == evaluate(query, database).rows
-        health = target.health(victim.name)
-        assert health.failures_total >= health.FAILURE_THRESHOLD
+        assert target.breakers[victim.name].failures >= FAILURE_THRESHOLD
         assert target.quarantines >= 1
 
     def test_a_dead_member_stays_out_of_rotation(self):
@@ -248,10 +199,40 @@ class TestFailoverReads:
         # three failed fetches trip the breaker; every probe after that fails
         # its fetch and re-admits nobody
         assert (target.failovers, target.quarantines, target.catch_ups) == (3, 1, 0)
-        health = target.health(victim.name)
-        assert health.quarantined
-        # probed on the first fetch after the quarantine, then on every fourth
-        assert health.probes == 30
+        # tripped at set fetch 3, then probed at fetches 11, 19, …, 115: each
+        # of the 14 probes failed its fetch and re-opened the breaker
+        stats = target.breakers[victim.name].stats()
+        assert (stats["state"], stats["reason"]) == ("open", "unhealthy")
+        assert (stats["times_opened"], stats["failures"]) == (1 + 14, FAILURE_THRESHOLD + 14)
+
+    def test_a_quarantined_member_is_probed_every_probe_after_fetches(self):
+        # The breaker's clock is the set's fetch count, ticked once per
+        # fetch: a member quarantined at fetch f is probed at f + PROBE_AFTER,
+        # then every PROBE_AFTER fetches while its probe fails.  A dead
+        # member missed no writes, so each probe is one call to its fetch seam.
+        router, _ = replicated_topology(shards=1)
+        target = router.shards[0]
+        victim = target.replicas[1]  # second in order: only probes reach it
+        person = person_on(router, target)
+
+        def fetch():
+            target.fetch(psi1(router), "friend", [(person,)])
+
+        for _ in range(5):
+            fetch()
+        injector = FaultInjector(seed=3)
+        injector.kill(victim)
+        target._quarantine(victim, "divergence")
+        quarantined_at = target.fetches
+        seam = f"{victim.name}.fetch"
+        probed = []
+        for fetch_number in range(quarantined_at + 1, quarantined_at + 1 + 3 * PROBE_AFTER):
+            calls = injector.stats()[seam]["calls"]
+            fetch()
+            if injector.stats()[seam]["calls"] > calls:
+                probed.append(fetch_number)
+        assert probed == [quarantined_at + k * PROBE_AFTER for k in (1, 2, 3)]
+        assert (target.quarantines, target.catch_ups) == (1, 0)
 
     def test_every_member_dead_raises_a_typed_fault(self):
         router, _ = replicated_topology()
@@ -283,7 +264,7 @@ class TestDivergenceHealing:
         # the routed batch still applied (canonical = the healthy sibling).
         assert report.applied == len(batch)
         assert not target._in_lockstep(victim, ("friend",))
-        assert target.health(victim.name).state == "healthy"  # not yet caught
+        assert target.breakers[victim.name].state == "closed"  # not yet caught
 
         injector.uninstall()
         query = facebook.query_q1(person=person_on(router, target))
@@ -294,7 +275,7 @@ class TestDivergenceHealing:
         assert target.quarantines == 1
         assert target.catch_ups == 1
         assert target.rows_resynced == len(batch)
-        assert target.health(victim.name).state == "healthy"
+        assert target.breakers[victim.name].state == "closed"
         assert target._in_lockstep(victim, ("friend",))
         assert set(victim.relation_rows("friend")) == set(
             target.replicas[0].relation_rows("friend")
@@ -316,12 +297,13 @@ class TestDivergenceHealing:
         # "probe succeeded" response alone never re-admits.
         assert target.quarantines == 1
         assert target.catch_ups == 0
-        assert target.health(victim.name).state == "quarantined"
+        assert target.breakers[victim.name].state == "open"
 
         injector.uninstall()
+        drive_probe(router, target)
         assert router.execute(query).rows == evaluate(query, database).rows
         assert target.catch_ups == 1
-        assert target.health(victim.name).state == "healthy"
+        assert target.breakers[victim.name].state == "closed"
 
     def test_torn_write_quarantines_immediately(self):
         router, database = replicated_topology(result_cache_size=0)
@@ -338,14 +320,15 @@ class TestDivergenceHealing:
         # alone cannot be trusted), and the batch proceeded on the sibling.
         assert report.applied == len(batch)
         assert target.quarantines == 1
-        assert target.health(victim.name).reason == "write_failed"
+        assert target.breakers[victim.name].reason == "write_failed"
 
         injector.uninstall()
+        drive_probe(router, target)
         query = facebook.query_q1(person=person_on(router, target))
         assert router.execute(query).rows == evaluate(query, database).rows
         assert target.catch_ups == 1
         assert target.rows_resynced > 0  # the torn remainder was resynced
-        assert target.health(victim.name).state == "healthy"
+        assert target.breakers[victim.name].state == "closed"
 
     def test_quarantined_member_misses_writes_then_catches_up(self):
         router, database = replicated_topology(result_cache_size=0)
@@ -357,9 +340,10 @@ class TestDivergenceHealing:
         assert set(victim.relation_rows("friend")) != set(
             target.replicas[0].relation_rows("friend")
         )
+        drive_probe(router, target)
         query = facebook.query_q1(person=person_on(router, target))
         assert router.execute(query).rows == evaluate(query, database).rows
-        assert target.health(victim.name).state == "healthy"
+        assert target.breakers[victim.name].state == "closed"
         assert set(victim.relation_rows("friend")) == set(
             target.replicas[0].relation_rows("friend")
         )
@@ -405,14 +389,12 @@ def test_property_reads_match_reference_under_lost_write_chaos(ops):
                 query = facebook.query_q1(person=f"p{pick}")
                 result = router.execute(query)
                 assert result.rows == evaluate(query, database).rows
-        # A fetch guaranteed to reach the victim's set, so healing runs.
-        target.fetch(
-            psi1(router), "friend", [(person_on(router, target, scale=14),)]
-        )
+        # Fetches guaranteed to reach the victim's set: healing runs in one.
+        drive_probe(router, target, scale=14)
     finally:
         injector.uninstall()
     # Post-heal reads re-admitted the member via verified catch-up.
-    assert target.health(victim.name).state == "healthy"
+    assert target.breakers[victim.name].state == "closed"
     assert set(victim.relation_rows("friend")) == set(
         target.replicas[0].relation_rows("friend")
     )
