@@ -140,6 +140,89 @@ class TestRejectedWrites:
         assert result.counter.total <= result.plan.access_bound() == 1
 
 
+class TestMemberBreaker:
+    """The breaker's two constants, pinned on one member of a 1 × 2 set."""
+
+    @staticmethod
+    def one_set():
+        router, _ = replicated_topology(shards=1)
+        target = router.shards[0]
+        person = person_on(router, target)
+
+        def fetch():
+            target.fetch(psi1(router), "friend", [(person,)])
+
+        return target, fetch
+
+    def test_the_breaker_trips_on_the_threshold_th_consecutive_failure(self):
+        target, fetch = self.one_set()
+        victim = target.replicas[0]
+        breaker = target.breakers[victim.name]
+        FaultInjector(seed=3).kill(victim)
+        for _ in range(FAILURE_THRESHOLD - 1):
+            fetch()  # served by the sibling after a failover
+            assert breaker.state == "closed"
+        fetch()
+        assert (breaker.state, breaker.reason) == ("open", "unhealthy")
+        fetch()  # already out: not tried, nothing trips again
+        assert (target.failovers, target.quarantines) == (FAILURE_THRESHOLD, 1)
+        assert (breaker.failures, breaker.times_opened) == (FAILURE_THRESHOLD, 1)
+
+    def test_a_success_resets_the_consecutive_count(self):
+        target, fetch = self.one_set()
+        victim = target.replicas[0]
+        seam = f"{victim.name}.fetch"
+        injector = FaultInjector(seed=3)
+        injector.install_shard(victim)
+        for _ in range(3):
+            injector.configure(seam, FaultSpec(fail_every=1))
+            for _ in range(FAILURE_THRESHOLD - 1):
+                fetch()
+            injector.configure(seam, FaultSpec())
+            fetch()  # the member serves again: its streak starts over
+        stats = target.breakers[victim.name].stats()
+        assert (stats["state"], stats["times_opened"], stats["successes"]) == ("closed", 0, 3)
+        assert stats["failures"] == target.failovers == 3 * (FAILURE_THRESHOLD - 1)
+        assert target.quarantines == 0
+
+    def test_a_live_member_is_readmitted_at_its_first_probe(self):
+        target, fetch = self.one_set()
+        victim = target.replicas[0]
+        target._quarantine(victim, "divergence")
+        for _ in range(PROBE_AFTER - 1):
+            fetch()  # served by the sibling; the cooldown has not run out
+            assert target.breakers[victim.name].state == "open"
+        fetch()
+        assert target.breakers[victim.name].state == "closed"
+        assert (target.quarantines, target.catch_ups, target.rows_resynced) == (1, 1, 0)
+
+    def test_a_healthy_member_is_never_probed(self):
+        target, fetch = self.one_set()
+        for _ in range(2 * PROBE_AFTER):
+            fetch()
+        primary, sibling = (target.breakers[member.name] for member in target.replicas)
+        assert primary.successes == 2 * PROBE_AFTER
+        # the sibling was neither probed (a probe records its outcome) nor read
+        assert (sibling.successes, sibling.failures, sibling.times_opened) == (0, 0, 0)
+        assert (target.quarantines, target.catch_ups, target.failovers) == (0, 0, 0)
+
+    def test_readmission_needs_the_full_threshold_again(self):
+        target, fetch = self.one_set()
+        victim = target.replicas[0]
+        breaker = target.breakers[victim.name]
+        target._quarantine(victim, "divergence")
+        for _ in range(PROBE_AFTER):
+            fetch()
+        assert (breaker.state, breaker.reason) == ("closed", None)
+        FaultInjector(seed=3).kill(victim)
+        for _ in range(FAILURE_THRESHOLD - 1):
+            fetch()
+            assert breaker.state == "closed"
+        fetch()
+        assert (breaker.state, breaker.reason) == ("open", "unhealthy")
+        assert target.quarantines == 2
+
+
 class TestFailoverReads:
     @pytest.mark.parametrize("workload", [None, *sorted(WORKLOADS)])
     def test_dead_primary_fails_over_to_sibling(self, workload):
