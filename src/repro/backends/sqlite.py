@@ -127,7 +127,7 @@ class SQLiteBackend:
         keys: Iterable[Sequence],
         *,
         base_relation: str | None = None,
-    ) -> frozenset[tuple]:
+    ) -> set[tuple]:
         """``fetch(X ∈ keys, R, Y)`` over the index table of ``constraint``.
 
         Returns the distinct index rows (aligned with ``sorted(lhs | rhs)``)
@@ -143,11 +143,11 @@ class SQLiteBackend:
             )
         execute = self.connection.execute
         if not constraint.lhs:
-            return frozenset(execute(sql))
+            return set(execute(sql))
         rows: set[tuple] = set()
         for key in keys:
             rows.update(execute(sql, key))
-        return frozenset(rows)
+        return rows
 
     def _prepare_fetch(self, constraint: AccessConstraint, base_relation: str | None) -> str:
         """The SQL :meth:`fetch_index` runs once per key over ``constraint``'s index table.
@@ -156,7 +156,7 @@ class SQLiteBackend:
         the index table is created by ``SELECT DISTINCT`` and
         :meth:`apply_insert` / :meth:`apply_delete` keep it duplicate-free,
         so a key's rows are distinct as stored — and :meth:`fetch_index`
-        folds them into a frozenset anyway.
+        folds them into a set anyway.
         """
         table = index_table_name(constraint, base_relation)
         if table not in self._index_constraints:
@@ -258,10 +258,10 @@ class SQLiteBackend:
                         f"DELETE FROM {quote_identifier(table)} WHERE {conditions}", projected
                     )
 
-    def group_of(self, constraint: AccessConstraint, row: Sequence) -> frozenset[tuple]:
+    def group_of(self, constraint: AccessConstraint, row: Sequence) -> set[tuple]:
         """The index rows of ``constraint`` sharing ``row``'s ``X``-value (empty without a table)."""
         if index_table_name(constraint) not in self._index_constraints:
-            return frozenset()
+            return set()
         positions = self.database.schema[constraint.relation].positions(sorted(constraint.lhs))
         return self.fetch_index(constraint, [tuple(row[p] for p in positions)])
 

@@ -28,6 +28,16 @@ this one until row kernels beat it on 12 or 13 of the benchmark's 13 wide
 plans (per run) and on all 12 plans with bounds of 1 201–2 300, with the
 same rows and fetches either way (the per-plan tables are in
 ``benchmarks/history/``).
+
+A kernel does per-row work only; whatever can be settled per step is
+settled at compile time.  A fetch hands its distinct keys to the source's
+gather, which records the step on the counter once.  A hash join's
+residual predicates are sorted by the side their columns resolve to in the
+joined row (first occurrence winning, as everywhere): a one-sided predicate
+filters that side before the build or the probe, and only mixed ones are
+checked on joined rows.  A lone ``column = constant`` compiles to one
+comparison; every other predicate goes through
+:func:`~repro.evaluator.algebra._compare`.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from operator import itemgetter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from ..core.errors import PlanError
@@ -76,8 +86,7 @@ class ExecutionResult:
     """The outcome of executing a bounded plan.
 
     ``kernel_batches`` counts kernel invocations and ``rows_processed`` the
-    total rows emitted across all steps; ``step_cardinalities`` breaks
-    ``rows_processed`` down per step.  ``executor_mode`` is always
+    total rows emitted across all steps.  ``executor_mode`` is always
     ``"row"``: the layered benchmark's tracer still files executions by it,
     and it goes when the harness stops reading it (ROADMAP item 1).
 
@@ -92,7 +101,6 @@ class ExecutionResult:
     result: ResultSet
     counter: AccessCounter
     elapsed: float
-    step_cardinalities: Mapping[int, int] = field(default_factory=dict)
     executor_mode: str = "row"
     kernel_batches: int = 0
     rows_processed: int = 0
@@ -162,16 +170,13 @@ class PlanExecutor:
         compiled = self.compile(plan)
         started = time.perf_counter()
         env: list = [None] * len(compiled.kernels)
-        cardinalities: dict[int, int] = {}
         for step_id, kernel in enumerate(compiled.kernels):
-            rows = kernel(env, counter)
-            env[step_id] = rows
-            cardinalities[step_id] = len(rows)
+            env[step_id] = kernel(env, counter)
         result = ResultSet(
             columns=compiled.columns[compiled.output],
             rows=frozenset(env[compiled.output]),
         )
-        rows_processed = sum(cardinalities.values())
+        rows_processed = sum(map(len, env))
         captured: tuple[frozenset[Row], ...] | None = None
         if capture_env and (env_rows_budget is None or rows_processed <= env_rows_budget):
             captured = tuple(
@@ -182,7 +187,6 @@ class PlanExecutor:
             result=result,
             counter=counter,
             elapsed=elapsed,
-            step_cardinalities=cardinalities,
             kernel_batches=len(compiled.kernels),
             rows_processed=rows_processed,
             env=captured,
@@ -350,7 +354,25 @@ class PlanExecutor:
             position_of(left_positions, l, step) for l, _ in op.pairs
         )
         combined = left_columns + right_columns
-        matcher = _compile_predicates(op.residual, combined) if op.residual else None
+        # Residuals resolve against the joined row, first occurrence winning;
+        # a predicate that reads one side only filters that side's input.
+        width = len(left_columns)
+        left_only, right_only, mixed = [], [], []
+        for left_pos, operator, constant, right_pos in _resolve_predicates(
+            op.residual, column_positions(combined)
+        ):
+            read = (left_pos,) if right_pos is None else (left_pos, right_pos)
+            if max(read) < width:
+                left_only.append((left_pos, operator, constant, right_pos))
+            elif min(read) >= width:
+                shifted = None if right_pos is None else right_pos - width
+                right_only.append((left_pos - width, operator, constant, shifted))
+            else:
+                mixed.append((left_pos, operator, constant, right_pos))
+        left_filter, right_filter, matcher = (
+            _matcher(resolved) if resolved else None
+            for resolved in (left_only, right_only, mixed)
+        )
 
         # Both sides key alike: a scalar for one pair, a tuple for several.
         def join_kernel(
@@ -360,13 +382,17 @@ class PlanExecutor:
             _r=right,
             _probe=itemgetter(*probe_positions),
             _build=itemgetter(*build_positions),
+            _left=left_filter,
+            _right=right_filter,
             _match=matcher,
         ):
             buckets: dict = {}
-            for row in env[_r]:
+            for row in env[_r] if _right is None else filter(_right, env[_r]):
                 buckets.setdefault(_build(row), []).append(row)
             joined: set[Row] = set()
-            for row in env[_l]:
+            if not buckets:
+                return joined
+            for row in env[_l] if _left is None else filter(_left, env[_l]):
                 matches = buckets.get(_probe(row))
                 if not matches:
                     continue
@@ -383,31 +409,54 @@ class PlanExecutor:
         return join_kernel, combined
 
 
-def _compile_predicates(
-    predicates: Sequence[ColumnPredicate], columns: Sequence[str]
-):
-    positions = column_positions(columns)
-    compiled: list[tuple[int, str, object, int | None]] = []
+#: a predicate resolved to positions: (left, operator, constant, right or None)
+Resolved = tuple[int, str, object, int | None]
+
+
+def _resolve_predicates(
+    predicates: Sequence[ColumnPredicate], positions: Mapping[str, int]
+) -> list[Resolved]:
+    resolved: list[Resolved] = []
     for predicate in predicates:
         try:
             left = positions[predicate.left]
             if isinstance(predicate.right, ColumnRef):
-                compiled.append((left, predicate.op, None, positions[predicate.right.column]))
+                resolved.append((left, predicate.op, None, positions[predicate.right.column]))
             else:
-                compiled.append((left, predicate.op, predicate.right, None))
+                resolved.append((left, predicate.op, predicate.right, None))
         except KeyError as missing:
             raise PlanError(
                 f"predicate {predicate} references missing column {missing.args[0]!r}"
             ) from None
+    return resolved
+
+
+def _matcher(resolved: Sequence[Resolved]) -> Callable[[Row], bool]:
+    """The conjunction of ``resolved`` as a row test.
+
+    A lone ``column = constant`` is one comparison; everything else goes
+    through :func:`~repro.evaluator.algebra._compare`, whose ordering
+    operators match nothing over incomparable types.
+    """
+    if len(resolved) == 1:
+        left_pos, operator, constant, right_pos = resolved[0]
+        if operator == "=" and right_pos is None:
+            return lambda row: row[left_pos] == constant
 
     def matches(row: Row) -> bool:
-        for left_pos, op, constant, right_pos in compiled:
+        for left_pos, operator, constant, right_pos in resolved:
             right_value = row[right_pos] if right_pos is not None else constant
-            if not _compare(row[left_pos], op, right_value):
+            if not _compare(row[left_pos], operator, right_value):
                 return False
         return True
 
     return matches
+
+
+def _compile_predicates(
+    predicates: Sequence[ColumnPredicate], columns: Sequence[str]
+) -> Callable[[Row], bool]:
+    return _matcher(_resolve_predicates(predicates, column_positions(columns)))
 
 
 def execute_plan(

@@ -221,7 +221,7 @@ class ReplicaSet(Shard):
         base_relation: str,
         keys: Iterable[Sequence],
         counter: AccessCounter | None = None,
-    ) -> frozenset[Row]:
+    ) -> set[Row]:
         keys = list(keys)
         self.fetches += 1
         # The silently-diverged case: a member whose per-relation version

@@ -65,7 +65,7 @@ class Shard:
         base_relation: str,
         keys: Collection[Row],
         counter: AccessCounter | None = None,
-    ) -> frozenset[Row]:
+    ) -> set[Row]:
         """Distinct index rows of ``constraint`` matching any key, this fragment only.
 
         ``keys`` are tuples aligned with ``sorted(constraint.lhs)`` — the
@@ -129,7 +129,7 @@ class EngineShard(Shard):
         base_relation: str,
         keys: Collection[Row],
         counter: AccessCounter | None = None,
-    ) -> frozenset[Row]:
+    ) -> set[Row]:
         lookup_many = self._lookups.get((constraint, base_relation))
         if lookup_many is None:
             index = self.indexes.resolve(constraint, base_relation)
@@ -139,7 +139,7 @@ class EngineShard(Shard):
                     f"(base relation {base_relation!r})"
                 )
             lookup_many = self._lookups[constraint, base_relation] = index.lookup_many
-        return frozenset(lookup_many(keys, counter))
+        return lookup_many(keys, counter)
 
 
 class SQLiteShard(Shard):
@@ -165,7 +165,7 @@ class SQLiteShard(Shard):
         base_relation: str,
         keys: Collection[Row],
         counter: AccessCounter | None = None,
-    ) -> frozenset[Row]:
+    ) -> set[Row]:
         rows = self.backend.fetch_index(constraint, keys, base_relation=base_relation)
         if counter is not None:
             counter.record_fetch(base_relation, len(rows))

@@ -10,7 +10,6 @@ bounded incremental maintenance of Proposition 12.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Sequence
 
 from ..core.access import AccessConstraint, AccessSchema
@@ -23,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: a fetch step's data access, resolved at compile time:
 #: ``(distinct keys, counter) -> distinct index rows``
-Fetch = Callable[[Collection[Row], AccessCounter], Collection[Row]]
+Fetch = Callable[[Collection[Row], AccessCounter], set[Row]]
 
 
 class ConstraintIndex:
@@ -105,20 +104,24 @@ class ConstraintIndex:
         return result
 
     def lookup_many(
-        self, keys: Iterable[Row], counter: AccessCounter | None = None
-    ) -> list[Row]:
-        """Concatenated :meth:`lookup` results for many ``X``-values.
+        self, keys: Collection[Row], counter: AccessCounter | None = None
+    ) -> set[Row]:
+        """The distinct ``XY``-values of many ``X``-values: a fetch step's gather.
 
-        Accounting is identical in aggregate (one probe per key, every
-        returned tuple counted; no keys, nothing recorded), but the group
-        gather runs at C speed — this is the batch entry point a memory
-        shard's fetch uses (:meth:`~repro.sharding.shards.EngineShard.fetch`).
-        Keys must already be tuples.
+        Accounting equals a :meth:`lookup` per key, duplicate keys included
+        (one probe per key, each group's tuples counted once per key that
+        asks for it; no keys, nothing recorded), in one counter record.  The
+        non-empty groups are walked once; a group is a dict, so ``set.update``
+        reuses its stored hashes and each fetched row is hashed once, when it
+        was indexed.  Keys must already be tuples.
         """
-        groups = list(map(self._entries.get, keys))
-        rows = list(chain.from_iterable(filter(None, groups)))
-        if counter is not None and groups:
-            counter.record_fetch_many(self.relation_name, len(groups), len(rows))
+        rows: set[Row] = set()
+        fetched = 0
+        for group in filter(None, map(self._entries.get, keys)):
+            rows.update(group)
+            fetched += len(group)
+        if counter is not None and keys:
+            counter.record_fetch_many(self.relation_name, len(keys), fetched)
         return rows
 
     def keys(self) -> Iterator[Row]:
@@ -240,13 +243,13 @@ class IndexSet:
         return index
 
     def fetcher(self, plan: "BoundedPlan", step: "PlanStep") -> Fetch:
-        """The local fetch source: ``step``'s fetch as lookups on one index.
+        """The local fetch source: ``step``'s fetch as one index's :meth:`ConstraintIndex.lookup_many`.
 
         This is the seam a plan touches data through, resolved once per
         fetch step at compile time (a :class:`~repro.sharding.router.
-        ShardRouter` implements it by scatter/gather).  The kernels probe a
-        handful of keys and get a mutable set from a per-key loop: one probe
-        per key, every returned tuple counted, nothing recorded for no keys.
+        ShardRouter` implements it by scatter/gather).  The kernels hand it
+        their distinct keys and get back a mutable set, with one counter
+        record per call.
         """
         constraint = step.op.constraint
         base = plan.base_relation(constraint)
@@ -256,15 +259,7 @@ class IndexSet:
                 f"no index available for constraint {constraint} (base relation {base!r}); "
                 "build an IndexSet for the access schema first"
             )
-        lookup = index.lookup
-
-        def fetch(keys: Collection[Row], counter: AccessCounter) -> set[Row]:
-            rows: set[Row] = set()
-            for key in keys:
-                rows.update(lookup(key, counter))
-            return rows
-
-        return fetch
+        return index.lookup_many
 
     # -- size ------------------------------------------------------------------------
     @property

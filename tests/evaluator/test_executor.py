@@ -86,10 +86,11 @@ class TestStepSemantics:
         t5 = builder.add(RenameOp(mapping={"x": "y"}, inputs=(t4,)), ["y"])
         plan = builder.build(t5)
         executor = PlanExecutor(fb_indexes)
-        result = executor.execute(plan)
-        assert result.step_cardinalities[2] == 2
-        assert result.step_cardinalities[3] == 1
-        assert result.step_cardinalities[4] == 2
+        result = executor.execute(plan, capture_env=True)
+        cardinalities = tuple(map(len, result.env))
+        assert cardinalities[2] == 2
+        assert cardinalities[3] == 1
+        assert cardinalities[4] == 2
         assert result.columns == ("y",)
 
     def test_select_with_column_ref(self, fb_database, fb_indexes, fb_access):
@@ -211,8 +212,7 @@ def run(plan, source, expected):
     result = PlanExecutor(source).execute(plan, capture_env=True)
     assert result.rows == frozenset(expected)
     assert result.kernel_batches == len(plan.steps)
-    assert result.rows_processed == sum(result.step_cardinalities.values())
-    assert tuple(map(len, result.env)) == tuple(result.step_cardinalities.values())
+    assert result.rows_processed == sum(map(len, result.env))
     return result
 
 
@@ -240,7 +240,7 @@ class TestKernelEdgeCases:
         ).project([friend["fid"], friend["pid"]])
         result = run(builder.build(t2), source, evaluate(reference, fb_database).rows)
         assert result.rows == frozenset()
-        assert result.step_cardinalities[fetch] > 0  # the fetch found rows to drop
+        assert len(result.env[fetch]) > 0  # the fetch found rows to drop
 
     def test_join_with_duplicate_build_keys(self, fb_database, source, fb_access, psi1):
         # friend fetched for two people, self-joined on the friend column:
@@ -303,10 +303,54 @@ class TestKernelEdgeCases:
         run(builder.build(t3), source, set())
 
 
+def friends_of(builder, fetch, renames):
+    """``fetch`` (friend, fetched through ψ1) renamed by ``renames``, as a new step."""
+    columns = [renames.get(c, c) for c in ("friend.fid", "friend.pid")]
+    return builder.add(RenameOp(mapping=renames, inputs=(fetch,)), columns), columns
+
+
+#: whose friend rows the residual-join tests fetch
+PEOPLE = ("p0", "p1", "p2")
+
+
+def people(occurrence):
+    """``occurrence`` restricted to :data:`PEOPLE`, for the reference evaluator."""
+    chosen = [occurrence.select(eq(occurrence["pid"], p)) for p in PEOPLE]
+    return chosen[0].union(chosen[1]).union(chosen[2])
+
+
+def residual_self_join(fb_database, fb_access, psi1, residual, reference_condition):
+    """friend ⋈ other on fid with ``residual``, and its reference rows."""
+    builder, left = friend_plan(fb_access, psi1, *PEOPLE)
+    right, right_columns = friends_of(
+        builder, left, {"friend.fid": "other.fid", "friend.pid": "other.pid"}
+    )
+    join = builder.add(
+        HashJoinOp(pairs=(("friend.fid", "other.fid"),), residual=residual, inputs=(left, right)),
+        ["friend.fid", "friend.pid", *right_columns],
+    )
+    schema = fb_database.schema
+    friend = Relation.from_schema(schema, "friend")
+    other = Relation.from_schema(schema, "other", base="friend")
+    reference = people(friend).join(
+        people(other),
+        conjunction([eq(friend["fid"], other["fid"]), *reference_condition(friend, other)]),
+    ).project([friend["fid"], friend["pid"], other["fid"], other["pid"]])
+    return builder.build(join), evaluate(reference, fb_database).rows
+
+
+def constants(builder, column, *values):
+    """A one-column step holding ``values``: the union of one constant step each."""
+    steps = [builder.add(ConstOp(value=v, column=column), [column]) for v in values]
+    while len(steps) > 1:
+        steps[:2] = [builder.add(UnionOp(inputs=tuple(steps[:2])), [column])]
+    return steps[0]
+
+
 class TestKernelShapes:
-    """Each kernel's code path — composite and empty fetch keys, residual joins,
-    projections, products, ordering predicates — against the reference evaluator,
-    over each kind of fetch source."""
+    """Each kernel's code path — composite and empty fetch keys, residual joins (left-only,
+    right-only and mixed residuals), projections, products, ordering predicates, equality
+    across types — against the reference evaluator, over each kind of fetch source."""
 
     def test_fetch_on_a_composite_key(self, fb_database, source, fb_access):
         psi2 = next(c for c in fb_access if c.name == "psi2")
@@ -343,7 +387,7 @@ class TestKernelShapes:
     def test_join_with_a_residual_predicate(self, fb_database, source, fb_access, psi1):
         # people of {p0, p1, p2} pairs that share a friend, each pair once per order,
         # a person never paired with themself
-        builder, t3 = friend_plan(fb_access, psi1, "p0", "p1", "p2")
+        builder, t3 = friend_plan(fb_access, psi1, *PEOPLE)
         t4 = builder.add(
             RenameOp(mapping={"friend.fid": "other.fid", "friend.pid": "other.pid"}, inputs=(t3,)),
             ["other.fid", "other.pid"],
@@ -359,11 +403,6 @@ class TestKernelShapes:
         schema = fb_database.schema
         friend = Relation.from_schema(schema, "friend")
         other = Relation.from_schema(schema, "other", base="friend")
-
-        def people(occurrence):
-            chosen = [occurrence.select(eq(occurrence["pid"], p)) for p in ("p0", "p1", "p2")]
-            return chosen[0].union(chosen[1]).union(chosen[2])
-
         reference = people(friend).join(
             people(other),
             conjunction(
@@ -440,3 +479,131 @@ class TestKernelShapes:
         expected = evaluate(reference, fb_database).rows
         assert expected
         run(builder.build(t1), source, expected)
+
+    @pytest.mark.parametrize(
+        "residual, condition",
+        [
+            pytest.param(
+                (ColumnPredicate("friend.pid", "=", "p0"),),
+                lambda f, o: [eq(f["pid"], "p0")],
+                id="left-only",
+            ),
+            pytest.param(
+                (ColumnPredicate("other.pid", "!=", "p1"),),
+                lambda f, o: [Comparison(o["pid"], "!=", Constant("p1"))],
+                id="right-only",
+            ),
+            pytest.param(
+                (ColumnPredicate("friend.pid", "<", ColumnRef("other.pid")),),
+                lambda f, o: [Comparison(f["pid"], "<", o["pid"])],
+                id="mixed",
+            ),
+            pytest.param(
+                (
+                    ColumnPredicate("friend.pid", "!=", "p2"),
+                    ColumnPredicate("other.pid", "=", "p2"),
+                    ColumnPredicate("friend.pid", "!=", ColumnRef("other.pid")),
+                ),
+                lambda f, o: [
+                    Comparison(f["pid"], "!=", Constant("p2")),
+                    eq(o["pid"], "p2"),
+                    Comparison(f["pid"], "!=", o["pid"]),
+                ],
+                id="all-three",
+            ),
+        ],
+    )
+    def test_join_residual_by_side(self, fb_database, source, fb_access, psi1, residual, condition):
+        """A one-sided residual filters its side's input; a mixed one sees joined rows."""
+        plan, expected = residual_self_join(fb_database, fb_access, psi1, residual, condition)
+        assert expected
+        run(plan, source, expected)
+
+    def test_a_join_residual_on_a_column_of_both_sides_filters_the_left(
+        self, fb_database, source, fb_access, psi1
+    ):
+        # friend ⋈ friend on pid, ``friend.fid`` on both sides: the first occurrence,
+        # the left one, is the one the residual reads
+        person = "p0"
+        friend_rows = fb_database.relation("friend").rows
+        fids = sorted(fid for pid, fid in friend_rows if pid == person)
+        assert len(fids) >= 2  # else filtering either side would give the same rows
+        builder, left = friend_plan(fb_access, psi1, person)
+        right, right_columns = friends_of(builder, left, {"friend.pid": "other.pid"})
+        join = builder.add(
+            HashJoinOp(
+                pairs=(("friend.pid", "other.pid"),),
+                residual=(ColumnPredicate("friend.fid", "=", fids[0]),),
+                inputs=(left, right),
+            ),
+            ["friend.fid", "friend.pid", *right_columns],
+        )
+        schema = fb_database.schema
+        friend = Relation.from_schema(schema, "friend")
+        other = Relation.from_schema(schema, "other", base="friend")
+        reference = friend.select(eq(friend["pid"], person)).join(
+            other.select(eq(other["pid"], person)),
+            conjunction([eq(friend["pid"], other["pid"]), eq(friend["fid"], fids[0])]),
+        ).project([friend["fid"], friend["pid"], other["fid"], other["pid"]])
+        expected = evaluate(reference, fb_database).rows
+        assert {row[0] for row in expected} == {fids[0]}
+        assert {row[2] for row in expected} == set(fids)
+        run(builder.build(join), source, expected)
+
+    @pytest.mark.parametrize(
+        "op, constant, expected",
+        [
+            ("=", None, {(None,)}),
+            ("=", 1.0, {(1,)}),  # 1 == 1.0
+            ("=", "1", {("1",)}),
+            ("!=", None, {(1,), ("1",), ("a",)}),
+            (">", 0, {(1,)}),  # None, "1" and "a" do not order against an int
+            ("<=", "b", {("1",), ("a",)}),
+        ],
+    )
+    def test_select_over_mixed_types(self, source, fb_access, op, constant, expected):
+        """``column = constant`` keeps ``==``'s meaning; ordering across types matches nothing."""
+        builder = PlanBuilder(fb_access)
+        values = constants(builder, "x", None, 1, "1", "a")
+        select = builder.add(
+            SelectOp(predicates=(ColumnPredicate("x", op, constant),), inputs=(values,)), ["x"]
+        )
+        result = run(builder.build(select), source, expected)
+        assert len(result.env[values]) == 4
+
+    def test_equality_against_none_in_the_data(self, fb_database, source, fb_access, psi1):
+        builder, fetch = friend_plan(fb_access, psi1, "p0")
+        select = builder.add(
+            SelectOp(predicates=(ColumnPredicate("friend.fid", "=", None),), inputs=(fetch,)),
+            ["friend.fid", "friend.pid"],
+        )
+        friend = Relation.from_schema(fb_database.schema, "friend")
+        reference = friend.select(
+            conjunction([eq(friend["pid"], "p0"), Comparison(friend["fid"], "=", Constant(None))])
+        ).project([friend["fid"], friend["pid"]])
+        assert evaluate(reference, fb_database).rows == frozenset()
+        run(builder.build(select), source, set())
+
+    @pytest.mark.parametrize(
+        "residual, keeps",
+        [
+            pytest.param(ColumnPredicate("friend.fid", "<", 5), False, id="left-only"),
+            pytest.param(ColumnPredicate("n", ">", "a"), False, id="right-only"),
+            pytest.param(ColumnPredicate("friend.fid", ">=", ColumnRef("n")), False, id="mixed"),
+            pytest.param(ColumnPredicate("n", ">", 1), True, id="comparable"),
+        ],
+    )
+    def test_join_residual_over_incomparable_types(
+        self, fb_database, source, fb_access, psi1, residual, keeps
+    ):
+        builder, fetch = friend_plan(fb_access, psi1, "p0")
+        key = builder.add(ConstOp(value="p0", column="k"), ["k"])
+        number = builder.add(ConstOp(value=5, column="n"), ["n"])
+        right = builder.add(ProductOp(inputs=(key, number)), ["k", "n"])
+        join = builder.add(
+            HashJoinOp(pairs=(("friend.pid", "k"),), residual=(residual,), inputs=(fetch, right)),
+            ["friend.fid", "friend.pid", "k", "n"],
+        )
+        friends = {(fid, pid, pid, 5) for pid, fid in fb_database.relation("friend").rows if pid == "p0"}
+        assert friends
+        run(builder.build(join), source, friends if keeps else set())

@@ -4,9 +4,12 @@ import pytest
 
 from repro.core.access import AccessConstraint, AccessSchema
 from repro.core.errors import ConstraintViolation, StorageError
+from repro.core.planner import plan_query
+from repro.evaluator.executor import PlanExecutor
 from repro.storage.counters import AccessCounter
 from repro.storage.database import Database
 from repro.storage.index import ConstraintIndex, IndexSet
+from repro.workloads import facebook
 
 
 @pytest.fixture
@@ -163,3 +166,63 @@ class TestLookupMany:
         assert bulk_counter.fetched == single_counter.fetched
         assert bulk_counter.index_probes == single_counter.index_probes == len(keys)
         assert bulk_counter.per_relation == single_counter.per_relation
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 100])
+    def test_one_record_counts_like_a_lookup_per_key(self, fb_indexes, fb_access, count):
+        psi2 = next(c for c in fb_access if c.name == "psi2")
+        index = fb_indexes.index_for(psi2)
+        stored = sorted(index.keys())
+        assert len(stored) >= count
+        # every third key misses: a probe that finds nothing is still a probe
+        keys = [key if i % 3 else (f"nobody{i}", *key[1:]) for i, key in enumerate(stored[:count])]
+        self.assert_counts_like_lookups(index, keys)
+
+    def test_a_duplicate_key_is_probed_and_counted_again(self, fb_indexes, fb_access):
+        psi1 = next(c for c in fb_access if c.name == "psi1")
+        index = fb_indexes.index_for(psi1)
+        first, second = sorted(index.keys())[:2]
+        rows, counter = self.assert_counts_like_lookups(
+            index, [first, second, first, ("nobody",), first]
+        )
+        assert counter.fetched == 3 * len(index.lookup(first)) + len(index.lookup(second))
+        assert counter.fetched > len(rows)
+
+    @staticmethod
+    def assert_counts_like_lookups(index, keys):
+        looked_up, singles = AccessCounter(), set()
+        for key in keys:
+            singles.update(index.lookup(key, looked_up))
+        gathered = AccessCounter()
+        rows = index.lookup_many(keys, gathered)
+        assert isinstance(rows, set) and rows == singles
+        assert gathered.fetched == looked_up.fetched
+        assert gathered.index_probes == looked_up.index_probes == len(keys)
+        assert gathered.per_relation == looked_up.per_relation
+        return rows, gathered
+
+    def test_a_plan_records_once_per_fetch_step_and_never_looks_up(
+        self, fb_database, fb_access, fb_indexes, monkeypatch
+    ):
+        # Q1 bound to a witness chain friend -> dine -> cafe, so its answer has a row
+        dined = {row[0]: row for row in sorted(fb_database.relation("dine").rows)}
+        pid, fid = next(r for r in sorted(fb_database.relation("friend").rows) if r[1] in dined)
+        _, cid, month, year = dined[fid]
+        city = dict(fb_database.relation("cafe").rows)[cid]
+        plan = plan_query(facebook.query_q1(pid, month, year, city), fb_access)
+        records = []
+        monkeypatch.setattr(
+            ConstraintIndex, "lookup", lambda *args: pytest.fail("a per-key lookup ran")
+        )
+        monkeypatch.setattr(AccessCounter, "record_fetch", lambda *args: records.append(args))
+        record_many = AccessCounter.record_fetch_many
+        monkeypatch.setattr(
+            AccessCounter,
+            "record_fetch_many",
+            lambda self, *args: records.append(args) or record_many(self, *args),
+        )
+        result = PlanExecutor(fb_indexes).execute(plan, capture_env=True)
+        assert (cid,) in result.rows
+        fetches = plan.fetch_steps()
+        assert all(result.env[step.op.inputs[0]] for step in fetches)  # each had keys
+        assert len(records) == len(fetches) > 1
+        assert result.counter.index_probes > len(fetches)  # a record covers many keys
