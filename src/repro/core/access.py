@@ -40,6 +40,11 @@ class AccessConstraint:
             raise AccessConstraintError(f"bound must be positive, got {self.bound}")
         if not self.rhs:
             raise AccessConstraintError("the right-hand side of an access constraint must be non-empty")
+        # Every index and read-back probe hashes a constraint: hash it once.
+        object.__setattr__(self, "_hash", hash((self.relation, self.lhs, self.rhs, self.bound)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(

@@ -15,45 +15,56 @@ in place instead of invalidating it:
    the write landed in an index group the result never read; when *no*
    fetch is dirty the entry is kept as it is — zero execution — and stays
    valid when the write moves its relations' settlement marks.  Like the
-   executor, detection is split into
-   compile-once and run-per-write: the plan's fetch sites (positions,
-   downstream closures, derivability) are a :class:`RepairProgram` compiled
-   once per plan; the probed keys of an entry are read off its captured
-   environment once (:class:`FetchKeys`, kept with the cache entry for as
-   long as it lives) and entered, inverted, in the result cache's reach
-   index (:meth:`DeltaDeriver.reach`, :meth:`ResultCache.index
+   executor, detection is split into compile-once and run-per-write: the
+   plan's fetch sites (positions, downstream closures, derivability) are a
+   :class:`RepairProgram` compiled once per plan, which also memoizes what
+   a write makes of them (the sites a set of written relations affects; the
+   steps a set of dirty sites re-runs and the sites it re-keys); the probed
+   keys of an entry are read off its captured environment once (one
+   ``frozenset`` per fetch, kept with the cache entry for as long as it
+   lives) and entered, inverted, in the result cache's reach index
+   (:meth:`DeltaDeriver.reach`, :meth:`ResultCache.index
    <repro.core.planstore.ResultCache.index>`); the written keys are
    projected once per batch (:meth:`WriteDelta.keys_for`).  What is left
    per write is one look-up per written key — the ``O(N_A·|ΔD|)`` of
    Proposition 12, not a function of what is cached — and only the entries
-   those look-ups find are derived at all; a key hit can still come back
-   clean, when the live index group equals the cached one.
-2. **Δfetch** — a dirty fetch's new output is its old output minus the
-   cached group of each written key whose group changed, plus that key's
-   live group, which detection has just read: the delta rule of the fetch
-   operator, exact because a fetch's rows under one key *are* that key's
-   index group.  So a dirty fetch is patched, not re-fetched, and its
-   :class:`FetchKeys` is updated in place.  Where the substrate cannot read
-   a live group (``group_lookup`` is ``None``: the federation) or the
-   fetch's own keys were recomputed, it runs its kernel instead.
-3. **Selective re-execution** — the steps downstream of the dirty fetches
-   are re-run through the plan's own compiled row kernels (the serving
-   executor's; nothing is lowered twice) over the memoized intermediates of
-   the untouched steps.  Because the repair runs the *same kernels* over
-   the *same upstream inputs*, the patched result is exactly what a full
-   recomputation would produce (a property pinned by the randomized repair
-   tests).  The key sets of the fetches whose keys were recomputed are
-   dropped, for the caller to read again off the patched environment and
-   re-register (:attr:`RepairOutcome.rekeyed`); every other one stays valid
-   for it.
+   those look-ups find are derived at all.
+2. **Selective re-execution** — the dirty fetches and every step downstream
+   of them are re-run through the plan's own compiled row kernels (the
+   serving executor's; nothing is lowered twice) over the memoized
+   intermediates of the untouched steps: a dirty fetch re-runs its kernel
+   over its unchanged source, so it reads the live groups of every key it
+   probed through the substrate's own fetch source — one engine's indexes
+   or a federation's shards alike.  Because the repair runs the *same
+   kernels* over the *same upstream inputs*, the patched result is exactly
+   what a full recomputation would produce (a property pinned by the
+   randomized repair tests).  The fetches whose source was re-run have
+   their probed keys read off the patched environment, and the derivation
+   hands their relations' new reach to the caller to re-register
+   (:attr:`RepairOutcome.reach`); every other key set stays valid.
+
+A key hit is not checked against the live group first: a batch that leaves
+the group as it was (a delete and its re-insert) is patched all the same,
+with the rows it had — a clean repair.  Nor is a dirty fetch patched from
+its written keys' live groups (Δfetch): it is re-run.  Both were measured
+and removed, with the per-entry framework they needed: on
+``served_mix``'s write sequence (seed 7, 102 engine writes a replay,
+``PYTHONHASHSEED=1``, the replay after the one that builds the repair
+programs) a write ran 23 721 opcodes with them and runs 16 460 now, every
+entry ending where it did.  On the layered benchmark's 13 wide TFACC plans
+(bounds 12 465–1 644 087; per plan, 30 writes that delete or re-insert the
+row its answer's witness chain ends in; medians, summed over the plans) a
+write runs 91 034 opcodes against 123 340, every plan's fewer, and the hit
+read after it 11 017 on both sides; timed on a 2-core VM, three
+interleaved runs put the writes at 1.8–2.4 ms against 2.2–3.2 ms.
 
 **Why not delta rules downstream too.**  Δσ, Δπ by support count and
-ΔR ⋈ S would replace step 3 with rules over the changed rows.  Measured on
-``served_mix``'s write sequence (seed 7, 510 engine writes), a write re-runs
-56.4 steps over 10.7 derived entries; a re-run step reads 2.4 rows on
-average, and 50.5 of the 56.4 do change their output.  What a kernel costs
-there is its call, which a rule would pay as well, so the rules were not
-built.
+ΔR ⋈ S would replace step 2 with rules over the changed rows.  Measured on
+``served_mix``'s write sequence (seed 7, 510 engine writes after one
+set-up replay), a write re-runs 56.4 steps over 10.7 derived entries (5.3
+of a plan's 9.3 steps); a re-run step reads 2.4 rows on average, and 50.5
+of the 56.4 do change their output.  What a kernel costs there is its
+call, which a rule would pay as well, so the rules were not built.
 
 **Fallback.** Repair refuses — and the caller must invalidate — whenever
 the delta is not derivable through the plan:
@@ -66,12 +77,10 @@ the delta is not derivable through the plan:
   engine's budget);
 * derivation itself raises (schema drift, unknown operators).
 
-A dirty entry of a wide plan is patched like a point plan's.  Measured on
-the layered benchmark's 13 wide TFACC plans (bounds 12 465–1 644 087; per
-plan, 30 writes that delete or re-insert the row its answer's witness chain
-ends in; medians, summed over the plans): patching costs 4.7 ms of writes
-and 0.4 ms of hit reads, dropping the entry and re-executing the plan on
-the next read 3.7–4.5 ms of writes and 3.7–4.5 ms of miss reads.
+A dirty entry of a wide plan is patched like a point plan's: on the 13 wide
+plans above, patching costs the write about what dropping the entry does
+(1.8–2.4 ms against 2.2 ms, summed) and saves the next read its
+re-execution (0.3 ms of hit reads against 2.7 ms of miss reads).
 
 Monotone fragments (fetch/select/project/join/union/intersect chains) are
 always derivable, for inserts and deletes alike, because selective
@@ -81,24 +90,27 @@ re-execution is exact rather than delta-rule based.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 from ..storage.counters import AccessCounter
+from ..storage.relation import projector
 from .plan import BoundedPlan, DifferenceOp, FetchOp, column_positions
 
 Row = tuple
-_NO_ROWS: frozenset[Row] = frozenset()
 _log = logging.getLogger(__name__)
 
 #: outcome statuses of :meth:`DeltaDeriver.derive`
-CLEAN = "clean"        # no probed key's group changed: rows kept as they are
+CLEAN = "clean"        # no probed key was written: rows kept as they are
 PATCHED = "patched"    # dirty closure re-executed, rows possibly changed
 FALLBACK = "fallback"  # not derivable: the caller must invalidate
 
+#: one relation's reach: ``(key positions in a written row, probed keys)`` per site
+Reach = tuple[tuple[tuple[int, ...], frozenset[Row]], ...]
+
 #: the reach of an entry every write to a relation must be derived for: the
 #: empty key at no positions, which every written row projects onto
-EVERY_WRITE: tuple[tuple[tuple[int, ...], frozenset[Row]], ...] = (((), frozenset([()])),)
+EVERY_WRITE: Reach = (((), frozenset([()])),)
 
 
 class WriteDelta:
@@ -112,7 +124,7 @@ class WriteDelta:
     so including them costs work but never correctness.
     """
 
-    __slots__ = ("inserts", "deletes", "_touched", "_keys")
+    __slots__ = ("inserts", "deletes", "_touched", "_rows", "_keys")
 
     def __init__(
         self,
@@ -126,6 +138,10 @@ class WriteDelta:
             relation: tuple(rows) for relation, rows in (deletes or {}).items() if rows
         }
         self._touched = frozenset(self.inserts) | frozenset(self.deletes)
+        self._rows: dict[str, tuple[Row, ...]] = {
+            relation: self.inserts.get(relation, ()) + self.deletes.get(relation, ())
+            for relation in self._touched
+        }
         self._keys: dict[tuple, frozenset[Row]] = {}
 
     @classmethod
@@ -146,7 +162,7 @@ class WriteDelta:
 
     def rows_for(self, relation: str) -> tuple[Row, ...]:
         """Every written row of ``relation``, inserts and deletes together."""
-        return self.inserts.get(relation, ()) + self.deletes.get(relation, ())
+        return self._rows.get(relation, ())
 
     def keys_for(self, relation: str, positions: tuple[int, ...]) -> frozenset[Row]:
         """The written rows of ``relation`` projected onto ``positions``.
@@ -156,7 +172,7 @@ class WriteDelta:
         keys = self._keys.get((relation, positions))
         if keys is None:
             keys = self._keys[relation, positions] = frozenset(
-                tuple(row[p] for p in positions) for row in self.rows_for(relation)
+                map(projector(positions), self._rows.get(relation, ()))
             )
         return keys
 
@@ -170,7 +186,7 @@ class WriteDelta:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class RepairOutcome:
     """What :meth:`DeltaDeriver.derive` decided for one cache entry.
 
@@ -193,11 +209,10 @@ class RepairOutcome:
     dirty_steps: tuple[int, ...] = ()
     #: steps re-executed (the downstream closure of the dirty fetches)
     steps_recomputed: int = 0
-    #: base relations of the fetches whose probed keys the patch recomputed:
-    #: their :class:`FetchKeys` left ``keyed``, for the caller to re-read
-    #: (:meth:`DeltaDeriver.reach`) and re-register
-    rekeyed: tuple[str, ...] = ()
-    counter: AccessCounter = field(default_factory=AccessCounter)
+    #: ``(base relation, its new reach)`` for every relation the patch re-keyed
+    #: a fetch over, read off the new environment: what the caller re-registers
+    #: (:meth:`ResultCache.index <repro.core.planstore.ResultCache.index>`)
+    reach: tuple[tuple[str, Reach], ...] = ()
 
     @classmethod
     def clean(cls) -> "RepairOutcome":
@@ -210,52 +225,63 @@ class RepairOutcome:
         return cls(status=FALLBACK, reason=reason)
 
 
-@dataclass(frozen=True)
 class FetchSite:
     """What settlement needs to know about one fetch step, fixed by the plan."""
 
-    id: int
-    constraint: object
-    #: the physical relation behind the (possibly actualized) constraint
-    base: str
-    #: key positions in a written row of ``base`` (``sorted(lhs)`` order)
-    row_positions: tuple[int, ...]
-    #: the step whose rows supply the probed keys, and the key positions there
-    source: int
-    probe_positions: tuple[int, ...]
-    #: key positions in the fetch's own rows (aligned with ``sorted(lhs | rhs)``;
-    #: resolved positionally: step columns are qualified, ``lhs`` names are bare)
-    group_positions: tuple[int, ...]
-    #: the fetch and every step downstream of it, ascending
-    closure: tuple[int, ...]
-    #: no :class:`~repro.core.plan.DifferenceOp` in ``closure``
-    monotone: bool
-    #: ``(id, base)`` of the fetches whose source is in ``closure``: their
-    #: probed keys are recomputed whenever this fetch's output is
-    rekeys: tuple[tuple[int, str], ...]
+    __slots__ = (
+        "id", "bit", "base", "row_positions", "written", "source", "_probe", "closure", "monotone",
+    )
+
+    def __init__(self, id, bit, base, row_positions, source, probe_positions, closure, monotone):
+        self.id: int = id
+        #: this site's bit in a :meth:`RepairProgram.closure` mask
+        self.bit: int = bit
+        #: the physical relation behind the (possibly actualized) constraint
+        self.base: str = base
+        #: key positions in a written row of ``base`` (``sorted(lhs)`` order)
+        self.row_positions: tuple[int, ...] = row_positions
+        #: the :meth:`WriteDelta.keys_for` arguments of this site, as its memo key
+        self.written: tuple[str, tuple[int, ...]] = (base, row_positions)
+        #: the step whose rows supply the probed keys
+        self.source: int = source
+        #: a source row's probed key, compiled once
+        self._probe = projector(probe_positions)
+        #: the fetch and every step downstream of it, ascending
+        self.closure: tuple[int, ...] = closure
+        #: no :class:`~repro.core.plan.DifferenceOp` in ``closure``
+        self.monotone: bool = monotone
+
+    def keys(self, env: Sequence[Iterable[Row]]) -> frozenset[Row]:
+        """The keys this fetch probed in ``env``: its source rows' key columns."""
+        return frozenset(map(self._probe, env[self.source]))
 
 
 class RepairProgram:
-    """The plan-static half of settlement: a plan's fetch sites by base relation.
+    """The plan-static half of settlement: a plan's fetch sites, and what a write makes of them.
 
     Compiled once per plan from the step columns its kernels were lowered
     against, and kept on the :class:`~repro.evaluator.executor.CompiledPlan`
-    — evicted and discarded with the kernels.
+    — evicted and discarded with the kernels.  What a settlement asks of it
+    is memoized on it: per set of written relations the sites they affect
+    (:meth:`affected`), per set of dirty sites the steps to re-run and the
+    sites whose probed keys those steps recompute (:meth:`closure`).  The
+    second memo is keyed by an int, one bit per site: nothing hashes a site.
     """
 
-    __slots__ = ("sites", "ordered")
+    __slots__ = ("sites", "ordered", "by_touched", "by_dirty")
 
     def __init__(self, plan: BoundedPlan, columns: Sequence[Sequence[str]], schema):
         self.sites: dict[str, tuple[FetchSite, ...]] = {}
         #: every site in plan order (``fetch_steps`` ascends): nothing sorts per call
         self.ordered: tuple[FetchSite, ...] = ()
-        fetches = plan.fetch_steps()
-        for step in fetches:
+        #: :meth:`affected`'s memo, by written relations
+        self.by_touched: dict[frozenset[str], tuple[tuple[FetchSite, ...], bool]] = {}
+        #: :meth:`closure`'s memo, by dirty-site mask
+        self.by_dirty: dict[int, tuple] = {}
+        for bit, step in enumerate(plan.fetch_steps()):
             op: FetchOp = step.op
             constraint = op.constraint
             base = plan.base_relation(constraint)
-            lhs = sorted(constraint.lhs)
-            combined = sorted(set(lhs) | set(constraint.rhs))
             source_positions = column_positions(columns[op.inputs[0]])
             # Steps are densely numbered with inputs < id: one ascending pass.
             closure = {step.id}
@@ -264,89 +290,60 @@ class RepairProgram:
                     closure.add(later.id)
             site = FetchSite(
                 id=step.id,
-                constraint=constraint,
+                bit=1 << bit,
                 base=base,
-                row_positions=schema[base].positions(lhs),
+                row_positions=schema[base].positions(sorted(constraint.lhs)),
                 source=op.inputs[0],
                 probe_positions=tuple(source_positions[c] for c in op.key_columns),
-                group_positions=tuple(combined.index(a) for a in lhs),
                 closure=tuple(sorted(closure)),
                 monotone=not any(
                     isinstance(plan.steps[sid].op, DifferenceOp) for sid in closure
-                ),
-                rekeys=tuple(
-                    (other.id, plan.base_relation(other.op.constraint))
-                    for other in fetches
-                    if other.op.inputs[0] in closure
                 ),
             )
             self.sites[base] = self.sites.get(base, ()) + (site,)
             self.ordered += (site,)
 
-    def affected(self, touched: Iterable[str]) -> list[FetchSite]:
-        """The fetch sites over any relation in ``touched``, in plan order."""
-        touched = frozenset(touched)
-        return [site for site in self.ordered if site.base in touched]
+    def affected(self, touched: frozenset[str]) -> tuple[tuple[FetchSite, ...], bool]:
+        """The fetch sites over any relation in ``touched``, in plan order, and
+        whether none of them feeds a difference."""
+        found = self.by_touched.get(touched)
+        if found is None:
+            sites = tuple(site for site in self.ordered if site.base in touched)
+            found = self.by_touched[touched] = (sites, all(site.monotone for site in sites))
+        return found
 
+    def closure(
+        self, dirty: int
+    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[FetchSite, ...], tuple[str, ...]]:
+        """What a patch of the sites in the ``dirty`` mask does.
 
-class FetchKeys:
-    """One cached entry's view of one fetch: the keys it probed, its rows by key.
-
-    Read off the entry's captured environment by the first settlement that
-    meets the entry and kept *with the entry* (``CachedResult.keyed``), so it
-    dies with the entry.  A patch that recomputes the fetch's source drops it
-    (the probed keys may have moved), and the settlement reads a new one off
-    the patched environment; one that patches the fetch itself
-    (:meth:`patch`) keeps it, its groups updated in place.
-    """
-
-    __slots__ = ("probed", "_groups")
-
-    def __init__(self, site: FetchSite, env: Sequence[Iterable[Row]]):
-        positions = site.probe_positions
-        self.probed = frozenset(
-            tuple(row[p] for p in positions) for row in env[site.source]
-        )
-        self._groups: dict[Row, Iterable[Row]] | None = None
-
-    def group(
-        self, site: FetchSite, env: Sequence[Iterable[Row]], key: Row
-    ) -> set[Row] | frozenset[Row]:
-        """The fetch's cached rows under ``key`` (rows are grouped on first use).
-
-        A fetch's output restricted to one key *is* that key's index group
-        at fill time (fetch rows carry their key columns), which is what
-        makes comparing it with the live group sound.
+        ``(dirty site ids, the steps to re-run ascending, the sites whose
+        source is among them — their probed keys are recomputed —, those
+        sites' base relations)``.
         """
-        if self._groups is None:
-            self._groups = {}
-            positions = site.group_positions
-            for row in env[site.id]:
-                self._groups.setdefault(tuple(row[p] for p in positions), set()).add(row)
-        return self._groups.get(key, _NO_ROWS)
+        found = self.by_dirty.get(dirty)
+        if found is None:
+            chosen = [site for site in self.ordered if dirty & site.bit]
+            steps = sorted({sid for site in chosen for sid in site.closure})
+            rekeyed = tuple(site for site in self.ordered if site.source in steps)
+            found = self.by_dirty[dirty] = (
+                tuple(site.id for site in chosen),
+                tuple(steps),
+                rekeyed,
+                tuple(dict.fromkeys(site.base for site in rekeyed)),
+            )
+        return found
 
-    def patch(
-        self,
-        site: FetchSite,
-        env: Sequence[Iterable[Row]],
-        live: Mapping[Row, frozenset[Row]],
-        counter: AccessCounter,
-    ) -> set[Row]:
-        """The fetch's output once each key of ``live`` reads its live group (Δfetch).
-
-        The cached output minus the cached group of every such key, plus its
-        live group — what re-fetching every probed key would return, since
-        the other keys' groups did not change.  The live groups become the
-        cached ones, and their tuples are charged to ``counter`` as the
-        fetch's look-ups would be.
-        """
-        rows = set(env[site.id])
-        for key, group in live.items():
-            rows.difference_update(self.group(site, env, key))
-            rows.update(group)
-            self._groups[key] = group
-            counter.record_fetch(site.base, len(group))
-        return rows
+    def reach(self, base: str, env: Sequence[Iterable[Row]], keyed: dict[int, frozenset[Row]]) -> Reach:
+        """One ``(row positions, probed keys)`` per site over ``base``, each key
+        set from ``keyed`` or, where it has none yet, read off ``env`` into it."""
+        found = []
+        for site in self.sites.get(base, ()):
+            probed = keyed.get(site.id)
+            if probed is None:
+                probed = keyed[site.id] = site.keys(env)
+            found.append((site.row_positions, probed))
+        return tuple(found)
 
 
 class DeltaDeriver:
@@ -354,9 +351,9 @@ class DeltaDeriver:
 
     Split like the executor: what depends only on the plan is compiled once
     into a :class:`RepairProgram` on the executor's memoized
-    ``CompiledPlan``; what depends on an entry's environment is a
-    :class:`FetchKeys` per fetch in the ``keyed`` dict the caller keeps with
-    the entry (:meth:`reach` reads them, for the caller to index; :meth:`derive`
+    ``CompiledPlan``; what depends on an entry's environment is the probed
+    key set of each fetch, in the ``keyed`` dict the caller keeps with the
+    entry (:meth:`reach` reads them, for the caller to index; :meth:`derive`
     uses them); what depends on the batch is projected once on the
     :class:`WriteDelta`.  The deriver itself holds no per-plan or per-entry
     state.
@@ -364,26 +361,13 @@ class DeltaDeriver:
     ``executor`` is the serving core's own
     :class:`~repro.evaluator.executor.PlanExecutor`: settlement reads the
     plan's memoized ``CompiledPlan`` and re-runs its kernels over the
-    captured environment.  ``schema``
-    resolves written rows' attribute positions for key projection.
-    ``group_lookup(constraint, base, key)``, when provided, refines dirty
-    detection by comparing the cached fetch group against the live index
-    group — equal groups (e.g. a duplicate insert, or a delete re-inserted
-    in the same batch) downgrade a key hit back to clean.  It must read
-    **post-write** index state and return ``None`` when the group cannot be
-    resolved.
+    captured environment, on every substrate alike.  ``schema`` resolves
+    written rows' attribute positions for key projection.
     """
 
-    def __init__(
-        self,
-        executor,
-        schema,
-        *,
-        group_lookup: Callable[[object, str, Row], frozenset[Row] | None] | None = None,
-    ):
+    def __init__(self, executor, schema):
         self.executor = executor
         self.schema = schema
-        self.group_lookup = group_lookup
 
     def _compiled(self, plan: BoundedPlan):
         """``plan``'s memoized ``CompiledPlan``, its repair program attached."""
@@ -392,52 +376,31 @@ class DeltaDeriver:
             compiled.repair = RepairProgram(plan, compiled.columns, self.schema)
         return compiled
 
-    # -- structural derivability ------------------------------------------------
-    def affected_fetches(self, plan: BoundedPlan, touched: frozenset[str]) -> tuple[int, ...]:
-        """Step ids of fetches whose base relation is in ``touched``."""
-        return tuple(site.id for site in self._compiled(plan).repair.affected(touched))
-
-    def derivable(self, plan: BoundedPlan, touched: frozenset[str]) -> bool:
-        """Whether a write to ``touched`` is repairable through ``plan``.
-
-        False exactly when some affected fetch reaches a
-        :class:`~repro.core.plan.DifferenceOp` — the non-monotone operator
-        where delta rules invert sign through the subtrahend, so the
-        conservative contract (satellite of the repair design: *never* serve
-        a stale repaired entry) is to fall back to invalidation.
-        """
-        return all(site.monotone for site in self._compiled(plan).repair.affected(touched))
-
     # -- reach ------------------------------------------------------------------
     def reach(
         self,
         plan: BoundedPlan,
         env: tuple[frozenset[Row], ...],
-        keyed: dict[int, FetchKeys],
+        keyed: dict[int, frozenset[Row]],
         base: str,
-    ) -> tuple[tuple[tuple[int, ...], frozenset[Row]], ...]:
+    ) -> Reach:
         """What a write to ``base`` must hit for :meth:`derive` to say anything but clean.
 
         One ``(key positions in a written row, probed keys)`` per fetch site
-        over ``base`` — from its :class:`FetchKeys` in ``keyed``, read off
-        ``env`` for the sites that have none there yet, where :meth:`derive`
-        finds them again.  A written row that projects onto none of them
-        leaves every such fetch as it was.  Where the verdict does not hang
-        on a key — a site that feeds a difference, an environment that does
-        not fit the plan, a program that does not compile — the reach is
-        :data:`EVERY_WRITE`, and :meth:`derive` gives the reason.
+        over ``base`` — from ``keyed``, read off ``env`` into it for the sites
+        that have none there yet, where :meth:`derive` finds them again.  A
+        written row that projects onto none of them leaves every such fetch
+        as it was.  Where the verdict does not hang on a key — a site that
+        feeds a difference, an environment that does not fit the plan, a
+        program that does not compile — the reach is :data:`EVERY_WRITE`,
+        and :meth:`derive` gives the reason.
         """
         try:
-            sites = self._compiled(plan).repair.sites.get(base, ())
+            program = self._compiled(plan).repair
+            sites = program.sites.get(base, ())
             if len(env) != len(plan.steps) or not all(site.monotone for site in sites):
                 return EVERY_WRITE
-            found = []
-            for site in sites:
-                keys = keyed.get(site.id)
-                if keys is None:
-                    keys = keyed[site.id] = FetchKeys(site, env)
-                found.append((site.row_positions, keys.probed))
-            return tuple(found)
+            return program.reach(base, env, keyed)
         except Exception:
             # Not swallowed: reached by every write, the entry goes to
             # ``derive``, which meets the same error, logs it and drops it.
@@ -450,28 +413,82 @@ class DeltaDeriver:
         env: tuple[frozenset[Row], ...],
         rows: frozenset[Row],
         delta: WriteDelta,
-        keyed: dict[int, FetchKeys] | None = None,
+        keyed: dict[int, frozenset[Row]] | None = None,
     ) -> RepairOutcome:
         """Decide clean / patch / fallback for one cached result.
 
         ``env`` is the per-step environment captured when the entry was
         filled (``ExecutionResult.env``); ``rows`` the cached output rows;
-        ``keyed`` the entry's :class:`FetchKeys` by fetch step, filled here
-        as fetches are reached and valid only for this ``env`` (omitted:
-        nothing is kept).  A :data:`PATCHED` outcome leaves ``keyed`` valid
-        for the new ``env`` instead: the key sets of the fetches whose keys
-        were recomputed are removed (their relations are ``rekeyed``), those
-        of the fetches Δfetch patched hold their live groups, and all others
-        are kept as they were.  Must be called
-        **after** the write has been
-        applied to storage and indexes — re-execution and ``group_lookup``
-        read live state.  Exceptions never escape: any derivation error is
+        ``keyed`` the entry's probed key sets by fetch step, filled here as
+        fetches are reached and valid only for this ``env`` (omitted:
+        nothing is kept).  A fetch is dirty when some written row of its
+        base relation projects onto a key it probed; a :data:`PATCHED`
+        outcome re-runs the dirty fetches and every step downstream of them
+        through the plan's own kernels, over the untouched steps of ``env``,
+        and leaves ``keyed`` valid for the new ``env``: the key sets of the
+        fetches whose source it re-ran are read off it, and their relations'
+        new reach is :attr:`RepairOutcome.reach`.  Must be called **after**
+        the write has been applied to storage and indexes — the kernels read
+        live state.  Exceptions never escape: any derivation error is
         logged and degrades to a :data:`FALLBACK` outcome (reason
         ``"error:<Exc>"``), because serving a wrong repaired row is the one
         failure mode this module must not have.
         """
         try:
-            return self._derive(plan, env, rows, delta, {} if keyed is None else keyed)
+            compiled = self.executor.compile(plan)
+            program = compiled.repair
+            if program is None:
+                program = compiled.repair = RepairProgram(plan, compiled.columns, self.schema)
+            # (the memos are read inline: a write derives ~10 entries)
+            touched = delta._touched
+            affected, monotone = program.by_touched.get(touched) or program.affected(touched)
+            if not affected:
+                # The write never reaches this plan's fetches (the caller's
+                # dependency filter should already have skipped it).
+                return RepairOutcome.clean()
+            if not monotone:
+                return RepairOutcome.fallback("difference")
+            if env is None or len(env) != len(compiled.kernels):
+                return RepairOutcome.fallback("no_env")
+            if keyed is None:
+                keyed = {}
+            dirty = 0
+            written = delta._keys
+            for site in affected:
+                probed = keyed.get(site.id)
+                if probed is None:
+                    probed = keyed[site.id] = site.keys(env)
+                keys = written.get(site.written)
+                if keys is None:
+                    keys = delta.keys_for(site.base, site.row_positions)
+                if not probed.isdisjoint(keys):
+                    dirty |= site.bit
+            if not dirty:
+                return RepairOutcome.clean()
+            dirty_steps, steps, rekeyed, bases = (
+                program.by_dirty.get(dirty) or program.closure(dirty)
+            )
+            counter = AccessCounter()  # what the re-run fetches read: not kept
+            scratch = list(env)
+            kernels = compiled.kernels
+            for sid in steps:
+                scratch[sid] = frozenset(kernels[sid](scratch, counter))
+            new_env = tuple(scratch)
+            for site in rekeyed:
+                keyed[site.id] = site.keys(new_env)
+            new_rows = new_env[plan.output]
+            added = len(new_rows - rows)
+            return RepairOutcome(
+                PATCHED,
+                new_rows,
+                new_env,
+                added,
+                len(rows) - len(new_rows) + added,
+                None,
+                dirty_steps,
+                len(steps),
+                tuple([(base, program.reach(base, new_env, keyed)) for base in bases]),
+            )
         except Exception as error:
             _log.warning(
                 "repair derivation raised %s (plan of %d steps, touched %s): entry dropped",
@@ -479,101 +496,3 @@ class DeltaDeriver:
                 exc_info=True,
             )
             return RepairOutcome.fallback(f"error:{type(error).__name__}")
-
-    def _derive(
-        self,
-        plan: BoundedPlan,
-        env: tuple[frozenset[Row], ...],
-        rows: frozenset[Row],
-        delta: WriteDelta,
-        keyed: dict[int, FetchKeys],
-    ) -> RepairOutcome:
-        compiled = self._compiled(plan)
-        affected = compiled.repair.affected(delta.touched)
-        if not affected:
-            # The write never reaches this plan's fetches (the caller's
-            # dependency filter should already have skipped it).
-            return RepairOutcome.clean()
-        if not all(site.monotone for site in affected):
-            return RepairOutcome.fallback("difference")
-        if env is None or len(env) != len(plan.steps):
-            return RepairOutcome.fallback("no_env")
-
-        dirty: dict[int, tuple[FetchSite, dict]] = {}
-        for site in affected:
-            changed = self._changed(site, env, delta, keyed)
-            if changed:
-                dirty[site.id] = (site, changed)
-        if not dirty:
-            return RepairOutcome.clean()
-
-        # Re-execute the downstream closure of the dirty fetches: first each
-        # dirty fetch whose keys are as cached by Δfetch, from the live groups
-        # read above (it reads nothing recomputed), then every other step of
-        # the closure by its kernel, ascending.
-        counter = AccessCounter()
-        scratch: list = list(env)
-        recompute = {sid for site, _ in dirty.values() for sid in site.closure}
-        patched = set()
-        for sid, (site, changed) in dirty.items():
-            if site.source not in recompute and None not in changed.values():
-                scratch[sid] = frozenset(keyed[sid].patch(site, env, changed, counter))
-                patched.add(sid)
-        for sid in sorted(recompute.difference(patched)):
-            scratch[sid] = frozenset(compiled.kernels[sid](scratch, counter))
-        new_env = tuple(scratch)
-        new_rows = new_env[plan.output]
-
-        # Bring ``keyed`` in step with ``new_env``: a fetch's key sets hang on
-        # its source (probed keys) and on its own rows (groups).  Dirty sites
-        # come in plan order, so only an earlier one can re-key a later one.
-        rekeyed: list[str] = []
-        for sid, (site, _) in dirty.items():
-            for fid, base in site.rekeys:
-                if keyed.pop(fid, None) is not None and base not in rekeyed:
-                    rekeyed.append(base)
-            if sid not in patched and sid in keyed:
-                keyed[sid]._groups = None  # re-fetched whole: regroup on use
-        return RepairOutcome(
-            status=PATCHED,
-            rows=new_rows,
-            env=new_env,
-            rows_added=len(new_rows - rows),
-            rows_removed=len(rows - new_rows),
-            dirty_steps=tuple(dirty),
-            steps_recomputed=len(recompute),
-            rekeyed=tuple(rekeyed),
-            counter=counter,
-        )
-
-    def _changed(
-        self,
-        site: FetchSite,
-        env: tuple[frozenset[Row], ...],
-        delta: WriteDelta,
-        keyed: dict[int, FetchKeys],
-    ) -> dict[Row, frozenset[Row] | None]:
-        """The probed keys whose group under the fetch at ``site`` the write may have changed.
-
-        Each with its live index group, or ``None`` where there is no
-        ``group_lookup`` or it cannot resolve one; empty when the fetch's
-        output is as cached.  A key is in it iff some written row of the
-        base relation projects (on ``sorted(constraint.lhs)``) onto it, it
-        was probed at fill time, and — with ``group_lookup`` — its live
-        group differs from the rows the entry cached under it.
-        """
-        keys = keyed.get(site.id)
-        if keys is None:
-            keys = keyed[site.id] = FetchKeys(site, env)
-        written = delta.keys_for(site.base, site.row_positions)
-        if written.isdisjoint(keys.probed):
-            return {}
-        changed = {}
-        for key in written & keys.probed:
-            live = None
-            if self.group_lookup is not None:
-                live = self.group_lookup(site.constraint, site.base, key)
-                if live is not None and live == keys.group(site, env, key):
-                    continue
-            changed[key] = live
-        return changed

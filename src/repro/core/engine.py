@@ -251,10 +251,11 @@ class ServingCore:
     being the data's), :meth:`_snapshot` / :meth:`_validate` (what "the data
     has not moved" means) and :meth:`_tokens` (a snapshot as one epoch token
     per relation), :meth:`_evaluate_conventionally` (the unbounded
-    fallback), :meth:`_write` (the batch onto its data and clocks),
-    :meth:`_group_of` (a group over all its data, read back after a write),
-    and optionally :meth:`_index_group` (live index groups, for dirty
-    refinement).
+    fallback), :meth:`_write` (the batch onto its data and clocks), and
+    :meth:`_group_of` (a group over all its data, read back after a write).
+    Settlement is the same on every substrate: a reached entry re-runs the
+    kernels of its dirty fetches and of the steps downstream of them, which
+    read the substrate through its fetch ``source`` like any execution.
 
     The caches are all a core is configured by.  ``plan_store`` lets several
     cores share one prepared-plan store; they must be configured with an
@@ -305,10 +306,6 @@ class ServingCore:
     #: executions re-run after a racing write before the read is abandoned
     max_snapshot_retries = 2
 
-    #: ``(constraint, base relation, key) -> live index group`` where the
-    #: substrate can read one (see :class:`~repro.core.deltas.DeltaDeriver`)
-    _index_group = None
-
     def __init__(
         self,
         access_schema: AccessSchema,
@@ -329,9 +326,7 @@ class ServingCore:
         #: hit only this instance.
         self._fallback_evaluator = evaluate_conventional
         self._executor = PlanExecutor(source)
-        self._deriver = DeltaDeriver(
-            self._executor, schema, group_lookup=self._index_group
-        )
+        self._deriver = DeltaDeriver(self._executor, schema)
 
     # -- the substrate ------------------------------------------------------------------
     def _snapshot(self, relations: tuple[str, ...]) -> tuple:
@@ -557,18 +552,21 @@ class ServingCore:
         dependents are swept, ``stale``, never patched.  Entries filled since
         the last settlement are entered in the reach index, which is then
         intersected once with the keys the batch wrote; only the entries it
-        returns are looked at, and each gets what the deriver says: ``clean``
-        (the hit key's group is what it was), ``patched`` (re-indexed where
-        the patch moved its probed keys), or ``no_env`` /
-        ``fallback:<reason>`` (not derivable: dropped).  A touched relation
-        whose token moved between the write and the end of the derivations
-        (a write raced them, so a patch could mix epochs) has its dependents
-        swept, ``race``, and keeps no mark.  Every other touched relation's
-        mark moves to its post-write token: that settles every entry the
-        write did not reach without visiting it.  A relation the derivations
-        only read and that moved under them keeps its old mark, so its
-        dependents are not served and go at its next settlement.  Returns the
-        verdicts by cache key; an entry the write did not reach has none.
+        returns are looked at, and each gets what the deriver says:
+        ``patched`` (its dirty closure re-run, re-indexed under each relation
+        the patch re-keyed, with the reach the derivation read off the new
+        environment — a patch that leaves the rows as they were counts as a
+        clean repair), ``clean`` (no fetch of it probed a written key), or
+        ``no_env`` / ``fallback:<reason>`` (not derivable: dropped).  A
+        touched relation whose token moved between the write and the end of
+        the derivations (a write raced them, so a patch could mix epochs) has
+        its dependents swept, ``race``, and keeps no mark.  Every other
+        touched relation's mark moves to its post-write token: that settles
+        every entry the write did not reach without visiting it.  A relation
+        the derivations only read and that moved under them keeps its old
+        mark, so its dependents are not served and go at its next
+        settlement.  Returns the verdicts by cache key; an entry the write
+        did not reach has none.
         """
         cache, deriver = self.result_cache, self._deriver
         if not delta:
@@ -619,8 +617,8 @@ class ServingCore:
                 rows_added=outcome.rows_added,
                 rows_removed=outcome.rows_removed,
             ):
-                for base in outcome.rekeyed:
-                    cache.index(key, base, deriver.reach(entry.plan, entry.env, entry.keyed, base))
+                for base, reach in outcome.reach:
+                    cache.index(key, base, reach)
                 verdicts[key] = outcome.status
         cache.mark({r: token for r, token in zip(touched, after) if r not in raced})
         return verdicts
@@ -751,16 +749,6 @@ class BoundedEngine(ServingCore):
 
     def _group_of(self, constraint, row: tuple) -> tuple[tuple, ...]:
         return self.indexes.group_of(constraint, row)
-
-    def _index_group(self, constraint, base: str, key: tuple) -> frozenset[tuple] | None:
-        """The live (post-write) index group of ``key`` for dirty refinement.
-
-        Resolves actualized constraints back to the physical index of their
-        base relation, exactly like the fetch source; ``None`` (no index)
-        makes the deriver treat the key as dirty, never as clean.
-        """
-        index = self.indexes.resolve(constraint, base)
-        return None if index is None else frozenset(index.lookup(key))
 
     # -- C2: coverage -----------------------------------------------------------
     def check(self, query: Query) -> CoverageResult:

@@ -143,15 +143,14 @@ class CachedResult:
     environment (it ran over the engine's budget,
     :data:`~repro.core.engine.ENV_ROWS_BUDGET`) — such entries can only be
     invalidated, never repaired.  ``keyed`` is what write settlement has read
-    off ``env`` (per fetch step: probed keys, rows by key —
-    :class:`~repro.core.deltas.FetchKeys`) and ``reach`` what of it the
-    cache's reach index holds (per dependency relation, see
+    off ``env`` (per fetch step, the keys it probed) and ``reach`` what of
+    it the cache's reach index holds (per dependency relation, see
     :meth:`ResultCache.index`); both are created by the first settlement
     after the entry was filled, for every relation it depends on, and live
     as long as the entry.  A patch keeps them in step with the ``env`` it
-    installs: the deriver keeps the key sets the patch could not have moved,
-    updates in place those whose fetch it patched and drops the others, and
-    the settlement reads and re-registers only those again.
+    installs: the derivation keeps the key sets the patch could not have
+    moved and reads the others off the new environment, and the settlement
+    re-registers only the relations of those.
     """
 
     rows: frozenset[tuple]
@@ -496,35 +495,46 @@ class ResultCache:
                 gone.append((was, before))
                 added = probed
             if added:
-                by_key = self._reach.setdefault(base, {}).setdefault(positions, {})
+                slots = self._reach.get(base)
+                if slots is None:
+                    slots = self._reach[base] = {}
+                by_key = slots.get(positions)
+                if by_key is None:
+                    by_key = slots[positions] = {}
                 for probe in added:
                     holders = by_key.get(probe)
                     if holders is None:
                         by_key[probe] = {key}
                     else:
                         holders.add(key)
-        self._unregister(key, base, gone, reach)
+        if gone:
+            self._unregister(key, base, gone, reach)
         entry.reach[base] = reach
 
     def _unregister(self, key: Hashable, base: str, parts, remaining=()) -> None:
         """Take ``key`` off the probed keys of ``parts`` under ``base``, except
         those a part of ``remaining`` at the same positions still probes."""
-        slots = self._reach.get(base, {})
+        slots = self._reach.get(base)
+        if slots is None:
+            return
         for positions, probed in parts:
             by_key = slots.get(positions)
             if by_key is None or not probed:
                 continue  # nothing probed, or emptied by another site of this index
-            still = [other for at, other in remaining if at == positions]
+            kept = frozenset()  # what a remaining site at these positions probes
+            for at, other in remaining:
+                if at == positions:
+                    kept = other if not kept else kept | other
             for probe in probed:
                 holders = by_key.get(probe)
-                if holders is not None and not any(probe in other for other in still):
+                if holders is not None and probe not in kept:
                     holders.discard(key)
                     if not holders:
                         del by_key[probe]
             if not by_key:
                 del slots[positions]
         if not slots:
-            self._reach.pop(base, None)
+            del self._reach[base]
 
     def _unindex(self, key: Hashable, entry: CachedResult) -> None:
         """Take everything ``entry`` registered out of the index; forget its key sets."""
@@ -571,8 +581,8 @@ class ResultCache:
 
         Installing ``env`` leaves ``keyed`` and the entry's part of the reach
         index alone: the derivation already brought ``keyed`` in step with
-        ``env`` but for the key sets it dropped, which the caller reads again
-        and re-registers (:meth:`index`).
+        ``env``, and the caller re-registers the relations whose key sets it
+        read again (:meth:`index`).
         """
         entry = self._entries.get(key)
         if entry is None:

@@ -32,6 +32,7 @@ from typing import Collection, Iterable, Literal, Protocol, Sequence
 from ..core.access import AccessConstraint, AccessSchema
 from ..core.errors import MaintenanceError
 from ..storage.database import Database
+from ..storage.relation import RelationInstance
 
 
 class IndexMaintainer(Protocol):
@@ -135,9 +136,38 @@ def apply_updates(
     report = MaintenanceReport()
     failure: Exception | None = None
     update: Update | None = None
+    # relation -> (its instance, the work an update to it is charged)
+    targets: dict[str, tuple[RelationInstance, int]] = {}
     try:
         for update in updates:
-            _apply_one_update(database, maintainer, access_schema, update, report)
+            name, row = update.relation, update.row
+            target = targets.get(name)
+            if target is None:
+                target = targets[name] = (
+                    database.relation(name),
+                    sum(c.bound for c in access_schema.for_relation(name)),
+                )
+            relation, work = target
+            # Charged up front: even a duplicate insert / missing delete costs
+            # the index probes needed to find out, and Proposition 12's
+            # O(N_A·|ΔD|) bound is about attempted updates.
+            report.work_units += work
+            if update.kind == "insert":
+                store, index, undo = relation.insert, maintainer.apply_insert, relation.delete
+            else:
+                store, index, undo = relation.delete, maintainer.apply_delete, relation.insert
+            # One row through storage, then I_A; counted only once both hold it.
+            if not store(row):
+                report.skipped += 1
+                continue
+            try:
+                index(name, row)
+            except Exception:
+                undo(row)  # storage ≡ I_A again before the batch aborts
+                raise
+            report.applied += 1
+            report.touched_relations.add(name)
+            report.applied_updates.append(update)
     except Exception as error:
         report.failed = True
         report.failed_update = update
@@ -153,35 +183,3 @@ def apply_updates(
             report=report,
         ) from failure
     return report
-
-
-def _apply_one_update(
-    database: Database,
-    maintainer: IndexMaintainer,
-    access_schema: AccessSchema,
-    update: Update,
-    report: MaintenanceReport,
-) -> None:
-    """One row through storage, then ``I_A``; ``report`` counts it only once both hold it."""
-    name, row = update.relation, update.row
-    relation = database.relation(name)
-    constraints = access_schema.for_relation(name)
-    # Charge the per-update maintenance budget up front: even a duplicate
-    # insert / missing delete costs the index probes needed to find out,
-    # and Proposition 12's O(N_A·|ΔD|) bound is about attempted updates.
-    report.work_units += sum(c.bound for c in constraints)
-    if update.kind == "insert":
-        store, index, undo = relation.insert, maintainer.apply_insert, relation.delete
-    else:
-        store, index, undo = relation.delete, maintainer.apply_delete, relation.insert
-    if not store(row):
-        report.skipped += 1
-        return
-    try:
-        index(name, row)
-    except Exception:
-        undo(row)  # storage ≡ I_A again before the batch aborts
-        raise
-    report.applied += 1
-    report.touched_relations.add(name)
-    report.applied_updates.append(update)

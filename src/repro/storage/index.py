@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Sequ
 from ..core.access import AccessConstraint, AccessSchema
 from ..core.errors import ConstraintViolation, PlanError, StorageError
 from .counters import AccessCounter
-from .relation import RelationInstance, Row
+from .relation import RelationInstance, Row, projector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import BoundedPlan, PlanStep
@@ -38,8 +38,9 @@ class ConstraintIndex:
         self.lhs = tuple(sorted(constraint.lhs))
         self.rhs = tuple(sorted(constraint.rhs))
         self.columns = tuple(sorted(constraint.lhs | constraint.rhs))
-        self._lhs_positions = relation.schema.positions(self.lhs)
-        self._column_positions = relation.schema.positions(self.columns)
+        #: a base row's ``X``-value and its ``XY``-value, compiled once
+        self._key = projector(relation.schema.positions(self.lhs))
+        self._value = projector(relation.schema.positions(self.columns))
         #: key -> {projected XY-value -> number of base tuples projecting to it}.
         #: The reference counts make deletions O(1): a value is dropped exactly
         #: when its last witness tuple goes away, with no relation scan.
@@ -48,12 +49,6 @@ class ConstraintIndex:
             self._add_row(row)
 
     # -- maintenance ---------------------------------------------------------------
-    def _key(self, row: Row) -> Row:
-        return tuple([row[p] for p in self._lhs_positions])
-
-    def _value(self, row: Row) -> Row:
-        return tuple([row[p] for p in self._column_positions])
-
     def _add_row(self, row: Row) -> None:
         group = self._entries.setdefault(self._key(row), {})
         value = self._value(row)
@@ -290,4 +285,5 @@ class IndexSet:
     def group_of(self, constraint: AccessConstraint, row: Row) -> tuple[Row, ...]:
         """The index rows of ``constraint`` sharing ``row``'s ``X``-value (empty without an index)."""
         index = self._indexes.get(constraint)
-        return () if index is None else index.lookup(index._key(row))
+        group = None if index is None else index._entries.get(index._key(row))
+        return tuple(group) if group else ()

@@ -8,8 +8,9 @@ the relational model the paper works in.
 from __future__ import annotations
 
 import csv
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..core.errors import StorageError
 from ..core.schema import RelationSchema
@@ -17,11 +18,27 @@ from ..core.schema import RelationSchema
 Row = tuple
 
 
+def projector(positions: Sequence[int]) -> Callable[[Row], Row]:
+    """``row -> tuple(row[p] for p in positions)``, compiled once for ``positions``.
+
+    One position is wrapped by hand and several are picked at C speed
+    (``itemgetter`` returns a bare value for one position and takes no
+    fewer).
+    """
+    if len(positions) == 1:
+        (at,) = positions
+        return lambda row: (row[at],)
+    if positions:
+        return itemgetter(*positions)
+    return lambda row: ()
+
+
 class RelationInstance:
     """An instance of a relation schema: a set of positional tuples."""
 
     def __init__(self, schema: RelationSchema, rows: Iterable[Sequence] = ()):
         self.schema = schema
+        self._arity = len(schema)
         #: insertion-ordered and hashed at once, so membership, insert and
         #: delete are all O(1) in ``|R|`` (Proposition 12's maintenance cost)
         self._rows: dict[Row, None] = {}
@@ -64,7 +81,9 @@ class RelationInstance:
         mutating anything, so callers can validate *before* touching storage
         or derived indexes.
         """
-        if isinstance(row, Mapping):
+        if type(row) is tuple:  # the common case: no ABC check
+            prepared = row
+        elif isinstance(row, Mapping):
             missing = [a for a in self.schema.attributes if a not in row]
             if missing:
                 raise StorageError(
@@ -77,8 +96,9 @@ class RelationInstance:
                     f"schema has {list(self.schema.attributes)}"
                 )
             return tuple(row[a] for a in self.schema.attributes)
-        prepared = tuple(row)
-        if len(prepared) != len(self.schema):
+        else:
+            prepared = tuple(row)
+        if len(prepared) != self._arity:
             raise StorageError(
                 f"row of arity {len(prepared)} does not match relation "
                 f"{self.schema.name!r} of arity {len(self.schema)}"

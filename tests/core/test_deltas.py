@@ -1,6 +1,6 @@
 """Delta maintenance of cached results: derivability, repair, fallback seams.
 
-Structural rules first (which writes are derivable through which plans), then
+Structural rules first (which writes a plan derives, which it refuses), then
 the engine-level contract: dirty writes patch cached entries in place, writes
 into unprobed index groups leave them unvisited and valid, and anything the
 deriver cannot prove — difference plans, missing environments — invalidates
@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import engine as engine_module
 from repro.core.access import AccessConstraint, AccessSchema
-from repro.core.deltas import CLEAN, FALLBACK, PATCHED, DeltaDeriver, FetchKeys, WriteDelta
+from repro.core.deltas import CLEAN, FALLBACK, PATCHED, DeltaDeriver, FetchSite, WriteDelta
 from repro.core.engine import BoundedEngine, prepare_query
 from repro.core.plan import BoundedPlan
 from repro.core.query import Relation, conjunction, eq
@@ -58,38 +58,58 @@ class TestWriteDelta:
 
 
 class TestDerivability:
-    """Static reachability: monotone plans derive, difference plans refuse."""
+    """What ``derive`` makes of a write by the plan alone: monotone plans
+    derive, difference plans refuse, untouched plans stay clean."""
 
     @pytest.fixture
     def deriver(self, fb_database, fb_indexes, fb_schema):
-        # Structural checks never execute, but they read the repair program
-        # kept on the executor's compiled plan.
+        # The repair program is kept on the executor's compiled plan.
         return DeltaDeriver(PlanExecutor(fb_indexes), fb_schema)
 
-    def test_monotone_plan_is_derivable_for_every_relation(self, deriver, fb_access):
-        prepared = prepare_query(facebook.query_q1(), fb_access)
-        for relation in prepared.dependencies:
-            assert deriver.derivable(prepared.executable, frozenset([relation]))
+    @staticmethod
+    def filled(deriver, prepared):
+        """``(plan, env, rows)`` of one captured execution of ``prepared``."""
+        plan = prepared.executable
+        result = deriver.executor.execute(plan, capture_env=True)
+        assert result.env is not None
+        return plan, result.env, result.rows
 
-    def test_difference_plan_refuses_every_touched_relation(self, deriver, fb_access):
+    @staticmethod
+    def written(fb_database, relation):
+        """A delta naming one stored row of ``relation``.  Nothing is written,
+        so a patch re-derives the rows the entry already has."""
+        return WriteDelta(inserts={relation: [min(fb_database.relation(relation).rows)]})
+
+    def test_monotone_plan_is_derivable_for_every_relation(self, deriver, fb_access, fb_database):
+        prepared = prepare_query(facebook.query_q1(), fb_access)
+        plan, env, rows = self.filled(deriver, prepared)
+        for relation in prepared.dependencies:
+            outcome = deriver.derive(plan, env, rows, self.written(fb_database, relation))
+            assert outcome.status in (CLEAN, PATCHED) and outcome.reason is None
+
+    def test_difference_plan_refuses_every_touched_relation(self, deriver, fb_access, fb_database):
         # q0 rewrites to a guard-difference plan; every dependent relation's
         # fetches reach the DifferenceOp, so no write through it is derivable.
         prepared = prepare_query(facebook.query_q0(), fb_access)
         assert prepared.rewrite == "guard-difference"
+        plan, env, rows = self.filled(deriver, prepared)
         for relation in prepared.dependencies:
-            assert not deriver.derivable(prepared.executable, frozenset([relation]))
+            outcome = deriver.derive(plan, env, rows, self.written(fb_database, relation))
+            assert (outcome.status, outcome.reason) == (FALLBACK, "difference")
 
-    def test_untouched_plan_is_trivially_derivable(self, deriver, fb_access):
+    def test_untouched_plan_is_trivially_clean(self, deriver, fb_access):
         prepared = prepare_query(facebook.query_q0(), fb_access)
-        assert deriver.derivable(prepared.executable, frozenset(["unrelated"]))
-        assert deriver.affected_fetches(prepared.executable, frozenset(["zzz"])) == ()
+        plan, env, rows = self.filled(deriver, prepared)
+        outcome = deriver.derive(plan, env, rows, WriteDelta(inserts={"unrelated": [(1,)]}))
+        assert (outcome.status, outcome.dirty_steps, outcome.steps_recomputed) == (CLEAN, (), 0)
 
-    def test_affected_fetches_resolve_base_relations(self, deriver, fb_access):
+    def test_dirty_fetches_resolve_base_relations(self, deriver, fb_access):
         prepared = prepare_query(facebook.query_q1(), fb_access)
-        plan = prepared.executable
-        affected = deriver.affected_fetches(plan, frozenset(["friend"]))
-        assert affected  # q1 fetches friend through psi1
-        for fetch_id in affected:
+        plan, env, rows = self.filled(deriver, prepared)
+        outcome = deriver.derive(plan, env, rows, WriteDelta(inserts={"friend": [("p0", "p_x")]}))
+        assert outcome.status == PATCHED
+        assert outcome.dirty_steps  # q1 fetches friend through psi1, under p0
+        for fetch_id in outcome.dirty_steps:
             constraint = plan.steps[fetch_id].op.constraint
             base = plan.occurrences.get(constraint.relation, constraint.relation)
             assert base == "friend"
@@ -360,7 +380,7 @@ class TestSettlementCost:
             assert sorted(site for site in kept if entry.keyed[site] is not kept[site]) == downstream
             assert engine.result_cache.stats()["reach_entries"] == 1  # still indexed
             # (the empty frozenset is a process-wide singleton: skip it)
-            replaced += [weakref.ref(kept[site].probed) for site in downstream if kept[site].probed]
+            replaced += [weakref.ref(kept[site]) for site in downstream if kept[site]]
             replaced += [
                 weakref.ref(part)
                 for part in old_env
@@ -371,15 +391,16 @@ class TestSettlementCost:
         gc.collect()
         assert not [ref for ref in replaced if ref() is not None]
         # the deriver holds no per-entry (or per-plan) state of its own
-        assert set(vars(engine._deriver)) == {"executor", "schema", "group_lookup"}
-        assert len([o for o in gc.get_objects() if isinstance(o, FetchKeys)]) == 3
+        assert set(vars(engine._deriver)) == {"executor", "schema"}
+        assert sorted(entry.keyed) == sorted([friend, *downstream])
         assert engine.execute(q1).rows == evaluate(q1, fb_database).rows
         # an indexed entry that leaves takes its key sets and its index part along
         assert engine.result_cache.stats()["reach_keys"] > 0
+        held = [weakref.ref(keys) for keys in entry.keyed.values() if keys]
         engine.result_cache.invalidate()
         del entry, friend_keys
         gc.collect()
-        assert not [o for o in gc.get_objects() if isinstance(o, FetchKeys)]
+        assert held and not [ref for ref in held if ref() is not None]
         stats = engine.result_cache.stats()
         assert (stats["entries"], stats["reach_keys"], stats["reach_entries"]) == (0, 0, 0)
 
@@ -559,7 +580,7 @@ class TestSettlementCost:
 
     def test_a_patch_re_reads_only_the_key_sets_it_moved(self, fb_database, fb_access):
         """Key sets are read once per entry and again only where a patch moved them;
-        a dirty fetch whose live groups were read is patched, not re-fetched."""
+        a dirty fetch re-runs its own kernel, and no other fetch kernel runs."""
         engine = BoundedEngine(fb_database, fb_access)
         q1 = facebook.query_q1()
         engine.execute(q1)
@@ -580,22 +601,22 @@ class TestSettlementCost:
             counting(kernel) if sid in fetches else kernel
             for sid, kernel in enumerate(compiled.kernels)
         )
-        read = FetchKeys.__init__
+        read = FetchSite.keys
 
-        def reading(self, *args):
+        def reading(self, env):
             runs["key_sets"] += 1
-            read(self, *args)
+            return read(self, env)
 
         settle, verdicts = engine._settle, []
         engine._settle = lambda *args: verdicts.append(settle(*args)) or verdicts[-1]
 
         def batch(*updates) -> dict:
             runs.update(key_sets=0, fetch_kernels=0)
-            FetchKeys.__init__ = reading
+            FetchSite.keys = reading
             try:
                 engine.apply_updates(list(updates))
             finally:
-                FetchKeys.__init__ = read
+                FetchSite.keys = read
             counted = dict(runs)
             assert list(verdicts[-1].values()) == [PATCHED]
             fresh = engine._executor.execute(plan, capture_env=True)
@@ -603,22 +624,22 @@ class TestSettlementCost:
             assert entry.rows == evaluate(q1, fb_database).rows
             return counted
 
-        # The first settlement reads all three key sets; its patch of the
-        # friend fetch (Δfetch: no fetch kernel) recomputes what the dine and
-        # cafe fetches probe: those two are read again, and re-fetched.  (The
-        # new friend's dine is under a key nothing probed before the batch.)
+        # The first settlement reads all three key sets; its patch re-runs the
+        # friend fetch and everything downstream of it, the dine and cafe
+        # fetches included, and reads again what those two probe.  (The new
+        # friend's dine is under a key nothing probed before the batch.)
         row = min(fb_database.relation("cafe").rows)
         downstream = rekeyed_by(plan, "friend")
         assert batch(
             Update.insert("friend", ("p0", "p_patch")),
             Update.insert("dine", ("p_patch", row[0], "may", 2015)),
-        ) == {"key_sets": len(fetches) + len(downstream), "fetch_kernels": len(downstream)}
+        ) == {"key_sets": len(fetches) + len(downstream), "fetch_kernels": len(fetches)}
         # A batch that reaches only key sets its patch cannot move reads none,
-        # and a dirty fetch whose live groups were read runs no fetch kernel.
+        # and re-runs the one fetch it dirtied.
         (cafe,) = fetch_sites(plan, "cafe")
-        assert rekeyed_by(plan, "cafe") == [] and (row[0],) in entry.keyed[cafe].probed
-        assert batch(Update.delete("cafe", row)) == {"key_sets": 0, "fetch_kernels": 0}
-        assert batch(Update.insert("cafe", row)) == {"key_sets": 0, "fetch_kernels": 0}
+        assert rekeyed_by(plan, "cafe") == [] and (row[0],) in entry.keyed[cafe]
+        assert batch(Update.delete("cafe", row)) == {"key_sets": 0, "fetch_kernels": 1}
+        assert batch(Update.insert("cafe", row)) == {"key_sets": 0, "fetch_kernels": 1}
 
     def test_plan_facts_are_compiled_once_per_plan_not_per_batch(
         self, fb_database, fb_access, monkeypatch
@@ -648,7 +669,7 @@ class TestSettlementCost:
         for owner, attribute, name in (
             (BoundedPlan, "fetch_steps", "fetch_steps"),
             (RelationSchema, "positions", "positions"),
-            (FetchKeys, "__init__", "key_sets"),
+            (FetchSite, "keys", "key_sets"),
         ):
             monkeypatch.setattr(owner, attribute, counted(name, getattr(owner, attribute)))
         settle, derive = engine._settle, engine._deriver.derive

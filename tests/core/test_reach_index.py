@@ -10,16 +10,16 @@ and after each step compare the index with one recomputed from scratch.  A
 patch replaces an entry's environment but keeps it indexed, re-reading only
 the key sets it may have moved: so after each step an entry the last
 settlement patched must still be indexed for every relation it depends on,
-and every key set an entry keeps — probed keys and grouped rows — must be
-what its current environment says.
+and every key set an entry keeps must be what its current environment says.
 """
 
 import gc
 import random
+import weakref
 
 import pytest
 
-from repro.core.deltas import EVERY_WRITE, FetchKeys
+from repro.core.deltas import EVERY_WRITE
 from repro.core.engine import BoundedEngine
 from repro.core.planstore import ResultCache
 from repro.discovery.maintenance import Update
@@ -43,15 +43,10 @@ def recomputed(engine: BoundedEngine) -> dict:
 
 
 def check_key_sets(engine: BoundedEngine, entry) -> None:
-    """Every key set an entry keeps is what its environment says, groups included."""
+    """Every key set an entry keeps is what its environment says."""
     sites = {site.id: site for site in engine._deriver._compiled(entry.plan).repair.ordered}
     for site_id, keys in entry.keyed.items():
-        site = sites[site_id]
-        fresh = FetchKeys(site, entry.env)
-        assert keys.probed == fresh.probed
-        if keys._groups is not None:
-            fresh.group(site, entry.env, None)
-            assert {k: set(g) for k, g in keys._groups.items() if g} == fresh._groups
+        assert keys == sites[site_id].keys(entry.env)
 
 
 def check(engine: BoundedEngine, patched=()) -> None:
@@ -173,6 +168,7 @@ class TestIndexFollowsTheEntries:
             (hot_write, 3), (far_write, 2), (clean_write, 4),
         ]
         seen_indexed = seen_patched = 0
+        key_sets = []  # every non-empty key set an entry kept, weakly
         for step in rng.choices(
             [step for step, _ in steps], weights=[weight for _, weight in steps], k=150
         ):
@@ -180,6 +176,12 @@ class TestIndexFollowsTheEntries:
             step()
             patched = [key for key, verdict in verdicts.items() if verdict == "patched"]
             check(engine, patched)
+            key_sets += [
+                weakref.ref(keys)
+                for entry in cache._entries.values()
+                for keys in (entry.keyed or {}).values()
+                if keys
+            ]
             seen_indexed = max(seen_indexed, cache.stats()["reach_entries"])
             seen_patched += len(patched)
         assert seen_indexed >= 2  # the run did index entries, not just churn them
@@ -194,7 +196,7 @@ class TestIndexFollowsTheEntries:
         cache.invalidate()
         check(engine)
         gc.collect()
-        assert not [o for o in gc.get_objects() if isinstance(o, FetchKeys)]
+        assert key_sets and not [ref for ref in key_sets if ref() is not None]
 
     def test_a_difference_plan_is_reached_by_every_write_to_its_relations(self):
         database = facebook.generate(scale=15, seed=1)

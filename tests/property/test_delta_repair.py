@@ -26,6 +26,7 @@ from repro.evaluator import executor as executor_module
 from repro.evaluator.algebra import evaluate
 from repro.sharding import ShardRouter, SQLiteShard, build_topology
 from repro.storage.database import Database
+from repro.storage.index import ConstraintIndex, IndexSet
 from repro.workloads import WORKLOADS, facebook
 
 MONTHS = ("may", "jun")
@@ -199,31 +200,20 @@ class TestRouterRepairProperty:
 # (``repro.core.deltas``, ``ResultCache.reached``): an entry no written key
 # hits is re-stamped without ever being derived.  The oracle below reads the verdict
 # straight off the definition — *a fetch is dirty iff a written row's LHS
-# projection is a key it probed and that key's group changed* — from the plan's
-# declared step columns and full scans of the stored relations; a dirty entry of
-# a monotone plan is patched.  It imports nothing from
-# ``deltas.py``, so a disagreement is a bug in one of the two (the validation
-# style of Raszyk et al., "Efficient Evaluation of Arbitrary Relational
-# Calculus Queries").
+# projection is a key it probed* — from the plan's declared step columns; a
+# dirty entry of a monotone plan is patched, on every substrate alike.  It
+# imports nothing from ``deltas.py``, so a disagreement is a bug in one of
+# the two (the validation style of Raszyk et al., "Efficient Evaluation of
+# Arbitrary Relational Calculus Queries").
 
 def _project(database, relation, attributes, row):
     return tuple(row[p] for p in database.schema[relation].positions(attributes))
-
-
-def _index_group(database, relation, lhs, both, key):
-    """``D_XY(X = key)`` by scanning the relation."""
-    return frozenset(
-        _project(database, relation, both, row)
-        for row in database.relation(relation)
-        if _project(database, relation, lhs, row) == key
-    )
 
 
 @dataclass
 class _FetchFacts:
     base: str
     lhs: list
-    both: list
     probed: set
     reaches_difference: bool
 
@@ -252,7 +242,6 @@ def _fetch_facts(plan, env) -> list[_FetchFacts]:
             _FetchFacts(
                 base=plan.occurrences.get(constraint.relation, constraint.relation),
                 lhs=sorted(constraint.lhs),
-                both=sorted(constraint.lhs | constraint.rhs),
                 probed={tuple(row[i] for i in at) for row in env[source]},
                 reaches_difference=any(
                     isinstance(plan.steps[sid].op, DifferenceOp) for sid in downstream
@@ -265,29 +254,19 @@ def _fetch_facts(plan, env) -> list[_FetchFacts]:
 class _Prediction:
     """The oracle's verdict for one cached entry and one batch.
 
-    Built before the batch applies (it captures the probed keys and the
-    groups the batch may change); :meth:`verdict` is asked after, with the
-    updates the core settled and the relations they changed.  ``refine``
-    says whether the core compares groups (the engine) or stops at the key
-    hit (the router); both settle over the updates that took effect.
+    Built before the batch applies (it captures the probed keys);
+    :meth:`verdict` is asked after, with the updates the core settled and
+    the relations they changed.  Every substrate stops at the key hit: a
+    batch that leaves a hit key's group as it was still patches (with the
+    same rows).
     """
 
-    def __init__(self, entry, updates, database, refine):
+    def __init__(self, entry):
         self.dependencies = set(entry.dependencies)
-        self.refine = refine
         self.facts = None
-        self.before = {}
         if entry.env is None or entry.plan is None:
             return
         self.facts = _fetch_facts(entry.plan, entry.env)
-        for index, fact in enumerate(self.facts):
-            for update in updates:
-                if update.relation == fact.base:
-                    key = _project(database, fact.base, fact.lhs, update.row)
-                    if key in fact.probed:
-                        self.before[index, key] = _index_group(
-                            database, fact.base, fact.lhs, fact.both, key
-                        )
 
     def verdict(self, applied, touched, database) -> str | None:
         if not self.dependencies.intersection(touched):
@@ -295,19 +274,14 @@ class _Prediction:
         if self.facts is None:
             return "no_env"
         written = {update.relation for update in applied}
-        affected = [(i, f) for i, f in enumerate(self.facts) if f.base in written]
-        if any(fact.reaches_difference for _, fact in affected):
+        affected = [fact for fact in self.facts if fact.base in written]
+        if any(fact.reaches_difference for fact in affected):
             return "fallback:difference"
-        for index, fact in affected:
+        for fact in affected:
             for update in applied:
                 if update.relation != fact.base:
                     continue
-                key = _project(database, fact.base, fact.lhs, update.row)
-                if key not in fact.probed:
-                    continue
-                if not self.refine or self.before[index, key] != _index_group(
-                    database, fact.base, fact.lhs, fact.both, key
-                ):
+                if _project(database, fact.base, fact.lhs, update.row) in fact.probed:
                     return "patched"
         return "clean"
 
@@ -333,10 +307,9 @@ class _Settlements:
     every entry the batch reached is dropped (``rejected``), never patched.
     """
 
-    def __init__(self, core, reference, queries, *, refine):
+    def __init__(self, core, reference, queries):
         self.core = core
         self.reference = reference
-        self.refine = refine
         self.relations = tuple(reference.schema.relation_names())
         # result-cache entries are filed under their prepared entry's key
         self.queries = {core.prepare(query)[0].result_key: query for query in queries}
@@ -399,10 +372,7 @@ class _Settlements:
         if violating:
             return self.rejected(updates, before, touched)
         held = {key: (entry.rows, entry.env) for key, entry in before.items()}
-        predictions = {
-            key: _Prediction(entry, updates, self.reference, self.refine)
-            for key, entry in before.items()
-        }
+        predictions = {key: _Prediction(entry) for key, entry in before.items()}
         self.settled, self.derived = {}, {}
         report = self.core.apply_updates(updates)
         settled = report.applied_updates
@@ -547,7 +517,7 @@ class _Settlements:
 
 def _engine_settlements(database, access, queries) -> _Settlements:
     engine = BoundedEngine(database, access)
-    return _Settlements(engine, database, queries, refine=True)
+    return _Settlements(engine, database, queries)
 
 
 @contextmanager
@@ -561,7 +531,7 @@ def _router_settlements(database, access, queries, shards=3):
 
     router = build_topology(database, access, shards=shards, write_observer=mirror)
     try:
-        yield _Settlements(router, reference, queries, refine=False)
+        yield _Settlements(router, reference, queries)
     finally:
         for shard in router.shards:
             if isinstance(shard, SQLiteShard):
@@ -677,9 +647,9 @@ class TestSettlementAgainstTheDefinition:
             ]
             assert sorted(entry.keyed) == sorted(kept)
             assert [site for site in kept if entry.keyed[site] is not kept[site]] == [cafe]
-            # a delete and its re-insert in one batch leave the group as it was
-            expected = "clean" if settlements.refine else "patched"
-            assert settlements.write([Update.delete(dine.relation, dine.row), dine]) == [expected]
+            # a delete and its re-insert in one batch leave the group as it
+            # was: patched all the same, with the rows it had
+            assert settlements.write([Update.delete(dine.relation, dine.row), dine]) == ["patched"]
             # LRU eviction / discard of the compiled plan between two batches
             settlements.evict_compiled()
             assert settlements.write([Update.delete("friend", ("p0", "p_new"))]) == ["patched"]
@@ -748,3 +718,123 @@ class TestSettlementAgainstTheDefinition:
             # (the two misses were not visited at all)
             assert (stats["repaired"], stats["repaired_clean"]) == (3, 1)
             assert stats["repair_fallbacks"] == 0
+
+
+
+class TestOneSettlementOnEverySubstrate:
+    """A reached entry settles the same way on an engine and on a federation:
+    its dirty fetches and every step downstream of them re-run through the
+    plan's own kernels, and nothing reads a live index group."""
+
+    @staticmethod
+    @contextmanager
+    def substrate(name: str):
+        """q1 cached over facebook data on which it answers (``c2``, ``c5``)."""
+        database = facebook.generate(scale=15, seed=5)
+        access = facebook.access_schema(database.schema)
+        queries = [facebook.query_q1()]
+        if name == "engine":
+            yield _engine_settlements(database, access, queries)
+        else:
+            with _router_settlements(database, access, queries) as settlements:
+                yield settlements
+
+    @staticmethod
+    def closure_of(settlements, plan, env, updates) -> list[int]:
+        """The fetches ``updates`` dirty by the definition, and every step
+        downstream of them, ascending."""
+        fetches = [step.id for step in plan.steps if isinstance(step.op, FetchOp)]
+        dirty = set()
+        for fetch, fact in zip(fetches, _fetch_facts(plan, env)):
+            for update in updates:
+                if update.relation == fact.base and _project(
+                    settlements.reference, fact.base, fact.lhs, update.row
+                ) in fact.probed:
+                    dirty.add(fetch)
+        for step in plan.steps:
+            if dirty.intersection(step.op.inputs):
+                dirty.add(step.id)
+        return sorted(dirty)
+
+    @staticmethod
+    def answering_cafe(settlements, entry) -> tuple:
+        """A stored cafe row whose cid is in the entry's answer."""
+        return min(
+            row for row in settlements.reference.relation("cafe").rows if (row[0],) in entry.rows
+        )
+
+    @pytest.mark.parametrize("name", ["engine", "router-3"])
+    def test_a_reached_entry_runs_its_closure_and_reads_no_live_group(self, name):
+        with self.substrate(name) as settlements:
+            core = settlements.core
+            (entry,) = settlements.entries().values()
+            compiled = core._executor.compile(entry.plan)
+            deriving, ran, group_reads = [], [], []
+
+            def watched(sid, kernel):
+                def run(env, counter):
+                    if deriving:  # (the harness re-executes every entry after a write)
+                        ran.append(sid)
+                    return kernel(env, counter)
+
+                return run
+
+            compiled.kernels = tuple(
+                watched(sid, kernel) for sid, kernel in enumerate(compiled.kernels)
+            )
+
+            def counted(function):
+                def wrapper(*args, **kwargs):
+                    if deriving:
+                        group_reads.append(function)
+                    return function(*args, **kwargs)
+
+                return wrapper
+
+            derive = core._deriver.derive
+
+            def derive_watched(*args, **kwargs):
+                deriving.append(True)
+                try:
+                    return derive(*args, **kwargs)
+                finally:
+                    deriving.pop()
+
+            core._deriver.derive = derive_watched
+            cafe = self.answering_cafe(settlements, entry)
+            with ExitStack() as stack:
+                for owner, method in ((ConstraintIndex, "lookup"), (IndexSet, "group_of")):
+                    stack.enter_context(
+                        patch.object(owner, method, counted(getattr(owner, method)))
+                    )
+                for shard in getattr(core, "shards", ()):
+                    stack.enter_context(patch.object(shard, "group_of", counted(shard.group_of)))
+                for updates in (
+                    [Update.insert("friend", ("p0", "p_new"))],  # everything below friend
+                    [Update.delete("cafe", cafe)],  # the cafe fetch and what it feeds
+                    [Update.insert("cafe", cafe)],
+                ):
+                    expected = self.closure_of(settlements, entry.plan, entry.env, updates)
+                    ran.clear()
+                    assert settlements.write(updates) == ["patched"]
+                    assert ran == expected
+                    if updates[0].relation == "cafe":
+                        assert len(expected) < len(entry.plan.steps) - 1
+            assert group_reads == []
+
+    @pytest.mark.parametrize("name", ["engine", "router-3"])
+    def test_a_delete_and_its_reinsert_in_one_batch_patch_clean(self, name):
+        with self.substrate(name) as settlements:
+            core = settlements.core
+            (entry,) = settlements.entries().values()
+            answer = entry.rows
+            cafe = self.answering_cafe(settlements, entry)
+            before = core.cache_stats()["result_cache"]
+            batch = [Update.delete("cafe", cafe), Update.insert("cafe", cafe)]
+            assert settlements.write(batch) == ["patched"]
+            after = core.cache_stats()["result_cache"]
+            assert entry.rows == answer
+            assert [
+                after[count] - before[count]
+                for count in ("repaired", "repaired_clean", "rows_patched", "repair_fallbacks")
+            ] == [1, 1, 0, 0]
