@@ -68,11 +68,6 @@ class AccessConstraint:
 
     # -- structural predicates ------------------------------------------------
     @property
-    def is_functional_dependency(self) -> bool:
-        """True when ``N = 1`` — a classical FD with an index."""
-        return self.bound == 1
-
-    @property
     def is_indexing(self) -> bool:
         """An *indexing constraint* per Section 6.1: ``R(X -> X, 1)``."""
         return self.bound == 1 and self.lhs == self.rhs
@@ -184,11 +179,6 @@ class AccessSchema:
     def size(self) -> int:
         """``|A|`` — the total length of the access constraints."""
         return sum(constraint.size for constraint in self._constraints)
-
-    @property
-    def total_bound(self) -> int:
-        """``N_A = Σ N`` over all constraints (used by Proposition 12 and AMP)."""
-        return sum(constraint.bound for constraint in self._constraints)
 
     # -- lookups ---------------------------------------------------------------
     def for_relation(self, relation: str) -> tuple[AccessConstraint, ...]:

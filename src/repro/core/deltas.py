@@ -160,10 +160,6 @@ class WriteDelta:
         """Relations this delta wrote at least one row to."""
         return self._touched
 
-    def rows_for(self, relation: str) -> tuple[Row, ...]:
-        """Every written row of ``relation``, inserts and deletes together."""
-        return self._rows.get(relation, ())
-
     def keys_for(self, relation: str, positions: tuple[int, ...]) -> frozenset[Row]:
         """The written rows of ``relation`` projected onto ``positions``.
 

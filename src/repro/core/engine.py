@@ -93,7 +93,6 @@ from .fingerprint import prepared_cache_key, result_cache_key
 from .minimize import MinimizationResult, minimize_auto
 from .optimizer import optimize_plan
 from .plan import BoundedPlan
-from .plan2sql import SQLTranslation, plan_to_sql
 from .planner import generate_plan
 from .planstore import CachedResult, PlanStore, ResultCache
 from .query import Query
@@ -774,12 +773,6 @@ class BoundedEngine(ServingCore):
         if not coverage.is_covered:
             raise NotCoveredError(coverage.explain())
         return _plan_covered(coverage, checker, self.access_schema, minimize)
-
-    # -- C5: SQL translation ----------------------------------------------------------
-    def to_sql(self, query: Query, *, minimize: bool = True) -> SQLTranslation:
-        """The ``Plan2SQL`` translation of the bounded plan for ``query``."""
-        plan, _, _ = self.plan(query, minimize=minimize)
-        return plan_to_sql(plan)
 
     # -- C1: maintenance -------------------------------------------------------------------
     def _write(self, updates: list["Update"]) -> "MaintenanceReport":

@@ -89,10 +89,6 @@ class FDSet:
         """Whether ``lhs -> rhs`` is implied by this FD set (``Σ |= lhs → rhs``)."""
         return set(rhs) <= self.closure(lhs)
 
-    def implies_fd(self, dependency: FunctionalDependency) -> bool:
-        """:meth:`implies` over a packaged :class:`FunctionalDependency`."""
-        return self.implies(dependency.lhs, dependency.rhs)
-
 
 def closure(
     attributes: Iterable[Token], dependencies: Sequence[FunctionalDependency]

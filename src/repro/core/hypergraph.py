@@ -337,10 +337,6 @@ class QAHypergraph:
         """The node encoding ``ρ_U(attribute)``."""
         return self.analysis_for_attribute(attribute).unify(attribute)
 
-    def hyperpath_to(self, attribute: Attribute) -> Hyperpath | None:
-        """``findHP`` from ``r`` to the node of ``attribute``."""
-        return self.graph.find_hyperpath({ROOT}, self.node_for(attribute))
-
     def is_acyclic(self) -> bool:
         """Whether the underlying hypergraph has no directed cycle."""
         return self.graph.is_acyclic()

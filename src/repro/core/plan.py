@@ -49,11 +49,6 @@ class ColumnPredicate:
         if self.op not in self._OPS:
             raise PlanError(f"unsupported comparison operator {self.op!r}")
 
-    @property
-    def right_is_column(self) -> bool:
-        """True when the RHS references a column rather than a constant."""
-        return isinstance(self.right, ColumnRef)
-
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
 

@@ -221,10 +221,6 @@ class SPCAnalysis:
                 self._constants[canonical] = constants[0]
 
     # -- Σ_Q --------------------------------------------------------------------
-    def entails_equal(self, left: Attribute, right: Attribute) -> bool:
-        """Whether ``Σ_Q ⊢ left = right``."""
-        return self._uf.find(left) == self._uf.find(right)
-
     def constant_for(self, attribute: Attribute) -> object | None:
         """The constant ``c`` with ``Σ_Q ⊢ attribute = c``, or ``None``."""
         token = self.unify(attribute)

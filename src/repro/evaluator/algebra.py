@@ -54,9 +54,6 @@ class ResultSet:
                 f"result has no column {column!r}; columns: {list(self.columns)}"
             ) from None
 
-    def as_dicts(self) -> list[dict[str, object]]:
-        return [dict(zip(self.columns, row)) for row in sorted(self.rows, key=repr)]
-
     def values(self, column: str) -> frozenset:
         position = self.column_position(column)
         return frozenset(row[position] for row in self.rows)

@@ -124,11 +124,6 @@ class ConstraintIndex:
 
     # -- size and consistency -----------------------------------------------------------
     @property
-    def entry_count(self) -> int:
-        """Number of distinct ``X``-values indexed."""
-        return len(self._entries)
-
-    @property
     def size(self) -> int:
         """Number of ``XY``-tuples stored (the index footprint used in Exp-1(IV))."""
         return sum(len(values) for values in self._entries.values())
@@ -266,9 +261,6 @@ class IndexSet:
     def total_cell_size(self) -> int:
         """Total number of value cells across all index partial tables."""
         return sum(index.cell_size for index in self._indexes.values())
-
-    def size_report(self) -> dict[str, int]:
-        return {str(constraint): index.size for constraint, index in self._indexes.items()}
 
     # -- incremental maintenance (Proposition 12) ----------------------------------------
     # The maintainer seam of :func:`repro.discovery.maintenance.apply_updates`.

@@ -119,10 +119,6 @@ class RelationInstance:
     def rows(self) -> tuple[Row, ...]:
         return tuple(self._rows)
 
-    def to_dicts(self) -> list[dict[str, object]]:
-        """All rows as attribute-name dictionaries (handy in tests and examples)."""
-        return [dict(zip(self.schema.attributes, row)) for row in self._rows]
-
     # -- simple per-relation operations --------------------------------------------
     def project(self, attributes: Sequence[str]) -> set[Row]:
         """Distinct projections of the rows onto ``attributes``."""

@@ -26,13 +26,6 @@ class RelationStatistics:
     def distinct(self, attribute: str) -> int:
         return self.distinct_counts.get(attribute, 0)
 
-    def selectivity(self, attribute: str) -> float:
-        """Estimated fraction of rows matching an equality on ``attribute``."""
-        distinct = self.distinct(attribute)
-        if distinct == 0 or self.row_count == 0:
-            return 1.0
-        return 1.0 / distinct
-
 
 @dataclass
 class DatabaseStatistics:
@@ -52,10 +45,6 @@ class DatabaseStatistics:
 
     def __contains__(self, relation: str) -> bool:
         return relation in self.relations
-
-    @property
-    def total_rows(self) -> int:
-        return sum(stat.row_count for stat in self.relations.values())
 
 
 def _collect_relation(relation: RelationInstance, sample_size: int) -> RelationStatistics:

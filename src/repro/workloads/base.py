@@ -2,9 +2,17 @@
 
 Each workload (AIRCA, TFACC, MCBM) provides the same three ingredients the
 paper's experiments need: a relational schema, an access schema of published
-or plausible constraints, and a synthetic data generator whose output
-*satisfies* those constraints at any scale.  A :class:`WorkloadSpec` bundles
-them together with the join graph the random query generator uses.
+or plausible constraints, and a synthetic data generator.  A
+:class:`WorkloadSpec` bundles them together with the join graph the random
+query generator uses.
+
+The generators satisfy their constraints at the scales the repo runs (≤ a few
+hundred), but not at any scale: scaling adds rows under the same districts,
+years, airlines and dates, so index groups grow with scale until they break a
+bound.  TFACC's ``accidents (district, year) → accident_id`` (N = 500) has a
+largest group of 50 / 163 / 434 at scales 200 / 800 / 2 400 and breaks at
+3 200 (543–546 ids in one group, by data seed); AIRCA's ``flights
+(airline_id, flight_date) → flight_id`` (N = 60) breaks at 6 400.
 """
 
 from __future__ import annotations

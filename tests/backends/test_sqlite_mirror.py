@@ -1,4 +1,4 @@
-"""SQLite mirror write-path: delete support, insert dedupe, randomized drift check.
+"""SQLite mirror write-path: delete support, insert dedupe, the fetch SQL.
 
 The mirror's contract is lockstep with its :class:`~repro.storage.database.
 Database`: after any interleaving of inserts and deletes routed through both,
@@ -6,26 +6,20 @@ the SQLite base tables hold exactly the relation instances' rows, the index
 tables hold exactly the constraint projections, and bounded-plan SQL and
 conventional SQL both agree row-for-row with the in-memory reference.  These
 tests pin the two write-path fixes (``apply_delete`` existing at all, and
-``apply_insert`` deduplicating base rows under set semantics) and then hammer
-the whole contract with a seeded randomized op sequence, driven through the
-one write loop (``maintenance.apply_updates``) every substrate shares.
+``apply_insert`` deduplicating base rows under set semantics) and the SQL a
+fetch runs; the whole contract, under seeded schedules through the one write
+loop (``maintenance.apply_updates``), is held by ``tests/property/test_oracle.py``.
 """
-
-import random
 
 import pytest
 
 from repro.backends import sqlite as sqlite_module
 from repro.backends.sqlite import SQLiteBackend
-from repro.core.engine import BoundedEngine
 from repro.core.errors import StorageError
 from repro.core.plan2sql import index_table_name
-from repro.core.planner import plan_query
-from repro.discovery.maintenance import Update, apply_updates
-from repro.evaluator.algebra import evaluate
 from repro.sharding import SQLiteShard
 from repro.storage.counters import AccessCounter
-from repro.workloads import WORKLOADS, facebook
+from repro.workloads import WORKLOADS
 
 #: ψ3's index table: dine([pid, cid] → [pid, cid]); its columns are a proper
 #: subset of dine's, so several base rows can share one index row.
@@ -220,88 +214,3 @@ class TestFetchIndex:
             # the keys are not read: X is empty, so every key selects every row
             assert bare.fetch_index(months, [("ignored",)]) == frozenset(expected)
             assert bare.fetch_index(months, []) == frozenset(expected)
-
-
-class TestRandomizedMirrorCrossCheck:
-    """Identical op sequences through the shared write loop over both maintainers
-    (the engine's ``IndexSet``, a SQLite mirror of an identical copy); full
-    agreement after every step."""
-
-    def test_mixed_insert_delete_sequence_stays_in_lockstep(self):
-        database = facebook.generate(scale=20, seed=3)
-        mirrored = facebook.generate(scale=20, seed=3)
-        access = facebook.access_schema(database.schema)
-        engine = BoundedEngine(database, access)
-        rng = random.Random(97)
-        queries = [facebook.query_q1(), facebook.query_q0_prime()]
-        plans = [plan_query(query, access) for query in queries]
-        ghosts = {
-            "friend": ("ghost", "ghost"),
-            "dine": ("ghost", "ghostc", "jan", 1999),
-            "cafe": ("ghostc", "nowhere"),
-        }
-
-        with SQLiteBackend(mirrored) as backend:
-            backend.create_index_tables(access)
-            removed: dict[str, list[tuple]] = {n: [] for n in database.relation_names()}
-
-            def apply(kind: str, relation: str, row: tuple) -> None:
-                # One op, one loop, two substrates: Database + IndexSet under
-                # the engine, its copy + SQLite base and index tables.
-                update = Update(relation, row, kind)
-                engine.apply_updates([update])
-                apply_updates(mirrored, backend, access, [update])
-
-            for step in range(60):
-                relation = rng.choice(database.relation_names())
-                instance = database.relation(relation)
-                roll = rng.random()
-                if roll < 0.35 and len(instance) > 0:
-                    row = rng.choice(sorted(instance.rows))
-                    removed[relation].append(row)
-                    apply("delete", relation, row)
-                elif roll < 0.60 and removed[relation]:
-                    apply("insert", relation, removed[relation].pop())
-                elif roll < 0.80 and len(instance) > 0:
-                    apply("insert", relation, rng.choice(sorted(instance.rows)))  # duplicate
-                else:
-                    apply("delete", relation, ghosts[relation])  # absent
-
-                # Base tables mirror the relation instances exactly.
-                for name in database.relation_names():
-                    assert set(mirrored.relation(name).rows) == set(
-                        database.relation(name).rows
-                    ), f"step {step}: the mirrored fragment of {name} drifted"
-                    assert _count(backend, name) == len(database.relation(name)), (
-                        f"step {step}: base table {name} drifted"
-                    )
-                # Index tables hold exactly the constraint projections, each
-                # once: a fetch selects them without DISTINCT.
-                for table, constraint in backend._index_constraints.items():
-                    columns = sorted(constraint.lhs | constraint.rhs)
-                    schema = database.schema[constraint.relation]
-                    positions = schema.positions(columns)
-                    expected = {
-                        tuple(row[p] for p in positions)
-                        for row in database.relation(constraint.relation).rows
-                    }
-                    actual = backend.run_sql(f'SELECT * FROM "{table}"').rows
-                    assert actual == frozenset(expected), (
-                        f"step {step}: index table {table} drifted"
-                    )
-                    assert _count(backend, table) == len(expected), (
-                        f"step {step}: index table {table} holds a duplicate"
-                    )
-                # Bounded-plan SQL, conventional SQL, the engine, and the
-                # reference evaluator all agree row-for-row.
-                for query, plan in zip(queries, plans):
-                    reference = evaluate(query, database).rows
-                    assert backend.run_bounded_plan(plan).rows == reference, (
-                        f"step {step}: bounded plan diverged"
-                    )
-                    assert backend.run_query(query).rows == reference, (
-                        f"step {step}: conventional SQL diverged"
-                    )
-                    assert engine.execute(query).rows == reference, (
-                        f"step {step}: engine diverged"
-                    )

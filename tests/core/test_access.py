@@ -31,10 +31,6 @@ class TestAccessConstraint:
         with pytest.raises(AccessConstraintError):
             AccessConstraint.of("dine", "pid", "cid", 0)
 
-    def test_is_functional_dependency(self):
-        assert AccessConstraint.of("cafe", "cid", "city", 1).is_functional_dependency
-        assert not AccessConstraint.of("friend", "pid", "fid", 5000).is_functional_dependency
-
     def test_is_indexing(self):
         assert AccessConstraint.of("dine", ["pid", "cid"], ["pid", "cid"], 1).is_indexing
         assert not AccessConstraint.of("dine", ["pid", "cid"], ["pid", "cid"], 2).is_indexing
@@ -73,7 +69,6 @@ class TestAccessSchema:
     def test_size_measures(self, fb_access):
         assert len(fb_access) == 4  # ||A||
         assert fb_access.size == sum(c.size for c in fb_access)  # |A|
-        assert fb_access.total_bound == 5000 + 31 + 1 + 1
 
     def test_for_relation(self, fb_access):
         assert len(fb_access.for_relation("dine")) == 2

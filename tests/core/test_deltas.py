@@ -35,9 +35,11 @@ class TestWriteDelta:
             deletes={"s": [(3,)], "r": [(9,)]},
         )
         assert delta.touched == {"r", "s"}
-        assert delta.rows_for("r") == ((1,), (2,), (9,))
-        assert delta.rows_for("s") == ((3,),)
-        assert delta.rows_for("t") == ()
+        assert delta.inserts == {"r": ((1,), (2,))}
+        assert delta.deletes == {"s": ((3,),), "r": ((9,),)}
+        # the keys settlement reads: every written row, inserts and deletes together
+        assert delta.keys_for("r", (0,)) == {(1,), (2,), (9,)}
+        assert delta.keys_for("t", (0,)) == frozenset()
         assert bool(delta)
 
     def test_empty_relations_are_dropped(self):

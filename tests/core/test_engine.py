@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.engine import BoundedEngine
 from repro.core.errors import NotCoveredError
+from repro.core.plan2sql import plan_to_sql
 from repro.evaluator.algebra import evaluate
 from repro.workloads import facebook
 
@@ -35,9 +36,9 @@ class TestEngineBasics:
         with pytest.raises(NotCoveredError):
             engine.plan(fb_q2)
 
-    def test_to_sql(self, engine, fb_q1):
-        translation = engine.to_sql(fb_q1)
-        assert translation.sql.startswith("WITH")
+    def test_plan_translates_to_sql(self, engine, fb_q1):
+        plan, _, _ = engine.plan(fb_q1)
+        assert plan_to_sql(plan).sql.startswith("WITH")
 
     def test_index_footprint_report(self, engine, fb_database, fb_access):
         report = engine.index_footprint()

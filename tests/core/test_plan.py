@@ -7,7 +7,6 @@ from repro.core.errors import PlanError
 from repro.core.plan import (
     BoundedPlan,
     ColumnPredicate,
-    ColumnRef,
     ConstOp,
     DifferenceOp,
     FetchOp,
@@ -52,10 +51,6 @@ class TestColumnPredicate:
     def test_rejects_bad_operator(self):
         with pytest.raises(PlanError):
             ColumnPredicate("a", "~", 1)
-
-    def test_right_is_column(self):
-        assert ColumnPredicate("a", "=", ColumnRef("b")).right_is_column
-        assert not ColumnPredicate("a", "=", 5).right_is_column
 
 
 class TestPlanStructure:

@@ -12,13 +12,9 @@ independent paths, compared.
 """
 
 import sqlite3
-import sys
-from contextlib import contextmanager
-from functools import cache
-from pathlib import Path
 
 import pytest
-from analytic_queries import ANALYTIC_SCALE, analytic_queries
+from substrates import Substrate
 
 from repro.core import engine as engine_module
 from repro.core.engine import BoundedEngine
@@ -33,115 +29,11 @@ from repro.core.query import Relation, eq
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
 from repro.evaluator.executor import PlanExecutor
-from repro.serving.faults import FaultInjector, FaultSpec
-from repro.sharding import ShardRouter, SQLiteShard, build_topology
-from repro.workloads import WORKLOADS, facebook
+from repro.sharding import SQLiteShard
+from repro.workloads import facebook
 
-# the layered benchmark's packages live beside ``benchmarks/conftest.py``
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
-from layered.queries import POINT, WIDE, ShapeCatalog, WitnessQueryGenerator  # noqa: E402
-from layered.workloads import DATA_SEED, HOT_POINT, HOT_WIDE  # noqa: E402
-
-SUBSTRATES = {
-    "engine": None,
-    "router-1-memory": {"shards": 1, "backends": "memory"},
-    "router-1-sqlite": {"shards": 1, "backends": "sqlite"},
-    "router-3-mixed": {"shards": 3, "backends": ["memory", "sqlite", "memory"]},
-}
-
-
-class Substrate:
-    """A serving core over ``database`` plus the single-database reference.
-
-    For the engine the reference *is* its database; a federation owns
-    fragment copies and mirrors every fully applied routed batch back.
-    """
-
-    def __init__(self, kind: str, database, access, **partitioning):
-        self.reference = database
-        topology = SUBSTRATES[kind]
-        if topology is None:
-            self.core = BoundedEngine(database, access)
-        else:
-            built = build_topology(database, access, **topology, **partitioning)
-            self.core = ShardRouter(
-                built.shards, built.partitioner, access, write_observer=self._mirror
-            )
-        self.federated = topology is not None
-
-    def _mirror(self, updates) -> None:
-        for update in updates:
-            instance = self.reference.relation(update.relation)
-            if update.kind == "insert":
-                instance.insert(update.row)
-            else:
-                instance.delete(update.row)
-
-    def owner(self, update: Update):
-        return self.core.shards[
-            self.core.partitioner.shard_for_row(update.relation, update.row)
-        ]
-
-    def insert_out_of_band(self, relation: str, row: tuple) -> None:
-        """A real data change (storage, indexes, clocks) the core never settles."""
-        if self.federated:
-            self.owner(Update.insert(relation, row)).apply_updates(
-                [Update.insert(relation, row)]
-            )
-        else:
-            self.core.indexes.apply_insert(relation, row)
-        self.reference.insert(relation, row)
-
-    def second_core(self):
-        """Another core over the same data: it settles nothing of this core's writes.
-
-        A second router shares this one's shards; a second engine shares the
-        database but keeps constraint indexes of its own (see :meth:`follow`).
-        """
-        if self.federated:
-            return ShardRouter(self.core.shards, self.core.partitioner, self.core.access_schema)
-        return BoundedEngine(self.reference, self.core.access_schema)
-
-    def follow(self, core, report) -> None:
-        """Hand ``core`` the rows ``report`` applied through this core.
-
-        An engine's indexes are its own, not the database's, so the second
-        engine's take the applied rows; shards are shared, so routers need
-        nothing.  Neither core settles anything.
-        """
-        if not self.federated:
-            for update in report.applied_updates:
-                apply = core.indexes.apply_insert if update.kind == "insert" else core.indexes.apply_delete
-                apply(update.relation, update.row)
-
-    @contextmanager
-    def second_update_fails(self, batch: list[Update]):
-        """Within the block, ``batch`` applies its first update and aborts on the second."""
-        with FaultInjector(seed=0) as injector:
-            if self.federated:
-                shard = self.owner(batch[0])
-                injector.install_shard(shard)
-                injector.configure(f"{shard.name}.write", FaultSpec(torn_write_every=1))
-            else:
-                injector.configure("storage.write", FaultSpec(fail_every=2))
-                injector.install_writes(self.reference, [batch[0].relation])
-            yield
-        if self.federated:
-            self._mirror(batch[:1])  # observers only see fully applied batches
-
-    def epoch(self, update: Update) -> tuple:
-        """The epoch token of ``update``'s relation where the update is owned."""
-        if self.federated:
-            return self.owner(update).snapshot((update.relation,))
-        return self.reference.clock.snapshot((update.relation,))
-
-    def result_cache(self) -> dict:
-        return self.core.cache_stats()["result_cache"]
-
-    def close(self) -> None:
-        for shard in getattr(self.core, "shards", ()):
-            if isinstance(shard, SQLiteShard):
-                shard.close()
+#: the four substrates every contract below runs over (built in ``substrates.py``)
+SUBSTRATES = ("engine", "router-1-memory", "router-1-sqlite", "router-3-mixed")
 
 
 @pytest.fixture(params=list(SUBSTRATES))
@@ -184,26 +76,6 @@ def recording_settlements(core) -> list:
 
 
 class TestReads:
-    def test_results_match_the_reference_evaluator(self, make):
-        database = facebook.generate(scale=30, seed=5)
-        substrate = make(database, facebook.access_schema(database.schema))
-        core = substrate.core
-        # q0 is uncovered as written but has a covered rewriting (q0').
-        for query in (facebook.query_q1(), facebook.query_q0_prime(), facebook.query_q0()):
-            first = core.execute(query)
-            assert first.rows == evaluate(query, database).rows
-            assert first.strategy == "bounded"
-            assert (first.cached, first.result_cached) == (False, False)
-            assert 0 < first.counter.total <= first.plan.access_bound()
-            again = core.execute(query)
-            assert (again.rows, again.columns) == (first.rows, first.columns)
-            assert (again.cached, again.result_cached) == (True, True)
-            assert again.counter.total == 0  # no data accessed at all
-        stats = substrate.result_cache()
-        assert (stats["hits"], stats["misses"], stats["entries"]) == (3, 3, 3)
-        assert set(core.cache_stats()) == {"plan_store", "result_cache"}
-        assert len(core._executor._compiled) == 3  # each plan lowered once
-
     def test_wide_plan_runs_on_row_kernels_within_its_bound(self, make):
         database = facebook.generate(scale=30, seed=5)
         access = facebook.access_schema(database.schema)
@@ -255,118 +127,6 @@ class TestReads:
         assert result.plan is None and not result.coverage.is_covered
         with pytest.raises(NotCoveredError):
             substrate.core.execute(query, fallback=False)
-
-
-@cache
-def answer_witness(name: str) -> Update:
-    """The delete of a dependency row that changes an analytic answer of workload ``name``.
-
-    Found on a scratch copy, smallest relation first, with the reference evaluator.
-    """
-    workload = WORKLOADS[name]
-    scratch = workload.database(scale=ANALYTIC_SCALE, seed=7)
-    queries = analytic_queries(workload)
-    answers = [evaluate(query, scratch).rows for query in queries]
-    relations = {relation for query in queries for relation in query.relation_names()}
-    for relation in sorted(relations, key=lambda r: (len(scratch.relation(r)), r)):
-        instance = scratch.relation(relation)
-        for row in sorted(instance.rows):
-            instance.delete(row)
-            if [evaluate(query, scratch).rows for query in queries] != answers:
-                return Update.delete(relation, row)
-            instance.insert(row)
-    pytest.fail(f"{name}: no single delete changes an analytic answer")
-
-
-class TestBundledWorkloads:
-    """The analytic queries of AIRCA / MCBM / TFACC: answers that exist, read
-    and written through every substrate."""
-
-    @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_analytic_answers_survive_reads_and_writes(self, make, name):
-        workload = WORKLOADS[name]
-        database = workload.database(scale=ANALYTIC_SCALE, seed=7)
-        substrate = make(database, workload.access_schema)
-        core, queries = substrate.core, analytic_queries(workload)
-        answers = [evaluate(query, database).rows for query in queries]
-        assert all(answers), "an empty answer compares nothing"
-
-        dependencies = set()
-        for query, answer in zip(queries, answers):
-            result = core.execute(query)
-            assert result.rows == answer
-            assert 0 < result.counter.total <= result.plan.access_bound()
-            dependencies.update(core.prepare(query)[0].dependencies)
-
-        # Writes outside every dependency set move no counter of either cache …
-        unrelated = min(set(database.relation_names()) - dependencies)
-        row = min(database.relation(unrelated).rows)
-        before = core.cache_stats()
-        core.apply_updates([Update.delete(unrelated, row)])
-        core.apply_updates([Update.insert(unrelated, row)])
-        after = core.cache_stats()
-        assert after["plan_store"] == before["plan_store"]
-        assert moved(before["result_cache"], after["result_cache"]) == {}
-        # … and every re-read is the cached answer.
-        rereads = [core.execute(query) for query in queries]
-        assert all(reread.result_cached for reread in rereads)
-        assert [reread.rows for reread in rereads] == answers
-        assert moved(after["result_cache"], substrate.result_cache()) == {"hits": len(queries)}
-
-        # A write that changes an answer is served, and so is taking it back.
-        witness = answer_witness(name)
-        for write in (witness, Update.insert(witness.relation, witness.row)):
-            before = substrate.result_cache()
-            core.apply_updates([write])
-            settled = moved(before, substrate.result_cache())
-            # patched in place, wide plans too (the reach index the first
-            # settlement builds outlives the patch; an entry the write reached
-            # can come back clean)
-            assert settled["rows_patched"] > 0
-            assert set(settled) - {"reach_keys", "reach_entries", "repaired_clean"} == {
-                "repaired",
-                "rows_patched",
-            }
-            rereads = [core.execute(query) for query in queries]
-            assert all(reread.result_cached for reread in rereads)
-            rows = [reread.rows for reread in rereads]
-            assert rows == [evaluate(query, substrate.reference).rows for query in queries]
-            assert (rows == answers) is (write.kind == "insert")
-
-
-class TestHarnessPlans:
-    """The layered benchmark's TFACC plans, whose answers have rows: a write that
-    reaches their entries is patched, never dropped, on every substrate — the
-    point plans and the wide ones alike."""
-
-    @pytest.mark.parametrize("tag", [POINT, WIDE])
-    def test_writes_to_witness_rows_are_patched_to_the_reference(self, make, tag):
-        workload = WORKLOADS["TFACC"]
-        # a third of the benchmark's scale: the same shapes, keys and classes
-        database = workload.database(60, DATA_SEED)
-        generator = WitnessQueryGenerator(ShapeCatalog(workload), database, seed=7)
-        drawn = generator.tagged(HOT_POINT, 0) if tag == POINT else generator.tagged(0, HOT_WIDE)
-        substrate = make(database, workload.access_schema)
-        core, queries = substrate.core, [bench.query for bench in drawn]
-        for query in queries:
-            result = core.execute(query)
-            assert result.rows
-            assert (result.plan.access_bound() >= 4000) is (tag == WIDE)
-        verdicts = recording_settlements(core)
-        # the row each answer's witness chain ends in, taken away and put back
-        rows = sorted({(bench.shape.relations[-1], bench.witness[-1]) for bench in drawn})
-        deletes = [Update.delete(relation, row) for relation, row in rows]
-        inserts = [Update.insert(relation, row) for relation, row in rows]
-        for batch in (deletes, inserts):
-            core.apply_updates(batch)
-            assert set(verdicts[-1].values()) == {"patched"}
-            rereads = [core.execute(query) for query in queries]
-            assert all(reread.result_cached for reread in rereads)
-            assert [r.rows for r in rereads] == [
-                evaluate(query, substrate.reference).rows for query in queries
-            ]
-        assert len(verdicts[0]) == len(verdicts[1]) >= len(queries) // 2
-        assert substrate.result_cache()["repair_fallbacks"] == 0
 
 
 class TestProbe:
@@ -726,16 +486,6 @@ class TestAdmission:
         assert substrate.core.execute(substrate.query).result_cached
         return substrate
 
-    @staticmethod
-    def data(substrate) -> dict:
-        """Every relation's rows: the reference's, and the ones the core serves from."""
-        names = substrate.reference.relation_names()
-        held = substrate.core._gather(names) if substrate.federated else substrate.reference
-        return {
-            name: (set(substrate.reference.relation(name).rows), set(held.relation(name).rows))
-            for name in names
-        }
-
     def served(self, substrate) -> frozenset:
         """A fresh read of c0's city: the reference's rows, fetched within the bound."""
         result = substrate.core.execute(substrate.query)
@@ -745,13 +495,13 @@ class TestAdmission:
         return result.rows
 
     def test_a_batch_that_overfills_a_group_is_undone_and_rejected(self, cafe):
-        data, before = self.data(cafe), cafe.result_cache()
+        data, before = cafe.data(), cafe.result_cache()
         batch = [Update.insert("cafe", ("c0", "atlantis")), Update.insert("cafe", ("c0", "mu"))]
         with pytest.raises(ConstraintViolation) as rejected:
             cafe.core.apply_updates(batch)
         violation = rejected.value
         assert (violation.constraint.name, violation.value, violation.count) == ("psi4", ("c0",), 3)
-        assert self.data(cafe) == data
+        assert cafe.data() == data
         # both epochs moved (the batch, its undo): the dependents were swept, not patched
         changed = moved(before, cafe.result_cache())
         assert (changed["invalidated"], changed["entries"]) == (1, -1)
@@ -772,12 +522,12 @@ class TestAdmission:
         assert result.rows == {(cafe.city,)} == evaluate(cafe.query, cafe.reference).rows
 
     def test_a_failed_batch_whose_prefix_overfills_a_group_is_undone_too(self, cafe):
-        data = self.data(cafe)
+        data = cafe.data()
         batch = [Update.insert("cafe", ("c0", "atlantis")), Update.insert("cafe", ("c0", "x", "y"))]
         with pytest.raises(ConstraintViolation) as rejected:
             cafe.core.apply_updates(batch)
         assert isinstance(rejected.value.__context__, MaintenanceError)
-        assert self.data(cafe) == data
+        assert cafe.data() == data
         assert self.served(cafe) == {(cafe.city,)}
 
     def test_a_replace_inside_a_full_group_is_accepted(self, cafe):
@@ -806,10 +556,10 @@ class TestAdmission:
             home = partitioner.shard_for_value("cafe", city)
             cities = (f"city{i}" for i in range(64))
             elsewhere = next(c for c in cities if partitioner.shard_for_value("cafe", c) != home)
-            data = self.data(substrate)
+            data = substrate.data()
             with pytest.raises(ConstraintViolation):
                 substrate.core.apply_updates([Update.insert("cafe", ("c0", elsewhere))])
-            assert self.data(substrate) == data
+            assert substrate.data() == data
             psi4 = next(c for c in access if c.name == "psi4")
             groups = [len(shard.group_of(psi4, ("c0", city))) for shard in substrate.core.shards]
             assert sorted(groups) == [0, 0, 1]

@@ -57,7 +57,8 @@ class TestSPCAnalysis:
             eq(friend["fid"], "p9")
         )
         analysis = SPCAnalysis(query)
-        assert analysis.entails_equal(Attribute("friend", "fid"), Attribute("dine", "pid"))
+        # Σ_Q ⊢ friend.fid = dine.pid: one equality class, one token
+        assert analysis.unify(Attribute("friend", "fid")) == analysis.unify(Attribute("dine", "pid"))
         # transitivity: dine.pid = friend.fid = 'p9'
         assert analysis.constant_for(Attribute("dine", "pid")) == "p9"
 

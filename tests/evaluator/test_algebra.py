@@ -120,10 +120,6 @@ class TestResultSet:
         with pytest.raises(QueryError):
             result.column_position("b")
 
-    def test_as_dicts(self):
-        result = ResultSet(("a", "b"), frozenset({(1, 2)}))
-        assert result.as_dicts() == [{"a": 1, "b": 2}]
-
     def test_values(self):
         result = ResultSet(("a",), frozenset({(1,), (2,)}))
         assert result.values("a") == {1, 2}

@@ -82,4 +82,4 @@ class TestImplicationProperties:
     @settings(max_examples=40, deadline=None)
     def test_member_fds_are_implied(self, fds):
         for dependency in fds:
-            assert fds.implies_fd(dependency)
+            assert dependency.rhs <= fds.closure(dependency.lhs)

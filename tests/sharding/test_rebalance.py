@@ -1,31 +1,13 @@
 """Online key-range migration: correct reads throughout, epoch-guarded flips."""
 
 import pytest
+from substrates import mirrored_federation as mirrored_topology
 
 from repro.core.errors import StorageError, TransientFault
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
-from repro.sharding import build_topology, stable_hash
+from repro.sharding import stable_hash
 from repro.workloads import facebook
-
-
-def mirrored_topology(scale=30, seed=5, shards=2, **kwargs):
-    database = facebook.generate(scale=scale, seed=seed)
-    access = facebook.access_schema(database.schema)
-
-    def mirror(updates):
-        for update in updates:
-            instance = database.relation(update.relation)
-            prepared = instance.prepare(update.row)
-            if update.kind == "insert":
-                instance.insert(prepared)
-            else:
-                instance.delete(prepared)
-
-    router = build_topology(
-        database, access, shards=shards, write_observer=mirror, **kwargs
-    )
-    return router, database
 
 
 def friend_range(router, database):

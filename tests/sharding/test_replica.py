@@ -9,8 +9,7 @@ absorb without the reference ever seeing a wrong row.
 
 import pytest
 from analytic_queries import ANALYTIC_SCALE, analytic_queries
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from substrates import mirrored_federation
 
 from repro.core.errors import ConstraintViolation, StorageError, TransientFault
 from repro.core.query import Relation, eq
@@ -23,29 +22,9 @@ from repro.storage.counters import AccessCounter
 from repro.workloads import WORKLOADS, facebook
 
 
-def replicated_topology(scale=30, seed=5, shards=2, replicas=2, **kwargs):
-    """A replicated federation plus its single-database reference mirror."""
-    database = facebook.generate(scale=scale, seed=seed)
-    access = facebook.access_schema(database.schema)
-
-    def mirror(updates):
-        for update in updates:
-            instance = database.relation(update.relation)
-            prepared = instance.prepare(update.row)
-            if update.kind == "insert":
-                instance.insert(prepared)
-            else:
-                instance.delete(prepared)
-
-    router = build_topology(
-        database,
-        access,
-        shards=shards,
-        replicas=replicas,
-        write_observer=mirror,
-        **kwargs,
-    )
-    return router, database
+def replicated_topology(**topology):
+    """A federation of 1 × 2 replica sets plus its single-database reference mirror."""
+    return mirrored_federation(**{"replicas": 2, **topology})
 
 
 def psi1(router):
@@ -430,54 +409,3 @@ class TestDivergenceHealing:
         assert set(victim.relation_rows("friend")) == set(
             target.replicas[0].relation_rows("friend")
         )
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    ops=st.lists(
-        st.tuples(
-            st.sampled_from(["write", "arm_lost", "heal", "read"]),
-            st.integers(min_value=0, max_value=13),
-        ),
-        min_size=2,
-        max_size=10,
-    )
-)
-def test_property_reads_match_reference_under_lost_write_chaos(ops):
-    """Random interleavings of routed writes, a lost-write fault arming and
-    healing on one member, and reads: every read is row-identical to the
-    mirrored reference, and after healing the member converges."""
-    router, database = replicated_topology(scale=14, seed=2, result_cache_size=0)
-    target = router.shards[0]
-    victim = target.replicas[1]
-    injector = FaultInjector(seed=11)
-    injector.install_shard(victim)
-    site = f"{victim.name}.write"
-    removed: list[tuple] = []
-    try:
-        for action, pick in ops + [("heal", 0), ("read", 0), ("read", 1)]:
-            if action == "arm_lost":
-                injector.configure(site, FaultSpec(lost_write_every=1))
-            elif action == "heal":
-                injector.configure(site, FaultSpec())
-            elif action == "write":
-                rows = sorted(database.relation("friend").rows)
-                if removed and pick % 2:
-                    router.apply_updates([Update.insert("friend", removed.pop())])
-                elif rows:
-                    row = rows[pick % len(rows)]
-                    removed.append(row)
-                    router.apply_updates([Update.delete("friend", row)])
-            else:
-                query = facebook.query_q1(person=f"p{pick}")
-                result = router.execute(query)
-                assert result.rows == evaluate(query, database).rows
-        # Fetches guaranteed to reach the victim's set: healing runs in one.
-        drive_probe(router, target, scale=14)
-    finally:
-        injector.uninstall()
-    # Post-heal reads re-admitted the member via verified catch-up.
-    assert target.breakers[victim.name].state == "closed"
-    assert set(victim.relation_rows("friend")) == set(
-        target.replicas[0].relation_rows("friend")
-    )

@@ -15,6 +15,7 @@ has: routing and cross-shard partial failures.
 import asyncio
 
 import pytest
+from substrates import mirrored_federation as mirrored_topology
 
 from repro.core.errors import MaintenanceError, StorageError, TransientFault
 from repro.discovery.maintenance import Update
@@ -25,24 +26,6 @@ from repro.sharding import Partitioner, ShardRouter, build_topology
 from repro.workloads import facebook
 
 
-def mirrored_topology(scale=30, seed=5, **kwargs):
-    """A federation plus the single-database reference it must stay identical to."""
-    database = facebook.generate(scale=scale, seed=seed)
-    access = facebook.access_schema(database.schema)
-
-    def mirror(updates):
-        for update in updates:
-            instance = database.relation(update.relation)
-            prepared = instance.prepare(update.row)
-            if update.kind == "insert":
-                instance.insert(prepared)
-            else:
-                instance.delete(prepared)
-
-    router = build_topology(database, access, write_observer=mirror, **kwargs)
-    return router, database
-
-
 def covered_queries():
     # q0 is uncovered as written but has a covered rewriting (q0'); the
     # router must serve it bounded, like the engine does.
@@ -50,14 +33,6 @@ def covered_queries():
 
 
 class TestFederatedReads:
-    @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_rows_identical_to_single_database_reference(self, shards):
-        router, database = mirrored_topology(shards=shards)
-        for query in covered_queries():
-            result = router.execute(query)
-            assert result.strategy == "bounded"
-            assert result.rows == evaluate(query, database).rows
-
     def test_heterogeneous_shards_both_serve_fetches(self):
         router, database = mirrored_topology(shards=2)
         assert [shard.kind for shard in router.shards] == ["memory", "sqlite"]

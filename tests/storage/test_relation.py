@@ -60,7 +60,6 @@ class TestInsertDelete:
         expected = [("c2", "boston"), ("c4", "denver"), ("c1", "nyc")]
         assert list(cafe) == expected
         assert cafe.rows == tuple(expected)
-        assert [d["cid"] for d in cafe.to_dicts()] == ["c2", "c4", "c1"]
         assert len(cafe) == 3
 
     def test_duplicate_and_missing_rows_change_nothing(self, cafe):
@@ -93,11 +92,6 @@ class TestAccessors:
     def test_rows_and_iteration(self, cafe):
         assert set(cafe.rows) == {("c1", "nyc"), ("c2", "boston")}
         assert sorted(cafe) == sorted(cafe.rows)
-
-    def test_to_dicts(self, cafe):
-        dicts = cafe.to_dicts()
-        assert {"cid": "c1", "city": "nyc"} in dicts
-        assert len(dicts) == 2
 
     def test_project(self, cafe):
         assert cafe.project(["city"]) == {("nyc",), ("boston",)}

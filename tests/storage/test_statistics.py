@@ -13,20 +13,12 @@ class TestStatistics:
         assert cafe.row_count == 3
         assert cafe.distinct("cid") == 3
         assert cafe.distinct("city") == 2
-        assert stats.total_rows == 3
         assert "cafe" in stats
 
-    def test_selectivity(self, fb_schema):
-        database = Database(fb_schema)
-        database.insert_many("cafe", [(f"c{i}", "nyc") for i in range(10)])
-        stats = DatabaseStatistics.collect(database)
-        assert stats["cafe"].selectivity("city") == 1.0
-        assert stats["cafe"].selectivity("cid") == 0.1
-
-    def test_selectivity_of_empty_relation(self, fb_schema):
+    def test_distinct_of_empty_relation(self, fb_schema):
         database = Database(fb_schema)
         stats = DatabaseStatistics.collect(database)
-        assert stats["friend"].selectivity("pid") == 1.0
+        assert stats["friend"].row_count == 0
         assert stats["friend"].distinct("pid") == 0
 
     def test_sample_values_bounded(self, fb_schema):

@@ -18,7 +18,7 @@ class TestSchemaAndConstraints:
         assert by_name["psi1"].bound == 5000
         assert by_name["psi2"].bound == 31
         assert by_name["psi3"].is_indexing
-        assert by_name["psi4"].is_functional_dependency
+        assert by_name["psi4"].bound == 1  # a functional dependency
 
     def test_generated_data_satisfies_constraints(self):
         for seed in (0, 1, 2):
