@@ -269,7 +269,9 @@ class ShardRouter(ServingCore):
         each key names its owning shard and the scatter is pruned to it.
         (Constraint attributes are base attribute names even for renamed
         occurrences — only relation names are actualized.)  The merged union
-        is a set, the kernels' intermediate.
+        is a set, the kernels' intermediate, and it is what the counter
+        keeps: a broadcast tuple that two shards both hold is counted once,
+        so a federated fetch counts what the one-database fetch counts.
 
         Settled here, once per step: routed or broadcast, the key position,
         the shards with their latency labels, the metrics.  Looked up per
@@ -295,12 +297,17 @@ class ShardRouter(ServingCore):
                 merged: set[Row] = set()
                 if keys:
                     metrics.broadcasts += 1
+                    fetched = 0
                     for shard, label in shards:
                         started = clock()
                         partial = shard.fetch(constraint, base, keys, counter)
                         observe(label, clock() - started)
                         metrics.shard_fetches += 1
+                        fetched += len(partial)
                         merged.update(partial)
+                    if fetched > len(merged):
+                        # a tuple two shards both hold is one tuple of D_Q
+                        counter.record_fetch_many(base, 0, len(merged) - fetched)
                 metrics.observe_merge(len(merged))
                 return merged
 

@@ -33,6 +33,14 @@ def covered_queries():
 
 
 class TestFederatedReads:
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_rows_identical_to_single_database_reference(self, shards):
+        router, database = mirrored_topology(shards=shards)
+        for query in covered_queries():
+            result = router.execute(query)
+            assert result.strategy == "bounded"
+            assert result.rows == evaluate(query, database).rows
+
     def test_heterogeneous_shards_both_serve_fetches(self):
         router, database = mirrored_topology(shards=2)
         assert [shard.kind for shard in router.shards] == ["memory", "sqlite"]

@@ -23,6 +23,7 @@ from repro.evaluator.algebra import evaluate
 from repro.evaluator.executor import PlanExecutor
 from repro.serving.faults import FaultInjector, FaultSpec
 from repro.sharding import SQLiteShard, build_topology
+from repro.storage.index import IndexSet
 from repro.workloads import WORKLOADS, facebook
 
 #: the RouterMetrics counters a scatter moves
@@ -54,9 +55,13 @@ class ReferenceScatter:
             elif keys:  # the key does not name an owner: ask every shard
                 asked = dict.fromkeys(range(len(self.router.shards)), keys)
                 self.counts["broadcasts"] += 1
-            merged = set()
+            merged, fetched = set(), 0
             for owner in sorted(asked):  # each shard counts what it returns
-                merged |= self.router.shards[owner].fetch(constraint, base, asked[owner], counter)
+                partial = self.router.shards[owner].fetch(constraint, base, asked[owner], counter)
+                merged |= partial
+                fetched += len(partial)
+            if fetched > len(merged):  # ... and a tuple two shards returned is one tuple
+                counter.record_fetch_many(base, 0, len(merged) - fetched)
             self.counts.update(
                 scatters=1, shard_fetches=len(asked), merges=1, merge_rows=len(merged)
             )
@@ -67,6 +72,10 @@ class ReferenceScatter:
 
 def scatter_counts(router) -> dict:
     return {name: getattr(router.metrics, name) for name in SCATTER_COUNTERS}
+
+
+def nonzero(per_relation: dict) -> dict:
+    return {relation: count for relation, count in per_relation.items() if count}
 
 
 def mixed_router(database, access):
@@ -85,6 +94,7 @@ def close(router):
 def test_compiled_scatter_matches_the_reference_scatter(name):
     workload = WORKLOADS[name]
     database = workload.database(scale=ANALYTIC_SCALE, seed=7)
+    indexes = IndexSet.build(database, workload.access_schema)
     router = mixed_router(database, workload.access_schema)
     queries = analytic_queries(workload)
     if name == "TFACC":
@@ -101,6 +111,9 @@ def test_compiled_scatter_matches_the_reference_scatter(name):
             assert federated.rows == expected.rows
             for field in ("fetched", "index_probes", "per_relation"):
                 assert getattr(federated.counter, field) == getattr(expected.counter, field)
+            # the tuples fetched are the one database's, however the shards split them
+            local = PlanExecutor(indexes).execute(plan).counter
+            assert nonzero(federated.counter.per_relation) == nonzero(local.per_relation)
             assert moved == {k: reference.counts[k] for k in SCATTER_COUNTERS}
             totals.update(reference.counts)
             totals["answered"] += bool(expected.rows)
