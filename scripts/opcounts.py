@@ -17,6 +17,11 @@ changed) and counts, with ``sys.settrace`` opcode events:
   it, the steady state the benchmark times once its untimed settling
   replays have run.
 
+Beside the opcodes it counts **kernels**: the calls a run of a compiled plan
+(``PlanExecutor.execute``) or a settlement's re-run (``DeltaDeriver.derive``)
+makes into its scheduled kernels — a prefilled constant or a step fused
+into its consumer runs none of its own, and a hit runs no plan at all.
+
 Each read is counted after the workload's own warm-up, so plans are stored
 and compiled.  Counts compare across processes only under a fixed hash seed
 (``QPlan`` picks among equally good derivations in hash order)::
@@ -41,15 +46,23 @@ for path in (ROOT / "benchmarks", ROOT / "src"):
 
 from layered.queries import POINT, ShapeCatalog  # noqa: E402
 from layered.workloads import ExecMiss, Federated, HotHits, ServedMix  # noqa: E402
+from repro.core.deltas import DeltaDeriver  # noqa: E402
+from repro.evaluator import executor  # noqa: E402
+from repro.evaluator.executor import PlanExecutor  # noqa: E402
 from repro.serving.server import WriteRequest  # noqa: E402
 from repro.workloads import WORKLOADS as DATASETS  # noqa: E402
 
 DATASET = "TFACC"
+EXECUTOR_FILE = executor.__file__
 
 
-def opcodes(call) -> tuple[int, int]:
-    """``(opcodes, Python calls)`` executed by ``call()``."""
-    counts = [0, 0]
+#: the frames that call a compiled plan's kernels: a run, and a settlement's re-run
+RUNNERS = frozenset({PlanExecutor.execute.__code__, DeltaDeriver.derive.__code__})
+
+
+def opcodes(call) -> tuple[int, int, int]:
+    """``(opcodes, Python calls, kernels)`` executed by ``call()``."""
+    counts = [0, 0, 0]
 
     def tracer(frame, event, arg):
         if event == "opcode":
@@ -57,6 +70,16 @@ def opcodes(call) -> tuple[int, int]:
         elif event == "call":
             counts[1] += 1
             frame.f_trace_opcodes = True
+            code, caller = frame.f_code, frame.f_back
+            # a kernel is a function of executor.py a runner calls, its
+            # memoized ``compile`` aside
+            if (
+                caller is not None
+                and caller.f_code in RUNNERS
+                and code.co_filename == EXECUTOR_FILE
+                and code.co_name != "compile"
+            ):
+                counts[2] += 1
         return tracer
 
     sys.settrace(tracer)
@@ -64,22 +87,23 @@ def opcodes(call) -> tuple[int, int]:
         call()
     finally:
         sys.settrace(None)
-    return counts[0], counts[1]
+    return counts[0], counts[1], counts[2]
 
 
-def summary(samples: list[tuple[int, int]]) -> dict[str, float]:
+def summary(samples: list[tuple[int, int, int]]) -> dict[str, float]:
     ops = [s[0] for s in samples]
     return {
         "operations": len(samples),
         "opcodes_mean": round(statistics.fmean(ops), 1),
         "opcodes_median": statistics.median(ops),
         "calls_mean": round(statistics.fmean(s[1] for s in samples), 1),
+        "kernels_mean": round(statistics.fmean(s[2] for s in samples), 2),
     }
 
 
 def reads(workload) -> dict[str, dict[str, float]]:
     """One counted read of each of ``workload``'s queries, by class."""
-    by_class: dict[str, list[tuple[int, int]]] = {}
+    by_class: dict[str, list[tuple[int, int, int]]] = {}
     execute = workload.system.execute
     for bench in workload.queries:
         sample = opcodes(lambda: execute(bench.query))
@@ -87,7 +111,7 @@ def reads(workload) -> dict[str, dict[str, float]]:
     return {tag: summary(samples) for tag, samples in sorted(by_class.items())}
 
 
-def replay(workload: ServedMix) -> list[tuple[int, int]]:
+def replay(workload: ServedMix) -> list[tuple[int, int, int]]:
     """Every write batch of one replay of ``served_mix``'s sequence, counted."""
     engine, samples = workload.engine, []
     for _qid, request in workload.ops:
@@ -126,7 +150,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if report["PYTHONHASHSEED"] is None:
         print("# PYTHONHASHSEED is unset: counts vary from process to process")
-    print(f"{'workload':<12} {'operation':<11} {'n':>4} {'opcodes/op':>12} {'median':>9} {'calls/op':>9}")
+    print(
+        f"{'workload':<12} {'operation':<11} {'n':>4} {'opcodes/op':>12} {'median':>9} "
+        f"{'calls/op':>9} {'kernels/op':>11}"
+    )
     for name, classes in report.items():
         if name == "PYTHONHASHSEED":
             continue
@@ -134,6 +161,7 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"{name:<12} {operation:<11} {row['operations']:>4} "
                 f"{row['opcodes_mean']:>12,.1f} {row['opcodes_median']:>9,} {row['calls_mean']:>9,.1f}"
+                f" {row['kernels_mean']:>11,.2f}"
             )
     return 0
 

@@ -29,10 +29,11 @@ in place instead of invalidating it:
    per write is one look-up per written key — the ``O(N_A·|ΔD|)`` of
    Proposition 12, not a function of what is cached — and only the entries
    those look-ups find are derived at all.
-2. **Selective re-execution** — the dirty fetches and every step downstream
-   of them are re-run through the plan's own compiled row kernels (the
-   serving executor's; nothing is lowered twice) over the memoized
-   intermediates of the untouched steps: a dirty fetch re-runs its kernel
+2. **Selective re-execution** — the dirty fetches and every scheduled
+   kernel downstream of them are re-run through the plan's own run schedule
+   (the serving executor's; nothing is lowered twice, and a step fused into
+   its consumer re-runs inside it) over the memoized intermediates of the
+   untouched steps: a dirty fetch re-runs its kernel
    over its unchanged source, so it reads the live groups of every key it
    probed through the substrate's own fetch source — one engine's indexes
    or a federation's shards alike.  Because the repair runs the *same
@@ -95,7 +96,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ..storage.counters import AccessCounter
 from ..storage.relation import projector
-from .plan import BoundedPlan, DifferenceOp, FetchOp, column_positions
+from .plan import BoundedPlan, DifferenceOp
 
 Row = tuple
 _log = logging.getLogger(__name__)
@@ -203,7 +204,7 @@ class RepairOutcome:
     reason: str | None = None
     #: fetch steps found dirty (empty for CLEAN)
     dirty_steps: tuple[int, ...] = ()
-    #: steps re-executed (the downstream closure of the dirty fetches)
+    #: scheduled kernels re-executed (the downstream closure of the dirty fetches)
     steps_recomputed: int = 0
     #: ``(base relation, its new reach)`` for every relation the patch re-keyed
     #: a fetch over, read off the new environment: what the caller re-registers
@@ -238,11 +239,13 @@ class FetchSite:
         self.row_positions: tuple[int, ...] = row_positions
         #: the :meth:`WriteDelta.keys_for` arguments of this site, as its memo key
         self.written: tuple[str, tuple[int, ...]] = (base, row_positions)
-        #: the step whose rows supply the probed keys
+        #: the slot whose rows supply the probed keys: the fetch's input, or
+        #: the input of the projection fused into the fetch's key extraction
         self.source: int = source
         #: a source row's probed key, compiled once
         self._probe = projector(probe_positions)
-        #: the fetch and every step downstream of it, ascending
+        #: the fetch's kernel and every scheduled kernel downstream of it, as
+        #: ascending indices into the ``CompiledPlan``'s schedule
         self.closure: tuple[int, ...] = closure
         #: no :class:`~repro.core.plan.DifferenceOp` in ``closure``
         self.monotone: bool = monotone
@@ -255,46 +258,52 @@ class FetchSite:
 class RepairProgram:
     """The plan-static half of settlement: a plan's fetch sites, and what a write makes of them.
 
-    Compiled once per plan from the step columns its kernels were lowered
-    against, and kept on the :class:`~repro.evaluator.executor.CompiledPlan`
-    — evicted and discarded with the kernels.  What a settlement asks of it
+    Compiled once per plan from its :class:`~repro.evaluator.executor.CompiledPlan`'s
+    run schedule, and kept on it — evicted and discarded with the kernels.
+    A site's keys are read where the schedule reads them (off the producer
+    of a projection fused into the fetch, through the composed positions),
+    and its closure is the scheduled kernels downstream of it, so a patch
+    re-runs no more kernels than a run has.  What a settlement asks of it
     is memoized on it: per set of written relations the sites they affect
-    (:meth:`affected`), per set of dirty sites the steps to re-run and the
-    sites whose probed keys those steps recompute (:meth:`closure`).  The
+    (:meth:`affected`), per set of dirty sites the kernels to re-run and the
+    sites whose probed keys those kernels recompute (:meth:`closure`).  The
     second memo is keyed by an int, one bit per site: nothing hashes a site.
     """
 
-    __slots__ = ("sites", "ordered", "by_touched", "by_dirty")
+    __slots__ = ("sites", "ordered", "slots", "by_touched", "by_dirty")
 
-    def __init__(self, plan: BoundedPlan, columns: Sequence[Sequence[str]], schema):
+    def __init__(self, compiled, schema):
+        plan = compiled.plan
         self.sites: dict[str, tuple[FetchSite, ...]] = {}
         #: every site in plan order (``fetch_steps`` ascends): nothing sorts per call
         self.ordered: tuple[FetchSite, ...] = ()
+        #: the slot each scheduled kernel fills, by its index in the schedule
+        self.slots: tuple[int, ...] = tuple(slot for slot, _ in compiled.schedule)
         #: :meth:`affected`'s memo, by written relations
         self.by_touched: dict[frozenset[str], tuple[tuple[FetchSite, ...], bool]] = {}
         #: :meth:`closure`'s memo, by dirty-site mask
         self.by_dirty: dict[int, tuple] = {}
+        at = {slot: index for index, slot in enumerate(self.slots)}
         for bit, step in enumerate(plan.fetch_steps()):
-            op: FetchOp = step.op
-            constraint = op.constraint
+            constraint = step.op.constraint
             base = plan.base_relation(constraint)
-            source_positions = column_positions(columns[op.inputs[0]])
-            # Steps are densely numbered with inputs < id: one ascending pass.
-            closure = {step.id}
-            for later in plan.steps[step.id + 1 :]:
-                if closure.intersection(later.op.inputs):
-                    closure.add(later.id)
+            source, probe_positions = compiled.keys[step.id]
+            # The schedule ascends by slot and a kernel reads only earlier
+            # slots (a fused step's inputs included): one ascending pass.
+            closure, filled = [at[step.id]], {step.id}
+            for index in range(at[step.id] + 1, len(self.slots)):
+                if filled.intersection(compiled.reads[index]):
+                    closure.append(index)
+                    filled.add(self.slots[index])
             site = FetchSite(
                 id=step.id,
                 bit=1 << bit,
                 base=base,
                 row_positions=schema[base].positions(sorted(constraint.lhs)),
-                source=op.inputs[0],
-                probe_positions=tuple(source_positions[c] for c in op.key_columns),
-                closure=tuple(sorted(closure)),
-                monotone=not any(
-                    isinstance(plan.steps[sid].op, DifferenceOp) for sid in closure
-                ),
+                source=source,
+                probe_positions=probe_positions,
+                closure=tuple(closure),
+                monotone=not any(isinstance(plan.steps[sid].op, DifferenceOp) for sid in filled),
             )
             self.sites[base] = self.sites.get(base, ()) + (site,)
             self.ordered += (site,)
@@ -313,15 +322,16 @@ class RepairProgram:
     ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[FetchSite, ...], tuple[str, ...]]:
         """What a patch of the sites in the ``dirty`` mask does.
 
-        ``(dirty site ids, the steps to re-run ascending, the sites whose
-        source is among them — their probed keys are recomputed —, those
-        sites' base relations)``.
+        ``(dirty site ids, the scheduled kernels to re-run as ascending
+        schedule indices, the sites whose source slot they fill — their
+        probed keys are recomputed —, those sites' base relations)``.
         """
         found = self.by_dirty.get(dirty)
         if found is None:
             chosen = [site for site in self.ordered if dirty & site.bit]
-            steps = sorted({sid for site in chosen for sid in site.closure})
-            rekeyed = tuple(site for site in self.ordered if site.source in steps)
+            steps = sorted({index for site in chosen for index in site.closure})
+            filled = {self.slots[index] for index in steps}
+            rekeyed = tuple(site for site in self.ordered if site.source in filled)
             found = self.by_dirty[dirty] = (
                 tuple(site.id for site in chosen),
                 tuple(steps),
@@ -369,7 +379,7 @@ class DeltaDeriver:
         """``plan``'s memoized ``CompiledPlan``, its repair program attached."""
         compiled = self.executor.compile(plan)
         if compiled.repair is None:
-            compiled.repair = RepairProgram(plan, compiled.columns, self.schema)
+            compiled.repair = RepairProgram(compiled, self.schema)
         return compiled
 
     # -- reach ------------------------------------------------------------------
@@ -419,8 +429,8 @@ class DeltaDeriver:
         fetches are reached and valid only for this ``env`` (omitted:
         nothing is kept).  A fetch is dirty when some written row of its
         base relation projects onto a key it probed; a :data:`PATCHED`
-        outcome re-runs the dirty fetches and every step downstream of them
-        through the plan's own kernels, over the untouched steps of ``env``,
+        outcome re-runs the dirty fetches and every scheduled kernel
+        downstream of them, over the untouched slots of ``env``,
         and leaves ``keyed`` valid for the new ``env``: the key sets of the
         fetches whose source it re-ran are read off it, and their relations'
         new reach is :attr:`RepairOutcome.reach`.  Must be called **after**
@@ -434,7 +444,7 @@ class DeltaDeriver:
             compiled = self.executor.compile(plan)
             program = compiled.repair
             if program is None:
-                program = compiled.repair = RepairProgram(plan, compiled.columns, self.schema)
+                program = compiled.repair = RepairProgram(compiled, self.schema)
             # (the memos are read inline: a write derives ~10 entries)
             touched = delta._touched
             affected, monotone = program.by_touched.get(touched) or program.affected(touched)
@@ -444,7 +454,7 @@ class DeltaDeriver:
                 return RepairOutcome.clean()
             if not monotone:
                 return RepairOutcome.fallback("difference")
-            if env is None or len(env) != len(compiled.kernels):
+            if env is None or len(env) != len(compiled.template):
                 return RepairOutcome.fallback("no_env")
             if keyed is None:
                 keyed = {}
@@ -466,9 +476,10 @@ class DeltaDeriver:
             )
             counter = AccessCounter()  # what the re-run fetches read: not kept
             scratch = list(env)
-            kernels = compiled.kernels
-            for sid in steps:
-                scratch[sid] = frozenset(kernels[sid](scratch, counter))
+            schedule = compiled.schedule
+            for index in steps:
+                slot, kernel = schedule[index]
+                scratch[slot] = frozenset(kernel(scratch, counter))
             new_env = tuple(scratch)
             for site in rekeyed:
                 keyed[site.id] = site.keys(new_env)

@@ -18,9 +18,11 @@ three evaluation-layer stages:
    unchanged data skip execution too, served from the engine's versioned
    :class:`~repro.core.planstore.ResultCache`;
 3. **executor** — :class:`~repro.evaluator.executor.PlanExecutor` lowers the
-   plan once into per-step row kernels (positions, predicates and index
-   handles resolved up front) that pipeline set intermediates; only the
-   output is frozen back to the row-set contract.
+   plan once into a run schedule of row kernels (positions, predicates and
+   index handles resolved up front; constants prefilled, projections folded
+   into the fetches they key and into the joins they read) that pipeline
+   set intermediates; only the output is frozen back to the row-set
+   contract.
 
 The reference evaluator (:mod:`repro.evaluator.algebra`) and the conventional
 baseline (:mod:`repro.evaluator.baseline`) stay interpreter-style on purpose:

@@ -262,7 +262,7 @@ class TestEngineRepair:
             raise ZeroDivisionError("kernel blew up")
 
         compiled = engine._deriver.executor.compile(plan)
-        compiled.kernels = (broken_kernel,) * len(compiled.kernels)
+        compiled.schedule = tuple((slot, broken_kernel) for slot, _ in compiled.schedule)
         delta = WriteDelta(inserts={"friend": (("p0", "p_err"),)})
         with caplog.at_level(logging.WARNING, logger="repro.core.deltas"):
             engine.apply_insert("friend", ("p0", "p_err"))
@@ -463,12 +463,18 @@ class TestSettlementCost:
                 frame.f_trace_opcodes = True
                 return local
 
+            # A collection inside the traced write would count the callbacks of
+            # whatever registered in gc.callbacks (hypothesis does, once any of
+            # its tests has run): none of them is the write's.
+            gc.collect()
+            gc.disable()
             previous = sys.gettrace()
             sys.settrace(trace)
             try:
                 engine.apply_updates([Update.insert("hub", ("k0", 100))])
             finally:
                 sys.settrace(previous)
+                gc.enable()
             for query in queries:
                 result = engine.execute(query)
                 assert result.result_cached and result.rows == evaluate(query, database).rows
@@ -599,9 +605,9 @@ class TestSettlementCost:
 
             return run
 
-        compiled.kernels = tuple(
-            counting(kernel) if sid in fetches else kernel
-            for sid, kernel in enumerate(compiled.kernels)
+        compiled.schedule = tuple(
+            (slot, counting(kernel) if slot in fetches else kernel)
+            for slot, kernel in compiled.schedule
         )
         read = FetchSite.keys
 

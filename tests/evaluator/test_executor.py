@@ -1,5 +1,7 @@
 """Unit tests for the bounded-plan executor (evalQP)."""
 
+from collections import defaultdict
+
 import pytest
 
 from repro.core.access import AccessConstraint, AccessSchema
@@ -155,15 +157,16 @@ class TestEndToEndExecution:
         plan = plan_query(fb_q1, fb_access)
         result = PlanExecutor(fb_indexes).execute(plan)
         assert result.executor_mode == "row"
-        assert result.kernel_batches == len(plan.steps)
+        # one kernel per scheduled step: constants prefilled, glue fused
+        assert result.kernel_batches == len(scheduled_steps(plan)) < len(plan.steps)
 
     def test_environment_captured_up_to_the_budget(self, fb_q1, fb_access, fb_indexes):
-        """The budget is on the rows every step emitted, inclusive."""
+        """The budget is on the rows the filled slots hold, inclusive."""
         plan = plan_query(fb_q1, fb_access)
         executor = PlanExecutor(fb_indexes)
         assert executor.execute(plan).env is None  # nothing asked for
         full = executor.execute(plan, capture_env=True)
-        assert sum(map(len, full.env)) == full.rows_processed > 0
+        assert sum(len(rows) for rows in full.env if rows is not None) == full.rows_processed > 0
         budget = full.rows_processed
         assert executor.execute(plan, capture_env=True, env_rows_budget=budget).env == full.env
         assert executor.execute(plan, capture_env=True, env_rows_budget=budget - 1).env is None
@@ -207,12 +210,84 @@ def source(request, fb_database, access):
             shard.close()
 
 
-def run(plan, source, expected):
-    """Execute ``plan``, check its accounting, and compare it with ``expected`` rows."""
-    result = PlanExecutor(source).execute(plan, capture_env=True)
+def fused_steps(plan) -> list[int]:
+    """The steps a run computes inside their one consumer, read off the plan: a join
+    whose only reader is a projection, and a projection (of anything but such a join)
+    whose only reader is a fetch.  The output step is read by the caller."""
+    readers = defaultdict(list)
+    for step in plan.steps:
+        for source in step.op.inputs:
+            readers[source].append(step.op)
+    readers[plan.output].append(None)
+    fused: list[int] = []
+    for step in plan.steps:
+        if len(readers[step.id]) != 1:
+            continue
+        (reader,) = readers[step.id]
+        if isinstance(step.op, HashJoinOp) and isinstance(reader, ProjectOp):
+            fused.append(step.id)
+        elif (
+            isinstance(step.op, ProjectOp)
+            and isinstance(reader, FetchOp)
+            and step.op.inputs[0] not in fused
+        ):
+            fused.append(step.id)
+    return fused
+
+
+def scheduled_steps(plan) -> list[int]:
+    """The steps that run a kernel of their own: neither a constant nor fused."""
+    fused = fused_steps(plan)
+    return [
+        step.id
+        for step in plan.steps
+        if step.id not in fused and not isinstance(step.op, (ConstOp, UnitOp))
+    ]
+
+
+def definition_rows(plan, env, step_id):
+    """Step ``step_id``'s rows: its slot, or, for a projection fused into a fetch, its
+    input's rows projected onto the declared columns."""
+    if env[step_id] is not None:
+        return env[step_id]
+    step = plan.steps[step_id]
+    assert isinstance(step.op, ProjectOp), f"T{step_id} has no slot and is no projection"
+    source = plan.steps[step.op.inputs[0]]
+    at = [source.columns.index(column) for column in step.op.columns]
+    return {tuple(row[i] for i in at) for row in definition_rows(plan, env, source.id)}
+
+
+def check_fetch_slots(plan, env, database) -> None:
+    """Every fetch slot holds the index rows of its definition's distinct keys,
+    read off the base relation."""
+    for step in plan.fetch_steps():
+        op = step.op
+        at = [plan.steps[op.inputs[0]].columns.index(column) for column in op.key_columns]
+        keys = {tuple(row[i] for i in at) for row in definition_rows(plan, env, op.inputs[0])}
+        base = plan.base_relation(op.constraint)
+        lhs = database.schema[base].positions(sorted(op.constraint.lhs))
+        both = database.schema[base].positions(sorted(op.constraint.lhs | op.constraint.rhs))
+        expected = {
+            tuple(row[p] for p in both)
+            for row in database.relation(base).rows
+            if tuple(row[p] for p in lhs) in keys
+        }
+        assert env[step.id] == expected, f"fetch T{step.id}"
+
+
+def run(plan, source, expected, database=None):
+    """Execute ``plan``, check its schedule and accounting, and compare it with
+    ``expected`` rows; with ``database``, hold every fetch slot to its definition."""
+    executor = PlanExecutor(source)
+    result = executor.execute(plan, capture_env=True)
     assert result.rows == frozenset(expected)
-    assert result.kernel_batches == len(plan.steps)
-    assert result.rows_processed == sum(map(len, result.env))
+    scheduled = scheduled_steps(plan)
+    assert [slot for slot, _ in executor.compile(plan).schedule] == scheduled
+    assert result.kernel_batches == len(scheduled)
+    assert [i for i, rows in enumerate(result.env) if rows is None] == fused_steps(plan)
+    assert result.rows_processed == sum(len(rows) for rows in result.env if rows is not None)
+    if database is not None:
+        check_fetch_slots(plan, result.env, database)
     return result
 
 
@@ -272,7 +347,7 @@ class TestKernelEdgeCases:
         )
         expected = evaluate(reference, fb_database).rows
         assert {("p0", "p0"), ("p1", "p1")} <= expected  # each pairs with itself at least
-        run(builder.build(t6), source, expected)
+        run(builder.build(t6), source, expected, fb_database)
 
     def test_set_operations(self, source, fb_access):
         builder = PlanBuilder(fb_access)
@@ -300,7 +375,7 @@ class TestKernelEdgeCases:
             friend.select(eq(friend["pid"], "nobody"))
         )
         assert evaluate(reference, fb_database).rows == frozenset()
-        run(builder.build(t3), source, set())
+        run(builder.build(t3), source, set(), fb_database)
 
 
 def friends_of(builder, fetch, renames):
@@ -320,7 +395,8 @@ def people(occurrence):
 
 
 def residual_self_join(fb_database, fb_access, psi1, residual, reference_condition):
-    """friend ⋈ other on fid with ``residual``, and its reference rows."""
+    """friend ⋈ other on fid with ``residual``: the builder, the join step and its
+    reference rows."""
     builder, left = friend_plan(fb_access, psi1, *PEOPLE)
     right, right_columns = friends_of(
         builder, left, {"friend.fid": "other.fid", "friend.pid": "other.pid"}
@@ -336,7 +412,7 @@ def residual_self_join(fb_database, fb_access, psi1, residual, reference_conditi
         people(other),
         conjunction([eq(friend["fid"], other["fid"]), *reference_condition(friend, other)]),
     ).project([friend["fid"], friend["pid"], other["fid"], other["pid"]])
-    return builder.build(join), evaluate(reference, fb_database).rows
+    return builder, join, evaluate(reference, fb_database).rows
 
 
 def constants(builder, column, *values):
@@ -372,7 +448,7 @@ class TestKernelShapes:
         ).project([dine["cid"], dine["month"], dine["pid"], dine["year"]])
         expected = evaluate(reference, fb_database).rows
         assert expected
-        result = run(builder.build(t5), source, expected)
+        result = run(builder.build(t5), source, expected, fb_database)
         assert result.counter.index_probes == 1
 
     def test_fetch_with_an_empty_key(self, fb_database, source, access):
@@ -382,7 +458,7 @@ class TestKernelShapes:
         dine = Relation.from_schema(fb_database.schema, "dine")
         expected = evaluate(dine.project([dine["month"]]), fb_database).rows
         assert len(expected) > 1
-        run(builder.build(t1), source, expected)
+        run(builder.build(t1), source, expected, fb_database)
 
     def test_join_with_a_residual_predicate(self, fb_database, source, fb_access, psi1):
         # people of {p0, p1, p2} pairs that share a friend, each pair once per order,
@@ -451,7 +527,7 @@ class TestKernelShapes:
         ).project([friend["fid"], friend["pid"], cafe["cid"], cafe["city"]])
         expected = evaluate(reference, fb_database).rows
         assert expected
-        run(builder.build(t2), source, expected)
+        run(builder.build(t2), source, expected, fb_database)
 
     def test_select_with_ordering_operators(self, fb_database, source, fb_access, psi1):
         builder, fetch = friend_plan(fb_access, psi1, "p0", "p1", "p2")
@@ -478,7 +554,7 @@ class TestKernelShapes:
         )
         expected = evaluate(reference, fb_database).rows
         assert expected
-        run(builder.build(t1), source, expected)
+        run(builder.build(t1), source, expected, fb_database)
 
     @pytest.mark.parametrize(
         "residual, condition",
@@ -515,9 +591,9 @@ class TestKernelShapes:
     )
     def test_join_residual_by_side(self, fb_database, source, fb_access, psi1, residual, condition):
         """A one-sided residual filters its side's input; a mixed one sees joined rows."""
-        plan, expected = residual_self_join(fb_database, fb_access, psi1, residual, condition)
+        builder, join, expected = residual_self_join(fb_database, fb_access, psi1, residual, condition)
         assert expected
-        run(plan, source, expected)
+        run(builder.build(join), source, expected, fb_database)
 
     def test_a_join_residual_on_a_column_of_both_sides_filters_the_left(
         self, fb_database, source, fb_access, psi1
@@ -548,7 +624,7 @@ class TestKernelShapes:
         expected = evaluate(reference, fb_database).rows
         assert {row[0] for row in expected} == {fids[0]}
         assert {row[2] for row in expected} == set(fids)
-        run(builder.build(join), source, expected)
+        run(builder.build(join), source, expected, fb_database)
 
     @pytest.mark.parametrize(
         "op, constant, expected",
@@ -582,7 +658,7 @@ class TestKernelShapes:
             conjunction([eq(friend["pid"], "p0"), Comparison(friend["fid"], "=", Constant(None))])
         ).project([friend["fid"], friend["pid"]])
         assert evaluate(reference, fb_database).rows == frozenset()
-        run(builder.build(select), source, set())
+        run(builder.build(select), source, set(), fb_database)
 
     @pytest.mark.parametrize(
         "residual, keeps",
@@ -606,4 +682,197 @@ class TestKernelShapes:
         )
         friends = {(fid, pid, pid, 5) for pid, fid in fb_database.relation("friend").rows if pid == "p0"}
         assert friends
-        run(builder.build(join), source, friends if keeps else set())
+        run(builder.build(join), source, friends if keeps else set(), fb_database)
+
+
+class TestFusedSchedule:
+    """Each fusion of the run schedule — a prefilled constant, a projection folded into a
+    fetch's key, π∘⋈ — against the reference evaluator and every fetch slot against its
+    definition, over each kind of fetch source, with the exact schedule length."""
+
+    def test_a_constant_is_prefilled_and_shared_by_every_run(
+        self, fb_database, source, fb_access, psi1
+    ):
+        builder, fetch = friend_plan(fb_access, psi1, "p0")
+        plan = builder.build(fetch)
+        friend = Relation.from_schema(fb_database.schema, "friend")
+        reference = friend.select(eq(friend["pid"], "p0")).project([friend["fid"], friend["pid"]])
+        result = run(plan, source, evaluate(reference, fb_database).rows, fb_database)
+        assert result.kernel_batches == 1  # the fetch; the constant is the template's
+        assert result.env[0] == {("p0",)}
+        executor = PlanExecutor(source)
+        first, second = (executor.execute(plan, capture_env=True) for _ in range(2))
+        assert first.env[0] is second.env[0] is executor.compile(plan).template[0]
+
+    def test_a_projection_folds_into_a_one_column_fetch_key(
+        self, fb_database, source, fb_access, psi1
+    ):
+        # friends of p0's friends: the friend column, renamed, keys the second fetch
+        builder, friends = friend_plan(fb_access, psi1, "p0")
+        key = builder.add(
+            ProjectOp(columns=("friend.fid",), inputs=(friends,), output_names=("hop",)), ["hop"]
+        )
+        second = builder.add(
+            FetchOp(constraint=psi1, key_columns=("hop",), inputs=(key,)),
+            ["friend.fid", "friend.pid"],
+        )
+        schema = fb_database.schema
+        friend = Relation.from_schema(schema, "friend")
+        other = Relation.from_schema(schema, "other", base="friend")
+        reference = friend.select(eq(friend["pid"], "p0")).join(
+            other, eq(friend["fid"], other["pid"])
+        ).project([other["fid"], other["pid"]])
+        expected = evaluate(reference, fb_database).rows
+        assert expected
+        result = run(builder.build(second), source, expected, fb_database)
+        assert result.kernel_batches == 2  # two fetches
+        assert result.env[key] is None
+        keys = {(pid,) for _, pid in expected}
+        assert result.counter.index_probes == 1 + len(keys)
+
+    def test_a_projection_folds_into_a_two_column_fetch_key(self, fb_database, source, access):
+        # the projection drops a column and reorders the rest, so the fetch's
+        # key positions compose through it
+        psi2 = next(c for c in access if c.name == "psi2")
+        dines = sorted(fb_database.relation("dine").rows)
+        (pid, _, month, year), (other_pid, *_) = dines[0], dines[-1]
+        builder = PlanBuilder(access, occurrences={"dine": "dine"})
+        junk = builder.add(ConstOp(value="junk", column="junk"), ["junk"])
+        people_step = constants(builder, "dine.pid", pid, other_pid)
+        t_year = builder.add(ConstOp(value=year, column="dine.year"), ["dine.year"])
+        t_month = builder.add(ConstOp(value=month, column="dine.month"), ["dine.month"])
+        wide = ["junk", "dine.pid", "dine.year", "dine.month"]
+        t1 = builder.add(ProductOp(inputs=(junk, people_step)), wide[:2])
+        t2 = builder.add(ProductOp(inputs=(t1, t_year)), wide[:3])
+        t3 = builder.add(ProductOp(inputs=(t2, t_month)), wide)
+        key = builder.add(
+            ProjectOp(
+                columns=("dine.year", "dine.month", "dine.pid"), inputs=(t3,), output_names=("y", "m", "p")
+            ),
+            ["y", "m", "p"],
+        )
+        # keys are aligned with sorted(lhs): month, pid, year
+        fetch = builder.add(
+            FetchOp(constraint=psi2, key_columns=("m", "p", "y"), inputs=(key,)),
+            ["dine.cid", "dine.month", "dine.pid", "dine.year"],
+        )
+        dine = Relation.from_schema(fb_database.schema, "dine")
+        chosen = [
+            dine.select(conjunction([eq(dine["pid"], p), eq(dine["year"], year), eq(dine["month"], month)]))
+            for p in (pid, other_pid)
+        ]
+        reference = chosen[0].union(chosen[1]).project(
+            [dine["cid"], dine["month"], dine["pid"], dine["year"]]
+        )
+        expected = evaluate(reference, fb_database).rows
+        assert expected
+        result = run(builder.build(fetch), source, expected, fb_database)
+        assert result.kernel_batches == 5  # the union, three products, the fetch
+        assert result.env[key] is None
+        assert result.counter.index_probes == 2
+
+    def test_a_projection_folds_into_a_zero_column_fetch_key(
+        self, fb_database, source, access, psi1
+    ):
+        # every month anyone dined in, if p0 has a friend: the key is the empty tuple
+        builder, friends = friend_plan(access, psi1, "p0")
+        key = builder.add(ProjectOp(columns=(), inputs=(friends,)), [])
+        months = builder.add(
+            FetchOp(constraint=PSI_MONTHS, key_columns=(), inputs=(key,)), ["dine.month"]
+        )
+        dine = Relation.from_schema(fb_database.schema, "dine")
+        expected = evaluate(dine.project([dine["month"]]), fb_database).rows
+        assert len(expected) > 1
+        result = run(builder.build(months), source, expected, fb_database)
+        assert result.kernel_batches == 2  # two fetches
+        assert result.env[key] is None
+        assert result.counter.per_relation["dine"] == len(expected)
+
+    @pytest.mark.parametrize(
+        "residual, condition",
+        [
+            pytest.param((), lambda f, o: [], id="no-residual"),
+            pytest.param(
+                (ColumnPredicate("other.pid", "!=", "p1"),),
+                lambda f, o: [Comparison(o["pid"], "!=", Constant("p1"))],
+                id="one-sided",
+            ),
+            pytest.param(
+                (
+                    ColumnPredicate("friend.pid", "!=", "p2"),
+                    ColumnPredicate("friend.pid", "<", ColumnRef("other.pid")),
+                ),
+                lambda f, o: [
+                    Comparison(f["pid"], "!=", Constant("p2")),
+                    Comparison(f["pid"], "<", o["pid"]),
+                ],
+                id="mixed",
+            ),
+        ],
+    )
+    def test_a_projected_join_runs_as_one_kernel(
+        self, fb_database, source, fb_access, psi1, residual, condition
+    ):
+        """π∘⋈ emits projected rows; here the projection feeds a fetch, so it keeps its
+        slot (the join is fused into it, and a step fuses into one consumer only)."""
+        builder, join, _ = residual_self_join(fb_database, fb_access, psi1, residual, condition)
+        pairs = builder.add(
+            ProjectOp(columns=("other.pid", "friend.pid"), inputs=(join,)), ["other.pid", "friend.pid"]
+        )
+        fetch = builder.add(
+            FetchOp(constraint=psi1, key_columns=("friend.pid",), inputs=(pairs,)),
+            ["friend.fid", "friend.pid"],
+        )
+        output = builder.add(
+            HashJoinOp(pairs=(("friend.pid", "friend.pid"),), residual=(), inputs=(pairs, fetch)),
+            ["other.pid", "friend.pid", "friend.fid", "friend.pid"],
+        )
+        schema = fb_database.schema
+        friend = Relation.from_schema(schema, "friend")
+        other = Relation.from_schema(schema, "other", base="friend")
+        again = Relation.from_schema(schema, "again", base="friend")
+        joined = people(friend).join(
+            people(other), conjunction([eq(friend["fid"], other["fid"]), *condition(friend, other)])
+        )
+        reference = joined.join(again, eq(friend["pid"], again["pid"])).project(
+            [other["pid"], friend["pid"], again["fid"], again["pid"]]
+        )
+        expected = evaluate(reference, fb_database).rows
+        assert expected
+        result = run(builder.build(output), source, expected, fb_database)
+        # two unions, two fetches, the rename, π∘⋈ and the last join
+        assert result.kernel_batches == 7
+        assert result.env[join] is None
+        assert result.env[pairs] == {(o_pid, f_pid) for o_pid, f_pid, *_ in expected}
+
+    def test_a_join_projected_by_the_output_step(self, fb_database, source, fb_access, psi1):
+        builder, join, joined = residual_self_join(
+            fb_database,
+            fb_access,
+            psi1,
+            (ColumnPredicate("friend.pid", "!=", ColumnRef("other.pid")),),
+            lambda f, o: [Comparison(f["pid"], "!=", o["pid"])],
+        )
+        output = builder.add(
+            ProjectOp(columns=("other.pid", "friend.pid"), inputs=(join,), output_names=("a", "b")),
+            ["a", "b"],
+        )
+        expected = {(o_pid, f_pid) for _, f_pid, _, o_pid in joined}
+        assert expected
+        result = run(builder.build(output), source, expected, fb_database)
+        assert result.kernel_batches == 5  # two unions, the fetch, the rename, π∘⋈
+        assert result.env[join] is None and result.env[output] == expected
+        assert result.columns == ("a", "b")
+
+    def test_a_step_with_two_readers_keeps_its_slot(self, fb_database, source, fb_access, psi1):
+        # the projection keys a fetch and is the output: read twice, it is not fused
+        builder, friends = friend_plan(fb_access, psi1, "p0")
+        key = builder.add(
+            ProjectOp(columns=("friend.fid",), inputs=(friends,), output_names=("hop",)), ["hop"]
+        )
+        builder.add(FetchOp(constraint=psi1, key_columns=("hop",), inputs=(key,)), ["friend.fid", "friend.pid"])
+        plan = builder.build(key)
+        friend = Relation.from_schema(fb_database.schema, "friend")
+        expected = evaluate(friend.select(eq(friend["pid"], "p0")).project([friend["fid"]]), fb_database).rows
+        result = run(plan, source, expected, fb_database)
+        assert result.kernel_batches == 3 and result.env[key] == expected

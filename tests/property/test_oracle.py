@@ -38,7 +38,7 @@ from repro.bench.experiments import select_covered_queries
 from repro.core.deltas import EVERY_WRITE
 from repro.core.engine import prepare_query
 from repro.core.errors import ConstraintViolation
-from repro.core.plan import DifferenceOp
+from repro.core.plan import ConstOp, DifferenceOp, ProjectOp, UnitOp
 from repro.core.query import Relation, eq
 from repro.discovery.maintenance import Update, apply_updates
 from repro.evaluator import executor as executor_module
@@ -85,8 +85,9 @@ GRAPH = {
 HARNESS = {"harness": (3, 1), "harness_point": (HOT_POINT, 0), "harness_wide": (0, HOT_WIDE)}
 
 
-#: a workload at ``scale`` with data seed ``seed``, and one query source over it
-Case = namedtuple("Case", "workload scale seed source")
+#: a workload at ``scale`` with data seed ``seed``, and one query source over it;
+#: the ``random`` source draws its queries with ``query_seed``, apart from the data
+Case = namedtuple("Case", "workload scale seed source query_seed", defaults=(0,))
 
 
 @cache
@@ -95,16 +96,24 @@ def _catalog(workload: str) -> ShapeCatalog:
 
 
 @lru_cache(maxsize=64)
+def _database(workload: str, scale: int, seed: int) -> Database:
+    """A workload's data, built once per (workload, scale, data seed) whatever
+    queries are served over it; never written: every run copies it."""
+    if workload == "facebook":
+        return facebook.generate(scale=scale, seed=seed)
+    return WORKLOADS[workload].database(scale, seed)
+
+
+@lru_cache(maxsize=64)
 def _built(case: Case):
-    """``(template database, access schema, queries, their prepared plans)``;
-    the template is never written: every run copies it."""
+    """``(template database, access schema, queries, their prepared plans)``."""
+    database = _database(case.workload, case.scale, case.seed)
     if case.workload == "facebook":
-        database = facebook.generate(scale=case.scale, seed=case.seed)
         spec, access = None, facebook.access_schema(database.schema)
-        return database, access, *_queries(case, spec, database, access)
-    spec = WORKLOADS[case.workload]
-    database = spec.database(case.scale, case.seed)
-    return database, spec.access_schema, *_queries(case, spec, database, spec.access_schema)
+    else:
+        spec = WORKLOADS[case.workload]
+        access = spec.access_schema
+    return database, access, *_queries(case, spec, database, access)
 
 
 def _queries(case: Case, spec, database, access):
@@ -115,8 +124,8 @@ def _queries(case: Case, spec, database, access):
             spec, 5, seed=case.seed, database=database, n_sel=(1, 4), n_join=(0, 2)
         )
     elif case.source == "random":
-        generator = RandomQueryGenerator(spec, database=database, seed=case.seed)
-        shape = random.Random(case.seed).randint
+        generator = RandomQueryGenerator(spec, database=database, seed=case.query_seed)
+        shape = random.Random(case.query_seed).randint
         queries = [generator.generate(shape(2, 7), shape(0, 3), shape(0, 2)) for _ in range(4)]
     elif case.source == "analytic":
         queries = analytic_queries(spec)
@@ -161,13 +170,26 @@ def _project(schema, relation, attributes, row):
 _Fetch = namedtuple("_Fetch", "id source base lhs probed reaches_difference")
 
 
+def _rows(plan, env, sid):
+    """Step ``sid``'s rows in ``env``: its slot, or, where a run fused the step into
+    the fetch it keys (its slot is ``None``), its input's rows projected onto its
+    declared columns."""
+    if env[sid] is not None:
+        return env[sid]
+    step = plan.steps[sid]
+    assert isinstance(step.op, ProjectOp), f"T{sid} has no slot and is no projection"
+    source = plan.steps[step.op.inputs[0]]
+    at = [source.columns.index(column) for column in step.op.columns]
+    return {tuple(row[i] for i in at) for row in _rows(plan, env, source.id)}
+
+
 def _fetches_of(plan, env) -> list[_Fetch]:
     fetches = []
     for step in plan.fetch_steps():
         constraint, source = step.op.constraint, step.op.inputs[0]
         at = [plan.steps[source].columns.index(column) for column in step.op.key_columns]
         base = plan.occurrences.get(constraint.relation, constraint.relation)
-        probed = {tuple(row[i] for i in at) for row in env[source]}
+        probed = {tuple(row[i] for i in at) for row in _rows(plan, env, source)}
         downstream = [plan.steps[sid].op for sid in _closure(plan, {step.id})]
         difference = any(isinstance(op, DifferenceOp) for op in downstream)
         fetches.append(_Fetch(step.id, source, base, sorted(constraint.lhs), probed, difference))
@@ -338,18 +360,18 @@ class Oracle:
             self.settled = settle(*args)
             return self.settled
 
-        def watched(sid, kernel, ran):
-            return lambda env, counter: ran.append(sid) or kernel(env, counter)
+        def watched(slot, kernel, ran):
+            return lambda env, counter: ran.append(slot) or kernel(env, counter)
 
         def recording(plan, *args, **kwargs):
             compiled = core._executor.compile(plan)
-            kernels, ran = compiled.kernels, []
-            compiled.kernels = tuple(watched(sid, k, ran) for sid, k in enumerate(kernels))
+            schedule, ran = compiled.schedule, []
+            compiled.schedule = tuple((slot, watched(slot, k, ran)) for slot, k in schedule)
             self.deriving = True
             try:
                 outcome = derive(plan, *args, **kwargs)
             finally:
-                compiled.kernels, self.deriving = kernels, False
+                compiled.schedule, self.deriving = schedule, False
             assert id(plan) not in self.derived, "an entry was derived twice in one batch"
             status = outcome.status + (f":{outcome.reason}" if outcome.reason else "")
             self.derived[id(plan)] = (status, ran)
@@ -475,10 +497,18 @@ class Oracle:
                 assert derived == (None if expected == "no_env" else expected)
                 assert (key in after) == (expected == "patched")
                 if expected == "patched":
-                    # the dirty fetches and every step downstream of them, nothing else
+                    # the dirty fetches and every step downstream of them that
+                    # runs a kernel of its own, nothing else (a step fused into
+                    # its consumer re-runs inside it)
                     fetches = _fetches_of(entry.plan, env)
                     closure = _closure(entry.plan, _dirty(fetches, applied, self.schema))
-                    assert ran == closure
+                    scheduled = {slot for slot, _ in core._executor.compile(entry.plan).schedule}
+                    assert scheduled == {
+                        sid
+                        for sid, rows in enumerate(env)
+                        if rows is not None and not isinstance(entry.plan.steps[sid].op, (ConstOp, UnitOp))
+                    }
+                    assert ran == [sid for sid in closure if sid in scheduled]
                     rekeyed = {fetch.id for fetch in fetches if fetch.source in closure}
                     moved["repaired"] += 1
                     moved["repaired_clean"] += entry.rows == rows
@@ -791,6 +821,8 @@ def test_every_path_returns_the_references_rows(workload, scale, source, cell):
         suppress_health_check=[HealthCheck.too_slow],
     )
     def check(seed, data):
+        # generated queries are drawn apart from the data they are served over
+        query_seed = data.draw(st.integers(0, 500), label="query_seed") if source == "random" else 0
         schedule = data.draw(schedules(CELLS[cell].ops), label="schedule")
         core = CELLS[cell].substrate is not None
         tiny_memo = data.draw(st.booleans(), label="tiny_memo") if core else False
@@ -800,7 +832,8 @@ def test_every_path_returns_the_references_rows(workload, scale, source, cell):
             # programs kept on them) between the derivations of one batch
             memo = 2 if tiny_memo else 64
             stack.enter_context(patch.object(executor_module, "_COMPILED_CACHE_SIZE", memo))
-            Oracle(Case(workload, scale, seed, source), cell, stack, victim=victim).run(schedule)
+            case = Case(workload, scale, seed, source, query_seed)
+            Oracle(case, cell, stack, victim=victim).run(schedule)
 
     check()
 
@@ -882,6 +915,28 @@ def one_settlement_on_every_substrate(oracle: Oracle):
     yield Write([cafe], ["patched"])  # the cafe fetch and what it feeds
     yield Write([cafe.inverse()], ["patched"])
     yield Write([cafe, cafe.inverse()], ["patched"])  # a clean patch: the rows it had
+
+
+def a_fetch_keyed_through_a_fused_projection(oracle: Oracle):
+    """q1's cafe fetch is keyed by ``π[dine.cid as cafe.cid]`` of the dine fetch,
+    which a run fuses into the fetch's key extraction (no slot of its own): a
+    write under one of those keys dirties it, and one under the dine fetch's
+    keys re-runs it, with keys re-read through the dine rows."""
+    (plan,) = [prepared.executable for prepared in oracle.prepared]
+    run = PlanExecutor(IndexSet.build(oracle.reference, oracle.access)).execute
+    env = run(plan, capture_env=True).env
+    fetches = {fetch.base: fetch for fetch in _fetches_of(plan, env)}
+    cafe, dine = fetches["cafe"], fetches["dine"]
+    assert env[cafe.source] is None and isinstance(plan.steps[cafe.source].op, ProjectOp)
+    assert plan.steps[cafe.source].op.inputs == (dine.id,)
+    probed = min(row for row in oracle.reference.relation("cafe") if (row[0],) in cafe.probed)
+    yield Write([Update.delete("cafe", probed)], ["patched"])  # the fused-source fetch, dirty
+    yield Write([Update.insert("cafe", probed)], ["patched"])
+    month, pid, year = min(dine.probed)  # sorted(lhs): month, pid, year
+    yield Write([Update.insert("dine", (pid, "c_fused", month, year))], ["patched"])
+    # c_fused is probed only in the patched environment, read through the dine rows
+    yield Write([Update.insert("cafe", ("c_fused", probed[1]))], ["patched"])
+    yield (REFILL, 0)
 
 
 @cache
@@ -1005,6 +1060,9 @@ NAMED = {
     "one_settlement_on_every_substrate": (
         Case("facebook", 15, 5, "q1"), one_settlement_on_every_substrate
     ),
+    "a_fetch_keyed_through_a_fused_projection": (
+        Case("facebook", 15, 5, "q1"), a_fetch_keyed_through_a_fused_projection
+    ),
     **{
         f"bundled_{name}": (Case(name, ANALYTIC_SCALE, 7, "analytic"), bundled_workload)
         for name in sorted(WORKLOADS)
@@ -1014,7 +1072,7 @@ NAMED = {
     "mirror_lockstep": (Case("facebook", 20, 3, "lockstep"), mirror_lockstep),
     # generated queries whose plans carry join residuals
     "covered_queries": (Case("TFACC", 20, 0, "covered"), lambda oracle: [(HOT_INSERT, 0)]),
-    "random_queries": (Case("TFACC", 20, 8, "random"), lambda oracle: [(COLD, 1)]),
+    "random_queries": (Case("TFACC", 20, 8, "random", 8), lambda oracle: [(COLD, 1)]),
     "admission": (Case("facebook", 40, 7, "cafe_city"), admission),
     "replica_heals": (Case("facebook", 30, 5, "reads"), replica_heals),
 }

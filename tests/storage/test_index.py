@@ -219,9 +219,11 @@ class TestLookupMany:
             "record_fetch_many",
             lambda self, *args: records.append(args) or record_many(self, *args),
         )
-        result = PlanExecutor(fb_indexes).execute(plan, capture_env=True)
+        executor = PlanExecutor(fb_indexes)
+        result = executor.execute(plan, capture_env=True)
         assert (cid,) in result.rows
         fetches = plan.fetch_steps()
-        assert all(result.env[step.op.inputs[0]] for step in fetches)  # each had keys
+        keyed_from = executor.compile(plan).keys
+        assert all(result.env[keyed_from[step.id][0]] for step in fetches)  # each had keys
         assert len(records) == len(fetches) > 1
         assert result.counter.index_probes > len(fetches)  # a record covers many keys
