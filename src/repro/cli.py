@@ -143,7 +143,7 @@ def command_run(args) -> int:
     engine = BoundedEngine(database, access)
     repeat = max(1, args.repeat)
     for _ in range(repeat):
-        result = engine.execute(query, minimize=not args.no_minimize)
+        result = engine.execute(query)
     for row in sorted(result.rows, key=repr):
         print("\t".join(str(value) for value in row))
     served = (
@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = subparsers.add_parser("run", help="answer a SQL query (bounded when possible)")
     _add_source_arguments(run)
     run.add_argument("--sql", required=True)
-    run.add_argument("--no-minimize", action="store_true")
     run.add_argument("--repeat", type=int, default=1,
                      help="execute the query N times (exercises the hot path; "
                           "repeats are served from the plan store / result cache)")

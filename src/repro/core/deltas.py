@@ -259,7 +259,7 @@ class RepairProgram:
     """The plan-static half of settlement: a plan's fetch sites, and what a write makes of them.
 
     Compiled once per plan from its :class:`~repro.evaluator.executor.CompiledPlan`'s
-    run schedule, and kept on it — evicted and discarded with the kernels.
+    run schedule, and kept on it: it lives as long as the plan and its kernels.
     A site's keys are read where the schedule reads them (off the producer
     of a projection fused into the fetch, through the composed positions),
     and its closure is the scheduled kernels downstream of it, so a patch
@@ -356,17 +356,16 @@ class DeltaDeriver:
     """Derives per-entry repairs for a write batch through a plan's fetches.
 
     Split like the executor: what depends only on the plan is compiled once
-    into a :class:`RepairProgram` on the executor's memoized
-    ``CompiledPlan``; what depends on an entry's environment is the probed
-    key set of each fetch, in the ``keyed`` dict the caller keeps with the
-    entry (:meth:`reach` reads them, for the caller to index; :meth:`derive`
-    uses them); what depends on the batch is projected once on the
-    :class:`WriteDelta`.  The deriver itself holds no per-plan or per-entry
-    state.
+    into a :class:`RepairProgram` on the plan's ``CompiledPlan``; what
+    depends on an entry's environment is the probed key set of each fetch,
+    in the ``keyed`` dict the caller keeps with the entry (:meth:`reach`
+    reads them, for the caller to index; :meth:`derive` uses them); what
+    depends on the batch is projected once on the :class:`WriteDelta`.  The
+    deriver itself holds no per-plan or per-entry state.
 
     ``executor`` is the serving core's own
     :class:`~repro.evaluator.executor.PlanExecutor`: settlement reads the
-    plan's memoized ``CompiledPlan`` and re-runs its kernels over the
+    ``CompiledPlan`` kept on the plan and re-runs its kernels over the
     captured environment, on every substrate alike.  ``schema`` resolves
     written rows' attribute positions for key projection.
     """
@@ -376,7 +375,7 @@ class DeltaDeriver:
         self.schema = schema
 
     def _compiled(self, plan: BoundedPlan):
-        """``plan``'s memoized ``CompiledPlan``, its repair program attached."""
+        """``plan``'s ``CompiledPlan``, its repair program attached."""
         compiled = self.executor.compile(plan)
         if compiled.repair is None:
             compiled.repair = RepairProgram(compiled, self.schema)
@@ -441,10 +440,8 @@ class DeltaDeriver:
         failure mode this module must not have.
         """
         try:
-            compiled = self.executor.compile(plan)
+            compiled = self._compiled(plan)
             program = compiled.repair
-            if program is None:
-                program = compiled.repair = RepairProgram(compiled, self.schema)
             # (the memos are read inline: a write derives ~10 entries)
             touched = delta._touched
             affected, monotone = program.by_touched.get(touched) or program.affected(touched)

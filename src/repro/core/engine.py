@@ -26,17 +26,17 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
 * **Plan store** — C2–C4 (plus the peephole optimization of
   :mod:`repro.core.optimizer`) depend only on the query syntax and the
   access schema, so their output is cached under the query's canonical
-  form and the per-call ``minimize`` flag
-  (:func:`repro.core.fingerprint.prepared_cache_key`).  The
-  store is *shareable*: pass one :class:`~repro.core.planstore.PlanStore`
-  to several cores serving the same access schema and each query is
-  prepared once fleet-wide.  No write touches it: an entry leaves only by
-  LRU displacement.
+  form (:func:`repro.core.fingerprint.prepared_cache_key`) in the core's
+  own :class:`~repro.core.planstore.PlanStore`.  No write touches it: an
+  entry leaves only by LRU displacement.  The executable plan of an entry
+  carries its compiled kernels (:meth:`PlanExecutor.compile
+  <repro.evaluator.executor.PlanExecutor.compile>`), so they live as long
+  as the plan-store or result-cache entry that holds the plan.
 
 * **Result cache** — covered results are bounded by the access schema
   (≤ ``access_bound()`` tuples), so the core keeps a
   :class:`~repro.core.planstore.ResultCache` keyed by the query's SHA-256
-  fingerprint and flag (:func:`repro.core.fingerprint.result_cache_key`).
+  fingerprint (:func:`repro.core.fingerprint.result_cache_key`).
   That key is computed once per prepare, on the plan-store miss, and read
   off the prepared entry (:attr:`PreparedQuery.result_key`): a read builds
   the canonical form once and hashes no digest.  Repeated covered queries
@@ -145,7 +145,7 @@ class EngineResult:
 
 @dataclass
 class PreparedQuery:
-    """Everything C2–C4 produce for one query under one ``minimize`` flag.
+    """Everything C2–C4 produce for one query.
 
     For covered (or rewritable) queries ``plan`` holds the canonical bounded
     plan and ``executable`` the optimized plan actually run; for uncovered
@@ -204,9 +204,11 @@ def prepare_query(
     :class:`PreparedQuery` holds, the result-cache key included.
     :class:`ServingCore` caches the output in a
     :class:`~repro.core.planstore.PlanStore` under
-    :func:`~repro.core.fingerprint.prepared_cache_key`.
+    :func:`~repro.core.fingerprint.prepared_cache_key`, always minimized;
+    ``minimize=False`` plans against the whole access schema, which no
+    serving path asks for.
     """
-    result_key = result_cache_key(query, minimize=minimize)
+    result_key = result_cache_key(query)
     target = query
     rewrite_name = "identity"
     checker = CoverageChecker(query)
@@ -256,12 +258,9 @@ class ServingCore:
     kernels of its dirty fetches and of the steps downstream of them, which
     read the substrate through its fetch ``source`` like any execution.
 
-    The caches are all a core is configured by.  ``plan_store`` lets several
-    cores share one prepared-plan store; they must be configured with an
-    identical access schema (plans embed its constraints).  When omitted, a
-    private store of ``plan_cache_size`` entries is created.
-    ``result_cache_size`` bounds the result cache (0 disables result
-    caching).  Every plan is optimized
+    The caches are all a core is configured by, and both are its own:
+    ``plan_cache_size`` bounds the plan store and ``result_cache_size`` the
+    result cache (0 disables result caching).  Every plan is optimized
     (:func:`~repro.core.optimizer.optimize_plan`) and runs on the executor's
     row kernels.
 
@@ -311,13 +310,12 @@ class ServingCore:
         *,
         source: object,
         schema: "DatabaseSchema",
-        plan_store: PlanStore | None,
         plan_cache_size: int,
         result_cache_size: int,
     ):
         self.access_schema = access_schema
         self.schema = schema
-        self.plan_cache = plan_store if plan_store is not None else PlanStore(plan_cache_size)
+        self.plan_cache = PlanStore(plan_cache_size)
         self.result_cache = ResultCache(result_cache_size, tokens=self._tokens)
         self.fallback_breaker = None
         #: the conventional-evaluation seam: the fault injector (and tests)
@@ -362,26 +360,19 @@ class ServingCore:
     # result-cache hit, so the hot path must not compute it twice, must not
     # hash a digest (that happens once, on the plan-store miss) — nor spend
     # a call frame on sharing these two lines.
-    def prepare(self, query: Query, *, minimize: bool = True) -> tuple[PreparedQuery, bool]:
-        """The cached C2-C4 pipeline; returns ``(prepared, was_cache_hit)``."""
-        key = prepared_cache_key(query, minimize=minimize)
+    def prepare(self, query: Query) -> PreparedQuery:
+        """The cached C2-C4 pipeline: ``query``'s plan-store entry, prepared on a miss."""
+        key = prepared_cache_key(query)
         entry = self.plan_cache.get(key)
-        if entry is not None:
-            return entry, True
-        return self._prepare_miss(key, query, minimize), False
-
-    def _prepare_miss(self, key: Hashable, query: Query, minimize: bool) -> PreparedQuery:
-        """Run C2–C4 for a query the plan store does not hold, and store it under ``key``."""
-        entry = prepare_query(query, self.access_schema, minimize=minimize)
-        self._discard_compiled(self.plan_cache.put(key, entry))
+        if entry is None:
+            entry = self._prepare_miss(key, query)
         return entry
 
-    def _discard_compiled(self, entries: Iterable[object]) -> None:
-        """Release the executor's compiled kernels of displaced store entries."""
-        for entry in entries:
-            executable = getattr(entry, "executable", None)
-            if executable is not None:
-                self._executor.discard(executable)
+    def _prepare_miss(self, key: Hashable, query: Query) -> PreparedQuery:
+        """Run C2–C4 for a query the plan store does not hold, and store it under ``key``."""
+        entry = prepare_query(query, self.access_schema)
+        self.plan_cache.put(key, entry)
+        return entry
 
     # -- the hit path ----------------------------------------------------------------------
     @staticmethod
@@ -401,7 +392,7 @@ class ServingCore:
             result_cached=True,
         )
 
-    def probe(self, query: Query, *, minimize: bool = True) -> EngineResult | None:
+    def probe(self, query: Query) -> EngineResult | None:
         """The result-cache hit :meth:`execute` would return for ``query``, or ``None``.
 
         The first half of :meth:`execute` and nothing else: plan-store key
@@ -418,7 +409,7 @@ class ServingCore:
         answers hits with this on the caller's turn and queues only what is
         left.
         """
-        key = prepared_cache_key(query, minimize=minimize)
+        key = prepared_cache_key(query)
         prepared = self.plan_cache.get(key, record=False)
         if prepared is None or not prepared.covered:
             return None
@@ -431,13 +422,7 @@ class ServingCore:
         return self._hit_result(prepared, hit, True)
 
     # -- C6: execution -------------------------------------------------------------------
-    def execute(
-        self,
-        query: Query,
-        *,
-        minimize: bool = True,
-        fallback: bool = True,
-    ) -> EngineResult:
+    def execute(self, query: Query, *, fallback: bool = True) -> EngineResult:
         """Answer ``query``: bounded plan when possible, otherwise fall back.
 
         The A-equivalent rewrites of :mod:`repro.core.rewrite` (difference
@@ -449,11 +434,11 @@ class ServingCore:
         snapshot contract).  Uncovered queries fall back to conventional
         evaluation, gated by ``fallback_breaker``.
         """
-        key = prepared_cache_key(query, minimize=minimize)
+        key = prepared_cache_key(query)
         prepared = self.plan_cache.get(key)
         cached = prepared is not None
         if not cached:
-            prepared = self._prepare_miss(key, query, minimize)
+            prepared = self._prepare_miss(key, query)
 
         if prepared.covered:
             dependencies = prepared.dependencies
@@ -718,7 +703,6 @@ class BoundedEngine(ServingCore):
         access_schema: AccessSchema,
         *,
         plan_cache_size: int = 128,
-        plan_store: PlanStore | None = None,
         result_cache_size: int = 256,
     ):
         self.database = database
@@ -729,7 +713,6 @@ class BoundedEngine(ServingCore):
             access_schema,
             source=self.indexes,
             schema=database.schema,
-            plan_store=plan_store,
             plan_cache_size=plan_cache_size,
             result_cache_size=result_cache_size,
         )

@@ -3,20 +3,18 @@
 Coverage checking, access minimization and plan generation depend only on the
 *syntax* of a query (plus the access schema), never on the data.  Two
 executions of syntactically identical queries can therefore share one bounded
-plan — even across engine instances serving the same access schema.  This
-module turns a :class:`~repro.core.query.Query` into two keys:
+plan.  This module turns a :class:`~repro.core.query.Query` into two keys:
 
 * :func:`canonical_form` is an unambiguous nested-tuple serialization of the
   query tree whose leaves are strings (constants are tagged with their Python
   type and carried as their ``repr``).  Tuple equality is therefore
-  syntactic identity.  :func:`prepared_cache_key` — the form plus the
-  ``minimize`` flag — is what :class:`~repro.core.planstore.PlanStore` is
-  keyed by; every read builds it once, and nothing else is computed from the
-  query on a hit.
+  syntactic identity.  :func:`prepared_cache_key` — the form itself — is
+  what :class:`~repro.core.planstore.PlanStore` is keyed by; every read
+  builds it once, and nothing else is computed from the query on a hit.
 * :func:`query_fingerprint` is the SHA-256 digest of the form's ``repr``: a
   short name that does not depend on ``PYTHONHASHSEED``.
-  :func:`result_cache_key` puts it in the form's place, and that key is what
-  the result cache, its reach index and write settlement address entries by:
+  :func:`result_cache_key` is that digest, and it is what the result cache,
+  its reach index and write settlement address entries by:
   a ``str`` caches its hash and a nested tuple does not, and a settlement
   hashes its keys hundreds of times a batch.  It is computed once per
   prepare, on the plan-store miss, and kept on the prepared entry
@@ -108,22 +106,10 @@ def query_fingerprint(query: Query) -> str:
     return hashlib.sha256(serialized).hexdigest()
 
 
-def prepared_cache_key(query: Query, *, minimize: bool = True) -> tuple[tuple, bool]:
-    """The plan-store key of one query under one ``minimize`` flag.
-
-    The flag is part of the key because it changes what C2–C4 produce
-    (minimized vs full schema).  The key is engine-independent: any two
-    engines with the same access schema prepare identical entries for it,
-    which is what makes the plan store shareable — and reads with
-    *different* flags address disjoint entries instead of silently serving
-    each other's.
-    """
-    return (canonical_form(query), bool(minimize))
+#: the plan-store key of a query: its canonical form
+prepared_cache_key = canonical_form
 
 
-def result_cache_key(query: Query, *, minimize: bool = True) -> tuple[str, bool]:
-    """The result-cache key of the entry :func:`prepared_cache_key` names.
-
-    The same flag, with the canonical form replaced by its digest.
-    """
-    return (query_fingerprint(query), bool(minimize))
+def result_cache_key(query: Query) -> str:
+    """The result-cache key of the entry :func:`prepared_cache_key` names: the form's digest."""
+    return query_fingerprint(query)

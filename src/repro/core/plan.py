@@ -339,6 +339,9 @@ class BoundedPlan:
     #: occurrence name -> base relation name (needed to map actualized
     #: constraints back to the physical indexes built on base relations)
     occurrences: Mapping[str, str] = field(default_factory=dict)
+    #: the run schedule an executor lowered this plan to, kept with the plan
+    #: (:meth:`PlanExecutor.compile <repro.evaluator.executor.PlanExecutor.compile>`)
+    compiled: object | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- structure ---------------------------------------------------------------
     @property

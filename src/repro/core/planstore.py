@@ -1,18 +1,18 @@
-"""Shared plan store and versioned result cache (the serving-core substrate).
+"""Plan store and versioned result cache (the serving-core substrate).
 
-Two caches back the hot path of :class:`~repro.core.engine.BoundedEngine`:
+Two caches, both private to one :class:`~repro.core.engine.ServingCore`,
+back its hot path:
 
-* :class:`PlanStore` — an LRU map from canonical query forms plus
-  the ``minimize`` flag (:func:`~repro.core.fingerprint.prepared_cache_key`,
-  a nested tuple of strings and a bool) to prepared-query entries.  Everything
-  a prepared entry holds (coverage verdict, minimized schema, bounded plan,
-  optimized plan, the result-cache key) depends only on the query syntax and
-  the access schema, so one store can be **shared across engine instances**
-  (or shards) that serve the same access schema, even over divergent data.
-  For the same reason no write touches it: an entry leaves only by LRU
-  displacement.
+* :class:`PlanStore` — an LRU map from canonical query forms
+  (:func:`~repro.core.fingerprint.prepared_cache_key`, a nested tuple of
+  strings) to prepared-query entries.  Everything a prepared entry holds
+  (coverage verdict, minimized schema, bounded plan, optimized plan, the
+  result-cache key) depends only on the query syntax and the access schema,
+  so no write touches it: an entry leaves only by LRU displacement.  The
+  optimized plan carries the kernels its core compiled for it, which leave
+  with it.
 
-* :class:`ResultCache` — a per-engine LRU map from query fingerprints to
+* :class:`ResultCache` — an LRU map from query fingerprints to
   materialized result rows.  The key is the ``result_key`` a prepared entry
   carries (:func:`~repro.core.fingerprint.result_cache_key`), computed once
   per prepare so that no read hashes a digest.  Covered results are bounded
@@ -43,18 +43,17 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
+#: the most rows a result may have to be admitted to a :class:`ResultCache`
+MAX_ROWS = 100_000
+
 
 class PlanStore:
-    """An LRU store of prepared queries, shareable across engine instances.
+    """An LRU store of prepared queries.
 
     A ``capacity`` of zero (or less) disables caching: every lookup misses
     and nothing is stored.  Nothing else removes an entry: a prepared query
     is a function of the query and the access schema alone, so no write can
     make one stale.
-
-    Entries must be data-independent: a store may only be shared by engines
-    configured with an **identical access schema**, since plans embed the
-    schema's constraints.
     """
 
     def __init__(self, capacity: int = 128):
@@ -96,10 +95,7 @@ class PlanStore:
 
         Displaced entries are both LRU evictions *and* the previous entry of
         ``key`` when one existed (unless it is the very object being re-put):
-        a replaced entry is just as dead as an evicted one, and silently
-        dropping it would leak the artifacts derived from it.  Callers
-        holding such artifacts (compiled kernels in the executor) should
-        release them for every returned entry.
+        a replaced entry is just as dead as an evicted one.
         """
         if self.capacity <= 0:
             return []
@@ -174,28 +170,24 @@ def _own_tokens(relations: tuple[str, ...], snapshot: tuple) -> Iterable:
 class ResultCache:
     """An LRU cache of bounded results, validated by per-relation settlement marks.
 
-    Keys are the prepared entries' ``result_key`` (the query's fingerprint
-    and the plan-store key's flags).  The cache keeps one **settlement mark**
-    per relation (:attr:`marks`): the epoch token that relation stood at when
-    the owning core last settled it.  An entry carries no snapshot; a lookup
-    hits only when the caller's current snapshot puts every relation the
-    entry depends on at its mark.  An entry met under a relation that moved
-    past its mark — written without a settlement: an out-of-band write,
-    another core over the same data, an earlier failed batch — is dropped on
-    probe (counted ``stale``).
+    Keys are the prepared entries' ``result_key`` (the query's fingerprint).
+    The cache keeps one **settlement mark** per relation (:attr:`marks`): the
+    epoch token that relation stood at when the owning core last settled it.
+    An entry carries no snapshot; a lookup hits only when the caller's
+    current snapshot puts every relation the entry depends on at its mark.
+    An entry met under a relation that moved past its mark — written
+    without a settlement: an out-of-band write, another core over the same
+    data, an earlier failed batch — is dropped on probe (counted ``stale``).
 
     ``tokens(relations, snapshot)`` splits a substrate's snapshot of
     ``relations`` into one epoch token per relation, in order.  The default
     is the snapshot itself (one database's clock); a federation transposes
     its per-shard snapshot.
 
-    The cache is **per engine** (per database): results are data-dependent,
-    unlike the shareable :class:`PlanStore`.
-
-    ``max_rows`` is the admission threshold: results with more rows are not
-    cached.  Fetched inputs are bounded by ``access_bound()``, but a plan's
-    *output* can exceed that (e.g. a product of two fetched sets), so the
-    LRU alone would bound entry count, not memory.  Captured repair
+    :data:`MAX_ROWS` is the admission threshold: results with more rows are
+    not cached.  Fetched inputs are bounded by ``access_bound()``, but a
+    plan's *output* can exceed that (e.g. a product of two fetched sets), so
+    the LRU alone would bound entry count, not memory.  Captured repair
     environments are admitted as given: the executor already left out the
     ones over the engine's budget.
 
@@ -232,13 +224,11 @@ class ResultCache:
     def __init__(
         self,
         capacity: int = 256,
-        max_rows: int = 100_000,
         tokens: Callable[[tuple[str, ...], tuple], Iterable] = _own_tokens,
     ):
         self.capacity = capacity
-        self.max_rows = max_rows
         self._tokens = tokens
-        #: results refused admission for exceeding ``max_rows``
+        #: results refused admission for exceeding :data:`MAX_ROWS`
         self.oversized = 0
         self._entries: OrderedDict[Hashable, CachedResult] = OrderedDict()
         self.hits = 0
@@ -342,7 +332,7 @@ class ResultCache:
         """
         if self.capacity <= 0:
             return
-        if len(rows) > self.max_rows:
+        if len(rows) > MAX_ROWS:
             self.oversized += 1
             return
         dependencies = tuple(dependencies)

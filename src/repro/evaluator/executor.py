@@ -16,17 +16,23 @@ schedule** — one kernel closure per step that does work, with all
 name-to-position resolution, predicate compilation and index lookup done
 once up front — and ``execute`` runs the schedule over a copy of the plan's
 environment template, freezing only the output step into the returned
-:class:`~repro.evaluator.algebra.ResultSet`.  Compiled plans are memoized
-per plan object (the hot path of :class:`~repro.core.engine.BoundedEngine`
-executes the same cached plan over and over), so a warm execution does no
-per-step interpretation work beyond running the kernels.
+:class:`~repro.evaluator.algebra.ResultSet`.  A compiled plan is kept on
+the plan object it was lowered from (:attr:`BoundedPlan.compiled
+<repro.core.plan.BoundedPlan.compiled>`), for the executor that lowered it:
+the hot path of :class:`~repro.core.engine.BoundedEngine` executes the same
+stored plan over and over, so a warm execution does no per-step
+interpretation work beyond running the kernels, and the kernels live
+exactly as long as whatever holds the plan.
 
 The schedule fuses the glue between fetches.  A bounded plan touches data
 only in its fetch steps, and about half of its other steps are constants
 and projections, so a step-per-kernel run paid a call, a slot and a fresh
 set for each of them:
 
-* a ``ConstOp`` or ``UnitOp`` is prefilled in the environment template;
+* a step that is not a fetch and whose inputs are all template slots runs
+  once, at compile time, and its rows are prefilled in the environment
+  template: a ``ConstOp`` or ``UnitOp`` (no inputs), and whatever is
+  computed from constants alone, such as a projection of a ``ConstOp``;
 * a ``ProjectOp`` whose only consumer is a fetch is that fetch's key
   extraction: the fetch reads the projection's input through the composed
   positions, so it probes the same distinct keys;
@@ -64,7 +70,6 @@ comparison; every other predicate goes through
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from operator import itemgetter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -96,10 +101,6 @@ Row = tuple
 
 #: a compiled plan step: (environment of prior step results, counter) -> rows
 Kernel = Callable[[list, AccessCounter], "set[Row] | frozenset[Row]"]
-
-#: how many compiled plans each executor keeps around
-_COMPILED_CACHE_SIZE = 64
-
 
 
 @dataclass
@@ -148,13 +149,16 @@ class ExecutionResult:
 class CompiledPlan:
     """A bounded plan lowered to a run schedule, ready for repeated runs.
 
-    A run copies ``template`` (the prefilled constant slots, ``None``
+    A run copies ``template`` (the slots computed at compile time, ``None``
     elsewhere) and runs ``schedule`` in order: each ``(slot, kernel)`` fills
     ``env[slot]`` from the slots in the matching entry of ``reads``.  The
     freeze of the output step happens in :meth:`PlanExecutor.execute`.
+    ``plan`` and ``executor`` are what it was lowered from and by: the
+    kernels read that executor's fetch source.
     """
 
     plan: BoundedPlan
+    executor: "PlanExecutor"
     schedule: tuple[tuple[int, Kernel], ...]
     #: per scheduled kernel, the slots it reads (a fused step's inputs included)
     reads: tuple[tuple[int, ...], ...]
@@ -182,7 +186,6 @@ class PlanExecutor:
 
     def __init__(self, source):
         self.source = source
-        self._compiled: OrderedDict[int, CompiledPlan] = OrderedDict()
 
     def execute(
         self,
@@ -230,27 +233,16 @@ class PlanExecutor:
 
     # ------------------------------------------------------------------
     def compile(self, plan: BoundedPlan) -> CompiledPlan:
-        """Lower ``plan`` to its run schedule, memoized per plan object."""
-        cached = self._compiled.get(id(plan))
-        if cached is not None and cached.plan is plan:
-            self._compiled.move_to_end(id(plan))
-            return cached
-        compiled = self._compile(plan)
-        self._compiled[id(plan)] = compiled
-        if len(self._compiled) > _COMPILED_CACHE_SIZE:
-            self._compiled.popitem(last=False)
-        return compiled
+        """Lower ``plan`` to its run schedule, kept on the plan.
 
-    def discard(self, plan: BoundedPlan) -> None:
-        """Release the compiled kernels of ``plan``, if memoized.
-
-        Called by the engine when a plan-store entry is displaced, so the
-        executor does not pin kernels (and their closed-over index lookups)
-        for plans that will never run again.
+        The schedule on the plan is reused when this executor lowered it from
+        this very plan object (a copy of a plan carries its original's);
+        otherwise the plan is lowered again and keeps the new one.
         """
-        cached = self._compiled.get(id(plan))
-        if cached is not None and cached.plan is plan:
-            del self._compiled[id(plan)]
+        compiled = plan.compiled
+        if compiled is None or compiled.executor is not self or compiled.plan is not plan:
+            compiled = plan.compiled = self._compile(plan)
+        return compiled
 
     def _compile(self, plan: BoundedPlan) -> CompiledPlan:
         steps = plan.steps
@@ -289,14 +281,6 @@ class PlanExecutor:
         keys: dict[int, tuple[int, tuple[int, ...]]] = {}
         for step in steps:
             op = step.op
-            if isinstance(op, ConstOp):
-                template[step.id] = frozenset({(op.value,)})
-                columns.append((op.column,))
-                continue
-            if isinstance(op, UnitOp):
-                template[step.id] = frozenset({()})
-                columns.append(())
-                continue
             if step.id in fused:
                 columns.append(_fused_columns(step, columns))
                 continue
@@ -312,11 +296,17 @@ class PlanExecutor:
             else:
                 kernel, step_columns = _compile_step(step, columns)
                 read = op.inputs
+            columns.append(step_columns)
+            if not isinstance(op, FetchOp) and all(template[r] is not None for r in read):
+                # Computed from constants alone: the rows are fixed, so the
+                # kernel runs here, once (a fetch reads data, and runs per read).
+                template[step.id] = frozenset(kernel(template, None))
+                continue
             schedule.append((step.id, kernel))
             reads.append(read)
-            columns.append(step_columns)
         return CompiledPlan(
             plan=plan,
+            executor=self,
             schedule=tuple(schedule),
             reads=tuple(reads),
             template=tuple(template),
@@ -382,6 +372,10 @@ def _fused_columns(step: PlanStep, columns: list[tuple[str, ...]]) -> tuple[str,
 def _compile_step(step: PlanStep, columns: list[tuple[str, ...]]) -> tuple[Kernel, tuple[str, ...]]:
     """The kernel of a step that reads only materialized slots, and its columns."""
     op = step.op
+    if isinstance(op, ConstOp):
+        return (lambda env, counter: {(op.value,)}), (op.column,)
+    if isinstance(op, UnitOp):
+        return (lambda env, counter: {()}), ()
     if isinstance(op, ProjectOp):
         source = op.inputs[0]
         positions, names = _projection(step, columns[source])

@@ -90,6 +90,9 @@ MAX_ATTEMPTS = 3
 #: the decorrelated-jitter backoff between attempts: first delay, cap (seconds)
 BACKOFF_BASE = 0.001
 BACKOFF_CAP = 0.05
+#: the fallback breaker: consecutive failures that open it, seconds it stays open
+BREAKER_FAILURE_THRESHOLD = 3
+BREAKER_COOLDOWN = 0.25
 
 
 @dataclass(frozen=True)
@@ -100,16 +103,16 @@ class ServerConfig:
     queries whose plan's ``access_bound()`` exceeds it are shed at admission
     (``None`` disables the check).  ``default_timeout`` applies when a
     request carries no timeout of its own (``None``: no deadline).  Retries
-    are not configured here: :data:`MAX_ATTEMPTS` and the backoff bounds are
-    module constants.  ``seed`` seeds the backoff's jitter.
+    and the fallback breaker are not configured here: :data:`MAX_ATTEMPTS`,
+    the backoff bounds, :data:`BREAKER_FAILURE_THRESHOLD` and
+    :data:`BREAKER_COOLDOWN` are module constants.  ``seed`` seeds the
+    backoff's jitter.
     """
 
     max_queue_depth: int = 64
     workers: int = 4
     default_timeout: float | None = 2.0
     max_access_bound: int | None = None
-    breaker_failure_threshold: int = 3
-    breaker_cooldown: float = 0.25
     seed: int = 0
 
 
@@ -195,8 +198,8 @@ class BoundedServer:
         self.post_check = post_check
         self.metrics = ServingMetrics()
         self.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_failure_threshold,
-            cooldown=self.config.breaker_cooldown,
+            failure_threshold=BREAKER_FAILURE_THRESHOLD,
+            cooldown=BREAKER_COOLDOWN,
             clock=clock,
         )
         # Mount the breaker on the engine: the gate lives where the unbounded
@@ -336,7 +339,7 @@ class BoundedServer:
         budget = self.config.max_access_bound
         if budget is None:
             return
-        prepared, _ = self.engine.prepare(query)
+        prepared = self.engine.prepare(query)
         if prepared.covered and prepared.plan is not None:
             bound = prepared.plan.access_bound()
             if bound > budget:

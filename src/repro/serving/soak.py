@@ -299,7 +299,7 @@ def run_soak(config: SoakConfig) -> dict:
     # actually churn the result cache instead of idling on unrelated data.
     dependencies: set[str] = set()
     for query in covered:
-        prepared, _ = engine.prepare(query)
+        prepared = engine.prepare(query)
         dependencies.update(prepared.dependencies)
     rng = random.Random(config.seed)
     writes = _WriteStream(database, sorted(dependencies), rng)

@@ -63,7 +63,6 @@ from ..core.errors import MaintenanceError, ReproError, StorageError, TransientF
 # tracer wraps this module's binding by name and fails to install without it.
 from ..core.fingerprint import prepared_cache_key  # noqa: F401
 from ..core.plan import BoundedPlan, PlanStep
-from ..core.planstore import PlanStore
 from ..core.query import Query
 from ..discovery.maintenance import MaintenanceReport, Update
 from ..serving.metrics import LatencyRecorder
@@ -193,7 +192,6 @@ class ShardRouter(ServingCore):
         partitioner: Partitioner,
         access_schema: AccessSchema,
         *,
-        plan_store: PlanStore | None = None,
         plan_cache_size: int = 128,
         result_cache_size: int = 256,
         write_observer: Callable[[list], None] | None = None,
@@ -209,7 +207,6 @@ class ShardRouter(ServingCore):
             access_schema,
             source=self,
             schema=partitioner.schema,
-            plan_store=plan_store,
             plan_cache_size=plan_cache_size,
             result_cache_size=result_cache_size,
         )
@@ -569,7 +566,6 @@ def build_topology(
     replicas: int = 1,
     backends: Sequence[str] | str | None = None,
     partition_keys=None,
-    plan_store: PlanStore | None = None,
     result_cache_size: int = 256,
     write_observer: Callable[[list], None] | None = None,
 ) -> ShardRouter:
@@ -583,7 +579,7 @@ def build_topology(
     that many members holding identical fragment copies; member substrates
     alternate within the set too, so a federated fetch can fail over from a
     memory member to its SQLite sibling.  Queries are prepared once, at the
-    router (``plan_store`` lets several routers share the store).
+    router.
     ``database`` itself is left untouched; the shards own disjoint fragment
     copies.
     """
@@ -630,7 +626,6 @@ def build_topology(
         built,
         partitioner,
         access_schema,
-        plan_store=plan_store,
         result_cache_size=result_cache_size,
         write_observer=write_observer,
     )

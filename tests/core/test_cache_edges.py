@@ -7,6 +7,7 @@ interleaved writes — the corners a cache bug hides in.
 
 import pytest
 
+from repro.core import planstore
 from repro.core.engine import BoundedEngine
 from repro.core.planstore import PlanStore, ResultCache
 from repro.storage.counters import VersionClock
@@ -57,8 +58,9 @@ class TestZeroCapacityResultCache:
 
 
 class TestOversizedAdmission:
-    def test_oversized_result_is_refused_and_prior_entries_survive(self):
-        cache = ResultCache(capacity=8, max_rows=2)
+    def test_oversized_result_is_refused_and_prior_entries_survive(self, monkeypatch):
+        monkeypatch.setattr(planstore, "MAX_ROWS", 2)
+        cache = ResultCache(capacity=8)
         small = frozenset({(1,), (2,)})
         cache.put("small", small, ("a",), ["r"], (0,))
         big = frozenset({(i,) for i in range(3)})
@@ -69,8 +71,9 @@ class TestOversizedAdmission:
         hit = cache.get("small", (0,))
         assert hit is not None and hit.rows == small
 
-    def test_oversized_refusal_does_not_evict_lru(self):
-        cache = ResultCache(capacity=2, max_rows=1)
+    def test_oversized_refusal_does_not_evict_lru(self, monkeypatch):
+        monkeypatch.setattr(planstore, "MAX_ROWS", 1)
+        cache = ResultCache(capacity=2)
         cache.put("a", frozenset({(1,)}), ("c",), ["r"], (0,))
         cache.put("b", frozenset({(2,)}), ("c",), ["r"], (0,))
         cache.put("big", frozenset({(1,), (2,)}), ("c",), ["r"], (0,))

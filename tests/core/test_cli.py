@@ -66,6 +66,14 @@ class TestPlanCommand:
         assert any(line.split()[0] == "5,000" and "fetch(" in line for line in steps)
         assert "-- access bound:" in out
 
+    def test_plan_no_minimize_plans_over_the_whole_schema(self, capsys):
+        code = main(["plan", "--workload", "facebook", "--scale", "30",
+                     "--sql", FB_Q1_SQL, "--no-minimize"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "fetch" in out and "access bound" in out
+        assert "minimized access schema" not in out
+
     def test_plan_sql_output(self, capsys):
         code = main(["plan", "--workload", "facebook", "--scale", "30",
                      "--sql", FB_Q1_SQL, "--sql-output"])
@@ -106,6 +114,13 @@ class TestRunCommand:
             main(["run", "--workload", "facebook", "--sql", FB_Q1_SQL, "--executor", "row"])
         assert refused.value.code == 2
         assert "--executor" in capsys.readouterr().err
+
+    def test_run_has_no_minimize_switch(self, capsys):
+        """A read is always minimized; ``plan --no-minimize`` shows the other plan."""
+        with pytest.raises(SystemExit) as refused:
+            main(["run", "--workload", "facebook", "--sql", FB_Q1_SQL, "--no-minimize"])
+        assert refused.value.code == 2
+        assert "--no-minimize" in capsys.readouterr().err
 
     def test_run_falls_back_for_uncovered(self, capsys):
         code = main(["run", "--workload", "facebook", "--scale", "30",

@@ -262,7 +262,8 @@ class TestEngineRepair:
             raise ZeroDivisionError("kernel blew up")
 
         compiled = engine._deriver.executor.compile(plan)
-        compiled.schedule = tuple((slot, broken_kernel) for slot, _ in compiled.schedule)
+        schedule = compiled.schedule
+        compiled.schedule = tuple((slot, broken_kernel) for slot, _ in schedule)
         delta = WriteDelta(inserts={"friend": (("p0", "p_err"),)})
         with caplog.at_level(logging.WARNING, logger="repro.core.deltas"):
             engine.apply_insert("friend", ("p0", "p_err"))
@@ -277,7 +278,7 @@ class TestEngineRepair:
         outcome = engine._deriver.derive(plan, env, rows, delta)
         assert outcome.status == FALLBACK
         assert outcome.reason == "error:ZeroDivisionError"
-        engine._deriver.executor.discard(plan)  # drop the sabotaged kernels
+        compiled.schedule = schedule  # the plan's own kernels back
         result = engine.execute(q1)
         assert not result.result_cached
         assert result.rows == evaluate(q1, fb_database).rows
@@ -495,7 +496,7 @@ class TestSettlementCost:
         engine.apply_insert("friend", ("p0", "p_first"))  # settles, indexing p0's entry
         late = friends_of("p1")
         assert not engine.execute(late).result_cached
-        key = engine.prepare(late)[0].result_key
+        key = engine.prepare(late).result_key
         assert list(engine.result_cache.unindexed) == [key]
         settle, verdicts = engine._settle, []
         engine._settle = lambda *args: verdicts.append(settle(*args)) or verdicts[-1]
@@ -655,12 +656,12 @@ class TestSettlementCost:
         engine = BoundedEngine(fb_database, fb_access)
         queries = [facebook.query_q1(person=f"p{i}") for i in range(16)]
         plans = [engine.execute(query).plan for query in queries]
-        fetch_steps = max(len(engine.prepare(q)[0].executable.fetch_steps()) for q in queries)
+        fetch_steps = max(len(engine.prepare(q).executable.fetch_steps()) for q in queries)
         assert len({id(plan) for plan in plans}) == 16
         # the fetch sites a patch of the friend fetch re-reads, off the plans
         # themselves: every plan has the same number of them, and at least one
         (rekeyed,) = {
-            len(rekeyed_by(engine.prepare(query)[0].executable, "friend")) for query in queries
+            len(rekeyed_by(engine.prepare(query).executable, "friend")) for query in queries
         }
         assert rekeyed >= 1
 

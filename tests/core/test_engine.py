@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.engine import BoundedEngine
+from repro.core.engine import BoundedEngine, prepare_query
 from repro.core.errors import NotCoveredError
 from repro.core.plan2sql import plan_to_sql
 from repro.evaluator.algebra import evaluate
+from repro.evaluator.executor import PlanExecutor
 from repro.workloads import facebook
 
 
@@ -73,10 +74,12 @@ class TestEngineExecution:
         with pytest.raises(NotCoveredError):
             engine.execute(fb_q2, fallback=False)
 
-    def test_minimize_false_uses_full_schema(self, engine, fb_q1, fb_database):
-        result = engine.execute(fb_q1, minimize=False)
-        assert result.minimization is None
+    def test_minimize_false_uses_full_schema(self, engine, fb_q1, fb_database, fb_access):
+        prepared = prepare_query(fb_q1, fb_access, minimize=False)
+        assert prepared.minimization is None
+        result = PlanExecutor(engine.indexes).execute(prepared.executable)
         assert result.rows == evaluate(fb_q1, fb_database).rows
+        assert result.rows == engine.execute(fb_q1).rows  # the minimized read agrees
 
     def test_access_ratio_small(self, engine, fb_q1, fb_database):
         result = engine.execute(fb_q1)

@@ -15,7 +15,6 @@ from repro.core.fingerprint import (
     query_fingerprint,
     result_cache_key,
 )
-from repro.core.planstore import PlanStore
 from repro.core.query import Rename, Relation, eq
 from repro.serving.server import BoundedServer, ReadRequest
 from repro.workloads import facebook
@@ -61,16 +60,14 @@ class TestDeterminism:
         assert len(digest) == 64
         int(digest, 16)  # hex
 
-    def test_plan_store_key_is_the_form_and_the_flag(self, fb_q1):
-        assert prepared_cache_key(fb_q1, minimize=False) == (canonical_form(fb_q1), False)
+    def test_plan_store_key_is_the_form(self, fb_q1):
+        assert prepared_cache_key(fb_q1) == canonical_form(fb_q1)
 
-    def test_result_key_is_the_digest_and_the_same_flag(self, fb_q1):
-        _, *rest = prepared_cache_key(fb_q1, minimize=False)
-        assert result_cache_key(fb_q1, minimize=False) == (query_fingerprint(fb_q1), *rest)
-        assert prepare_query(fb_q1, AccessSchema([]), minimize=False).result_key == (
-            query_fingerprint(fb_q1),
-            *rest,
-        )
+    def test_result_key_is_the_digest(self, fb_q1):
+        assert result_cache_key(fb_q1) == query_fingerprint(fb_q1)
+        for minimize in (True, False):  # how a plan is prepared is not part of the key
+            prepared = prepare_query(fb_q1, AccessSchema([]), minimize=minimize)
+            assert prepared.result_key == query_fingerprint(fb_q1)
 
 
 class TestSensitivity:
@@ -116,26 +113,6 @@ class TestCanonicalForm:
     def test_round_trips_through_repr(self, fb_q1):
         """repr of the form is what gets hashed; it must be deterministic."""
         assert repr(canonical_form(fb_q1)) == repr(canonical_form(facebook.query_q1()))
-
-
-class TestSharedStore:
-    def test_reads_with_different_flags_address_disjoint_entries(self, fb_access):
-        store = PlanStore(capacity=32)
-        database = facebook.generate(scale=30, seed=1)
-        first = BoundedEngine(database, fb_access, plan_store=store)
-        second = BoundedEngine(database, fb_access, plan_store=store)
-        query = facebook.query_q1()
-        assert prepared_cache_key(query, minimize=True) != prepared_cache_key(
-            query, minimize=False
-        )
-        minimized, hit_minimized = first.prepare(query, minimize=True)
-        full, hit_full = second.prepare(query, minimize=False)
-        assert not hit_minimized and not hit_full
-        assert minimized is not full
-        assert minimized.result_key != full.result_key
-        assert len(store) == 2
-        assert second.prepare(facebook.query_q1(), minimize=True)[0] is minimized
-        assert first.prepare(facebook.query_q1(), minimize=False)[0] is full
 
 
 class TestWhereTheDigestRuns:

@@ -1,11 +1,15 @@
 """Plan-store correctness: hits, LRU displacement, and cache/optimizer equivalence."""
 
+import gc
+import weakref
+from collections import Counter
+
 import pytest
 from analytic_queries import ANALYTIC_SCALE, analytic_queries
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import BoundedEngine, PreparedQuery
+from repro.core.engine import BoundedEngine, PreparedQuery, prepare_query
 from repro.core.errors import ConstraintViolation, MaintenanceError
 from repro.core.query import Relation, eq
 from repro.discovery.maintenance import Update
@@ -56,7 +60,6 @@ class TestPlanStoreUnit:
         assert stats["misses"] == 1
         assert stats["entries"] == 1
 
-
     def test_a_displaced_plan_releases_its_compiled_kernels(
         self, fb_database, fb_access, fb_q0_prime
     ):
@@ -64,14 +67,37 @@ class TestPlanStoreUnit:
         q1 = facebook.query_q1()
         assert engine.execute(q1).rows == evaluate(q1, fb_database).rows
         (entry,) = engine.plan_cache._entries.values()
-        compiled = engine._executor._compiled
-        assert id(entry.executable) in compiled
+        assert entry.executable.compiled.executor is engine._executor
+        plan, kernels = weakref.ref(entry.executable), weakref.ref(entry.executable.compiled)
+        del entry
         engine.execute(fb_q0_prime)  # the one slot goes to q0': q1's plan is displaced
-        assert id(entry.executable) not in compiled
+        gc.collect()
+        assert plan() is None and kernels() is None  # held by no cache: collected
         assert engine.cache_stats()["plan_store"]["evictions"] == 1
         again = engine.execute(q1)  # prepared anew, and still right
         assert not again.cached
         assert again.rows == evaluate(q1, fb_database).rows
+
+    def test_a_displaced_plan_lives_while_its_result_is_cached(
+        self, fb_database, fb_access, fb_q0_prime
+    ):
+        """The result cache holds the plan an entry was filled by, for repair:
+        its kernels go when that entry goes, not when the store drops the plan."""
+        engine = BoundedEngine(fb_database, fb_access, plan_cache_size=1, result_cache_size=1)
+        q1 = facebook.query_q1()
+        engine.execute(q1)
+        plan = weakref.ref(engine.prepare(q1).executable)
+        engine.execute(fb_q0_prime)  # q1's plan leaves the store, its result the cache
+        gc.collect()
+        assert plan() is None
+        engine = BoundedEngine(fb_database, fb_access, plan_cache_size=1, result_cache_size=2)
+        engine.execute(q1)
+        plan = weakref.ref(engine.prepare(q1).executable)
+        engine.execute(fb_q0_prime)  # displaced from the store; its result stays
+        gc.collect()
+        assert plan() is not None and plan().compiled is not None
+        (held,) = [e.plan for e in engine.result_cache._entries.values() if e.plan is plan()]
+        assert held.compiled.executor is engine._executor
 
 class TestCachedExecution:
     def test_rows_identical_with_and_without_cache(
@@ -102,11 +128,17 @@ class TestCachedExecution:
         assert r_p1.rows == evaluate(q_p1, fb_database).rows
         assert cached_engine.cache_stats()["plan_store"]["entries"] == 2
 
-    def test_minimize_flag_keys_separately(self, cached_engine, fb_q1):
-        cached_engine.execute(fb_q1, minimize=True)
-        result = cached_engine.execute(fb_q1, minimize=False)
-        assert not result.cached
-        assert result.minimization is None
+    def test_reads_are_minimized_and_prepare_query_can_skip_it(
+        self, cached_engine, fb_q1, fb_access, fb_database
+    ):
+        result = cached_engine.execute(fb_q1)
+        assert result.minimization is not None
+        full = prepare_query(fb_q1, fb_access, minimize=False)
+        assert full.minimization is None
+        assert full.result_key == cached_engine.prepare(fb_q1).result_key  # one key per query
+        executor = PlanExecutor(cached_engine.indexes)
+        assert executor.execute(full.executable).rows == result.rows
+        assert result.rows == evaluate(fb_q1, fb_database).rows
 
     def test_uncovered_verdict_cached_but_fallback_stays_fresh(
         self, cached_engine, fb_q2, fb_database
@@ -179,7 +211,7 @@ class TestInvalidation:
         database, access, hot_query = hot_cold_setup
         engine = BoundedEngine(database, access)
         engine.execute(hot_query)
-        prepared, _ = engine.prepare(hot_query)
+        prepared = engine.prepare(hot_query)
         assert prepared.dependencies == ("hot",)
         engine.apply_insert("cold", ("y", 1))  # a relation the plan never fetches
         repeat = engine.execute(hot_query)
@@ -212,7 +244,7 @@ def test_cache_and_optimizer_row_identical_on_workloads(name):
             assert result.strategy == "bounded"
             assert result.rows == expected
         # the canonical plan QPlan generated and the optimized one that ran
-        prepared, _ = full.prepare(query)
+        prepared = full.prepare(query)
         for plan in (prepared.plan, prepared.executable):
             assert executor.execute(plan).rows == expected
         # warm pass: served from cache, still identical
@@ -259,3 +291,29 @@ def test_no_write_outcome_prepares_a_query_again(outcomes):
         assert result.cached
         assert result.rows == evaluate(query, database).rows
     assert engine.cache_stats()["plan_store"]["misses"] == len(queries)
+
+
+def test_a_plan_is_lowered_once_however_many_a_core_serves(fb_database, fb_access, monkeypatch):
+    """More plans than any fixed kernel memo would hold, each read, then a write
+    every one of them probed: each plan object is lowered once, its read and its
+    settlement running the same kernels."""
+    lowered = Counter()
+    lower = PlanExecutor._compile
+
+    def counted(self, plan):
+        lowered[id(plan)] += 1
+        return lower(self, plan)
+
+    monkeypatch.setattr(PlanExecutor, "_compile", counted)
+    engine = BoundedEngine(fb_database, fb_access)
+    queries = [facebook.query_q1(year=2000 + i) for i in range(72)]  # all probe p0's friends
+    first = [engine.execute(query).rows for query in queries]
+    plans = [entry.executable for entry in engine.plan_cache._entries.values()]
+    assert len(plans) == len(queries)
+    engine.apply_updates([Update.insert("friend", ("p0", "p_new"))])  # p_new dines nowhere
+    assert engine.cache_stats()["result_cache"]["repaired"] == len(queries)
+    assert sorted(lowered) == sorted(map(id, plans)) and set(lowered.values()) == {1}
+    for query, rows in zip(queries, first):
+        result = engine.execute(query)
+        assert result.result_cached and result.rows == rows == evaluate(query, fb_database).rows
+    assert set(lowered.values()) == {1}

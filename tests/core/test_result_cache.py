@@ -1,4 +1,4 @@
-"""Result-cache correctness and the shared plan store across engines.
+"""Result-cache correctness, and engines over separate data kept apart.
 
 What holds for every serving substrate alike (repeat reads, settlement
 transitions, fallback) is pinned in ``test_serving_core.py``; this file keeps
@@ -9,7 +9,8 @@ import pytest
 
 from repro.core.engine import BoundedEngine
 from repro.core.errors import MaintenanceError
-from repro.core.planstore import PlanStore, ResultCache
+from repro.core import planstore
+from repro.core.planstore import ResultCache
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
 from repro.workloads import facebook
@@ -42,8 +43,9 @@ class TestResultCacheUnit:
         assert cache.stats()["evictions"] == 1
         assert cache.get(0, ()) is None  # the oldest entry was evicted
 
-    def test_oversized_results_not_admitted(self):
-        cache = ResultCache(capacity=4, max_rows=2)
+    def test_oversized_results_not_admitted(self, monkeypatch):
+        monkeypatch.setattr(planstore, "MAX_ROWS", 2)
+        cache = ResultCache(capacity=4)
         small = frozenset({(1,), (2,)})
         big = frozenset({(i,) for i in range(3)})
         cache.put("small", small, ("v",), dependencies=(), snapshot=())
@@ -138,31 +140,14 @@ class TestEngineResultCache:
         assert second.rows == first.rows
 
 
-class TestSharedPlanStore:
-    def test_two_engines_share_prepared_plans(self, fb_access):
-        store = PlanStore(capacity=32)
-        db_a = facebook.generate(scale=30, seed=1)
-        db_b = facebook.generate(scale=30, seed=2)
-        engine_a = BoundedEngine(db_a, fb_access, plan_store=store)
-        engine_b = BoundedEngine(db_b, fb_access, plan_store=store)
-        q1 = facebook.query_q1()
-
-        result_a = engine_a.execute(q1)
-        assert not result_a.cached  # first preparation fleet-wide
-        result_b = engine_b.execute(q1)
-        assert result_b.cached  # engine B reuses engine A's prepared plan
-        assert store.stats()["entries"] == 1
-
-        prepared_a, _ = engine_a.prepare(q1)
-        prepared_b, _ = engine_b.prepare(q1)
-        assert prepared_a is prepared_b  # literally the same entry
+class TestEnginesApart:
+    """Each engine prepares its own plans and settles its own caches."""
 
     def test_divergent_data_yields_per_engine_results(self, fb_access):
-        store = PlanStore(capacity=32)
         db_a = facebook.generate(scale=30, seed=1)
         db_b = facebook.generate(scale=30, seed=2)
-        engine_a = BoundedEngine(db_a, fb_access, plan_store=store)
-        engine_b = BoundedEngine(db_b, fb_access, plan_store=store)
+        engine_a = BoundedEngine(db_a, fb_access)
+        engine_b = BoundedEngine(db_b, fb_access)
         q1 = facebook.query_q1()
 
         rows_a = engine_a.execute(q1).rows
@@ -180,35 +165,19 @@ class TestSharedPlanStore:
         assert after_a.rows == evaluate(q1, db_a).rows
         assert after_b.rows == evaluate(q1, db_b).rows
         assert ("c_div",) not in after_b.rows
+        assert after_b.result_cached
 
-    def test_minimize_flag_keys_separately_in_shared_store(self, fb_access):
-        """Reads with different ``minimize`` must not serve each other, across engines."""
-        store = PlanStore(capacity=32)
-        database = facebook.generate(scale=30, seed=1)
-        first = BoundedEngine(database, fb_access, plan_store=store)
-        second = BoundedEngine(database, fb_access, plan_store=store)
-        q1 = facebook.query_q1()
-        first.execute(q1, minimize=True)
-        result = second.execute(q1, minimize=False)
-        assert not result.cached  # distinct entry, not the minimized one
-        assert result.minimization is None
-        assert store.stats()["entries"] == 2
-        assert second.execute(q1, minimize=True).cached
-        assert first.execute(q1, minimize=False).cached
-        assert result.rows == evaluate(q1, database).rows
-
-    def test_failed_batch_on_one_engine_keeps_shared_entry_for_both(self, fb_access):
-        """A batch that failed part-way on one engine sweeps that engine's
-        result cache only; plans are data-independent, so the shared entry
-        stays for both (a clean write keeps it too, below)."""
-        store = PlanStore(capacity=32)
+    def test_failed_batch_on_one_engine_keeps_its_plan_entry(self, fb_access):
+        """A batch that failed part-way sweeps that engine's result cache
+        only; its plan entry stays (plans are data-independent), and the other
+        engine is not touched at all."""
         db_a = facebook.generate(scale=30, seed=1)
         db_b = facebook.generate(scale=30, seed=2)
-        engine_a = BoundedEngine(db_a, fb_access, plan_store=store)
-        engine_b = BoundedEngine(db_b, fb_access, plan_store=store)
+        engine_a = BoundedEngine(db_a, fb_access)
+        engine_b = BoundedEngine(db_b, fb_access)
         q1 = facebook.query_q1()
         engine_a.execute(q1)
-        assert engine_b.execute(q1).cached
+        engine_b.execute(q1)
         batch = [Update.insert("friend", ("p0", "p_x")), Update.insert("friend", ("p0",))]
         with pytest.raises(MaintenanceError):
             engine_a.apply_updates(batch)  # the malformed second row aborts it
@@ -218,23 +187,39 @@ class TestSharedPlanStore:
         result_a = engine_a.execute(q1)
         assert result_a.cached and not result_a.result_cached
         assert result_a.rows == evaluate(q1, db_a).rows
-        assert store.stats()["misses"] == 1
+        assert engine_a.cache_stats()["plan_store"]["misses"] == 1
 
-    def test_write_keeps_shared_plan_entry(self, fb_access):
-        """A write leaves the shared store alone — each engine's *result*
-        cache is settled individually."""
-        store = PlanStore(capacity=32)
+    def test_write_keeps_the_plan_entry(self, fb_access):
+        """A write leaves the plan store alone; each engine's *result* cache
+        is settled individually."""
         db_a = facebook.generate(scale=30, seed=1)
         db_b = facebook.generate(scale=30, seed=2)
-        engine_a = BoundedEngine(db_a, fb_access, plan_store=store)
-        engine_b = BoundedEngine(db_b, fb_access, plan_store=store)
+        engine_a = BoundedEngine(db_a, fb_access)
+        engine_b = BoundedEngine(db_b, fb_access)
         q1 = facebook.query_q1()
         engine_a.execute(q1)
-        assert engine_b.execute(q1).cached
+        engine_b.execute(q1)
+        plan = engine_a.prepare(q1).executable
         engine_a.apply_insert("friend", ("p0", "p_x"))
         result_a = engine_a.execute(q1)
         result_b = engine_b.execute(q1)
         assert result_a.cached and result_b.cached  # plan entry survived
+        assert engine_a.prepare(q1).executable is plan
         assert result_b.result_cached  # engine B's result was never touched
         assert result_a.rows == evaluate(q1, db_a).rows
         assert result_b.rows == evaluate(q1, db_b).rows
+
+    def test_engines_prepare_their_own_plans(self, fb_access):
+        """Two engines over one access schema prepare equal plans, as two objects,
+        each lowered by its own executor."""
+        database = facebook.generate(scale=30, seed=1)
+        engine_a = BoundedEngine(database, fb_access)
+        engine_b = BoundedEngine(database, fb_access)
+        q1 = facebook.query_q1()
+        result_a, result_b = engine_a.execute(q1), engine_b.execute(q1)
+        assert not result_a.cached and not result_b.cached
+        assert result_a.rows == result_b.rows == evaluate(q1, database).rows
+        plan_a, plan_b = engine_a.prepare(q1).executable, engine_b.prepare(q1).executable
+        assert plan_a is not plan_b and plan_a == plan_b
+        assert plan_a.compiled.executor is engine_a._executor
+        assert plan_b.compiled.executor is engine_b._executor

@@ -81,7 +81,7 @@ class TestReads:
         access = facebook.access_schema(database.schema)
         core = make(database, access).core
         query = facebook.query_q1()
-        plan = core.prepare(query)[0].executable
+        plan = core.prepare(query).executable
         bound = plan.access_bound()
         assert bound >= 4000  # wide: the layered benchmark's point plans stay under 1 000
         result = core.execute(query)
@@ -235,7 +235,7 @@ class TestWriteSettlement:
         database = facebook.generate(scale=30, seed=5)
         substrate = make(database, facebook.access_schema(database.schema))
         core, query = substrate.core, facebook.query_q1()
-        assert core.prepare(query)[0].executable.access_bound() >= 4000
+        assert core.prepare(query).executable.access_bound() >= 4000
         core.execute(query)
         verdicts = recording_settlements(core)
         before = substrate.result_cache()
@@ -589,7 +589,7 @@ class TestFallbackBreaker:
     def uncovered(self, hot):
         relation = Relation.from_schema(hot.reference.schema, "hot")
         query = relation.select(eq(relation["v"], 1)).project([relation["k"]])
-        assert not hot.core.prepare(query)[0].covered
+        assert not hot.core.prepare(query).covered
         return query
 
     def test_every_fallback_outcome_is_reported(self, hot, uncovered):

@@ -1,5 +1,6 @@
 """Unit tests for the bounded-plan executor (evalQP)."""
 
+import copy
 from collections import defaultdict
 
 import pytest
@@ -235,14 +236,21 @@ def fused_steps(plan) -> list[int]:
     return fused
 
 
+def constant_steps(plan) -> set[int]:
+    """The steps computed from constants alone, read off the plan: no fetch at or
+    below them (a ``ConstOp`` or ``UnitOp`` has no input at all)."""
+    constant: set[int] = set()
+    for step in plan.steps:
+        if not isinstance(step.op, FetchOp) and constant.issuperset(step.op.inputs):
+            constant.add(step.id)
+    return constant
+
+
 def scheduled_steps(plan) -> list[int]:
-    """The steps that run a kernel of their own: neither a constant nor fused."""
-    fused = fused_steps(plan)
-    return [
-        step.id
-        for step in plan.steps
-        if step.id not in fused and not isinstance(step.op, (ConstOp, UnitOp))
-    ]
+    """The steps that run a kernel of their own: neither computed from constants
+    alone (that runs once, when the plan is lowered) nor fused."""
+    skipped = constant_steps(plan).union(fused_steps(plan))
+    return [step.id for step in plan.steps if step.id not in skipped]
 
 
 def definition_rows(plan, env, step_id):
@@ -704,6 +712,28 @@ class TestFusedSchedule:
         first, second = (executor.execute(plan, capture_env=True) for _ in range(2))
         assert first.env[0] is second.env[0] is executor.compile(plan).template[0]
 
+    @pytest.mark.parametrize("keep", ["p0", "zz"], ids=["rows", "empty"])
+    def test_a_step_over_constants_alone_runs_once_when_lowered(
+        self, fb_database, source, fb_access, psi1, keep
+    ):
+        """A selection of a constant that a join reads (not a fetch alone): its rows,
+        empty or not, are the template's, and a run schedules the fetch and the join."""
+        builder, fetch = friend_plan(fb_access, psi1, "p0")
+        key = builder.add(ConstOp(value="p0", column="k"), ["k"])
+        kept = builder.add(SelectOp(predicates=(ColumnPredicate("k", "=", keep),), inputs=(key,)), ["k"])
+        join = builder.add(
+            HashJoinOp(pairs=(("friend.pid", "k"),), residual=(), inputs=(fetch, kept)),
+            ["friend.fid", "friend.pid", "k"],
+        )
+        plan = builder.build(join)
+        friends = {(fid, pid, pid) for pid, fid in fb_database.relation("friend").rows if pid == keep}
+        assert bool(friends) is (keep == "p0")
+        result = run(plan, source, friends, fb_database)
+        assert result.kernel_batches == 2  # the fetch and the join
+        template = PlanExecutor(source).compile(plan).template
+        assert template[kept] == ({("p0",)} if friends else set())
+        assert result.env[kept] == template[kept]
+
     def test_a_projection_folds_into_a_one_column_fetch_key(
         self, fb_database, source, fb_access, psi1
     ):
@@ -767,7 +797,8 @@ class TestFusedSchedule:
         expected = evaluate(reference, fb_database).rows
         assert expected
         result = run(builder.build(fetch), source, expected, fb_database)
-        assert result.kernel_batches == 5  # the union, three products, the fetch
+        # the fetch: the union and the three products of constants ran when lowered
+        assert result.kernel_batches == 1
         assert result.env[key] is None
         assert result.counter.index_probes == 2
 
@@ -840,8 +871,9 @@ class TestFusedSchedule:
         expected = evaluate(reference, fb_database).rows
         assert expected
         result = run(builder.build(output), source, expected, fb_database)
-        # two unions, two fetches, the rename, π∘⋈ and the last join
-        assert result.kernel_batches == 7
+        # two fetches, the rename, π∘⋈ and the last join (the two unions are of
+        # constants: they ran when the plan was lowered)
+        assert result.kernel_batches == 5
         assert result.env[join] is None
         assert result.env[pairs] == {(o_pid, f_pid) for o_pid, f_pid, *_ in expected}
 
@@ -860,7 +892,7 @@ class TestFusedSchedule:
         expected = {(o_pid, f_pid) for _, f_pid, _, o_pid in joined}
         assert expected
         result = run(builder.build(output), source, expected, fb_database)
-        assert result.kernel_batches == 5  # two unions, the fetch, the rename, π∘⋈
+        assert result.kernel_batches == 3  # the fetch, the rename, π∘⋈ (not the unions)
         assert result.env[join] is None and result.env[output] == expected
         assert result.columns == ("a", "b")
 
@@ -876,3 +908,39 @@ class TestFusedSchedule:
         expected = evaluate(friend.select(eq(friend["pid"], "p0")).project([friend["fid"]]), fb_database).rows
         result = run(plan, source, expected, fb_database)
         assert result.kernel_batches == 3 and result.env[key] == expected
+
+
+class TestCompiledPlanKeptOnThePlan:
+    """A plan keeps the run schedule it was lowered to, for the executor that
+    lowered it: nothing beside the plan holds kernels."""
+
+    def test_an_executor_lowers_a_plan_once(self, fb_indexes, fb_access, psi1):
+        builder, fetch = friend_plan(fb_access, psi1, "p0")
+        plan = builder.build(fetch)
+        executor = PlanExecutor(fb_indexes)
+        compiled = executor.compile(plan)
+        assert plan.compiled is compiled
+        assert (compiled.plan, compiled.executor) == (plan, executor)
+        assert executor.compile(plan) is compiled
+        assert executor.execute(plan).rows == executor.execute(plan).rows
+        assert plan.compiled is compiled
+
+    def test_another_executor_lowers_the_plan_again(self, fb_indexes, fb_access, psi1):
+        builder, fetch = friend_plan(fb_access, psi1, "p0")
+        plan = builder.build(fetch)
+        first, second = PlanExecutor(fb_indexes), PlanExecutor(fb_indexes)
+        compiled = first.compile(plan)
+        other = second.compile(plan)  # its kernels read another fetch source
+        assert other is not compiled and other.executor is second and plan.compiled is other
+        assert first.compile(plan) is not compiled  # the plan keeps one schedule
+        assert first.execute(plan).rows == second.execute(plan).rows
+
+    def test_a_copy_of_a_plan_is_lowered_for_itself(self, fb_indexes, fb_access, psi1):
+        builder, fetch = friend_plan(fb_access, psi1, "p0")
+        plan = builder.build(fetch)
+        executor = PlanExecutor(fb_indexes)
+        compiled = executor.compile(plan)
+        copied = copy.copy(plan)
+        assert copied == plan and copied.compiled is compiled  # carried over, not reused
+        assert executor.compile(copied).plan is copied
+        assert executor.compile(plan) is compiled

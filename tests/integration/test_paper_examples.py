@@ -4,14 +4,14 @@ import pytest
 
 from repro.core.access import AccessConstraint, AccessSchema
 from repro.core.coverage import check_coverage, is_covered
-from repro.core.engine import BoundedEngine
+from repro.core.engine import BoundedEngine, prepare_query
 from repro.core.minimize import minimize_access, minimize_access_acyclic
 from repro.core.planner import plan_query
 from repro.core.query import Difference, Projection, Relation, conjunction, eq
 from repro.core.rewrite import find_covered_rewrite
 from repro.core.schema import DatabaseSchema
 from repro.evaluator.algebra import evaluate
-from repro.evaluator.executor import execute_plan
+from repro.evaluator.executor import PlanExecutor, execute_plan
 from repro.storage.index import IndexSet
 from repro.workloads import facebook
 
@@ -58,7 +58,8 @@ class TestExample1And2:
         database = facebook.generate(scale=150, seed=2)
         engine = BoundedEngine(database, fb_access)
         q1 = facebook.query_q1()
-        bounded = engine.execute(q1, minimize=False)
+        unminimized = prepare_query(q1, fb_access, minimize=False).executable
+        bounded = PlanExecutor(engine.indexes).execute(unminimized)
         from repro.evaluator.baseline import evaluate_conventional
 
         baseline = evaluate_conventional(q1, database, fb_access)

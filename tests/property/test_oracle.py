@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 import sys
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -38,10 +38,9 @@ from repro.bench.experiments import select_covered_queries
 from repro.core.deltas import EVERY_WRITE
 from repro.core.engine import prepare_query
 from repro.core.errors import ConstraintViolation
-from repro.core.plan import ConstOp, DifferenceOp, ProjectOp, UnitOp
+from repro.core.plan import DifferenceOp, FetchOp, ProjectOp
 from repro.core.query import Relation, eq
 from repro.discovery.maintenance import Update, apply_updates
-from repro.evaluator import executor as executor_module
 from repro.evaluator.algebra import evaluate
 from repro.evaluator.baseline import evaluate_conventional
 from repro.evaluator.executor import PlanExecutor
@@ -196,6 +195,15 @@ def _fetches_of(plan, env) -> list[_Fetch]:
     return fetches
 
 
+def _constant(plan) -> set[int]:
+    """The steps computed from constants alone: no fetch at or below them."""
+    constant: set[int] = set()
+    for step in plan.steps:
+        if not isinstance(step.op, FetchOp) and constant.issuperset(step.op.inputs):
+            constant.add(step.id)
+    return constant
+
+
 def _dirty(fetches, applied, schema) -> set[int]:
     """The fetches ``applied`` dirties: a written row projects onto a key it probed."""
     return {
@@ -234,12 +242,12 @@ def _predict(entry, env, applied, touched, schema) -> str | None:
 # -- the path matrix ----------------------------------------------------------------
 
 READ, REFILL, HOT_INSERT, HOT_DELETE, DELETE_REINSERT, COLD, MIXED, BREAK = range(8)
-EVICT, SWEEP, REBALANCE, ARM_LOST, KILL, HEAL = range(8, 14)
+SWEEP, REBALANCE, ARM_LOST, KILL, HEAL = range(8, 13)
 
 #: what every cell runs: reads, the settlement writes and a batch that breaks a bound
 PATH_OPS = (READ, REFILL, HOT_INSERT, HOT_DELETE, DELETE_REINSERT, COLD, MIXED, BREAK)
-#: what a serving core adds: its compiled plans evicted, its plan store swept
-CORE_OPS = PATH_OPS + (EVICT, SWEEP)
+#: what a serving core adds: its plan store swept
+CORE_OPS = PATH_OPS + (SWEEP,)
 
 
 #: one serving path: a serving core (a ``substrates.py`` topology) or a bare ``reader``
@@ -331,6 +339,14 @@ class Oracle:
             )
             stack.callback(self.substrate.close)
             self.core, self.reference = self.substrate.core, self.substrate.reference
+            # how often the core lowers each plan object, on this core only
+            self.lowered, lower = Counter(), self.core._executor._compile
+
+            def lowering(plan):
+                self.lowered[id(plan)] += 1
+                return lower(plan)
+
+            self.core._executor._compile = lowering
             # the federated executor: both plans, fetched through the router
             self.executor = PlanExecutor(self.core) if self.substrate.federated else None
         self.cached = self.core is not None and self.cell.result_cache
@@ -351,7 +367,7 @@ class Oracle:
         """Record what a cached core settles, derives and re-runs, and any live group it reads."""
         core = self.core
         # result-cache entries are filed under their prepared entry's key
-        self.keys = [core.prepare(query)[0].result_key for query in self.queries]
+        self.keys = [core.prepare(query).result_key for query in self.queries]
         self.by_key = dict(zip(self.keys, range(len(self.queries))))
         self.settled, self.derived, self.group_reads, self.deriving = {}, {}, [], False
         settle, derive = core._settle, core._deriver.derive
@@ -499,15 +515,13 @@ class Oracle:
                 if expected == "patched":
                     # the dirty fetches and every step downstream of them that
                     # runs a kernel of its own, nothing else (a step fused into
-                    # its consumer re-runs inside it)
+                    # its consumer re-runs inside it; one computed from
+                    # constants ran once, when the plan was lowered)
                     fetches = _fetches_of(entry.plan, env)
                     closure = _closure(entry.plan, _dirty(fetches, applied, self.schema))
                     scheduled = {slot for slot, _ in core._executor.compile(entry.plan).schedule}
-                    assert scheduled == {
-                        sid
-                        for sid, rows in enumerate(env)
-                        if rows is not None and not isinstance(entry.plan.steps[sid].op, (ConstOp, UnitOp))
-                    }
+                    filled = {sid for sid, rows in enumerate(env) if rows is not None}
+                    assert scheduled == filled - _constant(entry.plan)
                     assert ran == [sid for sid in closure if sid in scheduled]
                     rekeyed = {fetch.id for fetch in fetches if fetch.source in closure}
                     moved["repaired"] += 1
@@ -674,21 +688,14 @@ class Oracle:
 
         return [Update.insert(constraint.relation, row()) for _ in range(headroom + 1 + pick % 2)]
 
-    def evict_compiled(self) -> None:
-        """Release every plan's compiled kernels, as a store eviction would."""
-        plans = [entry.plan for entry in self.entries().values()] if self.cached else []
-        for plan in plans + [prepared.executable for prepared in self.prepared]:
-            if plan is not None:
-                self.core._executor.discard(plan)
-
     def sweep_and_reprepare(self) -> None:
         """Evict every plan from the store, as LRU displacement would, and
         prepare every query again: equal plans, new objects."""
-        old = [self.core.prepare(query)[0].executable for query in self.queries]
+        old = [self.core.prepare(query).executable for query in self.queries]
         store = self.core.plan_cache
         for filler in range(store.capacity):
-            self.core._discard_compiled(store.put(("filler", filler), None))
-        new = [self.core.prepare(query)[0].executable for query in self.queries]
+            store.put(("filler", filler), None)
+        new = [self.core.prepare(query).executable for query in self.queries]
         assert all(a is not b for a, b in zip(old, new) if a is not None)
         self.refill()
 
@@ -762,8 +769,6 @@ class Oracle:
                 self.refill()
             elif op in (ARM_LOST, KILL, HEAL):
                 self.fault(op)
-            elif op == EVICT:
-                self.evict_compiled()
             elif op == SWEEP:
                 self.sweep_and_reprepare()
             else:
@@ -824,14 +829,8 @@ def test_every_path_returns_the_references_rows(workload, scale, source, cell):
         # generated queries are drawn apart from the data they are served over
         query_seed = data.draw(st.integers(0, 500), label="query_seed") if source == "random" else 0
         schedule = data.draw(schedules(CELLS[cell].ops), label="schedule")
-        core = CELLS[cell].substrate is not None
-        tiny_memo = data.draw(st.booleans(), label="tiny_memo") if core else False
         victim = data.draw(st.integers(0, 1), label="victim") if cell == "replicated" else 1
         with ExitStack() as stack:
-            # a two-plan kernel memo evicts compiled plans (and the repair
-            # programs kept on them) between the derivations of one batch
-            memo = 2 if tiny_memo else 64
-            stack.enter_context(patch.object(executor_module, "_COMPILED_CACHE_SIZE", memo))
             case = Case(workload, scale, seed, source, query_seed)
             Oracle(case, cell, stack, victim=victim).run(schedule)
 
@@ -856,7 +855,7 @@ def reads_hit_after_a_miss(oracle: Oracle):
 
     def lowered_once(oracle: Oracle) -> None:
         n = len(oracle.queries)
-        assert oracle.core is None or len(oracle.core._executor._compiled) == n
+        assert oracle.core is None or sorted(oracle.lowered.values()) == [1] * n
         stats = oracle.core.cache_stats()["result_cache"] if oracle.cached else {}
         assert not stats or (stats["hits"], stats["misses"], stats["entries"]) == (n, n, n)
 
@@ -873,7 +872,6 @@ def the_named_schedule(oracle: Oracle):
     yield Write([dine], ["patched"])
     # a delete and its re-insert leave the group as it was: patched all the same
     yield Write([dine.inverse(), dine], ["patched"])
-    yield (EVICT, 0)  # the compiled plan discarded between two batches
     yield Write([friend.inverse()], ["patched"])
     # a plan evicted from the store is re-prepared as an equal plan, a new
     # object; the entry keeps the old one and still settles

@@ -298,7 +298,7 @@ class TestInlineHits:
         engine.execute(fb_q0_prime)  # hot: every refusal below is of a read that would hit
         served = []
         audit = dict(post_check=lambda query, result: served.append(query))
-        bound = engine.prepare(fb_q0_prime)[0].plan.access_bound()
+        bound = engine.prepare(fb_q0_prime).plan.access_bound()
         hot = ReadRequest(query=fb_q0_prime)
 
         (expired,), server = serve(engine, [ReadRequest(query=fb_q0_prime, timeout=0.0)], **audit)
@@ -390,7 +390,7 @@ class TestAdmission:
         assert server.metrics.queue_depth_peak <= config.max_queue_depth
 
     def test_cost_budget_sheds_expensive_covered_queries(self, engine, fb_q0_prime):
-        prepared, _ = engine.prepare(fb_q0_prime)
+        prepared = engine.prepare(fb_q0_prime)
         bound = prepared.plan.access_bound()
         config = ServerConfig(max_access_bound=bound - 1)
         results, server = serve(engine, [ReadRequest(query=fb_q0_prime)], config)
@@ -400,7 +400,7 @@ class TestAdmission:
         assert server.metrics.sheds["cost"] == 1
 
     def test_cost_budget_admits_within_budget(self, engine, fb_q0_prime):
-        prepared, _ = engine.prepare(fb_q0_prime)
+        prepared = engine.prepare(fb_q0_prime)
         config = ServerConfig(max_access_bound=prepared.plan.access_bound())
         results, _ = serve(engine, [ReadRequest(query=fb_q0_prime)], config)
         assert results[0].ok
@@ -533,14 +533,14 @@ class TestRetries:
 
 
 class TestBreaker:
-    def test_broken_fallback_opens_breaker_and_rejects(self, engine, fb_database):
+    def test_broken_fallback_opens_breaker_and_rejects(self, engine, fb_database, monkeypatch):
+        monkeypatch.setattr(server_module, "BREAKER_FAILURE_THRESHOLD", 2)
+        monkeypatch.setattr(server_module, "BREAKER_COOLDOWN", 60.0)
         query = uncovered_query(fb_database)
         with FaultInjector(seed=0) as injector:
             injector.configure("fallback", FaultSpec(error_rate=1.0))
             injector.install_engine(engine)
-            config = ServerConfig(
-                workers=1, breaker_failure_threshold=2, breaker_cooldown=60.0
-            )
+            config = ServerConfig(workers=1)
             requests = [ReadRequest(query=query) for _ in range(4)]
             results, server = serve(engine, requests, config)
         assert server.breaker.times_opened >= 1
@@ -548,15 +548,15 @@ class TestBreaker:
         assert server.metrics.sheds["breaker"] >= 1
 
     def test_covered_reads_survive_while_fallback_is_broken(
-        self, engine, fb_database, fb_q0_prime
+        self, engine, fb_database, fb_q0_prime, monkeypatch
     ):
+        monkeypatch.setattr(server_module, "BREAKER_FAILURE_THRESHOLD", 1)
+        monkeypatch.setattr(server_module, "BREAKER_COOLDOWN", 60.0)
         query = uncovered_query(fb_database)
         with FaultInjector(seed=0) as injector:
             injector.configure("fallback", FaultSpec(error_rate=1.0))
             injector.install_engine(engine)
-            config = ServerConfig(
-                workers=1, breaker_failure_threshold=1, breaker_cooldown=60.0
-            )
+            config = ServerConfig(workers=1)
             requests = [
                 ReadRequest(query=query),
                 ReadRequest(query=fb_q0_prime),

@@ -102,7 +102,7 @@ def test_compiled_scatter_matches_the_reference_scatter(name):
     totals = Counter()
     try:
         for query in queries:
-            plan = router.prepare(query)[0].executable
+            plan = router.prepare(query).executable
             reference = ReferenceScatter(router)
             expected = PlanExecutor(reference).execute(plan)
             before = scatter_counts(router)
@@ -133,7 +133,7 @@ def friends_of(person: str):
 def compiled_read(router, query):
     """Read ``query`` once, so its kernels are compiled; returns the compiled plan."""
     router.execute(query)
-    return router._executor.compile(router.prepare(query)[0].executable)
+    return router._executor.compile(router.prepare(query).executable)
 
 
 class TestSeamsStayLiveAfterCompile:
@@ -159,7 +159,7 @@ class TestSeamsStayLiveAfterCompile:
             with pytest.raises(TransientFault, match="injected"):
                 router.execute(query)
             assert injector.injected[f"{owner.name}.fetch"] == 1
-        assert router._executor.compile(router.prepare(query)[0].executable) is compiled
+        assert router._executor.compile(router.prepare(query).executable) is compiled
         close(router)
 
     def test_a_partition_override_added_after_compile_reroutes_the_key(self):
@@ -183,5 +183,5 @@ class TestSeamsStayLiveAfterCompile:
         assert latency.count(f"shard:{router.shards[dst].name}") == asked[dst] + 1
         assert latency.count(f"shard:{router.shards[src].name}") == asked[src]
         assert result.rows == evaluate(query, database).rows != frozenset()
-        assert router._executor.compile(router.prepare(query)[0].executable) is compiled
+        assert router._executor.compile(router.prepare(query).executable) is compiled
         close(router)
