@@ -20,7 +20,7 @@ from __future__ import annotations
 import sqlite3
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Sequence
 
 from ..core.access import AccessConstraint, AccessSchema
 from ..core.errors import StorageError
@@ -124,7 +124,7 @@ class SQLiteBackend:
     def fetch_index(
         self,
         constraint: AccessConstraint,
-        keys: Iterable[Sequence],
+        keys: Collection[Sequence],
         *,
         base_relation: str | None = None,
     ) -> set[tuple]:
@@ -132,9 +132,10 @@ class SQLiteBackend:
 
         Returns the distinct index rows (aligned with ``sorted(lhs | rhs)``)
         matching any of the given ``X``-values — the per-shard half of a
-        federated scatter/gather fetch (see :mod:`repro.sharding`).  A
-        constraint with an empty LHS returns the whole index table.  No
-        ``DISTINCT`` is needed for that (see :meth:`_prepare_fetch`).
+        federated scatter/gather fetch (see :mod:`repro.sharding`) — as a
+        new set on every call.  A constraint with an empty LHS returns the
+        whole index table.  No ``DISTINCT`` is needed for that (see
+        :meth:`_prepare_fetch`).
         """
         sql = self._fetch_sql.get((constraint, base_relation))
         if sql is None:
@@ -144,6 +145,9 @@ class SQLiteBackend:
         execute = self.connection.execute
         if not constraint.lhs:
             return set(execute(sql))
+        if len(keys) == 1:  # a point fetch: one statement, straight into the set
+            (key,) = keys
+            return set(execute(sql, key))
         rows: set[tuple] = set()
         for key in keys:
             rows.update(execute(sql, key))

@@ -36,6 +36,10 @@ set for each of them:
 * a ``ProjectOp`` whose only consumer is a fetch is that fetch's key
   extraction: the fetch reads the projection's input through the composed
   positions, so it probes the same distinct keys;
+* a fetch whose keys are read off a template slot (a point plan's first
+  fetch, keyed by the query's constants) has its distinct keys extracted at
+  compile time, into a frozenset its kernel hands the source on every run;
+  the fetch itself still runs per read;
 * a ``HashJoinOp`` whose only consumer is a ``ProjectOp`` (the output step
   included) is run by the projection's kernel, which emits projected rows.
 
@@ -285,7 +289,7 @@ class PlanExecutor:
                 columns.append(_fused_columns(step, columns))
                 continue
             if isinstance(op, FetchOp):
-                kernel, keys[step.id] = self._compile_fetch(plan, step, columns, fused)
+                kernel, keys[step.id] = self._compile_fetch(plan, step, columns, fused, template)
                 read = (keys[step.id][0],)
                 step_columns = step.columns
             elif isinstance(op, ProjectOp) and op.inputs[0] in fused:
@@ -316,7 +320,12 @@ class PlanExecutor:
         )
 
     def _compile_fetch(
-        self, plan: BoundedPlan, step: PlanStep, columns: list[tuple[str, ...]], fused: set[int]
+        self,
+        plan: BoundedPlan,
+        step: PlanStep,
+        columns: list[tuple[str, ...]],
+        fused: set[int],
+        template: list[frozenset[Row] | None],
     ) -> tuple[Kernel, tuple[int, tuple[int, ...]]]:
         op: FetchOp = step.op  # type: ignore[assignment]
         source = op.inputs[0]
@@ -333,7 +342,14 @@ class PlanExecutor:
         fetch = self.source.fetcher(plan, step)
         # Fetch keys are tuples, however many positions: one key column is
         # wrapped by hand, several are picked at C speed.
-        if len(key_positions) == 1:
+        if template[source] is not None:
+            # Keys read off a template slot are fixed: extract them here, once.
+            constant = frozenset(map(_picker(key_positions), template[source]))
+
+            def fetch_kernel(env, counter, _keys=constant, _fetch=fetch):
+                return _fetch(_keys, counter)
+
+        elif len(key_positions) == 1:
 
             def fetch_kernel(env, counter, _src=source, _p=key_positions[0], _fetch=fetch):
                 return _fetch({(row[_p],) for row in env[_src]}, counter)

@@ -28,11 +28,16 @@ class LatencyRecorder:
         self.cap = cap
         self._samples: dict[str, deque[float]] = {}
 
-    def observe(self, key: str, seconds: float) -> None:
+    def window(self, key: str) -> deque[float]:
+        """``key``'s samples, a new empty window if it has none: a caller
+        that samples one key many times binds its ``append`` once."""
         window = self._samples.get(key)
         if window is None:
             window = self._samples[key] = deque(maxlen=self.cap)
-        window.append(seconds)  # a full window drops its oldest sample
+        return window
+
+    def observe(self, key: str, seconds: float) -> None:
+        self.window(key).append(seconds)  # a full window drops its oldest sample
 
     def count(self, key: str) -> int:
         return len(self._samples.get(key, ()))

@@ -17,7 +17,7 @@ strings is salted per interpreter), so keys are hashed via CRC-32 of their
 from __future__ import annotations
 
 import zlib
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..core.errors import StorageError
 from ..core.schema import DatabaseSchema
@@ -27,6 +27,20 @@ from ..storage.database import Database
 def stable_hash(value: object) -> int:
     """A process-independent hash of a partition-key value."""
     return zlib.crc32(repr(value).encode("utf-8"))
+
+
+def _overridden(overrides: list[tuple], value: object, owner: int) -> int:
+    """``owner`` after the rebalance ``overrides`` of ``value``'s relation, in order."""
+    for lo, hi, src, dst in overrides:
+        if owner != src:
+            continue
+        try:
+            moved = lo <= value < hi
+        except TypeError:
+            continue
+        if moved:
+            owner = dst
+    return owner
 
 
 class Partitioner:
@@ -85,16 +99,30 @@ class Partitioner:
     def shard_for_value(self, relation: str, value: object) -> int:
         """The shard owning rows of ``relation`` whose key attribute equals ``value``."""
         owner = stable_hash(value) % self.shard_count
-        for lo, hi, src, dst in self._overrides.get(relation, ()):
-            if owner != src:
-                continue
-            try:
-                moved = lo <= value < hi
-            except TypeError:
-                continue
-            if moved:
-                owner = dst
-        return owner
+        overrides = self._overrides.get(relation)
+        return _overridden(overrides, value, owner) if overrides else owner
+
+    def route(self, relation: str, keys: Iterable[Sequence], position: int) -> dict[int, list]:
+        """``keys`` grouped by the shard owning each key's value at ``position``.
+
+        One pass, :meth:`shard_for_value` per key without its call: the hash
+        once per key, and the relation's overrides, read now, walked only
+        when it has any.
+        """
+        shard_count = self.shard_count
+        overrides = self._overrides.get(relation)
+        groups: dict[int, list] = {}
+        for key in keys:
+            value = key[position]
+            owner = stable_hash(value) % shard_count
+            if overrides:
+                owner = _overridden(overrides, value, owner)
+            group = groups.get(owner)
+            if group is None:
+                groups[owner] = [key]
+            else:
+                group.append(key)
+        return groups
 
     def shard_for_row(self, relation: str, row: Sequence) -> int:
         """The shard owning ``row`` of ``relation`` (positional tuple)."""

@@ -24,12 +24,17 @@ where the split is trivial to place: fetches go out, algebra stays home.
 When the fetch key includes the relation's partition attribute, the router
 prunes the scatter to each key's single owning shard; otherwise it
 broadcasts the key set to all shards.  Which of the two a fetch step is, the
-key position of the partition attribute, the shards and the metrics they
-report to are fixed per step, so :meth:`ShardRouter.fetcher` settles them
-once, when the executor compiles the plan.  Two things are looked up on
-every call instead, because they change after plans compile: each key's
-owner (an online rebalance adds partition overrides) and each shard's
-``fetch`` (fault injection wraps it per instance).
+key position of the partition attribute, the shards, the latency windows
+they report to and the step's constraint (interned, so that the shards'
+per-constraint dicts match it on identity) are fixed per step, so
+:meth:`ShardRouter.fetcher` settles them once, when the executor compiles
+the plan.  Two things are looked up on every call instead, because they
+change after plans compile: each key's owner (an online rebalance adds
+partition overrides, which :meth:`~repro.sharding.partition.Partitioner.
+route` reads in its one pass over a scatter's keys) and each shard's
+``fetch`` (fault injection wraps it per instance, the layered benchmark's
+tracer per class).  A shard's partial is a fresh set the router owns, so a
+one-owner fetch returns it as it is and a broadcast unions into the first.
 
 Merges are epoch-guarded: every shard's
 :class:`~repro.storage.counters.VersionClock` is snapshotted before
@@ -111,14 +116,14 @@ class RouterMetrics:
     def __init__(self):
         #: federated fetch steps executed (one per FetchOp kernel run)
         self.scatters = 0
-        #: per-shard fetch calls issued (≤ scatters × shard count)
+        #: per-shard fetch calls issued, a call that raised included
+        #: (≤ scatters × shard count)
         self.shard_fetches = 0
         #: scatters routed to owning shards only (partition-key pruning)
         self.routed = 0
         #: scatters sent to every shard (key does not include partition attr)
         self.broadcasts = 0
         #: merged-union sizes, aggregated
-        self.merges = 0
         self.merge_rows = 0
         self.merge_rows_max = 0
         #: executions re-run because a shard epoch moved mid-merge
@@ -137,10 +142,10 @@ class RouterMetrics:
         self.rebalance_aborts = 0
         self.latency = LatencyRecorder()
 
-    def observe_merge(self, size: int) -> None:
-        self.merges += 1
-        self.merge_rows += size
-        self.merge_rows_max = max(self.merge_rows_max, size)
+    @property
+    def merges(self) -> int:
+        """Merged unions: one per scatter, a scatter of no keys included."""
+        return self.scatters
 
     def snapshot(self) -> dict:
         """Everything, JSON-ready — joins the soak report."""
@@ -214,18 +219,25 @@ class ShardRouter(ServingCore):
         self.partitioner = partitioner
         self.write_observer = write_observer
         self.metrics = RouterMetrics()
+        #: (constraint, base relation) -> the one equal constraint every
+        #: fetch step hands the shards (:meth:`fetcher`)
+        self._interned: dict[tuple[AccessConstraint, str], AccessConstraint] = {}
 
     # -- the substrate: a federation of shards ----------------------------------------
+    # Plain loops: a generator here would cost a frame resumption per shard.
     def _snapshot(self, relations: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
-        return tuple(shard.snapshot(relations) for shard in self.shards)
+        tokens = []
+        for shard in self.shards:
+            tokens.append(shard.snapshot(relations))
+        return tuple(tokens)
 
     def _validate(
         self, relations: tuple[str, ...], snapshot: tuple[tuple[int, ...], ...]
     ) -> bool:
-        return all(
-            shard.validate(relations, part)
-            for shard, part in zip(self.shards, snapshot)
-        )
+        for shard, part in zip(self.shards, snapshot):
+            if not shard.validate(relations, part):
+                return False
+        return True
 
     def _tokens(self, relations: tuple[str, ...], snapshot: tuple[tuple[int, ...], ...]):
         # shard-major to relation-major: a relation's token is its version on every shard
@@ -271,19 +283,30 @@ class ShardRouter(ServingCore):
         so a federated fetch counts what the one-database fetch counts.
 
         Settled here, once per step: routed or broadcast, the key position,
-        the shards with their latency labels, the metrics.  Looked up per
-        call, as they change after compile: each key's owner (rebalance
-        overrides) and each shard's ``fetch`` (the fault injector wraps it on
-        the instance, the layered benchmark's tracer on the class).
+        the shards with their latency windows, the metrics, and the
+        constraint itself — interned per ``(constraint, base)``, so every
+        plan hands the shards the one object their per-constraint dicts
+        were keyed by, and each probe matches on identity.  Looked up per
+        call, as they change after compile: each key's owner (the
+        partitioner reads rebalance overrides when it routes) and each
+        shard's ``fetch`` (the fault injector wraps it on the instance, the
+        layered benchmark's tracer on the class).
+
+        A shard's partial is a fresh set the router owns (:meth:`Shard.fetch
+        <repro.sharding.shards.Shard.fetch>`), so the merge is no copy: one
+        owner's partial is the result as it is, and several are unioned into
+        the first.  Each shard's latency is the time since the previous
+        boundary, one clock read per shard.
         """
         constraint = step.op.constraint
         base = plan.base_relation(constraint)
+        constraint = self._interned.setdefault((constraint, base), constraint)
         lhs = sorted(constraint.lhs)
         partition_attribute = self.partitioner.attribute(base)
-        partitioner, metrics, clock = self.partitioner, self.metrics, time.perf_counter
-        observe = metrics.latency.observe
-        # each shard with its series in ``metrics.latency``
-        shards = tuple((shard, f"shard:{shard.name}") for shard in self.shards)
+        metrics, clock = self.metrics, time.perf_counter
+        # each shard with the ``append`` of its window in ``metrics.latency``
+        window = metrics.latency.window
+        shards = tuple((shard, window(f"shard:{shard.name}").append) for shard in self.shards)
 
         # Either closure asks no shard for no keys (the SQLite empty-LHS path
         # would return its whole index table), else each asked shard in order.
@@ -291,45 +314,64 @@ class ShardRouter(ServingCore):
 
             def broadcast(keys: Collection[Row], counter: AccessCounter) -> set[Row]:
                 metrics.scatters += 1
-                merged: set[Row] = set()
-                if keys:
-                    metrics.broadcasts += 1
-                    fetched = 0
-                    for shard, label in shards:
-                        started = clock()
-                        partial = shard.fetch(constraint, base, keys, counter)
-                        observe(label, clock() - started)
-                        metrics.shard_fetches += 1
+                if not keys:
+                    return set()
+                metrics.broadcasts += 1
+                metrics.shard_fetches += len(shards)
+                rows = None
+                started = clock()
+                for shard, sample in shards:
+                    partial = shard.fetch(constraint, base, keys, counter)
+                    now = clock()
+                    sample(now - started)
+                    started = now
+                    if rows is None:
+                        rows, fetched = partial, len(partial)
+                    else:
                         fetched += len(partial)
-                        merged.update(partial)
-                    if fetched > len(merged):
-                        # a tuple two shards both hold is one tuple of D_Q
-                        counter.record_fetch_many(base, 0, len(merged) - fetched)
-                metrics.observe_merge(len(merged))
-                return merged
+                        rows.update(partial)
+                if fetched > len(rows):
+                    # a tuple two shards both hold is one tuple of D_Q
+                    counter.record_fetch_many(base, 0, len(rows) - fetched)
+                size = len(rows)
+                metrics.merge_rows += size
+                if size > metrics.merge_rows_max:
+                    metrics.merge_rows_max = size
+                return rows
 
             return broadcast
 
         position = lhs.index(partition_attribute)
+        partitioner = self.partitioner
 
         def routed(keys: Collection[Row], counter: AccessCounter) -> set[Row]:
             metrics.scatters += 1
-            merged: set[Row] = set()
-            if keys:
-                owner_of = partitioner.shard_for_value
-                groups: dict[int, list[Row]] = {}
-                for key in keys:
-                    groups.setdefault(owner_of(base, key[position]), []).append(key)
-                metrics.routed += 1
-                for owner in sorted(groups):
-                    shard, label = shards[owner]
-                    started = clock()
-                    partial = shard.fetch(constraint, base, groups[owner], counter)
-                    observe(label, clock() - started)
-                    metrics.shard_fetches += 1
-                    merged.update(partial)
-            metrics.observe_merge(len(merged))
-            return merged
+            if not keys:
+                return set()
+            metrics.routed += 1
+            if len(keys) == 1:  # a point fetch: its key's owner, for the key set as it is
+                (key,) = keys
+                asked = ((partitioner.shard_for_value(base, key[position]), keys),)
+            else:
+                asked = sorted(partitioner.route(base, keys, position).items())
+            metrics.shard_fetches += len(asked)
+            rows = None
+            started = clock()
+            for owner, owned in asked:
+                shard, sample = shards[owner]
+                partial = shard.fetch(constraint, base, owned, counter)
+                now = clock()
+                sample(now - started)
+                started = now
+                if rows is None:
+                    rows = partial
+                else:
+                    rows.update(partial)
+            size = len(rows)
+            metrics.merge_rows += size
+            if size > metrics.merge_rows_max:
+                metrics.merge_rows_max = size
+            return rows
 
         return routed
 

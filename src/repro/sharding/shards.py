@@ -69,7 +69,16 @@ class Shard:
         """Distinct index rows of ``constraint`` matching any key, this fragment only.
 
         ``keys`` are tuples aligned with ``sorted(constraint.lhs)`` — the
-        router always hands tuples, so a backend uses them as given.
+        router always hands tuples, so a backend uses them as given.  The
+        counter records what an :class:`~repro.storage.index.IndexSet` fetch
+        records, on every backend: one index probe per key and each returned
+        row, nothing for no keys.
+
+        The result is a **fresh** set that the caller owns: no later fetch
+        returns it again or reads it, so the router hands it on as the
+        merged fetch, or unions other shards' partials into it, without a
+        copy.  A wrapper (a replica set, the fault injector) returns the set
+        its member returned, as it is.
         """
         raise NotImplementedError
 
@@ -167,8 +176,8 @@ class SQLiteShard(Shard):
         counter: AccessCounter | None = None,
     ) -> set[Row]:
         rows = self.backend.fetch_index(constraint, keys, base_relation=base_relation)
-        if counter is not None:
-            counter.record_fetch(base_relation, len(rows))
+        if counter is not None and keys:
+            counter.record_fetch_many(base_relation, len(keys), len(rows))
         return rows
 
     def close(self) -> None:

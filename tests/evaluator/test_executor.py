@@ -712,6 +712,33 @@ class TestFusedSchedule:
         first, second = (executor.execute(plan, capture_env=True) for _ in range(2))
         assert first.env[0] is second.env[0] is executor.compile(plan).template[0]
 
+    def test_a_fetch_keyed_by_constants_gets_its_keys_when_lowered(
+        self, fb_database, source, fb_access, psi1
+    ):
+        """Keys read off a template slot are extracted once, at compile time: every
+        run hands the source the same frozenset, and the fetch still runs per read."""
+        builder, fetch = friend_plan(fb_access, psi1, "p0", "p1")
+        plan = builder.build(fetch)
+        expected = {row[::-1] for row in fb_database.relation("friend").rows if row[0] in ("p0", "p1")}
+        asked = []
+
+        class Recording:
+            def fetcher(self, plan, step):
+                inner = source.fetcher(plan, step)
+
+                def fetch(keys, counter):
+                    asked.append(keys)
+                    return inner(keys, counter)
+
+                return fetch
+
+        executor = PlanExecutor(Recording())
+        runs = [executor.execute(plan) for _ in range(2)]
+        assert [r.rows for r in runs] == [frozenset(expected)] * 2 and expected
+        assert [r.counter.fetched for r in runs] == [len(expected)] * 2
+        assert len(asked) == 2 and asked[0] is asked[1]
+        assert asked[0] == {("p0",), ("p1",)} and isinstance(asked[0], frozenset)
+
     @pytest.mark.parametrize("keep", ["p0", "zz"], ids=["rows", "empty"])
     def test_a_step_over_constants_alone_runs_once_when_lowered(
         self, fb_database, source, fb_access, psi1, keep

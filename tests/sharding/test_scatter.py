@@ -8,21 +8,31 @@ what the shards count and in what the router reports.  What must *not* be
 settled at compile time — each shard's ``fetch`` (the fault injector wraps
 it per instance) and each key's owner (a rebalance adds overrides) — is
 pinned by changing it between a compiled read and the next.
+
+The scatter's fast paths are pinned here too: what a shard counts does not
+depend on its backend, a shard's partial is a fresh set the router may hand
+on or union into, a warm read compares no constraints (each step's is
+interned), and one routing pass assigns every key the owner
+``shard_for_value`` gives it.
 """
 
+import random
 from collections import Counter
 
 import pytest
 from analytic_queries import ANALYTIC_SCALE, analytic_queries
 
 from repro.bench.experiments import select_covered_queries
+from repro.core.access import AccessConstraint
 from repro.core.errors import TransientFault
+from repro.core.plan import FetchOp
 from repro.core.query import Relation, eq
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
 from repro.evaluator.executor import PlanExecutor
 from repro.serving.faults import FaultInjector, FaultSpec
 from repro.sharding import SQLiteShard, build_topology
+from repro.storage.counters import AccessCounter
 from repro.storage.index import IndexSet
 from repro.workloads import WORKLOADS, facebook
 
@@ -124,6 +134,106 @@ def test_compiled_scatter_matches_the_reference_scatter(name):
     assert totals["routed"] > 0 and totals["broadcasts"] > 0
 
 
+def scatter_queries(name, database):
+    """The analytic queries of ``name``, and for TFACC a dozen covered ones."""
+    workload = WORKLOADS[name]
+    queries = analytic_queries(workload)
+    if name == "TFACC":
+        queries += select_covered_queries(workload, count=12, seed=3, database=database)
+    return queries
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_memory_and_sqlite_federations_count_alike(name):
+    """A shard records one index probe per key and each row it returns, on any
+    backend: an all-memory and an all-SQLite federation count the same reads
+    alike, every ``AccessCounter`` field."""
+    workload = WORKLOADS[name]
+    database = workload.database(scale=ANALYTIC_SCALE, seed=7)
+    memory, sqlite = (
+        build_topology(database, workload.access_schema, shards=3, backends=kind, result_cache_size=0)
+        for kind in ("memory", "sqlite")
+    )
+    probes = fetches = 0
+    try:
+        for query in scatter_queries(name, database):
+            before = memory.metrics.shard_fetches
+            on_memory, on_sqlite = memory.execute(query), sqlite.execute(query)
+            assert str(on_memory.plan) == str(on_sqlite.plan)
+            assert on_memory.rows == on_sqlite.rows
+            assert on_memory.counter == on_sqlite.counter
+            probes += on_memory.counter.index_probes
+            fetches += memory.metrics.shard_fetches - before
+    finally:
+        close(sqlite)
+    # not vacuous: some shard was asked for several keys in one call
+    assert probes > fetches
+
+
+def friend_index_of(facebook_access):
+    return next(
+        c for c in facebook_access if c.relation == "friend" and c.lhs == {"pid"}
+    )
+
+
+class TestFreshPartials:
+    """``Shard.fetch`` returns a new set on every call, which the caller owns."""
+
+    @pytest.mark.parametrize("kind", ["memory", "sqlite", "replicated", "faulted"])
+    def test_a_partial_is_fresh_and_owned_by_the_caller(self, kind):
+        database = facebook.generate(scale=30, seed=5)
+        access = facebook.access_schema(database.schema)
+        router = build_topology(
+            database,
+            access,
+            shards=1,
+            replicas=2 if kind == "replicated" else 1,
+            backends="sqlite" if kind == "sqlite" else "memory",
+            result_cache_size=0,
+        )
+        shard = router.shards[0]
+        constraint, keys = friend_index_of(access), [("p0",), ("p1",)]
+        with FaultInjector(seed=0) as injector:
+            if kind == "faulted":  # armed, but no call in this test is the one that fails
+                injector.install_shard(shard)
+                injector.configure(f"{shard.name}.fetch", FaultSpec(fail_every=1000))
+            first = shard.fetch(constraint, "friend", keys, AccessCounter())
+            second = shard.fetch(constraint, "friend", keys, AccessCounter())
+            assert first == second != set() and first is not second
+            expected = set(second)
+            first.add(("intruder", "p0"))
+            second.clear()
+            third = shard.fetch(constraint, "friend", keys, AccessCounter())
+            assert third == expected and third is not first and third is not second
+            if kind == "faulted":
+                assert injector.stats()[f"{shard.name}.fetch"]["calls"] == 3
+        close(router)
+
+
+def test_warm_federated_reads_compare_no_constraints(monkeypatch):
+    """Every fetch step hands the shards the interned constraint their dicts
+    were keyed by, so once warm a read matches each on identity alone."""
+    workload = WORKLOADS["TFACC"]
+    database = workload.database(scale=ANALYTIC_SCALE, seed=7)
+    router = mixed_router(database, workload.access_schema)
+    queries = scatter_queries("TFACC", database)
+    first = [router.execute(query).rows for query in queries]
+    compared = Counter()
+    equal = AccessConstraint.__eq__
+
+    def counted(self, other):
+        compared["__eq__"] += 1
+        return equal(self, other)
+
+    monkeypatch.setattr(AccessConstraint, "__eq__", counted)
+    try:
+        assert [router.execute(query).rows for query in queries] == first
+    finally:
+        close(router)
+    assert router.metrics.scatters > 2 * len(queries)
+    assert compared["__eq__"] == 0
+
+
 def friends_of(person: str):
     """``π_fid σ_pid=person friend``: one fetch, routed to ``person``'s shard."""
     friend = Relation.from_schema(facebook.schema(), "friend")
@@ -175,8 +285,28 @@ class TestSeamsStayLiveAfterCompile:
         moving = [row for row in router.shards[src].relation_rows("friend") if row[0] == "p0"]
         assert moving
         router.shards[dst].apply_updates([Update.insert("friend", row) for row in moving])
-        router.partitioner.add_override("friend", "p0", "p0\0", src, dst)
+        # one routing pass gives each key the owner ``shard_for_value`` gives it,
+        # before the override and after it
+        partitioner = router.partitioner
+        draw = random.Random(11)
+        keys = [(f"p{draw.randrange(40)}", draw.random()) for _ in range(64)] + [("p0", 0.5)]
+
+        def per_key():
+            owners = {}
+            for key in keys:
+                owners.setdefault(partitioner.shard_for_value("friend", key[0]), []).append(key)
+            return owners
+
+        assert partitioner.route("friend", keys, 0) == per_key()
+        fetch = router.fetcher(*fetch_step(router, friends_of("p1")))
+        partitioner.add_override("friend", "p0", "p0\0", src, dst)
         router.shards[src].apply_updates([Update.delete("friend", row) for row in moving])
+        assert partitioner.route("friend", keys, 0) == per_key()
+        assert partitioner.route("friend", keys, 0)[dst][-1] == ("p0", 0.5)
+        # ... and a many-key scatter compiled before the override routes by it
+        asked = {(f"p{i}",) for i in range(6)}
+        local = IndexSet.build(database, access).fetcher(*fetch_step(router, friends_of("p1")))
+        assert fetch(asked, AccessCounter()) == local(asked, AccessCounter()) != set()
         latency = router.metrics.latency
         asked = {i: latency.count(f"shard:{s.name}") for i, s in enumerate(router.shards)}
         result = router.execute(query)
@@ -185,3 +315,9 @@ class TestSeamsStayLiveAfterCompile:
         assert result.rows == evaluate(query, database).rows != frozenset()
         assert router._executor.compile(router.prepare(query).executable) is compiled
         close(router)
+
+
+def fetch_step(router, query):
+    """``(plan, its fetch step)`` of a one-fetch query's executable plan."""
+    plan = router.prepare(query).executable
+    return plan, next(step for step in plan.steps if isinstance(step.op, FetchOp))
