@@ -209,15 +209,11 @@ def command_soak(args) -> int:
         scale=args.scale,
         seed=args.seed,
         shards=args.shards,
-        replicas=args.replicas,
         requests=args.requests,
         write_ratio=args.write_ratio,
         faults=not args.no_faults,
         verify=not args.no_verify,
         queue_depth=args.queue_depth,
-        kill_shard=args.kill_shard,
-        flaky_shard=args.flaky_shard,
-        rebalance=args.rebalance,
     )
     report = run_soak(config)
     if args.output:
@@ -253,23 +249,6 @@ def command_soak(args) -> int:
             f"max {scatter['merge_rows_max']} | "
             f"snapshot retries {scatter['snapshot_retries']}"
         )
-        replication = report["router"]["replication"]
-        if replication["replica_sets"]:
-            print(
-                f"-- replication: {replication['replicas']} replicas in "
-                f"{replication['replica_sets']} sets | "
-                f"failovers={replication['failovers']} "
-                f"quarantines={replication['quarantines']} "
-                f"catch-ups={replication['catch_ups']} "
-                f"({replication['rows_resynced']} rows resynced) | "
-                f"quarantined now: {replication['quarantined']}"
-            )
-        if scatter["rebalances"] or scatter["rebalance_aborts"]:
-            print(
-                f"-- rebalance: {scatter['rebalances']} completed "
-                f"({scatter['rebalance_rows_moved']} rows moved), "
-                f"{scatter['rebalance_aborts']} aborted"
-            )
     rungs = report.get("latency_rungs", {})
     if rungs:
         rung_line = "  ".join(
@@ -348,18 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="serve through a federated router over N heterogeneous "
                            "shards (memory/SQLite alternating); disables engine-seam "
                            "fault injection (default 1: single engine)")
-    soak.add_argument("--replicas", type=int, default=1,
-                      help="replicas per logical shard (sharded mode only; "
-                           "--kill-shard/--flaky-shard force at least 2)")
-    soak.add_argument("--kill-shard", action="store_true",
-                      help="chaos scenario: one replica of shard 0 dies mid-run; "
-                           "reads must fail over and stay row-identical")
-    soak.add_argument("--flaky-shard", action="store_true",
-                      help="chaos scenario: one replica turns intermittently faulty "
-                           "(fetch errors, torn writes, stale epoch tokens) mid-run")
-    soak.add_argument("--rebalance", action="store_true",
-                      help="chaos scenario: migrate a key range between shards "
-                           "under traffic (epoch-guarded)")
     soak.add_argument("--requests", type=int, default=200,
                       help="mixed-traffic requests before the overload/deadline phases")
     soak.add_argument("--write-ratio", type=float, default=0.2,

@@ -63,8 +63,7 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
   their delta is not provable — dropped; then the touched relations' marks
   move, which settles every dependent the batch did not reach without
   visiting it.  Without a usable delta — a batch that failed part-way or
-  was undone, a rebalance that moved rows between shards — the result
-  cache's dependents are swept.  The data-independent plan store is left
+  was undone — the result cache's dependents are swept.  The data-independent plan store is left
   alone either way.
 """
 
@@ -522,9 +521,8 @@ class ServingCore:
         The plan store is never touched: a prepared plan is a function of the
         query and the access schema, and compiled kernels read the data at
         call time.  Without a usable ``delta`` — the batch failed part-way
-        and what it left behind is suspect, it was rejected and undone, or a
-        rebalance moved rows — every result-cache dependent of ``touched`` is
-        swept, ``no_delta``.
+        and what it left behind is suspect, or it was rejected and undone —
+        every result-cache dependent of ``touched`` is swept, ``no_delta``.
 
         Otherwise the result cache is settled by relation, from three reads
         of the touched relations' epoch tokens: ``before`` (by relation, read

@@ -417,9 +417,9 @@ class ResultCache:
         What a relation that cannot be settled by derivation gets — one
         written behind the cache's back (``stale``), one that moved while a
         settlement derived (``race``), or one a write left with no usable
-        delta (``no_delta``: a batch failed part-way or undone, a
-        rebalance).  Each drop is counted like :meth:`drop`'s, for
-        ``reason``.  Returns the dropped keys.
+        delta (``no_delta``: a batch failed part-way or undone).  Each drop
+        is counted like :meth:`drop`'s, for ``reason``.  Returns the dropped
+        keys.
         """
         relations = frozenset(relations)
         dropped = []

@@ -8,10 +8,10 @@ The package layers a robustness stack on top of
   (sound because covered plans expose an exact ``access_bound()``), the
   graceful-degradation ladder, and serialized write batches.
 * :mod:`~repro.serving.policy` — the retry backoff, the circuit breaker
-  mounted around the unbounded conventional fallback (and on every replica
-  member), and deadlines.
+  mounted around the unbounded conventional fallback, and deadlines.
 * :mod:`~repro.serving.faults` — deterministic seeded fault injection at
-  the executor / fallback / storage-write seams.
+  the executor / fallback / storage-write seams and a shard's fetch /
+  write / snapshot calls.
 * :mod:`~repro.serving.metrics` — queue, shed, ladder, and latency
   quantile observability.
 * :mod:`~repro.serving.soak` — the seeded chaos soak that cross-checks

@@ -14,11 +14,11 @@ across a federation —
   / ``delete`` on chosen relation instances, which is where a mid-batch
   write failure leaves :func:`~repro.discovery.maintenance.apply_updates`
   partially applied;
-* **shard calls** — the three calls a router (or a
-  :class:`~repro.sharding.replica.ReplicaSet`) makes into a shard: ``fetch``
-  (what failover reads must absorb), ``apply_updates`` (what replica
-  quarantine + catch-up must absorb) and ``snapshot`` (the epoch token,
-  whose staleness the merge-time validation must catch)
+* **shard calls** — the three calls a router makes into a shard: ``fetch``
+  (a read's scatter), ``apply_updates`` (a routed write's portion) and
+  ``snapshot`` (the epoch token a merge is validated against).  The
+  federation has no replicas, so a fault here reaches the caller: a read
+  fails with the typed fault, a write batch with the partial report.
 
 — and perturbs calls through them according to a :class:`FaultSpec`.
 Wrappers replace attributes on concrete *instances* (never classes or
@@ -33,20 +33,13 @@ promises:
 
 * **errors** (``error_rate`` / ``fail_every``) raise the typed, retryable
   :class:`~repro.core.errors.TransientFault` *before* the underlying call
-  runs.  A failed-then-failed-over fetch therefore never double-counts
-  accessed tuples, and a faulted write is "this row (and the rest of the
-  batch) did not happen" — storage and the constraint indexes can never
-  diverge.
+  runs.  A failed fetch therefore counts no accessed tuples, and a faulted
+  write is "this row (and the rest of the batch) did not happen" — storage
+  and the constraint indexes can never diverge.
 * **torn writes** apply a strict prefix of a shard batch through the real
   write path, then raise :class:`~repro.core.errors.MaintenanceError`
   carrying the partial report — the mid-batch abort contract of
   :func:`~repro.discovery.maintenance.apply_updates`.
-* **lost writes** silently swallow a shard batch and return an empty report
-  — the one failure mode *no* exception surfaces, detectable only by
-  snapshot validation on a later read (the replica-divergence scenario).
-* **stale snapshots** return the token a previous call returned for the
-  same relations — a shard reporting an old epoch, which the router's
-  post-merge validation must refuse to serve through.
 """
 
 from __future__ import annotations
@@ -57,7 +50,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..core.errors import MaintenanceError, TransientFault
-from ..discovery.maintenance import MaintenanceReport
 
 
 @dataclass(frozen=True)
@@ -69,24 +61,16 @@ class FaultSpec:
     (counted from 1, so ``fail_every=3`` fails calls 3, 6, 9, …);
     ``error_rate`` raises a :class:`TransientFault` with that probability.
     Checks run in that order; an injected failure still pays the injected
-    latency, like a real slow-then-dead dependency.  The remaining modes are
-    specific to shard sites: ``stale_snapshot_every`` only affects
-    ``snapshot`` sites, ``torn_write_every`` / ``lost_write_every`` only
-    write sites.
+    latency, like a real slow-then-dead dependency.  ``torn_write_every``
+    only affects shard write sites.
     """
 
     latency: float = 0.0
     latency_jitter: float = 0.0
     error_rate: float = 0.0
     fail_every: int | None = None
-    #: every Nth ``snapshot`` call returns the last token the site returned
-    #: for the same relations — by schedule, so what is stale does not move
-    #: with how often (or in which order) anything else snapshots
-    stale_snapshot_every: int | None = None
     #: every Nth write batch applies a strict prefix, then aborts
     torn_write_every: int | None = None
-    #: every Nth write batch is silently swallowed (no error, no mutation)
-    lost_write_every: int | None = None
 
     @property
     def active(self) -> bool:
@@ -109,12 +93,10 @@ class FaultInjector:
         self._specs: dict[str, FaultSpec] = {}
         self._rngs: dict[str, random.Random] = {}
         self._calls: dict[str, int] = {}
-        #: per-site count of faults actually injected (errors, torn, lost, stale)
+        #: per-site count of faults actually injected (errors, torn writes)
         self.injected: dict[str, int] = {}
         self._installed: list[tuple[object, str, object]] = []
         self._wrapped_shards: set[str] = set()
-        #: last clean snapshot returned, per (site, relations) — stale mode replays it
-        self._snapshots: dict[tuple[str, tuple[str, ...]], tuple[int, ...]] = {}
 
     # -- configuration ---------------------------------------------------------
     def configure(self, site: str, spec: FaultSpec) -> None:
@@ -216,16 +198,16 @@ class FaultInjector:
         """Wrap ``shard``'s fetch / write / snapshot seams (idempotent).
 
         Installation arms nothing by itself — sites fire only once
-        ``configure`` gives them an active spec, so a soak can wrap every
-        shard up front and arm scenarios mid-run.
+        ``configure`` gives them an active spec, so a test can wrap a shard
+        up front and arm a site later.
         """
         if shard.name in self._wrapped_shards:
             return
         self._wrapped_shards.add(shard.name)
         write_site = f"{shard.name}.write"
-        snapshot_site = f"{shard.name}.snapshot"
 
         self._install_site(shard, "fetch", f"{shard.name}.fetch")
+        self._install_site(shard, "snapshot", f"{shard.name}.snapshot")
 
         original_apply = shard.apply_updates
 
@@ -234,13 +216,6 @@ class FaultInjector:
             spec, count, rng = self._tick(write_site)
             if spec is not None:
                 self._raise_errors(write_site, spec, count, rng)
-                if (
-                    spec.lost_write_every is not None
-                    and count % spec.lost_write_every == 0
-                ):
-                    # The silent failure mode: claim success, mutate nothing.
-                    self._count_injection(write_site)
-                    return MaintenanceReport()
                 if (
                     spec.torn_write_every is not None
                     and count % spec.torn_write_every == 0
@@ -260,34 +235,6 @@ class FaultInjector:
             return original_apply(updates)
 
         self._install_attr(shard, "apply_updates", faulty_apply)
-
-        original_snapshot = shard.snapshot
-
-        def faulty_snapshot(relations):
-            relations = tuple(relations)
-            spec, count, rng = self._tick(snapshot_site)
-            stale_key = (snapshot_site, relations)
-            if (
-                spec is not None
-                and spec.stale_snapshot_every is not None
-                and count % spec.stale_snapshot_every == 0
-                and stale_key in self._snapshots
-            ):
-                self._count_injection(snapshot_site)
-                return self._snapshots[stale_key]
-            if spec is not None:
-                self._raise_errors(snapshot_site, spec, count, rng)
-            token = original_snapshot(relations)
-            self._snapshots[stale_key] = token
-            return token
-
-        self._install_attr(shard, "snapshot", faulty_snapshot)
-
-    def kill(self, shard) -> None:
-        """Make ``shard`` fail every fetch and write from now on (dead node)."""
-        self.install_shard(shard)
-        self.configure(f"{shard.name}.fetch", FaultSpec(fail_every=1))
-        self.configure(f"{shard.name}.write", FaultSpec(fail_every=1))
 
     def uninstall(self) -> None:
         """Restore every wrapped seam to its original callable."""

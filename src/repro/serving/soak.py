@@ -72,9 +72,6 @@ EXECUTOR_ERROR_RATE = 0.08
 EXECUTOR_LATENCY = 0.0005
 FALLBACK_LATENCY = 0.05
 STORAGE_FAIL_EVERY = 17
-#: flaky-shard fault intensities (armed when ``flaky_shard`` is set)
-FLAKY_ERROR_RATE = 0.3
-FLAKY_TORN_WRITE_EVERY = 5
 
 
 @dataclass
@@ -84,36 +81,17 @@ class SoakConfig:
     ``shards > 1`` serves through a federated
     :class:`~repro.sharding.router.ShardRouter` over a heterogeneous
     (memory/SQLite alternating) shard topology instead of a single engine.
-    *Engine-seam* fault injection is disabled in sharded mode (those seams
-    are engine-internal, and a partially-failed routed batch would leave
-    the reference mirror ambiguous); sharded chaos instead targets the
-    shard-fetch seam through the scenario flags below, which the replica
-    layer must absorb without the mirror ever diverging:
-
-    * ``kill_shard`` — mid-run, one replica of logical shard 0 goes dead
-      (every fetch and write fails).  Reads must fail over to its sibling;
-      its breaker or the first routed write quarantines it, and no probe
-      re-admits it (its fetch keeps failing); served rows stay
-      row-identical to the reference throughout.
-    * ``flaky_shard`` — mid-run, one replica turns intermittently faulty
-      (fetch errors + latency, periodic torn writes) and its replica set
-      serves stale epoch tokens with some probability.  Failover, torn-
-      write quarantine, catch-up and re-admission all cycle under load.
-    * ``rebalance`` — mid-run, a key range of one dependency relation
-      migrates between logical shards under traffic, epoch-guarded.
-
-    ``kill_shard``/``flaky_shard`` force ``replicas`` to at least 2 (a
-    faulted *sole* replica would correctly fail its routed portion, but
-    then the mirror could not tell which prefix applied — with a sibling,
-    the set absorbs the fault and the routed batch stays atomic at the
-    federation level).
+    Fault injection is disabled in sharded mode: the engine seams are
+    engine-internal, and the federation has no replicas to absorb a shard
+    fault, so a partially-failed routed batch would leave the reference
+    mirror ambiguous.  A sharded soak checks the federation mechanics —
+    scatter, epoch-guarded merges, routed writes — under the same traffic.
     """
 
     workload: str = "AIRCA"
     scale: int = 120
     seed: int = 0
     shards: int = 1
-    replicas: int = 1
     requests: int = 200
     write_ratio: float = 0.2
     covered_queries: int = 8
@@ -121,15 +99,6 @@ class SoakConfig:
     faults: bool = True
     verify: bool = True
     queue_depth: int = 32
-    #: sharded chaos scenarios (need ``shards > 1``)
-    kill_shard: bool = False
-    flaky_shard: bool = False
-    rebalance: bool = False
-    #: flaky-shard fetch latency (only read when ``flaky_shard`` is set)
-    flaky_latency: float = 0.002
-    #: every Nth snapshot of the flaky set is its previous token (N ≥ 2: a
-    #: read's retry always meets a fresh one, so none is abandoned)
-    flaky_stale_snapshot_every: int = 7
 
 
 @dataclass
@@ -244,18 +213,8 @@ def run_soak(config: SoakConfig) -> dict:
     database = workload.database(scale=config.scale, seed=config.seed)
     sharded = config.shards > 1
     faults_active = config.faults and not sharded
-    scenario_active = config.kill_shard or config.flaky_shard or config.rebalance
-    if scenario_active and not sharded:
-        raise ReproError(
-            "chaos scenarios (kill_shard / flaky_shard / rebalance) need shards > 1"
-        )
-    effective_replicas = config.replicas
-    if (config.kill_shard or config.flaky_shard) and effective_replicas < 2:
-        effective_replicas = 2
-    # One injector for the whole stack: engine seams when unsharded, the
-    # scenario flags' shard seams when sharded.
+    # One injector for the engine's seams; a sharded soak arms none.
     injector = FaultInjector(seed=config.seed)
-    scenario_log: dict = {}
     if sharded:
         from ..sharding import build_topology
 
@@ -280,7 +239,6 @@ def run_soak(config: SoakConfig) -> dict:
             database,
             workload.access_schema,
             shards=config.shards,
-            replicas=effective_replicas,
             write_observer=_mirror,
         )
     else:
@@ -352,93 +310,12 @@ def run_soak(config: SoakConfig) -> dict:
     )
     server = BoundedServer(engine, server_config, post_check=post_check)
 
-    def _arm_chaos() -> None:
-        """Turn the scenario faults on, mid-run (shard-fetch seam only)."""
-        if config.kill_shard:
-            target_set = engine.shards[0]
-            victim = target_set.replicas[0]
-            injector.kill(victim)
-            scenario_log["killed_replica"] = victim.name
-            # Exercise the failover read *before* the next routed write can
-            # quarantine the dead member (a quarantined member never gets a
-            # fetch, so failover would be unobservable): sweep the federated
-            # result cache and scatter covered reads until one fetches
-            # through the victim's set and fails over to its sibling.
-            engine.result_cache.invalidate()
-            before = target_set.failovers
-            for query in covered:
-                try:
-                    engine.execute(query)
-                except ReproError:
-                    pass
-                if target_set.failovers > before:
-                    break
-        if config.flaky_shard:
-            target_set = engine.shards[min(1, len(engine.shards) - 1)]
-            victim = target_set.replicas[0]
-            injector.install_shard(victim)
-            injector.configure(
-                f"{victim.name}.fetch",
-                FaultSpec(latency=config.flaky_latency, error_rate=FLAKY_ERROR_RATE),
-            )
-            injector.configure(
-                f"{victim.name}.write",
-                FaultSpec(torn_write_every=FLAKY_TORN_WRITE_EVERY),
-            )
-            # The *set* also starts reporting stale epoch tokens sometimes;
-            # the router's merge-time validation must refuse to serve
-            # through them (a retry or a typed TransientFault, never rows).
-            injector.install_shard(target_set)
-            injector.configure(
-                f"{target_set.name}.snapshot",
-                FaultSpec(stale_snapshot_every=config.flaky_stale_snapshot_every),
-            )
-            scenario_log["flaky_replica"] = victim.name
-
-    def _run_rebalance() -> None:
-        """Migrate the busiest dependency relation's middle key range."""
-        relation = max(
-            sorted(dependencies), key=lambda name: len(database.relation(name))
-        )
-        key = engine.partitioner.key
-        values = sorted({key(relation, row) for row in database.relation(relation).rows})
-        if len(values) < 4:
-            scenario_log["rebalance"] = {"skipped": f"{relation}: too few keys"}
-            return
-        lo, hi = values[len(values) // 4], values[(3 * len(values)) // 4]
-        owners: dict[int, int] = {}
-        for value in values:
-            if lo <= value < hi:
-                owner = engine.partitioner.shard_for_value(relation, value)
-                owners[owner] = owners.get(owner, 0) + 1
-        src = max(owners, key=lambda index: owners[index])
-        dst = (src + 1) % config.shards
-        try:
-            report = engine.rebalance(relation, (lo, hi), src, dst)
-        except TransientFault as error:
-            scenario_log["rebalance"] = {"aborted": str(error)}
-        else:
-            scenario_log["rebalance"] = report.snapshot()
-
-    arm_at = config.requests // 3 if (config.kill_shard or config.flaky_shard) else None
-    rebalance_at = (config.requests * 2) // 3 if config.rebalance else None
-
     async def _drive() -> None:
         async with server:
             # Phase A — randomized mixed read/write traffic, in waves small
-            # enough that the queue never fills (phase D tests that).  The
-            # chaos scenarios arm a third of the way in and the rebalance
-            # runs two thirds in, so each sees pre-fault traffic, runs under
-            # continuing traffic, and stays armed through phases B–E.
+            # enough that the queue never fills (phase D tests that).
             pending: list[asyncio.Task] = []
-            for issued in range(config.requests):
-                if issued == arm_at or issued == rebalance_at:
-                    await _settle(pending)
-                    pending = []
-                    if issued == arm_at:
-                        _arm_chaos()
-                    if issued == rebalance_at:
-                        _run_rebalance()
+            for _ in range(config.requests):
                 roll = rng.random()
                 if roll < config.write_ratio:
                     request: ReadRequest | WriteRequest = WriteRequest(
@@ -454,7 +331,7 @@ def run_soak(config: SoakConfig) -> dict:
                     pending = []
             await _settle(pending)
 
-            # Phase B — post-chaos audit: with faults still armed, every
+            # Phase B — post-traffic audit: with faults still armed, every
             # covered query must serve rows identical to the uncached
             # reference (this is where a missed cache sweep after a partial
             # batch would surface as a stale read).  What it serves is now
@@ -565,12 +442,8 @@ def run_soak(config: SoakConfig) -> dict:
     if sharded:
         router_stats = engine.stats()
         scatter = router_stats["scatter_gather"]
-        replication = router_stats["replication"]
         # ``mixed_epoch_aborts`` counts reads the epoch guard abandoned.
-        # Nothing moves under a read in this soak, so there must be none —
-        # ``flaky_shard`` included: its set injects a stale epoch token on
-        # every Nth snapshot (N ≥ 2), which fails the read's validation and
-        # costs it one retry, never three in a row.
+        # Nothing moves under a read in this soak, so there must be none.
         abandoned = scatter["mixed_epoch_aborts"]
         checks.update(
             {
@@ -583,22 +456,7 @@ def run_soak(config: SoakConfig) -> dict:
                 "writes_routed": scatter["write_batches"] > 0,
             }
         )
-        if config.kill_shard or config.flaky_shard:
-            # The scenarios' own contract: faulted portions were recovered
-            # on a sibling, and the faulty member left the rotation.
-            checks["replica_failover_served"] = replication["failovers"] > 0
-            checks["replica_quarantined"] = replication["quarantines"] > 0
-        if config.flaky_shard:
-            # Intermittent faults heal: the quarantined member must have
-            # been caught up (and so re-admitted) at least once.
-            checks["replica_caught_up"] = replication["catch_ups"] > 0
-        if config.rebalance:
-            checks["rebalance_completed"] = scatter["rebalances"] >= 1
-            checks["rebalance_moved_rows"] = scatter["rebalance_rows_moved"] > 0
         report_extra["router"] = router_stats
-        report_extra["shard_faults"] = injector.stats()
-        if scenario_active:
-            report_extra["scenario"] = scenario_log
     # Per-rung latency distribution (the degradation ladder: bounded,
     # result_cache, conventional, write, …) — the soak's tail-latency view,
     # read from the same recorder the serving tier reports.
@@ -616,12 +474,8 @@ def run_soak(config: SoakConfig) -> dict:
             "scale": config.scale,
             "seed": config.seed,
             "shards": config.shards,
-            "replicas": effective_replicas,
             "requests": config.requests,
             "faults": faults_active,
-            "kill_shard": config.kill_shard,
-            "flaky_shard": config.flaky_shard,
-            "rebalance": config.rebalance,
             "verify": config.verify,
         },
         **report_extra,
@@ -644,7 +498,7 @@ def run_soak(config: SoakConfig) -> dict:
         "covered_p99_ms": covered_p99_ms,
         "latency_rungs": latency_rungs,
         "server": stats,
-        "faults": {} if sharded else injector.stats(),
+        "faults": injector.stats(),
         "checks": checks,
         "passed": all(checks.values()),
     }

@@ -7,23 +7,22 @@ epoch validation.  See :mod:`repro.sharding.router` for the soundness
 argument and :mod:`repro.sharding.partition` for the one rule that decides
 which shard owns a key.
 
-The self-healing layer on top: :mod:`repro.sharding.replica` (replica
-groups with failover, quarantine and catch-up) and
-:meth:`ShardRouter.rebalance` (epoch-guarded online key-range migration);
+The federation is static: a hash partition fixed when
+:func:`build_topology` splits the data, one shard per fragment, no replicas.
+It is not fault-tolerant — a shard failure reaches the caller as the typed
+:class:`~repro.core.errors.TransientFault` (a read) or
+:class:`~repro.core.errors.MaintenanceError` (a write) — and
 :class:`repro.serving.faults.FaultInjector` injects seeded faults at the
-shard-call seams.
+shard-call seams to hold it to that.
 """
 
 from .partition import Partitioner, stable_hash
-from .replica import ReplicaSet
-from .router import RebalanceReport, RouterMetrics, ShardRouter, build_topology
+from .router import RouterMetrics, ShardRouter, build_topology
 from .shards import EngineShard, Shard, SQLiteShard
 
 __all__ = [
     "EngineShard",
     "Partitioner",
-    "RebalanceReport",
-    "ReplicaSet",
     "RouterMetrics",
     "Shard",
     "ShardRouter",

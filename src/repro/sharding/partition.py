@@ -4,10 +4,7 @@ A partitioner assigns every tuple of every relation to exactly one shard,
 keyed on one *partition attribute* per relation (the first attribute of the
 relation schema unless overridden).  The owner of a key is
 ``stable_hash(key) % shard_count`` — an even spread that needs no knowledge
-of the data — followed by the relation's ordered rebalance overrides
-(:meth:`Partitioner.add_override`), which
-:meth:`~repro.sharding.router.ShardRouter.rebalance` appends as it moves a
-key range between shards.
+of the data, and a pure function of the key: an owner never changes.
 
 Hashing must be deterministic across processes (Python's ``hash`` of
 strings is salted per interpreter), so keys are hashed via CRC-32 of their
@@ -29,32 +26,8 @@ def stable_hash(value: object) -> int:
     return zlib.crc32(repr(value).encode("utf-8"))
 
 
-def _overridden(overrides: list[tuple], value: object, owner: int) -> int:
-    """``owner`` after the rebalance ``overrides`` of ``value``'s relation, in order."""
-    for lo, hi, src, dst in overrides:
-        if owner != src:
-            continue
-        try:
-            moved = lo <= value < hi
-        except TypeError:
-            continue
-        if moved:
-            owner = dst
-    return owner
-
-
 class Partitioner:
-    """Per-relation key attributes, a CRC-32 hash, then rebalance overrides.
-
-    Each override is ``(lo, hi, src, dst)`` on one relation, read as "keys
-    in ``[lo, hi)`` that the map *so far* assigns to ``src`` now belong to
-    ``dst``".  The ``src`` guard is what makes overrides sound under hash
-    partitioning: a plain range→dst rule would also remap keys owned by
-    *other* shards whose rows were never moved.  Overrides chain in
-    application order, so a range moved twice follows both hops.  Keys that
-    do not compare with the range bounds (mixed-type keys) are left with
-    their current owner — such keys were never part of the migrated range.
-    """
+    """Per-relation key attributes and a CRC-32 hash of the key's value."""
 
     def __init__(
         self,
@@ -68,7 +41,6 @@ class Partitioner:
         self.shard_count = shard_count
         self._attributes: dict[str, str] = {}
         self._positions: dict[str, int] = {}
-        self._overrides: dict[str, list[tuple]] = {}
         chosen = dict(keys or {})
         for relation in schema:
             attribute = chosen.pop(relation.name, relation.attributes[0])
@@ -92,31 +64,20 @@ class Partitioner:
         except KeyError:
             raise StorageError(f"no partitioning defined for relation {relation!r}") from None
 
-    def key(self, relation: str, row: Sequence) -> object:
-        """``row``'s value of ``relation``'s partition attribute."""
-        return row[self._positions[relation]]
-
     def shard_for_value(self, relation: str, value: object) -> int:
         """The shard owning rows of ``relation`` whose key attribute equals ``value``."""
-        owner = stable_hash(value) % self.shard_count
-        overrides = self._overrides.get(relation)
-        return _overridden(overrides, value, owner) if overrides else owner
+        return stable_hash(value) % self.shard_count
 
     def route(self, relation: str, keys: Iterable[Sequence], position: int) -> dict[int, list]:
         """``keys`` grouped by the shard owning each key's value at ``position``.
 
         One pass, :meth:`shard_for_value` per key without its call: the hash
-        once per key, and the relation's overrides, read now, walked only
-        when it has any.
+        once per key.
         """
         shard_count = self.shard_count
-        overrides = self._overrides.get(relation)
         groups: dict[int, list] = {}
         for key in keys:
-            value = key[position]
-            owner = stable_hash(value) % shard_count
-            if overrides:
-                owner = _overridden(overrides, value, owner)
+            owner = stable_hash(key[position]) % shard_count
             group = groups.get(owner)
             if group is None:
                 groups[owner] = [key]
@@ -127,19 +88,6 @@ class Partitioner:
     def shard_for_row(self, relation: str, row: Sequence) -> int:
         """The shard owning ``row`` of ``relation`` (positional tuple)."""
         return self.shard_for_value(relation, row[self._positions[relation]])
-
-    # -- rebalance overrides -----------------------------------------------------------
-    def add_override(self, relation: str, lo, hi, src: int, dst: int) -> None:
-        """Append one migration rule; effective for all later assignments.
-
-        :meth:`~repro.sharding.router.ShardRouter.rebalance`, the one caller,
-        has checked that ``src`` and ``dst`` are two shards of this map.
-        """
-        self._overrides.setdefault(relation, []).append((lo, hi, src, dst))
-
-    @property
-    def override_count(self) -> int:
-        return sum(len(rules) for rules in self._overrides.values())
 
     # -- bulk splitting ---------------------------------------------------------------
     def partition(self, database: Database) -> list[Database]:

@@ -28,13 +28,22 @@ key position of the partition attribute, the shards, the latency windows
 they report to and the step's constraint (interned, so that the shards'
 per-constraint dicts match it on identity) are fixed per step, so
 :meth:`ShardRouter.fetcher` settles them once, when the executor compiles
-the plan.  Two things are looked up on every call instead, because they
-change after plans compile: each key's owner (an online rebalance adds
-partition overrides, which :meth:`~repro.sharding.partition.Partitioner.
-route` reads in its one pass over a scatter's keys) and each shard's
-``fetch`` (fault injection wraps it per instance, the layered benchmark's
-tracer per class).  A shard's partial is a fresh set the router owns, so a
-one-owner fetch returns it as it is and a broadcast unions into the first.
+the plan.  A key's owner is a pure function of its hash
+(:meth:`~repro.sharding.partition.Partitioner.route` assigns a scatter's
+keys in one pass) and never changes after compile.  Only each shard's
+``fetch`` is looked up on every call, because that can change after
+compile: fault injection wraps it per instance, the layered benchmark's
+tracer per class.  A shard's
+partial is a fresh set the router owns, so a one-owner fetch returns it as
+it is and a broadcast unions into the first.
+
+The federation is static and not fault-tolerant: each fragment lives on
+exactly one shard, with no replica, and the partition never moves.  A shard
+that fails a fetch fails the read — a transient shard fault reaches the
+caller as the typed, retryable :class:`~repro.core.errors.TransientFault`,
+never as rows — and a shard that fails its portion of a write fails the
+batch with a :class:`~repro.core.errors.MaintenanceError` carrying what did
+apply (:meth:`ShardRouter._write`).
 
 Merges are epoch-guarded: every shard's
 :class:`~repro.storage.counters.VersionClock` is snapshotted before
@@ -57,12 +66,11 @@ are the only notion of "the data moved".
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Collection, Sequence
 
 from ..core.access import AccessConstraint, AccessSchema
 from ..core.engine import ServingCore
-from ..core.errors import MaintenanceError, ReproError, StorageError, TransientFault
+from ..core.errors import MaintenanceError, StorageError, TransientFault
 
 # Unused here (``ServingCore`` fingerprints), but the layered benchmark's
 # tracer wraps this module's binding by name and fails to install without it.
@@ -71,43 +79,13 @@ from ..core.plan import BoundedPlan, PlanStep
 from ..core.query import Query
 from ..discovery.maintenance import MaintenanceReport, Update
 from ..serving.metrics import LatencyRecorder
-from ..serving.policy import CircuitBreaker
 from ..storage.counters import AccessCounter
 from ..storage.database import Database
 from ..storage.index import Fetch
 from .partition import Partitioner
-from .replica import ReplicaSet
 from .shards import EngineShard, Shard, SQLiteShard
 
 Row = tuple
-
-
-@dataclass
-class RebalanceReport:
-    """Outcome of one key-range migration (:meth:`ShardRouter.rebalance`)."""
-
-    relation: str
-    lo: object
-    hi: object
-    src: str
-    dst: str
-    rows_moved: int = 0
-    retries: int = 0
-    #: destination-side inserts undone because the source epoch moved mid-copy
-    rows_undone: int = 0
-    completed: bool = False
-
-    def snapshot(self) -> dict[str, object]:
-        return {
-            "relation": self.relation,
-            "range": [repr(self.lo), repr(self.hi)],
-            "src": self.src,
-            "dst": self.dst,
-            "rows_moved": self.rows_moved,
-            "retries": self.retries,
-            "rows_undone": self.rows_undone,
-            "completed": self.completed,
-        }
 
 
 class RouterMetrics:
@@ -135,11 +113,6 @@ class RouterMetrics:
         #: always zero: shards keep no partial cache; benchmarks/layered still reads them
         self.shard_cache_hits = 0
         self.shard_cache_misses = 0
-        #: online key-range migrations: completed runs, rows they moved,
-        #: and runs abandoned because the source epoch kept moving
-        self.rebalances = 0
-        self.rebalance_rows_moved = 0
-        self.rebalance_aborts = 0
         self.latency = LatencyRecorder()
 
     @property
@@ -161,9 +134,6 @@ class RouterMetrics:
             "snapshot_retries": self.snapshot_retries,
             "mixed_epoch_aborts": self.mixed_epoch_aborts,
             "write_batches": self.write_batches,
-            "rebalances": self.rebalances,
-            "rebalance_rows_moved": self.rebalance_rows_moved,
-            "rebalance_aborts": self.rebalance_aborts,
             "shard_latency": self.latency.snapshot(),
         }
 
@@ -287,10 +257,10 @@ class ShardRouter(ServingCore):
         constraint itself — interned per ``(constraint, base)``, so every
         plan hands the shards the one object their per-constraint dicts
         were keyed by, and each probe matches on identity.  Looked up per
-        call, as they change after compile: each key's owner (the
-        partitioner reads rebalance overrides when it routes) and each
-        shard's ``fetch`` (the fault injector wraps it on the instance, the
-        layered benchmark's tracer on the class).
+        call: each key's owner, a hash (:meth:`Partitioner.route
+        <repro.sharding.partition.Partitioner.route>`), and each shard's
+        ``fetch``, which changes after compile (the fault injector wraps it
+        on the instance, the layered benchmark's tracer on the class).
 
         A shard's partial is a fresh set the router owns (:meth:`Shard.fetch
         <repro.sharding.shards.Shard.fetch>`), so the merge is no copy: one
@@ -433,171 +403,14 @@ class ShardRouter(ServingCore):
             self.write_observer([update for batch in batches for update in batch])
         return merged
 
-    # -- rebalancing ----------------------------------------------------------------
-    def rebalance(
-        self, relation: str, key_range: tuple, src: int, dst: int
-    ) -> RebalanceReport:
-        """Migrate ``relation``'s partition keys in ``[lo, hi)`` from shard
-        ``src`` to shard ``dst``, under traffic.
-
-        Rebalancing must serve correct reads *throughout* — it is affordable
-        at all because of the paper's boundedness: the rows in a key range
-        of one relation are a bounded, enumerable set, not a table scan.
-        The protocol mirrors a routed write batch's epoch discipline:
-
-        1. **Copy** — the source shard's rows of the relation whose
-           partition-key value falls in ``[lo, hi)`` are inserted into the
-           destination through its own write path (indexes maintained).
-           During this window the rows exist on both shards; that is safe
-           because fetch merges are set unions (broadcast fetches dedup the
-           double presence) and routed fetches still consult the
-           *pre-flip* map, which sends the range's keys to the source.
-        2. **Verify** — the source's epoch is re-validated against the
-           snapshot taken before the copy.  If a routed write landed on the
-           source mid-copy, the copied rows may be a torn mixture, so the
-           copy is undone on the destination and the whole step retries;
-           after ``max_snapshot_retries`` failures a
-           :class:`~repro.core.errors.TransientFault` propagates (never a
-           torn layout) — exactly the merge contract.
-        3. **Flip** — one :meth:`Partitioner.add_override` call (the
-           single-threaded serving loop makes it one operation between
-           requests) redirects the range's keys to the destination for
-           fetch routing *and* write routing.
-        4. **Drop** — the source deletes its now-foreign copies.  Broadcast
-           fetches during this tail window still union both fragments,
-           which is again dedup-safe.
-
-        A destination that fails the copy has it undone and the run aborts
-        with a :class:`~repro.core.errors.TransientFault`; the flip never
-        happened, so reads stay on the source.  Afterwards the result cache
-        is swept over the relation: contents did not change, but a layout
-        change is settled conservatively, like a routed batch with no
-        derivable delta.
-        """
-        lo, hi = key_range
-        if src == dst:
-            raise StorageError("rebalance source and destination must differ")
-        for index in (src, dst):
-            if not (0 <= index < len(self.shards)):
-                raise StorageError(
-                    f"rebalance shard index {index} out of range for "
-                    f"{len(self.shards)} shards"
-                )
-        src_shard, dst_shard = self.shards[src], self.shards[dst]
-        key, metrics = self.partitioner.key, self.metrics
-        report = RebalanceReport(
-            relation=relation, lo=lo, hi=hi, src=src_shard.name, dst=dst_shard.name
-        )
-
-        for _attempt in range(self.max_snapshot_retries + 1):
-            epoch = src_shard.snapshot((relation,))
-            moving: list[Row] = []
-            for row in src_shard.relation_rows(relation):
-                try:
-                    in_range = lo <= key(relation, row) < hi
-                except TypeError:
-                    continue
-                if in_range:
-                    moving.append(row)
-            if not moving:
-                # Nothing to copy: an empty range is trivially
-                # epoch-consistent, so flip at once and future writes route
-                # to the destination.
-                self.partitioner.add_override(relation, lo, hi, src, dst)
-                report.completed = True
-                break
-            try:
-                dst_shard.apply_updates([Update.insert(relation, row) for row in moving])
-            except ReproError as error:
-                # A faulting destination may have applied a prefix; undo it
-                # (deleting a never-copied row is a harmless skip) so no
-                # stale copy can leak into a later broadcast merge.
-                try:
-                    dst_shard.apply_updates(
-                        [Update.delete(relation, row) for row in moving]
-                    )
-                except ReproError:
-                    pass
-                metrics.rebalance_aborts += 1
-                raise TransientFault(
-                    f"rebalance of {relation!r} aborted: destination "
-                    f"{dst_shard.name!r} failed the copy ({error})"
-                ) from error
-            if src_shard.validate((relation,), epoch):
-                self.partitioner.add_override(relation, lo, hi, src, dst)
-                src_shard.apply_updates([Update.delete(relation, row) for row in moving])
-                report.rows_moved = len(moving)
-                report.completed = True
-                break
-            # A write raced the copy; the copied rows may span epochs.  Undo
-            # on the destination (fragments are disjoint, so every copied row
-            # is ours to remove) and retry against the new epoch.
-            dst_shard.apply_updates([Update.delete(relation, row) for row in moving])
-            report.rows_undone += len(moving)
-            report.retries += 1
-            metrics.snapshot_retries += 1
-
-        if not report.completed:
-            metrics.rebalance_aborts += 1
-            raise TransientFault(
-                f"rebalance of {relation!r} {lo!r}..{hi!r} abandoned after "
-                f"{report.retries} retries: source epoch kept moving; retry later"
-            )
-        metrics.rebalances += 1
-        metrics.rebalance_rows_moved += report.rows_moved
-        # Result-cache entries keyed by per-shard snapshots are already
-        # unservable (the copy/drop bumped shard clocks); the sweep keeps
-        # memory honest and the counters visible.
-        self._settle((relation,), (), None)
-        return report
-
     # -- reporting ------------------------------------------------------------------
-    def replication_stats(self) -> dict:
-        """Replica/failover counters summed over the topology's replica sets.
-
-        Plain (unreplicated) shards contribute zeros; the soak report reads
-        this one aggregate instead of re-deriving it from per-shard detail.
-        """
-        sets = [s for s in self.shards if isinstance(s, ReplicaSet)]
-        return {
-            "replica_sets": len(sets),
-            "replicas": sum(len(s.replicas) for s in sets),
-            "quarantined": sum(
-                breaker.state != CircuitBreaker.CLOSED
-                for s in sets
-                for breaker in s.breakers.values()
-            ),
-            "failovers": sum(s.failovers for s in sets),
-            "quarantines": sum(s.quarantines for s in sets),
-            "catch_ups": sum(s.catch_ups for s in sets),
-            "rows_resynced": sum(s.rows_resynced for s in sets),
-        }
-
     def stats(self) -> dict:
         """Topology, scatter/gather metrics, and cache statistics, JSON-ready."""
         return {
             "shards": [shard.stats() for shard in self.shards],
-            "partition_overrides": self.partitioner.override_count,
-            "replication": self.replication_stats(),
             "scatter_gather": self.metrics.snapshot(),
             "caches": self.cache_stats(),
         }
-
-
-def _clone_fragment(fragment: Database) -> Database:
-    """An identical copy of ``fragment`` — same rows, same clock history.
-
-    Replicas must start in lockstep: the clone performs exactly the bump
-    pattern :meth:`~repro.sharding.partition.Partitioner.partition` used to
-    build the fragment (one ``insert_many`` per non-empty relation, in
-    schema order), so member clocks agree and the replica set's lockstep
-    validation holds from the first fetch.
-    """
-    copy = Database(fragment.schema)
-    for relation in fragment:
-        if len(relation):
-            copy.insert_many(relation.schema.name, relation.rows)
-    return copy
 
 
 def build_topology(
@@ -605,7 +418,6 @@ def build_topology(
     access_schema: AccessSchema,
     *,
     shards: int = 2,
-    replicas: int = 1,
     backends: Sequence[str] | str | None = None,
     partition_keys=None,
     result_cache_size: int = 256,
@@ -616,18 +428,11 @@ def build_topology(
     ``backends`` names each shard's substrate (``"memory"`` or ``"sqlite"``),
     either per-shard or as one string for all; the default alternates
     ``memory, sqlite, memory, …`` so that any multi-shard topology exercises
-    one federated plan across *both* backends.  With ``replicas > 1`` each
-    logical shard becomes a :class:`~repro.sharding.replica.ReplicaSet` of
-    that many members holding identical fragment copies; member substrates
-    alternate within the set too, so a federated fetch can fail over from a
-    memory member to its SQLite sibling.  Queries are prepared once, at the
-    router.
-    ``database`` itself is left untouched; the shards own disjoint fragment
-    copies.
+    one federated plan across *both* backends.  Queries are prepared once,
+    at the router.  ``database`` itself is left untouched; the shards own
+    disjoint fragment copies.
     """
     partitioner = Partitioner(database.schema, shards, partition_keys)
-    if replicas < 1:
-        raise StorageError(f"replicas must be >= 1, got {replicas}")
     if backends is None:
         kinds = ["memory" if i % 2 == 0 else "sqlite" for i in range(shards)]
     elif isinstance(backends, str):
@@ -649,21 +454,10 @@ def build_topology(
         )
 
     fragments = partitioner.partition(database)
-    built: list[Shard] = []
-    for index, (kind, fragment) in enumerate(zip(kinds, fragments)):
-        if replicas == 1:
-            built.append(_make(kind, f"shard{index}-{kind}", fragment))
-            continue
-        members: list[Shard] = []
-        for j in range(replicas):
-            member_kind = (
-                kind if j % 2 == 0 else ("sqlite" if kind == "memory" else "memory")
-            )
-            member_fragment = fragment if j == 0 else _clone_fragment(fragment)
-            members.append(
-                _make(member_kind, f"shard{index}r{j}-{member_kind}", member_fragment)
-            )
-        built.append(ReplicaSet(f"shard{index}", members))
+    built = [
+        _make(kind, f"shard{index}-{kind}", fragment)
+        for index, (kind, fragment) in enumerate(zip(kinds, fragments))
+    ]
     return ShardRouter(
         built,
         partitioner,

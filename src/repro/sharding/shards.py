@@ -77,8 +77,8 @@ class Shard:
         The result is a **fresh** set that the caller owns: no later fetch
         returns it again or reads it, so the router hands it on as the
         merged fetch, or unions other shards' partials into it, without a
-        copy.  A wrapper (a replica set, the fault injector) returns the set
-        its member returned, as it is.
+        copy.  A wrapper (the fault injector) returns the set the shard
+        returned, as it is.
         """
         raise NotImplementedError
 

@@ -122,16 +122,3 @@ class VersionClock:
         read may have observed a torn state and must be retried or dropped.
         """
         return self.snapshot(keys) == snapshot
-
-    def sync_to(self, other: "VersionClock") -> None:
-        """Adopt ``other``'s state wholesale — the replica catch-up primitive.
-
-        A replica that diverged (missed or tore a routed batch) is resynced
-        by row-diffing against a healthy sibling; the data repair itself
-        moves this clock in ways that do not mirror the authoritative bump
-        history, so the final step of catch-up is to overwrite this clock
-        with the authoritative one — after which snapshot validation against
-        the authoritative clock holds again by construction.
-        """
-        self.global_version = other.global_version
-        self._per_key = dict(other._per_key)

@@ -44,8 +44,6 @@ from repro.discovery.maintenance import Update, apply_updates
 from repro.evaluator.algebra import evaluate
 from repro.evaluator.baseline import evaluate_conventional
 from repro.evaluator.executor import PlanExecutor
-from repro.serving.faults import FaultInjector, FaultSpec
-from repro.sharding.replica import PROBE_AFTER
 from repro.storage.counters import AccessCounter
 from repro.storage.database import Database
 from repro.storage.index import ConstraintIndex, IndexSet
@@ -242,7 +240,7 @@ def _predict(entry, env, applied, touched, schema) -> str | None:
 # -- the path matrix ----------------------------------------------------------------
 
 READ, REFILL, HOT_INSERT, HOT_DELETE, DELETE_REINSERT, COLD, MIXED, BREAK = range(8)
-SWEEP, REBALANCE, ARM_LOST, KILL, HEAL = range(8, 13)
+SWEEP = 8
 
 #: what every cell runs: reads, the settlement writes and a batch that breaks a bound
 PATH_OPS = (READ, REFILL, HOT_INSERT, HOT_DELETE, DELETE_REINSERT, COLD, MIXED, BREAK)
@@ -267,10 +265,6 @@ CELLS = {
     "router-1-sqlite": Cell("router-1-sqlite"),
     # a 3-shard memory / SQLite / memory federation with repair
     "router-3": Cell("router-3-mixed"),
-    # the same federation, key ranges rebalanced between writes
-    "router-3-rebalance": Cell("router-3-mixed", ops=CORE_OPS + (REBALANCE,)),
-    # a 1 x 2 replicated federation, one member losing its writes or killed
-    "replicated": Cell("replicated-1x2", ops=CORE_OPS + (ARM_LOST, KILL, HEAL)),
     # Plan2SQL of the canonical and the executable plan over the SQLite mirror
     "plan2sql": Cell(reader="plan2sql", ops=PATH_OPS),
     # the conventional fallback over the whole database
@@ -316,7 +310,7 @@ class Write:
 class Oracle:
     """One cell, its references, and every check, after every step of a schedule."""
 
-    def __init__(self, case: Case, cell: str, stack: ExitStack, *, victim=1):
+    def __init__(self, case: Case, cell: str, stack: ExitStack):
         template, self.access, self.queries, self.prepared = _built(case)
         self.case, self.cell, self.schema = case, CELLS[cell], template.schema
         self.reads = self.nonempty = self.fresh = 0
@@ -352,11 +346,6 @@ class Oracle:
         self.cached = self.core is not None and self.cell.result_cache
         if self.cached:
             self._instrument(stack)
-        if self.cell.substrate == "replicated-1x2":
-            (self.replica_set,) = self.core.shards
-            self.victim = self.replica_set.replicas[victim]
-            self.injector = FaultInjector(seed=11)
-            stack.callback(self.injector.uninstall)
         # column pruning changes what a plan carries, never what it fetches
         for plan, executable in ((p.plan, p.executable) for p in self.prepared if p.covered):
             assert _fetch_steps(executable) == _fetch_steps(plan)
@@ -699,48 +688,6 @@ class Oracle:
         assert all(a is not b for a, b in zip(old, new) if a is not None)
         self.refill()
 
-    def rebalance(self, pick: int) -> None:
-        """Move a key range of one relation off the shard owning its low end."""
-        router, names = self.core, self.schema.relation_names()
-        relation = names[pick % len(names)]
-        key = router.partitioner.key
-        values = sorted({key(relation, row) for row in self.reference.relation(relation)})
-        if len(values) < 2:
-            return
-        low = (pick // 3) % (len(values) - 1)
-        high = min(len(values) - 1, low + 1 + (pick // 5) % 4)
-        src = router.partitioner.shard_for_value(relation, values[low])
-        dst = (src + 1 + pick % 2) % len(router.shards)
-        assert router.rebalance(relation, (values[low], values[high]), src, dst).completed
-        self.check_entries()
-
-    def fault(self, op: int) -> None:
-        """Lost writes on, the member killed, or both healed: one member only."""
-        name = self.victim.name
-        if op == ARM_LOST:
-            self.injector.install_shard(self.victim)
-            self.injector.configure(f"{name}.write", FaultSpec(lost_write_every=1))
-        elif op == KILL:
-            self.injector.kill(self.victim)
-        else:
-            self.injector.configure(f"{name}.write", FaultSpec())
-            self.injector.configure(f"{name}.fetch", FaultSpec())
-
-    def heal(self) -> None:
-        """Clear the faults and drive fetches through the set: the member converges."""
-        self.injector.uninstall()
-        constraints = {c.relation: c for c in sorted(self.access, key=lambda c: c.name) if c.lhs}
-        for constraint in [*constraints.values()] * PROBE_AFTER:
-            name, lhs = constraint.relation, sorted(constraint.lhs)
-            rows = sorted(self.reference.relation(name).rows)
-            key = _project(self.schema, name, lhs, rows[0]) if rows else (None,) * len(lhs)
-            self.replica_set.fetch(constraint, constraint.relation, [key])
-        self.refill()
-        assert all(breaker.state == "closed" for breaker in self.replica_set.breakers.values())
-        primary, member = self.replica_set.replicas
-        for name in self.schema.relation_names():
-            assert set(member.relation_rows(name)) == set(primary.relation_rows(name))
-
     # -- the runner ---------------------------------------------------------------------
     def run(self, schedule) -> None:
         """Play ``schedule``: ``(op, pick)`` pairs, and :class:`Write` steps and
@@ -767,16 +714,9 @@ class Oracle:
                 self.read(pick % len(self.queries))
             elif op == REFILL:
                 self.refill()
-            elif op in (ARM_LOST, KILL, HEAL):
-                self.fault(op)
-            elif op == SWEEP:
+            else:  # SWEEP
                 self.sweep_and_reprepare()
-            else:
-                self.rebalance(pick)
-        if self.cell.substrate == "replicated-1x2":
-            self.heal()
-        else:
-            self.refill()
+        self.refill()
         self.check_mirror()
 
 
@@ -810,7 +750,6 @@ EXAMPLES = {
     # property about 6 of facebook and of TFACC
     ("router-3", "facebook", "graph"): 15,
     ("router-3", "TFACC", "covered"): 6,
-    ("replicated", "facebook", "graph"): 12,  # the lost-write chaos property
     # plan equivalence drew 60 + 30 one-query examples; four queries an example here
     ("plans", "TFACC", "random"): 23,
 }
@@ -829,10 +768,9 @@ def test_every_path_returns_the_references_rows(workload, scale, source, cell):
         # generated queries are drawn apart from the data they are served over
         query_seed = data.draw(st.integers(0, 500), label="query_seed") if source == "random" else 0
         schedule = data.draw(schedules(CELLS[cell].ops), label="schedule")
-        victim = data.draw(st.integers(0, 1), label="victim") if cell == "replicated" else 1
         with ExitStack() as stack:
             case = Case(workload, scale, seed, source, query_seed)
-            Oracle(case, cell, stack, victim=victim).run(schedule)
+            Oracle(case, cell, stack).run(schedule)
 
     check()
 
@@ -1026,17 +964,6 @@ def mirror_lockstep(oracle: Oracle):
             yield (REFILL, 0)
 
 
-def replica_heals(oracle: Oracle):
-    """Writes one member loses: the next fetch of the relation quarantines it and
-    catches it up from its sibling, and the runner's heal finds it converged."""
-    friends = sorted(oracle.reference.relation("friend").rows)
-    yield (ARM_LOST, 0)
-    yield Write([Update.delete("friend", friends[0]), Update.insert("friend", ("p0", "p_lost"))])
-    yield (HEAL, 0)
-    yield Write([Update.delete("friend", friends[1])])
-    yield (REFILL, 0)
-
-
 def admission(oracle: Oracle):
     """c0's city under ψ4 (N = 1): a batch that overfills the group is rejected;
     a replace inside the full group is accepted."""
@@ -1072,7 +999,6 @@ NAMED = {
     "covered_queries": (Case("TFACC", 20, 0, "covered"), lambda oracle: [(HOT_INSERT, 0)]),
     "random_queries": (Case("TFACC", 20, 8, "random", 8), lambda oracle: [(COLD, 1)]),
     "admission": (Case("facebook", 40, 7, "cafe_city"), admission),
-    "replica_heals": (Case("facebook", 30, 5, "reads"), replica_heals),
 }
 
 

@@ -24,9 +24,7 @@ class TestFaultSpec:
         assert FaultSpec(error_rate=0.5).active
         assert FaultSpec(fail_every=3).active
         assert FaultSpec(latency_jitter=0.001).active
-        assert FaultSpec(stale_snapshot_every=3).active
         assert FaultSpec(torn_write_every=2).active
-        assert FaultSpec(lost_write_every=2).active
 
 
 class TestPerturb:
@@ -181,6 +179,13 @@ def a_batch(shard, size=4):
     return [Update.delete("friend", row) for row in rows]
 
 
+def fail_every_call(injector, shard):
+    """Wrap ``shard`` and fail every fetch and write through it (a dead shard)."""
+    injector.install_shard(shard)
+    injector.configure(f"{shard.name}.fetch", FaultSpec(fail_every=1))
+    injector.configure(f"{shard.name}.write", FaultSpec(fail_every=1))
+
+
 class TestShardBasicFaults:
     def test_fail_every_is_deterministic_and_fires_before_the_call(self, shard):
         injector = FaultInjector(seed=0)
@@ -213,9 +218,9 @@ class TestShardBasicFaults:
         assert schedule(5) == schedule(5)
         assert schedule(5) != schedule(6)  # per-seed streams, not a fixed script
 
-    def test_kill_fails_every_fetch_and_write(self, shard):
+    def test_fail_every_one_fails_every_fetch_and_write(self, shard):
         injector = FaultInjector(seed=0)
-        injector.kill(shard)
+        fail_every_call(injector, shard)
         with pytest.raises(TransientFault):
             a_fetch(shard)
         before = set(shard.database.relation("friend").rows)
@@ -241,44 +246,23 @@ class TestShardWriteFaults:
         # Exactly the prefix is gone — the mid-batch abort contract.
         assert before - after == {u.row for u in batch[:2]}
 
-    def test_lost_write_mutates_nothing_and_reports_success(self, shard):
-        injector = FaultInjector(seed=0)
-        injector.install_shard(shard)
-        injector.configure(f"{shard.name}.write", FaultSpec(lost_write_every=1))
-        before = set(shard.database.relation("friend").rows)
-        clock_before = shard.database.clock.snapshot(("friend",))
-        report = shard.apply_updates(a_batch(shard))
-        # The one failure mode no exception surfaces: an empty report, no
-        # rows changed, no clock bump — detectable only by a later
-        # snapshot-validation check against the authoritative clock.
-        assert report.applied == 0 and not report.failed
-        assert set(shard.database.relation("friend").rows) == before
-        assert shard.database.clock.snapshot(("friend",)) == clock_before
-
 
 class TestShardSnapshotFaults:
-    def test_stale_snapshot_replays_the_previous_epoch_token(self, shard):
+    def test_a_snapshot_fault_raises_a_typed_fault_not_a_token(self, shard):
         injector = FaultInjector(seed=0)
         injector.install_shard(shard)
-        injector.configure(
-            f"{shard.name}.snapshot", FaultSpec(stale_snapshot_every=2)
-        )
+        injector.configure(f"{shard.name}.snapshot", FaultSpec(fail_every=2))
         first = shard.snapshot(("friend",))  # call 1: clean
-        shard.database.clock.bump(("friend",))
-        stale = shard.snapshot(("friend",))  # call 2: the site's last token
-        assert stale == first
-        # The replayed token must fail validation — that is the whole point:
-        # the router's merge guard refuses to serve through it.
-        assert not shard.validate(("friend",), stale)
-        fresh = shard.snapshot(("friend",))  # call 3: clean again, by schedule
-        assert fresh != stale and shard.validate(("friend",), fresh)
+        with pytest.raises(TransientFault, match="deterministic fault"):
+            shard.snapshot(("friend",))  # call 2: no token at all, never a stale one
+        assert shard.snapshot(("friend",)) == first  # call 3: clean, nothing moved
         assert injector.stats()[f"{shard.name}.snapshot"] == {"calls": 3, "injected": 1}
 
 
 class TestShardTeardownAndStats:
     def test_uninstall_restores_originals(self, shard):
         injector = FaultInjector(seed=0)
-        injector.kill(shard)
+        fail_every_call(injector, shard)
         with pytest.raises(TransientFault):
             a_fetch(shard)
         injector.uninstall()
@@ -294,7 +278,7 @@ class TestShardTeardownAndStats:
 
     def test_context_manager_uninstalls(self, shard):
         with FaultInjector(seed=0) as injector:
-            injector.kill(shard)
+            fail_every_call(injector, shard)
             with pytest.raises(TransientFault):
                 a_fetch(shard)
         assert a_fetch(shard)

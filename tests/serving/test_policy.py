@@ -115,21 +115,6 @@ class TestCircuitBreaker:
         clock.advance(1.0)
         assert breaker.allow()
 
-    def test_trip_records_its_reason_and_a_success_closes_from_open(self):
-        # The replica set's use: it trips a member on divergence and may
-        # record a catch-up's success before any cooldown has run out.
-        breaker = CircuitBreaker(failure_threshold=3, cooldown=8, clock=FakeClock())
-        breaker.trip("divergence")
-        assert (breaker.state, breaker.stats()["reason"]) == (CircuitBreaker.OPEN, "divergence")
-        breaker.record_success()
-        assert (breaker.state, breaker.reason) == (CircuitBreaker.CLOSED, None)
-        # re-admitted, the member needs the full threshold again
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-        breaker.record_failure()
-        assert (breaker.state, breaker.reason) == (CircuitBreaker.OPEN, "unhealthy")
-
     def test_stats_snapshot(self):
         breaker = CircuitBreaker(failure_threshold=1, cooldown=1.0, clock=FakeClock())
         breaker.record_failure()

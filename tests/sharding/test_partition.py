@@ -1,5 +1,6 @@
-"""The partitioner: deterministic assignment, disjoint cover, guarded overrides."""
+"""The partitioner: deterministic assignment, one routing pass, disjoint cover."""
 
+import random
 import zlib
 
 import pytest
@@ -72,42 +73,19 @@ class TestPartitioner:
         with pytest.raises(StorageError, match="no partitioning defined"):
             Partitioner(fb_schema, 2).attribute("nosuch")
 
-    def test_key_reads_the_partition_attribute(self, fb_schema):
-        partitioner = Partitioner(fb_schema, 3, keys={"friend": "fid"})
-        assert partitioner.key("friend", ("p1", "p2")) == "p2"
-        assert partitioner.key("cafe", ("c1", "austin")) == "c1"
-
-    def test_owner_is_the_crc32_hash_without_overrides(self, fb_schema):
+    def test_owner_is_the_crc32_hash(self, fb_schema):
         partitioner = Partitioner(fb_schema, 3)
         for value in ("p0", "p7", "c3", 2013):
             assert partitioner.shard_for_value("friend", value) == stable_hash(value) % 3
-        assert partitioner.override_count == 0
 
-
-class TestOverrides:
-    """``(lo, hi, src, dst)``: keys in range that the map so far sends to ``src``."""
-
-    def test_an_override_moves_only_the_sources_keys_in_range(self, fb_schema):
+    def test_one_routing_pass_gives_each_key_its_owner(self, fb_schema):
+        # ``route`` groups a scatter's keys by the owner ``shard_for_value``
+        # gives each key's value at ``position``, keeping the keys' order.
         partitioner = Partitioner(fb_schema, 3)
-        values = [f"p{i}" for i in range(40)]
-        before = {v: partitioner.shard_for_value("friend", v) for v in values}
-        partitioner.add_override("friend", "p1", "p3", 0, 2)
-        assert partitioner.override_count == 1
-        for value in values:
-            moved = "p1" <= value < "p3" and before[value] == 0
-            expected = 2 if moved else before[value]
-            assert partitioner.shard_for_value("friend", value) == expected
-        assert any("p1" <= v < "p3" and before[v] == 0 for v in values)
-        # another relation's keys and a key that does not compare stay put
-        assert partitioner.shard_for_value("dine", "p1") == stable_hash("p1") % 3
-        assert partitioner.shard_for_value("friend", 7) == stable_hash(7) % 3
-
-    def test_overrides_chain_in_application_order(self, fb_schema):
-        partitioner = Partitioner(fb_schema, 3)
-        value = "p0"
-        first = stable_hash(value) % 3
-        second, third = (first + 1) % 3, (first + 2) % 3
-        partitioner.add_override("friend", "p", "q", first, second)
-        partitioner.add_override("friend", "p", "q", second, third)
-        assert partitioner.shard_for_value("friend", value) == third
-        assert partitioner.shard_for_row("friend", (value, "p1")) == third
+        draw = random.Random(11)
+        keys = [(draw.random(), f"p{draw.randrange(40)}") for _ in range(64)]
+        owners = {}
+        for key in keys:
+            owners.setdefault(partitioner.shard_for_value("friend", key[1]), []).append(key)
+        assert partitioner.route("friend", keys, 1) == owners
+        assert len(owners) == 3

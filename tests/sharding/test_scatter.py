@@ -5,18 +5,17 @@ the step fixes, and returns a closure that does only the shard lookups.  The
 reference below is the scatter as the router's module docstring states it,
 re-derived on every call: the compiled closures must match it in rows, in
 what the shards count and in what the router reports.  What must *not* be
-settled at compile time — each shard's ``fetch`` (the fault injector wraps
-it per instance) and each key's owner (a rebalance adds overrides) — is
-pinned by changing it between a compiled read and the next.
+settled at compile time — each shard's ``fetch``, which the fault injector
+wraps per instance — is pinned by changing it between a compiled read and
+the next.
 
 The scatter's fast paths are pinned here too: what a shard counts does not
 depend on its backend, a shard's partial is a fresh set the router may hand
 on or union into, a warm read compares no constraints (each step's is
 interned), and one routing pass assigns every key the owner
-``shard_for_value`` gives it.
+``shard_for_value`` gives it (``tests/sharding/test_partition.py``).
 """
 
-import random
 from collections import Counter
 
 import pytest
@@ -25,9 +24,7 @@ from analytic_queries import ANALYTIC_SCALE, analytic_queries
 from repro.bench.experiments import select_covered_queries
 from repro.core.access import AccessConstraint
 from repro.core.errors import TransientFault
-from repro.core.plan import FetchOp
 from repro.core.query import Relation, eq
-from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
 from repro.evaluator.executor import PlanExecutor
 from repro.serving.faults import FaultInjector, FaultSpec
@@ -179,7 +176,7 @@ def friend_index_of(facebook_access):
 class TestFreshPartials:
     """``Shard.fetch`` returns a new set on every call, which the caller owns."""
 
-    @pytest.mark.parametrize("kind", ["memory", "sqlite", "replicated", "faulted"])
+    @pytest.mark.parametrize("kind", ["memory", "sqlite", "faulted"])
     def test_a_partial_is_fresh_and_owned_by_the_caller(self, kind):
         database = facebook.generate(scale=30, seed=5)
         access = facebook.access_schema(database.schema)
@@ -187,7 +184,6 @@ class TestFreshPartials:
             database,
             access,
             shards=1,
-            replicas=2 if kind == "replicated" else 1,
             backends="sqlite" if kind == "sqlite" else "memory",
             result_cache_size=0,
         )
@@ -247,77 +243,23 @@ def compiled_read(router, query):
 
 
 class TestSeamsStayLiveAfterCompile:
-    def test_a_fetch_fault_installed_after_compile_fails_over(self):
+    def test_a_fetch_fault_installed_after_compile_reaches_the_caller(self):
+        # The federation has no replicas: the owner's fault reaches the
+        # caller, through the ``fetch`` the router looks up per call.
         database = facebook.generate(scale=30, seed=5)
         access = facebook.access_schema(database.schema)
-        router = build_topology(database, access, shards=2, replicas=2, result_cache_size=0)
+        router = build_topology(database, access, shards=2, result_cache_size=0)
         query = friends_of("p0")
         compiled = compiled_read(router, query)
         owner = router.shards[router.partitioner.shard_for_value("friend", "p0")]
-        victim = owner.replicas[0]  # the member that serves first
-        with FaultInjector(seed=0) as injector:
-            injector.install_shard(victim)
-            injector.configure(f"{victim.name}.fetch", FaultSpec(fail_every=1))
-            result = router.execute(query)
-            assert injector.injected[f"{victim.name}.fetch"] == 1
-        assert owner.failovers == 1
-        assert result.rows == evaluate(query, database).rows != frozenset()
-        # The router asks the set through whatever ``fetch`` it has now, too.
         with FaultInjector(seed=0) as injector:
             injector.install_shard(owner)
             injector.configure(f"{owner.name}.fetch", FaultSpec(fail_every=1))
             with pytest.raises(TransientFault, match="injected"):
                 router.execute(query)
             assert injector.injected[f"{owner.name}.fetch"] == 1
-        assert router._executor.compile(router.prepare(query).executable) is compiled
-        close(router)
-
-    def test_a_partition_override_added_after_compile_reroutes_the_key(self):
-        database = facebook.generate(scale=30, seed=5)
-        access = facebook.access_schema(database.schema)
-        router = build_topology(database, access, shards=2, result_cache_size=0)
-        query = friends_of("p0")
-        compiled = compiled_read(router, query)
-        src = router.partitioner.shard_for_value("friend", "p0")
-        dst = 1 - src
-        # Move p0's friend rows by hand, as a rebalance does but without its
-        # cache sweep: the plan store and the compiled kernels stay.
-        moving = [row for row in router.shards[src].relation_rows("friend") if row[0] == "p0"]
-        assert moving
-        router.shards[dst].apply_updates([Update.insert("friend", row) for row in moving])
-        # one routing pass gives each key the owner ``shard_for_value`` gives it,
-        # before the override and after it
-        partitioner = router.partitioner
-        draw = random.Random(11)
-        keys = [(f"p{draw.randrange(40)}", draw.random()) for _ in range(64)] + [("p0", 0.5)]
-
-        def per_key():
-            owners = {}
-            for key in keys:
-                owners.setdefault(partitioner.shard_for_value("friend", key[0]), []).append(key)
-            return owners
-
-        assert partitioner.route("friend", keys, 0) == per_key()
-        fetch = router.fetcher(*fetch_step(router, friends_of("p1")))
-        partitioner.add_override("friend", "p0", "p0\0", src, dst)
-        router.shards[src].apply_updates([Update.delete("friend", row) for row in moving])
-        assert partitioner.route("friend", keys, 0) == per_key()
-        assert partitioner.route("friend", keys, 0)[dst][-1] == ("p0", 0.5)
-        # ... and a many-key scatter compiled before the override routes by it
-        asked = {(f"p{i}",) for i in range(6)}
-        local = IndexSet.build(database, access).fetcher(*fetch_step(router, friends_of("p1")))
-        assert fetch(asked, AccessCounter()) == local(asked, AccessCounter()) != set()
-        latency = router.metrics.latency
-        asked = {i: latency.count(f"shard:{s.name}") for i, s in enumerate(router.shards)}
+        # uninstalled, the same compiled plan serves the reference rows
         result = router.execute(query)
-        assert latency.count(f"shard:{router.shards[dst].name}") == asked[dst] + 1
-        assert latency.count(f"shard:{router.shards[src].name}") == asked[src]
         assert result.rows == evaluate(query, database).rows != frozenset()
         assert router._executor.compile(router.prepare(query).executable) is compiled
         close(router)
-
-
-def fetch_step(router, query):
-    """``(plan, its fetch step)`` of a one-fetch query's executable plan."""
-    plan = router.prepare(query).executable
-    return plan, next(step for step in plan.steps if isinstance(step.op, FetchOp))

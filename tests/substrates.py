@@ -25,7 +25,6 @@ TOPOLOGIES = {
     "router-1-memory": {"shards": 1, "backends": "memory"},
     "router-1-sqlite": {"shards": 1, "backends": "sqlite"},
     "router-3-mixed": {"shards": 3, "backends": ["memory", "sqlite", "memory"]},
-    "replicated-1x2": {"shards": 1, "replicas": 2},
 }
 
 
@@ -125,9 +124,8 @@ class Substrate:
 
     def close(self) -> None:
         for shard in getattr(self.core, "shards", ()):
-            for member in getattr(shard, "replicas", (shard,)):
-                if isinstance(member, SQLiteShard):
-                    member.close()
+            if isinstance(shard, SQLiteShard):
+                shard.close()
 
 
 def mirrored_federation(scale=30, seed=5, **topology):
