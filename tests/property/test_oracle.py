@@ -265,6 +265,12 @@ CELLS = {
     "router-1-sqlite": Cell("router-1-sqlite"),
     # a 3-shard memory / SQLite / memory federation with repair
     "router-3": Cell("router-3-mixed"),
+    # the federated benchmark's federation: the same shards, no result cache
+    "router-3-recompute": Cell("router-3-mixed", result_cache=False),
+    # every partial of a multi-shard scatter read from SQLite
+    "router-2-sqlite": Cell("router-2-sqlite"),
+    # the `--shards 4` soak's federation: 4 memory shards
+    "router-4": Cell("router-4-memory"),
     # Plan2SQL of the canonical and the executable plan over the SQLite mirror
     "plan2sql": Cell(reader="plan2sql", ops=PATH_OPS),
     # the conventional fallback over the whole database
@@ -974,6 +980,21 @@ def admission(oracle: Oracle):
     yield Write(replace, ["patched"])
 
 
+def a_batch_over_every_owner(oracle: Oracle):
+    """One batch of friend rows whose keys every shard owns some of, then its
+    undoing: a router splits each batch by owner, and the reads after it are
+    the reference's rows wherever the keys landed."""
+    people = sorted({pid for pid, _ in oracle.reference.relation("friend")})[:8]
+    batch = [Update.insert("friend", (pid, f"{pid}_new")) for pid in people]
+    if oracle.core is not None and oracle.substrate.federated:
+        owner = oracle.core.partitioner.shard_for_row
+        assert len({owner("friend", update.row) for update in batch}) == len(oracle.core.shards)
+    yield Write(batch)
+    yield (REFILL, 0)
+    yield Write([update.inverse() for update in batch])
+    yield (REFILL, 0)
+
+
 #: every named schedule: its case and its steps
 NAMED = {
     "reads_hit_after_a_miss": (Case("facebook", 30, 5, "reads"), reads_hit_after_a_miss),
@@ -999,6 +1020,7 @@ NAMED = {
     "covered_queries": (Case("TFACC", 20, 0, "covered"), lambda oracle: [(HOT_INSERT, 0)]),
     "random_queries": (Case("TFACC", 20, 8, "random", 8), lambda oracle: [(COLD, 1)]),
     "admission": (Case("facebook", 40, 7, "cafe_city"), admission),
+    "a_batch_over_every_owner": (Case("facebook", 30, 5, "reads"), a_batch_over_every_owner),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.errors import StorageError
 from repro.sharding import Partitioner, stable_hash
-from repro.workloads import facebook
+from repro.workloads import WORKLOADS, facebook
 
 
 @pytest.fixture
@@ -56,6 +56,26 @@ class TestPartitioner:
             for index, piece in enumerate(pieces):
                 for row in piece:
                     assert partitioner.shard_for_row(name, row) == index
+
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["facebook", *sorted(WORKLOADS)])
+    def test_every_workload_splits_by_the_hash_of_its_key(self, name, shards):
+        # A row's shard is the crc32 hash of its partition attribute, on
+        # every workload: a disjoint cover, and no shard left without rows.
+        if name == "facebook":
+            database = facebook.generate(scale=25, seed=2)
+        else:
+            database = WORKLOADS[name].database(scale=25, seed=2)
+        partitioner = Partitioner(database.schema, shards)
+        fragments = partitioner.partition(database)
+        for relation in database.relation_names():
+            position = database.schema[relation].position(partitioner.attribute(relation))
+            pieces = [set(fragment.relation(relation).rows) for fragment in fragments]
+            assert set().union(*pieces) == set(database.relation(relation).rows)
+            assert sum(map(len, pieces)) == len(database.relation(relation))
+            for index, piece in enumerate(pieces):
+                assert all(stable_hash(row[position]) % shards == index for row in piece)
+        assert all(fragment.size > 0 for fragment in fragments)
 
     def test_partition_leaves_the_input_untouched(self, fb_schema):
         database = facebook.generate(scale=25, seed=2)

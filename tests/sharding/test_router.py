@@ -35,7 +35,7 @@ def covered_queries():
 
 
 class TestFederatedReads:
-    @pytest.mark.parametrize("shards", [1, 2, 3])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 5])
     def test_rows_identical_to_single_database_reference(self, shards):
         router, database = mirrored_topology(shards=shards)
         for query in covered_queries():

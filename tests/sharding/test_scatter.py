@@ -24,6 +24,7 @@ from analytic_queries import ANALYTIC_SCALE, analytic_queries
 from repro.bench.experiments import select_covered_queries
 from repro.core.access import AccessConstraint
 from repro.core.errors import TransientFault
+from repro.core.plan import FetchOp
 from repro.core.query import Relation, eq
 from repro.evaluator.algebra import evaluate
 from repro.evaluator.executor import PlanExecutor
@@ -240,6 +241,31 @@ def compiled_read(router, query):
     """Read ``query`` once, so its kernels are compiled; returns the compiled plan."""
     router.execute(query)
     return router._executor.compile(router.prepare(query).executable)
+
+
+def fetch_step(router, query):
+    """``(plan, its fetch step)`` of a one-fetch query's executable plan."""
+    plan = router.prepare(query).executable
+    return plan, next(step for step in plan.steps if isinstance(step.op, FetchOp))
+
+
+def test_a_many_key_fetch_asks_each_owner_once():
+    """A fetcher compiled for one key serves a key set spread over shards:
+    each owner is asked once, and the rows are the one database's."""
+    database = facebook.generate(scale=30, seed=5)
+    access = facebook.access_schema(database.schema)
+    router = build_topology(database, access, shards=3, result_cache_size=0)
+    step = fetch_step(router, friends_of("p1"))
+    fetch, local = router.fetcher(*step), IndexSet.build(database, access).fetcher(*step)
+    asked = {(f"p{i}",) for i in range(6)}
+    owners = {router.partitioner.shard_for_value("friend", key[0]) for key in asked}
+    latency = router.metrics.latency
+    before = [latency.count(f"shard:{shard.name}") for shard in router.shards]
+    assert fetch(asked, AccessCounter()) == local(asked, AccessCounter()) != set()
+    after = [latency.count(f"shard:{shard.name}") for shard in router.shards]
+    assert len(owners) > 1
+    assert [a - b for a, b in zip(after, before)] == [int(i in owners) for i in range(3)]
+    close(router)
 
 
 class TestSeamsStayLiveAfterCompile:
