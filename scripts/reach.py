@@ -6,7 +6,7 @@ script records, with ``sys.setprofile``, every function of ``src/repro`` that
 these entry points call, all in this process:
 
 * the five layered workloads (``benchmarks/layered``, imported, never
-  changed), each set up, run for ``--ops`` operations and verified;
+  changed), each set up, run for ``OPS`` operations and verified;
 * ``repro.cli report --quick`` on AIRCA, MCBM and TFACC;
 * the four scripts under ``examples/``;
 * ``repro.cli check`` / ``plan`` / ``run`` on Example 1's graph-search query;
@@ -20,18 +20,16 @@ untaken branches count as reached.  Module and class bodies are not
 functions, and neither is an abstract hook whose body only raises
 ``NotImplementedError``: neither is counted::
 
-    python scripts/reach.py [--ops 300] [--json]
+    python scripts/reach.py
 
 About 45 s on a 2-core machine; the entry points' own output is discarded.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import io
-import json
 import runpy
 import sys
 import threading
@@ -53,10 +51,12 @@ GRAPH_SEARCH = (
     "AND friend.fid = dine.pid AND dine.month = 'may' AND dine.year = 2013 "
     "AND dine.cid = cafe.cid AND cafe.city = 'austin'"
 )
+#: operations per layered workload
+OPS = 300
 SOAK = ["soak", "--workload", "AIRCA", "--scale", "60", "--requests", "80", "--seed", "3"]
 
 
-def entry_points(ops: int):
+def entry_points():
     """``(name, thunk)`` for every entry point, in the order they run."""
 
     def layered(cls):
@@ -64,7 +64,7 @@ def entry_points(ops: int):
             workload = cls(ShapeCatalog(DATASETS["TFACC"]), 7)
             workload.set_up()
             try:
-                workload.run(Budget(ops=ops))
+                workload.run(Budget(ops=OPS))
                 workload.verify()
             finally:
                 workload.close()
@@ -88,7 +88,7 @@ def entry_points(ops: int):
     yield "soak --shards 3", command(*SOAK, "--shards", "3")
 
 
-def record(ops: int) -> set[tuple[str, int]]:
+def record() -> set[tuple[str, int]]:
     """``(file, first line)`` of every ``src/repro`` function the entry points call."""
     called: set = set()
     prefix = str(SRC)
@@ -97,7 +97,7 @@ def record(ops: int) -> set[tuple[str, int]]:
         if event == "call":
             called.add(frame.f_code)
 
-    for name, thunk in entry_points(ops):
+    for name, thunk in entry_points():
         print(f"# running {name}", file=sys.stderr)
         threading.setprofile(profiler)
         sys.setprofile(profiler)
@@ -167,15 +167,8 @@ def reach(called: set[tuple[str, int]]) -> dict[str, dict]:
     return report
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--ops", type=int, default=300, help="operations per layered workload")
-    parser.add_argument("--json", action="store_true", help="print one JSON object")
-    args = parser.parse_args(argv)
-    report = reach(record(args.ops))
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-        return 0
+def main() -> int:
+    report = reach(record())
     print(f"{'module':<36} {'lines in functions':>18} {'unreached':>9}")
     for module, row in report.items():
         print(f"{module:<36} {row['function_lines']:>18,} {row['unreached_lines']:>9,}")

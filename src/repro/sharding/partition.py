@@ -64,11 +64,12 @@ class Partitioner:
         except KeyError:
             raise StorageError(f"no partitioning defined for relation {relation!r}") from None
 
-    def shard_for_value(self, relation: str, value: object) -> int:
-        """The shard owning rows of ``relation`` whose key attribute equals ``value``."""
+    def shard_for_value(self, value: object) -> int:
+        """The shard owning the rows whose partition attribute equals ``value``,
+        in every relation: an owner is the value's hash alone."""
         return stable_hash(value) % self.shard_count
 
-    def route(self, relation: str, keys: Iterable[Sequence], position: int) -> dict[int, list]:
+    def route(self, keys: Iterable[Sequence], position: int) -> dict[int, list]:
         """``keys`` grouped by the shard owning each key's value at ``position``.
 
         One pass, :meth:`shard_for_value` per key without its call: the hash
@@ -87,7 +88,7 @@ class Partitioner:
 
     def shard_for_row(self, relation: str, row: Sequence) -> int:
         """The shard owning ``row`` of ``relation`` (positional tuple)."""
-        return self.shard_for_value(relation, row[self._positions[relation]])
+        return self.shard_for_value(row[self._positions[relation]])
 
     # -- bulk splitting ---------------------------------------------------------------
     def partition(self, database: Database) -> list[Database]:

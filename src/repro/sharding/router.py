@@ -321,9 +321,9 @@ class ShardRouter(ServingCore):
             metrics.routed += 1
             if len(keys) == 1:  # a point fetch: its key's owner, for the key set as it is
                 (key,) = keys
-                asked = ((partitioner.shard_for_value(base, key[position]), keys),)
+                asked = ((partitioner.shard_for_value(key[position]), keys),)
             else:
-                asked = sorted(partitioner.route(base, keys, position).items())
+                asked = sorted(partitioner.route(keys, position).items())
             metrics.shard_fetches += len(asked)
             rows = None
             started = clock()

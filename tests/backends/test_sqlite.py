@@ -70,6 +70,14 @@ class TestMaintenance:
         assert ("c_sql",) in after
         assert before <= after
 
+    def test_group_of_reads_the_index_table_and_is_empty_without_one(self, backend, fb_access):
+        psi1 = next(c for c in fb_access if c.name == "psi1")
+        row = sorted(backend.database.relation("friend").rows)[0]
+        assert backend.group_of(psi1, row) == set()  # no index tables yet
+        backend.create_index_tables(fb_access)
+        group = backend.group_of(psi1, row)
+        assert group and all(index_row[1] == row[0] for index_row in group)
+
     def test_apply_insert_deduplicates_index_rows(self, backend, fb_access):
         backend.create_index_tables(fb_access)
         size_before = backend.index_size()

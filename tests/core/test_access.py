@@ -92,6 +92,11 @@ class TestAccessSchema:
         assert constraints[0] not in without
         assert len(without) == 3
 
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_sample_fraction_outside_the_unit_interval_is_refused(self, fb_access, fraction):
+        with pytest.raises(AccessConstraintError, match="fraction must be in"):
+            fb_access.sample_fraction(fraction)
+
     def test_sample_fraction_deterministic(self, fb_access):
         first = list(fb_access.sample_fraction(0.5, seed=3))
         second = list(fb_access.sample_fraction(0.5, seed=3))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -227,3 +228,78 @@ class TestCSVSource:
     def test_missing_source_arguments(self):
         with pytest.raises(SystemExit):
             main(["check", "--sql", FB_Q1_SQL])
+
+
+class TestSoakCommand:
+    """``repro soak``: the report it prints and the exit code it returns.
+
+    A server clock that stands still, as in ``tests/serving/test_soak.py``,
+    so no verdict reads elapsed time.
+    """
+
+    ARGS = ["soak", "--workload", "AIRCA", "--scale", "40", "--requests", "30",
+            "--seed", "11", "--queue-depth", "8"]
+
+    @pytest.fixture(autouse=True)
+    def frozen_server(self, monkeypatch):
+        from functools import partial
+
+        from repro.serving import soak
+        from repro.serving.server import BoundedServer
+
+        monkeypatch.setattr(soak, "BoundedServer", partial(BoundedServer, clock=lambda: 0.0))
+
+    def test_a_passing_soak_prints_each_check_and_exits_zero(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        # every read served was verified against the reference
+        assert re.match(r"-- soak AIRCA scale=40 seed=11: (\d+) reads served \(\1 verified", out)
+        checks = [line for line in out.splitlines() if line.startswith(("-- PASS", "-- FAIL"))]
+        assert checks and all(line.startswith("-- PASS") for line in checks)
+        assert "-- federation" not in out
+        assert out.rstrip().endswith("-- soak PASSED")
+
+    def test_a_sharded_soak_reports_its_federation(self, capsys):
+        assert main([*self.ARGS, "--shards", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("-- soak AIRCA scale=40 seed=11 shards=3: ")
+        (federation,) = [line for line in out.splitlines() if line.startswith("-- federation: ")]
+        shards = federation.removeprefix("-- federation: ").split(" | ")[0].split(", ")
+        names = [name.split("(")[0] for name in shards]
+        assert names == ["shard0-memory", "shard1-sqlite", "shard2-memory"]
+        assert "snapshot retries 0" in federation
+        assert out.rstrip().endswith("-- soak PASSED")
+
+    def test_the_json_report_holds_the_printed_outcome(self, tmp_path, capsys):
+        path = tmp_path / "soak.json"
+        assert main([*self.ARGS, "--no-faults", "--output", str(path)]) == 0
+        report = json.loads(path.read_text())
+        outcome = report["outcome"]
+        out = capsys.readouterr().out
+        assert (
+            f"{outcome['reads_served']} reads served ({outcome['reads_verified']} verified"
+            in out
+        )
+        assert outcome["writes_partial"] == 0
+        assert f"{outcome['writes_ok']} write batches ok, 0 partial" in out
+        assert report["passed"] is True
+
+    def test_a_failed_check_is_printed_and_exits_one(self, monkeypatch, capsys):
+        from repro.serving import soak
+
+        real = soak.run_soak
+
+        def failing(config):
+            report = real(config)
+            checks = {**report["checks"], "no_result_mismatches": False}
+            return {**report, "checks": checks, "passed": False}
+
+        monkeypatch.setattr(soak, "run_soak", failing)
+        assert main(self.ARGS) == 1
+        out = capsys.readouterr().out
+        assert "-- FAIL no_result_mismatches" in out
+        assert out.rstrip().endswith("-- soak FAILED")
+
+    def test_soak_needs_a_benchmark_workload(self):
+        with pytest.raises(SystemExit, match="soak requires --workload"):
+            main(["soak", "--workload", "facebook"])

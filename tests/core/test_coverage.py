@@ -78,6 +78,11 @@ class TestCoverageRules:
         # month comes from the ∅ -> month constraint, cid from ψ2 afterwards
         assert is_fetchable(query, access)
 
+    def test_is_indexed_is_the_coverage_checks_verdict(self, fb_q1, fb_q0, fb_access):
+        for query in (fb_q1, fb_q0):
+            assert is_indexed(query, fb_access) == check_coverage(query, fb_access).is_indexed
+        assert is_indexed(fb_q1, fb_access) and not is_indexed(fb_q0, fb_access)
+
     def test_equality_propagates_coverage(self, fb_q1, fb_access):
         """cafe.cid is covered because it equals dine.cid, which ψ2 covers."""
         result = check_coverage(fb_q1, fb_access)

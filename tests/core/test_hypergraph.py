@@ -47,6 +47,12 @@ class TestHyperedge:
     def test_size(self):
         assert edge({"a", "b"}, "c").size == 2
 
+    def test_renders_its_sorted_head_then_its_tail(self):
+        assert str(edge({"b", "a"}, "c")) == "{a, b} → c"
+
+    def test_a_graph_knows_every_node_an_edge_names(self, diamond):
+        assert diamond.nodes == {"r", "a", "b", "c", "d"}
+
 
 class TestReachabilityAndHyperpaths:
     def test_reachable(self, diamond):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.errors import QueryError
 from repro.core.normalize import normalize
 from repro.core.query import Difference, Projection, Relation, Rename, Union, eq
 from repro.core.schema import Attribute
@@ -54,6 +55,20 @@ class TestNormalizeSimple:
         assert occurrence.name == "buddies"
         assert occurrence.base == "friend"
         assert normalized.occurrences["buddies"] == "friend"
+
+    def test_a_rename_over_more_than_a_relation_stays_a_rename(self, fb_schema):
+        friend = Relation.from_schema(fb_schema, "friend")
+        renamed = Rename(friend.project([friend["fid"]]), "buddies")
+        normalized = normalize(renamed)
+        assert isinstance(normalized.query, Rename) and normalized.query.name == "buddies"
+        assert isinstance(normalized.query.child, Projection)
+        assert normalized.occurrences == {"friend": "friend"}
+
+    def test_a_rename_onto_another_relations_occurrence_is_refused(self, fb_schema):
+        friend = Relation.from_schema(fb_schema, "friend")
+        cafe = Relation.from_schema(fb_schema, "cafe")
+        with pytest.raises(QueryError, match="'friend' collides with an existing occurrence"):
+            normalize(friend.product(Rename(cafe, "friend")))
 
 
 class TestNormalizePaperQueries:

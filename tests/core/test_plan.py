@@ -100,6 +100,12 @@ class TestValidation:
             plan.validate()
         assert not plan.is_bounded
 
+    def test_a_reference_past_the_last_step_is_rejected(self, simple_schema):
+        steps = [PlanStep(0, UnitOp(), ()), PlanStep(1, UnionOp(inputs=(-1, 0)), ())]
+        plan = BoundedPlan(steps=steps, output=1, access_schema=simple_schema)
+        with pytest.raises(PlanError, match="T1 references missing step T-1"):
+            plan.validate()
+
     def test_missing_output_rejected(self, simple_schema):
         steps = [PlanStep(0, UnitOp(), ())]
         plan = BoundedPlan(steps=steps, output=5, access_schema=simple_schema)
@@ -190,3 +196,7 @@ class TestStaticEstimates:
         descriptions = [step.op.describe() for step in fetch_plan]
         assert any("fetch" in d for d in descriptions)
         assert any("π" in d for d in descriptions)
+
+    def test_intersection_and_rename_descriptions(self):
+        assert IntersectOp(inputs=(3, 0)).describe() == "T3 ∩ T0"
+        assert RenameOp(mapping={"x": "y", "z": "w"}, inputs=(5,)).describe() == "ρ[x→y, z→w](T5)"

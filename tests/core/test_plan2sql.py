@@ -13,9 +13,11 @@ from repro.core.plan2sql import (
     quote_identifier,
     sql_literal,
 )
+from repro.core.plan import ConstOp, IntersectOp, PlanBuilder, RenameOp, UnionOp
 from repro.core.planner import plan_query
-from repro.core.query import Relation, eq
+from repro.core.query import Relation, Rename, eq
 from repro.evaluator.algebra import evaluate
+from repro.evaluator.executor import PlanExecutor
 from repro.workloads import facebook
 
 
@@ -121,3 +123,51 @@ class TestQueryToSQL:
         cursor.execute(query_to_sql(fb_q0))
         rows = frozenset(tuple(r) for r in cursor.fetchall())
         assert rows == evaluate(fb_q0, fb_database).rows
+
+
+def sqlite_over(database):
+    """A SQLite connection holding ``database``'s base tables."""
+    connection = sqlite3.connect(":memory:")
+    for relation in database:
+        name = quote_identifier(relation.schema.name)
+        cols = ", ".join(quote_identifier(a) for a in relation.schema.attributes)
+        connection.execute(f"CREATE TABLE {name} ({cols})")
+        marks = ", ".join("?" for _ in relation.schema.attributes)
+        connection.executemany(f"INSERT INTO {name} VALUES ({marks})", relation.rows)
+    return connection
+
+
+class TestProductAndRename:
+    @pytest.fixture
+    def parts(self, fb_schema):
+        friend = Relation.from_schema(fb_schema, "friend")
+        cafe = Relation.from_schema(fb_schema, "cafe")
+        mates = friend.select(eq(friend["pid"], "p0")).project([friend["fid"]])
+        return mates, cafe.select(eq(cafe["city"], "nyc")).project([cafe["cid"]])
+
+    def test_a_product_query_runs_on_sqlite_to_the_evaluators_rows(self, parts, fb_database):
+        query = parts[0].product(parts[1])
+        sql = query_to_sql(query)
+        assert "CROSS JOIN" in sql
+        rows = frozenset(sqlite_over(fb_database).execute(sql))
+        assert rows == evaluate(query, fb_database).rows != frozenset()
+
+    def test_a_renamed_query_runs_on_sqlite_to_the_evaluators_rows(self, parts, fb_database):
+        query = Rename(parts[0], "mates")
+        sql = query_to_sql(query)
+        assert '"friend.fid" AS "mates.fid"' in sql
+        rows = frozenset(sqlite_over(fb_database).execute(sql))
+        assert rows == evaluate(query, fb_database).rows != frozenset()
+
+    def test_a_plan_with_an_intersection_and_a_rename_runs_on_sqlite(self, fb_access, fb_indexes):
+        builder = PlanBuilder(fb_access)
+        t0 = builder.add(ConstOp(value=1, column="x"), ["x"])
+        t1 = builder.add(ConstOp(value=2, column="x"), ["x"])
+        t2 = builder.add(UnionOp(inputs=(t0, t1)), ["x"])
+        t3 = builder.add(IntersectOp(inputs=(t2, t1)), ["x"])
+        t4 = builder.add(RenameOp(mapping={"x": "y"}, inputs=(t3,)), ["y"])
+        plan = builder.build(t4)
+        translation = plan_to_sql(plan)
+        assert "INTERSECT" in translation.sql and '"x" AS "y"' in translation.sql
+        rows = frozenset(sqlite3.connect(":memory:").execute(translation.sql))
+        assert rows == PlanExecutor(fb_indexes).execute(plan).rows == {(2,)}

@@ -9,10 +9,10 @@ from repro.backends.sqlite import SQLiteBackend
 from repro.core.access import AccessConstraint, AccessSchema
 from repro.core.coverage import check_coverage
 from repro.core.engine import BoundedEngine, prepare_query
-from repro.core.errors import NotCoveredError
-from repro.core.plan import FetchOp
+from repro.core.errors import NotCoveredError, PlanError
+from repro.core.plan import ColumnPredicate, FetchOp, ProductOp, SelectOp
 from repro.core.planner import generate_plan, plan_query
-from repro.core.query import Relation, conjunction, eq, relation
+from repro.core.query import Comparison, Constant, Relation, conjunction, eq, relation
 from repro.core.schema import DatabaseSchema
 from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
@@ -90,6 +90,47 @@ class TestPlanGeneration:
         plan = plan_query(query, fb_access)
         execution = execute_plan(plan, fb_indexes)
         assert execution.rows == evaluate(query, fb_database).rows
+
+    def test_product_query_plan(self, fb_schema, fb_access, fb_database, fb_indexes):
+        friend = Relation.from_schema(fb_schema, "friend")
+        cafe = Relation.from_schema(fb_schema, "cafe")
+        query = friend.select(eq(friend["pid"], "p0")).project([friend["fid"]]).product(
+            cafe.select(eq(cafe["cid"], "c1")).project([cafe["city"]])
+        )
+        plan = plan_query(query, fb_access)
+        output = plan.step(plan.output)
+        assert isinstance(output.op, ProductOp) and output.comment == "evaluation ×"
+        assert output.columns == ("friend.fid", "cafe.city")
+        execution = execute_plan(plan, fb_indexes)
+        assert execution.rows == evaluate(query, fb_database).rows != frozenset()
+
+    def test_a_constant_first_comparison_compiles_with_its_operator_flipped(
+        self, fb_schema, fb_access, fb_database, fb_indexes
+    ):
+        friend = Relation.from_schema(fb_schema, "friend")
+        query = (
+            friend.select(Comparison(Constant("p0"), "=", friend["pid"]))
+            .select(Comparison(Constant("p3"), "<", friend["fid"]))
+            .project([friend["fid"]])
+        )
+        plan = plan_query(query, fb_access)
+        predicates = [p for step in plan if isinstance(step.op, SelectOp) for p in step.op.predicates]
+        assert predicates == [
+            ColumnPredicate("friend.pid", "=", "p0"),
+            ColumnPredicate("friend.fid", ">", "p3"),
+        ]
+        execution = execute_plan(plan, fb_indexes)
+        assert execution.rows == evaluate(query, fb_database).rows != frozenset()
+
+    def test_a_comparison_of_two_constants_is_refused(self, fb_schema, fb_access):
+        friend = Relation.from_schema(fb_schema, "friend")
+        query = (
+            friend.select(eq(friend["pid"], "p0"))
+            .select(Comparison(Constant(1), "=", Constant(1)))
+            .project([friend["fid"]])
+        )
+        with pytest.raises(PlanError, match="no column on either side"):
+            plan_query(query, fb_access)
 
     def test_empty_lhs_constraint_plan(self, fb_schema, fb_database):
         """A query needing an attribute covered only by an ∅ -> X constraint."""

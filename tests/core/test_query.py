@@ -48,6 +48,19 @@ class TestPredicates:
         assert Comparison(Constant(1), "!=", Constant(2)).evaluate(1, 2)
         assert not Comparison(Constant(1), ">=", Constant(2)).evaluate(1, 2)
 
+    @pytest.mark.parametrize(
+        "op, holds",
+        [("=", (False, True, False)), ("!=", (True, False, True)), ("<", (True, False, False)),
+         ("<=", (True, True, False)), (">", (False, False, True)), (">=", (False, True, True))],
+    )
+    def test_each_operator_orders_values_as_python_does(self, op, holds):
+        comparison = Comparison(Constant(0), op, Constant(0))
+        assert tuple(comparison.evaluate(left, 2) for left in (1, 2, 3)) == holds
+
+    def test_a_conjunction_prints_its_parts_joined_by_and(self, friend, dine):
+        condition = And([eq(friend["pid"], "p0"), eq(dine["month"], "may")])
+        assert str(condition) == f"{condition.parts[0]} AND {condition.parts[1]}"
+
     def test_and_flattens_atoms(self, friend, dine):
         condition = And([eq(friend["pid"], "p0"), eq(dine["month"], "may")])
         assert condition.atom_count == 2
@@ -143,6 +156,27 @@ class TestOperators:
         with pytest.raises(QueryError):
             Difference(one, two)
 
+    def test_selection_requires_a_condition(self, friend):
+        with pytest.raises(QueryError, match="requires a condition"):
+            Selection(friend, None)
+
+    def test_projection_of_an_attribute_the_child_lacks(self, friend, dine):
+        with pytest.raises(QueryError, match="not produced by child"):
+            friend.project([dine["cid"]])
+
+    def test_join_operands_sharing_an_attribute_are_rejected(self, friend):
+        with pytest.raises(QueryError, match="share qualified attributes"):
+            friend.join(friend, eq(friend["pid"], friend["fid"]))
+
+    def test_join_condition_on_an_unknown_attribute(self, friend, dine):
+        cafe = Relation("cafe", ["cid", "city"])
+        with pytest.raises(QueryError, match="join condition references unknown attribute"):
+            friend.join(dine, eq(friend["fid"], cafe["cid"]))
+
+    def test_rename_requires_a_name(self, friend):
+        with pytest.raises(QueryError, match="non-empty name"):
+            Rename(friend, "")
+
     def test_rename_changes_qualifier(self, friend):
         renamed = Rename(friend.project(["fid"]), "buddies")
         assert renamed.output_attributes() == (Attribute("buddies", "fid"),)
@@ -190,6 +224,35 @@ class TestQueryStructure:
         )
         rendered = format_query(query)
         assert "π" in rendered and "σ" in rendered and "⋈" in rendered
+
+    @pytest.mark.parametrize(
+        "make, head, children",
+        [
+            (lambda f, d: f.project(["pid"]).product(d.project(["cid"])), "×", 2),
+            (lambda f, d: f.project(["pid"]).union(d.project(["pid"])), "∪", 2),
+            (lambda f, d: f.project(["pid"]).difference(d.project(["pid"])), "−", 2),
+            (lambda f, d: Rename(f.project(["pid"]), "mates"), "ρ[mates]", 1),
+        ],
+        ids=["product", "union", "difference", "rename"],
+    )
+    def test_format_query_prints_each_operand_one_level_down(self, friend, dine, make, head, children):
+        query = make(friend, dine)
+        lines = format_query(query).splitlines()
+        assert lines[0] == head
+        # each operand starts one level in: a projection over a relation
+        operands = [line for line in lines if line.startswith("  π[")]
+        assert len(operands) == children
+        assert str(query) == format_query(query)
+
+    def test_a_renamed_occurrence_names_its_base(self, friend):
+        assert format_query(Relation("mates", ["pid", "fid"], base="friend")) == (
+            "mates (renaming of friend)"
+        )
+
+    def test_projections_and_renames_compare_what_they_keep_and_name(self, friend):
+        assert not queries_equal(friend.project(["pid"]), friend.project(["fid"]))
+        assert not queries_equal(Rename(friend, "mates"), Rename(friend, "pals"))
+        assert queries_equal(Rename(friend, "mates"), Rename(friend, "mates"))
 
     def test_queries_equal_structural(self, friend, dine):
         one = friend.select(eq(friend["pid"], "p0"))

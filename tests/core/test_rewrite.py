@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.coverage import is_covered
-from repro.core.query import Difference, Relation, Union, conjunction, eq
+from repro.core.query import Difference, Relation, Rename, Union, conjunction, eq
 from repro.core.rewrite import (
     clone_with_fresh_names,
     find_covered_rewrite,
@@ -28,6 +28,17 @@ class TestCloneWithFreshNames:
     def test_clone_preserves_semantics(self, fb_q1, fb_database):
         clone = clone_with_fresh_names(fb_q1)
         assert evaluate(clone, fb_database).rows == evaluate(fb_q1, fb_database).rows
+
+    def test_clone_of_a_product_and_a_rename(self, fb_schema, fb_database):
+        friend = Relation.from_schema(fb_schema, "friend")
+        cafe = Relation.from_schema(fb_schema, "cafe")
+        mates = friend.select(eq(friend["pid"], "p0")).project([friend["fid"]])
+        nyc = cafe.select(eq(cafe["city"], "nyc")).project([cafe["cid"]])
+        for query in (mates.product(nyc), Rename(mates, "mates")):
+            clone = clone_with_fresh_names(query, suffix="x")
+            assert {r.name for r in clone.relations()} <= {"friend_x", "cafe_x"}
+            assert evaluate(clone, fb_database).rows == evaluate(query, fb_database).rows
+        assert clone.name == "mates_x"
 
 
 class TestGuardDifference:

@@ -553,9 +553,9 @@ class TestAdmission:
             relation = Relation.from_schema(database.schema, "cafe")
             substrate.query = relation.select(eq(relation["cid"], "c0")).project([relation["city"]])
             ((city,),) = evaluate(substrate.query, database).rows
-            home = partitioner.shard_for_value("cafe", city)
+            home = partitioner.shard_for_value(city)
             cities = (f"city{i}" for i in range(64))
-            elsewhere = next(c for c in cities if partitioner.shard_for_value("cafe", c) != home)
+            elsewhere = next(c for c in cities if partitioner.shard_for_value(c) != home)
             data = substrate.data()
             with pytest.raises(ConstraintViolation):
                 substrate.core.apply_updates([Update.insert("cafe", ("c0", elsewhere))])

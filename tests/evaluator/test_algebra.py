@@ -107,6 +107,18 @@ class TestBasicOperators:
         result = evaluate(renamed, db)
         assert result.columns == ("venues.cid",)
 
+    @pytest.mark.parametrize("op, flipped", [("<", ">"), ("<=", ">="), (">", "<"), (">=", "<=")])
+    def test_a_constant_first_comparison_filters_as_its_flip(self, db, dine, op, flipped):
+        # 2015 < year keeps the rows whose year is greater than 2015
+        written = evaluate(dine.select(Comparison(Constant(2015), op, dine["year"])), db).rows
+        turned = evaluate(dine.select(Comparison(dine["year"], flipped, Constant(2015))), db).rows
+        holds = Comparison(Constant(0), op, Constant(0)).evaluate
+        assert written == turned == {row for row in db.relation("dine").rows if holds(2015, row[3])}
+
+    def test_a_comparison_of_two_constants_is_refused(self, db, cafe):
+        with pytest.raises(QueryError, match="compares two constants"):
+            evaluate(cafe.select(Comparison(Constant(1), "=", Constant(1))), db)
+
     def test_example1_q0(self, db, fb_q0):
         """On this hand-built instance, p0's friends dined at c1/c2 (nyc: c1),
         while p0 itself dined only at c3 — so Q0 returns {c1}."""
@@ -119,6 +131,10 @@ class TestResultSet:
         result = ResultSet(("a",), frozenset({(1,)}))
         with pytest.raises(QueryError):
             result.column_position("b")
+
+    def test_iterates_its_rows(self):
+        result = ResultSet(("a",), frozenset({(1,), (2,)}))
+        assert sorted(result) == [(1,), (2,)]
 
     def test_values(self):
         result = ResultSet(("a",), frozenset({(1,), (2,)}))

@@ -8,6 +8,7 @@ import pytest
 from repro.core.access import AccessConstraint, AccessSchema
 from repro.core.errors import PlanError
 from repro.core.plan import (
+    BoundedPlan,
     ColumnPredicate,
     ColumnRef,
     ConstOp,
@@ -16,6 +17,7 @@ from repro.core.plan import (
     HashJoinOp,
     IntersectOp,
     PlanBuilder,
+    PlanStep,
     ProductOp,
     ProjectOp,
     RenameOp,
@@ -971,3 +973,40 @@ class TestCompiledPlanKeptOnThePlan:
         assert copied == plan and copied.compiled is compiled  # carried over, not reused
         assert executor.compile(copied).plan is copied
         assert executor.compile(plan) is compiled
+
+
+class TestMalformedPlansAreRefused:
+    """Lowering refuses a plan it cannot run, naming the step at fault."""
+
+    def test_steps_numbered_with_a_gap(self, fb_indexes, fb_access):
+        steps = [PlanStep(0, UnitOp(), ()), PlanStep(2, UnitOp(), ())]
+        plan = BoundedPlan(steps=steps, output=1, access_schema=fb_access)
+        with pytest.raises(PlanError, match="not densely numbered: T2 at position 1"):
+            PlanExecutor(fb_indexes).execute(plan)
+
+    def test_an_output_step_past_the_end(self, fb_indexes, fb_access):
+        plan = BoundedPlan(steps=[PlanStep(0, UnitOp(), ())], output=3, access_schema=fb_access)
+        with pytest.raises(PlanError, match="output step T3 does not exist"):
+            PlanExecutor(fb_indexes).execute(plan)
+
+    def test_a_set_operation_over_two_arities(self, fb_indexes, fb_access):
+        builder = PlanBuilder(fb_access)
+        t0 = builder.add(ConstOp(value=1, column="x"), ["x"])
+        t1 = builder.add(UnitOp(), [])
+        t2 = builder.add(IntersectOp(inputs=(t0, t1)), ["x"])
+        with pytest.raises(PlanError, match="T2: operands have arities 1 and 0"):
+            PlanExecutor(fb_indexes).execute(builder.build(t2))
+
+    def test_a_predicate_on_a_missing_column(self, fb_indexes, fb_access):
+        builder = PlanBuilder(fb_access)
+        t0 = builder.add(ConstOp(value=1, column="x"), ["x"])
+        t1 = builder.add(SelectOp(predicates=(ColumnPredicate("y", "=", 1),), inputs=(t0,)), ["x"])
+        with pytest.raises(PlanError, match="references missing column 'y'"):
+            PlanExecutor(fb_indexes).execute(builder.build(t1))
+
+    def test_a_projection_of_a_missing_column(self, fb_indexes, fb_access):
+        builder = PlanBuilder(fb_access)
+        t0 = builder.add(ConstOp(value=1, column="x"), ["x"])
+        t1 = builder.add(ProjectOp(columns=("y",), inputs=(t0,)), ["y"])
+        with pytest.raises(PlanError, match="step T1 references missing column 'y'"):
+            PlanExecutor(fb_indexes).execute(builder.build(t1))

@@ -267,10 +267,6 @@ CELLS = {
     "router-3": Cell("router-3-mixed"),
     # the federated benchmark's federation: the same shards, no result cache
     "router-3-recompute": Cell("router-3-mixed", result_cache=False),
-    # every partial of a multi-shard scatter read from SQLite
-    "router-2-sqlite": Cell("router-2-sqlite"),
-    # the `--shards 4` soak's federation: 4 memory shards
-    "router-4": Cell("router-4-memory"),
     # Plan2SQL of the canonical and the executable plan over the SQLite mirror
     "plan2sql": Cell(reader="plan2sql", ops=PATH_OPS),
     # the conventional fallback over the whole database

@@ -95,6 +95,20 @@ class TestPerturb:
                 outcomes_again.append(True)
         assert outcomes_a == outcomes_again
 
+    def test_latency_jitter_adds_a_seeded_draw_below_its_bound(self):
+        def sleeps(seed):
+            slept = []
+            injector = FaultInjector(seed=seed, sleeper=slept.append)
+            injector.configure("site", FaultSpec(latency=0.1, latency_jitter=0.05))
+            for _ in range(8):
+                injector.perturb("site")
+            return slept
+
+        slept = sleeps(3)
+        assert all(0.1 <= delay <= 0.15 for delay in slept)
+        assert len(set(slept)) == len(slept)
+        assert sleeps(3) == slept != sleeps(4)
+
     def test_latency_uses_injected_sleeper(self):
         slept = []
         injector = FaultInjector(seed=0, sleeper=slept.append)
@@ -245,6 +259,24 @@ class TestShardWriteFaults:
         after = set(shard.database.relation("friend").rows)
         # Exactly the prefix is gone — the mid-batch abort contract.
         assert before - after == {u.row for u in batch[:2]}
+
+
+    def test_only_every_nth_batch_of_two_or_more_is_torn(self, shard):
+        injector = FaultInjector(seed=0)
+        injector.install_shard(shard)
+        injector.configure(f"{shard.name}.write", FaultSpec(torn_write_every=2))
+        rows = sorted(shard.database.relation("friend").rows)
+
+        def deletes(start, stop):
+            return [Update.delete("friend", row) for row in rows[start:stop]]
+
+        # batches 1 and 3 are not the 2nd or 4th; batch 2 has no strict prefix to tear
+        for batch in (deletes(0, 2), deletes(2, 3), deletes(3, 5)):
+            report = shard.apply_updates(batch)
+            assert (report.applied, report.failed) == (len(batch), False)
+        with pytest.raises(MaintenanceError, match="torn"):
+            shard.apply_updates(deletes(5, 9))
+        assert injector.stats()[f"{shard.name}.write"] == {"calls": 4, "injected": 1}
 
 
 class TestShardSnapshotFaults:

@@ -115,6 +115,33 @@ class TestLifecycle:
         assert second.ok and second.ladder == ("bounded",)  # same, only worker
         assert (server.metrics.failed, server.metrics.completed) == (1, 1)
 
+    def test_a_second_start_keeps_the_one_set_of_workers(self, engine, fb_q0_prime):
+        def workers():
+            return [t for t in asyncio.all_tasks() if t.get_name().startswith("bounded-serve-")]
+
+        async def _run():
+            server = BoundedServer(engine, ServerConfig(workers=2))
+            await server.start()
+            first = workers()
+            await server.start()
+            again = workers()
+            response = await server.submit(ReadRequest(query=fb_q0_prime))
+            await server.stop()
+            return first, again, response
+
+        first, again, response = run(_run())
+        assert len(first) == 2 and set(again) == set(first)
+        assert response.ok
+
+    def test_stop_before_start_is_a_no_op(self, engine, fb_q0_prime):
+        async def _run():
+            server = BoundedServer(engine)
+            await server.stop()
+            async with server:
+                return await server.submit(ReadRequest(query=fb_q0_prime))
+
+        assert run(_run()).ok
+
     def test_breaker_is_mounted_on_the_engine(self, engine):
         server = BoundedServer(engine)
         assert engine.fallback_breaker is server.breaker
@@ -411,6 +438,27 @@ class TestAdmission:
         )
         (result,) = results
         assert isinstance(result, DeadlineExceededError)
+        assert server.metrics.sheds["deadline"] == 1
+
+
+    def test_a_deadline_spent_on_the_bounded_attempt_sheds_before_the_fallback(
+        self, engine, fb_database, monkeypatch
+    ):
+        # The bounded attempt finds the query uncovered; by then the server's
+        # clock has passed the deadline, so the unbounded fallback never runs.
+        now = [0.0]
+        original = engine.execute
+
+        def slow(query, *args, **kwargs):
+            now[0] += 5.0
+            return original(query, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "execute", slow)
+        request = ReadRequest(query=uncovered_query(fb_database), timeout=1.0)
+        results, server = serve(engine, [request], clock=lambda: now[0])
+        (result,) = results
+        assert isinstance(result, DeadlineExceededError)
+        assert "before fallback" in str(result)
         assert server.metrics.sheds["deadline"] == 1
 
 

@@ -8,6 +8,9 @@ schedule bit for bit.
 
 from functools import partial
 
+import pytest
+
+from repro.core.errors import ReproError
 from repro.serving import soak
 from repro.serving.server import BoundedServer
 from repro.serving.soak import SoakConfig, run_soak
@@ -46,6 +49,10 @@ QUICK_FAULTS = {"executor": (22, 3), "fallback": (3, 3), "storage.write": (63, 3
 
 
 class TestSoak:
+    def test_an_unknown_workload_is_refused_before_anything_runs(self):
+        with pytest.raises(ReproError, match="unknown workload 'nope'; pick one of"):
+            run_soak(SoakConfig(workload="nope"))
+
     def test_seeded_chaos_soak_passes(self, monkeypatch):
         monkeypatch.setattr(soak, "BoundedServer", FROZEN)
         report = run_soak(SoakConfig(**QUICK))

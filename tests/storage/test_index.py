@@ -74,6 +74,19 @@ class TestConstraintIndex:
         assert index.cell_size == 6
         assert index.max_group_size() == 2
 
+    def test_an_empty_index_has_no_groups(self, fb_schema):
+        psi1 = AccessConstraint.of("friend", "pid", "fid", 5000)
+        index = ConstraintIndex(psi1, Database(fb_schema).relation("friend"))
+        assert (index.size, index.max_group_size()) == (0, 0)
+
+    def test_removing_a_row_the_index_never_held_changes_nothing(self, small_db):
+        psi1 = AccessConstraint.of("friend", "pid", "fid", 5000)
+        index = ConstraintIndex(psi1, small_db.relation("friend"))
+        before = {key: index.lookup(key) for key in index.keys()}
+        index.remove_row(("p9", "f1"))  # a key with no group
+        index.remove_row(("p0", "f9"))  # a group without this value
+        assert {key: index.lookup(key) for key in index.keys()} == before
+
     def test_check_detects_violation(self, small_db):
         tight = AccessConstraint.of("friend", "pid", "fid", 1)
         index = ConstraintIndex(tight, small_db.relation("friend"))

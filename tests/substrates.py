@@ -24,9 +24,7 @@ TOPOLOGIES = {
     "engine": None,
     "router-1-memory": {"shards": 1, "backends": "memory"},
     "router-1-sqlite": {"shards": 1, "backends": "sqlite"},
-    "router-2-sqlite": {"shards": 2, "backends": "sqlite"},
     "router-3-mixed": {"shards": 3, "backends": ["memory", "sqlite", "memory"]},
-    "router-4-memory": {"shards": 4, "backends": "memory"},
 }
 
 
