@@ -20,7 +20,10 @@ changed) and counts, with ``sys.settrace`` opcode events:
 Beside the opcodes it counts **kernels**: the calls a run of a compiled plan
 (``PlanExecutor.execute``) or a settlement's re-run (``DeltaDeriver.derive``)
 makes into its scheduled kernels — a prefilled constant or a step fused
-into its consumer runs none of its own, and a hit runs no plan at all.
+into its consumer runs none of its own, and a hit runs no plan at all — as
+well as **clock reads** (``VersionClock.snapshot`` calls: a read's epoch
+snapshot and validation) and **shard calls** (calls into a shard's
+``fetch``, ``snapshot`` or ``validate``, which only a federated read makes).
 
 Each read is counted after the workload's own warm-up, so plans are stored
 and compiled.  Counts compare across processes only under a fixed hash seed
@@ -50,6 +53,8 @@ from repro.core.deltas import DeltaDeriver  # noqa: E402
 from repro.evaluator import executor  # noqa: E402
 from repro.evaluator.executor import PlanExecutor  # noqa: E402
 from repro.serving.server import WriteRequest  # noqa: E402
+from repro.sharding.shards import EngineShard, Shard, SQLiteShard  # noqa: E402
+from repro.storage.counters import VersionClock  # noqa: E402
 from repro.workloads import WORKLOADS as DATASETS  # noqa: E402
 
 DATASET = "TFACC"
@@ -58,11 +63,19 @@ EXECUTOR_FILE = executor.__file__
 
 #: the frames that call a compiled plan's kernels: a run, and a settlement's re-run
 RUNNERS = frozenset({PlanExecutor.execute.__code__, DeltaDeriver.derive.__code__})
+CLOCK_READ = VersionClock.snapshot.__code__
+#: the code of every shard method a read may call
+SHARD_CALLS = frozenset(
+    vars(cls)[name].__code__
+    for cls in (Shard, EngineShard, SQLiteShard)
+    for name in ("fetch", "snapshot", "validate")
+    if name in vars(cls)
+)
 
 
-def opcodes(call) -> tuple[int, int, int]:
-    """``(opcodes, Python calls, kernels)`` executed by ``call()``."""
-    counts = [0, 0, 0]
+def opcodes(call) -> tuple[int, ...]:
+    """``(opcodes, Python calls, kernels, clock reads, shard calls)`` executed by ``call()``."""
+    counts = [0, 0, 0, 0, 0]
 
     def tracer(frame, event, arg):
         if event == "opcode":
@@ -80,6 +93,10 @@ def opcodes(call) -> tuple[int, int, int]:
                 and code.co_name != "compile"
             ):
                 counts[2] += 1
+            elif code is CLOCK_READ:
+                counts[3] += 1
+            elif code in SHARD_CALLS:
+                counts[4] += 1
         return tracer
 
     sys.settrace(tracer)
@@ -87,10 +104,10 @@ def opcodes(call) -> tuple[int, int, int]:
         call()
     finally:
         sys.settrace(None)
-    return counts[0], counts[1], counts[2]
+    return tuple(counts)
 
 
-def summary(samples: list[tuple[int, int, int]]) -> dict[str, float]:
+def summary(samples: list[tuple[int, ...]]) -> dict[str, float]:
     ops = [s[0] for s in samples]
     return {
         "operations": len(samples),
@@ -98,12 +115,14 @@ def summary(samples: list[tuple[int, int, int]]) -> dict[str, float]:
         "opcodes_median": statistics.median(ops),
         "calls_mean": round(statistics.fmean(s[1] for s in samples), 1),
         "kernels_mean": round(statistics.fmean(s[2] for s in samples), 2),
+        "clock_reads_mean": round(statistics.fmean(s[3] for s in samples), 2),
+        "shard_calls_mean": round(statistics.fmean(s[4] for s in samples), 2),
     }
 
 
 def reads(workload) -> dict[str, dict[str, float]]:
     """One counted read of each of ``workload``'s queries, by class."""
-    by_class: dict[str, list[tuple[int, int, int]]] = {}
+    by_class: dict[str, list[tuple[int, ...]]] = {}
     execute = workload.system.execute
     for bench in workload.queries:
         sample = opcodes(lambda: execute(bench.query))
@@ -111,7 +130,7 @@ def reads(workload) -> dict[str, dict[str, float]]:
     return {tag: summary(samples) for tag, samples in sorted(by_class.items())}
 
 
-def replay(workload: ServedMix) -> list[tuple[int, int, int]]:
+def replay(workload: ServedMix) -> list[tuple[int, ...]]:
     """Every write batch of one replay of ``served_mix``'s sequence, counted."""
     engine, samples = workload.engine, []
     for _qid, request in workload.ops:
@@ -152,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         print("# PYTHONHASHSEED is unset: counts vary from process to process")
     print(
         f"{'workload':<12} {'operation':<11} {'n':>4} {'opcodes/op':>12} {'median':>9} "
-        f"{'calls/op':>9} {'kernels/op':>11}"
+        f"{'calls/op':>9} {'kernels/op':>11} {'clock/op':>9} {'shard/op':>9}"
     )
     for name, classes in report.items():
         if name == "PYTHONHASHSEED":
@@ -161,7 +180,8 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"{name:<12} {operation:<11} {row['operations']:>4} "
                 f"{row['opcodes_mean']:>12,.1f} {row['opcodes_median']:>9,} {row['calls_mean']:>9,.1f}"
-                f" {row['kernels_mean']:>11,.2f}"
+                f" {row['kernels_mean']:>11,.2f} {row['clock_reads_mean']:>9,.2f}"
+                f" {row['shard_calls_mean']:>9,.2f}"
             )
     return 0
 

@@ -48,8 +48,8 @@ means — nothing else.  The core owns (see :mod:`repro.core.planstore`):
 
 * **Snapshots** — every data-changing write stamps the written relations
   on a :class:`~repro.storage.counters.VersionClock`.  The substrate says
-  which clocks make up a snapshot (the database's; every shard's) and how
-  a snapshot splits into one epoch token per relation.
+  which clock a snapshot reads (the database's; the one its shards share);
+  a snapshot is one epoch token per relation, in order.
 
 * **One write path** — :meth:`ServingCore.apply_updates` (the batch's
   relations' tokens → :meth:`~ServingCore._write` → the read-back →
@@ -249,8 +249,8 @@ class ServingCore:
     write settlement re-runs kernels of.  A subclass supplies only its
     substrate: the fetch ``source`` that answers fetch steps (``schema``
     being the data's), :meth:`_snapshot` / :meth:`_validate` (what "the data
-    has not moved" means) and :meth:`_tokens` (a snapshot as one epoch token
-    per relation), :meth:`_evaluate_conventionally` (the unbounded
+    has not moved" means: a snapshot is one epoch token per relation, in
+    order), :meth:`_evaluate_conventionally` (the unbounded
     fallback), :meth:`_write` (the batch onto its data and clocks), and
     :meth:`_group_of` (a group over all its data, read back after a write).
     Settlement is the same on every substrate: a reached entry re-runs the
@@ -315,7 +315,7 @@ class ServingCore:
         self.access_schema = access_schema
         self.schema = schema
         self.plan_cache = PlanStore(plan_cache_size)
-        self.result_cache = ResultCache(result_cache_size, tokens=self._tokens)
+        self.result_cache = ResultCache(result_cache_size)
         self.fallback_breaker = None
         #: the conventional-evaluation seam: the fault injector (and tests)
         #: wrap this attribute rather than the module function, so faults
@@ -326,20 +326,16 @@ class ServingCore:
 
     # -- the substrate ------------------------------------------------------------------
     def _snapshot(self, relations: tuple[str, ...]) -> tuple:
-        """The current epoch token of ``relations``, compared only by equality."""
+        """The current epoch token of each of ``relations``, in order.
+
+        A relation's token changes with every write to it, and only then;
+        tokens are compared only by equality.
+        """
         raise NotImplementedError
 
     def _validate(self, relations: tuple[str, ...], snapshot: tuple) -> bool:
         """Whether ``relations`` still stand at ``snapshot``."""
         raise NotImplementedError
-
-    def _tokens(self, relations: tuple[str, ...], snapshot: tuple) -> Iterable:
-        """``snapshot`` of ``relations`` as one epoch token per relation, in order.
-
-        A relation's token changes with every write to it, and only then.
-        One database's snapshot is already that.
-        """
-        return snapshot
 
     def _evaluate_conventionally(self, query: Query):
         """``query`` through ``_fallback_evaluator`` over all of the substrate's data."""
@@ -559,7 +555,7 @@ class ServingCore:
         unsettled = [r for r in touched if marks.get(r, before[r]) != before[r]]
         if unsettled:
             verdicts.update(dict.fromkeys(cache.sweep(unsettled, "stale"), "stale"))
-        after = tuple(self._tokens(touched, self._snapshot(touched)))
+        after = self._snapshot(touched)
 
         for key, entry in list(cache.unindexed.items()):
             if all(r not in touched for r in entry.dependencies):
@@ -587,7 +583,7 @@ class ServingCore:
             cache.drop(key, reason=reason, relations=[r for r in entry.dependencies if r in touched])
             verdicts[key] = verdict
 
-        final = self._tokens(touched, self._snapshot(touched))
+        final = self._snapshot(touched)
         raced = [r for r, a, f in zip(touched, after, final) if a != f]
         if raced:
             verdicts.update(dict.fromkeys(cache.sweep(raced, "race"), "race"))
@@ -632,7 +628,7 @@ class ServingCore:
         """
         updates = list(updates)
         relations = tuple(sorted({update.relation for update in updates}))
-        before = dict(zip(relations, self._tokens(relations, self._snapshot(relations))))
+        before = dict(zip(relations, self._snapshot(relations)))
         try:
             report = self._write(updates)
         except MaintenanceError as error:

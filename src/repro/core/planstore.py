@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 #: the most rows a result may have to be admitted to a :class:`ResultCache`
 MAX_ROWS = 100_000
@@ -162,11 +162,6 @@ class CachedResult:
 _UNMARKED = object()
 
 
-def _own_tokens(relations: tuple[str, ...], snapshot: tuple) -> Iterable:
-    """One database's snapshot of ``relations`` is already one token per relation."""
-    return snapshot
-
-
 class ResultCache:
     """An LRU cache of bounded results, validated by per-relation settlement marks.
 
@@ -179,10 +174,10 @@ class ResultCache:
     without a settlement: an out-of-band write, another core over the same
     data, an earlier failed batch — is dropped on probe (counted ``stale``).
 
-    ``tokens(relations, snapshot)`` splits a substrate's snapshot of
-    ``relations`` into one epoch token per relation, in order.  The default
-    is the snapshot itself (one database's clock); a federation transposes
-    its per-shard snapshot.
+    A snapshot of ``relations`` is one epoch token per relation, in order
+    (:meth:`VersionClock.snapshot <repro.storage.counters.VersionClock.
+    snapshot>` of the database's clock, or of the clock a federation's
+    shards share).
 
     :data:`MAX_ROWS` is the admission threshold: results with more rows are
     not cached.  Fetched inputs are bounded by ``access_bound()``, but a
@@ -221,13 +216,8 @@ class ResultCache:
     a relation's part site by site).
     """
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        tokens: Callable[[tuple[str, ...], tuple], Iterable] = _own_tokens,
-    ):
+    def __init__(self, capacity: int = 256):
         self.capacity = capacity
-        self._tokens = tokens
         #: results refused admission for exceeding :data:`MAX_ROWS`
         self.oversized = 0
         self._entries: OrderedDict[Hashable, CachedResult] = OrderedDict()
@@ -301,7 +291,7 @@ class ResultCache:
         """Whether ``snapshot`` puts every relation of ``dependencies`` at its
         mark; if so it is memoized as the tuple's settled snapshot."""
         marks = self.marks
-        for relation, token in zip(dependencies, self._tokens(dependencies, snapshot)):
+        for relation, token in zip(dependencies, snapshot):
             if marks.get(relation, _UNMARKED) != token:
                 return False
         self._settled[dependencies] = snapshot
@@ -337,7 +327,7 @@ class ResultCache:
             return
         dependencies = tuple(dependencies)
         if self._settled.get(dependencies) != snapshot:
-            self.settle(dependencies, self._tokens(dependencies, snapshot))
+            self.settle(dependencies, snapshot)
             self._settled[dependencies] = snapshot
         previous = self._entries.get(key)
         if previous is not None:

@@ -38,8 +38,9 @@ set for each of them:
   positions, so it probes the same distinct keys;
 * a fetch whose keys are read off a template slot (a point plan's first
   fetch, keyed by the query's constants) has its distinct keys extracted at
-  compile time, into a frozenset its kernel hands the source on every run;
-  the fetch itself still runs per read;
+  compile time, into a frozenset its kernel hands the source on every run
+  (and the source is told, so a federation routes them once); the fetch
+  itself still runs per read;
 * a ``HashJoinOp`` whose only consumer is a ``ProjectOp`` (the output step
   included) is run by the projection's kernel, which emits projected rows.
 
@@ -182,10 +183,13 @@ class PlanExecutor:
     """Executes bounded plans over a fetch source.
 
     ``source`` answers the plans' fetch steps: anything with
-    ``fetcher(plan, step) -> fetch(distinct keys, counter)`` — an
+    ``fetcher(plan, step, keys) -> fetch(distinct keys, counter)`` — an
     :class:`~repro.storage.index.IndexSet` or a
-    :class:`~repro.sharding.router.ShardRouter`.  A fetch returns the
-    distinct index rows of its keys as a ``set``, the kernels' intermediate.
+    :class:`~repro.sharding.router.ShardRouter`.  ``keys`` is the step's
+    constant key set when its keys are fixed at compile time (the kernel
+    then hands ``fetch`` that very set on every run), else ``None``.  A
+    fetch returns the distinct index rows of its keys as a ``set``, the
+    kernels' intermediate.
     """
 
     def __init__(self, source):
@@ -339,12 +343,15 @@ class PlanExecutor:
             source = project.op.inputs[0]
             picked, _ = _projection(project, columns[source])
             key_positions = tuple(picked[p] for p in key_positions)
-        fetch = self.source.fetcher(plan, step)
+        # Keys read off a template slot are fixed: extract them here, once,
+        # and tell the source, which may settle more of the fetch for them.
+        constant = None
+        if template[source] is not None:
+            constant = frozenset(map(_picker(key_positions), template[source]))
+        fetch = self.source.fetcher(plan, step, constant)
         # Fetch keys are tuples, however many positions: one key column is
         # wrapped by hand, several are picked at C speed.
-        if template[source] is not None:
-            # Keys read off a template slot are fixed: extract them here, once.
-            constant = frozenset(map(_picker(key_positions), template[source]))
+        if constant is not None:
 
             def fetch_kernel(env, counter, _keys=constant, _fetch=fetch):
                 return _fetch(_keys, counter)

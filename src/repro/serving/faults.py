@@ -14,11 +14,12 @@ across a federation —
   / ``delete`` on chosen relation instances, which is where a mid-batch
   write failure leaves :func:`~repro.discovery.maintenance.apply_updates`
   partially applied;
-* **shard calls** — the three calls a router makes into a shard: ``fetch``
-  (a read's scatter), ``apply_updates`` (a routed write's portion) and
-  ``snapshot`` (the epoch token a merge is validated against).  The
-  federation has no replicas, so a fault here reaches the caller: a read
-  fails with the typed fault, a write batch with the partial report.
+* **shard calls** — the two calls a router makes into a shard: ``fetch``
+  (a read's scatter) and ``apply_updates`` (a routed write's portion).  A
+  read's epoch is the shards' one shared clock, which the router reads
+  itself, so no shard call stands between a cached result and its reader.
+  The federation has no replicas, so a fault here reaches the caller: a
+  read fails with the typed fault, a write batch with the partial report.
 
 — and perturbs calls through them according to a :class:`FaultSpec`.
 Wrappers replace attributes on concrete *instances* (never classes or
@@ -84,7 +85,7 @@ class FaultInjector:
     spec)`` arms a site (before or after installation); the ``install_*``
     helpers wrap the concrete seams.  Engine sites are named ``executor`` /
     ``fallback`` / ``storage.write``; :meth:`install_shard` names its sites
-    ``{shard.name}.fetch`` / ``.write`` / ``.snapshot``.
+    ``{shard.name}.fetch`` / ``.write``.
     """
 
     def __init__(self, seed: int = 0, sleeper: Callable[[float], None] = time.sleep):
@@ -195,7 +196,7 @@ class FaultInjector:
             self._install_site(instance, "delete", "storage.write")
 
     def install_shard(self, shard) -> None:
-        """Wrap ``shard``'s fetch / write / snapshot seams (idempotent).
+        """Wrap ``shard``'s fetch and write seams (idempotent).
 
         Installation arms nothing by itself — sites fire only once
         ``configure`` gives them an active spec, so a test can wrap a shard
@@ -207,7 +208,6 @@ class FaultInjector:
         write_site = f"{shard.name}.write"
 
         self._install_site(shard, "fetch", f"{shard.name}.fetch")
-        self._install_site(shard, "snapshot", f"{shard.name}.snapshot")
 
         original_apply = shard.apply_updates
 

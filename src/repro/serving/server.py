@@ -246,8 +246,7 @@ class BoundedServer:
         queue-depth check, the cost budget, the deadline.  An admitted read
         is then probed (:meth:`_serve_hit`); a hit returns from here without
         suspending, and everything else — misses, uncovered reads, reads
-        whose probe faulted, reads that arrived expired, writes — is queued
-        for the workers.
+        that arrived expired, writes — is queued for the workers.
 
         A hit therefore never yields to the event loop: a caller that loops
         on hot reads and awaits nothing else starves the workers and every
@@ -298,18 +297,16 @@ class BoundedServer:
         ``engine.probe`` and the audit, in the same await-free window as
         :meth:`_execute_checked`.  ``None`` leaves no trace — no rung, no
         latency sample, no cache miss — so the queued :meth:`_serve_read` is
-        the read's first recorded attempt.  That includes a federated
-        snapshot scatter that faulted (the worker's retry loop owns faults)
-        and a read that arrived expired (:meth:`_handle` refuses it like any
-        other, never serving it however hot its query).
+        the read's first recorded attempt.  That includes a read that arrived
+        expired (:meth:`_handle` refuses it like any other, never serving it
+        however hot its query).  A probe calls no shard — a federation's
+        snapshot is one read of the clock its shards share — so it has no
+        transient fault to fall back from.
         """
         if deadline is not None and deadline.expired:
             return None
         started = self.clock()
-        try:
-            result = self.engine.probe(query)
-        except TransientFault:
-            return None
+        result = self.engine.probe(query)
         spent = self.clock() - started
         if result is None:
             return None

@@ -450,7 +450,7 @@ def run_soak(config: SoakConfig) -> dict:
                 # Every served read already row-matched the single-database
                 # reference (no_result_mismatches); these pin the federation
                 # mechanics: fetches actually scattered, every merge stayed
-                # within one epoch per shard, and writes routed in batches.
+                # within one epoch, and writes routed in batches.
                 "federation_scattered": scatter["scatters"] > 0,
                 "no_mixed_epoch_merges": abandoned == 0,
                 "writes_routed": scatter["write_batches"] > 0,

@@ -2,10 +2,11 @@
 
 Partition a database across heterogeneous shards (in-memory engines and
 SQLite mirrors), scatter the fetch steps of covered bounded plans to the
-owning shards, and merge the bounded partials centrally under per-shard
-epoch validation.  See :mod:`repro.sharding.router` for the soundness
-argument and :mod:`repro.sharding.partition` for the one rule that decides
-which shard owns a key.
+owning shards, and merge the bounded partials centrally, validated against
+the one version clock all the shards' fragments share.  See
+:mod:`repro.sharding.router` for the soundness argument and
+:mod:`repro.sharding.partition` for the one rule that decides which shard
+owns a key.
 
 The federation is static: a hash partition fixed when
 :func:`build_topology` splits the data, one shard per fragment, no replicas.

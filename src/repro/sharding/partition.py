@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ..core.errors import StorageError
 from ..core.schema import DatabaseSchema
+from ..storage.counters import VersionClock
 from ..storage.database import Database
 
 
@@ -96,9 +97,15 @@ class Partitioner:
 
         The input database is left untouched; each fragment holds exactly the
         rows this partitioner assigns to its shard, so the union of the
-        fragments is the original data and no row appears twice.
+        fragments is the original data and no row appears twice.  The
+        fragments share one fresh :class:`~repro.storage.counters.VersionClock`:
+        a write to a relation on any fragment moves that relation's one
+        token, so a federation's snapshot is a single clock read.
         """
+        clock = VersionClock()
         fragments = [Database(self.schema) for _ in range(self.shard_count)]
+        for fragment in fragments:
+            fragment.clock = clock
         for relation in database:
             name = relation.schema.name
             buckets: list[list[tuple]] = [[] for _ in range(self.shard_count)]

@@ -30,12 +30,15 @@ per-constraint dicts match it on identity) are fixed per step, so
 :meth:`ShardRouter.fetcher` settles them once, when the executor compiles
 the plan.  A key's owner is a pure function of its hash
 (:meth:`~repro.sharding.partition.Partitioner.route` assigns a scatter's
-keys in one pass) and never changes after compile.  Only each shard's
-``fetch`` is looked up on every call, because that can change after
+keys in one pass) and never changes after compile, so a step whose keys are
+the query's constants has its split over the owners fixed then too.  Each
+shard's ``fetch`` is looked up on every call, because that can change after
 compile: fault injection wraps it per instance, the layered benchmark's
 tracer per class.  A shard's
 partial is a fresh set the router owns, so a one-owner fetch returns it as
-it is and a broadcast unions into the first.
+it is and a broadcast unions into the first.  The access of a fetch step is
+recorded once, by the router, over the merged result: the shards are asked
+with no counter.
 
 The federation is static and not fault-tolerant: each fragment lives on
 exactly one shard, with no replica, and the partition never moves.  A shard
@@ -45,11 +48,15 @@ never as rows — and a shard that fails its portion of a write fails the
 batch with a :class:`~repro.core.errors.MaintenanceError` carrying what did
 apply (:meth:`ShardRouter._write`).
 
-Merges are epoch-guarded: every shard's
-:class:`~repro.storage.counters.VersionClock` is snapshotted before
-execution and re-validated after (one clock read per shard each way), so a
-merge never combines partials from different epochs of the same shard — a
-racing write forces a bounded retry and, if the race persists, a typed
+Merges are epoch-guarded.  The fragments share one
+:class:`~repro.storage.counters.VersionClock`
+(:meth:`~repro.sharding.partition.Partitioner.partition` hands every
+fragment the same one), as the shards of Percolator share one timestamp
+oracle: a write on any shard, routed or straight to the shard, moves its
+relation's one token.  A read snapshots that clock before execution and
+re-validates it after — one clock read each way, as on one engine — so a
+merge never combines partials from two epochs: a racing write forces a
+bounded retry and, if the race persists, a typed
 :class:`~repro.core.errors.TransientFault` (never a silently torn result).
 
 The router is a :class:`~repro.core.engine.ServingCore` like
@@ -59,8 +66,8 @@ side as on the read side by substrate hooks only (:meth:`ShardRouter.
 _write` routes the batch to the shards' shared maintenance loop, and
 :meth:`ShardRouter._group_of` reads a group back over all shards) — so
 :class:`~repro.serving.server.BoundedServer` sits on top of a federation
-unchanged.  The router keeps no clock of its own: the per-shard epochs above
-are the only notion of "the data moved".
+unchanged.  The router's notion of "the data moved" is the shards' shared
+clock, which it adopts (and refuses shards that do not share one).
 """
 
 from __future__ import annotations
@@ -104,7 +111,7 @@ class RouterMetrics:
         #: merged-union sizes, aggregated
         self.merge_rows = 0
         self.merge_rows_max = 0
-        #: executions re-run because a shard epoch moved mid-merge
+        #: executions re-run because a dependency's epoch moved mid-merge
         self.snapshot_retries = 0
         #: executions abandoned after exhausting snapshot retries
         self.mixed_epoch_aborts = 0
@@ -145,14 +152,17 @@ class ShardRouter(ServingCore):
     router is its executor's fetch source (:meth:`fetcher` — fetch steps
     scatter to the owning shards, every other kernel runs centrally over
     the merged partials, on the same kernels as on one engine), a
-    snapshot is every shard's epoch token over the plan's dependencies — so
+    snapshot is the shards' shared clock over the plan's dependencies — so
     a cached federated result is served only while *no* shard has written a
-    dependent relation, and a merge never mixes two epochs of one shard —
+    dependent relation, and a merge never mixes two epochs —
     and the conventional fallback evaluates over a gathered copy of the
-    query's relations.  A direct shard write (bypassing the router) makes
-    dependent entries ``stale`` at the next routed batch, never patched.
+    query's relations.  A direct shard write (bypassing the router) moves
+    the shared clock too, so a dependent entry is ``stale`` at its next
+    read or routed batch, never served and never patched.
 
-    ``shards`` and ``partitioner`` must agree on the shard count; the
+    ``shards`` and ``partitioner`` must agree on the shard count, and the
+    shards' fragments must share one clock (as :meth:`Partitioner.partition
+    <repro.sharding.partition.Partitioner.partition>` builds them); the
     partitioner decides which shard owns each row (and, for pruned fetches,
     each key).
 
@@ -178,6 +188,12 @@ class ShardRouter(ServingCore):
                 f"partitioner is configured for {partitioner.shard_count} shards "
                 f"but {len(shards)} were given"
             )
+        clock = shards[0].database.clock
+        if any(shard.database.clock is not clock for shard in shards):
+            raise StorageError(
+                "the shards do not share one version clock; partition the data "
+                "with Partitioner.partition (build_topology does)"
+            )
         super().__init__(
             access_schema,
             source=self,
@@ -187,6 +203,8 @@ class ShardRouter(ServingCore):
         )
         self.shards = list(shards)
         self.partitioner = partitioner
+        #: the one clock every shard's fragment stamps its writes on
+        self.clock = clock
         self.write_observer = write_observer
         self.metrics = RouterMetrics()
         #: (constraint, base relation) -> the one equal constraint every
@@ -194,24 +212,11 @@ class ShardRouter(ServingCore):
         self._interned: dict[tuple[AccessConstraint, str], AccessConstraint] = {}
 
     # -- the substrate: a federation of shards ----------------------------------------
-    # Plain loops: a generator here would cost a frame resumption per shard.
-    def _snapshot(self, relations: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
-        tokens = []
-        for shard in self.shards:
-            tokens.append(shard.snapshot(relations))
-        return tuple(tokens)
+    def _snapshot(self, relations: tuple[str, ...]) -> tuple[int, ...]:
+        return self.clock.snapshot(relations)
 
-    def _validate(
-        self, relations: tuple[str, ...], snapshot: tuple[tuple[int, ...], ...]
-    ) -> bool:
-        for shard, part in zip(self.shards, snapshot):
-            if not shard.validate(relations, part):
-                return False
-        return True
-
-    def _tokens(self, relations: tuple[str, ...], snapshot: tuple[tuple[int, ...], ...]):
-        # shard-major to relation-major: a relation's token is its version on every shard
-        return zip(*snapshot)
+    def _validate(self, relations: tuple[str, ...], snapshot: tuple[int, ...]) -> bool:
+        return self.clock.snapshot(relations) == snapshot
 
     def _group_of(self, constraint: AccessConstraint, row: Row) -> set[Row]:
         """The union of every shard's share: a group spans shards when the
@@ -239,7 +244,9 @@ class ShardRouter(ServingCore):
             query, self._gather(relations), self.access_schema, None
         )
 
-    def fetcher(self, plan: BoundedPlan, step: PlanStep) -> Fetch:
+    def fetcher(
+        self, plan: BoundedPlan, step: PlanStep, keys: Collection[Row] | None = None
+    ) -> Fetch:
         """The federated fetch source: ``step``'s fetch as one scatter/gather.
 
         The executor's seam (see :meth:`repro.storage.index.IndexSet.fetcher`,
@@ -249,15 +256,22 @@ class ShardRouter(ServingCore):
         (Constraint attributes are base attribute names even for renamed
         occurrences — only relation names are actualized.)  The merged union
         is a set, the kernels' intermediate, and it is what the counter
-        keeps: a broadcast tuple that two shards both hold is counted once,
-        so a federated fetch counts what the one-database fetch counts.
+        keeps: the step's access is recorded once, here, as one index probe
+        per key on every shard asked and each tuple of the merged result —
+        a broadcast tuple that two shards both hold is counted once, so a
+        federated fetch counts what the one-database fetch counts.  The
+        shards are asked with no counter.
 
         Settled here, once per step: routed or broadcast, the key position,
         the shards with their latency windows, the metrics, and the
         constraint itself — interned per ``(constraint, base)``, so every
         plan hands the shards the one object their per-constraint dicts
-        were keyed by, and each probe matches on identity.  Looked up per
-        call: each key's owner, a hash (:meth:`Partitioner.route
+        were keyed by, and each probe matches on identity.  ``keys``, when
+        given, is the step's constant key set (the executor extracts it at
+        compile time): a routed step splits it over its owners here, once,
+        and uses that split whenever it is handed this very set (an ``is``
+        check).  Looked up per call: any other key set's owners, a hash per
+        key (:meth:`Partitioner.route
         <repro.sharding.partition.Partitioner.route>`), and each shard's
         ``fetch``, which changes after compile (the fault injector wraps it
         on the instance, the layered benchmark's tracer on the class).
@@ -281,29 +295,27 @@ class ShardRouter(ServingCore):
         # Either closure asks no shard for no keys (the SQLite empty-LHS path
         # would return its whole index table), else each asked shard in order.
         if partition_attribute not in lhs:
+            fanout = len(shards)
 
             def broadcast(keys: Collection[Row], counter: AccessCounter) -> set[Row]:
                 metrics.scatters += 1
                 if not keys:
                     return set()
                 metrics.broadcasts += 1
-                metrics.shard_fetches += len(shards)
+                metrics.shard_fetches += fanout
                 rows = None
                 started = clock()
                 for shard, sample in shards:
-                    partial = shard.fetch(constraint, base, keys, counter)
+                    partial = shard.fetch(constraint, base, keys)
                     now = clock()
                     sample(now - started)
                     started = now
                     if rows is None:
-                        rows, fetched = partial, len(partial)
+                        rows = partial
                     else:
-                        fetched += len(partial)
                         rows.update(partial)
-                if fetched > len(rows):
-                    # a tuple two shards both hold is one tuple of D_Q
-                    counter.record_fetch_many(base, 0, len(rows) - fetched)
                 size = len(rows)
+                counter.record_fetch_many(base, len(keys) * fanout, size)
                 metrics.merge_rows += size
                 if size > metrics.merge_rows_max:
                     metrics.merge_rows_max = size
@@ -313,13 +325,20 @@ class ShardRouter(ServingCore):
 
         position = lhs.index(partition_attribute)
         partitioner = self.partitioner
+        constant, fixed = keys, ()
+        if constant:
+            split = sorted(partitioner.route(constant, position).items())
+            # one owner is handed the constant set as it is
+            fixed = tuple(split) if len(split) > 1 else ((split[0][0], constant),)
 
         def routed(keys: Collection[Row], counter: AccessCounter) -> set[Row]:
             metrics.scatters += 1
             if not keys:
                 return set()
             metrics.routed += 1
-            if len(keys) == 1:  # a point fetch: its key's owner, for the key set as it is
+            if keys is constant:
+                asked = fixed
+            elif len(keys) == 1:  # a point fetch: its key's owner, for the key set as it is
                 (key,) = keys
                 asked = ((partitioner.shard_for_value(key[position]), keys),)
             else:
@@ -329,7 +348,7 @@ class ShardRouter(ServingCore):
             started = clock()
             for owner, owned in asked:
                 shard, sample = shards[owner]
-                partial = shard.fetch(constraint, base, owned, counter)
+                partial = shard.fetch(constraint, base, owned)
                 now = clock()
                 sample(now - started)
                 started = now
@@ -338,6 +357,7 @@ class ShardRouter(ServingCore):
                 else:
                     rows.update(partial)
             size = len(rows)
+            counter.record_fetch_many(base, len(keys), size)
             metrics.merge_rows += size
             if size > metrics.merge_rows_max:
                 metrics.merge_rows_max = size
@@ -360,7 +380,7 @@ class ShardRouter(ServingCore):
             self._snapshot_retried(abandoned=False)
         self._snapshot_retried(abandoned=True)
         raise TransientFault(
-            "federated gather abandoned: shard epochs kept moving; retry later"
+            "federated gather abandoned: the epochs kept moving; retry later"
         )
 
     # -- writes ---------------------------------------------------------------------
@@ -370,9 +390,9 @@ class ShardRouter(ServingCore):
         Updates to the same row always carry the same partition key, so they
         route to the same shard and their relative order is preserved;
         cross-row updates commute.  Each shard applies its portion through
-        the shared maintenance loop (one shard-clock bump per portion).  The
-        merged report's ``version`` stays ``None``: a federation has one
-        epoch per shard, not a single data version.
+        the shared maintenance loop (one bump of the shared clock per
+        portion).  The merged report's ``version`` stays ``None``: a batch
+        over several shards is several bumps, not a single data version.
 
         If a shard aborts its portion, portions already applied stay applied
         (there is no cross-shard transaction — by design: each portion is

@@ -4,10 +4,13 @@ A shard owns one disjoint fragment of the data and answers two things for
 the router: *bounded fetches* (the scatter half of scatter/gather — one
 ``fetch(X ∈ keys, R, Y)`` over its fragment's constraint index, ≤ ``|keys| ·
 N`` tuples by the access schema) and *batched writes* (the routed portion of
-an update batch, applied through the shard's own maintenance path).  Each
-shard also exposes its fragment's :class:`~repro.storage.counters.
-VersionClock` so the router can snapshot-validate a merge: partials fetched
-from different epochs of the same shard are never combined.
+an update batch, applied through the shard's own maintenance path).  The
+fragments of one federation share a single :class:`~repro.storage.counters.
+VersionClock` (:meth:`~repro.sharding.partition.Partitioner.partition`),
+which every shard's writes stamp and the router reads once per snapshot, so
+partials fetched from different epochs are never combined.  A shard's own
+``snapshot`` / ``validate`` read that shared clock too; the router does not
+call them.
 
 Two interchangeable backends implement the protocol behind the same
 :class:`~repro.core.plan.BoundedPlan` boundary:
@@ -69,10 +72,11 @@ class Shard:
         """Distinct index rows of ``constraint`` matching any key, this fragment only.
 
         ``keys`` are tuples aligned with ``sorted(constraint.lhs)`` — the
-        router always hands tuples, so a backend uses them as given.  The
-        counter records what an :class:`~repro.storage.index.IndexSet` fetch
-        records, on every backend: one index probe per key and each returned
-        row, nothing for no keys.
+        router always hands tuples, so a backend uses them as given.  A
+        counter, if given, records what an :class:`~repro.storage.index.
+        IndexSet` fetch records, on every backend: one index probe per key
+        and each returned row, nothing for no keys.  The router passes none:
+        it records the merged fetch once itself.
 
         The result is a **fresh** set that the caller owns: no later fetch
         returns it again or reads it, so the router hands it on as the
@@ -99,7 +103,7 @@ class Shard:
             self.database, self.maintainer, self.access_schema, updates
         )
 
-    # -- versioning ----------------------------------------------------------------
+    # -- versioning: the federation's shared clock -----------------------------------
     def snapshot(self, relations: Iterable[str]) -> tuple[int, ...]:
         return self.database.clock.snapshot(relations)
 
@@ -109,12 +113,8 @@ class Shard:
 
     # -- reporting ---------------------------------------------------------------
     def stats(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "tuples": self.database.size,
-            "version": self.database.version,
-        }
+        # no version: the clock is the federation's, not this shard's
+        return {"name": self.name, "kind": self.kind, "tuples": self.database.size}
 
 
 class EngineShard(Shard):

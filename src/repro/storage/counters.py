@@ -110,8 +110,12 @@ class VersionClock:
         written in between, which is what makes ``(fingerprint, snapshot)``
         a sound result-cache key.
         """
+        # A plain loop: a comprehension would cost a frame per call.
         per_key = self._per_key
-        return tuple([per_key.get(key, 0) for key in keys])
+        token = []
+        for key in keys:
+            token.append(per_key.get(key, 0))
+        return tuple(token)
 
     def validate(self, keys: Iterable[Hashable], snapshot: tuple[int, ...]) -> bool:
         """Whether ``keys`` still stand at ``snapshot`` — a lock-free read check.

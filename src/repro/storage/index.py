@@ -232,14 +232,17 @@ class IndexSet:
             index = self.find(base_relation, constraint.lhs, constraint.rhs)
         return index
 
-    def fetcher(self, plan: "BoundedPlan", step: "PlanStep") -> Fetch:
+    def fetcher(
+        self, plan: "BoundedPlan", step: "PlanStep", keys: Collection[Row] | None = None
+    ) -> Fetch:
         """The local fetch source: ``step``'s fetch as one index's :meth:`ConstraintIndex.lookup_many`.
 
         This is the seam a plan touches data through, resolved once per
         fetch step at compile time (a :class:`~repro.sharding.router.
         ShardRouter` implements it by scatter/gather).  The kernels hand it
         their distinct keys and get back a mutable set, with one counter
-        record per call.
+        record per call.  ``keys``, the step's constant key set if it has
+        one, changes nothing here: one index needs no routing.
         """
         constraint = step.op.constraint
         base = plan.base_relation(constraint)

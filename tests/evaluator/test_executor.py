@@ -717,16 +717,18 @@ class TestFusedSchedule:
     def test_a_fetch_keyed_by_constants_gets_its_keys_when_lowered(
         self, fb_database, source, fb_access, psi1
     ):
-        """Keys read off a template slot are extracted once, at compile time: every
-        run hands the source the same frozenset, and the fetch still runs per read."""
+        """Keys read off a template slot are extracted once, at compile time: the
+        source is told them when the step is lowered, every run hands it that same
+        frozenset, and the fetch still runs per read."""
         builder, fetch = friend_plan(fb_access, psi1, "p0", "p1")
         plan = builder.build(fetch)
         expected = {row[::-1] for row in fb_database.relation("friend").rows if row[0] in ("p0", "p1")}
-        asked = []
+        asked, told = [], []
 
         class Recording:
-            def fetcher(self, plan, step):
-                inner = source.fetcher(plan, step)
+            def fetcher(self, plan, step, keys):
+                told.append(keys)
+                inner = source.fetcher(plan, step, keys)
 
                 def fetch(keys, counter):
                     asked.append(keys)
@@ -739,6 +741,7 @@ class TestFusedSchedule:
         assert [r.rows for r in runs] == [frozenset(expected)] * 2 and expected
         assert [r.counter.fetched for r in runs] == [len(expected)] * 2
         assert len(asked) == 2 and asked[0] is asked[1]
+        assert len(told) == 1 and told[0] is asked[0]  # the source is told the set it gets
         assert asked[0] == {("p0",), ("p1",)} and isinstance(asked[0], frozenset)
 
     @pytest.mark.parametrize("keep", ["p0", "zz"], ids=["rows", "empty"])

@@ -1,7 +1,7 @@
 """Unit tests for the deterministic fault-injection layer.
 
 Engine seams first (executor, fallback, storage writes), then the shard-call
-seams (fetch, write, snapshot): determinism, modes, clean teardown.
+seams (fetch, write): determinism, modes, clean teardown.
 """
 
 import pytest
@@ -277,18 +277,6 @@ class TestShardWriteFaults:
         with pytest.raises(MaintenanceError, match="torn"):
             shard.apply_updates(deletes(5, 9))
         assert injector.stats()[f"{shard.name}.write"] == {"calls": 4, "injected": 1}
-
-
-class TestShardSnapshotFaults:
-    def test_a_snapshot_fault_raises_a_typed_fault_not_a_token(self, shard):
-        injector = FaultInjector(seed=0)
-        injector.install_shard(shard)
-        injector.configure(f"{shard.name}.snapshot", FaultSpec(fail_every=2))
-        first = shard.snapshot(("friend",))  # call 1: clean
-        with pytest.raises(TransientFault, match="deterministic fault"):
-            shard.snapshot(("friend",))  # call 2: no token at all, never a stale one
-        assert shard.snapshot(("friend",)) == first  # call 3: clean, nothing moved
-        assert injector.stats()[f"{shard.name}.snapshot"] == {"calls": 3, "injected": 1}
 
 
 class TestShardTeardownAndStats:

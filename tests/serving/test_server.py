@@ -193,7 +193,7 @@ class TestReads:
     ):
         # The server prepares nothing and snapshots nothing of its own: a hit
         # costs what ``ServingCore.execute`` costs (a federation's one
-        # snapshot reads every shard's clock).
+        # snapshot reads the one clock its shards share).
         core = engine if shards is None else build_topology(
             fb_database, fb_access, shards=shards
         )
@@ -218,7 +218,7 @@ class TestReads:
         )
         results, _ = serve(core, [ReadRequest(query=fb_q0_prime)])
         assert results[0].ladder == ("result_cache",)
-        assert calls == {"fingerprint": 1, "plan_store": 1, "snapshot": shards or 1}
+        assert calls == {"fingerprint": 1, "plan_store": 1, "snapshot": 1}
 
 
 class TestInlineHits:
@@ -375,33 +375,26 @@ class TestInlineHits:
         assert audited == [filled.rows, overtaking.rows, after.rows]
         assert server.metrics.inline_hits == 2
 
-    @pytest.mark.parametrize("healed", [True, False], ids=["probe-only", "persistent"])
-    def test_shard_fault_during_the_probe_falls_to_the_queue(
-        self, healed, fb_database, fb_access, fb_q0_prime
+    def test_a_federated_hit_is_served_while_every_shard_fetch_raises(
+        self, fb_database, fb_access, fb_q0_prime
     ):
+        # A probe's snapshot is one read of the shards' shared clock: a hit
+        # calls no shard, so a federation whose every fetch fails still
+        # serves what it has cached, on the caller's turn.
         router = build_topology(fb_database, fb_access, shards=3)
         rows = router.execute(fb_q0_prime).rows  # hot
-        shard = router.shards[0]
         with FaultInjector(seed=0) as injector:
-            injector.install_shard(shard)
-            # call 1 is the probe's scatter; every call, or only that one
-            spec = FaultSpec(fail_every=1) if not healed else FaultSpec(fail_every=2)
-            injector.configure(f"{shard.name}.snapshot", spec)
-            if healed:
-                shard.snapshot(("cafe",))  # call 1: the probe is call 2, the worker call 3
+            for shard in router.shards:
+                injector.install_shard(shard)
+                injector.configure(f"{shard.name}.fetch", FaultSpec(fail_every=1))
             (result,), server = serve(router, [ReadRequest(query=fb_q0_prime)])
-            faulted = injector.stats()[f"{shard.name}.snapshot"]
-        metrics = server.metrics
-        assert (metrics.inline_hits, metrics.queue_depth_peak) == (0, 1)
-        if healed:
-            assert faulted == {"calls": 3, "injected": 1}
-            # the swallowed fault left no trace: the worker's attempt is the first recorded
-            assert (result.ladder, result.attempts, result.rows) == (("result_cache",), 1, rows)
-            assert metrics.retries == 0
-        else:
-            assert isinstance(result, TransientFault)  # typed, from the retry loop
-            assert metrics.ladder == {"bounded_failed": 1}
-            assert (metrics.retries, metrics.failed) == (2, 1)
+            assert all(injector.calls(f"{shard.name}.fetch") == 0 for shard in router.shards)
+            # armed, not vacuous: a read that misses the cache fails
+            router.result_cache.invalidate()
+            with pytest.raises(TransientFault, match="injected"):
+                router.execute(fb_q0_prime)
+        assert (result.ladder, result.attempts, result.rows) == (("result_cache",), 1, rows)
+        assert (server.metrics.inline_hits, server.metrics.queue_depth_peak) == (1, 0)
 
 
 class TestAdmission:

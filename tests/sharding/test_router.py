@@ -23,7 +23,7 @@ from repro.discovery.maintenance import Update
 from repro.evaluator.algebra import evaluate
 from repro.serving.server import BoundedServer, ReadRequest, WriteRequest
 from repro.serving.soak import SoakConfig, run_soak
-from repro.sharding import Partitioner, ShardRouter, build_topology
+from repro.sharding import EngineShard, Partitioner, ShardRouter, build_topology
 from repro.storage.database import Database
 from repro.workloads import facebook
 
@@ -261,8 +261,7 @@ class TestRoutedWrites:
             router.apply_updates(batch)
         # Shard 0's portion stays applied and is accounted for; the router
         # still settled its result cache (with no delta: a sweep) over what
-        # actually changed.  It keeps no clock of its own: the shard epochs
-        # are the version.
+        # actually changed.  Shard 0's portion bumped the shared clock once.
         assert info.value.report.applied == 1
         assert info.value.report.failed
         assert info.value.report.version is None
@@ -294,6 +293,32 @@ class TestDeltaRepairOverFederation:
         assert router.cache_stats()["plan_store"]["misses"] == 1
         assert ("c_fed",) in result.rows
         assert result.rows == evaluate(query, database).rows
+
+    def test_a_direct_shard_write_makes_the_cached_entry_stale(self):
+        # No routed batch, no settlement: the owning shards write their
+        # fragments themselves.  Every fragment stamps the one shared clock,
+        # so the next read sees its dependencies moved past their marks,
+        # drops the entry and serves the new rows.
+        router, database = mirrored_topology()
+        query = facebook.query_q1()
+        router.execute(query)
+        assert router.execute(query).result_cached
+        batch = [
+            Update.insert("cafe", ("c_fed", "nyc")),
+            Update.insert("friend", ("p0", "p_fed")),
+            Update.insert("dine", ("p_fed", "c_fed", "may", 2015)),
+        ]
+        owners = [router.partitioner.shard_for_row(u.relation, u.row) for u in batch]
+        assert set(owners) - {0}  # not only the first shard's fragment moves
+        for update, owner in zip(batch, owners):
+            assert router.shards[owner].apply_updates([update]).applied == 1
+            database.insert(update.relation, update.row)
+        result = router.execute(query)
+        assert not result.result_cached
+        assert router.cache_stats()["result_cache"]["stale"] == 1
+        assert ("c_fed",) in result.rows
+        assert result.rows == evaluate(query, database).rows
+        assert router.execute(query).result_cached  # refilled at the new epoch
 
     def test_write_racing_the_derivation_is_never_served(self):
         # The narrower window: a shard write landing *while* the deriver
@@ -378,6 +403,18 @@ class TestBuildTopology:
         router, database = mirrored_topology(shards=1)
         with pytest.raises(StorageError, match="at least one shard"):
             ShardRouter([], Partitioner(database.schema, 1), router.access_schema)
+
+    def test_router_rejects_shards_that_do_not_share_one_clock(self):
+        database = facebook.generate(scale=10, seed=1)
+        access = facebook.access_schema(database.schema)
+        partitioner = Partitioner(database.schema, 2)
+        first, second = partitioner.partition(database), partitioner.partition(database)
+        assert first[0].clock is first[1].clock is not second[1].clock
+        ShardRouter([EngineShard(f"s{i}", f, access) for i, f in enumerate(first)], partitioner, access)
+        # the same data, but fragments of two splits: two clocks
+        mixed = [EngineShard("s0", first[0], access), EngineShard("s1", second[1], access)]
+        with pytest.raises(StorageError, match="do not share one version clock"):
+            ShardRouter(mixed, partitioner, access)
 
     def test_router_rejects_a_partitioner_for_another_shard_count(self):
         router, database = mirrored_topology(shards=2)

@@ -45,7 +45,7 @@ class ReferenceScatter:
         self.router = router
         self.counts = Counter()
 
-    def fetcher(self, plan, step):
+    def fetcher(self, plan, step, keys=None):
         constraint = step.op.constraint
         base = plan.base_relation(constraint)
 
@@ -263,6 +263,85 @@ def test_a_many_key_fetch_asks_each_owner_once():
     after = [latency.count(f"shard:{shard.name}") for shard in router.shards]
     assert len(owners) > 1
     assert [a - b for a, b in zip(after, before)] == [int(i in owners) for i in range(3)]
+    close(router)
+
+
+def test_a_constant_key_fetch_handed_another_key_set_routes_it_per_call():
+    """The split of a step's constant keys over their owners is fixed at
+    compile time and used for that very set only: any other set, an equal
+    copy included, is routed key by key when it comes."""
+    database = facebook.generate(scale=30, seed=5)
+    access = facebook.access_schema(database.schema)
+    router = build_topology(database, access, shards=3, result_cache_size=0)
+    plan, step = fetch_step(router, friends_of("p1"))
+    constant = frozenset({("p1",)})
+    fetch = router.fetcher(plan, step, constant)
+    local = IndexSet.build(database, access).fetcher(plan, step)
+    owner = router.partitioner.shard_for_value
+    other = next(
+        (f"p{i}",) for i in range(2, 30)
+        if owner(f"p{i}") != owner("p1") and local({(f"p{i}",)}, AccessCounter())
+    )
+    handed = []  # (shard, the key set it was handed), per shard call
+    for index, shard in enumerate(router.shards):
+        # the compiled fetch looks each shard's fetch up per call
+        def recording(constraint, base, keys, counter=None, _fetch=shard.fetch, _index=index):
+            handed.append((_index, keys))
+            return _fetch(constraint, base, keys, counter)
+
+        shard.fetch = recording
+    for keys in (constant, {other}, {other, ("p1",)}, set(constant), constant):
+        handed.clear()
+        assert fetch(keys, AccessCounter()) == local(keys, AccessCounter()) != set()
+        assert sorted(index for index, _ in handed) == sorted({owner(key[0]) for key in keys})
+        if len(handed) == 1:  # one owner gets the set the fetch was handed, not an equal one
+            assert handed[0][1] is keys
+    close(router)
+
+
+def dine_visit(cid, pid):
+    """``π_cid σ_cid=cid ∧ pid=pid dine``: one fetch through the ``(cid, pid)`` index."""
+    dine = Relation.from_schema(facebook.schema(), "dine")
+    return dine.select(eq(dine["cid"], cid)).select(eq(dine["pid"], pid)).project([dine["cid"]])
+
+
+@pytest.mark.parametrize("kind", ["broadcast", "routed"])
+def test_a_fetch_step_is_recorded_once_as_the_shards_recorded_it(kind):
+    """The router records a fetch step once, over the merged result, and asks
+    the shards with no counter: one probe per key on every shard asked, and
+    each merged tuple once — what the shards' own records and the
+    broadcast's duplicate correction (the reference scatter) come to."""
+    database = facebook.generate(scale=30, seed=5)
+    access = facebook.access_schema(database.schema)
+    if kind == "broadcast":
+        # dine split by month: a pair dined in several months is on several shards
+        router = build_topology(
+            database, access, shards=3, partition_keys={"dine": "month"}, result_cache_size=0
+        )
+        visits = Counter((cid, pid) for pid, cid, _, _ in database.relation("dine").rows)
+        keys = {pair for pair, count in visits.items() if count > 1}
+        plan, step = fetch_step(router, dine_visit(*min(keys)))
+    else:
+        router = build_topology(database, access, shards=3, result_cache_size=0)
+        keys = {(f"p{i}",) for i in range(6)}
+        plan, step = fetch_step(router, friends_of("p1"))
+    counted, reference = AccessCounter(), AccessCounter()
+    before = scatter_counts(router)
+    rows = router.fetcher(plan, step)(keys, counted)
+    assert rows == ReferenceScatter(router).fetcher(plan, step)(keys, reference) != set()
+    for field in ("fetched", "index_probes", "per_relation", "scanned"):
+        assert getattr(counted, field) == getattr(reference, field)
+    moved = {k: v - before[k] for k, v in scatter_counts(router).items()}
+    asked = moved["shard_fetches"]
+    if kind == "broadcast":
+        assert (moved["broadcasts"], asked) == (1, 3)
+        assert (counted.fetched, counted.index_probes) == (len(rows), 3 * len(keys))
+        # not vacuous: the shards returned some tuple twice
+        partials = [shard.fetch(step.op.constraint, "dine", keys) for shard in router.shards]
+        assert sum(map(len, partials)) > len(rows)
+    else:
+        assert moved["routed"] == 1 and asked > 1  # several owners asked
+        assert (counted.fetched, counted.index_probes) == (len(rows), len(keys))
     close(router)
 
 
