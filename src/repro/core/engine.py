@@ -75,7 +75,7 @@ from typing import TYPE_CHECKING, Collection, Hashable, Iterable, Mapping, Seque
 
 from ..evaluator.baseline import evaluate_conventional
 from ..evaluator.executor import ExecutionResult, PlanExecutor
-from ..storage.counters import AccessCounter
+from ..storage.counters import AccessCounter, VersionClock
 from ..storage.database import Database
 from ..storage.index import IndexSet
 from .access import AccessSchema
@@ -248,9 +248,9 @@ class ServingCore:
     :class:`~repro.evaluator.executor.PlanExecutor` that reads run on and
     write settlement re-runs kernels of.  A subclass supplies only its
     substrate: the fetch ``source`` that answers fetch steps (``schema``
-    being the data's), :meth:`_snapshot` / :meth:`_validate` (what "the data
-    has not moved" means: a snapshot is one epoch token per relation, in
-    order), :meth:`_evaluate_conventionally` (the unbounded
+    being the data's), the ``clock`` every write to its data stamps (what
+    "the data has not moved" means: :meth:`_snapshot` reads one epoch token
+    per relation off it), :meth:`_evaluate_conventionally` (the unbounded
     fallback), :meth:`_write` (the batch onto its data and clocks), and
     :meth:`_group_of` (a group over all its data, read back after a write).
     Settlement is the same on every substrate: a reached entry re-runs the
@@ -309,11 +309,14 @@ class ServingCore:
         *,
         source: object,
         schema: "DatabaseSchema",
+        clock: VersionClock,
         plan_cache_size: int,
         result_cache_size: int,
     ):
         self.access_schema = access_schema
         self.schema = schema
+        #: the one clock every write to the substrate's data stamps
+        self.clock = clock
         self.plan_cache = PlanStore(plan_cache_size)
         self.result_cache = ResultCache(result_cache_size)
         self.fallback_breaker = None
@@ -325,17 +328,17 @@ class ServingCore:
         self._deriver = DeltaDeriver(self._executor, schema)
 
     # -- the substrate ------------------------------------------------------------------
-    def _snapshot(self, relations: tuple[str, ...]) -> tuple:
+    def _snapshot(self, relations: tuple[str, ...]) -> tuple[int, ...]:
         """The current epoch token of each of ``relations``, in order.
 
         A relation's token changes with every write to it, and only then;
         tokens are compared only by equality.
         """
-        raise NotImplementedError
+        return self.clock.snapshot(relations)
 
-    def _validate(self, relations: tuple[str, ...], snapshot: tuple) -> bool:
+    def _validate(self, relations: tuple[str, ...], snapshot: tuple[int, ...]) -> bool:
         """Whether ``relations`` still stand at ``snapshot``."""
-        raise NotImplementedError
+        return self.clock.snapshot(relations) == snapshot
 
     def _evaluate_conventionally(self, query: Query):
         """``query`` through ``_fallback_evaluator`` over all of the substrate's data."""
@@ -707,17 +710,12 @@ class BoundedEngine(ServingCore):
             access_schema,
             source=self.indexes,
             schema=database.schema,
+            clock=database.clock,
             plan_cache_size=plan_cache_size,
             result_cache_size=result_cache_size,
         )
 
     # -- the substrate: one database ----------------------------------------------------
-    def _snapshot(self, relations: tuple[str, ...]) -> tuple[int, ...]:
-        return self.database.clock.snapshot(relations)
-
-    def _validate(self, relations: tuple[str, ...], snapshot: tuple[int, ...]) -> bool:
-        return self.database.clock.snapshot(relations) == snapshot
-
     def _evaluate_conventionally(self, query: Query):
         return self._fallback_evaluator(
             query, self.database, self.access_schema, self.indexes

@@ -198,13 +198,12 @@ class ShardRouter(ServingCore):
             access_schema,
             source=self,
             schema=partitioner.schema,
+            clock=clock,
             plan_cache_size=plan_cache_size,
             result_cache_size=result_cache_size,
         )
         self.shards = list(shards)
         self.partitioner = partitioner
-        #: the one clock every shard's fragment stamps its writes on
-        self.clock = clock
         self.write_observer = write_observer
         self.metrics = RouterMetrics()
         #: (constraint, base relation) -> the one equal constraint every
@@ -212,12 +211,6 @@ class ShardRouter(ServingCore):
         self._interned: dict[tuple[AccessConstraint, str], AccessConstraint] = {}
 
     # -- the substrate: a federation of shards ----------------------------------------
-    def _snapshot(self, relations: tuple[str, ...]) -> tuple[int, ...]:
-        return self.clock.snapshot(relations)
-
-    def _validate(self, relations: tuple[str, ...], snapshot: tuple[int, ...]) -> bool:
-        return self.clock.snapshot(relations) == snapshot
-
     def _group_of(self, constraint: AccessConstraint, row: Row) -> set[Row]:
         """The union of every shard's share: a group spans shards when the
         partition attribute is not in ``X``, each share within ``N`` alone."""
